@@ -1,21 +1,17 @@
 // Simulation-engine throughput sweep over a corpus of fuzz-built
-// pipelines. Four measurements, each fenced by byte-identity:
+// pipelines. Three measurements, each fenced by byte-identity:
 //
-//   1. serial events/sec of the arena Engine vs the reference engine
-//      (legacy ordered-set/priority-queue containers) — the win from the
-//      indexed binary heaps and the reused per-Engine arena;
-//   2. serial events/sec of the SoA engine vs the arena Engine — the win
-//      from the structure-of-arrays task layout (contiguous field arrays,
-//      CSR successors, packed uint64 ready keys). SoA graphs are flattened
-//      once outside the timed region and every engine row is the best of
-//      three warmed trials, so the comparison times steady-state event
-//      processing, not first-pass allocation or a scheduler hiccup.
-//      Falling below the SoA floor (1.5x on the full corpus, parity on
-//      --quick) exits non-zero;
-//   3. events/sec of the BatchRunner multi-seed path at 1/2/8 worker
+//   1. serial events/sec of sim::Engine vs the reference engine (legacy
+//      ordered-set/priority-queue containers). The Engine row times what
+//      callers pay — flatten into the SoaGraph layout plus the event loop —
+//      on one reused Engine, and each row is the best of three warmed
+//      trials, so the comparison times steady-state processing, not
+//      first-pass allocation or a scheduler hiccup. Falling below the
+//      reference engine's events/s exits non-zero;
+//   2. events/sec of the BatchRunner multi-seed path at 1/2/8 worker
 //      threads vs the plain serial loop — the win from fanning independent
 //      simulations across cores;
-//   4. a candidate-ranking sweep: analytic pre-filter + top-band simulation
+//   3. a candidate-ranking sweep: analytic pre-filter + top-band simulation
 //      vs simulating every candidate. Requires 100% rank-1 recall and (on
 //      the full corpus) a >=5x wall-clock reduction; violations exit
 //      non-zero. `--prefilter=off` skips the comparison and reports the
@@ -23,10 +19,8 @@
 //
 // Every simulation result is fingerprinted (bit-exact records, pool peaks,
 // makespan) outside the timed regions; any divergence between the
-// reference engine, the arena engine, the SoA engine and any batched run
-// exits non-zero, so the bench doubles as a determinism check on real
-// hardware. The two older engines are the differential oracles for the SoA
-// hot path.
+// reference engine, the Engine and any batched run exits non-zero, so the
+// bench doubles as a determinism check on real hardware.
 //
 // `--quick` trims the corpus for the perf-smoke CI tier.
 #include "harness.h"
@@ -43,7 +37,6 @@
 #include "runtime/graph_builder.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
-#include "sim/soa.h"
 
 using namespace dapple;
 
@@ -73,14 +66,6 @@ std::string Fingerprint(const sim::SimResult& result) {
   return bytes;
 }
 
-long ExecutedTasks(const std::vector<sim::SimResult>& results) {
-  long total = 0;
-  for (const sim::SimResult& r : results) {
-    for (const sim::ResourceUsage& u : r.resources) total += u.tasks_executed;
-  }
-  return total;
-}
-
 double Seconds(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
@@ -98,8 +83,7 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "Simulation engine — SoA hot path, arena queues, batched multi-seed, "
-      "analytic pre-filter",
+      "Simulation engine — SoA event loop, batched multi-seed, analytic pre-filter",
       "DAPPLE paper, Sec. 6 evaluation methodology (simulated testbed)");
 
   // Corpus: fuzz-derived pipelines, the same generator the differential
@@ -132,10 +116,10 @@ int main(int argc, char** argv) {
 
   int failures = 0;
 
-  // 1. Reference vs arena engine, serial. The arena Engine instance is
-  // reused across the corpus — exactly how BatchRunner workers run it.
-  // Engine rows feed the SoA floor assertion, so each is the best of three
-  // warmed trials — a scheduler hiccup in one trial must not fail CI.
+  // 1. Reference vs Engine, serial. The Engine instance is reused across
+  // the corpus — exactly how BatchRunner workers run it. Both rows feed the
+  // floor assertion, so each is the best of three warmed trials — a
+  // scheduler hiccup in one trial must not fail CI.
   constexpr int kTrials = 3;
   std::vector<sim::SimResult> ref_results;
   const double ref_wall = bench::TimeWarmedPassesBestOf(kTrials, reps, [&] {
@@ -147,87 +131,43 @@ int main(int argc, char** argv) {
   });
 
   sim::Engine engine;
-  std::vector<sim::SimResult> arena_results;
-  const double arena_wall = bench::TimeWarmedPassesBestOf(kTrials, reps, [&] {
-    arena_results.clear();
-    arena_results.reserve(jobs.size());
+  std::vector<sim::SimResult> engine_results;
+  const double engine_wall = bench::TimeWarmedPassesBestOf(kTrials, reps, [&] {
+    engine_results.clear();
+    engine_results.reserve(jobs.size());
     for (const sim::SimJob& job : jobs) {
-      arena_results.push_back(engine.Simulate(*job.graph, job.options));
-    }
-  });
-
-  // 2. The SoA engine. Graphs are flattened once, outside the timed
-  // region — steady-state callers (the prefilter sweep, repeated what-if
-  // replans of one pipeline) amortize the flatten the same way.
-  std::vector<sim::SoaGraph> soa_graphs;
-  soa_graphs.reserve(corpus.size());
-  for (const runtime::BuiltPipeline& b : corpus) soa_graphs.emplace_back(b.graph);
-
-  sim::SoaEngine soa_engine;
-  std::vector<sim::SimResult> soa_results;
-  const double soa_wall = bench::TimeWarmedPassesBestOf(kTrials, reps, [&] {
-    soa_results.clear();
-    soa_results.reserve(soa_graphs.size());
-    for (std::size_t i = 0; i < soa_graphs.size(); ++i) {
-      soa_results.push_back(soa_engine.Simulate(soa_graphs[i], jobs[i].options));
+      engine_results.push_back(engine.Simulate(*job.graph, job.options));
     }
   });
 
   std::vector<std::string> expected;
   expected.reserve(ref_results.size());
   for (const sim::SimResult& r : ref_results) expected.push_back(Fingerprint(r));
-  for (std::size_t i = 0; i < arena_results.size(); ++i) {
-    if (Fingerprint(arena_results[i]) != expected[i]) {
+  for (std::size_t i = 0; i < engine_results.size(); ++i) {
+    if (Fingerprint(engine_results[i]) != expected[i]) {
       std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: arena engine diverged from the "
-                   "reference on corpus pipeline %zu\n",
+                   "DETERMINISM VIOLATION: engine diverged from the reference on "
+                   "corpus pipeline %zu\n",
                    i);
       ++failures;
     }
-  }
-  for (std::size_t i = 0; i < soa_results.size(); ++i) {
-    if (Fingerprint(soa_results[i]) != expected[i]) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: SoA engine diverged from the "
-                   "reference on corpus pipeline %zu\n",
-                   i);
-      ++failures;
-    }
-  }
-  // The rows must also have simulated the same work: identical executed
-  // task counts, or the events/s comparison below compares nothing.
-  const long arena_tasks = ExecutedTasks(arena_results);
-  const long soa_tasks = ExecutedTasks(soa_results);
-  if (arena_tasks != soa_tasks) {
-    std::fprintf(stderr,
-                 "TASK-COUNT MISMATCH: arena executed %ld tasks, SoA executed "
-                 "%ld on the same corpus\n",
-                 arena_tasks, soa_tasks);
-    ++failures;
   }
 
   const double events_per_sec_ref =
       ref_wall > 0.0 ? static_cast<double>(total_events) / ref_wall : 0.0;
-  const double events_per_sec_arena =
-      arena_wall > 0.0 ? static_cast<double>(total_events) / arena_wall : 0.0;
-  const double events_per_sec_soa =
-      soa_wall > 0.0 ? static_cast<double>(total_events) / soa_wall : 0.0;
+  const double events_per_sec_engine =
+      engine_wall > 0.0 ? static_cast<double>(total_events) / engine_wall : 0.0;
 
   AsciiTable table({"Path", "Threads", "Wall (s)", "Events/s", "Speedup", "Projected"});
   table.AddRow({"reference", "1", AsciiTable::Num(ref_wall, 3),
                 AsciiTable::Num(events_per_sec_ref, 0), "1.00x", "-"});
-  const double arena_speedup = arena_wall > 0.0 ? ref_wall / arena_wall : 0.0;
-  table.AddRow({"arena", "1", AsciiTable::Num(arena_wall, 3),
-                AsciiTable::Num(events_per_sec_arena, 0),
-                AsciiTable::Num(arena_speedup, 2) + "x", "-"});
-  const double soa_vs_arena = soa_wall > 0.0 ? arena_wall / soa_wall : 0.0;
-  const double soa_speedup = soa_wall > 0.0 ? ref_wall / soa_wall : 0.0;
-  table.AddRow({"soa", "1", AsciiTable::Num(soa_wall, 3),
-                AsciiTable::Num(events_per_sec_soa, 0),
-                AsciiTable::Num(soa_speedup, 2) + "x", "-"});
+  const double engine_speedup = engine_wall > 0.0 ? ref_wall / engine_wall : 0.0;
+  table.AddRow({"engine", "1", AsciiTable::Num(engine_wall, 3),
+                AsciiTable::Num(events_per_sec_engine, 0),
+                AsciiTable::Num(engine_speedup, 2) + "x", "-"});
   table.AddSeparator();
 
-  // 3. The batched multi-seed path. One-thread batch measures the driver's
+  // 2. The batched multi-seed path. One-thread batch measures BatchRunner's
   // overhead over the plain loop; that overhead feeds the Amdahl projection
   // for hosts without real cores to show the parallel win directly.
   double batch1_wall = 0.0;
@@ -256,10 +196,10 @@ int main(int argc, char** argv) {
 
     // Amdahl from the measured driver overhead: the per-simulation work is
     // fully parallel; only the dispatch overhead (batch1 - serial) is not.
-    const double overhead = batch1_wall > arena_wall ? batch1_wall - arena_wall : 0.0;
+    const double overhead = batch1_wall > engine_wall ? batch1_wall - engine_wall : 0.0;
     const double projected =
-        arena_wall > 0.0 ? arena_wall / (overhead + arena_wall / threads) : 0.0;
-    const double speedup = wall > 0.0 ? arena_wall / wall : 0.0;
+        engine_wall > 0.0 ? engine_wall / (overhead + engine_wall / threads) : 0.0;
+    const double speedup = wall > 0.0 ? engine_wall / wall : 0.0;
     const double events = wall > 0.0 ? static_cast<double>(total_events) / wall : 0.0;
     table.AddRow({"batched", AsciiTable::Int(threads), AsciiTable::Num(wall, 3),
                   AsciiTable::Num(events, 0), AsciiTable::Num(speedup, 2) + "x",
@@ -274,29 +214,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  char arena_measured[64];
-  std::snprintf(arena_measured, sizeof(arena_measured), "%.2fx events/sec", arena_speedup);
-  bench::PrintComparison("arena engine vs reference containers (serial)",
-                         ">=1x (no regression)", arena_measured);
-
-  // The SoA floor: 1.5x over the arena engine on the full 192-pipeline
-  // corpus. The quick CI corpus is too small for a stable ratio on loaded
-  // runners, so the smoke tier only rejects outright regression.
-  const double soa_floor = quick ? 1.0 : 1.5;
-  char soa_measured[64];
-  std::snprintf(soa_measured, sizeof(soa_measured), "%.2fx events/sec", soa_vs_arena);
-  char soa_target[32];
-  std::snprintf(soa_target, sizeof(soa_target), ">=%.1fx", soa_floor);
-  bench::PrintComparison("SoA engine vs arena engine (serial)", soa_target, soa_measured);
-  if (soa_vs_arena < soa_floor) {
-    std::fprintf(stderr, "SOA REGRESSION: %.2fx vs arena, floor %.1fx\n", soa_vs_arena,
-                 soa_floor);
+  // The engine floor: the production engine must not lose to the oracle.
+  // Sub-10 ms timed regions on a shared host swing the ratio by +-20%
+  // between runs, so a tighter floor would measure the host, not the code.
+  char engine_measured[64];
+  std::snprintf(engine_measured, sizeof(engine_measured), "%.2fx events/sec",
+                engine_speedup);
+  bench::PrintComparison("engine vs reference containers (serial)", ">=1.0x",
+                         engine_measured);
+  if (engine_speedup < 1.0) {
+    std::fprintf(stderr, "ENGINE REGRESSION: %.2fx vs reference, floor 1.0x\n",
+                 engine_speedup);
     ++failures;
   }
 
   std::printf("%s", table.ToString().c_str());
 
-  // 4. Candidate-ranking sweep: analytic pre-filter vs full simulation.
+  // 3. Candidate-ranking sweep: analytic pre-filter vs full simulation.
   // One fixed (model, cluster, global batch); candidates are random DAPPLE
   // split-mode plans — the family whose analytic/sim brackets make the
   // 2.6x band provably recall-preserving.
@@ -323,7 +257,7 @@ int main(int argc, char** argv) {
                               ranking.candidates[static_cast<std::size_t>(i)],
                               ranking.options)
             .Build();
-    return sim::SoaEngine::Run(built.graph, built.engine_options).makespan;
+    return sim::Engine::Run(built.graph, built.engine_options).makespan;
   };
 
   planner::RankingOptions full_opts;
@@ -396,12 +330,11 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading guide: 'Speedup' compares against the serial reference loop\n"
       "of the same corpus; the batched rows' speedup is against the serial\n"
-      "arena loop and reflects the host's real core count, with 'Projected'\n"
+      "engine loop and reflects the host's real core count, with 'Projected'\n"
       "the Amdahl bound from the measured one-thread batch overhead (the\n"
       "per-simulation work itself is embarrassingly parallel). On a\n"
       "single-core host trust the projection. Identity of every simulation\n"
-      "against the reference engine — and between the SoA and arena rows —\n"
-      "is asserted in this same run.\n");
+      "against the reference engine is asserted in this same run.\n");
 
   if (failures > 0) {
     std::fprintf(stderr, "%d bench invariant violation(s)\n", failures);

@@ -56,7 +56,7 @@ void PrintComparison(const std::string& metric, const std::string& paper,
                      const std::string& measured);
 
 /// Wall seconds of `reps` identical passes of `pass`, measured after one
-/// untimed warmup pass. The warmup populates per-engine arenas, SoA
+/// untimed warmup pass. The warmup populates the engine's arena and
 /// flatten scratch and allocator caches, so per-row engine comparisons
 /// time steady-state throughput instead of charging first-pass allocation
 /// to whichever engine happens to run first.

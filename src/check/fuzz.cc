@@ -14,7 +14,7 @@
 #include "planner/prefilter.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
-#include "sim/soa.h"
+#include "sim/prefilter.h"
 #include "topo/device_set.h"
 
 namespace dapple::check {
@@ -514,7 +514,7 @@ RankingFuzzOutcome RunRankingFuzzCase(const RankingFuzzCase& c, bool prefilter) 
           runtime::GraphBuilder(c.model, c.cluster,
                                 c.candidates[static_cast<std::size_t>(i)], c.options)
               .Build();
-      return sim::SoaEngine::Run(built.graph, built.engine_options).makespan;
+      return sim::Engine::Run(built.graph, built.engine_options).makespan;
     } catch (const std::exception&) {
       return std::numeric_limits<double>::infinity();
     }
@@ -573,9 +573,9 @@ FuzzOutcome RunFuzzCase(const FuzzCase& c) {
       out.checked_latency = true;
       out.analytic_latency = e.latency;
       const double over = c.plan.num_stages() == 1 ? kAnalyticOverSimTolerance
-                                                   : kAnalyticOverSimCommTolerance;
+                                                   : sim::kAnalyticOverSim;
       out.latency_bracketed = e.latency <= result.makespan * over + 1e-12 &&
-                              result.makespan <= e.latency * kSimOverAnalyticTolerance + 1e-12;
+                              result.makespan <= e.latency * sim::kSimOverAnalytic + 1e-12;
     }
 
     // Differential 2: with an early-backward schedule (DAPPLE, and its 2BP

@@ -1,11 +1,12 @@
 #include "dapple/dapple.h"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
 #include <limits>
+#include <vector>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
+#include "sim/prefilter.h"
 
 namespace dapple {
 
@@ -72,24 +73,28 @@ planner::PlanResult Session::Plan(long global_batch_size,
   // Re-rank the analytic top-k with the discrete-event simulator: the
   // formula-1 objective ignores internal bubbles and can misorder plans
   // that are within a few percent of each other; one simulated iteration
-  // per candidate settles those ties exactly.
+  // per candidate settles those ties exactly. PrefilterBatch skips only a
+  // candidate whose analytic score the calibrated bracket proves cannot
+  // beat the best simulated one, and selects deterministically at every
+  // thread count.
   TimeSec best_simulated = std::numeric_limits<TimeSec>::infinity();
   if (result.alternatives.size() > 1) {
-    // Candidate simulations are independent; evaluate them across the
-    // shared pool and select deterministically afterwards.
-    std::vector<TimeSec> simulated(result.alternatives.size());
-    ThreadPool::Shared().ParallelFor(result.alternatives.size(), [&](std::size_t i) {
-      simulated[i] = simulate(result.alternatives[i].first);
-    });
-    std::size_t best_index = 0;
-    for (std::size_t i = 0; i < simulated.size(); ++i) {
-      if (simulated[i] < best_simulated) {
-        best_simulated = simulated[i];
-        best_index = i;
-      }
+    std::vector<double> scores;
+    scores.reserve(result.alternatives.size());
+    for (const auto& [plan, estimate] : result.alternatives) {
+      scores.push_back(estimate.feasible ? estimate.latency
+                                         : std::numeric_limits<double>::infinity());
     }
-    result.plan = result.alternatives[best_index].first;
-    result.estimate = result.alternatives[best_index].second;
+    sim::PrefilterOptions prefilter;
+    prefilter.threads = options.num_threads;
+    const sim::PrefilterResult ranked = sim::PrefilterBatch(
+        scores,
+        [&](int i) { return simulate(result.alternatives[static_cast<std::size_t>(i)].first); },
+        prefilter);
+    const auto best = static_cast<std::size_t>(std::max(ranked.best, 0));
+    best_simulated = ranked.best_value;
+    result.plan = result.alternatives[best].first;
+    result.estimate = result.alternatives[best].second;
   } else {
     best_simulated = simulate(result.plan);
   }
@@ -99,6 +104,7 @@ planner::PlanResult Session::Plan(long global_batch_size,
   // near-identical splits, so the exact optimum boundary (e.g. GNMT's 9:7
   // vs 10:6) may be a one-layer shift away from the analytic winner.
   if (result.plan.num_stages() > 1 && std::isfinite(best_simulated)) {
+    const planner::DapplePlanner evaluator(model_, cluster_, options);
     bool improved = true;
     int rounds = 0;
     while (improved && rounds++ < 8) {
@@ -115,8 +121,7 @@ planner::PlanResult Session::Plan(long global_batch_size,
           const TimeSec simulated = simulate(candidate);
           if (simulated < best_simulated) {
             best_simulated = simulated;
-            planner::DapplePlanner refined_eval(model_, cluster_, options);
-            result.estimate = refined_eval.Evaluate(candidate);
+            result.estimate = evaluator.Evaluate(candidate);
             result.plan = std::move(candidate);
             improved = true;
             break;

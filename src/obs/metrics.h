@@ -5,7 +5,8 @@
 // aligned-column text by the iteration-report layer and `dapple report`.
 //
 // Instruments may be created from concurrent threads (the planner evaluates
-// candidates on a thread pool); updates are lock-free after creation.
+// candidates on a thread pool). Counter and Gauge updates are lock-free
+// single atomics; a Histogram observation takes that histogram's mutex.
 #pragma once
 
 #include <atomic>

@@ -13,7 +13,7 @@
 #include "obs/metrics.h"
 #include "runtime/schedule.h"
 #include "sim/batch.h"
-#include "sim/soa.h"
+#include "sim/engine.h"
 
 namespace dapple::obs {
 
@@ -476,7 +476,7 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
       runner.Map<Bytes>(static_cast<int>(reps.size()), [&](int r) {
         const runtime::BuiltPipeline& b =
             builds[static_cast<std::size_t>(reps[static_cast<std::size_t>(r)])];
-        return sim::SoaEngine::Run(b.graph, b.engine_options).MaxPeakMemory();
+        return sim::Engine::Run(b.graph, b.engine_options).MaxPeakMemory();
       });
   std::vector<Bytes> peak_of(static_cast<std::size_t>(n));
   for (std::size_t r = 0; r < reps.size(); ++r) {

@@ -67,6 +67,21 @@ struct SearchNode {
   double tpl = 0.0;  // latency of prefix + default suffix (the paper's TPL)
 };
 
+/// The stage-cost cache for one search, or null when the options disable it
+/// or the cluster is past kStageCacheMaxDevices. The size cutoff counts in
+/// planner.cache.disabled, so the slower uncached search is never silent.
+std::unique_ptr<StageCostCache> MakeStageCache(const PlannerOptions& options,
+                                               int num_devices) {
+  if (!options.use_stage_cache) return nullptr;
+  if (num_devices > kStageCacheMaxDevices) {
+    obs::MetricsRegistry::Global().counter("planner.cache.disabled").Increment();
+    return nullptr;
+  }
+  return std::make_unique<StageCostCache>(
+      static_cast<std::size_t>(std::max(1, options.cache_shards)),
+      static_cast<std::size_t>(std::max(0L, options.cache_entries_per_shard)));
+}
+
 }  // namespace
 
 const char* ToString(RecomputePolicy policy) {
@@ -122,13 +137,9 @@ PlanResult DapplePlanner::Plan() const {
   PlanResult result = Search(EffectiveLatencyOptions(true));
   const LatencyOptions plain = EffectiveLatencyOptions(false);
   LatencyEstimator estimator(*model_, *cluster_, plain);
-  std::unique_ptr<StageCostCache> cache;
-  if (options_.use_stage_cache && cluster_->num_devices() <= kStageCacheMaxDevices) {
-    cache = std::make_unique<StageCostCache>(
-        static_cast<std::size_t>(std::max(1, options_.cache_shards)),
-        static_cast<std::size_t>(std::max(0L, options_.cache_entries_per_shard)));
-    estimator.set_stage_cache(cache.get());
-  }
+  const std::unique_ptr<StageCostCache> cache =
+      MakeStageCache(options_, cluster_->num_devices());
+  estimator.set_stage_cache(cache.get());
   int probes = MinimizeRecompute(estimator, result.plan, result.estimate);
   int recompute_stages = 0;
   for (const StagePlan& s : result.plan.stages) recompute_stages += s.recompute ? 1 : 0;
@@ -214,13 +225,8 @@ PlanResult DapplePlanner::Search(const LatencyOptions& latency) const {
   DAPPLE_CHECK_GT(num_devices, 0);
 
   LatencyEstimator estimator(*model_, *cluster_, latency);
-  std::unique_ptr<StageCostCache> cache;
-  if (options_.use_stage_cache && num_devices <= kStageCacheMaxDevices) {
-    cache = std::make_unique<StageCostCache>(
-        static_cast<std::size_t>(std::max(1, options_.cache_shards)),
-        static_cast<std::size_t>(std::max(0L, options_.cache_entries_per_shard)));
-    estimator.set_stage_cache(cache.get());
-  }
+  const std::unique_ptr<StageCostCache> cache = MakeStageCache(options_, num_devices);
+  estimator.set_stage_cache(cache.get());
 
   // Thread plumbing: 0 = shared pool, 1 = serial inline, n > 1 = dedicated
   // pool. The serial path bypasses the pool entirely so single-threaded

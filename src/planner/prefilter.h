@@ -9,14 +9,14 @@
 // pure planner/sim composition.
 //
 // The cut derives from the two calibrated analytic/sim brackets
-// (check/fuzz.h): on DAPPLE split-mode plans without a warmup override,
+// (sim::kAnalyticOverSim, sim::kSimOverAnalytic in sim/prefilter.h): on
+// DAPPLE split-mode plans without a warmup override,
 // analytic <= kAnalyticOverSim x sim and sim <= kSimOverAnalytic x analytic.
-// The adaptive cut (sim/prefilter.h) simulates only candidates scoring
-// within kAnalyticOverSim x (best simulated makespan); its keep-set never
-// exceeds the static worst-case band of
-// kAnalyticOverSim x kSimOverAnalytic = 2.6x over the analytic argmin, and
-// the true sim-best provably survives either cut. Candidates outside the
-// calibrated family void the guarantee; widen
+// The adaptive cut simulates only candidates scoring within
+// kAnalyticOverSim x (best simulated makespan); its keep-set never exceeds
+// the static worst-case band of kAnalyticOverSim x kSimOverAnalytic = 2.6x
+// over the analytic argmin, and the true sim-best provably survives either
+// cut. Candidates outside the calibrated family void the guarantee; widen
 // RankingOptions::analytic_over_sim or disable the prefilter there.
 #pragma once
 
@@ -29,19 +29,6 @@
 
 namespace dapple::planner {
 
-/// Analytic-over-sim bracket factor the adaptive cut uses. Mirrors
-/// check::kAnalyticOverSimCommTolerance — the fuzz harness pins the bracket
-/// itself, tests/prefilter_test.cc pins this mirror (planner cannot include
-/// check headers; check links planner, not the reverse).
-inline constexpr double kPrefilterAnalyticOverSim = 1.30;
-/// Sim-over-analytic bracket factor; mirrors check::kSimOverAnalyticTolerance.
-inline constexpr double kPrefilterSimOverAnalytic = 2.0;
-/// The static worst-case keep band: the adaptive cut's keep-set is always
-/// within this multiple of the minimum analytic score, and so is the true
-/// sim-best candidate.
-inline constexpr double kPrefilterBand =
-    kPrefilterAnalyticOverSim * kPrefilterSimOverAnalytic;
-
 /// One ranking candidate: a plan evaluated at a global batch size.
 struct RankingCandidate {
   ParallelPlan plan;
@@ -52,7 +39,7 @@ struct RankingOptions {
   /// False simulates every feasible candidate (the --prefilter=off oracle).
   bool prefilter = true;
   /// Bracket factor for the adaptive cut (see sim::PrefilterOptions).
-  double analytic_over_sim = kPrefilterAnalyticOverSim;
+  double analytic_over_sim = sim::kAnalyticOverSim;
   /// Phase-1 probe simulations anchoring the cut.
   int probe = 8;
   /// Worker threads for both the scoring pass and the simulations.

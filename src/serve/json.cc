@@ -27,7 +27,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   JsonValue ParseDocument() {
-    JsonValue v = ParseValue();
+    JsonValue v = ParseValue(0);
     SkipSpace();
     if (pos_ != text_.size()) Fail("trailing characters after JSON value");
     return v;
@@ -64,10 +64,11 @@ class Parser {
     return false;
   }
 
-  JsonValue ParseValue() {
+  /// `depth` counts the objects/arrays enclosing the value.
+  JsonValue ParseValue(int depth) {
     switch (Peek()) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{': return ParseObject(depth + 1);
+      case '[': return ParseArray(depth + 1);
       case '"': return JsonValue::MakeString(ParseString());
       case 't':
         if (Literal("true")) return JsonValue::MakeBool(true);
@@ -82,7 +83,14 @@ class Parser {
     }
   }
 
-  JsonValue ParseObject() {
+  void CheckDepth(int depth) const {
+    if (depth > kMaxJsonDepth) {
+      Fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+    }
+  }
+
+  JsonValue ParseObject(int depth) {
+    CheckDepth(depth);
     Expect('{');
     JsonValue obj = JsonValue::MakeObject();
     if (Peek() == '}') {
@@ -93,7 +101,7 @@ class Parser {
       if (Peek() != '"') Fail("expected object key string");
       std::string key = ParseString();
       Expect(':');
-      obj.Set(key, ParseValue());
+      obj.Set(key, ParseValue(depth));
       const char c = Peek();
       if (c == ',') {
         ++pos_;
@@ -107,7 +115,8 @@ class Parser {
     }
   }
 
-  JsonValue ParseArray() {
+  JsonValue ParseArray(int depth) {
+    CheckDepth(depth);
     Expect('[');
     JsonValue arr = JsonValue::MakeArray();
     if (Peek() == ']') {
@@ -115,7 +124,7 @@ class Parser {
       return arr;
     }
     while (true) {
-      arr.Append(ParseValue());
+      arr.Append(ParseValue(depth));
       const char c = Peek();
       if (c == ',') {
         ++pos_;

@@ -6,7 +6,8 @@
 // are flat objects of strings and small integers. Malformed input throws
 // dapple::Error with a byte offset; the daemon turns that into a structured
 // error response instead of dying (a hard requirement: a truncated request
-// must never take the server down).
+// must never take the server down). Nesting is bounded by kMaxJsonDepth, so
+// a line of brackets cannot recurse the parser off the stack either.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +68,13 @@ class JsonValue {
   std::vector<JsonValue> elements_;                         // array
 };
 
+/// Deepest object/array nesting ParseJson accepts (the top-level container
+/// is depth 1).
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parses one complete JSON document; trailing non-whitespace is an error.
-/// Throws dapple::Error with a byte offset on malformed or truncated input.
+/// Throws dapple::Error with a byte offset on malformed or truncated input,
+/// and on nesting deeper than kMaxJsonDepth.
 JsonValue ParseJson(const std::string& text);
 
 }  // namespace dapple::serve

@@ -4,8 +4,9 @@
 //
 //  - outputs land in pre-sized slots indexed by job position, so result
 //    order never depends on scheduling;
-//  - each worker thread simulates on its own thread-local Engine arena
-//    (Engine::Run), so concurrent runs share no mutable state;
+//  - each worker thread simulates on its own thread-local Engine
+//    (Engine::Run: flatten scratch plus event-loop arena), so concurrent
+//    runs share no mutable state;
 //  - the first exception *by job index* wins, exactly as a serial loop
 //    would throw it — not whichever worker faulted first on the clock.
 //

@@ -126,57 +126,71 @@ using internal::MakeResultShell;
 using internal::NumPools;
 using internal::ThrowDeadlock;
 
-// --- Engine (arena + indexed binary heaps) ---------------------------------
+// --- Engine (SoA layout + packed binary heaps) -----------------------------
 
-SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options) {
-  // std::push_heap/pop_heap build max-heaps, so both comparators are the
-  // *reverse* of the dispatch order: the lowest key surfaces at front().
-  auto ready_later = [](const Event& a, const Event& b) {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    return a.task > b.task;
-  };
-  // Completion drain order, reversed: (time, priority, id) ascending on top.
-  auto completion_later = [](const Event& a, const Event& b) {
+SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) {
+  // Heap comparators are the reverse of the drain order (std::push_heap
+  // builds max-heaps): lowest (time, key) / lowest key surfaces at front().
+  auto completion_later = [](const Completion& a, const Completion& b) {
     if (a.time != b.time) return a.time > b.time;
-    if (a.priority != b.priority) return a.priority > b.priority;
-    return a.task > b.task;
+    return a.key > b.key;
   };
+  auto ready_later = [](std::uint64_t a, std::uint64_t b) { return a > b; };
 
   const int n = graph.num_tasks();
-  const int num_resources = std::max(graph.num_resources(), 1);
+  const int num_resources = graph.num_resources();
   const int num_pools = NumPools(graph.num_pools(), options);
 
   SimResult result = MakeResultShell(n, options, num_resources, num_pools);
 
+  // Hot array bases, hoisted so the event loop indexes raw pointers instead
+  // of re-reading vector headers through the graph reference.
+  const TimeSec* const duration = graph.duration().data();
+  const std::int32_t* const resource_of = graph.resource().data();
+  const std::uint8_t* const is_compute = graph.is_compute().data();
+  const std::int32_t* const alloc_pool = graph.alloc_pool().data();
+  const std::int32_t* const free_pool = graph.free_pool().data();
+  const Bytes* const alloc_bytes = graph.alloc_bytes().data();
+  const Bytes* const free_bytes = graph.free_bytes().data();
+  const std::uint64_t* const ready_key = graph.ready_key().data();
+  const std::int32_t* const succ_offsets = graph.succ_offsets().data();
+  const std::int32_t* const succ = graph.succ().data();
+
   // Re-arm the arena. assign()/clear() keep each vector's capacity, so after
   // the first run of a given shape the event loop allocates nothing.
-  pending_.assign(static_cast<std::size_t>(n), 0);
-  for (TaskId t = 0; t < n; ++t) pending_[static_cast<std::size_t>(t)] = graph.in_degree(t);
+  pending_ = graph.in_degree();
   profile_of_.assign(static_cast<std::size_t>(num_resources), nullptr);
   IndexProfiles(options, num_resources, profile_of_);
+  const bool any_profile = !options.resource_speeds.empty();
   if (ready_.size() < static_cast<std::size_t>(num_resources)) {
     ready_.resize(static_cast<std::size_t>(num_resources));
   }
   for (int r = 0; r < num_resources; ++r) ready_[static_cast<std::size_t>(r)].clear();
-  running_.assign(static_cast<std::size_t>(num_resources), kInvalidTask);
+  busy_.assign(static_cast<std::size_t>(num_resources), 0);
   completions_.clear();
   wake_.clear();
 
+  TaskRecord* const records = result.records.data();
   int executed = 0;
   TimeSec now = 0.0;
 
   auto start_task = [&](TaskId id) {
-    const Task& task = graph.task(id);
-    running_[static_cast<std::size_t>(task.resource)] = id;
-    auto& rec = result.records[static_cast<std::size_t>(id)];
+    const auto uid = static_cast<std::size_t>(id);
+    const std::int32_t res = resource_of[uid];
+    busy_[static_cast<std::size_t>(res)] = 1;
+    TaskRecord& rec = records[uid];
     rec.id = id;
     rec.start = now;
     rec.started = true;
-    const ResourceSpeedProfile* profile =
-        profile_of_[static_cast<std::size_t>(task.resource)];
-    rec.end = profile ? FinishTime(*profile, now, task.duration) : now + task.duration;
-    if (task.pool >= 0 && task.alloc_at_start > 0) {
-      result.pools[static_cast<std::size_t>(task.pool)].Allocate(now, task.alloc_at_start);
+    if (!any_profile) {
+      rec.end = now + duration[uid];
+    } else {
+      const ResourceSpeedProfile* profile = profile_of_[static_cast<std::size_t>(res)];
+      rec.end = profile ? FinishTime(*profile, now, duration[uid]) : now + duration[uid];
+    }
+    const std::int32_t apool = alloc_pool[uid];
+    if (apool >= 0) {
+      result.pools[static_cast<std::size_t>(apool)].Allocate(now, alloc_bytes[uid]);
     }
     if (rec.end == std::numeric_limits<TimeSec>::infinity()) {
       // Pinned by a permanent zero-speed window: the resource stays
@@ -185,23 +199,23 @@ SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options)
       return;
     }
     rec.executed = true;
-    completions_.push_back({rec.end, task.priority, id});
+    completions_.push_back({rec.end, ready_key[uid]});
     std::push_heap(completions_.begin(), completions_.end(), completion_later);
   };
 
-  auto dispatch_resource = [&](ResourceId r) {
+  auto dispatch_resource = [&](std::int32_t r) {
     auto& queue = ready_[static_cast<std::size_t>(r)];
-    if (running_[static_cast<std::size_t>(r)] != kInvalidTask || queue.empty()) return;
+    if (busy_[static_cast<std::size_t>(r)] != 0 || queue.empty()) return;
     std::pop_heap(queue.begin(), queue.end(), ready_later);
-    const TaskId next = queue.back().task;
+    const TaskId next = SoaGraph::KeyTask(queue.back());
     queue.pop_back();
     start_task(next);
   };
 
   auto enqueue_ready = [&](TaskId id) {
-    const Task& task = graph.task(id);
-    auto& queue = ready_[static_cast<std::size_t>(task.resource)];
-    queue.push_back({0.0, task.priority, id});
+    const auto uid = static_cast<std::size_t>(id);
+    auto& queue = ready_[static_cast<std::size_t>(resource_of[uid])];
+    queue.push_back(ready_key[uid]);
     std::push_heap(queue.begin(), queue.end(), ready_later);
   };
 
@@ -209,51 +223,55 @@ SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options)
   for (TaskId t = 0; t < n; ++t) {
     if (pending_[static_cast<std::size_t>(t)] == 0) enqueue_ready(t);
   }
-  for (ResourceId r = 0; r < num_resources; ++r) dispatch_resource(r);
+  for (std::int32_t r = 0; r < num_resources; ++r) dispatch_resource(r);
 
   while (!completions_.empty()) {
     std::pop_heap(completions_.begin(), completions_.end(), completion_later);
-    const Event done = completions_.back();
+    const Completion done = completions_.back();
     completions_.pop_back();
     now = done.time;
-    const Task& task = graph.task(done.task);
+    const TaskId id = SoaGraph::KeyTask(done.key);
+    const auto uid = static_cast<std::size_t>(id);
+    const std::int32_t res = resource_of[uid];
 
     ++executed;
-    auto& usage = result.resources[static_cast<std::size_t>(task.resource)];
-    if (usage.tasks_executed == 0) {
-      usage.first_start = result.records[static_cast<std::size_t>(done.task)].start;
-    }
+    ResourceUsage& usage = result.resources[static_cast<std::size_t>(res)];
+    if (usage.tasks_executed == 0) usage.first_start = records[uid].start;
     // With a speed profile the wall-clock occupancy differs from the work;
-    // without one, use the duration directly to keep legacy runs bit-exact.
+    // without one, use the duration directly to keep fault-free runs
+    // bit-exact with the reference engine.
     const TimeSec elapsed =
-        profile_of_[static_cast<std::size_t>(task.resource)] != nullptr
-            ? done.time - result.records[static_cast<std::size_t>(done.task)].start
-            : task.duration;
+        any_profile && profile_of_[static_cast<std::size_t>(res)] != nullptr
+            ? done.time - records[uid].start
+            : duration[uid];
     usage.busy += elapsed;
-    if (IsComputeKind(task.kind)) usage.compute_busy += elapsed;
+    if (is_compute[uid]) usage.compute_busy += elapsed;
     usage.last_end = now;
     usage.tasks_executed++;
     result.makespan = std::max(result.makespan, now);
 
-    if (task.pool >= 0 && task.free_at_end > 0) {
-      result.pools[static_cast<std::size_t>(task.pool)].Free(now, task.free_at_end);
+    const std::int32_t fpool = free_pool[uid];
+    if (fpool >= 0) {
+      result.pools[static_cast<std::size_t>(fpool)].Free(now, free_bytes[uid]);
     }
 
-    running_[static_cast<std::size_t>(task.resource)] = kInvalidTask;
+    busy_[static_cast<std::size_t>(res)] = 0;
 
     // Only the freed resource and resources whose ready queue gained a task
     // can start something; dispatching is idempotent, so duplicates in the
     // wake list are harmless. Dispatching exactly those keeps the loop
     // O(successors) per event instead of O(num_resources).
     wake_.clear();
-    wake_.push_back(task.resource);
-    for (TaskId succ : graph.successors(done.task)) {
-      if (--pending_[static_cast<std::size_t>(succ)] == 0) {
-        enqueue_ready(succ);
-        wake_.push_back(graph.task(succ).resource);
+    wake_.push_back(res);
+    const std::int32_t succ_end = succ_offsets[uid + 1];
+    for (std::int32_t e = succ_offsets[uid]; e < succ_end; ++e) {
+      const TaskId s = succ[static_cast<std::size_t>(e)];
+      if (--pending_[static_cast<std::size_t>(s)] == 0) {
+        enqueue_ready(s);
+        wake_.push_back(resource_of[static_cast<std::size_t>(s)]);
       }
     }
-    for (ResourceId r : wake_) dispatch_resource(r);
+    for (const std::int32_t r : wake_) dispatch_resource(r);
   }
 
   if (executed != n) {
@@ -264,7 +282,7 @@ SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options)
       // are — the partial state is what a fault-aborted iteration looks
       // like, and callers discard it anyway.
     } else {
-      ThrowDeadlock(graph, result, executed);
+      ThrowDeadlock(graph.source(), result, executed);
     }
   }
 
@@ -275,7 +293,12 @@ SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options)
   return result;
 }
 
-SimResult Engine::Run(const TaskGraph& graph, EngineOptions options) {
+SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options) {
+  scratch_.Assign(graph);
+  return Simulate(scratch_, options);
+}
+
+SimResult Engine::Run(const TaskGraph& graph, const EngineOptions& options) {
   thread_local Engine engine;
   return engine.Simulate(graph, options);
 }

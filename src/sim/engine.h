@@ -17,11 +17,16 @@
 // reproducible — byte-identical traces, reports and memory high-water
 // marks on every host and at every sim::BatchRunner thread count.
 //
+// Two event loops implement this contract: Engine, the production loop
+// over the flattened SoaGraph layout, and RunReferenceEngine, a plain
+// ordered-container loop kept only as the differential oracle.
+//
 // This is the substitute for the paper's GPU testbed: schedule shape,
 // bubbles, overlap and peak memory all emerge from the same dependency
 // structure the real runtime has.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/graph.h"
@@ -116,48 +121,51 @@ struct EngineOptions {
   bool allow_incomplete = false;
 };
 
-/// Discrete-event engine with a per-instance arena: the ready queues (one
-/// indexed binary min-heap per resource, keyed (priority, id)), the
-/// completion heap (keyed (time, priority, id)) and every bookkeeping
-/// vector are owned by the Engine and reused across Simulate() calls, so a
-/// run performs no per-event heap allocation after the first simulation of
-/// a given shape warms the arena. (The returned SimResult still allocates
-/// its records/pools — per run, not per event.)
+/// The discrete-event engine. It runs on the flattened SoaGraph layout
+/// (graph.h) with a per-instance arena: the ready queues (one packed-uint64
+/// binary min-heap per resource), the completion heap (keyed (time,
+/// priority, id)), the flatten scratch and every bookkeeping vector are
+/// owned by the Engine and reused across Simulate() calls, so a run
+/// performs no per-event heap allocation after the first simulation of a
+/// given shape warms the arena. (The returned SimResult still allocates its
+/// records/pools — per run, not per event.)
 class Engine {
  public:
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Runs the graph to completion on this engine's arena. Throws
-  /// dapple::Error on dependency cycles (some tasks can never become
-  /// ready).
+  /// Runs a flattened graph to completion. Throws dapple::Error on
+  /// dependency cycles (some tasks can never become ready).
+  SimResult Simulate(const SoaGraph& graph, const EngineOptions& options = {});
+
+  /// Flattens `graph` into this engine's scratch SoaGraph, then runs it.
   SimResult Simulate(const TaskGraph& graph, const EngineOptions& options = {});
 
-  /// Convenience entry point: simulates on a thread-local Engine, so every
-  /// thread — each sim::BatchRunner worker in particular — keeps its own
-  /// warmed arena and concurrent runs never share mutable state.
-  static SimResult Run(const TaskGraph& graph, EngineOptions options = {});
+  /// Convenience entry point: flattens and simulates on a thread-local
+  /// Engine, so every thread — each sim::BatchRunner worker in particular —
+  /// keeps its own warmed arena and concurrent runs never share mutable
+  /// state.
+  static SimResult Run(const TaskGraph& graph, const EngineOptions& options = {});
 
  private:
-  /// Heap entry for both queues; `time` is unused (0) in ready heaps.
-  struct Event {
+  /// Completion-heap entry; drains in (time, key) ascending order, which is
+  /// exactly (time, priority, id).
+  struct Completion {
     TimeSec time = 0.0;
-    int priority = 0;
-    TaskId task = kInvalidTask;
+    std::uint64_t key = 0;
   };
 
-  // Arena, reused across Simulate() calls. Inner ready heaps are cleared,
-  // never deallocated, so steady-state runs reuse their capacity.
-  std::vector<int> pending_;
+  SoaGraph scratch_;  // flatten target of Simulate(const TaskGraph&)
+  std::vector<std::int32_t> pending_;
   std::vector<const ResourceSpeedProfile*> profile_of_;
-  std::vector<std::vector<Event>> ready_;  // binary min-heap per resource
-  std::vector<TaskId> running_;
-  std::vector<Event> completions_;  // binary min-heap
-  std::vector<ResourceId> wake_;
+  std::vector<std::vector<std::uint64_t>> ready_;  // packed min-heap per resource
+  std::vector<std::uint8_t> busy_;                 // resource occupied flag
+  std::vector<Completion> completions_;
+  std::vector<std::int32_t> wake_;
 };
 
-/// The pre-arena engine (ordered-set ready queues, std::priority_queue
+/// The original engine (ordered-set ready queues, std::priority_queue
 /// completion events), kept as the differential oracle: the determinism
 /// sweep and bench_sim_engine run it against Engine and require
 /// byte-identical results. Same (time, priority, id) completion contract;
@@ -166,8 +174,8 @@ SimResult RunReferenceEngine(const TaskGraph& graph, const EngineOptions& option
 
 namespace internal {
 
-/// Scaffolding shared by all three engines (reference, arena, SoA) so their
-/// results stay byte-identical by construction, not by parallel maintenance.
+/// Scaffolding shared by Engine and the reference engine so their results
+/// stay byte-identical by construction, not by parallel maintenance.
 
 /// Pool count: the graph's pools widened by any capacity/baseline entries.
 int NumPools(int graph_pools, const EngineOptions& options);

@@ -59,4 +59,61 @@ int TaskGraph::num_pools() const {
   return max_id + 1;
 }
 
+namespace {
+
+/// Packs (priority, id) into one unsigned key whose integer order equals
+/// the lexicographic dispatch order: the signed priority is biased into the
+/// high 32 bits, the (non-negative) task id fills the low 32.
+std::uint64_t PackReadyKey(int priority, TaskId id) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(priority) ^ 0x80000000u)
+          << 32) |
+         static_cast<std::uint32_t>(id);
+}
+
+}  // namespace
+
+void SoaGraph::Assign(const TaskGraph& graph) {
+  source_ = &graph;
+  const int n = graph.num_tasks();
+  num_tasks_ = n;
+  num_resources_ = std::max(graph.num_resources(), 1);
+  num_pools_ = graph.num_pools();
+
+  const auto un = static_cast<std::size_t>(n);
+  duration_.resize(un);
+  resource_.resize(un);
+  in_degree_.resize(un);
+  is_compute_.resize(un);
+  alloc_pool_.resize(un);
+  free_pool_.resize(un);
+  alloc_bytes_.resize(un);
+  free_bytes_.resize(un);
+  ready_key_.resize(un);
+  succ_offsets_.resize(un + 1);
+
+  std::size_t edges = 0;
+  for (TaskId t = 0; t < n; ++t) edges += graph.successors(t).size();
+  succ_.resize(edges);
+
+  std::int32_t offset = 0;
+  for (TaskId t = 0; t < n; ++t) {
+    const Task& task = graph.task(t);
+    const auto ut = static_cast<std::size_t>(t);
+    duration_[ut] = task.duration;
+    resource_[ut] = task.resource;
+    in_degree_[ut] = graph.in_degree(t);
+    is_compute_[ut] = IsComputeKind(task.kind) ? 1 : 0;
+    alloc_pool_[ut] = task.pool >= 0 && task.alloc_at_start > 0 ? task.pool : -1;
+    free_pool_[ut] = task.pool >= 0 && task.free_at_end > 0 ? task.pool : -1;
+    alloc_bytes_[ut] = task.alloc_at_start;
+    free_bytes_[ut] = task.free_at_end;
+    ready_key_[ut] = PackReadyKey(task.priority, t);
+    succ_offsets_[ut] = offset;
+    for (TaskId s : graph.successors(t)) {
+      succ_[static_cast<std::size_t>(offset++)] = s;
+    }
+  }
+  succ_offsets_[un] = offset;
+}
+
 }  // namespace dapple::sim

@@ -1,135 +1,12 @@
-// Structure-of-arrays execution layout for the discrete-event engine.
-//
-// The arena Engine (engine.h) still walks `TaskGraph`'s array-of-structs:
-// every event dereferences a ~100-byte Task (whose hot fields — priority,
-// resource, duration, pool deltas — straddle cache lines and sit next to a
-// cold std::string name) and chases a per-task successor vector. SoaGraph
-// flattens the graph once into contiguous per-field arrays in the spirit of
-// poplibs' flat cycle-estimator tables:
-//
-//   - duration / resource / priority / memory-effect arrays indexed by
-//     TaskId, so the event loop touches only the bytes it needs and
-//     neighboring task ids share cache lines;
-//   - CSR successor spans (offsets + one flat id array), no per-task vector
-//     indirection;
-//   - dense remaining-predecessor counters re-armed per run;
-//   - ready-queue keys packed into one uint64 ((priority, id) lexicographic
-//     via a sign-bias), so heap sifts compare a single integer.
-//
-// SoaEngine replays the exact dispatch contract of Engine — (priority, id)
-// ready order, (time, priority, id) completion drain, identical accounting
-// arithmetic — so its SimResult is byte-identical to both the arena engine
-// and RunReferenceEngine. The determinism sweep and bench_sim_engine fence
-// that equivalence on every corpus; the two older engines remain as
-// differential oracles.
+// The structure-of-arrays engine is now sim::Engine itself (engine.h), and
+// its SoaGraph layout lives in graph.h. This header only keeps the old
+// engine name compiling.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "sim/engine.h"
-#include "sim/graph.h"
 
 namespace dapple::sim {
 
-/// Flattened, read-only execution view of a TaskGraph. Construction is one
-/// linear pass; the source graph must outlive the SoaGraph (diagnostics and
-/// trace rendering still read task names from it).
-class SoaGraph {
- public:
-  SoaGraph() = default;
-  explicit SoaGraph(const TaskGraph& graph) { Assign(graph); }
-
-  /// (Re)flattens `graph` into this layout, reusing array capacity — the
-  /// arena idiom, so repeated flattening of same-shaped graphs allocates
-  /// nothing after warmup.
-  void Assign(const TaskGraph& graph);
-
-  int num_tasks() const { return num_tasks_; }
-  int num_resources() const { return num_resources_; }
-  int num_pools() const { return num_pools_; }
-  const TaskGraph& source() const { return *source_; }
-
-  // Per-task field arrays, indexed by TaskId.
-  const std::vector<TimeSec>& duration() const { return duration_; }
-  const std::vector<std::int32_t>& resource() const { return resource_; }
-  const std::vector<std::int32_t>& in_degree() const { return in_degree_; }
-  const std::vector<std::uint8_t>& is_compute() const { return is_compute_; }
-  /// Pool affected at start (alloc) / end (free); -1 when the task has no
-  /// such effect, folding the engine's `pool >= 0 && bytes > 0` test into
-  /// one sign check.
-  const std::vector<std::int32_t>& alloc_pool() const { return alloc_pool_; }
-  const std::vector<std::int32_t>& free_pool() const { return free_pool_; }
-  const std::vector<Bytes>& alloc_bytes() const { return alloc_bytes_; }
-  const std::vector<Bytes>& free_bytes() const { return free_bytes_; }
-
-  /// Ready-heap key of task `id`: (priority, id) lexicographic as one
-  /// unsigned 64-bit integer (priority sign-biased into the high half).
-  const std::vector<std::uint64_t>& ready_key() const { return ready_key_; }
-
-  /// CSR successor spans: successors of task t are
-  /// succ()[succ_offsets()[t] .. succ_offsets()[t+1]).
-  const std::vector<std::int32_t>& succ_offsets() const { return succ_offsets_; }
-  const std::vector<std::int32_t>& succ() const { return succ_; }
-
- private:
-  const TaskGraph* source_ = nullptr;
-  int num_tasks_ = 0;
-  int num_resources_ = 1;
-  int num_pools_ = 0;
-
-  std::vector<TimeSec> duration_;
-  std::vector<std::int32_t> resource_;
-  std::vector<std::int32_t> in_degree_;
-  std::vector<std::uint8_t> is_compute_;
-  std::vector<std::int32_t> alloc_pool_;
-  std::vector<std::int32_t> free_pool_;
-  std::vector<Bytes> alloc_bytes_;
-  std::vector<Bytes> free_bytes_;
-  std::vector<std::uint64_t> ready_key_;
-  std::vector<std::int32_t> succ_offsets_;
-  std::vector<std::int32_t> succ_;
-};
-
-/// Discrete-event engine over the SoA layout, with the same per-instance
-/// reusable arena discipline as Engine: ready heaps (one packed-uint64
-/// binary min-heap per resource), the completion heap and every bookkeeping
-/// vector keep their capacity across Simulate() calls.
-class SoaEngine {
- public:
-  SoaEngine() = default;
-  SoaEngine(const SoaEngine&) = delete;
-  SoaEngine& operator=(const SoaEngine&) = delete;
-
-  /// Runs the flattened graph to completion. Byte-identical to
-  /// Engine::Simulate on the source graph; throws dapple::Error on
-  /// dependency cycles.
-  SimResult Simulate(const SoaGraph& graph, const EngineOptions& options = {});
-
-  /// Flatten-and-run convenience: reuses this engine's internal SoaGraph
-  /// arena for the flatten, so steady-state callers pay one linear copy and
-  /// no allocation.
-  SimResult SimulateGraph(const TaskGraph& graph, const EngineOptions& options = {});
-
-  /// Simulates on a thread-local SoaEngine (flatten + run), the SoA
-  /// counterpart of Engine::Run.
-  static SimResult Run(const TaskGraph& graph, const EngineOptions& options = {});
-
- private:
-  /// Completion-heap entry; drains in (time, key) ascending order, which is
-  /// exactly (time, priority, id).
-  struct Completion {
-    TimeSec time = 0.0;
-    std::uint64_t key = 0;
-  };
-
-  SoaGraph scratch_;  // arena for SimulateGraph's flatten
-  std::vector<std::int32_t> pending_;
-  std::vector<const ResourceSpeedProfile*> profile_of_;
-  std::vector<std::vector<std::uint64_t>> ready_;  // packed min-heap per resource
-  std::vector<std::uint8_t> busy_;                 // resource occupied flag
-  std::vector<Completion> completions_;
-  std::vector<std::int32_t> wake_;
-};
+using SoaEngine = Engine;
 
 }  // namespace dapple::sim

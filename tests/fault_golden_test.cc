@@ -96,7 +96,7 @@ TEST(FaultGoldenTest, ReplanScenarioTraceMatchesGolden) {
 /// elastic replan onto the survivor. The full timeline trace rides on the
 /// simulation engine end to end — iteration makespans, fault re-costing and
 /// the replanned schedule all feed it — so any drift in event ordering or
-/// the arena engine's arithmetic lands here as a byte diff.
+/// the engine's arithmetic lands here as a byte diff.
 FaultReport RunGnmtCrashScenario() {
   const model::ModelProfile m = model::MakeGnmt16();
   const topo::Cluster cluster = topo::MakeConfigA(2);

@@ -5,7 +5,8 @@
 // stage-cost cache on or off. The parallel search is deterministic by
 // construction (sequential merge in enumeration order, slot-indexed
 // parallel work, pure cached values); this sweep is the regression net
-// around that construction.
+// around that construction. Clusters past the cache's size limit must plan
+// identically to an uncached search, and say so in a counter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,8 +16,11 @@
 
 #include "check/fuzz.h"
 #include "common/error.h"
+#include "model/zoo.h"
+#include "obs/metrics.h"
 #include "planner/dp_planner.h"
 #include "planner/plan_io.h"
+#include "topo/cluster.h"
 
 namespace dapple::planner {
 namespace {
@@ -33,11 +37,12 @@ struct SearchFingerprint {
 };
 
 SearchFingerprint RunSearch(const model::ModelProfile& m, const topo::Cluster& cluster,
-                            long gbs, int threads, bool use_cache) {
+                            long gbs, int threads, bool use_cache, int max_stages = 0) {
   PlannerOptions options;
   options.global_batch_size = gbs;
   options.num_threads = threads;
   options.use_stage_cache = use_cache;
+  options.max_stages = max_stages;
   SearchFingerprint fp;
   try {
     const PlanResult result = DapplePlanner(m, cluster, options).Plan();
@@ -112,6 +117,26 @@ TEST(PlannerDeterminismTest, SharedPoolAndDedicatedPoolAgree) {
     const SearchFingerprint shared = RunSearch(c.model, c.cluster, gbs, 0, true);
     ASSERT_EQ(serial, shared) << "seed=" << seed << " " << c.Describe();
   }
+}
+
+TEST(PlannerDeterminismTest, ClusterPastTheCacheLimitPlansUncachedAndCountsIt) {
+  // The stage-cost key packs device subsets into a 64-bit mask, so a
+  // 72-device cluster plans uncached: byte-identical to opting out of the
+  // cache, with planner.cache.disabled recording the cutoff.
+  const model::ModelProfile m = model::MakeUniformSynthetic(4, 0.01, 0.02, 1_MiB, 2'000'000, 1);
+  const topo::Cluster cluster = topo::MakeConfigA(9);
+  ASSERT_GT(cluster.num_devices(), kStageCacheMaxDevices);
+  const obs::Counter& disabled =
+      obs::MetricsRegistry::Global().counter("planner.cache.disabled");
+
+  const std::int64_t before = disabled.value();
+  const SearchFingerprint cut_off = RunSearch(m, cluster, 576, 1, true, /*max_stages=*/2);
+  EXPECT_TRUE(cut_off.feasible);
+  EXPECT_GT(disabled.value(), before);
+
+  const std::int64_t after_cut_off = disabled.value();
+  EXPECT_EQ(cut_off, RunSearch(m, cluster, 576, 1, false, /*max_stages=*/2));
+  EXPECT_EQ(disabled.value(), after_cut_off) << "opting out is not a cutoff";
 }
 
 }  // namespace

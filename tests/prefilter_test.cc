@@ -1,14 +1,11 @@
-// The analytic top-K pre-filter, fenced three ways:
+// The analytic top-K pre-filter, fenced two ways:
 //
 //   1. arithmetic — the selection math (static band, min_keep top-up,
 //      non-finite exclusion, the adaptive two-phase cut and its subset
 //      relation to the static band) on hand-built score vectors, including
 //      a near-miss vector at the exact worst calibrated analytic/sim
 //      ratio;
-//   2. constants — the planner-side bracket mirrors must equal the
-//      calibrated tolerances in check/fuzz.h (the two layers cannot share
-//      a header: check links planner, not the reverse);
-//   3. recall — the end-to-end property on seeded fuzz corpora: ranking
+//   2. recall — the end-to-end property on seeded fuzz corpora: ranking
 //      with the pre-filter on must land on a candidate whose simulated
 //      makespan bit-exactly equals the best over the full simulation
 //      sweep, at every BatchRunner thread count, including the pinned
@@ -23,24 +20,12 @@
 
 #include "check/fuzz.h"
 #include "obs/metrics.h"
-#include "planner/prefilter.h"
 #include "sim/prefilter.h"
 
 namespace dapple {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-TEST(PrefilterConstants, MirrorTheCalibratedBrackets) {
-  // The adaptive cut is only provably recall-preserving because these
-  // factors bound the analytic/sim ratios the fuzz harness calibrates. A
-  // drift between the two layers voids the proof silently — so it fails
-  // here instead.
-  EXPECT_EQ(planner::kPrefilterAnalyticOverSim, check::kAnalyticOverSimCommTolerance);
-  EXPECT_EQ(planner::kPrefilterSimOverAnalytic, check::kSimOverAnalyticTolerance);
-  EXPECT_EQ(planner::kPrefilterBand,
-            planner::kPrefilterAnalyticOverSim * planner::kPrefilterSimOverAnalytic);
-}
 
 TEST(SelectWithinBand, KeepsEverythingWithinBandOfTheMinimum) {
   const std::vector<double> scores = {2.0, 1.0, 2.59, 2.61, 10.0};
@@ -90,7 +75,7 @@ TEST(PrefilterBatch, KeepSetIsASubsetOfTheStaticWorstCaseBand) {
       scores, [&](int i) { return sims[static_cast<std::size_t>(i)]; }, po);
 
   const std::vector<int> band =
-      sim::SelectWithinBand(scores, planner::kPrefilterBand, po.probe);
+      sim::SelectWithinBand(scores, sim::kAnalyticOverSim * sim::kSimOverAnalytic, po.probe);
   for (const int i : result.simulated) {
     EXPECT_NE(std::find(band.begin(), band.end(), i), band.end())
         << "adaptive cut simulated index " << i << " outside the static band";

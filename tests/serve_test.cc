@@ -50,6 +50,18 @@ TEST(ServeJson, RejectsMalformedDocuments) {
   }
 }
 
+TEST(ServeJson, NestingIsBoundedByTheDepthLimit) {
+  auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(ParseJson(nested(kMaxJsonDepth)));
+  EXPECT_THROW(ParseJson(nested(kMaxJsonDepth + 1)), Error);
+  EXPECT_THROW(ParseJson(std::string(kMaxJsonDepth, '[') + "{\"a\":1}" +
+                         std::string(kMaxJsonDepth, ']')),
+               Error);
+}
+
 TEST(ServeJson, TypeMismatchesThrow) {
   const JsonValue doc = ParseJson(R"({"s":"x","n":1})");
   EXPECT_THROW(doc.Get("s").AsInt(), Error);
@@ -184,6 +196,16 @@ TEST(ServeServer, BadRequestsNeverKillTheServer) {
   }
   EXPECT_EQ(server.Stats().errors, static_cast<std::int64_t>(cases.size()));
   // The daemon still answers normal requests afterwards.
+  EXPECT_NE(server.HandleLine(PlanLine("ok", "GNMT-16", 'A', 2, 64)).find("\"ok\":true"),
+            std::string::npos);
+}
+
+TEST(ServeServer, DeeplyNestedLineIsAParseErrorNotACrash) {
+  // A million open brackets would recurse an unbounded parser far past the
+  // default stack; the depth limit turns the line into a structured error.
+  Server server;
+  const std::string response = server.HandleLine(std::string(1'000'000, '['));
+  EXPECT_NE(response.find("\"code\":\"parse_error\""), std::string::npos) << response;
   EXPECT_NE(server.HandleLine(PlanLine("ok", "GNMT-16", 'A', 2, 64)).find("\"ok\":true"),
             std::string::npos);
 }

@@ -1,14 +1,14 @@
-// Determinism sweep for the simulation engines and the batch driver:
-// across a seeded set of fuzz-generated pipelines, the reference engine
-// (legacy ordered-set/priority-queue containers), the indexed binary-heap
-// arena Engine, the structure-of-arrays SoaEngine (both its thread-local
-// flatten-and-run path and a reused explicit SoaGraph arena), and
-// BatchRunner at every thread count must produce byte-identical chrome
-// traces, iteration reports, and memory high-water marks. The engines are
-// deterministic by construction — explicit (priority, id) dispatch and
-// (time, priority, id) completion keys, thread-local arenas, slot-indexed
-// batch results; this sweep is the regression net around that
-// construction, the simulator mirror of planner_determinism_test.
+// Determinism sweep for the simulation engine and BatchRunner: across
+// a seeded set of fuzz-generated pipelines, sim::Engine (both its
+// thread-local flatten-and-run path and a reused explicit SoaGraph) and
+// BatchRunner at every thread count must produce chrome traces, iteration
+// reports and memory high-water marks byte-identical to the reference
+// engine (legacy ordered-set/priority-queue containers) — fault-free and
+// under fault speed profiles alike. The engine is deterministic by
+// construction — explicit (priority, id) dispatch and (time, priority, id)
+// completion keys, thread-local arenas, slot-indexed batch results; this
+// sweep is the regression net around that construction, the simulator
+// mirror of planner_determinism_test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include "sim/batch.h"
 #include "sim/chrome_trace.h"
 #include "sim/engine.h"
-#include "sim/soa.h"
 
 namespace dapple::sim {
 namespace {
@@ -38,6 +37,8 @@ struct SimFingerprint {
   std::vector<Bytes> pool_peaks;
   std::vector<TimeSec> pool_peak_times;
   bool completed = true;
+  int tasks_unfinished = 0;
+  std::vector<bool> started;
 
   bool operator==(const SimFingerprint& other) const = default;
 };
@@ -53,6 +54,8 @@ SimFingerprint Fingerprint(const runtime::BuiltPipeline& built, const SimResult&
     fp.pool_peak_times.push_back(pool.peak_time());
   }
   fp.completed = result.completed;
+  fp.tasks_unfinished = result.tasks_unfinished;
+  for (const TaskRecord& rec : result.records) fp.started.push_back(rec.started);
   return fp;
 }
 
@@ -66,13 +69,13 @@ int SweepInstances() {
   return 200;
 }
 
-TEST(SimDeterminismTest, AllThreeEnginesAreByteIdentical) {
+TEST(SimDeterminismTest, EngineMatchesTheReferenceOracle) {
   const int instances = SweepInstances();
   int multi_pool = 0;
   long tasks = 0;
-  // One SoaEngine reused across the sweep, so the arena-reuse path (stale
+  // One Engine reused across the sweep, so the arena-reuse path (stale
   // capacity from a previous, differently-shaped graph) is exercised too.
-  SoaEngine soa_engine;
+  Engine engine;
   for (std::uint64_t seed = 0; seed < static_cast<std::uint64_t>(instances); ++seed) {
     const check::FuzzCase c = check::MakeFuzzCase(seed);
     const runtime::BuiltPipeline built =
@@ -80,25 +83,15 @@ TEST(SimDeterminismTest, AllThreeEnginesAreByteIdentical) {
 
     const SimFingerprint reference =
         Fingerprint(built, RunReferenceEngine(built.graph, built.engine_options));
-    const SimFingerprint arena =
-        Fingerprint(built, Engine::Run(built.graph, built.engine_options));
-    ASSERT_EQ(reference, arena)
-        << "arena engine diverged from the reference containers: seed=" << seed
-        << " " << c.Describe();
-
-    const SimFingerprint soa =
-        Fingerprint(built, SoaEngine::Run(built.graph, built.engine_options));
-    ASSERT_EQ(reference, soa)
-        << "SoA engine diverged from the reference containers: seed=" << seed
-        << " " << c.Describe();
+    ASSERT_EQ(reference, Fingerprint(built, Engine::Run(built.graph, built.engine_options)))
+        << "engine diverged from the reference containers: seed=" << seed << " "
+        << c.Describe();
 
     // The explicit-flatten path must agree with the flatten-and-run path.
     const SoaGraph flat(built.graph);
-    const SimFingerprint soa_prebuilt =
-        Fingerprint(built, soa_engine.Simulate(flat, built.engine_options));
-    ASSERT_EQ(reference, soa_prebuilt)
-        << "SoA engine with a pre-built SoaGraph diverged: seed=" << seed
-        << " " << c.Describe();
+    ASSERT_EQ(reference, Fingerprint(built, engine.Simulate(flat, built.engine_options)))
+        << "engine with a pre-built SoaGraph diverged: seed=" << seed << " "
+        << c.Describe();
 
     tasks += built.graph.num_tasks();
     if (reference.pool_peaks.size() > 1) ++multi_pool;
@@ -106,6 +99,51 @@ TEST(SimDeterminismTest, AllThreeEnginesAreByteIdentical) {
   // Non-vacuity: the sweep must exercise real pipelines, not trivia.
   EXPECT_GT(tasks, instances * 10L);
   EXPECT_GT(multi_pool, instances / 2);
+}
+
+// The fault and scenario layers drive the engine's speed-profile branch.
+// Every corpus pipeline gets a half-speed window over the middle of its
+// fault-free run on one resource, and a fail-stop (trailing zero-speed
+// segment) from 60% of it on another, so runs end incomplete with tasks
+// pinned mid-flight.
+TEST(SimDeterminismTest, FaultSpeedProfilesMatchTheReferenceOracle) {
+  const int instances = SweepInstances();
+  int incomplete = 0;
+  int pinned = 0;
+  for (std::uint64_t seed = 0; seed < static_cast<std::uint64_t>(instances); ++seed) {
+    const check::FuzzCase c = check::MakeFuzzCase(seed);
+    const runtime::BuiltPipeline built =
+        runtime::GraphBuilder(c.model, c.cluster, c.plan, c.options).Build();
+    const TimeSec m = RunReferenceEngine(built.graph, built.engine_options).makespan;
+
+    const int num_resources = built.graph.num_resources();
+    const auto slow_resource = static_cast<ResourceId>(seed % num_resources);
+    const auto dead_resource = static_cast<ResourceId>((seed * 7 + 3) % num_resources);
+    ResourceSpeedProfile slow{slow_resource, {{0.2 * m, 0.5}, {0.5 * m, 1.0}}};
+    const SpeedSegment crash{0.6 * m, 0.0};
+    EngineOptions options = built.engine_options;
+    options.allow_incomplete = true;
+    if (dead_resource == slow_resource) {
+      slow.segments.push_back(crash);
+      options.resource_speeds = {slow};
+    } else {
+      options.resource_speeds = {slow, {dead_resource, {crash}}};
+    }
+
+    const SimResult ref_result = RunReferenceEngine(built.graph, options);
+    const SimFingerprint reference = Fingerprint(built, ref_result);
+    ASSERT_EQ(reference, Fingerprint(built, Engine::Run(built.graph, options)))
+        << "engine diverged from the reference under fault profiles: seed=" << seed << " "
+        << c.Describe();
+
+    if (!reference.completed) ++incomplete;
+    for (const TaskRecord& rec : ref_result.records) {
+      if (rec.started && !rec.executed) ++pinned;
+    }
+  }
+  // Non-vacuity: most runs must stall on the crash, with tasks pinned.
+  EXPECT_GT(incomplete, instances / 2);
+  EXPECT_GT(pinned, instances / 2);
 }
 
 TEST(SimDeterminismTest, BatchRunnerMatchesSerialAtEveryThreadCount) {

@@ -136,7 +136,8 @@ TEST(Engine, SimultaneousEqualPriorityCompletionsDrainById) {
   EXPECT_DOUBLE_EQ(ref.records[y2].start, 2.0);
 }
 
-// The arena is reused across Simulate() calls on one Engine instance;
+// The arena and flatten scratch are reused across Simulate() calls on one
+// Engine instance;
 // back-to-back runs of different shapes must not leak state between runs.
 TEST(Engine, ArenaReuseAcrossShapes) {
   Engine engine;

@@ -3,8 +3,8 @@
 // schedule family must match the checked-in JSON byte-for-byte. Any change
 // to the trace format, a schedule's shape, or the engine's tie-breaking
 // shows up as a diff here before it reaches users' traces. Each trace is
-// rendered from both the arena engine and the reference engine — the two
-// must agree to the byte before either is compared against the golden.
+// rendered from both the engine and the reference engine — the two must
+// agree to the byte before either is compared against the golden.
 //
 // To regenerate after an intentional format/schedule change:
 //
@@ -70,13 +70,13 @@ TEST_P(TraceGoldenTest, Fig3TwoStageScheduleMatchesGolden) {
   const sim::SimResult result = sim::Engine::Run(built.graph, built.engine_options);
   const std::string trace = sim::ToChromeTrace(built.graph, result);
 
-  // Arena engine and reference engine must render the identical trace —
+  // The engine and the reference engine must render the identical trace —
   // schedule families exercise different task kinds and tie-break paths,
   // and both engines have to agree on all of them.
   const sim::SimResult reference =
       sim::RunReferenceEngine(built.graph, built.engine_options);
   EXPECT_EQ(trace, sim::ToChromeTrace(built.graph, reference))
-      << "arena and reference engines disagree for "
+      << "engine and reference engine disagree for "
       << runtime::ToString(c.kind);
 
   if (std::getenv("DAPPLE_REGEN_GOLDEN") != nullptr) {

@@ -11,17 +11,18 @@
 #   full           — the whole registered suite, which adds the `-L fuzz`
 #                    randomized sweeps and the `-L golden` byte-stability
 #                    tests (pushes to main)
-#   perf-smoke     — `ctest -L perf-smoke`: the planner, simulator and
-#                    scenario determinism sweeps (reference vs arena vs
-#                    SoA engines vs the batched driver, and churn-episode /
-#                    co-schedule reports at every thread count — all
-#                    byte-identical), the --quick planner-scaling,
-#                    sim-engine, serve and scenario benches (the
-#                    sim-engine bench also fences the SoA engine against
-#                    regressing below the arena engine and the analytic
-#                    pre-filter against dropping the sim-best candidate;
-#                    the scenario bench fences elastic-up against losing
-#                    to sync-stall on churn and the co-scheduler against
+#   perf-smoke     — `ctest -L perf-smoke`, every entry RUN_SERIAL: the
+#                    planner, simulator and scenario determinism sweeps
+#                    (the engine and BatchRunner vs the reference
+#                    engine, and churn-episode / co-schedule reports at
+#                    every thread count — all byte-identical), the --quick
+#                    planner-scaling, sim-engine, serve and scenario
+#                    benches (the sim-engine bench also fences the engine
+#                    against regressing below the reference engine and the
+#                    analytic pre-filter against dropping the sim-best
+#                    candidate; the scenario bench fences elastic-up
+#                    against losing to sync-stall on churn and the
+#                    co-scheduler against
 #                    the naive even split), the serve daemon smoke
 #                    (scripted request mix against a spawned `dapple
 #                    serve`), and reduced fuzz sweeps — the
