@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
   // split-mode plans — the family whose analytic/sim brackets make the
   // 2.6x band provably recall-preserving.
   const int num_candidates = quick ? 2'000 : 100'000;
-  const check::RankingFuzzCase ranking = check::MakeRankingFuzzCase(7, num_candidates);
+  const check::RankingFuzzCase ranking = check::RankingFuzz::Make(7, num_candidates);
   std::printf("\nranking sweep: %d candidate plans on %s\n", num_candidates,
               ranking.Describe().c_str());
 

@@ -1,6 +1,8 @@
 #include "check/fuzz.h"
 
 #include <algorithm>
+#include <cstdarg>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -12,7 +14,6 @@
 #include "planner/dp_planner.h"
 #include "planner/latency.h"
 #include "planner/prefilter.h"
-#include "sim/batch.h"
 #include "sim/engine.h"
 #include "sim/prefilter.h"
 #include "topo/device_set.h"
@@ -88,7 +89,48 @@ planner::ParallelPlan RandomPlan(Rng& rng, const model::ModelProfile& m,
   return plan;
 }
 
+/// printf-style formatting into a std::string.
+[[gnu::format(printf, 1, 2)]] std::string Format(const char* fmt, ...) {
+  va_list args;
+  va_list copy;
+  va_start(args, fmt);
+  va_copy(copy, args);
+  std::string out(static_cast<std::size_t>(std::vsnprintf(nullptr, 0, fmt, copy)), '\0');
+  va_end(copy);
+  std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  va_end(args);
+  return out;
+}
+
+/// The opening of every tally line: "<N> <mode>cases ok (seeds A..B): ".
+std::string CasesOk(long cases, const char* mode, std::uint64_t base) {
+  return Format("%ld %scases ok (seeds %llu..%llu): ", cases, mode,
+                static_cast<unsigned long long>(base),
+                static_cast<unsigned long long>(base + static_cast<std::uint64_t>(cases) - 1));
+}
+
+void CountKind(std::vector<long>& counts, runtime::ScheduleKind kind) {
+  const auto& kinds = runtime::AllScheduleKinds();
+  ++counts[static_cast<std::size_t>(std::find(kinds.begin(), kinds.end(), kind) - kinds.begin())];
+}
+
+std::string KindCountsLine(const std::vector<long>& counts) {
+  const auto& kinds = runtime::AllScheduleKinds();
+  std::string line = "cases per schedule kind:";
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    line += Format("%s %s=%ld", k ? "," : "", runtime::ToString(kinds[k]), counts[k]);
+  }
+  return line + "\n";
+}
+
 }  // namespace
+
+std::vector<std::uint64_t> SeedRange(std::uint64_t base, long count) {
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(static_cast<std::size_t>(count));
+  for (long i = 0; i < count; ++i) seeds.push_back(base + static_cast<std::uint64_t>(i));
+  return seeds;
+}
 
 std::string FuzzCase::Describe() const {
   std::ostringstream os;
@@ -175,6 +217,46 @@ std::string FuzzOutcome::Summary() const {
   return os.str();
 }
 
+std::string FuzzOutcome::Detail() const {
+  std::string line = Format("ok: %d tasks, makespan %.6fs", num_tasks, simulated_makespan);
+  if (checked_latency) line += Format(", analytic %.6fs", analytic_latency);
+  if (checked_peak) {
+    line += Format(", peak %llu B (M-independent)", static_cast<unsigned long long>(peak_at_m));
+  }
+  return line;
+}
+
+void ScheduleFuzz::Tally::Add(const Outcome& out) {
+  ++cases;
+  latency_checked += out.checked_latency ? 1 : 0;
+  peak_checked += out.checked_peak ? 1 : 0;
+  CountKind(kind_counts, out.kind);
+  if (out.checked_latency && out.simulated_makespan > 0.0 && out.analytic_latency > 0.0) {
+    const double over = out.analytic_latency / out.simulated_makespan;
+    if (out.num_stages == 1) {
+      max_over_single = std::max(max_over_single, over);
+    } else if (over > max_over_multi) {
+      max_over_multi = over;
+      worst_multi_seed = out.seed;
+    }
+    max_under = std::max(max_under, out.simulated_makespan / out.analytic_latency);
+  }
+}
+
+std::string ScheduleFuzz::Tally::ToString(std::uint64_t base) const {
+  std::string text = CasesOk(cases, "", base) +
+                     Format("latency bracket on %ld, peak-vs-M differential on %ld\n",
+                            latency_checked, peak_checked) +
+                     KindCountsLine(kind_counts);
+  if (latency_checked > 0) {
+    text += Format("max analytic/sim: %.4f (single-stage), %.4f (multi-stage, seed %llu); "
+                   "max sim/analytic: %.4f\n",
+                   max_over_single, max_over_multi,
+                   static_cast<unsigned long long>(worst_multi_seed), max_under);
+  }
+  return text;
+}
+
 std::string MemoryCapFuzzCase::Describe() const {
   std::ostringstream os;
   os << "seed=" << seed << " model=" << model.num_layers() << "L/pmb"
@@ -185,7 +267,7 @@ std::string MemoryCapFuzzCase::Describe() const {
   return os.str();
 }
 
-MemoryCapFuzzCase MakeMemoryCapFuzzCase(std::uint64_t seed) {
+MemoryCapFuzzCase MemoryCapFuzz::Make(std::uint64_t seed) {
   // The memory-cap mode owns its own salted stream (same rationale as the
   // fault stream): draws added here can never shift the schedule/fault
   // streams and silently rewrite their pinned regression seeds.
@@ -246,7 +328,29 @@ std::string MemoryCapFuzzOutcome::Summary() const {
   return os.str();
 }
 
-MemoryCapFuzzOutcome RunMemoryCapFuzzCase(const MemoryCapFuzzCase& c) {
+std::string MemoryCapFuzzOutcome::Detail() const {
+  if (!planned) return "ok: declared infeasible (" + infeasible_reason + ")";
+  return Format("ok: fits cap %s (analytic peak %s, simulated peak %s, %d stages recompute)",
+                FormatBytes(memory_cap).c_str(), FormatBytes(analytic_peak).c_str(),
+                FormatBytes(simulated_peak).c_str(), recompute_stages);
+}
+
+void MemoryCapFuzz::Tally::Add(const Outcome& out) {
+  ++cases;
+  planned += out.planned ? 1 : 0;
+  infeasible += out.planned ? 0 : 1;
+  with_recompute += out.recompute_stages > 0 ? 1 : 0;
+  CountKind(kind_counts, out.kind);
+}
+
+std::string MemoryCapFuzz::Tally::ToString(std::uint64_t base) const {
+  return CasesOk(cases, "memory-cap ", base) +
+         Format("%ld planned fit, %ld declared infeasible, %ld used recompute, 0 OOM\n",
+                planned, infeasible, with_recompute) +
+         KindCountsLine(kind_counts);
+}
+
+MemoryCapFuzzOutcome MemoryCapFuzz::Run(const MemoryCapFuzzCase& c) {
   MemoryCapFuzzOutcome out;
   out.seed = c.seed;
   out.kind = c.kind;
@@ -326,7 +430,7 @@ std::string FaultFuzzCase::Describe() const {
   return os.str();
 }
 
-FaultFuzzCase MakeFaultFuzzCase(std::uint64_t seed) {
+FaultFuzzCase FaultFuzz::Make(std::uint64_t seed) {
   // Decorrelated from MakeFuzzCase's stream: same mixing, different salt.
   Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x8e2f9d4a7c15b36dull);
   model::ModelProfile model = RandomModel(rng);
@@ -381,7 +485,66 @@ std::string FaultFuzzOutcome::Summary() const {
   return os.str();
 }
 
-FaultFuzzOutcome RunFaultFuzzCase(const FaultFuzzCase& c) {
+std::string FaultFuzzOutcome::Detail() const {
+  return Format("ok: %d pipelines validated, %d iterations, %d replans, %d restores",
+                pipelines_validated, iterations_completed, replans, restores);
+}
+
+void FaultFuzz::Tally::Add(const Outcome& out) {
+  ++cases;
+  pipelines += out.pipelines_validated;
+  replans += out.replans;
+  restores += out.restores;
+}
+
+std::string FaultFuzz::Tally::ToString(std::uint64_t base) const {
+  return CasesOk(cases, "fault ", base) +
+         Format("%ld pipelines validated, %ld replans, %ld restores\n", pipelines, replans,
+                restores);
+}
+
+decltype(fault::FaultOptions::pipeline_observer) ValidatingObserver(std::string prefix,
+                                                                   ValidationReport* report,
+                                                                   int* validated) {
+  return [prefix = std::move(prefix), report, validated](
+             const runtime::BuiltPipeline& built, const planner::ParallelPlan& plan,
+             const topo::Cluster&) {
+    const sim::SimResult result = sim::Engine::Run(built.graph, built.engine_options);
+    const std::string where = "[plan " + plan.ToString() + "] ";
+    ValidationReport found = ScheduleValidator(plan, built.options).Validate(built, result);
+    for (Violation& v : found.violations) {
+      v.message = where + v.message;
+      report->violations.push_back(std::move(v));
+    }
+    if (result.AnyOom()) {
+      report->violations.push_back({prefix + "-oom", where + "pipeline OOMed"});
+    }
+    ++*validated;
+  };
+}
+
+void CheckFaultReport(const fault::FaultReport& r, const std::string& prefix,
+                      ValidationReport* report) {
+  auto& out = report->violations;
+  if (r.iterations_completed < 0 || r.goodput < 0.0) {
+    out.push_back({prefix + "-report", "negative progress in the " + prefix + " report"});
+  }
+  TimeSec previous_end = 0.0;
+  for (const fault::TimelineRow& row : r.timeline) {
+    if (row.end < row.start) {
+      out.push_back({prefix + "-timeline", row.kind + " row runs backwards"});
+    }
+    if (row.start < previous_end - 1e-9) {
+      out.push_back({prefix + "-timeline", row.kind + " row overlaps its predecessor"});
+    }
+    previous_end = row.end;
+  }
+  if (r.recovered && r.time_to_recover < 0.0) {
+    out.push_back({prefix + "-report", "recovered with a negative time-to-recover"});
+  }
+}
+
+FaultFuzzOutcome FaultFuzz::Run(const FaultFuzzCase& c) {
   FaultFuzzOutcome out;
   out.seed = c.seed;
 
@@ -389,48 +552,14 @@ FaultFuzzOutcome RunFaultFuzzCase(const FaultFuzzCase& c) {
   // Every pipeline the experiment builds — including checkpoint remaps and
   // elastic replans on degraded clusters — must satisfy the full invariant
   // set when executed fault-free.
-  options.pipeline_observer = [&](const runtime::BuiltPipeline& built,
-                                  const planner::ParallelPlan& plan,
-                                  const topo::Cluster& cluster) {
-    (void)cluster;
-    const sim::SimResult result = sim::Engine::Run(built.graph, built.engine_options);
-    ScheduleValidator validator(plan, built.options);
-    ValidationReport report = validator.Validate(built, result);
-    for (Violation& v : report.violations) {
-      v.message = "[plan " + plan.ToString() + "] " + v.message;
-      out.report.violations.push_back(std::move(v));
-    }
-    ++out.pipelines_validated;
-  };
-
+  options.pipeline_observer = ValidatingObserver("fault", &out.report, &out.pipelines_validated);
   try {
     const fault::FaultReport report =
         fault::RunFaultExperiment(c.model, c.cluster, c.plan, c.script, c.policy, options);
     out.iterations_completed = report.iterations_completed;
     out.replans = report.replans;
     out.restores = report.restores;
-
-    // Structural sanity of the report itself.
-    if (report.iterations_completed < 0 || report.goodput < 0.0) {
-      out.report.violations.push_back(
-          {"fault-report", "negative progress in the fault report"});
-    }
-    TimeSec previous_end = 0.0;
-    for (const fault::TimelineRow& row : report.timeline) {
-      if (row.end < row.start) {
-        out.report.violations.push_back(
-            {"fault-timeline", row.kind + " row runs backwards"});
-      }
-      if (row.start < previous_end - 1e-9) {
-        out.report.violations.push_back(
-            {"fault-timeline", row.kind + " row overlaps its predecessor"});
-      }
-      previous_end = row.end;
-    }
-    if (report.recovered && report.time_to_recover < 0.0) {
-      out.report.violations.push_back(
-          {"fault-report", "recovered with a negative time-to-recover"});
-    }
+    CheckFaultReport(report, "fault", &out.report);
   } catch (const std::exception& e) {
     out.report.violations.push_back(
         {"exception", std::string("fault experiment threw: ") + e.what()});
@@ -449,7 +578,7 @@ std::string RankingFuzzCase::Describe() const {
   return os.str();
 }
 
-RankingFuzzCase MakeRankingFuzzCase(std::uint64_t seed, int num_candidates) {
+RankingFuzzCase RankingFuzz::Make(std::uint64_t seed, int num_candidates) {
   // Own salted stream (same mixing as the fault/memory-cap side-streams),
   // so adding this mode never shifted the pinned seeds of the others.
   Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x94d049bb133111ebull);
@@ -483,16 +612,40 @@ std::string RankingFuzzOutcome::Summary() const {
   os << "seed " << seed << ": prefilter recall violation — prefiltered best #"
      << best_prefiltered << " makespan " << best_prefiltered_makespan
      << " vs full-sweep best #" << best_full << " makespan " << best_full_makespan
-     << " (" << num_simulated << "/" << num_candidates << " simulated)";
+     << " (" << num_simulated << "/" << num_candidates << " simulated)\n";
   return os.str();
 }
 
-RankingFuzzOutcome RunRankingFuzzCase(const RankingFuzzCase& c, bool prefilter) {
+std::string RankingFuzzOutcome::Detail() const {
+  return Format("ok: simulated %d/%d candidates, best #%d makespan %.6fs "
+                "(full sweep agrees: #%d, %.6fs)",
+                num_simulated, num_candidates, best_prefiltered, best_prefiltered_makespan,
+                best_full, best_full_makespan);
+}
+
+void RankingFuzz::Tally::Add(const Outcome& out) {
+  ++cases;
+  candidates += out.num_candidates;
+  simulated += out.num_simulated;
+}
+
+std::string RankingFuzz::Tally::ToString(std::uint64_t base) const {
+  const double skipped =
+      candidates > 0 ? 100.0 * static_cast<double>(candidates - simulated) /
+                           static_cast<double>(candidates)
+                     : 0.0;
+  return CasesOk(cases, "ranking ", base) +
+         Format("100%% rank-1 recall, %ld/%ld candidates simulated (%.1f%% skipped by the "
+                "analytic pre-filter)\n",
+                simulated, candidates, skipped);
+}
+
+RankingFuzzOutcome RankingFuzz::Run(const RankingFuzzCase& c) {
   RankingFuzzOutcome out;
   out.seed = c.seed;
   out.num_candidates = static_cast<int>(c.candidates.size());
 
-  // Exactly the estimator configuration RunFuzzCase's latency bracket is
+  // Exactly the estimator configuration ScheduleFuzz::Run's latency bracket is
   // checked with — the band guarantee inherits that calibration.
   planner::LatencyOptions lo;
   lo.check_memory = false;
@@ -521,7 +674,6 @@ RankingFuzzOutcome RunRankingFuzzCase(const RankingFuzzCase& c, bool prefilter) 
   };
 
   planner::RankingOptions ro;
-  ro.prefilter = prefilter;
   const planner::RankingResult pre =
       planner::RankCandidates(estimator, candidates, simulate, ro);
   ro.prefilter = false;
@@ -541,7 +693,7 @@ RankingFuzzOutcome RunRankingFuzzCase(const RankingFuzzCase& c, bool prefilter) 
   return out;
 }
 
-FuzzOutcome RunFuzzCase(const FuzzCase& c) {
+FuzzOutcome ScheduleFuzz::Run(const FuzzCase& c) {
   FuzzOutcome out;
   out.seed = c.seed;
   out.kind = c.options.schedule.kind;
@@ -608,38 +760,6 @@ FuzzOutcome RunFuzzCase(const FuzzCase& c) {
         {"exception", std::string("build/simulate threw: ") + e.what()});
   }
   return out;
-}
-
-std::vector<FuzzOutcome> RunFuzzSweep(const std::vector<std::uint64_t>& seeds,
-                                      int threads) {
-  sim::BatchRunner runner({.threads = threads});
-  return runner.Map<FuzzOutcome>(static_cast<int>(seeds.size()), [&](int i) {
-    return RunFuzzSeed(seeds[static_cast<std::size_t>(i)]);
-  });
-}
-
-std::vector<MemoryCapFuzzOutcome> RunMemoryCapFuzzSweep(
-    const std::vector<std::uint64_t>& seeds, int threads) {
-  sim::BatchRunner runner({.threads = threads});
-  return runner.Map<MemoryCapFuzzOutcome>(static_cast<int>(seeds.size()), [&](int i) {
-    return RunMemoryCapFuzzSeed(seeds[static_cast<std::size_t>(i)]);
-  });
-}
-
-std::vector<FaultFuzzOutcome> RunFaultFuzzSweep(const std::vector<std::uint64_t>& seeds,
-                                                int threads) {
-  sim::BatchRunner runner({.threads = threads});
-  return runner.Map<FaultFuzzOutcome>(static_cast<int>(seeds.size()), [&](int i) {
-    return RunFaultFuzzSeed(seeds[static_cast<std::size_t>(i)]);
-  });
-}
-
-std::vector<RankingFuzzOutcome> RunRankingFuzzSweep(
-    const std::vector<std::uint64_t>& seeds, int threads, bool prefilter) {
-  sim::BatchRunner runner({.threads = threads});
-  return runner.Map<RankingFuzzOutcome>(static_cast<int>(seeds.size()), [&](int i) {
-    return RunRankingFuzzSeed(seeds[static_cast<std::size_t>(i)], prefilter);
-  });
 }
 
 }  // namespace dapple::check

@@ -10,9 +10,25 @@
 //   - the DAPPLE schedule's peak activation memory must not change when the
 //     micro-batch count doubles (the paper's O(K)-not-O(M) claim, §III).
 //
-// Everything derives from one 64-bit seed, so any failure reproduces from
-// the seed printed in its summary (`dapple_fuzz --repro SEED`, or
-// DAPPLE_FUZZ_SEED for the gtest harness).
+// Every fuzz mode — schedule, fault, memory-cap, ranking (here) and
+// scenario (scenario/fuzz.h) — has the same shape:
+//
+//   struct SomeFuzz {
+//     using Case = ...;     // Describe(): one line for logs and failures
+//     using Outcome = ...;  // ok(), Summary() (failure text, empty when
+//                           // ok), Detail() (one-line success report)
+//     static Case Make(std::uint64_t seed);
+//     static Outcome Run(const Case& c);
+//     struct Tally {        // sweep-wide counters, accumulated in seed order
+//       void Add(const Outcome& out);
+//       std::string ToString(std::uint64_t base) const;
+//     };
+//   };
+//
+// and RunSweep<SomeFuzz> drives it. Every mode draws from its own salted
+// stream, so everything derives from one 64-bit seed and any failure
+// reproduces from the seed printed in its summary (`dapple_fuzz --repro
+// SEED`, or DAPPLE_FUZZ_SEED for the gtest harness).
 #pragma once
 
 #include <cstdint>
@@ -26,6 +42,7 @@
 #include "planner/dp_planner.h"
 #include "planner/plan.h"
 #include "runtime/graph_builder.h"
+#include "sim/batch.h"
 #include "topo/cluster.h"
 
 namespace dapple::check {
@@ -36,6 +53,22 @@ namespace dapple::check {
 /// are held to the looser sim::kAnalyticOverSim; every plan of the checked
 /// family is held to sim::kSimOverAnalytic (sim/prefilter.h).
 inline constexpr double kAnalyticOverSimTolerance = 1.10;
+
+/// `count` consecutive seeds starting at `base`.
+std::vector<std::uint64_t> SeedRange(std::uint64_t base, long count);
+
+/// Runs Mode on every seed on a sim::BatchRunner with `threads` workers
+/// (1 = inline serial, 0 = hardware concurrency). Outcome i corresponds to
+/// seeds[i] and equals Mode::Run(Mode::Make(seeds[i])) at every thread
+/// count — each case derives all its state from its seed.
+template <class Mode>
+std::vector<typename Mode::Outcome> RunSweep(const std::vector<std::uint64_t>& seeds,
+                                             int threads = 1) {
+  sim::BatchRunner runner({.threads = threads});
+  return runner.Map<typename Mode::Outcome>(static_cast<int>(seeds.size()), [&](int i) {
+    return Mode::Run(Mode::Make(seeds[static_cast<std::size_t>(i)]));
+  });
+}
 
 /// One generated configuration. Aggregate-constructed by MakeFuzzCase.
 struct FuzzCase {
@@ -85,18 +118,40 @@ struct FuzzOutcome {
   bool ok() const { return report.ok() && latency_bracketed && peak_independent; }
   /// Failure summary including the seed; empty when ok().
   std::string Summary() const;
+  std::string Detail() const;
+  bool operator==(const FuzzOutcome&) const = default;
 };
 
-/// Runs one case end to end (build → simulate → validate → differentials).
-FuzzOutcome RunFuzzCase(const FuzzCase& c);
+/// The schedule mode: build → simulate → validate → differentials.
+struct ScheduleFuzz {
+  using Case = FuzzCase;
+  using Outcome = FuzzOutcome;
+  static Case Make(std::uint64_t seed) { return MakeFuzzCase(seed); }
+  static Outcome Run(const Case& c);
 
-inline FuzzOutcome RunFuzzSeed(std::uint64_t seed) {
-  return RunFuzzCase(MakeFuzzCase(seed));
-}
+  /// Coverage counters plus the calibration extremes: the worst observed
+  /// analytic/sim ratio per plan family (the tolerances above are pinned
+  /// from sweeps of this tally) and the worst sim/analytic ratio.
+  struct Tally {
+    long cases = 0;
+    long latency_checked = 0;
+    long peak_checked = 0;
+    /// Cases per runtime::AllScheduleKinds() entry, so a sweep cannot
+    /// silently skip a family.
+    std::vector<long> kind_counts = std::vector<long>(runtime::AllScheduleKinds().size());
+    double max_over_single = 0.0;
+    double max_over_multi = 0.0;
+    double max_under = 0.0;
+    std::uint64_t worst_multi_seed = 0;
+
+    void Add(const Outcome& out);
+    std::string ToString(std::uint64_t base) const;
+  };
+};
 
 /// One generated fault-recovery configuration: a schedule-fuzz style
 /// (model, cluster, plan) plus a seeded random fault script and a recovery
-/// policy (cycled by seed). Aggregate-constructed by MakeFaultFuzzCase.
+/// policy (cycled by seed). Aggregate-constructed by FaultFuzz::Make.
 struct FaultFuzzCase {
   std::uint64_t seed;
   model::ModelProfile model;
@@ -108,8 +163,6 @@ struct FaultFuzzCase {
 
   std::string Describe() const;
 };
-
-FaultFuzzCase MakeFaultFuzzCase(std::uint64_t seed);
 
 /// Everything observed while running one fault case. Every pipeline the
 /// experiment builds — initial, checkpoint-remapped, elastically replanned —
@@ -127,19 +180,48 @@ struct FaultFuzzOutcome {
 
   bool ok() const { return report.ok(); }
   std::string Summary() const;
+  std::string Detail() const;
+  bool operator==(const FaultFuzzOutcome&) const = default;
 };
 
-FaultFuzzOutcome RunFaultFuzzCase(const FaultFuzzCase& c);
+/// The fault-recovery mode.
+struct FaultFuzz {
+  using Case = FaultFuzzCase;
+  using Outcome = FaultFuzzOutcome;
+  static Case Make(std::uint64_t seed);
+  static Outcome Run(const Case& c);
 
-inline FaultFuzzOutcome RunFaultFuzzSeed(std::uint64_t seed) {
-  return RunFaultFuzzCase(MakeFaultFuzzCase(seed));
-}
+  struct Tally {
+    long cases = 0;
+    long pipelines = 0;
+    long replans = 0;
+    long restores = 0;
+
+    void Add(const Outcome& out);
+    std::string ToString(std::uint64_t base) const;
+  };
+};
+
+/// The checks the fault and scenario modes share. Violation codes start
+/// with `prefix` ("fault", "scenario").
+///
+/// ValidatingObserver returns a pipeline_observer that simulates every
+/// pipeline it sees fault-free and merges into `report` the validator's
+/// findings (each prefixed with the plan it came from) and any OOM task;
+/// `validated` counts the pipelines.
+decltype(fault::FaultOptions::pipeline_observer) ValidatingObserver(std::string prefix,
+                                                                   ValidationReport* report,
+                                                                   int* validated);
+/// Sanity of an experiment's own report: non-negative progress, a timeline
+/// that never runs backwards or overlaps, a non-negative recovery time.
+void CheckFaultReport(const fault::FaultReport& r, const std::string& prefix,
+                      ValidationReport* report);
 
 /// One generated memory-cap planning configuration: a random model on a
 /// small cluster, a schedule family, a recompute policy, and a per-device
 /// cap drawn as a factor (0.25–1.3) of the family's uncapped peak, so the
 /// draws land on both sides of feasibility. Aggregate-constructed by
-/// MakeMemoryCapFuzzCase.
+/// MemoryCapFuzz::Make.
 struct MemoryCapFuzzCase {
   std::uint64_t seed;
   model::ModelProfile model;
@@ -152,11 +234,6 @@ struct MemoryCapFuzzCase {
   /// One-line description for failure messages and verbose logs.
   std::string Describe() const;
 };
-
-/// Deterministically derives a memory-cap case from a seed, on its own
-/// salted side-stream so the schedule/fault fuzz streams (and their pinned
-/// regression seeds) stay bit-identical.
-MemoryCapFuzzCase MakeMemoryCapFuzzCase(std::uint64_t seed);
 
 /// The OOM-free guarantee, observed on one case: the planner either throws
 /// (declares the cap infeasible — allowed) or produces a plan whose
@@ -182,23 +259,39 @@ struct MemoryCapFuzzOutcome {
   bool ok() const { return report.ok(); }
   /// Failure summary including the seed; empty when ok().
   std::string Summary() const;
+  std::string Detail() const;
+  bool operator==(const MemoryCapFuzzOutcome&) const = default;
 };
 
-/// Runs one memory-cap case end to end (plan → build capped → simulate →
-/// validate).
-MemoryCapFuzzOutcome RunMemoryCapFuzzCase(const MemoryCapFuzzCase& c);
+/// The memory-cap mode: plan → build capped → simulate → validate.
+struct MemoryCapFuzz {
+  using Case = MemoryCapFuzzCase;
+  using Outcome = MemoryCapFuzzOutcome;
+  /// Own salted side-stream, so the schedule/fault fuzz streams (and their
+  /// pinned regression seeds) stay bit-identical.
+  static Case Make(std::uint64_t seed);
+  static Outcome Run(const Case& c);
 
-inline MemoryCapFuzzOutcome RunMemoryCapFuzzSeed(std::uint64_t seed) {
-  return RunMemoryCapFuzzCase(MakeMemoryCapFuzzCase(seed));
-}
+  struct Tally {
+    long cases = 0;
+    long planned = 0;
+    long infeasible = 0;
+    long with_recompute = 0;
+    /// Cases per runtime::AllScheduleKinds() entry.
+    std::vector<long> kind_counts = std::vector<long>(runtime::AllScheduleKinds().size());
+
+    void Add(const Outcome& out);
+    std::string ToString(std::uint64_t base) const;
+  };
+};
 
 /// One candidate-ranking configuration: a fixed (model, cluster, global
 /// batch) plus `num_candidates` random plans, all built as split-mode
 /// DAPPLE schedules without a warmup override — exactly the family whose
 /// analytic/sim brackets (the tolerances above) are pinned by the fuzz
 /// harness, so the prefilter's band guarantee applies to every candidate.
-/// Aggregate-constructed by MakeRankingFuzzCase on its own salted
-/// side-stream (pinned seeds of the other streams never shift).
+/// Aggregate-constructed by RankingFuzz::Make on its own salted side-stream
+/// (pinned seeds of the other streams never shift).
 struct RankingFuzzCase {
   std::uint64_t seed;
   model::ModelProfile model;
@@ -208,8 +301,6 @@ struct RankingFuzzCase {
 
   std::string Describe() const;
 };
-
-RankingFuzzCase MakeRankingFuzzCase(std::uint64_t seed, int num_candidates = 24);
 
 /// The prefilter recall property, observed on one case: ranking the
 /// candidates with the analytic pre-filter on must land on a candidate
@@ -231,37 +322,28 @@ struct RankingFuzzOutcome {
   bool ok() const { return recall_ok; }
   /// Failure summary including the seed; empty when ok().
   std::string Summary() const;
+  std::string Detail() const;
+  bool operator==(const RankingFuzzOutcome&) const = default;
 };
 
-/// Runs one ranking case twice — prefilter on, then the full-simulation
-/// oracle — and compares the winners. `prefilter = false` disables the
-/// band in the first leg too (the --prefilter=off knob): every feasible
-/// candidate simulates in both legs and recall holds trivially.
-RankingFuzzOutcome RunRankingFuzzCase(const RankingFuzzCase& c, bool prefilter = true);
+/// The candidate-ranking mode.
+struct RankingFuzz {
+  using Case = RankingFuzzCase;
+  using Outcome = RankingFuzzOutcome;
+  static Case Make(std::uint64_t seed, int num_candidates = 24);
+  /// Ranks the candidates twice — prefilter on, then the full-simulation
+  /// oracle — and compares the winners. Each leg simulates serially inside
+  /// the case, so sweep parallelism stays at the case granularity.
+  static Outcome Run(const Case& c);
 
-inline RankingFuzzOutcome RunRankingFuzzSeed(std::uint64_t seed, bool prefilter = true) {
-  return RunRankingFuzzCase(MakeRankingFuzzCase(seed), prefilter);
-}
+  struct Tally {
+    long cases = 0;
+    long candidates = 0;
+    long simulated = 0;
 
-/// Runs every seed through RunFuzzSeed on a sim::BatchRunner with
-/// `threads` workers (1 = inline serial, 0 = hardware concurrency).
-/// Outcome i corresponds to seeds[i] and every byte of it is identical at
-/// every thread count — each case derives all its state from its seed.
-std::vector<FuzzOutcome> RunFuzzSweep(const std::vector<std::uint64_t>& seeds,
-                                      int threads = 1);
-
-/// Same driver for memory-cap cases (RunMemoryCapFuzzSeed).
-std::vector<MemoryCapFuzzOutcome> RunMemoryCapFuzzSweep(
-    const std::vector<std::uint64_t>& seeds, int threads = 1);
-
-/// Same driver for fault-recovery cases (RunFaultFuzzSeed).
-std::vector<FaultFuzzOutcome> RunFaultFuzzSweep(const std::vector<std::uint64_t>& seeds,
-                                                int threads = 1);
-
-/// Same driver for ranking cases (RunRankingFuzzSeed). Each case's two legs
-/// run their candidate simulations serially inside the case, so sweep-level
-/// parallelism stays at the case granularity.
-std::vector<RankingFuzzOutcome> RunRankingFuzzSweep(
-    const std::vector<std::uint64_t>& seeds, int threads = 1, bool prefilter = true);
+    void Add(const Outcome& out);
+    std::string ToString(std::uint64_t base) const;
+  };
+};
 
 }  // namespace dapple::check

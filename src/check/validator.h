@@ -44,6 +44,8 @@ namespace dapple::check {
 struct Violation {
   std::string code;
   std::string message;
+
+  bool operator==(const Violation&) const = default;
 };
 
 // Stable violation codes, grouped by invariant family.
@@ -75,6 +77,8 @@ struct ValidationReport {
   bool Has(std::string_view code) const;
   /// Multi-line human-readable summary ("OK" when clean).
   std::string ToString() const;
+
+  bool operator==(const ValidationReport&) const = default;
 };
 
 /// Validates simulated iterations of one (plan, build options) pair. The

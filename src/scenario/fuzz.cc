@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "sim/batch.h"
-#include "sim/engine.h"
 
 namespace dapple::scenario {
 
@@ -29,12 +27,12 @@ std::string ScenarioFuzzCase::Describe() const {
   return os.str();
 }
 
-ScenarioFuzzCase MakeScenarioFuzzCase(std::uint64_t seed) {
+ScenarioFuzzCase ScenarioFuzz::Make(std::uint64_t seed) {
   // The topology, plan, schedule family and cost knobs come from the fault
   // fuzz stream; its script and policy are discarded and redrawn below from
   // scenario-salted streams (the fault-fuzz pins never shift, and neither
   // do these when the fault stream grows new draws).
-  check::FaultFuzzCase base = check::MakeFaultFuzzCase(seed);
+  check::FaultFuzzCase base = check::FaultFuzz::Make(seed);
 
   ScenarioFuzzCase c{seed,
                      std::move(base.model),
@@ -74,7 +72,43 @@ std::string ScenarioFuzzOutcome::Summary() const {
   return os.str();
 }
 
-ScenarioFuzzOutcome RunScenarioFuzzCase(const ScenarioFuzzCase& c) {
+std::string ScenarioFuzzOutcome::Detail() const {
+  std::ostringstream os;
+  os << "ok: " << pipelines_validated << " pipelines validated, " << iterations_completed
+     << " iterations, " << preemptions << " preemptions, " << rejoins << " rejoins, "
+     << scale_ups << " scale-ups";
+  return os.str();
+}
+
+void ScenarioFuzz::Tally::Add(const Outcome& out) {
+  ++cases;
+  pipelines += out.pipelines_validated;
+  preemptions += out.preemptions;
+  rejoins += out.rejoins;
+  scale_ups += out.scale_ups;
+  (out.churn == ChurnModel::kSpotChurn ? spot : rolling) += 1;
+  const std::vector<fault::RecoveryPolicy> policies = fault::AllRecoveryPolicies();
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    if (out.policy == policies[p]) ++policy_counts[p];
+  }
+}
+
+std::string ScenarioFuzz::Tally::ToString(std::uint64_t base) const {
+  std::ostringstream os;
+  os << cases << " scenario cases ok (seeds " << base << ".."
+     << base + static_cast<std::uint64_t>(cases) - 1 << "): " << pipelines
+     << " pipelines validated, " << preemptions << " preemptions, " << rejoins
+     << " rejoins, " << scale_ups << " scale-ups, 0 OOM\n"
+     << "cases per churn model: spot=" << spot << ", rolling=" << rolling << "; per policy:";
+  const std::vector<fault::RecoveryPolicy> policies = fault::AllRecoveryPolicies();
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    os << (p ? ", " : " ") << fault::ToString(policies[p]) << "=" << policy_counts[p];
+  }
+  os << "\n";
+  return os.str();
+}
+
+ScenarioFuzzOutcome ScenarioFuzz::Run(const ScenarioFuzzCase& c) {
   ScenarioFuzzOutcome out;
   out.seed = c.seed;
   out.churn = c.churn;
@@ -107,23 +141,8 @@ ScenarioFuzzOutcome RunScenarioFuzzCase(const ScenarioFuzzCase& c) {
   // Every pipeline the episode builds — initial, checkpoint-remapped,
   // elastically replanned, scale-up — must satisfy the full invariant set
   // and run without a single OOM task when executed fault-free.
-  options.fault.pipeline_observer = [&](const runtime::BuiltPipeline& built,
-                                        const planner::ParallelPlan& plan,
-                                        const topo::Cluster& cluster) {
-    (void)cluster;
-    const sim::SimResult result = sim::Engine::Run(built.graph, built.engine_options);
-    check::ScheduleValidator validator(plan, built.options);
-    check::ValidationReport report = validator.Validate(built, result);
-    for (check::Violation& v : report.violations) {
-      v.message = "[plan " + plan.ToString() + "] " + v.message;
-      out.report.violations.push_back(std::move(v));
-    }
-    if (result.AnyOom()) {
-      out.report.violations.push_back(
-          {"scenario-oom", "[plan " + plan.ToString() + "] episode pipeline OOMed"});
-    }
-    ++out.pipelines_validated;
-  };
+  options.fault.pipeline_observer =
+      check::ValidatingObserver("scenario", &out.report, &out.pipelines_validated);
 
   try {
     const EpisodeReport report = RunEpisode(c.model, c.cluster, c.plan, options);
@@ -144,35 +163,12 @@ ScenarioFuzzOutcome RunScenarioFuzzCase(const ScenarioFuzzCase& c) {
                " iterations, past the checkpoint period " +
                std::to_string(c.options.checkpoint_period)});
     }
-    if (report.fault.iterations_completed < 0 || report.fault.goodput < 0.0) {
-      out.report.violations.push_back(
-          {"scenario-report", "negative progress in the episode report"});
-    }
-    TimeSec previous_end = 0.0;
-    for (const fault::TimelineRow& row : report.fault.timeline) {
-      if (row.end < row.start) {
-        out.report.violations.push_back(
-            {"scenario-timeline", row.kind + " row runs backwards"});
-      }
-      if (row.start < previous_end - 1e-9) {
-        out.report.violations.push_back(
-            {"scenario-timeline", row.kind + " row overlaps its predecessor"});
-      }
-      previous_end = row.end;
-    }
+    check::CheckFaultReport(report.fault, "scenario", &out.report);
   } catch (const std::exception& e) {
     out.report.violations.push_back(
         {"exception", std::string("episode threw: ") + e.what()});
   }
   return out;
-}
-
-std::vector<ScenarioFuzzOutcome> RunScenarioFuzzSweep(
-    const std::vector<std::uint64_t>& seeds, int threads) {
-  sim::BatchRunner runner({.threads = threads});
-  return runner.Map<ScenarioFuzzOutcome>(static_cast<int>(seeds.size()), [&](int i) {
-    return RunScenarioFuzzSeed(seeds[static_cast<std::size_t>(i)]);
-  });
 }
 
 }  // namespace dapple::scenario

@@ -1,7 +1,7 @@
 // Seeded randomized testing for the scenario layer: long-horizon churn
 // episodes fuzzed across (churn model x recovery policy x schedule family).
 //
-// Each case reuses the fault-fuzz topology stream — MakeFaultFuzzCase's
+// Each case reuses the fault-fuzz topology stream — check::FaultFuzz::Make's
 // (model, cluster, plan, schedule family, cost knobs) — then swaps in a
 // seeded churn stream and a policy drawn uniformly from scenario-salted
 // side-streams, so adding this mode shifted none of the pinned schedule/
@@ -22,7 +22,7 @@
 namespace dapple::scenario {
 
 /// One generated episode configuration. Aggregate-constructed by
-/// MakeScenarioFuzzCase.
+/// ScenarioFuzz::Make.
 struct ScenarioFuzzCase {
   std::uint64_t seed;
   model::ModelProfile model;
@@ -38,11 +38,6 @@ struct ScenarioFuzzCase {
   /// One-line description for failure messages and verbose logs.
   std::string Describe() const;
 };
-
-/// Deterministically derives an episode case from a seed, on its own salted
-/// side-streams (churn knobs on one, the churn-model/policy draw on
-/// another, the script itself on the generator's stream).
-ScenarioFuzzCase MakeScenarioFuzzCase(std::uint64_t seed);
 
 /// Everything observed while running one case.
 struct ScenarioFuzzOutcome {
@@ -61,20 +56,37 @@ struct ScenarioFuzzOutcome {
   bool ok() const { return report.ok(); }
   /// Failure summary including the seed; empty when ok().
   std::string Summary() const;
+  std::string Detail() const;
+  bool operator==(const ScenarioFuzzOutcome&) const = default;
 };
 
-/// Runs one case end to end (script round trip -> episode -> per-pipeline
-/// validation -> report sanity).
-ScenarioFuzzOutcome RunScenarioFuzzCase(const ScenarioFuzzCase& c);
+/// The scenario mode, in the check/fuzz.h shape.
+struct ScenarioFuzz {
+  using Case = ScenarioFuzzCase;
+  using Outcome = ScenarioFuzzOutcome;
+  /// Deterministically derives an episode case from a seed, on its own
+  /// salted side-streams (churn knobs on one, the churn-model/policy draw
+  /// on another, the script itself on the generator's stream).
+  static Case Make(std::uint64_t seed);
+  /// Script round trip -> episode -> per-pipeline validation -> report
+  /// sanity.
+  static Outcome Run(const Case& c);
 
-inline ScenarioFuzzOutcome RunScenarioFuzzSeed(std::uint64_t seed) {
-  return RunScenarioFuzzCase(MakeScenarioFuzzCase(seed));
-}
+  struct Tally {
+    long cases = 0;
+    long pipelines = 0;
+    long preemptions = 0;
+    long rejoins = 0;
+    long scale_ups = 0;
+    /// Per churn model and per fault::AllRecoveryPolicies() entry, so a
+    /// sweep cannot silently skip one.
+    long spot = 0;
+    long rolling = 0;
+    std::vector<long> policy_counts = std::vector<long>(fault::AllRecoveryPolicies().size());
 
-/// Runs every seed through RunScenarioFuzzSeed on a sim::BatchRunner
-/// (`threads`: 1 = inline serial, 0 = hardware concurrency). Outcome i
-/// corresponds to seeds[i], byte-identical at every thread count.
-std::vector<ScenarioFuzzOutcome> RunScenarioFuzzSweep(
-    const std::vector<std::uint64_t>& seeds, int threads = 1);
+    void Add(const Outcome& out);
+    std::string ToString(std::uint64_t base) const;
+  };
+};
 
 }  // namespace dapple::scenario

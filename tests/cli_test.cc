@@ -1,5 +1,6 @@
 // End-to-end CLI smoke tests: exercise `dapple zoo/plan/run` as a user
-// would, including the plan-file round trip and chrome-trace export.
+// would, including the plan-file round trip and chrome-trace export, and
+// the `dapple_fuzz` argument handling.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +15,9 @@ namespace {
 #ifndef DAPPLE_CLI_PATH
 #define DAPPLE_CLI_PATH "./dapple"
 #endif
+#ifndef DAPPLE_FUZZ_PATH
+#define DAPPLE_FUZZ_PATH "./dapple_fuzz"
+#endif
 
 /// Paths include the pid: ctest runs each discovered test as its own
 /// process, concurrently, so a shared fixed path would be clobbered.
@@ -21,10 +25,11 @@ std::string TempPath(const std::string& tag) {
   return "/tmp/dapple_cli_test_" + std::to_string(getpid()) + "_" + tag;
 }
 
-std::string RunCli(const std::string& args, int* exit_code) {
+std::string RunCli(const std::string& args, int* exit_code,
+                   const char* binary = DAPPLE_CLI_PATH) {
   const std::string output_path = TempPath("out.txt");
   const std::string command =
-      std::string(DAPPLE_CLI_PATH) + " " + args + " > " + output_path + " 2>&1";
+      std::string(binary) + " " + args + " > " + output_path + " 2>&1";
   const int status = std::system(command.c_str());
   *exit_code = WEXITSTATUS(status);
   std::ifstream in(output_path);
@@ -145,6 +150,38 @@ TEST(Cli, MissingFlagValueIsDiagnosed) {
   out = RunCli("serve --workers", &code);
   EXPECT_EQ(code, 2);
   EXPECT_NE(out.find("flag --workers requires a value"), std::string::npos) << out;
+}
+
+TEST(Cli, FuzzRejectsBadArgumentsWithUsage) {
+  // Every value is one strict unsigned parse of the whole token, and at most
+  // one mode may be named — with or without --repro.
+  for (const char* args :
+       {"--faults --memory-cap --repro 3", "--repro 3 --iterations x", "--seed abc",
+        "--repro abc", "--iterations 3x", "--threads abc", "--threads -1", "--iterations 0",
+        "--seed 18446744073709551616", "--iterations"}) {
+    int code = 0;
+    const std::string out = RunCli(args, &code, DAPPLE_FUZZ_PATH);
+    EXPECT_EQ(code, 2) << args << "\n" << out;
+    EXPECT_NE(out.find("usage:"), std::string::npos) << args << "\n" << out;
+  }
+}
+
+TEST(Cli, FuzzPrefilterFlagIsUnknown) {
+  int code = 0;
+  const std::string out = RunCli("--ranking --prefilter=off --iterations 1", &code,
+                                 DAPPLE_FUZZ_PATH);
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(out.find("unknown flag --prefilter=off"), std::string::npos) << out;
+}
+
+TEST(Cli, FuzzScenarioReproReplaysThePinnedSeed) {
+  int code = 0;
+  const std::string out = RunCli("--scenario --repro 39", &code, DAPPLE_FUZZ_PATH);
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(out,
+            "seed=39 model=8L cluster=fuzz-2x2(4) plan=1 : 2 churn=rolling policy=elastic-up "
+            "horizon=12.7895 schedule=V-Half\n"
+            "ok: 7 pipelines validated, 14 iterations, 2 preemptions, 2 rejoins, 2 scale-ups\n");
 }
 
 }  // namespace

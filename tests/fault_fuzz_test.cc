@@ -4,56 +4,42 @@
 // checkpoint-remapped, elastically replanned — through the complete
 // ScheduleValidator invariant set (see check/fuzz.h).
 //
-// Iteration count and base seed come from the environment so CI can widen
-// the sweep and a failure reproduces without recompiling:
-//
-//   DAPPLE_FUZZ_ITERATIONS=2000 DAPPLE_FUZZ_SEED=123 ctest -L fuzz
-//   build/tools/dapple_fuzz --faults --repro <seed printed by the failure>
+// Seeds come from the environment (tests/fuzz_env.h); reproduce a failure
+// with `build/tools/dapple_fuzz --faults --repro <seed printed by the failure>`.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <vector>
 
 #include "check/fuzz.h"
+#include "fuzz_env.h"
 
 namespace dapple {
 namespace {
 
-long EnvLong(const char* name, long fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atol(value) : fallback;
-}
-
 TEST(FaultFuzzTest, RecoveredSchedulesSatisfyAllInvariants) {
-  const long iterations = EnvLong("DAPPLE_FUZZ_ITERATIONS", 100);
-  const auto base = static_cast<std::uint64_t>(EnvLong("DAPPLE_FUZZ_SEED", 0));
+  const std::vector<std::uint64_t> seeds = EnvFuzzSeeds(100);
+  const long iterations = static_cast<long>(seeds.size());
 
-  long pipelines = 0, replans = 0, restores = 0;
-  for (long i = 0; i < iterations; ++i) {
-    const std::uint64_t seed = base + static_cast<std::uint64_t>(i);
-    const check::FaultFuzzCase c = check::MakeFaultFuzzCase(seed);
-    const check::FaultFuzzOutcome out = check::RunFaultFuzzCase(c);
+  check::FaultFuzz::Tally tally;
+  for (const std::uint64_t seed : seeds) {
+    const check::FaultFuzzCase c = check::FaultFuzz::Make(seed);
+    const check::FaultFuzzOutcome out = check::FaultFuzz::Run(c);
     ASSERT_TRUE(out.ok()) << out.Summary() << "  case: " << c.Describe();
     EXPECT_GE(out.pipelines_validated, 1) << c.Describe();
-    pipelines += out.pipelines_validated;
-    replans += out.replans;
-    restores += out.restores;
+    tally.Add(out);
   }
   // The generator must keep exercising the interesting recovery paths, not
   // just fault-free baselines (distribution drift would gut the test).
-  EXPECT_GE(pipelines, iterations);
-  EXPECT_GE(replans + restores, iterations / 20);
+  EXPECT_GE(tally.pipelines, iterations);
+  EXPECT_GE(tally.replans + tally.restores, iterations / 20);
 }
 
 TEST(FaultFuzzTest, CasesAreDeterministicInTheSeed) {
-  const check::FaultFuzzCase a = check::MakeFaultFuzzCase(17);
-  const check::FaultFuzzCase b = check::MakeFaultFuzzCase(17);
+  const check::FaultFuzzCase a = check::FaultFuzz::Make(17);
+  const check::FaultFuzzCase b = check::FaultFuzz::Make(17);
   EXPECT_EQ(a.Describe(), b.Describe());
   EXPECT_EQ(a.script.ToString(), b.script.ToString());
-  const check::FaultFuzzOutcome oa = check::RunFaultFuzzCase(a);
-  const check::FaultFuzzOutcome ob = check::RunFaultFuzzCase(b);
-  EXPECT_EQ(oa.iterations_completed, ob.iterations_completed);
-  EXPECT_EQ(oa.replans, ob.replans);
-  EXPECT_EQ(oa.restores, ob.restores);
+  EXPECT_TRUE(check::FaultFuzz::Run(a) == check::FaultFuzz::Run(b));
 }
 
 }  // namespace

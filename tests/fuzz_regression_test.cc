@@ -25,7 +25,7 @@ namespace {
 TEST(FuzzRegression, Seed16186StaysInsideTheDuplexBracket) {
   const check::FuzzCase c = check::MakeFuzzCase(16186);
   ASSERT_GE(c.plan.num_stages(), 2) << c.Describe();
-  const check::FuzzOutcome out = check::RunFuzzCase(c);
+  const check::FuzzOutcome out = check::ScheduleFuzz::Run(c);
   EXPECT_TRUE(out.ok()) << out.Summary();
   ASSERT_TRUE(out.checked_latency) << c.Describe();
   ASSERT_GT(out.simulated_makespan, 0.0);
@@ -45,7 +45,7 @@ TEST(FuzzRegression, Seed16186StaysInsideTheDuplexBracket) {
 // the five-kind generator still reports 3410 as the multi-stage worst case
 // at the same 1.0489 ratio.
 TEST(FuzzRegression, Seed3410IsTheSweepWorstCaseAndPasses) {
-  const check::FuzzOutcome out = check::RunFuzzSeed(3410);
+  const check::FuzzOutcome out = check::ScheduleFuzz::Run(check::MakeFuzzCase(3410));
   EXPECT_TRUE(out.ok()) << out.Summary();
   ASSERT_TRUE(out.checked_latency);
   EXPECT_LE(out.analytic_latency / out.simulated_makespan, 1.10);
@@ -68,7 +68,7 @@ TEST(FuzzRegression, Seed15PinsTheSplitBackwardFamily) {
   ASSERT_EQ(c.options.schedule.kind, runtime::ScheduleKind::kDappleSplitBw)
       << c.Describe();
   ASSERT_GE(c.plan.num_stages(), 2) << c.Describe();
-  const check::FuzzOutcome out = check::RunFuzzCase(c);
+  const check::FuzzOutcome out = check::ScheduleFuzz::Run(c);
   EXPECT_TRUE(out.ok()) << out.Summary();
   EXPECT_GT(out.num_tasks, 0);
 }
@@ -80,7 +80,7 @@ TEST(FuzzRegression, Seed64PinsTheVMinFamily) {
   const check::FuzzCase c = check::MakeFuzzCase(64);
   ASSERT_EQ(c.options.schedule.kind, runtime::ScheduleKind::kVMin) << c.Describe();
   ASSERT_GE(c.plan.num_stages(), 3) << c.Describe();
-  const check::FuzzOutcome out = check::RunFuzzCase(c);
+  const check::FuzzOutcome out = check::ScheduleFuzz::Run(c);
   EXPECT_TRUE(out.ok()) << out.Summary();
   EXPECT_GT(out.num_tasks, 0);
 }
@@ -92,7 +92,7 @@ TEST(FuzzRegression, Seed6PinsTheVHalfFamily) {
   const check::FuzzCase c = check::MakeFuzzCase(6);
   ASSERT_EQ(c.options.schedule.kind, runtime::ScheduleKind::kVHalf) << c.Describe();
   ASSERT_GE(c.plan.num_stages(), 3) << c.Describe();
-  const check::FuzzOutcome out = check::RunFuzzCase(c);
+  const check::FuzzOutcome out = check::ScheduleFuzz::Run(c);
   EXPECT_TRUE(out.ok()) << out.Summary();
   EXPECT_GT(out.num_tasks, 0);
 }
@@ -105,13 +105,13 @@ TEST(FuzzRegression, Seed6PinsTheVHalfFamily) {
 // resource 2"); profiles must silently skip resources the graph never
 // references — a fault on idle hardware is a no-op.
 //
-// Re-pinned when MakeFaultFuzzCase split the script draw onto its own
+// Re-pinned when FaultFuzz::Make split the script draw onto its own
 // rng stream (decoupling scripts from topology draws); seed 27 kept the
 // property under the new stream, and the preconditions below now assert it
 // outright so a future generator change that loses it fails loudly here
 // instead of quietly pinning nothing.
 TEST(FuzzRegression, FaultSeed27ToleratesFaultsOnIdleDevices) {
-  const check::FaultFuzzCase c = check::MakeFaultFuzzCase(27);
+  const check::FaultFuzzCase c = check::FaultFuzz::Make(27);
   std::set<topo::DeviceId> used;
   for (const auto& stage : c.plan.stages) {
     for (topo::DeviceId d : stage.devices.devices()) used.insert(d);
@@ -130,7 +130,7 @@ TEST(FuzzRegression, FaultSeed27ToleratesFaultsOnIdleDevices) {
   }
   ASSERT_TRUE(targets_idle_hardware) << c.Describe();
 
-  const check::FaultFuzzOutcome out = check::RunFaultFuzzCase(c);
+  const check::FaultFuzzOutcome out = check::FaultFuzz::Run(c);
   EXPECT_TRUE(out.ok()) << out.Summary();
   EXPECT_GE(out.pipelines_validated, 1);
 }

@@ -4,91 +4,57 @@
 // infeasible or emit a plan whose capped simulation passes the full
 // validator with zero OOM violations (see src/check/fuzz.h).
 //
-// Iteration count and base seed come from the environment so CI can widen
-// the sweep (the acceptance sweep is DAPPLE_FUZZ_ITERATIONS=1000) and a
-// failure is reproducible without recompiling:
-//
-//   DAPPLE_FUZZ_ITERATIONS=1000 ctest -R MemoryCapFuzz
-//   build/tools/dapple_fuzz --memory-cap --repro <seed printed on failure>
+// Seeds come from the environment (tests/fuzz_env.h; the acceptance sweep
+// is DAPPLE_FUZZ_ITERATIONS=1000); reproduce a failure with
+// `build/tools/dapple_fuzz --memory-cap --repro <seed printed on failure>`.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "check/fuzz.h"
+#include "fuzz_env.h"
 #include "runtime/schedule.h"
 
 namespace dapple {
 namespace {
 
-long EnvLong(const char* name, long fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atol(value) : fallback;
-}
-
 TEST(MemoryCapFuzzTest, PlannerNeverEmitsAnOomPlanUnderRandomCaps) {
-  const long iterations = EnvLong("DAPPLE_FUZZ_ITERATIONS", 250);
-  const auto base = static_cast<std::uint64_t>(EnvLong("DAPPLE_FUZZ_SEED", 0));
+  const std::vector<std::uint64_t> seeds = EnvFuzzSeeds(250);
+  const long iterations = static_cast<long>(seeds.size());
 
-  long planned = 0, infeasible = 0, with_recompute = 0;
-  const auto& all_kinds = runtime::AllScheduleKinds();
-  std::vector<long> kind_counts(all_kinds.size(), 0);
-  for (long i = 0; i < iterations; ++i) {
-    const std::uint64_t seed = base + static_cast<std::uint64_t>(i);
-    const check::MemoryCapFuzzCase c = check::MakeMemoryCapFuzzCase(seed);
-    const check::MemoryCapFuzzOutcome out = check::RunMemoryCapFuzzCase(c);
+  check::MemoryCapFuzz::Tally tally;
+  for (const std::uint64_t seed : seeds) {
+    const check::MemoryCapFuzzCase c = check::MemoryCapFuzz::Make(seed);
+    const check::MemoryCapFuzzOutcome out = check::MemoryCapFuzz::Run(c);
     ASSERT_TRUE(out.ok()) << out.Summary() << "  case: " << c.Describe();
     if (out.planned) {
-      ++planned;
       EXPECT_LE(out.analytic_peak, out.memory_cap) << c.Describe();
       EXPECT_LE(out.simulated_peak, out.memory_cap) << c.Describe();
-    } else {
-      ++infeasible;
     }
-    with_recompute += out.recompute_stages > 0 ? 1 : 0;
-    for (std::size_t k = 0; k < all_kinds.size(); ++k) {
-      if (out.kind == all_kinds[k]) ++kind_counts[k];
-    }
+    tally.Add(out);
   }
   // The cap draw (0.25x–1.3x of the uncapped peak) must keep both outcomes
   // and the recompute fit search exercised; a distribution drift here would
   // silently gut the guarantee this test claims.
-  EXPECT_GE(planned, iterations / 4);
-  EXPECT_GE(infeasible, iterations / 20);
-  EXPECT_GE(with_recompute, iterations / 100);
+  EXPECT_GE(tally.planned, iterations / 4);
+  EXPECT_GE(tally.infeasible, iterations / 20);
+  EXPECT_GE(tally.with_recompute, iterations / 100);
   // Every schedule family must appear — the cap semantics differ per family
   // (GPipe's M stashes, DAPPLE's warmup depths, the V shapes' folded
   // chunks), so dropping one would skip its peak model entirely.
+  const auto& all_kinds = runtime::AllScheduleKinds();
   for (std::size_t k = 0; k < all_kinds.size(); ++k) {
-    EXPECT_GE(kind_counts[k], iterations / 20)
+    EXPECT_GE(tally.kind_counts[k], iterations / 20)
         << "schedule kind " << runtime::ToString(all_kinds[k])
         << " underrepresented in " << iterations << " cases";
   }
 }
 
 TEST(MemoryCapFuzzTest, CasesAreDeterministicInTheSeed) {
-  const check::MemoryCapFuzzCase a = check::MakeMemoryCapFuzzCase(29);
-  const check::MemoryCapFuzzCase b = check::MakeMemoryCapFuzzCase(29);
+  const check::MemoryCapFuzzCase a = check::MemoryCapFuzz::Make(29);
+  const check::MemoryCapFuzzCase b = check::MemoryCapFuzz::Make(29);
   EXPECT_EQ(a.Describe(), b.Describe());
-  const check::MemoryCapFuzzOutcome oa = check::RunMemoryCapFuzzCase(a);
-  const check::MemoryCapFuzzOutcome ob = check::RunMemoryCapFuzzCase(b);
-  EXPECT_EQ(oa.planned, ob.planned);
-  EXPECT_EQ(oa.analytic_peak, ob.analytic_peak);
-  EXPECT_EQ(oa.simulated_peak, ob.simulated_peak);
-}
-
-TEST(MemoryCapFuzzTest, SweepIsIdenticalAtEveryThreadCount) {
-  std::vector<std::uint64_t> seeds;
-  for (std::uint64_t s = 0; s < 24; ++s) seeds.push_back(s);
-  const auto serial = check::RunMemoryCapFuzzSweep(seeds, 1);
-  const auto threaded = check::RunMemoryCapFuzzSweep(seeds, 4);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].planned, threaded[i].planned);
-    EXPECT_EQ(serial[i].analytic_peak, threaded[i].analytic_peak);
-    EXPECT_EQ(serial[i].simulated_peak, threaded[i].simulated_peak);
-    EXPECT_EQ(serial[i].recompute_stages, threaded[i].recompute_stages);
-  }
+  EXPECT_TRUE(check::MemoryCapFuzz::Run(a) == check::MemoryCapFuzz::Run(b));
 }
 
 }  // namespace

@@ -8,9 +8,10 @@
 //   2. recall — the end-to-end property on seeded fuzz corpora: ranking
 //      with the pre-filter on must land on a candidate whose simulated
 //      makespan bit-exactly equals the best over the full simulation
-//      sweep, at every BatchRunner thread count, including the pinned
-//      near-miss seeds 3410 and 16186 (the two worst analytic/sim cases
-//      of the 100k-seed calibration sweep).
+//      sweep, including the pinned near-miss seeds 3410 and 16186 (the two
+//      worst analytic/sim cases of the 100k-seed calibration sweep).
+//      Thread-count identity of the sweep is checked with every other fuzz
+//      mode in scenario_determinism_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -156,42 +157,18 @@ TEST(PrefilterBatch, UpdatesTheMetricsCounters) {
 // --- End-to-end recall over seeded fuzz corpora -------------------------
 
 TEST(PrefilterRecall, OneHundredPercentRankOneRecallOverTheSeededCorpus) {
-  std::vector<std::uint64_t> seeds;
-  for (std::uint64_t s = 0; s < 48; ++s) seeds.push_back(s);
-  const std::vector<check::RankingFuzzOutcome> outcomes =
-      check::RunRankingFuzzSweep(seeds, /*threads=*/8);
-
-  long simulated = 0, candidates = 0;
-  for (const check::RankingFuzzOutcome& out : outcomes) {
+  check::RankingFuzz::Tally tally;
+  for (const check::RankingFuzzOutcome& out :
+       check::RunSweep<check::RankingFuzz>(check::SeedRange(0, 48), /*threads=*/8)) {
     EXPECT_TRUE(out.ok()) << out.Summary();
-    simulated += out.num_simulated;
-    candidates += out.num_candidates;
+    tally.Add(out);
   }
   // Non-vacuity both ways: the corpus must contain real candidate pools
   // and the prefilter must actually skip a meaningful fraction — 100%
   // recall by simulating everything proves nothing.
-  EXPECT_EQ(candidates, 48 * 24);
-  EXPECT_LT(simulated, candidates / 2);
-  EXPECT_GT(simulated, 0);
-}
-
-TEST(PrefilterRecall, SweepIsByteIdenticalAtEveryThreadCount) {
-  std::vector<std::uint64_t> seeds;
-  for (std::uint64_t s = 100; s < 112; ++s) seeds.push_back(s);
-  const std::vector<check::RankingFuzzOutcome> serial =
-      check::RunRankingFuzzSweep(seeds, /*threads=*/1);
-  const std::vector<check::RankingFuzzOutcome> parallel =
-      check::RunRankingFuzzSweep(seeds, /*threads=*/8);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].num_simulated, parallel[i].num_simulated) << "seed " << seeds[i];
-    EXPECT_EQ(serial[i].best_prefiltered, parallel[i].best_prefiltered)
-        << "seed " << seeds[i];
-    EXPECT_EQ(serial[i].best_prefiltered_makespan, parallel[i].best_prefiltered_makespan)
-        << "seed " << seeds[i];
-    EXPECT_EQ(serial[i].best_full_makespan, parallel[i].best_full_makespan)
-        << "seed " << seeds[i];
-  }
+  EXPECT_EQ(tally.candidates, 48 * 24);
+  EXPECT_LT(tally.simulated, tally.candidates / 2);
+  EXPECT_GT(tally.simulated, 0);
 }
 
 TEST(PrefilterRecall, PinnedNearMissSeedsHold) {
@@ -200,22 +177,10 @@ TEST(PrefilterRecall, PinnedNearMissSeedsHold) {
   // stay pinned here so a bracket regression surfaces in the recall
   // property too, not just in the latency differential.
   for (const std::uint64_t seed : {3410ull, 16186ull}) {
-    const check::RankingFuzzOutcome out = check::RunRankingFuzzSeed(seed);
+    const check::RankingFuzzOutcome out = check::RankingFuzz::Run(check::RankingFuzz::Make(seed));
     EXPECT_TRUE(out.ok()) << out.Summary();
     EXPECT_GT(out.num_candidates, 0) << "seed " << seed;
   }
-}
-
-TEST(PrefilterRecall, PrefilterOffIsTheTrivialBaseline) {
-  const check::RankingFuzzOutcome out =
-      check::RunRankingFuzzSeed(5, /*prefilter=*/false);
-  EXPECT_TRUE(out.ok()) << out.Summary();
-  // Off means both legs are the same full sweep: identical winners (by
-  // index, not just value), and only analytically infeasible candidates
-  // ever go unsimulated.
-  EXPECT_EQ(out.best_prefiltered, out.best_full);
-  EXPECT_GT(out.num_simulated, 0);
-  EXPECT_LE(out.num_simulated, out.num_candidates);
 }
 
 }  // namespace

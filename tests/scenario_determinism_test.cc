@@ -1,10 +1,10 @@
 // Determinism sweep for the scenario layer, the long-horizon mirror of
 // sim_determinism_test: a seeded corpus of churn episodes must serialize to
-// byte-identical reports at every sweep thread count, the scenario fuzz
-// harness must produce identical outcomes at every BatchRunner worker
-// count, and the co-scheduler must emit identical reports — including its
-// cache hit/miss accounting — whether candidate evaluation runs inline or
-// fanned across workers.
+// byte-identical reports at every sweep thread count, and the co-scheduler
+// must emit identical reports — including its cache hit/miss accounting —
+// whether candidate evaluation runs inline or fanned across workers. Every
+// fuzz mode (schedule, fault, memory-cap, ranking, scenario) must produce
+// identical outcomes at every BatchRunner worker count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "check/fuzz.h"
 #include "common/units.h"
 #include "fault/report.h"
 #include "model/zoo.h"
@@ -84,29 +85,6 @@ TEST(ScenarioDeterminismTest, EpisodeSweepIsByteIdenticalAtEveryThreadCount) {
   }
 }
 
-TEST(ScenarioDeterminismTest, FuzzSweepIsIdenticalAtEveryWorkerCount) {
-  // The scenario fuzz cases run the full validator per pipeline, so keep
-  // the corpus smaller than the episode sweep; identity is what matters.
-  std::vector<std::uint64_t> seeds;
-  for (std::uint64_t s = 0; s < 24; ++s) seeds.push_back(s);
-
-  const std::vector<ScenarioFuzzOutcome> serial = RunScenarioFuzzSweep(seeds, 1);
-  for (const int threads : {2, 8}) {
-    const std::vector<ScenarioFuzzOutcome> batched = RunScenarioFuzzSweep(seeds, threads);
-    ASSERT_EQ(batched.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(batched[i].ok(), serial[i].ok()) << "seed " << seeds[i];
-      EXPECT_EQ(batched[i].report.ToString(), serial[i].report.ToString())
-          << "seed " << seeds[i] << " at threads=" << threads;
-      EXPECT_EQ(batched[i].pipelines_validated, serial[i].pipelines_validated);
-      EXPECT_EQ(batched[i].iterations_completed, serial[i].iterations_completed);
-      EXPECT_EQ(batched[i].preemptions, serial[i].preemptions);
-      EXPECT_EQ(batched[i].rejoins, serial[i].rejoins);
-      EXPECT_EQ(batched[i].scale_ups, serial[i].scale_ups);
-    }
-  }
-}
-
 TEST(ScenarioDeterminismTest, CoScheduleReportIsByteIdenticalAtEveryWorkerCount) {
   const model::ModelProfile m = model::MakeUniformSynthetic(6, 0.002, 0.004, 1_MiB, 1'000'000);
   const topo::Cluster budget = topo::MakeConfigB(5);
@@ -127,6 +105,31 @@ TEST(ScenarioDeterminismTest, CoScheduleReportIsByteIdenticalAtEveryWorkerCount)
     EXPECT_EQ(run(threads), serial)
         << "co-schedule report (including cache accounting) drifted at sim_threads="
         << threads;
+  }
+}
+
+// Every fuzz mode's sweep, on a BatchRunner at 1, 2 and 8 workers, must
+// equal running its cases one at a time — outcome for outcome, every field.
+template <class Mode>
+class FuzzSweepDeterminism : public ::testing::Test {};
+
+using FuzzModes = ::testing::Types<check::ScheduleFuzz, check::FaultFuzz, check::MemoryCapFuzz,
+                                   check::RankingFuzz, ScenarioFuzz>;
+TYPED_TEST_SUITE(FuzzSweepDeterminism, FuzzModes);
+
+TYPED_TEST(FuzzSweepDeterminism, SweepMatchesOneAtATimeAtEveryThreadCount) {
+  using Mode = TypeParam;
+  const std::vector<std::uint64_t> seeds = check::SeedRange(0, 24);
+  std::vector<typename Mode::Outcome> serial;
+  for (const std::uint64_t seed : seeds) serial.push_back(Mode::Run(Mode::Make(seed)));
+
+  for (const int threads : {1, 2, 8}) {
+    const std::vector<typename Mode::Outcome> swept = check::RunSweep<Mode>(seeds, threads);
+    ASSERT_EQ(swept.size(), serial.size());
+    for (std::size_t i = 0; i < swept.size(); ++i) {
+      EXPECT_TRUE(swept[i] == serial[i])
+          << "seed " << seeds[i] << " drifted at threads=" << threads;
+    }
   }
 }
 

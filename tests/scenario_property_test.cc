@@ -283,9 +283,9 @@ TEST(ScenarioPropertyTest, ChurnScriptsRoundTripThroughTheDsl) {
 // keep-the-old-plan bug. Must stay green and must keep exercising that
 // path.
 TEST(ScenarioPropertyTest, PinnedScaleUpFuzzSeedStaysGreen) {
-  const ScenarioFuzzCase c = MakeScenarioFuzzCase(kPinnedScaleUpSeed);
+  const ScenarioFuzzCase c = ScenarioFuzz::Make(kPinnedScaleUpSeed);
   EXPECT_EQ(c.policy, fault::RecoveryPolicy::kElasticUp) << c.Describe();
-  const ScenarioFuzzOutcome out = RunScenarioFuzzCase(c);
+  const ScenarioFuzzOutcome out = ScenarioFuzz::Run(c);
   EXPECT_TRUE(out.ok()) << out.Summary();
   EXPECT_GE(out.scale_ups, 1) << "pinned seed no longer exercises the cutover path: "
                               << c.Describe();

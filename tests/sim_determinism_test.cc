@@ -180,27 +180,5 @@ TEST(SimDeterminismTest, BatchRunnerMatchesSerialAtEveryThreadCount) {
   }
 }
 
-TEST(SimDeterminismTest, FuzzSweepMatchesSerialHarness) {
-  // The routed check/fuzz sweep must agree with one-at-a-time RunFuzzSeed —
-  // outcome summaries are the bytes the CI fuzz tier keys on.
-  std::vector<std::uint64_t> seeds;
-  for (std::uint64_t s = 0; s < 24; ++s) seeds.push_back(s);
-  std::vector<check::FuzzOutcome> serial;
-  serial.reserve(seeds.size());
-  for (std::uint64_t s : seeds) serial.push_back(check::RunFuzzSeed(s));
-
-  for (int threads : {2, 8}) {
-    const std::vector<check::FuzzOutcome> swept = check::RunFuzzSweep(seeds, threads);
-    ASSERT_EQ(swept.size(), serial.size());
-    for (std::size_t i = 0; i < swept.size(); ++i) {
-      EXPECT_EQ(serial[i].ok(), swept[i].ok()) << "seed=" << seeds[i];
-      EXPECT_EQ(serial[i].Summary(), swept[i].Summary()) << "seed=" << seeds[i];
-      EXPECT_EQ(serial[i].simulated_makespan, swept[i].simulated_makespan)
-          << "seed=" << seeds[i];
-      EXPECT_EQ(serial[i].peak_at_m, swept[i].peak_at_m) << "seed=" << seeds[i];
-    }
-  }
-}
-
 }  // namespace
 }  // namespace dapple::sim

@@ -3,59 +3,44 @@
 // ScheduleValidator invariant set plus the analytic-latency bracket and the
 // peak-memory-vs-M differential (see src/check/fuzz.h).
 //
-// Iteration count and base seed come from the environment so CI can widen
-// the sweep and a failure is reproducible without recompiling:
-//
-//   DAPPLE_FUZZ_ITERATIONS=5000 DAPPLE_FUZZ_SEED=123 ctest -L fuzz
-//   build/tools/dapple_fuzz --repro <seed printed by the failure>
+// Seeds come from the environment (tests/fuzz_env.h); reproduce a failure
+// with `build/tools/dapple_fuzz --repro <seed printed by the failure>`.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "check/fuzz.h"
+#include "fuzz_env.h"
 #include "runtime/schedule.h"
 
 namespace dapple {
 namespace {
 
-long EnvLong(const char* name, long fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atol(value) : fallback;
-}
-
 TEST(ValidatorFuzzTest, RandomConfigsSatisfyAllInvariants) {
-  const long iterations = EnvLong("DAPPLE_FUZZ_ITERATIONS", 250);
-  const auto base = static_cast<std::uint64_t>(EnvLong("DAPPLE_FUZZ_SEED", 0));
+  const std::vector<std::uint64_t> seeds = EnvFuzzSeeds(250);
+  const long iterations = static_cast<long>(seeds.size());
 
-  long latency_checked = 0;
-  long peak_checked = 0;
-  const auto& all_kinds = runtime::AllScheduleKinds();
-  std::vector<long> kind_counts(all_kinds.size(), 0);
-  for (long i = 0; i < iterations; ++i) {
-    const std::uint64_t seed = base + static_cast<std::uint64_t>(i);
+  check::ScheduleFuzz::Tally tally;
+  for (const std::uint64_t seed : seeds) {
     const check::FuzzCase c = check::MakeFuzzCase(seed);
-    const check::FuzzOutcome out = check::RunFuzzCase(c);
+    const check::FuzzOutcome out = check::ScheduleFuzz::Run(c);
     ASSERT_TRUE(out.ok()) << out.Summary() << "  case: " << c.Describe();
     EXPECT_GE(out.report.checks_run, 7) << c.Describe();
     EXPECT_GT(out.num_tasks, 0) << c.Describe();
-    latency_checked += out.checked_latency ? 1 : 0;
-    peak_checked += out.checked_peak ? 1 : 0;
-    for (std::size_t k = 0; k < all_kinds.size(); ++k) {
-      if (out.kind == all_kinds[k]) ++kind_counts[k];
-    }
+    tally.Add(out);
   }
   // The generator must keep exercising both differentials, not just the
   // validator (a distribution drift here would silently gut the test). The
   // latency bracket only fires on split-mode DAPPLE cases without a warmup
   // override, so its floor is one in twenty now that the kind draw is
   // uniform over five families.
-  EXPECT_GE(latency_checked, iterations / 20);
-  EXPECT_GE(peak_checked, iterations / 10);
+  EXPECT_GE(tally.latency_checked, iterations / 20);
+  EXPECT_GE(tally.peak_checked, iterations / 10);
   // Every schedule family must appear; a sweep that silently drops one
   // (e.g. a biased kind draw) guts the coverage this test claims.
+  const auto& all_kinds = runtime::AllScheduleKinds();
   for (std::size_t k = 0; k < all_kinds.size(); ++k) {
-    EXPECT_GE(kind_counts[k], iterations / 20)
+    EXPECT_GE(tally.kind_counts[k], iterations / 20)
         << "schedule kind " << runtime::ToString(all_kinds[k])
         << " underrepresented in " << iterations << " cases";
   }
@@ -65,8 +50,7 @@ TEST(ValidatorFuzzTest, CasesAreDeterministicInTheSeed) {
   const check::FuzzCase a = check::MakeFuzzCase(17);
   const check::FuzzCase b = check::MakeFuzzCase(17);
   EXPECT_EQ(a.Describe(), b.Describe());
-  EXPECT_EQ(check::RunFuzzCase(a).simulated_makespan,
-            check::RunFuzzCase(b).simulated_makespan);
+  EXPECT_TRUE(check::ScheduleFuzz::Run(a) == check::ScheduleFuzz::Run(b));
 }
 
 }  // namespace

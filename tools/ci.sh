@@ -37,8 +37,9 @@
 #                    under ASan in the unit tier)
 #
 # Wider sweeps stay opt-in: `DAPPLE_FUZZ_ITERATIONS=100000 ctest -L fuzz`,
-# or `tools/dapple_fuzz --iterations 100000` / `--faults` / `--memory-cap`
-# directly.
+# or `<build>/tools/dapple_fuzz --iterations 100000` directly, in any of its
+# five modes (default schedule, --faults, --memory-cap, --ranking,
+# --scenario).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

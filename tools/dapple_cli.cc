@@ -58,6 +58,7 @@
 #include "common/error.h"
 #include "common/table.h"
 #include "dapple/dapple.h"
+#include "flags.h"
 #include "obs/metrics.h"
 #include "scenario/coscheduler.h"
 #include "scenario/episode.h"
@@ -69,74 +70,6 @@
 using namespace dapple;
 
 namespace {
-
-/// Shared flag scanner for the subcommands (they all speak the same
-/// `--flag [value]` dialect). Use in an if/else chain per token:
-///
-///   FlagParser flags(argc, argv);
-///   while (!flags.Done()) {
-///     if (flags.MatchValue("--save", &v)) save_path = v;
-///     else if (flags.Match("--gantt")) gantt = true;
-///     else flags.Unknown();
-///   }
-///   if (!flags.ok()) return Usage();
-///
-/// Errors (unknown flag, missing value) print one diagnostic to stderr,
-/// mark the parser failed and stop the scan; branch bodies never run on a
-/// half-consumed flag.
-class FlagParser {
- public:
-  FlagParser(int argc, char** argv) : argc_(argc), argv_(argv) {}
-
-  /// True when no tokens remain or an error was recorded.
-  bool Done() const { return !ok_ || i_ >= argc_; }
-  bool ok() const { return ok_; }
-
-  /// Consumes `name` when it is the current token (a value-less flag).
-  bool Match(const char* name) {
-    if (Done() || std::strcmp(argv_[i_], name) != 0) return false;
-    ++i_;
-    return true;
-  }
-
-  /// Consumes `name <value>`; a missing value records an error.
-  bool MatchValue(const char* name, std::string* value) {
-    if (Done() || std::strcmp(argv_[i_], name) != 0) return false;
-    if (i_ + 1 >= argc_) {
-      std::fprintf(stderr, "flag %s requires a value\n", name);
-      ok_ = false;
-      ++i_;
-      return false;
-    }
-    ++i_;
-    *value = argv_[i_++];
-    return true;
-  }
-
-  /// Consumes the `--name=value` spelling given prefix "--name=".
-  bool MatchPrefix(const char* prefix, std::string* value) {
-    if (Done()) return false;
-    const std::size_t len = std::strlen(prefix);
-    if (std::strncmp(argv_[i_], prefix, len) != 0) return false;
-    *value = argv_[i_] + len;
-    ++i_;
-    return true;
-  }
-
-  /// Ends an if/else chain: the current token matched nothing.
-  void Unknown() {
-    if (Done()) return;
-    std::fprintf(stderr, "unknown flag %s\n", argv_[i_]);
-    ok_ = false;
-    ++i_;
-  }
-
- private:
-  int argc_;
-  char** argv_;
-  int i_ = 0;
-  bool ok_ = true;
-};
 
 int Usage() {
   std::fprintf(stderr,

@@ -1,429 +1,152 @@
-// dapple_fuzz — randomized differential tester for the schedule stack.
+// dapple_fuzz — seeded randomized differential tester, one binary for every
+// fuzz mode (check/fuzz.h, scenario/fuzz.h).
 //
-//   dapple_fuzz [--iterations N] [--seed BASE] [--verbose] [--threads N]
+//   dapple_fuzz [MODE] [--iterations N] [--seed BASE] [--verbose] [--threads N]
 //       Run N seeded cases (default 200) starting at BASE (default 0);
-//       print a summary and exit non-zero on the first failure (lowest
-//       failing seed). --threads fans cases across a sim::BatchRunner;
-//       every summary line and failure report is identical at any N.
-//   dapple_fuzz --repro SEED
-//       Re-run one failing seed with its full case description.
-//   dapple_fuzz --faults [--iterations N] [--seed BASE] [--verbose]
-//   dapple_fuzz --faults --repro SEED
-//       Fault-recovery mode: each seed derives a random fault script and a
-//       recovery policy; every pipeline the experiment builds (initial,
-//       checkpoint-remapped, replanned) runs the full validator invariant
-//       set.
-//   dapple_fuzz --memory-cap [--iterations N] [--seed BASE] [--verbose]
-//   dapple_fuzz --memory-cap --repro SEED
-//       Memory-cap mode: each seed derives a random model, schedule family
-//       and a per-device cap scaled around the family's uncapped peak; the
-//       planner must either declare the cap infeasible or emit a plan whose
-//       capped simulation passes the validator with zero OOM violations.
-//   dapple_fuzz --ranking [--iterations N] [--seed BASE] [--verbose]
-//               [--prefilter=off|auto]
-//   dapple_fuzz --ranking --repro SEED
-//       Candidate-ranking mode: each seed derives a fixed workload plus a
-//       pool of random DAPPLE split-mode plans; the analytic pre-filter
-//       must pick a winner whose simulated makespan equals the best over
-//       every candidate simulated in full (100% rank-1 recall).
-//       --prefilter=off simulates everything in both legs (baseline).
-//   dapple_fuzz --scenario [--iterations N] [--seed BASE] [--verbose]
-//   dapple_fuzz --scenario --repro SEED
-//       Scenario mode: each seed derives a long-horizon churn episode
-//       (uniform over churn model x recovery policy x schedule family, on
-//       scenario-salted side-streams); every pipeline the episode builds —
-//       initial, remapped, replanned, scale-up — must pass the validator
-//       with zero OOM tasks, the churn script must round-trip through the
-//       DSL, and elastic-up rollbacks must stay checkpoint-bounded.
+//       print the mode's tally and exit non-zero on the first failure
+//       (lowest failing seed). --threads fans cases across a
+//       sim::BatchRunner; every tally line and failure report is identical
+//       at any N. --verbose first prints every case description.
+//   dapple_fuzz [MODE] --repro SEED
+//       Re-run one seed with its full case description.
+//
+// MODE picks what each seed derives and checks:
+//   (none)        schedule stack: a random (model, cluster, plan, schedule)
+//                 passes the validator invariant set, the analytic latency
+//                 brackets the simulated makespan, and DAPPLE's peak memory
+//                 does not grow with M.
+//   --faults      a random fault script and recovery policy; every pipeline
+//                 the experiment builds (initial, checkpoint-remapped,
+//                 replanned) passes the validator.
+//   --memory-cap  a per-device cap scaled around the family's uncapped peak;
+//                 the planner declares it infeasible or emits a plan whose
+//                 capped simulation passes the validator with zero OOM.
+//   --ranking     a pool of random DAPPLE split-mode plans; the analytic
+//                 pre-filter picks a winner whose simulated makespan equals
+//                 the best over every candidate simulated in full.
+//   --scenario    a long-horizon churn episode (churn model x recovery policy
+//                 x schedule family); every pipeline it builds passes the
+//                 validator with zero OOM tasks, the churn script round-trips
+//                 through the DSL, and elastic-up rollbacks stay
+//                 checkpoint-bounded.
 //
 // Each case derives entirely from its 64-bit seed, so any failure printed
 // by the batch mode reproduces exactly with --repro.
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "check/fuzz.h"
+#include "flags.h"
 #include "scenario/fuzz.h"
 
 using namespace dapple;
 
 namespace {
 
+struct SweepOptions {
+  std::uint64_t base = 0;
+  long iterations = 200;
+  int threads = 1;
+  bool verbose = false;
+};
+
+template <class Mode>
+int Sweep(const SweepOptions& o) {
+  const std::vector<std::uint64_t> seeds = check::SeedRange(o.base, o.iterations);
+  if (o.verbose) {
+    for (std::uint64_t seed : seeds) std::printf("%s\n", Mode::Make(seed).Describe().c_str());
+  }
+  const std::vector<typename Mode::Outcome> outcomes = check::RunSweep<Mode>(seeds, o.threads);
+  // Tallied in seed order over the slot-indexed outcomes, so the summary
+  // never depends on worker scheduling.
+  typename Mode::Tally tally;
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (!outcomes[i].ok()) {
+      std::fprintf(stderr, "%s  case: %s\n", outcomes[i].Summary().c_str(),
+                   Mode::Make(seeds[i]).Describe().c_str());
+      return 1;
+    }
+    tally.Add(outcomes[i]);
+  }
+  std::printf("%s", tally.ToString(o.base).c_str());
+  return 0;
+}
+
+template <class Mode>
+int Repro(std::uint64_t seed) {
+  const typename Mode::Case c = Mode::Make(seed);
+  std::printf("%s\n", c.Describe().c_str());
+  const typename Mode::Outcome out = Mode::Run(c);
+  if (!out.ok()) {
+    std::printf("%s", out.Summary().c_str());
+    return 1;
+  }
+  std::printf("%s\n", out.Detail().c_str());
+  return 0;
+}
+
+struct FuzzMode {
+  const char* flag;  // nullptr: the default mode
+  int (*sweep)(const SweepOptions&);
+  int (*repro)(std::uint64_t);
+};
+
+constexpr FuzzMode kModes[] = {
+    {nullptr, Sweep<check::ScheduleFuzz>, Repro<check::ScheduleFuzz>},
+    {"--faults", Sweep<check::FaultFuzz>, Repro<check::FaultFuzz>},
+    {"--memory-cap", Sweep<check::MemoryCapFuzz>, Repro<check::MemoryCapFuzz>},
+    {"--ranking", Sweep<check::RankingFuzz>, Repro<check::RankingFuzz>},
+    {"--scenario", Sweep<scenario::ScenarioFuzz>, Repro<scenario::ScenarioFuzz>},
+};
+
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  dapple_fuzz [--faults|--memory-cap|--ranking|--scenario]\n"
-               "              [--iterations N] [--seed BASE] [--verbose]\n"
+               "  dapple_fuzz [MODE] [--iterations N] [--seed BASE] [--verbose]\n"
                "              [--threads N]  (0 = hardware concurrency; results\n"
                "               are identical at every N)\n"
-               "  dapple_fuzz --ranking [--prefilter=off|auto]\n"
-               "  dapple_fuzz [--faults|--memory-cap|--ranking|--scenario] --repro SEED\n");
+               "  dapple_fuzz [MODE] --repro SEED\n"
+               "MODE (at most one; default: the schedule stack):");
+  for (const FuzzMode& m : kModes) {
+    if (m.flag != nullptr) std::fprintf(stderr, " %s", m.flag);
+  }
+  std::fprintf(stderr, "\n");
   return 2;
 }
 
-std::vector<std::uint64_t> SeedRange(std::uint64_t base, long iterations) {
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(static_cast<std::size_t>(iterations));
-  for (long i = 0; i < iterations; ++i) seeds.push_back(base + static_cast<std::uint64_t>(i));
-  return seeds;
-}
-
-int ReproFaults(std::uint64_t seed) {
-  const check::FaultFuzzCase c = check::MakeFaultFuzzCase(seed);
-  std::printf("%s\n", c.Describe().c_str());
-  const check::FaultFuzzOutcome out = check::RunFaultFuzzCase(c);
-  if (!out.ok()) {
-    std::printf("%s", out.Summary().c_str());
-    return 1;
+/// Consumes a mode flag; nullptr when the current token names none.
+const FuzzMode* MatchMode(FlagParser& flags) {
+  for (const FuzzMode& m : kModes) {
+    if (m.flag != nullptr && flags.Match(m.flag)) return &m;
   }
-  std::printf("ok: %d pipelines validated, %d iterations, %d replans, %d restores\n",
-              out.pipelines_validated, out.iterations_completed, out.replans, out.restores);
-  return 0;
-}
-
-int RunFaultSweep(std::uint64_t base, long iterations, bool verbose, int threads) {
-  const std::vector<std::uint64_t> seeds = SeedRange(base, iterations);
-  if (verbose) {
-    for (std::uint64_t seed : seeds) {
-      std::printf("%s\n", check::MakeFaultFuzzCase(seed).Describe().c_str());
-    }
-  }
-  const std::vector<check::FaultFuzzOutcome> outcomes =
-      check::RunFaultFuzzSweep(seeds, threads);
-  long pipelines = 0, replans = 0, restores = 0;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const check::FaultFuzzOutcome& out = outcomes[i];
-    if (!out.ok()) {
-      std::fprintf(stderr, "%s  case: %s\n", out.Summary().c_str(),
-                   check::MakeFaultFuzzCase(seeds[i]).Describe().c_str());
-      return 1;
-    }
-    pipelines += out.pipelines_validated;
-    replans += out.replans;
-    restores += out.restores;
-  }
-  std::printf("%ld fault cases ok (seeds %llu..%llu): %ld pipelines validated, "
-              "%ld replans, %ld restores\n",
-              iterations, static_cast<unsigned long long>(base),
-              static_cast<unsigned long long>(base + iterations - 1), pipelines, replans,
-              restores);
-  return 0;
-}
-
-int ReproMemoryCap(std::uint64_t seed) {
-  const check::MemoryCapFuzzCase c = check::MakeMemoryCapFuzzCase(seed);
-  std::printf("%s\n", c.Describe().c_str());
-  const check::MemoryCapFuzzOutcome out = check::RunMemoryCapFuzzCase(c);
-  if (!out.ok()) {
-    std::printf("%s", out.Summary().c_str());
-    return 1;
-  }
-  if (!out.planned) {
-    std::printf("ok: declared infeasible (%s)\n", out.infeasible_reason.c_str());
-  } else {
-    std::printf("ok: fits cap %s (analytic peak %s, simulated peak %s, "
-                "%d stages recompute)\n",
-                FormatBytes(out.memory_cap).c_str(), FormatBytes(out.analytic_peak).c_str(),
-                FormatBytes(out.simulated_peak).c_str(), out.recompute_stages);
-  }
-  return 0;
-}
-
-int RunMemoryCapSweep(std::uint64_t base, long iterations, bool verbose, int threads) {
-  const std::vector<std::uint64_t> seeds = SeedRange(base, iterations);
-  if (verbose) {
-    for (std::uint64_t seed : seeds) {
-      std::printf("%s\n", check::MakeMemoryCapFuzzCase(seed).Describe().c_str());
-    }
-  }
-  const std::vector<check::MemoryCapFuzzOutcome> outcomes =
-      check::RunMemoryCapFuzzSweep(seeds, threads);
-  long planned = 0, infeasible = 0, with_recompute = 0;
-  // Per-kind case counts, so a sweep cannot silently skip a family.
-  const auto& all_kinds = runtime::AllScheduleKinds();
-  std::vector<long> kind_counts(all_kinds.size(), 0);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const check::MemoryCapFuzzOutcome& out = outcomes[i];
-    if (!out.ok()) {
-      std::fprintf(stderr, "%s  case: %s\n", out.Summary().c_str(),
-                   check::MakeMemoryCapFuzzCase(seeds[i]).Describe().c_str());
-      return 1;
-    }
-    planned += out.planned ? 1 : 0;
-    infeasible += out.planned ? 0 : 1;
-    with_recompute += out.recompute_stages > 0 ? 1 : 0;
-    for (std::size_t k = 0; k < all_kinds.size(); ++k) {
-      if (out.kind == all_kinds[k]) ++kind_counts[k];
-    }
-  }
-  std::printf("%ld memory-cap cases ok (seeds %llu..%llu): %ld planned fit, "
-              "%ld declared infeasible, %ld used recompute, 0 OOM\n",
-              iterations, static_cast<unsigned long long>(base),
-              static_cast<unsigned long long>(base + iterations - 1), planned, infeasible,
-              with_recompute);
-  std::printf("cases per schedule kind:");
-  for (std::size_t k = 0; k < all_kinds.size(); ++k) {
-    std::printf("%s %s=%ld", k ? "," : "", runtime::ToString(all_kinds[k]),
-                kind_counts[k]);
-  }
-  std::printf("\n");
-  return 0;
-}
-
-int ReproRanking(std::uint64_t seed, bool prefilter) {
-  const check::RankingFuzzCase c = check::MakeRankingFuzzCase(seed);
-  std::printf("%s\n", c.Describe().c_str());
-  const check::RankingFuzzOutcome out = check::RunRankingFuzzCase(c, prefilter);
-  if (!out.ok()) {
-    std::printf("%s\n", out.Summary().c_str());
-    return 1;
-  }
-  std::printf("ok: simulated %d/%d candidates, best #%d makespan %.6fs "
-              "(full sweep agrees: #%d, %.6fs)\n",
-              out.num_simulated, out.num_candidates, out.best_prefiltered,
-              out.best_prefiltered_makespan, out.best_full, out.best_full_makespan);
-  return 0;
-}
-
-int RunRankingSweep(std::uint64_t base, long iterations, bool verbose, int threads,
-                    bool prefilter) {
-  const std::vector<std::uint64_t> seeds = SeedRange(base, iterations);
-  if (verbose) {
-    for (std::uint64_t seed : seeds) {
-      std::printf("%s\n", check::MakeRankingFuzzCase(seed).Describe().c_str());
-    }
-  }
-  const std::vector<check::RankingFuzzOutcome> outcomes =
-      check::RunRankingFuzzSweep(seeds, threads, prefilter);
-  long candidates = 0, simulated = 0;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const check::RankingFuzzOutcome& out = outcomes[i];
-    if (!out.ok()) {
-      std::fprintf(stderr, "%s  case: %s\n", out.Summary().c_str(),
-                   check::MakeRankingFuzzCase(seeds[i]).Describe().c_str());
-      return 1;
-    }
-    candidates += out.num_candidates;
-    simulated += out.num_simulated;
-    if (verbose) {
-      std::printf("seed %llu: simulated %d/%d, best makespan %.6fs\n",
-                  static_cast<unsigned long long>(seeds[i]), out.num_simulated,
-                  out.num_candidates, out.best_full_makespan);
-    }
-  }
-  std::printf("%ld ranking cases ok (seeds %llu..%llu): 100%% rank-1 recall, "
-              "%ld/%ld candidates simulated (%.1f%% skipped by the %s)\n",
-              iterations, static_cast<unsigned long long>(base),
-              static_cast<unsigned long long>(base + iterations - 1), simulated,
-              candidates,
-              candidates > 0
-                  ? 100.0 * static_cast<double>(candidates - simulated) /
-                        static_cast<double>(candidates)
-                  : 0.0,
-              prefilter ? "analytic pre-filter" : "feasibility check only");
-  return 0;
-}
-
-int ReproScenario(std::uint64_t seed) {
-  const scenario::ScenarioFuzzCase c = scenario::MakeScenarioFuzzCase(seed);
-  std::printf("%s\n", c.Describe().c_str());
-  const scenario::ScenarioFuzzOutcome out = scenario::RunScenarioFuzzCase(c);
-  if (!out.ok()) {
-    std::printf("%s", out.Summary().c_str());
-    return 1;
-  }
-  std::printf("ok: %d pipelines validated, %d iterations, %d preemptions, "
-              "%d rejoins, %d scale-ups\n",
-              out.pipelines_validated, out.iterations_completed, out.preemptions,
-              out.rejoins, out.scale_ups);
-  return 0;
-}
-
-int RunScenarioSweep(std::uint64_t base, long iterations, bool verbose, int threads) {
-  const std::vector<std::uint64_t> seeds = SeedRange(base, iterations);
-  if (verbose) {
-    for (std::uint64_t seed : seeds) {
-      std::printf("%s\n", scenario::MakeScenarioFuzzCase(seed).Describe().c_str());
-    }
-  }
-  const std::vector<scenario::ScenarioFuzzOutcome> outcomes =
-      scenario::RunScenarioFuzzSweep(seeds, threads);
-  long pipelines = 0, preemptions = 0, rejoins = 0, scale_ups = 0;
-  // Per-mode and per-policy case counts, so a sweep cannot silently skip a
-  // churn model or a policy.
-  long spot = 0, rolling = 0;
-  const std::vector<fault::RecoveryPolicy> policies = fault::AllRecoveryPolicies();
-  std::vector<long> policy_counts(policies.size(), 0);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const scenario::ScenarioFuzzOutcome& out = outcomes[i];
-    if (!out.ok()) {
-      std::fprintf(stderr, "%s  case: %s\n", out.Summary().c_str(),
-                   scenario::MakeScenarioFuzzCase(seeds[i]).Describe().c_str());
-      return 1;
-    }
-    pipelines += out.pipelines_validated;
-    preemptions += out.preemptions;
-    rejoins += out.rejoins;
-    scale_ups += out.scale_ups;
-    (out.churn == scenario::ChurnModel::kSpotChurn ? spot : rolling) += 1;
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      if (out.policy == policies[p]) ++policy_counts[p];
-    }
-  }
-  std::printf("%ld scenario cases ok (seeds %llu..%llu): %ld pipelines validated, "
-              "%ld preemptions, %ld rejoins, %ld scale-ups, 0 OOM\n",
-              iterations, static_cast<unsigned long long>(base),
-              static_cast<unsigned long long>(base + iterations - 1), pipelines,
-              preemptions, rejoins, scale_ups);
-  std::printf("cases per churn model: spot=%ld, rolling=%ld; per policy:", spot, rolling);
-  for (std::size_t p = 0; p < policies.size(); ++p) {
-    std::printf("%s %s=%ld", p ? "," : "", fault::ToString(policies[p]),
-                policy_counts[p]);
-  }
-  std::printf("\n");
-  return 0;
-}
-
-int Repro(std::uint64_t seed) {
-  const check::FuzzCase c = check::MakeFuzzCase(seed);
-  std::printf("%s\n", c.Describe().c_str());
-  const check::FuzzOutcome out = check::RunFuzzCase(c);
-  if (!out.ok()) {
-    std::printf("%s", out.Summary().c_str());
-    return 1;
-  }
-  std::printf("ok: %d tasks, makespan %.6fs", out.num_tasks, out.simulated_makespan);
-  if (out.checked_latency) std::printf(", analytic %.6fs", out.analytic_latency);
-  if (out.checked_peak) {
-    std::printf(", peak %llu B (M-independent)",
-                static_cast<unsigned long long>(out.peak_at_m));
-  }
-  std::printf("\n");
-  return 0;
+  return nullptr;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t base = 0;
-  long iterations = 200;
-  bool verbose = false;
-  bool faults = false;
-  bool memory_cap = false;
-  bool ranking = false;
-  bool scenario_mode = false;
-  bool prefilter = true;
-  int threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--faults") == 0) {
-      faults = true;
-    } else if (std::strcmp(argv[i], "--memory-cap") == 0) {
-      memory_cap = true;
-    } else if (std::strcmp(argv[i], "--ranking") == 0) {
-      ranking = true;
-    } else if (std::strcmp(argv[i], "--scenario") == 0) {
-      scenario_mode = true;
-    } else if (std::strcmp(argv[i], "--prefilter=off") == 0) {
-      prefilter = false;
-    } else if (std::strcmp(argv[i], "--prefilter=auto") == 0) {
-      prefilter = true;
-    } else if (std::strcmp(argv[i], "--repro") == 0 && i + 1 < argc) {
-      const std::uint64_t seed = std::strtoull(argv[++i], nullptr, 10);
-      // The mode flag may follow --repro; scan the rest before dispatching.
-      for (int j = i + 1; j < argc; ++j) {
-        if (std::strcmp(argv[j], "--faults") == 0) faults = true;
-        if (std::strcmp(argv[j], "--memory-cap") == 0) memory_cap = true;
-        if (std::strcmp(argv[j], "--ranking") == 0) ranking = true;
-        if (std::strcmp(argv[j], "--scenario") == 0) scenario_mode = true;
-        if (std::strcmp(argv[j], "--prefilter=off") == 0) prefilter = false;
-      }
-      if (scenario_mode) return ReproScenario(seed);
-      if (ranking) return ReproRanking(seed, prefilter);
-      if (memory_cap) return ReproMemoryCap(seed);
-      return faults ? ReproFaults(seed) : Repro(seed);
-    } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      iterations = std::atol(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      base = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--verbose") == 0) {
-      verbose = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else {
-      return Usage();
+  SweepOptions options;
+  const FuzzMode* mode = nullptr;
+  bool conflicting_modes = false;
+  bool repro = false;
+  std::uint64_t repro_seed = 0;
+  FlagParser flags(argc - 1, argv + 1);
+  while (!flags.Done()) {
+    if (const FuzzMode* m = MatchMode(flags)) {
+      conflicting_modes = conflicting_modes || (mode != nullptr && mode != m);
+      mode = m;
+    } else if (flags.MatchUnsigned("--repro", &repro_seed)) {
+      repro = true;
+    } else if (flags.Match("--verbose")) {
+      options.verbose = true;
+    } else if (!flags.MatchUnsigned("--iterations", &options.iterations) &&
+               !flags.MatchUnsigned("--seed", &options.base) &&
+               !flags.MatchUnsigned("--threads", &options.threads)) {
+      flags.Unknown();
     }
   }
-  if (iterations <= 0 || threads < 0 ||
-      (static_cast<int>(faults) + static_cast<int>(memory_cap) +
-       static_cast<int>(ranking) + static_cast<int>(scenario_mode)) > 1) {
-    return Usage();
-  }
-  if (scenario_mode) return RunScenarioSweep(base, iterations, verbose, threads);
-  if (ranking) return RunRankingSweep(base, iterations, verbose, threads, prefilter);
-  if (memory_cap) return RunMemoryCapSweep(base, iterations, verbose, threads);
-  if (faults) return RunFaultSweep(base, iterations, verbose, threads);
-
-  // Tolerance calibration: track the worst observed analytic/sim ratio per
-  // plan family (the constants in check/fuzz.h are pinned from sweeps of
-  // this tool) and the worst sim/analytic ratio.
-  const std::vector<std::uint64_t> seeds = SeedRange(base, iterations);
-  if (verbose) {
-    for (std::uint64_t seed : seeds) {
-      std::printf("%s\n", check::MakeFuzzCase(seed).Describe().c_str());
-    }
-  }
-  const std::vector<check::FuzzOutcome> outcomes = check::RunFuzzSweep(seeds, threads);
-  long latency_checked = 0, peak_checked = 0;
-  double max_over_single = 0.0, max_over_multi = 0.0, max_under = 0.0;
-  std::uint64_t worst_multi_seed = 0;
-  // Per-kind case counts, so a sweep cannot silently skip a family.
-  const auto& all_kinds = runtime::AllScheduleKinds();
-  std::vector<long> kind_counts(all_kinds.size(), 0);
-  // Aggregation runs over the slot-indexed outcomes in seed order, so the
-  // calibration stats never depend on worker scheduling.
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const std::uint64_t seed = seeds[i];
-    const check::FuzzOutcome& out = outcomes[i];
-    if (!out.ok()) {
-      std::fprintf(stderr, "%s  case: %s\n", out.Summary().c_str(),
-                   check::MakeFuzzCase(seed).Describe().c_str());
-      return 1;
-    }
-    latency_checked += out.checked_latency ? 1 : 0;
-    peak_checked += out.checked_peak ? 1 : 0;
-    for (std::size_t k = 0; k < all_kinds.size(); ++k) {
-      if (out.kind == all_kinds[k]) ++kind_counts[k];
-    }
-    if (out.checked_latency && out.simulated_makespan > 0.0 && out.analytic_latency > 0.0) {
-      const double over = out.analytic_latency / out.simulated_makespan;
-      if (out.num_stages == 1) {
-        max_over_single = std::max(max_over_single, over);
-      } else if (over > max_over_multi) {
-        max_over_multi = over;
-        worst_multi_seed = seed;
-      }
-      max_under = std::max(max_under, out.simulated_makespan / out.analytic_latency);
-    }
-  }
-  std::printf("%ld cases ok (seeds %llu..%llu): latency bracket on %ld, "
-              "peak-vs-M differential on %ld\n",
-              iterations, static_cast<unsigned long long>(base),
-              static_cast<unsigned long long>(base + iterations - 1),
-              latency_checked, peak_checked);
-  std::printf("cases per schedule kind:");
-  for (std::size_t k = 0; k < all_kinds.size(); ++k) {
-    std::printf("%s %s=%ld", k ? "," : "", runtime::ToString(all_kinds[k]),
-                kind_counts[k]);
-  }
-  std::printf("\n");
-  if (latency_checked > 0) {
-    std::printf("max analytic/sim: %.4f (single-stage), %.4f (multi-stage, seed %llu); "
-                "max sim/analytic: %.4f\n",
-                max_over_single, max_over_multi,
-                static_cast<unsigned long long>(worst_multi_seed), max_under);
-  }
-  return 0;
+  if (!flags.ok() || conflicting_modes || options.iterations == 0) return Usage();
+  if (mode == nullptr) mode = &kModes[0];
+  return repro ? mode->repro(repro_seed) : mode->sweep(options);
 }
