@@ -16,8 +16,7 @@ double SimulatedSpeedup(const model::ModelProfile& m, const topo::Cluster& clust
                         const planner::ParallelPlan& plan, long gbs) {
   runtime::BuildOptions o;
   o.global_batch_size = gbs;
-  runtime::PipelineExecutor exec(m, cluster, plan, o);
-  return exec.Run().speedup;
+  return obs::RunIteration(m, cluster, plan, o).speedup;
 }
 
 }  // namespace

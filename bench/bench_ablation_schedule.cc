@@ -35,12 +35,11 @@ int main() {
     o.global_batch_size = 1024;
     o.micro_batch_size = 64;
     o.schedule.warmup_override = k;
-    runtime::PipelineExecutor exec(gnmt, cluster, plan, o);
-    const auto r = exec.Run();
+    const auto r = obs::RunIteration(gnmt, cluster, plan, o);
     std::string note;
     if (k == 4) note = "= PA's K0 (S)";
     if (k == 7) note = "= PB's K0 (2S-1)";
-    table.AddRow({AsciiTable::Int(k), FormatTime(r.pipeline_latency),
+    table.AddRow({AsciiTable::Int(k), FormatTime(r.makespan),
                   AsciiTable::Num(r.throughput, 1), FormatBytes(r.max_peak_memory), note});
   }
   std::printf("%s", table.ToString().c_str());
@@ -66,14 +65,14 @@ int main() {
   runtime::BuildOptions base;
   base.global_batch_size = 32;
   base.micro_batch_size = 2;
-  const auto no_rc = runtime::PipelineExecutor(bert, two, bplan, base).Run();
+  const auto no_rc = obs::RunIteration(bert, two, bplan, base);
   rc_table.AddRow({"no recompute", AsciiTable::Num(no_rc.throughput, 2), "1.00",
                    FormatBytes(no_rc.avg_peak_memory)});
   for (double overhead : {0.25, 0.5, 0.75, 1.0}) {
     runtime::BuildOptions o = base;
     o.schedule.recompute = true;
     o.schedule.recompute_overhead = overhead;
-    const auto r = runtime::PipelineExecutor(bert, two, bplan, o).Run();
+    const auto r = obs::RunIteration(bert, two, bplan, o);
     rc_table.AddRow({AsciiTable::Num(overhead, 2), AsciiTable::Num(r.throughput, 2),
                      AsciiTable::Num(r.throughput / no_rc.throughput, 2),
                      FormatBytes(r.avg_peak_memory)});

@@ -57,7 +57,7 @@ int main() {
   // Healthy baseline row (also lands in the BENCH_*.json record).
   const bench::EvalRow healthy = bench::Evaluate(m, cluster, gbs);
   std::printf("\nhealthy plan %s: %.2f samples/s\n",
-              healthy.planned.plan.ToString().c_str(), healthy.hybrid.throughput);
+              healthy.planned.plan.ToString().c_str(), healthy.report.throughput);
 
   fault::FaultOptions options;
   options.build.global_batch_size = gbs;

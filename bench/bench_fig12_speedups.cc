@@ -40,7 +40,7 @@ int main() {
              row.dp_no_overlap.feasible ? AsciiTable::Num(row.dp_no_overlap.speedup, 2)
                                         : "OOM",
              row.dp_overlap.feasible ? AsciiTable::Num(row.dp_overlap.speedup, 2) : "OOM",
-             AsciiTable::Num(row.hybrid.speedup, 2), row.planned.plan.ToString()});
+             AsciiTable::Num(row.report.speedup, 2), row.planned.plan.ToString()});
       }
       std::printf("%s", table.ToString().c_str());
     }

@@ -45,9 +45,9 @@ int main() {
                                           96, 6)
                     .c_str());
     std::printf("latency %s, peak GPU0 %s, warmup depths:",
-                FormatTime(detail.report.pipeline_latency).c_str(),
+                FormatTime(detail.result.makespan).c_str(),
                 FormatBytes(detail.result.pools[0].peak()).c_str());
-    for (int k : detail.report.warmup_depths) std::printf(" %d", k);
+    for (int k : detail.pipeline.warmup_depths) std::printf(" %d", k);
     std::printf("\n");
   }
 

@@ -34,14 +34,13 @@ int main() {
     plan.stages = {s0, s1};
     runtime::BuildOptions o;
     o.global_batch_size = gbs;
-    runtime::PipelineExecutor exec(gnmt, cluster, plan, o);
-    const auto r = exec.Run();
-    if (r.pipeline_latency < best_latency) {
-      best_latency = r.pipeline_latency;
+    const auto r = obs::RunIteration(gnmt, cluster, plan, o);
+    if (r.makespan < best_latency) {
+      best_latency = r.makespan;
       best_split = split;
     }
     table.AddRow({std::to_string(split) + " : " + std::to_string(16 - split),
-                  FormatTime(r.pipeline_latency), AsciiTable::Num(r.speedup, 2),
+                  FormatTime(r.makespan), AsciiTable::Num(r.speedup, 2),
                   split == 8 ? "even split" : ""});
   }
   std::printf("%s", table.ToString().c_str());

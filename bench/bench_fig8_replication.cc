@@ -36,14 +36,13 @@ int main() {
     o.global_batch_size = 20;
     o.micro_batch_size = 2;
     o.replication = mode;
-    runtime::PipelineExecutor exec(m, cluster, plan, o);
-    const auto detail = exec.RunDetailed();
+    const auto detail = runtime::PipelineExecutor(m, cluster, plan, o).RunDetailed();
+    const obs::IterationReport report = obs::BuildIterationReport(detail.pipeline, detail.result);
     std::printf("\n--- %s (Fig. 8%s) ---\n", runtime::ToString(mode),
                 mode == runtime::ReplicationMode::kSplitMicroBatch ? "a" : "b");
     std::printf("%s", sim::RenderGantt(detail.pipeline.graph, detail.result, 96).c_str());
-    std::printf("latency %s, avg utilization %.0f%%\n",
-                FormatTime(detail.report.pipeline_latency).c_str(),
-                100.0 * detail.report.avg_device_utilization);
+    std::printf("latency %s, avg utilization %.0f%%\n", FormatTime(report.makespan).c_str(),
+                100.0 * report.utilization);
   }
   std::printf("\nShape check: round-robin leaves idle gaps on the replicas (the tail\n"
               "effect); splitting each micro-batch keeps both replica devices and\n"

@@ -32,8 +32,7 @@ int main() {
     o.micro_batch_size = 2;
     o.schedule.kind = kind;
     o.schedule.recompute = recompute;
-    runtime::PipelineExecutor exec(bert, cluster, plan, o);
-    return exec.Run();
+    return obs::RunIteration(bert, cluster, plan, o);
   };
 
   AsciiTable table({"Config", "M", "Throughput (samples/s)", "Avg peak memory", "OOM?"});

@@ -30,14 +30,13 @@ std::pair<bool, double> TryBert(int layers, int stages) {
   o.global_batch_size = 32;
   o.micro_batch_size = 2;
   o.schedule.recompute = true;
-  runtime::PipelineExecutor exec(bert, cluster, plan, o);
-  const auto report = exec.Run();
+  const auto report = obs::RunIteration(bert, cluster, plan, o);
   // "Supported" means it fits AND the DAPPLE schedule can still keep its
   // full warmup depth (K_0 = S): a model that only fits with K clamped to
   // 1 serializes the pipeline, which is not the paper's operating point.
   const bool saturated =
-      report.warmup_depths.front() >= std::min(stages, report.num_micro_batches);
-  return {!report.oom && saturated, report.avg_device_utilization};
+      report.stages.front().warmup_depth >= std::min(stages, report.num_micro_batches);
+  return {!report.oom && saturated, report.utilization};
 }
 
 // Largest layer count (multiple of `stages`) that fits `stages` devices.

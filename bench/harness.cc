@@ -60,9 +60,9 @@ void WriteBenchJson() {
     w.Field("global_batch_size", static_cast<std::int64_t>(row.global_batch_size));
     w.Field("plan", row.planned.plan.ToString());
     w.Field("estimated_latency", row.planned.estimate.latency);
-    w.Field("simulated_latency", row.hybrid.pipeline_latency);
-    w.Field("throughput", row.hybrid.throughput);
-    w.Field("speedup", row.hybrid.speedup);
+    w.Field("simulated_latency", row.report.makespan);
+    w.Field("throughput", row.report.throughput);
+    w.Field("speedup", row.report.speedup);
     w.Field("dp_no_overlap_time", row.dp_no_overlap.iteration_time);
     w.Field("dp_overlap_time", row.dp_overlap.iteration_time);
     w.Key("report");
@@ -104,12 +104,7 @@ EvalRow ComputeRow(const model::ModelProfile& model, const topo::Cluster& cluste
   row.global_batch_size = global_batch_size;
   Session session(model, cluster);
   row.planned = session.Plan(global_batch_size);
-  runtime::BuildOptions run_options;
-  run_options.global_batch_size = global_batch_size;
-  runtime::PipelineExecutor executor(model, cluster, row.planned.plan, run_options);
-  const runtime::ExecutionDetail detail = executor.RunDetailed();
-  row.hybrid = detail.report;
-  row.report = obs::BuildIterationReport(detail.pipeline, detail.result);
+  row.report = session.Run(row.planned.plan, global_batch_size);
   row.report.attach_planner_stats(row.planned.stats);
   row.dp_no_overlap = planner::EstimateDataParallel(
       model, cluster, global_batch_size, planner::DataParallelVariant::kNoOverlap);

@@ -19,8 +19,7 @@ struct EvalRow {
   std::string config;
   long global_batch_size = 0;
   planner::PlanResult planned;
-  runtime::IterationReport hybrid;
-  obs::IterationReport report;  // full observability report of the hybrid run
+  obs::IterationReport report;  // the simulated hybrid iteration
   planner::DataParallelEstimate dp_no_overlap;
   planner::DataParallelEstimate dp_overlap;
 };

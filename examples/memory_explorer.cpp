@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
       o.micro_batch_size = 2;
       o.schedule.kind = kind;
       o.schedule.recompute = rc;
-      runtime::PipelineExecutor exec(bert, cluster, plan, o);
-      const auto r = exec.Run();
+      const auto r = obs::RunIteration(bert, cluster, plan, o);
       row.push_back(FormatBytes(r.avg_peak_memory) + (r.oom ? " OOM" : ""));
       if (kind == runtime::ScheduleKind::kDapple && !rc) dapple_thpt = r.throughput;
     }

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
                     "Max peak mem"});
   auto add_row = [&](const std::string& name, const planner::ParallelPlan& plan) {
     const auto r = session.Run(plan, gbs);
-    table.AddRow({name, FormatTime(r.pipeline_latency), AsciiTable::Num(r.throughput, 0),
+    table.AddRow({name, FormatTime(r.makespan), AsciiTable::Num(r.throughput, 0),
                   AsciiTable::Num(r.speedup, 2), FormatBytes(r.max_peak_memory)});
   };
   add_row("DAPPLE planner", planned.plan);

@@ -29,14 +29,13 @@ int main() {
   std::printf("%s", planned.plan.ToDetailedString().c_str());
 
   // 3. Run one iteration on the simulated cluster.
-  const runtime::IterationReport report = session.Run(planned.plan, global_batch_size);
+  const obs::IterationReport report = session.Run(planned.plan, global_batch_size);
   std::printf("\nruntime: latency %s, throughput %.2f samples/s, speedup %.2fx\n",
-              FormatTime(report.pipeline_latency).c_str(), report.throughput,
-              report.speedup);
+              FormatTime(report.makespan).c_str(), report.throughput, report.speedup);
   std::printf("peak memory avg %s / max %s, utilization %.0f%%, %d micro-batches of %d\n",
               FormatBytes(report.avg_peak_memory).c_str(),
               FormatBytes(report.max_peak_memory).c_str(),
-              100.0 * report.avg_device_utilization, report.num_micro_batches,
+              100.0 * report.utilization, report.num_micro_batches,
               report.micro_batch_size);
 
   // 4. Against data-parallel baselines.

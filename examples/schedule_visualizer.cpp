@@ -40,13 +40,12 @@ int main(int argc, char** argv) {
     o.micro_batch_size = m.profile_micro_batch();
     o.schedule.kind = kind;
     o.enforce_memory_capacity = false;
-    runtime::PipelineExecutor exec(m, cluster, plan, o);
-    const auto detail = exec.RunDetailed();
+    const auto detail = runtime::PipelineExecutor(m, cluster, plan, o).RunDetailed();
+    const obs::IterationReport report = obs::BuildIterationReport(detail.pipeline, detail.result);
 
     std::printf("=== %s: latency %s, avg util %.0f%%, max peak %s ===\n",
-                runtime::ToString(kind), FormatTime(detail.report.pipeline_latency).c_str(),
-                100 * detail.report.avg_device_utilization,
-                FormatBytes(detail.report.max_peak_memory).c_str());
+                runtime::ToString(kind), FormatTime(report.makespan).c_str(),
+                100 * report.utilization, FormatBytes(report.max_peak_memory).c_str());
     std::printf("%s", sim::RenderGantt(detail.pipeline.graph, detail.result, 100).c_str());
     std::printf("GPU0 memory:\n%s\n",
                 sim::RenderMemoryTimeline(detail.result.pools[0], detail.result.makespan,

@@ -64,10 +64,9 @@ planner::PlanResult Session::Plan(long global_batch_size,
     // flags ride the plan itself.
     run_options.memory_cap =
         options.memory_cap > 0 ? options.memory_cap : options.latency.memory_cap;
-    runtime::PipelineExecutor executor(model_, cluster_, plan, run_options);
-    const runtime::IterationReport report = executor.Run();
-    return report.oom ? std::numeric_limits<TimeSec>::infinity()
-                      : report.pipeline_latency;
+    const sim::SimResult result =
+        runtime::PipelineExecutor(model_, cluster_, plan, run_options).RunDetailed().result;
+    return result.AnyOom() ? std::numeric_limits<TimeSec>::infinity() : result.makespan;
   };
 
   // Re-rank the analytic top-k with the discrete-event simulator: the
@@ -134,15 +133,13 @@ planner::PlanResult Session::Plan(long global_batch_size,
   return result;
 }
 
-runtime::IterationReport Session::Run(const planner::ParallelPlan& plan,
-                                      long global_batch_size,
-                                      runtime::BuildOptions options) const {
+obs::IterationReport Session::Run(const planner::ParallelPlan& plan, long global_batch_size,
+                                  runtime::BuildOptions options) const {
   options.global_batch_size = global_batch_size;
-  runtime::PipelineExecutor executor(model_, cluster_, plan, options);
-  return executor.Run();
+  return obs::RunIteration(model_, cluster_, plan, options);
 }
 
-runtime::IterationReport Session::PlanAndRun(long global_batch_size) const {
+obs::IterationReport Session::PlanAndRun(long global_batch_size) const {
   const planner::PlanResult planned = Plan(global_batch_size);
   return Run(planned.plan, global_batch_size);
 }

@@ -63,11 +63,11 @@ class Session {
                            planner::PlannerOptions options = {}) const;
 
   /// Executes one training iteration of a plan on the simulated cluster.
-  runtime::IterationReport Run(const planner::ParallelPlan& plan, long global_batch_size,
-                               runtime::BuildOptions options = {}) const;
+  obs::IterationReport Run(const planner::ParallelPlan& plan, long global_batch_size,
+                           runtime::BuildOptions options = {}) const;
 
   /// Convenience: plan then run at the same global batch size.
-  runtime::IterationReport PlanAndRun(long global_batch_size) const;
+  obs::IterationReport PlanAndRun(long global_batch_size) const;
 
  private:
   model::ModelProfile model_;

@@ -11,6 +11,7 @@
 #include "common/table.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "runtime/executor.h"
 #include "runtime/schedule.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
@@ -50,6 +51,7 @@ IterationReport BuildIterationReport(const runtime::BuiltPipeline& pipeline,
   if (report.makespan > 0.0) {
     report.throughput = static_cast<double>(pipeline.micro_batch_size) *
                         pipeline.num_micro_batches / report.makespan;
+    report.speedup = pipeline.single_device_time / report.makespan;
   }
 
   // --- Pass over the records: per-device, per-stage, per-link, phases ----
@@ -135,6 +137,8 @@ IterationReport BuildIterationReport(const runtime::BuiltPipeline& pipeline,
 
   // --- Per-device rollups ------------------------------------------------
   double bubble_sum = 0.0;
+  double utilization_sum = 0.0;
+  unsigned long long peak_sum = 0;
   for (auto& [id, dev] : devices) {
     const auto& usage = result.resources.at(static_cast<std::size_t>(id));
     dev.compute_busy = usage.compute_busy;
@@ -152,11 +156,16 @@ IterationReport BuildIterationReport(const runtime::BuiltPipeline& pipeline,
       report.oom = report.oom || dev.oom;
     }
     bubble_sum += dev.bubble_ratio;
+    utilization_sum += dev.utilization;
+    peak_sum += dev.peak_memory;
     report.devices.push_back(dev);
   }
   report.num_devices = static_cast<int>(report.devices.size());
   if (report.num_devices > 0) {
     report.bubble_fraction = bubble_sum / report.num_devices;
+    report.utilization = utilization_sum / report.num_devices;
+    report.avg_peak_memory =
+        static_cast<Bytes>(peak_sum / static_cast<unsigned>(report.num_devices));
   }
 
   // --- Per-stage rollups -------------------------------------------------
@@ -200,6 +209,14 @@ IterationReport BuildIterationReport(const runtime::BuiltPipeline& pipeline,
     report.pools.push_back(pr);
   }
   return report;
+}
+
+IterationReport RunIteration(const model::ModelProfile& model, const topo::Cluster& cluster,
+                             const planner::ParallelPlan& plan,
+                             const runtime::BuildOptions& options) {
+  const runtime::ExecutionDetail detail =
+      runtime::PipelineExecutor(model, cluster, plan, options).RunDetailed();
+  return BuildIterationReport(detail.pipeline, detail.result);
 }
 
 void WriteJson(JsonWriter& w, const IterationReport& r) {
@@ -413,7 +430,7 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
                                        const planner::ParallelPlan& plan,
                                        runtime::BuildOptions options,
                                        const std::vector<int>& micro_batch_counts,
-                                       const PeakVsMOptions& curve_options) {
+                                       int sim_threads) {
   // Resolve the micro-batch size once so every point runs identical
   // per-micro-batch work and only M varies.
   const runtime::BuiltPipeline base =
@@ -430,7 +447,7 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
   // Every point is built (cheap, and the build is what knows the exact
   // per-stage warmup depths); slot-indexed results keep the curve
   // byte-identical to the serial loop at every thread count.
-  sim::BatchRunner runner({.threads = curve_options.sim_threads});
+  sim::BatchRunner runner({.threads = sim_threads});
   std::vector<runtime::BuiltPipeline> builds =
       runner.Map<runtime::BuiltPipeline>(n, [&](int i) {
         runtime::BuildOptions point_options = options;
@@ -450,26 +467,18 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
   std::vector<int> rep_of(static_cast<std::size_t>(n));
   std::vector<int> reps;
   reps.reserve(static_cast<std::size_t>(n));
-  if (curve_options.prefilter) {
-    std::map<std::pair<std::vector<int>, std::vector<std::uint8_t>>, int> seen;
-    for (int i = 0; i < n; ++i) {
-      const runtime::BuiltPipeline& b = builds[static_cast<std::size_t>(i)];
-      if (b.warmup_depths.empty()) {
-        // No discipline signature — never dedup such a point.
-        rep_of[static_cast<std::size_t>(i)] = i;
-        reps.push_back(i);
-        continue;
-      }
-      const auto [it, inserted] =
-          seen.try_emplace({b.warmup_depths, b.stage_recompute}, i);
-      rep_of[static_cast<std::size_t>(i)] = it->second;
-      if (inserted) reps.push_back(i);
-    }
-  } else {
-    for (int i = 0; i < n; ++i) {
+  std::map<std::pair<std::vector<int>, std::vector<std::uint8_t>>, int> seen;
+  for (int i = 0; i < n; ++i) {
+    const runtime::BuiltPipeline& b = builds[static_cast<std::size_t>(i)];
+    if (b.warmup_depths.empty()) {
+      // No discipline signature — never dedup such a point.
       rep_of[static_cast<std::size_t>(i)] = i;
       reps.push_back(i);
+      continue;
     }
+    const auto [it, inserted] = seen.try_emplace({b.warmup_depths, b.stage_recompute}, i);
+    rep_of[static_cast<std::size_t>(i)] = it->second;
+    if (inserted) reps.push_back(i);
   }
 
   const std::vector<Bytes> peaks =
@@ -497,16 +506,6 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
         peak_of[static_cast<std::size_t>(rep_of[static_cast<std::size_t>(i)])]});
   }
   return curve;
-}
-
-std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
-                                       const topo::Cluster& cluster,
-                                       const planner::ParallelPlan& plan,
-                                       runtime::BuildOptions options,
-                                       const std::vector<int>& micro_batch_counts,
-                                       int sim_threads) {
-  return PeakVsMCurve(model, cluster, plan, std::move(options), micro_batch_counts,
-                      PeakVsMOptions{.sim_threads = sim_threads});
 }
 
 }  // namespace dapple::obs

@@ -113,6 +113,14 @@ struct IterationReport {
   /// Mean bubble_ratio over participating devices.
   double bubble_fraction = 0.0;
   double throughput = 0.0;  // samples / simulated second
+  /// Paper §VI-C: single-device sequential time of the processed samples
+  /// over the makespan.
+  double speedup = 0.0;
+  /// Means of DeviceReport::utilization and ::peak_memory over the
+  /// participating devices. Like speedup, never serialized, so JSON and
+  /// text stay byte-identical.
+  double utilization = 0.0;
+  Bytes avg_peak_memory = 0;
 
   TimeSplit split;
   PhaseSplit phases;
@@ -141,6 +149,11 @@ struct IterationReport {
 IterationReport BuildIterationReport(const runtime::BuiltPipeline& pipeline,
                                      const sim::SimResult& result);
 
+/// Builds, simulates and summarizes one training iteration of `plan`.
+IterationReport RunIteration(const model::ModelProfile& model, const topo::Cluster& cluster,
+                             const planner::ParallelPlan& plan,
+                             const runtime::BuildOptions& options);
+
 /// Deterministic JSON document (see obs/json.h for formatting guarantees).
 std::string ToJson(const IterationReport& report);
 
@@ -157,33 +170,15 @@ struct PeakVsMPoint {
   Bytes max_peak_memory = 0;
 };
 
-struct PeakVsMOptions {
-  /// Worker threads for the per-point builds and simulations (1 = serial,
-  /// 0 = hardware concurrency). The curve is byte-identical at every count.
-  int sim_threads = 1;
-  /// Skip simulating M points whose stash discipline provably repeats an
-  /// already-simulated point: every point is still built, and two points
-  /// with identical per-stage warmup depths and recompute flags (at the
-  /// fixed micro-batch size) hold identical stash sets, so their peaks are
-  /// equal and the later point reuses the earlier simulation. Flat-curve
-  /// schedules (DAPPLE past warmup saturation) collapse to one simulation;
-  /// growing curves (GPipe stashes all M) dedup nothing. Counters
-  /// prefilter.peak_vs_m.{simulated,skipped} record the split; the curve's
-  /// bytes never change (obs_report_test pins off == auto).
-  bool prefilter = false;
-};
-
-/// Re-builds and re-simulates the pipeline at several micro-batch counts
-/// (fixed micro-batch size) and records the worst device peak at each —
-/// flat for DAPPLE (O(K)), linear for GPipe (O(M)).
-std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
-                                       const topo::Cluster& cluster,
-                                       const planner::ParallelPlan& plan,
-                                       runtime::BuildOptions options,
-                                       const std::vector<int>& micro_batch_counts,
-                                       const PeakVsMOptions& curve_options);
-
-/// Back-compat overload: `sim_threads` only, prefilter off.
+/// Re-builds the pipeline at several micro-batch counts (fixed micro-batch
+/// size) and records the worst device peak at each — flat for DAPPLE
+/// (O(K)), linear for GPipe (O(M)). A point whose stash discipline (per-stage
+/// warmup depths and recompute flags) repeats an earlier point's holds the
+/// same stash sets, so it reuses that point's simulation: DAPPLE past warmup
+/// saturation collapses to one simulation, GPipe dedups nothing. Counters
+/// prefilter.peak_vs_m.{simulated,skipped} record the split. `sim_threads`
+/// fans the builds and simulations out (1 = serial, 0 = hardware
+/// concurrency); the curve is byte-identical at every count.
 std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
                                        const topo::Cluster& cluster,
                                        const planner::ParallelPlan& plan,

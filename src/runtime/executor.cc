@@ -1,10 +1,5 @@
 #include "runtime/executor.h"
 
-#include <algorithm>
-
-#include "common/error.h"
-#include "planner/latency.h"
-
 namespace dapple::runtime {
 
 PipelineExecutor::PipelineExecutor(const model::ModelProfile& model,
@@ -17,100 +12,7 @@ ExecutionDetail PipelineExecutor::RunDetailed() const {
   ExecutionDetail detail;
   detail.pipeline = builder.Build();
   detail.result = sim::Engine::Run(detail.pipeline.graph, detail.pipeline.engine_options);
-
-  IterationReport& report = detail.report;
-  report.pipeline_latency = detail.result.makespan;
-  report.micro_batch_size = detail.pipeline.micro_batch_size;
-  report.num_micro_batches = detail.pipeline.num_micro_batches;
-  report.warmup_depths = detail.pipeline.warmup_depths;
-
-  const double processed = static_cast<double>(detail.pipeline.micro_batch_size) *
-                           detail.pipeline.num_micro_batches;
-  DAPPLE_CHECK_GT(detail.result.makespan, 0.0) << "empty simulation";
-  report.throughput = processed / detail.result.makespan;
-
-  planner::LatencyEstimator estimator(*model_, *cluster_);
-  report.speedup = estimator.SingleDeviceTime(static_cast<long>(processed)) /
-                   detail.result.makespan;
-
-  // Per-device stats: only devices that actually host a stage count.
-  std::vector<bool> participating(static_cast<std::size_t>(detail.pipeline.num_devices),
-                                  false);
-  for (const planner::StagePlan& s : plan_->stages) {
-    for (topo::DeviceId d : s.devices.devices()) {
-      participating[static_cast<std::size_t>(d)] = true;
-    }
-  }
-  report.device_peaks.assign(static_cast<std::size_t>(detail.pipeline.num_devices), 0);
-  double util_sum = 0.0;
-  int used = 0;
-  unsigned long long peak_sum = 0;
-  for (int d = 0; d < detail.pipeline.num_devices; ++d) {
-    if (!participating[static_cast<std::size_t>(d)]) continue;
-    const Bytes peak = d < static_cast<int>(detail.result.pools.size())
-                           ? detail.result.pools[static_cast<std::size_t>(d)].peak()
-                           : 0;
-    report.device_peaks[static_cast<std::size_t>(d)] = peak;
-    report.max_peak_memory = std::max(report.max_peak_memory, peak);
-    peak_sum += peak;
-    util_sum += detail.result.ComputeUtilization(d);
-    ++used;
-  }
-  DAPPLE_CHECK_GT(used, 0) << "plan uses no devices";
-  report.avg_peak_memory = static_cast<Bytes>(peak_sum / static_cast<unsigned>(used));
-  report.avg_device_utilization = util_sum / used;
-  report.bubble_fraction = 1.0 - report.avg_device_utilization;
-  report.oom = detail.result.AnyOom();
-
-  // Per-stage breakdown from the task records.
-  const int num_stages = plan_->num_stages();
-  report.stage_stats.assign(static_cast<std::size_t>(num_stages), StageStats{});
-  for (int s = 0; s < num_stages; ++s) {
-    report.stage_stats[static_cast<std::size_t>(s)].stage = s;
-  }
-  for (const sim::TaskRecord& rec : detail.result.records) {
-    if (!rec.executed || rec.id == sim::kInvalidTask) continue;
-    const sim::Task& task = detail.pipeline.graph.task(rec.id);
-    if (task.stage < 0 || task.stage >= num_stages) continue;
-    StageStats& stats = report.stage_stats[static_cast<std::size_t>(task.stage)];
-    const TimeSec duration = rec.end - rec.start;
-    switch (task.kind) {
-      case sim::TaskKind::kForward:
-        stats.forward_busy += duration;
-        break;
-      case sim::TaskKind::kBackward:
-        stats.backward_busy += duration;
-        break;
-      case sim::TaskKind::kAllReduce:
-        stats.allreduce_time += duration;
-        break;
-      case sim::TaskKind::kTransfer:
-        // Transfer tasks carry the upstream boundary index in `stage`; an
-        // inbound transfer for stage s+1 is recorded at index s.
-        if (task.stage + 1 < num_stages) {
-          report.stage_stats[static_cast<std::size_t>(task.stage) + 1].inbound_transfer +=
-              duration;
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  for (int s = 0; s < num_stages; ++s) {
-    const planner::StagePlan& stage = plan_->stages[static_cast<std::size_t>(s)];
-    double util = 0.0;
-    for (topo::DeviceId d : stage.devices.devices()) {
-      util += detail.result.ComputeUtilization(d);
-    }
-    StageStats& stats = report.stage_stats[static_cast<std::size_t>(s)];
-    stats.utilization = util / stage.devices.size();
-    // Per-device averages (the accumulators summed across replicas).
-    stats.forward_busy /= stage.devices.size();
-    stats.backward_busy /= stage.devices.size();
-  }
   return detail;
 }
-
-IterationReport PipelineExecutor::Run() const { return RunDetailed().report; }
 
 }  // namespace dapple::runtime

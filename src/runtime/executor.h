@@ -1,11 +1,8 @@
-// Pipeline executor: builds the task graph for a plan, runs the simulator,
-// and summarizes the iteration into the metrics the paper reports —
-// pipeline latency, training throughput, the §VI-C speedup (sequential
-// single-device time over parallel time), per-device peak memory, GPU
-// utilization and bubble fraction.
+// Pipeline executor: builds the task graph for a plan and runs the
+// simulator over one training iteration. Summarizing the iteration into the
+// metrics the paper reports (throughput, §VI-C speedup, peak memory,
+// utilization, bubbles) is obs::BuildIterationReport's job.
 #pragma once
-
-#include <vector>
 
 #include "model/profile.h"
 #include "planner/plan.h"
@@ -15,45 +12,11 @@
 
 namespace dapple::runtime {
 
-/// Per-computation-stage runtime breakdown, averaged over the stage's
-/// replica devices.
-struct StageStats {
-  int stage = -1;
-  TimeSec forward_busy = 0.0;
-  TimeSec backward_busy = 0.0;
-  TimeSec allreduce_time = 0.0;  // the stage's gradient-sync task
-  TimeSec inbound_transfer = 0.0;  // activation traffic from the previous stage
-  double utilization = 0.0;        // compute-busy / makespan, device average
-};
-
-struct IterationReport {
-  TimeSec pipeline_latency = 0.0;
-  /// samples / second over one iteration at the global batch size.
-  double throughput = 0.0;
-  /// Paper §VI-C: single-device sequential time / parallel time.
-  double speedup = 0.0;
-
-  Bytes avg_peak_memory = 0;  // over participating devices
-  Bytes max_peak_memory = 0;
-  bool oom = false;
-
-  /// Mean over participating devices of compute-busy / makespan.
-  double avg_device_utilization = 0.0;
-  /// 1 - avg_device_utilization: idle + network share of the iteration.
-  double bubble_fraction = 0.0;
-
-  int micro_batch_size = 0;
-  int num_micro_batches = 0;
-  std::vector<Bytes> device_peaks;  // indexed by DeviceId (0 = not used)
-  std::vector<int> warmup_depths;   // per computation stage
-  std::vector<StageStats> stage_stats;  // per computation stage
-};
-
-/// Full artifacts of a run, for trace rendering and deep assertions.
+/// Full artifacts of a run, for summaries, trace rendering and deep
+/// assertions.
 struct ExecutionDetail {
   BuiltPipeline pipeline;
   sim::SimResult result;
-  IterationReport report;
 };
 
 class PipelineExecutor {
@@ -61,10 +24,7 @@ class PipelineExecutor {
   PipelineExecutor(const model::ModelProfile& model, const topo::Cluster& cluster,
                    const planner::ParallelPlan& plan, BuildOptions options);
 
-  /// Builds, simulates and summarizes one training iteration.
-  IterationReport Run() const;
-
-  /// Same, keeping the graph and raw simulation result.
+  /// Builds and simulates one training iteration.
   ExecutionDetail RunDetailed() const;
 
  private:

@@ -78,6 +78,8 @@ BuiltPipeline GraphBuilder::Build() const {
   DAPPLE_CHECK_GT(built.micro_batch_size, 0);
   const int mbs = built.micro_batch_size;
   const int m_total = built.num_micro_batches;
+  built.single_device_time = planner::LatencyEstimator(*model_, *cluster_)
+                                 .SingleDeviceTime(static_cast<long>(mbs) * m_total);
 
   // The deterministic V order is shared with the validator; its realized
   // per-chunk depths become warmup_depths below.

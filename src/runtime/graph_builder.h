@@ -92,6 +92,10 @@ struct BuiltPipeline {
   BuildOptions options;
   /// Number of computation stages (drives the resource layout).
   int num_stages = 0;
+  /// Time to run the iteration's micro_batch_size x num_micro_batches
+  /// samples sequentially on one device: the numerator of the paper's
+  /// §VI-C speedup.
+  TimeSec single_device_time = 0.0;
 
   ResourceLayout layout() const { return ResourceLayout{num_devices, num_stages}; }
 };

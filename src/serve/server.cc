@@ -103,13 +103,13 @@ std::string Server::Dispatch(const ServeRequest& request) {
   switch (request.kind) {
     case RequestKind::kPlan:
       plans_.fetch_add(1, std::memory_order_relaxed);
-      return HandlePlan(request);
+      return HandleWithPlan(request);
     case RequestKind::kSimulate:
       simulates_.fetch_add(1, std::memory_order_relaxed);
-      return HandleSimulate(request);
+      return HandleWithPlan(request);
     case RequestKind::kReport:
       reports_.fetch_add(1, std::memory_order_relaxed);
-      return HandleReport(request);
+      return HandleWithPlan(request);
     case RequestKind::kStats:
       stats_requests_.fetch_add(1, std::memory_order_relaxed);
       return HandleStats(request);
@@ -206,75 +206,37 @@ void WritePlanFields(obs::JsonWriter& w, const ServeRequest& request,
 
 }  // namespace
 
-std::string Server::HandlePlan(const ServeRequest& request) {
+std::string Server::HandleWithPlan(const ServeRequest& request) {
   std::uint64_t fingerprint = 0;
   const PlanEntryPtr entry = PlanFor(request, &fingerprint);
   obs::JsonWriter w(obs::JsonWriter::Layout::kCompact);
   w.BeginObject();
   if (!request.id.empty()) w.Field("id", request.id);
   w.Field("ok", true);
-  w.Field("kind", "plan");
+  w.Field("kind", ToString(request.kind));
   WritePlanFields(w, request, fingerprint, entry->plan, entry->estimate, entry->plan_text,
                   entry->recompute_stages);
-  w.EndObject();
-  return w.str();
-}
-
-std::string Server::HandleSimulate(const ServeRequest& request) {
-  std::uint64_t fingerprint = 0;
-  const PlanEntryPtr entry = PlanFor(request, &fingerprint);
-  const model::ModelProfile model = model::ModelByName(request.model);
-  const topo::Cluster cluster = topo::MakeConfig(request.config, request.servers);
-
-  runtime::BuildOptions options;
-  options.global_batch_size = request.gbs;
-  options.schedule.kind = request.schedule;
-  options.memory_cap = request.memory_cap;
-  runtime::PipelineExecutor executor(model, cluster, entry->plan, options);
-  const runtime::IterationReport report = executor.Run();
-
-  obs::JsonWriter w(obs::JsonWriter::Layout::kCompact);
-  w.BeginObject();
-  if (!request.id.empty()) w.Field("id", request.id);
-  w.Field("ok", true);
-  w.Field("kind", "simulate");
-  WritePlanFields(w, request, fingerprint, entry->plan, entry->estimate, entry->plan_text,
-                  entry->recompute_stages);
-  w.Field("simulated_latency", report.pipeline_latency);
-  w.Field("throughput", report.throughput);
-  w.Field("simulated_speedup", report.speedup);
-  w.Field("avg_peak_memory", report.avg_peak_memory);
-  w.Field("max_peak_memory", report.max_peak_memory);
-  w.Field("utilization", report.avg_device_utilization);
-  w.Field("oom", report.oom);
-  w.EndObject();
-  return w.str();
-}
-
-std::string Server::HandleReport(const ServeRequest& request) {
-  std::uint64_t fingerprint = 0;
-  const PlanEntryPtr entry = PlanFor(request, &fingerprint);
-  const model::ModelProfile model = model::ModelByName(request.model);
-  const topo::Cluster cluster = topo::MakeConfig(request.config, request.servers);
-
-  runtime::BuildOptions options;
-  options.global_batch_size = request.gbs;
-  options.schedule.kind = request.schedule;
-  options.memory_cap = request.memory_cap;
-  runtime::PipelineExecutor executor(model, cluster, entry->plan, options);
-  const runtime::ExecutionDetail detail = executor.RunDetailed();
-  const obs::IterationReport report =
-      obs::BuildIterationReport(detail.pipeline, detail.result);
-
-  obs::JsonWriter w(obs::JsonWriter::Layout::kCompact);
-  w.BeginObject();
-  if (!request.id.empty()) w.Field("id", request.id);
-  w.Field("ok", true);
-  w.Field("kind", "report");
-  WritePlanFields(w, request, fingerprint, entry->plan, entry->estimate, entry->plan_text,
-                  entry->recompute_stages);
-  w.Key("report");
-  obs::WriteJson(w, report);
+  if (request.kind != RequestKind::kPlan) {
+    runtime::BuildOptions options;
+    options.global_batch_size = request.gbs;
+    options.schedule.kind = request.schedule;
+    options.memory_cap = request.memory_cap;
+    const obs::IterationReport report = obs::RunIteration(
+        model::ModelByName(request.model), topo::MakeConfig(request.config, request.servers),
+        entry->plan, options);
+    if (request.kind == RequestKind::kSimulate) {
+      w.Field("simulated_latency", report.makespan);
+      w.Field("throughput", report.throughput);
+      w.Field("simulated_speedup", report.speedup);
+      w.Field("avg_peak_memory", report.avg_peak_memory);
+      w.Field("max_peak_memory", report.max_peak_memory);
+      w.Field("utilization", report.utilization);
+      w.Field("oom", report.oom);
+    } else {
+      w.Key("report");
+      obs::WriteJson(w, report);
+    }
+  }
   w.EndObject();
   return w.str();
 }

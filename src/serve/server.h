@@ -91,9 +91,9 @@ class Server {
   using PlanEntryPtr = std::shared_ptr<const PlanEntry>;
 
   std::string Dispatch(const ServeRequest& request);
-  std::string HandlePlan(const ServeRequest& request);
-  std::string HandleSimulate(const ServeRequest& request);
-  std::string HandleReport(const ServeRequest& request);
+  /// plan, simulate and report: the plan fields, plus the iteration
+  /// summary (simulate) or the whole iteration report (report).
+  std::string HandleWithPlan(const ServeRequest& request);
   std::string HandleStats(const ServeRequest& request);
 
   /// The cached (or freshly planned and inserted) result for a request.

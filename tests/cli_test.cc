@@ -152,6 +152,27 @@ TEST(Cli, MissingFlagValueIsDiagnosed) {
   EXPECT_NE(out.find("flag --workers requires a value"), std::string::npos) << out;
 }
 
+TEST(Cli, BadIntegersAreUsageErrors) {
+  // Every integer, flag or positional, is a strict unsigned parse: a bad
+  // value never falls back to a default, truncates or reaches the planner.
+  for (const char* args :
+       {"plan GNMT-16 A 2 64 --planner-threads abc", "serve --tcp 99999",
+        "report GNMT-16 B 2 64 --peak-vs-m 4,x,8", "scenario GNMT-16 B 2 64 --jobs abc",
+        "plan GNMT-16 A abc 64", "run GNMT-16 A 2 0", "faults GNMT-16 A 2 8 --seed -1"}) {
+    int code = 0;
+    const std::string out = RunCli(args, &code);
+    EXPECT_EQ(code, 2) << args << "\n" << out;
+    EXPECT_NE(out.find("usage:"), std::string::npos) << args << "\n" << out;
+  }
+}
+
+TEST(Cli, ReportPrefilterFlagIsUnknown) {
+  int code = 0;
+  const std::string out = RunCli("report GNMT-16 B 2 64 --prefilter=auto", &code);
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(out.find("unknown flag --prefilter=auto"), std::string::npos) << out;
+}
+
 TEST(Cli, FuzzRejectsBadArgumentsWithUsage) {
   // Every value is one strict unsigned parse of the whole token, and at most
   // one mode may be named — with or without --repro.

@@ -50,11 +50,11 @@ TEST(Hetero, StragglerReplicaGatesSplitStage) {
   runtime::BuildOptions o;
   o.global_batch_size = 16;
   o.micro_batch_size = 4;
-  const auto r_fast = runtime::PipelineExecutor(m, fast, plan, o).Run();
-  const auto r_slow = runtime::PipelineExecutor(m, straggler, plan, o).Run();
+  const auto r_fast = obs::RunIteration(m, fast, plan, o);
+  const auto r_slow = obs::RunIteration(m, straggler, plan, o);
   // The slow replica runs at half speed: its compute takes 2x, and with
   // gradient sync at the end the iteration roughly doubles.
-  EXPECT_GT(r_slow.pipeline_latency, 1.8 * r_fast.pipeline_latency);
+  EXPECT_GT(r_slow.makespan, 1.8 * r_fast.makespan);
 }
 
 TEST(Hetero, EstimatorUsesSlowestReplica) {
@@ -103,8 +103,7 @@ TEST(Hetero, PlannerShiftsWorkTowardFastServer) {
   EXPECT_GT(fast_layers, slow_layers);
   // And the heterogeneous cluster is genuinely slower end to end.
   Session homogeneous(bert, topo::MakeConfigA(2));
-  EXPECT_LT(homogeneous.PlanAndRun(64).pipeline_latency,
-            session.Run(planned.plan, 64).pipeline_latency);
+  EXPECT_LT(homogeneous.PlanAndRun(64).makespan, session.Run(planned.plan, 64).makespan);
 }
 
 TEST(Hetero, FreshFirstPrefersFasterServers) {

@@ -18,7 +18,7 @@ TEST(Session, QuickstartFlow) {
   EXPECT_GT(report.throughput, 0.0);
   EXPECT_FALSE(report.oom);
   const auto direct = session.PlanAndRun(64);
-  EXPECT_NEAR(direct.pipeline_latency, report.pipeline_latency, 1e-9);
+  EXPECT_NEAR(direct.makespan, report.makespan, 1e-9);
 }
 
 TEST(Session, EstimatorTracksSimulatedRuntime) {
@@ -28,8 +28,8 @@ TEST(Session, EstimatorTracksSimulatedRuntime) {
   Session session(model::MakeBert48(), topo::MakeConfigA(2));
   const auto planned = session.Plan(128);
   const auto report = session.Run(planned.plan, 128);
-  EXPECT_LE(planned.estimate.latency, report.pipeline_latency * 1.05);
-  EXPECT_GE(planned.estimate.latency, report.pipeline_latency * 0.5);
+  EXPECT_LE(planned.estimate.latency, report.makespan * 1.05);
+  EXPECT_GE(planned.estimate.latency, report.makespan * 0.5);
 }
 
 TEST(Session, HybridBeatsDataParallelWhereThePaperSaysSo) {
@@ -152,7 +152,7 @@ TEST(Session, DeterministicEndToEnd) {
   Session session(model::MakeXlnet36(), topo::MakeConfigA(2));
   const auto r1 = session.PlanAndRun(128);
   const auto r2 = session.PlanAndRun(128);
-  EXPECT_DOUBLE_EQ(r1.pipeline_latency, r2.pipeline_latency);
+  EXPECT_DOUBLE_EQ(r1.makespan, r2.makespan);
   EXPECT_EQ(r1.max_peak_memory, r2.max_peak_memory);
 }
 
@@ -188,7 +188,7 @@ TEST(Session, PlanSurvivesSerializationRoundTrip) {
   const auto restored = planner::ParsePlan(planner::SerializePlan(planned.plan));
   const auto a = session.Run(planned.plan, 64);
   const auto b = session.Run(restored, 64);
-  EXPECT_DOUBLE_EQ(a.pipeline_latency, b.pipeline_latency);
+  EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
 }
 
 }  // namespace

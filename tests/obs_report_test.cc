@@ -167,46 +167,48 @@ TEST(IterationReport, PeakVsMCurveGrowsForGPipe) {
 }
 
 TEST(IterationReport, PeakVsMPrefilterNeverChangesTheCurve) {
-  // prefilter=auto may only skip simulations, never change bytes. DAPPLE's
-  // warmup saturates, so the flat tail dedups to one simulation; GPipe
-  // stashes all M, so every point stays distinct and nothing dedups.
+  // The curve simulates only one point per distinct stash discipline, which
+  // may skip simulations but never change a peak: every point must equal a
+  // direct build-and-simulate at that M. DAPPLE's warmup saturates, so its
+  // flat tail dedups; GPipe stashes all M, so nothing dedups.
   auto& metrics = obs::MetricsRegistry::Global();
-  const Fig3 dapple_fig;
-  const std::vector<int> counts = {4, 8, 16, 32};
-  const auto full = obs::PeakVsMCurve(dapple_fig.model, dapple_fig.cluster,
-                                      dapple_fig.plan, dapple_fig.options, counts);
-
-  const std::int64_t skipped0 =
-      metrics.counter("prefilter.peak_vs_m.skipped").value();
-  for (const int threads : {1, 8}) {
-    const auto pre = obs::PeakVsMCurve(
-        dapple_fig.model, dapple_fig.cluster, dapple_fig.plan, dapple_fig.options,
-        counts, obs::PeakVsMOptions{.sim_threads = threads, .prefilter = true});
-    ASSERT_EQ(pre.size(), full.size());
-    for (std::size_t i = 0; i < full.size(); ++i) {
-      EXPECT_EQ(pre[i].num_micro_batches, full[i].num_micro_batches);
-      EXPECT_EQ(pre[i].max_peak_memory, full[i].max_peak_memory);
+  auto expect_direct_peaks = [](const Fig3& fig, const std::vector<int>& counts,
+                                int threads) {
+    const auto curve =
+        obs::PeakVsMCurve(fig.model, fig.cluster, fig.plan, fig.options, counts, threads);
+    ASSERT_EQ(curve.size(), counts.size());
+    runtime::BuildOptions point = fig.options;
+    point.micro_batch_size =
+        runtime::GraphBuilder(fig.model, fig.cluster, fig.plan, fig.options).Build()
+            .micro_batch_size;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      point.global_batch_size = static_cast<long>(point.micro_batch_size) * counts[i];
+      const runtime::BuiltPipeline built =
+          runtime::GraphBuilder(fig.model, fig.cluster, fig.plan, point).Build();
+      EXPECT_EQ(curve[i].num_micro_batches, counts[i]);
+      EXPECT_EQ(curve[i].max_peak_memory,
+                sim::Engine::Run(built.graph, built.engine_options).MaxPeakMemory())
+          << "M=" << counts[i] << " threads=" << threads;
     }
+  };
+
+  const Fig3 dapple_fig;
+  for (const int threads : {1, 8}) {
+    const std::int64_t skipped0 = metrics.counter("prefilter.peak_vs_m.skipped").value();
+    expect_direct_peaks(dapple_fig, {4, 8, 16, 32}, threads);
+    // Non-vacuity: the saturated DAPPLE tail must actually have been skipped.
+    EXPECT_GT(metrics.counter("prefilter.peak_vs_m.skipped").value(), skipped0);
   }
-  // Non-vacuity: the saturated DAPPLE tail must actually have been skipped.
-  EXPECT_GT(metrics.counter("prefilter.peak_vs_m.skipped").value(), skipped0);
 
   Fig3 gpipe_fig;
   gpipe_fig.options.schedule.kind = runtime::ScheduleKind::kGPipe;
   gpipe_fig.options.enforce_memory_capacity = false;
-  const std::int64_t gp_skipped0 =
-      metrics.counter("prefilter.peak_vs_m.skipped").value();
-  const auto gp_full = obs::PeakVsMCurve(gpipe_fig.model, gpipe_fig.cluster,
-                                         gpipe_fig.plan, gpipe_fig.options, {4, 8, 16});
-  const auto gp_pre = obs::PeakVsMCurve(
-      gpipe_fig.model, gpipe_fig.cluster, gpipe_fig.plan, gpipe_fig.options,
-      {4, 8, 16}, obs::PeakVsMOptions{.prefilter = true});
-  ASSERT_EQ(gp_pre.size(), gp_full.size());
-  for (std::size_t i = 0; i < gp_full.size(); ++i) {
-    EXPECT_EQ(gp_pre[i].max_peak_memory, gp_full[i].max_peak_memory);
+  for (const int threads : {1, 8}) {
+    const std::int64_t skipped0 = metrics.counter("prefilter.peak_vs_m.skipped").value();
+    expect_direct_peaks(gpipe_fig, {4, 8, 16}, threads);
+    // GPipe's stash discipline grows with M: no two points may dedup.
+    EXPECT_EQ(metrics.counter("prefilter.peak_vs_m.skipped").value(), skipped0);
   }
-  // GPipe's stash discipline grows with M: no two points may dedup.
-  EXPECT_EQ(metrics.counter("prefilter.peak_vs_m.skipped").value(), gp_skipped0);
 }
 
 TEST(MetricsRegistry, CountersGaugesHistograms) {

@@ -10,7 +10,7 @@
 #include "model/profile.h"
 #include "planner/latency.h"
 #include "planner/plan.h"
-#include "runtime/executor.h"
+#include "obs/report.h"
 #include "runtime/graph_builder.h"
 #include "sim/engine.h"
 #include "topo/cluster.h"
@@ -156,8 +156,8 @@ TEST_P(RandomPipelineTest, EstimatorIsFiniteAndConsistent) {
   runtime::BuildOptions o;
   o.global_batch_size = gbs;
   o.enforce_memory_capacity = false;
-  const auto report = runtime::PipelineExecutor(m, cluster, plan, o).Run();
-  EXPECT_LE(e.latency, report.pipeline_latency * 1.10);
+  const auto report = obs::RunIteration(m, cluster, plan, o);
+  EXPECT_LE(e.latency, report.makespan * 1.10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPipelineTest, ::testing::Range(0, 24));

@@ -1,11 +1,15 @@
 // Runtime behaviour tests: the executor must reproduce the paper's core
 // scheduling claims — DAPPLE's peak memory independent of M, GPipe's O(M)
 // growth and OOM, re-computation's memory/throughput trade, PB vs PA, and
-// split vs round-robin replication (Fig. 8).
+// split vs round-robin replication (Fig. 8) — as read off the one iteration
+// summary, obs::IterationReport.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/error.h"
 #include "model/zoo.h"
+#include "obs/report.h"
 #include "planner/plan.h"
 #include "runtime/executor.h"
 #include "topo/cluster.h"
@@ -49,9 +53,8 @@ class TableVIFixture : public ::testing::Test {
         cluster_(topo::MakeConfigB(2)),
         plan_(TwoStage(bert_, 24, 1, 1)) {}
 
-  IterationReport Run(long gbs, ScheduleKind kind, bool recompute) const {
-    PipelineExecutor exec(bert_, cluster_, plan_, Opts(gbs, kind, recompute));
-    return exec.Run();
+  obs::IterationReport Run(long gbs, ScheduleKind kind, bool recompute) const {
+    return obs::RunIteration(bert_, cluster_, plan_, Opts(gbs, kind, recompute));
   }
 
   model::ModelProfile bert_;
@@ -103,8 +106,7 @@ TEST_F(TableVIFixture, SameMicroBatchCountMatchesGPipeThroughputAtM2) {
   // partition, micro-batches and device mapping").
   const auto dapple = Run(4, ScheduleKind::kDapple, false);
   const auto gpipe = Run(4, ScheduleKind::kGPipe, false);
-  EXPECT_NEAR(dapple.pipeline_latency, gpipe.pipeline_latency,
-              1e-6 + 0.02 * gpipe.pipeline_latency);
+  EXPECT_NEAR(dapple.makespan, gpipe.makespan, 1e-6 + 0.02 * gpipe.makespan);
 }
 
 TEST(Runtime, GPipeAndDappleSameBubbleTimeUniform) {
@@ -118,11 +120,10 @@ TEST(Runtime, GPipeAndDappleSameBubbleTimeUniform) {
     o.global_batch_size = gbs;
     o.micro_batch_size = 1;
     o.schedule.kind = ScheduleKind::kDapple;
-    const auto dapple = PipelineExecutor(m, cluster, plan, o).Run();
+    const auto dapple = obs::RunIteration(m, cluster, plan, o);
     o.schedule.kind = ScheduleKind::kGPipe;
-    const auto gpipe = PipelineExecutor(m, cluster, plan, o).Run();
-    EXPECT_NEAR(dapple.pipeline_latency, gpipe.pipeline_latency,
-                1e-9 + 0.03 * gpipe.pipeline_latency)
+    const auto gpipe = obs::RunIteration(m, cluster, plan, o);
+    EXPECT_NEAR(dapple.makespan, gpipe.makespan, 1e-9 + 0.03 * gpipe.makespan)
         << "gbs=" << gbs;
     EXPECT_LE(dapple.max_peak_memory, gpipe.max_peak_memory);
   }
@@ -150,10 +151,10 @@ TEST(Runtime, SplitReplicationBeatsRoundRobin) {
   o.global_batch_size = 20;
   o.micro_batch_size = 2;
   o.replication = ReplicationMode::kSplitMicroBatch;
-  const auto split = PipelineExecutor(m, cluster, plan, o).Run();
+  const auto split = obs::RunIteration(m, cluster, plan, o);
   o.replication = ReplicationMode::kRoundRobin;
-  const auto rr = PipelineExecutor(m, cluster, plan, o).Run();
-  EXPECT_LT(split.pipeline_latency, rr.pipeline_latency);
+  const auto rr = obs::RunIteration(m, cluster, plan, o);
+  EXPECT_LT(split.makespan, rr.makespan);
 }
 
 TEST(Runtime, PolicyBHelpsWhenAcrIsHigh) {
@@ -174,11 +175,11 @@ TEST(Runtime, PolicyBHelpsWhenAcrIsHigh) {
   o.global_batch_size = 32;
   o.micro_batch_size = 1;
   o.schedule.warmup = WarmupPolicy::kPA;
-  const auto pa = PipelineExecutor(m, cluster, plan, o).Run();
+  const auto pa = obs::RunIteration(m, cluster, plan, o);
   o.schedule.warmup = WarmupPolicy::kPB;
-  const auto pb = PipelineExecutor(m, cluster, plan, o).Run();
-  EXPECT_LE(pb.pipeline_latency, pa.pipeline_latency * (1 + 1e-9));
-  EXPECT_LT(pb.pipeline_latency, 0.98 * pa.pipeline_latency);
+  const auto pb = obs::RunIteration(m, cluster, plan, o);
+  EXPECT_LE(pb.makespan, pa.makespan * (1 + 1e-9));
+  EXPECT_LT(pb.makespan, 0.98 * pa.makespan);
   // PB keeps more activations alive.
   EXPECT_GE(pb.max_peak_memory, pa.max_peak_memory);
 }
@@ -189,12 +190,12 @@ TEST(Runtime, SpeedupBoundedByDeviceCount) {
   const ParallelPlan plan = TwoStage(bert, 24, 8, 8);
   BuildOptions o;
   o.global_batch_size = 64;
-  const auto report = PipelineExecutor(bert, cluster, plan, o).Run();
+  const auto report = obs::RunIteration(bert, cluster, plan, o);
   EXPECT_GT(report.speedup, 1.0);
   EXPECT_LE(report.speedup, 16.0);
-  EXPECT_GT(report.avg_device_utilization, 0.3);
-  EXPECT_LE(report.avg_device_utilization, 1.0);
-  EXPECT_NEAR(report.bubble_fraction, 1.0 - report.avg_device_utilization, 1e-12);
+  EXPECT_GT(report.utilization, 0.3);
+  EXPECT_LE(report.utilization, 1.0);
+  EXPECT_NEAR(report.bubble_fraction, 1.0 - report.utilization, 1e-12);
 }
 
 TEST(Runtime, WarmupDepthsReported) {
@@ -204,10 +205,10 @@ TEST(Runtime, WarmupDepthsReported) {
   BuildOptions o;
   o.global_batch_size = 16;
   o.micro_batch_size = 2;
-  const auto report = PipelineExecutor(bert, cluster, plan, o).Run();
-  ASSERT_EQ(report.warmup_depths.size(), 2u);
-  EXPECT_EQ(report.warmup_depths[0], 2);
-  EXPECT_EQ(report.warmup_depths[1], 1);
+  const auto report = obs::RunIteration(bert, cluster, plan, o);
+  ASSERT_EQ(report.stages.size(), 2u);
+  EXPECT_EQ(report.stages[0].warmup_depth, 2);
+  EXPECT_EQ(report.stages[1].warmup_depth, 1);
 }
 
 TEST(Runtime, DetailExposesTraceableArtifacts) {
@@ -218,7 +219,7 @@ TEST(Runtime, DetailExposesTraceableArtifacts) {
   o.global_batch_size = 8;
   const ExecutionDetail detail = PipelineExecutor(m, cluster, plan, o).RunDetailed();
   EXPECT_GT(detail.pipeline.graph.num_tasks(), 0);
-  EXPECT_EQ(detail.result.makespan, detail.report.pipeline_latency);
+  EXPECT_GT(detail.result.makespan, 0.0);
   EXPECT_GE(detail.result.pools.size(), 2u);
 }
 
@@ -245,20 +246,20 @@ TEST(Runtime, StageStatsBreakdown) {
   plan.stages = {s0, s1};
   BuildOptions o;
   o.global_batch_size = 64;
-  const auto report = PipelineExecutor(bert, cluster, plan, o).Run();
-  ASSERT_EQ(report.stage_stats.size(), 2u);
-  for (const StageStats& s : report.stage_stats) {
+  const auto report = obs::RunIteration(bert, cluster, plan, o);
+  ASSERT_EQ(report.stages.size(), 2u);
+  for (const obs::StageReport& s : report.stages) {
     EXPECT_GT(s.forward_busy, 0.0);
     // Backward is ~2x forward in the zoo calibration.
     EXPECT_GT(s.backward_busy, 1.5 * s.forward_busy);
     EXPECT_GT(s.utilization, 0.3);
     EXPECT_LE(s.utilization, 1.0);
     // Replicated stages synchronize gradients.
-    EXPECT_GT(s.allreduce_time, 0.0);
+    EXPECT_GT(s.allreduce, 0.0);
   }
   // Only the downstream stage receives cross-stage traffic.
-  EXPECT_EQ(report.stage_stats[0].inbound_transfer, 0.0);
-  EXPECT_GT(report.stage_stats[1].inbound_transfer, 0.0);
+  EXPECT_EQ(report.stages[0].inbound_transfer, 0.0);
+  EXPECT_GT(report.stages[1].inbound_transfer, 0.0);
 }
 
 TEST(Runtime, StageStatsUtilizationConsistentWithGlobal) {
@@ -267,11 +268,64 @@ TEST(Runtime, StageStatsUtilizationConsistentWithGlobal) {
   const planner::ParallelPlan plan = TwoStage(m, 2, 1, 1);
   BuildOptions o;
   o.global_batch_size = 16;
-  const auto report = PipelineExecutor(m, cluster, plan, o).Run();
+  const auto report = obs::RunIteration(m, cluster, plan, o);
   double mean = 0;
-  for (const StageStats& s : report.stage_stats) mean += s.utilization;
-  mean /= report.stage_stats.size();
-  EXPECT_NEAR(mean, report.avg_device_utilization, 1e-9);
+  for (const obs::StageReport& s : report.stages) mean += s.utilization;
+  mean /= report.stages.size();
+  EXPECT_NEAR(mean, report.utilization, 1e-9);
+}
+
+ParallelPlan Straight(const model::ModelProfile& m, int stages) {
+  ParallelPlan plan;
+  plan.model = m.name();
+  const int per = m.num_layers() / stages;
+  for (int s = 0; s < stages; ++s) {
+    plan.stages.push_back(
+        {s * per, s + 1 == stages ? m.num_layers() : (s + 1) * per, DeviceSet::Range(s, 1)});
+  }
+  return plan;
+}
+
+TEST(Runtime, SplitBackwardCountsBothHalves) {
+  // DAPPLE-2BP splits every backward into an input half (kBackward) and a
+  // weight half (kBackwardWeight); a stage's backward time is both.
+  const auto bert = model::MakeBert48();
+  const auto cluster = topo::MakeConfigB(4);
+  const ParallelPlan plan = Straight(bert, 4);
+  BuildOptions o = Opts(16, ScheduleKind::kDappleSplitBw);
+  const ExecutionDetail detail = PipelineExecutor(bert, cluster, plan, o).RunDetailed();
+  const obs::IterationReport report = obs::BuildIterationReport(detail.pipeline, detail.result);
+  std::vector<TimeSec> backward(plan.stages.size(), 0.0);
+  for (const sim::TaskRecord& rec : detail.result.records) {
+    if (!rec.executed) continue;
+    const sim::Task& task = detail.pipeline.graph.task(rec.id);
+    if (task.kind == sim::TaskKind::kBackward || task.kind == sim::TaskKind::kBackwardWeight) {
+      backward[static_cast<std::size_t>(task.stage)] += rec.end - rec.start;
+    }
+  }
+  ASSERT_EQ(report.stages.size(), plan.stages.size());
+  for (const obs::StageReport& s : report.stages) {
+    const auto replicas = static_cast<double>(s.devices.size());
+    EXPECT_NEAR(s.backward_busy, backward[static_cast<std::size_t>(s.stage)] / replicas,
+                1e-12)
+        << "stage " << s.stage;
+  }
+}
+
+TEST(Runtime, InboundTransferIsTheUpstreamOutbound) {
+  // Stage s receives exactly the forward activations stage s-1 sends; the
+  // backward gradients flowing the other way are not inbound traffic.
+  const auto bert = model::MakeBert48();
+  const auto cluster = topo::MakeConfigB(4);
+  const auto report = obs::RunIteration(bert, cluster, Straight(bert, 4),
+                                        Opts(16, ScheduleKind::kGPipe));
+  ASSERT_EQ(report.stages.size(), 4u);
+  EXPECT_EQ(report.stages[0].inbound_transfer, 0.0);
+  for (std::size_t s = 1; s < report.stages.size(); ++s) {
+    EXPECT_GT(report.stages[s].inbound_transfer, 0.0) << "stage " << s;
+    EXPECT_EQ(report.stages[s].inbound_transfer, report.stages[s - 1].outbound_transfer)
+        << "stage " << s;
+  }
 }
 
 }  // namespace

@@ -243,6 +243,29 @@ TEST(ServeServer, ResponsesAreByteIdenticalAtEveryWorkerCount) {
   }
 }
 
+TEST(ServeServer, SimulateSummarizesTheReportDevices) {
+  // simulate's utilization and average peak are the means over the devices
+  // that report lists — on V-Min, only the folded groups' devices, not every
+  // device the plan names.
+  Server server;
+  const std::string request = R"("model":"BERT-48","config":"B","servers":4,"gbs":32,)"
+                              R"("schedule":"v-min"})";
+  const JsonValue simulate = ParseJson(server.HandleLine(R"({"kind":"simulate",)" + request));
+  const JsonValue report = ParseJson(server.HandleLine(R"({"kind":"report",)" + request));
+  const std::vector<JsonValue>& devices = report.Get("report").Get("devices").AsArray();
+  ASSERT_FALSE(devices.empty());
+  EXPECT_LT(static_cast<std::int64_t>(devices.size()), simulate.Get("devices").AsInt());
+  double utilization = 0.0;
+  std::int64_t peak = 0;
+  for (const JsonValue& d : devices) {
+    utilization += d.Get("utilization").AsDouble();
+    peak += d.Get("peak_memory").AsInt();
+  }
+  const auto n = static_cast<std::int64_t>(devices.size());
+  EXPECT_NEAR(simulate.Get("utilization").AsDouble(), utilization / n, 1e-9);
+  EXPECT_EQ(simulate.Get("avg_peak_memory").AsInt(), peak / n);
+}
+
 TEST(ServeServer, TinyCacheEvictsAndStillAnswers) {
   ServerOptions options;
   options.cache_entries = 2;  // capacity 1 per shard after the split

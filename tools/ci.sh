@@ -10,7 +10,8 @@
 #   unit (default) — `ctest -L unit`, the fast suite (pull requests)
 #   full           — the whole registered suite, which adds the `-L fuzz`
 #                    randomized sweeps and the `-L golden` byte-stability
-#                    tests (pushes to main)
+#                    tests, plus a build of the end-to-end benchmark
+#                    (benchmark/, into <prefix>-e2e) (pushes to main)
 #   perf-smoke     — `ctest -L perf-smoke`, every entry RUN_SERIAL: the
 #                    planner, simulator and scenario determinism sweeps
 #                    (the engine and BatchRunner vs the reference
@@ -69,6 +70,14 @@ run_suite() {
 }
 
 run_suite "${prefix}"
+# benchmark/ builds against src/ headers (runtime/executor.h, obs/report.h,
+# serve/*) from its own source tree, so an API change in src/ can break it
+# without breaking the main build.
+if [[ "${tier}" == "full" ]]; then
+  echo "=== configure + build ${prefix}-e2e (benchmark/)"
+  cmake -S benchmark -B "${prefix}-e2e" >/dev/null
+  cmake --build "${prefix}-e2e" --target dapple_bench_e2e -j "${jobs}" >/dev/null
+fi
 # Sanitizer instrumentation would distort perf-smoke's timing columns, and
 # the determinism sweep it carries already ran under ASan in the unit tier.
 if [[ "${tier}" != "perf-smoke" ]]; then

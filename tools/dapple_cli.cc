@@ -15,15 +15,12 @@
 //       an ASCII Gantt chart or export a chrome://tracing JSON file.
 //   dapple report <model> <config> <servers> <gbs>
 //              [--plan FILE] [--schedule dapple|gpipe|dapple-2bp|v-min|v-half] [--recompute]
-//              [--json FILE] [--peak-vs-m M1,M2,...] [--prefilter=off|auto]
+//              [--json FILE] [--peak-vs-m M1,M2,...]
 //   dapple report --fig3 [--json FILE]
 //       Execute one iteration and print the structured iteration report
 //       (bubble ratios, time split, phases, links, memory); --json exports
 //       the machine-readable document, --fig3 runs the paper's two-stage
-//       example. --prefilter=auto lets the peak-vs-m curve skip simulating
-//       M points whose stash discipline repeats an already simulated point
-//       (identical bytes, fewer simulations — DAPPLE's flat curve collapses
-//       to one).
+//       example.
 //   dapple faults <model> <config> <servers> <gbs>
 //              [--plan FILE] [--policy stall|checkpoint|replan|elastic-up|all]
 //              [--script FILE] [--script-text "..."] [--seed N]
@@ -47,11 +44,15 @@
 //       Run the planner as a service: newline-delimited JSON requests in,
 //       one response per line out, answered from a fingerprint-keyed LRU
 //       plan cache. See src/serve/protocol.h for the request schema.
+//
+// Every integer argument, flag or positional, is one strict unsigned parse
+// of the whole token; a bad one prints usage and exits 2.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,6 @@
 #include "common/table.h"
 #include "dapple/dapple.h"
 #include "flags.h"
-#include "obs/metrics.h"
 #include "scenario/coscheduler.h"
 #include "scenario/episode.h"
 #include "scenario/report.h"
@@ -86,7 +86,7 @@ int Usage() {
                "  dapple report <model> <A|B|C> <servers> <gbs> [--plan FILE]\n"
                "              [--schedule dapple|gpipe|dapple-2bp|v-min|v-half] [--recompute]\n"
                "              [--memory-cap BYTES] [--json FILE] [--peak-vs-m M1,M2,...]\n"
-               "              [--sim-threads N] [--prefilter=off|auto]\n"
+               "              [--sim-threads N]\n"
                "  dapple report --fig3 [--json FILE]\n"
                "  dapple faults <model> <A|B|C> <servers> <gbs> [--plan FILE]\n"
                "              [--policy stall|checkpoint|replan|elastic-up|all]\n"
@@ -112,8 +112,44 @@ int Usage() {
   return 2;
 }
 
-topo::Cluster ClusterFor(char config, int servers) {
-  return topo::MakeConfig(config, servers);
+/// The `<model> <A|B|C> <servers> <gbs>` positionals every job subcommand
+/// starts with.
+struct Job {
+  model::ModelProfile model;
+  topo::Cluster cluster;
+  long gbs = 0;
+};
+
+/// Parses the positionals; nullopt (after a diagnostic) when one is missing
+/// or a count is not a positive integer. An unknown model or config throws.
+std::optional<Job> ParseJob(int argc, char** argv) {
+  auto positive = [](const char* what, const char* text, auto* value) {
+    if (ParseUnsigned(text, value) && *value > 0) return true;
+    std::fprintf(stderr, "%s needs a positive integer, got '%s'\n", what, text);
+    return false;
+  };
+  int servers = 0;
+  long gbs = 0;
+  if (argc < 4 || !positive("<servers>", argv[2], &servers) ||
+      !positive("<gbs>", argv[3], &gbs)) {
+    return std::nullopt;
+  }
+  return Job{model::ModelByName(argv[0]), topo::MakeConfig(argv[1][0], servers), gbs};
+}
+
+/// The plan `--plan FILE` names or, without one, a fresh plan made under
+/// the same memory cap the simulator will enforce, so a capped run gets a
+/// plan that fits (or a refusal) instead of an OOM'd report.
+planner::ParallelPlan PlanOrLoad(const Job& job, const std::string& plan_path,
+                                 Bytes memory_cap = 0) {
+  if (!plan_path.empty()) {
+    planner::ParallelPlan plan = planner::LoadPlan(plan_path);
+    plan.Validate(job.model);
+    return plan;
+  }
+  planner::PlannerOptions planner_options;
+  planner_options.memory_cap = memory_cap;
+  return Session(job.model, job.cluster).Plan(job.gbs, planner_options).plan;
 }
 
 int CmdZoo() {
@@ -128,31 +164,26 @@ int CmdZoo() {
 }
 
 int CmdPlan(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const model::ModelProfile m = model::ModelByName(argv[0]);
-  const topo::Cluster cluster = ClusterFor(argv[1][0], std::atoi(argv[2]));
-  const long gbs = std::atol(argv[3]);
+  const std::optional<Job> job = ParseJob(argc, argv);
+  if (!job) return Usage();
   std::string save_path, v;
   planner::PlannerOptions planner_options;
   FlagParser flags(argc - 4, argv + 4);
   while (!flags.Done()) {
     if (flags.MatchValue("--save", &v)) {
       save_path = v;
-    } else if (flags.MatchValue("--planner-threads", &v)) {
-      planner_options.num_threads = std::atoi(v.c_str());
     } else if (flags.MatchValue("--memory-cap", &v)) {
       planner_options.memory_cap = ParseBytes(v);
     } else if (flags.MatchPrefix("--recompute=", &v) ||
                flags.MatchValue("--recompute", &v)) {
       planner_options.recompute = planner::ParseRecomputePolicy(v);
-    } else {
+    } else if (!flags.MatchUnsigned("--planner-threads", &planner_options.num_threads)) {
       flags.Unknown();
     }
   }
   if (!flags.ok()) return Usage();
 
-  Session session(m, cluster);
-  const auto planned = session.Plan(gbs, planner_options);
+  const auto planned = Session(job->model, job->cluster).Plan(job->gbs, planner_options);
   std::printf("plan: %s (split %s), estimated latency %s, ACR %.2f\n",
               planned.plan.ToString().c_str(), planned.plan.SplitString().c_str(),
               FormatTime(planned.estimate.latency).c_str(), planned.estimate.acr);
@@ -180,14 +211,12 @@ int CmdPlan(int argc, char** argv) {
 }
 
 int CmdRun(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const model::ModelProfile m = model::ModelByName(argv[0]);
-  const topo::Cluster cluster = ClusterFor(argv[1][0], std::atoi(argv[2]));
-  const long gbs = std::atol(argv[3]);
+  const std::optional<Job> job = ParseJob(argc, argv);
+  if (!job) return Usage();
 
   std::string plan_path, trace_path, v;
   runtime::BuildOptions options;
-  options.global_batch_size = gbs;
+  options.global_batch_size = job->gbs;
   bool gantt = false;
   FlagParser flags(argc - 4, argv + 4);
   while (!flags.Done()) {
@@ -212,35 +241,23 @@ int CmdRun(int argc, char** argv) {
   }
   if (!flags.ok()) return Usage();
 
-  Session session(m, cluster);
-  planner::ParallelPlan plan;
-  if (!plan_path.empty()) {
-    plan = planner::LoadPlan(plan_path);
-    plan.Validate(m);
-  } else {
-    // Plan under the same cap the simulator will enforce, so a capped run
-    // gets a plan that fits (or a refusal) instead of an OOM'd report.
-    planner::PlannerOptions planner_options;
-    planner_options.memory_cap = options.memory_cap;
-    plan = session.Plan(gbs, planner_options).plan;
-  }
-
-  runtime::PipelineExecutor executor(m, cluster, plan, options);
-  const runtime::ExecutionDetail detail = executor.RunDetailed();
-  const runtime::IterationReport& r = detail.report;
+  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options.memory_cap);
+  const runtime::ExecutionDetail detail =
+      runtime::PipelineExecutor(job->model, job->cluster, plan, options).RunDetailed();
+  const obs::IterationReport r = obs::BuildIterationReport(detail.pipeline, detail.result);
   std::printf("plan %s (split %s) under %s schedule%s\n", plan.ToString().c_str(),
               plan.SplitString().c_str(), runtime::ToString(options.schedule.kind),
               options.schedule.recompute ? " + recompute" : "");
   std::printf("latency %s | throughput %.2f samples/s | speedup %.2fx\n",
-              FormatTime(r.pipeline_latency).c_str(), r.throughput, r.speedup);
+              FormatTime(r.makespan).c_str(), r.throughput, r.speedup);
   std::printf("peak memory avg %s max %s%s | utilization %.0f%% | M=%d x mbs=%d\n",
               FormatBytes(r.avg_peak_memory).c_str(), FormatBytes(r.max_peak_memory).c_str(),
-              r.oom ? " (OOM!)" : "", 100 * r.avg_device_utilization,
-              r.num_micro_batches, r.micro_batch_size);
+              r.oom ? " (OOM!)" : "", 100 * r.utilization, r.num_micro_batches,
+              r.micro_batch_size);
   AsciiTable stages({"Stage", "FW busy", "BW busy", "AllReduce", "Inbound TX", "Util"});
-  for (const runtime::StageStats& s : r.stage_stats) {
+  for (const obs::StageReport& s : r.stages) {
     stages.AddRow({AsciiTable::Int(s.stage), FormatTime(s.forward_busy),
-                   FormatTime(s.backward_busy), FormatTime(s.allreduce_time),
+                   FormatTime(s.backward_busy), FormatTime(s.allreduce),
                    FormatTime(s.inbound_transfer),
                    AsciiTable::Int(static_cast<int>(100 * s.utilization)) + "%"});
   }
@@ -308,26 +325,21 @@ int CmdReport(int argc, char** argv) {
     }
     if (!flags.ok()) return Usage();
     const Fig3Example ex;
-    runtime::PipelineExecutor executor(ex.model, ex.cluster, ex.plan, ex.options);
-    const runtime::ExecutionDetail detail = executor.RunDetailed();
     const obs::IterationReport report =
-        obs::BuildIterationReport(detail.pipeline, detail.result);
+        obs::RunIteration(ex.model, ex.cluster, ex.plan, ex.options);
     std::printf("%s", obs::ToText(report).c_str());
     if (!json_path.empty()) return WriteJsonFile(json_path, obs::ToJson(report));
     return 0;
   }
 
-  if (argc < 4) return Usage();
-  const model::ModelProfile m = model::ModelByName(argv[0]);
-  const topo::Cluster cluster = ClusterFor(argv[1][0], std::atoi(argv[2]));
-  const long gbs = std::atol(argv[3]);
+  const std::optional<Job> job = ParseJob(argc, argv);
+  if (!job) return Usage();
 
   std::string plan_path, v;
   std::vector<int> curve_counts;
   int sim_threads = 1;
-  bool curve_prefilter = false;
   runtime::BuildOptions options;
-  options.global_batch_size = gbs;
+  options.global_batch_size = job->gbs;
   FlagParser flags(argc - 4, argv + 4);
   while (!flags.Done()) {
     if (flags.MatchValue("--plan", &v)) {
@@ -344,73 +356,34 @@ int CmdReport(int argc, char** argv) {
     } else if (flags.MatchValue("--memory-cap", &v)) {
       options.memory_cap = ParseBytes(v);
     } else if (flags.MatchValue("--peak-vs-m", &v)) {
-      for (const char* p = v.c_str(); *p;) {
-        curve_counts.push_back(std::atoi(p));
-        while (*p && *p != ',') ++p;
-        if (*p == ',') ++p;
+      for (std::size_t begin = 0, end = 0; end != std::string::npos; begin = end + 1) {
+        end = v.find(',', begin);
+        const std::string item = v.substr(begin, end - begin);
+        if (!ParseUnsigned(item, &curve_counts.emplace_back())) {
+          std::fprintf(stderr, "--peak-vs-m needs unsigned integers, got '%s'\n",
+                       item.c_str());
+          return Usage();
+        }
       }
-    } else if (flags.MatchValue("--sim-threads", &v)) {
-      sim_threads = std::atoi(v.c_str());
-    } else if (flags.MatchPrefix("--prefilter=", &v) ||
-               flags.MatchValue("--prefilter", &v)) {
-      // auto skips curve points whose stash discipline repeats an already
-      // simulated point (the bytes never change); off simulates every point.
-      if (v == "auto") {
-        curve_prefilter = true;
-      } else if (v == "off") {
-        curve_prefilter = false;
-      } else {
-        std::fprintf(stderr, "unknown --prefilter mode '%s' (off|auto)\n", v.c_str());
-        return Usage();
-      }
-    } else {
+    } else if (!flags.MatchUnsigned("--sim-threads", &sim_threads)) {
       flags.Unknown();
     }
   }
   if (!flags.ok()) return Usage();
 
-  Session session(m, cluster);
-  planner::ParallelPlan plan;
-  if (!plan_path.empty()) {
-    plan = planner::LoadPlan(plan_path);
-    plan.Validate(m);
-  } else {
-    // Plan under the same cap the simulator will enforce (see CmdRun).
-    planner::PlannerOptions planner_options;
-    planner_options.memory_cap = options.memory_cap;
-    plan = session.Plan(gbs, planner_options).plan;
-  }
-
-  runtime::PipelineExecutor executor(m, cluster, plan, options);
-  const runtime::ExecutionDetail detail = executor.RunDetailed();
-  const obs::IterationReport report =
-      obs::BuildIterationReport(detail.pipeline, detail.result);
+  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options.memory_cap);
+  const obs::IterationReport report = obs::RunIteration(job->model, job->cluster, plan, options);
   std::printf("%s", obs::ToText(report).c_str());
 
   if (!curve_counts.empty()) {
-    auto& metrics = obs::MetricsRegistry::Global();
-    const std::int64_t simulated0 =
-        metrics.counter("prefilter.peak_vs_m.simulated").value();
-    const std::int64_t skipped0 =
-        metrics.counter("prefilter.peak_vs_m.skipped").value();
-    const auto curve = obs::PeakVsMCurve(
-        m, cluster, plan, options, curve_counts,
-        obs::PeakVsMOptions{.sim_threads = sim_threads, .prefilter = curve_prefilter});
+    const auto curve =
+        obs::PeakVsMCurve(job->model, job->cluster, plan, options, curve_counts, sim_threads);
     AsciiTable t({"M", "Max peak memory"});
     for (const obs::PeakVsMPoint& p : curve) {
       t.AddRow({AsciiTable::Int(p.num_micro_batches), FormatBytes(p.max_peak_memory)});
     }
     std::printf("\npeak memory vs micro-batch count (fixed micro-batch size):\n%s",
                 t.ToString().c_str());
-    if (curve_prefilter) {
-      std::printf(
-          "prefilter=auto: %lld point(s) simulated, %lld reused from an "
-          "identical stash discipline\n",
-          static_cast<long long>(
-              metrics.counter("prefilter.peak_vs_m.simulated").value() - simulated0),
-          static_cast<long long>(
-              metrics.counter("prefilter.peak_vs_m.skipped").value() - skipped0));
-    }
   }
   if (!json_path.empty()) return WriteJsonFile(json_path, obs::ToJson(report));
   return 0;
@@ -428,10 +401,9 @@ std::string ReadTextFile(const std::string& path) {
 }
 
 int CmdFaults(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const model::ModelProfile m = model::ModelByName(argv[0]);
-  const topo::Cluster cluster = ClusterFor(argv[1][0], std::atoi(argv[2]));
-  const long gbs = std::atol(argv[3]);
+  const std::optional<Job> job = ParseJob(argc, argv);
+  if (!job) return Usage();
+  const topo::Cluster& cluster = job->cluster;
 
   std::string plan_path, json_path, trace_path, script_path, script_text, v;
   std::string policy_arg = "all";
@@ -439,7 +411,7 @@ int CmdFaults(int argc, char** argv) {
   std::uint64_t seed = 0;
   int sim_threads = 1;
   fault::FaultOptions options;
-  options.build.global_batch_size = gbs;
+  options.build.global_batch_size = job->gbs;
   FlagParser flags(argc - 4, argv + 4);
   while (!flags.Done()) {
     if (flags.MatchValue("--plan", &v)) {
@@ -450,22 +422,17 @@ int CmdFaults(int argc, char** argv) {
       script_path = v;
     } else if (flags.MatchValue("--script-text", &v)) {
       script_text = v;
-    } else if (flags.MatchValue("--seed", &v)) {
+    } else if (flags.MatchUnsigned("--seed", &seed)) {
       seeded = true;
-      seed = std::strtoull(v.c_str(), nullptr, 10);
     } else if (flags.MatchValue("--horizon", &v)) {
       options.horizon = std::atof(v.c_str());
-    } else if (flags.MatchValue("--checkpoint-period", &v)) {
-      options.checkpoint_period = std::atoi(v.c_str());
     } else if (flags.MatchValue("--json", &v)) {
       json_path = v;
     } else if (flags.MatchValue("--trace", &v)) {
       trace_path = v;
-    } else if (flags.MatchValue("--planner-threads", &v)) {
-      options.planner.num_threads = std::atoi(v.c_str());
-    } else if (flags.MatchValue("--sim-threads", &v)) {
-      sim_threads = std::atoi(v.c_str());
-    } else {
+    } else if (!flags.MatchUnsigned("--checkpoint-period", &options.checkpoint_period) &&
+               !flags.MatchUnsigned("--planner-threads", &options.planner.num_threads) &&
+               !flags.MatchUnsigned("--sim-threads", &sim_threads)) {
       flags.Unknown();
     }
   }
@@ -487,14 +454,7 @@ int CmdFaults(int argc, char** argv) {
   script.Validate(cluster);
   std::printf("fault script:\n%s", script.ToString().c_str());
 
-  Session session(m, cluster);
-  planner::ParallelPlan plan;
-  if (!plan_path.empty()) {
-    plan = planner::LoadPlan(plan_path);
-    plan.Validate(m);
-  } else {
-    plan = session.Plan(gbs).plan;
-  }
+  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path);
 
   std::vector<fault::RecoveryPolicy> policies;
   if (policy_arg == "all") {
@@ -504,7 +464,8 @@ int CmdFaults(int argc, char** argv) {
   }
 
   const std::vector<fault::FaultReport> reports =
-      fault::RunFaultPolicySweep(m, cluster, plan, script, policies, options, sim_threads);
+      fault::RunFaultPolicySweep(job->model, cluster, plan, script, policies, options,
+                                 sim_threads);
 
   if (reports.size() == 1) {
     std::printf("%s", fault::ToText(reports[0]).c_str());
@@ -541,10 +502,8 @@ int CmdFaults(int argc, char** argv) {
 }
 
 int CmdScenario(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const model::ModelProfile m = model::ModelByName(argv[0]);
-  const topo::Cluster cluster = ClusterFor(argv[1][0], std::atoi(argv[2]));
-  const long gbs = std::atol(argv[3]);
+  const std::optional<Job> job = ParseJob(argc, argv);
+  if (!job) return Usage();
 
   std::string json_path, trace_path, v;
   std::string policy_arg = "all";
@@ -555,16 +514,10 @@ int CmdScenario(int argc, char** argv) {
   scenario::ChurnModel churn = scenario::ChurnModel::kSpotChurn;
   scenario::ChurnOptions churn_options;
   fault::FaultOptions fault_options;
-  fault_options.build.global_batch_size = gbs;
+  fault_options.build.global_batch_size = job->gbs;
   FlagParser flags(argc - 4, argv + 4);
   while (!flags.Done()) {
-    if (flags.MatchValue("--jobs", &v)) {
-      jobs = std::atoi(v.c_str());
-    } else if (flags.MatchValue("--episodes", &v)) {
-      episodes = std::atoi(v.c_str());
-    } else if (flags.MatchValue("--seed", &v)) {
-      seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (flags.MatchValue("--horizon", &v)) {
+    if (flags.MatchValue("--horizon", &v)) {
       churn_options.horizon = std::atof(v.c_str());
     } else if (flags.MatchValue("--churn", &v)) {
       churn = scenario::ParseChurnModel(v);
@@ -574,9 +527,10 @@ int CmdScenario(int argc, char** argv) {
       json_path = v;
     } else if (flags.MatchValue("--trace", &v)) {
       trace_path = v;
-    } else if (flags.MatchValue("--sim-threads", &v)) {
-      sim_threads = std::atoi(v.c_str());
-    } else {
+    } else if (!flags.MatchUnsigned("--jobs", &jobs) &&
+               !flags.MatchUnsigned("--episodes", &episodes) &&
+               !flags.MatchUnsigned("--seed", &seed) &&
+               !flags.MatchUnsigned("--sim-threads", &sim_threads)) {
       flags.Unknown();
     }
   }
@@ -586,8 +540,7 @@ int CmdScenario(int argc, char** argv) {
     return Usage();
   }
 
-  Session session(m, cluster);
-  const planner::ParallelPlan plan = session.Plan(gbs).plan;
+  const planner::ParallelPlan plan = PlanOrLoad(*job, "");
 
   std::vector<fault::RecoveryPolicy> policies;
   if (policy_arg == "all") {
@@ -615,7 +568,7 @@ int CmdScenario(int argc, char** argv) {
       batch.push_back(o);
     }
     const std::vector<scenario::EpisodeReport> reports =
-        scenario::RunEpisodeSweep(m, cluster, plan, batch, sim_threads);
+        scenario::RunEpisodeSweep(job->model, job->cluster, plan, batch, sim_threads);
     long iters = 0;
     int preempt = 0, rejoin = 0, scale_ups = 0;
     double goodput = 0.0, util = 0.0;
@@ -648,12 +601,13 @@ int CmdScenario(int argc, char** argv) {
     // deliberately uneven and the search has something to find.
     std::vector<scenario::JobSpec> specs;
     for (int j = 0; j < jobs; ++j) {
-      specs.push_back(scenario::JobSpec{"job" + std::to_string(j), m, gbs, 40 * (jobs - j)});
+      specs.push_back(
+          scenario::JobSpec{"job" + std::to_string(j), job->model, job->gbs, 40 * (jobs - j)});
     }
     scenario::CoScheduleOptions cosched;
     cosched.sim_threads = sim_threads;
     const scenario::CoScheduleReport report =
-        scenario::CoSchedule(cluster, specs, cosched);
+        scenario::CoSchedule(job->cluster, specs, cosched);
     std::printf("%s", scenario::ToText(report).c_str());
     if (!json_path.empty()) return WriteJsonFile(json_path, scenario::ToJson(report));
   } else if (!json_path.empty()) {
@@ -664,32 +618,27 @@ int CmdScenario(int argc, char** argv) {
 
 int CmdServe(int argc, char** argv) {
   serve::ServerOptions options;
-  std::string socket_path, v;
-  int tcp_port = -1;
+  std::string socket_path;
+  std::uint16_t tcp_port = 0;
+  bool tcp = false;
   int max_connections = 0;
   bool stdio = false;
   FlagParser flags(argc, argv);
   while (!flags.Done()) {
     if (flags.Match("--stdio")) {
       stdio = true;
-    } else if (flags.MatchValue("--socket", &v)) {
-      socket_path = v;
-    } else if (flags.MatchValue("--tcp", &v)) {
-      tcp_port = std::atoi(v.c_str());
-    } else if (flags.MatchValue("--workers", &v)) {
-      options.workers = std::atoi(v.c_str());
-    } else if (flags.MatchValue("--cache-entries", &v)) {
-      options.cache_entries = std::atol(v.c_str());
-    } else if (flags.MatchValue("--max-batch", &v)) {
-      options.max_batch = std::atoi(v.c_str());
-    } else if (flags.MatchValue("--max-connections", &v)) {
-      max_connections = std::atoi(v.c_str());
-    } else {
+    } else if (flags.MatchUnsigned("--tcp", &tcp_port)) {
+      tcp = true;
+    } else if (!flags.MatchValue("--socket", &socket_path) &&
+               !flags.MatchUnsigned("--workers", &options.workers) &&
+               !flags.MatchUnsigned("--cache-entries", &options.cache_entries) &&
+               !flags.MatchUnsigned("--max-batch", &options.max_batch) &&
+               !flags.MatchUnsigned("--max-connections", &max_connections)) {
       flags.Unknown();
     }
   }
   if (!flags.ok()) return Usage();
-  if (stdio && (!socket_path.empty() || tcp_port >= 0)) {
+  if (stdio && (!socket_path.empty() || tcp)) {
     std::fprintf(stderr, "pick one transport: --stdio, --socket or --tcp\n");
     return Usage();
   }
@@ -700,7 +649,7 @@ int CmdServe(int argc, char** argv) {
     std::fprintf(stderr, "dapple serve: %d workers, cache %ld entries, unix socket %s\n",
                  server.workers(), options.cache_entries, socket_path.c_str());
     handled = serve::ServeUnixSocket(socket_path, server, max_connections);
-  } else if (tcp_port >= 0) {
+  } else if (tcp) {
     std::fprintf(stderr, "dapple serve: %d workers, cache %ld entries, tcp 127.0.0.1:%d\n",
                  server.workers(), options.cache_entries, tcp_port);
     handled = serve::ServeTcp(tcp_port, server, max_connections);

@@ -21,6 +21,21 @@
 #include <limits>
 #include <string>
 
+/// True (with `*value` set) when the whole of `text` is an unsigned decimal
+/// that fits T; a sign, trailing garbage or overflow returns false.
+template <typename T>
+bool ParseUnsigned(const std::string& text, T* value) {
+  std::uint64_t parsed = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || stop != end ||
+      parsed > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    return false;
+  }
+  *value = static_cast<T>(parsed);
+  return true;
+}
+
 class FlagParser {
  public:
   FlagParser(int argc, char** argv) : argc_(argc), argv_(argv) {}
@@ -56,16 +71,11 @@ class FlagParser {
   bool MatchUnsigned(const char* name, T* value) {
     std::string text;
     if (!MatchValue(name, &text)) return false;
-    std::uint64_t parsed = 0;
-    const char* end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, parsed);
-    if (ec != std::errc() || stop != end ||
-        parsed > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    if (!ParseUnsigned(text, value)) {
       std::fprintf(stderr, "flag %s needs an unsigned integer, got '%s'\n", name, text.c_str());
       ok_ = false;
       return false;
     }
-    *value = static_cast<T>(parsed);
     return true;
   }
 
