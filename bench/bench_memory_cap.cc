@@ -36,8 +36,8 @@ PlanAttempt TryPlan(const model::ModelProfile& m, const topo::Cluster& cluster,
                     long gbs, Bytes cap, planner::RecomputePolicy policy) {
   planner::PlannerOptions po;
   po.global_batch_size = gbs;
-  po.memory_cap = cap;
   po.recompute = policy;
+  po.latency.memory_cap = cap;
   po.keep_alternatives = 0;
   PlanAttempt attempt;
   try {

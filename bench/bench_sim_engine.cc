@@ -5,17 +5,17 @@
 //      ordered-set/priority-queue containers). The Engine row times what
 //      callers pay — flatten into the SoaGraph layout plus the event loop —
 //      on one reused Engine, and each row is the best of three warmed
-//      trials, so the comparison times steady-state processing, not
-//      first-pass allocation or a scheduler hiccup. Falling below the
-//      reference engine's events/s exits non-zero;
-//   2. events/sec of the BatchRunner multi-seed path at 1/2/8 worker
-//      threads vs the plain serial loop — the win from fanning independent
-//      simulations across cores;
+//      trials timed in the calling thread's CPU time, so the comparison
+//      times steady-state processing, not first-pass allocation, a
+//      scheduler hiccup or other processes sharing the cores. Falling below
+//      the reference engine's events/s exits non-zero;
+//   2. wall-clock events/sec of the BatchRunner multi-seed path at 1/2/8
+//      worker threads vs the plain serial loop — the win from fanning
+//      independent simulations across cores;
 //   3. a candidate-ranking sweep: analytic pre-filter + top-band simulation
 //      vs simulating every candidate. Requires 100% rank-1 recall and (on
 //      the full corpus) a >=5x wall-clock reduction; violations exit
-//      non-zero. `--prefilter=off` skips the comparison and reports the
-//      full-simulation baseline only.
+//      non-zero.
 //
 // Every simulation result is fingerprinted (bit-exact records, pool peaks,
 // makespan) outside the timed regions; any divergence between the
@@ -74,13 +74,7 @@ double Seconds(std::chrono::steady_clock::time_point t0,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool prefilter = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--prefilter=off") == 0) prefilter = false;
-    if (std::strcmp(argv[i], "--prefilter=auto") == 0) prefilter = true;
-  }
+  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
   bench::PrintHeader(
       "Simulation engine — SoA event loop, batched multi-seed, analytic pre-filter",
@@ -100,7 +94,7 @@ int main(int argc, char** argv) {
     total_tasks += corpus.back().graph.num_tasks();
   }
   // Each timed region replays the corpus `reps` times (after one untimed
-  // warmup pass, see bench::TimeWarmedPasses) so walls are well above timer
+  // warmup pass, see bench::TimeWarmedPasses) so times are well above timer
   // resolution even for the quick CI corpus; fingerprints are taken from
   // the final pass.
   const int reps = quick ? 20 : 5;
@@ -118,11 +112,11 @@ int main(int argc, char** argv) {
 
   // 1. Reference vs Engine, serial. The Engine instance is reused across
   // the corpus — exactly how BatchRunner workers run it. Both rows feed the
-  // floor assertion, so each is the best of three warmed trials — a
-  // scheduler hiccup in one trial must not fail CI.
+  // floor assertion, so each is the best of three warmed trials in thread
+  // CPU time — neither a hiccup in one trial nor a busy host may fail CI.
   constexpr int kTrials = 3;
   std::vector<sim::SimResult> ref_results;
-  const double ref_wall = bench::TimeWarmedPassesBestOf(kTrials, reps, [&] {
+  const double ref_cpu = bench::TimeWarmedPassesBestOf(kTrials, reps, [&] {
     ref_results.clear();
     ref_results.reserve(jobs.size());
     for (const sim::SimJob& job : jobs) {
@@ -132,7 +126,7 @@ int main(int argc, char** argv) {
 
   sim::Engine engine;
   std::vector<sim::SimResult> engine_results;
-  const double engine_wall = bench::TimeWarmedPassesBestOf(kTrials, reps, [&] {
+  const double engine_cpu = bench::TimeWarmedPassesBestOf(kTrials, reps, [&] {
     engine_results.clear();
     engine_results.reserve(jobs.size());
     for (const sim::SimJob& job : jobs) {
@@ -154,15 +148,15 @@ int main(int argc, char** argv) {
   }
 
   const double events_per_sec_ref =
-      ref_wall > 0.0 ? static_cast<double>(total_events) / ref_wall : 0.0;
+      ref_cpu > 0.0 ? static_cast<double>(total_events) / ref_cpu : 0.0;
   const double events_per_sec_engine =
-      engine_wall > 0.0 ? static_cast<double>(total_events) / engine_wall : 0.0;
+      engine_cpu > 0.0 ? static_cast<double>(total_events) / engine_cpu : 0.0;
 
-  AsciiTable table({"Path", "Threads", "Wall (s)", "Events/s", "Speedup", "Projected"});
-  table.AddRow({"reference", "1", AsciiTable::Num(ref_wall, 3),
+  AsciiTable table({"Path", "Threads", "Time (s)", "Events/s", "Speedup", "Projected"});
+  table.AddRow({"reference", "1", AsciiTable::Num(ref_cpu, 3),
                 AsciiTable::Num(events_per_sec_ref, 0), "1.00x", "-"});
-  const double engine_speedup = engine_wall > 0.0 ? ref_wall / engine_wall : 0.0;
-  table.AddRow({"engine", "1", AsciiTable::Num(engine_wall, 3),
+  const double engine_speedup = engine_cpu > 0.0 ? ref_cpu / engine_cpu : 0.0;
+  table.AddRow({"engine", "1", AsciiTable::Num(engine_cpu, 3),
                 AsciiTable::Num(events_per_sec_engine, 0),
                 AsciiTable::Num(engine_speedup, 2) + "x", "-"});
   table.AddSeparator();
@@ -196,10 +190,10 @@ int main(int argc, char** argv) {
 
     // Amdahl from the measured driver overhead: the per-simulation work is
     // fully parallel; only the dispatch overhead (batch1 - serial) is not.
-    const double overhead = batch1_wall > engine_wall ? batch1_wall - engine_wall : 0.0;
+    const double overhead = batch1_wall > engine_cpu ? batch1_wall - engine_cpu : 0.0;
     const double projected =
-        engine_wall > 0.0 ? engine_wall / (overhead + engine_wall / threads) : 0.0;
-    const double speedup = wall > 0.0 ? engine_wall / wall : 0.0;
+        engine_cpu > 0.0 ? engine_cpu / (overhead + engine_cpu / threads) : 0.0;
+    const double speedup = wall > 0.0 ? engine_cpu / wall : 0.0;
     const double events = wall > 0.0 ? static_cast<double>(total_events) / wall : 0.0;
     table.AddRow({"batched", AsciiTable::Int(threads), AsciiTable::Num(wall, 3),
                   AsciiTable::Num(events, 0), AsciiTable::Num(speedup, 2) + "x",
@@ -215,8 +209,9 @@ int main(int argc, char** argv) {
   }
 
   // The engine floor: the production engine must not lose to the oracle.
-  // Sub-10 ms timed regions on a shared host swing the ratio by +-20%
-  // between runs, so a tighter floor would measure the host, not the code.
+  // Sub-10 ms timed regions swing the ratio by +-20% between runs even in
+  // thread CPU time (caches, frequency), so a tighter floor would measure
+  // the host, not the code.
   char engine_measured[64];
   std::snprintf(engine_measured, sizeof(engine_measured), "%.2fx events/sec",
                 engine_speedup);
@@ -242,14 +237,13 @@ int main(int argc, char** argv) {
   planner::LatencyOptions lo;
   lo.check_memory = false;
   lo.overlap_allreduce = ranking.options.overlap_allreduce;
-  lo.recompute = ranking.options.schedule.recompute;
-  lo.recompute_overhead = ranking.options.schedule.recompute_overhead;
   const planner::LatencyEstimator estimator(ranking.model, ranking.cluster, lo);
 
   std::vector<planner::RankingCandidate> candidates;
   candidates.reserve(ranking.candidates.size());
   for (const planner::ParallelPlan& plan : ranking.candidates) {
-    candidates.push_back({plan, ranking.options.global_batch_size});
+    candidates.push_back(
+        {runtime::PlanAsBuilt(plan, ranking.options), ranking.options.global_batch_size});
   }
   const auto simulate = [&](int i) {
     const runtime::BuiltPipeline built =
@@ -268,73 +262,67 @@ int main(int argc, char** argv) {
   const auto full_t1 = std::chrono::steady_clock::now();
   const double full_wall = Seconds(full_t0, full_t1);
 
+  planner::RankingOptions pre_opts;
+  pre_opts.prefilter = true;
+  const auto pre_t0 = std::chrono::steady_clock::now();
+  const planner::RankingResult pre =
+      planner::RankCandidates(estimator, candidates, simulate, pre_opts);
+  const auto pre_t1 = std::chrono::steady_clock::now();
+  const double pre_wall = Seconds(pre_t0, pre_t1);
+  const double reduction = pre_wall > 0.0 ? full_wall / pre_wall : 0.0;
+
   AsciiTable rank_table(
       {"Mode", "Candidates", "Simulated", "Wall (s)", "Reduction", "Best makespan"});
   rank_table.AddRow({"full sim", AsciiTable::Int(num_candidates),
                      AsciiTable::Int(static_cast<int>(full.sim.simulated.size())),
                      AsciiTable::Num(full_wall, 3), "1.00x",
                      AsciiTable::Num(full.sim.best_value, 6)});
+  rank_table.AddRow({"prefiltered", AsciiTable::Int(num_candidates),
+                     AsciiTable::Int(static_cast<int>(pre.sim.simulated.size())),
+                     AsciiTable::Num(pre_wall, 3), AsciiTable::Num(reduction, 2) + "x",
+                     AsciiTable::Num(pre.sim.best_value, 6)});
 
-  if (prefilter) {
-    planner::RankingOptions pre_opts;
-    pre_opts.prefilter = true;
-    const auto pre_t0 = std::chrono::steady_clock::now();
-    const planner::RankingResult pre =
-        planner::RankCandidates(estimator, candidates, simulate, pre_opts);
-    const auto pre_t1 = std::chrono::steady_clock::now();
-    const double pre_wall = Seconds(pre_t0, pre_t1);
-    const double reduction = pre_wall > 0.0 ? full_wall / pre_wall : 0.0;
+  const bool recall_ok =
+      full.best < 0 ? pre.best < 0
+                    : pre.best >= 0 && pre.sim.best_value == full.sim.best_value;
+  bench::PrintComparison("prefilter rank-1 recall", "100%",
+                         recall_ok ? "100% (best makespans bit-identical)" : "VIOLATED");
+  if (!recall_ok) {
+    std::fprintf(stderr,
+                 "PREFILTER RECALL VIOLATION: prefiltered best %.9g != full-sweep "
+                 "best %.9g\n",
+                 pre.sim.best_value, full.sim.best_value);
+    ++failures;
+  }
 
-    rank_table.AddRow({"prefiltered", AsciiTable::Int(num_candidates),
-                       AsciiTable::Int(static_cast<int>(pre.sim.simulated.size())),
-                       AsciiTable::Num(pre_wall, 3),
-                       AsciiTable::Num(reduction, 2) + "x",
-                       AsciiTable::Num(pre.sim.best_value, 6)});
-
-    const bool recall_ok =
-        full.best < 0 ? pre.best < 0
-                      : pre.best >= 0 && pre.sim.best_value == full.sim.best_value;
-    bench::PrintComparison("prefilter rank-1 recall", "100%",
-                           recall_ok ? "100% (best makespans bit-identical)"
-                                     : "VIOLATED");
-    if (!recall_ok) {
-      std::fprintf(stderr,
-                   "PREFILTER RECALL VIOLATION: prefiltered best %.9g != full-sweep "
-                   "best %.9g\n",
-                   pre.sim.best_value, full.sim.best_value);
-      ++failures;
-    }
-
-    // The wall-clock claim: >=5x on the full 100k-candidate sweep. The
-    // quick sweep keeps a lower floor — with 2k candidates, fixed per-leg
-    // costs (scoring, corpus-independent setup) weigh more.
-    const double reduction_floor = quick ? 1.5 : 5.0;
-    char red_measured[96];
-    std::snprintf(red_measured, sizeof(red_measured), "%.2fx (%d of %d simulated)",
-                  reduction, static_cast<int>(pre.sim.simulated.size()),
-                  num_candidates);
-    char red_target[32];
-    std::snprintf(red_target, sizeof(red_target), ">=%.1fx", reduction_floor);
-    bench::PrintComparison("prefiltered ranking wall-clock reduction", red_target,
-                           red_measured);
-    if (reduction < reduction_floor) {
-      std::fprintf(stderr, "PREFILTER SPEEDUP SHORTFALL: %.2fx, floor %.1fx\n",
-                   reduction, reduction_floor);
-      ++failures;
-    }
-  } else {
-    std::printf("  (prefilter disabled: --prefilter=off)\n");
+  // The wall-clock claim: >=5x on the full 100k-candidate sweep. The quick
+  // sweep keeps a lower floor — with 2k candidates, fixed per-leg costs
+  // (scoring, corpus-independent setup) weigh more.
+  const double reduction_floor = quick ? 1.5 : 5.0;
+  char red_measured[96];
+  std::snprintf(red_measured, sizeof(red_measured), "%.2fx (%d of %d simulated)", reduction,
+                static_cast<int>(pre.sim.simulated.size()), num_candidates);
+  char red_target[32];
+  std::snprintf(red_target, sizeof(red_target), ">=%.1fx", reduction_floor);
+  bench::PrintComparison("prefiltered ranking wall-clock reduction", red_target,
+                         red_measured);
+  if (reduction < reduction_floor) {
+    std::fprintf(stderr, "PREFILTER SPEEDUP SHORTFALL: %.2fx, floor %.1fx\n", reduction,
+                 reduction_floor);
+    ++failures;
   }
   std::printf("%s", rank_table.ToString().c_str());
 
   std::printf(
-      "\nReading guide: 'Speedup' compares against the serial reference loop\n"
-      "of the same corpus; the batched rows' speedup is against the serial\n"
-      "engine loop and reflects the host's real core count, with 'Projected'\n"
-      "the Amdahl bound from the measured one-thread batch overhead (the\n"
-      "per-simulation work itself is embarrassingly parallel). On a\n"
-      "single-core host trust the projection. Identity of every simulation\n"
-      "against the reference engine is asserted in this same run.\n");
+      "\nReading guide: 'Time' is thread CPU time on the serial rows and wall\n"
+      "clock on the batched rows. 'Speedup' compares against the serial\n"
+      "reference loop of the same corpus; the batched rows' speedup is\n"
+      "against the serial engine loop and reflects the host's real core\n"
+      "count, with 'Projected' the Amdahl bound from the measured one-thread\n"
+      "batch overhead (the per-simulation work itself is embarrassingly\n"
+      "parallel). On a single-core host trust the projection. Identity of\n"
+      "every simulation against the reference engine is asserted in this\n"
+      "same run.\n");
 
   if (failures > 0) {
     std::fprintf(stderr, "%d bench invariant violation(s)\n", failures);

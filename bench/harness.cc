@@ -1,8 +1,9 @@
 #include "harness.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -170,11 +171,15 @@ void PrintComparison(const std::string& metric, const std::string& paper,
 }
 
 double TimeWarmedPasses(int reps, const std::function<void()>& pass) {
+  auto thread_seconds = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+  };
   pass();  // untimed warmup
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = thread_seconds();
   for (int rep = 0; rep < reps; ++rep) pass();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
+  return thread_seconds() - t0;
 }
 
 double TimeWarmedPassesBestOf(int trials, int reps, const std::function<void()>& pass) {

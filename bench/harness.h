@@ -54,11 +54,12 @@ void PrintHeader(const std::string& title, const std::string& paper_anchor);
 void PrintComparison(const std::string& metric, const std::string& paper,
                      const std::string& measured);
 
-/// Wall seconds of `reps` identical passes of `pass`, measured after one
-/// untimed warmup pass. The warmup populates the engine's arena and
-/// flatten scratch and allocator caches, so per-row engine comparisons
-/// time steady-state throughput instead of charging first-pass allocation
-/// to whichever engine happens to run first.
+/// CPU seconds the calling thread spends in `reps` identical passes of
+/// `pass` (CLOCK_THREAD_CPUTIME_ID, so a parallel ctest run cannot skew
+/// serial ratios), measured after one untimed warmup pass. The warmup
+/// populates the engine's flatten scratch and allocator caches, so per-row
+/// engine comparisons time steady-state throughput instead of charging
+/// first-pass allocation to whichever engine happens to run first.
 double TimeWarmedPasses(int reps, const std::function<void()>& pass);
 
 /// Minimum of `trials` TimeWarmedPasses measurements. Engine-vs-engine

@@ -358,8 +358,8 @@ MemoryCapFuzzOutcome MemoryCapFuzz::Run(const MemoryCapFuzzCase& c) {
 
   planner::PlannerOptions po;
   po.global_batch_size = c.global_batch_size;
-  po.memory_cap = c.memory_cap;
   po.recompute = c.recompute;
+  po.latency.memory_cap = c.memory_cap;
   po.latency.schedule_kind = c.kind;
   po.keep_alternatives = 0;
   po.num_threads = 1;
@@ -376,9 +376,7 @@ MemoryCapFuzzOutcome MemoryCapFuzz::Run(const MemoryCapFuzzCase& c) {
   out.planned = true;
   out.analytic_peak = planned.estimate.max_peak_memory;
   for (const planner::StagePlan& s : planned.plan.stages) {
-    if (c.recompute == planner::RecomputePolicy::kAll || s.recompute) {
-      ++out.recompute_stages;
-    }
+    out.recompute_stages += s.recompute ? 1 : 0;
   }
   if (out.analytic_peak > c.memory_cap) {
     out.report.violations.push_back(
@@ -387,12 +385,7 @@ MemoryCapFuzzOutcome MemoryCapFuzz::Run(const MemoryCapFuzzCase& c) {
                             FormatBytes(c.memory_cap)});
   }
 
-  runtime::BuildOptions bo;
-  bo.global_batch_size = c.global_batch_size;
-  bo.schedule.kind = c.kind;
-  bo.schedule.recompute = c.recompute == planner::RecomputePolicy::kAll;
-  bo.memory_cap = c.memory_cap;
-  bo.enforce_memory_capacity = true;
+  const runtime::BuildOptions bo = runtime::BuildOptionsFor(po);
   try {
     runtime::GraphBuilder builder(c.model, c.cluster, planned.plan, bo);
     const runtime::BuiltPipeline built = builder.Build();
@@ -650,14 +643,12 @@ RankingFuzzOutcome RankingFuzz::Run(const RankingFuzzCase& c) {
   planner::LatencyOptions lo;
   lo.check_memory = false;
   lo.overlap_allreduce = c.options.overlap_allreduce;
-  lo.recompute = c.options.schedule.recompute;
-  lo.recompute_overhead = c.options.schedule.recompute_overhead;
   const planner::LatencyEstimator estimator(c.model, c.cluster, lo);
 
   std::vector<planner::RankingCandidate> candidates;
   candidates.reserve(c.candidates.size());
   for (const planner::ParallelPlan& plan : c.candidates) {
-    candidates.push_back({plan, c.options.global_batch_size});
+    candidates.push_back({runtime::PlanAsBuilt(plan, c.options), c.options.global_batch_size});
   }
 
   // A candidate whose build or simulation throws never wins either leg.
@@ -717,11 +708,9 @@ FuzzOutcome ScheduleFuzz::Run(const FuzzCase& c) {
       planner::LatencyOptions lo;
       lo.check_memory = false;
       lo.overlap_allreduce = c.options.overlap_allreduce;
-      lo.recompute = c.options.schedule.recompute;
-      lo.recompute_overhead = c.options.schedule.recompute_overhead;
       const planner::LatencyEstimator estimator(c.model, c.cluster, lo);
-      const planner::PlanEstimate e =
-          estimator.Estimate(c.plan, c.options.global_batch_size);
+      const planner::PlanEstimate e = estimator.Estimate(runtime::PlanAsBuilt(c.plan, c.options),
+                                                         c.options.global_batch_size);
       out.checked_latency = true;
       out.analytic_latency = e.latency;
       const double over = c.plan.num_stages() == 1 ? kAnalyticOverSimTolerance

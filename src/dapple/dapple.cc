@@ -23,49 +23,25 @@ planner::PlanResult Session::Plan(long global_batch_size,
   options.global_batch_size = global_batch_size;
   planner::PlanResult result;
   try {
-    planner::DapplePlanner planner(model_, cluster_, options);
-    result = planner.Plan();
+    result = planner::DapplePlanner(model_, cluster_, options).Plan();
   } catch (const Error&) {
-    // Nothing fits without re-computation: retry in the paper's
-    // Table VIII operating mode (checkpoint + replay), which divides the
-    // activation footprint by roughly the stage depth. Under the kAuto
-    // policy the planner already ran this fallback itself (per stage);
-    // kAll already recomputed everywhere — rethrow for both.
-    if (options.latency.recompute ||
-        options.recompute != planner::RecomputePolicy::kOff) {
-      throw;
-    }
-    options.latency.recompute = true;
-    planner::DapplePlanner planner(model_, cluster_, options);
-    result = planner.Plan();
-    // The retry's recompute decision must ride the plan itself: a later
-    // build of this plan (dapple run/report, LoadPlan) would otherwise
-    // stash full activations and OOM at the very cap the retry satisfied.
-    for (planner::StagePlan& stage : result.plan.stages) stage.recompute = true;
-    for (auto& alternative : result.alternatives) {
-      for (planner::StagePlan& stage : alternative.first.stages) {
-        stage.recompute = true;
-      }
-    }
-    result.stats.recompute_stages = static_cast<int>(result.plan.stages.size());
+    // Nothing fits without re-computation: re-plan in the paper's
+    // Table VIII operating mode (checkpoint + replay on every stage), which
+    // divides the activation footprint by roughly the stage depth. kAuto
+    // already ran its own per-stage fallback and kAll already recomputed
+    // everywhere, so both rethrow.
+    if (options.recompute != planner::RecomputePolicy::kOff) throw;
+    options.recompute = planner::RecomputePolicy::kAll;
+    result = planner::DapplePlanner(model_, cluster_, options).Plan();
   }
 
+  // Candidates simulate under the schedule family and memory cap they were
+  // planned for, so an analytic misfit shows up as OOM (-> infinite
+  // latency) during re-ranking instead of silently passing.
+  const runtime::BuildOptions build = runtime::BuildOptionsFor(options);
   auto simulate = [&](const planner::ParallelPlan& plan) -> TimeSec {
-    runtime::BuildOptions run_options;
-    run_options.global_batch_size = global_batch_size;
-    run_options.schedule.recompute =
-        options.latency.recompute ||
-        options.recompute == planner::RecomputePolicy::kAll;
-    run_options.schedule.recompute_overhead = options.latency.recompute_overhead;
-    run_options.overlap_allreduce = options.latency.overlap_allreduce;
-    // Same cap in the simulator pools as in the planner's feasibility
-    // check, so an analytic misfit shows up as OOM (-> infinite latency)
-    // during re-ranking instead of silently passing. Per-stage recompute
-    // flags ride the plan itself.
-    run_options.memory_cap =
-        options.memory_cap > 0 ? options.memory_cap : options.latency.memory_cap;
     const sim::SimResult result =
-        runtime::PipelineExecutor(model_, cluster_, plan, run_options).RunDetailed().result;
+        runtime::PipelineExecutor(model_, cluster_, plan, build).RunDetailed().result;
     return result.AnyOom() ? std::numeric_limits<TimeSec>::infinity() : result.makespan;
   };
 

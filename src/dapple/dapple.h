@@ -55,10 +55,12 @@ class Session {
   /// Table II style summary of the model on this cluster's device.
   model::ProfileReport Profile() const;
 
-  /// Runs the DAPPLE planner at a global batch size. If no plan fits
-  /// device memory without re-computation, retries with re-computation
-  /// enabled (the paper's Table VIII operating mode); the chosen latency
-  /// options are reflected in the result's estimate.
+  /// Runs the DAPPLE planner at a global batch size, then re-ranks its
+  /// alternatives and refines the winner's boundaries by simulating them
+  /// under the requested schedule family and memory cap. If no plan fits
+  /// device memory without re-computation, re-plans with re-computation on
+  /// every stage (the paper's Table VIII operating mode); the flags ride
+  /// the returned plan.
   planner::PlanResult Plan(long global_batch_size,
                            planner::PlannerOptions options = {}) const;
 

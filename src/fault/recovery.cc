@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -15,22 +17,6 @@ namespace {
 
 constexpr TimeSec kInf = std::numeric_limits<TimeSec>::infinity();
 
-/// Runs the (parallel, memoized) planner for an online elastic replan and
-/// books its search stats under fault.replan.* — replans happen on the
-/// recovery critical path, so their wall time and cache behaviour are the
-/// numbers an operator actually cares about.
-planner::ParallelPlan ReplanOnline(const model::ModelProfile& model,
-                                   const topo::Cluster& degraded,
-                                   const planner::PlannerOptions& options) {
-  planner::PlanResult result = planner::DapplePlanner(model, degraded, options).Plan();
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.counter("fault.replan.runs").Increment();
-  metrics.counter("fault.replan.subproblems").Increment(result.stats.subproblems);
-  metrics.counter("fault.replan.cache_hits").Increment(result.stats.cache_hits);
-  metrics.histogram("fault.replan.wall_seconds").Observe(result.stats.wall_seconds);
-  return std::move(result.plan);
-}
-
 /// One running configuration: a plan built against a (possibly degraded)
 /// cluster, plus the id map back to the original and the state it targets.
 struct Config {
@@ -40,6 +26,47 @@ struct Config {
   runtime::BuiltPipeline built;
   ClusterState planned_state;
 };
+
+/// An elastic replan onto a cluster state: the degraded cluster and the
+/// next plan, or no plan and the reason training halts.
+struct ElasticReplan {
+  DegradedCluster degraded;
+  bool grew = false;  // a device rejoined
+  std::optional<planner::ParallelPlan> plan;
+  std::string halt_reason;
+};
+
+/// Degrade -> replan online -> remap the running plan when the planner
+/// finds nothing -> halt. The online planner books its search stats under
+/// fault.replan.*: replans sit on the recovery critical path, so their wall
+/// time and cache behaviour are the numbers an operator cares about. Only
+/// elastic-up ever sees a grown cluster (PolicyStateAt keeps crashes
+/// permanent for every other policy), so the remap may use new devices
+/// exactly when the cluster grew.
+ElasticReplan Replan(const model::ModelProfile& model, const topo::Cluster& cluster,
+                     const ClusterState& now, const Config& running,
+                     const planner::PlannerOptions& options) {
+  ElasticReplan step{MakeDegradedCluster(cluster, now), false, std::nullopt, {}};
+  if (!step.degraded.feasible) {
+    step.halt_reason = "no surviving server to replan onto";
+    return step;
+  }
+  step.grew = step.degraded.cluster.num_devices() > running.cluster.num_devices();
+  try {
+    planner::PlanResult result =
+        planner::DapplePlanner(model, step.degraded.cluster, options).Plan();
+    auto& metrics = obs::MetricsRegistry::Global();
+    metrics.counter("fault.replan.runs").Increment();
+    metrics.counter("fault.replan.subproblems").Increment(result.stats.subproblems);
+    metrics.counter("fault.replan.cache_hits").Increment(result.stats.cache_hits);
+    metrics.histogram("fault.replan.wall_seconds").Observe(result.stats.wall_seconds);
+    step.plan = std::move(result.plan);
+  } catch (const Error&) {
+    step.plan = RemapPlanToCluster(running.plan, step.degraded, step.grew);
+    if (!step.plan) step.halt_reason = "planner found no feasible plan on the degraded cluster";
+  }
+  return step;
+}
 
 std::vector<topo::DeviceId> IdentityMap(int n) {
   std::vector<topo::DeviceId> map(static_cast<std::size_t>(n));
@@ -191,28 +218,15 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
     if (policy == RecoveryPolicy::kElasticReplan || policy == RecoveryPolicy::kElasticUp) {
       const ClusterState now = PolicyStateAt(script, cluster, t, policy);
       if (now != config.planned_state) {
-        const DegradedCluster degraded = MakeDegradedCluster(cluster, now);
-        if (!degraded.feasible) {
-          halt(t, "no surviving server to replan onto");
+        ElasticReplan step = Replan(model, cluster, now, config, planner_options);
+        if (!step.plan) {
+          halt(t, step.halt_reason);
           break;
         }
-        // A grown cluster means a device rejoined: probe the planner on the
-        // full new topology (elastic-up only ever reaches here with growth
-        // enabled in the remap fallback, so the new hardware is never
-        // silently wasted).
-        const bool grew = degraded.cluster.num_devices() > config.cluster.num_devices();
-        planner::ParallelPlan next_plan;
-        try {
-          next_plan = ReplanOnline(model, degraded.cluster, planner_options);
-        } catch (const Error&) {
-          const auto remapped = RemapPlanToCluster(config.plan, degraded, grew);
-          if (!remapped) {
-            halt(t, "planner found no feasible plan on the degraded cluster");
-            break;
-          }
-          next_plan = *remapped;
-        }
-        if (grew && policy == RecoveryPolicy::kElasticUp) {
+        std::string note =
+            "replanned onto " + step.degraded.cluster.name() + " as " + step.plan->ToString();
+        TimeSec done = t + options.replan_cost;
+        if (step.grew) {
           // Checkpoint-bounded cutover: new devices need a state snapshot,
           // so pay a restore on top of the replan and roll back to the last
           // periodic checkpoint — at most checkpoint_period iterations.
@@ -222,25 +236,13 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
           ++report.scale_ups;
           report.max_scale_up_rollback = std::max(report.max_scale_up_rollback, rollback);
           ++report.restores;
-          ++report.replans;
-          const TimeSec done = t + options.replan_cost + options.restore_cost;
-          report.timeline.push_back(
-              {"scale-up", t, done, -1,
-               "rolled back to iteration " + std::to_string(last_checkpoint_iter) +
-                   ", replanned onto " + degraded.cluster.name() + " as " +
-                   next_plan.ToString()});
-          config = build_config(std::move(next_plan), degraded.cluster,
-                                degraded.to_original_device, now);
-          t = done;
-          continue;
+          done += options.restore_cost;
+          note = "rolled back to iteration " + std::to_string(last_checkpoint_iter) + ", " + note;
         }
-        const TimeSec done = t + options.replan_cost;
-        report.timeline.push_back(
-            {"replan", t, done, -1, "replanned onto " + degraded.cluster.name() + " as " +
-                                        next_plan.ToString()});
+        report.timeline.push_back({step.grew ? "scale-up" : "replan", t, done, -1, note});
         ++report.replans;
-        config = build_config(std::move(next_plan), degraded.cluster,
-                              degraded.to_original_device, now);
+        config = build_config(std::move(*step.plan), step.degraded.cluster,
+                              step.degraded.to_original_device, now);
         t = done;
         continue;  // state may have shifted again while replanning
       }
@@ -322,31 +324,17 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
       case RecoveryPolicy::kElasticUp: {
         const TimeSec resumed = crash_time + options.detect_latency + options.replan_cost;
         const ClusterState now = PolicyStateAt(script, cluster, resumed, policy);
-        const DegradedCluster degraded = MakeDegradedCluster(cluster, now);
-        if (!degraded.feasible) {
-          halt(crash_time, "no surviving server to replan onto");
+        ElasticReplan step = Replan(model, cluster, now, config, planner_options);
+        if (!step.plan) {
+          halt(crash_time, step.halt_reason);
           break;
         }
-        planner::ParallelPlan next_plan;
-        try {
-          next_plan = ReplanOnline(model, degraded.cluster, planner_options);
-        } catch (const Error&) {
-          const auto remapped = RemapPlanToCluster(
-              config.plan, degraded,
-              policy == RecoveryPolicy::kElasticUp &&
-                  degraded.cluster.num_devices() > config.cluster.num_devices());
-          if (!remapped) {
-            halt(crash_time, "planner found no feasible plan on the degraded cluster");
-            break;
-          }
-          next_plan = *remapped;
-        }
         report.timeline.push_back({"replan", crash_time, resumed, -1,
-                                   "replanned onto " + degraded.cluster.name() + " as " +
-                                       next_plan.ToString()});
+                                   "replanned onto " + step.degraded.cluster.name() + " as " +
+                                       step.plan->ToString()});
         ++report.replans;
-        config = build_config(std::move(next_plan), degraded.cluster,
-                              degraded.to_original_device, now);
+        config = build_config(std::move(*step.plan), step.degraded.cluster,
+                              step.degraded.to_original_device, now);
         t = resumed;
         break;
       }

@@ -78,8 +78,7 @@ std::unique_ptr<StageCostCache> MakeStageCache(const PlannerOptions& options,
     return nullptr;
   }
   return std::make_unique<StageCostCache>(
-      static_cast<std::size_t>(std::max(1, options.cache_shards)),
-      static_cast<std::size_t>(std::max(0L, options.cache_entries_per_shard)));
+      /*shards=*/16, static_cast<std::size_t>(std::max(0L, options.cache_entries_per_shard)));
 }
 
 }  // namespace
@@ -110,33 +109,24 @@ DapplePlanner::DapplePlanner(const model::ModelProfile& model, const topo::Clust
 }
 
 PlanEstimate DapplePlanner::Evaluate(const ParallelPlan& plan) const {
-  LatencyEstimator estimator(*model_, *cluster_, EffectiveLatencyOptions(
-                                 options_.recompute == RecomputePolicy::kAll));
-  return estimator.Estimate(plan, options_.global_batch_size);
-}
-
-LatencyOptions DapplePlanner::EffectiveLatencyOptions(bool recompute_all) const {
-  LatencyOptions latency = options_.latency;
-  if (options_.memory_cap > 0) latency.memory_cap = options_.memory_cap;
-  if (recompute_all) latency.recompute = true;
-  return latency;
+  return LatencyEstimator(*model_, *cluster_, options_.latency)
+      .Estimate(plan, options_.global_batch_size);
 }
 
 PlanResult DapplePlanner::Plan() const {
   if (options_.recompute != RecomputePolicy::kAuto) {
-    return Search(EffectiveLatencyOptions(options_.recompute == RecomputePolicy::kAll));
+    return Search(options_.recompute == RecomputePolicy::kAll);
   }
   // Auto: try without recomputation first — it is latency-free and most
   // instances fit. DawnPiper-style fallback only when nothing fits.
   try {
-    return Search(EffectiveLatencyOptions(false));
+    return Search(false);
   } catch (const Error&) {
     // Fall through: rerun with recomputation on every stage (throws again
     // if even that cannot fit), then trim to the cheapest subset.
   }
-  PlanResult result = Search(EffectiveLatencyOptions(true));
-  const LatencyOptions plain = EffectiveLatencyOptions(false);
-  LatencyEstimator estimator(*model_, *cluster_, plain);
+  PlanResult result = Search(true);
+  LatencyEstimator estimator(*model_, *cluster_, options_.latency);
   const std::unique_ptr<StageCostCache> cache =
       MakeStageCache(options_, cluster_->num_devices());
   estimator.set_stage_cache(cache.get());
@@ -165,12 +155,12 @@ int DapplePlanner::MinimizeRecompute(const LatencyEstimator& estimator,
                                      ParallelPlan& plan, PlanEstimate& estimate) const {
   const int S = plan.num_stages();
   // Latency penalty of checkpointing stage s is the replayed forward:
-  // recompute_overhead x F_s. Cheapest stages first, ties by stage index.
+  // kRecomputeOverhead x F_s. Cheapest stages first, ties by stage index.
   std::vector<TimeSec> penalty(static_cast<std::size_t>(S), 0.0);
   for (const StageCost& sc : estimate.stages) {
     if (!sc.is_comm && sc.comp_index >= 0 && sc.comp_index < S) {
       penalty[static_cast<std::size_t>(sc.comp_index)] =
-          estimator.options().recompute_overhead * sc.forward;
+          runtime::kRecomputeOverhead * sc.forward;
     }
   }
   std::vector<int> order(static_cast<std::size_t>(S));
@@ -216,7 +206,7 @@ int DapplePlanner::MinimizeRecompute(const LatencyEstimator& estimator,
   return probes;
 }
 
-PlanResult DapplePlanner::Search(const LatencyOptions& latency) const {
+PlanResult DapplePlanner::Search(bool recompute_all) const {
   const auto search_start = std::chrono::steady_clock::now();
   const int num_layers = model_->num_layers();
   const int num_devices = cluster_->num_devices();
@@ -224,6 +214,7 @@ PlanResult DapplePlanner::Search(const LatencyOptions& latency) const {
       options_.max_stages > 0 ? options_.max_stages : num_devices;
   DAPPLE_CHECK_GT(num_devices, 0);
 
+  const LatencyOptions& latency = options_.latency;
   LatencyEstimator estimator(*model_, *cluster_, latency);
   const std::unique_ptr<StageCostCache> cache = MakeStageCache(options_, num_devices);
   estimator.set_stage_cache(cache.get());
@@ -309,6 +300,7 @@ PlanResult DapplePlanner::Search(const LatencyOptions& latency) const {
     last.layer_begin = prefix_end;
     last.layer_end = num_layers;
     last.devices = topo::DeviceSet(std::move(free));
+    last.recompute = recompute_all;
     plan.stages.push_back(std::move(last));
     return plan;
   };
@@ -454,6 +446,7 @@ PlanResult DapplePlanner::Search(const LatencyOptions& latency) const {
         stage.layer_end = jp;
         stage.devices = sub.devices;
         stage.policy = sub.policy;
+        stage.recompute = recompute_all;
         e.child.prefix.push_back(std::move(stage));
         e.completed = build_completed(e.child, jp);
         if (e.completed) {
@@ -531,6 +524,7 @@ PlanResult DapplePlanner::Search(const LatencyOptions& latency) const {
     metrics.counter("planner.candidates_pruned").Increment(pruned);
   }
   ExportSearchStats(best.stats);
+  if (recompute_all) best.stats.recompute_stages = best.plan.num_stages();
 
   // Pin the pure data-parallel plan into the alternatives (appended past
   // the top-k cut if necessary): it is the paper's universal baseline and
@@ -542,6 +536,7 @@ PlanResult DapplePlanner::Search(const LatencyOptions& latency) const {
     all.layer_begin = 0;
     all.layer_end = num_layers;
     all.devices = topo::DeviceSet::Range(0, num_devices);
+    all.recompute = recompute_all;
     dp.stages.push_back(std::move(all));
     const PlanEstimate dp_est = estimator.Estimate(dp, options_.global_batch_size);
     if (dp_est.feasible) {
@@ -563,7 +558,7 @@ PlanResult DapplePlanner::Search(const LatencyOptions& latency) const {
        << num_devices << " devices)";
     if (latency.memory_cap > 0) {
       os << " under memory cap " << FormatBytes(latency.memory_cap)
-         << (latency.recompute ? " with recompute" : "");
+         << (recompute_all ? " with recompute" : "");
     }
     if (!last_infeasible.empty()) os << ": " << last_infeasible;
     throw Error(os.str());

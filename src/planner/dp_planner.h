@@ -53,13 +53,13 @@ struct PlannerOptions {
   /// Ablation hook: restrict the device-placement search to a subset of
   /// the three policies. Empty = all (the paper's full search space).
   std::vector<topo::PlacementPolicy> policies;
-  /// Per-device memory cap in bytes; 0 = the cluster's device memory.
-  /// Overrides latency.memory_cap when set. Same boundary convention as
-  /// sim::MemoryPool::oom(): a candidate whose estimated peak equals the
-  /// cap is feasible; one byte over is rejected.
-  Bytes memory_cap = 0;
-  /// Recomputation knob for fitting under the cap (see RecomputePolicy).
+  /// Recomputation knob for fitting under latency.memory_cap (see
+  /// RecomputePolicy). The result carries its choice as per-stage
+  /// StagePlan::recompute flags.
   RecomputePolicy recompute = RecomputePolicy::kOff;
+  /// Estimator settings, including the schedule family the plan will run
+  /// under and the per-device memory cap (runtime::BuildOptionsFor hands
+  /// both to the simulator).
   LatencyOptions latency;
   /// Worker threads for the subproblem-parallel search: 0 = the shared
   /// pool (sized to hardware concurrency), 1 = fully serial in the calling
@@ -67,9 +67,6 @@ struct PlannerOptions {
   /// winning plan is byte-identical at every setting (the merge is
   /// sequential in enumeration order; parallel work is slot-indexed).
   int num_threads = 0;
-  /// Lock shards of the stage-cost memo cache (rounded up to a power of
-  /// two). More shards cut contention when many threads evaluate at once.
-  int cache_shards = 16;
   /// Per-shard LRU capacity bound on the stage-cost cache (entries). 0 =
   /// unbounded — fine for one search, whose vocabulary is finite; a
   /// long-lived process (the serve daemon) sets a bound so the memo table
@@ -100,29 +97,27 @@ class DapplePlanner {
                 PlannerOptions options);
 
   /// Runs the search and returns the best feasible plan. Under
-  /// RecomputePolicy::kAuto a memory-infeasible search is retried with
-  /// recomputation everywhere, then trimmed to the cheapest per-stage
-  /// subset that still fits (StagePlan::recompute flags on the result).
-  /// Throws when no feasible plan exists even then.
+  /// RecomputePolicy::kAll every stage of the plan and of its alternatives
+  /// is flagged for recomputation. Under kAuto a memory-infeasible search
+  /// is retried with recomputation everywhere, then trimmed to the cheapest
+  /// per-stage subset that still fits. Throws when no feasible plan exists
+  /// even then.
   PlanResult Plan() const;
 
-  /// Evaluates a fully specified plan with this planner's latency options
-  /// (used to compare externally produced strategies, e.g. PipeDream's).
+  /// Evaluates a fully specified plan, its own recompute flags included,
+  /// with this planner's latency options (used to compare externally
+  /// produced strategies, e.g. PipeDream's).
   PlanEstimate Evaluate(const ParallelPlan& plan) const;
 
  private:
-  /// Effective estimator options: options_.latency with the planner-level
-  /// memory cap folded in (and recompute forced on when `recompute_all`).
-  LatencyOptions EffectiveLatencyOptions(bool recompute_all) const;
-
-  /// One full DP search at fixed latency options.
-  PlanResult Search(const LatencyOptions& latency) const;
+  /// One full DP search; `recompute_all` flags every stage it creates.
+  PlanResult Search(bool recompute_all) const;
 
   /// Turns an all-recompute plan into the cheapest per-stage recompute
   /// subset that still fits: stages sorted by latency penalty
-  /// (recompute_overhead x F_s, ties by index), smallest feasible prefix
-  /// found by binary search, re-estimated without the global flag. Returns
-  /// the number of estimator probes spent.
+  /// (runtime::kRecomputeOverhead x F_s, ties by index), smallest feasible
+  /// prefix found by binary search. Returns the number of estimator probes
+  /// spent.
   int MinimizeRecompute(const LatencyEstimator& estimator, ParallelPlan& plan,
                         PlanEstimate& estimate) const;
 

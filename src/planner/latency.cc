@@ -132,11 +132,11 @@ int LatencyEstimator::ChoosePivot(const std::vector<StageCost>& stages,
 }
 
 Bytes LatencyEstimator::StagePeakMemory(const StagePlan& stage, double samples,
-                                        int warmup_depth, bool recompute) const {
+                                        int warmup_depth) const {
   const Bytes baseline = model_->BaselineMemory(stage.layer_begin, stage.layer_end);
   Bytes per_micro;
   Bytes transient = 0;
-  if (recompute) {
+  if (stage.recompute) {
     per_micro = model_->CheckpointMemory(stage.layer_begin, stage.layer_end, samples);
     // While a backward pass replays one layer block, that block's full
     // activation set is transiently resident.
@@ -167,15 +167,14 @@ Bytes LatencyEstimator::FamilyPeakMemory(runtime::ScheduleKind kind,
         plan.stages[static_cast<std::size_t>(runtime::HostStage(kind, i, S))];
     const double samples =
         static_cast<double>(mb.micro_batch_size) / host.replication();
-    const bool rc = options_.recompute || stage.recompute;
     auto compute_memory = [&]() -> StageCostValue {
-      return {StageCost{}, StagePeakMemory(stage, samples, k, rc)};
+      return {StageCost{}, StagePeakMemory(stage, samples, k)};
     };
     return cache_ ? cache_
                         ->GetOrCompute(
                             StageCostCache::MemoryKey(stage.layer_begin, stage.layer_end,
                                                       host.replication(),
-                                                      mb.micro_batch_size, k, rc),
+                                                      mb.micro_batch_size, k, stage.recompute),
                             compute_memory)
                         .bytes
                   : compute_memory().bytes;
@@ -254,9 +253,7 @@ ScheduleFamilyEstimate LatencyEstimator::EstimateFamily(runtime::ScheduleKind ki
     bwd_raw[idx] =
         model_->BackwardTime(stage.layer_begin, stage.layer_end, samples, speed);
     bwd[idx] = bwd_raw[idx];
-    if (options_.recompute || stage.recompute) {
-      bwd[idx] += options_.recompute_overhead * fwd[idx];
-    }
+    if (stage.recompute) bwd[idx] += runtime::kRecomputeOverhead * fwd[idx];
   }
   TimeSec sum_f = 0.0, sum_b = 0.0, max_f = 0.0, max_b = 0.0, max_round = 0.0;
   for (int i = 0; i < S; ++i) {
@@ -342,7 +339,6 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
     const StagePlan& stage = plan.stages[static_cast<std::size_t>(i)];
     const double samples =
         static_cast<double>(est.micro_batch_size) / stage.replication();
-    const bool stage_recompute = options_.recompute || stage.recompute;
     auto compute_comp = [&]() -> StageCostValue {
       // The slowest replica gates the stage: a split micro-batch completes
       // only when every slice has (heterogeneous clusters, stragglers).
@@ -356,9 +352,7 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
           model_->ForwardTime(stage.layer_begin, stage.layer_end, samples, stage_speed);
       comp.backward =
           model_->BackwardTime(stage.layer_begin, stage.layer_end, samples, stage_speed);
-      if (stage_recompute) {
-        comp.backward += options_.recompute_overhead * comp.forward;
-      }
+      if (stage.recompute) comp.backward += runtime::kRecomputeOverhead * comp.forward;
       comp.allreduce_raw = stage.replication() > 1
                                ? cost_.AllReduce(stage.devices, model_->ParamBytes(
                                                                     stage.layer_begin,
@@ -373,7 +367,7 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
                      ->GetOrCompute(StageCostCache::CompKey(stage.layer_begin,
                                                             stage.layer_end, stage.devices,
                                                             est.micro_batch_size,
-                                                            stage_recompute),
+                                                            stage.recompute),
                                     compute_comp)
                      .cost
                : compute_comp().cost;

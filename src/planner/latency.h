@@ -107,18 +107,6 @@ struct LatencyOptions {
   /// (peak terms per family mirror EstimateFamily). Latency terms stay the
   /// paper's DAPPLE objective regardless.
   runtime::ScheduleKind schedule_kind = runtime::ScheduleKind::kDapple;
-  /// Re-computation on every stage (paper §II-A): stash only stage-boundary
-  /// activations, recompute the forward inside backward. Per-stage
-  /// recomputation rides StagePlan::recompute instead; a stage recomputes
-  /// when either flag is set.
-  bool recompute = false;
-  /// Extra fraction of *forward* time charged to backward when recomputing
-  /// (the replayed forward pass). The paper's §II-A figure — "recomputation
-  /// brings ~20% extra backward overhead" — translates to 0.4 here because
-  /// the zoo's profiles (and the paper's workloads) have backward ≈ 2x
-  /// forward: 0.4 x F = 0.2 x B. Calibrated against the simulator's
-  /// recompute path (see tests/memory_cap_test.cc).
-  double recompute_overhead = 0.4;
 };
 
 /// Micro-batching rule shared by the estimator and the runtime. The ideal
@@ -203,8 +191,7 @@ class LatencyEstimator {
  private:
   /// Per-device peak memory of one stage holding `warmup_depth` stashes:
   /// baseline + K x (activation | checkpoint) + recompute transient.
-  Bytes StagePeakMemory(const StagePlan& stage, double samples, int warmup_depth,
-                        bool recompute) const;
+  Bytes StagePeakMemory(const StagePlan& stage, double samples, int warmup_depth) const;
 
   const model::ModelProfile* model_;
   const topo::Cluster* cluster_;

@@ -36,7 +36,7 @@ struct RankingCandidate {
 };
 
 struct RankingOptions {
-  /// False simulates every feasible candidate (the --prefilter=off oracle).
+  /// False simulates every feasible candidate (the full-sweep oracle).
   bool prefilter = true;
   /// Bracket factor for the adaptive cut (see sim::PrefilterOptions).
   double analytic_over_sim = sim::kAnalyticOverSim;

@@ -123,8 +123,8 @@ struct PlannerSearchStats {
   /// how many candidates the estimator rejected for exceeding it.
   Bytes memory_cap = 0;
   long memory_rejected = 0;
-  /// Stages the recompute fit search checkpointed (0 when the plain search
-  /// already fit, or no cap / no auto-recompute was in force).
+  /// Stages the winning plan recomputes: every stage under kAll, the fit
+  /// search's pick under kAuto (0 when the plain search already fit).
   int recompute_stages = 0;
   /// Extra estimator probes the fit search's binary search spent.
   int fit_probes = 0;

@@ -18,6 +18,22 @@ const char* ToString(ReplicationMode mode) {
   return "?";
 }
 
+BuildOptions BuildOptionsFor(const planner::PlannerOptions& options) {
+  BuildOptions build;
+  build.global_batch_size = options.global_batch_size;
+  build.schedule.kind = options.latency.schedule_kind;
+  build.memory_cap = options.latency.memory_cap;
+  build.overlap_allreduce = options.latency.overlap_allreduce;
+  return build;
+}
+
+planner::ParallelPlan PlanAsBuilt(planner::ParallelPlan plan, const BuildOptions& options) {
+  if (options.schedule.recompute) {
+    for (planner::StagePlan& stage : plan.stages) stage.recompute = true;
+  }
+  return plan;
+}
+
 namespace {
 
 struct StageInfo {
@@ -105,6 +121,7 @@ BuiltPipeline GraphBuilder::Build() const {
     // A stage recomputes when the global schedule flag or its own plan
     // flag (set by the memory-constrained planner) asks for it.
     const bool recompute = options_.schedule.recompute || si.plan->recompute;
+    built.stage_recompute.push_back(recompute ? 1 : 0);
     // 2BP halves the backward at the input/weight gradient boundary; the
     // forward replay under recompute must precede the input half (the
     // gradient leaves the stage there), so the overhead lands on BI.
@@ -172,11 +189,6 @@ BuiltPipeline GraphBuilder::Build() const {
   }
   for (int i = 0; i < num_stages; ++i) {
     built.warmup_depths.push_back(info[static_cast<std::size_t>(i)].warmup);
-    built.stage_recompute.push_back(
-        options_.schedule.recompute ||
-                plan_->stages[static_cast<std::size_t>(i)].recompute
-            ? 1
-            : 0);
   }
 
   // --- Resource ids ------------------------------------------------------

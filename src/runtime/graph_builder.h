@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "model/profile.h"
+#include "planner/dp_planner.h"
 #include "planner/plan.h"
 #include "runtime/schedule.h"
 #include "sim/engine.h"
@@ -52,6 +53,17 @@ struct BuildOptions {
   /// reverse-layer order). Matches the latency estimator's model.
   bool overlap_allreduce = true;
 };
+
+/// The planner-to-simulator hand-off: the build that runs a plan under the
+/// settings it was planned with — global batch, schedule family
+/// (latency.schedule_kind), memory cap (latency.memory_cap) and AllReduce
+/// overlap. Per-stage recompute rides the plan's StagePlan::recompute flags.
+BuildOptions BuildOptionsFor(const planner::PlannerOptions& options);
+
+/// `plan` with every stage flagged for recomputation when the build's
+/// global ScheduleOptions::recompute is on: the plan the estimator must
+/// price to match what `options` simulates.
+planner::ParallelPlan PlanAsBuilt(planner::ParallelPlan plan, const BuildOptions& options);
 
 /// Resource-id layout shared by every built pipeline: device compute
 /// engines first, then one duplex channel pair per stage boundary, then one

@@ -72,6 +72,12 @@ int NumGroups(ScheduleKind kind, int num_stages);
 /// group, which is what bounds peak activation relative to 1F1B's S.
 int VStashCap(ScheduleKind kind, int stage, int num_stages);
 
+/// Extra backward cost of activation recomputation as a fraction of
+/// *forward* time (the replayed forward). 0.4 x F = 0.2 x B on the zoo's
+/// backward ≈ 2x forward profiles — the paper's §II-A "~20% extra backward
+/// overhead". The planner's estimator and the simulator both charge it.
+inline constexpr double kRecomputeOverhead = 0.4;
+
 struct ScheduleOptions {
   ScheduleKind kind = ScheduleKind::kDapple;
   WarmupPolicy warmup = WarmupPolicy::kPA;
@@ -79,12 +85,9 @@ struct ScheduleOptions {
   /// replay the forward inside backward. Per-stage recomputation rides
   /// planner::StagePlan::recompute; a stage recomputes when either is set.
   bool recompute = false;
-  /// Extra backward cost as a fraction of *forward* time when recomputing
-  /// (the replayed forward). 0.4 x F = 0.2 x B on the zoo's backward ≈ 2x
-  /// forward profiles — the paper's §II-A "~20% extra backward overhead".
-  /// Must match planner::LatencyOptions::recompute_overhead (regression-
-  /// tested in tests/memory_cap_test.cc).
-  double recompute_overhead = 0.4;
+  /// Simulated recompute overhead (see kRecomputeOverhead); only
+  /// simulator-side sweeps such as bench_ablation_schedule move it.
+  double recompute_overhead = kRecomputeOverhead;
   /// Ablation hook: force the warmup depth K for every stage (still
   /// clamped by M and the memory limit). 0 = use the policy formulas.
   int warmup_override = 0;

@@ -48,7 +48,7 @@ std::uint64_t FingerprintCluster(const topo::Cluster& cluster) {
 
 std::uint64_t FingerprintPlannerOptions(const planner::PlannerOptions& options) {
   Fingerprint64 fp;
-  fp.Mix("planner-options/v1");
+  fp.Mix("planner-options/v2");
   fp.Mix(static_cast<std::int64_t>(options.global_batch_size));
   fp.Mix(options.max_stages);
   fp.Mix(options.prune_slack);
@@ -57,7 +57,6 @@ std::uint64_t FingerprintPlannerOptions(const planner::PlannerOptions& options) 
   for (const topo::PlacementPolicy policy : options.policies) {
     fp.Mix(static_cast<std::int64_t>(policy));
   }
-  fp.Mix(options.memory_cap);
   fp.Mix(static_cast<std::int64_t>(options.recompute));
   const planner::LatencyOptions& latency = options.latency;
   fp.Mix(latency.overlap_allreduce);
@@ -65,8 +64,6 @@ std::uint64_t FingerprintPlannerOptions(const planner::PlannerOptions& options) 
   fp.Mix(latency.check_memory);
   fp.Mix(latency.memory_cap);
   fp.Mix(static_cast<std::int64_t>(latency.schedule_kind));
-  fp.Mix(latency.recompute);
-  fp.Mix(latency.recompute_overhead);
   return fp.digest();
 }
 

@@ -4,7 +4,7 @@
 // model profile (every layer vector), the cluster topology, the global
 // batch size, the schedule family, the memory cap, the recompute policy and
 // the result-affecting planner options — and by nothing it does not
-// (thread counts, cache shard counts: the search is byte-identical across
+// (thread counts, cache bounds: the search is byte-identical across
 // those, so requests differing only there must share a cache entry).
 //
 // The digests are stable across processes and platforms, which is what
@@ -30,8 +30,8 @@ std::uint64_t FingerprintModel(const model::ModelProfile& model);
 std::uint64_t FingerprintCluster(const topo::Cluster& cluster);
 
 /// Digest of the result-affecting planner options (excludes num_threads,
-/// cache_shards, cache_entries_per_shard and use_stage_cache — the plan is
-/// byte-identical across those by the parallel-planner contract).
+/// cache_entries_per_shard and use_stage_cache — the plan is byte-identical
+/// across those by the parallel-planner contract).
 std::uint64_t FingerprintPlannerOptions(const planner::PlannerOptions& options);
 
 /// The plan-cache key: model x cluster x global batch x options, bound to

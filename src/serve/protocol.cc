@@ -20,8 +20,8 @@ planner::PlannerOptions ServeRequest::ToPlannerOptions() const {
   planner::PlannerOptions options;
   options.global_batch_size = gbs;
   options.max_stages = max_stages;
-  options.memory_cap = memory_cap;
   options.recompute = recompute;
+  options.latency.memory_cap = memory_cap;
   options.latency.schedule_kind = schedule;
   options.num_threads = planner_threads;
   return options;

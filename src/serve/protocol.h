@@ -9,10 +9,14 @@
 //   config   cluster config letter "A" | "B" | "C"           (ditto)
 //   servers  number of servers                               (ditto)
 //   gbs      global batch size                               (ditto)
-//   schedule schedule family name (default "DAPPLE")         (optional)
+//   schedule schedule family name (default "DAPPLE"); the
+//            family the plan's memory check models, the
+//            Session re-ranks under and simulate/report run  (optional)
 //   memory_cap    bytes as a number, or a string with binary
 //                 suffix ("12GiB"); 0 = uncapped             (optional)
-//   recompute     "off" | "all" | "auto" (default "off")     (optional)
+//   recompute     "off" | "all" | "auto" (default "off"); the
+//                 plan carries the chosen per-stage flags, so
+//                 "all" returns every stage flagged          (optional)
 //   max_stages    planner stage cap (default 0 = devices)    (optional)
 //   planner_threads  planner worker threads for this request
 //                    (default 1: parallelism lives across

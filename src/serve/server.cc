@@ -217,13 +217,9 @@ std::string Server::HandleWithPlan(const ServeRequest& request) {
   WritePlanFields(w, request, fingerprint, entry->plan, entry->estimate, entry->plan_text,
                   entry->recompute_stages);
   if (request.kind != RequestKind::kPlan) {
-    runtime::BuildOptions options;
-    options.global_batch_size = request.gbs;
-    options.schedule.kind = request.schedule;
-    options.memory_cap = request.memory_cap;
     const obs::IterationReport report = obs::RunIteration(
         model::ModelByName(request.model), topo::MakeConfig(request.config, request.servers),
-        entry->plan, options);
+        entry->plan, runtime::BuildOptionsFor(request.ToPlannerOptions()));
     if (request.kind == RequestKind::kSimulate) {
       w.Field("simulated_latency", report.makespan);
       w.Field("throughput", report.throughput);

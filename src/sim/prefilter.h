@@ -58,7 +58,7 @@ struct PrefilterOptions {
   /// give the batch runner parallel work.
   int probe = 8;
   /// False disables selection: every finite-scored candidate is simulated
-  /// (the --prefilter=off baseline, and the oracle leg of recall tests).
+  /// (the full-simulation baseline, and the oracle leg of recall tests).
   bool enabled = true;
   /// BatchRunner worker threads for the simulations (1 = inline).
   int threads = 1;

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <tuple>
 
 namespace {
 
@@ -49,19 +50,27 @@ TEST(Cli, ZooListsBenchmarkModels) {
 }
 
 TEST(Cli, PlanSaveRunRoundTrip) {
+  // The plan file carries what a run needs, per-stage recompute flags
+  // included: --recompute=all flags every stage, and a run of the saved
+  // file fits the cap it was planned under.
   const std::string plan_path = TempPath("roundtrip.plan");
-  int code = 0;
-  const std::string plan_out =
-      RunCli("plan GNMT-16 A 2 1024 --save " + plan_path, &code);
-  EXPECT_EQ(code, 0);
-  EXPECT_NE(plan_out.find("8 : 8"), std::string::npos);
-  EXPECT_NE(plan_out.find("saved to"), std::string::npos);
+  for (const auto& [job, plan_flags, expect] :
+       {std::tuple{"GNMT-16 A 2 1024", "", "8 : 8"},
+        std::tuple{"GNMT-16 B 4 256 --memory-cap 1.8GiB", " --recompute=all",
+                   "3/3 stages recompute"}}) {
+    int code = 0;
+    const std::string plan_out =
+        RunCli(std::string("plan ") + job + plan_flags + " --save " + plan_path, &code);
+    EXPECT_EQ(code, 0);
+    EXPECT_NE(plan_out.find(expect), std::string::npos) << plan_out;
+    EXPECT_NE(plan_out.find("saved to"), std::string::npos);
 
-  const std::string run_out =
-      RunCli("run GNMT-16 A 2 1024 --plan " + plan_path, &code);
-  EXPECT_EQ(code, 0);
-  EXPECT_NE(run_out.find("speedup"), std::string::npos);
-  EXPECT_NE(run_out.find("Stage"), std::string::npos);
+    const std::string run_out = RunCli(std::string("run ") + job + " --plan " + plan_path, &code);
+    EXPECT_EQ(code, 0);
+    EXPECT_NE(run_out.find("speedup"), std::string::npos);
+    EXPECT_NE(run_out.find("Stage"), std::string::npos);
+    EXPECT_EQ(run_out.find("OOM"), std::string::npos) << run_out;
+  }
   std::remove(plan_path.c_str());
 }
 

@@ -182,6 +182,37 @@ TEST(Session, RecomputeFallbackWhenNothingElseFits) {
   EXPECT_FALSE(report.oom);
 }
 
+TEST(Session, PlansForTheRequestedScheduleFamily) {
+  // The re-rank and refinement run under the requested family: simulated
+  // there, the Session's plan is no slower than any of the planner's own
+  // alternatives and never OOMs.
+  struct Case {
+    const char* model;
+    char config;
+    int servers;
+    long gbs;
+    runtime::ScheduleKind kind;
+  };
+  for (const Case c : {Case{"GNMT-16", 'A', 2, 1024, runtime::ScheduleKind::kVMin},
+                       Case{"BERT-48", 'C', 16, 64, runtime::ScheduleKind::kGPipe},
+                       Case{"XLNet-36", 'B', 16, 128, runtime::ScheduleKind::kVMin}}) {
+    const Session session(model::ModelByName(c.model), topo::MakeConfig(c.config, c.servers));
+    planner::PlannerOptions options;
+    options.global_batch_size = c.gbs;
+    options.latency.schedule_kind = c.kind;
+    auto simulate = [&](const planner::ParallelPlan& plan) {
+      return session.Run(plan, c.gbs, runtime::BuildOptionsFor(options));
+    };
+    const obs::IterationReport chosen = simulate(session.Plan(c.gbs, options).plan);
+    EXPECT_FALSE(chosen.oom) << c.model;
+    for (const auto& [plan, estimate] :
+         planner::DapplePlanner(session.model(), session.cluster(), options).Plan().alternatives) {
+      const obs::IterationReport alternative = simulate(plan);
+      if (!alternative.oom) EXPECT_LE(chosen.makespan, alternative.makespan) << plan.ToString();
+    }
+  }
+}
+
 TEST(Session, PlanSurvivesSerializationRoundTrip) {
   Session session(model::MakeBert48(), topo::MakeConfigA(2));
   const auto planned = session.Plan(64);

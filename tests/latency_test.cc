@@ -224,14 +224,12 @@ TEST(Latency, OverlapNeverWorseThanRaw) {
 TEST(Latency, RecomputeIncreasesBackwardAndShrinksMemory) {
   const model::ModelProfile bert = model::MakeBert48();
   const topo::Cluster b = topo::MakeConfigB(2);
-  LatencyOptions plain;
-  LatencyOptions rc;
-  rc.recompute = true;
-  LatencyEstimator est_plain(bert, b, plain);
-  LatencyEstimator est_rc(bert, b, rc);
+  LatencyEstimator est(bert, b);
   const ParallelPlan plan = TwoStagePlan(bert, 24, 1, 1);
-  const PlanEstimate e_plain = est_plain.Estimate(plan, 16);
-  const PlanEstimate e_rc = est_rc.Estimate(plan, 16);
+  ParallelPlan recomputed = plan;
+  for (StagePlan& s : recomputed.stages) s.recompute = true;
+  const PlanEstimate e_plain = est.Estimate(plan, 16);
+  const PlanEstimate e_rc = est.Estimate(recomputed, 16);
   EXPECT_GT(e_rc.latency, e_plain.latency);
   EXPECT_LT(e_rc.max_peak_memory, e_plain.max_peak_memory);
 }

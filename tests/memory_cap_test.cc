@@ -1,4 +1,4 @@
-// Memory-constrained planning: the recompute_overhead calibration shared by
+// Memory-constrained planning: the kRecomputeOverhead calibration shared by
 // the estimator and the simulator (0.4 x forward == 20% of a 2x-forward
 // backward pass, the paper's "~20% extra overhead" for recomputation), the
 // strict `peak > cap` OOM boundary (peak == cap is feasible) pinned at the
@@ -70,17 +70,11 @@ ParallelPlan TwoStagePlan(const ModelProfile& m) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 1: the recompute_overhead calibration. The docs promise "~20%
-// extra backward overhead"; with backward ~ 2x forward across the zoo
-// profiles that is 0.4 x forward. Estimator and simulator must agree on the
-// constant, or capped plans tuned by one would mis-simulate under the other.
-
-TEST(RecomputeOverhead, DefaultsAgreeAcrossEstimatorAndSimulator) {
-  EXPECT_DOUBLE_EQ(LatencyOptions{}.recompute_overhead, 0.4);
-  EXPECT_DOUBLE_EQ(runtime::ScheduleOptions{}.recompute_overhead, 0.4);
-  EXPECT_DOUBLE_EQ(LatencyOptions{}.recompute_overhead,
-                   runtime::ScheduleOptions{}.recompute_overhead);
-}
+// Satellite 1: the runtime::kRecomputeOverhead calibration. The docs
+// promise "~20% extra backward overhead"; with backward ~ 2x forward across
+// the zoo profiles that is 0.4 x forward. Estimator and simulator both read
+// the one constant, so capped plans tuned by one simulate the same under
+// the other.
 
 TEST(RecomputeOverhead, ZooBackwardIsAboutTwiceForward) {
   // The 0.4-of-forward calibration equals 20%-of-backward only while the
@@ -124,17 +118,16 @@ TEST(RecomputeOverhead, SimulatedRecomputeAddsTwentyPercentOfBackward) {
 TEST(RecomputeOverhead, EstimatorMatchesSimulatorUnderRecompute) {
   const ModelProfile m = MakeUniformSynthetic(4, 0.010, 0.020, 0, 0);
   const Cluster cluster = FastCluster(1, 1);
-  const ParallelPlan plan = SingleStagePlan(m);
+  ParallelPlan plan = SingleStagePlan(m);
+  plan.stages[0].recompute = true;
 
   LatencyOptions lo;
   lo.check_memory = false;
-  lo.recompute = true;
   const PlanEstimate e = LatencyEstimator(m, cluster, lo).Estimate(plan, 8);
 
   runtime::BuildOptions o;
   o.global_batch_size = 8;
   o.enforce_memory_capacity = false;
-  o.schedule.recompute = true;
   const runtime::BuiltPipeline built =
       runtime::GraphBuilder(m, cluster, plan, o).Build();
   const sim::SimResult r = sim::Engine::Run(built.graph, built.engine_options);
@@ -227,7 +220,7 @@ TEST(MemoryCapPlanner, CapRejectsPlacementsAndStatsRecordIt) {
   ASSERT_GT(peak, 0u);
   EXPECT_EQ(uncapped.stats.memory_cap, 0u);
 
-  po.memory_cap = peak;
+  po.latency.memory_cap = peak;
   const planner::PlanResult capped = planner::DapplePlanner(m, cluster, po).Plan();
   EXPECT_EQ(capped.stats.memory_cap, peak);
   EXPECT_LE(capped.estimate.max_peak_memory, peak);
@@ -240,7 +233,7 @@ TEST(MemoryCapPlanner, InfeasibleCapThrowsInsteadOfEmittingAnOomPlan) {
   planner::PlannerOptions po;
   po.global_batch_size = 8;
   po.num_threads = 1;
-  po.memory_cap = 1;  // one byte: nothing can fit
+  po.latency.memory_cap = 1;  // one byte: nothing can fit
   EXPECT_THROW(planner::DapplePlanner(m, cluster, po).Plan(), Error);
   po.recompute = planner::RecomputePolicy::kAuto;
   EXPECT_THROW(planner::DapplePlanner(m, cluster, po).Plan(), Error);
@@ -271,7 +264,7 @@ TEST(MemoryCapPlanner, AutoRecomputeFitsWherePlainPlanningCannot) {
   const Bytes cap = (recompute_peak + uncapped_peak) / 2;
   planner::PlannerOptions plain = po;
   plain.latency.check_memory = true;
-  plain.memory_cap = cap;
+  plain.latency.memory_cap = cap;
   EXPECT_THROW(planner::DapplePlanner(m, cluster, plain).Plan(), Error);
 
   planner::PlannerOptions fit = plain;
@@ -297,24 +290,33 @@ TEST(MemoryCapPlanner, AutoWithoutPressureLeavesRecomputeOff) {
   EXPECT_EQ(result.stats.recompute_stages, 0);
 }
 
-TEST(MemoryCapPlanner, PerStageFlagsMatchGlobalRecomputeInTheEstimator) {
-  // A plan with every stage flagged must cost exactly what the global
-  // recompute switch costs — same comp model, same peak model.
+TEST(MemoryCapPlanner, AllRecomputeFlagsEveryStageAndMatchesTheGlobalSwitch) {
+  // kAll flags every stage of the plan and of every alternative, and the
+  // flags are the whole decision: the simulator runs the flagged plan
+  // exactly as the global recompute switch runs the unflagged one.
   const ModelProfile m = MakeUniformSynthetic(8, 0.010, 0.020, 4_MiB, 1'000'000);
   const Cluster cluster = FastCluster(1, 2);
-  const ParallelPlan plain = TwoStagePlan(m);
-  ParallelPlan flagged = plain;
-  for (StagePlan& s : flagged.stages) s.recompute = true;
+  planner::PlannerOptions po;
+  po.global_batch_size = 8;
+  po.recompute = planner::RecomputePolicy::kAll;
+  const planner::PlanResult result = planner::DapplePlanner(m, cluster, po).Plan();
+  for (const auto& [plan, estimate] : result.alternatives) {
+    for (const StagePlan& s : plan.stages) EXPECT_TRUE(s.recompute) << plan.ToString();
+  }
+  for (const StagePlan& s : result.plan.stages) EXPECT_TRUE(s.recompute);
+  EXPECT_EQ(result.stats.recompute_stages, result.plan.num_stages());
 
-  LatencyOptions global;
-  global.check_memory = false;
-  global.recompute = true;
-  LatencyOptions per_stage;
-  per_stage.check_memory = false;
-  const PlanEstimate a = LatencyEstimator(m, cluster, global).Estimate(plain, 8);
-  const PlanEstimate b = LatencyEstimator(m, cluster, per_stage).Estimate(flagged, 8);
-  EXPECT_DOUBLE_EQ(a.latency, b.latency);
-  EXPECT_EQ(a.max_peak_memory, b.max_peak_memory);
+  ParallelPlan plain = result.plan;
+  for (StagePlan& s : plain.stages) s.recompute = false;
+  runtime::BuildOptions global = runtime::BuildOptionsFor(po);
+  global.schedule.recompute = true;
+  const runtime::BuiltPipeline a = runtime::GraphBuilder(m, cluster, plain, global).Build();
+  const runtime::BuiltPipeline b =
+      runtime::GraphBuilder(m, cluster, result.plan, runtime::BuildOptionsFor(po)).Build();
+  const sim::SimResult ra = sim::Engine::Run(a.graph, a.engine_options);
+  const sim::SimResult rb = sim::Engine::Run(b.graph, b.engine_options);
+  EXPECT_DOUBLE_EQ(ra.makespan, rb.makespan);
+  EXPECT_EQ(ra.MaxPeakMemory(), rb.MaxPeakMemory());
 }
 
 TEST(MemoryCapPlanner, BuilderHonorsPerStageFlags) {

@@ -153,7 +153,7 @@ TEST(ServeServer, RequestFingerprintIsStable) {
   // bump deliberately, with the fingerprint version strings.
   Server server;
   const std::string response = server.HandleLine(PlanLine("a", "GNMT-16", 'A', 2, 64));
-  EXPECT_NE(response.find("\"fingerprint\":\"fp:7598bf6c60fdd633\""), std::string::npos)
+  EXPECT_NE(response.find("\"fingerprint\":\"fp:adaabb71f2e927ee\""), std::string::npos)
       << response;
 }
 
@@ -165,7 +165,7 @@ TEST(ServeServer, PlanAffectingOptionsChangeTheFingerprint) {
   const std::uint64_t fp0 = FingerprintPlanRequest(model, cluster, 64, base);
 
   planner::PlannerOptions capped = base;
-  capped.memory_cap = 2_GiB;
+  capped.latency.memory_cap = 2_GiB;
   EXPECT_NE(FingerprintPlanRequest(model, cluster, 64, capped), fp0);
 
   planner::PlannerOptions gpipe = base;
@@ -176,7 +176,6 @@ TEST(ServeServer, PlanAffectingOptionsChangeTheFingerprint) {
   // key: the plan is byte-identical at every thread count.
   planner::PlannerOptions threaded = base;
   threaded.num_threads = 8;
-  threaded.cache_shards = 4;
   threaded.cache_entries_per_shard = 128;
   EXPECT_EQ(FingerprintPlanRequest(model, cluster, 64, threaded), fp0);
 }
@@ -248,7 +247,7 @@ TEST(ServeServer, SimulateSummarizesTheReportDevices) {
   // that report lists — on V-Min, only the folded groups' devices, not every
   // device the plan names.
   Server server;
-  const std::string request = R"("model":"BERT-48","config":"B","servers":4,"gbs":32,)"
+  const std::string request = R"("model":"GNMT-16","config":"C","servers":4,"gbs":64,)"
                               R"("schedule":"v-min"})";
   const JsonValue simulate = ParseJson(server.HandleLine(R"({"kind":"simulate",)" + request));
   const JsonValue report = ParseJson(server.HandleLine(R"({"kind":"report",)" + request));
@@ -264,6 +263,17 @@ TEST(ServeServer, SimulateSummarizesTheReportDevices) {
   const auto n = static_cast<std::int64_t>(devices.size());
   EXPECT_NEAR(simulate.Get("utilization").AsDouble(), utilization / n, 1e-9);
   EXPECT_EQ(simulate.Get("avg_peak_memory").AsInt(), peak / n);
+}
+
+TEST(ServeServer, RecomputeAllSimulatesTheFlaggedPlanUnderItsCap) {
+  // "recompute":"all" must reach the plan itself: every stage comes back
+  // flagged, and the simulated iteration fits the cap the plan was made for.
+  Server server;
+  const JsonValue simulate = ParseJson(server.HandleLine(
+      R"({"kind":"simulate","model":"GNMT-16","config":"B","servers":4,"gbs":256,)"
+      R"("recompute":"all","memory_cap":"1.8GiB"})"));
+  EXPECT_FALSE(simulate.Get("oom").AsBool());
+  EXPECT_EQ(simulate.Get("recompute_stages").AsInt(), simulate.Get("stages").AsInt());
 }
 
 TEST(ServeServer, TinyCacheEvictsAndStillAnswers) {

@@ -137,18 +137,19 @@ std::optional<Job> ParseJob(int argc, char** argv) {
   return Job{model::ModelByName(argv[0]), topo::MakeConfig(argv[1][0], servers), gbs};
 }
 
-/// The plan `--plan FILE` names or, without one, a fresh plan made under
-/// the same memory cap the simulator will enforce, so a capped run gets a
-/// plan that fits (or a refusal) instead of an OOM'd report.
+/// The plan `--plan FILE` names or, without one, a fresh plan made for the
+/// schedule family and memory cap `build` will simulate, so a capped run
+/// gets a plan that fits (or a refusal) instead of an OOM'd report.
 planner::ParallelPlan PlanOrLoad(const Job& job, const std::string& plan_path,
-                                 Bytes memory_cap = 0) {
+                                 const runtime::BuildOptions& build = {}) {
   if (!plan_path.empty()) {
     planner::ParallelPlan plan = planner::LoadPlan(plan_path);
     plan.Validate(job.model);
     return plan;
   }
   planner::PlannerOptions planner_options;
-  planner_options.memory_cap = memory_cap;
+  planner_options.latency.schedule_kind = build.schedule.kind;
+  planner_options.latency.memory_cap = build.memory_cap;
   return Session(job.model, job.cluster).Plan(job.gbs, planner_options).plan;
 }
 
@@ -173,7 +174,7 @@ int CmdPlan(int argc, char** argv) {
     if (flags.MatchValue("--save", &v)) {
       save_path = v;
     } else if (flags.MatchValue("--memory-cap", &v)) {
-      planner_options.memory_cap = ParseBytes(v);
+      planner_options.latency.memory_cap = ParseBytes(v);
     } else if (flags.MatchPrefix("--recompute=", &v) ||
                flags.MatchValue("--recompute", &v)) {
       planner_options.recompute = planner::ParseRecomputePolicy(v);
@@ -241,7 +242,7 @@ int CmdRun(int argc, char** argv) {
   }
   if (!flags.ok()) return Usage();
 
-  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options.memory_cap);
+  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options);
   const runtime::ExecutionDetail detail =
       runtime::PipelineExecutor(job->model, job->cluster, plan, options).RunDetailed();
   const obs::IterationReport r = obs::BuildIterationReport(detail.pipeline, detail.result);
@@ -371,7 +372,7 @@ int CmdReport(int argc, char** argv) {
   }
   if (!flags.ok()) return Usage();
 
-  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options.memory_cap);
+  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options);
   const obs::IterationReport report = obs::RunIteration(job->model, job->cluster, plan, options);
   std::printf("%s", obs::ToText(report).c_str());
 
