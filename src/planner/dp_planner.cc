@@ -261,20 +261,20 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   };
   std::vector<Alternative> alternatives;
   std::set<std::string> alternative_sigs;
-  auto record_candidate = [&](const ParallelPlan& plan, const PlanEstimate& est,
-                              const std::string& sig) {
-    if (options_.keep_alternatives <= 0) return;
-    // Fast reject: a candidate strictly worse than the current k-th best
-    // can never enter the list, so skip the copy + re-sort the slow path
-    // pays. Ties fall through to the old path so eviction order (and with
-    // it every downstream artifact) is bit-identical to the unoptimized
-    // code. This runs once per feasible candidate — millions per search.
-    if (static_cast<int>(alternatives.size()) >= options_.keep_alternatives &&
-        est.latency > alternatives.back().estimate.latency) {
-      return;
-    }
+  // Fast reject: a candidate strictly worse than the current k-th best can
+  // never enter the list, so it needs neither a plan nor a signature. Ties
+  // pass so eviction order (and with it every downstream artifact) is
+  // bit-identical to the unoptimized code. This runs once per feasible
+  // candidate — millions per search.
+  auto may_enter_alternatives = [&](TimeSec latency) {
+    return options_.keep_alternatives > 0 &&
+           !(static_cast<int>(alternatives.size()) >= options_.keep_alternatives &&
+             latency > alternatives.back().estimate.latency);
+  };
+  auto record_candidate = [&](const ParallelPlan& plan, const PlanEstimate& est) {
+    std::string sig = PlanSignature(plan);
     if (!alternative_sigs.insert(sig).second) return;
-    alternatives.push_back({plan, est, sig});
+    alternatives.push_back({plan, est, std::move(sig)});
     std::sort(alternatives.begin(), alternatives.end(), [](const auto& a, const auto& b) {
       return a.estimate.latency < b.estimate.latency;
     });
@@ -284,53 +284,38 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     }
   };
 
-  // Builds the complete plan for a prefix: remaining layers on all free
-  // devices. Pure (thread-safe); returns nullopt when no device is free.
-  auto build_completed = [&](const SearchNode& node,
-                             int prefix_end) -> std::optional<ParallelPlan> {
-    std::vector<topo::DeviceId> free;
-    for (topo::DeviceId d = 0; d < num_devices; ++d) {
-      if (!node.state.is_used(d)) free.push_back(d);
-    }
-    if (free.empty()) return std::nullopt;
-    ParallelPlan plan;
-    plan.model = model_->name();
-    plan.stages = node.prefix;
-    StagePlan last;
-    last.layer_begin = prefix_end;
-    last.layer_end = num_layers;
-    last.devices = topo::DeviceSet(std::move(free));
-    last.recompute = recompute_all;
-    plan.stages.push_back(std::move(last));
-    return plan;
-  };
-
   // Sequential merge of an evaluated candidate into the incumbent state.
   // This is the ONLY code that touches `best`/`alternatives`, and it runs
   // in the exact enumeration order of the serial search — determinism
-  // across thread counts by construction.
-  auto merge = [&](const ParallelPlan& plan, const PlanEstimate& est,
-                   const std::string& sig) -> std::optional<double> {
+  // across thread counts by construction. `materialize` builds the
+  // candidate's plan, called only when the candidate can enter `best` or
+  // the alternatives. Returns the candidate's TPL (inf when infeasible).
+  auto merge = [&](const PlanEstimate& est, auto&& materialize) -> double {
     ++evaluated;
     if (!est.feasible) {
       if (est.memory_limited) ++memory_rejected;
       last_infeasible = est.infeasible_reason;
-      return std::nullopt;
+      return std::numeric_limits<double>::infinity();
     }
-    record_candidate(plan, est, sig);
-    if (est.latency < best.estimate.latency || !best.estimate.feasible) {
-      best.plan = plan;
-      best.estimate = est;
+    const bool improves = est.latency < best.estimate.latency || !best.estimate.feasible;
+    const bool may_rank = may_enter_alternatives(est.latency);
+    if (improves || may_rank) {
+      ParallelPlan plan = materialize();
+      if (may_rank) record_candidate(plan, est);
+      if (improves) {
+        best.plan = std::move(plan);
+        best.estimate = est;
+      }
     }
     return est.latency;
   };
 
-  auto complete = [&](const SearchNode& node, int prefix_end) -> std::optional<double> {
-    auto plan = build_completed(node, prefix_end);
-    if (!plan) return std::nullopt;
-    const PlanEstimate est = estimator.Estimate(*plan, options_.global_batch_size);
-    return merge(*plan, est, PlanSignature(*plan));
-  };
+  // Pure data parallelism: the root's default-suffix completion, and the
+  // baseline pinned into the alternatives after the search.
+  ParallelPlan data_parallel;
+  data_parallel.model = model_->name();
+  data_parallel.stages.push_back(StagePlan{0, num_layers, topo::DeviceSet::Range(0, num_devices),
+                                           topo::PlacementPolicy::kFreshFirst, recompute_all});
 
   // Level-by-level DP: frontier[j] holds the best node per canonical
   // allocation key whose prefix covers layers [0, j).
@@ -338,19 +323,16 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       static_cast<std::size_t>(num_layers));
   {
     SearchNode root{{}, topo::AllocationState(*cluster_), 0.0};
-    auto tpl = complete(root, 0);
-    root.tpl = tpl.value_or(std::numeric_limits<double>::infinity());
+    root.tpl = merge(estimator.Estimate(data_parallel, options_.global_batch_size),
+                     [&] { return data_parallel; });
     frontier[0].emplace(CanonicalKey(root.state), std::move(root));
   }
 
-  // One candidate expansion: carve stage [j, jp) onto the subproblem's
-  // devices, completing the rest with the default suffix.
+  // One scored split point of a subproblem. Its plan is rebuilt from the
+  // subproblem only if the merge needs it.
   struct Expansion {
-    SearchNode child;
     int jp = 0;
-    std::optional<ParallelPlan> completed;
     PlanEstimate estimate;
-    std::string signature;  // precomputed off the merge thread
   };
 
   // One unit of parallel work: a (frontier node, device placement) pair
@@ -363,8 +345,28 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     int j = 0;
     topo::DeviceSet devices;
     topo::PlacementPolicy policy = topo::PlacementPolicy::kFreshFirst;
-    std::string child_key;         // CanonicalKey of the committed state
+    topo::AllocationState child_state;  // node's state with `devices` committed
+    std::string child_key;              // CanonicalKey of child_state
+    topo::DeviceSet free;               // devices the default suffix runs on
     std::vector<Expansion> expansions;  // filled by the parallel phase
+  };
+
+  // The stage a subproblem carves at split point jp.
+  auto carved_stage = [&](const Subproblem& sub, int jp) {
+    return StagePlan{sub.j, jp, sub.devices, sub.policy, recompute_all};
+  };
+  // The complete candidate for split point jp: the node's prefix, the
+  // carved stage [j, jp) and the default suffix [jp, L) on every free
+  // device.
+  auto build_completed = [&](const Subproblem& sub, int jp) {
+    ParallelPlan plan;
+    plan.model = model_->name();
+    plan.stages.reserve(sub.node->prefix.size() + 2);
+    plan.stages = sub.node->prefix;
+    plan.stages.push_back(carved_stage(sub, jp));
+    plan.stages.push_back(StagePlan{jp, num_layers, sub.free,
+                                    topo::PlacementPolicy::kFreshFirst, recompute_all});
+    return plan;
   };
 
   for (int j = 0; j < num_layers; ++j) {
@@ -416,67 +418,72 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
           placement_policies.push_back(policy);
         }
         for (std::size_t p = 0; p < placements.size(); ++p) {
-          Subproblem sub;
-          sub.node = &node;
-          sub.j = j;
-          sub.devices = std::move(placements[p]);
-          sub.policy = placement_policies[p];
-          subproblems.push_back(std::move(sub));
+          subproblems.push_back(Subproblem{&node, j, std::move(placements[p]),
+                                           placement_policies[p], node.state, {}, {}, {}});
         }
       }
     }
     best.stats.subproblems += static_cast<long>(subproblems.size());
     best.stats.enumerate_seconds += lap();
 
-    // Phase 2 (parallel, hot): each subproblem expands all of its split
-    // points, estimating the completed candidates through the shared memo
-    // cache. Results land in the subproblem's own slot; nothing here reads
-    // or writes search-global state.
+    // Phase 2 (parallel, hot): each subproblem scores all of its split
+    // points through the shared memo cache. Only jp varies inside one; the
+    // prefix, both device sets, the stage count and every replication
+    // factor (so the micro-batching) are fixed. One scratch plan moves its
+    // last boundary per jp, and every split after the first reuses the
+    // first one's prefix entries (the prefix stages and the boundary into
+    // the carved stage). Results land in the subproblem's own slot;
+    // nothing here reads or writes search-global state.
     for_each(subproblems.size(), [&](std::size_t s) {
       Subproblem& sub = subproblems[s];
-      topo::AllocationState child_state = sub.node->state;
-      child_state.Commit(sub.devices);
-      sub.child_key = CanonicalKey(child_state);
+      sub.child_state.Commit(sub.devices);
+      sub.child_key = CanonicalKey(sub.child_state);
+      std::vector<topo::DeviceId> free;
+      for (topo::DeviceId d = 0; d < num_devices; ++d) {
+        if (!sub.child_state.is_used(d)) free.push_back(d);
+      }
+      sub.free = topo::DeviceSet(std::move(free));
+
+      ParallelPlan scratch = build_completed(sub, sub.j + 1);
+      const std::size_t carved = sub.node->prefix.size();
+      std::vector<StageCost> leading;
       sub.expansions.reserve(static_cast<std::size_t>(num_layers - sub.j - 1));
       for (int jp = sub.j + 1; jp < num_layers; ++jp) {
-        Expansion e{SearchNode{sub.node->prefix, child_state, 0.0}, jp, std::nullopt,
-                    {}, {}};
-        StagePlan stage;
-        stage.layer_begin = sub.j;
-        stage.layer_end = jp;
-        stage.devices = sub.devices;
-        stage.policy = sub.policy;
-        stage.recompute = recompute_all;
-        e.child.prefix.push_back(std::move(stage));
-        e.completed = build_completed(e.child, jp);
-        if (e.completed) {
-          e.estimate = estimator.Estimate(*e.completed, options_.global_batch_size);
-          if (options_.keep_alternatives > 0) e.signature = PlanSignature(*e.completed);
+        scratch.stages[carved].layer_end = jp;
+        scratch.stages[carved + 1].layer_begin = jp;
+        PlanEstimate est = estimator.Estimate(scratch, options_.global_batch_size, leading);
+        if (jp == sub.j + 1) {
+          leading.assign(est.stages.begin(),
+                         est.stages.begin() + static_cast<std::ptrdiff_t>(2 * carved));
         }
-        sub.expansions.push_back(std::move(e));
+        sub.expansions.push_back({jp, std::move(est)});
       }
     });
     best.stats.evaluate_seconds += lap();
     {
       std::size_t level_expansions = 0;
       for (const Subproblem& sub : subproblems) level_expansions += sub.expansions.size();
-      obs::MetricsRegistry::Global()
-          .histogram("planner.level_expansions")
+      auto& metrics = obs::MetricsRegistry::Global();
+      metrics.counter("planner.estimator_calls")
+          .Increment(static_cast<std::int64_t>(level_expansions));
+      metrics.histogram("planner.level_expansions")
           .Observe(static_cast<double>(level_expansions));
     }
 
     // Phase 3 (sequential, deterministic): merge in enumeration order —
     // subproblem order, then jp ascending — identical outcomes to the
-    // single-threaded search.
+    // single-threaded search. A candidate's plan is built only when it can
+    // enter `best` or the alternatives, and its child node only when it
+    // takes its frontier slot.
     for (Subproblem& sub : subproblems) {
-      for (Expansion& e : sub.expansions) {
-        std::optional<double> tpl;
-        if (e.completed) tpl = merge(*e.completed, e.estimate, e.signature);
-        e.child.tpl = tpl.value_or(std::numeric_limits<double>::infinity());
+      for (const Expansion& e : sub.expansions) {
+        const double tpl = merge(e.estimate, [&] { return build_completed(sub, e.jp); });
         auto& level = frontier[static_cast<std::size_t>(e.jp)];
         auto it = level.find(sub.child_key);
-        if (it == level.end() || e.child.tpl < it->second.tpl) {
-          level.insert_or_assign(sub.child_key, std::move(e.child));
+        if (it == level.end() || tpl < it->second.tpl) {
+          SearchNode child{sub.node->prefix, sub.child_state, tpl};
+          child.prefix.push_back(carved_stage(sub, e.jp));
+          level.insert_or_assign(sub.child_key, std::move(child));
         }
       }
     }
@@ -530,15 +537,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   // the top-k cut if necessary): it is the paper's universal baseline and
   // the simulator re-ranking should always get to veto in its favour.
   if (options_.keep_alternatives > 0 && best.estimate.feasible) {
-    ParallelPlan dp;
-    dp.model = model_->name();
-    StagePlan all;
-    all.layer_begin = 0;
-    all.layer_end = num_layers;
-    all.devices = topo::DeviceSet::Range(0, num_devices);
-    all.recompute = recompute_all;
-    dp.stages.push_back(std::move(all));
-    const PlanEstimate dp_est = estimator.Estimate(dp, options_.global_batch_size);
+    const PlanEstimate dp_est = estimator.Estimate(data_parallel, options_.global_batch_size);
     if (dp_est.feasible) {
       bool present = false;
       for (const auto& [p, e] : best.alternatives) {
@@ -548,7 +547,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
           break;
         }
       }
-      if (!present) best.alternatives.emplace_back(std::move(dp), dp_est);
+      if (!present) best.alternatives.emplace_back(std::move(data_parallel), dp_est);
     }
   }
 

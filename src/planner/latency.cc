@@ -316,8 +316,14 @@ ScheduleFamilyEstimate LatencyEstimator::EstimateFamily(runtime::ScheduleKind ki
 
 PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
                                         long global_batch_size) const {
-  plan.Validate(*model_);
+  PlanEstimate est = Estimate(plan, global_batch_size, {});
   obs::MetricsRegistry::Global().counter("planner.estimator_calls").Increment();
+  return est;
+}
+
+PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_batch_size,
+                                        std::span<const StageCost> leading) const {
+  plan.Validate(*model_);
   PlanEstimate est;
   int max_replication = 1;
   for (const StagePlan& s : plan.stages) {
@@ -330,12 +336,19 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
   est.num_micro_batches = mb.num_micro_batches;
   const int M = est.num_micro_batches;
 
-  // Expanded stage list: comp0, comm01, comp1, comm12, ... Each entry's
+  // Expanded stage list: comp0, comm01, comp1, comm12, ... Entry 2i is
+  // computation stage i and entry 2i+1 the boundary after it. Each entry's
   // cost is a pure function of (layer range, devices, micro-batch size)
   // given this estimator's fixed model/cluster/options, so it is memoized
-  // in the attached stage-cost cache when the planner provides one.
+  // in the attached stage-cost cache when the planner provides one. The
+  // caller's leading entries are taken as given; only the rest is gathered.
   const int num_comp = plan.num_stages();
-  for (int i = 0; i < num_comp; ++i) {
+  const std::size_t given = leading.size();
+  DAPPLE_CHECK_LT(given, static_cast<std::size_t>(2 * num_comp))
+      << "more leading stage entries than the plan has";
+  est.stages.reserve(static_cast<std::size_t>(2 * num_comp - 1));
+  est.stages.assign(leading.begin(), leading.end());
+  for (int i = static_cast<int>(given / 2); i < num_comp; ++i) {
     const StagePlan& stage = plan.stages[static_cast<std::size_t>(i)];
     const double samples =
         static_cast<double>(est.micro_batch_size) / stage.replication();
@@ -362,17 +375,19 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
           ExposedAllReduce(stage.layer_begin, stage.layer_end, stage.devices, samples);
       return {comp, 0};
     };
-    StageCost comp =
-        cache_ ? cache_
-                     ->GetOrCompute(StageCostCache::CompKey(stage.layer_begin,
-                                                            stage.layer_end, stage.devices,
-                                                            est.micro_batch_size,
-                                                            stage.recompute),
-                                    compute_comp)
-                     .cost
-               : compute_comp().cost;
-    comp.comp_index = i;  // plan-relative, so assigned outside the memo
-    est.stages.push_back(comp);
+    if (static_cast<std::size_t>(2 * i) >= given) {
+      StageCost comp =
+          cache_ ? cache_
+                       ->GetOrCompute(StageCostCache::CompKey(stage.layer_begin,
+                                                              stage.layer_end, stage.devices,
+                                                              est.micro_batch_size,
+                                                              stage.recompute),
+                                      compute_comp)
+                       .cost
+                 : compute_comp().cost;
+      comp.comp_index = i;  // plan-relative, so assigned outside the memo
+      est.stages.push_back(comp);
+    }
 
     if (i + 1 < num_comp) {
       const StagePlan& next = plan.stages[static_cast<std::size_t>(i + 1)];

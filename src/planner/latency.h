@@ -12,6 +12,7 @@
 #pragma once
 
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -139,8 +140,20 @@ class LatencyEstimator {
   /// changes an estimate.
   void set_stage_cache(StageCostCache* cache) { cache_ = cache; }
 
-  /// Full estimate for a plan at a global batch size.
+  /// Full estimate for a plan at a global batch size. Counts one call in
+  /// planner.estimator_calls.
   PlanEstimate Estimate(const ParallelPlan& plan, long global_batch_size) const;
+
+  /// The same estimate, taking the first `leading.size()` entries of the
+  /// expanded stage list (comp0, comm01, comp1, ...) as given instead of
+  /// gathering them. They must be the entries Estimate would gather for
+  /// `plan`: the planner passes the prefix entries of one split point's
+  /// estimate to every other split of the same subproblem, where stage
+  /// count, replication and hence micro-batching are fixed. Validation and
+  /// scoring run in full. Does not count in planner.estimator_calls; a
+  /// caller scoring a batch bumps the counter once for all of it.
+  PlanEstimate Estimate(const ParallelPlan& plan, long global_batch_size,
+                        std::span<const StageCost> leading) const;
 
   /// Closed-form device-compute frontier model per schedule family
   /// (transfers and gradient sync excluded — this ranks families on bubble

@@ -1,6 +1,6 @@
 #include "planner/plan.h"
 
-#include <set>
+#include <cstdint>
 #include <sstream>
 
 #include "common/error.h"
@@ -24,13 +24,19 @@ bool ParallelPlan::IsStraight() const {
 void ParallelPlan::Validate(const model::ModelProfile& model_profile) const {
   DAPPLE_CHECK(!stages.empty()) << "plan for " << model << " has no stages";
   int expected_begin = 0;
-  std::set<topo::DeviceId> seen;
+  // One bit per device id (DeviceSet ids are non-negative): the planner
+  // validates every candidate it scores, so no node-based set here.
+  std::vector<std::uint64_t> seen;
   for (const StagePlan& s : stages) {
     DAPPLE_CHECK_EQ(s.layer_begin, expected_begin) << "non-contiguous stages in " << model;
     DAPPLE_CHECK_GT(s.layer_end, s.layer_begin) << "empty stage in " << model;
     DAPPLE_CHECK_GT(s.devices.size(), 0) << "stage without devices in " << model;
     for (topo::DeviceId d : s.devices.devices()) {
-      DAPPLE_CHECK(seen.insert(d).second) << "device G" << d << " in two stages";
+      const auto word = static_cast<std::size_t>(d) / 64;
+      const std::uint64_t bit = std::uint64_t{1} << (d % 64);
+      if (word >= seen.size()) seen.resize(word + 1, 0);
+      DAPPLE_CHECK((seen[word] & bit) == 0) << "device G" << d << " in two stages";
+      seen[word] |= bit;
     }
     expected_begin = s.layer_end;
   }

@@ -3,10 +3,19 @@
 // exactly, plus the micro-batching rule and memory feasibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "check/fuzz.h"
 #include "common/error.h"
+#include "common/rng.h"
+#include "estimate_bits.h"
 #include "model/zoo.h"
 #include "planner/dp_baseline.h"
 #include "planner/latency.h"
+#include "planner/stage_cache.h"
 #include "topo/cluster.h"
 
 namespace dapple::planner {
@@ -288,6 +297,163 @@ TEST(Latency, EstimateValidatesPlan) {
   s.devices = DeviceSet::Range(0, 1);
   bad.stages = {s};
   EXPECT_THROW(est.Estimate(bad, 8), dapple::Error);
+}
+
+// ---------------------------------------------------------------------------
+// Prefix reuse: the planner scores every split point of one subproblem from
+// the first split's leading stage entries. The reusing overload must agree
+// with a from-scratch Estimate bit-for-bit, on every field.
+
+/// A random subproblem: `prefix` stages covering [0, j), the carved stage's
+/// devices D and the suffix's devices F, all disjoint. Empty when the
+/// instance is too small to split.
+struct Subproblem {
+  std::vector<StagePlan> prefix;
+  int j = 0;
+  DeviceSet carved;
+  DeviceSet free;
+  bool recompute_carved = false;
+  bool recompute_free = false;
+};
+
+bool SampleSubproblem(Rng& rng, const ModelProfile& m, const Cluster& cluster, Subproblem& out) {
+  const int layers = m.num_layers();
+  const int devices = cluster.num_devices();
+  if (layers < 2 || devices < 2) return false;
+  std::vector<topo::DeviceId> ids;
+  for (topo::DeviceId d = 0; d < devices; ++d) ids.push_back(d);
+  for (int i = devices - 1; i > 0; --i) {
+    std::swap(ids[static_cast<std::size_t>(i)],
+              ids[static_cast<std::size_t>(rng.UniformInt(0, i))]);
+  }
+  auto take = [&ids](int n) {
+    std::vector<topo::DeviceId> set(ids.end() - n, ids.end());
+    ids.resize(ids.size() - static_cast<std::size_t>(n));
+    std::sort(set.begin(), set.end());
+    return DeviceSet(std::move(set));
+  };
+  // Leave at least one layer past j (one split point) and one device each
+  // for D and F.
+  const int k = static_cast<int>(
+      rng.UniformInt(0, std::min<std::int64_t>({3, layers - 2, devices - 2})));
+  out = Subproblem{};
+  for (int i = 0; i < k; ++i) {
+    StagePlan stage;
+    stage.layer_begin = out.j;
+    stage.layer_end = static_cast<int>(rng.UniformInt(out.j + 1, layers - 2 - (k - 1 - i)));
+    const int spare = static_cast<int>(ids.size()) - 2 - (k - 1 - i);
+    stage.devices = take(static_cast<int>(rng.UniformInt(1, std::max(1, spare / 2))));
+    stage.recompute = rng.Bernoulli(0.3);
+    out.j = stage.layer_end;
+    out.prefix.push_back(std::move(stage));
+  }
+  out.carved = take(static_cast<int>(rng.UniformInt(1, static_cast<int>(ids.size()) - 1)));
+  out.free = take(static_cast<int>(ids.size()));
+  out.recompute_carved = rng.Bernoulli(0.3);
+  out.recompute_free = rng.Bernoulli(0.3);
+  return true;
+}
+
+/// Scores every split of `sub` twice — from scratch on an uncached
+/// estimator, and from the first split's leading entries on a cached one —
+/// and expects identical bits. Returns the number of splits compared.
+int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long gbs,
+                             const LatencyOptions& options, const Subproblem& sub) {
+  const LatencyEstimator oracle(m, cluster, options);
+  LatencyEstimator reusing(m, cluster, options);
+  StageCostCache cache;
+  reusing.set_stage_cache(&cache);
+
+  ParallelPlan plan;
+  plan.model = m.name();
+  plan.stages = sub.prefix;
+  plan.stages.push_back(StagePlan{sub.j, sub.j + 1, sub.carved,
+                                  topo::PlacementPolicy::kFreshFirst, sub.recompute_carved});
+  plan.stages.push_back(StagePlan{sub.j + 1, m.num_layers(), sub.free,
+                                  topo::PlacementPolicy::kFreshFirst, sub.recompute_free});
+  const std::size_t carved = sub.prefix.size();
+  std::vector<StageCost> leading;
+  int compared = 0;
+  for (int jp = sub.j + 1; jp < m.num_layers(); ++jp) {
+    plan.stages[carved].layer_end = jp;
+    plan.stages[carved + 1].layer_begin = jp;
+    const PlanEstimate reused = reusing.Estimate(plan, gbs, leading);
+    EXPECT_EQ(EstimateBits(reused), EstimateBits(oracle.Estimate(plan, gbs)))
+        << m.name() << " on " << cluster.name() << ", " << carved << " prefix stages, j="
+        << sub.j << ", jp=" << jp << ", given " << leading.size() << " entries";
+    if (leading.empty()) {
+      leading.assign(reused.stages.begin(),
+                     reused.stages.begin() + static_cast<std::ptrdiff_t>(2 * carved));
+    }
+    ++compared;
+  }
+  return compared;
+}
+
+LatencyOptions RandomLatencyOptions(Rng& rng) {
+  LatencyOptions options;
+  const auto& kinds = runtime::AllScheduleKinds();
+  options.schedule_kind = kinds[static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<std::int64_t>(kinds.size()) - 1))];
+  options.overlap_allreduce = rng.Bernoulli(0.7);
+  // Small caps on some draws, so infeasible splits (and their reason
+  // strings) are compared too.
+  if (rng.Bernoulli(0.4)) options.memory_cap = static_cast<Bytes>(rng.UniformInt(1, 8)) * 1_GiB;
+  return options;
+}
+
+TEST(LatencyPrefixReuse, MatchesFullEstimateOnFuzzInstances) {
+  int compared = 0, infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const check::FuzzCase c = check::MakeFuzzCase(seed);
+    Rng rng(seed);
+    Subproblem sub;
+    if (!SampleSubproblem(rng, c.model, c.cluster, sub)) continue;
+    LatencyOptions options = RandomLatencyOptions(rng);
+    compared += ExpectPrefixReuseMatches(c.model, c.cluster, c.options.global_batch_size,
+                                         options, sub);
+    options.memory_cap = 1;
+    infeasible += ExpectPrefixReuseMatches(c.model, c.cluster, c.options.global_batch_size,
+                                           options, sub);
+  }
+  EXPECT_GT(compared, 400);
+  EXPECT_GT(infeasible, 400);
+}
+
+TEST(LatencyPrefixReuse, MatchesFullEstimateOnTableVInstances) {
+  struct Instance {
+    const char* model;
+    char config;
+    long gbs;
+  };
+  const Instance instances[] = {{"GNMT-16", 'A', 1024}, {"BERT-48", 'B', 64},
+                                {"AmoebaNet-36", 'C', 128}};
+  Rng rng(16);
+  for (const Instance& instance : instances) {
+    const ModelProfile m = model::ModelByName(instance.model);
+    const Cluster cluster = instance.config == 'A' ? topo::MakeConfigA(2)
+                                                   : topo::MakeConfig(instance.config, 16);
+    int compared = 0;
+    for (int sample = 0; sample < 6; ++sample) {
+      Subproblem sub;
+      ASSERT_TRUE(SampleSubproblem(rng, m, cluster, sub));
+      compared += ExpectPrefixReuseMatches(m, cluster, instance.gbs, RandomLatencyOptions(rng), sub);
+    }
+    EXPECT_GT(compared, 6) << instance.model;
+  }
+}
+
+TEST(LatencyPrefixReuse, RejectsMoreLeadingEntriesThanThePlanHas) {
+  const ModelProfile m = MakeUniformSynthetic(4, 0.01, 0.02, 0, 0);
+  const Cluster cluster = FastCluster(1, 2);
+  const LatencyEstimator est(m, cluster);
+  const ParallelPlan plan = TwoStagePlan(m, 2, 1, 1);
+  const PlanEstimate full = est.Estimate(plan, 8);
+  ASSERT_EQ(full.stages.size(), 3u);
+  EXPECT_EQ(EstimateBits(est.Estimate(plan, 8, full.stages)), EstimateBits(full));
+  std::vector<StageCost> too_many = full.stages;
+  too_many.push_back(full.stages.back());
+  EXPECT_THROW(est.Estimate(plan, 8, too_many), dapple::Error);
 }
 
 }  // namespace

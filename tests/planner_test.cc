@@ -3,7 +3,10 @@
 // (Fig. 7), and agreement with brute force on tiny instances.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
+#include "estimate_bits.h"
 #include "model/zoo.h"
 #include "planner/dp_baseline.h"
 #include "planner/dp_planner.h"
@@ -207,6 +210,113 @@ TEST(Planner, EvaluateMatchesPlanEstimateForChosenPlan) {
   const PlanResult result = planner.Plan();
   const PlanEstimate re = planner.Evaluate(result.plan);
   EXPECT_NEAR(re.latency, result.estimate.latency, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// The search scores split points from a shared prefix and builds plans only
+// for candidates that can win. Every estimate it hands out must still be
+// exactly what a fresh evaluation of the returned plan gives.
+
+/// Expects the winner's and every alternative's stored estimate to equal
+/// DapplePlanner::Evaluate of its plan, bit for bit.
+void ExpectStoredEstimatesAreExact(const model::ModelProfile& m, const topo::Cluster& cluster,
+                                   const PlannerOptions& options, const std::string& label) {
+  const DapplePlanner planner(m, cluster, options);
+  const PlanResult result = planner.Plan();
+  EXPECT_EQ(EstimateBits(result.estimate), EstimateBits(planner.Evaluate(result.plan)))
+      << label << ": winner";
+  ASSERT_GT(result.alternatives.size(), 1u) << label;
+  for (std::size_t i = 0; i < result.alternatives.size(); ++i) {
+    const auto& [plan, estimate] = result.alternatives[i];
+    EXPECT_EQ(EstimateBits(estimate), EstimateBits(planner.Evaluate(plan)))
+        << label << ": alternative " << i << " " << plan.ToDetailedString();
+  }
+}
+
+TEST(PlannerOracle, StoredEstimatesMatchEvaluateUnderEveryScheduleFamily) {
+  const auto gnmt = model::MakeGnmt16();
+  const auto cluster = topo::MakeConfigA(2);
+  for (runtime::ScheduleKind kind : {runtime::ScheduleKind::kDapple,
+                                     runtime::ScheduleKind::kGPipe,
+                                     runtime::ScheduleKind::kVMin}) {
+    for (int threads : {1, 8}) {
+      PlannerOptions options = Opts(1024);
+      options.latency.schedule_kind = kind;
+      options.num_threads = threads;
+      ExpectStoredEstimatesAreExact(gnmt, cluster, options,
+                                    std::string(runtime::ToString(kind)) + " @ " +
+                                        std::to_string(threads) + " threads");
+    }
+  }
+}
+
+TEST(PlannerOracle, StoredEstimatesMatchEvaluateUnderAMemoryCap) {
+  // A cap at 0.4x the uncapped winner's peak: nothing fits without
+  // recomputation, so kAll flags every stage and kAuto trims the flags
+  // plan by plan after its retry.
+  const auto xlnet = model::MakeXlnet36();
+  const auto cluster = topo::MakeConfigA(1);
+  const Bytes peak = DapplePlanner(xlnet, cluster, Opts(64)).Plan().estimate.max_peak_memory;
+  PlannerOptions plain = Opts(64);
+  plain.latency.memory_cap = peak * 2 / 5;
+  ASSERT_THROW(DapplePlanner(xlnet, cluster, plain).Plan(), Error);
+  for (RecomputePolicy recompute : {RecomputePolicy::kAll, RecomputePolicy::kAuto}) {
+    for (int threads : {1, 8}) {
+      PlannerOptions options = plain;
+      options.recompute = recompute;
+      options.num_threads = threads;
+      ExpectStoredEstimatesAreExact(xlnet, cluster, options,
+                                    std::string("recompute=") + ToString(recompute) + " @ " +
+                                        std::to_string(threads) + " threads");
+    }
+  }
+}
+
+TEST(PlannerOracle, TableVCandidateCountsArePinned) {
+  // The search visits exactly the candidates it always has: scoring from a
+  // shared prefix and lazy plan building change the cost, not the space.
+  struct Instance {
+    const char* model;
+    topo::Cluster cluster;
+    long gbs;
+    long candidates;
+  };
+  const Instance instances[] = {
+      {"GNMT-16", topo::MakeConfigA(2), 1024, 49'362},
+      {"BERT-48", topo::MakeConfig('B', 16), 64, 107'855},
+      {"AmoebaNet-36", topo::MakeConfigA(2), 128, 387'236},
+  };
+  for (const Instance& instance : instances) {
+    PlannerOptions options = Opts(instance.gbs);
+    const PlanResult result =
+        DapplePlanner(model::ModelByName(instance.model), instance.cluster, options).Plan();
+    EXPECT_EQ(result.candidates_evaluated, instance.candidates) << instance.model;
+  }
+}
+
+TEST(PlanValidate, DuplicatedDeviceThrowsTheSameMessage) {
+  const auto m = MakeUniformSynthetic(4, 0.01, 0.02, 1_MiB, 1'000);
+  ParallelPlan plan;
+  plan.model = m.name();
+  plan.stages.push_back(StagePlan{0, 2, DeviceSet({0, 3}), topo::PlacementPolicy::kFreshFirst,
+                                  false});
+  plan.stages.push_back(StagePlan{2, 4, DeviceSet({1, 3}), topo::PlacementPolicy::kFreshFirst,
+                                  false});
+  try {
+    plan.Validate(m);
+    FAIL() << "a device in two stages must not validate";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    const std::string tail = " — device G3 in two stages";
+    ASSERT_GE(what.size(), tail.size()) << what;
+    EXPECT_EQ(what.substr(what.size() - tail.size()), tail) << what;
+  }
+  // Device ids past one bitmap word are tracked too.
+  plan.stages[0].devices = DeviceSet({5, 130});
+  plan.stages[1].devices = DeviceSet({64, 130});
+  EXPECT_THROW(plan.Validate(m), Error);
+  plan.stages[1].devices = DeviceSet({64, 129});
+  EXPECT_NO_THROW(plan.Validate(m));
 }
 
 }  // namespace
