@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "scenario/coscheduler.h"
 #include "scenario/episode.h"
 #include "scenario/stream.h"
@@ -111,7 +112,15 @@ int main(int argc, char** argv) {
   };
 
   const PolicyAggregate stall = run_policy(fault::RecoveryPolicy::kSyncStall);
+  // Each experiment plans a degraded cluster once and reuses the plan when
+  // churn returns to it; the registry deltas show how often that happens.
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const std::int64_t memo_hits_before = metrics.counter("fault.replan.memo_hits").value();
+  const std::int64_t searches_before = metrics.counter("fault.replan.runs").value();
   const PolicyAggregate up = run_policy(fault::RecoveryPolicy::kElasticUp);
+  const std::int64_t memo_hits =
+      metrics.counter("fault.replan.memo_hits").value() - memo_hits_before;
+  const std::int64_t searches = metrics.counter("fault.replan.runs").value() - searches_before;
 
   std::printf("\n--- churn corpus: %zu episodes (spot + rolling, GNMT-16 on %s) ---\n",
               corpus.size(), cluster.name().c_str());
@@ -123,6 +132,12 @@ int main(int argc, char** argv) {
   std::printf("  %-12s %12.2f/s %11.1f%% %9d %8d %9d %8d\n", "elastic-up", up.mean_goodput,
               100.0 * up.mean_utilization, up.preemptions, up.rejoins, up.scale_ups,
               up.replans);
+  std::printf("  elastic-up replan memo: %lld hits, %lld planner searches (%.0f%% reused)\n",
+              static_cast<long long>(memo_hits), static_cast<long long>(searches),
+              memo_hits + searches > 0
+                  ? 100.0 * static_cast<double>(memo_hits) /
+                        static_cast<double>(memo_hits + searches)
+                  : 0.0);
   bench::PrintComparison("elastic-up vs stall goodput",
                          "replan beats waiting out faults (§VI)",
                          std::to_string(up.mean_goodput / stall.mean_goodput) + "x");

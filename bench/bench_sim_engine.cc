@@ -94,10 +94,11 @@ int main(int argc, char** argv) {
     total_tasks += corpus.back().graph.num_tasks();
   }
   // Each timed region replays the corpus `reps` times (after one untimed
-  // warmup pass, see bench::TimeWarmedPasses) so times are well above timer
-  // resolution even for the quick CI corpus; fingerprints are taken from
-  // the final pass.
-  const int reps = quick ? 20 : 5;
+  // warmup pass, see bench::TimeWarmedPasses); fingerprints are taken from
+  // the final pass. The quick corpus is small, so it takes enough passes
+  // for every serial trial to run >= 50 ms: one scheduling hiccup inside a
+  // few-millisecond region could swing the engine floor below 1.0x.
+  const int reps = quick ? 240 : 5;
   const long total_events = total_tasks * reps;
   std::printf("\ncorpus: %d fuzz pipelines, %ld tasks total, %d passes per measurement\n",
               corpus_size, total_tasks, reps);
@@ -209,7 +210,7 @@ int main(int argc, char** argv) {
   }
 
   // The engine floor: the production engine must not lose to the oracle.
-  // Sub-10 ms timed regions swing the ratio by +-20% between runs even in
+  // Short timed regions swing the ratio by +-20% between runs even in
   // thread CPU time (caches, frequency), so a tighter floor would measure
   // the host, not the code.
   char engine_measured[64];

@@ -1,13 +1,16 @@
 #include "fault/recovery.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "planner/fingerprint.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
 
@@ -36,32 +39,51 @@ struct ElasticReplan {
   std::string halt_reason;
 };
 
-/// Degrade -> replan online -> remap the running plan when the planner
-/// finds nothing -> halt. The online planner books its search stats under
-/// fault.replan.*: replans sit on the recovery critical path, so their wall
-/// time and cache behaviour are the numbers an operator cares about. Only
-/// elastic-up ever sees a grown cluster (PolicyStateAt keeps crashes
-/// permanent for every other policy), so the remap may use new devices
-/// exactly when the cluster grew.
+/// The planner's answer for every degraded cluster one experiment has
+/// already replanned onto, keyed by planner::FingerprintPlanRequest;
+/// nullopt when the planner found no feasible plan. MakeDegradedCluster
+/// renumbers the survivors, so losing either of two equal servers yields
+/// the same cluster, and churn keeps returning to states it has seen.
+using ReplanMemo = std::unordered_map<std::uint64_t, std::optional<planner::ParallelPlan>>;
+
+/// Degrade -> replan online (once per distinct degraded cluster) -> remap
+/// the running plan when the planner finds nothing -> halt. The online
+/// planner books its search stats under fault.replan.*: replans sit on the
+/// recovery critical path, so their wall time and cache behaviour are the
+/// numbers an operator cares about; a memo hit books fault.replan.memo_hits
+/// instead. Only elastic-up ever sees a grown cluster (PolicyStateAt keeps
+/// crashes permanent for every other policy), so the remap may use new
+/// devices exactly when the cluster grew. The remap depends on the running
+/// plan, so it is never memoized.
 ElasticReplan Replan(const model::ModelProfile& model, const topo::Cluster& cluster,
                      const ClusterState& now, const Config& running,
-                     const planner::PlannerOptions& options) {
+                     const planner::PlannerOptions& options, ReplanMemo& memo) {
   ElasticReplan step{MakeDegradedCluster(cluster, now), false, std::nullopt, {}};
   if (!step.degraded.feasible) {
     step.halt_reason = "no surviving server to replan onto";
     return step;
   }
   step.grew = step.degraded.cluster.num_devices() > running.cluster.num_devices();
-  try {
-    planner::PlanResult result =
-        planner::DapplePlanner(model, step.degraded.cluster, options).Plan();
-    auto& metrics = obs::MetricsRegistry::Global();
-    metrics.counter("fault.replan.runs").Increment();
-    metrics.counter("fault.replan.subproblems").Increment(result.stats.subproblems);
-    metrics.counter("fault.replan.cache_hits").Increment(result.stats.cache_hits);
-    metrics.histogram("fault.replan.wall_seconds").Observe(result.stats.wall_seconds);
-    step.plan = std::move(result.plan);
-  } catch (const Error&) {
+  auto& metrics = obs::MetricsRegistry::Global();
+  const auto [planned, miss] = memo.try_emplace(planner::FingerprintPlanRequest(
+      model, step.degraded.cluster, options.global_batch_size, options));
+  if (miss) {
+    try {
+      planner::PlanResult result =
+          planner::DapplePlanner(model, step.degraded.cluster, options).Plan();
+      metrics.counter("fault.replan.runs").Increment();
+      metrics.counter("fault.replan.subproblems").Increment(result.stats.subproblems);
+      metrics.counter("fault.replan.cache_hits").Increment(result.stats.cache_hits);
+      metrics.histogram("fault.replan.wall_seconds").Observe(result.stats.wall_seconds);
+      planned->second = std::move(result.plan);
+    } catch (const Error&) {
+      // Stays nullopt: a return to this cluster remaps without searching.
+    }
+  } else {
+    metrics.counter("fault.replan.memo_hits").Increment();
+  }
+  step.plan = planned->second;
+  if (!step.plan) {
     step.plan = RemapPlanToCluster(running.plan, step.degraded, step.grew);
     if (!step.plan) step.halt_reason = "planner found no feasible plan on the degraded cluster";
   }
@@ -199,6 +221,7 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
     planner_options.global_batch_size = options.build.global_batch_size;
   }
 
+  ReplanMemo replan_memo;
   TimeSec t = 0.0;
   int iterations = 0;
   int last_checkpoint_iter = 0;
@@ -218,7 +241,7 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
     if (policy == RecoveryPolicy::kElasticReplan || policy == RecoveryPolicy::kElasticUp) {
       const ClusterState now = PolicyStateAt(script, cluster, t, policy);
       if (now != config.planned_state) {
-        ElasticReplan step = Replan(model, cluster, now, config, planner_options);
+        ElasticReplan step = Replan(model, cluster, now, config, planner_options, replan_memo);
         if (!step.plan) {
           halt(t, step.halt_reason);
           break;
@@ -324,7 +347,7 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
       case RecoveryPolicy::kElasticUp: {
         const TimeSec resumed = crash_time + options.detect_latency + options.replan_cost;
         const ClusterState now = PolicyStateAt(script, cluster, resumed, policy);
-        ElasticReplan step = Replan(model, cluster, now, config, planner_options);
+        ElasticReplan step = Replan(model, cluster, now, config, planner_options, replan_memo);
         if (!step.plan) {
           halt(crash_time, step.halt_reason);
           break;

@@ -135,6 +135,8 @@ struct FaultReport {
 
 /// Runs the iteration loop for one policy. The plan is the healthy-cluster
 /// plan the job started with (typically the DAPPLE planner's winner).
+/// Elastic policies run the planner once per distinct degraded cluster and
+/// reuse its answer when the experiment returns to that cluster.
 /// Deterministic: no wall clock, no global state.
 FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Cluster& cluster,
                                const planner::ParallelPlan& plan, const FaultScript& script,

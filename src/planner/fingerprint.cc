@@ -1,9 +1,9 @@
-#include "serve/fingerprint.h"
+#include "planner/fingerprint.h"
 
 #include "runtime/schedule.h"
 #include "topo/assignment.h"
 
-namespace dapple::serve {
+namespace dapple::planner {
 
 std::uint64_t FingerprintModel(const model::ModelProfile& model) {
   Fingerprint64 fp;
@@ -46,7 +46,7 @@ std::uint64_t FingerprintCluster(const topo::Cluster& cluster) {
   return fp.digest();
 }
 
-std::uint64_t FingerprintPlannerOptions(const planner::PlannerOptions& options) {
+std::uint64_t FingerprintPlannerOptions(const PlannerOptions& options) {
   Fingerprint64 fp;
   fp.Mix("planner-options/v2");
   fp.Mix(static_cast<std::int64_t>(options.global_batch_size));
@@ -58,7 +58,7 @@ std::uint64_t FingerprintPlannerOptions(const planner::PlannerOptions& options) 
     fp.Mix(static_cast<std::int64_t>(policy));
   }
   fp.Mix(static_cast<std::int64_t>(options.recompute));
-  const planner::LatencyOptions& latency = options.latency;
+  const LatencyOptions& latency = options.latency;
   fp.Mix(latency.overlap_allreduce);
   fp.Mix(latency.overlap_efficiency);
   fp.Mix(latency.check_memory);
@@ -70,7 +70,7 @@ std::uint64_t FingerprintPlannerOptions(const planner::PlannerOptions& options) 
 std::uint64_t FingerprintPlanRequest(const model::ModelProfile& model,
                                      const topo::Cluster& cluster,
                                      long global_batch_size,
-                                     const planner::PlannerOptions& options) {
+                                     const PlannerOptions& options) {
   Fingerprint64 fp;
   fp.Mix("plan-request/v1");
   fp.Mix(FingerprintModel(model));
@@ -80,4 +80,4 @@ std::uint64_t FingerprintPlanRequest(const model::ModelProfile& model,
   return fp.digest();
 }
 
-}  // namespace dapple::serve
+}  // namespace dapple::planner

@@ -9,7 +9,7 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "serve/fingerprint.h"
+#include "planner/fingerprint.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
 
@@ -31,8 +31,8 @@ struct CoScheduler::Cell {
   bool feasible = false;
 };
 
-/// Memoized candidate evaluation. Keys are serve-layer plan-request
-/// fingerprints of (job model, budget slice, batch, planner options), so
+/// Memoized candidate evaluation. Keys are planner::FingerprintPlanRequest
+/// digests of (job model, budget slice, batch, planner options), so
 /// the cache is shared across greedy steps, exchange passes and — because
 /// the fingerprint is stable — across CoScheduler instances handed the
 /// same cache. Hit/miss counts are per deduped evaluation round, which
@@ -98,8 +98,8 @@ class CoScheduler::Evaluator {
     const JobSpec& spec = jobs_[static_cast<std::size_t>(job)];
     planner::PlannerOptions po = options_.planner;
     po.global_batch_size = spec.global_batch_size;
-    return serve::FingerprintPlanRequest(spec.model, Slice(width), spec.global_batch_size,
-                                         po);
+    return planner::FingerprintPlanRequest(spec.model, Slice(width), spec.global_batch_size,
+                                           po);
   }
 
   Cell Compute(int job, int width) const {

@@ -7,11 +7,11 @@
 // aggregate makespan (= max over jobs of iterations x simulated iteration
 // time) the most, then single-server moves between job pairs run to a
 // fixed point. Candidate evaluations — plan on the slice, build, simulate —
-// fan out over a sim::BatchRunner and memoize in a serve-fingerprint-keyed
-// ShardedCache, so a sweep that revisits (model, slice width, batch) pays
-// the planner once. Deterministic: identical inputs produce byte-identical
-// reports at every worker count (cache traffic is counted per deduped
-// evaluation round, not per racing thread).
+// fan out over a sim::BatchRunner and memoize in a ShardedCache keyed by
+// planner::FingerprintPlanRequest, so a sweep that revisits (model, slice
+// width, batch) pays the planner once. Deterministic: identical inputs
+// produce byte-identical reports at every worker count (cache traffic is
+// counted per deduped evaluation round, not per racing thread).
 #pragma once
 
 #include <functional>

@@ -7,7 +7,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "serve/fingerprint.h"
+#include "planner/fingerprint.h"
 
 namespace dapple::serve {
 
@@ -132,7 +132,7 @@ Server::PlanEntryPtr Server::PlanFor(const ServeRequest& request,
   options.cache_entries_per_shard = options_.stage_cache_entries_per_shard;
   // The fingerprint covers only plan-affecting inputs; thread counts and
   // cache bounds are excluded by FingerprintPlannerOptions.
-  const std::uint64_t key = FingerprintPlanRequest(model, cluster, request.gbs, options);
+  const std::uint64_t key = planner::FingerprintPlanRequest(model, cluster, request.gbs, options);
   if (fingerprint) *fingerprint = key;
 
   auto& metrics = obs::MetricsRegistry::Global();

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/validator.h"
@@ -18,6 +20,8 @@
 #include "fault/report.h"
 #include "fault/script.h"
 #include "model/zoo.h"
+#include "obs/metrics.h"
+#include "planner/dp_planner.h"
 #include "planner/plan.h"
 #include "runtime/graph_builder.h"
 #include "topo/cluster.h"
@@ -395,6 +399,94 @@ TEST(FaultRecoveryTest, ReportsAreByteDeterministic) {
   EXPECT_EQ(ToText(a), ToText(b));
   // Infinity never leaks into the JSON encoding (golden-file safety).
   EXPECT_EQ(ToJson(a).find("inf"), std::string::npos);
+}
+
+// --- Replan memo -----------------------------------------------------------
+
+std::int64_t MemoHits() {
+  return obs::MetricsRegistry::Global().counter("fault.replan.memo_hits").value();
+}
+
+TEST(FaultReplanMemoTest, RecurringClustersReuseTheFreshPlan) {
+  // Losing server 1 and, after its rejoin, losing server 2 leave the same
+  // 3-server cluster. The slowdown that follows makes a 3-server cluster
+  // that is *not* the same, so a memo keyed on the survivor count alone
+  // would hand back the plan built for the homogeneous survivors.
+  const model::ModelProfile m = EightLayerModel();
+  const topo::Cluster cluster = topo::MakeConfigB(4);
+  const planner::ParallelPlan plan = TwoStagePlan(m, 2);
+  const FaultScript script = ParseFaultScript(
+      "crash device=1 at=2\n"
+      "rejoin device=1 at=4\n"
+      "crash device=2 at=6\n"
+      "slowdown server=3 start=7.5 end=9 mult=0.25\n");
+  FaultOptions options = FastOptions(8);
+  options.horizon = 12.0;
+  std::vector<std::pair<planner::ParallelPlan, topo::Cluster>> built;
+  options.pipeline_observer = [&](const runtime::BuiltPipeline&, const planner::ParallelPlan& p,
+                                  const topo::Cluster& c) { built.emplace_back(p, c); };
+
+  const std::int64_t hits_before = MemoHits();
+  const FaultReport report =
+      RunFaultExperiment(m, cluster, plan, script, RecoveryPolicy::kElasticUp, options);
+  EXPECT_GE(MemoHits() - hits_before, 2);
+
+  // Every pipeline after the initial one runs the plan a fresh planner
+  // finds for the degraded cluster it was built on, and the timeline row
+  // that installed it names that plan.
+  std::vector<const TimelineRow*> rows;
+  for (const TimelineRow& row : report.timeline) {
+    if (row.kind == "replan" || row.kind == "scale-up") rows.push_back(&row);
+  }
+  ASSERT_EQ(static_cast<int>(rows.size()), report.replans);
+  ASSERT_EQ(built.size(), rows.size() + 1);
+  planner::PlannerOptions planner_options = options.planner;
+  planner_options.global_batch_size = options.build.global_batch_size;
+  bool saw_heterogeneous = false;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& [p, c] = built[i + 1];
+    const std::string fresh =
+        planner::DapplePlanner(m, c, planner_options).Plan().plan.ToString();
+    EXPECT_EQ(p.ToString(), fresh) << "replan " << i << " onto " << c.num_servers()
+                                   << " servers";
+    EXPECT_TRUE(rows[i]->note.ends_with(" as " + fresh)) << rows[i]->note;
+    saw_heterogeneous = saw_heterogeneous || !c.homogeneous();
+  }
+  EXPECT_TRUE(saw_heterogeneous);
+}
+
+TEST(FaultReplanMemoTest, RecurringInfeasibleStateRemapsTheRunningPlan) {
+  // Under a 1-byte planning cap the planner finds nothing anywhere, so
+  // every replan falls back to remapping the running plan. The 3-server
+  // state recurs from a different running plan and must remap *that*:
+  // 1|3 on four devices shrinks to 1|2, grows back to 2|2 on the rejoin,
+  // and then shrinks to 2|1 — not the 1|2 the first visit produced.
+  const model::ModelProfile m = EightLayerModel();
+  const topo::Cluster cluster = topo::MakeConfigB(4);
+  planner::ParallelPlan plan;
+  plan.model = m.name();
+  plan.stages.push_back({0, 4, topo::DeviceSet::Range(0, 1)});
+  plan.stages.push_back({4, 8, topo::DeviceSet::Range(1, 3)});
+  const FaultScript script = ParseFaultScript(
+      "crash device=1 at=2\n"
+      "rejoin device=1 at=4\n"
+      "crash device=2 at=6\n");
+  FaultOptions options = FastOptions(8);
+  options.horizon = 12.0;
+  options.planner.latency.memory_cap = 1;
+  std::vector<std::string> replicas;
+  options.pipeline_observer = [&](const runtime::BuiltPipeline&, const planner::ParallelPlan& p,
+                                  const topo::Cluster&) {
+    replicas.push_back(std::to_string(p.stages[0].replication()) + "|" +
+                       std::to_string(p.stages[1].replication()));
+  };
+
+  const std::int64_t hits_before = MemoHits();
+  const FaultReport report =
+      RunFaultExperiment(m, cluster, plan, script, RecoveryPolicy::kElasticUp, options);
+  EXPECT_GE(MemoHits() - hits_before, 1);
+  EXPECT_EQ(report.replans, 3);
+  EXPECT_EQ(replicas, (std::vector<std::string>{"1|3", "1|2", "2|2", "2|1"}));
 }
 
 }  // namespace

@@ -2,9 +2,18 @@
 // the canonical encoding itself: if any of them changes, every persisted
 // fingerprint (plan-cache keys, BENCH row ids) silently changes meaning.
 // Update them only for a deliberate, versioned encoding change.
+//
+// The planning fingerprint keys plan memos, so it must also see every
+// change a degraded cluster carries: a memo keyed on a digest that missed
+// one would hand back a plan for the wrong cluster.
 #include "common/fingerprint.h"
 
 #include <gtest/gtest.h>
+
+#include "fault/degrade.h"
+#include "fault/script.h"
+#include "planner/fingerprint.h"
+#include "topo/cluster.h"
 
 namespace dapple {
 namespace {
@@ -52,6 +61,54 @@ TEST(Fingerprint, DigestIsNeverZero) {
 TEST(Fingerprint, ToStringIsFixedWidthHex) {
   EXPECT_EQ(FingerprintToString(9681871815477372230ull), "fp:865ceb1e92652546");
   EXPECT_EQ(FingerprintToString(1), "fp:0000000000000001");
+}
+
+std::uint64_t DegradedDigest(const topo::Cluster& cluster, const fault::ClusterState& state) {
+  return planner::FingerprintCluster(fault::MakeDegradedCluster(cluster, state).cluster);
+}
+
+TEST(PlanningFingerprint, EveryDegradationMovesTheClusterDigest) {
+  for (const topo::Cluster& cluster : {topo::MakeConfigB(4), topo::MakeConfigA(2)}) {
+    SCOPED_TRACE(cluster.name());
+    const fault::ClusterState healthy = fault::StateAt(fault::FaultScript{}, cluster, 0.0);
+    const std::uint64_t base = DegradedDigest(cluster, healthy);
+    EXPECT_EQ(base, planner::FingerprintCluster(cluster));
+
+    fault::ClusterState dead = healthy;  // drains the last server
+    dead.device_dead[static_cast<std::size_t>(cluster.num_devices() - 1)] = true;
+    EXPECT_NE(DegradedDigest(cluster, dead), base) << "dead device";
+
+    fault::ClusterState straggler = healthy;  // the WithServerSpeeds path
+    straggler.server_compute[1] = 0.5;
+    EXPECT_NE(DegradedDigest(cluster, straggler), base) << "server_compute slowdown";
+
+    fault::ClusterState bandwidth = healthy;
+    bandwidth.server_bandwidth[1] = 0.5;
+    EXPECT_NE(DegradedDigest(cluster, bandwidth), base) << "inter-server bandwidth";
+
+    fault::ClusterState latency = healthy;
+    latency.server_extra_latency[1] = 1e-3;
+    EXPECT_NE(DegradedDigest(cluster, latency), base) << "inter-server latency";
+  }
+}
+
+TEST(PlanningFingerprint, LosingEitherOfTwoEqualServersGivesOneDigest) {
+  for (const topo::Cluster& cluster : {topo::MakeConfigB(4), topo::MakeConfigA(2)}) {
+    SCOPED_TRACE(cluster.name());
+    const fault::ClusterState healthy = fault::StateAt(fault::FaultScript{}, cluster, 0.0);
+    const int gps = cluster.gpus_per_server();
+    fault::ClusterState lose_first = healthy;
+    lose_first.device_dead[0] = true;
+    fault::ClusterState lose_second = healthy;
+    lose_second.device_dead[static_cast<std::size_t>(gps)] = true;
+    EXPECT_EQ(DegradedDigest(cluster, lose_first), DegradedDigest(cluster, lose_second));
+
+    // Unequal servers are not interchangeable: with server 1 slowed, which
+    // server dies decides whether the survivors are heterogeneous.
+    lose_first.server_compute[1] = 0.5;
+    lose_second.server_compute[1] = 0.5;
+    EXPECT_NE(DegradedDigest(cluster, lose_first), DegradedDigest(cluster, lose_second));
+  }
 }
 
 }  // namespace
