@@ -2,11 +2,9 @@
 
 #include <time.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -180,14 +178,6 @@ double TimeWarmedPasses(int reps, const std::function<void()>& pass) {
   const double t0 = thread_seconds();
   for (int rep = 0; rep < reps; ++rep) pass();
   return thread_seconds() - t0;
-}
-
-double TimeWarmedPassesBestOf(int trials, int reps, const std::function<void()>& pass) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int trial = 0; trial < std::max(trials, 1); ++trial) {
-    best = std::min(best, TimeWarmedPasses(reps, pass));
-  }
-  return best;
 }
 
 }  // namespace dapple::bench

@@ -62,12 +62,6 @@ void PrintComparison(const std::string& metric, const std::string& paper,
 /// first-pass allocation to whichever engine happens to run first.
 double TimeWarmedPasses(int reps, const std::function<void()>& pass);
 
-/// Minimum of `trials` TimeWarmedPasses measurements. Engine-vs-engine
-/// ratio rows use the best-of so a scheduler hiccup in one trial cannot
-/// fail a floor assertion; the minimum is the standard low-noise estimator
-/// for deterministic CPU-bound work.
-double TimeWarmedPassesBestOf(int trials, int reps, const std::function<void()>& pass);
-
 // Every PrintHeader / PrintComparison / Evaluate call is also recorded; when
 // DAPPLE_BENCH_JSON_DIR is set, the process writes the accumulated record to
 // $DAPPLE_BENCH_JSON_DIR/BENCH_<binary>.json at exit — the machine-readable

@@ -13,7 +13,6 @@
 #include "fault/degrade.h"
 #include "planner/dp_planner.h"
 #include "planner/latency.h"
-#include "planner/prefilter.h"
 #include "sim/engine.h"
 #include "sim/prefilter.h"
 #include "topo/device_set.h"
@@ -645,10 +644,13 @@ RankingFuzzOutcome RankingFuzz::Run(const RankingFuzzCase& c) {
   lo.overlap_allreduce = c.options.overlap_allreduce;
   const planner::LatencyEstimator estimator(c.model, c.cluster, lo);
 
-  std::vector<planner::RankingCandidate> candidates;
-  candidates.reserve(c.candidates.size());
+  // Scored once; both legs rank the same scores.
+  std::vector<double> scores;
+  scores.reserve(c.candidates.size());
   for (const planner::ParallelPlan& plan : c.candidates) {
-    candidates.push_back({runtime::PlanAsBuilt(plan, c.options), c.options.global_batch_size});
+    const planner::PlanEstimate e =
+        estimator.Estimate(runtime::PlanAsBuilt(plan, c.options), c.options.global_batch_size);
+    scores.push_back(e.feasible ? e.latency : std::numeric_limits<double>::infinity());
   }
 
   // A candidate whose build or simulation throws never wins either leg.
@@ -664,23 +666,20 @@ RankingFuzzOutcome RankingFuzz::Run(const RankingFuzzCase& c) {
     }
   };
 
-  planner::RankingOptions ro;
-  const planner::RankingResult pre =
-      planner::RankCandidates(estimator, candidates, simulate, ro);
-  ro.prefilter = false;
-  const planner::RankingResult full =
-      planner::RankCandidates(estimator, candidates, simulate, ro);
+  sim::PrefilterOptions po;
+  const sim::PrefilterResult pre = sim::PrefilterBatch(scores, simulate, po);
+  po.enabled = false;
+  const sim::PrefilterResult full = sim::PrefilterBatch(scores, simulate, po);
 
-  out.num_simulated = static_cast<int>(pre.sim.simulated.size());
+  out.num_simulated = static_cast<int>(pre.simulated.size());
   out.best_prefiltered = pre.best;
   out.best_full = full.best;
-  out.best_prefiltered_makespan = pre.sim.best_value;
-  out.best_full_makespan = full.sim.best_value;
+  out.best_prefiltered_makespan = pre.best_value;
+  out.best_full_makespan = full.best_value;
   // Bit-exact value comparison, not index: exact ties may legitimately
   // resolve to different candidates.
-  out.recall_ok = full.best < 0
-                      ? pre.best < 0
-                      : pre.best >= 0 && pre.sim.best_value == full.sim.best_value;
+  out.recall_ok = full.best < 0 ? pre.best < 0
+                                : pre.best >= 0 && pre.best_value == full.best_value;
   return out;
 }
 

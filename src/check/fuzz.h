@@ -331,9 +331,11 @@ struct RankingFuzz {
   using Case = RankingFuzzCase;
   using Outcome = RankingFuzzOutcome;
   static Case Make(std::uint64_t seed, int num_candidates = 24);
-  /// Ranks the candidates twice — prefilter on, then the full-simulation
-  /// oracle — and compares the winners. Each leg simulates serially inside
-  /// the case, so sweep parallelism stays at the case granularity.
+  /// Scores the candidates once with the analytic estimator, ranks them
+  /// twice through sim::PrefilterBatch — prefilter on, then the
+  /// full-simulation oracle — and compares the winners. Each leg simulates
+  /// serially inside the case, so sweep parallelism stays at the case
+  /// granularity.
   static Outcome Run(const Case& c);
 
   struct Tally {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/error.h"
 #include "runtime/schedule.h"
@@ -31,6 +30,14 @@ std::string TaskLabel(const sim::TaskGraph& graph, sim::TaskId id) {
   std::ostringstream os;
   os << "task " << id << " '" << graph.task(id).name << "'";
   return os.str();
+}
+
+/// True when `graph` has the edge `from` -> `to`. Edges live only in the
+/// successor lists, so fan-in checks ask each producer instead of reading a
+/// predecessor list.
+bool Feeds(const sim::TaskGraph& graph, sim::TaskId from, sim::TaskId to) {
+  const auto& succs = graph.successors(from);
+  return std::find(succs.begin(), succs.end(), to) != succs.end();
 }
 
 }  // namespace
@@ -503,11 +510,9 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
     // under 2BP, the full backwards otherwise. They gate AllReduce/APPLY.
     const auto& grads = split_bw ? bww : bw;
     if (r > 1 && ars.size() == 1) {
-      const auto& preds = graph.predecessors(ars.front());
-      const std::unordered_set<sim::TaskId> pred_set(preds.begin(), preds.end());
       for (int m = 0; m < m_total; ++m) {
         for (sim::TaskId t : grads[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)]) {
-          if (!pred_set.count(t)) {
+          if (!Feeds(graph, t, ars.front())) {
             add(kViolationAllReduceFanIn,
                 TaskLabel(graph, t) + " does not feed stage " + std::to_string(i) +
                     "'s AllReduce");
@@ -531,10 +536,8 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
               TaskLabel(graph, a) + " applies on a device outside the stage");
           continue;
         }
-        const auto& preds = graph.predecessors(a);
-        const std::unordered_set<sim::TaskId> pred_set(preds.begin(), preds.end());
         if (r > 1) {
-          if (ars.size() == 1 && !pred_set.count(ars.front())) {
+          if (ars.size() == 1 && !Feeds(graph, ars.front(), a)) {
             add(kViolationApplyShape,
                 TaskLabel(graph, a) + " is not gated on the stage's AllReduce");
           }
@@ -542,7 +545,7 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
           for (int m = 0; m < m_total; ++m) {
             for (sim::TaskId b :
                  grads[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)]) {
-              if (graph.task(b).device == t.device && !pred_set.count(b)) {
+              if (graph.task(b).device == t.device && !Feeds(graph, b, a)) {
                 add(kViolationApplyShape,
                     TaskLabel(graph, a) + " is not gated on " + TaskLabel(graph, b));
               }
@@ -581,19 +584,15 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
         return;
       }
       const sim::TaskId link = links.front();
-      const auto& preds = graph.predecessors(link);
-      const std::unordered_set<sim::TaskId> pred_set(preds.begin(), preds.end());
-      const auto& succs = graph.successors(link);
-      const std::unordered_set<sim::TaskId> succ_set(succs.begin(), succs.end());
       for (sim::TaskId p : producers) {
-        if (!pred_set.count(p)) {
+        if (!Feeds(graph, p, link)) {
           add(kViolationTransferShape,
               TaskLabel(graph, p) + " does not feed the " + dir + " transfer at boundary " +
                   std::to_string(i));
         }
       }
       for (sim::TaskId c : consumers) {
-        if (!succ_set.count(c)) {
+        if (!Feeds(graph, link, c)) {
           add(kViolationTransferShape,
               TaskLabel(graph, c) + " is not gated on the " + dir +
                   " transfer at boundary " + std::to_string(i));

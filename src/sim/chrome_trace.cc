@@ -5,29 +5,11 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "obs/json.h"
 
 namespace dapple::sim {
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result,
-                          ChromeTraceOptions options) {
+std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result) {
   std::ostringstream os;
   os << "{\"traceEvents\":[";
   bool first = true;
@@ -38,12 +20,7 @@ std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result,
   };
 
   // Process / thread metadata: one "thread" per resource.
-  {
-    std::ostringstream m;
-    m << "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\""
-      << JsonEscape(options.process_name) << "\"}}";
-    emit(m.str());
-  }
+  emit("{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"dapple-sim\"}}");
   for (int r = 0; r < std::max(graph.num_resources(), 1); ++r) {
     std::ostringstream m;
     m << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << r
@@ -57,7 +34,7 @@ std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result,
     const Task& task = graph.task(rec.id);
     std::ostringstream e;
     e << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << task.resource << ",\"name\":\""
-      << JsonEscape(task.name) << "\",\"cat\":\"" << ToString(task.kind)
+      << obs::JsonWriter::Escape(task.name) << "\",\"cat\":\"" << ToString(task.kind)
       << "\",\"ts\":" << rec.start * 1e6 << ",\"dur\":" << (rec.end - rec.start) * 1e6
       << ",\"args\":{\"stage\":" << task.stage << ",\"microbatch\":" << task.microbatch
       << "}}";
@@ -68,57 +45,51 @@ std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result,
   // slices it feeds, so the viewer shows activations/gradients hopping
   // between stage rows. The "s"/"f" pair binds to the enclosing slices by
   // (tid, ts); bp=e attaches the arrow to the consumer's start.
-  if (options.include_transfer_flows) {
-    int flow_id = 0;
-    for (const TaskRecord& rec : result.records) {
-      if (!rec.executed || rec.id == kInvalidTask) continue;
-      const Task& task = graph.task(rec.id);
-      if (task.kind != TaskKind::kTransfer) continue;
-      for (TaskId succ : graph.successors(rec.id)) {
-        const TaskRecord& to = result.records[static_cast<std::size_t>(succ)];
-        if (!to.executed || !IsComputeKind(graph.task(succ).kind)) continue;
-        std::ostringstream s;
-        s << "{\"ph\":\"s\",\"pid\":1,\"tid\":" << task.resource << ",\"id\":" << flow_id
-          << ",\"name\":\"xfer\",\"cat\":\"flow\",\"ts\":" << rec.start * 1e6 << "}";
-        emit(s.str());
-        std::ostringstream f;
-        f << "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":" << graph.task(succ).resource
-          << ",\"id\":" << flow_id << ",\"name\":\"xfer\",\"cat\":\"flow\",\"ts\":"
-          << to.start * 1e6 << "}";
-        emit(f.str());
-        ++flow_id;
-      }
+  int flow_id = 0;
+  for (const TaskRecord& rec : result.records) {
+    if (!rec.executed || rec.id == kInvalidTask) continue;
+    const Task& task = graph.task(rec.id);
+    if (task.kind != TaskKind::kTransfer) continue;
+    for (TaskId succ : graph.successors(rec.id)) {
+      const TaskRecord& to = result.records[static_cast<std::size_t>(succ)];
+      if (!to.executed || !IsComputeKind(graph.task(succ).kind)) continue;
+      std::ostringstream s;
+      s << "{\"ph\":\"s\",\"pid\":1,\"tid\":" << task.resource << ",\"id\":" << flow_id
+        << ",\"name\":\"xfer\",\"cat\":\"flow\",\"ts\":" << rec.start * 1e6 << "}";
+      emit(s.str());
+      std::ostringstream f;
+      f << "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":" << graph.task(succ).resource
+        << ",\"id\":" << flow_id << ",\"name\":\"xfer\",\"cat\":\"flow\",\"ts\":"
+        << to.start * 1e6 << "}";
+      emit(f.str());
+      ++flow_id;
     }
   }
 
   // Busy-resource occupancy counter, sampled at every task boundary.
-  if (options.include_occupancy_counters) {
-    std::map<double, int> deltas;
-    for (const TaskRecord& rec : result.records) {
-      if (!rec.executed || rec.id == kInvalidTask) continue;
-      deltas[rec.start] += 1;
-      deltas[rec.end] -= 1;
-    }
-    int busy = 0;
-    for (const auto& [t, d] : deltas) {
-      busy += d;
-      std::ostringstream e;
-      e << "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"busy resources\",\"ts\":"
-        << t * 1e6 << ",\"args\":{\"busy\":" << busy << "}}";
-      emit(e.str());
-    }
+  std::map<double, int> deltas;
+  for (const TaskRecord& rec : result.records) {
+    if (!rec.executed || rec.id == kInvalidTask) continue;
+    deltas[rec.start] += 1;
+    deltas[rec.end] -= 1;
+  }
+  int busy = 0;
+  for (const auto& [t, d] : deltas) {
+    busy += d;
+    std::ostringstream e;
+    e << "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"busy resources\",\"ts\":"
+      << t * 1e6 << ",\"args\":{\"busy\":" << busy << "}}";
+    emit(e.str());
   }
 
   // Memory counter events per pool.
-  if (options.include_memory_counters) {
-    for (std::size_t p = 0; p < result.pools.size(); ++p) {
-      for (const MemorySample& sample : result.pools[p].timeline()) {
-        std::ostringstream e;
-        e << "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"pool " << p
-          << " bytes\",\"ts\":" << sample.time * 1e6 << ",\"args\":{\"resident\":"
-          << sample.bytes << "}}";
-        emit(e.str());
-      }
+  for (std::size_t p = 0; p < result.pools.size(); ++p) {
+    for (const MemorySample& sample : result.pools[p].timeline()) {
+      std::ostringstream e;
+      e << "{\"ph\":\"C\",\"pid\":1,\"tid\":0,\"name\":\"pool " << p
+        << " bytes\",\"ts\":" << sample.time * 1e6 << ",\"args\":{\"resident\":"
+        << sample.bytes << "}}";
+      emit(e.str());
     }
   }
   os << "\n]}\n";
@@ -126,10 +97,10 @@ std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result,
 }
 
 void WriteChromeTrace(const std::string& path, const TaskGraph& graph,
-                      const SimResult& result, ChromeTraceOptions options) {
+                      const SimResult& result) {
   std::ofstream out(path);
   DAPPLE_CHECK(out.good()) << "cannot open trace file " << path;
-  out << ToChromeTrace(graph, result, std::move(options));
+  out << ToChromeTrace(graph, result);
   DAPPLE_CHECK(out.good()) << "failed writing trace file " << path;
 }
 

@@ -11,28 +11,17 @@
 
 namespace dapple::sim {
 
-struct ChromeTraceOptions {
-  /// Process name shown in the trace viewer.
-  std::string process_name = "dapple-sim";
-  /// Include per-pool memory counter events ("C" phase).
-  bool include_memory_counters = true;
-  /// Include a busy-resource occupancy counter track sampled at every task
-  /// boundary ("C" phase).
-  bool include_occupancy_counters = true;
-  /// Include flow events ("s"/"f" phase) drawing arrows from each
-  /// cross-stage transfer to the compute tasks it feeds.
-  bool include_transfer_flows = true;
-};
-
 /// Renders the executed graph as a Chrome trace JSON document (the
-/// "traceEvents" array format). Durations are emitted in microseconds of
-/// simulated time.
-std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result,
-                          ChromeTraceOptions options = {});
+/// "traceEvents" array format) of process "dapple-sim": a complete event
+/// per executed task, flow arrows from each cross-stage transfer to the
+/// compute tasks it feeds, a busy-resource occupancy counter and per-pool
+/// memory counters. Durations are emitted in microseconds of simulated
+/// time.
+std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result);
 
 /// Convenience: writes the trace to a file; throws dapple::Error on I/O
 /// failure.
 void WriteChromeTrace(const std::string& path, const TaskGraph& graph,
-                      const SimResult& result, ChromeTraceOptions options = {});
+                      const SimResult& result);
 
 }  // namespace dapple::sim

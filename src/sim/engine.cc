@@ -338,8 +338,10 @@ SimResult RunReferenceEngine(const TaskGraph& graph, const EngineOptions& option
 
   SimResult result = MakeResultShell(n, options, num_resources, num_pools);
 
-  std::vector<int> pending(static_cast<std::size_t>(n));
-  for (TaskId t = 0; t < n; ++t) pending[static_cast<std::size_t>(t)] = graph.in_degree(t);
+  std::vector<int> pending(static_cast<std::size_t>(n), 0);
+  for (TaskId t = 0; t < n; ++t) {
+    for (TaskId s : graph.successors(t)) ++pending[static_cast<std::size_t>(s)];
+  }
 
   std::vector<const ResourceSpeedProfile*> profile_of(
       static_cast<std::size_t>(num_resources), nullptr);

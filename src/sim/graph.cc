@@ -13,8 +13,6 @@ TaskId TaskGraph::AddTask(Task task) {
   task.id = id;
   tasks_.push_back(std::move(task));
   successors_.emplace_back();
-  predecessors_.emplace_back();
-  in_degree_.push_back(0);
   return id;
 }
 
@@ -25,8 +23,6 @@ void TaskGraph::AddEdge(TaskId predecessor, TaskId successor) {
   auto& succ = successors_[static_cast<std::size_t>(predecessor)];
   if (std::find(succ.begin(), succ.end(), successor) != succ.end()) return;
   succ.push_back(successor);
-  predecessors_[static_cast<std::size_t>(successor)].push_back(predecessor);
-  in_degree_[static_cast<std::size_t>(successor)]++;
 }
 
 const Task& TaskGraph::task(TaskId id) const {
@@ -37,14 +33,6 @@ Task& TaskGraph::mutable_task(TaskId id) { return tasks_.at(static_cast<std::siz
 
 const std::vector<TaskId>& TaskGraph::successors(TaskId id) const {
   return successors_.at(static_cast<std::size_t>(id));
-}
-
-const std::vector<TaskId>& TaskGraph::predecessors(TaskId id) const {
-  return predecessors_.at(static_cast<std::size_t>(id));
-}
-
-int TaskGraph::in_degree(TaskId id) const {
-  return in_degree_.at(static_cast<std::size_t>(id));
 }
 
 int TaskGraph::num_resources() const {
@@ -82,7 +70,7 @@ void SoaGraph::Assign(const TaskGraph& graph) {
   const auto un = static_cast<std::size_t>(n);
   duration_.resize(un);
   resource_.resize(un);
-  in_degree_.resize(un);
+  in_degree_.assign(un, 0);
   is_compute_.resize(un);
   alloc_pool_.resize(un);
   free_pool_.resize(un);
@@ -101,7 +89,6 @@ void SoaGraph::Assign(const TaskGraph& graph) {
     const auto ut = static_cast<std::size_t>(t);
     duration_[ut] = task.duration;
     resource_[ut] = task.resource;
-    in_degree_[ut] = graph.in_degree(t);
     is_compute_[ut] = IsComputeKind(task.kind) ? 1 : 0;
     alloc_pool_[ut] = task.pool >= 0 && task.alloc_at_start > 0 ? task.pool : -1;
     free_pool_[ut] = task.pool >= 0 && task.free_at_end > 0 ? task.pool : -1;
@@ -111,6 +98,7 @@ void SoaGraph::Assign(const TaskGraph& graph) {
     succ_offsets_[ut] = offset;
     for (TaskId s : graph.successors(t)) {
       succ_[static_cast<std::size_t>(offset++)] = s;
+      ++in_degree_[static_cast<std::size_t>(s)];
     }
   }
   succ_offsets_[un] = offset;

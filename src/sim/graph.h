@@ -4,15 +4,18 @@
 // predecessor completes — exactly the semantics of TensorFlow control
 // dependencies the paper's runtime relies on (Fig. 11).
 //
-// TaskGraph is the builder-facing array-of-structs form. The engine runs on
-// SoaGraph, a flattened structure-of-arrays copy in the spirit of poplibs'
-// flat cycle-estimator tables:
+// TaskGraph is the builder-facing array-of-structs form. It stores each
+// edge once, in its source's successor list; consumers that need in-degree
+// or fan-in derive it from those lists (SoaGraph::Assign, the reference
+// engine, check::ScheduleValidator). The engine runs on SoaGraph, a
+// flattened structure-of-arrays copy in the spirit of poplibs' flat
+// cycle-estimator tables:
 //
 //   - duration / resource / memory-effect arrays indexed by TaskId, so the
 //     event loop touches only the bytes it needs (a Task is ~100 bytes with
 //     a cold std::string name) and neighboring ids share cache lines;
-//   - CSR successor spans (offsets + one flat id array), no per-task vector
-//     indirection;
+//   - CSR successor spans (offsets + one flat id array) plus the in-degree
+//     counted from them, no per-task vector indirection;
 //   - ready-queue keys packed into one uint64 ((priority, id) lexicographic
 //     via a sign-bias), so heap sifts compare a single integer.
 #pragma once
@@ -31,9 +34,9 @@ class TaskGraph {
   TaskId AddTask(Task task);
 
   /// Declares that `successor` starts only after `predecessor` completes.
-  /// Duplicate edges are tolerated (counted once per insertion; the engine
-  /// tracks in-degree, so duplicates are semantically harmless but wasteful —
-  /// builders avoid them).
+  /// Repeating an existing edge is a no-op: builders do repeat edges (the
+  /// last stage's 1F1B chain re-adds its FW -> BW data edge), and each edge
+  /// is stored once.
   void AddEdge(TaskId predecessor, TaskId successor);
 
   int num_tasks() const { return static_cast<int>(tasks_.size()); }
@@ -41,9 +44,8 @@ class TaskGraph {
   Task& mutable_task(TaskId id);
   const std::vector<Task>& tasks() const { return tasks_; }
 
+  /// The tasks gated on `id`, in insertion order, without duplicates.
   const std::vector<TaskId>& successors(TaskId id) const;
-  const std::vector<TaskId>& predecessors(TaskId id) const;
-  int in_degree(TaskId id) const;
 
   /// Highest resource id referenced + 1.
   int num_resources() const;
@@ -54,8 +56,6 @@ class TaskGraph {
  private:
   std::vector<Task> tasks_;
   std::vector<std::vector<TaskId>> successors_;
-  std::vector<std::vector<TaskId>> predecessors_;
-  std::vector<int> in_degree_;
 };
 
 /// Flattened, read-only execution view of a TaskGraph. Construction is one
@@ -79,6 +79,7 @@ class SoaGraph {
   // Per-task field arrays, indexed by TaskId.
   const std::vector<TimeSec>& duration() const { return duration_; }
   const std::vector<std::int32_t>& resource() const { return resource_; }
+  /// Number of predecessors per task, counted from the successor lists.
   const std::vector<std::int32_t>& in_degree() const { return in_degree_; }
   const std::vector<std::uint8_t>& is_compute() const { return is_compute_; }
   /// Pool affected at start (alloc) / end (free); -1 when the task has no

@@ -19,8 +19,8 @@
 // real simulated value instead of the worst-case bracket product — skips
 // the long tail of clearly-worse candidates far more aggressively.
 //
-// This header is score-agnostic: planner::RankCandidates (planner/
-// prefilter.h) and the Session's re-rank supply analytic scores;
+// This header is score-agnostic: the Session's re-rank, the fuzz ranking
+// sweep and bench_sim_engine supply analytic LatencyEstimator scores;
 // tests/prefilter_test.cc and the fuzz ranking sweep fence the recall
 // property end to end.
 #pragma once

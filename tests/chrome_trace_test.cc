@@ -51,11 +51,7 @@ TEST(ChromeTrace, ContainsCompleteEventsWithTimes) {
 TEST(ChromeTrace, MemoryCountersToggle) {
   const TaskGraph g = SmallGraph();
   const SimResult r = Engine::Run(g);
-  ChromeTraceOptions with;
-  EXPECT_NE(ToChromeTrace(g, r, with).find("pool 0 bytes"), std::string::npos);
-  ChromeTraceOptions without;
-  without.include_memory_counters = false;
-  EXPECT_EQ(ToChromeTrace(g, r, without).find("pool 0 bytes"), std::string::npos);
+  EXPECT_NE(ToChromeTrace(g, r).find("pool 0 bytes"), std::string::npos);
 }
 
 TEST(ChromeTrace, EscapesSpecialCharacters) {

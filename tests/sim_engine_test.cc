@@ -286,8 +286,8 @@ TEST(TaskGraph, DuplicateEdgesCollapse) {
   const TaskId b = g.AddTask(MakeTask("b", 0, 1.0));
   g.AddEdge(a, b);
   g.AddEdge(a, b);
-  EXPECT_EQ(g.in_degree(b), 1);
   EXPECT_EQ(g.successors(a).size(), 1u);
+  EXPECT_EQ(SoaGraph(g).in_degree()[static_cast<std::size_t>(b)], 1);
 }
 
 TEST(TaskGraph, ResourceAndPoolCounts) {

@@ -1,7 +1,8 @@
 // ScheduleValidator tests: a clean run passes every invariant family, and
 // each hand-crafted corruption of the schedule (overlapped resource,
 // reordered backward, exceeded warmup depth, leaked activation, missing
-// AllReduce, ...) is detected under its stable violation code.
+// AllReduce, dropped fan-in/fan-out edge, ...) is detected under its stable
+// violation code.
 #include <gtest/gtest.h>
 
 #include "check/validator.h"
@@ -78,6 +79,35 @@ sim::TaskId FindCompute(const sim::TaskGraph& graph, sim::TaskKind kind, int sta
     return t.kind == kind && t.stage == stage && t.microbatch == microbatch &&
            t.device == device;
   });
+}
+
+/// A copy of `graph` with every task and edge except `from` -> `to`, which
+/// must be an edge of `graph`. Task ids are preserved.
+sim::TaskGraph WithoutEdge(const sim::TaskGraph& graph, sim::TaskId from, sim::TaskId to) {
+  sim::TaskGraph copy;
+  for (const sim::Task& t : graph.tasks()) copy.AddTask(t);
+  bool dropped = false;
+  for (sim::TaskId t = 0; t < graph.num_tasks(); ++t) {
+    for (sim::TaskId succ : graph.successors(t)) {
+      if (t == from && succ == to) {
+        dropped = true;
+      } else {
+        copy.AddEdge(t, succ);
+      }
+    }
+  }
+  EXPECT_TRUE(dropped) << "no edge " << from << " -> " << to;
+  return copy;
+}
+
+/// Simulates `s`, then validates that run against the pipeline with the
+/// edge `from` -> `to` dropped: the fan-in/fan-out checks read the graph's
+/// edges, so the intact run's records isolate them from timing effects.
+check::ValidationReport ValidateWithoutEdge(const Scenario& s, runtime::BuiltPipeline built,
+                                            sim::TaskId from, sim::TaskId to) {
+  const sim::SimResult result = sim::Engine::Run(built.graph, built.engine_options);
+  built.graph = WithoutEdge(built.graph, from, to);
+  return Validate(s, built, result);
 }
 
 TEST(ValidatorTest, CleanDappleRunPasses) {
@@ -234,6 +264,78 @@ TEST(ValidatorTest, DetectsUnexecutedTask) {
 
   const check::ValidationReport report = Validate(s, built, result);
   EXPECT_TRUE(report.Has(check::kViolationNotExecuted)) << report.ToString();
+}
+
+// Mutation 10: one backward no longer feeds the replicated stage's AllReduce.
+TEST(ValidatorTest, DetectsAllReduceFanInGap) {
+  const Scenario s = Replicated();
+  const runtime::BuiltPipeline built = s.Build();
+  const sim::TaskId ar = FindTask(built.graph, [](const sim::Task& t) {
+    return t.kind == sim::TaskKind::kAllReduce;
+  });
+  const sim::TaskId bw = FindCompute(built.graph, sim::TaskKind::kBackward, 0, 0, 0);
+
+  const check::ValidationReport report = ValidateWithoutEdge(s, built, bw, ar);
+  EXPECT_TRUE(report.Has(check::kViolationAllReduceFanIn)) << report.ToString();
+}
+
+// Mutation 11: a replica's apply is no longer gated on the AllReduce.
+TEST(ValidatorTest, DetectsApplyNotGatedOnAllReduce) {
+  const Scenario s = Replicated();
+  const runtime::BuiltPipeline built = s.Build();
+  const sim::TaskId ar = FindTask(built.graph, [](const sim::Task& t) {
+    return t.kind == sim::TaskKind::kAllReduce;
+  });
+  const sim::TaskId apply = FindTask(built.graph, [](const sim::Task& t) {
+    return t.kind == sim::TaskKind::kApply && t.stage == 0 && t.device == 1;
+  });
+
+  const check::ValidationReport report = ValidateWithoutEdge(s, built, ar, apply);
+  EXPECT_TRUE(report.Has(check::kViolationApplyShape)) << report.ToString();
+}
+
+// Mutation 12: an unreplicated stage's apply is no longer gated on one of
+// its device's backwards.
+TEST(ValidatorTest, DetectsApplyNotGatedOnBackward) {
+  const Scenario s = TwoStage(runtime::ScheduleKind::kDapple);
+  const runtime::BuiltPipeline built = s.Build();
+  const sim::TaskId apply = FindTask(built.graph, [](const sim::Task& t) {
+    return t.kind == sim::TaskKind::kApply && t.stage == 0;
+  });
+  const sim::TaskId bw = FindCompute(built.graph, sim::TaskKind::kBackward, 0, 1, 0);
+
+  const check::ValidationReport report = ValidateWithoutEdge(s, built, bw, apply);
+  EXPECT_TRUE(report.Has(check::kViolationApplyShape)) << report.ToString();
+}
+
+/// The forward transfer across boundary 0 for micro-batch 0.
+sim::TaskId ForwardTransfer(const runtime::BuiltPipeline& built) {
+  const sim::ResourceId channel = built.layout().ForwardChannel(0);
+  return FindTask(built.graph, [&](const sim::Task& t) {
+    return t.kind == sim::TaskKind::kTransfer && t.microbatch == 0 && t.resource == channel;
+  });
+}
+
+// Mutation 13: the producing forward no longer feeds its transfer.
+TEST(ValidatorTest, DetectsTransferMissingProducer) {
+  const Scenario s = TwoStage(runtime::ScheduleKind::kDapple);
+  const runtime::BuiltPipeline built = s.Build();
+  const sim::TaskId fw = FindCompute(built.graph, sim::TaskKind::kForward, 0, 0, 0);
+
+  const check::ValidationReport report =
+      ValidateWithoutEdge(s, built, fw, ForwardTransfer(built));
+  EXPECT_TRUE(report.Has(check::kViolationTransferShape)) << report.ToString();
+}
+
+// Mutation 14: the consuming forward is no longer gated on its transfer.
+TEST(ValidatorTest, DetectsTransferMissingConsumer) {
+  const Scenario s = TwoStage(runtime::ScheduleKind::kDapple);
+  const runtime::BuiltPipeline built = s.Build();
+  const sim::TaskId fw = FindCompute(built.graph, sim::TaskKind::kForward, 1, 0, 1);
+
+  const check::ValidationReport report =
+      ValidateWithoutEdge(s, built, ForwardTransfer(built), fw);
+  EXPECT_TRUE(report.Has(check::kViolationTransferShape)) << report.ToString();
 }
 
 }  // namespace

@@ -10,8 +10,9 @@
 #   unit (default) — `ctest -L unit`, the fast suite (pull requests)
 #   full           — the whole registered suite, which adds the `-L fuzz`
 #                    randomized sweeps and the `-L golden` byte-stability
-#                    tests, plus a build of the end-to-end benchmark
-#                    (benchmark/, into <prefix>-e2e) (pushes to main)
+#                    tests (pushes to main)
+#   Both tiers also build the end-to-end benchmark (benchmark/, into
+#   <prefix>-e2e) on the plain tree.
 #   perf-smoke     — `ctest -L perf-smoke`, every entry RUN_SERIAL: the
 #                    planner, simulator and scenario determinism sweeps
 #                    (the engine and BatchRunner vs the reference
@@ -73,7 +74,7 @@ run_suite "${prefix}"
 # benchmark/ builds against src/ headers (runtime/executor.h, obs/report.h,
 # serve/*) from its own source tree, so an API change in src/ can break it
 # without breaking the main build.
-if [[ "${tier}" == "full" ]]; then
+if [[ "${tier}" != "perf-smoke" ]]; then
   echo "=== configure + build ${prefix}-e2e (benchmark/)"
   cmake -S benchmark -B "${prefix}-e2e" >/dev/null
   cmake --build "${prefix}-e2e" --target dapple_bench_e2e -j "${jobs}" >/dev/null
