@@ -9,7 +9,7 @@
 //      times steady-state processing, not first-pass allocation, a
 //      scheduler hiccup or other processes sharing the cores. Falling below
 //      the reference engine's events/s exits non-zero;
-//   2. wall-clock events/sec of the BatchRunner multi-seed path at 1/2/8
+//   2. wall-clock events/sec of the ThreadPool multi-seed path at 1/2/8
 //      worker threads vs the plain serial loop — the win from fanning
 //      independent simulations across cores;
 //   3. a candidate-ranking sweep: analytic pre-filter + top-band simulation
@@ -35,9 +35,9 @@
 
 #include "check/fuzz.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "planner/latency.h"
 #include "runtime/graph_builder.h"
-#include "sim/batch.h"
 #include "sim/engine.h"
 #include "sim/prefilter.h"
 
@@ -106,16 +106,10 @@ int main(int argc, char** argv) {
   std::printf("\ncorpus: %d fuzz pipelines, %ld tasks total, %d passes per measurement\n",
               corpus_size, total_tasks, reps);
 
-  std::vector<sim::SimJob> jobs;
-  jobs.reserve(corpus.size());
-  for (const runtime::BuiltPipeline& b : corpus) {
-    jobs.push_back({&b.graph, b.engine_options});
-  }
-
   int failures = 0;
 
   // 1. Reference vs Engine, serial. The Engine instance is reused across
-  // the corpus — exactly how BatchRunner workers run it. Both rows feed the
+  // the corpus — exactly how pool workers run it. Both rows feed the
   // floor assertion, so each is the best of three warmed trials in thread
   // CPU time, and the trials alternate (reference, engine) x 3 so a noisy
   // window of the host lands on both rows alike — neither a hiccup in one
@@ -124,18 +118,18 @@ int main(int argc, char** argv) {
   std::vector<sim::SimResult> ref_results;
   const auto ref_pass = [&] {
     ref_results.clear();
-    ref_results.reserve(jobs.size());
-    for (const sim::SimJob& job : jobs) {
-      ref_results.push_back(sim::RunReferenceEngine(*job.graph, job.options));
+    ref_results.reserve(corpus.size());
+    for (const runtime::BuiltPipeline& b : corpus) {
+      ref_results.push_back(sim::RunReferenceEngine(b.graph, b.engine_options));
     }
   };
   sim::Engine engine;
   std::vector<sim::SimResult> engine_results;
   const auto engine_pass = [&] {
     engine_results.clear();
-    engine_results.reserve(jobs.size());
-    for (const sim::SimJob& job : jobs) {
-      engine_results.push_back(engine.Simulate(*job.graph, job.options));
+    engine_results.reserve(corpus.size());
+    for (const runtime::BuiltPipeline& b : corpus) {
+      engine_results.push_back(engine.Simulate(b.graph, b.engine_options));
     }
   };
   double ref_cpu = std::numeric_limits<double>::infinity();
@@ -172,18 +166,20 @@ int main(int argc, char** argv) {
                 AsciiTable::Num(engine_speedup, 2) + "x", "-"});
   table.AddSeparator();
 
-  // 2. The batched multi-seed path. One-thread batch measures BatchRunner's
+  // 2. The batched multi-seed path. One-thread batch measures the pool's
   // overhead over the plain loop; that overhead feeds the Amdahl projection
   // for hosts without real cores to show the parallel win directly.
   double batch1_wall = 0.0;
   const std::vector<int> thread_counts = quick ? std::vector<int>{1, 8}
                                                : std::vector<int>{1, 2, 8};
   for (int threads : thread_counts) {
-    sim::BatchRunner runner({.threads = threads});
+    ThreadPool pool(static_cast<std::size_t>(threads));
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<sim::SimResult> results;
     for (int rep = 0; rep < reps; ++rep) {
-      results = runner.RunSimulations(jobs);
+      results = pool.Map<sim::SimResult>(corpus.size(), [&](std::size_t i) {
+        return sim::Engine::Run(corpus[i].graph, corpus[i].engine_options);
+      });
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double wall = Seconds(t0, t1);

@@ -8,7 +8,7 @@
 #include <mutex>
 #include <vector>
 
-#include "sim/batch.h"
+#include "common/thread_pool.h"
 
 namespace dapple::bench {
 
@@ -129,12 +129,11 @@ EvalRow Evaluate(const model::ModelProfile& model, const topo::Cluster& cluster,
 }
 
 std::vector<EvalRow> EvaluateBatch(const std::vector<EvalSpec>& specs, int sim_threads) {
-  sim::BatchRunner runner({.threads = sim_threads});
-  std::vector<EvalRow> rows =
-      runner.Map<EvalRow>(static_cast<int>(specs.size()), [&](int i) {
-        const EvalSpec& s = specs[static_cast<std::size_t>(i)];
-        return ComputeRow(*s.model, *s.cluster, s.global_batch_size);
-      });
+  ThreadPool pool(static_cast<std::size_t>(sim_threads));
+  std::vector<EvalRow> rows = pool.Map<EvalRow>(specs.size(), [&](std::size_t i) {
+    const EvalSpec& s = specs[i];
+    return ComputeRow(*s.model, *s.cluster, s.global_batch_size);
+  });
   for (const EvalRow& row : rows) RecordRow(row);
   return rows;
 }

@@ -36,7 +36,7 @@ struct EvalSpec {
   long global_batch_size = 0;
 };
 
-/// Evaluates every spec across a sim::BatchRunner (`sim_threads`: 1 =
+/// Evaluates every spec across a ThreadPool of `sim_threads` workers (1 =
 /// inline serial, 0 = hardware concurrency). Returned rows match `specs`
 /// by index and are recorded into the bench JSON in that order regardless
 /// of scheduling, so the archived trajectory stays byte-stable at every

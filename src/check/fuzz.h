@@ -36,13 +36,13 @@
 #include <vector>
 
 #include "check/validator.h"
+#include "common/thread_pool.h"
 #include "fault/recovery.h"
 #include "fault/script.h"
 #include "model/profile.h"
 #include "planner/dp_planner.h"
 #include "planner/plan.h"
 #include "runtime/graph_builder.h"
-#include "sim/batch.h"
 #include "topo/cluster.h"
 
 namespace dapple::check {
@@ -57,17 +57,16 @@ inline constexpr double kAnalyticOverSimTolerance = 1.10;
 /// `count` consecutive seeds starting at `base`.
 std::vector<std::uint64_t> SeedRange(std::uint64_t base, long count);
 
-/// Runs Mode on every seed on a sim::BatchRunner with `threads` workers
-/// (1 = inline serial, 0 = hardware concurrency). Outcome i corresponds to
+/// Runs Mode on every seed on a ThreadPool of `threads` workers (1 =
+/// inline serial, 0 = hardware concurrency). Outcome i corresponds to
 /// seeds[i] and equals Mode::Run(Mode::Make(seeds[i])) at every thread
 /// count — each case derives all its state from its seed.
 template <class Mode>
 std::vector<typename Mode::Outcome> RunSweep(const std::vector<std::uint64_t>& seeds,
                                              int threads = 1) {
-  sim::BatchRunner runner({.threads = threads});
-  return runner.Map<typename Mode::Outcome>(static_cast<int>(seeds.size()), [&](int i) {
-    return Mode::Run(Mode::Make(seeds[static_cast<std::size_t>(i)]));
-  });
+  ThreadPool pool(static_cast<std::size_t>(threads));
+  return pool.Map<typename Mode::Outcome>(
+      seeds.size(), [&](std::size_t i) { return Mode::Run(Mode::Make(seeds[i])); });
 }
 
 /// One generated configuration. Aggregate-constructed by MakeFuzzCase.

@@ -9,9 +9,9 @@
 // Each shard may carry a capacity bound: when set, the shard maintains a
 // recency list and evicts its least-recently-used entry on overflow. A
 // bounded cache is what lets a long-lived process (the `dapple serve`
-// daemon, a planner across thousands of requests) keep its memo tables from
-// growing without limit; eviction only ever costs recomputation, never
-// correctness, because values are pure functions of their keys.
+// daemon's plan cache) keep its memo table from growing without limit;
+// eviction only ever costs recomputation, never correctness, because values
+// are pure functions of their keys.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,8 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
-
-#include "common/error.h"
 
 namespace dapple {
 
@@ -11,6 +10,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
+  if (threads == 1) return;  // inline: ParallelFor runs on the caller
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -26,24 +26,10 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  DAPPLE_CHECK(task != nullptr) << "null task";
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    DAPPLE_CHECK(!shutdown_) << "submit after shutdown";
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
 void ThreadPool::SubmitBatch(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    DAPPLE_CHECK(!shutdown_) << "submit after shutdown";
     for (std::function<void()>& task : tasks) {
-      DAPPLE_CHECK(task != nullptr) << "null task";
       queue_.push(std::move(task));
       ++in_flight_;
     }
@@ -59,14 +45,24 @@ void ThreadPool::Wait() {
 void ThreadPool::ParallelFor(std::size_t count,
                              const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  if (count == 1) {
-    body(0);
+  if (workers_.empty() || count == 1) {
+    // In index order, so the first error caught is the lowest.
+    std::exception_ptr first_error;
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        body(i);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
     return;
   }
   std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
+  std::exception_ptr lowest_error;
+  std::size_t lowest_index = count;
   std::mutex error_mutex;
-  const std::size_t shards = std::min(count, num_threads());
+  const std::size_t shards = std::min(count, workers_.size());
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -76,14 +72,17 @@ void ThreadPool::ParallelFor(std::size_t count,
           body(i);
         } catch (...) {
           std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
+          if (i < lowest_index) {
+            lowest_index = i;
+            lowest_error = std::current_exception();
+          }
         }
       }
     });
   }
   SubmitBatch(std::move(tasks));
   Wait();
-  if (first_error) std::rethrow_exception(first_error);
+  if (lowest_error) std::rethrow_exception(lowest_error);
 }
 
 ThreadPool& ThreadPool::Shared() {

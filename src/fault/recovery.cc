@@ -9,9 +9,9 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "planner/fingerprint.h"
-#include "sim/batch.h"
 #include "sim/engine.h"
 
 namespace dapple::fault {
@@ -395,10 +395,9 @@ std::vector<FaultReport> RunFaultPolicySweep(const model::ModelProfile& model,
                                              const FaultScript& script,
                                              const std::vector<RecoveryPolicy>& policies,
                                              const FaultOptions& options, int sim_threads) {
-  sim::BatchRunner runner({.threads = sim_threads});
-  return runner.Map<FaultReport>(static_cast<int>(policies.size()), [&](int i) {
-    return RunFaultExperiment(model, cluster, plan, script,
-                              policies[static_cast<std::size_t>(i)], options);
+  ThreadPool pool(static_cast<std::size_t>(sim_threads));
+  return pool.Map<FaultReport>(policies.size(), [&](std::size_t i) {
+    return RunFaultExperiment(model, cluster, plan, script, policies[i], options);
   });
 }
 

@@ -142,8 +142,8 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
                                const planner::ParallelPlan& plan, const FaultScript& script,
                                RecoveryPolicy policy, const FaultOptions& options);
 
-/// Runs one experiment per policy on a sim::BatchRunner (`sim_threads`:
-/// 1 = inline serial, 0 = hardware concurrency). Each experiment is
+/// Runs one experiment per policy on a ThreadPool of `sim_threads` workers
+/// (1 = inline serial, 0 = hardware concurrency). Each experiment is
 /// deterministic and self-contained, so reports come back in `policies`
 /// order and byte-identical at every thread count. When `sim_threads` > 1
 /// a configured pipeline_observer runs concurrently from worker threads

@@ -9,11 +9,11 @@
 #include <utility>
 
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/executor.h"
 #include "runtime/schedule.h"
-#include "sim/batch.h"
 #include "sim/engine.h"
 
 namespace dapple::obs {
@@ -447,13 +447,12 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
   // Every point is built (cheap, and the build is what knows the exact
   // per-stage warmup depths); slot-indexed results keep the curve
   // byte-identical to the serial loop at every thread count.
-  sim::BatchRunner runner({.threads = sim_threads});
+  ThreadPool pool(static_cast<std::size_t>(sim_threads));
   std::vector<runtime::BuiltPipeline> builds =
-      runner.Map<runtime::BuiltPipeline>(n, [&](int i) {
+      pool.Map<runtime::BuiltPipeline>(counts.size(), [&](std::size_t i) {
         runtime::BuildOptions point_options = options;
         point_options.global_batch_size =
-            static_cast<long>(base.micro_batch_size) *
-            counts[static_cast<std::size_t>(i)];
+            static_cast<long>(base.micro_batch_size) * counts[i];
         return runtime::GraphBuilder(model, cluster, plan, point_options).Build();
       });
 
@@ -481,12 +480,10 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
     if (inserted) reps.push_back(i);
   }
 
-  const std::vector<Bytes> peaks =
-      runner.Map<Bytes>(static_cast<int>(reps.size()), [&](int r) {
-        const runtime::BuiltPipeline& b =
-            builds[static_cast<std::size_t>(reps[static_cast<std::size_t>(r)])];
-        return sim::Engine::Run(b.graph, b.engine_options).MaxPeakMemory();
-      });
+  const std::vector<Bytes> peaks = pool.Map<Bytes>(reps.size(), [&](std::size_t r) {
+    const runtime::BuiltPipeline& b = builds[static_cast<std::size_t>(reps[r])];
+    return sim::Engine::Run(b.graph, b.engine_options).MaxPeakMemory();
+  });
   std::vector<Bytes> peak_of(static_cast<std::size_t>(n));
   for (std::size_t r = 0; r < reps.size(); ++r) {
     peak_of[static_cast<std::size_t>(reps[r])] = peaks[r];

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -77,8 +78,7 @@ std::unique_ptr<StageCostCache> MakeStageCache(const PlannerOptions& options,
     obs::MetricsRegistry::Global().counter("planner.cache.disabled").Increment();
     return nullptr;
   }
-  return std::make_unique<StageCostCache>(
-      /*shards=*/16, static_cast<std::size_t>(std::max(0L, options.cache_entries_per_shard)));
+  return std::make_unique<StageCostCache>();
 }
 
 }  // namespace
@@ -106,6 +106,7 @@ DapplePlanner::DapplePlanner(const model::ModelProfile& model, const topo::Clust
                              PlannerOptions options)
     : model_(&model), cluster_(&cluster), options_(options) {
   DAPPLE_CHECK_GT(options_.global_batch_size, 0) << "planner needs a global batch size";
+  DAPPLE_CHECK_GE(options_.num_threads, 0) << "negative planner thread count";
 }
 
 PlanEstimate DapplePlanner::Evaluate(const ParallelPlan& plan) const {
@@ -219,31 +220,16 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   const std::unique_ptr<StageCostCache> cache = MakeStageCache(options_, num_devices);
   estimator.set_stage_cache(cache.get());
 
-  // Thread plumbing: 0 = shared pool, 1 = serial inline, n > 1 = dedicated
-  // pool. The serial path bypasses the pool entirely so single-threaded
-  // callers (tests, tiny replans) pay no synchronization at all.
-  std::unique_ptr<ThreadPool> local_pool;
-  ThreadPool* pool = nullptr;
-  if (options_.num_threads == 0) {
-    pool = &ThreadPool::Shared();
-  } else if (options_.num_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(options_.num_threads));
-    pool = local_pool.get();
-  }
-  auto for_each = [&](std::size_t count, const std::function<void(std::size_t)>& body) {
-    if (pool == nullptr) {
-      for (std::size_t i = 0; i < count; ++i) body(i);
-    } else {
-      pool->ParallelFor(count, body);
-    }
-  };
+  // 0 = the shared pool, 1 = inline on this thread, n = a pool of n.
+  std::optional<ThreadPool> local;
+  ThreadPool& pool = options_.num_threads == 0
+                         ? ThreadPool::Shared()
+                         : local.emplace(static_cast<std::size_t>(options_.num_threads));
 
   PlanResult best;
   best.estimate.feasible = false;
   best.estimate.latency = std::numeric_limits<TimeSec>::infinity();
-  best.stats.threads =
-      pool == nullptr ? 1 : static_cast<int>(pool->num_threads());
+  best.stats.threads = static_cast<int>(pool.num_threads());
   best.stats.memory_cap = latency.memory_cap;
   // Track the best infeasible plan too so error messages are informative.
   std::string last_infeasible;
@@ -434,7 +420,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     // first one's prefix entries (the prefix stages and the boundary into
     // the carved stage). Results land in the subproblem's own slot;
     // nothing here reads or writes search-global state.
-    for_each(subproblems.size(), [&](std::size_t s) {
+    pool.ParallelFor(subproblems.size(), [&](std::size_t s) {
       Subproblem& sub = subproblems[s];
       sub.child_state.Commit(sub.devices);
       sub.child_key = CanonicalKey(sub.child_state);
@@ -496,7 +482,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     // their construction did. Destruction order is irrelevant to the
     // search state (merge already consumed every expansion), so this
     // cannot perturb determinism.
-    for_each(subproblems.size(), [&subproblems](std::size_t s) {
+    pool.ParallelFor(subproblems.size(), [&subproblems](std::size_t s) {
       std::vector<Expansion>().swap(subproblems[s].expansions);
     });
     best.stats.evaluate_seconds += lap();
@@ -517,7 +503,6 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     best.stats.cache_misses = totals.misses;
     best.stats.cache_entries = totals.entries;
     best.stats.cache_compute_seconds = totals.compute_seconds;
-    best.stats.cache_evictions = totals.evictions;
     best.stats.shards = cache->PerShardStats();
   }
   best.stats.wall_seconds =

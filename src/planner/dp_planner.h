@@ -63,16 +63,11 @@ struct PlannerOptions {
   LatencyOptions latency;
   /// Worker threads for the subproblem-parallel search: 0 = the shared
   /// pool (sized to hardware concurrency), 1 = fully serial in the calling
-  /// thread, n > 1 = a dedicated pool of n workers for this search. The
+  /// thread, n > 1 = a dedicated pool of n workers for this search. Each
+  /// search builds its own stage-cost cache and drops it on return. The
   /// winning plan is byte-identical at every setting (the merge is
   /// sequential in enumeration order; parallel work is slot-indexed).
   int num_threads = 0;
-  /// Per-shard LRU capacity bound on the stage-cost cache (entries). 0 =
-  /// unbounded — fine for one search, whose vocabulary is finite; a
-  /// long-lived process (the serve daemon) sets a bound so the memo table
-  /// cannot grow across requests without limit. Eviction only re-derives
-  /// costs; the chosen plan is identical either way.
-  long cache_entries_per_shard = 0;
   /// Disables the stage-cost memo cache (A/B benchmarking hook). Cached
   /// values are bit-identical to recomputation, so this never changes the
   /// resulting plan — only how fast the search finds it.

@@ -60,7 +60,7 @@ std::uint64_t FingerprintPlannerOptions(const PlannerOptions& options) {
   fp.Mix(static_cast<std::int64_t>(options.recompute));
   const LatencyOptions& latency = options.latency;
   fp.Mix(latency.overlap_allreduce);
-  fp.Mix(latency.overlap_efficiency);
+  fp.Mix(kOverlapEfficiency);  // keeps every existing digest valid
   fp.Mix(latency.check_memory);
   fp.Mix(latency.memory_cap);
   fp.Mix(static_cast<std::int64_t>(latency.schedule_kind));

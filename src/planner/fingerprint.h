@@ -33,9 +33,9 @@ std::uint64_t FingerprintModel(const model::ModelProfile& model);
 /// Digest of a cluster: shape, device spec, interconnect, per-server speeds.
 std::uint64_t FingerprintCluster(const topo::Cluster& cluster);
 
-/// Digest of the result-affecting planner options (excludes num_threads,
-/// cache_entries_per_shard and use_stage_cache — the plan is byte-identical
-/// across those by the parallel-planner contract).
+/// Digest of the result-affecting planner options (excludes num_threads
+/// and use_stage_cache — the plan is byte-identical across those by the
+/// parallel-planner contract).
 std::uint64_t FingerprintPlannerOptions(const PlannerOptions& options);
 
 /// The plan-cache key: model x cluster x global batch x options, bound to

@@ -85,7 +85,7 @@ TimeSec LatencyEstimator::ExposedAllReduce(int layer_begin, int layer_end,
   // Backward visits layers in reverse; a layer's gradient bucket can start
   // synchronizing as soon as its backward completes, serialized on the
   // wire. The tail extending past the backward pass is always exposed; of
-  // the hideable part, only `overlap_efficiency` is actually hidden.
+  // the hideable part, only kOverlapEfficiency is actually hidden.
   TimeSec bw_elapsed = 0.0;
   TimeSec comm_free = 0.0;
   TimeSec ar_total = 0.0;
@@ -99,7 +99,7 @@ TimeSec LatencyEstimator::ExposedAllReduce(int layer_begin, int layer_end,
   }
   const TimeSec tail = std::max(0.0, comm_free - bw_elapsed);
   const TimeSec hidden = std::max(0.0, ar_total - tail);
-  return tail + (1.0 - options_.overlap_efficiency) * hidden;
+  return tail + (1.0 - kOverlapEfficiency) * hidden;
 }
 
 int LatencyEstimator::ChoosePivot(const std::vector<StageCost>& stages,

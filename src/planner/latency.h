@@ -87,16 +87,17 @@ struct ScheduleFamilyEstimate {
   int num_micro_batches = 0;
 };
 
+/// Fraction of the hideable gradient traffic that real frameworks actually
+/// hide when overlap_allreduce is on (bucketing granularity, kernel
+/// contention, aggregation overhead keep overlap imperfect — Poseidon-style
+/// systems report 40-70%). 1.0 would be ideal overlap.
+inline constexpr double kOverlapEfficiency = 0.5;
+
 struct LatencyOptions {
   /// Overlap each stage's gradient AllReduce with its own backward compute
   /// (reverse-layer bucketed model). The paper's runtime overlaps; the
   /// "DP No Overlap" baseline disables this.
   bool overlap_allreduce = true;
-  /// Fraction of the hideable gradient traffic that real frameworks
-  /// actually hide (bucketing granularity, kernel contention, aggregation
-  /// overhead keep overlap imperfect — Poseidon-style systems report
-  /// 40-70%). 1.0 = ideal overlap.
-  double overlap_efficiency = 0.5;
   /// Enforce the per-device memory capacity (plans that do not fit are
   /// marked infeasible, e.g. DP for AmoebaNet-36).
   bool check_memory = true;

@@ -73,7 +73,6 @@ void ExportSearchStats(const PlannerSearchStats& stats) {
   }
   metrics.counter("planner.cache.hits").Increment(stats.cache_hits);
   metrics.counter("planner.cache.misses").Increment(stats.cache_misses);
-  metrics.counter("planner.cache.evictions").Increment(stats.cache_evictions);
   metrics.gauge("planner.cache.hit_rate").Set(stats.cache_hit_rate());
   metrics.histogram("planner.cache.compute_seconds").Observe(stats.cache_compute_seconds);
   // Per-shard distribution: a skewed entry histogram means the key hash is

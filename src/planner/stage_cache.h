@@ -72,12 +72,9 @@ struct StageCostValue {
 
 class StageCostCache {
  public:
-  /// `per_shard_capacity` bounds each shard with LRU eviction (0 =
-  /// unbounded). A long-lived process planning many instances through one
-  /// cache — the serve daemon foremost — needs the bound; eviction never
-  /// changes a plan, only the cost of re-deriving an entry.
-  explicit StageCostCache(std::size_t shards = 16, std::size_t per_shard_capacity = 0)
-      : cache_(shards, per_shard_capacity) {}
+  /// Unbounded: one search owns the cache and drops it on return, and a
+  /// search's key vocabulary is finite.
+  explicit StageCostCache(std::size_t shards = 16) : cache_(shards) {}
 
   template <typename Compute>
   StageCostValue GetOrCompute(const StageCostKey& key, Compute&& compute) {
@@ -132,9 +129,6 @@ struct PlannerSearchStats {
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   std::int64_t cache_entries = 0;
-  /// Entries the LRU capacity bound dropped (0 when the cache ran
-  /// unbounded, the default for one-shot searches).
-  std::int64_t cache_evictions = 0;
   /// Sum of wall time spent computing cache misses (across threads, so it
   /// can exceed wall_seconds on parallel runs).
   double cache_compute_seconds = 0.0;

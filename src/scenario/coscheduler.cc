@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "planner/fingerprint.h"
-#include "sim/batch.h"
 #include "sim/engine.h"
 
 namespace dapple::scenario {
@@ -31,17 +30,21 @@ struct CoScheduler::Cell {
   bool feasible = false;
 };
 
-/// Memoized candidate evaluation. Keys are planner::FingerprintPlanRequest
-/// digests of (job model, budget slice, batch, planner options), so
-/// the cache is shared across greedy steps, exchange passes and — because
-/// the fingerprint is stable — across CoScheduler instances handed the
-/// same cache. Hit/miss counts are per deduped evaluation round, which
-/// keeps them (and the report bytes) independent of worker count.
+/// Memoized candidate evaluation for one Schedule() call. Keys are
+/// planner::FingerprintPlanRequest digests of (job model, budget slice,
+/// batch, planner options), so the memo is shared across greedy steps and
+/// exchange passes. Only the scheduling thread touches it: the pool
+/// computes a round's missing cells, the caller inserts them. Hit/miss
+/// counts are per deduped evaluation round, which keeps them (and the
+/// report bytes) independent of worker count.
 class CoScheduler::Evaluator {
  public:
   Evaluator(const topo::Cluster& budget, const CoScheduleOptions& options,
             const std::vector<JobSpec>& jobs)
-      : budget_(budget), options_(options), jobs_(jobs), runner_({.threads = options.sim_threads}) {}
+      : budget_(budget),
+        options_(options),
+        jobs_(jobs),
+        pool_(static_cast<std::size_t>(options.sim_threads)) {}
 
   /// Ensures every (job, width) in `wanted` is cached; computes the missing
   /// ones concurrently.
@@ -49,7 +52,7 @@ class CoScheduler::Evaluator {
     std::vector<std::pair<std::uint64_t, std::pair<int, int>>> missing;
     for (const auto& [job, width] : wanted) {
       const std::uint64_t key = KeyOf(job, width);
-      if (cache_.Lookup(key).has_value()) {
+      if (cells_.contains(key)) {
         ++hits_;
         continue;
       }
@@ -64,28 +67,26 @@ class CoScheduler::Evaluator {
       missing.emplace_back(key, std::make_pair(job, width));
     }
     if (missing.empty()) return;
-    const std::vector<std::shared_ptr<Cell>> computed =
-        runner_.Map<std::shared_ptr<Cell>>(static_cast<int>(missing.size()), [&](int i) {
-          const auto& [job, width] = missing[static_cast<std::size_t>(i)].second;
-          return std::make_shared<Cell>(Compute(job, width));
-        });
+    std::vector<Cell> computed = pool_.Map<Cell>(missing.size(), [&](std::size_t i) {
+      const auto& [job, width] = missing[i].second;
+      return Compute(job, width);
+    });
     for (std::size_t i = 0; i < missing.size(); ++i) {
-      cache_.Insert(missing[i].first, computed[i]);
+      cells_.emplace(missing[i].first, std::move(computed[i]));
     }
   }
 
+  /// The cell for (job, width); the reference survives later insertions.
   const Cell& At(int job, int width) {
     const std::uint64_t key = KeyOf(job, width);
-    auto cell = cache_.Lookup(key);
-    if (!cell.has_value()) {
+    auto it = cells_.find(key);
+    if (it == cells_.end()) {
       // A path the round-based Prepare missed; compute inline (counted as a
       // miss so the books still balance deterministically).
       ++misses_;
-      cache_.Insert(key, std::make_shared<Cell>(Compute(job, width)));
-      cell = cache_.Lookup(key);
+      it = cells_.emplace(key, Compute(job, width)).first;
     }
-    scratch_ = *cell;
-    return *scratch_;
+    return it->second;
   }
 
   topo::Cluster Slice(int width) const { return budget_.WithServers(width); }
@@ -126,9 +127,8 @@ class CoScheduler::Evaluator {
   const topo::Cluster& budget_;
   const CoScheduleOptions& options_;
   const std::vector<JobSpec>& jobs_;
-  sim::BatchRunner runner_;
-  ShardedCache<std::uint64_t, std::shared_ptr<Cell>> cache_;
-  std::shared_ptr<Cell> scratch_;
+  ThreadPool pool_;
+  std::unordered_map<std::uint64_t, Cell> cells_;
   long hits_ = 0;
   long misses_ = 0;
 };

@@ -7,8 +7,8 @@
 // aggregate makespan (= max over jobs of iterations x simulated iteration
 // time) the most, then single-server moves between job pairs run to a
 // fixed point. Candidate evaluations — plan on the slice, build, simulate —
-// fan out over a sim::BatchRunner and memoize in a ShardedCache keyed by
-// planner::FingerprintPlanRequest, so a sweep that revisits (model, slice
+// fan out over a ThreadPool and memoize in a map keyed by
+// planner::FingerprintPlanRequest, so a search that revisits (model, slice
 // width, batch) pays the planner once. Deterministic: identical inputs
 // produce byte-identical reports at every worker count (cache traffic is
 // counted per deduped evaluation round, not per racing thread).
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sharded_cache.h"
 #include "model/profile.h"
 #include "planner/dp_planner.h"
 #include "planner/plan.h"
@@ -37,8 +36,8 @@ struct JobSpec {
 };
 
 struct CoScheduleOptions {
-  /// Worker threads for candidate evaluation (sim::BatchRunner semantics:
-  /// 1 = inline serial, 0 = hardware concurrency, n = dedicated pool).
+  /// Worker threads for candidate evaluation (ThreadPool semantics: 1 =
+  /// inline serial, 0 = hardware concurrency, n = dedicated pool).
   int sim_threads = 1;
   /// Upper bound on exchange-improvement passes (each pass scans every
   /// ordered job pair; the loop usually reaches its fixed point earlier).

@@ -1,7 +1,7 @@
 #include "scenario/episode.h"
 
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "sim/batch.h"
 
 namespace dapple::scenario {
 
@@ -45,9 +45,9 @@ std::vector<EpisodeReport> RunEpisodeSweep(const model::ModelProfile& model,
                                            const planner::ParallelPlan& plan,
                                            const std::vector<EpisodeOptions>& episodes,
                                            int sim_threads) {
-  sim::BatchRunner runner({.threads = sim_threads});
-  return runner.Map<EpisodeReport>(static_cast<int>(episodes.size()), [&](int i) {
-    return RunEpisode(model, cluster, plan, episodes[static_cast<std::size_t>(i)]);
+  ThreadPool pool(static_cast<std::size_t>(sim_threads));
+  return pool.Map<EpisodeReport>(episodes.size(), [&](std::size_t i) {
+    return RunEpisode(model, cluster, plan, episodes[i]);
   });
 }
 

@@ -51,8 +51,8 @@ struct EpisodeReport {
 EpisodeReport RunEpisode(const model::ModelProfile& model, const topo::Cluster& cluster,
                          const planner::ParallelPlan& plan, const EpisodeOptions& options);
 
-/// Runs one episode per options entry on a sim::BatchRunner (`sim_threads`:
-/// 1 = inline serial, 0 = hardware concurrency, n = dedicated pool).
+/// Runs one episode per options entry on a ThreadPool of `sim_threads`
+/// workers (1 = inline serial, 0 = hardware concurrency).
 /// Reports come back in `episodes` order, byte-identical at every thread
 /// count.
 std::vector<EpisodeReport> RunEpisodeSweep(const model::ModelProfile& model,

@@ -23,7 +23,7 @@ planner::PlannerOptions ServeRequest::ToPlannerOptions() const {
   options.recompute = recompute;
   options.latency.memory_cap = memory_cap;
   options.latency.schedule_kind = schedule;
-  options.num_threads = planner_threads;
+  options.num_threads = 1;
   return options;
 }
 
@@ -44,7 +44,7 @@ const std::set<std::string>& KnownFields() {
   static const std::set<std::string>* fields = new std::set<std::string>{
       "kind",       "id",         "model",      "config",
       "servers",    "gbs",        "schedule",   "memory_cap",
-      "recompute",  "max_stages", "planner_threads"};
+      "recompute",  "max_stages"};
   return *fields;
 }
 
@@ -105,12 +105,6 @@ ServeRequest ParseRequest(const std::string& line) {
       request.max_stages = static_cast<int>(max_stages->AsInt());
       if (request.max_stages < 0) {
         throw RequestError("bad_request", "max_stages must be >= 0");
-      }
-    }
-    if (const JsonValue* threads = doc.Find("planner_threads")) {
-      request.planner_threads = static_cast<int>(threads->AsInt());
-      if (request.planner_threads < 0) {
-        throw RequestError("bad_request", "planner_threads must be >= 0");
       }
     }
   } catch (const RequestError&) {

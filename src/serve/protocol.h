@@ -18,9 +18,9 @@
 //                 plan carries the chosen per-stage flags, so
 //                 "all" returns every stage flagged          (optional)
 //   max_stages    planner stage cap (default 0 = devices)    (optional)
-//   planner_threads  planner worker threads for this request
-//                    (default 1: parallelism lives across
-//                    requests; the plan is identical anyway)  (optional)
+//
+// Every request plans on its own worker thread: parallelism lives across
+// requests (ServerOptions::workers), and the plan is identical anyway.
 //
 // Success responses carry {"id","ok":true,"kind",...}; failures carry
 // {"id","ok":false,"error":{"code","message"}} and never kill the daemon.
@@ -70,7 +70,6 @@ struct ServeRequest {
   Bytes memory_cap = 0;
   planner::RecomputePolicy recompute = planner::RecomputePolicy::kOff;
   int max_stages = 0;
-  int planner_threads = 1;
 
   /// The planner options this request resolves to (schedule kind folded
   /// into the latency options, exactly as `dapple plan` does).

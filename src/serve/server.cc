@@ -52,14 +52,13 @@ Server::Server(ServerOptions options)
     : options_(options),
       cache_(static_cast<std::size_t>(std::max(1, options.cache_shards)),
              PerShardCapacity(options.cache_entries, options.cache_shards)),
-      runner_(sim::BatchOptions{options.workers}) {}
+      pool_(static_cast<std::size_t>(options.workers)) {}
 
-int Server::workers() const { return runner_.threads(); }
+int Server::workers() const { return static_cast<int>(pool_.num_threads()); }
 
 std::vector<std::string> Server::HandleBatch(const std::vector<std::string>& lines) {
-  return runner_.Map<std::string>(static_cast<int>(lines.size()), [&](int i) {
-    return HandleLine(lines[static_cast<std::size_t>(i)]);
-  });
+  return pool_.Map<std::string>(lines.size(),
+                                [&](std::size_t i) { return HandleLine(lines[i]); });
 }
 
 std::string Server::HandleLine(const std::string& line) {
@@ -128,10 +127,9 @@ Server::PlanEntryPtr Server::PlanFor(const ServeRequest& request,
   }();
   const topo::Cluster cluster = topo::MakeConfig(request.config, request.servers);
 
-  planner::PlannerOptions options = request.ToPlannerOptions();
-  options.cache_entries_per_shard = options_.stage_cache_entries_per_shard;
-  // The fingerprint covers only plan-affecting inputs; thread counts and
-  // cache bounds are excluded by FingerprintPlannerOptions.
+  const planner::PlannerOptions options = request.ToPlannerOptions();
+  // The fingerprint covers only plan-affecting inputs; thread counts are
+  // excluded by FingerprintPlannerOptions.
   const std::uint64_t key = planner::FingerprintPlanRequest(model, cluster, request.gbs, options);
   if (fingerprint) *fingerprint = key;
 

@@ -10,8 +10,8 @@
 // planner is byte-deterministic, so a recomputed entry equals the evicted
 // one.
 //
-// Concurrency: HandleBatch fans request lines across a sim::BatchRunner
-// worker pool and returns responses slot-indexed in request order, so the
+// Concurrency: HandleBatch fans request lines across the server's
+// ThreadPool and returns responses slot-indexed in request order, so the
 // response stream is byte-identical at every worker count. To keep that
 // guarantee, response bodies carry no cache status and no wall-clock
 // timing; those surface through the "stats" request kind and the
@@ -26,9 +26,9 @@
 #include <vector>
 
 #include "common/sharded_cache.h"
+#include "common/thread_pool.h"
 #include "planner/dp_planner.h"
 #include "serve/protocol.h"
-#include "sim/batch.h"
 
 namespace dapple::serve {
 
@@ -44,9 +44,6 @@ struct ServerOptions {
   int cache_shards = 8;
   /// Largest number of request lines one HandleBatch call dispatches.
   int max_batch = 64;
-  /// Per-shard LRU bound handed to each planner run's stage-cost cache so
-  /// a long-lived daemon's memo tables stay bounded too.
-  long stage_cache_entries_per_shard = 1 << 15;
 };
 
 /// Point-in-time server statistics (also rendered by the "stats" request).
@@ -103,7 +100,7 @@ class Server {
 
   ServerOptions options_;
   ShardedCache<std::uint64_t, PlanEntryPtr> cache_;
-  sim::BatchRunner runner_;
+  ThreadPool pool_;
 
   std::atomic<std::int64_t> requests_{0};
   std::atomic<std::int64_t> plans_{0};

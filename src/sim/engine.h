@@ -15,7 +15,7 @@
 //
 // Together the two explicit keys make every simulation exactly
 // reproducible — byte-identical traces, reports and memory high-water
-// marks on every host and at every sim::BatchRunner thread count.
+// marks on every host and at every ThreadPool thread count.
 //
 // Two event loops implement this contract: Engine, the production loop
 // over the flattened SoaGraph layout, and RunReferenceEngine, a plain
@@ -143,7 +143,7 @@ class Engine {
   SimResult Simulate(const TaskGraph& graph, const EngineOptions& options = {});
 
   /// Convenience entry point: flattens and simulates on a thread-local
-  /// Engine, so every thread — each sim::BatchRunner worker in particular —
+  /// Engine, so every thread — each ThreadPool worker in particular —
   /// keeps its own warmed arena and concurrent runs never share mutable
   /// state.
   static SimResult Run(const TaskGraph& graph, const EngineOptions& options = {});

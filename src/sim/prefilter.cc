@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace dapple::sim {
@@ -53,18 +54,15 @@ PrefilterResult PrefilterBatch(const std::vector<double>& scores,
   result.num_candidates = static_cast<int>(scores.size());
   const std::vector<int> order = SortedFinite(scores);
 
-  BatchRunner runner({.threads = options.threads});
+  ThreadPool pool(static_cast<std::size_t>(options.threads));
   // (index, value) pairs in simulation order; sorted by index at the end.
   std::vector<std::pair<int, double>> ran;
 
   auto run_span = [&](std::size_t begin, std::size_t end) {
-    const int count = static_cast<int>(end - begin);
-    const std::vector<double> values = runner.Map<double>(count, [&](int slot) {
-      return simulate(order[begin + static_cast<std::size_t>(slot)]);
-    });
-    for (int slot = 0; slot < count; ++slot) {
-      ran.emplace_back(order[begin + static_cast<std::size_t>(slot)],
-                       values[static_cast<std::size_t>(slot)]);
+    const std::vector<double> values = pool.Map<double>(
+        end - begin, [&](std::size_t slot) { return simulate(order[begin + slot]); });
+    for (std::size_t slot = 0; slot < values.size(); ++slot) {
+      ran.emplace_back(order[begin + slot], values[slot]);
     }
   };
 
@@ -80,7 +78,7 @@ PrefilterResult PrefilterBatch(const std::vector<double>& scores,
 
     // Phase 2: everything that could still beat the probe's best. The
     // order is score-ascending, so the survivors are a prefix.
-    result.cutoff = options.analytic_over_sim * best_sim;
+    result.cutoff = kAnalyticOverSim * best_sim;
     std::size_t keep_end = probe;
     while (keep_end < order.size() &&
            scores[static_cast<std::size_t>(order[keep_end])] <= result.cutoff) {

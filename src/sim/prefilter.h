@@ -29,8 +29,6 @@
 #include <limits>
 #include <vector>
 
-#include "sim/batch.h"
-
 namespace dapple::sim {
 
 /// The calibrated analytic/sim brackets of multi-stage DAPPLE split-mode
@@ -48,19 +46,15 @@ inline constexpr double kAnalyticOverSim = 1.30;
 inline constexpr double kSimOverAnalytic = 2.0;
 
 struct PrefilterOptions {
-  /// The analytic-over-sim bracket factor the cut derives from: a candidate
-  /// is skipped when its score exceeds `analytic_over_sim` x (best simulated
-  /// makespan). Must be an upper bound on score/sim for every candidate or
-  /// the recall guarantee is void.
-  double analytic_over_sim = kAnalyticOverSim;
   /// Phase-1 simulations: the `probe` best-scored candidates anchor the
   /// cut. 1 suffices for the guarantee; a few more tighten the anchor and
-  /// give the batch runner parallel work.
+  /// give the pool parallel work.
   int probe = 8;
   /// False disables selection: every finite-scored candidate is simulated
   /// (the full-simulation baseline, and the oracle leg of recall tests).
   bool enabled = true;
-  /// BatchRunner worker threads for the simulations (1 = inline).
+  /// Worker threads for the simulations (ThreadPool semantics: 1 = inline,
+  /// 0 = hardware concurrency).
   int threads = 1;
 };
 
@@ -91,7 +85,8 @@ std::vector<int> SelectWithinBand(const std::vector<double>& scores, double band
                                   int min_keep);
 
 /// Runs the two-phase adaptive cut, fanning simulate(i) calls across a
-/// BatchRunner. Selection and best are identical at every thread count.
+/// dedicated ThreadPool. A candidate is skipped when its score exceeds
+/// kAnalyticOverSim x (best simulated makespan). Selection and best are identical at every thread count.
 /// Updates MetricsRegistry counters prefilter.sweeps, prefilter.candidates,
 /// prefilter.simulated and prefilter.skipped.
 PrefilterResult PrefilterBatch(const std::vector<double>& scores,

@@ -4,7 +4,7 @@
 // must emit identical reports — including its cache hit/miss accounting —
 // whether candidate evaluation runs inline or fanned across workers. Every
 // fuzz mode (schedule, fault, memory-cap, ranking, scenario) must produce
-// identical outcomes at every BatchRunner worker count.
+// identical outcomes at every ThreadPool worker count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -108,7 +108,7 @@ TEST(ScenarioDeterminismTest, CoScheduleReportIsByteIdenticalAtEveryWorkerCount)
   }
 }
 
-// Every fuzz mode's sweep, on a BatchRunner at 1, 2 and 8 workers, must
+// Every fuzz mode's sweep, on a ThreadPool of 1, 2 and 8 workers, must
 // equal running its cases one at a time — outcome for outcome, every field.
 template <class Mode>
 class FuzzSweepDeterminism : public ::testing::Test {};

@@ -75,7 +75,7 @@ TEST(ServeProtocol, ParsesFullPlanRequest) {
   const ServeRequest r = ParseRequest(
       R"({"kind":"plan","id":"x1","model":"GNMT-16","config":"B","servers":2,)"
       R"("gbs":64,"schedule":"gpipe","memory_cap":"2GiB","recompute":"auto",)"
-      R"("max_stages":4,"planner_threads":2})");
+      R"("max_stages":4})");
   EXPECT_EQ(r.kind, RequestKind::kPlan);
   EXPECT_EQ(r.id, "x1");
   EXPECT_EQ(r.model, "GNMT-16");
@@ -86,7 +86,6 @@ TEST(ServeProtocol, ParsesFullPlanRequest) {
   EXPECT_EQ(r.memory_cap, 2_GiB);
   EXPECT_EQ(r.recompute, planner::RecomputePolicy::kAuto);
   EXPECT_EQ(r.max_stages, 4);
-  EXPECT_EQ(r.planner_threads, 2);
 }
 
 void ExpectRequestError(const std::string& line, const std::string& code) {
@@ -172,11 +171,10 @@ TEST(ServeServer, PlanAffectingOptionsChangeTheFingerprint) {
   gpipe.latency.schedule_kind = runtime::ScheduleKind::kGPipe;
   EXPECT_NE(FingerprintPlanRequest(model, cluster, 64, gpipe), fp0);
 
-  // Execution-only knobs (thread counts, cache tuning) must NOT change the
-  // key: the plan is byte-identical at every thread count.
+  // Execution-only knobs (thread counts) must NOT change the key: the plan
+  // is byte-identical at every thread count.
   planner::PlannerOptions threaded = base;
   threaded.num_threads = 8;
-  threaded.cache_entries_per_shard = 128;
   EXPECT_EQ(FingerprintPlanRequest(model, cluster, 64, threaded), fp0);
 }
 
@@ -185,6 +183,8 @@ TEST(ServeServer, BadRequestsNeverKillTheServer) {
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"{\"kind\":\"plan\",\"model\"", "parse_error"},
       {"{\"kind\":\"warp\"}", "bad_request"},
+      // Planner threads are the server's business, not the client's.
+      {PlanLine("t", "GNMT-16", 'A', 2, 64, ",\"planner_threads\":64"), "bad_request"},
       {PlanLine("m", "NoSuchModel", 'A', 2, 64), "unknown_model"},
       {PlanLine("c", "GNMT-16", 'A', 2, 64, ",\"memory_cap\":\"1MiB\""), "infeasible"},
   };

@@ -1,7 +1,7 @@
-// Determinism sweep for the simulation engine and BatchRunner: across
-// a seeded set of fuzz-generated pipelines, sim::Engine (both its
-// thread-local flatten-and-run path and a reused explicit SoaGraph) and
-// BatchRunner at every thread count must produce chrome traces, iteration
+// Determinism sweep for the simulation engine and ThreadPool fan-out:
+// across a seeded set of fuzz-generated pipelines, sim::Engine (both its
+// thread-local flatten-and-run path and a reused explicit SoaGraph) and a
+// ThreadPool Map at every thread count must produce chrome traces, iteration
 // reports and memory high-water marks byte-identical to the reference
 // engine (legacy ordered-set/priority-queue containers) — fault-free and
 // under fault speed profiles alike. The engine is deterministic by
@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "check/fuzz.h"
+#include "common/thread_pool.h"
 #include "obs/report.h"
 #include "runtime/graph_builder.h"
-#include "sim/batch.h"
 #include "sim/chrome_trace.h"
 #include "sim/engine.h"
 
@@ -146,20 +146,15 @@ TEST(SimDeterminismTest, FaultSpeedProfilesMatchTheReferenceOracle) {
   EXPECT_GT(pinned, instances / 2);
 }
 
-TEST(SimDeterminismTest, BatchRunnerMatchesSerialAtEveryThreadCount) {
+TEST(SimDeterminismTest, PoolMapMatchesSerialAtEveryThreadCount) {
   const int instances = SweepInstances();
 
-  // Build every pipeline once; jobs borrow the graphs.
+  // Build every pipeline once; the pool bodies borrow the graphs.
   std::vector<runtime::BuiltPipeline> built;
   built.reserve(static_cast<std::size_t>(instances));
   for (std::uint64_t seed = 0; seed < static_cast<std::uint64_t>(instances); ++seed) {
     const check::FuzzCase c = check::MakeFuzzCase(seed);
     built.push_back(runtime::GraphBuilder(c.model, c.cluster, c.plan, c.options).Build());
-  }
-  std::vector<SimJob> jobs;
-  jobs.reserve(built.size());
-  for (const runtime::BuiltPipeline& b : built) {
-    jobs.push_back({&b.graph, b.engine_options});
   }
 
   std::vector<SimFingerprint> serial;
@@ -169,8 +164,10 @@ TEST(SimDeterminismTest, BatchRunnerMatchesSerialAtEveryThreadCount) {
   }
 
   for (int threads : {1, 2, 8}) {
-    BatchRunner runner({.threads = threads});
-    const std::vector<SimResult> results = runner.RunSimulations(jobs);
+    ThreadPool pool(static_cast<std::size_t>(threads));
+    const std::vector<SimResult> results = pool.Map<SimResult>(built.size(), [&](std::size_t i) {
+      return Engine::Run(built[i].graph, built[i].engine_options);
+    });
     ASSERT_EQ(results.size(), built.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       ASSERT_EQ(serial[i], Fingerprint(built[i], results[i]))

@@ -1,25 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
 
 namespace dapple {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
@@ -58,8 +50,8 @@ TEST(ThreadPool, ConcurrentThrowsLeaveExactlyOneAndAUsablePool) {
   // throws: each body spin-waits until all kWorkers bodies have entered
   // (a spinning body pins its worker thread, so with exactly kWorkers
   // tasks on a kWorkers-thread pool, all of them throw in parallel).
-  // Exactly one exception must escape the call; the rest are swallowed,
-  // and the pool must stay fully usable afterwards.
+  // Exactly one exception — the lowest index's — must escape the call; the
+  // rest are swallowed, and the pool must stay fully usable afterwards.
   constexpr std::size_t kWorkers = 8;
   ThreadPool pool(kWorkers);
   ASSERT_EQ(pool.num_threads(), kWorkers);
@@ -76,7 +68,7 @@ TEST(ThreadPool, ConcurrentThrowsLeaveExactlyOneAndAUsablePool) {
       });
     } catch (const Error& e) {
       caught = true;
-      EXPECT_EQ(std::string(e.what()).rfind("boom-", 0), 0u) << e.what();
+      EXPECT_STREQ(e.what(), "boom-0") << "round " << round;
     }
     EXPECT_TRUE(caught) << "round " << round;
     EXPECT_EQ(thrown.load(), static_cast<int>(kWorkers)) << "round " << round;
@@ -99,15 +91,44 @@ TEST(ThreadPool, SharedPoolSingleton) {
   EXPECT_GE(ThreadPool::Shared().num_threads(), 1u);
 }
 
-TEST(ThreadPool, WaitWithNoWorkReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();
-  SUCCEED();
+TEST(ThreadPool, OneThreadRunsEveryBodyInlineOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(64);
+  pool.ParallelFor(ran_on.size(), [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (std::size_t i = 0; i < ran_on.size(); ++i) EXPECT_EQ(ran_on[i], caller) << "index " << i;
+
+  // Inline, too, every index runs and the lowest throwing one surfaces.
+  int ran = 0;
+  try {
+    pool.ParallelFor(64, [&](std::size_t i) {
+      ++ran;
+      if (i == 3 || i == 7) throw Error("boom-" + std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "boom-3");
+  }
+  EXPECT_EQ(ran, 64);
 }
 
-TEST(ThreadPool, RejectsNullTask) {
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.Submit(nullptr), Error);
+TEST(ThreadPool, LowestIndexExceptionWinsOverTheFirstThrown) {
+  // Index 0 throws last on the wall clock; every other index throws at
+  // once. The call must still surface index 0's exception, as a serial loop
+  // would.
+  ThreadPool pool(8);
+  for (int round = 0; round < 5; ++round) {
+    try {
+      pool.ParallelFor(64, [](std::size_t i) {
+        if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw Error("boom-" + std::to_string(i));
+      });
+      FAIL() << "expected an exception";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "boom-0") << "round " << round;
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Local CI: configure + build + test the tree twice — once plain, once
-# under AddressSanitizer/UBSan (DAPPLE_SANITIZE=address,undefined).
+# under AddressSanitizer/UBSan (DAPPLE_SANITIZE=address,undefined) — and
+# run the concurrent core under ThreadSanitizer (DAPPLE_SANITIZE=thread).
 #
 #   tools/ci.sh [build-dir-prefix]
 #
-# The two build trees land in <prefix> and <prefix>-asan (default: build-ci).
+# The build trees land in <prefix>, <prefix>-asan and <prefix>-tsan
+# (default prefix: build-ci).
 #
 # DAPPLE_CI_TIER selects the test tier:
 #   unit (default) — `ctest -L unit`, the fast suite (pull requests)
@@ -12,10 +14,13 @@
 #                    randomized sweeps and the `-L golden` byte-stability
 #                    tests (pushes to main)
 #   Both tiers also build the end-to-end benchmark (benchmark/, into
-#   <prefix>-e2e) on the plain tree.
+#   <prefix>-e2e) on the plain tree, and run the ThreadSanitizer tier:
+#   the ThreadPool and ShardedCache unit tests, the planner, simulator
+#   and scenario determinism sweeps, serve_test and the serve daemon
+#   smoke, built into <prefix>-tsan. Any data race fails the run.
 #   perf-smoke     — `ctest -L perf-smoke`, every entry RUN_SERIAL: the
 #                    planner, simulator and scenario determinism sweeps
-#                    (the engine and BatchRunner vs the reference
+#                    (the engine and a ThreadPool fan-out vs the reference
 #                    engine, and churn-episode / co-schedule reports at
 #                    every thread count — all byte-identical), the --quick
 #                    planner-scaling, sim-engine, serve and scenario
@@ -83,5 +88,21 @@ fi
 # the determinism sweep it carries already ran under ASan in the unit tier.
 if [[ "${tier}" != "perf-smoke" ]]; then
   run_suite "${prefix}-asan" -DDAPPLE_SANITIZE=address,undefined
+fi
+# ThreadSanitizer over everything that fans out across threads. The tests
+# run as whole binaries; TSan fails a binary that reported any race.
+if [[ "${tier}" != "perf-smoke" ]]; then
+  tsan_dir="${prefix}-tsan"
+  tsan_tests=(thread_pool_test common_test planner_determinism_test
+              sim_determinism_test scenario_determinism_test serve_test
+              serve_smoke_test)
+  echo "=== configure ${tsan_dir} (-DDAPPLE_SANITIZE=thread)"
+  cmake -B "${tsan_dir}" -S . -DDAPPLE_SANITIZE=thread >/dev/null
+  echo "=== build ${tsan_dir}"
+  cmake --build "${tsan_dir}" --target "${tsan_tests[@]}" -j "${jobs}" >/dev/null
+  for test in "${tsan_tests[@]}"; do
+    echo "=== tsan ${test}"
+    TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/${test}" --gtest_brief=1
+  done
 fi
 echo "=== ci ok"

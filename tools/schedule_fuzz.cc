@@ -5,7 +5,7 @@
 //       Run N seeded cases (default 200) starting at BASE (default 0);
 //       print the mode's tally and exit non-zero on the first failure
 //       (lowest failing seed). --threads fans cases across a
-//       sim::BatchRunner; every tally line and failure report is identical
+//       ThreadPool; every tally line and failure report is identical
 //       at any N. --verbose first prints every case description.
 //   dapple_fuzz [MODE] --repro SEED
 //       Re-run one seed with its full case description.
