@@ -19,59 +19,75 @@ TimeSec CostModel::P2P(topo::DeviceId src, topo::DeviceId dst, Bytes bytes) cons
          static_cast<double>(bytes) / bw;
 }
 
-TimeSec CostModel::RingAllReduce(const topo::DeviceSet& devices, Bytes bytes) const {
-  const int n = devices.size();
-  if (n < 2 || bytes == 0) return 0.0;
-  const BytesPerSec bw = devices.BottleneckBandwidth(*cluster_);
-  const TimeSec lat = devices.MaxLatency(*cluster_);
-  const double steps = 2.0 * (n - 1);
-  const double volume = 2.0 * static_cast<double>(n - 1) / n * static_cast<double>(bytes);
-  return options_.collective_launch_overhead + steps * lat + volume / bw;
+BoundAllReduce::BoundAllReduce(const CostModel& model, const topo::DeviceSet& devices,
+                               bool hierarchical)
+    : model_(&model), n_(devices.size()), hierarchical_(hierarchical) {
+  if (n_ < 2) return;
+  bandwidth_ = devices.BottleneckBandwidth(model.cluster());
+  latency_ = devices.MaxLatency(model.cluster());
+  if (!hierarchical_) return;
+  for (int c : devices.PerServerCounts(model.cluster())) {
+    if (c > 0) ++servers_used_;
+    max_per_server_ = std::max(max_per_server_, c);
+  }
 }
 
-TimeSec CostModel::HierarchicalAllReduce(const topo::DeviceSet& devices, Bytes bytes) const {
-  const int n = devices.size();
-  if (n < 2 || bytes == 0) return 0.0;
-  const std::vector<int> counts = devices.PerServerCounts(*cluster_);
-  int servers_used = 0;
-  int max_per_server = 0;
-  for (int c : counts) {
-    if (c > 0) ++servers_used;
-    max_per_server = std::max(max_per_server, c);
-  }
-  if (servers_used <= 1) return RingAllReduce(devices, bytes);
+TimeSec BoundAllReduce::operator()(Bytes bytes) const {
+  if (n_ < 2 || bytes == 0) return 0.0;
+  if (hierarchical_) return std::min(Ring(bytes), Hierarchical(bytes));
+  return Ring(bytes);
+}
 
-  const auto& net = cluster_->interconnect();
-  TimeSec total = options_.collective_launch_overhead;
+TimeSec BoundAllReduce::Ring(Bytes bytes) const {
+  if (n_ < 2 || bytes == 0) return 0.0;
+  const double steps = 2.0 * (n_ - 1);
+  const double volume = 2.0 * static_cast<double>(n_ - 1) / n_ * static_cast<double>(bytes);
+  return model_->options().collective_launch_overhead + steps * latency_ + volume / bandwidth_;
+}
+
+TimeSec BoundAllReduce::Hierarchical(Bytes bytes) const {
+  if (n_ < 2 || bytes == 0) return 0.0;
+  if (servers_used_ <= 1) return Ring(bytes);
+
+  const auto& net = model_->cluster().interconnect();
+  TimeSec total = model_->options().collective_launch_overhead;
 
   // Phase 1: intra-server reduce-scatter on the busiest server (others
   // overlap). Volume (m-1)/m * bytes over NVLink.
-  if (max_per_server > 1) {
-    const double m = max_per_server;
+  if (max_per_server_ > 1) {
+    const double m = max_per_server_;
     total += (m - 1.0) / m * static_cast<double>(bytes) / net.intra_server_bandwidth +
              (m - 1.0) * net.intra_server_latency;
   }
   // Phase 2: inter-server ring AllReduce over one leader per server.
   {
-    const double k = servers_used;
+    const double k = servers_used_;
     total += 2.0 * (k - 1.0) / k * static_cast<double>(bytes) / net.inter_server_bandwidth +
              2.0 * (k - 1.0) * net.inter_server_latency;
   }
   // Phase 3: intra-server all-gather, mirroring phase 1.
-  if (max_per_server > 1) {
-    const double m = max_per_server;
+  if (max_per_server_ > 1) {
+    const double m = max_per_server_;
     total += (m - 1.0) / m * static_cast<double>(bytes) / net.intra_server_bandwidth +
              (m - 1.0) * net.intra_server_latency;
   }
   return total;
 }
 
+TimeSec CostModel::RingAllReduce(const topo::DeviceSet& devices, Bytes bytes) const {
+  return BoundAllReduce(*this, devices, /*hierarchical=*/false).Ring(bytes);
+}
+
+TimeSec CostModel::HierarchicalAllReduce(const topo::DeviceSet& devices, Bytes bytes) const {
+  return BoundAllReduce(*this, devices, /*hierarchical=*/true).Hierarchical(bytes);
+}
+
 TimeSec CostModel::AllReduce(const topo::DeviceSet& devices, Bytes bytes) const {
-  if (devices.size() < 2 || bytes == 0) return 0.0;
-  if (options_.enable_hierarchical) {
-    return std::min(RingAllReduce(devices, bytes), HierarchicalAllReduce(devices, bytes));
-  }
-  return RingAllReduce(devices, bytes);
+  return AllReduceOver(devices)(bytes);
+}
+
+BoundAllReduce CostModel::AllReduceOver(const topo::DeviceSet& devices) const {
+  return BoundAllReduce(*this, devices, options_.enable_hierarchical);
 }
 
 BytesPerSec CostModel::WorstPairBandwidth(const topo::DeviceSet& from,

@@ -32,6 +32,38 @@ struct CostModelOptions {
   bool enable_hierarchical = false;
 };
 
+class CostModel;
+
+/// AllReduce pricing bound to one device set: the set's size, bottleneck
+/// link and worst latency (and, with hierarchical AllReduce enabled, its
+/// per-server span) are read once, so pricing many gradient buckets over
+/// the same replicas costs a few flops each. Holds a pointer to the
+/// CostModel that made it and must not outlive it; see
+/// CostModel::AllReduceOver.
+class BoundAllReduce {
+ public:
+  /// CostModel::AllReduce(devices, bytes) for the bound set.
+  TimeSec operator()(Bytes bytes) const;
+
+ private:
+  friend class CostModel;
+  BoundAllReduce(const CostModel& model, const topo::DeviceSet& devices, bool hierarchical);
+
+  /// The one copy of each formula; CostModel's set-and-bytes entry points
+  /// bind and call these.
+  TimeSec Ring(Bytes bytes) const;
+  TimeSec Hierarchical(Bytes bytes) const;
+
+  const CostModel* model_;
+  int n_ = 0;
+  BytesPerSec bandwidth_ = 0.0;
+  TimeSec latency_ = 0.0;
+  /// Whether operator() takes the min with the hierarchical algorithm.
+  bool hierarchical_ = false;
+  int servers_used_ = 0;
+  int max_per_server_ = 0;
+};
+
 /// Stateless cost calculator bound to a cluster topology.
 class CostModel {
  public:
@@ -55,6 +87,11 @@ class CostModel {
   /// Best available AllReduce (what a tuned NCCL picks): min of ring and
   /// hierarchical.
   TimeSec AllReduce(const topo::DeviceSet& devices, Bytes bytes) const;
+
+  /// AllReduce bound to `devices`: AllReduceOver(devices)(bytes) ==
+  /// AllReduce(devices, bytes) bit for bit, with the set's topology read
+  /// once for every `bytes` priced through it.
+  BoundAllReduce AllReduceOver(const topo::DeviceSet& devices) const;
 
   /// Cross-stage activation (or activation-gradient) transfer of one
   /// micro-batch totalling `bytes`, from the replicas of one stage to the

@@ -6,12 +6,13 @@
 // recomputes (two threads may race on the same fresh key; the loser's value
 // is dropped) the returned value is bit-identical either way.
 //
-// Each shard may carry a capacity bound: when set, the shard maintains a
-// recency list and evicts its least-recently-used entry on overflow. A
-// bounded cache is what lets a long-lived process (the `dapple serve`
-// daemon's plan cache) keep its memo table from growing without limit;
-// eviction only ever costs recomputation, never correctness, because values
-// are pure functions of their keys.
+// Values live in the hash-map node itself, so an unbounded hit reads one
+// node and a miss allocates one. Each shard may carry a capacity bound:
+// when set, the shard also keeps a recency list of keys and evicts its
+// least-recently-used entry on overflow. A bounded cache is what lets a
+// long-lived process (the `dapple serve` daemon's plan cache) keep its memo
+// table from growing without limit; eviction only ever costs recomputation,
+// never correctness, because values are pure functions of their keys.
 #pragma once
 
 #include <cstddef>
@@ -80,7 +81,7 @@ class ShardedCache {
       if (it != shard.map.end()) {
         ++shard.hits;
         Touch(shard, it->second);
-        return it->second->second;
+        return it->second.value;
       }
     }
     const auto t0 = std::chrono::steady_clock::now();
@@ -109,7 +110,7 @@ class ShardedCache {
     }
     ++shard.hits;
     Touch(shard, it->second);
-    return it->second->second;
+    return it->second.value;
   }
 
   /// Explicit insert (most-recent position); overwrites an existing entry.
@@ -118,7 +119,7 @@ class ShardedCache {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      it->second->second = std::move(value);
+      it->second.value = std::move(value);
       Touch(shard, it->second);
       return;
     }
@@ -130,10 +131,7 @@ class ShardedCache {
   std::vector<Key> ShardKeysByRecency(std::size_t shard) const {
     const Shard& s = *shards_[shard];
     std::lock_guard<std::mutex> lock(s.mu);
-    std::vector<Key> keys;
-    keys.reserve(s.entries.size());
-    for (const auto& [key, value] : s.entries) keys.push_back(key);
-    return keys;
+    return std::vector<Key>(s.recency.begin(), s.recency.end());
   }
 
   /// The shard index `key` lands on (tests aim keys at one shard with it).
@@ -177,7 +175,7 @@ class ShardedCache {
     for (auto& s : shards_) {
       std::lock_guard<std::mutex> lock(s->mu);
       s->map.clear();
-      s->entries.clear();
+      s->recency.clear();
       s->hits = s->misses = 0;
       s->evictions = 0;
       s->compute_seconds = 0.0;
@@ -185,14 +183,20 @@ class ShardedCache {
   }
 
  private:
-  using EntryList = std::list<std::pair<Key, Value>>;
+  using RecencyList = std::list<Key>;
+
+  struct Entry {
+    Value value;
+    /// This key's node in the shard's recency list (bounded caches only).
+    typename RecencyList::iterator position;
+  };
 
   struct Shard {
     mutable std::mutex mu;
-    /// Front = most recently used. Entries live here; the map holds
-    /// iterators so a hit can splice its entry to the front in O(1).
-    EntryList entries;
-    std::unordered_map<Key, typename EntryList::iterator, Hash> map;
+    std::unordered_map<Key, Entry, Hash> map;
+    /// Front = most recently used; empty when unbounded. An entry holds its
+    /// node's iterator so a hit can splice it to the front in O(1).
+    RecencyList recency;
     std::int64_t hits = 0;
     std::int64_t misses = 0;
     std::int64_t evictions = 0;
@@ -200,26 +204,24 @@ class ShardedCache {
   };
 
   /// Refreshes recency; skipped when unbounded, where order is irrelevant
-  /// and the splice would be pure overhead on the planner's hot path.
-  void Touch(Shard& shard, typename EntryList::iterator it) {
-    if (capacity_ > 0 && it != shard.entries.begin()) {
-      shard.entries.splice(shard.entries.begin(), shard.entries, it);
+  /// and there is no list to splice.
+  void Touch(Shard& shard, const Entry& entry) {
+    if (capacity_ > 0 && entry.position != shard.recency.begin()) {
+      shard.recency.splice(shard.recency.begin(), shard.recency, entry.position);
     }
   }
 
   void InsertLocked(Shard& shard, const Key& key, Value value) {
-    shard.entries.emplace_front(key, std::move(value));
-    auto [it, inserted] = shard.map.emplace(key, shard.entries.begin());
-    if (!inserted) {
-      // GetOrCompute race: another thread populated the key between our
-      // unlocked compute and this insert. Keep the existing entry (values
-      // are identical) and drop the duplicate node.
-      shard.entries.pop_front();
-      return;
-    }
-    if (capacity_ > 0 && shard.map.size() > capacity_) {
-      shard.map.erase(shard.entries.back().first);
-      shard.entries.pop_back();
+    auto [it, inserted] = shard.map.try_emplace(key, Entry{std::move(value), {}});
+    // GetOrCompute race: another thread populated the key between our
+    // unlocked compute and this insert. Keep the existing entry (values are
+    // identical); try_emplace has left the map as it was.
+    if (!inserted || capacity_ == 0) return;
+    shard.recency.push_front(key);
+    it->second.position = shard.recency.begin();
+    if (shard.map.size() > capacity_) {
+      shard.map.erase(shard.recency.back());
+      shard.recency.pop_back();
       ++shard.evictions;
     }
   }

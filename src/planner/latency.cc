@@ -78,8 +78,8 @@ TimeSec LatencyEstimator::ExposedAllReduce(int layer_begin, int layer_end,
                                            const topo::DeviceSet& devices,
                                            double samples) const {
   if (devices.size() < 2) return 0.0;
-  const Bytes total_bytes = model_->ParamBytes(layer_begin, layer_end);
-  const TimeSec raw = cost_.AllReduce(devices, total_bytes);
+  const comm::BoundAllReduce all_reduce = cost_.AllReduceOver(devices);
+  const TimeSec raw = all_reduce(model_->ParamBytes(layer_begin, layer_end));
   if (!options_.overlap_allreduce) return raw;
 
   // Backward visits layers in reverse; a layer's gradient bucket can start
@@ -93,7 +93,7 @@ TimeSec LatencyEstimator::ExposedAllReduce(int layer_begin, int layer_end,
     bw_elapsed += model_->BackwardTime(l, l + 1, samples);
     const Bytes bucket = model_->ParamBytes(l, l + 1);
     if (bucket == 0) continue;
-    const TimeSec ar = cost_.AllReduce(devices, bucket);
+    const TimeSec ar = all_reduce(bucket);
     comm_free = std::max(comm_free, bw_elapsed) + ar;
     ar_total += ar;
   }
@@ -158,26 +158,16 @@ Bytes LatencyEstimator::FamilyPeakMemory(runtime::ScheduleKind kind,
   const int S = plan.num_stages();
   const int M = mb.num_micro_batches;
   // Per-stage stash piece: baseline + K x (activation | checkpoint) +
-  // recompute transient, memoized in the stage cache. Stage i's samples and
-  // replication come from its host group (the stage itself for the linear
-  // families; chunk folding for the V shapes).
+  // recompute transient. A few prefix-sum reads, so it is computed, not
+  // memoized: a cache lookup would cost more. Stage i's samples come from
+  // its host group (the stage itself for the linear families; chunk
+  // folding for the V shapes).
   auto piece = [&](int i, int k) -> Bytes {
-    const StagePlan& stage = plan.stages[static_cast<std::size_t>(i)];
     const StagePlan& host =
         plan.stages[static_cast<std::size_t>(runtime::HostStage(kind, i, S))];
     const double samples =
         static_cast<double>(mb.micro_batch_size) / host.replication();
-    auto compute_memory = [&]() -> StageCostValue {
-      return {StageCost{}, StagePeakMemory(stage, samples, k)};
-    };
-    return cache_ ? cache_
-                        ->GetOrCompute(
-                            StageCostCache::MemoryKey(stage.layer_begin, stage.layer_end,
-                                                      host.replication(),
-                                                      mb.micro_batch_size, k, stage.recompute),
-                            compute_memory)
-                        .bytes
-                  : compute_memory().bytes;
+    return StagePeakMemory(plan.stages[static_cast<std::size_t>(i)], samples, k);
   };
 
   Bytes peak = 0;
@@ -352,7 +342,7 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_ba
     const StagePlan& stage = plan.stages[static_cast<std::size_t>(i)];
     const double samples =
         static_cast<double>(est.micro_batch_size) / stage.replication();
-    auto compute_comp = [&]() -> StageCostValue {
+    auto compute_comp = [&]() -> StageCost {
       // The slowest replica gates the stage: a split micro-batch completes
       // only when every slice has (heterogeneous clusters, stragglers).
       double stage_speed = std::numeric_limits<double>::infinity();
@@ -373,7 +363,7 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_ba
                                : 0.0;
       comp.allreduce =
           ExposedAllReduce(stage.layer_begin, stage.layer_end, stage.devices, samples);
-      return {comp, 0};
+      return comp;
     };
     if (static_cast<std::size_t>(2 * i) >= given) {
       StageCost comp =
@@ -383,22 +373,21 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_ba
                                                               est.micro_batch_size,
                                                               stage.recompute),
                                       compute_comp)
-                       .cost
-                 : compute_comp().cost;
+                 : compute_comp();
       comp.comp_index = i;  // plan-relative, so assigned outside the memo
       est.stages.push_back(comp);
     }
 
     if (i + 1 < num_comp) {
       const StagePlan& next = plan.stages[static_cast<std::size_t>(i + 1)];
-      auto compute_comm = [&]() -> StageCostValue {
+      auto compute_comm = [&]() -> StageCost {
         const Bytes act = model_->ActivationAt(stage.layer_end,
                                                static_cast<double>(est.micro_batch_size));
         StageCost comm;
         comm.is_comm = true;
         comm.forward = cost_.CrossStage(stage.devices, next.devices, act);
         comm.backward = cost_.CrossStage(next.devices, stage.devices, act);
-        return {comm, 0};
+        return comm;
       };
       const StageCost comm =
           cache_ ? cache_
@@ -406,8 +395,7 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_ba
                                                               next.devices,
                                                               est.micro_batch_size),
                                       compute_comm)
-                       .cost
-                 : compute_comm().cost;
+                 : compute_comm();
       est.stages.push_back(comm);
     }
   }

@@ -18,7 +18,7 @@ PipedreamPlanner::PipedreamPlanner(const model::ModelProfile& model,
   }
 }
 
-double PipedreamPlanner::StageCostValue(int layer_begin, int layer_end, int replicas) const {
+double PipedreamPlanner::StageTime(int layer_begin, int layer_end, int replicas) const {
   // PipeDream's per-stage cost: compute split across replicas, plus the
   // data-parallel weight-sync the stage incurs (4(m-1)/m * |w| over the
   // slowest link, per the PipeDream paper), at the training micro-batch.
@@ -64,7 +64,7 @@ ParallelPlan PipedreamPlanner::Plan() const {
           if (k == 0 && r != m) continue;  // first stage consumes the rest
           const double prev = dp[static_cast<std::size_t>(k)][static_cast<std::size_t>(m - r)];
           if (!std::isfinite(prev)) continue;
-          double stage = StageCostValue(k, j, r);
+          double stage = StageTime(k, j, r);
           if (k > 0) {
             // Inbound activation transfer is part of the stage's period.
             const Bytes act = model_->ActivationAt(
@@ -119,7 +119,7 @@ ParallelPlan PipedreamPlanner::Plan() const {
 double PipedreamPlanner::Bottleneck(const ParallelPlan& plan) const {
   double worst = 0.0;
   for (const StagePlan& s : plan.stages) {
-    worst = std::max(worst, StageCostValue(s.layer_begin, s.layer_end, s.replication()));
+    worst = std::max(worst, StageTime(s.layer_begin, s.layer_end, s.replication()));
   }
   return worst;
 }

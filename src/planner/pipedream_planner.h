@@ -35,7 +35,7 @@ class PipedreamPlanner {
   double Bottleneck(const ParallelPlan& plan) const;
 
  private:
-  double StageCostValue(int layer_begin, int layer_end, int replicas) const;
+  double StageTime(int layer_begin, int layer_end, int replicas) const;
 
   const model::ModelProfile* model_;
   const topo::Cluster* cluster_;

@@ -41,22 +41,6 @@ StageCostKey StageCostCache::CommKey(int boundary, const topo::DeviceSet& from,
   return key;
 }
 
-StageCostKey StageCostCache::MemoryKey(int layer_begin, int layer_end, int replication,
-                                       int micro_batch_size, int warmup_depth,
-                                       bool recompute) {
-  StageCostKey key;
-  key.kind = StageCostKey::Kind::kMemory;
-  key.layer_begin = layer_begin;
-  key.layer_end = layer_end;
-  key.micro_batch_size = micro_batch_size;
-  key.aux = warmup_depth;
-  // Peak memory depends on the per-replica slice, not on which physical
-  // devices host it; the replication factor is the whole device signature.
-  key.mask_a = static_cast<std::uint64_t>(replication);
-  key.mask_b = recompute ? 1 : 0;
-  return key;
-}
-
 void ExportSearchStats(const PlannerSearchStats& stats) {
   auto& metrics = obs::MetricsRegistry::Global();
   metrics.counter("planner.parallel.subproblems").Increment(stats.subproblems);

@@ -3,10 +3,11 @@
 // smaller vocabulary of stages: the cost of "layers [b, e) on these devices
 // at this micro-batch size" is identical in every candidate that carves
 // that stage. The StageCostCache memoizes exactly that vocabulary — per
-// computation stage, per cross-stage boundary and per stage-memory query —
-// keyed by (layer range, device-subset signature, replication-bearing
-// micro-batch size), sharded so concurrent subproblem evaluators do not
-// contend on one lock.
+// computation stage and per cross-stage boundary — keyed by (layer range,
+// device-subset signature, replication-bearing micro-batch size), sharded
+// so concurrent subproblem evaluators do not contend on one lock. A
+// stage's peak-memory piece is not memoized: it is a few prefix-sum reads,
+// cheaper than the lookup that would replace it.
 //
 // Determinism contract: every cached value is a pure function of its key
 // (plus the estimator's fixed model/cluster/options), so a lookup is
@@ -29,10 +30,10 @@ namespace dapple::planner {
 /// performs tens of millions of lookups per search, so key construction
 /// must not allocate. Clusters with more than 64 devices simply run
 /// uncached (the planner never attaches a cache for them). For kComm
-/// `mask_a`/`mask_b` are the two boundary sides; for kMemory `mask_a`
-/// carries the replication factor and `aux` the warmup depth K.
+/// `mask_a`/`mask_b` are the two boundary sides; for kComp `aux` is the
+/// recompute flag.
 struct StageCostKey {
-  enum class Kind : std::uint8_t { kComp = 0, kComm = 1, kMemory = 2 };
+  enum class Kind : std::uint8_t { kComp = 0, kComm = 1 };
 
   Kind kind = Kind::kComp;
   std::int32_t layer_begin = 0;
@@ -63,13 +64,6 @@ struct StageCostKeyHash {
 /// depends on it.
 inline constexpr int kStageCacheMaxDevices = 64;
 
-/// Cached value: the expanded-stage cost entry for kComp/kComm keys, the
-/// per-device peak bytes for kMemory keys.
-struct StageCostValue {
-  StageCost cost;
-  Bytes bytes = 0;
-};
-
 class StageCostCache {
  public:
   /// Unbounded: one search owns the cache and drops it on return, and a
@@ -77,7 +71,7 @@ class StageCostCache {
   explicit StageCostCache(std::size_t shards = 16) : cache_(shards) {}
 
   template <typename Compute>
-  StageCostValue GetOrCompute(const StageCostKey& key, Compute&& compute) {
+  StageCost GetOrCompute(const StageCostKey& key, Compute&& compute) {
     return cache_.GetOrCompute(key, std::forward<Compute>(compute));
   }
 
@@ -86,19 +80,16 @@ class StageCostCache {
   std::size_t num_shards() const { return cache_.num_shards(); }
 
   /// Key builders, shared by the estimator so tests can probe the cache.
-  /// `recompute` is part of the key for kComp/kMemory: the memory-
-  /// constrained search evaluates the same stage with and without
-  /// checkpointing, and the two have different costs.
+  /// `recompute` is part of the kComp key: the memory-constrained search
+  /// evaluates the same stage with and without checkpointing, and the two
+  /// have different costs.
   static StageCostKey CompKey(int layer_begin, int layer_end, const topo::DeviceSet& devices,
                               int micro_batch_size, bool recompute = false);
   static StageCostKey CommKey(int boundary, const topo::DeviceSet& from,
                               const topo::DeviceSet& to, int micro_batch_size);
-  static StageCostKey MemoryKey(int layer_begin, int layer_end, int replication,
-                                int micro_batch_size, int warmup_depth,
-                                bool recompute = false);
 
  private:
-  ShardedCache<StageCostKey, StageCostValue, StageCostKeyHash> cache_;
+  ShardedCache<StageCostKey, StageCost, StageCostKeyHash> cache_;
 };
 
 /// Everything the parallel search observed about itself: how the work was

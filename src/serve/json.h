@@ -10,6 +10,7 @@
 // a line of brackets cannot recurse the parser off the stack either.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -71,6 +72,11 @@ class JsonValue {
 /// Deepest object/array nesting ParseJson accepts (the top-level container
 /// is depth 1).
 inline constexpr int kMaxJsonDepth = 64;
+
+/// Longest request line the serve protocol accepts, newline excluded. A
+/// longer line is answered with one "bad_request", and the socket
+/// transport stops buffering it past this bound.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 /// Throws dapple::Error with a byte offset on malformed or truncated input,

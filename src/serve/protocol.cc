@@ -51,6 +51,10 @@ const std::set<std::string>& KnownFields() {
 }  // namespace
 
 ServeRequest ParseRequest(const std::string& line) {
+  if (line.size() > kMaxLineBytes) {
+    throw RequestError("bad_request",
+                       "line too long (over " + std::to_string(kMaxLineBytes) + " bytes)");
+  }
   JsonValue doc;
   try {
     doc = ParseJson(line);

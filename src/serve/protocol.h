@@ -78,9 +78,10 @@ struct ServeRequest {
 
 /// Parses one request line. Throws RequestError on malformed JSON
 /// ("parse_error") or structurally invalid requests ("bad_request") —
-/// including unknown request kinds, unknown fields, missing required
-/// fields and out-of-range values. Model-name resolution happens later so
-/// it can be reported as "unknown_model".
+/// including lines longer than kMaxLineBytes, unknown request kinds,
+/// unknown fields, missing required fields and out-of-range values.
+/// Model-name resolution happens later so it can be reported as
+/// "unknown_model".
 ServeRequest ParseRequest(const std::string& line);
 
 }  // namespace dapple::serve

@@ -10,9 +10,11 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
+#include "serve/json.h"
 
 namespace dapple::serve {
 
@@ -50,7 +52,11 @@ long ServeStream(std::istream& in, std::ostream& out, Server& server) {
 namespace {
 
 /// NDJSON loop over a connected socket fd: accumulate bytes, split on
-/// '\n', dispatch complete lines in greedy batches.
+/// '\n', dispatch complete lines in greedy batches. A line that outgrows
+/// kMaxLineBytes is cut to kMaxLineBytes + 1 bytes, which the server
+/// answers with one "bad_request"; the rest of it, up to the next '\n', is
+/// read and dropped, so the buffer never holds more than the bound plus
+/// one chunk.
 long ServeConnection(int fd, Server& server) {
   const std::size_t max_batch =
       static_cast<std::size_t>(std::max(1, server.options().max_batch));
@@ -59,6 +65,7 @@ long ServeConnection(int fd, Server& server) {
   std::vector<std::string> pending;
   char chunk[4096];
   bool open = true;
+  bool discarding = false;  // inside the dropped tail of an over-long line
   while (open) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0) {
@@ -66,7 +73,13 @@ long ServeConnection(int fd, Server& server) {
       break;
     }
     if (n == 0) open = false;  // EOF: fall through to flush pending lines
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    std::string_view bytes(chunk, static_cast<std::size_t>(n));
+    if (discarding) {
+      const std::size_t nl = bytes.find('\n');
+      bytes.remove_prefix(nl == std::string_view::npos ? bytes.size() : nl + 1);
+      discarding = nl == std::string_view::npos;
+    }
+    buffer.append(bytes);
 
     std::size_t start = 0;
     for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
@@ -75,6 +88,12 @@ long ServeConnection(int fd, Server& server) {
       start = nl + 1;
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxLineBytes) {
+      buffer.resize(kMaxLineBytes + 1);
+      pending.push_back(std::move(buffer));
+      buffer.clear();
+      discarding = true;
+    }
 
     while (!pending.empty()) {
       const std::size_t take = std::min(pending.size(), max_batch);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <sstream>
 
 #include "common/error.h"
@@ -10,10 +9,12 @@
 namespace dapple::topo {
 
 DeviceSet::DeviceSet(std::vector<DeviceId> devices) : devices_(std::move(devices)) {
-  std::set<DeviceId> seen;
-  for (DeviceId d : devices_) {
-    DAPPLE_CHECK_GE(d, 0) << "negative device id";
-    DAPPLE_CHECK(seen.insert(d).second) << "duplicate device " << d << " in set";
+  // A quadratic scan: sets are at most a cluster wide, and unlike a set or
+  // a bitmap it allocates nothing, whatever ids a plan file holds.
+  for (auto it = devices_.begin(); it != devices_.end(); ++it) {
+    DAPPLE_CHECK_GE(*it, 0) << "negative device id";
+    DAPPLE_CHECK(std::find(devices_.begin(), it, *it) == it)
+        << "duplicate device " << *it << " in set";
   }
 }
 
@@ -29,14 +30,13 @@ bool DeviceSet::contains(DeviceId d) const {
   return std::find(devices_.begin(), devices_.end(), d) != devices_.end();
 }
 
-int DeviceSet::NumServers(const Cluster& cluster) const {
-  std::set<ServerId> servers;
-  for (DeviceId d : devices_) servers.insert(cluster.server_of(d));
-  return static_cast<int>(servers.size());
-}
-
 bool DeviceSet::SingleServer(const Cluster& cluster) const {
-  return NumServers(cluster) <= 1;
+  if (devices_.empty()) return true;
+  const ServerId first = cluster.server_of(devices_.front());
+  for (DeviceId d : devices_) {
+    if (cluster.server_of(d) != first) return false;
+  }
+  return true;
 }
 
 std::vector<int> DeviceSet::PerServerCounts(const Cluster& cluster) const {

@@ -27,10 +27,7 @@ class DeviceSet {
 
   bool contains(DeviceId d) const;
 
-  /// Number of distinct servers the set touches.
-  int NumServers(const Cluster& cluster) const;
-
-  /// True when every device lives on one server.
+  /// True when every device lives on one server (an empty set does too).
   bool SingleServer(const Cluster& cluster) const;
 
   /// Count of the set's devices on each server (indexed by ServerId, sized

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "comm/cost_model.h"
 #include "topo/cluster.h"
 
@@ -64,6 +70,87 @@ TEST(CostModel, HierarchicalFallsBackToRingWithinServer) {
   const DeviceSet local = DeviceSet::Range(0, 8);
   EXPECT_DOUBLE_EQ(cost.HierarchicalAllReduce(local, 1_GiB),
                    cost.RingAllReduce(local, 1_GiB));
+}
+
+// The AllReduce formulas as written before they were bound to a set, in
+// their original expression order, so the bound object is pinned to them
+// bit for bit.
+TimeSec RingReference(const Cluster& cluster, const DeviceSet& devices, Bytes bytes) {
+  const int n = devices.size();
+  if (n < 2 || bytes == 0) return 0.0;
+  const BytesPerSec bw = devices.BottleneckBandwidth(cluster);
+  const TimeSec lat = devices.MaxLatency(cluster);
+  const double steps = 2.0 * (n - 1);
+  const double volume = 2.0 * static_cast<double>(n - 1) / n * static_cast<double>(bytes);
+  return CostModelOptions{}.collective_launch_overhead + steps * lat + volume / bw;
+}
+
+TimeSec HierarchicalReference(const Cluster& cluster, const DeviceSet& devices,
+                              Bytes bytes) {
+  const int n = devices.size();
+  if (n < 2 || bytes == 0) return 0.0;
+  int servers_used = 0;
+  int max_per_server = 0;
+  for (int c : devices.PerServerCounts(cluster)) {
+    if (c > 0) ++servers_used;
+    max_per_server = std::max(max_per_server, c);
+  }
+  if (servers_used <= 1) return RingReference(cluster, devices, bytes);
+  const auto& net = cluster.interconnect();
+  TimeSec total = CostModelOptions{}.collective_launch_overhead;
+  if (max_per_server > 1) {
+    const double m = max_per_server;
+    total += (m - 1.0) / m * static_cast<double>(bytes) / net.intra_server_bandwidth +
+             (m - 1.0) * net.intra_server_latency;
+  }
+  {
+    const double k = servers_used;
+    total += 2.0 * (k - 1.0) / k * static_cast<double>(bytes) / net.inter_server_bandwidth +
+             2.0 * (k - 1.0) * net.inter_server_latency;
+  }
+  if (max_per_server > 1) {
+    const double m = max_per_server;
+    total += (m - 1.0) / m * static_cast<double>(bytes) / net.intra_server_bandwidth +
+             (m - 1.0) * net.intra_server_latency;
+  }
+  return total;
+}
+
+std::uint64_t Bits(TimeSec t) { return std::bit_cast<std::uint64_t>(t); }
+
+TEST(CostModel, BoundAllReduceMatchesEveryEntryPointBitForBit) {
+  const Cluster a = MakeConfigA(2);
+  const std::vector<Cluster> clusters = {a, a.WithServerSpeeds({1.0, 0.5}), MakeConfigB(16)};
+  const std::vector<DeviceSet> sets = {
+      DeviceSet(),          DeviceSet({5}),          DeviceSet({0, 1}),
+      DeviceSet::Range(0, 8), DeviceSet::Range(4, 8), DeviceSet({0, 9, 1}),
+      DeviceSet::Range(0, 16)};
+  const std::vector<Bytes> sizes = {0, 1, 1_MiB + 7, 1_GiB};
+  for (const Cluster& cluster : clusters) {
+    for (const bool hierarchical : {false, true}) {
+      CostModelOptions options;
+      options.enable_hierarchical = hierarchical;
+      const CostModel cost(cluster, options);
+      for (const DeviceSet& set : sets) {
+        const auto& ids = set.devices();
+        if (!ids.empty() && *std::max_element(ids.begin(), ids.end()) >= cluster.num_devices()) {
+          continue;
+        }
+        const BoundAllReduce bound = cost.AllReduceOver(set);
+        for (const Bytes bytes : sizes) {
+          SCOPED_TRACE(cluster.name() + " " + set.ToString() + " " + std::to_string(bytes) +
+                       (hierarchical ? " hierarchical" : " ring"));
+          const TimeSec ring = RingReference(cluster, set, bytes);
+          const TimeSec hier = HierarchicalReference(cluster, set, bytes);
+          EXPECT_EQ(Bits(cost.RingAllReduce(set, bytes)), Bits(ring));
+          EXPECT_EQ(Bits(cost.HierarchicalAllReduce(set, bytes)), Bits(hier));
+          const TimeSec best = hierarchical ? std::min(ring, hier) : ring;
+          EXPECT_EQ(Bits(bound(bytes)), Bits(best));
+          EXPECT_EQ(Bits(cost.AllReduce(set, bytes)), Bits(best));
+        }
+      }
+    }
+  }
 }
 
 TEST(CostModel, AllReduceMonotoneInSize) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -231,6 +232,54 @@ TEST(ShardedCache, BoundedCacheIsThreadSafe) {
   // that is the i % 3 == 2 third of kOpsPerThread.
   EXPECT_EQ(cache.TotalStats().hits + cache.TotalStats().misses,
             static_cast<std::int64_t>(kThreads) * (kOpsPerThread - kOpsPerThread / 3));
+}
+
+void RaceGetOrComputeOnSharedKeys(std::size_t per_shard_capacity) {
+  // Eight threads released together run GetOrCompute over the same 64
+  // keys, so duplicate computes race to insert. Sixteen shards of identity-
+  // hashed ints hold four keys each, inside capacity 8: nothing is evicted
+  // and every key must end with exactly one entry.
+  constexpr int kThreads = 8;
+  constexpr int kKeys = 64;
+  ShardedCache<int, int> cache(/*shards=*/16, per_shard_capacity);
+  std::atomic<bool> go{false};
+  std::atomic<bool> ok{true};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (int key = 0; key < kKeys; ++key) {
+        if (cache.GetOrCompute(key, [&] { return key * 3 + 1; }) != key * 3 + 1) ok = false;
+      }
+    });
+  }
+  go = true;
+  for (auto& th : threads) th.join();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(cache.TotalStats().entries, kKeys);
+  EXPECT_EQ(cache.TotalStats().evictions, 0);
+  EXPECT_EQ(cache.TotalStats().hits + cache.TotalStats().misses, kThreads * kKeys);
+  for (int key = 0; key < kKeys; ++key) EXPECT_EQ(cache.Lookup(key).value(), key * 3 + 1);
+  if (per_shard_capacity == 0) return;
+  // A losing duplicate insert must leave no recency node behind.
+  std::vector<int> listed;
+  for (std::size_t s = 0; s < cache.num_shards(); ++s) {
+    const std::vector<int> keys = cache.ShardKeysByRecency(s);
+    EXPECT_EQ(static_cast<std::int64_t>(keys.size()), cache.ShardStats(s).entries);
+    listed.insert(listed.end(), keys.begin(), keys.end());
+  }
+  std::sort(listed.begin(), listed.end());
+  std::vector<int> expected(kKeys);
+  for (int key = 0; key < kKeys; ++key) expected[static_cast<std::size_t>(key)] = key;
+  EXPECT_EQ(listed, expected);
+}
+
+TEST(ShardedCache, RacingGetOrComputeKeepsOneEntryPerKeyUnbounded) {
+  RaceGetOrComputeOnSharedKeys(0);
+}
+
+TEST(ShardedCache, RacingGetOrComputeKeepsOneEntryPerKeyBounded) {
+  RaceGetOrComputeOnSharedKeys(8);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,6 +121,10 @@ TEST(ServeProtocol, MalformedRequestsBecomeStructuredErrors) {
   ExpectRequestError(R"({"kind":"plan","model":"GNMT-16","config":"A","servers":2,)"
                      R"("gbs":64,"schedule":"fifo"})",
                      "bad_request");
+  // At the length bound a line still reaches the JSON parser; one byte
+  // past it is refused before parsing.
+  ExpectRequestError(std::string(kMaxLineBytes, ' '), "parse_error");
+  ExpectRequestError(std::string(kMaxLineBytes + 1, ' '), "bad_request");
 }
 
 // -------------------------------------------------------------- server --
@@ -207,6 +212,37 @@ TEST(ServeServer, DeeplyNestedLineIsAParseErrorNotACrash) {
   EXPECT_NE(response.find("\"code\":\"parse_error\""), std::string::npos) << response;
   EXPECT_NE(server.HandleLine(PlanLine("ok", "GNMT-16", 'A', 2, 64)).find("\"ok\":true"),
             std::string::npos);
+}
+
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t nl = text.find('\n'); nl != std::string::npos;
+       nl = text.find('\n', start)) {
+    lines.push_back(text.substr(start, nl - start));
+    start = nl + 1;
+  }
+  return lines;
+}
+
+void ExpectLineTooLongThenServing(const std::vector<std::string>& lines) {
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[0].find("\"id\":\"a\""), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("\"code\":\"bad_request\""), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("line too long"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[2].find("\"id\":\"b\""), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find("\"ok\":true"), std::string::npos) << lines[2];
+}
+
+TEST(ServeServer, OverLongStdioLineIsOneBadRequest) {
+  Server server;
+  std::istringstream in(PlanLine("a", "GNMT-16", 'A', 2, 64) + "\n" +
+                        std::string(3 * kMaxLineBytes, 'x') + "\n" +
+                        PlanLine("b", "GNMT-16", 'A', 2, 64) + "\n");
+  std::ostringstream out;
+  EXPECT_EQ(ServeStream(in, out, server), 3);
+  ExpectLineTooLongThenServing(SplitLines(out.str()));
 }
 
 TEST(ServeServer, ResponsesAreByteIdenticalAtEveryWorkerCount) {
@@ -351,13 +387,7 @@ TEST(ServeTransport, UnixSocketServesOneConnection) {
   daemon.join();
 
   EXPECT_EQ(handled, 3);
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t nl = reply.find('\n'); nl != std::string::npos;
-       nl = reply.find('\n', start)) {
-    lines.push_back(reply.substr(start, nl - start));
-    start = nl + 1;
-  }
+  const std::vector<std::string> lines = SplitLines(reply);
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_NE(lines[0].find("\"id\":\"u1\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos);
@@ -365,6 +395,40 @@ TEST(ServeTransport, UnixSocketServesOneConnection) {
             lines[1].substr(lines[1].find("\"plan\"")));
   EXPECT_NE(lines[2].find("\"code\":\"parse_error\""), std::string::npos);
   EXPECT_EQ(server.Stats().cache.hits, 1);
+}
+
+TEST(ServeTransport, UnixSocketAnswersAnOverLongLineAndKeepsServing) {
+  const std::string path =
+      "/tmp/dapple_serve_test_long_" + std::to_string(::getpid()) + ".sock";
+  Server server;
+  long handled = 0;
+  std::thread daemon(
+      [&] { handled = ServeUnixSocket(path, server, /*max_connections=*/1); });
+  // The over-long line spans many reads; the server answers it once and
+  // drops the rest of it up to its newline.
+  const std::string reply =
+      UnixRoundTrip(path, PlanLine("a", "GNMT-16", 'A', 2, 64) + "\n" +
+                              std::string(3 * kMaxLineBytes + 123, 'x') + "\n" +
+                              PlanLine("b", "GNMT-16", 'A', 2, 64) + "\n");
+  daemon.join();
+  EXPECT_EQ(handled, 3);
+  ExpectLineTooLongThenServing(SplitLines(reply));
+}
+
+TEST(ServeTransport, UnixSocketAnswersAnUnterminatedOverLongLine) {
+  const std::string path =
+      "/tmp/dapple_serve_test_eof_" + std::to_string(::getpid()) + ".sock";
+  Server server;
+  long handled = 0;
+  std::thread daemon(
+      [&] { handled = ServeUnixSocket(path, server, /*max_connections=*/1); });
+  const std::string reply = UnixRoundTrip(
+      path, PlanLine("a", "GNMT-16", 'A', 2, 64) + "\n" + std::string(2 * kMaxLineBytes, 'x'));
+  daemon.join();
+  EXPECT_EQ(handled, 2);
+  const std::vector<std::string> lines = SplitLines(reply);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[1].find("line too long"), std::string::npos) << lines[1];
 }
 
 }  // namespace

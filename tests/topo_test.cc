@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "topo/cluster.h"
@@ -73,7 +75,6 @@ TEST(DeviceSet, RangeAndQueries) {
   EXPECT_TRUE(s.contains(4));
   EXPECT_TRUE(s.contains(11));
   EXPECT_FALSE(s.contains(12));
-  EXPECT_EQ(s.NumServers(a), 2);
   EXPECT_FALSE(s.SingleServer(a));
   const auto counts = s.PerServerCounts(a);
   EXPECT_EQ(counts[0], 4);
@@ -91,9 +92,43 @@ TEST(DeviceSet, BottleneckBandwidth) {
   EXPECT_EQ(DeviceSet::Range(0, 1).MaxLatency(a), 0.0);
 }
 
+TEST(DeviceSet, SpanQueriesOnEmptySingleAndNonContiguousSets) {
+  const Cluster a = MakeConfigA(2);
+  EXPECT_TRUE(DeviceSet().SingleServer(a));
+  EXPECT_EQ(DeviceSet().PerServerCounts(a), (std::vector<int>{0, 0}));
+  EXPECT_TRUE(DeviceSet({9}).SingleServer(a));
+  EXPECT_EQ(DeviceSet({9}).PerServerCounts(a), (std::vector<int>{0, 1}));
+  // Non-contiguous: G9 sits between G0 and G1 in replica order.
+  EXPECT_FALSE(DeviceSet({0, 9, 1}).SingleServer(a));
+  EXPECT_EQ(DeviceSet({0, 9, 1}).PerServerCounts(a), (std::vector<int>{2, 1}));
+  EXPECT_TRUE(DeviceSet({0, 2, 4}).SingleServer(a));
+  EXPECT_EQ(DeviceSet({0, 2, 4}).PerServerCounts(a), (std::vector<int>{3, 0}));
+  EXPECT_TRUE(DeviceSet({14, 9}).SingleServer(a));
+}
+
 TEST(DeviceSet, RejectsDuplicates) {
   EXPECT_THROW(DeviceSet({1, 2, 1}), dapple::Error);
   EXPECT_THROW(DeviceSet({-1}), dapple::Error);
+}
+
+std::string ConstructionError(std::vector<DeviceId> ids) {
+  try {
+    DeviceSet set(std::move(ids));
+  } catch (const dapple::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DeviceSet, ChecksEachDeviceInOrder) {
+  // Elements are checked one at a time, sign first: the duplicate at index
+  // 1 is reported before the negative id behind it, and vice versa.
+  const std::string dup = ConstructionError({3, 3, -1});
+  EXPECT_NE(dup.find("duplicate device 3 in set"), std::string::npos) << dup;
+  EXPECT_EQ(dup.find("negative"), std::string::npos) << dup;
+  const std::string neg = ConstructionError({-1, 2, 2});
+  EXPECT_NE(neg.find("(-1 vs 0) negative device id"), std::string::npos) << neg;
+  EXPECT_EQ(neg.find("duplicate"), std::string::npos) << neg;
 }
 
 TEST(DeviceSet, UnionRequiresDisjoint) {

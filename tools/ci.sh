@@ -14,7 +14,9 @@
 #                    randomized sweeps and the `-L golden` byte-stability
 #                    tests (pushes to main)
 #   Both tiers also build the end-to-end benchmark (benchmark/, into
-#   <prefix>-e2e) on the plain tree, and run the ThreadSanitizer tier:
+#   <prefix>-e2e) on the plain tree and run each of its workloads once for
+#   one second (a failed output check fails CI; traces and temporaries
+#   stay under <prefix>-e2e), and run the ThreadSanitizer tier:
 #   the ThreadPool and ShardedCache unit tests, the planner, simulator
 #   and scenario determinism sweeps, serve_test and the serve daemon
 #   smoke, built into <prefix>-tsan. Any data race fails the run.
@@ -78,11 +80,21 @@ run_suite() {
 run_suite "${prefix}"
 # benchmark/ builds against src/ headers (runtime/executor.h, obs/report.h,
 # serve/*) from its own source tree, so an API change in src/ can break it
-# without breaking the main build.
+# without breaking the main build; running each workload once also checks
+# that it still produces correct output.
 if [[ "${tier}" != "perf-smoke" ]]; then
   echo "=== configure + build ${prefix}-e2e (benchmark/)"
   cmake -S benchmark -B "${prefix}-e2e" >/dev/null
   cmake --build "${prefix}-e2e" --target dapple_bench_e2e -j "${jobs}" >/dev/null
+  # One short untraced run of every workload: a failed output check (a
+  # wrong plan, report or episode) exits non-zero and fails CI.
+  mkdir -p "${prefix}-e2e/tmp"
+  for workload in $("${prefix}-e2e/dapple_bench_e2e" workloads); do
+    echo "=== benchmark ${workload} (1 s)"
+    TMPDIR="${prefix}-e2e/tmp" "${prefix}-e2e/dapple_bench_e2e" run --workload "${workload}" \
+      --seed 1 --seconds 1 --trace 0 --trace-dir "${prefix}-e2e/trace" \
+      --benchmark BENCHMARK.json >/dev/null
+  done
 fi
 # Sanitizer instrumentation would distort perf-smoke's timing columns, and
 # the determinism sweep it carries already ran under ASan in the unit tier.
