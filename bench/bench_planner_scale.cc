@@ -1,8 +1,8 @@
 // Planner scaling sweep: the parallel memoized search on GNMT-16 and
 // AmoebaNet-36 across 8/16/32/64-device Config-A clusters (plus one
-// 128-device GNMT point, past the stage cache's 64-device limit, so the
-// uncached search has a measured cost too), serial vs 2/4/8 worker
-// threads. Three things are measured per point:
+// 128-device GNMT point; stage-row keys hold device ids, so it is memoized
+// like the rest), serial vs 2/4/8 worker threads. Three things are
+// measured per point:
 //
 //   1. byte-identity — every thread count must serialize the exact plan the
 //      serial search found (the bench exits non-zero on any mismatch, so it
@@ -11,8 +11,9 @@
 //      from the serial run's phase split (enumerate/evaluate/merge) — on a
 //      single-core host the measured column shows ~1x or below while the
 //      projection reports what the decomposition supports;
-//   3. stage-cache hit rate, which should climb with cluster size as the
-//      same stage vocabulary is re-priced across ever more placements.
+//   3. stage-row memo hit rate (row lookups that found their row filled),
+//      which should climb with cluster size as the same rows are read by
+//      ever more placements.
 //
 // `--quick` trims to the two smallest GNMT points at threads {1, 8} for the
 // perf-smoke CI tier (finishes in seconds); the full sweep caps the largest
@@ -160,8 +161,8 @@ int main(int argc, char** argv) {
       "determinism-preserving merge are serial). On a multi-core host the two\n"
       "columns should converge; on a single-core host trust the projection.\n"
       "Cap = max_stages bound applied to keep the largest searches inside a\n"
-      "benchmark-sized budget. The 128-device point runs without the stage\n"
-      "cache (it keys device subsets on 64-bit masks), hence its 0%% hit rate.\n");
+      "benchmark-sized budget. Cache hit%% counts stage-row lookups\n"
+      "(planner/stage_cache.h), at every cluster size.\n");
 
   if (mismatches > 0) {
     std::fprintf(stderr, "%d determinism violation(s)\n", mismatches);

@@ -187,6 +187,9 @@ FuzzCase MakeFuzzCase(std::uint64_t seed) {
       po.global_batch_size = options.global_batch_size;
       po.latency.check_memory = false;
       po.keep_alternatives = 0;
+      // A search over at most four devices is too small to share out: on
+      // the shared pool its cost is mostly worker wake-ups.
+      po.num_threads = 1;
       plan = planner::DapplePlanner(model, cluster, po).Plan().plan;
       planned = true;
     } catch (const Error&) {

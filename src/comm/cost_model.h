@@ -64,6 +64,28 @@ class BoundAllReduce {
   int max_per_server_ = 0;
 };
 
+/// Cross-stage transfer pricing bound to one (from, to) pair of device
+/// sets: both replica counts, the slowest link and the worst latency are
+/// read once, so pricing the boundary at many layers costs a few flops
+/// each. Same lifetime rule as BoundAllReduce; see
+/// CostModel::CrossStageOver.
+class BoundCrossStage {
+ public:
+  /// CostModel::CrossStage(from, to, bytes) for the bound pair.
+  TimeSec operator()(Bytes bytes) const;
+
+ private:
+  friend class CostModel;
+  BoundCrossStage(const CostModel& model, const topo::DeviceSet& from,
+                  const topo::DeviceSet& to);
+
+  const CostModel* model_;
+  int from_size_ = 0;
+  int to_size_ = 0;
+  BytesPerSec bandwidth_ = 0.0;
+  TimeSec latency_ = 0.0;
+};
+
 /// Stateless cost calculator bound to a cluster topology.
 class CostModel {
  public:
@@ -102,10 +124,11 @@ class CostModel {
   TimeSec CrossStage(const topo::DeviceSet& from, const topo::DeviceSet& to,
                      Bytes bytes) const;
 
- private:
-  /// Slowest bandwidth over any (from, to) device pair.
-  BytesPerSec WorstPairBandwidth(const topo::DeviceSet& from, const topo::DeviceSet& to) const;
+  /// CrossStage bound to `from` -> `to`: CrossStageOver(from, to)(bytes) ==
+  /// CrossStage(from, to, bytes) bit for bit.
+  BoundCrossStage CrossStageOver(const topo::DeviceSet& from, const topo::DeviceSet& to) const;
 
+ private:
   const topo::Cluster* cluster_;
   CostModelOptions options_;
 };

@@ -106,6 +106,12 @@ planner::PlanResult Session::Plan(long global_batch_size,
       }
     }
   }
+  // The re-rank and the refinement may have replaced the planner's winner;
+  // report the recompute flags of the plan actually returned.
+  result.stats.recompute_stages = 0;
+  for (const planner::StagePlan& s : result.plan.stages) {
+    result.stats.recompute_stages += s.recompute ? 1 : 0;
+  }
   return result;
 }
 

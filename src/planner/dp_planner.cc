@@ -6,11 +6,11 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -68,19 +68,6 @@ struct SearchNode {
   double tpl = 0.0;  // latency of prefix + default suffix (the paper's TPL)
 };
 
-/// The stage-cost cache for one search, or null when the options disable it
-/// or the cluster is past kStageCacheMaxDevices. The size cutoff counts in
-/// planner.cache.disabled, so the slower uncached search is never silent.
-std::unique_ptr<StageCostCache> MakeStageCache(const PlannerOptions& options,
-                                               int num_devices) {
-  if (!options.use_stage_cache) return nullptr;
-  if (num_devices > kStageCacheMaxDevices) {
-    obs::MetricsRegistry::Global().counter("planner.cache.disabled").Increment();
-    return nullptr;
-  }
-  return std::make_unique<StageCostCache>();
-}
-
 }  // namespace
 
 const char* ToString(RecomputePolicy policy) {
@@ -127,10 +114,7 @@ PlanResult DapplePlanner::Plan() const {
     // if even that cannot fit), then trim to the cheapest subset.
   }
   PlanResult result = Search(true);
-  LatencyEstimator estimator(*model_, *cluster_, options_.latency);
-  const std::unique_ptr<StageCostCache> cache =
-      MakeStageCache(options_, cluster_->num_devices());
-  estimator.set_stage_cache(cache.get());
+  const LatencyEstimator estimator(*model_, *cluster_, options_.latency);
   int probes = MinimizeRecompute(estimator, result.plan, result.estimate);
   int recompute_stages = 0;
   for (const StagePlan& s : result.plan.stages) recompute_stages += s.recompute ? 1 : 0;
@@ -216,9 +200,11 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   DAPPLE_CHECK_GT(num_devices, 0);
 
   const LatencyOptions& latency = options_.latency;
-  LatencyEstimator estimator(*model_, *cluster_, latency);
-  const std::unique_ptr<StageCostCache> cache = MakeStageCache(options_, num_devices);
-  estimator.set_stage_cache(cache.get());
+  const LatencyEstimator estimator(*model_, *cluster_, latency);
+  // One row memo for the whole search; without it each subproblem fills
+  // rows of its own through the same code.
+  std::optional<StageRowMemo> shared_rows;
+  if (options_.use_stage_cache) shared_rows.emplace(estimator);
 
   // 0 = the shared pool, 1 = inline on this thread, n = a pool of n.
   std::optional<ThreadPool> local;
@@ -231,8 +217,8 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   best.estimate.latency = std::numeric_limits<TimeSec>::infinity();
   best.stats.threads = static_cast<int>(pool.num_threads());
   best.stats.memory_cap = latency.memory_cap;
-  // Track the best infeasible plan too so error messages are informative.
-  std::string last_infeasible;
+  // The peak of the last memory-infeasible candidate, for the error message.
+  std::optional<Bytes> last_infeasible_peak;
   long evaluated = 0;
   long pruned = 0;
   long memory_rejected = 0;
@@ -275,25 +261,26 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   // in the exact enumeration order of the serial search — determinism
   // across thread counts by construction. `materialize` builds the
   // candidate's plan, called only when the candidate can enter `best` or
-  // the alternatives. Returns the candidate's TPL (inf when infeasible).
-  auto merge = [&](const PlanEstimate& est, auto&& materialize) -> double {
+  // the alternatives, and returns it with its full estimate. Returns the
+  // candidate's TPL (inf when infeasible).
+  auto merge = [&](const CandidateScore& score, auto&& materialize) -> double {
     ++evaluated;
-    if (!est.feasible) {
-      if (est.memory_limited) ++memory_rejected;
-      last_infeasible = est.infeasible_reason;
+    if (!score.feasible) {
+      if (score.memory_limited) ++memory_rejected;
+      last_infeasible_peak = score.peak;
       return std::numeric_limits<double>::infinity();
     }
-    const bool improves = est.latency < best.estimate.latency || !best.estimate.feasible;
-    const bool may_rank = may_enter_alternatives(est.latency);
+    const bool improves = score.latency < best.estimate.latency || !best.estimate.feasible;
+    const bool may_rank = may_enter_alternatives(score.latency);
     if (improves || may_rank) {
-      ParallelPlan plan = materialize();
+      auto [plan, est] = materialize();
       if (may_rank) record_candidate(plan, est);
       if (improves) {
         best.plan = std::move(plan);
-        best.estimate = est;
+        best.estimate = std::move(est);
       }
     }
-    return est.latency;
+    return score.latency;
   };
 
   // Pure data parallelism: the root's default-suffix completion, and the
@@ -309,16 +296,18 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       static_cast<std::size_t>(num_layers));
   {
     SearchNode root{{}, topo::AllocationState(*cluster_), 0.0};
-    root.tpl = merge(estimator.Estimate(data_parallel, options_.global_batch_size),
-                     [&] { return data_parallel; });
+    const PlanEstimate est = estimator.Estimate(data_parallel, options_.global_batch_size);
+    root.tpl = merge(CandidateScore{est.feasible, est.memory_limited, est.latency,
+                                    est.max_peak_memory},
+                     [&] { return std::pair{data_parallel, est}; });
     frontier[0].emplace(CanonicalKey(root.state), std::move(root));
   }
 
-  // One scored split point of a subproblem. Its plan is rebuilt from the
-  // subproblem only if the merge needs it.
+  // One scored split point of a subproblem. Its plan and full estimate are
+  // rebuilt from the subproblem only if the merge needs them.
   struct Expansion {
     int jp = 0;
-    PlanEstimate estimate;
+    CandidateScore score;
   };
 
   // One unit of parallel work: a (frontier node, device placement) pair
@@ -334,7 +323,8 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     topo::AllocationState child_state;  // node's state with `devices` committed
     std::string child_key;              // CanonicalKey of child_state
     topo::DeviceSet free;               // devices the default suffix runs on
-    std::vector<Expansion> expansions;  // filled by the parallel phase
+    std::optional<SplitEntries> entries;  // filled by the parallel phase
+    std::vector<Expansion> expansions;    // filled by the parallel phase
   };
 
   // The stage a subproblem carves at split point jp.
@@ -405,7 +395,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
         }
         for (std::size_t p = 0; p < placements.size(); ++p) {
           subproblems.push_back(Subproblem{&node, j, std::move(placements[p]),
-                                           placement_policies[p], node.state, {}, {}, {}});
+                                           placement_policies[p], node.state, {}, {}, {}, {}});
         }
       }
     }
@@ -413,13 +403,13 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     best.stats.enumerate_seconds += lap();
 
     // Phase 2 (parallel, hot): each subproblem scores all of its split
-    // points through the shared memo cache. Only jp varies inside one; the
+    // points from its stage-cost rows. Only jp varies inside one; the
     // prefix, both device sets, the stage count and every replication
     // factor (so the micro-batching) are fixed. One scratch plan moves its
-    // last boundary per jp, and every split after the first reuses the
-    // first one's prefix entries (the prefix stages and the boundary into
-    // the carved stage). Results land in the subproblem's own slot;
-    // nothing here reads or writes search-global state.
+    // last boundary per jp, and SplitEntries hands each split its entries
+    // by index. Results land in the subproblem's own slot; apart from the
+    // row memo (pure values), nothing here reads or writes search-global
+    // state.
     pool.ParallelFor(subproblems.size(), [&](std::size_t s) {
       Subproblem& sub = subproblems[s];
       sub.child_state.Commit(sub.devices);
@@ -429,20 +419,20 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
         if (!sub.child_state.is_used(d)) free.push_back(d);
       }
       sub.free = topo::DeviceSet(std::move(free));
+      if (sub.j + 1 >= num_layers) return;  // no split point left
 
       ParallelPlan scratch = build_completed(sub, sub.j + 1);
       const std::size_t carved = sub.node->prefix.size();
-      std::vector<StageCost> leading;
+      std::optional<StageRowMemo> own_rows;
+      StageRowMemo& rows = shared_rows ? *shared_rows : own_rows.emplace(estimator, 1);
+      sub.entries.emplace(rows, scratch,
+                          estimator.ChooseMicroBatchSize(scratch, options_.global_batch_size));
       sub.expansions.reserve(static_cast<std::size_t>(num_layers - sub.j - 1));
       for (int jp = sub.j + 1; jp < num_layers; ++jp) {
         scratch.stages[carved].layer_end = jp;
         scratch.stages[carved + 1].layer_begin = jp;
-        PlanEstimate est = estimator.Estimate(scratch, options_.global_batch_size, leading);
-        if (jp == sub.j + 1) {
-          leading.assign(est.stages.begin(),
-                         est.stages.begin() + static_cast<std::ptrdiff_t>(2 * carved));
-        }
-        sub.expansions.push_back({jp, std::move(est)});
+        sub.expansions.push_back(
+            {jp, estimator.Score(scratch, options_.global_batch_size, sub.entries->At(jp))});
       }
     });
     best.stats.evaluate_seconds += lap();
@@ -458,12 +448,17 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
 
     // Phase 3 (sequential, deterministic): merge in enumeration order —
     // subproblem order, then jp ascending — identical outcomes to the
-    // single-threaded search. A candidate's plan is built only when it can
-    // enter `best` or the alternatives, and its child node only when it
-    // takes its frontier slot.
+    // single-threaded search. A candidate's plan and estimate are built
+    // only when it can enter `best` or the alternatives, and its child node
+    // only when it takes its frontier slot.
     for (Subproblem& sub : subproblems) {
       for (const Expansion& e : sub.expansions) {
-        const double tpl = merge(e.estimate, [&] { return build_completed(sub, e.jp); });
+        const double tpl = merge(e.score, [&] {
+          ParallelPlan plan = build_completed(sub, e.jp);
+          PlanEstimate est =
+              estimator.Estimate(plan, options_.global_batch_size, sub.entries->At(e.jp));
+          return std::pair{std::move(plan), std::move(est)};
+        });
         auto& level = frontier[static_cast<std::size_t>(e.jp)];
         auto it = level.find(sub.child_key);
         if (it == level.end() || tpl < it->second.tpl) {
@@ -476,16 +471,6 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     // Free processed level early; the search only moves forward.
     level_nodes.clear();
     best.stats.merge_seconds += lap();
-
-    // Tear the level's expansion storage down on the pool: millions of
-    // heap-backed candidates whose destruction parallelizes as well as
-    // their construction did. Destruction order is irrelevant to the
-    // search state (merge already consumed every expansion), so this
-    // cannot perturb determinism.
-    pool.ParallelFor(subproblems.size(), [&subproblems](std::size_t s) {
-      std::vector<Expansion>().swap(subproblems[s].expansions);
-    });
-    best.stats.evaluate_seconds += lap();
   }
 
   best.candidates_evaluated = evaluated;
@@ -497,13 +482,13 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   best.stats.candidates_evaluated = evaluated;
   best.stats.candidates_pruned = pruned;
   best.stats.memory_rejected = memory_rejected;
-  if (cache) {
-    const CacheShardStats totals = cache->TotalStats();
+  if (shared_rows) {
+    const CacheShardStats totals = shared_rows->TotalStats();
     best.stats.cache_hits = totals.hits;
     best.stats.cache_misses = totals.misses;
     best.stats.cache_entries = totals.entries;
     best.stats.cache_compute_seconds = totals.compute_seconds;
-    best.stats.shards = cache->PerShardStats();
+    best.stats.shards = shared_rows->PerShardStats();
   }
   best.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - search_start)
@@ -544,7 +529,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       os << " under memory cap " << FormatBytes(latency.memory_cap)
          << (recompute_all ? " with recompute" : "");
     }
-    if (!last_infeasible.empty()) os << ": " << last_infeasible;
+    if (last_infeasible_peak) os << ": " << estimator.MemoryReason(*last_infeasible_peak);
     throw Error(os.str());
   }
   DAPPLE_LOG_INFO << "planned " << model_->name() << " on " << cluster_->name() << ": "

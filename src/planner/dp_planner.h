@@ -64,13 +64,14 @@ struct PlannerOptions {
   /// Worker threads for the subproblem-parallel search: 0 = the shared
   /// pool (sized to hardware concurrency), 1 = fully serial in the calling
   /// thread, n > 1 = a dedicated pool of n workers for this search. Each
-  /// search builds its own stage-cost cache and drops it on return. The
+  /// search builds its own stage-row memo and drops it on return. The
   /// winning plan is byte-identical at every setting (the merge is
   /// sequential in enumeration order; parallel work is slot-indexed).
   int num_threads = 0;
-  /// Disables the stage-cost memo cache (A/B benchmarking hook). Cached
-  /// values are bit-identical to recomputation, so this never changes the
-  /// resulting plan — only how fast the search finds it.
+  /// Shares one stage-row memo (planner/stage_cache.h) across the search.
+  /// Off, each subproblem fills rows of its own through the same code (A/B
+  /// benchmarking hook). Rows are pure functions of their keys, so this
+  /// never changes the resulting plan — only how fast the search finds it.
   bool use_stage_cache = true;
 };
 

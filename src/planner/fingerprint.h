@@ -34,8 +34,8 @@ std::uint64_t FingerprintModel(const model::ModelProfile& model);
 std::uint64_t FingerprintCluster(const topo::Cluster& cluster);
 
 /// Digest of the result-affecting planner options (excludes num_threads
-/// and use_stage_cache — the plan is byte-identical across those by the
-/// parallel-planner contract).
+/// and use_stage_cache — the plan is byte-identical across thread counts
+/// and whether or not subproblems share one stage-row memo).
 std::uint64_t FingerprintPlannerOptions(const PlannerOptions& options);
 
 /// The plan-cache key: model x cluster x global batch x options, bound to

@@ -6,7 +6,6 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "planner/stage_cache.h"
 
 namespace dapple::planner {
 
@@ -49,14 +48,24 @@ MicroBatching ChooseMicroBatching(long global_batch_size, int profile_micro_batc
   return mb;
 }
 
-int LatencyEstimator::ChooseMicroBatchSize(const ParallelPlan& plan,
-                                           long global_batch_size) const {
+namespace {
+
+/// The micro-batching of `plan`: ChooseMicroBatching at its widest stage.
+MicroBatching PlanMicroBatching(const ParallelPlan& plan, long global_batch_size,
+                                int profile_micro_batch) {
   int max_replication = 1;
   for (const StagePlan& s : plan.stages) {
     max_replication = std::max(max_replication, s.replication());
   }
-  return ChooseMicroBatching(global_batch_size, model_->profile_micro_batch(),
-                             max_replication, plan.num_stages())
+  return ChooseMicroBatching(global_batch_size, profile_micro_batch, max_replication,
+                             plan.num_stages());
+}
+
+}  // namespace
+
+int LatencyEstimator::ChooseMicroBatchSize(const ParallelPlan& plan,
+                                           long global_batch_size) const {
+  return PlanMicroBatching(plan, global_batch_size, model_->profile_micro_batch())
       .micro_batch_size;
 }
 
@@ -79,7 +88,25 @@ TimeSec LatencyEstimator::ExposedAllReduce(int layer_begin, int layer_end,
                                            double samples) const {
   if (devices.size() < 2) return 0.0;
   const comm::BoundAllReduce all_reduce = cost_.AllReduceOver(devices);
-  const TimeSec raw = all_reduce(model_->ParamBytes(layer_begin, layer_end));
+  return ExposedAllReduce(all_reduce(model_->ParamBytes(layer_begin, layer_end)),
+                          LayerSyncs(layer_begin, layer_end, all_reduce, samples));
+}
+
+std::vector<LatencyEstimator::LayerSync> LatencyEstimator::LayerSyncs(
+    int first, int last, const comm::BoundAllReduce& all_reduce, double samples) const {
+  std::vector<LayerSync> syncs(static_cast<std::size_t>(last - first));
+  for (int l = first; l < last; ++l) {
+    LayerSync& sync = syncs[static_cast<std::size_t>(l - first)];
+    sync.backward = model_->BackwardTime(l, l + 1, samples);
+    const Bytes bucket = model_->ParamBytes(l, l + 1);
+    sync.has_bucket = bucket != 0;
+    if (sync.has_bucket) sync.allreduce = all_reduce(bucket);
+  }
+  return syncs;
+}
+
+TimeSec LatencyEstimator::ExposedAllReduce(TimeSec raw,
+                                           std::span<const LayerSync> layers) const {
   if (!options_.overlap_allreduce) return raw;
 
   // Backward visits layers in reverse; a layer's gradient bucket can start
@@ -89,13 +116,11 @@ TimeSec LatencyEstimator::ExposedAllReduce(int layer_begin, int layer_end,
   TimeSec bw_elapsed = 0.0;
   TimeSec comm_free = 0.0;
   TimeSec ar_total = 0.0;
-  for (int l = layer_end - 1; l >= layer_begin; --l) {
-    bw_elapsed += model_->BackwardTime(l, l + 1, samples);
-    const Bytes bucket = model_->ParamBytes(l, l + 1);
-    if (bucket == 0) continue;
-    const TimeSec ar = all_reduce(bucket);
-    comm_free = std::max(comm_free, bw_elapsed) + ar;
-    ar_total += ar;
+  for (auto layer = layers.rbegin(); layer != layers.rend(); ++layer) {
+    bw_elapsed += layer->backward;
+    if (!layer->has_bucket) continue;
+    comm_free = std::max(comm_free, bw_elapsed) + layer->allreduce;
+    ar_total += layer->allreduce;
   }
   const TimeSec tail = std::max(0.0, comm_free - bw_elapsed);
   const TimeSec hidden = std::max(0.0, ar_total - tail);
@@ -211,13 +236,8 @@ ScheduleFamilyEstimate LatencyEstimator::EstimateFamily(runtime::ScheduleKind ki
   plan.Validate(*model_);
   ScheduleFamilyEstimate est;
   est.kind = kind;
-  int max_replication = 1;
-  for (const StagePlan& s : plan.stages) {
-    max_replication = std::max(max_replication, s.replication());
-  }
   const MicroBatching mb =
-      ChooseMicroBatching(global_batch_size, model_->profile_micro_batch(),
-                          max_replication, plan.num_stages());
+      PlanMicroBatching(plan, global_batch_size, model_->profile_micro_batch());
   est.micro_batch_size = mb.micro_batch_size;
   est.num_micro_batches = mb.num_micro_batches;
   const int S = plan.num_stages();
@@ -304,6 +324,129 @@ ScheduleFamilyEstimate LatencyEstimator::EstimateFamily(runtime::ScheduleKind ki
   return est;
 }
 
+namespace {
+
+/// Formulas 1-2 at pivot q over the expanded stage list.
+TimeSec LatencyAt(std::span<const StageCost> stages, int num_micro_batches, int q,
+                  TimeSec* warmup_out, TimeSec* steady_out, TimeSec* ending_out) {
+  const int total = static_cast<int>(stages.size());
+  const auto& sq = stages[static_cast<std::size_t>(q)];
+  TimeSec warmup = 0.0;
+  for (int s = 0; s <= q; ++s) {
+    warmup += stages[static_cast<std::size_t>(s)].forward;
+  }
+  // A computation stage alternates one forward and one backward per
+  // steady-state round on a single engine. A comm stage does not: the
+  // simulator gives each boundary a duplex channel pair, so forward and
+  // backward transfers overlap and the round is gated by max(F, B).
+  const TimeSec per_round =
+      sq.is_comm ? std::max(sq.forward, sq.backward) : sq.forward + sq.backward;
+  const TimeSec steady = static_cast<double>(num_micro_batches - 1) * per_round;
+  TimeSec ending = 0.0;
+  for (int s = 0; s < total; ++s) {
+    TimeSec tail = 0.0;
+    if (s <= q) {
+      for (int a = s; a <= q; ++a) {
+        tail += stages[static_cast<std::size_t>(a)].backward;
+      }
+    } else {
+      for (int a = q + 1; a <= s; ++a) {
+        tail -= stages[static_cast<std::size_t>(a)].backward;
+      }
+    }
+    ending = std::max(ending, stages[static_cast<std::size_t>(s)].allreduce + tail);
+  }
+  if (warmup_out) *warmup_out = warmup;
+  if (steady_out) *steady_out = steady;
+  if (ending_out) *ending_out = ending;
+  return warmup + steady + ending;
+}
+
+/// Formulas 1-2, evaluated at every pivot candidate. Formula 3 is the
+/// paper's heuristic for finding the dominant stage; taking the explicit
+/// maximum over q is the exact version of the same objective and stays
+/// tight when several stages are nearly dominant (each L(q) is a valid
+/// lower bound on the schedule length). Returns the first maximizing q.
+int WorstPivot(std::span<const StageCost> stages, int num_micro_batches, TimeSec* latency) {
+  int pivot = 0;
+  *latency = 0.0;
+  for (int q = 0; q < static_cast<int>(stages.size()); ++q) {
+    const TimeSec l = LatencyAt(stages, num_micro_batches, q, nullptr, nullptr, nullptr);
+    if (l > *latency) {
+      *latency = l;
+      pivot = q;
+    }
+  }
+  return pivot;
+}
+
+}  // namespace
+
+LatencyEstimator::CompPricer::CompPricer(const LatencyEstimator& estimator,
+                                         const topo::DeviceSet& devices, int micro_batch_size,
+                                         int first_layer, int last_layer)
+    : estimator_(&estimator),
+      replication_(devices.size()),
+      samples_(static_cast<double>(micro_batch_size) / devices.size()),
+      speed_(std::numeric_limits<double>::infinity()),
+      all_reduce_(estimator.cost_.AllReduceOver(devices)),
+      first_layer_(first_layer) {
+  // The slowest replica gates the stage: a split micro-batch completes
+  // only when every slice has (heterogeneous clusters, stragglers).
+  for (topo::DeviceId d : devices.devices()) {
+    speed_ = std::min(speed_, estimator.cluster_->device_speed(d));
+  }
+  if (replication_ > 1) {
+    syncs_ = estimator.LayerSyncs(first_layer, last_layer, all_reduce_, samples_);
+  }
+}
+
+StageCost LatencyEstimator::CompPricer::operator()(int layer_begin, int layer_end,
+                                                   bool recompute) const {
+  const model::ModelProfile& model = *estimator_->model_;
+  StageCost comp;
+  comp.is_comm = false;
+  comp.forward = model.ForwardTime(layer_begin, layer_end, samples_, speed_);
+  comp.backward = model.BackwardTime(layer_begin, layer_end, samples_, speed_);
+  if (recompute) comp.backward += runtime::kRecomputeOverhead * comp.forward;
+  if (replication_ > 1) {
+    DAPPLE_CHECK(layer_begin >= first_layer_ &&
+                 layer_end - first_layer_ <= static_cast<int>(syncs_.size()))
+        << "stage [" << layer_begin << ", " << layer_end << ") outside the pricer's layers";
+    comp.allreduce_raw = all_reduce_(model.ParamBytes(layer_begin, layer_end));
+    comp.allreduce = estimator_->ExposedAllReduce(
+        comp.allreduce_raw,
+        std::span<const LayerSync>(syncs_).subspan(
+            static_cast<std::size_t>(layer_begin - first_layer_),
+            static_cast<std::size_t>(layer_end - layer_begin)));
+  }
+  return comp;
+}
+
+LatencyEstimator::CommPricer::CommPricer(const LatencyEstimator& estimator,
+                                         const topo::DeviceSet& from,
+                                         const topo::DeviceSet& to, int micro_batch_size)
+    : estimator_(&estimator),
+      micro_batch_size_(micro_batch_size),
+      forward_(estimator.cost_.CrossStageOver(from, to)),
+      backward_(estimator.cost_.CrossStageOver(to, from)) {}
+
+StageCost LatencyEstimator::CommPricer::operator()(int boundary) const {
+  const Bytes act =
+      estimator_->model_->ActivationAt(boundary, static_cast<double>(micro_batch_size_));
+  StageCost comm;
+  comm.is_comm = true;
+  comm.forward = forward_(act);
+  comm.backward = backward_(act);
+  return comm;
+}
+
+std::string LatencyEstimator::MemoryReason(Bytes peak) const {
+  return "peak memory " + FormatBytes(peak) + " exceeds " +
+         (options_.memory_cap > 0 ? "memory cap " : "device ") +
+         FormatBytes(EffectiveCapacity());
+}
+
 PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
                                         long global_batch_size) const {
   PlanEstimate est = Estimate(plan, global_batch_size, {});
@@ -312,91 +455,37 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
 }
 
 PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_batch_size,
-                                        std::span<const StageCost> leading) const {
+                                        std::span<const StageCost> entries) const {
   plan.Validate(*model_);
   PlanEstimate est;
-  int max_replication = 1;
-  for (const StagePlan& s : plan.stages) {
-    max_replication = std::max(max_replication, s.replication());
-  }
   const MicroBatching mb =
-      ChooseMicroBatching(global_batch_size, model_->profile_micro_batch(),
-                          max_replication, plan.num_stages());
+      PlanMicroBatching(plan, global_batch_size, model_->profile_micro_batch());
   est.micro_batch_size = mb.micro_batch_size;
   est.num_micro_batches = mb.num_micro_batches;
   const int M = est.num_micro_batches;
 
   // Expanded stage list: comp0, comm01, comp1, comm12, ... Entry 2i is
-  // computation stage i and entry 2i+1 the boundary after it. Each entry's
-  // cost is a pure function of (layer range, devices, micro-batch size)
-  // given this estimator's fixed model/cluster/options, so it is memoized
-  // in the attached stage-cost cache when the planner provides one. The
-  // caller's leading entries are taken as given; only the rest is gathered.
+  // computation stage i and entry 2i+1 the boundary after it. Entries the
+  // caller gives are taken as they are; otherwise each is priced here.
   const int num_comp = plan.num_stages();
-  const std::size_t given = leading.size();
-  DAPPLE_CHECK_LT(given, static_cast<std::size_t>(2 * num_comp))
-      << "more leading stage entries than the plan has";
-  est.stages.reserve(static_cast<std::size_t>(2 * num_comp - 1));
-  est.stages.assign(leading.begin(), leading.end());
-  for (int i = static_cast<int>(given / 2); i < num_comp; ++i) {
-    const StagePlan& stage = plan.stages[static_cast<std::size_t>(i)];
-    const double samples =
-        static_cast<double>(est.micro_batch_size) / stage.replication();
-    auto compute_comp = [&]() -> StageCost {
-      // The slowest replica gates the stage: a split micro-batch completes
-      // only when every slice has (heterogeneous clusters, stragglers).
-      double stage_speed = std::numeric_limits<double>::infinity();
-      for (topo::DeviceId d : stage.devices.devices()) {
-        stage_speed = std::min(stage_speed, cluster_->device_speed(d));
-      }
-      StageCost comp;
-      comp.is_comm = false;
-      comp.forward =
-          model_->ForwardTime(stage.layer_begin, stage.layer_end, samples, stage_speed);
-      comp.backward =
-          model_->BackwardTime(stage.layer_begin, stage.layer_end, samples, stage_speed);
-      if (stage.recompute) comp.backward += runtime::kRecomputeOverhead * comp.forward;
-      comp.allreduce_raw = stage.replication() > 1
-                               ? cost_.AllReduce(stage.devices, model_->ParamBytes(
-                                                                    stage.layer_begin,
-                                                                    stage.layer_end))
-                               : 0.0;
-      comp.allreduce =
-          ExposedAllReduce(stage.layer_begin, stage.layer_end, stage.devices, samples);
-      return comp;
-    };
-    if (static_cast<std::size_t>(2 * i) >= given) {
+  if (!entries.empty()) {
+    DAPPLE_CHECK_EQ(entries.size(), static_cast<std::size_t>(2 * num_comp - 1))
+        << "a plan of S stages has 2S-1 stage entries";
+    est.stages.assign(entries.begin(), entries.end());
+  } else {
+    est.stages.reserve(static_cast<std::size_t>(2 * num_comp - 1));
+    for (int i = 0; i < num_comp; ++i) {
+      const StagePlan& stage = plan.stages[static_cast<std::size_t>(i)];
       StageCost comp =
-          cache_ ? cache_
-                       ->GetOrCompute(StageCostCache::CompKey(stage.layer_begin,
-                                                              stage.layer_end, stage.devices,
-                                                              est.micro_batch_size,
-                                                              stage.recompute),
-                                      compute_comp)
-                 : compute_comp();
-      comp.comp_index = i;  // plan-relative, so assigned outside the memo
+          CompOn(stage.devices, est.micro_batch_size, stage.layer_begin, stage.layer_end)(
+              stage.layer_begin, stage.layer_end, stage.recompute);
+      comp.comp_index = i;
       est.stages.push_back(comp);
-    }
-
-    if (i + 1 < num_comp) {
-      const StagePlan& next = plan.stages[static_cast<std::size_t>(i + 1)];
-      auto compute_comm = [&]() -> StageCost {
-        const Bytes act = model_->ActivationAt(stage.layer_end,
-                                               static_cast<double>(est.micro_batch_size));
-        StageCost comm;
-        comm.is_comm = true;
-        comm.forward = cost_.CrossStage(stage.devices, next.devices, act);
-        comm.backward = cost_.CrossStage(next.devices, stage.devices, act);
-        return comm;
-      };
-      const StageCost comm =
-          cache_ ? cache_
-                       ->GetOrCompute(StageCostCache::CommKey(stage.layer_end, stage.devices,
-                                                              next.devices,
-                                                              est.micro_batch_size),
-                                      compute_comm)
-                 : compute_comm();
-      est.stages.push_back(comm);
+      if (i + 1 < num_comp) {
+        est.stages.push_back(CommAcross(stage.devices,
+                                        plan.stages[static_cast<std::size_t>(i + 1)].devices,
+                                        est.micro_batch_size)(stage.layer_end));
+      }
     }
   }
 
@@ -418,56 +507,8 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_ba
     }
   }
 
-  // Formulas 1-2, evaluated at every pivot candidate. Formula 3 is the
-  // paper's heuristic for finding the dominant stage; taking the explicit
-  // maximum over q is the exact version of the same objective and stays
-  // tight when several stages are nearly dominant (each L(q) is a valid
-  // lower bound on the schedule length).
-  const int total = static_cast<int>(est.stages.size());
-  auto latency_at = [&](int q, TimeSec* warmup_out, TimeSec* steady_out,
-                        TimeSec* ending_out) {
-    const auto& sq = est.stages[static_cast<std::size_t>(q)];
-    TimeSec warmup = 0.0;
-    for (int s = 0; s <= q; ++s) {
-      warmup += est.stages[static_cast<std::size_t>(s)].forward;
-    }
-    // A computation stage alternates one forward and one backward per
-    // steady-state round on a single engine. A comm stage does not: the
-    // simulator gives each boundary a duplex channel pair, so forward and
-    // backward transfers overlap and the round is gated by max(F, B).
-    const TimeSec per_round =
-        sq.is_comm ? std::max(sq.forward, sq.backward) : sq.forward + sq.backward;
-    const TimeSec steady = static_cast<double>(M - 1) * per_round;
-    TimeSec ending = 0.0;
-    for (int s = 0; s < total; ++s) {
-      TimeSec tail = 0.0;
-      if (s <= q) {
-        for (int a = s; a <= q; ++a) {
-          tail += est.stages[static_cast<std::size_t>(a)].backward;
-        }
-      } else {
-        for (int a = q + 1; a <= s; ++a) {
-          tail -= est.stages[static_cast<std::size_t>(a)].backward;
-        }
-      }
-      ending = std::max(ending, est.stages[static_cast<std::size_t>(s)].allreduce + tail);
-    }
-    if (warmup_out) *warmup_out = warmup;
-    if (steady_out) *steady_out = steady;
-    if (ending_out) *ending_out = ending;
-    return warmup + steady + ending;
-  };
-
-  est.pivot = 0;
-  est.latency = 0.0;
-  for (int q = 0; q < total; ++q) {
-    const TimeSec l = latency_at(q, nullptr, nullptr, nullptr);
-    if (l > est.latency) {
-      est.latency = l;
-      est.pivot = q;
-    }
-  }
-  latency_at(est.pivot, &est.warmup, &est.steady, &est.ending);
+  est.pivot = WorstPivot(est.stages, M, &est.latency);
+  LatencyAt(est.stages, M, est.pivot, &est.warmup, &est.steady, &est.ending);
   est.speedup = SingleDeviceTime(global_batch_size) / est.latency;
 
   // Memory feasibility under the configured schedule family's stash
@@ -477,15 +518,29 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_ba
   const Bytes peak = FamilyPeakMemory(options_.schedule_kind, plan, mb);
   est.max_peak_memory = peak;
   est.memory_capacity = EffectiveCapacity();
-  if (options_.check_memory && peak > est.memory_capacity) {
+  if (OverCapacity(peak)) {
     est.feasible = false;
     est.memory_limited = true;
-    est.infeasible_reason =
-        "peak memory " + FormatBytes(peak) + " exceeds " +
-        (options_.memory_cap > 0 ? "memory cap " : "device ") +
-        FormatBytes(est.memory_capacity);
+    est.infeasible_reason = MemoryReason(peak);
   }
   return est;
+}
+
+CandidateScore LatencyEstimator::Score(const ParallelPlan& plan, long global_batch_size,
+                                       std::span<const StageCost> entries) const {
+  plan.Validate(*model_);
+  const MicroBatching mb =
+      PlanMicroBatching(plan, global_batch_size, model_->profile_micro_batch());
+  DAPPLE_CHECK_EQ(entries.size(), static_cast<std::size_t>(2 * plan.num_stages() - 1))
+      << "scoring needs every expanded stage entry";
+  CandidateScore score;
+  WorstPivot(entries, mb.num_micro_batches, &score.latency);
+  score.peak = FamilyPeakMemory(options_.schedule_kind, plan, mb);
+  if (OverCapacity(score.peak)) {
+    score.feasible = false;
+    score.memory_limited = true;
+  }
+  return score;
 }
 
 }  // namespace dapple::planner

@@ -24,8 +24,6 @@
 
 namespace dapple::planner {
 
-class StageCostCache;
-
 /// One entry of the expanded stage list (computation and network stages
 /// interleaved: comp0, comm01, comp1, ...).
 struct StageCost {
@@ -71,6 +69,16 @@ struct PlanEstimate {
 
   /// Paper §VI-C speedup metric: single-device sequential time over L.
   double speedup = 0.0;
+};
+
+/// The part of a PlanEstimate the planner keeps for every candidate it
+/// scores: feasibility, the objective and the peak the memory check read.
+/// Estimate on the same plan and entries yields the same four values.
+struct CandidateScore {
+  bool feasible = true;
+  bool memory_limited = false;
+  TimeSec latency = std::numeric_limits<TimeSec>::infinity();
+  Bytes peak = 0;
 };
 
 /// Analytic bubble/memory frontier point for one schedule family on one
@@ -134,27 +142,89 @@ class LatencyEstimator {
   const topo::Cluster& cluster() const { return *cluster_; }
   const LatencyOptions& options() const { return options_; }
 
-  /// Attaches a stage-cost memo cache (see planner/stage_cache.h). The
-  /// cache must outlive the estimator's use of it and is consulted from
-  /// whatever threads call Estimate concurrently; nullptr detaches. Cached
-  /// values are bit-identical to recomputation, so attaching a cache never
-  /// changes an estimate.
-  void set_stage_cache(StageCostCache* cache) { cache_ = cache; }
-
   /// Full estimate for a plan at a global batch size. Counts one call in
   /// planner.estimator_calls.
   PlanEstimate Estimate(const ParallelPlan& plan, long global_batch_size) const;
 
-  /// The same estimate, taking the first `leading.size()` entries of the
-  /// expanded stage list (comp0, comm01, comp1, ...) as given instead of
-  /// gathering them. They must be the entries Estimate would gather for
-  /// `plan`: the planner passes the prefix entries of one split point's
-  /// estimate to every other split of the same subproblem, where stage
-  /// count, replication and hence micro-batching are fixed. Validation and
-  /// scoring run in full. Does not count in planner.estimator_calls; a
-  /// caller scoring a batch bumps the counter once for all of it.
+  /// The same estimate from all 2S-1 entries of the plan's expanded stage
+  /// list (comp0, comm01, comp1, ...), given instead of priced; empty
+  /// means price them here. They must be the entries Estimate would price
+  /// for `plan` (CompPricer/CommPricer at the plan's micro-batch size,
+  /// comp_index set): the planner reads them from its stage-cost rows
+  /// (planner/stage_cache.h). Validation and scoring run in full. Does not
+  /// count in planner.estimator_calls; a caller scoring a batch bumps the
+  /// counter once for all of it.
   PlanEstimate Estimate(const ParallelPlan& plan, long global_batch_size,
-                        std::span<const StageCost> leading) const;
+                        std::span<const StageCost> entries) const;
+
+  /// Scores `plan` from all 2S-1 of its expanded stage entries, given as
+  /// for the overload above, without building a PlanEstimate: no entry
+  /// copy, no reason string. Validates the plan. The planner's per-split
+  /// path; does not count in planner.estimator_calls.
+  CandidateScore Score(const ParallelPlan& plan, long global_batch_size,
+                       std::span<const StageCost> entries) const;
+
+  /// One layer's part in ExposedAllReduce: its backward time and, when it
+  /// has parameters, the AllReduce of its gradient bucket.
+  struct LayerSync {
+    TimeSec backward = 0.0;
+    TimeSec allreduce = 0.0;
+    bool has_bucket = false;
+  };
+
+  /// Prices computation stages on one device set at one micro-batch size,
+  /// with the set's terms (slowest replica, bound AllReduce, each layer's
+  /// sync terms) read once: a stage-cost row prices many layer ranges on
+  /// the same set.
+  class CompPricer {
+   public:
+    /// Cost entry of stage [layer_begin, layer_end) (comp_index left -1).
+    StageCost operator()(int layer_begin, int layer_end, bool recompute) const;
+
+   private:
+    friend class LatencyEstimator;
+    CompPricer(const LatencyEstimator& estimator, const topo::DeviceSet& devices,
+               int micro_batch_size, int first_layer, int last_layer);
+
+    const LatencyEstimator* estimator_;
+    int replication_ = 0;
+    double samples_ = 0.0;
+    double speed_ = 0.0;
+    comm::BoundAllReduce all_reduce_;
+    int first_layer_ = 0;
+    /// Sync terms of layers [first_layer, last_layer) (replicated sets only).
+    std::vector<LayerSync> syncs_;
+  };
+  /// Prices the boundary between two device sets at one micro-batch size,
+  /// with both directions' links read once.
+  class CommPricer {
+   public:
+    /// Cost entry of the boundary at layer `boundary`.
+    StageCost operator()(int boundary) const;
+
+   private:
+    friend class LatencyEstimator;
+    CommPricer(const LatencyEstimator& estimator, const topo::DeviceSet& from,
+               const topo::DeviceSet& to, int micro_batch_size);
+
+    const LatencyEstimator* estimator_;
+    int micro_batch_size_ = 0;
+    comm::BoundCrossStage forward_;
+    comm::BoundCrossStage backward_;
+  };
+  /// A pricer for stages within layers [first_layer, last_layer).
+  CompPricer CompOn(const topo::DeviceSet& devices, int micro_batch_size, int first_layer,
+                    int last_layer) const {
+    return CompPricer(*this, devices, micro_batch_size, first_layer, last_layer);
+  }
+  CommPricer CommAcross(const topo::DeviceSet& from, const topo::DeviceSet& to,
+                        int micro_batch_size) const {
+    return CommPricer(*this, from, to, micro_batch_size);
+  }
+
+  /// Why a plan whose peak is `peak` fails the memory check:
+  /// "peak memory X exceeds memory cap Y" (or "... exceeds device Y").
+  std::string MemoryReason(Bytes peak) const;
 
   /// Closed-form device-compute frontier model per schedule family
   /// (transfers and gradient sync excluded — this ranks families on bubble
@@ -203,6 +273,19 @@ class LatencyEstimator {
   Bytes EffectiveCapacity() const;
 
  private:
+  /// The memory check Estimate and Score share (MemoryPool convention:
+  /// peak == capacity fits).
+  bool OverCapacity(Bytes peak) const {
+    return options_.check_memory && peak > EffectiveCapacity();
+  }
+
+  /// Sync terms of layers [first, last) on a bound set at `samples`.
+  std::vector<LayerSync> LayerSyncs(int first, int last, const comm::BoundAllReduce& all_reduce,
+                                    double samples) const;
+  /// ExposedAllReduce of a replicated stage from its raw AllReduce and its
+  /// layers' sync terms, in layer order.
+  TimeSec ExposedAllReduce(TimeSec raw, std::span<const LayerSync> layers) const;
+
   /// Per-device peak memory of one stage holding `warmup_depth` stashes:
   /// baseline + K x (activation | checkpoint) + recompute transient.
   Bytes StagePeakMemory(const StagePlan& stage, double samples, int warmup_depth) const;
@@ -211,7 +294,6 @@ class LatencyEstimator {
   const topo::Cluster* cluster_;
   comm::CostModel cost_;
   LatencyOptions options_;
-  StageCostCache* cache_ = nullptr;
 };
 
 }  // namespace dapple::planner

@@ -1,21 +1,33 @@
-// Memoization layer of the parallel planner search. The DP enumerates tens
-// of thousands of candidate plans, but they are assembled from a much
-// smaller vocabulary of stages: the cost of "layers [b, e) on these devices
-// at this micro-batch size" is identical in every candidate that carves
-// that stage. The StageCostCache memoizes exactly that vocabulary — per
-// computation stage and per cross-stage boundary — keyed by (layer range,
-// device-subset signature, replication-bearing micro-batch size), sharded
-// so concurrent subproblem evaluators do not contend on one lock. A
-// stage's peak-memory piece is not memoized: it is a few prefix-sum reads,
-// cheaper than the lookup that would replace it.
+// Memoization layer of the parallel planner search. The DP enumerates
+// millions of candidate plans, but inside one subproblem (a frontier node
+// and one placement of the carved stage) only the split point jp moves, and
+// the micro-batch size and recompute flags are fixed. Every stage-cost
+// entry of its candidates is then one element of a *row*: a one-dimensional
+// family of costs over a moving layer boundary.
 //
-// Determinism contract: every cached value is a pure function of its key
-// (plus the estimator's fixed model/cluster/options), so a lookup is
+//   kBegin  computation [anchor, e) on a device set, indexed by e (the
+//           carved stage, and each prefix stage)
+//   kEnd    computation [b, L) on a device set, indexed by b (the default
+//           suffix)
+//   kComm   the boundary at x from one device set to another, indexed by x
+//
+// The memo maps a row's key (family, anchor, exact device ids, micro-batch
+// size, recompute) to the whole row, filled on first use through
+// LatencyEstimator's CompPricer/CommPricer, which bind the device sets once
+// per row and price every entry the way Estimate does. A subproblem looks
+// its rows up once and then reads each split's entries by index. A stage's
+// peak-memory piece is not memoized: it is a few prefix-sum reads.
+//
+// Determinism contract: every row is a pure function of its key (plus the
+// estimator's fixed model/cluster/options), so a looked-up entry is
 // bit-identical to a recomputation and the search result cannot depend on
-// which thread populated an entry first.
+// which thread filled a row first. Keys hold device ids, so any cluster
+// size is memoized.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/sharded_cache.h"
@@ -24,72 +36,87 @@
 
 namespace dapple::planner {
 
-/// One memo key. Device subsets are encoded as 64-bit occupancy masks
-/// (exact ids — heterogeneous clusters price the same count differently on
-/// different machines), which keeps the key a flat POD: the estimator
-/// performs tens of millions of lookups per search, so key construction
-/// must not allocate. Clusters with more than 64 devices simply run
-/// uncached (the planner never attaches a cache for them). For kComm
-/// `mask_a`/`mask_b` are the two boundary sides; for kComp `aux` is the
-/// recompute flag.
-struct StageCostKey {
-  enum class Kind : std::uint8_t { kComp = 0, kComm = 1 };
+/// Costs over one moving layer boundary, indexed by that boundary (entries
+/// outside the family's range are left default).
+using StageRow = std::vector<StageCost>;
 
-  Kind kind = Kind::kComp;
-  std::int32_t layer_begin = 0;
-  std::int32_t layer_end = 0;
+/// Identity of one row. For kComm, `devices` holds the `from` ids, -1 and
+/// the `to` ids; `anchor` is the kBegin stage's first layer (0 otherwise).
+struct StageRowKey {
+  enum class Family : std::uint8_t { kBegin = 0, kEnd = 1, kComm = 2 };
+
+  Family family = Family::kBegin;
+  bool recompute = false;
+  std::int32_t anchor = 0;
   std::int32_t micro_batch_size = 0;
-  std::int32_t aux = 0;
-  std::uint64_t mask_a = 0;
-  std::uint64_t mask_b = 0;
+  std::vector<topo::DeviceId> devices;
 
-  bool operator==(const StageCostKey& other) const = default;
+  bool operator==(const StageRowKey& other) const = default;
 };
 
-struct StageCostKeyHash {
-  std::size_t operator()(const StageCostKey& key) const {
-    std::size_t seed = static_cast<std::size_t>(key.kind);
-    HashCombine(seed, static_cast<std::size_t>(key.layer_begin));
-    HashCombine(seed, static_cast<std::size_t>(key.layer_end));
+struct StageRowKeyHash {
+  std::size_t operator()(const StageRowKey& key) const {
+    std::size_t seed = static_cast<std::size_t>(key.family);
+    HashCombine(seed, static_cast<std::size_t>(key.recompute));
+    HashCombine(seed, static_cast<std::size_t>(key.anchor));
     HashCombine(seed, static_cast<std::size_t>(key.micro_batch_size));
-    HashCombine(seed, static_cast<std::size_t>(key.aux));
-    HashCombine(seed, static_cast<std::size_t>(key.mask_a));
-    HashCombine(seed, static_cast<std::size_t>(key.mask_b));
+    for (topo::DeviceId d : key.devices) HashCombine(seed, static_cast<std::size_t>(d));
     return seed;
   }
 };
 
-/// Largest cluster a StageCostKey can describe (one occupancy bit per
-/// device). The planner disables the cache past this — correctness never
-/// depends on it.
-inline constexpr int kStageCacheMaxDevices = 64;
-
-class StageCostCache {
+/// The row memo of one search, shared by its concurrent subproblem
+/// evaluators (sharded so they rarely contend on one lock). Hits and misses
+/// count row lookups; compute time is row-fill time.
+class StageRowMemo {
  public:
-  /// Unbounded: one search owns the cache and drops it on return, and a
-  /// search's key vocabulary is finite.
-  explicit StageCostCache(std::size_t shards = 16) : cache_(shards) {}
+  /// `estimator` must outlive the memo. Unbounded: one search owns the
+  /// memo and drops it on return.
+  explicit StageRowMemo(const LatencyEstimator& estimator, std::size_t shards = 16)
+      : estimator_(&estimator), rows_(shards) {}
 
-  template <typename Compute>
-  StageCost GetOrCompute(const StageCostKey& key, Compute&& compute) {
-    return cache_.GetOrCompute(key, std::forward<Compute>(compute));
-  }
+  /// kBegin: entry e prices computation [anchor, e) for e in (anchor, L).
+  std::shared_ptr<const StageRow> Begin(int anchor, const topo::DeviceSet& devices,
+                                        int micro_batch_size, bool recompute);
+  /// kEnd: entry b prices computation [b, L) for b in [1, L).
+  std::shared_ptr<const StageRow> End(const topo::DeviceSet& devices, int micro_batch_size,
+                                      bool recompute);
+  /// kComm: entry x prices the boundary at x for x in [1, L).
+  std::shared_ptr<const StageRow> Comm(const topo::DeviceSet& from, const topo::DeviceSet& to,
+                                       int micro_batch_size);
 
-  CacheShardStats TotalStats() const { return cache_.TotalStats(); }
-  std::vector<CacheShardStats> PerShardStats() const { return cache_.PerShardStats(); }
-  std::size_t num_shards() const { return cache_.num_shards(); }
-
-  /// Key builders, shared by the estimator so tests can probe the cache.
-  /// `recompute` is part of the kComp key: the memory-constrained search
-  /// evaluates the same stage with and without checkpointing, and the two
-  /// have different costs.
-  static StageCostKey CompKey(int layer_begin, int layer_end, const topo::DeviceSet& devices,
-                              int micro_batch_size, bool recompute = false);
-  static StageCostKey CommKey(int boundary, const topo::DeviceSet& from,
-                              const topo::DeviceSet& to, int micro_batch_size);
+  CacheShardStats TotalStats() const { return rows_.TotalStats(); }
+  std::vector<CacheShardStats> PerShardStats() const { return rows_.PerShardStats(); }
 
  private:
-  ShardedCache<StageCostKey, StageCost, StageCostKeyHash> cache_;
+  template <typename Fill>
+  std::shared_ptr<const StageRow> Row(const StageRowKey& key, Fill&& fill);
+
+  const LatencyEstimator* estimator_;
+  ShardedCache<StageRowKey, std::shared_ptr<const StageRow>, StageRowKeyHash> rows_;
+};
+
+/// The expanded stage list (comp0, comm01, comp1, ...) of every split of
+/// one subproblem, read from the memo. `plan` is the subproblem's candidate
+/// at any split: its stages before the last two are the fixed prefix, the
+/// second-to-last is the carved stage [j, jp) and the last the default
+/// suffix [jp, L). The prefix entries are copied once; each split then
+/// takes three entries by index from the carved, boundary and suffix rows.
+class SplitEntries {
+ public:
+  SplitEntries(StageRowMemo& memo, const ParallelPlan& plan, int micro_batch_size);
+
+  /// All 2S-1 entries with the carved stage ending at `jp`; valid until the
+  /// next call. Exactly what LatencyEstimator::Estimate prices for that
+  /// candidate.
+  std::span<const StageCost> At(int jp);
+
+ private:
+  std::vector<StageCost> entries_;
+  int first_split_ = 0;  // the carved stage's first layer + 1
+  std::shared_ptr<const StageRow> carved_;
+  std::shared_ptr<const StageRow> boundary_;
+  std::shared_ptr<const StageRow> suffix_;
 };
 
 /// Everything the parallel search observed about itself: how the work was
@@ -117,14 +144,17 @@ struct PlannerSearchStats {
   /// Extra estimator probes the fit search's binary search spent.
   int fit_probes = 0;
 
+  /// Stage-row memo traffic: row lookups that hit or filled a row, and
+  /// the rows held at the end. All zero when use_stage_cache is off (each
+  /// subproblem then fills rows of its own).
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   std::int64_t cache_entries = 0;
-  /// Sum of wall time spent computing cache misses (across threads, so it
-  /// can exceed wall_seconds on parallel runs).
+  /// Sum of wall time spent filling rows (across threads, so it can exceed
+  /// wall_seconds on parallel runs).
   double cache_compute_seconds = 0.0;
-  /// Per-shard cache counters, in shard order; empty when the cache was
-  /// disabled.
+  /// Per-shard memo counters, in shard order; empty when the memo was not
+  /// shared.
   std::vector<CacheShardStats> shards;
 
   /// Wall-clock duration of the search (not simulated time; excluded from

@@ -297,14 +297,21 @@ BuiltPipeline GraphBuilder::Build() const {
 
     const StageInfo& sn = info[static_cast<std::size_t>(i + 1)];
     const Bytes act = model_->ActivationAt(si.plan->layer_end, static_cast<double>(mbs));
+    // Split micro-batches cross the boundary between the same replica sets
+    // with the same bytes every time; co-located device sets (a V group's
+    // two chunks, or the V bottom) degrade to a local memcpy inside
+    // CrossStage.
+    const bool split = options_.replication == ReplicationMode::kSplitMicroBatch;
+    const TimeSec split_tx =
+        split ? cost.CrossStage(si.exec->devices, sn.exec->devices, act) : 0.0;
+    const TimeSec split_btx =
+        split ? cost.CrossStage(sn.exec->devices, si.exec->devices, act) : 0.0;
     for (int m = 0; m < m_total; ++m) {
       const auto& src = fw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
       const auto& dst = fw_tasks[static_cast<std::size_t>(i + 1)][static_cast<std::size_t>(m)];
       TimeSec tx_time;
-      if (options_.replication == ReplicationMode::kSplitMicroBatch) {
-        // Co-located device sets (a V group's two chunks, or the V bottom)
-        // degrade to a local memcpy inside CrossStage.
-        tx_time = cost.CrossStage(si.exec->devices, sn.exec->devices, act);
+      if (split) {
+        tx_time = split_tx;
       } else {
         const topo::DeviceId a = graph.task(src.front()).device;
         const topo::DeviceId b = graph.task(dst.front()).device;
@@ -326,8 +333,8 @@ BuiltPipeline GraphBuilder::Build() const {
       const auto& bsrc = bw_tasks[static_cast<std::size_t>(i + 1)][static_cast<std::size_t>(m)];
       const auto& bdst = bw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
       TimeSec btx_time;
-      if (options_.replication == ReplicationMode::kSplitMicroBatch) {
-        btx_time = cost.CrossStage(sn.exec->devices, si.exec->devices, act);
+      if (split) {
+        btx_time = split_btx;
       } else {
         const topo::DeviceId a = graph.task(bsrc.front()).device;
         const topo::DeviceId b = graph.task(bdst.front()).device;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/cost_model.h"
@@ -148,6 +150,62 @@ TEST(CostModel, BoundAllReduceMatchesEveryEntryPointBitForBit) {
           EXPECT_EQ(Bits(bound(bytes)), Bits(best));
           EXPECT_EQ(Bits(cost.AllReduce(set, bytes)), Bits(best));
         }
+      }
+    }
+  }
+}
+
+// CrossStage as written before it was bound to a pair of sets, in its
+// original expression order.
+TimeSec CrossStageReference(const Cluster& cluster, const DeviceSet& from, const DeviceSet& to,
+                            Bytes bytes) {
+  if (bytes == 0) return 0.0;
+  const CostModelOptions options;
+  const double slice_out = static_cast<double>(bytes) / from.size();
+  const double slice_in = static_cast<double>(bytes) / to.size();
+  BytesPerSec bw = std::numeric_limits<BytesPerSec>::infinity();
+  for (topo::DeviceId a : from.devices()) {
+    for (topo::DeviceId b : to.devices()) {
+      if (a != b) bw = std::min(bw, cluster.bandwidth(a, b));
+    }
+  }
+  if (bw == std::numeric_limits<BytesPerSec>::infinity()) bw = options.memcpy_bandwidth;
+  TimeSec wire = std::max(slice_out, slice_in) / bw;
+  TimeSec lat = 0.0;
+  for (topo::DeviceId a : from.devices()) {
+    for (topo::DeviceId b : to.devices()) {
+      if (a != b) lat = std::max(lat, cluster.latency(a, b));
+    }
+  }
+  TimeSec staging = 0.0;
+  if (from.size() != to.size()) {
+    staging = std::max(slice_out, slice_in) / options.memcpy_bandwidth;
+  }
+  return options.p2p_launch_overhead + lat + wire + staging;
+}
+
+TEST(CostModel, BoundCrossStageMatchesCrossStageBitForBit) {
+  const Cluster a = MakeConfigA(2);
+  const std::vector<Cluster> clusters = {a, a.WithServerSpeeds({1.0, 0.5}), MakeConfigB(16)};
+  const std::vector<std::pair<DeviceSet, DeviceSet>> pairs = {
+      {DeviceSet({5}), DeviceSet({5})},           {DeviceSet({0}), DeviceSet({1})},
+      {DeviceSet::Range(0, 4), DeviceSet::Range(4, 4)},
+      {DeviceSet::Range(0, 8), DeviceSet::Range(8, 2)},
+      {DeviceSet({0, 9, 1}), DeviceSet({3, 12})}, {DeviceSet::Range(0, 8), DeviceSet::Range(4, 8)},
+      {DeviceSet({0, 1, 2}), DeviceSet({1, 2, 3})}, {DeviceSet({3}), DeviceSet({3, 11})},
+      {DeviceSet({9, 3}), DeviceSet({3})},        {DeviceSet::Range(0, 16), DeviceSet::Range(0, 16)},
+      {DeviceSet({15, 8}), DeviceSet({0, 9, 8})}};
+  const std::vector<Bytes> sizes = {0, 1, 1_MiB + 7, 1_GiB};
+  for (const Cluster& cluster : clusters) {
+    const CostModel cost(cluster);
+    for (const auto& [from, to] : pairs) {
+      const BoundCrossStage bound = cost.CrossStageOver(from, to);
+      for (const Bytes bytes : sizes) {
+        SCOPED_TRACE(cluster.name() + " " + from.ToString() + " -> " + to.ToString() + " " +
+                     std::to_string(bytes));
+        const TimeSec reference = CrossStageReference(cluster, from, to, bytes);
+        EXPECT_EQ(Bits(bound(bytes)), Bits(reference));
+        EXPECT_EQ(Bits(cost.CrossStage(from, to, bytes)), Bits(reference));
       }
     }
   }

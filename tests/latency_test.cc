@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "check/fuzz.h"
@@ -301,8 +302,10 @@ TEST(Latency, EstimateValidatesPlan) {
 
 // ---------------------------------------------------------------------------
 // Prefix reuse: the planner scores every split point of one subproblem from
-// the first split's leading stage entries. The reusing overload must agree
-// with a from-scratch Estimate bit-for-bit, on every field.
+// stage-cost rows (planner/stage_cache.h) instead of gathering each
+// candidate's entries. The row entries must equal what a from-scratch
+// Estimate gathers, and scoring from them must agree with it bit-for-bit,
+// on every field.
 
 /// A random subproblem: `prefix` stages covering [0, j), the carved stage's
 /// devices D and the suffix's devices F, all disjoint. Empty when the
@@ -354,15 +357,14 @@ bool SampleSubproblem(Rng& rng, const ModelProfile& m, const Cluster& cluster, S
   return true;
 }
 
-/// Scores every split of `sub` twice — from scratch on an uncached
-/// estimator, and from the first split's leading entries on a cached one —
-/// and expects identical bits. Returns the number of splits compared.
+/// Scores every split of `sub` twice — from scratch on a plain estimator,
+/// and from the subproblem's rows in a fresh memo — and expects identical
+/// entries and bits, from both Estimate and Score. Returns the number of
+/// splits compared.
 int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long gbs,
                              const LatencyOptions& options, const Subproblem& sub) {
-  const LatencyEstimator oracle(m, cluster, options);
-  LatencyEstimator reusing(m, cluster, options);
-  StageCostCache cache;
-  reusing.set_stage_cache(&cache);
+  const LatencyEstimator estimator(m, cluster, options);
+  StageRowMemo memo(estimator);
 
   ParallelPlan plan;
   plan.model = m.name();
@@ -372,19 +374,27 @@ int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long
   plan.stages.push_back(StagePlan{sub.j + 1, m.num_layers(), sub.free,
                                   topo::PlacementPolicy::kFreshFirst, sub.recompute_free});
   const std::size_t carved = sub.prefix.size();
-  std::vector<StageCost> leading;
+  SplitEntries rows(memo, plan, estimator.ChooseMicroBatchSize(plan, gbs));
   int compared = 0;
   for (int jp = sub.j + 1; jp < m.num_layers(); ++jp) {
     plan.stages[carved].layer_end = jp;
     plan.stages[carved + 1].layer_begin = jp;
-    const PlanEstimate reused = reusing.Estimate(plan, gbs, leading);
-    EXPECT_EQ(EstimateBits(reused), EstimateBits(oracle.Estimate(plan, gbs)))
-        << m.name() << " on " << cluster.name() << ", " << carved << " prefix stages, j="
-        << sub.j << ", jp=" << jp << ", given " << leading.size() << " entries";
-    if (leading.empty()) {
-      leading.assign(reused.stages.begin(),
-                     reused.stages.begin() + static_cast<std::ptrdiff_t>(2 * carved));
+    const PlanEstimate fresh = estimator.Estimate(plan, gbs);
+    const std::span<const StageCost> entries = rows.At(jp);
+    const std::string where = m.name() + " on " + cluster.name() + ", " +
+                              std::to_string(carved) + " prefix stages, j=" +
+                              std::to_string(sub.j) + ", jp=" + std::to_string(jp);
+    EXPECT_EQ(entries.size(), fresh.stages.size()) << where;
+    for (std::size_t i = 0; i < std::min(entries.size(), fresh.stages.size()); ++i) {
+      EXPECT_EQ(StageCostBits(entries[i]), StageCostBits(fresh.stages[i]))
+          << where << ", entry " << i;
     }
+    EXPECT_EQ(EstimateBits(estimator.Estimate(plan, gbs, entries)), EstimateBits(fresh))
+        << where;
+    EXPECT_EQ(ScoreBits(estimator.Score(plan, gbs, entries)),
+              ScoreBits({fresh.feasible, fresh.memory_limited, fresh.latency,
+                         fresh.max_peak_memory}))
+        << where;
     ++compared;
   }
   return compared;

@@ -12,6 +12,7 @@
 #include "check/validator.h"
 #include "common/error.h"
 #include "common/units.h"
+#include "dapple/dapple.h"
 #include "model/zoo.h"
 #include "planner/dp_planner.h"
 #include "planner/latency.h"
@@ -353,6 +354,48 @@ TEST(MemoryCapPlanner, RecomputePolicyParsesAndRejects) {
   EXPECT_EQ(planner::ParseRecomputePolicy("auto"), planner::RecomputePolicy::kAuto);
   EXPECT_EQ(planner::ParseRecomputePolicy("AUTO"), planner::RecomputePolicy::kAuto);
   EXPECT_THROW(planner::ParseRecomputePolicy("sometimes"), Error);
+}
+
+/// The message of the Error `plan` throws ("" when it returns).
+template <typename PlanFn>
+std::string PlanError(PlanFn&& plan) {
+  try {
+    plan();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MemoryCapPlanner, NoFeasiblePlanMessageNamesTheLastRejectedPeak) {
+  // Device memory: AmoebaNet-36 does not fit one device.
+  planner::PlannerOptions po;
+  po.global_batch_size = 128;
+  po.num_threads = 1;
+  const ModelProfile amoeba = model::ModelByName("AmoebaNet-36");
+  EXPECT_EQ(PlanError([&] { planner::DapplePlanner(amoeba, FastCluster(1, 1), po).Plan(); }),
+            "no feasible plan for AmoebaNet-36 on fast (1 devices): peak memory 18.9GB "
+            "exceeds device 16.0GB");
+  // A cap no plan fits even with recompute on every stage.
+  po.recompute = planner::RecomputePolicy::kAll;
+  po.latency.memory_cap = 4_GiB;
+  EXPECT_EQ(PlanError([&] { planner::DapplePlanner(amoeba, topo::MakeConfigA(2), po).Plan(); }),
+            "no feasible plan for AmoebaNet-36 on Config-A (16 devices) under memory cap "
+            "4.0GB with recompute: peak memory 10.7GB exceeds memory cap 4.0GB");
+}
+
+TEST(MemoryCapPlanner, SessionCountsRecomputeStagesOfTheReturnedPlan) {
+  // The re-rank returns a 3-stage alternative here, not the planner's
+  // 4-stage winner; the stat must describe the plan that came back.
+  const Session session(model::ModelByName("BERT-48"), topo::MakeConfigC(16));
+  planner::PlannerOptions po;
+  po.recompute = planner::RecomputePolicy::kAuto;
+  po.latency.memory_cap = 4_GiB;
+  const planner::PlanResult result = session.Plan(64, po);
+  int flagged = 0;
+  for (const StagePlan& s : result.plan.stages) flagged += s.recompute ? 1 : 0;
+  EXPECT_GT(flagged, 0);
+  EXPECT_EQ(result.stats.recompute_stages, flagged) << result.plan.ToString();
 }
 
 // ---------------------------------------------------------------------------

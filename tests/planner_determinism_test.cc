@@ -1,12 +1,12 @@
 // Determinism sweep for the parallel memoized planner: across a seeded set
 // of fuzz-generated (model, cluster) instances, the search must return a
 // byte-identical winning plan — and identical alternatives, evaluation
-// counts and bit-identical latencies — at every thread count and with the
-// stage-cost cache on or off. The parallel search is deterministic by
+// counts and bit-identical latencies — at every thread count and whether
+// or not subproblems share one stage-row memo. The parallel search is deterministic by
 // construction (sequential merge in enumeration order, slot-indexed
-// parallel work, pure cached values); this sweep is the regression net
-// around that construction. Clusters past the cache's size limit must plan
-// identically to an uncached search, and say so in a counter.
+// parallel work, pure memoized rows); this sweep is the regression net
+// around that construction. A 128-device cluster plans with a shared row
+// memo, identically to unshared rows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +17,6 @@
 #include "check/fuzz.h"
 #include "common/error.h"
 #include "model/zoo.h"
-#include "obs/metrics.h"
 #include "planner/dp_planner.h"
 #include "planner/plan_io.h"
 #include "topo/cluster.h"
@@ -93,8 +92,9 @@ TEST(PlannerDeterminismTest, SeededSweepIsByteIdenticalAcrossThreadCounts) {
           << " threads=" << threads << " " << c.Describe();
     }
 
-    // The cache must be invisible: values are pure functions of their keys,
-    // so disabling it may only change speed, never the result.
+    // Sharing the row memo must be invisible: rows are pure functions of
+    // their keys, so filling them per subproblem may only change speed,
+    // never the result.
     const SearchFingerprint uncached = RunSearch(c.model, c.cluster, gbs, 1, false);
     ASSERT_EQ(serial, uncached)
         << "stage cache changed the search outcome: seed=" << seed << " "
@@ -119,24 +119,44 @@ TEST(PlannerDeterminismTest, SharedPoolAndDedicatedPoolAgree) {
   }
 }
 
-TEST(PlannerDeterminismTest, ClusterPastTheCacheLimitPlansUncachedAndCountsIt) {
-  // The stage-cost key packs device subsets into a 64-bit mask, so a
-  // 72-device cluster plans uncached: byte-identical to opting out of the
-  // cache, with planner.cache.disabled recording the cutoff.
+TEST(PlannerDeterminismTest, Cluster128DevicesPlansCachedAndMatchesUnsharedRows) {
+  // Row keys hold device ids, so a 128-device cluster searches with a
+  // shared memo: identical to every subproblem filling its own rows, at
+  // one and at four threads, and the shared memo is actually hit. Three
+  // stages, so second-level subproblems share their prefix rows (with two,
+  // every row of a search is distinct); one placement policy keeps the
+  // search small enough for the ThreadSanitizer tier.
   const model::ModelProfile m = model::MakeUniformSynthetic(4, 0.01, 0.02, 1_MiB, 2'000'000, 1);
-  const topo::Cluster cluster = topo::MakeConfigA(9);
-  ASSERT_GT(cluster.num_devices(), kStageCacheMaxDevices);
-  const obs::Counter& disabled =
-      obs::MetricsRegistry::Global().counter("planner.cache.disabled");
-
-  const std::int64_t before = disabled.value();
-  const SearchFingerprint cut_off = RunSearch(m, cluster, 576, 1, true, /*max_stages=*/2);
-  EXPECT_TRUE(cut_off.feasible);
-  EXPECT_GT(disabled.value(), before);
-
-  const std::int64_t after_cut_off = disabled.value();
-  EXPECT_EQ(cut_off, RunSearch(m, cluster, 576, 1, false, /*max_stages=*/2));
-  EXPECT_EQ(disabled.value(), after_cut_off) << "opting out is not a cutoff";
+  const topo::Cluster cluster = topo::MakeConfigA(16);
+  ASSERT_EQ(cluster.num_devices(), 128);
+  auto plan = [&](int threads, bool use_cache) {
+    PlannerOptions options;
+    options.global_batch_size = 1024;
+    options.num_threads = threads;
+    options.use_stage_cache = use_cache;
+    options.max_stages = 3;
+    options.policies = {topo::PlacementPolicy::kFreshFirst};
+    return DapplePlanner(m, cluster, options).Plan();
+  };
+  auto fingerprint = [](const PlanResult& result) {
+    SearchFingerprint fp;
+    fp.feasible = true;
+    fp.plan = SerializePlan(result.plan);
+    for (const auto& [alt, est] : result.alternatives) {
+      (void)est;
+      fp.alternatives.push_back(SerializePlan(alt));
+    }
+    fp.latency = result.estimate.latency;
+    fp.evaluated = result.candidates_evaluated;
+    return fp;
+  };
+  for (int threads : {1, 4}) {
+    const PlanResult shared = plan(threads, true);
+    const PlanResult unshared = plan(threads, false);
+    EXPECT_GT(shared.stats.cache_hits, 0) << threads << " threads";
+    EXPECT_EQ(unshared.stats.cache_hits + unshared.stats.cache_misses, 0);
+    EXPECT_EQ(fingerprint(shared), fingerprint(unshared)) << threads << " threads";
+  }
 }
 
 }  // namespace
