@@ -284,11 +284,13 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   };
 
   // Pure data parallelism: the root's default-suffix completion, and the
-  // baseline pinned into the alternatives after the search.
+  // baseline pinned into the alternatives after the search. One estimate
+  // serves both.
   ParallelPlan data_parallel;
   data_parallel.model = model_->name();
   data_parallel.stages.push_back(StagePlan{0, num_layers, topo::DeviceSet::Range(0, num_devices),
                                            topo::PlacementPolicy::kFreshFirst, recompute_all});
+  const PlanEstimate dp_est = estimator.Estimate(data_parallel, options_.global_batch_size);
 
   // Level-by-level DP: frontier[j] holds the best node per canonical
   // allocation key whose prefix covers layers [0, j).
@@ -296,19 +298,11 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       static_cast<std::size_t>(num_layers));
   {
     SearchNode root{{}, topo::AllocationState(*cluster_), 0.0};
-    const PlanEstimate est = estimator.Estimate(data_parallel, options_.global_batch_size);
-    root.tpl = merge(CandidateScore{est.feasible, est.memory_limited, est.latency,
-                                    est.max_peak_memory},
-                     [&] { return std::pair{data_parallel, est}; });
+    root.tpl = merge(CandidateScore{dp_est.feasible, dp_est.memory_limited, dp_est.latency,
+                                    dp_est.max_peak_memory},
+                     [&] { return std::pair{data_parallel, dp_est}; });
     frontier[0].emplace(CanonicalKey(root.state), std::move(root));
   }
-
-  // One scored split point of a subproblem. Its plan and full estimate are
-  // rebuilt from the subproblem only if the merge needs them.
-  struct Expansion {
-    int jp = 0;
-    CandidateScore score;
-  };
 
   // One unit of parallel work: a (frontier node, device placement) pair
   // that expands every split point jp on its own. Coarser than a single
@@ -324,7 +318,10 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     std::string child_key;              // CanonicalKey of child_state
     topo::DeviceSet free;               // devices the default suffix runs on
     std::optional<SplitEntries> entries;  // filled by the parallel phase
-    std::vector<Expansion> expansions;    // filled by the parallel phase
+    // Filled by the parallel phase: the score of split point j + 1 + i at
+    // index i. A split's plan and full estimate are rebuilt from the
+    // subproblem only if the merge needs them.
+    std::vector<CandidateScore> scores;
   };
 
   // The stage a subproblem carves at split point jp.
@@ -403,13 +400,12 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     best.stats.enumerate_seconds += lap();
 
     // Phase 2 (parallel, hot): each subproblem scores all of its split
-    // points from its stage-cost rows. Only jp varies inside one; the
-    // prefix, both device sets, the stage count and every replication
-    // factor (so the micro-batching) are fixed. One scratch plan moves its
-    // last boundary per jp, and SplitEntries hands each split its entries
-    // by index. Results land in the subproblem's own slot; apart from the
-    // row memo (pure values), nothing here reads or writes search-global
-    // state.
+    // points in one pass from its stage-cost rows. Only jp varies inside
+    // one; the prefix, both device sets, the stage count and every
+    // replication factor (so the micro-batching) are fixed, and
+    // ScoreSplits does that fixed work once. Results land in the
+    // subproblem's own slot; apart from the row memo (pure values), nothing
+    // here reads or writes search-global state.
     pool.ParallelFor(subproblems.size(), [&](std::size_t s) {
       Subproblem& sub = subproblems[s];
       sub.child_state.Commit(sub.devices);
@@ -421,24 +417,19 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       sub.free = topo::DeviceSet(std::move(free));
       if (sub.j + 1 >= num_layers) return;  // no split point left
 
-      ParallelPlan scratch = build_completed(sub, sub.j + 1);
-      const std::size_t carved = sub.node->prefix.size();
+      const ParallelPlan first = build_completed(sub, sub.j + 1);
       std::optional<StageRowMemo> own_rows;
       StageRowMemo& rows = shared_rows ? *shared_rows : own_rows.emplace(estimator, 1);
-      sub.entries.emplace(rows, scratch,
-                          estimator.ChooseMicroBatchSize(scratch, options_.global_batch_size));
-      sub.expansions.reserve(static_cast<std::size_t>(num_layers - sub.j - 1));
-      for (int jp = sub.j + 1; jp < num_layers; ++jp) {
-        scratch.stages[carved].layer_end = jp;
-        scratch.stages[carved + 1].layer_begin = jp;
-        sub.expansions.push_back(
-            {jp, estimator.Score(scratch, options_.global_batch_size, sub.entries->At(jp))});
-      }
+      sub.entries.emplace(rows, first,
+                          estimator.ChooseMicroBatchSize(first, options_.global_batch_size));
+      sub.scores = estimator.ScoreSplits(first, options_.global_batch_size,
+                                         sub.entries->prefix(), sub.entries->carved(),
+                                         sub.entries->boundary(), sub.entries->suffix());
     });
     best.stats.evaluate_seconds += lap();
     {
       std::size_t level_expansions = 0;
-      for (const Subproblem& sub : subproblems) level_expansions += sub.expansions.size();
+      for (const Subproblem& sub : subproblems) level_expansions += sub.scores.size();
       auto& metrics = obs::MetricsRegistry::Global();
       metrics.counter("planner.estimator_calls")
           .Increment(static_cast<std::int64_t>(level_expansions));
@@ -452,18 +443,19 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     // only when it can enter `best` or the alternatives, and its child node
     // only when it takes its frontier slot.
     for (Subproblem& sub : subproblems) {
-      for (const Expansion& e : sub.expansions) {
-        const double tpl = merge(e.score, [&] {
-          ParallelPlan plan = build_completed(sub, e.jp);
+      for (std::size_t i = 0; i < sub.scores.size(); ++i) {
+        const int jp = sub.j + 1 + static_cast<int>(i);
+        const double tpl = merge(sub.scores[i], [&] {
+          ParallelPlan plan = build_completed(sub, jp);
           PlanEstimate est =
-              estimator.Estimate(plan, options_.global_batch_size, sub.entries->At(e.jp));
+              estimator.Estimate(plan, options_.global_batch_size, sub.entries->At(jp));
           return std::pair{std::move(plan), std::move(est)};
         });
-        auto& level = frontier[static_cast<std::size_t>(e.jp)];
+        auto& level = frontier[static_cast<std::size_t>(jp)];
         auto it = level.find(sub.child_key);
         if (it == level.end() || tpl < it->second.tpl) {
           SearchNode child{sub.node->prefix, sub.child_state, tpl};
-          child.prefix.push_back(carved_stage(sub, e.jp));
+          child.prefix.push_back(carved_stage(sub, jp));
           level.insert_or_assign(sub.child_key, std::move(child));
         }
       }
@@ -506,19 +498,16 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   // Pin the pure data-parallel plan into the alternatives (appended past
   // the top-k cut if necessary): it is the paper's universal baseline and
   // the simulator re-ranking should always get to veto in its favour.
-  if (options_.keep_alternatives > 0 && best.estimate.feasible) {
-    const PlanEstimate dp_est = estimator.Estimate(data_parallel, options_.global_batch_size);
-    if (dp_est.feasible) {
-      bool present = false;
-      for (const auto& [p, e] : best.alternatives) {
-        (void)e;
-        if (p.IsDataParallel()) {
-          present = true;
-          break;
-        }
+  if (options_.keep_alternatives > 0 && best.estimate.feasible && dp_est.feasible) {
+    bool present = false;
+    for (const auto& [p, e] : best.alternatives) {
+      (void)e;
+      if (p.IsDataParallel()) {
+        present = true;
+        break;
       }
-      if (!present) best.alternatives.emplace_back(std::move(data_parallel), dp_est);
     }
+    if (!present) best.alternatives.emplace_back(std::move(data_parallel), dp_est);
   }
 
   if (!best.estimate.feasible) {

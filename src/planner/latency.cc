@@ -156,19 +156,18 @@ int LatencyEstimator::ChoosePivot(const std::vector<StageCost>& stages,
   return q;
 }
 
-Bytes LatencyEstimator::StagePeakMemory(const StagePlan& stage, double samples,
-                                        int warmup_depth) const {
-  const Bytes baseline = model_->BaselineMemory(stage.layer_begin, stage.layer_end);
+Bytes LatencyEstimator::StagePeakMemory(int layer_begin, int layer_end, bool recompute,
+                                        double samples, int warmup_depth) const {
+  const Bytes baseline = model_->BaselineMemory(layer_begin, layer_end);
   Bytes per_micro;
   Bytes transient = 0;
-  if (stage.recompute) {
-    per_micro = model_->CheckpointMemory(stage.layer_begin, stage.layer_end, samples);
+  if (recompute) {
+    per_micro = model_->CheckpointMemory(layer_begin, layer_end, samples);
     // While a backward pass replays one layer block, that block's full
     // activation set is transiently resident.
-    transient =
-        model_->MaxLayerActivationMemory(stage.layer_begin, stage.layer_end, samples);
+    transient = model_->MaxLayerActivationMemory(layer_begin, layer_end, samples);
   } else {
-    per_micro = model_->ActivationMemory(stage.layer_begin, stage.layer_end, samples);
+    per_micro = model_->ActivationMemory(layer_begin, layer_end, samples);
   }
   return baseline + static_cast<Bytes>(warmup_depth) * per_micro + transient;
 }
@@ -177,57 +176,67 @@ Bytes LatencyEstimator::EffectiveCapacity() const {
   return options_.memory_cap > 0 ? options_.memory_cap : cluster_->device().memory;
 }
 
-Bytes LatencyEstimator::FamilyPeakMemory(runtime::ScheduleKind kind,
-                                         const ParallelPlan& plan,
-                                         const MicroBatching& mb) const {
-  const int S = plan.num_stages();
-  const int M = mb.num_micro_batches;
-  // Per-stage stash piece: baseline + K x (activation | checkpoint) +
-  // recompute transient. A few prefix-sum reads, so it is computed, not
-  // memoized: a cache lookup would cost more. Stage i's samples come from
-  // its host group (the stage itself for the linear families; chunk
-  // folding for the V shapes).
-  auto piece = [&](int i, int k) -> Bytes {
-    const StagePlan& host =
-        plan.stages[static_cast<std::size_t>(runtime::HostStage(kind, i, S))];
-    const double samples =
-        static_cast<double>(mb.micro_batch_size) / host.replication();
-    return StagePeakMemory(plan.stages[static_cast<std::size_t>(i)], samples, k);
-  };
+namespace {
 
-  Bytes peak = 0;
+/// Stashes stage i of S holds under `kind` at M micro-batches.
+int StashDepth(runtime::ScheduleKind kind, int i, int S, int M) {
   switch (kind) {
     case runtime::ScheduleKind::kGPipe:
       // GPipe stashes every micro-batch before the first backward.
-      for (int i = 0; i < S; ++i) peak = std::max(peak, piece(i, M));
-      break;
+      return M;
     case runtime::ScheduleKind::kDapple:
     case runtime::ScheduleKind::kDappleSplitBw:
       // 1F1B warmup policy PA: K_i = min(S - i, M); 2BP holds one extra
       // transient stash until its deferred weight half frees it.
-      for (int i = 0; i < S; ++i) {
-        const int k = std::min(S - i, M) +
-                      (kind == runtime::ScheduleKind::kDappleSplitBw ? 1 : 0);
-        peak = std::max(peak, piece(i, k));
-      }
-      break;
+      return std::min(S - i, M) + (kind == runtime::ScheduleKind::kDappleSplitBw ? 1 : 0);
     case runtime::ScheduleKind::kVMin:
-    case runtime::ScheduleKind::kVHalf: {
-      // Chunk c folds onto group min(c, S-1-c); a group's devices hold both
-      // hosted chunks' stashes, each capped by its VStashCap.
-      const int groups = runtime::NumGroups(kind, S);
-      for (int g = 0; g < groups; ++g) {
-        const int late = S - 1 - g;
-        Bytes p = piece(g, std::min(runtime::VStashCap(kind, g, S), M));
-        if (late != g) {
-          p += piece(late, std::min(runtime::VStashCap(kind, late, S), M));
-        }
-        peak = std::max(peak, p);
-      }
-      break;
-    }
+    case runtime::ScheduleKind::kVHalf:
+      return std::min(runtime::VStashCap(kind, i, S), M);
+  }
+  return M;
+}
+
+/// The worst device group's peak from every stage's piece: one stage per
+/// group for the linear families; for the V shapes chunk c folds onto
+/// group min(c, S-1-c), whose devices hold both hosted chunks' stashes.
+Bytes FoldPeak(runtime::ScheduleKind kind, std::span<const Bytes> pieces) {
+  const int S = static_cast<int>(pieces.size());
+  Bytes peak = 0;
+  const int groups = runtime::NumGroups(kind, S);
+  const bool folded = runtime::IsVShape(kind);
+  for (int g = 0; g < groups; ++g) {
+    Bytes p = pieces[static_cast<std::size_t>(g)];
+    const int late = S - 1 - g;
+    if (folded && late != g) p += pieces[static_cast<std::size_t>(late)];
+    peak = std::max(peak, p);
   }
   return peak;
+}
+
+}  // namespace
+
+Bytes LatencyEstimator::PeakPiece(runtime::ScheduleKind kind, const ParallelPlan& plan,
+                                  const MicroBatching& mb, int i) const {
+  // Stage i's samples come from its host group (the stage itself for the
+  // linear families; chunk folding for the V shapes). A few prefix-sum
+  // reads, so it is computed, not memoized: a cache lookup would cost more.
+  const int S = plan.num_stages();
+  const StagePlan& stage = plan.stages[static_cast<std::size_t>(i)];
+  const StagePlan& host =
+      plan.stages[static_cast<std::size_t>(runtime::HostStage(kind, i, S))];
+  const double samples = static_cast<double>(mb.micro_batch_size) / host.replication();
+  return StagePeakMemory(stage.layer_begin, stage.layer_end, stage.recompute, samples,
+                         StashDepth(kind, i, S, mb.num_micro_batches));
+}
+
+Bytes LatencyEstimator::FamilyPeakMemory(runtime::ScheduleKind kind,
+                                         const ParallelPlan& plan,
+                                         const MicroBatching& mb) const {
+  std::vector<Bytes> pieces(plan.stages.size());
+  for (int i = 0; i < plan.num_stages(); ++i) {
+    pieces[static_cast<std::size_t>(i)] = PeakPiece(kind, plan, mb, i);
+  }
+  return FoldPeak(kind, pieces);
 }
 
 ScheduleFamilyEstimate LatencyEstimator::EstimateFamily(runtime::ScheduleKind kind,
@@ -326,6 +335,15 @@ ScheduleFamilyEstimate LatencyEstimator::EstimateFamily(runtime::ScheduleKind ki
 
 namespace {
 
+/// Pivot stage q's steady-state round. A computation stage alternates one
+/// forward and one backward per round on a single engine. A comm stage
+/// does not: the simulator gives each boundary a duplex channel pair, so
+/// forward and backward transfers overlap and the round is gated by
+/// max(F, B).
+TimeSec PerRound(const StageCost& sq) {
+  return sq.is_comm ? std::max(sq.forward, sq.backward) : sq.forward + sq.backward;
+}
+
 /// Formulas 1-2 at pivot q over the expanded stage list.
 TimeSec LatencyAt(std::span<const StageCost> stages, int num_micro_batches, int q,
                   TimeSec* warmup_out, TimeSec* steady_out, TimeSec* ending_out) {
@@ -335,13 +353,7 @@ TimeSec LatencyAt(std::span<const StageCost> stages, int num_micro_batches, int 
   for (int s = 0; s <= q; ++s) {
     warmup += stages[static_cast<std::size_t>(s)].forward;
   }
-  // A computation stage alternates one forward and one backward per
-  // steady-state round on a single engine. A comm stage does not: the
-  // simulator gives each boundary a duplex channel pair, so forward and
-  // backward transfers overlap and the round is gated by max(F, B).
-  const TimeSec per_round =
-      sq.is_comm ? std::max(sq.forward, sq.backward) : sq.forward + sq.backward;
-  const TimeSec steady = static_cast<double>(num_micro_batches - 1) * per_round;
+  const TimeSec steady = static_cast<double>(num_micro_batches - 1) * PerRound(sq);
   TimeSec ending = 0.0;
   for (int s = 0; s < total; ++s) {
     TimeSec tail = 0.0;
@@ -526,21 +538,135 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_ba
   return est;
 }
 
-CandidateScore LatencyEstimator::Score(const ParallelPlan& plan, long global_batch_size,
-                                       std::span<const StageCost> entries) const {
+std::vector<CandidateScore> LatencyEstimator::ScoreSplits(
+    const ParallelPlan& plan, long global_batch_size, std::span<const StageCost> prefix_entries,
+    std::span<const StageCost> carved_row, std::span<const StageCost> boundary_row,
+    std::span<const StageCost> suffix_row) const {
+  // Only the carved stage's end moves, so the plan validated here at one
+  // split is valid at every jp in (j, L): [j, jp) and [jp, L) stay
+  // non-empty, contiguous and on the same disjoint device sets. The
+  // micro-batching depends only on the device sets.
   plan.Validate(*model_);
+  const int S = plan.num_stages();
+  DAPPLE_CHECK_GE(S, 2) << "a split needs a carved stage and a suffix";
+  const std::size_t V = prefix_entries.size();
+  DAPPLE_CHECK_EQ(V, static_cast<std::size_t>(2 * (S - 2)))
+      << "a plan of S stages has 2S-4 entries before its carved stage";
+  const int L = model_->num_layers();
+  DAPPLE_CHECK(carved_row.size() >= static_cast<std::size_t>(L) &&
+               boundary_row.size() >= static_cast<std::size_t>(L) &&
+               suffix_row.size() >= static_cast<std::size_t>(L))
+      << "a split row holds one entry per layer boundary";
   const MicroBatching mb =
       PlanMicroBatching(plan, global_batch_size, model_->profile_micro_batch());
-  DAPPLE_CHECK_EQ(entries.size(), static_cast<std::size_t>(2 * plan.num_stages() - 1))
-      << "scoring needs every expanded stage entry";
-  CandidateScore score;
-  WorstPivot(entries, mb.num_micro_batches, &score.latency);
-  score.peak = FamilyPeakMemory(options_.schedule_kind, plan, mb);
-  if (OverCapacity(score.peak)) {
-    score.feasible = false;
-    score.memory_limited = true;
+  const double m1 = static_cast<double>(mb.num_micro_batches - 1);
+
+  // Formulas 1-2 at a prefix pivot q only extend over the three split
+  // entries, and at a split pivot they only extend the prefix's sums. Every
+  // sum is accumulated in LatencyAt's order, so each L(q) is bit-identical.
+  struct PrefixTerms {
+    TimeSec lead = 0.0;    // warmup(q) + steady(q), warmup summed from entry 0 up
+    TimeSec ending = 0.0;  // the ending max over the prefix s
+    TimeSec drop = 0.0;    // the tail past q, subtracted from q+1 up to the prefix end
+    TimeSec rise = 0.0;    // s = q's tail, added from s up to the prefix end
+  };
+  std::vector<PrefixTerms> fixed(V);
+  TimeSec warmup = 0.0;
+  for (std::size_t q = 0; q < V; ++q) {
+    const StageCost& pivot = prefix_entries[q];
+    warmup += pivot.forward;
+    fixed[q].lead = warmup + m1 * PerRound(pivot);
+    TimeSec end = 0.0;
+    for (std::size_t s = 0; s <= q; ++s) {
+      fixed[s].rise += pivot.backward;  // from s up to q so far
+      end = std::max(end, prefix_entries[s].allreduce + fixed[s].rise);
+    }
+    TimeSec tail = 0.0;
+    for (std::size_t s = q + 1; s < V; ++s) {
+      tail -= prefix_entries[s].backward;
+      end = std::max(end, prefix_entries[s].allreduce + tail);
+    }
+    fixed[q].ending = end;
+    fixed[q].drop = tail;
   }
-  return score;
+
+  // Peak pieces: the prefix stages' are fixed; the carved and suffix
+  // stages' change with their layer ranges only.
+  const runtime::ScheduleKind kind = options_.schedule_kind;
+  std::vector<Bytes> pieces(static_cast<std::size_t>(S));
+  for (int i = 0; i < S - 2; ++i) {
+    pieces[static_cast<std::size_t>(i)] = PeakPiece(kind, plan, mb, i);
+  }
+  auto samples = [&](int i) {
+    return static_cast<double>(mb.micro_batch_size) /
+           plan.stages[static_cast<std::size_t>(runtime::HostStage(kind, i, S))].replication();
+  };
+  const StagePlan& carved = plan.stages[static_cast<std::size_t>(S - 2)];
+  const bool suffix_recompute = plan.stages.back().recompute;
+  const double carved_samples = samples(S - 2);
+  const double suffix_samples = samples(S - 1);
+  const int carved_depth = StashDepth(kind, S - 2, S, mb.num_micro_batches);
+  const int suffix_depth = StashDepth(kind, S - 1, S, mb.num_micro_batches);
+
+  const int j = carved.layer_begin;
+  std::vector<CandidateScore> scores;
+  scores.reserve(static_cast<std::size_t>(L - j - 1));
+  for (int jp = j + 1; jp < L; ++jp) {
+    const auto x = static_cast<std::size_t>(jp);
+    const StageCost* const split[3] = {&carved_row[x], &boundary_row[x], &suffix_row[x]};
+    CandidateScore score;
+    // WorstPivot's max over q: strict increases from 0, so order-free.
+    score.latency = 0.0;
+    auto consider = [&score](TimeSec l) {
+      if (l > score.latency) score.latency = l;
+    };
+    // Prefix pivots: the tail past q runs on through the split entries.
+    for (const PrefixTerms& q : fixed) {
+      TimeSec tail = q.drop;
+      TimeSec end = q.ending;
+      for (const StageCost* e : split) {
+        tail -= e->backward;
+        end = std::max(end, e->allreduce + tail);
+      }
+      consider(q.lead + end);
+    }
+    // Split pivots q = V + t: a prefix s's tail rises on up to q; a split
+    // s adds from s up to q, or subtracts from q+1 up to s when past q.
+    TimeSec end[3] = {0.0, 0.0, 0.0};
+    for (std::size_t s = 0; s < V; ++s) {
+      TimeSec tail = fixed[s].rise;
+      for (int t = 0; t < 3; ++t) {
+        tail += split[t]->backward;
+        end[t] = std::max(end[t], prefix_entries[s].allreduce + tail);
+      }
+    }
+    TimeSec warm = warmup;
+    for (int t = 0; t < 3; ++t) {
+      warm += split[t]->forward;
+      for (int u = 0; u < 3; ++u) {
+        TimeSec tail = 0.0;
+        if (u <= t) {
+          for (int a = u; a <= t; ++a) tail += split[a]->backward;
+        } else {
+          for (int a = t + 1; a <= u; ++a) tail -= split[a]->backward;
+        }
+        end[t] = std::max(end[t], split[u]->allreduce + tail);
+      }
+      consider(warm + m1 * PerRound(*split[t]) + end[t]);
+    }
+
+    pieces[static_cast<std::size_t>(S - 2)] =
+        StagePeakMemory(j, jp, carved.recompute, carved_samples, carved_depth);
+    pieces[static_cast<std::size_t>(S - 1)] =
+        StagePeakMemory(jp, L, suffix_recompute, suffix_samples, suffix_depth);
+    score.peak = FoldPeak(kind, pieces);
+    if (OverCapacity(score.peak)) {
+      score.feasible = false;
+      score.memory_limited = true;
+    }
+    scores.push_back(score);
+  }
+  return scores;
 }
 
 }  // namespace dapple::planner

@@ -6,9 +6,12 @@
 //   Te = max_s ( AR(P_s, g_s) + tail(s) )    (ending + gradient sync)
 //   L  = Tw + Ts + Te
 //
-// with the pivot chosen by the formula-3 heuristic and cross-stage
-// communication modeled as its own pipeline stage (F_s = B_s = transfer
-// time, AR = 0), exactly as the paper prescribes.
+// with the pivot Q taken as the exact worst case: L is evaluated at every
+// stage and the maximum kept (each L(Q) is a lower bound on the schedule
+// length). The paper's formula-3 heuristic (ChoosePivot) is kept for
+// reference only. Cross-stage communication is modeled as its own pipeline
+// stage (F_s = B_s = transfer time, AR = 0), exactly as the paper
+// prescribes.
 #pragma once
 
 #include <limits>
@@ -157,12 +160,21 @@ class LatencyEstimator {
   PlanEstimate Estimate(const ParallelPlan& plan, long global_batch_size,
                         std::span<const StageCost> entries) const;
 
-  /// Scores `plan` from all 2S-1 of its expanded stage entries, given as
-  /// for the overload above, without building a PlanEstimate: no entry
-  /// copy, no reason string. Validates the plan. The planner's per-split
-  /// path; does not count in planner.estimator_calls.
-  CandidateScore Score(const ParallelPlan& plan, long global_batch_size,
-                       std::span<const StageCost> entries) const;
+  /// Scores every split point of one planner subproblem in one pass.
+  /// `plan` is the subproblem's candidate at any split: its stages before
+  /// the last two are the fixed prefix, the second-to-last is the carved
+  /// stage [j, jp) and the last the default suffix [jp, L). The 2(S-2)
+  /// prefix entries (comp0, comm01, ..., the comm into the carved stage)
+  /// are given once; split jp reads its carved, boundary and suffix entries
+  /// at index jp of the three rows (planner/stage_cache.h). Returns one
+  /// score per jp in (j, L), in order, each bit-identical to Estimate on
+  /// that candidate. Validates the plan once; does not count in
+  /// planner.estimator_calls.
+  std::vector<CandidateScore> ScoreSplits(const ParallelPlan& plan, long global_batch_size,
+                                          std::span<const StageCost> prefix_entries,
+                                          std::span<const StageCost> carved_row,
+                                          std::span<const StageCost> boundary_row,
+                                          std::span<const StageCost> suffix_row) const;
 
   /// One layer's part in ExposedAllReduce: its backward time and, when it
   /// has parameters, the AllReduce of its gradient bucket.
@@ -273,8 +285,8 @@ class LatencyEstimator {
   Bytes EffectiveCapacity() const;
 
  private:
-  /// The memory check Estimate and Score share (MemoryPool convention:
-  /// peak == capacity fits).
+  /// The memory check Estimate and ScoreSplits share (MemoryPool
+  /// convention: peak == capacity fits).
   bool OverCapacity(Bytes peak) const {
     return options_.check_memory && peak > EffectiveCapacity();
   }
@@ -286,9 +298,15 @@ class LatencyEstimator {
   /// layers' sync terms, in layer order.
   TimeSec ExposedAllReduce(TimeSec raw, std::span<const LayerSync> layers) const;
 
-  /// Per-device peak memory of one stage holding `warmup_depth` stashes:
-  /// baseline + K x (activation | checkpoint) + recompute transient.
-  Bytes StagePeakMemory(const StagePlan& stage, double samples, int warmup_depth) const;
+  /// Per-device peak memory of stage [layer_begin, layer_end) holding
+  /// `warmup_depth` stashes: baseline + K x (activation | checkpoint) +
+  /// recompute transient.
+  Bytes StagePeakMemory(int layer_begin, int layer_end, bool recompute, double samples,
+                        int warmup_depth) const;
+  /// Stage i's piece of FamilyPeakMemory: its stash depth under `kind`,
+  /// at the samples of the stage hosting it.
+  Bytes PeakPiece(runtime::ScheduleKind kind, const ParallelPlan& plan, const MicroBatching& mb,
+                  int i) const;
 
   const model::ModelProfile* model_;
   const topo::Cluster* cluster_;

@@ -106,6 +106,16 @@ class SplitEntries {
  public:
   SplitEntries(StageRowMemo& memo, const ParallelPlan& plan, int micro_batch_size);
 
+  /// The 2S-4 entries before the carved stage, the same at every split.
+  std::span<const StageCost> prefix() const {
+    return std::span<const StageCost>(entries_).first(entries_.size() - 3);
+  }
+  /// Rows indexed by jp: the carved stage, the boundary after it and the
+  /// suffix.
+  const StageRow& carved() const { return *carved_; }
+  const StageRow& boundary() const { return *boundary_; }
+  const StageRow& suffix() const { return *suffix_; }
+
   /// All 2S-1 entries with the carved stage ending at `jp`; valid until the
   /// next call. Exactly what LatencyEstimator::Estimate prices for that
   /// candidate.

@@ -301,11 +301,11 @@ TEST(Latency, EstimateValidatesPlan) {
 }
 
 // ---------------------------------------------------------------------------
-// Prefix reuse: the planner scores every split point of one subproblem from
-// stage-cost rows (planner/stage_cache.h) instead of gathering each
-// candidate's entries. The row entries must equal what a from-scratch
-// Estimate gathers, and scoring from them must agree with it bit-for-bit,
-// on every field.
+// Prefix reuse: the planner scores every split point of one subproblem in
+// one LatencyEstimator::ScoreSplits pass over stage-cost rows
+// (planner/stage_cache.h) instead of estimating each candidate. The row
+// entries must equal what a from-scratch Estimate gathers, and both
+// Estimate from them and ScoreSplits must agree with it bit-for-bit.
 
 /// A random subproblem: `prefix` stages covering [0, j), the carved stage's
 /// devices D and the suffix's devices F, all disjoint. Empty when the
@@ -319,6 +319,7 @@ struct Subproblem {
   bool recompute_free = false;
 };
 
+/// Up to six prefix stages, each with at least one layer and one device.
 bool SampleSubproblem(Rng& rng, const ModelProfile& m, const Cluster& cluster, Subproblem& out) {
   const int layers = m.num_layers();
   const int devices = cluster.num_devices();
@@ -338,7 +339,7 @@ bool SampleSubproblem(Rng& rng, const ModelProfile& m, const Cluster& cluster, S
   // Leave at least one layer past j (one split point) and one device each
   // for D and F.
   const int k = static_cast<int>(
-      rng.UniformInt(0, std::min<std::int64_t>({3, layers - 2, devices - 2})));
+      rng.UniformInt(0, std::min<std::int64_t>({6, layers - 2, devices - 2})));
   out = Subproblem{};
   for (int i = 0; i < k; ++i) {
     StagePlan stage;
@@ -357,10 +358,10 @@ bool SampleSubproblem(Rng& rng, const ModelProfile& m, const Cluster& cluster, S
   return true;
 }
 
-/// Scores every split of `sub` twice — from scratch on a plain estimator,
-/// and from the subproblem's rows in a fresh memo — and expects identical
-/// entries and bits, from both Estimate and Score. Returns the number of
-/// splits compared.
+/// Scores every split of `sub` twice — from scratch on a plain estimator
+/// per split, and in one ScoreSplits pass over the subproblem's rows in a
+/// fresh memo — and expects identical entries and bits, from both Estimate
+/// and ScoreSplits. Returns the number of splits compared.
 int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long gbs,
                              const LatencyOptions& options, const Subproblem& sub) {
   const LatencyEstimator estimator(m, cluster, options);
@@ -375,6 +376,9 @@ int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long
                                   topo::PlacementPolicy::kFreshFirst, sub.recompute_free});
   const std::size_t carved = sub.prefix.size();
   SplitEntries rows(memo, plan, estimator.ChooseMicroBatchSize(plan, gbs));
+  const std::vector<CandidateScore> scores = estimator.ScoreSplits(
+      plan, gbs, rows.prefix(), rows.carved(), rows.boundary(), rows.suffix());
+  EXPECT_EQ(scores.size(), static_cast<std::size_t>(m.num_layers() - sub.j - 1));
   int compared = 0;
   for (int jp = sub.j + 1; jp < m.num_layers(); ++jp) {
     plan.stages[carved].layer_end = jp;
@@ -391,10 +395,12 @@ int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long
     }
     EXPECT_EQ(EstimateBits(estimator.Estimate(plan, gbs, entries)), EstimateBits(fresh))
         << where;
-    EXPECT_EQ(ScoreBits(estimator.Score(plan, gbs, entries)),
-              ScoreBits({fresh.feasible, fresh.memory_limited, fresh.latency,
-                         fresh.max_peak_memory}))
-        << where;
+    const auto i = static_cast<std::size_t>(jp - sub.j - 1);
+    if (i < scores.size()) {
+      EXPECT_EQ(ScoreBits(scores[i]), ScoreBits({fresh.feasible, fresh.memory_limited,
+                                                 fresh.latency, fresh.max_peak_memory}))
+          << where;
+    }
     ++compared;
   }
   return compared;
@@ -414,11 +420,13 @@ LatencyOptions RandomLatencyOptions(Rng& rng) {
 
 TEST(LatencyPrefixReuse, MatchesFullEstimateOnFuzzInstances) {
   int compared = 0, infeasible = 0;
+  std::vector<int> prefix_stages(7, 0);
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const check::FuzzCase c = check::MakeFuzzCase(seed);
     Rng rng(seed);
     Subproblem sub;
     if (!SampleSubproblem(rng, c.model, c.cluster, sub)) continue;
+    ++prefix_stages[sub.prefix.size()];
     LatencyOptions options = RandomLatencyOptions(rng);
     compared += ExpectPrefixReuseMatches(c.model, c.cluster, c.options.global_batch_size,
                                          options, sub);
@@ -428,6 +436,8 @@ TEST(LatencyPrefixReuse, MatchesFullEstimateOnFuzzInstances) {
   }
   EXPECT_GT(compared, 400);
   EXPECT_GT(infeasible, 400);
+  // The draw reaches deep prefixes, not only the first few stages.
+  EXPECT_GE(prefix_stages[4] + prefix_stages[5] + prefix_stages[6], 10);
 }
 
 TEST(LatencyPrefixReuse, MatchesFullEstimateOnTableVInstances) {
@@ -451,6 +461,57 @@ TEST(LatencyPrefixReuse, MatchesFullEstimateOnTableVInstances) {
     }
     EXPECT_GT(compared, 6) << instance.model;
   }
+}
+
+/// A subproblem of `prefix_stages` one-layer stages on one device each,
+/// the carved stage on the next two devices and the suffix on the rest.
+Subproblem PinnedSubproblem(const Cluster& cluster, int prefix_stages, bool recompute) {
+  Subproblem sub;
+  for (int i = 0; i < prefix_stages; ++i) {
+    sub.prefix.push_back(StagePlan{i, i + 1, DeviceSet::Range(i, 1),
+                                   topo::PlacementPolicy::kFreshFirst, recompute && i % 2 == 0});
+  }
+  sub.j = prefix_stages;
+  sub.carved = DeviceSet::Range(prefix_stages, 2);
+  sub.free = DeviceSet::Range(prefix_stages + 2, cluster.num_devices() - prefix_stages - 2);
+  sub.recompute_carved = recompute;
+  sub.recompute_free = !recompute;
+  return sub;
+}
+
+TEST(LatencyPrefixReuse, MatchesFullEstimateForEveryScheduleKindAndFlag) {
+  const ModelProfile m = model::ModelByName("GNMT-16");
+  // One device per prefix stage, two for the carved stage, one or more free.
+  const Cluster cluster = topo::MakeConfig('B', m.num_layers() + 1);
+  // S = 2 (no prefix entries), a mid-size prefix, and j = L-2 (one split).
+  const int prefix_stages[] = {0, 3, 6, m.num_layers() - 2};
+  for (runtime::ScheduleKind kind : runtime::AllScheduleKinds()) {
+    for (const int k : prefix_stages) {
+      for (const bool recompute : {false, true}) {
+        for (const Bytes cap : {Bytes{0}, Bytes{1}}) {
+          LatencyOptions options;
+          options.schedule_kind = kind;
+          options.memory_cap = cap;
+          const Subproblem sub = PinnedSubproblem(cluster, k, recompute);
+          const int splits = ExpectPrefixReuseMatches(m, cluster, 256, options, sub);
+          EXPECT_EQ(splits, m.num_layers() - sub.j - 1);
+        }
+      }
+    }
+  }
+}
+
+TEST(LatencyPrefixReuse, ScoreSplitsRejectsAMismatchedPrefix) {
+  const ModelProfile m = MakeUniformSynthetic(4, 0.01, 0.02, 0, 0);
+  const Cluster cluster = FastCluster(1, 2);
+  const LatencyEstimator est(m, cluster);
+  const ParallelPlan plan = TwoStagePlan(m, 2, 1, 1);
+  const PlanEstimate full = est.Estimate(plan, 8);
+  const std::vector<StageCost> row(4, full.stages[0]);
+  EXPECT_EQ(est.ScoreSplits(plan, 8, {}, row, row, row).size(), 3u);
+  EXPECT_THROW(est.ScoreSplits(plan, 8, std::span(full.stages).first(1), row, row, row),
+               dapple::Error);
+  EXPECT_THROW(est.ScoreSplits(plan, 8, {}, std::span(row).first(3), row, row), dapple::Error);
 }
 
 TEST(LatencyPrefixReuse, RejectsMoreLeadingEntriesThanThePlanHas) {
