@@ -9,79 +9,24 @@
 
 namespace dapple::comm {
 
-CostModel::CostModel(const topo::Cluster& cluster, CostModelOptions options)
-    : cluster_(&cluster), options_(options) {
-  DAPPLE_CHECK_GT(options_.memcpy_bandwidth, 0.0);
-}
-
 TimeSec CostModel::P2P(topo::DeviceId src, topo::DeviceId dst, Bytes bytes) const {
   if (src == dst || bytes == 0) return 0.0;
   const BytesPerSec bw = cluster_->bandwidth(src, dst);
-  return options_.p2p_launch_overhead + cluster_->latency(src, dst) +
-         static_cast<double>(bytes) / bw;
+  return kP2PLaunchOverhead + cluster_->latency(src, dst) + static_cast<double>(bytes) / bw;
 }
 
-BoundAllReduce::BoundAllReduce(const CostModel& model, const topo::DeviceSet& devices,
-                               bool hierarchical)
-    : model_(&model), n_(devices.size()), hierarchical_(hierarchical) {
+BoundAllReduce::BoundAllReduce(const topo::Cluster& cluster, const topo::DeviceSet& devices)
+    : n_(devices.size()) {
   if (n_ < 2) return;
-  bandwidth_ = devices.BottleneckBandwidth(model.cluster());
-  latency_ = devices.MaxLatency(model.cluster());
-  if (!hierarchical_) return;
-  for (int c : devices.PerServerCounts(model.cluster())) {
-    if (c > 0) ++servers_used_;
-    max_per_server_ = std::max(max_per_server_, c);
-  }
+  bandwidth_ = devices.BottleneckBandwidth(cluster);
+  latency_ = devices.MaxLatency(cluster);
 }
 
 TimeSec BoundAllReduce::operator()(Bytes bytes) const {
   if (n_ < 2 || bytes == 0) return 0.0;
-  if (hierarchical_) return std::min(Ring(bytes), Hierarchical(bytes));
-  return Ring(bytes);
-}
-
-TimeSec BoundAllReduce::Ring(Bytes bytes) const {
-  if (n_ < 2 || bytes == 0) return 0.0;
   const double steps = 2.0 * (n_ - 1);
   const double volume = 2.0 * static_cast<double>(n_ - 1) / n_ * static_cast<double>(bytes);
-  return model_->options().collective_launch_overhead + steps * latency_ + volume / bandwidth_;
-}
-
-TimeSec BoundAllReduce::Hierarchical(Bytes bytes) const {
-  if (n_ < 2 || bytes == 0) return 0.0;
-  if (servers_used_ <= 1) return Ring(bytes);
-
-  const auto& net = model_->cluster().interconnect();
-  TimeSec total = model_->options().collective_launch_overhead;
-
-  // Phase 1: intra-server reduce-scatter on the busiest server (others
-  // overlap). Volume (m-1)/m * bytes over NVLink.
-  if (max_per_server_ > 1) {
-    const double m = max_per_server_;
-    total += (m - 1.0) / m * static_cast<double>(bytes) / net.intra_server_bandwidth +
-             (m - 1.0) * net.intra_server_latency;
-  }
-  // Phase 2: inter-server ring AllReduce over one leader per server.
-  {
-    const double k = servers_used_;
-    total += 2.0 * (k - 1.0) / k * static_cast<double>(bytes) / net.inter_server_bandwidth +
-             2.0 * (k - 1.0) * net.inter_server_latency;
-  }
-  // Phase 3: intra-server all-gather, mirroring phase 1.
-  if (max_per_server_ > 1) {
-    const double m = max_per_server_;
-    total += (m - 1.0) / m * static_cast<double>(bytes) / net.intra_server_bandwidth +
-             (m - 1.0) * net.intra_server_latency;
-  }
-  return total;
-}
-
-TimeSec CostModel::RingAllReduce(const topo::DeviceSet& devices, Bytes bytes) const {
-  return BoundAllReduce(*this, devices, /*hierarchical=*/false).Ring(bytes);
-}
-
-TimeSec CostModel::HierarchicalAllReduce(const topo::DeviceSet& devices, Bytes bytes) const {
-  return BoundAllReduce(*this, devices, /*hierarchical=*/true).Hierarchical(bytes);
+  return kCollectiveLaunchOverhead + steps * latency_ + volume / bandwidth_;
 }
 
 TimeSec CostModel::AllReduce(const topo::DeviceSet& devices, Bytes bytes) const {
@@ -89,7 +34,7 @@ TimeSec CostModel::AllReduce(const topo::DeviceSet& devices, Bytes bytes) const 
 }
 
 BoundAllReduce CostModel::AllReduceOver(const topo::DeviceSet& devices) const {
-  return BoundAllReduce(*this, devices, options_.enable_hierarchical);
+  return BoundAllReduce(*cluster_, devices);
 }
 
 namespace {
@@ -151,12 +96,11 @@ LinkPairs FindLinkPairs(const topo::Cluster& cluster, const topo::DeviceSet& fro
 
 }  // namespace
 
-BoundCrossStage::BoundCrossStage(const CostModel& model, const topo::DeviceSet& from,
+BoundCrossStage::BoundCrossStage(const topo::Cluster& cluster, const topo::DeviceSet& from,
                                  const topo::DeviceSet& to)
-    : model_(&model), from_size_(from.size()), to_size_(to.size()) {
+    : from_size_(from.size()), to_size_(to.size()) {
   DAPPLE_CHECK(!from.empty() && !to.empty()) << "cross-stage transfer needs devices";
   // Slowest link and worst latency over every (from, to) pair.
-  const topo::Cluster& cluster = model.cluster();
   const LinkPairs pairs = FindLinkPairs(cluster, from, to);
   bandwidth_ = std::numeric_limits<BytesPerSec>::infinity();
   if (pairs.intra_from >= 0) {
@@ -169,7 +113,7 @@ BoundCrossStage::BoundCrossStage(const CostModel& model, const topo::DeviceSet& 
   }
   if (bandwidth_ == std::numeric_limits<BytesPerSec>::infinity()) {
     // Fully co-located stages communicate through device memory.
-    bandwidth_ = model.options().memcpy_bandwidth;
+    bandwidth_ = kMemcpyBandwidth;
   }
 }
 
@@ -188,10 +132,10 @@ TimeSec BoundCrossStage::operator()(Bytes bytes) const {
   // (paper Fig. 9 b-d); the staged volume is one endpoint slice.
   TimeSec staging = 0.0;
   if (from_size_ != to_size_) {
-    staging = std::max(slice_out, slice_in) / model_->options().memcpy_bandwidth;
+    staging = std::max(slice_out, slice_in) / kMemcpyBandwidth;
   }
 
-  return model_->options().p2p_launch_overhead + latency_ + wire + staging;
+  return kP2PLaunchOverhead + latency_ + wire + staging;
 }
 
 TimeSec CostModel::CrossStage(const topo::DeviceSet& from, const topo::DeviceSet& to,
@@ -201,7 +145,7 @@ TimeSec CostModel::CrossStage(const topo::DeviceSet& from, const topo::DeviceSet
 
 BoundCrossStage CostModel::CrossStageOver(const topo::DeviceSet& from,
                                           const topo::DeviceSet& to) const {
-  return BoundCrossStage(*this, from, to);
+  return BoundCrossStage(*cluster_, from, to);
 }
 
 }  // namespace dapple::comm

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -27,11 +28,16 @@ std::string FormatBytes(Bytes bytes) {
 }
 
 Bytes ParseBytes(const std::string& text) {
+  auto malformed = [&text] { return Error("cannot parse byte size '" + text + "'"); };
   const char* p = text.c_str();
   char* end = nullptr;
   const double value = std::strtod(p, &end);
-  if (end == p || !(value >= 0.0)) {
-    throw Error("cannot parse byte size '" + text + "'");
+  // strtod also reads hex ("0x10"), "inf" and "nan"; only a decimal number
+  // is a size.
+  if (end == p || !(value >= 0.0) ||
+      std::string_view(p, static_cast<std::size_t>(end - p))
+              .find_first_not_of("0123456789.eE+- \t\n\v\f\r") != std::string_view::npos) {
+    throw malformed();
   }
   std::string suffix;
   for (const char* c = end; *c != '\0'; ++c) {
@@ -56,7 +62,10 @@ Bytes ParseBytes(const std::string& text) {
   } else {
     throw Error("unknown byte-size suffix in '" + text + "' (use B, KiB, MiB, GiB, TiB)");
   }
-  return static_cast<Bytes>(value * multiplier);
+  // 2^64 and up (infinity included) has no Bytes value to cast to.
+  const double bytes = value * multiplier;
+  if (!(bytes < 0x1p64)) throw malformed();
+  return static_cast<Bytes>(bytes);
 }
 
 std::string FormatTime(TimeSec seconds) {

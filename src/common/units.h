@@ -47,8 +47,9 @@ std::string FormatBytes(Bytes bytes);
 /// Parses a byte count with an optional binary suffix: "123" (bytes),
 /// "512KiB"/"512K", "12.5MiB"/"12.5M", "16GiB"/"16G", "2TiB"/"2T", plus an
 /// optional "B" ("16GB" == "16GiB" here — sizes are binary throughout).
-/// Case-insensitive; fractional values round down. Throws on malformed
-/// input or negative values.
+/// Case-insensitive; fractional values round down. Throws on malformed or
+/// non-decimal input ("0x10", "inf", "nan"), negative values and sizes of
+/// 2^64 bytes or more.
 Bytes ParseBytes(const std::string& text);
 
 /// Renders a simulated duration with an appropriate unit, e.g. "132.5ms".

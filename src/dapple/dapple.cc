@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "sim/prefilter.h"
 
 namespace dapple {
@@ -31,6 +32,7 @@ planner::PlanResult Session::Plan(long global_batch_size,
     // already ran its own per-stage fallback and kAll already recomputed
     // everywhere, so both rethrow.
     if (options.recompute != planner::RecomputePolicy::kOff) throw;
+    obs::MetricsRegistry::Global().counter("dapple.session.recompute_retries").Increment();
     options.recompute = planner::RecomputePolicy::kAll;
     result = planner::DapplePlanner(model_, cluster_, options).Plan();
   }

@@ -346,17 +346,6 @@ void WriteJson(JsonWriter& w, const IterationReport& r) {
       w.Field("fit_probes", ps.fit_probes);
     }
     w.Field("wall_seconds", ps.wall_seconds);
-    w.Key("shards").BeginArray();
-    for (const CacheShardStats& shard : ps.shards) {
-      w.BeginObject();
-      w.Field("hits", shard.hits);
-      w.Field("misses", shard.misses);
-      w.Field("entries", shard.entries);
-      w.Field("compute_seconds", shard.compute_seconds);
-      w.Field("evictions", shard.evictions);
-      w.EndObject();
-    }
-    w.EndArray();
     w.EndObject();
   }
 

@@ -1,9 +1,11 @@
 #include "planner/dp_planner.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
@@ -102,37 +104,37 @@ PlanEstimate DapplePlanner::Evaluate(const ParallelPlan& plan) const {
 }
 
 PlanResult DapplePlanner::Plan() const {
-  if (options_.recompute != RecomputePolicy::kAuto) {
-    return Search(options_.recompute == RecomputePolicy::kAll);
-  }
-  // Auto: try without recomputation first — it is latency-free and most
-  // instances fit. DawnPiper-style fallback only when nothing fits.
+  PlanResult result;
   try {
-    return Search(false);
+    // Auto tries without recomputation first — it is latency-free and most
+    // instances fit.
+    result = Search(options_.recompute == RecomputePolicy::kAll);
   } catch (const Error&) {
-    // Fall through: rerun with recomputation on every stage (throws again
-    // if even that cannot fit), then trim to the cheapest subset.
+    if (options_.recompute != RecomputePolicy::kAuto) throw;
+    // DawnPiper-style fallback, only when nothing fits: rerun with
+    // recomputation on every stage (throws again if even that cannot fit),
+    // then trim to the cheapest subset.
+    result = Search(true);
+    const LatencyEstimator estimator(*model_, *cluster_, options_.latency);
+    int probes = MinimizeRecompute(estimator, result.plan, result.estimate);
+    int recompute_stages = 0;
+    for (const StagePlan& s : result.plan.stages) recompute_stages += s.recompute ? 1 : 0;
+    // The alternatives feed the Session's simulator re-ranking; give each
+    // the same per-stage treatment so they stay comparable (and still fit).
+    for (auto& [alt_plan, alt_est] : result.alternatives) {
+      probes += MinimizeRecompute(estimator, alt_plan, alt_est);
+    }
+    result.stats.recompute_stages = recompute_stages;
+    result.stats.fit_probes = probes;
+    DAPPLE_LOG_INFO << "memory-cap fit: " << recompute_stages << "/"
+                    << result.plan.num_stages() << " stages recompute (" << probes
+                    << " fit probes)";
   }
-  PlanResult result = Search(true);
-  const LatencyEstimator estimator(*model_, *cluster_, options_.latency);
-  int probes = MinimizeRecompute(estimator, result.plan, result.estimate);
-  int recompute_stages = 0;
-  for (const StagePlan& s : result.plan.stages) recompute_stages += s.recompute ? 1 : 0;
-  // The alternatives feed the Session's simulator re-ranking; give each the
-  // same per-stage treatment so they stay comparable (and still fit).
-  for (auto& [alt_plan, alt_est] : result.alternatives) {
-    probes += MinimizeRecompute(estimator, alt_plan, alt_est);
-  }
-  result.stats.recompute_stages = recompute_stages;
-  result.stats.fit_probes = probes;
   if (result.stats.memory_cap > 0) {
     auto& metrics = obs::MetricsRegistry::Global();
-    metrics.counter("planner.cap.recompute_stages").Increment(recompute_stages);
-    metrics.counter("planner.cap.fit_probes").Increment(probes);
+    metrics.counter("planner.cap.recompute_stages").Increment(result.stats.recompute_stages);
+    metrics.counter("planner.cap.fit_probes").Increment(result.stats.fit_probes);
   }
-  DAPPLE_LOG_INFO << "memory-cap fit: " << recompute_stages << "/"
-                  << result.plan.num_stages() << " stages recompute ("
-                  << probes << " fit probes)";
   return result;
 }
 
@@ -201,10 +203,8 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
 
   const LatencyOptions& latency = options_.latency;
   const LatencyEstimator estimator(*model_, *cluster_, latency);
-  // One row memo for the whole search; without it each subproblem fills
-  // rows of its own through the same code.
-  std::optional<StageRowMemo> shared_rows;
-  if (options_.use_stage_cache) shared_rows.emplace(estimator);
+  // One row memo for the whole search, shared by every subproblem.
+  StageRowMemo rows(estimator);
 
   // 0 = the shared pool, 1 = inline on this thread, n = a pool of n.
   std::optional<ThreadPool> local;
@@ -261,8 +261,10 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   // in the exact enumeration order of the serial search — determinism
   // across thread counts by construction. `materialize` builds the
   // candidate's plan, called only when the candidate can enter `best` or
-  // the alternatives, and returns it with its full estimate. Returns the
-  // candidate's TPL (inf when infeasible).
+  // the alternatives, and returns it with its full estimate, which must
+  // agree with the row-based score bit for bit (a row key missing an input
+  // of the estimate would show here first). Returns the candidate's TPL
+  // (inf when infeasible).
   auto merge = [&](const CandidateScore& score, auto&& materialize) -> double {
     ++evaluated;
     if (!score.feasible) {
@@ -274,6 +276,12 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     const bool may_rank = may_enter_alternatives(score.latency);
     if (improves || may_rank) {
       auto [plan, est] = materialize();
+      DAPPLE_CHECK(est.feasible == score.feasible &&
+                   est.memory_limited == score.memory_limited &&
+                   std::bit_cast<std::uint64_t>(est.latency) ==
+                       std::bit_cast<std::uint64_t>(score.latency) &&
+                   est.max_peak_memory == score.peak)
+          << "row-based score of " << plan.ToString() << " disagrees with its estimate";
       if (may_rank) record_candidate(plan, est);
       if (improves) {
         best.plan = std::move(plan);
@@ -317,7 +325,6 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     topo::AllocationState child_state;  // node's state with `devices` committed
     std::string child_key;              // CanonicalKey of child_state
     topo::DeviceSet free;               // devices the default suffix runs on
-    std::optional<SplitEntries> entries;  // filled by the parallel phase
     // Filled by the parallel phase: the score of split point j + 1 + i at
     // index i. A split's plan and full estimate are rebuilt from the
     // subproblem only if the merge needs them.
@@ -392,7 +399,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
         }
         for (std::size_t p = 0; p < placements.size(); ++p) {
           subproblems.push_back(Subproblem{&node, j, std::move(placements[p]),
-                                           placement_policies[p], node.state, {}, {}, {}, {}});
+                                           placement_policies[p], node.state, {}, {}, {}});
         }
       }
     }
@@ -418,13 +425,11 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       if (sub.j + 1 >= num_layers) return;  // no split point left
 
       const ParallelPlan first = build_completed(sub, sub.j + 1);
-      std::optional<StageRowMemo> own_rows;
-      StageRowMemo& rows = shared_rows ? *shared_rows : own_rows.emplace(estimator, 1);
-      sub.entries.emplace(rows, first,
-                          estimator.ChooseMicroBatchSize(first, options_.global_batch_size));
-      sub.scores = estimator.ScoreSplits(first, options_.global_batch_size,
-                                         sub.entries->prefix(), sub.entries->carved(),
-                                         sub.entries->boundary(), sub.entries->suffix());
+      const SplitEntries entries(
+          rows, first, estimator.ChooseMicroBatchSize(first, options_.global_batch_size));
+      sub.scores = estimator.ScoreSplits(first, options_.global_batch_size, entries.prefix(),
+                                         entries.carved(), entries.boundary(),
+                                         entries.suffix());
     });
     best.stats.evaluate_seconds += lap();
     {
@@ -447,8 +452,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
         const int jp = sub.j + 1 + static_cast<int>(i);
         const double tpl = merge(sub.scores[i], [&] {
           ParallelPlan plan = build_completed(sub, jp);
-          PlanEstimate est =
-              estimator.Estimate(plan, options_.global_batch_size, sub.entries->At(jp));
+          PlanEstimate est = estimator.Estimate(plan, options_.global_batch_size);
           return std::pair{std::move(plan), std::move(est)};
         });
         auto& level = frontier[static_cast<std::size_t>(jp)];
@@ -474,14 +478,11 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   best.stats.candidates_evaluated = evaluated;
   best.stats.candidates_pruned = pruned;
   best.stats.memory_rejected = memory_rejected;
-  if (shared_rows) {
-    const CacheShardStats totals = shared_rows->TotalStats();
-    best.stats.cache_hits = totals.hits;
-    best.stats.cache_misses = totals.misses;
-    best.stats.cache_entries = totals.entries;
-    best.stats.cache_compute_seconds = totals.compute_seconds;
-    best.stats.shards = shared_rows->PerShardStats();
-  }
+  const CacheShardStats totals = rows.TotalStats();
+  best.stats.cache_hits = totals.hits;
+  best.stats.cache_misses = totals.misses;
+  best.stats.cache_entries = totals.entries;
+  best.stats.cache_compute_seconds = totals.compute_seconds;
   best.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - search_start)
           .count();

@@ -64,15 +64,11 @@ struct PlannerOptions {
   /// Worker threads for the subproblem-parallel search: 0 = the shared
   /// pool (sized to hardware concurrency), 1 = fully serial in the calling
   /// thread, n > 1 = a dedicated pool of n workers for this search. Each
-  /// search builds its own stage-row memo and drops it on return. The
-  /// winning plan is byte-identical at every setting (the merge is
-  /// sequential in enumeration order; parallel work is slot-indexed).
+  /// search builds its own stage-row memo (planner/stage_cache.h) and drops
+  /// it on return. The winning plan is byte-identical at every setting (the
+  /// merge is sequential in enumeration order; parallel work is
+  /// slot-indexed).
   int num_threads = 0;
-  /// Shares one stage-row memo (planner/stage_cache.h) across the search.
-  /// Off, each subproblem fills rows of its own through the same code (A/B
-  /// benchmarking hook). Rows are pure functions of their keys, so this
-  /// never changes the resulting plan — only how fast the search finds it.
-  bool use_stage_cache = true;
 };
 
 struct PlanResult {
@@ -97,7 +93,8 @@ class DapplePlanner {
   /// is flagged for recomputation. Under kAuto a memory-infeasible search
   /// is retried with recomputation everywhere, then trimmed to the cheapest
   /// per-stage subset that still fits. Throws when no feasible plan exists
-  /// even then.
+  /// even then. Under a memory cap, adds the result's recompute stages and
+  /// fit probes to the planner.cap.* counters.
   PlanResult Plan() const;
 
   /// Evaluates a fully specified plan, its own recompute flags included,

@@ -33,9 +33,8 @@ std::uint64_t FingerprintModel(const model::ModelProfile& model);
 /// Digest of a cluster: shape, device spec, interconnect, per-server speeds.
 std::uint64_t FingerprintCluster(const topo::Cluster& cluster);
 
-/// Digest of the result-affecting planner options (excludes num_threads
-/// and use_stage_cache — the plan is byte-identical across thread counts
-/// and whether or not subproblems share one stage-row memo).
+/// Digest of the result-affecting planner options (excludes num_threads —
+/// the plan is byte-identical across thread counts).
 std::uint64_t FingerprintPlannerOptions(const PlannerOptions& options);
 
 /// The plan-cache key: model x cluster x global batch x options, bound to

@@ -127,35 +127,6 @@ TimeSec LatencyEstimator::ExposedAllReduce(TimeSec raw,
   return tail + (1.0 - kOverlapEfficiency) * hidden;
 }
 
-int LatencyEstimator::ChoosePivot(const std::vector<StageCost>& stages,
-                                  int num_micro_batches) {
-  DAPPLE_CHECK(!stages.empty());
-  const double m1 = std::max(0, num_micro_batches - 1);
-  // Comm stages run forward and backward transfers on independent duplex
-  // channels, so their steady phase is gated by the slower direction, not
-  // the sum (see the matching term in Estimate's latency_at).
-  auto steady = [&](int s) {
-    const StageCost& sc = stages[static_cast<std::size_t>(s)];
-    return m1 * (sc.is_comm ? std::max(sc.forward, sc.backward)
-                            : sc.forward + sc.backward);
-  };
-  // Paper formula 3: start at the last stage and move the pivot to an
-  // earlier stage s whenever s's bubble-free steady phase dominates Q's
-  // steady phase plus the forward/backward costs separating them.
-  int q = static_cast<int>(stages.size()) - 1;
-  for (int s = q - 1; s >= 0; --s) {
-    double separation = 0.0;
-    for (int a = s + 1; a <= q - 1; ++a) {
-      separation += stages[static_cast<std::size_t>(a)].forward +
-                    stages[static_cast<std::size_t>(a)].backward;
-    }
-    if (steady(s) > steady(q) + separation) {
-      q = s;
-    }
-  }
-  return q;
-}
-
 Bytes LatencyEstimator::StagePeakMemory(int layer_begin, int layer_end, bool recompute,
                                         double samples, int warmup_depth) const {
   const Bytes baseline = model_->BaselineMemory(layer_begin, layer_end);
@@ -461,13 +432,6 @@ std::string LatencyEstimator::MemoryReason(Bytes peak) const {
 
 PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
                                         long global_batch_size) const {
-  PlanEstimate est = Estimate(plan, global_batch_size, {});
-  obs::MetricsRegistry::Global().counter("planner.estimator_calls").Increment();
-  return est;
-}
-
-PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_batch_size,
-                                        std::span<const StageCost> entries) const {
   plan.Validate(*model_);
   PlanEstimate est;
   const MicroBatching mb =
@@ -477,27 +441,20 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_ba
   const int M = est.num_micro_batches;
 
   // Expanded stage list: comp0, comm01, comp1, comm12, ... Entry 2i is
-  // computation stage i and entry 2i+1 the boundary after it. Entries the
-  // caller gives are taken as they are; otherwise each is priced here.
+  // computation stage i and entry 2i+1 the boundary after it.
   const int num_comp = plan.num_stages();
-  if (!entries.empty()) {
-    DAPPLE_CHECK_EQ(entries.size(), static_cast<std::size_t>(2 * num_comp - 1))
-        << "a plan of S stages has 2S-1 stage entries";
-    est.stages.assign(entries.begin(), entries.end());
-  } else {
-    est.stages.reserve(static_cast<std::size_t>(2 * num_comp - 1));
-    for (int i = 0; i < num_comp; ++i) {
-      const StagePlan& stage = plan.stages[static_cast<std::size_t>(i)];
-      StageCost comp =
-          CompOn(stage.devices, est.micro_batch_size, stage.layer_begin, stage.layer_end)(
-              stage.layer_begin, stage.layer_end, stage.recompute);
-      comp.comp_index = i;
-      est.stages.push_back(comp);
-      if (i + 1 < num_comp) {
-        est.stages.push_back(CommAcross(stage.devices,
-                                        plan.stages[static_cast<std::size_t>(i + 1)].devices,
-                                        est.micro_batch_size)(stage.layer_end));
-      }
+  est.stages.reserve(static_cast<std::size_t>(2 * num_comp - 1));
+  for (int i = 0; i < num_comp; ++i) {
+    const StagePlan& stage = plan.stages[static_cast<std::size_t>(i)];
+    StageCost comp =
+        CompOn(stage.devices, est.micro_batch_size, stage.layer_begin, stage.layer_end)(
+            stage.layer_begin, stage.layer_end, stage.recompute);
+    comp.comp_index = i;
+    est.stages.push_back(comp);
+    if (i + 1 < num_comp) {
+      est.stages.push_back(CommAcross(stage.devices,
+                                      plan.stages[static_cast<std::size_t>(i + 1)].devices,
+                                      est.micro_batch_size)(stage.layer_end));
     }
   }
 
@@ -535,6 +492,7 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan, long global_ba
     est.memory_limited = true;
     est.infeasible_reason = MemoryReason(peak);
   }
+  obs::MetricsRegistry::Global().counter("planner.estimator_calls").Increment();
   return est;
 }
 

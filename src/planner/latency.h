@@ -8,9 +8,10 @@
 //
 // with the pivot Q taken as the exact worst case: L is evaluated at every
 // stage and the maximum kept (each L(Q) is a lower bound on the schedule
-// length). The paper's formula-3 heuristic (ChoosePivot) is kept for
-// reference only. Cross-stage communication is modeled as its own pipeline
-// stage (F_s = B_s = transfer time, AR = 0), exactly as the paper
+// length). This replaces the paper's formula-3 pivot heuristic, which can
+// pick a stage whose L(Q) falls short of the maximum when several stages
+// are nearly dominant. Cross-stage communication is modeled as its own
+// pipeline stage (F_s = B_s = transfer time, AR = 0), exactly as the paper
 // prescribes.
 #pragma once
 
@@ -76,7 +77,7 @@ struct PlanEstimate {
 
 /// The part of a PlanEstimate the planner keeps for every candidate it
 /// scores: feasibility, the objective and the peak the memory check read.
-/// Estimate on the same plan and entries yields the same four values.
+/// Estimate on the same plan yields the same four values.
 struct CandidateScore {
   bool feasible = true;
   bool memory_limited = false;
@@ -148,17 +149,6 @@ class LatencyEstimator {
   /// Full estimate for a plan at a global batch size. Counts one call in
   /// planner.estimator_calls.
   PlanEstimate Estimate(const ParallelPlan& plan, long global_batch_size) const;
-
-  /// The same estimate from all 2S-1 entries of the plan's expanded stage
-  /// list (comp0, comm01, comp1, ...), given instead of priced; empty
-  /// means price them here. They must be the entries Estimate would price
-  /// for `plan` (CompPricer/CommPricer at the plan's micro-batch size,
-  /// comp_index set): the planner reads them from its stage-cost rows
-  /// (planner/stage_cache.h). Validation and scoring run in full. Does not
-  /// count in planner.estimator_calls; a caller scoring a batch bumps the
-  /// counter once for all of it.
-  PlanEstimate Estimate(const ParallelPlan& plan, long global_batch_size,
-                        std::span<const StageCost> entries) const;
 
   /// Scores every split point of one planner subproblem in one pass.
   /// `plan` is the subproblem's candidate at any split: its stages before
@@ -269,9 +259,6 @@ class LatencyEstimator {
   /// disabled.
   TimeSec ExposedAllReduce(int layer_begin, int layer_end, const topo::DeviceSet& devices,
                            double samples) const;
-
-  /// Formula 3: picks the pivot stage for an expanded stage list.
-  static int ChoosePivot(const std::vector<StageCost>& stages, int num_micro_batches);
 
   /// Worst per-device peak memory of `plan` under `kind`'s stash
   /// discipline at the given micro-batching — the single peak model shared

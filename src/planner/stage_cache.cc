@@ -75,38 +75,24 @@ std::shared_ptr<const StageRow> StageRowMemo::Comm(const topo::DeviceSet& from,
   });
 }
 
-SplitEntries::SplitEntries(StageRowMemo& memo, const ParallelPlan& plan, int micro_batch_size)
-    : entries_(static_cast<std::size_t>(2 * plan.num_stages() - 1)) {
+SplitEntries::SplitEntries(StageRowMemo& memo, const ParallelPlan& plan, int micro_batch_size) {
   DAPPLE_CHECK_GE(plan.num_stages(), 2) << "a split needs a carved stage and a suffix";
-  first_split_ = plan.stages[plan.stages.size() - 2].layer_begin + 1;
   const std::size_t carved = plan.stages.size() - 2;
+  prefix_.reserve(2 * carved);
   for (std::size_t i = 0; i < carved; ++i) {
     const StagePlan& stage = plan.stages[i];
-    StageCost& comp = entries_[2 * i];
-    comp = (*memo.Begin(stage.layer_begin, stage.devices, micro_batch_size,
-                        stage.recompute))[static_cast<std::size_t>(stage.layer_end)];
+    StageCost comp = (*memo.Begin(stage.layer_begin, stage.devices, micro_batch_size,
+                                  stage.recompute))[static_cast<std::size_t>(stage.layer_end)];
     comp.comp_index = static_cast<int>(i);
-    entries_[2 * i + 1] = (*memo.Comm(stage.devices, plan.stages[i + 1].devices,
-                                      micro_batch_size))[static_cast<std::size_t>(stage.layer_end)];
+    prefix_.push_back(comp);
+    prefix_.push_back((*memo.Comm(stage.devices, plan.stages[i + 1].devices,
+                                  micro_batch_size))[static_cast<std::size_t>(stage.layer_end)]);
   }
   const StagePlan& stage = plan.stages[carved];
   const StagePlan& suffix = plan.stages[carved + 1];
   carved_ = memo.Begin(stage.layer_begin, stage.devices, micro_batch_size, stage.recompute);
   boundary_ = memo.Comm(stage.devices, suffix.devices, micro_batch_size);
   suffix_ = memo.End(suffix.devices, micro_batch_size, suffix.recompute);
-}
-
-std::span<const StageCost> SplitEntries::At(int jp) {
-  DAPPLE_CHECK(jp >= first_split_ && static_cast<std::size_t>(jp) < suffix_->size())
-      << "split point " << jp << " outside the subproblem";
-  const std::size_t last = entries_.size() - 1;
-  const auto x = static_cast<std::size_t>(jp);
-  entries_[last - 2] = (*carved_)[x];
-  entries_[last - 2].comp_index = static_cast<int>(last / 2 - 1);
-  entries_[last - 1] = (*boundary_)[x];
-  entries_[last] = (*suffix_)[x];
-  entries_[last].comp_index = static_cast<int>(last / 2);
-  return entries_;
 }
 
 void ExportSearchStats(const PlannerSearchStats& stats) {
@@ -120,22 +106,11 @@ void ExportSearchStats(const PlannerSearchStats& stats) {
   if (stats.memory_cap > 0) {
     metrics.gauge("planner.cap.bytes").Set(static_cast<double>(stats.memory_cap));
     metrics.counter("planner.cap.memory_rejected").Increment(stats.memory_rejected);
-    metrics.counter("planner.cap.recompute_stages").Increment(stats.recompute_stages);
-    metrics.counter("planner.cap.fit_probes").Increment(stats.fit_probes);
   }
   metrics.counter("planner.cache.hits").Increment(stats.cache_hits);
   metrics.counter("planner.cache.misses").Increment(stats.cache_misses);
   metrics.gauge("planner.cache.hit_rate").Set(stats.cache_hit_rate());
   metrics.histogram("planner.cache.compute_seconds").Observe(stats.cache_compute_seconds);
-  // Per-shard distribution: a skewed entry histogram means the key hash is
-  // funneling contention onto few locks.
-  for (const CacheShardStats& shard : stats.shards) {
-    metrics.histogram("planner.cache.shard_entries")
-        .Observe(static_cast<double>(shard.entries));
-    metrics.histogram("planner.cache.shard_hits").Observe(static_cast<double>(shard.hits));
-    metrics.histogram("planner.cache.shard_compute_seconds")
-        .Observe(shard.compute_seconds);
-  }
 }
 
 }  // namespace dapple::planner

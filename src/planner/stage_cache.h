@@ -72,8 +72,7 @@ class StageRowMemo {
  public:
   /// `estimator` must outlive the memo. Unbounded: one search owns the
   /// memo and drops it on return.
-  explicit StageRowMemo(const LatencyEstimator& estimator, std::size_t shards = 16)
-      : estimator_(&estimator), rows_(shards) {}
+  explicit StageRowMemo(const LatencyEstimator& estimator) : estimator_(&estimator) {}
 
   /// kBegin: entry e prices computation [anchor, e) for e in (anchor, L).
   std::shared_ptr<const StageRow> Begin(int anchor, const topo::DeviceSet& devices,
@@ -86,7 +85,6 @@ class StageRowMemo {
                                        int micro_batch_size);
 
   CacheShardStats TotalStats() const { return rows_.TotalStats(); }
-  std::vector<CacheShardStats> PerShardStats() const { return rows_.PerShardStats(); }
 
  private:
   template <typename Fill>
@@ -96,34 +94,26 @@ class StageRowMemo {
   ShardedCache<StageRowKey, std::shared_ptr<const StageRow>, StageRowKeyHash> rows_;
 };
 
-/// The expanded stage list (comp0, comm01, comp1, ...) of every split of
-/// one subproblem, read from the memo. `plan` is the subproblem's candidate
-/// at any split: its stages before the last two are the fixed prefix, the
-/// second-to-last is the carved stage [j, jp) and the last the default
-/// suffix [jp, L). The prefix entries are copied once; each split then
-/// takes three entries by index from the carved, boundary and suffix rows.
+/// What LatencyEstimator::ScoreSplits reads for every split of one
+/// subproblem, looked up in the memo once. `plan` is the subproblem's
+/// candidate at any split: its stages before the last two are the fixed
+/// prefix, the second-to-last is the carved stage [j, jp) and the last the
+/// default suffix [jp, L).
 class SplitEntries {
  public:
   SplitEntries(StageRowMemo& memo, const ParallelPlan& plan, int micro_batch_size);
 
-  /// The 2S-4 entries before the carved stage, the same at every split.
-  std::span<const StageCost> prefix() const {
-    return std::span<const StageCost>(entries_).first(entries_.size() - 3);
-  }
+  /// The 2S-4 entries before the carved stage (comp0, comm01, ..., the comm
+  /// into the carved stage), the same at every split.
+  std::span<const StageCost> prefix() const { return prefix_; }
   /// Rows indexed by jp: the carved stage, the boundary after it and the
   /// suffix.
   const StageRow& carved() const { return *carved_; }
   const StageRow& boundary() const { return *boundary_; }
   const StageRow& suffix() const { return *suffix_; }
 
-  /// All 2S-1 entries with the carved stage ending at `jp`; valid until the
-  /// next call. Exactly what LatencyEstimator::Estimate prices for that
-  /// candidate.
-  std::span<const StageCost> At(int jp);
-
  private:
-  std::vector<StageCost> entries_;
-  int first_split_ = 0;  // the carved stage's first layer + 1
+  std::vector<StageCost> prefix_;
   std::shared_ptr<const StageRow> carved_;
   std::shared_ptr<const StageRow> boundary_;
   std::shared_ptr<const StageRow> suffix_;
@@ -155,17 +145,13 @@ struct PlannerSearchStats {
   int fit_probes = 0;
 
   /// Stage-row memo traffic: row lookups that hit or filled a row, and
-  /// the rows held at the end. All zero when use_stage_cache is off (each
-  /// subproblem then fills rows of its own).
+  /// the rows held at the end.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   std::int64_t cache_entries = 0;
   /// Sum of wall time spent filling rows (across threads, so it can exceed
   /// wall_seconds on parallel runs).
   double cache_compute_seconds = 0.0;
-  /// Per-shard memo counters, in shard order; empty when the memo was not
-  /// shared.
-  std::vector<CacheShardStats> shards;
 
   /// Wall-clock duration of the search (not simulated time; excluded from
   /// any golden-tested artifact).

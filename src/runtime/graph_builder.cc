@@ -463,8 +463,7 @@ BuiltPipeline GraphBuilder::Build() const {
       apply.name = "APPLY s" + std::to_string(i) + " G" + std::to_string(dev);
       apply.kind = sim::TaskKind::kApply;
       apply.resource = dev;
-      apply.duration =
-          static_cast<double>(weights) / cost.options().memcpy_bandwidth;
+      apply.duration = static_cast<double>(weights) / comm::kMemcpyBandwidth;
       apply.stage = i;
       apply.device = dev;
       apply.priority = 1 << 20;  // after any scheduled FW/BW on the device

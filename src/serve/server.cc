@@ -13,13 +13,6 @@ namespace dapple::serve {
 
 namespace {
 
-std::size_t PerShardCapacity(long total_entries, int shards) {
-  std::size_t n = 1;
-  while (n < static_cast<std::size_t>(std::max(1, shards))) n <<= 1;
-  const long per_shard = total_entries / static_cast<long>(n);
-  return static_cast<std::size_t>(std::max(1L, per_shard));
-}
-
 /// {"id":...,"ok":false,"error":{"code":...,"message":...}} on one line.
 std::string ErrorResponse(const std::string& id, const std::string& code,
                           const std::string& message) {
@@ -50,8 +43,8 @@ void WriteHistogramSummary(obs::JsonWriter& w, const obs::Histogram& h) {
 
 Server::Server(ServerOptions options)
     : options_(options),
-      cache_(static_cast<std::size_t>(std::max(1, options.cache_shards)),
-             PerShardCapacity(options.cache_entries, options.cache_shards)),
+      cache_(kPlanCacheShards,
+             static_cast<std::size_t>(std::max(1L, options.cache_entries / kPlanCacheShards))),
       pool_(static_cast<std::size_t>(options.workers)) {}
 
 int Server::workers() const { return static_cast<int>(pool_.num_threads()); }

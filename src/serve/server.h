@@ -32,16 +32,18 @@
 
 namespace dapple::serve {
 
+/// Plan-cache lock shards.
+inline constexpr int kPlanCacheShards = 8;
+
 struct ServerOptions {
   /// Worker threads requests fan across: 1 = inline on the caller (the
   /// degenerate case determinism tests compare against), 0 = hardware
   /// concurrency, n > 1 = a pool of n.
   int workers = 1;
-  /// Total plan-cache capacity in entries (split across shards, min 1 per
-  /// shard). A plan entry is a few hundred bytes, so thousands are cheap.
+  /// Total plan-cache capacity in entries (split across the
+  /// kPlanCacheShards shards, min 1 per shard). A plan entry is a few
+  /// hundred bytes, so thousands are cheap.
   long cache_entries = 1024;
-  /// Plan-cache lock shards (rounded up to a power of two).
-  int cache_shards = 8;
   /// Largest number of request lines one HandleBatch call dispatches.
   int max_batch = 64;
 };

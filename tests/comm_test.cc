@@ -38,7 +38,7 @@ TEST(CostModel, RingAllReduceMatchesClosedForm) {
   const DeviceSet ring = DeviceSet::Range(0, 4);
   const Bytes bytes = 1_GiB;
   const double expected_volume = 2.0 * 3.0 / 4.0 * static_cast<double>(bytes);
-  const TimeSec t = cost.RingAllReduce(ring, bytes);
+  const TimeSec t = cost.AllReduce(ring, bytes);
   EXPECT_NEAR(t, expected_volume / GBps(130.0), 1e-3);
 }
 
@@ -49,34 +49,22 @@ TEST(CostModel, AllReduceZeroForTrivialCases) {
   EXPECT_EQ(cost.AllReduce(DeviceSet::Range(0, 4), 0), 0.0);
 }
 
-TEST(CostModel, HierarchicalBeatsFlatRingAcrossServers) {
+TEST(CostModel, AllReduceIsAFlatRingAcrossServers) {
+  // NCCL 2.4.2, the paper's testbed: one flat ring whose every step is
+  // bottlenecked by Ethernet once the set spans servers — the full
+  // 2(n-1)/n volume crosses the slow link.
   const Cluster a = MakeConfigA(2);
   CostModel cost(a);
   const DeviceSet span = DeviceSet::Range(0, 16);
   const Bytes bytes = 1_GiB;
-  const TimeSec ring = cost.RingAllReduce(span, bytes);
-  const TimeSec hier = cost.HierarchicalAllReduce(span, bytes);
-  // Flat ring is bottlenecked by Ethernet for the full 2(n-1)/n volume;
-  // hierarchical only sends 2(k-1)/k over Ethernet.
-  EXPECT_LT(hier, ring);
-  // NCCL-2.4-era default: flat ring.
-  EXPECT_DOUBLE_EQ(cost.AllReduce(span, bytes), ring);
-  CostModelOptions opt;
-  opt.enable_hierarchical = true;
-  EXPECT_DOUBLE_EQ(CostModel(a, opt).AllReduce(span, bytes), hier);
+  const double volume = 2.0 * 15.0 / 16.0 * static_cast<double>(bytes);
+  EXPECT_NEAR(cost.AllReduce(span, bytes), volume / Gbps(25.0), 1e-3);
+  EXPECT_GT(cost.AllReduce(span, bytes), cost.AllReduce(DeviceSet::Range(0, 8), bytes));
 }
 
-TEST(CostModel, HierarchicalFallsBackToRingWithinServer) {
-  const Cluster a = MakeConfigA(2);
-  CostModel cost(a);
-  const DeviceSet local = DeviceSet::Range(0, 8);
-  EXPECT_DOUBLE_EQ(cost.HierarchicalAllReduce(local, 1_GiB),
-                   cost.RingAllReduce(local, 1_GiB));
-}
-
-// The AllReduce formulas as written before they were bound to a set, in
-// their original expression order, so the bound object is pinned to them
-// bit for bit.
+// The ring AllReduce as written before it was bound to a set, in its
+// original expression order, so the bound object is pinned to it bit for
+// bit.
 TimeSec RingReference(const Cluster& cluster, const DeviceSet& devices, Bytes bytes) {
   const int n = devices.size();
   if (n < 2 || bytes == 0) return 0.0;
@@ -84,38 +72,7 @@ TimeSec RingReference(const Cluster& cluster, const DeviceSet& devices, Bytes by
   const TimeSec lat = devices.MaxLatency(cluster);
   const double steps = 2.0 * (n - 1);
   const double volume = 2.0 * static_cast<double>(n - 1) / n * static_cast<double>(bytes);
-  return CostModelOptions{}.collective_launch_overhead + steps * lat + volume / bw;
-}
-
-TimeSec HierarchicalReference(const Cluster& cluster, const DeviceSet& devices,
-                              Bytes bytes) {
-  const int n = devices.size();
-  if (n < 2 || bytes == 0) return 0.0;
-  int servers_used = 0;
-  int max_per_server = 0;
-  for (int c : devices.PerServerCounts(cluster)) {
-    if (c > 0) ++servers_used;
-    max_per_server = std::max(max_per_server, c);
-  }
-  if (servers_used <= 1) return RingReference(cluster, devices, bytes);
-  const auto& net = cluster.interconnect();
-  TimeSec total = CostModelOptions{}.collective_launch_overhead;
-  if (max_per_server > 1) {
-    const double m = max_per_server;
-    total += (m - 1.0) / m * static_cast<double>(bytes) / net.intra_server_bandwidth +
-             (m - 1.0) * net.intra_server_latency;
-  }
-  {
-    const double k = servers_used;
-    total += 2.0 * (k - 1.0) / k * static_cast<double>(bytes) / net.inter_server_bandwidth +
-             2.0 * (k - 1.0) * net.inter_server_latency;
-  }
-  if (max_per_server > 1) {
-    const double m = max_per_server;
-    total += (m - 1.0) / m * static_cast<double>(bytes) / net.intra_server_bandwidth +
-             (m - 1.0) * net.intra_server_latency;
-  }
-  return total;
+  return kCollectiveLaunchOverhead + steps * lat + volume / bw;
 }
 
 std::uint64_t Bits(TimeSec t) { return std::bit_cast<std::uint64_t>(t); }
@@ -129,27 +86,18 @@ TEST(CostModel, BoundAllReduceMatchesEveryEntryPointBitForBit) {
       DeviceSet::Range(0, 16)};
   const std::vector<Bytes> sizes = {0, 1, 1_MiB + 7, 1_GiB};
   for (const Cluster& cluster : clusters) {
-    for (const bool hierarchical : {false, true}) {
-      CostModelOptions options;
-      options.enable_hierarchical = hierarchical;
-      const CostModel cost(cluster, options);
-      for (const DeviceSet& set : sets) {
-        const auto& ids = set.devices();
-        if (!ids.empty() && *std::max_element(ids.begin(), ids.end()) >= cluster.num_devices()) {
-          continue;
-        }
-        const BoundAllReduce bound = cost.AllReduceOver(set);
-        for (const Bytes bytes : sizes) {
-          SCOPED_TRACE(cluster.name() + " " + set.ToString() + " " + std::to_string(bytes) +
-                       (hierarchical ? " hierarchical" : " ring"));
-          const TimeSec ring = RingReference(cluster, set, bytes);
-          const TimeSec hier = HierarchicalReference(cluster, set, bytes);
-          EXPECT_EQ(Bits(cost.RingAllReduce(set, bytes)), Bits(ring));
-          EXPECT_EQ(Bits(cost.HierarchicalAllReduce(set, bytes)), Bits(hier));
-          const TimeSec best = hierarchical ? std::min(ring, hier) : ring;
-          EXPECT_EQ(Bits(bound(bytes)), Bits(best));
-          EXPECT_EQ(Bits(cost.AllReduce(set, bytes)), Bits(best));
-        }
+    const CostModel cost(cluster);
+    for (const DeviceSet& set : sets) {
+      const auto& ids = set.devices();
+      if (!ids.empty() && *std::max_element(ids.begin(), ids.end()) >= cluster.num_devices()) {
+        continue;
+      }
+      const BoundAllReduce bound = cost.AllReduceOver(set);
+      for (const Bytes bytes : sizes) {
+        SCOPED_TRACE(cluster.name() + " " + set.ToString() + " " + std::to_string(bytes));
+        const TimeSec ring = RingReference(cluster, set, bytes);
+        EXPECT_EQ(Bits(bound(bytes)), Bits(ring));
+        EXPECT_EQ(Bits(cost.AllReduce(set, bytes)), Bits(ring));
       }
     }
   }
@@ -160,7 +108,6 @@ TEST(CostModel, BoundAllReduceMatchesEveryEntryPointBitForBit) {
 TimeSec CrossStageReference(const Cluster& cluster, const DeviceSet& from, const DeviceSet& to,
                             Bytes bytes) {
   if (bytes == 0) return 0.0;
-  const CostModelOptions options;
   const double slice_out = static_cast<double>(bytes) / from.size();
   const double slice_in = static_cast<double>(bytes) / to.size();
   BytesPerSec bw = std::numeric_limits<BytesPerSec>::infinity();
@@ -169,7 +116,7 @@ TimeSec CrossStageReference(const Cluster& cluster, const DeviceSet& from, const
       if (a != b) bw = std::min(bw, cluster.bandwidth(a, b));
     }
   }
-  if (bw == std::numeric_limits<BytesPerSec>::infinity()) bw = options.memcpy_bandwidth;
+  if (bw == std::numeric_limits<BytesPerSec>::infinity()) bw = kMemcpyBandwidth;
   TimeSec wire = std::max(slice_out, slice_in) / bw;
   TimeSec lat = 0.0;
   for (topo::DeviceId a : from.devices()) {
@@ -179,9 +126,9 @@ TimeSec CrossStageReference(const Cluster& cluster, const DeviceSet& from, const
   }
   TimeSec staging = 0.0;
   if (from.size() != to.size()) {
-    staging = std::max(slice_out, slice_in) / options.memcpy_bandwidth;
+    staging = std::max(slice_out, slice_in) / kMemcpyBandwidth;
   }
-  return options.p2p_launch_overhead + lat + wire + staging;
+  return kP2PLaunchOverhead + lat + wire + staging;
 }
 
 TEST(CostModel, BoundCrossStageMatchesCrossStageBitForBit) {
@@ -248,15 +195,21 @@ TEST(CostModel, CrossStageParallelizesOverReplicas) {
 
 TEST(CostModel, CrossStageChargesSplitConcatOnlyWhenUnequal) {
   const Cluster a = MakeConfigA(2);
-  CostModelOptions slow_memcpy;
-  slow_memcpy.memcpy_bandwidth = GBps(10.0);  // make staging visible
-  CostModel cost(a, slow_memcpy);
+  CostModel cost(a);
   const Bytes act = 64_MiB;
+  const BytesPerSec bw = a.bandwidth(0, 8);
+  const TimeSec fixed = kP2PLaunchOverhead + a.latency(0, 8);
+  const double quarter = static_cast<double>(act) / 4;
+  const double half = static_cast<double>(act) / 2;
+  // Equal replica counts: slices move as they are, no staging copy.
   const TimeSec equal =
       cost.CrossStage(DeviceSet::Range(0, 4), DeviceSet::Range(8, 4), act);
+  EXPECT_DOUBLE_EQ(equal, fixed + quarter / bw);
+  // Many-to-one moves bigger per-endpoint slices AND pays a concat staging
+  // copy of one endpoint slice at device memcpy bandwidth.
   const TimeSec unequal =
       cost.CrossStage(DeviceSet::Range(0, 4), DeviceSet::Range(8, 2), act);
-  // Many-to-one needs concat staging AND moves bigger per-endpoint slices.
+  EXPECT_DOUBLE_EQ(unequal, fixed + half / bw + half / kMemcpyBandwidth);
   EXPECT_GT(unequal, equal);
 }
 

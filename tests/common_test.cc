@@ -42,6 +42,24 @@ TEST(Units, FormatTimePicksUnit) {
   EXPECT_EQ(FormatTime(2.5), "2.50s");
 }
 
+TEST(Units, ParseBytesRejectsOutOfRangeAndNonDecimalSizes) {
+  // None of these is a decimal size below 2^64 bytes; the infinite and
+  // huge ones once went through an out-of-range double-to-integer cast.
+  for (const char* text : {"inf", "INF", "infinity", "nan", "1e400", "0x10", "0x1p4",
+                           "99999999999999999999GiB", "18446744073709551616", "16777216TiB"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(ParseBytes(text), Error);
+  }
+  try {
+    ParseBytes("inf");
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "cannot parse byte size 'inf'");
+  }
+  // Decimal sizes right below 2^64 bytes still parse; exponents are decimal.
+  EXPECT_EQ(ParseBytes("1e3"), 1000u);
+  EXPECT_EQ(ParseBytes("16777215TiB"), 16777215ull * 1024 * 1_GiB);
+}
+
 TEST(Error, CheckThrowsWithMessage) {
   try {
     DAPPLE_CHECK(1 == 2) << "context " << 42;

@@ -1,6 +1,6 @@
-// Tests for the pipeline-latency estimator: the paper's formulas 1-3 have
+// Tests for the pipeline-latency estimator: the paper's formulas 1-2 have
 // closed forms on simple pipelines which the estimator must reproduce
-// exactly, plus the micro-batching rule and memory feasibility.
+// exactly, plus the pivot, the micro-batching rule and memory feasibility.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,34 +114,56 @@ TEST(Latency, TwoEqualStagesClosedForm) {
   EXPECT_NEAR(e.latency, 2 * f + 7 * (f + b) + 2 * b, 1e-6);
 }
 
+// A straight pipeline of one device per stage, stage i holding layers[i]
+// layers.
+ParallelPlan StraightPlan(const ModelProfile& m, const std::vector<int>& layers) {
+  ParallelPlan plan;
+  plan.model = m.name();
+  int begin = 0;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    StagePlan stage;
+    stage.layer_begin = begin;
+    begin += layers[i];
+    stage.layer_end = begin;
+    stage.devices = DeviceSet::Range(static_cast<int>(i), 1);
+    plan.stages.push_back(stage);
+  }
+  return plan;
+}
+
+// The pivot is the stage whose formula 1-2 latency is the maximum. Uniform
+// layers and free communication: a stage's F and B scale with its layer
+// count, and entry 2i of the expanded list is computation stage i.
 TEST(Latency, PivotMovesToSlowestStage) {
-  std::vector<StageCost> stages(3);
-  stages[0].forward = 0.010;
-  stages[0].backward = 0.020;
-  stages[1].forward = 0.050;  // dominant stage
-  stages[1].backward = 0.100;
-  stages[2].forward = 0.010;
-  stages[2].backward = 0.020;
-  EXPECT_EQ(LatencyEstimator::ChoosePivot(stages, 16), 1);
+  const ModelProfile m = MakeUniformSynthetic(7, 0.010, 0.020, 0, 0);
+  const Cluster cluster = FastCluster(1, 3);
+  const LatencyEstimator est(m, cluster);
+  const PlanEstimate e = est.Estimate(StraightPlan(m, {1, 5, 1}), 16);
+  ASSERT_EQ(e.num_micro_batches, 16);
+  EXPECT_EQ(e.pivot, 2);
+  // Tw = F0 + F1, Ts = 15 (F1 + B1), Te = B0 + B1.
+  EXPECT_NEAR(e.latency, 0.06 + 15 * 0.15 + 0.12, 1e-9);
 }
 
 TEST(Latency, PivotStaysLastWhenBalanced) {
-  std::vector<StageCost> stages(3);
-  for (auto& s : stages) {
-    s.forward = 0.010;
-    s.backward = 0.020;
-  }
-  EXPECT_EQ(LatencyEstimator::ChoosePivot(stages, 16), 2);
+  const ModelProfile m = MakeUniformSynthetic(3, 0.010, 0.020, 0, 0);
+  const Cluster cluster = FastCluster(1, 3);
+  const LatencyEstimator est(m, cluster);
+  const PlanEstimate e = est.Estimate(StraightPlan(m, {1, 1, 1}), 16);
+  ASSERT_EQ(e.num_micro_batches, 16);
+  EXPECT_EQ(e.pivot, 4);
 }
 
 TEST(Latency, PivotSingleMicroBatchDegenerate) {
-  std::vector<StageCost> stages(2);
-  stages[0].forward = 1.0;
-  stages[0].backward = 1.0;
-  stages[1].forward = 0.1;
-  stages[1].backward = 0.1;
-  // M = 1: steady phases are all zero; pivot stays at the last stage.
-  EXPECT_EQ(LatencyEstimator::ChoosePivot(stages, 1), 1);
+  // M = 1: every steady phase is zero, so the pivot is the last stage (the
+  // full forward and backward sweep), however unbalanced the stages are.
+  const ModelProfile m = MakeUniformSynthetic(11, 0.010, 0.020, 0, 0);
+  const Cluster cluster = FastCluster(1, 2);
+  const LatencyEstimator est(m, cluster);
+  const PlanEstimate e = est.Estimate(StraightPlan(m, {10, 1}), 1);
+  ASSERT_EQ(e.num_micro_batches, 1);
+  EXPECT_EQ(e.pivot, 2);
+  EXPECT_NEAR(e.latency, 11 * 0.010 + 11 * 0.020, 1e-9);
 }
 
 TEST(Latency, FewerStagesAreMoreEfficientAtFixedWork) {
@@ -360,8 +382,9 @@ bool SampleSubproblem(Rng& rng, const ModelProfile& m, const Cluster& cluster, S
 
 /// Scores every split of `sub` twice — from scratch on a plain estimator
 /// per split, and in one ScoreSplits pass over the subproblem's rows in a
-/// fresh memo — and expects identical entries and bits, from both Estimate
-/// and ScoreSplits. Returns the number of splits compared.
+/// fresh memo — and expects the row entries read by index to equal the
+/// fresh estimate's stage entries, and the scores its bits. Returns the
+/// number of splits compared.
 int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long gbs,
                              const LatencyOptions& options, const Subproblem& sub) {
   const LatencyEstimator estimator(m, cluster, options);
@@ -375,7 +398,7 @@ int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long
   plan.stages.push_back(StagePlan{sub.j + 1, m.num_layers(), sub.free,
                                   topo::PlacementPolicy::kFreshFirst, sub.recompute_free});
   const std::size_t carved = sub.prefix.size();
-  SplitEntries rows(memo, plan, estimator.ChooseMicroBatchSize(plan, gbs));
+  const SplitEntries rows(memo, plan, estimator.ChooseMicroBatchSize(plan, gbs));
   const std::vector<CandidateScore> scores = estimator.ScoreSplits(
       plan, gbs, rows.prefix(), rows.carved(), rows.boundary(), rows.suffix());
   EXPECT_EQ(scores.size(), static_cast<std::size_t>(m.num_layers() - sub.j - 1));
@@ -384,7 +407,15 @@ int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long
     plan.stages[carved].layer_end = jp;
     plan.stages[carved + 1].layer_begin = jp;
     const PlanEstimate fresh = estimator.Estimate(plan, gbs);
-    const std::span<const StageCost> entries = rows.At(jp);
+    // The entries Estimate prices: the fixed prefix, then index jp of the
+    // carved, boundary and suffix rows (rows leave comp_index unset).
+    std::vector<StageCost> entries(rows.prefix().begin(), rows.prefix().end());
+    const auto x = static_cast<std::size_t>(jp);
+    entries.push_back(rows.carved()[x]);
+    entries.back().comp_index = static_cast<int>(carved);
+    entries.push_back(rows.boundary()[x]);
+    entries.push_back(rows.suffix()[x]);
+    entries.back().comp_index = static_cast<int>(carved + 1);
     const std::string where = m.name() + " on " + cluster.name() + ", " +
                               std::to_string(carved) + " prefix stages, j=" +
                               std::to_string(sub.j) + ", jp=" + std::to_string(jp);
@@ -393,8 +424,6 @@ int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long
       EXPECT_EQ(StageCostBits(entries[i]), StageCostBits(fresh.stages[i]))
           << where << ", entry " << i;
     }
-    EXPECT_EQ(EstimateBits(estimator.Estimate(plan, gbs, entries)), EstimateBits(fresh))
-        << where;
     const auto i = static_cast<std::size_t>(jp - sub.j - 1);
     if (i < scores.size()) {
       EXPECT_EQ(ScoreBits(scores[i]), ScoreBits({fresh.feasible, fresh.memory_limited,
@@ -513,19 +542,5 @@ TEST(LatencyPrefixReuse, ScoreSplitsRejectsAMismatchedPrefix) {
                dapple::Error);
   EXPECT_THROW(est.ScoreSplits(plan, 8, {}, std::span(row).first(3), row, row), dapple::Error);
 }
-
-TEST(LatencyPrefixReuse, RejectsMoreLeadingEntriesThanThePlanHas) {
-  const ModelProfile m = MakeUniformSynthetic(4, 0.01, 0.02, 0, 0);
-  const Cluster cluster = FastCluster(1, 2);
-  const LatencyEstimator est(m, cluster);
-  const ParallelPlan plan = TwoStagePlan(m, 2, 1, 1);
-  const PlanEstimate full = est.Estimate(plan, 8);
-  ASSERT_EQ(full.stages.size(), 3u);
-  EXPECT_EQ(EstimateBits(est.Estimate(plan, 8, full.stages)), EstimateBits(full));
-  std::vector<StageCost> too_many = full.stages;
-  too_many.push_back(full.stages.back());
-  EXPECT_THROW(est.Estimate(plan, 8, too_many), dapple::Error);
-}
-
 }  // namespace
 }  // namespace dapple::planner

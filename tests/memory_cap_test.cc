@@ -7,6 +7,7 @@
 // fit search (per-stage StagePlan::recompute flags, plan_io round-trip).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "check/validator.h"
@@ -14,6 +15,7 @@
 #include "common/units.h"
 #include "dapple/dapple.h"
 #include "model/zoo.h"
+#include "obs/metrics.h"
 #include "planner/dp_planner.h"
 #include "planner/latency.h"
 #include "planner/plan_io.h"
@@ -396,6 +398,76 @@ TEST(MemoryCapPlanner, SessionCountsRecomputeStagesOfTheReturnedPlan) {
   for (const StagePlan& s : result.plan.stages) flagged += s.recompute ? 1 : 0;
   EXPECT_GT(flagged, 0);
   EXPECT_EQ(result.stats.recompute_stages, flagged) << result.plan.ToString();
+}
+
+// Large activations, small weights, one device (so one stage): a cap
+// halfway between the all-recompute peak and the plain peak fits only with
+// recomputation.
+struct RecomputeOnlyFit {
+  ModelProfile model = MakeUniformSynthetic(8, 0.010, 0.020, 32_MiB, 1'000);
+  Cluster cluster = FastCluster(1, 1);
+  Bytes cap = 0;
+
+  RecomputeOnlyFit() {
+    planner::PlannerOptions po = Options(planner::RecomputePolicy::kOff);
+    po.latency.check_memory = false;
+    const Bytes plain =
+        planner::DapplePlanner(model, cluster, po).Plan().estimate.max_peak_memory;
+    po.recompute = planner::RecomputePolicy::kAll;
+    const Bytes recompute =
+        planner::DapplePlanner(model, cluster, po).Plan().estimate.max_peak_memory;
+    cap = (recompute + plain) / 2;
+  }
+  planner::PlannerOptions Options(planner::RecomputePolicy recompute) const {
+    planner::PlannerOptions po;
+    po.global_batch_size = 8;
+    po.num_threads = 1;
+    po.recompute = recompute;
+    po.latency.memory_cap = cap;
+    return po;
+  }
+};
+
+std::int64_t CounterValue(const std::string& name) {
+  return obs::MetricsRegistry::Global().counter(name).value();
+}
+
+TEST(MemoryCapPlanner, CapCountersCountRecomputeUnderAllAndAuto) {
+  // Plan() adds the returned plan's recompute stages and fit probes to the
+  // planner.cap.* counters, under either policy that recomputes.
+  const RecomputeOnlyFit fit;
+  for (const planner::RecomputePolicy policy :
+       {planner::RecomputePolicy::kAll, planner::RecomputePolicy::kAuto}) {
+    SCOPED_TRACE(planner::ToString(policy));
+    const std::int64_t stages = CounterValue("planner.cap.recompute_stages");
+    const std::int64_t probes = CounterValue("planner.cap.fit_probes");
+    const planner::PlanResult result =
+        planner::DapplePlanner(fit.model, fit.cluster, fit.Options(policy)).Plan();
+    EXPECT_GT(result.stats.recompute_stages, 0);
+    EXPECT_EQ(CounterValue("planner.cap.recompute_stages") - stages,
+              result.stats.recompute_stages);
+    EXPECT_EQ(CounterValue("planner.cap.fit_probes") - probes, result.stats.fit_probes);
+    if (policy == planner::RecomputePolicy::kAuto) {
+      EXPECT_GT(result.stats.fit_probes, 0);
+    }
+  }
+}
+
+TEST(MemoryCapPlanner, SessionCountsItsRecomputeRetry) {
+  // Without recomputation nothing fits the cap, so the Session re-plans
+  // once with recomputation on every stage; a plan that fits retries
+  // nothing.
+  const RecomputeOnlyFit fit;
+  const Session session(fit.model, fit.cluster);
+  const std::int64_t before = CounterValue("dapple.session.recompute_retries");
+  const planner::PlanResult result =
+      session.Plan(8, fit.Options(planner::RecomputePolicy::kOff));
+  EXPECT_EQ(CounterValue("dapple.session.recompute_retries") - before, 1);
+  EXPECT_LE(result.estimate.max_peak_memory, fit.cap);
+  planner::PlannerOptions roomy = fit.Options(planner::RecomputePolicy::kOff);
+  roomy.latency.memory_cap = 0;
+  session.Plan(8, roomy);
+  EXPECT_EQ(CounterValue("dapple.session.recompute_retries") - before, 1);
 }
 
 // ---------------------------------------------------------------------------

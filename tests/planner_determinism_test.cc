@@ -1,12 +1,11 @@
 // Determinism sweep for the parallel memoized planner: across a seeded set
 // of fuzz-generated (model, cluster) instances, the search must return a
 // byte-identical winning plan — and identical alternatives, evaluation
-// counts and bit-identical latencies — at every thread count and whether
-// or not subproblems share one stage-row memo. The parallel search is deterministic by
-// construction (sequential merge in enumeration order, slot-indexed
-// parallel work, pure memoized rows); this sweep is the regression net
-// around that construction. A 128-device cluster plans with a shared row
-// memo, identically to unshared rows.
+// counts and bit-identical latencies — at every thread count. The parallel
+// search is deterministic by construction (sequential merge in enumeration
+// order, slot-indexed parallel work, pure memoized rows); this sweep is the
+// regression net around that construction. A 128-device cluster plans
+// through the row memo identically at one and four threads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,12 +35,10 @@ struct SearchFingerprint {
 };
 
 SearchFingerprint RunSearch(const model::ModelProfile& m, const topo::Cluster& cluster,
-                            long gbs, int threads, bool use_cache, int max_stages = 0) {
+                            long gbs, int threads) {
   PlannerOptions options;
   options.global_batch_size = gbs;
   options.num_threads = threads;
-  options.use_stage_cache = use_cache;
-  options.max_stages = max_stages;
   SearchFingerprint fp;
   try {
     const PlanResult result = DapplePlanner(m, cluster, options).Plan();
@@ -78,7 +75,7 @@ TEST(PlannerDeterminismTest, SeededSweepIsByteIdenticalAcrossThreadCounts) {
     const check::FuzzCase c = check::MakeFuzzCase(seed);
     const long gbs = c.options.global_batch_size;
 
-    const SearchFingerprint serial = RunSearch(c.model, c.cluster, gbs, 1, true);
+    const SearchFingerprint serial = RunSearch(c.model, c.cluster, gbs, 1);
     if (serial.feasible) {
       ++feasible;
       if (serial.alternatives.size() > 1) ++multi_stage;
@@ -86,19 +83,11 @@ TEST(PlannerDeterminismTest, SeededSweepIsByteIdenticalAcrossThreadCounts) {
 
     for (int threads : {2, 8}) {
       const SearchFingerprint parallel =
-          RunSearch(c.model, c.cluster, gbs, threads, true);
+          RunSearch(c.model, c.cluster, gbs, threads);
       ASSERT_EQ(serial, parallel)
           << "thread count changed the search outcome: seed=" << seed
           << " threads=" << threads << " " << c.Describe();
     }
-
-    // Sharing the row memo must be invisible: rows are pure functions of
-    // their keys, so filling them per subproblem may only change speed,
-    // never the result.
-    const SearchFingerprint uncached = RunSearch(c.model, c.cluster, gbs, 1, false);
-    ASSERT_EQ(serial, uncached)
-        << "stage cache changed the search outcome: seed=" << seed << " "
-        << c.Describe();
   }
   // The sweep must not be vacuous: most fuzz instances plan successfully
   // and keep real alternative lists.
@@ -113,27 +102,25 @@ TEST(PlannerDeterminismTest, SharedPoolAndDedicatedPoolAgree) {
   for (std::uint64_t seed : {3u, 7u, 21u, 42u, 77u}) {
     const check::FuzzCase c = check::MakeFuzzCase(seed);
     const long gbs = c.options.global_batch_size;
-    const SearchFingerprint serial = RunSearch(c.model, c.cluster, gbs, 1, true);
-    const SearchFingerprint shared = RunSearch(c.model, c.cluster, gbs, 0, true);
+    const SearchFingerprint serial = RunSearch(c.model, c.cluster, gbs, 1);
+    const SearchFingerprint shared = RunSearch(c.model, c.cluster, gbs, 0);
     ASSERT_EQ(serial, shared) << "seed=" << seed << " " << c.Describe();
   }
 }
 
-TEST(PlannerDeterminismTest, Cluster128DevicesPlansCachedAndMatchesUnsharedRows) {
-  // Row keys hold device ids, so a 128-device cluster searches with a
-  // shared memo: identical to every subproblem filling its own rows, at
-  // one and at four threads, and the shared memo is actually hit. Three
-  // stages, so second-level subproblems share their prefix rows (with two,
-  // every row of a search is distinct); one placement policy keeps the
+TEST(PlannerDeterminismTest, Cluster128DevicesPlansCachedAndMatchesAcrossThreads) {
+  // Row keys hold device ids, so a 128-device cluster searches through the
+  // row memo: the memo is actually hit, and one and four threads agree.
+  // Three stages, so second-level subproblems share their prefix rows (with
+  // two, every row of a search is distinct); one placement policy keeps the
   // search small enough for the ThreadSanitizer tier.
   const model::ModelProfile m = model::MakeUniformSynthetic(4, 0.01, 0.02, 1_MiB, 2'000'000, 1);
   const topo::Cluster cluster = topo::MakeConfigA(16);
   ASSERT_EQ(cluster.num_devices(), 128);
-  auto plan = [&](int threads, bool use_cache) {
+  auto plan = [&](int threads) {
     PlannerOptions options;
     options.global_batch_size = 1024;
     options.num_threads = threads;
-    options.use_stage_cache = use_cache;
     options.max_stages = 3;
     options.policies = {topo::PlacementPolicy::kFreshFirst};
     return DapplePlanner(m, cluster, options).Plan();
@@ -150,13 +137,11 @@ TEST(PlannerDeterminismTest, Cluster128DevicesPlansCachedAndMatchesUnsharedRows)
     fp.evaluated = result.candidates_evaluated;
     return fp;
   };
-  for (int threads : {1, 4}) {
-    const PlanResult shared = plan(threads, true);
-    const PlanResult unshared = plan(threads, false);
-    EXPECT_GT(shared.stats.cache_hits, 0) << threads << " threads";
-    EXPECT_EQ(unshared.stats.cache_hits + unshared.stats.cache_misses, 0);
-    EXPECT_EQ(fingerprint(shared), fingerprint(unshared)) << threads << " threads";
-  }
+  const PlanResult serial = plan(1);
+  const PlanResult parallel = plan(4);
+  EXPECT_GT(serial.stats.cache_hits, 0);
+  EXPECT_GT(parallel.stats.cache_hits, 0);
+  EXPECT_EQ(fingerprint(serial), fingerprint(parallel));
 }
 
 }  // namespace

@@ -127,6 +127,15 @@ TEST(ServeProtocol, MalformedRequestsBecomeStructuredErrors) {
   ExpectRequestError(std::string(kMaxLineBytes + 1, ' '), "bad_request");
 }
 
+TEST(ServeProtocol, MemoryCapOutsideTheByteRangeIsABadRequest) {
+  for (const char* cap : {"inf", "nan", "1e400", "0x10", "99999999999999999999GiB"}) {
+    ExpectRequestError(R"({"kind":"plan","model":"GNMT-16","config":"A","servers":2,)"
+                       R"("gbs":64,"memory_cap":")" +
+                           std::string(cap) + "\"}",
+                       "bad_request");
+  }
+}
+
 // -------------------------------------------------------------- server --
 
 std::string PlanLine(const std::string& id, const std::string& model, char config,
@@ -314,21 +323,22 @@ TEST(ServeServer, RecomputeAllSimulatesTheFlaggedPlanUnderItsCap) {
 
 TEST(ServeServer, TinyCacheEvictsAndStillAnswers) {
   ServerOptions options;
-  options.cache_entries = 2;  // capacity 1 per shard after the split
-  options.cache_shards = 2;
+  options.cache_entries = kPlanCacheShards;  // capacity 1 per shard
   Server server(options);
-  // More distinct plan requests than cache entries, twice over.
-  const std::vector<std::string> models = {"GNMT-16", "VGG-19", "BERT-48"};
+  // One more distinct plan request than there are shards: by pigeonhole two
+  // land on one shard, so at least one entry is evicted. Twice over, and
+  // every request still answers.
+  const int distinct = kPlanCacheShards + 1;
   for (int round = 0; round < 2; ++round) {
-    for (const std::string& m : models) {
-      const std::string response = server.HandleLine(PlanLine("e", m, 'A', 2, 32));
+    for (int i = 0; i < distinct; ++i) {
+      const std::string response = server.HandleLine(PlanLine("e", "GNMT-16", 'A', 1, 8L << i));
       EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
     }
   }
   const ServerStats stats = server.Stats();
-  EXPECT_LE(stats.cache.entries, 2);
+  EXPECT_LE(stats.cache.entries, kPlanCacheShards);
   EXPECT_GT(stats.cache.evictions, 0);
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses, 6);
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses, 2 * distinct);
 }
 
 TEST(ServeServer, StatsRequestReportsCacheAndLatency) {
