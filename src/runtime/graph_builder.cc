@@ -1,7 +1,10 @@
 #include "runtime/graph_builder.h"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "comm/cost_model.h"
@@ -56,6 +59,28 @@ struct StageInfo {
   int warmup = 0;
 };
 
+/// Concatenates text and decimal integers into a task name through one
+/// stack buffer: one std::string per name, no temporaries.
+template <typename... Pieces>
+std::string TaskName(const Pieces&... pieces) {
+  char buf[64];
+  char* end = buf;
+  auto append = [&](const auto& piece) {
+    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(piece)>>) {
+      const std::to_chars_result r = std::to_chars(end, std::end(buf), piece);
+      DAPPLE_CHECK(r.ec == std::errc()) << "task name too long";
+      end = r.ptr;
+    } else {
+      const std::string_view text(piece);
+      DAPPLE_CHECK_LE(text.size(), static_cast<std::size_t>(std::end(buf) - end))
+          << "task name too long";
+      end = std::copy(text.begin(), text.end(), end);
+    }
+  };
+  (append(pieces), ...);
+  return std::string(buf, end);
+}
+
 }  // namespace
 
 GraphBuilder::GraphBuilder(const model::ModelProfile& model, const topo::Cluster& cluster,
@@ -94,8 +119,11 @@ BuiltPipeline GraphBuilder::Build() const {
   DAPPLE_CHECK_GT(built.micro_batch_size, 0);
   const int mbs = built.micro_batch_size;
   const int m_total = built.num_micro_batches;
-  built.single_device_time = planner::LatencyEstimator(*model_, *cluster_)
-                                 .SingleDeviceTime(static_cast<long>(mbs) * m_total);
+  // One estimator per build: the single-device time below and the
+  // overlapped AllReduce of every replicated stage (the default
+  // LatencyOptions overlap).
+  const planner::LatencyEstimator estimator(*model_, *cluster_);
+  built.single_device_time = estimator.SingleDeviceTime(static_cast<long>(mbs) * m_total);
 
   // The deterministic V order is shared with the validator; its realized
   // per-chunk depths become warmup_depths below.
@@ -193,42 +221,51 @@ BuiltPipeline GraphBuilder::Build() const {
 
   // --- Resource ids ------------------------------------------------------
   const ResourceLayout layout = built.layout();
+  const bool split = options_.replication == ReplicationMode::kSplitMicroBatch;
+
+  // --- Task ids ------------------------------------------------------------
+  // Stage i's compute tasks are added in (micro-batch, slot) order, each
+  // slot contributing FW, BW and (under 2BP) BWW, so every id is arithmetic:
+  // fw(i, m, k) = compute_base[i] + (m * slots(i) + k) * per_slot. A split
+  // micro-batch has one slot per replica; a round-robin one has a single
+  // slot on device m % r. Under 2BP the BW task is the backward-input half
+  // (it carries the cross-stage gradient, so transfers read it) and the BWW
+  // task the weight half.
+  const int per_slot = split_bw ? 3 : 2;
+  const sim::TaskId grad_offset = split_bw ? 2 : 1;
+  auto slots = [&](int stage) {
+    return split ? info[static_cast<std::size_t>(stage)].exec->replication() : 1;
+  };
+  std::vector<sim::TaskId> compute_base(static_cast<std::size_t>(num_stages) + 1, 0);
+  int num_tasks = 0;
+  for (int i = 0; i < num_stages; ++i) {
+    const int replication = info[static_cast<std::size_t>(i)].exec->replication();
+    compute_base[static_cast<std::size_t>(i) + 1] =
+        compute_base[static_cast<std::size_t>(i)] + m_total * slots(i) * per_slot;
+    // APPLY per replica, plus AR when the stage is replicated.
+    num_tasks += replication + (replication > 1 ? 1 : 0);
+  }
+  num_tasks += compute_base.back() + 2 * (num_stages - 1) * m_total;
+  auto fw_task = [&](int stage, int micro, int slot) -> sim::TaskId {
+    return compute_base[static_cast<std::size_t>(stage)] +
+           (micro * slots(stage) + slot) * per_slot;
+  };
+  auto slot_device = [&](int stage, int micro, int slot) -> topo::DeviceId {
+    const planner::StagePlan& exec = *info[static_cast<std::size_t>(stage)].exec;
+    return exec.devices[split ? slot : micro % exec.replication()];
+  };
 
   sim::TaskGraph& graph = built.graph;
-
-  // fw_tasks[i][m] / bw_tasks[i][m] / bww_tasks[i][m]: per-replica task ids
-  // (one entry in round-robin mode). Under 2BP, bw_tasks holds the
-  // backward-input halves (they carry the cross-stage gradient, so every
-  // transfer keeps reading bw_tasks) and bww_tasks the weight halves.
-  std::vector<std::vector<std::vector<sim::TaskId>>> fw_tasks(
-      static_cast<std::size_t>(num_stages));
-  std::vector<std::vector<std::vector<sim::TaskId>>> bw_tasks(
-      static_cast<std::size_t>(num_stages));
-  std::vector<std::vector<std::vector<sim::TaskId>>> bww_tasks(
-      static_cast<std::size_t>(num_stages));
-
-  auto replicas_for = [&](int stage, int micro) -> std::vector<int> {
-    const int r = info[static_cast<std::size_t>(stage)].exec->replication();
-    if (options_.replication == ReplicationMode::kSplitMicroBatch) {
-      std::vector<int> all(static_cast<std::size_t>(r));
-      for (int k = 0; k < r; ++k) all[static_cast<std::size_t>(k)] = k;
-      return all;
-    }
-    return {micro % r};
-  };
+  graph.Reserve(num_tasks);
 
   for (int i = 0; i < num_stages; ++i) {
     const StageInfo& si = info[static_cast<std::size_t>(i)];
-    fw_tasks[static_cast<std::size_t>(i)].resize(static_cast<std::size_t>(m_total));
-    bw_tasks[static_cast<std::size_t>(i)].resize(static_cast<std::size_t>(m_total));
-    bww_tasks[static_cast<std::size_t>(i)].resize(static_cast<std::size_t>(m_total));
     for (int m = 0; m < m_total; ++m) {
-      for (int rep : replicas_for(i, m)) {
-        const topo::DeviceId dev = si.exec->devices[rep];
+      for (int k = 0; k < slots(i); ++k) {
+        const topo::DeviceId dev = slot_device(i, m, k);
         const double dev_speed = cluster_->device_speed(dev);
         sim::Task fw;
-        fw.name = "FW s" + std::to_string(i) + " m" + std::to_string(m) + " G" +
-                  std::to_string(dev);
+        fw.name = TaskName("FW s", i, " m", m, " G", dev);
         fw.kind = sim::TaskKind::kForward;
         fw.resource = dev;
         fw.duration = si.forward / dev_speed;
@@ -237,12 +274,10 @@ BuiltPipeline GraphBuilder::Build() const {
         fw.stage = i;
         fw.microbatch = m;
         fw.device = dev;
-        fw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)].push_back(
-            graph.AddTask(std::move(fw)));
+        graph.AddTask(std::move(fw));
 
         sim::Task bw;
-        bw.name = (split_bw ? "BI s" : "BW s") + std::to_string(i) + " m" +
-                  std::to_string(m) + " G" + std::to_string(dev);
+        bw.name = TaskName(split_bw ? "BI s" : "BW s", i, " m", m, " G", dev);
         bw.kind = sim::TaskKind::kBackward;
         bw.resource = dev;
         bw.duration = (split_bw ? si.bw_input : si.backward) / dev_speed;
@@ -254,13 +289,11 @@ BuiltPipeline GraphBuilder::Build() const {
         bw.stage = i;
         bw.microbatch = m;
         bw.device = dev;
-        bw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)].push_back(
-            graph.AddTask(std::move(bw)));
+        graph.AddTask(std::move(bw));
 
         if (split_bw) {
           sim::Task bww;
-          bww.name = "BWW s" + std::to_string(i) + " m" + std::to_string(m) + " G" +
-                     std::to_string(dev);
+          bww.name = TaskName("BWW s", i, " m", m, " G", dev);
           bww.kind = sim::TaskKind::kBackwardWeight;
           bww.resource = dev;
           bww.duration = si.bw_weight / dev_speed;
@@ -269,28 +302,24 @@ BuiltPipeline GraphBuilder::Build() const {
           bww.stage = i;
           bww.microbatch = m;
           bww.device = dev;
-          bww_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)].push_back(
-              graph.AddTask(std::move(bww)));
+          graph.AddTask(std::move(bww));
         }
       }
     }
   }
+  DAPPLE_CHECK_EQ(graph.num_tasks(), compute_base.back());
 
   // --- Data dependencies: FW chain, BW chain, cross-stage transfers ------
   for (int i = 0; i < num_stages; ++i) {
     const StageInfo& si = info[static_cast<std::size_t>(i)];
     for (int m = 0; m < m_total; ++m) {
-      const auto& fws = fw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
-      const auto& bws = bw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
       // Same-replica FW -> BW (activations live on the device).
-      DAPPLE_CHECK_EQ(fws.size(), bws.size());
-      for (std::size_t k = 0; k < fws.size(); ++k) graph.AddEdge(fws[k], bws[k]);
+      for (int k = 0; k < slots(i); ++k) graph.AddEdge(fw_task(i, m, k), fw_task(i, m, k) + 1);
       if (split_bw) {
         // BI produces the intermediate gradients BWW contracts against.
-        const auto& bwws =
-            bww_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
-        DAPPLE_CHECK_EQ(bws.size(), bwws.size());
-        for (std::size_t k = 0; k < bws.size(); ++k) graph.AddEdge(bws[k], bwws[k]);
+        for (int k = 0; k < slots(i); ++k) {
+          graph.AddEdge(fw_task(i, m, k) + 1, fw_task(i, m, k) + 2);
+        }
       }
     }
     if (i + 1 == num_stages) continue;
@@ -301,25 +330,21 @@ BuiltPipeline GraphBuilder::Build() const {
     // with the same bytes every time; co-located device sets (a V group's
     // two chunks, or the V bottom) degrade to a local memcpy inside
     // CrossStage.
-    const bool split = options_.replication == ReplicationMode::kSplitMicroBatch;
     const TimeSec split_tx =
         split ? cost.CrossStage(si.exec->devices, sn.exec->devices, act) : 0.0;
     const TimeSec split_btx =
         split ? cost.CrossStage(sn.exec->devices, si.exec->devices, act) : 0.0;
     for (int m = 0; m < m_total; ++m) {
-      const auto& src = fw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
-      const auto& dst = fw_tasks[static_cast<std::size_t>(i + 1)][static_cast<std::size_t>(m)];
-      TimeSec tx_time;
-      if (split) {
-        tx_time = split_tx;
-      } else {
-        const topo::DeviceId a = graph.task(src.front()).device;
-        const topo::DeviceId b = graph.task(dst.front()).device;
+      TimeSec tx_time = split_tx;
+      TimeSec btx_time = split_btx;
+      if (!split) {
+        const topo::DeviceId a = slot_device(i, m, 0);
+        const topo::DeviceId b = slot_device(i + 1, m, 0);
         tx_time = a == b ? 0.0 : cost.P2P(a, b, act);
+        btx_time = a == b ? 0.0 : cost.P2P(b, a, act);
       }
       sim::Task txf;
-      txf.name = "TXf " + std::to_string(i) + "->" + std::to_string(i + 1) + " m" +
-                 std::to_string(m);
+      txf.name = TaskName("TXf ", i, "->", i + 1, " m", m);
       txf.kind = sim::TaskKind::kTransfer;
       txf.resource = layout.ForwardChannel(i);
       txf.duration = tx_time;
@@ -327,22 +352,11 @@ BuiltPipeline GraphBuilder::Build() const {
       txf.microbatch = m;
       txf.bytes = act;
       const sim::TaskId txf_id = graph.AddTask(std::move(txf));
-      for (sim::TaskId t : src) graph.AddEdge(t, txf_id);
-      for (sim::TaskId t : dst) graph.AddEdge(txf_id, t);
+      for (int k = 0; k < slots(i); ++k) graph.AddEdge(fw_task(i, m, k), txf_id);
+      for (int k = 0; k < slots(i + 1); ++k) graph.AddEdge(txf_id, fw_task(i + 1, m, k));
 
-      const auto& bsrc = bw_tasks[static_cast<std::size_t>(i + 1)][static_cast<std::size_t>(m)];
-      const auto& bdst = bw_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)];
-      TimeSec btx_time;
-      if (split) {
-        btx_time = split_btx;
-      } else {
-        const topo::DeviceId a = graph.task(bsrc.front()).device;
-        const topo::DeviceId b = graph.task(bdst.front()).device;
-        btx_time = a == b ? 0.0 : cost.P2P(a, b, act);
-      }
       sim::Task txb;
-      txb.name = "TXb " + std::to_string(i + 1) + "->" + std::to_string(i) + " m" +
-                 std::to_string(m);
+      txb.name = TaskName("TXb ", i + 1, "->", i, " m", m);
       txb.kind = sim::TaskKind::kTransfer;
       txb.resource = layout.BackwardChannel(i);
       txb.duration = btx_time;
@@ -350,25 +364,19 @@ BuiltPipeline GraphBuilder::Build() const {
       txb.microbatch = m;
       txb.bytes = act;
       const sim::TaskId txb_id = graph.AddTask(std::move(txb));
-      for (sim::TaskId t : bsrc) graph.AddEdge(t, txb_id);
-      for (sim::TaskId t : bdst) graph.AddEdge(txb_id, t);
+      for (int k = 0; k < slots(i + 1); ++k) graph.AddEdge(fw_task(i + 1, m, k) + 1, txb_id);
+      for (int k = 0; k < slots(i); ++k) graph.AddEdge(txb_id, fw_task(i, m, k) + 1);
     }
   }
 
   // --- Control dependencies: per-device execution order ------------------
-  // Picks the concrete task of a schedule step for one replica slot.
+  // Picks the concrete task of a schedule step for one replica chain; a
+  // round-robin micro-batch has only slot 0.
   auto step_task = [&](int stage, bool is_backward, bool weight_grad, int micro,
                        int rep) -> sim::TaskId {
-    const auto& arr = weight_grad ? bww_tasks : (is_backward ? bw_tasks : fw_tasks);
-    const auto& list =
-        arr[static_cast<std::size_t>(stage)][static_cast<std::size_t>(micro)];
-    if (options_.replication == ReplicationMode::kRoundRobin) {
-      DAPPLE_CHECK_EQ(list.size(), 1u);
-      return list.front();
-    }
-    return list[static_cast<std::size_t>(rep)];
+    return fw_task(stage, micro, split ? rep : 0) +
+           (weight_grad ? 2 : (is_backward ? 1 : 0));
   };
-
   if (v_shape) {
     // One chain per device group: the merged two-chunk order from
     // BuildVSchedule. The chain follows the global tick order — a linear
@@ -382,10 +390,7 @@ BuiltPipeline GraphBuilder::Build() const {
         sim::TaskId prev = sim::kInvalidTask;
         int position = 0;
         for (const GroupStep& step : order) {
-          if (options_.replication == ReplicationMode::kRoundRobin &&
-              step.microbatch % r != rep) {
-            continue;
-          }
+          if (!split && step.microbatch % r != rep) continue;
           const sim::TaskId current =
               step_task(step.stage, step.is_backward, false, step.microbatch, rep);
           graph.mutable_task(current).priority = position++;
@@ -406,10 +411,7 @@ BuiltPipeline GraphBuilder::Build() const {
         for (const ScheduleStep& step : order) {
           // In round-robin mode a device only executes its assigned
           // micro-batches.
-          if (options_.replication == ReplicationMode::kRoundRobin &&
-              step.microbatch % r != rep) {
-            continue;
-          }
+          if (!split && step.microbatch % r != rep) continue;
           const sim::TaskId current = step_task(i, step.is_backward, step.weight_grad,
                                                 step.microbatch, rep);
           graph.mutable_task(current).priority = position++;
@@ -423,14 +425,13 @@ BuiltPipeline GraphBuilder::Build() const {
   // --- Gradient synchronization and weight update -------------------------
   // Under 2BP the weight gradients come from the BWW halves, so they (not
   // the BI halves) gate AllReduce/APPLY.
-  const auto& grad_tasks = split_bw ? bww_tasks : bw_tasks;
   for (int i = 0; i < num_stages; ++i) {
     const StageInfo& si = info[static_cast<std::size_t>(i)];
     const Bytes weights = model_->ParamBytes(si.plan->layer_begin, si.plan->layer_end);
     sim::TaskId ar_id = sim::kInvalidTask;
     if (si.exec->replication() > 1) {
       sim::Task ar;
-      ar.name = "AR s" + std::to_string(i);
+      ar.name = TaskName("AR s", i);
       ar.kind = sim::TaskKind::kAllReduce;
       ar.resource = layout.AllReduceLane(i);
       if (options_.overlap_allreduce) {
@@ -439,11 +440,8 @@ BuiltPipeline GraphBuilder::Build() const {
         // exposed remainder extends the iteration. The estimator and the
         // runtime share one overlap model so measured latencies track
         // planned ones.
-        planner::LatencyOptions lat;
-        lat.overlap_allreduce = true;
-        planner::LatencyEstimator estimator(*model_, *cluster_, lat);
-        ar.duration = estimator.ExposedAllReduce(si.plan->layer_begin, si.plan->layer_end,
-                                                 si.exec->devices, si.samples);
+        ar.duration = estimator.ExposedAllReduce(
+            si.plan->layer_begin, si.plan->layer_end, si.exec->devices, si.samples);
       } else {
         ar.duration = cost.AllReduce(si.exec->devices, weights);
       }
@@ -451,16 +449,13 @@ BuiltPipeline GraphBuilder::Build() const {
       ar.bytes = weights;
       ar_id = graph.AddTask(std::move(ar));
       for (int m = 0; m < m_total; ++m) {
-        for (sim::TaskId t :
-             grad_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)]) {
-          graph.AddEdge(t, ar_id);
-        }
+        for (int k = 0; k < slots(i); ++k) graph.AddEdge(fw_task(i, m, k) + grad_offset, ar_id);
       }
     }
     for (int rep = 0; rep < si.exec->replication(); ++rep) {
       const topo::DeviceId dev = si.exec->devices[rep];
       sim::Task apply;
-      apply.name = "APPLY s" + std::to_string(i) + " G" + std::to_string(dev);
+      apply.name = TaskName("APPLY s", i, " G", dev);
       apply.kind = sim::TaskKind::kApply;
       apply.resource = dev;
       apply.duration = static_cast<double>(weights) / comm::kMemcpyBandwidth;
@@ -471,15 +466,12 @@ BuiltPipeline GraphBuilder::Build() const {
       if (ar_id != sim::kInvalidTask) {
         graph.AddEdge(ar_id, apply_id);
       } else {
-        for (int m = 0; m < m_total; ++m) {
-          for (sim::TaskId t :
-               grad_tasks[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)]) {
-            if (graph.task(t).device == dev) graph.AddEdge(t, apply_id);
-          }
-        }
+        // An unreplicated stage: its one slot per micro-batch runs on `dev`.
+        for (int m = 0; m < m_total; ++m) graph.AddEdge(fw_task(i, m, 0) + grad_offset, apply_id);
       }
     }
   }
+  DAPPLE_CHECK_EQ(graph.num_tasks(), num_tasks);
 
   // --- Memory pools -------------------------------------------------------
   // A device's baseline is the sum over the stages it hosts — one stage for

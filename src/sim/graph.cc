@@ -6,6 +6,12 @@
 
 namespace dapple::sim {
 
+void TaskGraph::Reserve(int num_tasks) {
+  DAPPLE_CHECK_GE(num_tasks, 0);
+  tasks_.reserve(static_cast<std::size_t>(num_tasks));
+  successors_.reserve(static_cast<std::size_t>(num_tasks));
+}
+
 TaskId TaskGraph::AddTask(Task task) {
   DAPPLE_CHECK_GE(task.duration, 0.0) << "task " << task.name;
   DAPPLE_CHECK_GE(task.resource, 0) << "task " << task.name;
@@ -20,9 +26,19 @@ void TaskGraph::AddEdge(TaskId predecessor, TaskId successor) {
   DAPPLE_CHECK(predecessor >= 0 && predecessor < num_tasks()) << "bad edge source";
   DAPPLE_CHECK(successor >= 0 && successor < num_tasks()) << "bad edge target";
   DAPPLE_CHECK_NE(predecessor, successor) << "self edge on task " << predecessor;
-  auto& succ = successors_[static_cast<std::size_t>(predecessor)];
-  if (std::find(succ.begin(), succ.end(), successor) != succ.end()) return;
-  succ.push_back(successor);
+  const std::span<const TaskId> current = successors(predecessor);
+  if (std::find(current.begin(), current.end(), successor) != current.end()) return;
+  Successors& list = successors_[static_cast<std::size_t>(predecessor)];
+  if (list.size < kInlineSuccessors) {
+    list.inline_ids[static_cast<std::size_t>(list.size++)] = successor;
+    return;
+  }
+  if (list.spill < 0) {
+    list.spill = static_cast<std::int32_t>(spilled_.size());
+    spilled_.emplace_back(list.inline_ids.begin(), list.inline_ids.end());
+  }
+  spilled_[static_cast<std::size_t>(list.spill)].push_back(successor);
+  ++list.size;
 }
 
 const Task& TaskGraph::task(TaskId id) const {
@@ -31,8 +47,10 @@ const Task& TaskGraph::task(TaskId id) const {
 
 Task& TaskGraph::mutable_task(TaskId id) { return tasks_.at(static_cast<std::size_t>(id)); }
 
-const std::vector<TaskId>& TaskGraph::successors(TaskId id) const {
-  return successors_.at(static_cast<std::size_t>(id));
+std::span<const TaskId> TaskGraph::successors(TaskId id) const {
+  const Successors& list = successors_.at(static_cast<std::size_t>(id));
+  if (list.spill >= 0) return spilled_[static_cast<std::size_t>(list.spill)];
+  return {list.inline_ids.data(), static_cast<std::size_t>(list.size)};
 }
 
 int TaskGraph::num_resources() const {

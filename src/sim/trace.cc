@@ -17,6 +17,8 @@ char GlyphFor(const Task& task) {
       return static_cast<char>('0' + (task.microbatch >= 0 ? task.microbatch % 10 : 0));
     case TaskKind::kBackward:
       return static_cast<char>('a' + (task.microbatch >= 0 ? task.microbatch % 26 : 0));
+    case TaskKind::kBackwardWeight:
+      return static_cast<char>('A' + (task.microbatch >= 0 ? task.microbatch % 26 : 0));
     case TaskKind::kRecompute: return 'r';
     case TaskKind::kTransfer: return '-';
     case TaskKind::kAllReduce: return '#';

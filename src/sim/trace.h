@@ -10,9 +10,13 @@
 
 namespace dapple::sim {
 
-/// Renders one lane per resource. Forward tasks print the micro-batch index
-/// digit, backward tasks print the index as a letter (0->a), recompute 'r',
-/// transfers '-', allreduce '#', apply '='. Idle time is '.'.
+/// Renders one lane per resource, one glyph per task kind:
+///   forward            micro-batch index mod 10 as a digit ('0'..'9')
+///   backward           micro-batch index mod 26 as a lowercase letter (0->'a');
+///                      under 2BP this is the backward-input half
+///   backward-weight    micro-batch index mod 26 as an uppercase letter (0->'A')
+///   recompute 'r', transfer '-', allreduce '#', apply '=', generic '*'
+/// Idle time is '.'.
 std::string RenderGantt(const TaskGraph& graph, const SimResult& result, int width = 100);
 
 /// Renders a pool's resident-bytes trajectory as a `height`-row bar plot

@@ -3,7 +3,11 @@
 // replication, and memory effect wiring.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "check/fuzz.h"
 #include "common/error.h"
+#include "common/fingerprint.h"
 #include "model/zoo.h"
 #include "planner/plan.h"
 #include "runtime/graph_builder.h"
@@ -205,6 +209,65 @@ TEST(GraphBuilder, RejectsZeroBatch) {
   const auto cluster = topo::MakeConfigB(2);
   const auto plan = MakePlan(m, {{2, DeviceSet::Range(0, 1)}});
   EXPECT_THROW(GraphBuilder(m, cluster, plan, Opts(0)), dapple::Error);
+}
+
+/// Mixes everything a build produces into `fp`: every task field, every
+/// successor list in order, and the pipeline-level results.
+void MixBuilt(const BuiltPipeline& built, Fingerprint64& fp) {
+  const sim::TaskGraph& g = built.graph;
+  fp.Mix(static_cast<std::int64_t>(g.num_tasks()));
+  for (const sim::Task& t : g.tasks()) {
+    fp.Mix(static_cast<std::int64_t>(t.id))
+        .Mix(t.name)
+        .Mix(static_cast<std::int64_t>(t.kind))
+        .Mix(static_cast<std::int64_t>(t.resource))
+        .Mix(t.duration)
+        .Mix(static_cast<std::int64_t>(t.pool))
+        .Mix(static_cast<std::uint64_t>(t.alloc_at_start))
+        .Mix(static_cast<std::uint64_t>(t.free_at_end))
+        .Mix(static_cast<std::int64_t>(t.priority))
+        .Mix(static_cast<std::int64_t>(t.stage))
+        .Mix(static_cast<std::int64_t>(t.microbatch))
+        .Mix(static_cast<std::int64_t>(t.device))
+        .Mix(static_cast<std::uint64_t>(t.bytes));
+    fp.Mix(static_cast<std::uint64_t>(g.successors(t.id).size()));
+    for (sim::TaskId s : g.successors(t.id)) fp.Mix(static_cast<std::int64_t>(s));
+  }
+  fp.Mix(static_cast<std::int64_t>(built.micro_batch_size))
+      .Mix(static_cast<std::int64_t>(built.num_micro_batches))
+      .Mix(static_cast<std::int64_t>(built.num_devices))
+      .Mix(static_cast<std::int64_t>(built.num_stages))
+      .Mix(built.single_device_time);
+  for (int w : built.warmup_depths) fp.Mix(static_cast<std::int64_t>(w));
+  for (std::uint8_t r : built.stage_recompute) fp.Mix(static_cast<std::uint64_t>(r));
+  for (Bytes b : built.engine_options.pool_baselines) fp.Mix(static_cast<std::uint64_t>(b));
+  for (Bytes b : built.engine_options.pool_capacities) fp.Mix(static_cast<std::uint64_t>(b));
+}
+
+// Pins the built graphs bit for bit: task ids, fields, names, successor
+// order and the pipeline metadata, over fuzz cases crossed with both
+// replication modes, every schedule kind and AllReduce overlap on/off. A
+// change to the builder that moves any of them changes this digest.
+TEST(GraphBuilder, StructureDigestIsPinned) {
+  Fingerprint64 fp;
+  int builds = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    const check::FuzzCase c = check::MakeFuzzCase(seed);
+    for (ReplicationMode mode : {ReplicationMode::kSplitMicroBatch, ReplicationMode::kRoundRobin}) {
+      for (ScheduleKind kind : AllScheduleKinds()) {
+        for (bool overlap : {true, false}) {
+          BuildOptions o = c.options;
+          o.replication = mode;
+          o.schedule.kind = kind;
+          o.overlap_allreduce = overlap;
+          MixBuilt(GraphBuilder(c.model, c.cluster, c.plan, o).Build(), fp);
+          ++builds;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(builds, 150 * 2 * 5 * 2);
+  EXPECT_EQ(FingerprintToString(fp.digest()), "fp:6bee3ba4df519936");
 }
 
 }  // namespace

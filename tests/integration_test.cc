@@ -208,7 +208,9 @@ TEST(Session, PlansForTheRequestedScheduleFamily) {
     for (const auto& [plan, estimate] :
          planner::DapplePlanner(session.model(), session.cluster(), options).Plan().alternatives) {
       const obs::IterationReport alternative = simulate(plan);
-      if (!alternative.oom) EXPECT_LE(chosen.makespan, alternative.makespan) << plan.ToString();
+      if (!alternative.oom) {
+        EXPECT_LE(chosen.makespan, alternative.makespan) << plan.ToString();
+      }
     }
   }
 }

@@ -242,7 +242,9 @@ void CheckValidSplitOrder(const std::vector<ScheduleStep>& order, int m_total) {
     const ScheduleStep& step = order[i];
     ASSERT_GE(step.microbatch, 0);
     ASSERT_LT(step.microbatch, m_total);
-    if (step.weight_grad) ASSERT_TRUE(step.is_backward);
+    if (step.weight_grad) {
+      ASSERT_TRUE(step.is_backward);
+    }
     auto& slot = !step.is_backward ? fw_pos : (step.weight_grad ? bww_pos : bi_pos);
     ASSERT_EQ(slot[static_cast<std::size_t>(step.microbatch)], -1);
     slot[static_cast<std::size_t>(step.microbatch)] = static_cast<int>(i);

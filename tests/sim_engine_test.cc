@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/error.h"
 #include "sim/engine.h"
@@ -288,6 +292,51 @@ TEST(TaskGraph, DuplicateEdgesCollapse) {
   g.AddEdge(a, b);
   EXPECT_EQ(g.successors(a).size(), 1u);
   EXPECT_EQ(SoaGraph(g).in_degree()[static_cast<std::size_t>(b)], 1);
+}
+
+TEST(TaskGraph, SuccessorsPastTheInlineSlotsKeepOrderWithoutDuplicates) {
+  static_assert(TaskGraph::kInlineSuccessors == 4);
+  TaskGraph g;
+  g.Reserve(8);
+  const TaskId src = g.AddTask(MakeTask("src", 0, 1.0));
+  std::vector<TaskId> dst;
+  for (int i = 0; i < 7; ++i) {
+    const TaskId id = g.AddTask(MakeTask("d" + std::to_string(i), 0, 1.0));
+    EXPECT_EQ(id, i + 1);  // Reserve does not move ids
+    dst.push_back(id);
+  }
+  EXPECT_TRUE(g.successors(src).empty());
+  // Repeats land both inside the four in-place slots and after the spill.
+  for (int i : {0, 1, 0, 2, 3, 1, 4, 3, 5, 0, 4, 6, 6, 2}) {
+    g.AddEdge(src, dst[static_cast<std::size_t>(i)]);
+  }
+  const std::span<const TaskId> succ = g.successors(src);
+  EXPECT_EQ(std::vector<TaskId>(succ.begin(), succ.end()), dst);
+  for (TaskId d : dst) EXPECT_TRUE(g.successors(d).empty());
+
+  const SoaGraph soa(g);
+  for (TaskId d : dst) EXPECT_EQ(soa.in_degree()[static_cast<std::size_t>(d)], 1);
+  EXPECT_EQ(soa.succ_offsets().back(), 7);
+}
+
+TEST(TaskGraph, ReserveKeepsIdsAndCopiesKeepSuccessors) {
+  TaskGraph reserved;
+  reserved.Reserve(100);
+  TaskGraph plain;
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(reserved.AddTask(MakeTask("t", 0, 1.0)), plain.AddTask(MakeTask("t", 0, 1.0)));
+  }
+  for (TaskId s = 1; s < 6; ++s) {
+    reserved.AddEdge(0, s);
+    plain.AddEdge(0, s);
+  }
+  const TaskGraph copy = reserved;
+  for (TaskId t = 0; t < 6; ++t) {
+    const std::span<const TaskId> a = copy.successors(t);
+    const std::span<const TaskId> b = plain.successors(t);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << t;
+  }
+  EXPECT_EQ(copy.successors(0).size(), 5u);
 }
 
 TEST(TaskGraph, ResourceAndPoolCounts) {

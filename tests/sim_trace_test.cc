@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "model/zoo.h"
+#include "planner/plan.h"
+#include "runtime/graph_builder.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
+#include "topo/cluster.h"
 
 namespace dapple::sim {
 namespace {
@@ -87,6 +94,39 @@ TEST(Trace, GlyphsForAllKinds) {
   EXPECT_NE(gantt.find('-'), std::string::npos);   // transfer
   EXPECT_NE(gantt.find('#'), std::string::npos);   // allreduce
   EXPECT_NE(gantt.find('='), std::string::npos);   // apply
+}
+
+TEST(Trace, SplitBackwardGanttDrawsWeightHalvesUppercase) {
+  // A two-stage 2BP pipeline: every BWW task must get a glyph of its own.
+  const auto m = model::MakeUniformSynthetic(4, 0.01, 0.02, 1_MiB, 1000, 1);
+  const auto cluster = topo::MakeConfigB(2);
+  planner::ParallelPlan plan;
+  plan.model = m.name();
+  planner::StagePlan first;
+  first.layer_begin = 0;
+  first.layer_end = 2;
+  first.devices = topo::DeviceSet::Range(0, 1);
+  planner::StagePlan second = first;
+  second.layer_begin = 2;
+  second.layer_end = 4;
+  second.devices = topo::DeviceSet::Range(1, 1);
+  plan.stages = {first, second};
+  runtime::BuildOptions options;
+  options.global_batch_size = 8;
+  options.schedule.kind = runtime::ScheduleKind::kDappleSplitBw;
+  const runtime::BuiltPipeline built = runtime::GraphBuilder(m, cluster, plan, options).Build();
+  const SimResult r = Engine::Run(built.graph, built.engine_options);
+  const std::string gantt = RenderGantt(built.graph, r, 200);
+  // The lane bodies, without the "R<n> |" labels.
+  std::string lanes;
+  std::istringstream rows(gantt);
+  for (std::string row; std::getline(rows, row);) {
+    const std::size_t open = row.find('|');
+    if (open != std::string::npos) lanes += row.substr(open + 1);
+  }
+  EXPECT_EQ(lanes.find('?'), std::string::npos) << gantt;
+  EXPECT_NE(lanes.find('A'), std::string::npos) << gantt;  // BWW of micro-batch 0
+  EXPECT_NE(lanes.find('a'), std::string::npos) << gantt;  // its BI half
 }
 
 TEST(TaskKinds, ComputeClassification) {

@@ -2,6 +2,8 @@
 # Local CI: configure + build + test the tree twice — once plain, once
 # under AddressSanitizer/UBSan (DAPPLE_SANITIZE=address,undefined) — and
 # run the concurrent core under ThreadSanitizer (DAPPLE_SANITIZE=thread).
+# The plain tree builds with -DDAPPLE_WERROR=ON: any -Wall -Wextra warning
+# fails CI.
 #
 #   tools/ci.sh [build-dir-prefix]
 #
@@ -77,7 +79,7 @@ run_suite() {
   ctest --test-dir "${dir}" "${label_args[@]}" --output-on-failure -j "${jobs}"
 }
 
-run_suite "${prefix}"
+run_suite "${prefix}" -DDAPPLE_WERROR=ON
 # benchmark/ builds against src/ headers (runtime/executor.h, obs/report.h,
 # serve/*) from its own source tree, so an API change in src/ can break it
 # without breaking the main build; running each workload once also checks
