@@ -478,11 +478,11 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   best.stats.candidates_evaluated = evaluated;
   best.stats.candidates_pruned = pruned;
   best.stats.memory_rejected = memory_rejected;
-  const CacheShardStats totals = rows.TotalStats();
+  const StageRowMemo::Stats totals = rows.TotalStats();
   best.stats.cache_hits = totals.hits;
   best.stats.cache_misses = totals.misses;
   best.stats.cache_entries = totals.entries;
-  best.stats.cache_compute_seconds = totals.compute_seconds;
+  best.stats.cache_compute_seconds = totals.fill_seconds;
   best.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - search_start)
           .count();

@@ -1,5 +1,8 @@
 #include "planner/stage_cache.h"
 
+#include <chrono>
+#include <utility>
+
 #include "common/error.h"
 #include "obs/metrics.h"
 
@@ -23,17 +26,31 @@ StageRowKey& ScratchKey(StageRowKey::Family family, int anchor, int micro_batch_
 }  // namespace
 
 template <typename Fill>
-std::shared_ptr<const StageRow> StageRowMemo::Row(const StageRowKey& key, Fill&& fill) {
-  return rows_.GetOrCompute(key, [&] {
-    auto row = std::make_shared<StageRow>(
-        static_cast<std::size_t>(estimator_->model().num_layers()));
-    fill(*row);
-    return std::shared_ptr<const StageRow>(std::move(row));
-  });
+const StageRow& StageRowMemo::Row(const StageRowKey& key, Fill&& fill) {
+  Shard& shard = shards_[StageRowKeyHash{}(key) % kShards];
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.rows.find(key);
+    if (it != shard.rows.end()) {
+      ++shard.hits;
+      return it->second;
+    }
+  }
+  // Fill outside the lock so a slow fill does not serialize the shard.
+  const auto t0 = std::chrono::steady_clock::now();
+  StageRow row(static_cast<std::size_t>(estimator_->model().num_layers()));
+  fill(row);
+  const auto t1 = std::chrono::steady_clock::now();
+  std::lock_guard<std::mutex> lock(shard.mu);
+  ++shard.misses;
+  shard.fill_seconds += std::chrono::duration<double>(t1 - t0).count();
+  // Another thread may have inserted the key meanwhile: its row is
+  // identical, so try_emplace keeps it and drops ours.
+  return shard.rows.try_emplace(key, std::move(row)).first->second;
 }
 
-std::shared_ptr<const StageRow> StageRowMemo::Begin(int anchor, const topo::DeviceSet& devices,
-                                                    int micro_batch_size, bool recompute) {
+const StageRow& StageRowMemo::Begin(int anchor, const topo::DeviceSet& devices,
+                                    int micro_batch_size, bool recompute) {
   StageRowKey& key =
       ScratchKey(StageRowKey::Family::kBegin, anchor, micro_batch_size, recompute);
   key.devices = devices.devices();
@@ -46,8 +63,8 @@ std::shared_ptr<const StageRow> StageRowMemo::Begin(int anchor, const topo::Devi
   });
 }
 
-std::shared_ptr<const StageRow> StageRowMemo::End(const topo::DeviceSet& devices,
-                                                  int micro_batch_size, bool recompute) {
+const StageRow& StageRowMemo::End(const topo::DeviceSet& devices, int micro_batch_size,
+                                  bool recompute) {
   StageRowKey& key = ScratchKey(StageRowKey::Family::kEnd, 0, micro_batch_size, recompute);
   key.devices = devices.devices();
   return Row(key, [&](StageRow& row) {
@@ -60,9 +77,8 @@ std::shared_ptr<const StageRow> StageRowMemo::End(const topo::DeviceSet& devices
   });
 }
 
-std::shared_ptr<const StageRow> StageRowMemo::Comm(const topo::DeviceSet& from,
-                                                   const topo::DeviceSet& to,
-                                                   int micro_batch_size) {
+const StageRow& StageRowMemo::Comm(const topo::DeviceSet& from, const topo::DeviceSet& to,
+                                   int micro_batch_size) {
   StageRowKey& key = ScratchKey(StageRowKey::Family::kComm, 0, micro_batch_size, false);
   key.devices = from.devices();
   key.devices.push_back(-1);
@@ -75,24 +91,36 @@ std::shared_ptr<const StageRow> StageRowMemo::Comm(const topo::DeviceSet& from,
   });
 }
 
+StageRowMemo::Stats StageRowMemo::TotalStats() const {
+  Stats total;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total.hits += shard.hits;
+    total.misses += shard.misses;
+    total.entries += static_cast<std::int64_t>(shard.rows.size());
+    total.fill_seconds += shard.fill_seconds;
+  }
+  return total;
+}
+
 SplitEntries::SplitEntries(StageRowMemo& memo, const ParallelPlan& plan, int micro_batch_size) {
   DAPPLE_CHECK_GE(plan.num_stages(), 2) << "a split needs a carved stage and a suffix";
   const std::size_t carved = plan.stages.size() - 2;
   prefix_.reserve(2 * carved);
   for (std::size_t i = 0; i < carved; ++i) {
     const StagePlan& stage = plan.stages[i];
-    StageCost comp = (*memo.Begin(stage.layer_begin, stage.devices, micro_batch_size,
-                                  stage.recompute))[static_cast<std::size_t>(stage.layer_end)];
+    StageCost comp = memo.Begin(stage.layer_begin, stage.devices, micro_batch_size,
+                                stage.recompute)[static_cast<std::size_t>(stage.layer_end)];
     comp.comp_index = static_cast<int>(i);
     prefix_.push_back(comp);
-    prefix_.push_back((*memo.Comm(stage.devices, plan.stages[i + 1].devices,
-                                  micro_batch_size))[static_cast<std::size_t>(stage.layer_end)]);
+    prefix_.push_back(memo.Comm(stage.devices, plan.stages[i + 1].devices,
+                                micro_batch_size)[static_cast<std::size_t>(stage.layer_end)]);
   }
   const StagePlan& stage = plan.stages[carved];
   const StagePlan& suffix = plan.stages[carved + 1];
-  carved_ = memo.Begin(stage.layer_begin, stage.devices, micro_batch_size, stage.recompute);
-  boundary_ = memo.Comm(stage.devices, suffix.devices, micro_batch_size);
-  suffix_ = memo.End(suffix.devices, micro_batch_size, suffix.recompute);
+  carved_ = &memo.Begin(stage.layer_begin, stage.devices, micro_batch_size, stage.recompute);
+  boundary_ = &memo.Comm(stage.devices, suffix.devices, micro_batch_size);
+  suffix_ = &memo.End(suffix.devices, micro_batch_size, suffix.recompute);
 }
 
 void ExportSearchStats(const PlannerSearchStats& stats) {

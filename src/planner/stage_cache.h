@@ -14,23 +14,31 @@
 // The memo maps a row's key (family, anchor, exact device ids, micro-batch
 // size, recompute) to the whole row, filled on first use through
 // LatencyEstimator's CompPricer/CommPricer, which bind the device sets once
-// per row and price every entry the way Estimate does. A subproblem looks
-// its rows up once and then reads each split's entries by index. A stage's
-// peak-memory piece is not memoized: it is a few prefix-sum reads.
+// per row and price every entry the way Estimate does. Rows are stored by
+// value in a fixed number of mutex-guarded hash-map shards and handed out
+// as references: a search never erases a row and a hash map never moves
+// its nodes, so a reference stays valid, and unchanged, until the memo is
+// destroyed. A subproblem looks its rows up once and then reads each
+// split's entries by index. A stage's peak-memory piece is not memoized: it
+// is a few prefix-sum reads.
 //
 // Determinism contract: every row is a pure function of its key (plus the
 // estimator's fixed model/cluster/options), so a looked-up entry is
 // bit-identical to a recomputation and the search result cannot depend on
-// which thread filled a row first. Keys hold device ids, so any cluster
-// size is memoized.
+// which thread filled a row first. A row is filled outside its shard's
+// lock; when two threads fill the same fresh key, the first insert wins and
+// the duplicate is dropped. Keys hold device ids, so any cluster size is
+// memoized.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
-#include "common/sharded_cache.h"
 #include "planner/latency.h"
 #include "topo/device_set.h"
 
@@ -57,41 +65,63 @@ struct StageRowKey {
 struct StageRowKeyHash {
   std::size_t operator()(const StageRowKey& key) const {
     std::size_t seed = static_cast<std::size_t>(key.family);
-    HashCombine(seed, static_cast<std::size_t>(key.recompute));
-    HashCombine(seed, static_cast<std::size_t>(key.anchor));
-    HashCombine(seed, static_cast<std::size_t>(key.micro_batch_size));
-    for (topo::DeviceId d : key.devices) HashCombine(seed, static_cast<std::size_t>(d));
+    Combine(seed, static_cast<std::size_t>(key.recompute));
+    Combine(seed, static_cast<std::size_t>(key.anchor));
+    Combine(seed, static_cast<std::size_t>(key.micro_batch_size));
+    for (topo::DeviceId d : key.devices) Combine(seed, static_cast<std::size_t>(d));
     return seed;
+  }
+
+  /// Mixes a value into a running hash seed (boost::hash_combine recipe).
+  static void Combine(std::size_t& seed, std::size_t value) {
+    seed ^= value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);
   }
 };
 
 /// The row memo of one search, shared by its concurrent subproblem
-/// evaluators (sharded so they rarely contend on one lock). Hits and misses
-/// count row lookups; compute time is row-fill time.
+/// evaluators (sharded so they rarely contend on one lock).
 class StageRowMemo {
  public:
+  /// Row-lookup traffic: lookups that hit or filled a row, the rows held,
+  /// and the wall time spent filling rows (summed across threads).
+  struct Stats {
+    std::int64_t hits = 0;
+    std::int64_t misses = 0;
+    std::int64_t entries = 0;
+    double fill_seconds = 0.0;
+  };
+
   /// `estimator` must outlive the memo. Unbounded: one search owns the
   /// memo and drops it on return.
   explicit StageRowMemo(const LatencyEstimator& estimator) : estimator_(&estimator) {}
 
   /// kBegin: entry e prices computation [anchor, e) for e in (anchor, L).
-  std::shared_ptr<const StageRow> Begin(int anchor, const topo::DeviceSet& devices,
-                                        int micro_batch_size, bool recompute);
+  const StageRow& Begin(int anchor, const topo::DeviceSet& devices, int micro_batch_size,
+                        bool recompute);
   /// kEnd: entry b prices computation [b, L) for b in [1, L).
-  std::shared_ptr<const StageRow> End(const topo::DeviceSet& devices, int micro_batch_size,
-                                      bool recompute);
+  const StageRow& End(const topo::DeviceSet& devices, int micro_batch_size, bool recompute);
   /// kComm: entry x prices the boundary at x for x in [1, L).
-  std::shared_ptr<const StageRow> Comm(const topo::DeviceSet& from, const topo::DeviceSet& to,
-                                       int micro_batch_size);
+  const StageRow& Comm(const topo::DeviceSet& from, const topo::DeviceSet& to,
+                       int micro_batch_size);
 
-  CacheShardStats TotalStats() const { return rows_.TotalStats(); }
+  Stats TotalStats() const;
 
  private:
+  static constexpr std::size_t kShards = 16;
+
+  struct Shard {
+    mutable std::mutex mu;
+    std::unordered_map<StageRowKey, StageRow, StageRowKeyHash> rows;
+    std::int64_t hits = 0;
+    std::int64_t misses = 0;
+    double fill_seconds = 0.0;
+  };
+
   template <typename Fill>
-  std::shared_ptr<const StageRow> Row(const StageRowKey& key, Fill&& fill);
+  const StageRow& Row(const StageRowKey& key, Fill&& fill);
 
   const LatencyEstimator* estimator_;
-  ShardedCache<StageRowKey, std::shared_ptr<const StageRow>, StageRowKeyHash> rows_;
+  std::array<Shard, kShards> shards_;
 };
 
 /// What LatencyEstimator::ScoreSplits reads for every split of one
@@ -114,9 +144,9 @@ class SplitEntries {
 
  private:
   std::vector<StageCost> prefix_;
-  std::shared_ptr<const StageRow> carved_;
-  std::shared_ptr<const StageRow> boundary_;
-  std::shared_ptr<const StageRow> suffix_;
+  const StageRow* carved_ = nullptr;
+  const StageRow* boundary_ = nullptr;
+  const StageRow* suffix_ = nullptr;
 };
 
 /// Everything the parallel search observed about itself: how the work was

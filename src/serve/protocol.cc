@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <limits>
 #include <set>
 
 #include "serve/json.h"
@@ -48,6 +49,18 @@ const std::set<std::string>& KnownFields() {
   return *fields;
 }
 
+/// An integer field narrowed to int. A value outside [min, INT_MAX] is a bad
+/// request, not a wrapped int: 4294967297 servers must not plan 1 server.
+int IntField(const JsonValue& value, const std::string& field, int min) {
+  const std::int64_t v = value.AsInt();
+  if (v < min || v > std::numeric_limits<int>::max()) {
+    throw RequestError("bad_request", field + " must be in [" + std::to_string(min) + ", " +
+                                          std::to_string(std::numeric_limits<int>::max()) +
+                                          "]");
+  }
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 ServeRequest ParseRequest(const std::string& line) {
@@ -82,8 +95,7 @@ ServeRequest ParseRequest(const std::string& line) {
       throw RequestError("bad_request", "config must be \"A\", \"B\" or \"C\"");
     }
     request.config = config[0];
-    request.servers = static_cast<int>(doc.Get("servers").AsInt());
-    if (request.servers <= 0) throw RequestError("bad_request", "servers must be positive");
+    request.servers = IntField(doc.Get("servers"), "servers", 1);
     request.gbs = static_cast<long>(doc.Get("gbs").AsInt());
     if (request.gbs <= 0) throw RequestError("bad_request", "gbs must be positive");
 
@@ -106,10 +118,7 @@ ServeRequest ParseRequest(const std::string& line) {
       request.recompute = planner::ParseRecomputePolicy(recompute->AsString());
     }
     if (const JsonValue* max_stages = doc.Find("max_stages")) {
-      request.max_stages = static_cast<int>(max_stages->AsInt());
-      if (request.max_stages < 0) {
-        throw RequestError("bad_request", "max_stages must be >= 0");
-      }
+      request.max_stages = IntField(*max_stages, "max_stages", 0);
     }
   } catch (const RequestError&) {
     throw;

@@ -7,7 +7,7 @@
 //   id       string echoed verbatim into the response        (optional)
 //   model    benchmark model name, e.g. "GNMT-16"            (plan/sim/report)
 //   config   cluster config letter "A" | "B" | "C"           (ditto)
-//   servers  number of servers                               (ditto)
+//   servers  number of servers, 1..INT_MAX                   (ditto)
 //   gbs      global batch size                               (ditto)
 //   schedule schedule family name (default "DAPPLE"); the
 //            family the plan's memory check models, the
@@ -17,7 +17,8 @@
 //   recompute     "off" | "all" | "auto" (default "off"); the
 //                 plan carries the chosen per-stage flags, so
 //                 "all" returns every stage flagged          (optional)
-//   max_stages    planner stage cap (default 0 = devices)    (optional)
+//   max_stages    planner stage cap, 0..INT_MAX (default
+//                 0 = devices)                               (optional)
 //
 // Every request plans on its own worker thread: parallelism lives across
 // requests (ServerOptions::workers), and the plan is identical anyway.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -175,33 +176,9 @@ TEST(ShardedCache, LruEvictsLeastRecentlyUsed) {
   EXPECT_FALSE(cache.Lookup(2).has_value());
   EXPECT_EQ(cache.TotalStats().evictions, 1);
   EXPECT_EQ(cache.TotalStats().entries, 3);
-}
 
-TEST(ShardedCache, UnboundedCacheNeverEvicts) {
-  ShardedCache<int, int> cache(/*shards=*/2, /*per_shard_capacity=*/0);
-  for (int k = 0; k < 1000; ++k) cache.Insert(k, k);
-  EXPECT_EQ(cache.TotalStats().evictions, 0);
-  EXPECT_EQ(cache.TotalStats().entries, 1000);
-  for (int k = 0; k < 1000; ++k) EXPECT_EQ(cache.Lookup(k).value(), k);
-}
-
-TEST(ShardedCache, GetOrComputeRecomputesAfterEviction) {
-  ShardedCache<int, int> cache(/*shards=*/1, /*per_shard_capacity=*/2);
-  int computes = 0;
-  const auto get = [&](int k) {
-    return cache.GetOrCompute(k, [&] {
-      ++computes;
-      return k * 10;
-    });
-  };
-  EXPECT_EQ(get(1), 10);
-  EXPECT_EQ(get(2), 20);
-  EXPECT_EQ(get(1), 10);  // hit, no recompute
-  EXPECT_EQ(computes, 2);
-  EXPECT_EQ(get(3), 30);  // evicts 2 (the LRU after 1's refresh)
-  EXPECT_EQ(get(2), 20);  // must recompute
-  EXPECT_EQ(computes, 4);
-  EXPECT_EQ(cache.TotalStats().evictions, 2);
+  // Every cache is bounded: there is no capacity-0 mode.
+  EXPECT_THROW((ShardedCache<int, int>(1, 0)), Error);
 }
 
 TEST(ShardedCache, InsertOverwriteRefreshesRecency) {
@@ -217,10 +194,9 @@ TEST(ShardedCache, InsertOverwriteRefreshesRecency) {
 
 TEST(ShardedCache, BoundedCacheIsThreadSafe) {
   // Hammer a small bounded cache from many threads with a mixed
-  // Lookup/Insert/GetOrCompute workload; the capacity invariant must hold
-  // throughout and every returned value must match its key (values are a
-  // pure function of the key, so eviction races can never surface a wrong
-  // value).
+  // Lookup/Insert workload; the capacity invariant must hold throughout and
+  // every returned value must match its key (values are a pure function of
+  // the key, so eviction races can never surface a wrong value).
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 5000;
   constexpr std::size_t kCapacity = 8;
@@ -231,73 +207,64 @@ TEST(ShardedCache, BoundedCacheIsThreadSafe) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const int key = (i * 7 + t * 13) % 64;
-        int value = 0;
-        switch (i % 3) {
-          case 0: value = cache.GetOrCompute(key, [&] { return key * 3; }); break;
-          case 1: value = cache.Lookup(key).value_or(key * 3); break;
-          default: cache.Insert(key, key * 3); value = key * 3; break;
+        if (i % 2 == 0) {
+          if (cache.Lookup(key).value_or(key * 3) != key * 3) ok = false;
+        } else {
+          cache.Insert(key, key * 3);
         }
-        if (value != key * 3) ok = false;
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_TRUE(ok);
-  for (const CacheShardStats& shard : cache.PerShardStats()) {
-    EXPECT_LE(shard.entries, static_cast<std::int64_t>(kCapacity));
+  for (std::size_t s = 0; s < cache.num_shards(); ++s) {
+    EXPECT_LE(cache.ShardStats(s).entries, static_cast<std::int64_t>(kCapacity));
   }
-  // Insert is the only op that does not count a hit or a miss; per thread
-  // that is the i % 3 == 2 third of kOpsPerThread.
+  // Lookup is the only op that counts a hit or a miss: the even half of
+  // each thread's ops.
   EXPECT_EQ(cache.TotalStats().hits + cache.TotalStats().misses,
-            static_cast<std::int64_t>(kThreads) * (kOpsPerThread - kOpsPerThread / 3));
+            static_cast<std::int64_t>(kThreads) * (kOpsPerThread / 2));
 }
 
-void RaceGetOrComputeOnSharedKeys(std::size_t per_shard_capacity) {
-  // Eight threads released together run GetOrCompute over the same 64
-  // keys, so duplicate computes race to insert. Sixteen shards of identity-
-  // hashed ints hold four keys each, inside capacity 8: nothing is evicted
-  // and every key must end with exactly one entry.
+TEST(ShardedCache, RacingInsertsKeepRecencyListsInStepWithTheMaps) {
+  // Eight threads released together insert the same 64 keys, each thread in
+  // its own order, into four shards of capacity 8: every shard is asked to
+  // hold 16 keys, so racing inserts overwrite and evict. Afterwards each
+  // shard's recency list must hold exactly the keys its map answers for.
   constexpr int kThreads = 8;
   constexpr int kKeys = 64;
-  ShardedCache<int, int> cache(/*shards=*/16, per_shard_capacity);
+  constexpr std::size_t kCapacity = 8;
+  ShardedCache<int, int> cache(/*shards=*/4, kCapacity);
   std::atomic<bool> go{false};
-  std::atomic<bool> ok{true};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
       while (!go.load()) std::this_thread::yield();
-      for (int key = 0; key < kKeys; ++key) {
-        if (cache.GetOrCompute(key, [&] { return key * 3 + 1; }) != key * 3 + 1) ok = false;
+      for (int i = 0; i < kKeys; ++i) {
+        const int key = (i * 5 + t * 11) % kKeys;
+        cache.Insert(key, key * 3 + 1);
       }
     });
   }
   go = true;
   for (auto& th : threads) th.join();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(cache.TotalStats().entries, kKeys);
-  EXPECT_EQ(cache.TotalStats().evictions, 0);
-  EXPECT_EQ(cache.TotalStats().hits + cache.TotalStats().misses, kThreads * kKeys);
-  for (int key = 0; key < kKeys; ++key) EXPECT_EQ(cache.Lookup(key).value(), key * 3 + 1);
-  if (per_shard_capacity == 0) return;
-  // A losing duplicate insert must leave no recency node behind.
-  std::vector<int> listed;
+
   for (std::size_t s = 0; s < cache.num_shards(); ++s) {
-    const std::vector<int> keys = cache.ShardKeysByRecency(s);
-    EXPECT_EQ(static_cast<std::int64_t>(keys.size()), cache.ShardStats(s).entries);
-    listed.insert(listed.end(), keys.begin(), keys.end());
+    std::vector<int> listed = cache.ShardKeysByRecency(s);
+    EXPECT_EQ(static_cast<std::int64_t>(listed.size()), cache.ShardStats(s).entries);
+    EXPECT_EQ(listed.size(), kCapacity);
+    std::sort(listed.begin(), listed.end());
+    EXPECT_TRUE(std::adjacent_find(listed.begin(), listed.end()) == listed.end());
+    std::vector<int> held;
+    for (int key = 0; key < kKeys; ++key) {
+      if (cache.ShardIndex(key) != s) continue;
+      if (const std::optional<int> value = cache.Lookup(key)) {
+        EXPECT_EQ(*value, key * 3 + 1);
+        held.push_back(key);
+      }
+    }
+    EXPECT_EQ(held, listed) << "shard " << s;
   }
-  std::sort(listed.begin(), listed.end());
-  std::vector<int> expected(kKeys);
-  for (int key = 0; key < kKeys; ++key) expected[static_cast<std::size_t>(key)] = key;
-  EXPECT_EQ(listed, expected);
-}
-
-TEST(ShardedCache, RacingGetOrComputeKeepsOneEntryPerKeyUnbounded) {
-  RaceGetOrComputeOnSharedKeys(0);
-}
-
-TEST(ShardedCache, RacingGetOrComputeKeepsOneEntryPerKeyBounded) {
-  RaceGetOrComputeOnSharedKeys(8);
 }
 
 }  // namespace

@@ -5,19 +5,24 @@
 // search is deterministic by construction (sequential merge in enumeration
 // order, slot-indexed parallel work, pure memoized rows); this sweep is the
 // regression net around that construction. A 128-device cluster plans
-// through the row memo identically at one and four threads.
+// through the row memo identically at one and four threads, and threads
+// racing on the memo itself keep one bit-exact row per key.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/fuzz.h"
 #include "common/error.h"
+#include "estimate_bits.h"
 #include "model/zoo.h"
 #include "planner/dp_planner.h"
 #include "planner/plan_io.h"
+#include "planner/stage_cache.h"
 #include "topo/cluster.h"
 
 namespace dapple::planner {
@@ -142,6 +147,179 @@ TEST(PlannerDeterminismTest, Cluster128DevicesPlansCachedAndMatchesAcrossThreads
   EXPECT_GT(serial.stats.cache_hits, 0);
   EXPECT_GT(parallel.stats.cache_hits, 0);
   EXPECT_EQ(fingerprint(serial), fingerprint(parallel));
+}
+
+/// One memo lookup: a row family, its device sets (`to` for kComm only) and
+/// the rest of its key.
+struct RowLookup {
+  StageRowKey::Family family = StageRowKey::Family::kBegin;
+  int anchor = 0;
+  topo::DeviceSet from;
+  topo::DeviceSet to;
+  int micro_batch_size = 1;
+  bool recompute = false;
+};
+
+const StageRow& LookUp(StageRowMemo& memo, const RowLookup& l) {
+  switch (l.family) {
+    case StageRowKey::Family::kBegin:
+      return memo.Begin(l.anchor, l.from, l.micro_batch_size, l.recompute);
+    case StageRowKey::Family::kEnd:
+      return memo.End(l.from, l.micro_batch_size, l.recompute);
+    case StageRowKey::Family::kComm:
+      break;
+  }
+  return memo.Comm(l.from, l.to, l.micro_batch_size);
+}
+
+/// The row `l` names, filled from scratch through CompOn/CommAcross (no
+/// memo).
+StageRow FreshRow(const LatencyEstimator& estimator, const RowLookup& l) {
+  const int layers = estimator.model().num_layers();
+  StageRow row(static_cast<std::size_t>(layers));
+  switch (l.family) {
+    case StageRowKey::Family::kBegin: {
+      const auto comp = estimator.CompOn(l.from, l.micro_batch_size, l.anchor, layers);
+      for (int e = l.anchor + 1; e < layers; ++e) {
+        row[static_cast<std::size_t>(e)] = comp(l.anchor, e, l.recompute);
+      }
+      break;
+    }
+    case StageRowKey::Family::kEnd: {
+      const auto comp = estimator.CompOn(l.from, l.micro_batch_size, 1, layers);
+      for (int b = 1; b < layers; ++b) {
+        row[static_cast<std::size_t>(b)] = comp(b, layers, l.recompute);
+      }
+      break;
+    }
+    case StageRowKey::Family::kComm: {
+      const auto comm = estimator.CommAcross(l.from, l.to, l.micro_batch_size);
+      for (int x = 1; x < layers; ++x) row[static_cast<std::size_t>(x)] = comm(x);
+      break;
+    }
+  }
+  return row;
+}
+
+/// A row's entries as bit strings, so two rows compare equal only when every
+/// bit of every entry agrees.
+std::vector<std::string> RowBits(const StageRow& row) {
+  std::vector<std::string> bits;
+  for (const StageCost& entry : row) bits.push_back(StageCostBits(entry));
+  return bits;
+}
+
+TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
+  // Eight threads released together look up the same rows, each in its own
+  // order, so fresh keys are filled twice and duplicate inserts race.
+  const model::ModelProfile m = model::ModelByName("GNMT-16");
+  const topo::Cluster cluster = topo::MakeConfigA(4);
+  ASSERT_EQ(cluster.num_devices(), 32);
+  const LatencyEstimator estimator(m, cluster);
+  const int layers = m.num_layers();
+
+  // Sets inside one server, straddling two, nested and strided; every
+  // lookup below is a distinct key.
+  const std::vector<topo::DeviceSet> sets = {
+      topo::DeviceSet::Range(0, 1),  topo::DeviceSet::Range(0, 8),
+      topo::DeviceSet::Range(4, 8),  topo::DeviceSet::Range(8, 16),
+      topo::DeviceSet::Range(0, 32), topo::DeviceSet({1, 9, 17, 25})};
+  std::vector<RowLookup> lookups;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    for (int mbs : {1, 2}) {
+      for (bool recompute : {false, true}) {
+        for (int anchor : {0, layers / 2}) {
+          lookups.push_back({StageRowKey::Family::kBegin, anchor, sets[i], {}, mbs, recompute});
+        }
+        lookups.push_back({StageRowKey::Family::kEnd, 0, sets[i], {}, mbs, recompute});
+      }
+      lookups.push_back(
+          {StageRowKey::Family::kComm, 0, sets[i], sets[(i + 1) % sets.size()], mbs, false});
+    }
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 4;
+  StageRowMemo memo(estimator);
+  // seen[t][k]: the row thread t got for lookup k; every later round of the
+  // same thread, and every other thread, must get that same row.
+  std::vector<std::vector<const StageRow*>> seen(
+      kThreads, std::vector<const StageRow*>(lookups.size(), nullptr));
+  std::atomic<bool> go{false};
+  std::atomic<bool> stable{true};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < lookups.size(); ++i) {
+          const std::size_t k = (i + static_cast<std::size_t>(t) * 11) % lookups.size();
+          const StageRow* row = &LookUp(memo, lookups[k]);
+          if (seen[t][k] == nullptr) seen[t][k] = row;
+          if (seen[t][k] != row) stable = false;
+        }
+      }
+    });
+  }
+  go = true;
+  for (auto& th : threads) th.join();
+  EXPECT_TRUE(stable);
+
+  // One entry per key: every thread holds the same row for each lookup.
+  const auto keys = static_cast<std::int64_t>(lookups.size());
+  StageRowMemo::Stats stats = memo.TotalStats();
+  EXPECT_EQ(stats.entries, keys);
+  EXPECT_GE(stats.misses, keys);
+  EXPECT_EQ(stats.hits + stats.misses, keys * kThreads * kRounds);
+  for (std::size_t k = 0; k < lookups.size(); ++k) {
+    for (int t = 1; t < kThreads; ++t) ASSERT_EQ(seen[t][k], seen[0][k]) << "lookup " << k;
+  }
+
+  // Bit-exact rows: each equals a fresh fill of its key.
+  std::vector<std::vector<std::string>> fresh;
+  for (std::size_t k = 0; k < lookups.size(); ++k) {
+    fresh.push_back(RowBits(FreshRow(estimator, lookups[k])));
+    ASSERT_EQ(RowBits(*seen[0][k]), fresh.back()) << "lookup " << k;
+  }
+
+  // Thousands of later inserts, from four threads, rehash every shard many
+  // times over while this thread keeps reading a row it took before them.
+  const StageRow& early = *seen[0][0];
+  std::vector<RowLookup> later;
+  for (int first = 0; first < cluster.num_devices(); ++first) {
+    for (int count = 1; first + count <= cluster.num_devices(); ++count) {
+      for (int anchor = 0; anchor + 1 < layers; anchor += 2) {
+        // micro-batch size 3 keeps these keys apart from the raced ones.
+        later.push_back({StageRowKey::Family::kBegin, anchor,
+                         topo::DeviceSet::Range(first, count), {}, 3, false});
+      }
+    }
+  }
+  ASSERT_GT(later.size(), 2000u);
+  constexpr int kInserters = 4;
+  std::atomic<int> running{kInserters};
+  std::atomic<bool> unchanged{true};
+  threads.clear();
+  for (int t = 0; t < kInserters; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = static_cast<std::size_t>(t); k < later.size(); k += kInserters) {
+        LookUp(memo, later[k]);
+      }
+      --running;
+    });
+  }
+  while (running.load() > 0) {
+    if (RowBits(early) != fresh[0]) unchanged = false;
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_TRUE(unchanged);
+  stats = memo.TotalStats();
+  EXPECT_EQ(stats.entries, keys + static_cast<std::int64_t>(later.size()));
+  EXPECT_EQ(&LookUp(memo, lookups[0]), &early);
+  for (std::size_t k = 0; k < lookups.size(); ++k) {
+    EXPECT_EQ(&LookUp(memo, lookups[k]), seen[0][k]) << "lookup " << k;
+    EXPECT_EQ(RowBits(*seen[0][k]), fresh[k]) << "lookup " << k;
+  }
 }
 
 }  // namespace

@@ -127,6 +127,20 @@ TEST(ServeProtocol, MalformedRequestsBecomeStructuredErrors) {
   ExpectRequestError(std::string(kMaxLineBytes + 1, ' '), "bad_request");
 }
 
+TEST(ServeProtocol, IntegersOutsideTheIntRangeAreBadRequests) {
+  // Narrowed without a range check, 2^32 + 1 servers would plan 1 server
+  // and 2^32 max_stages would mean 0, i.e. unbounded.
+  ExpectRequestError(
+      R"({"kind":"plan","model":"GNMT-16","config":"A","servers":4294967297,"gbs":64})",
+      "bad_request");
+  ExpectRequestError(R"({"kind":"plan","model":"GNMT-16","config":"A","servers":2,)"
+                     R"("gbs":64,"max_stages":4294967296})",
+                     "bad_request");
+  ExpectRequestError(R"({"kind":"plan","model":"GNMT-16","config":"A","servers":2,)"
+                     R"("gbs":64,"max_stages":-1})",
+                     "bad_request");
+}
+
 TEST(ServeProtocol, MemoryCapOutsideTheByteRangeIsABadRequest) {
   for (const char* cap : {"inf", "nan", "1e400", "0x10", "99999999999999999999GiB"}) {
     ExpectRequestError(R"({"kind":"plan","model":"GNMT-16","config":"A","servers":2,)"
