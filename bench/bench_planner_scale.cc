@@ -1,8 +1,7 @@
 // Planner scaling sweep: the parallel memoized search on GNMT-16 and
 // AmoebaNet-36 across 8/16/32/64-device Config-A clusters (plus one
-// 128-device GNMT point; stage-row keys hold device ids, so it is memoized
-// like the rest), serial vs 2/4/8 worker threads. Three things are
-// measured per point:
+// 128-device GNMT point, memoized like the rest), serial vs 2/4/8 worker
+// threads. Four things are measured per point:
 //
 //   1. byte-identity — every thread count must serialize the exact plan the
 //      serial search found (the bench exits non-zero on any mismatch, so it
@@ -13,13 +12,17 @@
 //      projection reports what the decomposition supports;
 //   3. stage-row memo hit rate (row lookups that found their row filled),
 //      which should climb with cluster size as the same rows are read by
-//      ever more placements.
+//      ever more placements;
+//   4. stage rows held at the end of the search. Rows are keyed by what
+//      their pricer reads (planner/stage_cache.h), so the count is a pure
+//      function of the search, the same at every thread count.
 //
 // `--quick` trims to the two smallest GNMT points at threads {1, 8} for the
-// perf-smoke CI tier (finishes in seconds); the full sweep caps the largest
-// searches with max_stages (noted in the table) to keep the uncapped
-// 64-device GNMT search — minutes of work and tens of GB of frontier — out
-// of a benchmark binary.
+// perf-smoke CI tier (finishes in seconds) and also exits non-zero when the
+// two runs of a point hold different row counts; the full sweep caps the
+// largest searches with max_stages (noted in the table) to keep the
+// uncapped 64-device GNMT search — minutes of work, most of its memory
+// the DP frontier — out of a benchmark binary.
 #include "harness.h"
 
 #include <chrono>
@@ -105,8 +108,9 @@ int main(int argc, char** argv) {
   }
 
   AsciiTable table({"Model", "Devices", "Cap", "Threads", "Wall (s)", "Speedup",
-                    "Projected", "Cache hit%", "Candidates"});
+                    "Projected", "Cache hit%", "Rows", "Candidates"});
   int mismatches = 0;
+  int row_mismatches = 0;
   for (const SweepPoint& point : points) {
     const model::ModelProfile m = model::ModelByName(point.model);
     const topo::Cluster cluster = topo::MakeConfigA(point.servers);
@@ -130,6 +134,13 @@ int main(int argc, char** argv) {
                      point.model, cluster.num_devices(), threads);
         ++mismatches;
       }
+      if (quick && run.stats.cache_entries != serial.stats.cache_entries) {
+        std::fprintf(stderr, "ROW COUNT MISMATCH: %s on %d devices, %d threads held %lld rows, "
+                     "serial %lld\n", point.model, cluster.num_devices(), threads,
+                     static_cast<long long>(run.stats.cache_entries),
+                     static_cast<long long>(serial.stats.cache_entries));
+        ++row_mismatches;
+      }
       const double speedup = run.wall > 0.0 ? serial.wall / run.wall : 0.0;
       table.AddRow({point.model, AsciiTable::Int(cluster.num_devices()),
                     point.max_stages > 0 ? AsciiTable::Int(point.max_stages) : "-",
@@ -137,6 +148,7 @@ int main(int argc, char** argv) {
                     threads == 1 ? "1.00x" : AsciiTable::Num(speedup, 2) + "x",
                     AsciiTable::Num(AmdahlProjection(serial.stats, threads), 2) + "x",
                     AsciiTable::Num(run.stats.cache_hit_rate() * 100.0, 1),
+                    AsciiTable::Int(run.stats.cache_entries),
                     AsciiTable::Int(run.stats.candidates_evaluated)});
 
       // Headline comparisons land in BENCH_*.json via the harness recorder.
@@ -162,10 +174,20 @@ int main(int argc, char** argv) {
       "columns should converge; on a single-core host trust the projection.\n"
       "Cap = max_stages bound applied to keep the largest searches inside a\n"
       "benchmark-sized budget. Cache hit%% counts stage-row lookups\n"
-      "(planner/stage_cache.h), at every cluster size.\n");
+      "(planner/stage_cache.h), at every cluster size. Rows counts the rows\n"
+      "the memo held at the end: one per distinct pricer input (replica\n"
+      "count, span and slowest device of a stage; both replica counts and\n"
+      "link kinds of a boundary) per family, anchor, micro-batch size and\n"
+      "recompute flag. It must not change with the thread count; a count\n"
+      "that grows with the device ids rather than with the set shapes means\n"
+      "the key has regressed to a finer one.\n");
 
   if (mismatches > 0) {
     std::fprintf(stderr, "%d determinism violation(s)\n", mismatches);
+    return 1;
+  }
+  if (row_mismatches > 0) {
+    std::fprintf(stderr, "%d row count mismatch(es)\n", row_mismatches);
     return 1;
   }
   return 0;

@@ -1,9 +1,8 @@
 #include "comm/cost_model.h"
 
 #include <algorithm>
-#include <array>
+#include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "common/error.h"
 
@@ -15,11 +14,17 @@ TimeSec CostModel::P2P(topo::DeviceId src, topo::DeviceId dst, Bytes bytes) cons
   return kP2PLaunchOverhead + cluster_->latency(src, dst) + static_cast<double>(bytes) / bw;
 }
 
-BoundAllReduce::BoundAllReduce(const topo::Cluster& cluster, const topo::DeviceSet& devices)
-    : n_(devices.size()) {
+ReplicaGroup ReplicaGroup::Of(const topo::Cluster& cluster, const topo::DeviceSet& devices) {
+  return {devices.size(), devices.SingleServer(cluster)};
+}
+
+BoundAllReduce::BoundAllReduce(const topo::InterconnectSpec& net, ReplicaGroup group)
+    : n_(group.size) {
   if (n_ < 2) return;
-  bandwidth_ = devices.BottleneckBandwidth(cluster);
-  latency_ = devices.MaxLatency(cluster);
+  // The ring's bottleneck link and worst latency: inter-server iff the
+  // group spans servers.
+  bandwidth_ = group.single_server ? net.intra_server_bandwidth : net.inter_server_bandwidth;
+  latency_ = group.single_server ? net.intra_server_latency : net.inter_server_latency;
 }
 
 TimeSec BoundAllReduce::operator()(Bytes bytes) const {
@@ -34,82 +39,49 @@ TimeSec CostModel::AllReduce(const topo::DeviceSet& devices, Bytes bytes) const 
 }
 
 BoundAllReduce CostModel::AllReduceOver(const topo::DeviceSet& devices) const {
-  return BoundAllReduce(*cluster_, devices);
+  return BoundAllReduce(cluster_->interconnect(), ReplicaGroup::Of(*cluster_, devices));
 }
 
-namespace {
-
-/// One (from, to) device pair per kind of link a cross-stage transfer
-/// uses, -1 where it uses none. Cluster prices a link only by whether it
-/// stays inside one server, so these two pairs stand for every pair, and
-/// finding them takes one pass over each set instead of one per pair.
-struct LinkPairs {
-  topo::DeviceId intra_from = -1;
-  topo::DeviceId intra_to = -1;
-  topo::DeviceId inter_from = -1;
-  topo::DeviceId inter_to = -1;
-};
-
-LinkPairs FindLinkPairs(const topo::Cluster& cluster, const topo::DeviceSet& from,
-                        const topo::DeviceSet& to) {
-  // Up to two `to` devices per server, so one differs from any given
-  // device; and `to` devices on two different servers, so one is off any
-  // given server.
-  std::vector<std::array<topo::DeviceId, 2>> on_server(
-      static_cast<std::size_t>(cluster.num_servers()), {-1, -1});
-  std::array<topo::DeviceId, 2> spread = {-1, -1};
-  for (topo::DeviceId b : to.devices()) {
-    auto& slots = on_server[static_cast<std::size_t>(cluster.server_of(b))];
-    if (slots[0] < 0) {
-      slots[0] = b;
-    } else if (slots[1] < 0) {
-      slots[1] = b;
-    }
-    if (spread[0] < 0) {
-      spread[0] = b;
-    } else if (spread[1] < 0 && !cluster.same_server(spread[0], b)) {
-      spread[1] = b;
-    }
-  }
-  LinkPairs pairs;
+StageLink StageLink::Between(const topo::Cluster& cluster, const topo::DeviceSet& from,
+                             const topo::DeviceSet& to) {
+  StageLink link{from.size(), to.size(), false, false};
+  if (from.empty() || to.empty()) return link;
+  // Some pair crosses servers iff the two sets together span more than one.
+  const topo::ServerId first = cluster.server_of(from.devices().front());
+  auto off_first = [&](topo::DeviceId d) { return cluster.server_of(d) != first; };
+  link.inter_server = std::any_of(from.devices().begin(), from.devices().end(), off_first) ||
+                      std::any_of(to.devices().begin(), to.devices().end(), off_first);
+  // An intra-server pair needs a server hosting both sets. `to`'s servers,
+  // folded into 64 bits, rule out most `from` devices without a scan.
+  auto server_bit = [&](topo::DeviceId d) {
+    return std::uint64_t{1} << (static_cast<unsigned>(cluster.server_of(d)) % 64);
+  };
+  std::uint64_t to_servers = 0;
+  for (topo::DeviceId b : to.devices()) to_servers |= server_bit(b);
   for (topo::DeviceId a : from.devices()) {
-    const auto& slots = on_server[static_cast<std::size_t>(cluster.server_of(a))];
-    if (pairs.intra_from < 0) {
-      // A co-located replica (a == b) moves nothing over a wire.
-      const topo::DeviceId b = slots[0] != a ? slots[0] : slots[1];
-      if (b >= 0) {
-        pairs.intra_from = a;
-        pairs.intra_to = b;
+    if ((to_servers & server_bit(a)) == 0) continue;
+    for (topo::DeviceId b : to.devices()) {
+      if (b != a && cluster.same_server(a, b)) {
+        link.intra_server = true;
+        return link;
       }
     }
-    if (pairs.inter_from < 0 && spread[0] >= 0) {
-      const topo::DeviceId b = !cluster.same_server(a, spread[0]) ? spread[0] : spread[1];
-      if (b >= 0) {
-        pairs.inter_from = a;
-        pairs.inter_to = b;
-      }
-    }
-    if (pairs.intra_from >= 0 && pairs.inter_from >= 0) break;
   }
-  return pairs;
+  return link;
 }
 
-}  // namespace
-
-BoundCrossStage::BoundCrossStage(const topo::Cluster& cluster, const topo::DeviceSet& from,
-                                 const topo::DeviceSet& to)
-    : from_size_(from.size()), to_size_(to.size()) {
-  DAPPLE_CHECK(!from.empty() && !to.empty()) << "cross-stage transfer needs devices";
+BoundCrossStage::BoundCrossStage(const topo::InterconnectSpec& net, StageLink link)
+    : from_size_(link.from_size), to_size_(link.to_size) {
+  DAPPLE_CHECK(from_size_ > 0 && to_size_ > 0) << "cross-stage transfer needs devices";
   // Slowest link and worst latency over every (from, to) pair.
-  const LinkPairs pairs = FindLinkPairs(cluster, from, to);
   bandwidth_ = std::numeric_limits<BytesPerSec>::infinity();
-  if (pairs.intra_from >= 0) {
-    bandwidth_ = std::min(bandwidth_, cluster.bandwidth(pairs.intra_from, pairs.intra_to));
-    latency_ = std::max(latency_, cluster.latency(pairs.intra_from, pairs.intra_to));
+  if (link.intra_server) {
+    bandwidth_ = std::min(bandwidth_, net.intra_server_bandwidth);
+    latency_ = std::max(latency_, net.intra_server_latency);
   }
-  if (pairs.inter_from >= 0) {
-    bandwidth_ = std::min(bandwidth_, cluster.bandwidth(pairs.inter_from, pairs.inter_to));
-    latency_ = std::max(latency_, cluster.latency(pairs.inter_from, pairs.inter_to));
+  if (link.inter_server) {
+    bandwidth_ = std::min(bandwidth_, net.inter_server_bandwidth);
+    latency_ = std::max(latency_, net.inter_server_latency);
   }
   if (bandwidth_ == std::numeric_limits<BytesPerSec>::infinity()) {
     // Fully co-located stages communicate through device memory.
@@ -145,7 +117,7 @@ TimeSec CostModel::CrossStage(const topo::DeviceSet& from, const topo::DeviceSet
 
 BoundCrossStage CostModel::CrossStageOver(const topo::DeviceSet& from,
                                           const topo::DeviceSet& to) const {
-  return BoundCrossStage(*cluster_, from, to);
+  return BoundCrossStage(cluster_->interconnect(), StageLink::Between(*cluster_, from, to));
 }
 
 }  // namespace dapple::comm

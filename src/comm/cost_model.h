@@ -24,38 +24,67 @@ inline constexpr TimeSec kCollectiveLaunchOverhead = 10e-6;
 /// Fixed software overhead per point-to-point transfer.
 inline constexpr TimeSec kP2PLaunchOverhead = 5e-6;
 
-/// AllReduce pricing bound to one device set: the set's size, bottleneck
-/// link and worst latency are read once, so pricing many gradient buckets
-/// over the same replicas costs a few flops each. See
+/// What a ring AllReduce reads of its device set: the replica count and
+/// whether every replica shares one server. Cluster prices a link only by
+/// whether it stays inside a server, so these fix the ring's bottleneck
+/// link and worst latency.
+struct ReplicaGroup {
+  int size = 0;
+  bool single_server = true;
+
+  static ReplicaGroup Of(const topo::Cluster& cluster, const topo::DeviceSet& devices);
+
+  bool operator==(const ReplicaGroup& other) const = default;
+};
+
+/// What a cross-stage transfer reads of its two device sets: both replica
+/// counts, and whether some `from` device reaches a different `to` device
+/// over an intra-server link and whether some pair crosses servers. A
+/// co-located replica (the same device in both sets) moves nothing over a
+/// wire, so it joins no link.
+struct StageLink {
+  int from_size = 0;
+  int to_size = 0;
+  bool intra_server = false;
+  bool inter_server = false;
+
+  static StageLink Between(const topo::Cluster& cluster, const topo::DeviceSet& from,
+                           const topo::DeviceSet& to);
+
+  /// The link of the transfer in the opposite direction (to -> from).
+  StageLink Reversed() const { return {to_size, from_size, intra_server, inter_server}; }
+
+  bool operator==(const StageLink& other) const = default;
+};
+
+/// AllReduce pricing bound to one replica group, so pricing many gradient
+/// buckets over the same replicas costs a few flops each. See
 /// CostModel::AllReduceOver.
 class BoundAllReduce {
  public:
-  /// CostModel::AllReduce(devices, bytes) for the bound set.
+  BoundAllReduce(const topo::InterconnectSpec& net, ReplicaGroup group);
+
+  /// CostModel::AllReduce(devices, bytes) for a set of the bound group.
   TimeSec operator()(Bytes bytes) const;
 
  private:
-  friend class CostModel;
-  BoundAllReduce(const topo::Cluster& cluster, const topo::DeviceSet& devices);
-
   int n_ = 0;
   BytesPerSec bandwidth_ = 0.0;
   TimeSec latency_ = 0.0;
 };
 
-/// Cross-stage transfer pricing bound to one (from, to) pair of device
-/// sets: both replica counts, the slowest link and the worst latency are
-/// read once, so pricing the boundary at many layers costs a few flops
-/// each. See CostModel::CrossStageOver.
+/// Cross-stage transfer pricing bound to one stage link: both replica
+/// counts, the slowest link and the worst latency are read once, so pricing
+/// the boundary at many layers costs a few flops each. See
+/// CostModel::CrossStageOver.
 class BoundCrossStage {
  public:
-  /// CostModel::CrossStage(from, to, bytes) for the bound pair.
+  BoundCrossStage(const topo::InterconnectSpec& net, StageLink link);
+
+  /// CostModel::CrossStage(from, to, bytes) for a pair of the bound link.
   TimeSec operator()(Bytes bytes) const;
 
  private:
-  friend class CostModel;
-  BoundCrossStage(const topo::Cluster& cluster, const topo::DeviceSet& from,
-                  const topo::DeviceSet& to);
-
   int from_size_ = 0;
   int to_size_ = 0;
   BytesPerSec bandwidth_ = 0.0;

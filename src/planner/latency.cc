@@ -234,10 +234,7 @@ ScheduleFamilyEstimate LatencyEstimator::EstimateFamily(runtime::ScheduleKind ki
         plan.stages[static_cast<std::size_t>(runtime::HostStage(kind, i, S))];
     const double samples =
         static_cast<double>(mb.micro_batch_size) / host.replication();
-    double speed = std::numeric_limits<double>::infinity();
-    for (topo::DeviceId d : host.devices.devices()) {
-      speed = std::min(speed, cluster_->device_speed(d));
-    }
+    const double speed = CompInputs::Of(*cluster_, host.devices).slowest_speed;
     const auto idx = static_cast<std::size_t>(i);
     fwd[idx] = model_->ForwardTime(stage.layer_begin, stage.layer_end, samples, speed);
     bwd_raw[idx] =
@@ -365,20 +362,24 @@ int WorstPivot(std::span<const StageCost> stages, int num_micro_batches, TimeSec
 
 }  // namespace
 
+CompInputs CompInputs::Of(const topo::Cluster& cluster, const topo::DeviceSet& devices) {
+  CompInputs inputs{comm::ReplicaGroup::Of(cluster, devices),
+                    std::numeric_limits<double>::infinity()};
+  for (topo::DeviceId d : devices.devices()) {
+    inputs.slowest_speed = std::min(inputs.slowest_speed, cluster.device_speed(d));
+  }
+  return inputs;
+}
+
 LatencyEstimator::CompPricer::CompPricer(const LatencyEstimator& estimator,
-                                         const topo::DeviceSet& devices, int micro_batch_size,
+                                         const CompInputs& inputs, int micro_batch_size,
                                          int first_layer, int last_layer)
     : estimator_(&estimator),
-      replication_(devices.size()),
-      samples_(static_cast<double>(micro_batch_size) / devices.size()),
-      speed_(std::numeric_limits<double>::infinity()),
-      all_reduce_(estimator.cost_.AllReduceOver(devices)),
+      replication_(inputs.group.size),
+      samples_(static_cast<double>(micro_batch_size) / inputs.group.size),
+      speed_(inputs.slowest_speed),
+      all_reduce_(estimator.cluster_->interconnect(), inputs.group),
       first_layer_(first_layer) {
-  // The slowest replica gates the stage: a split micro-batch completes
-  // only when every slice has (heterogeneous clusters, stragglers).
-  for (topo::DeviceId d : devices.devices()) {
-    speed_ = std::min(speed_, estimator.cluster_->device_speed(d));
-  }
   if (replication_ > 1) {
     syncs_ = estimator.LayerSyncs(first_layer, last_layer, all_reduce_, samples_);
   }
@@ -407,12 +408,11 @@ StageCost LatencyEstimator::CompPricer::operator()(int layer_begin, int layer_en
 }
 
 LatencyEstimator::CommPricer::CommPricer(const LatencyEstimator& estimator,
-                                         const topo::DeviceSet& from,
-                                         const topo::DeviceSet& to, int micro_batch_size)
+                                         const comm::StageLink& link, int micro_batch_size)
     : estimator_(&estimator),
       micro_batch_size_(micro_batch_size),
-      forward_(estimator.cost_.CrossStageOver(from, to)),
-      backward_(estimator.cost_.CrossStageOver(to, from)) {}
+      forward_(estimator.cluster_->interconnect(), link),
+      backward_(estimator.cluster_->interconnect(), link.Reversed()) {}
 
 StageCost LatencyEstimator::CommPricer::operator()(int boundary) const {
   const Bytes act =

@@ -15,6 +15,8 @@
 // prescribes.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
@@ -136,6 +138,23 @@ struct MicroBatching {
 MicroBatching ChooseMicroBatching(long global_batch_size, int profile_micro_batch,
                                   int max_replication, int num_stages = 1);
 
+/// Everything a computation stage's cost reads of its device set: the
+/// replica group its gradients AllReduce over and the slowest replica's
+/// speed, which gates a split micro-batch (heterogeneous clusters,
+/// stragglers).
+struct CompInputs {
+  comm::ReplicaGroup group;
+  double slowest_speed = 0.0;
+
+  static CompInputs Of(const topo::Cluster& cluster, const topo::DeviceSet& devices);
+
+  /// Equal when every bit agrees, the speed's included.
+  bool operator==(const CompInputs& other) const {
+    return group == other.group && std::bit_cast<std::uint64_t>(slowest_speed) ==
+                                       std::bit_cast<std::uint64_t>(other.slowest_speed);
+  }
+};
+
 /// Bound to one (model, cluster); evaluates any plan at any global batch.
 class LatencyEstimator {
  public:
@@ -177,7 +196,7 @@ class LatencyEstimator {
   /// Prices computation stages on one device set at one micro-batch size,
   /// with the set's terms (slowest replica, bound AllReduce, each layer's
   /// sync terms) read once: a stage-cost row prices many layer ranges on
-  /// the same set.
+  /// the same set. It reads nothing of the set beyond its CompInputs.
   class CompPricer {
    public:
     /// Cost entry of stage [layer_begin, layer_end) (comp_index left -1).
@@ -185,7 +204,7 @@ class LatencyEstimator {
 
    private:
     friend class LatencyEstimator;
-    CompPricer(const LatencyEstimator& estimator, const topo::DeviceSet& devices,
+    CompPricer(const LatencyEstimator& estimator, const CompInputs& inputs,
                int micro_batch_size, int first_layer, int last_layer);
 
     const LatencyEstimator* estimator_;
@@ -198,7 +217,8 @@ class LatencyEstimator {
     std::vector<LayerSync> syncs_;
   };
   /// Prices the boundary between two device sets at one micro-batch size,
-  /// with both directions' links read once.
+  /// with both directions' links read once. It reads nothing of the sets
+  /// beyond their comm::StageLink.
   class CommPricer {
    public:
     /// Cost entry of the boundary at layer `boundary`.
@@ -206,8 +226,8 @@ class LatencyEstimator {
 
    private:
     friend class LatencyEstimator;
-    CommPricer(const LatencyEstimator& estimator, const topo::DeviceSet& from,
-               const topo::DeviceSet& to, int micro_batch_size);
+    CommPricer(const LatencyEstimator& estimator, const comm::StageLink& link,
+               int micro_batch_size);
 
     const LatencyEstimator* estimator_;
     int micro_batch_size_ = 0;
@@ -215,13 +235,20 @@ class LatencyEstimator {
     comm::BoundCrossStage backward_;
   };
   /// A pricer for stages within layers [first_layer, last_layer).
+  CompPricer CompOn(const CompInputs& inputs, int micro_batch_size, int first_layer,
+                    int last_layer) const {
+    return CompPricer(*this, inputs, micro_batch_size, first_layer, last_layer);
+  }
   CompPricer CompOn(const topo::DeviceSet& devices, int micro_batch_size, int first_layer,
                     int last_layer) const {
-    return CompPricer(*this, devices, micro_batch_size, first_layer, last_layer);
+    return CompOn(CompInputs::Of(*cluster_, devices), micro_batch_size, first_layer, last_layer);
+  }
+  CommPricer CommAcross(const comm::StageLink& link, int micro_batch_size) const {
+    return CommPricer(*this, link, micro_batch_size);
   }
   CommPricer CommAcross(const topo::DeviceSet& from, const topo::DeviceSet& to,
                         int micro_batch_size) const {
-    return CommPricer(*this, from, to, micro_batch_size);
+    return CommAcross(comm::StageLink::Between(*cluster_, from, to), micro_batch_size);
   }
 
   /// Why a plan whose peak is `peak` fails the memory check:

@@ -8,25 +8,7 @@
 
 namespace dapple::planner {
 
-namespace {
-
-/// This thread's lookup key, reset to `family`: a hit copies nothing, and
-/// the device-id buffer keeps its capacity between lookups.
-StageRowKey& ScratchKey(StageRowKey::Family family, int anchor, int micro_batch_size,
-                        bool recompute) {
-  thread_local StageRowKey key;
-  key.family = family;
-  key.recompute = recompute;
-  key.anchor = anchor;
-  key.micro_batch_size = micro_batch_size;
-  key.devices.clear();
-  return key;
-}
-
-}  // namespace
-
-template <typename Fill>
-const StageRow& StageRowMemo::Row(const StageRowKey& key, Fill&& fill) {
+const StageRow& StageRowMemo::Row(const StageRowKey& key) {
   Shard& shard = shards_[StageRowKeyHash{}(key) % kShards];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -38,8 +20,7 @@ const StageRow& StageRowMemo::Row(const StageRowKey& key, Fill&& fill) {
   }
   // Fill outside the lock so a slow fill does not serialize the shard.
   const auto t0 = std::chrono::steady_clock::now();
-  StageRow row(static_cast<std::size_t>(estimator_->model().num_layers()));
-  fill(row);
+  StageRow row = Fill(key);
   const auto t1 = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(shard.mu);
   ++shard.misses;
@@ -49,46 +30,52 @@ const StageRow& StageRowMemo::Row(const StageRowKey& key, Fill&& fill) {
   return shard.rows.try_emplace(key, std::move(row)).first->second;
 }
 
+StageRow StageRowMemo::Fill(const StageRowKey& key) const {
+  const int layers = estimator_->model().num_layers();
+  StageRow row(static_cast<std::size_t>(layers));
+  switch (key.family) {
+    case StageRowKey::Family::kBegin: {
+      const LatencyEstimator::CompPricer comp =
+          estimator_->CompOn(key.comp, key.micro_batch_size, key.anchor, layers);
+      for (int e = key.anchor + 1; e < layers; ++e) {
+        row[static_cast<std::size_t>(e)] = comp(key.anchor, e, key.recompute);
+      }
+      break;
+    }
+    case StageRowKey::Family::kEnd: {
+      const LatencyEstimator::CompPricer comp =
+          estimator_->CompOn(key.comp, key.micro_batch_size, 1, layers);
+      for (int b = 1; b < layers; ++b) {
+        row[static_cast<std::size_t>(b)] = comp(b, layers, key.recompute);
+      }
+      break;
+    }
+    case StageRowKey::Family::kComm: {
+      const LatencyEstimator::CommPricer comm =
+          estimator_->CommAcross(key.link, key.micro_batch_size);
+      for (int x = 1; x < layers; ++x) row[static_cast<std::size_t>(x)] = comm(x);
+      break;
+    }
+  }
+  return row;
+}
+
 const StageRow& StageRowMemo::Begin(int anchor, const topo::DeviceSet& devices,
                                     int micro_batch_size, bool recompute) {
-  StageRowKey& key =
-      ScratchKey(StageRowKey::Family::kBegin, anchor, micro_batch_size, recompute);
-  key.devices = devices.devices();
-  return Row(key, [&](StageRow& row) {
-    const LatencyEstimator::CompPricer comp =
-        estimator_->CompOn(devices, micro_batch_size, anchor, static_cast<int>(row.size()));
-    for (int e = anchor + 1; e < static_cast<int>(row.size()); ++e) {
-      row[static_cast<std::size_t>(e)] = comp(anchor, e, recompute);
-    }
-  });
+  return Row({StageRowKey::Family::kBegin, recompute, anchor, micro_batch_size,
+              CompInputs::Of(estimator_->cluster(), devices), {}});
 }
 
 const StageRow& StageRowMemo::End(const topo::DeviceSet& devices, int micro_batch_size,
                                   bool recompute) {
-  StageRowKey& key = ScratchKey(StageRowKey::Family::kEnd, 0, micro_batch_size, recompute);
-  key.devices = devices.devices();
-  return Row(key, [&](StageRow& row) {
-    const int layers = static_cast<int>(row.size());
-    const LatencyEstimator::CompPricer comp =
-        estimator_->CompOn(devices, micro_batch_size, 1, layers);
-    for (int b = 1; b < layers; ++b) {
-      row[static_cast<std::size_t>(b)] = comp(b, layers, recompute);
-    }
-  });
+  return Row({StageRowKey::Family::kEnd, recompute, 0, micro_batch_size,
+              CompInputs::Of(estimator_->cluster(), devices), {}});
 }
 
 const StageRow& StageRowMemo::Comm(const topo::DeviceSet& from, const topo::DeviceSet& to,
                                    int micro_batch_size) {
-  StageRowKey& key = ScratchKey(StageRowKey::Family::kComm, 0, micro_batch_size, false);
-  key.devices = from.devices();
-  key.devices.push_back(-1);
-  key.devices.insert(key.devices.end(), to.devices().begin(), to.devices().end());
-  return Row(key, [&](StageRow& row) {
-    const LatencyEstimator::CommPricer comm = estimator_->CommAcross(from, to, micro_batch_size);
-    for (int x = 1; x < static_cast<int>(row.size()); ++x) {
-      row[static_cast<std::size_t>(x)] = comm(x);
-    }
-  });
+  return Row({StageRowKey::Family::kComm, false, 0, micro_batch_size, {},
+              comm::StageLink::Between(estimator_->cluster(), from, to)});
 }
 
 StageRowMemo::Stats StageRowMemo::TotalStats() const {
@@ -138,6 +125,7 @@ void ExportSearchStats(const PlannerSearchStats& stats) {
   metrics.counter("planner.cache.hits").Increment(stats.cache_hits);
   metrics.counter("planner.cache.misses").Increment(stats.cache_misses);
   metrics.gauge("planner.cache.hit_rate").Set(stats.cache_hit_rate());
+  metrics.gauge("planner.cache.entries").Set(static_cast<double>(stats.cache_entries));
   metrics.histogram("planner.cache.compute_seconds").Observe(stats.cache_compute_seconds);
 }
 

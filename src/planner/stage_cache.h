@@ -11,27 +11,37 @@
 //           suffix)
 //   kComm   the boundary at x from one device set to another, indexed by x
 //
-// The memo maps a row's key (family, anchor, exact device ids, micro-batch
-// size, recompute) to the whole row, filled on first use through
-// LatencyEstimator's CompPricer/CommPricer, which bind the device sets once
-// per row and price every entry the way Estimate does. Rows are stored by
-// value in a fixed number of mutex-guarded hash-map shards and handed out
-// as references: a search never erases a row and a hash map never moves
-// its nodes, so a reference stays valid, and unchanged, until the memo is
-// destroyed. A subproblem looks its rows up once and then reads each
-// split's entries by index. A stage's peak-memory piece is not memoized: it
-// is a few prefix-sum reads.
+// The memo maps a row's key to the whole row, filled on first use through
+// LatencyEstimator's CompPricer/CommPricer, which price every entry the way
+// Estimate does. The key is the pricer's complete input, not the device
+// ids: a computation row reads of its set only the CompInputs (replica
+// count, whether the replicas share a server, the slowest replica's
+// speed), and a comm row only the comm::StageLink (both replica counts,
+// whether an intra-server and an inter-server link join the sets). The
+// pricers are constructed from these inputs alone, and the memo fills a
+// row from its key alone, so a row cannot read anything its key does not
+// hold, on any cluster (homogeneous, per-server speeds, degraded).
+// Every set with the same inputs shares one row. Beside the inputs a key
+// holds the family, the kBegin anchor, the micro-batch size and the
+// recompute flag; it is a fixed-size value, hashed field by field.
+//
+// Rows are stored by value in a fixed number of mutex-guarded hash-map
+// shards and handed out as references: a search never erases a row and a
+// hash map never moves its nodes, so a reference stays valid, and
+// unchanged, until the memo is destroyed. A subproblem looks its rows up
+// once and then reads each split's entries by index. A stage's peak-memory
+// piece is not memoized: it is a few prefix-sum reads.
 //
 // Determinism contract: every row is a pure function of its key (plus the
 // estimator's fixed model/cluster/options), so a looked-up entry is
 // bit-identical to a recomputation and the search result cannot depend on
 // which thread filled a row first. A row is filled outside its shard's
 // lock; when two threads fill the same fresh key, the first insert wins and
-// the duplicate is dropped. Keys hold device ids, so any cluster size is
-// memoized.
+// the duplicate is dropped.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -39,6 +49,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "comm/cost_model.h"
 #include "planner/latency.h"
 #include "topo/device_set.h"
 
@@ -48,8 +59,9 @@ namespace dapple::planner {
 /// outside the family's range are left default).
 using StageRow = std::vector<StageCost>;
 
-/// Identity of one row. For kComm, `devices` holds the `from` ids, -1 and
-/// the `to` ids; `anchor` is the kBegin stage's first layer (0 otherwise).
+/// Identity of one row: its family and everything its pricer reads. For
+/// kComm, `anchor`, `recompute` and `comp` stay default; otherwise `link`
+/// does. `anchor` is the kBegin stage's first layer (0 otherwise).
 struct StageRowKey {
   enum class Family : std::uint8_t { kBegin = 0, kEnd = 1, kComm = 2 };
 
@@ -57,7 +69,8 @@ struct StageRowKey {
   bool recompute = false;
   std::int32_t anchor = 0;
   std::int32_t micro_batch_size = 0;
-  std::vector<topo::DeviceId> devices;
+  CompInputs comp;
+  comm::StageLink link;
 
   bool operator==(const StageRowKey& other) const = default;
 };
@@ -68,7 +81,13 @@ struct StageRowKeyHash {
     Combine(seed, static_cast<std::size_t>(key.recompute));
     Combine(seed, static_cast<std::size_t>(key.anchor));
     Combine(seed, static_cast<std::size_t>(key.micro_batch_size));
-    for (topo::DeviceId d : key.devices) Combine(seed, static_cast<std::size_t>(d));
+    Combine(seed, static_cast<std::size_t>(key.comp.group.size));
+    Combine(seed, static_cast<std::size_t>(key.comp.group.single_server));
+    Combine(seed, std::bit_cast<std::uint64_t>(key.comp.slowest_speed));
+    Combine(seed, static_cast<std::size_t>(key.link.from_size));
+    Combine(seed, static_cast<std::size_t>(key.link.to_size));
+    Combine(seed, static_cast<std::size_t>(key.link.intra_server));
+    Combine(seed, static_cast<std::size_t>(key.link.inter_server));
     return seed;
   }
 
@@ -117,8 +136,11 @@ class StageRowMemo {
     double fill_seconds = 0.0;
   };
 
-  template <typename Fill>
-  const StageRow& Row(const StageRowKey& key, Fill&& fill);
+  /// The row of `key`, filled on first use.
+  const StageRow& Row(const StageRowKey& key);
+  /// A fresh row priced from `key` alone, so it cannot read an input the
+  /// key does not hold.
+  StageRow Fill(const StageRowKey& key) const;
 
   const LatencyEstimator* estimator_;
   std::array<Shard, kShards> shards_;

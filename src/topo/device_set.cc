@@ -1,7 +1,6 @@
 #include "topo/device_set.h"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -43,20 +42,6 @@ std::vector<int> DeviceSet::PerServerCounts(const Cluster& cluster) const {
   std::vector<int> counts(static_cast<std::size_t>(cluster.num_servers()), 0);
   for (DeviceId d : devices_) counts[static_cast<std::size_t>(cluster.server_of(d))]++;
   return counts;
-}
-
-BytesPerSec DeviceSet::BottleneckBandwidth(const Cluster& cluster) const {
-  if (size() < 2) return std::numeric_limits<BytesPerSec>::infinity();
-  // The bottleneck is inter-server iff the set spans servers; checking the
-  // span avoids the O(n^2) pair loop.
-  return SingleServer(cluster) ? cluster.interconnect().intra_server_bandwidth
-                               : cluster.interconnect().inter_server_bandwidth;
-}
-
-TimeSec DeviceSet::MaxLatency(const Cluster& cluster) const {
-  if (size() < 2) return 0.0;
-  return SingleServer(cluster) ? cluster.interconnect().intra_server_latency
-                               : cluster.interconnect().inter_server_latency;
 }
 
 DeviceSet DeviceSet::Union(const DeviceSet& other) const {

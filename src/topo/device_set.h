@@ -1,12 +1,10 @@
 // DeviceSet: an ordered collection of device ids assigned to one pipeline
-// stage, plus queries the cost models need (server span, per-server counts,
-// slowest link inside the set).
+// stage, plus queries the cost models need (server span, per-server counts).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "common/units.h"
 #include "topo/cluster.h"
 
 namespace dapple::topo {
@@ -33,13 +31,6 @@ class DeviceSet {
   /// Count of the set's devices on each server (indexed by ServerId, sized
   /// to cluster.num_servers()).
   std::vector<int> PerServerCounts(const Cluster& cluster) const;
-
-  /// Minimum pairwise bandwidth inside the set: the ring-allreduce
-  /// bottleneck link. Returns +inf for sets of size < 2 (no communication).
-  BytesPerSec BottleneckBandwidth(const Cluster& cluster) const;
-
-  /// Maximum pairwise latency inside the set.
-  TimeSec MaxLatency(const Cluster& cluster) const;
 
   /// Union with disjoint `other`; throws if they overlap.
   DeviceSet Union(const DeviceSet& other) const;

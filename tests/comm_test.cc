@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,14 +63,21 @@ TEST(CostModel, AllReduceIsAFlatRingAcrossServers) {
   EXPECT_GT(cost.AllReduce(span, bytes), cost.AllReduce(DeviceSet::Range(0, 8), bytes));
 }
 
-// The ring AllReduce as written before it was bound to a set, in its
-// original expression order, so the bound object is pinned to it bit for
-// bit.
+// The ring AllReduce over the slowest link and worst latency of every pair
+// in the set, in the formula's original expression order, so the bound
+// object is pinned to it bit for bit.
 TimeSec RingReference(const Cluster& cluster, const DeviceSet& devices, Bytes bytes) {
   const int n = devices.size();
   if (n < 2 || bytes == 0) return 0.0;
-  const BytesPerSec bw = devices.BottleneckBandwidth(cluster);
-  const TimeSec lat = devices.MaxLatency(cluster);
+  BytesPerSec bw = std::numeric_limits<BytesPerSec>::infinity();
+  TimeSec lat = 0.0;
+  for (topo::DeviceId a : devices.devices()) {
+    for (topo::DeviceId b : devices.devices()) {
+      if (a == b) continue;
+      bw = std::min(bw, cluster.bandwidth(a, b));
+      lat = std::max(lat, cluster.latency(a, b));
+    }
+  }
   const double steps = 2.0 * (n - 1);
   const double volume = 2.0 * static_cast<double>(n - 1) / n * static_cast<double>(bytes);
   return kCollectiveLaunchOverhead + steps * lat + volume / bw;
@@ -154,6 +162,40 @@ TEST(CostModel, BoundCrossStageMatchesCrossStageBitForBit) {
         EXPECT_EQ(Bits(bound(bytes)), Bits(reference));
         EXPECT_EQ(Bits(cost.CrossStage(from, to, bytes)), Bits(reference));
       }
+    }
+  }
+}
+
+TEST(CostModel, StageLinkMatchesEveryDevicePair) {
+  // The link kinds found by StageLink::Between against a scan of every
+  // (from, to) pair, on random and overlapping sets. 130 single-device
+  // servers fold onto 64 bits twice, so its server filter aliases.
+  const std::vector<Cluster> clusters = {MakeConfigA(4), MakeConfigB(130)};
+  std::mt19937_64 rng(7);
+  for (const Cluster& cluster : clusters) {
+    std::vector<topo::DeviceId> ids(static_cast<std::size_t>(cluster.num_devices()));
+    for (std::size_t d = 0; d < ids.size(); ++d) ids[d] = static_cast<topo::DeviceId>(d);
+    for (int draw = 0; draw < 2000; ++draw) {
+      std::shuffle(ids.begin(), ids.end(), rng);
+      const std::size_t from_size = 1 + rng() % 6;
+      const std::size_t to_size = 1 + rng() % 6;
+      // Every fourth draw lets the sets share devices.
+      const std::size_t to_first = draw % 4 == 0 ? rng() % from_size : from_size;
+      const DeviceSet from(std::vector<topo::DeviceId>(ids.begin(), ids.begin() + from_size));
+      const DeviceSet to(std::vector<topo::DeviceId>(ids.begin() + to_first,
+                                                     ids.begin() + to_first + to_size));
+      bool intra = false;
+      bool inter = false;
+      for (topo::DeviceId a : from.devices()) {
+        for (topo::DeviceId b : to.devices()) {
+          if (a == b) continue;
+          (cluster.same_server(a, b) ? intra : inter) = true;
+        }
+      }
+      const StageLink link = StageLink::Between(cluster, from, to);
+      SCOPED_TRACE(cluster.name() + " " + from.ToString() + " -> " + to.ToString());
+      EXPECT_EQ(link, (StageLink{from.size(), to.size(), intra, inter}));
+      EXPECT_EQ(StageLink::Between(cluster, to, from), link.Reversed());
     }
   }
 }

@@ -5,13 +5,17 @@
 // search is deterministic by construction (sequential merge in enumeration
 // order, slot-indexed parallel work, pure memoized rows); this sweep is the
 // regression net around that construction. A 128-device cluster plans
-// through the row memo identically at one and four threads, and threads
-// racing on the memo itself keep one bit-exact row per key.
+// through the row memo identically at one and four threads, threads racing
+// on the memo itself keep one bit-exact row per key, and device sets with
+// equal pricer inputs share a row that is bit-exact for each of them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +23,7 @@
 #include "check/fuzz.h"
 #include "common/error.h"
 #include "estimate_bits.h"
+#include "fault/degrade.h"
 #include "model/zoo.h"
 #include "planner/dp_planner.h"
 #include "planner/plan_io.h"
@@ -114,8 +119,8 @@ TEST(PlannerDeterminismTest, SharedPoolAndDedicatedPoolAgree) {
 }
 
 TEST(PlannerDeterminismTest, Cluster128DevicesPlansCachedAndMatchesAcrossThreads) {
-  // Row keys hold device ids, so a 128-device cluster searches through the
-  // row memo: the memo is actually hit, and one and four threads agree.
+  // A 128-device cluster searches through the row memo like any other: the
+  // memo is actually hit, and one and four threads agree.
   // Three stages, so second-level subproblems share their prefix rows (with
   // two, every row of a search is distinct); one placement policy keeps the
   // search small enough for the ThreadSanitizer tier.
@@ -172,6 +177,28 @@ const StageRow& LookUp(StageRowMemo& memo, const RowLookup& l) {
   return memo.Comm(l.from, l.to, l.micro_batch_size);
 }
 
+/// The memo key `l` looks up: its family and its sets' pricer inputs.
+StageRowKey KeyOf(const topo::Cluster& cluster, const RowLookup& l) {
+  StageRowKey key{l.family, l.recompute, l.anchor, l.micro_batch_size, {}, {}};
+  if (l.family == StageRowKey::Family::kComm) {
+    key.recompute = false;
+    key.link = comm::StageLink::Between(cluster, l.from, l.to);
+  } else {
+    key.comp = CompInputs::Of(cluster, l.from);
+  }
+  return key;
+}
+
+/// How many rows the lookups name: one per distinct key.
+std::int64_t DistinctKeys(const topo::Cluster& cluster, const std::vector<RowLookup>& lookups) {
+  std::vector<StageRowKey> keys;
+  for (const RowLookup& l : lookups) {
+    const StageRowKey key = KeyOf(cluster, l);
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) keys.push_back(key);
+  }
+  return static_cast<std::int64_t>(keys.size());
+}
+
 /// The row `l` names, filled from scratch through CompOn/CommAcross (no
 /// memo).
 StageRow FreshRow(const LatencyEstimator& estimator, const RowLookup& l) {
@@ -218,12 +245,14 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
   const LatencyEstimator estimator(m, cluster);
   const int layers = m.num_layers();
 
-  // Sets inside one server, straddling two, nested and strided; every
-  // lookup below is a distinct key.
+  // Sets inside one server, straddling two, nested and strided. The last
+  // two repeat the inputs of the second and the strided set on other
+  // devices, so some lookups below name a row another one fills.
   const std::vector<topo::DeviceSet> sets = {
       topo::DeviceSet::Range(0, 1),  topo::DeviceSet::Range(0, 8),
       topo::DeviceSet::Range(4, 8),  topo::DeviceSet::Range(8, 16),
-      topo::DeviceSet::Range(0, 32), topo::DeviceSet({1, 9, 17, 25})};
+      topo::DeviceSet::Range(0, 32), topo::DeviceSet({1, 9, 17, 25}),
+      topo::DeviceSet::Range(16, 8), topo::DeviceSet({26, 2, 18, 10})};
   std::vector<RowLookup> lookups;
   for (std::size_t i = 0; i < sets.size(); ++i) {
     for (int mbs : {1, 2}) {
@@ -237,6 +266,8 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
           {StageRowKey::Family::kComm, 0, sets[i], sets[(i + 1) % sets.size()], mbs, false});
     }
   }
+  const std::int64_t keys = DistinctKeys(cluster, lookups);
+  ASSERT_LT(keys, static_cast<std::int64_t>(lookups.size()));
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 4;
@@ -265,17 +296,22 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
   for (auto& th : threads) th.join();
   EXPECT_TRUE(stable);
 
-  // One entry per key: every thread holds the same row for each lookup.
-  const auto keys = static_cast<std::int64_t>(lookups.size());
+  // One entry per key: every thread holds the same row for each lookup,
+  // and lookups with equal keys hold the same row.
   StageRowMemo::Stats stats = memo.TotalStats();
   EXPECT_EQ(stats.entries, keys);
   EXPECT_GE(stats.misses, keys);
-  EXPECT_EQ(stats.hits + stats.misses, keys * kThreads * kRounds);
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<std::int64_t>(lookups.size()) * kThreads * kRounds);
   for (std::size_t k = 0; k < lookups.size(); ++k) {
     for (int t = 1; t < kThreads; ++t) ASSERT_EQ(seen[t][k], seen[0][k]) << "lookup " << k;
+    for (std::size_t o = 0; o < k; ++o) {
+      EXPECT_EQ(KeyOf(cluster, lookups[o]) == KeyOf(cluster, lookups[k]), seen[0][o] == seen[0][k])
+          << "lookups " << o << " and " << k;
+    }
   }
 
-  // Bit-exact rows: each equals a fresh fill of its key.
+  // Bit-exact rows: each equals a fresh fill of its own lookup's sets.
   std::vector<std::vector<std::string>> fresh;
   for (std::size_t k = 0; k < lookups.size(); ++k) {
     fresh.push_back(RowBits(FreshRow(estimator, lookups[k])));
@@ -284,18 +320,25 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
 
   // Thousands of later inserts, from four threads, rehash every shard many
   // times over while this thread keeps reading a row it took before them.
+  // Each is a fresh key: every (replica count, span) a range of this
+  // cluster has, at every anchor and at micro-batch sizes the raced keys
+  // do not use.
   const StageRow& early = *seen[0][0];
+  std::vector<topo::DeviceSet> shapes;
+  for (int count = 1; count <= cluster.num_devices(); ++count) {
+    shapes.push_back(topo::DeviceSet::Range(0, count));
+    if (count > 1 && count <= 8) shapes.push_back(topo::DeviceSet::Range(8 - count / 2, count));
+  }
   std::vector<RowLookup> later;
-  for (int first = 0; first < cluster.num_devices(); ++first) {
-    for (int count = 1; first + count <= cluster.num_devices(); ++count) {
-      for (int anchor = 0; anchor + 1 < layers; anchor += 2) {
-        // micro-batch size 3 keeps these keys apart from the raced ones.
-        later.push_back({StageRowKey::Family::kBegin, anchor,
-                         topo::DeviceSet::Range(first, count), {}, 3, false});
+  for (int mbs = 3; mbs <= 6; ++mbs) {
+    for (int anchor = 0; anchor + 1 < layers; ++anchor) {
+      for (const topo::DeviceSet& shape : shapes) {
+        later.push_back({StageRowKey::Family::kBegin, anchor, shape, {}, mbs, false});
       }
     }
   }
   ASSERT_GT(later.size(), 2000u);
+  ASSERT_EQ(DistinctKeys(cluster, later), static_cast<std::int64_t>(later.size()));
   constexpr int kInserters = 4;
   std::atomic<int> running{kInserters};
   std::atomic<bool> unchanged{true};
@@ -319,6 +362,108 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
   for (std::size_t k = 0; k < lookups.size(); ++k) {
     EXPECT_EQ(&LookUp(memo, lookups[k]), seen[0][k]) << "lookup " << k;
     EXPECT_EQ(RowBits(*seen[0][k]), fresh[k]) << "lookup " << k;
+  }
+}
+
+TEST(StageRowMemoInputs, EqualInputSetsShareBitExactRowsAndOneChangedInputSplitsThem) {
+  // Random device sets, many of which agree in every pricer input without
+  // sharing a device. Each lookup's row, whichever set filled it, must be
+  // bitwise equal to a fresh fill from that lookup's own sets.
+  const model::ModelProfile m = model::ModelByName("GNMT-16");
+  const int layers = m.num_layers();
+  const topo::Cluster a = topo::MakeConfigA(4);
+  const topo::Cluster slowed = a.WithServerSpeeds({1.0, 0.5, 1.0, 0.75});
+  fault::ClusterState state = fault::StateAt(fault::FaultScript{}, a, 0.0);
+  state.device_dead[9] = true;      // drains server 1
+  state.server_compute[2] = 0.5;    // a straggler
+  state.server_bandwidth[3] = 0.5;  // a degraded link
+  const fault::DegradedCluster degraded = fault::MakeDegradedCluster(a, state);
+  ASSERT_TRUE(degraded.feasible);
+  ASSERT_FALSE(degraded.cluster.homogeneous());
+  const std::vector<topo::Cluster> clusters = {a, topo::MakeConfigB(16), topo::MakeConfigC(16),
+                                               slowed, degraded.cluster};
+
+  std::mt19937_64 rng(27);
+  for (const topo::Cluster& cluster : clusters) {
+    SCOPED_TRACE(cluster.name() + " on " + std::to_string(cluster.num_devices()) + " devices");
+    const LatencyEstimator estimator(m, cluster);
+    StageRowMemo memo(estimator);
+    auto random_set = [&] {
+      std::vector<topo::DeviceId> ids(static_cast<std::size_t>(cluster.num_devices()));
+      for (std::size_t d = 0; d < ids.size(); ++d) ids[d] = static_cast<topo::DeviceId>(d);
+      std::shuffle(ids.begin(), ids.end(), rng);
+      ids.resize(1 + rng() % 4);
+      return topo::DeviceSet(std::move(ids));
+    };
+    // The device ids each row was first handed out for, to count lookups
+    // served by a row another set filled.
+    std::map<const StageRow*, std::vector<topo::DeviceId>> first_ids;
+    int shared = 0;
+    for (int draw = 0; draw < 300; ++draw) {
+      const topo::DeviceSet from = random_set();
+      const topo::DeviceSet to = random_set();
+      const bool recompute = rng() % 2 == 1;
+      const RowLookup lookups[] = {
+          {StageRowKey::Family::kBegin, draw % 2 == 0 ? 0 : layers / 2, from, {}, 2, recompute},
+          {StageRowKey::Family::kEnd, 0, from, {}, 2, recompute},
+          {StageRowKey::Family::kComm, 0, from, to, 2, false}};
+      for (const RowLookup& l : lookups) {
+        const StageRow& row = LookUp(memo, l);
+        ASSERT_EQ(RowBits(row), RowBits(FreshRow(estimator, l)))
+            << "draw " << draw << ": " << l.from.ToString() << " -> " << l.to.ToString();
+        std::vector<topo::DeviceId> ids = l.from.devices();
+        ids.push_back(-1);
+        ids.insert(ids.end(), l.to.devices().begin(), l.to.devices().end());
+        const auto [it, fresh] = first_ids.try_emplace(&row, ids);
+        if (!fresh && it->second != ids) ++shared;
+      }
+    }
+    // The draws really do share rows across different sets.
+    EXPECT_GT(shared, 300);
+    EXPECT_LT(memo.TotalStats().entries, 300);
+  }
+
+  // Sets that differ in exactly one input get different rows. Their prices
+  // differ too, except where a slower link already bounds the transfer.
+  struct Pair {
+    const topo::Cluster* cluster;
+    RowLookup first;
+    RowLookup second;
+    bool same_price = false;
+  };
+  const auto begin_on = [](topo::DeviceSet set) {
+    return RowLookup{StageRowKey::Family::kBegin, 0, std::move(set), {}, 2, false};
+  };
+  const auto comm_across = [](topo::DeviceSet from, topo::DeviceSet to) {
+    return RowLookup{StageRowKey::Family::kComm, 0, std::move(from), std::move(to), 2, false};
+  };
+  const Pair pairs[] = {
+      // Span: four replicas on one server or on two.
+      {&a, begin_on(topo::DeviceSet::Range(0, 4)), begin_on(topo::DeviceSet({0, 1, 2, 8}))},
+      // Slowest device: a full-speed server against a slowed one.
+      {&slowed, begin_on(topo::DeviceSet::Range(0, 4)), begin_on(topo::DeviceSet::Range(8, 4))},
+      {&degraded.cluster, begin_on(topo::DeviceSet::Range(0, 4)),
+       begin_on(topo::DeviceSet::Range(8, 4))},
+      // Link kinds: intra-server only, inter-server only, and both.
+      {&a, comm_across(topo::DeviceSet({0, 1}), topo::DeviceSet({2, 3})),
+       comm_across(topo::DeviceSet({0, 1}), topo::DeviceSet({8, 9}))},
+      {&a, comm_across(topo::DeviceSet({0, 1}), topo::DeviceSet({2, 3})),
+       comm_across(topo::DeviceSet({0, 8}), topo::DeviceSet({1, 9}))},
+      {&a, comm_across(topo::DeviceSet({0, 1}), topo::DeviceSet({8, 9})),
+       comm_across(topo::DeviceSet({0, 8}), topo::DeviceSet({1, 9})), true},
+  };
+  for (const Pair& pair : pairs) {
+    SCOPED_TRACE(pair.first.from.ToString() + " -> " + pair.first.to.ToString() + " vs " +
+                 pair.second.from.ToString() + " -> " + pair.second.to.ToString());
+    const LatencyEstimator estimator(m, *pair.cluster);
+    StageRowMemo memo(estimator);
+    const StageRow& first = LookUp(memo, pair.first);
+    const StageRow& second = LookUp(memo, pair.second);
+    EXPECT_NE(&first, &second);
+    EXPECT_EQ(RowBits(first) == RowBits(second), pair.same_price);
+    EXPECT_EQ(RowBits(first), RowBits(FreshRow(estimator, pair.first)));
+    EXPECT_EQ(RowBits(second), RowBits(FreshRow(estimator, pair.second)));
+    EXPECT_EQ(memo.TotalStats().entries, 2);
   }
 }
 

@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "estimate_bits.h"
 #include "model/zoo.h"
+#include "obs/metrics.h"
 #include "planner/dp_baseline.h"
 #include "planner/dp_planner.h"
 #include "topo/cluster.h"
@@ -291,6 +292,21 @@ TEST(PlannerOracle, TableVCandidateCountsArePinned) {
     const PlanResult result =
         DapplePlanner(model::ModelByName(instance.model), instance.cluster, options).Plan();
     EXPECT_EQ(result.candidates_evaluated, instance.candidates) << instance.model;
+  }
+}
+
+TEST(PlannerOracle, StageRowCountIsPinned) {
+  // Stage rows are keyed by what their pricer reads, not by device ids: on
+  // 16 Config-A devices GNMT-16 holds one row per distinct (replica count,
+  // span, slowest device) or (replica counts, link kinds), at every thread
+  // count. A finer key would hold more than ten times as many.
+  for (int threads : {1, 8}) {
+    PlannerOptions options = Opts(2048);
+    options.num_threads = threads;
+    const PlanResult result =
+        DapplePlanner(model::ModelByName("GNMT-16"), topo::MakeConfigA(2), options).Plan();
+    EXPECT_EQ(result.stats.cache_entries, 524) << threads << " threads";
+    EXPECT_EQ(obs::MetricsRegistry::Global().gauge("planner.cache.entries").value(), 524.0);
   }
 }
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -79,17 +78,6 @@ TEST(DeviceSet, RangeAndQueries) {
   const auto counts = s.PerServerCounts(a);
   EXPECT_EQ(counts[0], 4);
   EXPECT_EQ(counts[1], 4);
-}
-
-TEST(DeviceSet, BottleneckBandwidth) {
-  const Cluster a = MakeConfigA(2);
-  EXPECT_DOUBLE_EQ(DeviceSet::Range(0, 8).BottleneckBandwidth(a),
-                   a.interconnect().intra_server_bandwidth);
-  EXPECT_DOUBLE_EQ(DeviceSet::Range(0, 16).BottleneckBandwidth(a),
-                   a.interconnect().inter_server_bandwidth);
-  // Singleton set never communicates.
-  EXPECT_TRUE(std::isinf(DeviceSet::Range(0, 1).BottleneckBandwidth(a)));
-  EXPECT_EQ(DeviceSet::Range(0, 1).MaxLatency(a), 0.0);
 }
 
 TEST(DeviceSet, SpanQueriesOnEmptySingleAndNonContiguousSets) {

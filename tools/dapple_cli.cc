@@ -188,11 +188,13 @@ int CmdPlan(int argc, char** argv) {
   std::printf("plan: %s (split %s), estimated latency %s, ACR %.2f\n",
               planned.plan.ToString().c_str(), planned.plan.SplitString().c_str(),
               FormatTime(planned.estimate.latency).c_str(), planned.estimate.acr);
-  std::printf("search: %d threads, %ld subproblems, cache %lld/%lld hits (%.0f%%), %.3fs\n",
-              planned.stats.threads, planned.stats.subproblems,
-              static_cast<long long>(planned.stats.cache_hits),
-              static_cast<long long>(planned.stats.cache_hits + planned.stats.cache_misses),
-              planned.stats.cache_hit_rate() * 100.0, planned.stats.wall_seconds);
+  std::printf(
+      "search: %d threads, %ld subproblems, cache %lld/%lld hits (%.0f%%), %lld rows, %.3fs\n",
+      planned.stats.threads, planned.stats.subproblems,
+      static_cast<long long>(planned.stats.cache_hits),
+      static_cast<long long>(planned.stats.cache_hits + planned.stats.cache_misses),
+      planned.stats.cache_hit_rate() * 100.0,
+      static_cast<long long>(planned.stats.cache_entries), planned.stats.wall_seconds);
   if (planned.stats.memory_cap > 0) {
     std::printf("memory cap %s: peak %s (%s), %ld placements rejected, "
                 "%d/%d stages recompute (%d fit probes)\n",
