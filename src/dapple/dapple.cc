@@ -25,6 +25,8 @@ planner::PlanResult Session::Plan(long global_batch_size,
   planner::PlanResult result;
   try {
     result = planner::DapplePlanner(model_, cluster_, options).Plan();
+  } catch (const planner::SearchTooLarge&) {
+    throw;  // a budget hit is the answer; recomputation cannot shrink it
   } catch (const Error&) {
     // Nothing fits without re-computation: re-plan in the paper's
     // Table VIII operating mode (checkpoint + replay on every stage), which

@@ -7,11 +7,14 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -24,26 +27,51 @@ namespace dapple::planner {
 
 namespace {
 
-/// Canonical allocation key. Identical servers are interchangeable, so on
-/// homogeneous clusters two allocations with the same sorted per-server
-/// used counts lead to equivalent futures; on heterogeneous clusters the
-/// server identity matters and the counts stay positional.
-std::string CanonicalKey(const topo::AllocationState& state) {
-  std::vector<int> counts;
-  counts.reserve(static_cast<std::size_t>(state.cluster().num_servers()));
-  for (int s = 0; s < state.cluster().num_servers(); ++s) {
-    counts.push_back(state.used_on_server(s));
+/// Packs canonical allocation keys. Identical servers are interchangeable,
+/// so on homogeneous clusters two allocations with the same sorted
+/// per-server used counts lead to equivalent futures; on heterogeneous
+/// clusters the server identity matters and the counts stay positional. A
+/// key is those counts as fixed-width big-endian fields, so comparing two
+/// keys byte by byte compares the counts lexicographically. Each count is
+/// stored as its rank in decimal-string order: a level's nodes are
+/// expanded, and so merged, in the order of their "c0,c1,...," count
+/// strings, which decides latency ties and alternatives eviction, and with
+/// 10 or more devices per server "10," sorts before "9,".
+class KeyPacker {
+ public:
+  explicit KeyPacker(const topo::Cluster& cluster)
+      : sorted_(cluster.homogeneous()),
+        rank_(static_cast<std::size_t>(cluster.gpus_per_server()) + 1) {
+    std::vector<int> by_text(rank_.size());
+    std::iota(by_text.begin(), by_text.end(), 0);
+    std::sort(by_text.begin(), by_text.end(),
+              [](int a, int b) { return std::to_string(a) < std::to_string(b); });
+    for (std::size_t r = 0; r < by_text.size(); ++r) {
+      rank_[static_cast<std::size_t>(by_text[r])] = static_cast<unsigned>(r);
+    }
+    while (cluster.gpus_per_server() >> (8 * width_) != 0) ++width_;
+    size_ = static_cast<std::size_t>(cluster.num_servers()) * width_;
   }
-  if (state.cluster().homogeneous()) {
-    std::sort(counts.begin(), counts.end());
+
+  /// Bytes per key.
+  std::size_t size() const { return size_; }
+
+  /// Writes the key of per-server used counts `counts` (sorted in place on
+  /// homogeneous clusters) to out[0, size()).
+  void Pack(std::span<int> counts, char* out) const {
+    if (sorted_) std::sort(counts.begin(), counts.end());
+    for (int count : counts) {
+      const unsigned rank = rank_[static_cast<std::size_t>(count)];
+      for (std::size_t b = width_; b-- > 0;) *out++ = static_cast<char>(rank >> (8 * b));
+    }
   }
-  std::string key;
-  for (int c : counts) {
-    key += std::to_string(c);
-    key += ',';
-  }
-  return key;
-}
+
+ private:
+  bool sorted_;
+  std::vector<unsigned> rank_;
+  std::size_t width_ = 1;
+  std::size_t size_ = 0;
+};
 
 /// Compact identity of a plan's (layer range, device list) structure, used
 /// only for dedup — raw little-endian ints, never printed. Millions of
@@ -64,10 +92,63 @@ std::string PlanSignature(const ParallelPlan& p) {
   return sig;
 }
 
+/// A frontier node at level j: the stages of its prefix are its own last
+/// stage [i, j) preceded by its parent's prefix, the parent being node
+/// `parent` of level i (-1 for the root, whose prefix is empty).
 struct SearchNode {
-  std::vector<StagePlan> prefix;  // stages covering layers [0, prefix_end)
-  topo::AllocationState state;
+  int parent = -1;
+  int num_stages = 0;  // of the prefix
+  StagePlan stage;
   double tpl = 0.0;  // latency of prefix + default suffix (the paper's TPL)
+  /// The devices the prefix uses; dropped once the level is expanded.
+  std::optional<topo::AllocationState> state;
+};
+
+/// One DP level: its nodes, and the best node per packed canonical key.
+class Level {
+ public:
+  int size() const { return static_cast<int>(nodes_.size()); }
+  SearchNode& node(int i) { return nodes_[static_cast<std::size_t>(i)]; }
+
+  /// The node holding `key`, or nullptr.
+  SearchNode* Find(std::string_view key) {
+    const auto it = index_.find(key);
+    return it == index_.end() ? nullptr : &node(it->second);
+  }
+
+  /// Adds a node under `key`, which the level must not hold yet.
+  void Add(std::string_view key, SearchNode node) {
+    index_.emplace(key, size());
+    nodes_.push_back(std::move(node));
+  }
+
+  /// Node indices in ascending key order, the order the level expands in.
+  std::vector<int> KeyOrder() const {
+    std::vector<std::pair<std::string_view, int>> keyed(index_.begin(), index_.end());
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<int> order;
+    order.reserve(keyed.size());
+    for (const auto& entry : keyed) order.push_back(entry.second);
+    return order;
+  }
+
+  /// Drops what only expansion reads (the index, the states); the stages
+  /// and parent links stay for the prefixes of later levels.
+  void Release() {
+    index_ = {};
+    for (SearchNode& n : nodes_) n.state.reset();
+  }
+
+ private:
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
+  std::vector<SearchNode> nodes_;
+  std::unordered_map<std::string, int, KeyHash, std::equal_to<>> index_;
 };
 
 }  // namespace
@@ -91,6 +172,18 @@ RecomputePolicy ParseRecomputePolicy(const std::string& text) {
   throw Error("unknown recompute policy '" + text + "' (off | all | auto)");
 }
 
+SearchTooLarge::SearchTooLarge(long subproblems, long budget, int levels,
+                               long candidates_evaluated, long frontier_peak)
+    : Error("search too large: " + std::to_string(subproblems) +
+            " subproblems passes the budget of " + std::to_string(budget) + " at DP level " +
+            std::to_string(levels) + " (" + std::to_string(candidates_evaluated) +
+            " candidates evaluated, frontier peak " + std::to_string(frontier_peak) + ")"),
+      subproblems_(subproblems),
+      budget_(budget),
+      levels_(levels),
+      candidates_evaluated_(candidates_evaluated),
+      frontier_peak_(frontier_peak) {}
+
 DapplePlanner::DapplePlanner(const model::ModelProfile& model, const topo::Cluster& cluster,
                              PlannerOptions options)
     : model_(&model), cluster_(&cluster), options_(options) {
@@ -109,6 +202,8 @@ PlanResult DapplePlanner::Plan() const {
     // Auto tries without recomputation first — it is latency-free and most
     // instances fit.
     result = Search(options_.recompute == RecomputePolicy::kAll);
+  } catch (const SearchTooLarge&) {
+    throw;
   } catch (const Error&) {
     if (options_.recompute != RecomputePolicy::kAuto) throw;
     // DawnPiper-style fallback, only when nothing fits: rerun with
@@ -302,57 +397,99 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
 
   // Level-by-level DP: frontier[j] holds the best node per canonical
   // allocation key whose prefix covers layers [0, j).
-  std::vector<std::map<std::string, SearchNode>> frontier(
-      static_cast<std::size_t>(num_layers));
+  const KeyPacker packer(*cluster_);
+  const std::size_t key_size = packer.size();
+  const int num_servers = cluster_->num_servers();
+  std::vector<Level> frontier(static_cast<std::size_t>(num_layers));
   {
-    SearchNode root{{}, topo::AllocationState(*cluster_), 0.0};
+    SearchNode root{-1, 0, {}, 0.0, topo::AllocationState(*cluster_)};
     root.tpl = merge(CandidateScore{dp_est.feasible, dp_est.memory_limited, dp_est.latency,
                                     dp_est.max_peak_memory},
                      [&] { return std::pair{data_parallel, dp_est}; });
-    frontier[0].emplace(CanonicalKey(root.state), std::move(root));
+    std::vector<int> counts(static_cast<std::size_t>(num_servers), 0);
+    std::string key(key_size, '\0');
+    packer.Pack(counts, key.data());
+    frontier[0].Add(key, std::move(root));
   }
+
+  // What expanding one node reads: its node, its prefix (walked from its
+  // parents once, never per subproblem) and its free devices in id order.
+  struct Expansion {
+    int node = 0;
+    const topo::AllocationState* state = nullptr;
+    std::vector<StagePlan> prefix;
+    std::vector<topo::DeviceId> free;
+  };
+  // The stages of node `index` of level `j`, first stage first.
+  auto prefix_of = [&](int j, int index) {
+    std::vector<StagePlan> stages;
+    for (; index >= 0 && j > 0; j = stages.back().layer_begin) {
+      const SearchNode& n = frontier[static_cast<std::size_t>(j)].node(index);
+      stages.push_back(n.stage);
+      index = n.parent;
+    }
+    std::reverse(stages.begin(), stages.end());
+    return stages;
+  };
 
   // One unit of parallel work: a (frontier node, device placement) pair
   // that expands every split point jp on its own. Coarser than a single
   // candidate (good cache locality: all jp share the placement's stage
   // vocabulary), finer than a frontier node (parallelism exists even at
-  // level 0, where the frontier is a single root).
+  // level 0, where the frontier is a single root). The placement is the
+  // first `size` devices of hand-out order `order`.
   struct Subproblem {
-    const SearchNode* node = nullptr;
-    int j = 0;
-    topo::DeviceSet devices;
+    int expansion = 0;
+    int order = 0;
+    int size = 0;
     topo::PlacementPolicy policy = topo::PlacementPolicy::kFreshFirst;
-    topo::AllocationState child_state;  // node's state with `devices` committed
-    std::string child_key;              // CanonicalKey of child_state
-    topo::DeviceSet free;               // devices the default suffix runs on
-    // Filled by the parallel phase: the score of split point j + 1 + i at
-    // index i. A split's plan and full estimate are rebuilt from the
-    // subproblem only if the merge needs them.
+  };
+  // What the parallel phase derives for one subproblem of a batch.
+  struct Evaluated {
+    topo::DeviceSet devices;  // the carved stage's devices
+    topo::DeviceSet free;     // devices the default suffix runs on
+    // The score of split point j + 1 + i at index i. A split's plan and
+    // full estimate are rebuilt only if the merge needs them.
     std::vector<CandidateScore> scores;
   };
 
-  // The stage a subproblem carves at split point jp.
-  auto carved_stage = [&](const Subproblem& sub, int jp) {
-    return StagePlan{sub.j, jp, sub.devices, sub.policy, recompute_all};
-  };
-  // The complete candidate for split point jp: the node's prefix, the
-  // carved stage [j, jp) and the default suffix [jp, L) on every free
-  // device.
-  auto build_completed = [&](const Subproblem& sub, int jp) {
-    ParallelPlan plan;
+  // Writes to `plan` the complete candidate of a subproblem at level j for
+  // split point jp: the node's prefix, the carved stage [j, jp) and the
+  // default suffix [jp, L) on every free device. Assigning stage by stage
+  // reuses the plan's storage, so a reused plan allocates nothing.
+  auto complete = [&](ParallelPlan& plan, const Expansion& node, const Subproblem& sub,
+                      const Evaluated& ev, int j, int jp) {
+    const std::size_t n = node.prefix.size();
     plan.model = model_->name();
-    plan.stages.reserve(sub.node->prefix.size() + 2);
-    plan.stages = sub.node->prefix;
-    plan.stages.push_back(carved_stage(sub, jp));
-    plan.stages.push_back(StagePlan{jp, num_layers, sub.free,
-                                    topo::PlacementPolicy::kFreshFirst, recompute_all});
-    return plan;
+    plan.stages.resize(n + 2);
+    std::copy(node.prefix.begin(), node.prefix.end(), plan.stages.begin());
+    auto assign = [&](StagePlan& stage, int begin, int end, const topo::DeviceSet& devices,
+                      topo::PlacementPolicy policy) {
+      stage.layer_begin = begin;
+      stage.layer_end = end;
+      stage.devices = devices;
+      stage.policy = policy;
+      stage.recompute = recompute_all;
+    };
+    assign(plan.stages[n], j, jp, ev.devices, sub.policy);
+    assign(plan.stages[n + 1], jp, num_layers, ev.free, topo::PlacementPolicy::kFreshFirst);
   };
 
+  const std::vector<topo::PlacementPolicy>& policy_set =
+      options_.policies.empty() ? topo::AllPlacementPolicies() : options_.policies;
+
+  // A level is expanded in batches of consecutive nodes with about this
+  // many subproblems (a batch ends on a node boundary). Batching changes
+  // nothing but memory: a level of a large cluster holds millions of
+  // subproblems, and only one batch's hand-out orders, device sets and
+  // scores are alive.
+  constexpr std::size_t kBatch = 1 << 14;
+
   for (int j = 0; j < num_layers; ++j) {
-    auto& level_nodes = frontier[static_cast<std::size_t>(j)];
-    if (level_nodes.empty()) continue;
+    Level& level = frontier[static_cast<std::size_t>(j)];
+    if (level.size() == 0) continue;
     ++best.stats.levels;
+    best.stats.frontier_peak = std::max<long>(best.stats.frontier_peak, level.size());
     auto phase_clock = std::chrono::steady_clock::now();
     auto lap = [&phase_clock] {
       const auto now = std::chrono::steady_clock::now();
@@ -361,112 +498,228 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       return s;
     };
 
-    // Phase 1 (sequential, cheap): enumerate this level's subproblems in
-    // the canonical order: node (map order) -> size m -> deduped policy.
-    std::vector<Subproblem> subproblems;
-    for (auto& [key, node] : level_nodes) {
-      (void)key;
-      if (static_cast<int>(node.prefix.size()) + 1 >= max_stages) continue;
-      // Nodes whose default-suffix completion was infeasible (tpl = inf)
-      // must stay expandable: splitting the suffix further may restore
-      // memory feasibility (this is exactly how AmoebaNet-36, which cannot
-      // run data-parallel, still gets planned). Pruning reads the incumbent
-      // only here, between levels, so it cannot observe mid-level merge
-      // order and stays identical at every thread count.
-      if (options_.prune_slack > 0.0 && best.estimate.feasible &&
-          std::isfinite(node.tpl) &&
-          node.tpl > best.estimate.latency * options_.prune_slack) {
-        ++pruned;
-        continue;
+    // Pruning reads the incumbent only here, before the level's first
+    // merge, so it cannot observe mid-level merge order and stays identical
+    // at every thread count.
+    const bool prune = options_.prune_slack > 0.0 && best.estimate.feasible;
+    const double prune_above = best.estimate.latency * options_.prune_slack;
+    // Whether node `index` expands: below the stage cap and not pruned
+    // (counted in `pruned` when `count` is set). Nodes whose default-suffix
+    // completion was infeasible (tpl = inf) must stay expandable: splitting
+    // the suffix further may restore memory feasibility (this is exactly
+    // how AmoebaNet-36, which cannot run data-parallel, still gets planned).
+    auto expands = [&](int index, bool count) {
+      const SearchNode& node = level.node(index);
+      if (node.num_stages + 1 >= max_stages) return false;
+      if (prune && std::isfinite(node.tpl) && node.tpl > prune_above) {
+        if (count) ++pruned;
+        return false;
       }
-      const int free_devices = node.state.num_free();
+      return true;
+    };
+    // Appends the hand-out orders of a node with `state` to `orders` and
+    // calls place(order index, m, policy) for each of its placements in
+    // canonical order: size m, then policy, duplicates dropped. Each policy
+    // hands the devices out in at most two orders (the one for size 1 and,
+    // if it stops short, the one for every larger size), and a size-m
+    // placement is a prefix of one; two policies place alike at m when
+    // their orders share their first m devices.
+    auto placements = [&](const topo::AllocationState& state,
+                          std::vector<std::vector<topo::DeviceId>>& orders, auto&& place) {
+      const int free_devices = state.num_free();
+      struct PolicyOrders {
+        topo::PlacementPolicy policy;
+        std::size_t small = 0;  // order index for sizes up to its length
+        std::size_t large = 0;  // order index for larger sizes
+      };
+      const std::size_t first = orders.size();
+      std::vector<PolicyOrders> policy_orders;
+      for (topo::PlacementPolicy policy : policy_set) {
+        PolicyOrders po{policy, orders.size(), orders.size()};
+        orders.push_back(state.PlanOrder(policy, 1));
+        const auto covered = static_cast<int>(orders.back().size());
+        if (covered < free_devices) {
+          po.large = orders.size();
+          orders.push_back(state.PlanOrder(policy, covered + 1));
+        }
+        policy_orders.push_back(po);
+      }
+      // Common prefix lengths of the node's orders, pairwise.
+      const std::size_t count = orders.size() - first;
+      std::vector<std::size_t> common(count * count, 0);
+      for (std::size_t a = 0; a < count; ++a) {
+        for (std::size_t b = 0; b < a; ++b) {
+          const auto& x = orders[first + a];
+          const auto& y = orders[first + b];
+          const auto n = static_cast<std::ptrdiff_t>(std::min(x.size(), y.size()));
+          const auto lcp =
+              static_cast<std::size_t>(std::mismatch(x.begin(), x.begin() + n, y.begin()).first -
+                                       x.begin());
+          common[a * count + b] = lcp;
+          common[b * count + a] = lcp;
+        }
+      }
+      std::vector<std::size_t> placed;  // order indices taken at the current size
       for (int m = 1; m < free_devices; ++m) {
-        // Distinct device sets for this size; on fresh or flat clusters the
-        // three policies frequently coincide.
-        std::vector<topo::DeviceSet> placements;
-        std::vector<topo::PlacementPolicy> placement_policies;
-        const std::vector<topo::PlacementPolicy>& policy_set =
-            options_.policies.empty() ? topo::AllPlacementPolicies() : options_.policies;
-        for (topo::PlacementPolicy policy : policy_set) {
-          auto devices = node.state.Plan(policy, m);
-          if (!devices) continue;
-          if (std::find(placements.begin(), placements.end(), *devices) !=
-              placements.end()) {
+        placed.clear();
+        for (const PolicyOrders& po : policy_orders) {
+          const std::size_t order =
+              static_cast<std::size_t>(m) <= orders[po.small].size() ? po.small : po.large;
+          if (std::any_of(placed.begin(), placed.end(), [&](std::size_t other) {
+                return common[(order - first) * count + (other - first)] >=
+                       static_cast<std::size_t>(m);
+              })) {
             continue;
           }
-          placements.push_back(std::move(*devices));
-          placement_policies.push_back(policy);
+          placed.push_back(order);
+          place(static_cast<int>(order), m, po.policy);
         }
-        for (std::size_t p = 0; p < placements.size(); ++p) {
-          subproblems.push_back(Subproblem{&node, j, std::move(placements[p]),
-                                           placement_policies[p], node.state, {}, {}, {}});
-        }
+      }
+    };
+    const std::vector<int> key_order = level.KeyOrder();
+
+    // The budget is checked before the level evaluates anything: a counting
+    // pass enumerates the level's placements and stores none of them.
+    std::vector<std::vector<topo::DeviceId>> orders;
+    if (options_.max_subproblems > 0) {
+      long enumerated = best.stats.subproblems;
+      for (int index : key_order) {
+        if (!expands(index, false)) continue;
+        orders.clear();
+        placements(*level.node(index).state, orders, [&](int, int, topo::PlacementPolicy) {
+          if (++enumerated > options_.max_subproblems) {
+            throw SearchTooLarge(enumerated, options_.max_subproblems, best.stats.levels,
+                                 evaluated, best.stats.frontier_peak);
+          }
+        });
       }
     }
-    best.stats.subproblems += static_cast<long>(subproblems.size());
-    best.stats.enumerate_seconds += lap();
 
-    // Phase 2 (parallel, hot): each subproblem scores all of its split
-    // points in one pass from its stage-cost rows. Only jp varies inside
-    // one; the prefix, both device sets, the stage count and every
-    // replication factor (so the micro-batching) are fixed, and
-    // ScoreSplits does that fixed work once. Results land in the
-    // subproblem's own slot; apart from the row memo (pure values), nothing
-    // here reads or writes search-global state.
-    pool.ParallelFor(subproblems.size(), [&](std::size_t s) {
-      Subproblem& sub = subproblems[s];
-      sub.child_state.Commit(sub.devices);
-      sub.child_key = CanonicalKey(sub.child_state);
-      std::vector<topo::DeviceId> free;
-      for (topo::DeviceId d = 0; d < num_devices; ++d) {
-        if (!sub.child_state.is_used(d)) free.push_back(d);
+    std::size_t level_expansions = 0;
+    std::vector<Expansion> expansions;
+    std::vector<Subproblem> subproblems;
+    std::vector<Evaluated> batch;
+    std::string child_keys;
+    for (std::size_t next = 0; next < key_order.size();) {
+      // Phase 1 (sequential, cheap): the next batch's subproblems, in the
+      // canonical order: node (key order) -> size m -> deduped policy.
+      expansions.clear();
+      orders.clear();
+      subproblems.clear();
+      while (next < key_order.size() && subproblems.size() < kBatch) {
+        const int index = key_order[next++];
+        if (!expands(index, true)) continue;
+        const topo::AllocationState& state = *level.node(index).state;
+        Expansion expansion{index, &state, prefix_of(j, index), {}};
+        expansion.free.reserve(static_cast<std::size_t>(state.num_free()));
+        for (topo::DeviceId d = 0; d < num_devices; ++d) {
+          if (!state.is_used(d)) expansion.free.push_back(d);
+        }
+        const auto expansion_index = static_cast<int>(expansions.size());
+        expansions.push_back(std::move(expansion));
+        placements(state, orders, [&](int order, int m, topo::PlacementPolicy policy) {
+          subproblems.push_back(Subproblem{expansion_index, order, m, policy});
+        });
       }
-      sub.free = topo::DeviceSet(std::move(free));
-      if (sub.j + 1 >= num_layers) return;  // no split point left
+      best.stats.subproblems += static_cast<long>(subproblems.size());
+      best.stats.enumerate_seconds += lap();
+      const std::size_t size = subproblems.size();
+      batch.assign(size, Evaluated{});
+      child_keys.assign(size * key_size, '\0');
 
-      const ParallelPlan first = build_completed(sub, sub.j + 1);
-      const SplitEntries entries(
-          rows, first, estimator.ChooseMicroBatchSize(first, options_.global_batch_size));
-      sub.scores = estimator.ScoreSplits(first, options_.global_batch_size, entries.prefix(),
-                                         entries.carved(), entries.boundary(),
-                                         entries.suffix());
-    });
-    best.stats.evaluate_seconds += lap();
+      // Phase 2 (parallel, hot): each subproblem takes its placement, its
+      // free set and its child's key from the node's state, then scores all
+      // of its split points in one pass from its stage-cost rows. Only jp
+      // varies inside one; the prefix, both device sets, the stage count and
+      // every replication factor (so the micro-batching) are fixed, and
+      // ScoreSplits does that fixed work once. Results land in the
+      // subproblem's own slot; apart from the row memo (pure values),
+      // nothing here reads or writes search-global state.
+      pool.ParallelFor(size, [&](std::size_t s) {
+        const Subproblem& sub = subproblems[s];
+        const Expansion& node = expansions[static_cast<std::size_t>(sub.expansion)];
+        const std::vector<topo::DeviceId>& order = orders[static_cast<std::size_t>(sub.order)];
+        Evaluated& ev = batch[s];
+        ev.devices = topo::DeviceSet(
+            std::vector<topo::DeviceId>(order.begin(), order.begin() + sub.size));
+        // Per-thread scratch: per-server counts, a mark per carved device
+        // and the candidate at the first split.
+        thread_local std::vector<int> counts;
+        thread_local std::vector<char> carved;
+        thread_local ParallelPlan first;
+        counts.resize(static_cast<std::size_t>(num_servers));
+        carved.assign(static_cast<std::size_t>(num_devices), 0);
+        for (int srv = 0; srv < num_servers; ++srv) {
+          counts[static_cast<std::size_t>(srv)] = node.state->used_on_server(srv);
+        }
+        for (topo::DeviceId d : ev.devices.devices()) {
+          ++counts[static_cast<std::size_t>(cluster_->server_of(d))];
+          carved[static_cast<std::size_t>(d)] = 1;
+        }
+        packer.Pack(counts, child_keys.data() + s * key_size);
+        std::vector<topo::DeviceId> free;
+        free.reserve(node.free.size() - static_cast<std::size_t>(sub.size));
+        for (topo::DeviceId d : node.free) {
+          if (!carved[static_cast<std::size_t>(d)]) free.push_back(d);
+        }
+        ev.free = topo::DeviceSet(std::move(free));
+        if (j + 1 >= num_layers) return;  // no split point left
+
+        complete(first, node, sub, ev, j, j + 1);
+        const SplitEntries entries(
+            rows, first, estimator.ChooseMicroBatchSize(first, options_.global_batch_size));
+        ev.scores = estimator.ScoreSplits(first, options_.global_batch_size, entries.prefix(),
+                                          entries.carved(), entries.boundary(),
+                                          entries.suffix());
+      });
+      best.stats.evaluate_seconds += lap();
+      for (const Evaluated& ev : batch) level_expansions += ev.scores.size();
+
+      // Phase 3 (sequential, deterministic): merge in enumeration order —
+      // subproblem order, then jp ascending — identical outcomes to the
+      // single-threaded search. A candidate's plan and estimate are built
+      // only when it can enter `best` or the alternatives, and its child
+      // node (its state included) only when it takes its frontier slot.
+      for (std::size_t s = 0; s < size; ++s) {
+        const Subproblem& sub = subproblems[s];
+        const Expansion& node = expansions[static_cast<std::size_t>(sub.expansion)];
+        const Evaluated& ev = batch[s];
+        const std::string_view key(child_keys.data() + s * key_size, key_size);
+        for (std::size_t i = 0; i < ev.scores.size(); ++i) {
+          const int jp = j + 1 + static_cast<int>(i);
+          const double tpl = merge(ev.scores[i], [&] {
+            ParallelPlan plan;
+            complete(plan, node, sub, ev, j, jp);
+            PlanEstimate est = estimator.Estimate(plan, options_.global_batch_size);
+            return std::pair{std::move(plan), std::move(est)};
+          });
+          Level& child_level = frontier[static_cast<std::size_t>(jp)];
+          SearchNode* slot = child_level.Find(key);
+          if (slot == nullptr || tpl < slot->tpl) {
+            SearchNode child{node.node, static_cast<int>(node.prefix.size()) + 1,
+                             StagePlan{j, jp, ev.devices, sub.policy, recompute_all}, tpl,
+                             *node.state};
+            child.state->Commit(ev.devices);
+            if (slot == nullptr) {
+              child_level.Add(key, std::move(child));
+            } else {
+              *slot = std::move(child);
+            }
+          }
+        }
+      }
+      best.stats.merge_seconds += lap();
+    }
     {
-      std::size_t level_expansions = 0;
-      for (const Subproblem& sub : subproblems) level_expansions += sub.scores.size();
       auto& metrics = obs::MetricsRegistry::Global();
       metrics.counter("planner.estimator_calls")
           .Increment(static_cast<std::int64_t>(level_expansions));
       metrics.histogram("planner.level_expansions")
           .Observe(static_cast<double>(level_expansions));
     }
-
-    // Phase 3 (sequential, deterministic): merge in enumeration order —
-    // subproblem order, then jp ascending — identical outcomes to the
-    // single-threaded search. A candidate's plan and estimate are built
-    // only when it can enter `best` or the alternatives, and its child node
-    // only when it takes its frontier slot.
-    for (Subproblem& sub : subproblems) {
-      for (std::size_t i = 0; i < sub.scores.size(); ++i) {
-        const int jp = sub.j + 1 + static_cast<int>(i);
-        const double tpl = merge(sub.scores[i], [&] {
-          ParallelPlan plan = build_completed(sub, jp);
-          PlanEstimate est = estimator.Estimate(plan, options_.global_batch_size);
-          return std::pair{std::move(plan), std::move(est)};
-        });
-        auto& level = frontier[static_cast<std::size_t>(jp)];
-        auto it = level.find(sub.child_key);
-        if (it == level.end() || tpl < it->second.tpl) {
-          SearchNode child{sub.node->prefix, sub.child_state, tpl};
-          child.prefix.push_back(carved_stage(sub, jp));
-          level.insert_or_assign(sub.child_key, std::move(child));
-        }
-      }
-    }
-    // Free processed level early; the search only moves forward.
-    level_nodes.clear();
-    best.stats.merge_seconds += lap();
+    // The search only moves forward: later levels read this one's nodes
+    // only for their stages and parents.
+    level.Release();
   }
 
   best.candidates_evaluated = evaluated;

@@ -7,6 +7,17 @@
 // (identical machines are interchangeable). Every visited state is also a
 // complete candidate plan (prefix + default suffix), so pure data
 // parallelism (j = 0) and straight pipelines fall out of the same search.
+//
+// The frontier of level j is a vector of nodes, each holding its last
+// stage, its parent's index, its allocation state and its TPL, indexed by
+// a packed canonical key (fixed-width per-server counts). A node's
+// placements of size m are the first m devices of one hand-out order per
+// policy (AllocationState::PlanOrder), and a subproblem's child key and
+// free set come from the node's state plus the carved devices: no
+// allocation state is copied and no key is formatted per subproblem. A
+// node's prefix is walked from its parents once, when the node is
+// expanded; a child's state is built only when the child takes its
+// frontier slot.
 #pragma once
 
 #include <optional>
@@ -14,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "planner/latency.h"
 #include "planner/plan.h"
 #include "planner/stage_cache.h"
@@ -69,6 +81,36 @@ struct PlannerOptions {
   /// merge is sequential in enumeration order; parallel work is
   /// slot-indexed).
   int num_threads = 0;
+  /// Search budget: the search throws SearchTooLarge once its serial
+  /// enumeration has counted more subproblems than this (0 = unbounded).
+  /// The count never depends on wall time or threads, so a search fits or
+  /// not identically at every thread count. Not part of the plan
+  /// fingerprint: a search that fits returns the same plan at any budget.
+  long max_subproblems = 0;
+};
+
+/// A search that passed PlannerOptions::max_subproblems, with the counts it
+/// reached when it stopped.
+class SearchTooLarge : public Error {
+ public:
+  SearchTooLarge(long subproblems, long budget, int levels, long candidates_evaluated,
+                 long frontier_peak);
+
+  /// Subproblems enumerated when the budget was passed (budget + 1).
+  long subproblems() const { return subproblems_; }
+  long budget() const { return budget_; }
+  /// DP levels the search had reached, the one that passed included.
+  int levels() const { return levels_; }
+  long candidates_evaluated() const { return candidates_evaluated_; }
+  /// Largest level's node count reached.
+  long frontier_peak() const { return frontier_peak_; }
+
+ private:
+  long subproblems_;
+  long budget_;
+  int levels_;
+  long candidates_evaluated_;
+  long frontier_peak_;
 };
 
 struct PlanResult {
@@ -93,8 +135,9 @@ class DapplePlanner {
   /// is flagged for recomputation. Under kAuto a memory-infeasible search
   /// is retried with recomputation everywhere, then trimmed to the cheapest
   /// per-stage subset that still fits. Throws when no feasible plan exists
-  /// even then. Under a memory cap, adds the result's recompute stages and
-  /// fit probes to the planner.cap.* counters.
+  /// even then, and SearchTooLarge (never retried) when a search passes
+  /// max_subproblems. Under a memory cap, adds the result's recompute
+  /// stages and fit probes to the planner.cap.* counters.
   PlanResult Plan() const;
 
   /// Evaluates a fully specified plan, its own recompute flags included,

@@ -114,6 +114,7 @@ void ExportSearchStats(const PlannerSearchStats& stats) {
   auto& metrics = obs::MetricsRegistry::Global();
   metrics.counter("planner.parallel.subproblems").Increment(stats.subproblems);
   metrics.counter("planner.parallel.levels").Increment(stats.levels);
+  metrics.gauge("planner.parallel.frontier_peak").Set(static_cast<double>(stats.frontier_peak));
   metrics.gauge("planner.parallel.threads").Set(static_cast<double>(stats.threads));
   metrics.histogram("planner.parallel.wall_seconds").Observe(stats.wall_seconds);
   // Cap metrics only when a cap was actually in force, so uncapped runs

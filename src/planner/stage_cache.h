@@ -183,6 +183,8 @@ struct PlannerSearchStats {
   /// Independent (frontier state x device placement) subproblems evaluated
   /// across all levels — the units handed to the thread pool.
   long subproblems = 0;
+  /// Nodes in the largest DP level (frontier) the search expanded.
+  long frontier_peak = 0;
   long candidates_evaluated = 0;
   long candidates_pruned = 0;
 

@@ -25,6 +25,7 @@ planner::PlannerOptions ServeRequest::ToPlannerOptions() const {
   options.latency.memory_cap = memory_cap;
   options.latency.schedule_kind = schedule;
   options.num_threads = 1;
+  options.max_subproblems = kMaxPlanSubproblems;
   return options;
 }
 

@@ -22,6 +22,12 @@
 //
 // Every request plans on its own worker thread: parallelism lives across
 // requests (ServerOptions::workers), and the plan is identical anyway.
+// Each search runs under the fixed budget kMaxPlanSubproblems: a request
+// whose search would pass it is answered "too_large" (with the counts the
+// search reached in the message) instead of holding a worker for minutes
+// or exhausting memory. The budget counts subproblems, not time, so the
+// same request is too large at every worker count and on every host. A
+// too_large answer is not cached: a repeat request searches again.
 //
 // Success responses carry {"id","ok":true,"kind",...}; failures carry
 // {"id","ok":false,"error":{"code","message"}} and never kill the daemon.
@@ -44,9 +50,20 @@ enum class RequestKind { kPlan, kSimulate, kReport, kStats };
 
 const char* ToString(RequestKind kind);
 
+/// The planner search budget of every plan-carrying request
+/// (PlannerOptions::max_subproblems). Sized from serial searches on a
+/// 4-core host: the largest Table V search enumerates 30,377 subproblems
+/// and the 32-device GNMT-16 search 191,115, which fit 16x and 2.6x over.
+/// A 500k-subproblem search takes 2-3 s. The deeper models on 32
+/// Config-A devices (XLNet-36, AmoebaNet-36, BERT-48: 590k-789k) do not
+/// fit, and a 128-device GNMT-16 request passes the budget within 0.5 s
+/// and 64 MB.
+inline constexpr long kMaxPlanSubproblems = 500'000;
+
 /// Structured request failure: `code` is the stable machine-readable
 /// error class emitted on the wire ("parse_error", "bad_request",
-/// "unknown_model", "infeasible"), `what()` the human message.
+/// "unknown_model", "infeasible", "too_large"), `what()` the human
+/// message.
 class RequestError : public Error {
  public:
   RequestError(std::string code, const std::string& message)
@@ -73,7 +90,8 @@ struct ServeRequest {
   int max_stages = 0;
 
   /// The planner options this request resolves to (schedule kind folded
-  /// into the latency options, exactly as `dapple plan` does).
+  /// into the latency options, exactly as `dapple plan` does), serial and
+  /// under the kMaxPlanSubproblems budget.
   planner::PlannerOptions ToPlannerOptions() const;
 };
 

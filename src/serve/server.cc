@@ -137,6 +137,10 @@ Server::PlanEntryPtr Server::PlanFor(const ServeRequest& request,
   planner::PlanResult planned;
   try {
     planned = session.Plan(request.gbs, options);
+  } catch (const planner::SearchTooLarge& e) {
+    // Over the search budget: refused before it could hold the worker or
+    // its memory for long. Not cached, like every refusal.
+    throw RequestError("too_large", e.what());
   } catch (const Error& e) {
     // The planner throws exactly when no feasible plan exists (e.g. an
     // infeasible memory cap even with recomputation everywhere). The

@@ -37,20 +37,7 @@ bool AllocationState::is_used(DeviceId d) const {
   return used_.at(static_cast<std::size_t>(d));
 }
 
-std::vector<DeviceId> AllocationState::FreeDevicesOnServer(ServerId s) const {
-  std::vector<DeviceId> free;
-  const int per = cluster_->gpus_per_server();
-  for (int i = 0; i < per; ++i) {
-    const DeviceId d = s * per + i;
-    if (!used_[static_cast<std::size_t>(d)]) free.push_back(d);
-  }
-  return free;
-}
-
-std::optional<DeviceSet> AllocationState::Plan(PlacementPolicy policy, int n) const {
-  DAPPLE_CHECK_GT(n, 0) << "allocation size";
-  if (n > num_free_) return std::nullopt;
-
+std::vector<DeviceId> AllocationState::PlanOrder(PlacementPolicy policy, int n) const {
   const int servers = cluster_->num_servers();
   const int per = cluster_->gpus_per_server();
 
@@ -63,10 +50,18 @@ std::optional<DeviceSet> AllocationState::Plan(PlacementPolicy policy, int n) co
   auto is_partial = [&](ServerId s) { return used_on_server(s) > 0 && free_on(s) > 0; };
 
   std::vector<DeviceId> picked;
-  picked.reserve(static_cast<std::size_t>(n));
+  picked.reserve(static_cast<std::size_t>(num_free_));
+  // Whole servers in `order`, each lowest-free-first.
+  auto take_servers = [&] {
+    for (ServerId s : order) {
+      for (DeviceId d = s * per; d < (s + 1) * per; ++d) {
+        if (!used_[static_cast<std::size_t>(d)]) picked.push_back(d);
+      }
+    }
+  };
 
   switch (policy) {
-    case PlacementPolicy::kFreshFirst: {
+    case PlacementPolicy::kFreshFirst:
       // Fill fresh machines first (whole machines), preferring faster
       // servers on heterogeneous clusters, then fall back to partially
       // used ones.
@@ -74,16 +69,9 @@ std::optional<DeviceSet> AllocationState::Plan(PlacementPolicy policy, int n) co
         if (is_fresh(a) != is_fresh(b)) return is_fresh(a) > is_fresh(b);
         return cluster_->server_speed(a) > cluster_->server_speed(b);
       });
-      for (ServerId s : order) {
-        for (DeviceId d : FreeDevicesOnServer(s)) {
-          if (static_cast<int>(picked.size()) == n) break;
-          picked.push_back(d);
-        }
-        if (static_cast<int>(picked.size()) == n) break;
-      }
+      take_servers();
       break;
-    }
-    case PlacementPolicy::kAppendFirst: {
+    case PlacementPolicy::kAppendFirst:
       // Prefer machines with the fewest free GPUs (most occupied first) so
       // fragments get consumed before fresh machines are touched.
       std::stable_sort(order.begin(), order.end(), [&](ServerId a, ServerId b) {
@@ -93,15 +81,8 @@ std::optional<DeviceSet> AllocationState::Plan(PlacementPolicy policy, int n) co
         if (pa && pb) return free_on(a) < free_on(b);
         return false;
       });
-      for (ServerId s : order) {
-        for (DeviceId d : FreeDevicesOnServer(s)) {
-          if (static_cast<int>(picked.size()) == n) break;
-          picked.push_back(d);
-        }
-        if (static_cast<int>(picked.size()) == n) break;
-      }
+      take_servers();
       break;
-    }
     case PlacementPolicy::kScatterFirst: {
       // Round-robin one GPU at a time. If some machines are already in use,
       // scatter across those first; otherwise scatter across all machines.
@@ -121,29 +102,34 @@ std::optional<DeviceSet> AllocationState::Plan(PlacementPolicy policy, int n) co
           if (!is_partial(s) && free_on(s) > 0) pool.push_back(s);
         }
       }
-      std::vector<std::vector<DeviceId>> free_lists;
-      free_lists.reserve(pool.size());
-      for (ServerId s : pool) free_lists.push_back(FreeDevicesOnServer(s));
-      std::size_t round = 0;
-      while (static_cast<int>(picked.size()) < n) {
-        bool progressed = false;
-        for (auto& list : free_lists) {
-          if (round < list.size()) {
-            picked.push_back(list[round]);
-            progressed = true;
-            if (static_cast<int>(picked.size()) == n) break;
-          }
+      // Round r takes the r-th free device of each pool server.
+      std::vector<DeviceId> cursor;  // each pool server's next device
+      cursor.reserve(pool.size());
+      for (ServerId s : pool) cursor.push_back(s * per);
+      for (bool progressed = true; progressed;) {
+        progressed = false;
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+          DeviceId& d = cursor[i];
+          const DeviceId end = (pool[i] + 1) * per;
+          while (d < end && used_[static_cast<std::size_t>(d)]) ++d;
+          if (d == end) continue;
+          picked.push_back(d++);
+          progressed = true;
         }
-        if (static_cast<int>(picked.size()) == n) break;
-        if (!progressed) break;  // pool exhausted (cannot happen: n <= free)
-        ++round;
       }
       break;
     }
   }
+  return picked;
+}
 
-  if (static_cast<int>(picked.size()) != n) return std::nullopt;
-  return DeviceSet(std::move(picked));
+std::optional<DeviceSet> AllocationState::Plan(PlacementPolicy policy, int n) const {
+  DAPPLE_CHECK_GT(n, 0) << "allocation size";
+  if (n > num_free_) return std::nullopt;
+  std::vector<DeviceId> order = PlanOrder(policy, n);
+  if (static_cast<int>(order.size()) < n) return std::nullopt;
+  order.resize(static_cast<std::size_t>(n));
+  return DeviceSet(std::move(order));
 }
 
 void AllocationState::Commit(const DeviceSet& devices) {
@@ -155,19 +141,6 @@ void AllocationState::Commit(const DeviceSet& devices) {
     used_per_server_[static_cast<std::size_t>(cluster_->server_of(d))]++;
     --num_free_;
   }
-}
-
-std::optional<DeviceSet> AllocationState::Allocate(PlacementPolicy policy, int n) {
-  auto planned = Plan(policy, n);
-  if (planned) Commit(*planned);
-  return planned;
-}
-
-std::string AllocationState::Key() const {
-  std::string key;
-  key.reserve(used_.size());
-  for (bool u : used_) key.push_back(u ? '1' : '0');
-  return key;
 }
 
 }  // namespace dapple::topo

@@ -30,8 +30,9 @@ const std::vector<PlacementPolicy>& AllPlacementPolicies();
 std::string ToString(PlacementPolicy policy);
 
 /// Mutable record of which devices are already occupied by planned stages.
-/// The planner forks this state as it explores partition points; copies are
-/// cheap (one int per server plus a bitmaskless used list).
+/// The planner keeps one per frontier node and builds a child's only when
+/// the child takes its frontier slot; enumeration reads a node's placements
+/// as prefixes of its PlanOrder lists instead of copying the state.
 class AllocationState {
  public:
   explicit AllocationState(const Cluster& cluster);
@@ -42,25 +43,22 @@ class AllocationState {
   int used_on_server(ServerId s) const;
   bool is_used(DeviceId d) const;
 
-  /// Computes the devices a policy would hand out for an `n`-device request
-  /// without committing them. Returns nullopt when fewer than n devices are
-  /// free. Device ids within a server are assigned lowest-free-first, making
-  /// results deterministic.
+  /// The free devices in the order `policy` hands them out, such that
+  /// Plan(policy, n) is the first n. Only ScatterFirst's order depends on
+  /// n: when n fits on the partially used servers it holds just their free
+  /// devices, otherwise every free device. Within a server devices go
+  /// lowest-free-first, so the order is deterministic.
+  std::vector<DeviceId> PlanOrder(PlacementPolicy policy, int n) const;
+
+  /// The devices a policy would hand out for an `n`-device request, without
+  /// committing them: the first n of PlanOrder(policy, n). Returns nullopt
+  /// when fewer than n devices are free.
   std::optional<DeviceSet> Plan(PlacementPolicy policy, int n) const;
 
   /// Marks the devices as occupied; throws if any is already used.
   void Commit(const DeviceSet& devices);
 
-  /// Convenience: Plan + Commit.
-  std::optional<DeviceSet> Allocate(PlacementPolicy policy, int n);
-
-  /// Stable key encoding the per-device occupancy, used to memoize the
-  /// planner's dynamic program.
-  std::string Key() const;
-
  private:
-  std::vector<DeviceId> FreeDevicesOnServer(ServerId s) const;
-
   const Cluster* cluster_;
   std::vector<bool> used_;
   std::vector<int> used_per_server_;

@@ -2,7 +2,12 @@
 // (Fig. 5): Fresh First, Append First, Scatter First.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
+#include "fault/degrade.h"
 #include "topo/assignment.h"
 
 namespace dapple::topo {
@@ -76,8 +81,9 @@ TEST(AllocationState, PlanDoesNotMutate) {
 TEST(AllocationState, AllocateCommits) {
   const Cluster cluster = MakeConfigA(1);
   AllocationState state(cluster);
-  const auto set = state.Allocate(PlacementPolicy::kFreshFirst, 3);
+  const auto set = state.Plan(PlacementPolicy::kFreshFirst, 3);
   ASSERT_TRUE(set.has_value());
+  state.Commit(*set);
   EXPECT_EQ(state.num_free(), 5);
   for (DeviceId d : set->devices()) EXPECT_TRUE(state.is_used(d));
 }
@@ -90,12 +96,16 @@ TEST(AllocationState, OverCommitRejected) {
   EXPECT_THROW(state.Commit(DeviceSet({0})), dapple::Error);
 }
 
-TEST(AllocationState, KeyTracksOccupancy) {
+TEST(AllocationState, CommitTracksOccupancy) {
   const Cluster cluster = MakeConfigB(3);
   AllocationState state(cluster);
-  EXPECT_EQ(state.Key(), "000");
+  for (DeviceId d = 0; d < 3; ++d) EXPECT_FALSE(state.is_used(d));
   state.Commit(DeviceSet({1}));
-  EXPECT_EQ(state.Key(), "010");
+  EXPECT_FALSE(state.is_used(0));
+  EXPECT_TRUE(state.is_used(1));
+  EXPECT_FALSE(state.is_used(2));
+  EXPECT_EQ(state.used_on_server(1), 1);
+  EXPECT_EQ(state.num_free(), 2);
 }
 
 TEST(AllocationState, DeterministicLowestFreeFirst) {
@@ -135,6 +145,103 @@ TEST(Policies, NamesAreStable) {
   EXPECT_EQ(ToString(PlacementPolicy::kAppendFirst), "AppendFirst");
   EXPECT_EQ(ToString(PlacementPolicy::kScatterFirst), "ScatterFirst");
   EXPECT_EQ(AllPlacementPolicies().size(), 3u);
+}
+
+// Seeded random occupancies on every cluster shape the planner sees: flat
+// and 8-GPU homogeneous configs, per-server speeds and a degraded cluster
+// (a drained server, a straggler). Half the states are built the way the
+// planner builds them, from policy placements; half are scattered devices.
+std::vector<AllocationState> RandomStates(const Cluster& cluster, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<AllocationState> states;
+  for (int i = 0; i < 24; ++i) {
+    AllocationState state(cluster);
+    const auto target = static_cast<int>(rng.Fork() % static_cast<std::uint64_t>(
+                                              cluster.num_devices()));
+    while (cluster.num_devices() - state.num_free() < target) {
+      if (i % 2 == 0) {
+        const PlacementPolicy policy = AllPlacementPolicies()[rng.Fork() % 3];
+        const int left = target - (cluster.num_devices() - state.num_free());
+        const auto n = 1 + static_cast<int>(rng.Fork() % static_cast<std::uint64_t>(left));
+        state.Commit(*state.Plan(policy, n));
+      } else {
+        const auto d = static_cast<DeviceId>(rng.Fork() % static_cast<std::uint64_t>(
+                                                 cluster.num_devices()));
+        if (!state.is_used(d)) state.Commit(DeviceSet({d}));
+      }
+    }
+    states.push_back(state);
+  }
+  return states;
+}
+
+std::vector<Cluster> PlacementClusters() {
+  const Cluster four = MakeConfigA(4);
+  fault::ClusterState degraded;
+  degraded.device_dead.assign(static_cast<std::size_t>(four.num_devices()), false);
+  degraded.device_dead[9] = true;
+  degraded.server_compute = {1.0, 1.0, 0.5, 1.0};
+  degraded.server_bandwidth.assign(4, 1.0);
+  degraded.server_extra_latency.assign(4, 0.0);
+  return {MakeConfigA(3),
+          MakeConfigB(6),
+          MakeConfigC(5),
+          four.WithServerSpeeds({1.0, 0.5, 2.0, 0.5}),
+          fault::MakeDegradedCluster(four, degraded).cluster};
+}
+
+TEST(PlacementOrder, PlanResultsArePinned) {
+  // FNV-1a over every Plan result (or a miss marker) for every policy and
+  // every size up to one past the free count.
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  auto mix = [&digest](std::int32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      digest ^= static_cast<std::uint8_t>(static_cast<std::uint32_t>(v) >> (8 * b));
+      digest *= 0x100000001b3ull;
+    }
+  };
+  std::uint64_t seed = 1;
+  for (const Cluster& cluster : PlacementClusters()) {
+    for (const AllocationState& state : RandomStates(cluster, seed++)) {
+      for (PlacementPolicy policy : AllPlacementPolicies()) {
+        for (int n = 1; n <= state.num_free() + 1; ++n) {
+          const auto set = state.Plan(policy, n);
+          mix(n);
+          if (!set) {
+            mix(-1);
+            continue;
+          }
+          for (DeviceId d : set->devices()) mix(d);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, 5967758828252134932ull);
+}
+
+TEST(PlacementOrder, PlanIsAPrefixOfPlanOrder) {
+  // The planner reads every size's placement from at most two orders per
+  // policy: the one for size 1 and, past its length, the next one.
+  std::uint64_t seed = 1;
+  for (const Cluster& cluster : PlacementClusters()) {
+    for (const AllocationState& state : RandomStates(cluster, seed++)) {
+      for (PlacementPolicy policy : AllPlacementPolicies()) {
+        const std::vector<DeviceId> small = state.PlanOrder(policy, 1);
+        const std::vector<DeviceId> large =
+            state.PlanOrder(policy, static_cast<int>(small.size()) + 1);
+        for (int n = 1; n <= state.num_free(); ++n) {
+          const auto set = state.Plan(policy, n);
+          ASSERT_TRUE(set.has_value());
+          const std::vector<DeviceId>& order =
+              n <= static_cast<int>(small.size()) ? small : large;
+          EXPECT_EQ(state.PlanOrder(policy, n), order) << ToString(policy) << " n=" << n;
+          ASSERT_GE(static_cast<int>(order.size()), n) << ToString(policy) << " n=" << n;
+          EXPECT_EQ(set->devices(), std::vector<DeviceId>(order.begin(), order.begin() + n))
+              << ToString(policy) << " n=" << n << " on " << cluster.name();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

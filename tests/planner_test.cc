@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "dapple/dapple.h"
 #include "estimate_bits.h"
 #include "model/zoo.h"
 #include "obs/metrics.h"
@@ -308,6 +309,83 @@ TEST(PlannerOracle, StageRowCountIsPinned) {
     EXPECT_EQ(result.stats.cache_entries, 524) << threads << " threads";
     EXPECT_EQ(obs::MetricsRegistry::Global().gauge("planner.cache.entries").value(), 524.0);
   }
+}
+
+TEST(Planner, SearchBudgetStopsAtTheSameCountAtEveryThreadCount) {
+  const auto gnmt = model::MakeGnmt16();
+  const auto cluster = topo::MakeConfigA(2);
+  const PlanResult unbounded = DapplePlanner(gnmt, cluster, Opts(1024)).Plan();
+  const long needed = unbounded.stats.subproblems;
+  ASSERT_EQ(needed, 6353);
+  for (int threads : {1, 8}) {
+    PlannerOptions options = Opts(1024);
+    options.num_threads = threads;
+    // A budget of exactly the search's size fits, with the same plan.
+    options.max_subproblems = needed;
+    const PlanResult fits = DapplePlanner(gnmt, cluster, options).Plan();
+    EXPECT_EQ(fits.plan.ToString(), unbounded.plan.ToString());
+    EXPECT_EQ(DoubleBits(fits.estimate.latency), DoubleBits(unbounded.estimate.latency));
+    // One less stops at the same point at every thread count, and neither
+    // the recompute fallback nor the Session's retry searches again.
+    options.max_subproblems = needed - 1;
+    for (RecomputePolicy recompute : {RecomputePolicy::kOff, RecomputePolicy::kAuto}) {
+      options.recompute = recompute;
+      const std::int64_t retries =
+          obs::MetricsRegistry::Global().counter("dapple.session.recompute_retries").value();
+      try {
+        (void)Session(gnmt, cluster).Plan(1024, options);
+        FAIL() << "a search past its budget must throw";
+      } catch (const SearchTooLarge& e) {
+        EXPECT_EQ(e.subproblems(), needed);
+        EXPECT_EQ(e.budget(), needed - 1);
+        EXPECT_EQ(e.levels(), unbounded.stats.levels);
+        EXPECT_EQ(e.frontier_peak(), unbounded.stats.frontier_peak);
+        // The last subproblem sits on the last level, which has no split
+        // point left: every candidate was already evaluated.
+        EXPECT_EQ(e.candidates_evaluated(), unbounded.candidates_evaluated);
+      }
+      EXPECT_EQ(obs::MetricsRegistry::Global()
+                    .counter("dapple.session.recompute_retries")
+                    .value(),
+                retries);
+    }
+  }
+}
+
+TEST(PlannerOracle, TwelveGpuServersKeepTheFrontierOrder) {
+  // With 12 GPUs per server a per-server count reaches 10, and a level's
+  // nodes are expanded in the order of their count strings, where "10,"
+  // sorts before "9,". The order decides latency ties: which of two
+  // equal-TPL children keeps a frontier slot, so which devices later
+  // placements start from, how many placements the policies dedup, and
+  // which tied alternatives survive eviction. Sorting the counts
+  // numerically instead changes the candidate count here.
+  const auto m = MakeUniformSynthetic(4, 0.02, 0.04, 1_MiB, 40'000'000, 1);
+  const topo::Cluster cluster("12x2", 2, 12, topo::DeviceSpec{}, topo::InterconnectSpec{});
+  const PlanResult result = DapplePlanner(m, cluster, Opts(144)).Plan();
+  auto render = [](const ParallelPlan& plan, const PlanEstimate& estimate) {
+    std::string text;
+    for (const StagePlan& stage : plan.stages) {
+      text += std::to_string(stage.layer_end) + stage.devices.ToString() + " ";
+    }
+    return text + std::to_string(DoubleBits(estimate.latency)) + "\n";
+  };
+  std::string text = render(result.plan, result.estimate) +
+                     std::to_string(result.candidates_evaluated) + "\n";
+  for (const auto& [plan, estimate] : result.alternatives) text += render(plan, estimate);
+  // Winner, candidate count, then the alternatives (ties in input order).
+  EXPECT_EQ(text,
+            "2[G0-G11] 4[G12-G23] 4609723528520810304\n"
+            "3095\n"
+            "2[G0-G11] 4[G12-G23] 4609723528520810304\n"
+            "2[G0-G10] 4[G11-G23] 4609769154624829087\n"
+            "2[G0-G10] 3[G12-G17] 4[G11,G18,G19,G20,G21,G22,G23] 4609775577470787513\n"
+            "2[G0-G10] 3[G11-G16] 4[G17-G23] 4609775577470787513\n"
+            "1[G0-G5] 2[G12-G17] 3[G6-G11] 4[G18-G23] 4609994081565622855\n"
+            "1[G0-G5] 2[G12-G17] 3[G6,G18,G7,G19,G8,G20] 4[G9,G10,G11,G21,G22,G23] 4610006741015930149\n"
+            "1[G0-G6] 3[G12-G22] 4[G7,G8,G9,G10,G11,G23] 4610238474603727891\n"
+            "2[G0-G10] 3[G12-G18] 4[G11,G19,G20,G21,G22,G23] 4610244355193563407\n"
+            "4[G0-G23] 4610686639646076876\n");
 }
 
 TEST(PlanValidate, DuplicatedDeviceThrowsTheSameMessage) {

@@ -6,7 +6,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -204,6 +206,11 @@ TEST(ServeServer, PlanAffectingOptionsChangeTheFingerprint) {
   planner::PlannerOptions threaded = base;
   threaded.num_threads = 8;
   EXPECT_EQ(FingerprintPlanRequest(model, cluster, 64, threaded), fp0);
+  // Nor the search budget: a search that fits returns the same plan at any
+  // budget.
+  planner::PlannerOptions budgeted = base;
+  budgeted.max_subproblems = kMaxPlanSubproblems;
+  EXPECT_EQ(FingerprintPlanRequest(model, cluster, 64, budgeted), fp0);
 }
 
 TEST(ServeServer, BadRequestsNeverKillTheServer) {
@@ -235,6 +242,56 @@ TEST(ServeServer, DeeplyNestedLineIsAParseErrorNotACrash) {
   EXPECT_NE(response.find("\"code\":\"parse_error\""), std::string::npos) << response;
   EXPECT_NE(server.HandleLine(PlanLine("ok", "GNMT-16", 'A', 2, 64)).find("\"ok\":true"),
             std::string::npos);
+}
+
+/// This process's peak resident set (VmHWM) in MiB, 0 when unreadable.
+long PeakRssMiB() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6)) / 1024;
+  }
+  return 0;
+}
+
+// GNMT-16 on 16 Config-A servers (128 devices): uncapped, this search runs
+// for minutes and was once OOM-killed at 16 GB. Under the serve budget it
+// stops during enumeration, long before either.
+const std::string kOversizedPlan = PlanLine("big", "GNMT-16", 'A', 16, 2048);
+
+TEST(ServeServer, OversizedSearchIsTooLargeAndTheServerKeepsAnswering) {
+  Server server;
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = server.HandleLine(kOversizedPlan);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
+  EXPECT_NE(response.find("\"code\":\"too_large\""), std::string::npos) << response;
+  EXPECT_NE(response.find("passes the budget of " + std::to_string(kMaxPlanSubproblems)),
+            std::string::npos)
+      << response;
+  // Bounds loose enough for sanitizer builds on a busy host; the search
+  // takes under half a second and ~60 MB in an optimized build.
+  EXPECT_LT(seconds, 60.0);
+  EXPECT_LT(PeakRssMiB(), 2048);
+
+  // The same server answers the next request, with the usual plan.
+  const std::string next = server.HandleLine(PlanLine("a", "GNMT-16", 'A', 2, 64));
+  EXPECT_NE(next.find("\"ok\":true"), std::string::npos) << next;
+  EXPECT_NE(next.find("\"fingerprint\":\"fp:adaabb71f2e927ee\""), std::string::npos) << next;
+}
+
+TEST(ServeServer, TooLargeIsNotCached) {
+  Server server;
+  const std::string first = server.HandleLine(kOversizedPlan);
+  const std::string second = server.HandleLine(kOversizedPlan);
+  EXPECT_NE(first.find("\"code\":\"too_large\""), std::string::npos) << first;
+  EXPECT_EQ(first, second);
+  // Both requests missed the cache and searched; neither left an entry.
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.cache.misses, 2);
+  EXPECT_EQ(stats.cache.hits, 0);
+  EXPECT_EQ(stats.cache.entries, 0);
+  EXPECT_EQ(stats.errors, 2);
 }
 
 std::vector<std::string> SplitLines(const std::string& text) {

@@ -189,8 +189,9 @@ int CmdPlan(int argc, char** argv) {
               planned.plan.ToString().c_str(), planned.plan.SplitString().c_str(),
               FormatTime(planned.estimate.latency).c_str(), planned.estimate.acr);
   std::printf(
-      "search: %d threads, %ld subproblems, cache %lld/%lld hits (%.0f%%), %lld rows, %.3fs\n",
-      planned.stats.threads, planned.stats.subproblems,
+      "search: %d threads, %ld subproblems, frontier peak %ld, cache %lld/%lld hits (%.0f%%), "
+      "%lld rows, %.3fs\n",
+      planned.stats.threads, planned.stats.subproblems, planned.stats.frontier_peak,
       static_cast<long long>(planned.stats.cache_hits),
       static_cast<long long>(planned.stats.cache_hits + planned.stats.cache_misses),
       planned.stats.cache_hit_rate() * 100.0,
