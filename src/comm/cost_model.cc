@@ -35,11 +35,7 @@ TimeSec BoundAllReduce::operator()(Bytes bytes) const {
 }
 
 TimeSec CostModel::AllReduce(const topo::DeviceSet& devices, Bytes bytes) const {
-  return AllReduceOver(devices)(bytes);
-}
-
-BoundAllReduce CostModel::AllReduceOver(const topo::DeviceSet& devices) const {
-  return BoundAllReduce(cluster_->interconnect(), ReplicaGroup::Of(*cluster_, devices));
+  return BoundAllReduce(cluster_->interconnect(), ReplicaGroup::Of(*cluster_, devices))(bytes);
 }
 
 StageLink StageLink::Between(const topo::Cluster& cluster, const topo::DeviceSet& from,
@@ -112,12 +108,7 @@ TimeSec BoundCrossStage::operator()(Bytes bytes) const {
 
 TimeSec CostModel::CrossStage(const topo::DeviceSet& from, const topo::DeviceSet& to,
                               Bytes bytes) const {
-  return CrossStageOver(from, to)(bytes);
-}
-
-BoundCrossStage CostModel::CrossStageOver(const topo::DeviceSet& from,
-                                          const topo::DeviceSet& to) const {
-  return BoundCrossStage(cluster_->interconnect(), StageLink::Between(*cluster_, from, to));
+  return BoundCrossStage(cluster_->interconnect(), StageLink::Between(*cluster_, from, to))(bytes);
 }
 
 }  // namespace dapple::comm

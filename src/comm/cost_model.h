@@ -58,8 +58,7 @@ struct StageLink {
 };
 
 /// AllReduce pricing bound to one replica group, so pricing many gradient
-/// buckets over the same replicas costs a few flops each. See
-/// CostModel::AllReduceOver.
+/// buckets over the same replicas costs a few flops each.
 class BoundAllReduce {
  public:
   BoundAllReduce(const topo::InterconnectSpec& net, ReplicaGroup group);
@@ -75,8 +74,7 @@ class BoundAllReduce {
 
 /// Cross-stage transfer pricing bound to one stage link: both replica
 /// counts, the slowest link and the worst latency are read once, so pricing
-/// the boundary at many layers costs a few flops each. See
-/// CostModel::CrossStageOver.
+/// the boundary at many layers costs a few flops each.
 class BoundCrossStage {
  public:
   BoundCrossStage(const topo::InterconnectSpec& net, StageLink link);
@@ -103,12 +101,9 @@ class CostModel {
 
   /// Flat ring AllReduce over the set: 2(n-1)/n * bytes over the
   /// bottleneck link, plus per-step latency. Zero for sets of size < 2.
+  /// Prices many buckets over one set with a BoundAllReduce built from
+  /// ReplicaGroup::Of(cluster, devices).
   TimeSec AllReduce(const topo::DeviceSet& devices, Bytes bytes) const;
-
-  /// AllReduce bound to `devices`: AllReduceOver(devices)(bytes) ==
-  /// AllReduce(devices, bytes) bit for bit, with the set's topology read
-  /// once for every `bytes` priced through it.
-  BoundAllReduce AllReduceOver(const topo::DeviceSet& devices) const;
 
   /// Cross-stage activation (or activation-gradient) transfer of one
   /// micro-batch totalling `bytes`, from the replicas of one stage to the
@@ -116,12 +111,10 @@ class CostModel {
   /// the `from` replicas holds bytes/|from|, each `to` replica must end up
   /// with bytes/|to|; slices move in parallel over the slowest involved
   /// link, with a memcpy charge when a split or concat is required.
+  /// Prices many sizes over one pair with a BoundCrossStage built from
+  /// StageLink::Between(cluster, from, to).
   TimeSec CrossStage(const topo::DeviceSet& from, const topo::DeviceSet& to,
                      Bytes bytes) const;
-
-  /// CrossStage bound to `from` -> `to`: CrossStageOver(from, to)(bytes) ==
-  /// CrossStage(from, to, bytes) bit for bit.
-  BoundCrossStage CrossStageOver(const topo::DeviceSet& from, const topo::DeviceSet& to) const;
 
  private:
   const topo::Cluster* cluster_;

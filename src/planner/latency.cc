@@ -11,7 +11,7 @@ namespace dapple::planner {
 
 LatencyEstimator::LatencyEstimator(const model::ModelProfile& model,
                                    const topo::Cluster& cluster, LatencyOptions options)
-    : model_(&model), cluster_(&cluster), cost_(cluster), options_(options) {}
+    : model_(&model), cluster_(&cluster), options_(options) {}
 
 MicroBatching ChooseMicroBatching(long global_batch_size, int profile_micro_batch,
                                   int max_replication, int num_stages) {
@@ -87,7 +87,8 @@ TimeSec LatencyEstimator::ExposedAllReduce(int layer_begin, int layer_end,
                                            const topo::DeviceSet& devices,
                                            double samples) const {
   if (devices.size() < 2) return 0.0;
-  const comm::BoundAllReduce all_reduce = cost_.AllReduceOver(devices);
+  const comm::BoundAllReduce all_reduce(cluster_->interconnect(),
+                                        comm::ReplicaGroup::Of(*cluster_, devices));
   return ExposedAllReduce(all_reduce(model_->ParamBytes(layer_begin, layer_end)),
                           LayerSyncs(layer_begin, layer_end, all_reduce, samples));
 }

@@ -324,7 +324,6 @@ class LatencyEstimator {
 
   const model::ModelProfile* model_;
   const topo::Cluster* cluster_;
-  comm::CostModel cost_;
   LatencyOptions options_;
 };
 

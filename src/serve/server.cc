@@ -1,7 +1,7 @@
 #include "serve/server.h"
 
-#include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "dapple/dapple.h"
 #include "obs/json.h"
@@ -39,12 +39,19 @@ void WriteHistogramSummary(obs::JsonWriter& w, const obs::Histogram& h) {
   w.EndObject();
 }
 
+std::size_t CacheCapacity(long cache_entries) {
+  if (cache_entries < 1) {
+    throw Error("ServerOptions::cache_entries must be at least 1, got " +
+                std::to_string(cache_entries));
+  }
+  return static_cast<std::size_t>(cache_entries);
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
     : options_(options),
-      cache_(kPlanCacheShards,
-             static_cast<std::size_t>(std::max(1L, options.cache_entries / kPlanCacheShards))),
+      cache_(CacheCapacity(options.cache_entries)),
       pool_(static_cast<std::size_t>(options.workers)) {}
 
 int Server::workers() const { return static_cast<int>(pool_.num_threads()); }
@@ -151,24 +158,8 @@ Server::PlanEntryPtr Server::PlanFor(const ServeRequest& request,
   auto entry = std::make_shared<const PlanEntry>(PlanEntry{
       planned.plan, planned.estimate, planner::SerializePlan(planned.plan),
       planned.stats.recompute_stages});
-  cache_.Insert(key, entry);
-  ExportCacheCounters();
+  if (cache_.Insert(key, entry)) metrics.counter("serve.cache.evictions").Increment();
   return entry;
-}
-
-void Server::ExportCacheCounters() {
-  // Evictions are tallied inside the cache shards; forward the monotonic
-  // total into the registry as increments.
-  const std::int64_t total = cache_.TotalStats().evictions;
-  std::int64_t exported = exported_evictions_.load(std::memory_order_relaxed);
-  while (total > exported) {
-    if (exported_evictions_.compare_exchange_weak(exported, total,
-                                                  std::memory_order_relaxed)) {
-      obs::MetricsRegistry::Global().counter("serve.cache.evictions")
-          .Increment(total - exported);
-      break;
-    }
-  }
 }
 
 namespace {
@@ -276,9 +267,8 @@ ServerStats Server::Stats() const {
   stats.reports = reports_.load(std::memory_order_relaxed);
   stats.stats_requests = stats_requests_.load(std::memory_order_relaxed);
   stats.errors = errors_.load(std::memory_order_relaxed);
-  stats.cache = cache_.TotalStats();
-  stats.cache_capacity =
-      static_cast<long>(cache_.per_shard_capacity() * cache_.num_shards());
+  stats.cache = cache_.Stats();
+  stats.cache_capacity = static_cast<long>(cache_.capacity());
   stats.workers = workers();
   return stats;
 }

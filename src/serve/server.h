@@ -1,14 +1,16 @@
 // Planner-as-a-service core: the request handler behind `dapple serve`.
 //
 // A Server answers protocol requests (serve/protocol.h) against one
-// process-wide plan cache: a capacity-bounded, sharded LRU keyed by the
+// process-wide plan cache: an LRU holding exactly
+// ServerOptions::cache_entries plans behind one mutex, keyed by the
 // canonical fingerprint of (model, cluster, global batch, schedule kind,
 // memory cap, recompute policy, planner options). Identical requests return
 // byte-identical cached plans without re-searching — the plan-reuse idiom
 // of poplibs' ConvPlan cache applied to pipeline planning. Eviction and
 // cache races only ever cost a re-search, never correctness: the parallel
 // planner is byte-deterministic, so a recomputed entry equals the evicted
-// one.
+// one. A request plans outside the cache lock (Lookup, plan, Insert), so
+// a hit holds the lock for one hash lookup and one list splice.
 //
 // Concurrency: HandleBatch fans request lines across the server's
 // ThreadPool and returns responses slot-indexed in request order, so the
@@ -25,23 +27,19 @@
 #include <string>
 #include <vector>
 
-#include "common/sharded_cache.h"
+#include "common/lru_cache.h"
 #include "common/thread_pool.h"
 #include "planner/dp_planner.h"
 #include "serve/protocol.h"
 
 namespace dapple::serve {
 
-/// Plan-cache lock shards.
-inline constexpr int kPlanCacheShards = 8;
-
 struct ServerOptions {
   /// Worker threads requests fan across: 1 = inline on the caller (the
   /// degenerate case determinism tests compare against), 0 = hardware
   /// concurrency, n > 1 = a pool of n.
   int workers = 1;
-  /// Total plan-cache capacity in entries (split across the
-  /// kPlanCacheShards shards, min 1 per shard). A plan entry is a few
+  /// Plan-cache capacity in entries, at least 1. A plan entry is a few
   /// hundred bytes, so thousands are cheap.
   long cache_entries = 1024;
   /// Largest number of request lines one HandleBatch call dispatches.
@@ -56,13 +54,14 @@ struct ServerStats {
   std::int64_t reports = 0;
   std::int64_t stats_requests = 0;
   std::int64_t errors = 0;
-  CacheShardStats cache;  // aggregate over plan-cache shards
+  CacheStats cache;
   long cache_capacity = 0;
   int workers = 1;
 };
 
 class Server {
  public:
+  /// Throws dapple::Error when options.cache_entries is below 1.
   explicit Server(ServerOptions options = {});
 
   const ServerOptions& options() const { return options_; }
@@ -98,10 +97,8 @@ class Server {
   /// The cached (or freshly planned and inserted) result for a request.
   PlanEntryPtr PlanFor(const ServeRequest& request, std::uint64_t* fingerprint);
 
-  void ExportCacheCounters();
-
   ServerOptions options_;
-  ShardedCache<std::uint64_t, PlanEntryPtr> cache_;
+  LruCache<std::uint64_t, PlanEntryPtr> cache_;
   ThreadPool pool_;
 
   std::atomic<std::int64_t> requests_{0};
@@ -110,9 +107,6 @@ class Server {
   std::atomic<std::int64_t> reports_{0};
   std::atomic<std::int64_t> stats_requests_{0};
   std::atomic<std::int64_t> errors_{0};
-  /// Eviction count already forwarded to the metrics counter (evictions are
-  /// tallied inside the cache; the registry wants monotonic increments).
-  std::atomic<std::int64_t> exported_evictions_{0};
 };
 
 }  // namespace dapple::serve

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <string_view>
 #include <vector>
 
@@ -26,38 +24,7 @@ namespace {
 
 }  // namespace
 
-long ServeStream(std::istream& in, std::ostream& out, Server& server) {
-  const int max_batch = std::max(1, server.options().max_batch);
-  long handled = 0;
-  std::string line;
-  std::vector<std::string> batch;
-  while (std::getline(in, line)) {
-    batch.clear();
-    batch.push_back(line);
-    // Drain whatever further lines are already buffered so concurrent
-    // clients writing ahead get their requests fanned across the pool.
-    while (static_cast<int>(batch.size()) < max_batch &&
-           in.rdbuf()->in_avail() > 0 && std::getline(in, line)) {
-      batch.push_back(line);
-    }
-    for (const std::string& response : server.HandleBatch(batch)) {
-      out << response << '\n';
-    }
-    out.flush();
-    handled += static_cast<long>(batch.size());
-  }
-  return handled;
-}
-
-namespace {
-
-/// NDJSON loop over a connected socket fd: accumulate bytes, split on
-/// '\n', dispatch complete lines in greedy batches. A line that outgrows
-/// kMaxLineBytes is cut to kMaxLineBytes + 1 bytes, which the server
-/// answers with one "bad_request"; the rest of it, up to the next '\n', is
-/// read and dropped, so the buffer never holds more than the bound plus
-/// one chunk.
-long ServeConnection(int fd, Server& server) {
+long ServeConnection(int in_fd, int out_fd, Server& server) {
   const std::size_t max_batch =
       static_cast<std::size_t>(std::max(1, server.options().max_batch));
   long handled = 0;
@@ -67,7 +34,7 @@ long ServeConnection(int fd, Server& server) {
   bool open = true;
   bool discarding = false;  // inside the dropped tail of an over-long line
   while (open) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -88,12 +55,16 @@ long ServeConnection(int fd, Server& server) {
       start = nl + 1;
     }
     buffer.erase(0, start);
+    // Cut an over-long line to kMaxLineBytes + 1 bytes, which the server
+    // answers with "line too long", and drop the rest of it as it arrives.
     if (buffer.size() > kMaxLineBytes) {
       buffer.resize(kMaxLineBytes + 1);
       pending.push_back(std::move(buffer));
       buffer.clear();
       discarding = true;
     }
+    // An unterminated last line is still a request.
+    if (!open && !buffer.empty()) pending.push_back(std::move(buffer));
 
     while (!pending.empty()) {
       const std::size_t take = std::min(pending.size(), max_batch);
@@ -108,7 +79,7 @@ long ServeConnection(int fd, Server& server) {
       handled += static_cast<long>(batch.size());
       std::size_t off = 0;
       while (off < reply.size()) {
-        const ssize_t wrote = ::write(fd, reply.data() + off, reply.size() - off);
+        const ssize_t wrote = ::write(out_fd, reply.data() + off, reply.size() - off);
         if (wrote < 0) {
           if (errno == EINTR) continue;
           return handled;
@@ -120,6 +91,8 @@ long ServeConnection(int fd, Server& server) {
   return handled;
 }
 
+namespace {
+
 long ServeListener(int listen_fd, Server& server, int max_connections) {
   long handled = 0;
   for (int accepted = 0; max_connections <= 0 || accepted < max_connections;
@@ -130,7 +103,7 @@ long ServeListener(int listen_fd, Server& server, int max_connections) {
       ::close(listen_fd);
       ThrowErrno("accept failed");
     }
-    handled += ServeConnection(fd, server);
+    handled += ServeConnection(fd, fd, server);
     ::close(fd);
   }
   ::close(listen_fd);

@@ -175,6 +175,14 @@ TEST(Cli, BadIntegersAreUsageErrors) {
   }
 }
 
+TEST(Cli, ServeRefusesAnEmptyPlanCache) {
+  int code = 0;
+  const std::string out = RunCli("serve --stdio --cache-entries 0 < /dev/null", &code);
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_NE(out.find("--cache-entries must be at least 1"), std::string::npos) << out;
+  EXPECT_NE(out.find("usage:"), std::string::npos) << out;
+}
+
 TEST(Cli, ReportPrefilterFlagIsUnknown) {
   int code = 0;
   const std::string out = RunCli("report GNMT-16 B 2 64 --prefilter=auto", &code);

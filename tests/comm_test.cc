@@ -100,7 +100,7 @@ TEST(CostModel, BoundAllReduceMatchesEveryEntryPointBitForBit) {
       if (!ids.empty() && *std::max_element(ids.begin(), ids.end()) >= cluster.num_devices()) {
         continue;
       }
-      const BoundAllReduce bound = cost.AllReduceOver(set);
+      const BoundAllReduce bound(cluster.interconnect(), ReplicaGroup::Of(cluster, set));
       for (const Bytes bytes : sizes) {
         SCOPED_TRACE(cluster.name() + " " + set.ToString() + " " + std::to_string(bytes));
         const TimeSec ring = RingReference(cluster, set, bytes);
@@ -154,7 +154,8 @@ TEST(CostModel, BoundCrossStageMatchesCrossStageBitForBit) {
   for (const Cluster& cluster : clusters) {
     const CostModel cost(cluster);
     for (const auto& [from, to] : pairs) {
-      const BoundCrossStage bound = cost.CrossStageOver(from, to);
+      const BoundCrossStage bound(cluster.interconnect(),
+                                  StageLink::Between(cluster, from, to));
       for (const Bytes bytes : sizes) {
         SCOPED_TRACE(cluster.name() + " " + from.ToString() + " -> " + to.ToString() + " " +
                      std::to_string(bytes));

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/lru_cache.h"
 #include "common/rng.h"
-#include "common/sharded_cache.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -159,40 +159,40 @@ TEST(Rng, ForkDecorrelates) {
   EXPECT_NE(s1, s2);
 }
 
-TEST(ShardedCache, LruEvictsLeastRecentlyUsed) {
-  // One shard so every key shares one recency list.
-  ShardedCache<int, int> cache(/*shards=*/1, /*per_shard_capacity=*/3);
-  cache.Insert(1, 10);
-  cache.Insert(2, 20);
-  cache.Insert(3, 30);
-  EXPECT_EQ(cache.ShardKeysByRecency(0), (std::vector<int>{3, 2, 1}));
+TEST(LruCache, LruEvictsLeastRecentlyUsed) {
+  LruCache<int, int> cache(/*capacity=*/3);
+  EXPECT_FALSE(cache.Insert(1, 10));
+  EXPECT_FALSE(cache.Insert(2, 20));
+  EXPECT_FALSE(cache.Insert(3, 30));
+  EXPECT_EQ(cache.KeysByRecency(), (std::vector<int>{3, 2, 1}));
 
   // A hit refreshes recency: 1 moves to the front, 2 becomes the LRU.
   EXPECT_EQ(cache.Lookup(1).value(), 10);
-  EXPECT_EQ(cache.ShardKeysByRecency(0), (std::vector<int>{1, 3, 2}));
+  EXPECT_EQ(cache.KeysByRecency(), (std::vector<int>{1, 3, 2}));
 
-  cache.Insert(4, 40);
-  EXPECT_EQ(cache.ShardKeysByRecency(0), (std::vector<int>{4, 1, 3}));
+  // The fourth key evicts 2, and Insert says so.
+  EXPECT_TRUE(cache.Insert(4, 40));
+  EXPECT_EQ(cache.KeysByRecency(), (std::vector<int>{4, 1, 3}));
   EXPECT_FALSE(cache.Lookup(2).has_value());
-  EXPECT_EQ(cache.TotalStats().evictions, 1);
-  EXPECT_EQ(cache.TotalStats().entries, 3);
+  EXPECT_EQ(cache.Stats().evictions, 1);
+  EXPECT_EQ(cache.Stats().entries, 3);
 
   // Every cache is bounded: there is no capacity-0 mode.
-  EXPECT_THROW((ShardedCache<int, int>(1, 0)), Error);
+  EXPECT_THROW((LruCache<int, int>(0)), Error);
 }
 
-TEST(ShardedCache, InsertOverwriteRefreshesRecency) {
-  ShardedCache<int, int> cache(/*shards=*/1, /*per_shard_capacity=*/2);
+TEST(LruCache, InsertOverwriteRefreshesRecency) {
+  LruCache<int, int> cache(/*capacity=*/2);
   cache.Insert(1, 10);
   cache.Insert(2, 20);
-  cache.Insert(1, 11);  // overwrite, not a new entry
-  EXPECT_EQ(cache.ShardKeysByRecency(0), (std::vector<int>{1, 2}));
+  EXPECT_FALSE(cache.Insert(1, 11));  // overwrite, not a new entry
+  EXPECT_EQ(cache.KeysByRecency(), (std::vector<int>{1, 2}));
   EXPECT_EQ(cache.Lookup(1).value(), 11);
-  EXPECT_EQ(cache.TotalStats().entries, 2);
-  EXPECT_EQ(cache.TotalStats().evictions, 0);
+  EXPECT_EQ(cache.Stats().entries, 2);
+  EXPECT_EQ(cache.Stats().evictions, 0);
 }
 
-TEST(ShardedCache, BoundedCacheIsThreadSafe) {
+TEST(LruCache, BoundedCacheIsThreadSafe) {
   // Hammer a small bounded cache from many threads with a mixed
   // Lookup/Insert workload; the capacity invariant must hold throughout and
   // every returned value must match its key (values are a pure function of
@@ -200,7 +200,7 @@ TEST(ShardedCache, BoundedCacheIsThreadSafe) {
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 5000;
   constexpr std::size_t kCapacity = 8;
-  ShardedCache<int, int> cache(/*shards=*/4, kCapacity);
+  LruCache<int, int> cache(kCapacity);
   std::vector<std::thread> threads;
   std::atomic<bool> ok{true};
   for (int t = 0; t < kThreads; ++t) {
@@ -212,59 +212,57 @@ TEST(ShardedCache, BoundedCacheIsThreadSafe) {
         } else {
           cache.Insert(key, key * 3);
         }
+        if (cache.Stats().entries > static_cast<std::int64_t>(kCapacity)) ok = false;
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_TRUE(ok);
-  for (std::size_t s = 0; s < cache.num_shards(); ++s) {
-    EXPECT_LE(cache.ShardStats(s).entries, static_cast<std::int64_t>(kCapacity));
-  }
+  EXPECT_EQ(cache.Stats().entries, static_cast<std::int64_t>(kCapacity));
   // Lookup is the only op that counts a hit or a miss: the even half of
   // each thread's ops.
-  EXPECT_EQ(cache.TotalStats().hits + cache.TotalStats().misses,
+  EXPECT_EQ(cache.Stats().hits + cache.Stats().misses,
             static_cast<std::int64_t>(kThreads) * (kOpsPerThread / 2));
 }
 
-TEST(ShardedCache, RacingInsertsKeepRecencyListsInStepWithTheMaps) {
+TEST(LruCache, RacingInsertsKeepTheRecencyListInStepWithTheMap) {
   // Eight threads released together insert the same 64 keys, each thread in
-  // its own order, into four shards of capacity 8: every shard is asked to
-  // hold 16 keys, so racing inserts overwrite and evict. Afterwards each
-  // shard's recency list must hold exactly the keys its map answers for.
+  // its own order, into a cache of capacity 8, so racing inserts overwrite
+  // and evict. Afterwards the recency list must hold exactly the keys the
+  // map answers for, and every eviction Insert reported must be counted.
   constexpr int kThreads = 8;
   constexpr int kKeys = 64;
   constexpr std::size_t kCapacity = 8;
-  ShardedCache<int, int> cache(/*shards=*/4, kCapacity);
+  LruCache<int, int> cache(kCapacity);
   std::atomic<bool> go{false};
+  std::atomic<std::int64_t> reported_evictions{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       while (!go.load()) std::this_thread::yield();
       for (int i = 0; i < kKeys; ++i) {
         const int key = (i * 5 + t * 11) % kKeys;
-        cache.Insert(key, key * 3 + 1);
+        if (cache.Insert(key, key * 3 + 1)) ++reported_evictions;
       }
     });
   }
   go = true;
   for (auto& th : threads) th.join();
 
-  for (std::size_t s = 0; s < cache.num_shards(); ++s) {
-    std::vector<int> listed = cache.ShardKeysByRecency(s);
-    EXPECT_EQ(static_cast<std::int64_t>(listed.size()), cache.ShardStats(s).entries);
-    EXPECT_EQ(listed.size(), kCapacity);
-    std::sort(listed.begin(), listed.end());
-    EXPECT_TRUE(std::adjacent_find(listed.begin(), listed.end()) == listed.end());
-    std::vector<int> held;
-    for (int key = 0; key < kKeys; ++key) {
-      if (cache.ShardIndex(key) != s) continue;
-      if (const std::optional<int> value = cache.Lookup(key)) {
-        EXPECT_EQ(*value, key * 3 + 1);
-        held.push_back(key);
-      }
+  std::vector<int> listed = cache.KeysByRecency();
+  EXPECT_EQ(static_cast<std::int64_t>(listed.size()), cache.Stats().entries);
+  EXPECT_EQ(listed.size(), kCapacity);
+  EXPECT_EQ(reported_evictions.load(), cache.Stats().evictions);
+  std::sort(listed.begin(), listed.end());
+  EXPECT_TRUE(std::adjacent_find(listed.begin(), listed.end()) == listed.end());
+  std::vector<int> held;
+  for (int key = 0; key < kKeys; ++key) {
+    if (const std::optional<int> value = cache.Lookup(key)) {
+      EXPECT_EQ(*value, key * 3 + 1);
+      held.push_back(key);
     }
-    EXPECT_EQ(held, listed) << "shard " << s;
   }
+  EXPECT_EQ(held, listed);
 }
 
 }  // namespace

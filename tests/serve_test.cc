@@ -1,21 +1,23 @@
 // Tests for the serve subsystem: the JSON value parser, the request
 // protocol (malformed input must become structured errors, never a crash),
-// the fingerprint-keyed plan cache, worker-count response invariance and
-// the Unix-socket transport.
+// the fingerprint-keyed plan cache and its exact capacity, worker-count
+// response invariance and the one connection loop, over a pipe (as
+// `dapple serve --stdio` runs it) and a Unix socket.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "model/zoo.h"
 #include "serve/fingerprint.h"
 #include "serve/json.h"
@@ -315,14 +317,62 @@ void ExpectLineTooLongThenServing(const std::vector<std::string>& lines) {
   EXPECT_NE(lines[2].find("\"ok\":true"), std::string::npos) << lines[2];
 }
 
+/// Runs ServeConnection the way `dapple serve --stdio` does: requests come
+/// through a pipe fed by a writer thread, responses go to a temporary file.
+/// Returns the responses; `handled` gets ServeConnection's count.
+std::string PipeRoundTrip(Server& server, const std::string& input, long* handled) {
+  int fds[2];
+  EXPECT_EQ(::pipe(fds), 0);
+  std::thread writer([&] {
+    std::size_t off = 0;
+    while (off < input.size()) {
+      const ssize_t n = ::write(fds[1], input.data() + off, input.size() - off);
+      if (n < 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    ::close(fds[1]);
+  });
+  std::FILE* out = std::tmpfile();
+  EXPECT_NE(out, nullptr);
+  *handled = ServeConnection(fds[0], ::fileno(out), server);
+  writer.join();
+  ::close(fds[0]);
+  std::rewind(out);
+  std::string reply;
+  char chunk[4096];
+  for (std::size_t n; (n = std::fread(chunk, 1, sizeof(chunk), out)) > 0;) {
+    reply.append(chunk, n);
+  }
+  std::fclose(out);
+  return reply;
+}
+
 TEST(ServeServer, OverLongStdioLineIsOneBadRequest) {
+  // The last request has no newline: EOF ends it.
   Server server;
-  std::istringstream in(PlanLine("a", "GNMT-16", 'A', 2, 64) + "\n" +
+  long handled = 0;
+  const std::string reply =
+      PipeRoundTrip(server,
+                    PlanLine("a", "GNMT-16", 'A', 2, 64) + "\n" +
                         std::string(3 * kMaxLineBytes, 'x') + "\n" +
-                        PlanLine("b", "GNMT-16", 'A', 2, 64) + "\n");
-  std::ostringstream out;
-  EXPECT_EQ(ServeStream(in, out, server), 3);
-  ExpectLineTooLongThenServing(SplitLines(out.str()));
+                        PlanLine("b", "GNMT-16", 'A', 2, 64),
+                    &handled);
+  EXPECT_EQ(handled, 3);
+  ExpectLineTooLongThenServing(SplitLines(reply));
+}
+
+TEST(ServeServer, UnterminatedOverLongStdioLineIsOneBadRequest) {
+  Server server;
+  long handled = 0;
+  const std::string reply = PipeRoundTrip(
+      server, PlanLine("a", "GNMT-16", 'A', 2, 64) + "\n" + std::string(2 * kMaxLineBytes, 'x'),
+      &handled);
+  EXPECT_EQ(handled, 2);
+  const std::vector<std::string> lines = SplitLines(reply);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("\"code\":\"bad_request\""), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("line too long"), std::string::npos) << lines[1];
 }
 
 TEST(ServeServer, ResponsesAreByteIdenticalAtEveryWorkerCount) {
@@ -393,13 +443,14 @@ TEST(ServeServer, RecomputeAllSimulatesTheFlaggedPlanUnderItsCap) {
 }
 
 TEST(ServeServer, TinyCacheEvictsAndStillAnswers) {
+  // Capacity N, N + 1 distinct plan requests cycled twice: an exact LRU
+  // evicts each request's plan just before it comes round again, so every
+  // request misses, yet every one still answers.
+  constexpr int kCapacity = 3;
   ServerOptions options;
-  options.cache_entries = kPlanCacheShards;  // capacity 1 per shard
+  options.cache_entries = kCapacity;
   Server server(options);
-  // One more distinct plan request than there are shards: by pigeonhole two
-  // land on one shard, so at least one entry is evicted. Twice over, and
-  // every request still answers.
-  const int distinct = kPlanCacheShards + 1;
+  const int distinct = kCapacity + 1;
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < distinct; ++i) {
       const std::string response = server.HandleLine(PlanLine("e", "GNMT-16", 'A', 1, 8L << i));
@@ -407,9 +458,41 @@ TEST(ServeServer, TinyCacheEvictsAndStillAnswers) {
     }
   }
   const ServerStats stats = server.Stats();
-  EXPECT_LE(stats.cache.entries, kPlanCacheShards);
-  EXPECT_GT(stats.cache.evictions, 0);
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses, 2 * distinct);
+  EXPECT_EQ(stats.cache.entries, kCapacity);
+  EXPECT_EQ(stats.cache.hits, 0);
+  EXPECT_EQ(stats.cache.misses, 2 * distinct);
+  EXPECT_EQ(stats.cache.evictions, 2 * distinct - kCapacity);
+}
+
+TEST(ServeServer, CacheHoldsExactlyItsCapacity) {
+  for (const long capacity : {1L, 12L}) {
+    SCOPED_TRACE(capacity);
+    ServerOptions options;
+    options.cache_entries = capacity;
+    Server server(options);
+    for (long i = 0; i <= capacity; ++i) {
+      const std::string response = server.HandleLine(PlanLine("c", "GNMT-16", 'A', 1, 8 * (i + 1)));
+      EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+    }
+    const ServerStats stats = server.Stats();
+    EXPECT_EQ(stats.cache_capacity, capacity);
+    EXPECT_EQ(stats.cache.entries, capacity);
+    EXPECT_EQ(stats.cache.evictions, 1);
+    const JsonValue reported = ParseJson(server.HandleLine(R"({"kind":"stats"})"));
+    EXPECT_EQ(reported.Get("cache").Get("capacity").AsInt(), capacity);
+    EXPECT_EQ(reported.Get("cache").Get("entries").AsInt(), capacity);
+  }
+}
+
+TEST(ServeServer, CacheCapacityBelowOneIsRefused) {
+  ServerOptions options;
+  options.cache_entries = 0;
+  try {
+    Server server(options);
+    FAIL() << "a zero-entry plan cache was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cache_entries"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ServeServer, StatsRequestReportsCacheAndLatency) {

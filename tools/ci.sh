@@ -19,7 +19,7 @@
 #   <prefix>-e2e) on the plain tree and run each of its workloads once for
 #   one second (a failed output check fails CI; traces and temporaries
 #   stay under <prefix>-e2e), and run the ThreadSanitizer tier:
-#   the ThreadPool and ShardedCache unit tests, the planner, simulator
+#   the ThreadPool and LruCache unit tests, the planner, simulator
 #   and scenario determinism sweeps, serve_test and the serve daemon
 #   smoke, built into <prefix>-tsan. Any data race fails the run.
 #   perf-smoke     — `ctest -L perf-smoke`, every entry RUN_SERIAL: the

@@ -47,11 +47,12 @@
 //
 // Every integer argument, flag or positional, is one strict unsigned parse
 // of the whole token; a bad one prints usage and exits 2.
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -646,6 +647,10 @@ int CmdServe(int argc, char** argv) {
     std::fprintf(stderr, "pick one transport: --stdio, --socket or --tcp\n");
     return Usage();
   }
+  if (options.cache_entries < 1) {
+    std::fprintf(stderr, "--cache-entries must be at least 1\n");
+    return Usage();
+  }
 
   serve::Server server(options);
   long handled = 0;
@@ -658,7 +663,7 @@ int CmdServe(int argc, char** argv) {
                  server.workers(), options.cache_entries, tcp_port);
     handled = serve::ServeTcp(tcp_port, server, max_connections);
   } else {
-    handled = serve::ServeStream(std::cin, std::cout, server);
+    handled = serve::ServeConnection(STDIN_FILENO, STDOUT_FILENO, server);
   }
 
   const serve::ServerStats stats = server.Stats();
