@@ -10,13 +10,6 @@
 // non-zero if V-Min fails its headline claim — strictly less peak
 // activation memory than 1F1B — on any zoo model, so the frontier doubles
 // as an acceptance check.
-//
-// Each model also runs the analytic pre-filter funnel over its family
-// rows: sim::PrefilterBatch ranks the families by EstimateFamily latency
-// and simulates only the survivors of the 1.30x adaptive cut, and the
-// funnel's pick must match the full-simulation argmin (rank-1 recall) or
-// the bench exits non-zero — the frontier's rows double as the funnel's
-// oracle.
 #include "harness.h"
 
 #include <algorithm>
@@ -25,7 +18,6 @@
 #include <vector>
 
 #include "common/table.h"
-#include "sim/prefilter.h"
 
 using namespace dapple;
 
@@ -104,8 +96,6 @@ int main() {
   const int kMicroBatches = 8;
 
   bool vmin_wins_everywhere = true;
-  bool funnel_recall_ok = true;
-  int funnel_candidates = 0, funnel_simulated = 0;
   for (const model::ModelProfile& m : model::AllBenchmarkModels()) {
     if (m.num_layers() < kChunks) {
       std::printf("\n%s: skipped (%d layers < %d chunks)\n", m.name().c_str(),
@@ -122,15 +112,10 @@ int main() {
                 m.name().c_str(), m.num_layers(), gbs, kMicroBatches);
     AsciiTable table({"Family", "Latency", "Bubble", "Peak act mem", "Analytic"});
     Bytes peak_1f1b = 0, peak_vmin = 0;
-    std::vector<double> analytic_scores, simulated_makespans;
-    std::vector<std::string> family_names;
     for (const runtime::ScheduleKind kind : runtime::AllScheduleKinds()) {
       const bool v = runtime::IsVShape(kind);
       const FrontierRow row =
           RunFamily(m, cluster, v ? folded : linear, kind, gbs);
-      analytic_scores.push_back(row.analytic);
-      simulated_makespans.push_back(row.makespan);
-      family_names.push_back(runtime::ToString(kind));
       if (kind == runtime::ScheduleKind::kDapple) peak_1f1b = row.peak_activation;
       if (kind == runtime::ScheduleKind::kVMin) peak_vmin = row.peak_activation;
       table.AddRow({runtime::ToString(kind), FormatTime(row.makespan),
@@ -145,38 +130,6 @@ int main() {
     }
     std::printf("%s", table.ToString().c_str());
 
-    // The funnel: rank the families by analytic latency, simulate only the
-    // adaptive-cut survivors, and require the pick to match the full
-    // argmin. The frontier simulated every family above, so the "simulate"
-    // callback just reads those rows — what the funnel measures here is the
-    // cut's selectivity and recall on family-level candidates.
-    {
-      sim::PrefilterOptions po;
-      po.probe = 1;
-      const sim::PrefilterResult funnel = sim::PrefilterBatch(
-          analytic_scores,
-          [&](int i) { return simulated_makespans[static_cast<std::size_t>(i)]; }, po);
-      double full_best = simulated_makespans[0];
-      int full_best_index = 0;
-      for (std::size_t i = 1; i < simulated_makespans.size(); ++i) {
-        if (simulated_makespans[i] < full_best) {
-          full_best = simulated_makespans[i];
-          full_best_index = static_cast<int>(i);
-        }
-      }
-      const bool ok = funnel.best >= 0 && funnel.best_value == full_best;
-      funnel_candidates += static_cast<int>(analytic_scores.size());
-      funnel_simulated += static_cast<int>(funnel.simulated.size());
-      if (!ok) funnel_recall_ok = false;
-      std::printf("prefilter funnel: picked %s after simulating %d of %d families%s\n",
-                  family_names[static_cast<std::size_t>(
-                                   funnel.best >= 0 ? funnel.best : full_best_index)]
-                      .c_str(),
-                  static_cast<int>(funnel.simulated.size()),
-                  static_cast<int>(analytic_scores.size()),
-                  ok ? "" : "  RECALL VIOLATION");
-    }
-
     if (peak_vmin >= peak_1f1b) {
       std::printf("FAIL: V-Min peak activation (%s) is not below 1F1B's (%s)\n",
                   FormatBytes(peak_vmin).c_str(), FormatBytes(peak_1f1b).c_str());
@@ -188,21 +141,9 @@ int main() {
     }
   }
 
-  char funnel_measured[96];
-  std::snprintf(funnel_measured, sizeof(funnel_measured),
-                "%s, %d of %d family rows simulated",
-                funnel_recall_ok ? "100%" : "VIOLATED", funnel_simulated,
-                funnel_candidates);
-  bench::PrintComparison("prefilter funnel rank-1 recall over the zoo", "100%",
-                         funnel_measured);
-
   std::printf("\nReading the frontier: GPipe maximizes memory for no latency win;\n"
               "1F1B caps the stash at the pipeline depth; 2BP trades nothing for a\n"
               "tighter drain; the V shapes roughly halve the activation peak on the\n"
-              "same devices (approaching 1/3 for deeper folds) at a bubble cost.\n"
-              "A funnel simulating all rows is the cut working as proved: family\n"
-              "latencies differ only by bubble fraction, inside the 1.30x bracket,\n"
-              "so no family can be provably discarded — contrast the plan-ranking\n"
-              "sweep in bench_sim_engine, where scores spread and >90%% drop out.\n");
-  return vmin_wins_everywhere && funnel_recall_ok ? 0 : 1;
+              "same devices (approaching 1/3 for deeper folds) at a bubble cost.\n");
+  return vmin_wins_everywhere ? 0 : 1;
 }

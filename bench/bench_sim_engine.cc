@@ -1,5 +1,5 @@
 // Simulation-engine throughput sweep over a corpus of fuzz-built
-// pipelines. Three measurements, each fenced by byte-identity:
+// pipelines. Two measurements, each fenced by byte-identity:
 //
 //   1. serial events/sec of sim::Engine vs the reference engine (legacy
 //      ordered-set/priority-queue containers). The Engine row times what
@@ -12,11 +12,7 @@
 //      below the reference engine's events/s exits non-zero;
 //   2. wall-clock events/sec of the ThreadPool multi-seed path at 1/2/8
 //      worker threads vs the plain serial loop — the win from fanning
-//      independent simulations across cores;
-//   3. a candidate-ranking sweep: analytic pre-filter + top-band simulation
-//      vs simulating every candidate. Requires 100% rank-1 recall and (on
-//      the full corpus) a >=5x wall-clock reduction; violations exit
-//      non-zero.
+//      independent simulations across cores.
 //
 // Every simulation result is fingerprinted (bit-exact records, pool peaks,
 // makespan) outside the timed regions; any divergence between the
@@ -37,10 +33,8 @@
 #include "check/fuzz.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
-#include "planner/latency.h"
 #include "runtime/graph_builder.h"
 #include "sim/engine.h"
-#include "sim/prefilter.h"
 
 using namespace dapple;
 
@@ -81,7 +75,7 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
   bench::PrintHeader(
-      "Simulation engine — SoA event loop, batched multi-seed, analytic pre-filter",
+      "Simulation engine — SoA event loop, batched multi-seed",
       "DAPPLE paper, Sec. 6 evaluation methodology (simulated testbed)");
 
   // Corpus: fuzz-derived pipelines, the same generator the differential
@@ -240,96 +234,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s", table.ToString().c_str());
-
-  // 3. Candidate-ranking sweep: analytic pre-filter vs full simulation.
-  // One fixed (model, cluster, global batch); candidates are random DAPPLE
-  // split-mode plans — the family whose analytic/sim brackets make the
-  // 2.6x band provably recall-preserving.
-  const int num_candidates = quick ? 2'000 : 100'000;
-  const check::RankingFuzzCase ranking = check::RankingFuzz::Make(7, num_candidates);
-  std::printf("\nranking sweep: %d candidate plans on %s\n", num_candidates,
-              ranking.Describe().c_str());
-
-  planner::LatencyOptions lo;
-  lo.check_memory = false;
-  lo.overlap_allreduce = ranking.options.overlap_allreduce;
-  const planner::LatencyEstimator estimator(ranking.model, ranking.cluster, lo);
-
-  // Each timed leg scores every candidate before ranking, so both legs pay
-  // the analytic pass and the reduction compares whole ranking sweeps.
-  const auto score = [&] {
-    std::vector<double> scores;
-    scores.reserve(ranking.candidates.size());
-    for (const planner::ParallelPlan& plan : ranking.candidates) {
-      const planner::PlanEstimate e = estimator.Estimate(
-          runtime::PlanAsBuilt(plan, ranking.options), ranking.options.global_batch_size);
-      scores.push_back(e.feasible ? e.latency : std::numeric_limits<double>::infinity());
-    }
-    return scores;
-  };
-  const auto simulate = [&](int i) {
-    const runtime::BuiltPipeline built =
-        runtime::GraphBuilder(ranking.model, ranking.cluster,
-                              ranking.candidates[static_cast<std::size_t>(i)],
-                              ranking.options)
-            .Build();
-    return sim::Engine::Run(built.graph, built.engine_options).makespan;
-  };
-
-  sim::PrefilterOptions full_opts;
-  full_opts.enabled = false;
-  const auto full_t0 = std::chrono::steady_clock::now();
-  const sim::PrefilterResult full = sim::PrefilterBatch(score(), simulate, full_opts);
-  const auto full_t1 = std::chrono::steady_clock::now();
-  const double full_wall = Seconds(full_t0, full_t1);
-
-  const auto pre_t0 = std::chrono::steady_clock::now();
-  const sim::PrefilterResult pre = sim::PrefilterBatch(score(), simulate);
-  const auto pre_t1 = std::chrono::steady_clock::now();
-  const double pre_wall = Seconds(pre_t0, pre_t1);
-  const double reduction = pre_wall > 0.0 ? full_wall / pre_wall : 0.0;
-
-  AsciiTable rank_table(
-      {"Mode", "Candidates", "Simulated", "Wall (s)", "Reduction", "Best makespan"});
-  rank_table.AddRow({"full sim", AsciiTable::Int(num_candidates),
-                     AsciiTable::Int(static_cast<int>(full.simulated.size())),
-                     AsciiTable::Num(full_wall, 3), "1.00x",
-                     AsciiTable::Num(full.best_value, 6)});
-  rank_table.AddRow({"prefiltered", AsciiTable::Int(num_candidates),
-                     AsciiTable::Int(static_cast<int>(pre.simulated.size())),
-                     AsciiTable::Num(pre_wall, 3), AsciiTable::Num(reduction, 2) + "x",
-                     AsciiTable::Num(pre.best_value, 6)});
-
-  const bool recall_ok =
-      full.best < 0 ? pre.best < 0
-                    : pre.best >= 0 && pre.best_value == full.best_value;
-  bench::PrintComparison("prefilter rank-1 recall", "100%",
-                         recall_ok ? "100% (best makespans bit-identical)" : "VIOLATED");
-  if (!recall_ok) {
-    std::fprintf(stderr,
-                 "PREFILTER RECALL VIOLATION: prefiltered best %.9g != full-sweep "
-                 "best %.9g\n",
-                 pre.best_value, full.best_value);
-    ++failures;
-  }
-
-  // The wall-clock claim: >=5x on the full 100k-candidate sweep. The quick
-  // sweep keeps a lower floor — with 2k candidates, fixed per-leg costs
-  // (scoring, corpus-independent setup) weigh more.
-  const double reduction_floor = quick ? 1.5 : 5.0;
-  char red_measured[96];
-  std::snprintf(red_measured, sizeof(red_measured), "%.2fx (%d of %d simulated)", reduction,
-                static_cast<int>(pre.simulated.size()), num_candidates);
-  char red_target[32];
-  std::snprintf(red_target, sizeof(red_target), ">=%.1fx", reduction_floor);
-  bench::PrintComparison("prefiltered ranking wall-clock reduction", red_target,
-                         red_measured);
-  if (reduction < reduction_floor) {
-    std::fprintf(stderr, "PREFILTER SPEEDUP SHORTFALL: %.2fx, floor %.1fx\n", reduction,
-                 reduction_floor);
-    ++failures;
-  }
-  std::printf("%s", rank_table.ToString().c_str());
 
   std::printf(
       "\nReading guide: 'Time' is the best trial's thread CPU time on the\n"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -14,7 +13,6 @@
 #include "planner/dp_planner.h"
 #include "planner/latency.h"
 #include "sim/engine.h"
-#include "sim/prefilter.h"
 #include "topo/device_set.h"
 
 namespace dapple::check {
@@ -562,130 +560,6 @@ FaultFuzzOutcome FaultFuzz::Run(const FaultFuzzCase& c) {
   return out;
 }
 
-std::string RankingFuzzCase::Describe() const {
-  std::ostringstream os;
-  os << "seed=" << seed << " model=" << model.num_layers() << "L/pmb"
-     << model.profile_micro_batch() << " cluster=" << cluster.name() << "("
-     << cluster.num_devices() << ") candidates=" << candidates.size()
-     << " gbs=" << options.global_batch_size << " "
-     << runtime::ToString(options.schedule.warmup)
-     << (options.schedule.recompute ? "/recompute" : "");
-  return os.str();
-}
-
-RankingFuzzCase RankingFuzz::Make(std::uint64_t seed, int num_candidates) {
-  // Own salted stream (same mixing as the fault/memory-cap side-streams),
-  // so adding this mode never shifted the pinned seeds of the others.
-  Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x94d049bb133111ebull);
-  model::ModelProfile model = RandomModel(rng);
-  topo::Cluster cluster = RandomCluster(rng);
-
-  // Pin the schedule family the analytic/sim brackets are calibrated for:
-  // split-mode DAPPLE, policy warmup depths (no override), uncapped pools.
-  runtime::BuildOptions options;
-  options.global_batch_size = rng.UniformInt(1, 6) * 4 * model.profile_micro_batch();
-  options.schedule.kind = runtime::ScheduleKind::kDapple;
-  options.schedule.warmup = rng.Bernoulli(0.5) ? runtime::WarmupPolicy::kPA
-                                               : runtime::WarmupPolicy::kPB;
-  options.schedule.recompute = rng.Bernoulli(0.3);
-  options.replication = runtime::ReplicationMode::kSplitMicroBatch;
-  options.enforce_memory_capacity = false;
-  options.overlap_allreduce = rng.Bernoulli(0.5);
-
-  std::vector<planner::ParallelPlan> candidates;
-  candidates.reserve(static_cast<std::size_t>(num_candidates));
-  for (int i = 0; i < num_candidates; ++i) {
-    candidates.push_back(RandomPlan(rng, model, cluster));
-  }
-  return RankingFuzzCase{seed, std::move(model), std::move(cluster),
-                         std::move(candidates), std::move(options)};
-}
-
-std::string RankingFuzzOutcome::Summary() const {
-  if (ok()) return "";
-  std::ostringstream os;
-  os << "seed " << seed << ": prefilter recall violation — prefiltered best #"
-     << best_prefiltered << " makespan " << best_prefiltered_makespan
-     << " vs full-sweep best #" << best_full << " makespan " << best_full_makespan
-     << " (" << num_simulated << "/" << num_candidates << " simulated)\n";
-  return os.str();
-}
-
-std::string RankingFuzzOutcome::Detail() const {
-  return Format("ok: simulated %d/%d candidates, best #%d makespan %.6fs "
-                "(full sweep agrees: #%d, %.6fs)",
-                num_simulated, num_candidates, best_prefiltered, best_prefiltered_makespan,
-                best_full, best_full_makespan);
-}
-
-void RankingFuzz::Tally::Add(const Outcome& out) {
-  ++cases;
-  candidates += out.num_candidates;
-  simulated += out.num_simulated;
-}
-
-std::string RankingFuzz::Tally::ToString(std::uint64_t base) const {
-  const double skipped =
-      candidates > 0 ? 100.0 * static_cast<double>(candidates - simulated) /
-                           static_cast<double>(candidates)
-                     : 0.0;
-  return CasesOk(cases, "ranking ", base) +
-         Format("100%% rank-1 recall, %ld/%ld candidates simulated (%.1f%% skipped by the "
-                "analytic pre-filter)\n",
-                simulated, candidates, skipped);
-}
-
-RankingFuzzOutcome RankingFuzz::Run(const RankingFuzzCase& c) {
-  RankingFuzzOutcome out;
-  out.seed = c.seed;
-  out.num_candidates = static_cast<int>(c.candidates.size());
-
-  // Exactly the estimator configuration ScheduleFuzz::Run's latency bracket is
-  // checked with — the band guarantee inherits that calibration.
-  planner::LatencyOptions lo;
-  lo.check_memory = false;
-  lo.overlap_allreduce = c.options.overlap_allreduce;
-  const planner::LatencyEstimator estimator(c.model, c.cluster, lo);
-
-  // Scored once; both legs rank the same scores.
-  std::vector<double> scores;
-  scores.reserve(c.candidates.size());
-  for (const planner::ParallelPlan& plan : c.candidates) {
-    const planner::PlanEstimate e =
-        estimator.Estimate(runtime::PlanAsBuilt(plan, c.options), c.options.global_batch_size);
-    scores.push_back(e.feasible ? e.latency : std::numeric_limits<double>::infinity());
-  }
-
-  // A candidate whose build or simulation throws never wins either leg.
-  const auto simulate = [&](int i) -> double {
-    try {
-      const runtime::BuiltPipeline built =
-          runtime::GraphBuilder(c.model, c.cluster,
-                                c.candidates[static_cast<std::size_t>(i)], c.options)
-              .Build();
-      return sim::Engine::Run(built.graph, built.engine_options).makespan;
-    } catch (const std::exception&) {
-      return std::numeric_limits<double>::infinity();
-    }
-  };
-
-  sim::PrefilterOptions po;
-  const sim::PrefilterResult pre = sim::PrefilterBatch(scores, simulate, po);
-  po.enabled = false;
-  const sim::PrefilterResult full = sim::PrefilterBatch(scores, simulate, po);
-
-  out.num_simulated = static_cast<int>(pre.simulated.size());
-  out.best_prefiltered = pre.best;
-  out.best_full = full.best;
-  out.best_prefiltered_makespan = pre.best_value;
-  out.best_full_makespan = full.best_value;
-  // Bit-exact value comparison, not index: exact ties may legitimately
-  // resolve to different candidates.
-  out.recall_ok = full.best < 0 ? pre.best < 0
-                                : pre.best >= 0 && pre.best_value == full.best_value;
-  return out;
-}
-
 FuzzOutcome ScheduleFuzz::Run(const FuzzCase& c) {
   FuzzOutcome out;
   out.seed = c.seed;
@@ -716,9 +590,9 @@ FuzzOutcome ScheduleFuzz::Run(const FuzzCase& c) {
       out.checked_latency = true;
       out.analytic_latency = e.latency;
       const double over = c.plan.num_stages() == 1 ? kAnalyticOverSimTolerance
-                                                   : sim::kAnalyticOverSim;
+                                                   : kAnalyticOverSim;
       out.latency_bracketed = e.latency <= result.makespan * over + 1e-12 &&
-                              result.makespan <= e.latency * sim::kSimOverAnalytic + 1e-12;
+                              result.makespan <= e.latency * kSimOverAnalytic + 1e-12;
     }
 
     // Differential 2: with an early-backward schedule (DAPPLE, and its 2BP

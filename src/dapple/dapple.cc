@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "sim/prefilter.h"
 
 namespace dapple {
 
@@ -52,30 +52,23 @@ planner::PlanResult Session::Plan(long global_batch_size,
   // Re-rank the analytic top-k with the discrete-event simulator: the
   // formula-1 objective ignores internal bubbles and can misorder plans
   // that are within a few percent of each other; one simulated iteration
-  // per candidate settles those ties exactly. PrefilterBatch skips only a
-  // candidate whose analytic score the calibrated bracket proves cannot
-  // beat the best simulated one, and selects deterministically at every
-  // thread count.
+  // per alternative settles those ties exactly. The lowest index wins ties,
+  // and when every alternative runs out of memory the analytic winner
+  // (index 0) stands and refinement is skipped.
   TimeSec best_simulated = std::numeric_limits<TimeSec>::infinity();
-  if (result.alternatives.size() > 1) {
-    std::vector<double> scores;
-    scores.reserve(result.alternatives.size());
-    for (const auto& [plan, estimate] : result.alternatives) {
-      scores.push_back(estimate.feasible ? estimate.latency
-                                         : std::numeric_limits<double>::infinity());
-    }
-    sim::PrefilterOptions prefilter;
-    prefilter.threads = options.num_threads;
-    const sim::PrefilterResult ranked = sim::PrefilterBatch(
-        scores,
-        [&](int i) { return simulate(result.alternatives[static_cast<std::size_t>(i)].first); },
-        prefilter);
-    const auto best = static_cast<std::size_t>(std::max(ranked.best, 0));
-    best_simulated = ranked.best_value;
+  if (result.alternatives.empty()) {
+    best_simulated = simulate(result.plan);
+  } else {
+    ThreadPool pool(static_cast<std::size_t>(options.num_threads));
+    const std::vector<TimeSec> simulated =
+        pool.Map<TimeSec>(result.alternatives.size(), [&](std::size_t i) {
+          return simulate(result.alternatives[i].first);
+        });
+    const auto best = static_cast<std::size_t>(
+        std::min_element(simulated.begin(), simulated.end()) - simulated.begin());
+    best_simulated = simulated[best];
     result.plan = result.alternatives[best].first;
     result.estimate = result.alternatives[best].second;
-  } else {
-    best_simulated = simulate(result.plan);
   }
 
   // Simulation-guided local refinement of the split positions: the DP

@@ -1,8 +1,11 @@
 // Process-wide metrics registry: named counters, gauges and histograms fed
 // by the engine (tasks executed, simulations run) and the planner
 // (candidates evaluated/pruned per DP level, estimator calls). Cheap enough
-// to stay always-on — counters are single atomics — and exported as JSON or
-// aligned-column text by the iteration-report layer and `dapple report`.
+// to stay always-on — counters are single atomics. Readers look instruments
+// up by name: serve `stats` reports the serve.latency.* histograms, the
+// end-to-end benchmark (benchmark/stats.cc) snapshots eight planner, sim
+// and fault names, and bench_scenario reads the two fault.replan counters.
+// ToJson/ToText render the whole registry; only metrics_test calls them.
 //
 // Instruments may be created from concurrent threads (the planner evaluates
 // candidates on a thread pool). Counter and Gauge updates are lock-free

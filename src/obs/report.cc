@@ -479,9 +479,9 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
   }
 
   auto& metrics = MetricsRegistry::Global();
-  metrics.counter("prefilter.peak_vs_m.simulated")
+  metrics.counter("report.peak_vs_m.simulated")
       .Increment(static_cast<std::int64_t>(reps.size()));
-  metrics.counter("prefilter.peak_vs_m.skipped")
+  metrics.counter("report.peak_vs_m.skipped")
       .Increment(static_cast<std::int64_t>(n) - static_cast<std::int64_t>(reps.size()));
 
   std::vector<PeakVsMPoint> curve;

@@ -176,7 +176,7 @@ struct PeakVsMPoint {
 /// warmup depths and recompute flags) repeats an earlier point's holds the
 /// same stash sets, so it reuses that point's simulation: DAPPLE past warmup
 /// saturation collapses to one simulation, GPipe dedups nothing. Counters
-/// prefilter.peak_vs_m.{simulated,skipped} record the split. `sim_threads`
+/// report.peak_vs_m.{simulated,skipped} record the split. `sim_threads`
 /// fans the builds and simulations out (1 = serial, 0 = hardware
 /// concurrency); the curve is byte-identical at every count.
 std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,

@@ -5,7 +5,7 @@
 // (model, cluster, plan, schedule family, cost knobs) — then swaps in a
 // seeded churn stream and a policy drawn uniformly from scenario-salted
 // side-streams, so adding this mode shifted none of the pinned schedule/
-// fault/memory-cap/ranking fuzz seeds. Every pipeline the episode builds
+// fault/memory-cap fuzz seeds. Every pipeline the episode builds
 // (initial, remapped, replanned, scale-up) is executed fault-free and must
 // pass the full ScheduleValidator invariant set with zero OOM tasks; the
 // generated script must survive a Parse/ToString round trip; elastic-up

@@ -15,7 +15,7 @@ namespace {
 constexpr TimeSec kInf = std::numeric_limits<TimeSec>::infinity();
 
 /// Salt for the churn side-stream. Unique among the repository's stream
-/// salts so a scenario sweep and the schedule/fault/memory-cap/ranking fuzz
+/// salts so a scenario sweep and the schedule/fault/memory-cap fuzz
 /// sweeps can share seed ranges without correlating — and so adding this
 /// generator shifted none of the existing pinned seeds.
 constexpr std::uint64_t kChurnStreamSalt = 0x6a09e667f3bcc909ull;

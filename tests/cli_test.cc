@@ -196,7 +196,7 @@ TEST(Cli, FuzzRejectsBadArgumentsWithUsage) {
   for (const char* args :
        {"--faults --memory-cap --repro 3", "--repro 3 --iterations x", "--seed abc",
         "--repro abc", "--iterations 3x", "--threads abc", "--threads -1", "--iterations 0",
-        "--seed 18446744073709551616", "--iterations"}) {
+        "--seed 18446744073709551616", "--iterations", "--ranking"}) {
     int code = 0;
     const std::string out = RunCli(args, &code, DAPPLE_FUZZ_PATH);
     EXPECT_EQ(code, 2) << args << "\n" << out;
@@ -206,8 +206,7 @@ TEST(Cli, FuzzRejectsBadArgumentsWithUsage) {
 
 TEST(Cli, FuzzPrefilterFlagIsUnknown) {
   int code = 0;
-  const std::string out = RunCli("--ranking --prefilter=off --iterations 1", &code,
-                                 DAPPLE_FUZZ_PATH);
+  const std::string out = RunCli("--prefilter=off --iterations 1", &code, DAPPLE_FUZZ_PATH);
   EXPECT_EQ(code, 2);
   EXPECT_NE(out.find("unknown flag --prefilter=off"), std::string::npos) << out;
 }

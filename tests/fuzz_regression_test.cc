@@ -1,14 +1,13 @@
 // Pinned fuzz-seed regressions. Each seed here once exposed (or guards
 // against reintroducing) a specific estimator/simulator divergence; the
-// cases run in the fast unit tier so the bracket constants (sim/prefilter.h,
-// check/fuzz.h) cannot loosen unnoticed between full fuzz sweeps.
+// cases run in the fast unit tier so the bracket constants (check/fuzz.h)
+// cannot loosen unnoticed between full fuzz sweeps.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "check/fuzz.h"
 #include "fault/script.h"
-#include "sim/prefilter.h"
 
 namespace dapple {
 namespace {
@@ -17,7 +16,7 @@ namespace {
 // transfer-heavy. Under the old serial comm model (steady = (M-1)(F+B) on
 // one lane) the analytic latency overshot the simulated makespan by far
 // more than the duplex-aware bracket allows; with comm rounds gated by
-// max(F, B) it sits well inside sim::kAnalyticOverSim.
+// max(F, B) it sits well inside check::kAnalyticOverSim.
 //
 // Re-pinned from seed 4299 when the generator grew the schedule-kind draw
 // (4299 now lands on V-Min, which skips the latency bracket); 16186 is the
@@ -32,11 +31,11 @@ TEST(FuzzRegression, Seed16186StaysInsideTheDuplexBracket) {
   ASSERT_GT(out.analytic_latency, 0.0);
 
   // The tightened bracket, asserted explicitly so a tolerance loosening in
-  // sim/prefilter.h needs a deliberate edit here too.
-  EXPECT_LE(out.analytic_latency, out.simulated_makespan * sim::kAnalyticOverSim);
-  EXPECT_LE(out.simulated_makespan, out.analytic_latency * sim::kSimOverAnalytic);
-  EXPECT_LE(sim::kAnalyticOverSim, 1.30);
-  EXPECT_LE(sim::kSimOverAnalytic, 2.0);
+  // check/fuzz.h needs a deliberate edit here too.
+  EXPECT_LE(out.analytic_latency, out.simulated_makespan * check::kAnalyticOverSim);
+  EXPECT_LE(out.simulated_makespan, out.analytic_latency * check::kSimOverAnalytic);
+  EXPECT_LE(check::kAnalyticOverSim, 1.30);
+  EXPECT_LE(check::kSimOverAnalytic, 2.0);
 }
 
 // Seed 3410 produced the worst analytic/sim ratio (1.049) of the 100k-seed

@@ -194,20 +194,20 @@ TEST(IterationReport, PeakVsMPrefilterNeverChangesTheCurve) {
 
   const Fig3 dapple_fig;
   for (const int threads : {1, 8}) {
-    const std::int64_t skipped0 = metrics.counter("prefilter.peak_vs_m.skipped").value();
+    const std::int64_t skipped0 = metrics.counter("report.peak_vs_m.skipped").value();
     expect_direct_peaks(dapple_fig, {4, 8, 16, 32}, threads);
     // Non-vacuity: the saturated DAPPLE tail must actually have been skipped.
-    EXPECT_GT(metrics.counter("prefilter.peak_vs_m.skipped").value(), skipped0);
+    EXPECT_GT(metrics.counter("report.peak_vs_m.skipped").value(), skipped0);
   }
 
   Fig3 gpipe_fig;
   gpipe_fig.options.schedule.kind = runtime::ScheduleKind::kGPipe;
   gpipe_fig.options.enforce_memory_capacity = false;
   for (const int threads : {1, 8}) {
-    const std::int64_t skipped0 = metrics.counter("prefilter.peak_vs_m.skipped").value();
+    const std::int64_t skipped0 = metrics.counter("report.peak_vs_m.skipped").value();
     expect_direct_peaks(gpipe_fig, {4, 8, 16}, threads);
     // GPipe's stash discipline grows with M: no two points may dedup.
-    EXPECT_EQ(metrics.counter("prefilter.peak_vs_m.skipped").value(), skipped0);
+    EXPECT_EQ(metrics.counter("report.peak_vs_m.skipped").value(), skipped0);
   }
 }
 

@@ -3,7 +3,10 @@
 // (Fig. 7), and agreement with brute force on tiny instances.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "dapple/dapple.h"
@@ -12,6 +15,7 @@
 #include "obs/metrics.h"
 #include "planner/dp_baseline.h"
 #include "planner/dp_planner.h"
+#include "planner/plan_io.h"
 #include "topo/cluster.h"
 
 namespace dapple::planner {
@@ -348,6 +352,53 @@ TEST(Planner, SearchBudgetStopsAtTheSameCountAtEveryThreadCount) {
                     .counter("dapple.session.recompute_retries")
                     .value(),
                 retries);
+    }
+  }
+}
+
+TEST(Session, ReRankPicksTheSimulatedBestOfEveryAlternative) {
+  // Session::Plan simulates every alternative the planner returns and keeps
+  // the fastest, so its plan (after boundary refinement, which only ever
+  // improves on the re-ranked one) simulates no slower than any of them,
+  // and the ThreadPool fan-out picks the same plan at every thread count.
+  const auto gnmt = model::MakeGnmt16();
+  const auto cluster = topo::MakeConfigA(2);
+  PlannerOptions vmin = Opts(1024);
+  vmin.latency.schedule_kind = runtime::ScheduleKind::kVMin;
+  PlannerOptions capped = Opts(1024);
+  capped.recompute = RecomputePolicy::kAuto;
+  capped.latency.memory_cap = 4_GiB;
+  const std::pair<const char*, PlannerOptions> cases[] = {
+      {"DAPPLE", Opts(1024)}, {"V-Min", vmin}, {"auto-4GiB", capped}};
+  for (const auto& [label, options] : cases) {
+    const runtime::BuildOptions build = runtime::BuildOptionsFor(options);
+    auto simulate = [&](const ParallelPlan& plan) {
+      const sim::SimResult result =
+          runtime::PipelineExecutor(gnmt, cluster, plan, build).RunDetailed().result;
+      return result.AnyOom() ? std::numeric_limits<TimeSec>::infinity() : result.makespan;
+    };
+    const PlanResult planned = DapplePlanner(gnmt, cluster, options).Plan();
+    if (std::string(label) != "auto-4GiB") {
+      EXPECT_EQ(planned.alternatives.size(), 9u) << label;
+    }
+
+    std::string serial;
+    for (int threads : {1, 4}) {
+      PlannerOptions threaded = options;
+      threaded.num_threads = threads;
+      const PlanResult chosen = Session(gnmt, cluster).Plan(1024, threaded);
+      const TimeSec chosen_time = simulate(chosen.plan);
+      ASSERT_TRUE(std::isfinite(chosen_time)) << label;
+      for (const auto& [alternative, estimate] : planned.alternatives) {
+        EXPECT_LE(chosen_time, simulate(alternative))
+            << label << ": " << alternative.ToString() << " beats " << chosen.plan.ToString();
+      }
+      const std::string text = SerializePlan(chosen.plan);
+      if (threads == 1) {
+        serial = text;
+      } else {
+        EXPECT_EQ(text, serial) << label << " @ " << threads << " threads";
+      }
     }
   }
 }

@@ -3,7 +3,7 @@
 // byte-identical reports at every sweep thread count, and the co-scheduler
 // must emit identical reports — including its cache hit/miss accounting —
 // whether candidate evaluation runs inline or fanned across workers. Every
-// fuzz mode (schedule, fault, memory-cap, ranking, scenario) must produce
+// fuzz mode (schedule, fault, memory-cap, scenario) must produce
 // identical outcomes at every ThreadPool worker count.
 #include <gtest/gtest.h>
 
@@ -113,8 +113,8 @@ TEST(ScenarioDeterminismTest, CoScheduleReportIsByteIdenticalAtEveryWorkerCount)
 template <class Mode>
 class FuzzSweepDeterminism : public ::testing::Test {};
 
-using FuzzModes = ::testing::Types<check::ScheduleFuzz, check::FaultFuzz, check::MemoryCapFuzz,
-                                   check::RankingFuzz, ScenarioFuzz>;
+using FuzzModes =
+    ::testing::Types<check::ScheduleFuzz, check::FaultFuzz, check::MemoryCapFuzz, ScenarioFuzz>;
 TYPED_TEST_SUITE(FuzzSweepDeterminism, FuzzModes);
 
 TYPED_TEST(FuzzSweepDeterminism, SweepMatchesOneAtATimeAtEveryThreadCount) {

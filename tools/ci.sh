@@ -29,19 +29,16 @@
 #                    every thread count — all byte-identical), the --quick
 #                    planner-scaling, sim-engine, serve and scenario
 #                    benches (the sim-engine bench also fences the engine
-#                    against regressing below the reference engine and the
-#                    analytic pre-filter against dropping the sim-best
-#                    candidate; the scenario bench fences elastic-up
-#                    against losing to sync-stall on churn and the
-#                    co-scheduler against
+#                    against regressing below the reference engine; the
+#                    scenario bench fences elastic-up against losing to
+#                    sync-stall on churn and the co-scheduler against
 #                    the naive even split), the serve daemon smoke
 #                    (scripted request mix against a spawned `dapple
 #                    serve`), and reduced fuzz sweeps — the
 #                    schedule-family sweep covering every ScheduleKind,
 #                    the memory-cap sweep (plan under a random per-device
-#                    cap -> refuse or fit, never OOM), the ranking-recall
-#                    sweep (prefilter rank-1 recall == 100%) and the
-#                    scenario sweep (churn model x policy x family; zero
+#                    cap -> refuse or fit, never OOM) and the scenario
+#                    sweep (churn model x policy x family; zero
 #                    validator violations, zero OOM plans) (seconds; runs
 #                    on the plain tree only, sanitizers would distort the
 #                    timing columns — the sweeps themselves also run
@@ -49,8 +46,7 @@
 #
 # Wider sweeps stay opt-in: `DAPPLE_FUZZ_ITERATIONS=100000 ctest -L fuzz`,
 # or `<build>/tools/dapple_fuzz --iterations 100000` directly, in any of its
-# five modes (default schedule, --faults, --memory-cap, --ranking,
-# --scenario).
+# four modes (default schedule, --faults, --memory-cap, --scenario).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

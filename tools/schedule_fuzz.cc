@@ -21,9 +21,6 @@
 //   --memory-cap  a per-device cap scaled around the family's uncapped peak;
 //                 the planner declares it infeasible or emits a plan whose
 //                 capped simulation passes the validator with zero OOM.
-//   --ranking     a pool of random DAPPLE split-mode plans; the analytic
-//                 pre-filter picks a winner whose simulated makespan equals
-//                 the best over every candidate simulated in full.
 //   --scenario    a long-horizon churn episode (churn model x recovery policy
 //                 x schedule family); every pipeline it builds passes the
 //                 validator with zero OOM tasks, the churn script round-trips
@@ -96,7 +93,6 @@ constexpr FuzzMode kModes[] = {
     {nullptr, Sweep<check::ScheduleFuzz>, Repro<check::ScheduleFuzz>},
     {"--faults", Sweep<check::FaultFuzz>, Repro<check::FaultFuzz>},
     {"--memory-cap", Sweep<check::MemoryCapFuzz>, Repro<check::MemoryCapFuzz>},
-    {"--ranking", Sweep<check::RankingFuzz>, Repro<check::RankingFuzz>},
     {"--scenario", Sweep<scenario::ScenarioFuzz>, Repro<scenario::ScenarioFuzz>},
 };
 
