@@ -75,7 +75,7 @@ int main() {
     o.iterations = iterations;
     o.pipeline.stage_bounds = {0, 2, 5};
     o.pipeline.micro_batch = 16;
-    o.pipeline.schedule.recompute = true;
+    o.pipeline.recompute = true;
     auto opt = MakeAdam(0.01f);
     runs.push_back({"DAPPLE + recompute", Train(model, data, *opt, o)});
   }

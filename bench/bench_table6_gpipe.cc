@@ -31,8 +31,9 @@ int main() {
     o.global_batch_size = 2L * m;
     o.micro_batch_size = 2;
     o.schedule.kind = kind;
-    o.schedule.recompute = recompute;
-    return obs::RunIteration(bert, cluster, plan, o);
+    planner::ParallelPlan run_plan = plan;
+    for (planner::StagePlan& stage : run_plan.stages) stage.recompute = recompute;
+    return obs::RunIteration(bert, cluster, run_plan, o);
   };
 
   AsciiTable table({"Config", "M", "Throughput (samples/s)", "Avg peak memory", "OOM?"});

@@ -24,12 +24,12 @@ std::pair<bool, double> TryBert(int layers, int stages) {
     sp.layer_begin = s * per;
     sp.layer_end = s + 1 == stages ? layers : (s + 1) * per;
     sp.devices = topo::DeviceSet::Range(s, 1);
+    sp.recompute = true;
     plan.stages.push_back(sp);
   }
   runtime::BuildOptions o;
   o.global_batch_size = 32;
   o.micro_batch_size = 2;
-  o.schedule.recompute = true;
   const auto report = obs::RunIteration(bert, cluster, plan, o);
   // "Supported" means it fits AND the DAPPLE schedule can still keep its
   // full warmup depth (K_0 = S): a model that only fits with K clamped to

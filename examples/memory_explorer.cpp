@@ -41,8 +41,9 @@ int main(int argc, char** argv) {
       o.global_batch_size = 2L * m;
       o.micro_batch_size = 2;
       o.schedule.kind = kind;
-      o.schedule.recompute = rc;
-      const auto r = obs::RunIteration(bert, cluster, plan, o);
+      planner::ParallelPlan run_plan = plan;
+      for (planner::StagePlan& stage : run_plan.stages) stage.recompute = rc;
+      const auto r = obs::RunIteration(bert, cluster, run_plan, o);
       row.push_back(FormatBytes(r.avg_peak_memory) + (r.oom ? " OOM" : ""));
       if (kind == runtime::ScheduleKind::kDapple && !rc) dapple_thpt = r.throughput;
     }

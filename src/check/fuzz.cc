@@ -136,7 +136,10 @@ std::string FuzzCase::Describe() const {
      << cluster.num_devices() << ") plan=" << plan.ToString() << " gbs="
      << options.global_batch_size << " " << runtime::ToString(options.schedule.kind) << "/"
      << runtime::ToString(options.schedule.warmup)
-     << (options.schedule.recompute ? "/recompute" : "");
+     << (std::all_of(plan.stages.begin(), plan.stages.end(),
+                     [](const planner::StagePlan& s) { return s.recompute; })
+             ? "/recompute"
+             : "");
   if (options.schedule.warmup_override > 0) {
     os << "/K=" << options.schedule.warmup_override;
   }
@@ -166,7 +169,8 @@ FuzzCase MakeFuzzCase(std::uint64_t seed) {
       kind_rng.UniformInt(0, static_cast<std::int64_t>(kinds.size()) - 1))];
   options.schedule.warmup = rng.Bernoulli(0.5) ? runtime::WarmupPolicy::kPA
                                                : runtime::WarmupPolicy::kPB;
-  options.schedule.recompute = rng.Bernoulli(0.3);
+  // Drawn here to keep the stream; flags every stage of the plan below.
+  const bool recompute = rng.Bernoulli(0.3);
   if (rng.Bernoulli(0.2)) {
     options.schedule.warmup_override = static_cast<int>(rng.UniformInt(1, 3));
   }
@@ -195,6 +199,7 @@ FuzzCase MakeFuzzCase(std::uint64_t seed) {
     }
   }
   if (!planned) plan = RandomPlan(rng, model, cluster);
+  for (planner::StagePlan& stage : plan.stages) stage.recompute = recompute;
 
   return FuzzCase{seed, std::move(model), std::move(cluster), std::move(plan),
                   std::move(options)};
@@ -439,7 +444,9 @@ FaultFuzzCase FaultFuzz::Make(std::uint64_t seed) {
   const auto& fault_kinds = runtime::AllScheduleKinds();
   options.build.schedule.kind = fault_kinds[static_cast<std::size_t>(
       fault_kind_rng.UniformInt(0, static_cast<std::int64_t>(fault_kinds.size()) - 1))];
-  options.build.schedule.recompute = rng.Bernoulli(0.2);
+  // Drawn here to keep the stream; flags every stage of the plan below, and
+  // replans then recompute everywhere too, priced as they run.
+  const bool recompute = rng.Bernoulli(0.2);
   options.build.enforce_memory_capacity = false;
   options.horizon = rng.Uniform(2.0, 20.0);
   options.max_iterations = 60;
@@ -453,6 +460,10 @@ FaultFuzzCase FaultFuzz::Make(std::uint64_t seed) {
   options.planner.max_stages = 4;
 
   planner::ParallelPlan plan = RandomPlan(rng, model, cluster);
+  if (recompute) {
+    for (planner::StagePlan& stage : plan.stages) stage.recompute = true;
+    options.planner.recompute = planner::RecomputePolicy::kAll;
+  }
 
   fault::RandomFaultOptions random;
   random.horizon = options.horizon;
@@ -585,8 +596,7 @@ FuzzOutcome ScheduleFuzz::Run(const FuzzCase& c) {
       lo.check_memory = false;
       lo.overlap_allreduce = c.options.overlap_allreduce;
       const planner::LatencyEstimator estimator(c.model, c.cluster, lo);
-      const planner::PlanEstimate e = estimator.Estimate(runtime::PlanAsBuilt(c.plan, c.options),
-                                                         c.options.global_batch_size);
+      const planner::PlanEstimate e = estimator.Estimate(c.plan, c.options.global_batch_size);
       out.checked_latency = true;
       out.analytic_latency = e.latency;
       const double over = c.plan.num_stages() == 1 ? kAnalyticOverSimTolerance

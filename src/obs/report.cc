@@ -42,8 +42,9 @@ IterationReport BuildIterationReport(const runtime::BuiltPipeline& pipeline,
   report.makespan = result.makespan;
   report.schedule = runtime::ToString(pipeline.options.schedule.kind);
   report.replication = runtime::ToString(pipeline.options.replication);
-  report.recompute = pipeline.options.schedule.recompute;
   for (std::uint8_t rc : pipeline.stage_recompute) report.recompute_stages += rc ? 1 : 0;
+  report.recompute = report.recompute_stages > 0 &&
+                     report.recompute_stages == static_cast<int>(pipeline.stage_recompute.size());
   report.memory_cap = pipeline.options.memory_cap;
   report.micro_batch_size = pipeline.micro_batch_size;
   report.num_micro_batches = pipeline.num_micro_batches;

@@ -98,9 +98,10 @@ struct IterationReport {
   TimeSec makespan = 0.0;
   std::string schedule;     // "dapple" / "gpipe"
   std::string replication;  // "split" / "round-robin"
+  /// Every stage ran with activation recomputation.
   bool recompute = false;
-  /// Stages that ran with activation recomputation (global flag or the
-  /// plan's per-stage flags; see BuiltPipeline::stage_recompute).
+  /// Stages that ran with activation recomputation (the plan's per-stage
+  /// flags; see BuiltPipeline::stage_recompute).
   int recompute_stages = 0;
   /// Per-device memory cap the pipeline was built under (0 = none; the
   /// pools then carry the cluster's device memory).

@@ -150,22 +150,12 @@ Bytes LatencyEstimator::EffectiveCapacity() const {
 
 namespace {
 
-/// Stashes stage i of S holds under `kind` at M micro-batches.
-int StashDepth(runtime::ScheduleKind kind, int i, int S, int M) {
-  switch (kind) {
-    case runtime::ScheduleKind::kGPipe:
-      // GPipe stashes every micro-batch before the first backward.
-      return M;
-    case runtime::ScheduleKind::kDapple:
-    case runtime::ScheduleKind::kDappleSplitBw:
-      // 1F1B warmup policy PA: K_i = min(S - i, M); 2BP holds one extra
-      // transient stash until its deferred weight half frees it.
-      return std::min(S - i, M) + (kind == runtime::ScheduleKind::kDappleSplitBw ? 1 : 0);
-    case runtime::ScheduleKind::kVMin:
-    case runtime::ScheduleKind::kVHalf:
-      return std::min(runtime::VStashCap(kind, i, S), M);
-  }
-  return M;
+/// Activation stashes stage i of S holds at its peak under `kind` at M
+/// micro-batches: the schedule's unthrottled warmup depth, plus the one
+/// transient stash 2BP holds until its deferred weight half frees it.
+int PeakStashes(runtime::ScheduleKind kind, int i, int S, int M) {
+  return runtime::WarmupDepth({kind}, i, S, M, 0) +
+         (kind == runtime::ScheduleKind::kDappleSplitBw ? 1 : 0);
 }
 
 /// The worst device group's peak from every stage's piece: one stage per
@@ -198,7 +188,7 @@ Bytes LatencyEstimator::PeakPiece(runtime::ScheduleKind kind, const ParallelPlan
       plan.stages[static_cast<std::size_t>(runtime::HostStage(kind, i, S))];
   const double samples = static_cast<double>(mb.micro_batch_size) / host.replication();
   return StagePeakMemory(stage.layer_begin, stage.layer_end, stage.recompute, samples,
-                         StashDepth(kind, i, S, mb.num_micro_batches));
+                         PeakStashes(kind, i, S, mb.num_micro_batches));
 }
 
 Bytes LatencyEstimator::FamilyPeakMemory(runtime::ScheduleKind kind,
@@ -564,8 +554,8 @@ std::vector<CandidateScore> LatencyEstimator::ScoreSplits(
   const bool suffix_recompute = plan.stages.back().recompute;
   const double carved_samples = samples(S - 2);
   const double suffix_samples = samples(S - 1);
-  const int carved_depth = StashDepth(kind, S - 2, S, mb.num_micro_batches);
-  const int suffix_depth = StashDepth(kind, S - 1, S, mb.num_micro_batches);
+  const int carved_depth = PeakStashes(kind, S - 2, S, mb.num_micro_batches);
+  const int suffix_depth = PeakStashes(kind, S - 1, S, mb.num_micro_batches);
 
   const int j = carved.layer_begin;
   std::vector<CandidateScore> scores;

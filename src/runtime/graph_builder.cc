@@ -30,13 +30,6 @@ BuildOptions BuildOptionsFor(const planner::PlannerOptions& options) {
   return build;
 }
 
-planner::ParallelPlan PlanAsBuilt(planner::ParallelPlan plan, const BuildOptions& options) {
-  if (options.schedule.recompute) {
-    for (planner::StagePlan& stage : plan.stages) stage.recompute = true;
-  }
-  return plan;
-}
-
 namespace {
 
 struct StageInfo {
@@ -146,9 +139,7 @@ BuiltPipeline GraphBuilder::Build() const {
         model_->ForwardTime(si.plan->layer_begin, si.plan->layer_end, si.samples, 1.0);
     si.backward =
         model_->BackwardTime(si.plan->layer_begin, si.plan->layer_end, si.samples, 1.0);
-    // A stage recomputes when the global schedule flag or its own plan
-    // flag (set by the memory-constrained planner) asks for it.
-    const bool recompute = options_.schedule.recompute || si.plan->recompute;
+    const bool recompute = si.plan->recompute;
     built.stage_recompute.push_back(recompute ? 1 : 0);
     // 2BP halves the backward at the input/weight gradient boundary; the
     // forward replay under recompute must precede the input half (the

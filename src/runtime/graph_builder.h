@@ -57,13 +57,10 @@ struct BuildOptions {
 /// The planner-to-simulator hand-off: the build that runs a plan under the
 /// settings it was planned with — global batch, schedule family
 /// (latency.schedule_kind), memory cap (latency.memory_cap) and AllReduce
-/// overlap. Per-stage recompute rides the plan's StagePlan::recompute flags.
+/// overlap. Recompute is not a build setting: it rides the plan's
+/// StagePlan::recompute flags, which the estimator prices and the builder
+/// runs.
 BuildOptions BuildOptionsFor(const planner::PlannerOptions& options);
-
-/// `plan` with every stage flagged for recomputation when the build's
-/// global ScheduleOptions::recompute is on: the plan the estimator must
-/// price to match what `options` simulates.
-planner::ParallelPlan PlanAsBuilt(planner::ParallelPlan plan, const BuildOptions& options);
 
 /// Resource-id layout shared by every built pipeline: device compute
 /// engines first, then one duplex channel pair per stage boundary, then one
@@ -96,8 +93,8 @@ struct BuiltPipeline {
   /// Per computation stage: the warmup depth the schedule actually used.
   std::vector<int> warmup_depths;
   /// Per computation stage: 1 when the stage ran with activation
-  /// recomputation (global ScheduleOptions::recompute or the stage's own
-  /// plan flag), 0 otherwise. Feeds report/JSON output.
+  /// recomputation (its StagePlan::recompute flag), 0 otherwise. Feeds
+  /// report/JSON output.
   std::vector<std::uint8_t> stage_recompute;
   /// The options the builder ran with (micro-batching resolved above); lets
   /// consumers such as check::ScheduleValidator re-derive expectations.

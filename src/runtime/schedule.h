@@ -81,11 +81,8 @@ inline constexpr double kRecomputeOverhead = 0.4;
 struct ScheduleOptions {
   ScheduleKind kind = ScheduleKind::kDapple;
   WarmupPolicy warmup = WarmupPolicy::kPA;
-  /// Re-computation on every stage: stash only stage-boundary activations,
-  /// replay the forward inside backward. Per-stage recomputation rides
-  /// planner::StagePlan::recompute; a stage recomputes when either is set.
-  bool recompute = false;
-  /// Simulated recompute overhead (see kRecomputeOverhead); only
+  /// Simulated recompute overhead (see kRecomputeOverhead) on the stages
+  /// whose planner::StagePlan::recompute flag is set; only
   /// simulator-side sweeps such as bench_ablation_schedule move it.
   double recompute_overhead = kRecomputeOverhead;
   /// Ablation hook: force the warmup depth K for every stage (still

@@ -101,6 +101,7 @@ void WriteChromeTrace(const std::string& path, const TaskGraph& graph,
   std::ofstream out(path);
   DAPPLE_CHECK(out.good()) << "cannot open trace file " << path;
   out << ToChromeTrace(graph, result);
+  out.close();
   DAPPLE_CHECK(out.good()) << "failed writing trace file " << path;
 }
 

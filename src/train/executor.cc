@@ -189,7 +189,7 @@ BackpropResult RunPipelined(MlpModel& model, const Tensor& inputs, const Tensor&
         }
         out = Tensor::VStack(outs);
       }
-      if (options.schedule.recompute) {
+      if (options.recompute) {
         // Checkpoint only the stage input; the saved contexts are
         // regenerated during backward.
         std::vector<Tensor> checkpoint;
@@ -228,7 +228,7 @@ BackpropResult RunPipelined(MlpModel& model, const Tensor& inputs, const Tensor&
       Tensor grad_in;
       if (r == 1) {
         std::vector<Tensor> saved;
-        if (options.schedule.recompute) {
+        if (options.recompute) {
           // Replay the forward pass from the checkpointed input.
           (void)ForwardRange(model, begin, end, stash_it->second.front(), &saved);
         } else {
@@ -249,7 +249,7 @@ BackpropResult RunPipelined(MlpModel& model, const Tensor& inputs, const Tensor&
               static_cast<std::size_t>(k) * slice_rows,
               static_cast<std::size_t>(k + 1) * slice_rows);
           std::vector<Tensor> saved;
-          if (options.schedule.recompute) {
+          if (options.recompute) {
             const std::size_t in_rows =
                 stash_it->second.front().rows() / static_cast<std::size_t>(r);
             const Tensor in_slice = stash_it->second.front().RowSlice(

@@ -54,6 +54,9 @@ struct PipelineRunOptions {
   /// Empty = 1 replica everywhere. Each count must divide micro_batch.
   std::vector<int> stage_replicas;
   runtime::ScheduleOptions schedule;
+  /// Checkpoint only each stage's input and replay its forward inside the
+  /// backward, on every stage (this trainer has no per-stage plan).
+  bool recompute = false;
 };
 
 /// Pipeline-parallel execution following the per-stage schedule orders.

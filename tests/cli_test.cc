@@ -162,16 +162,35 @@ TEST(Cli, MissingFlagValueIsDiagnosed) {
 }
 
 TEST(Cli, BadIntegersAreUsageErrors) {
-  // Every integer, flag or positional, is a strict unsigned parse: a bad
-  // value never falls back to a default, truncates or reaches the planner.
+  // Every integer, flag or positional, is a strict unsigned parse, and the
+  // config is exactly one of A/B/C: a bad value never falls back to a
+  // default, truncates to its first character or reaches the planner.
   for (const char* args :
        {"plan GNMT-16 A 2 64 --planner-threads abc", "serve --tcp 99999",
         "report GNMT-16 B 2 64 --peak-vs-m 4,x,8", "scenario GNMT-16 B 2 64 --jobs abc",
-        "plan GNMT-16 A abc 64", "run GNMT-16 A 2 0", "faults GNMT-16 A 2 8 --seed -1"}) {
+        "plan GNMT-16 A abc 64", "run GNMT-16 A 2 0", "faults GNMT-16 A 2 8 --seed -1",
+        "plan GNMT-16 Axyz 1 64", "plan GNMT-16 D 1 64", "plan GNMT-16 \"\" 1 64"}) {
     int code = 0;
     const std::string out = RunCli(args, &code);
     EXPECT_EQ(code, 2) << args << "\n" << out;
     EXPECT_NE(out.find("usage:"), std::string::npos) << args << "\n" << out;
+  }
+}
+
+TEST(Cli, FailedFileWritesExitOne) {
+  // A report or trace that cannot be written is an error, never a silent
+  // "written" and exit 0: an unopenable path and a full device both fail.
+  for (const char* args :
+       {"report --fig3 --json /dev/full", "report --fig3 --json /no/such/dir/x.json",
+        "faults GNMT-16 B 2 8 --script-text \"slowdown server=1 start=1 mult=0.5\" "
+        "--policy stall --horizon 2 --trace /no/such/dir/x.json",
+        "faults GNMT-16 B 2 8 --script-text \"slowdown server=1 start=1 mult=0.5\" "
+        "--policy stall --horizon 2 --json /dev/full"}) {
+    int code = 0;
+    const std::string out = RunCli(args, &code);
+    EXPECT_EQ(code, 1) << args << "\n" << out;
+    EXPECT_EQ(out.find("report written"), std::string::npos) << args << "\n" << out;
+    EXPECT_NE(out.find("cannot "), std::string::npos) << args << "\n" << out;
   }
 }
 

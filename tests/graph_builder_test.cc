@@ -134,11 +134,10 @@ TEST(GraphBuilder, MemoryEffectsBalance) {
   // Every byte a FW allocates is freed by its BW: pools end at baseline.
   const auto m = MakeUniformSynthetic(4, 0.01, 0.02, 1_MiB, 1000, 1);
   const auto cluster = topo::MakeConfigB(2);
-  const auto plan = MakePlan(m, {{2, DeviceSet::Range(0, 1)}, {4, DeviceSet::Range(1, 1)}});
+  auto plan = MakePlan(m, {{2, DeviceSet::Range(0, 1)}, {4, DeviceSet::Range(1, 1)}});
   for (bool recompute : {false, true}) {
-    BuildOptions o = Opts(8);
-    o.schedule.recompute = recompute;
-    GraphBuilder builder(m, cluster, plan, o);
+    for (StagePlan& stage : plan.stages) stage.recompute = recompute;
+    GraphBuilder builder(m, cluster, plan, Opts(8));
     const BuiltPipeline built = builder.Build();
     const sim::SimResult r = sim::Engine::Run(built.graph, built.engine_options);
     for (const auto& pool : r.pools) {
@@ -152,11 +151,10 @@ TEST(GraphBuilder, RecomputeShrinksForwardStash) {
   const auto cluster = topo::MakeConfigB(2);
   const auto plan = MakePlan(bert, {{24, DeviceSet::Range(0, 1)},
                                     {48, DeviceSet::Range(1, 1)}});
-  BuildOptions plain = Opts(16);
-  BuildOptions rc = Opts(16);
-  rc.schedule.recompute = true;
-  const BuiltPipeline b_plain = GraphBuilder(bert, cluster, plan, plain).Build();
-  const BuiltPipeline b_rc = GraphBuilder(bert, cluster, plan, rc).Build();
+  auto rc_plan = plan;
+  for (StagePlan& stage : rc_plan.stages) stage.recompute = true;
+  const BuiltPipeline b_plain = GraphBuilder(bert, cluster, plan, Opts(16)).Build();
+  const BuiltPipeline b_rc = GraphBuilder(bert, cluster, rc_plan, Opts(16)).Build();
   auto fw_alloc = [](const BuiltPipeline& b) {
     for (const auto& t : b.graph.tasks()) {
       if (t.kind == sim::TaskKind::kForward && t.stage == 1) return t.alloc_at_start;

@@ -124,12 +124,12 @@ TEST(Session, WeakScalingSupportsLargerBertOnLongerPipelines) {
       sp.layer_begin = s * per;
       sp.layer_end = s + 1 == c.stages ? c.layers : (s + 1) * per;
       sp.devices = topo::DeviceSet::Range(s, 1);
+      sp.recompute = true;
       plan.stages.push_back(sp);
     }
     runtime::BuildOptions o;
     o.global_batch_size = 8;
     o.micro_batch_size = 2;
-    o.schedule.recompute = true;
     Session session(bert, cluster);
     const auto report = session.Run(plan, 8, o);
     EXPECT_FALSE(report.oom) << "BERT-" << c.layers << " on " << c.stages << " stages";
@@ -175,10 +175,11 @@ TEST(Session, RecomputeFallbackWhenNothingElseFits) {
   opts.max_stages = 2;
   const auto planned = session.Plan(8, opts);
   EXPECT_TRUE(planned.estimate.feasible);
+  planner::ParallelPlan plan = planned.plan;
+  for (planner::StagePlan& s : plan.stages) s.recompute = true;
   runtime::BuildOptions run;
   run.global_batch_size = 8;
-  run.schedule.recompute = true;
-  const auto report = session.Run(planned.plan, 8, run);
+  const auto report = session.Run(plan, 8, run);
   EXPECT_FALSE(report.oom);
 }
 

@@ -16,6 +16,7 @@
 #include "dapple/dapple.h"
 #include "model/zoo.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "planner/dp_planner.h"
 #include "planner/latency.h"
 #include "planner/plan_io.h"
@@ -104,10 +105,10 @@ TEST(RecomputeOverhead, SimulatedRecomputeAddsTwentyPercentOfBackward) {
   options.global_batch_size = 8;
   options.enforce_memory_capacity = false;
   auto makespan = [&](bool recompute) {
-    runtime::BuildOptions o = options;
-    o.schedule.recompute = recompute;
+    ParallelPlan p = plan;
+    p.stages[0].recompute = recompute;
     const runtime::BuiltPipeline built =
-        runtime::GraphBuilder(m, cluster, plan, o).Build();
+        runtime::GraphBuilder(m, cluster, p, options).Build();
     return sim::Engine::Run(built.graph, built.engine_options).makespan;
   };
   const TimeSec off = makespan(false);
@@ -293,10 +294,10 @@ TEST(MemoryCapPlanner, AutoWithoutPressureLeavesRecomputeOff) {
   EXPECT_EQ(result.stats.recompute_stages, 0);
 }
 
-TEST(MemoryCapPlanner, AllRecomputeFlagsEveryStageAndMatchesTheGlobalSwitch) {
-  // kAll flags every stage of the plan and of every alternative, and the
-  // flags are the whole decision: the simulator runs the flagged plan
-  // exactly as the global recompute switch runs the unflagged one.
+TEST(MemoryCapPlanner, AllRecomputeFlagsEveryStage) {
+  // kAll flags every stage of the plan and of every alternative; the flags
+  // are the whole decision, so the report of its run says every stage
+  // recomputed.
   const ModelProfile m = MakeUniformSynthetic(8, 0.010, 0.020, 4_MiB, 1'000'000);
   const Cluster cluster = FastCluster(1, 2);
   planner::PlannerOptions po;
@@ -309,17 +310,10 @@ TEST(MemoryCapPlanner, AllRecomputeFlagsEveryStageAndMatchesTheGlobalSwitch) {
   for (const StagePlan& s : result.plan.stages) EXPECT_TRUE(s.recompute);
   EXPECT_EQ(result.stats.recompute_stages, result.plan.num_stages());
 
-  ParallelPlan plain = result.plan;
-  for (StagePlan& s : plain.stages) s.recompute = false;
-  runtime::BuildOptions global = runtime::BuildOptionsFor(po);
-  global.schedule.recompute = true;
-  const runtime::BuiltPipeline a = runtime::GraphBuilder(m, cluster, plain, global).Build();
-  const runtime::BuiltPipeline b =
-      runtime::GraphBuilder(m, cluster, result.plan, runtime::BuildOptionsFor(po)).Build();
-  const sim::SimResult ra = sim::Engine::Run(a.graph, a.engine_options);
-  const sim::SimResult rb = sim::Engine::Run(b.graph, b.engine_options);
-  EXPECT_DOUBLE_EQ(ra.makespan, rb.makespan);
-  EXPECT_EQ(ra.MaxPeakMemory(), rb.MaxPeakMemory());
+  const obs::IterationReport report =
+      obs::RunIteration(m, cluster, result.plan, runtime::BuildOptionsFor(po));
+  EXPECT_TRUE(report.recompute);
+  EXPECT_EQ(report.recompute_stages, result.plan.num_stages());
 }
 
 TEST(MemoryCapPlanner, BuilderHonorsPerStageFlags) {
@@ -336,6 +330,10 @@ TEST(MemoryCapPlanner, BuilderHonorsPerStageFlags) {
   ASSERT_EQ(built.stage_recompute.size(), 2u);
   EXPECT_EQ(built.stage_recompute[0], 0);
   EXPECT_EQ(built.stage_recompute[1], 1);
+  // One of two stages recomputing is not "recompute" in the report.
+  const obs::IterationReport report = obs::RunIteration(m, cluster, plan, o);
+  EXPECT_FALSE(report.recompute);
+  EXPECT_EQ(report.recompute_stages, 1);
 }
 
 TEST(MemoryCapPlanner, PlanIoRoundTripsRecomputeFlags) {

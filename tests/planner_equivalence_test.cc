@@ -8,13 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "fault/degrade.h"
 #include "model/zoo.h"
 #include "planner/bruteforce.h"
 #include "planner/dp_planner.h"
+#include "planner/plan_io.h"
 #include "topo/assignment.h"
 #include "topo/cluster.h"
 
@@ -186,6 +190,43 @@ TEST(PlannerEquivalenceTest, EverySinglePolicyRestrictionIsAlsoOptimalForIt) {
   // And the best single policy must recover it (the full search is just
   // the union of the three restrictions).
   EXPECT_NEAR(best_restricted, optimal.estimate.latency, 1e-9);
+}
+
+TEST(PlannerEquivalenceTest, DefaultPruneKeepsTableVWinnersAndAlternatives) {
+  // Every other case here searches with prune_slack = 0. The default search
+  // prunes (prune_slack 2.0); on the 18 Table V instances (6 models x
+  // Configs A/B/C at 16 devices) it must keep the unpruned search's winner
+  // and its whole alternatives list, bit for bit.
+  struct Row {
+    const char* model;
+    long gbs;
+  };
+  const Row rows[] = {{"ResNet-50", 2048}, {"VGG-19", 2048},  {"GNMT-16", 1024},
+                      {"BERT-48", 64},     {"XLNet-36", 128}, {"AmoebaNet-36", 128}};
+  auto render = [](const PlanResult& r) {
+    auto line = [](const ParallelPlan& plan, const PlanEstimate& estimate) {
+      return SerializePlan(plan) +
+             std::to_string(std::bit_cast<std::uint64_t>(estimate.latency)) + "\n";
+    };
+    std::string text = line(r.plan, r.estimate) + "--\n";
+    for (const auto& [plan, estimate] : r.alternatives) text += line(plan, estimate);
+    return text;
+  };
+  for (const Row& row : rows) {
+    const model::ModelProfile m = model::ModelByName(row.model);
+    for (char config : {'A', 'B', 'C'}) {
+      const topo::Cluster cluster =
+          config == 'A' ? topo::MakeConfigA(2) : topo::MakeConfig(config, 16);
+      PlannerOptions pruned;
+      pruned.global_batch_size = row.gbs;
+      PlannerOptions unpruned = pruned;
+      unpruned.prune_slack = 0;
+      const PlanResult a = DapplePlanner(m, cluster, pruned).Plan();
+      const PlanResult b = DapplePlanner(m, cluster, unpruned).Plan();
+      EXPECT_EQ(a.alternatives.size(), b.alternatives.size()) << row.model << " " << config;
+      EXPECT_EQ(render(a), render(b)) << row.model << " " << config;
+    }
+  }
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST_P(RandomPipelineTest, SimulationInvariantsHold) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
   const model::ModelProfile m = RandomModel(rng);
   const topo::Cluster cluster = topo::MakeConfigA(2);
-  const planner::ParallelPlan plan = RandomPlan(rng, m, cluster);
+  planner::ParallelPlan plan = RandomPlan(rng, m, cluster);
   plan.Validate(m);
 
   runtime::BuildOptions o;
@@ -81,7 +81,8 @@ TEST_P(RandomPipelineTest, SimulationInvariantsHold) {
                                        : runtime::ScheduleKind::kGPipe;
   o.schedule.warmup = rng.Bernoulli(0.5) ? runtime::WarmupPolicy::kPA
                                          : runtime::WarmupPolicy::kPB;
-  o.schedule.recompute = rng.Bernoulli(0.3);
+  const bool recompute = rng.Bernoulli(0.3);
+  for (planner::StagePlan& stage : plan.stages) stage.recompute = recompute;
   o.enforce_memory_capacity = false;  // random models may be arbitrarily big
 
   runtime::GraphBuilder builder(m, cluster, plan, o);

@@ -36,12 +36,10 @@ ParallelPlan TwoStage(const model::ModelProfile& m, int split, int p, int q) {
   return plan;
 }
 
-BuildOptions Opts(long gbs, ScheduleKind kind = ScheduleKind::kDapple,
-                  bool recompute = false) {
+BuildOptions Opts(long gbs, ScheduleKind kind = ScheduleKind::kDapple) {
   BuildOptions o;
   o.global_batch_size = gbs;
   o.schedule.kind = kind;
-  o.schedule.recompute = recompute;
   o.micro_batch_size = 2;  // Table VI keeps micro-batch fixed at 2
   return o;
 }
@@ -54,7 +52,9 @@ class TableVIFixture : public ::testing::Test {
         plan_(TwoStage(bert_, 24, 1, 1)) {}
 
   obs::IterationReport Run(long gbs, ScheduleKind kind, bool recompute) const {
-    return obs::RunIteration(bert_, cluster_, plan_, Opts(gbs, kind, recompute));
+    ParallelPlan plan = plan_;
+    for (StagePlan& stage : plan.stages) stage.recompute = recompute;
+    return obs::RunIteration(bert_, cluster_, plan, Opts(gbs, kind));
   }
 
   model::ModelProfile bert_;

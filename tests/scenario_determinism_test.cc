@@ -7,14 +7,15 @@
 // identical outcomes at every ThreadPool worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "check/fuzz.h"
 #include "common/units.h"
 #include "fault/report.h"
+#include "fuzz_env.h"
 #include "model/zoo.h"
 #include "planner/dp_planner.h"
 #include "scenario/coscheduler.h"
@@ -30,11 +31,7 @@ int SweepInstances() {
   // DAPPLE_FUZZ_ITERATIONS scales the determinism sweep too, but never
   // below the pinned floor: 200 episodes across both churn models and all
   // four policies.
-  if (const char* env = std::getenv("DAPPLE_FUZZ_ITERATIONS")) {
-    const int n = std::atoi(env);
-    if (n > 200) return n;
-  }
-  return 200;
+  return static_cast<int>(std::max(200L, EnvFuzzIterations(200)));
 }
 
 /// Everything about one episode that must not depend on the thread count.

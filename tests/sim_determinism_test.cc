@@ -11,12 +11,13 @@
 // mirror of planner_determinism_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "check/fuzz.h"
+#include "fuzz_env.h"
 #include "common/thread_pool.h"
 #include "obs/report.h"
 #include "runtime/graph_builder.h"
@@ -62,11 +63,7 @@ SimFingerprint Fingerprint(const runtime::BuiltPipeline& built, const SimResult&
 int SweepInstances() {
   // DAPPLE_FUZZ_ITERATIONS scales the determinism sweep too, but never
   // below the pinned floor of 200 instances.
-  if (const char* env = std::getenv("DAPPLE_FUZZ_ITERATIONS")) {
-    const int n = std::atoi(env);
-    if (n > 200) return n;
-  }
-  return 200;
+  return static_cast<int>(std::max(200L, EnvFuzzIterations(200)));
 }
 
 TEST(SimDeterminismTest, EngineMatchesTheReferenceOracle) {

@@ -9,10 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 
 #include "common/error.h"
 #include "check/fuzz.h"
+#include "fuzz_env.h"
 #include "model/zoo.h"
 #include "planner/plan.h"
 #include "runtime/graph_builder.h"
@@ -151,7 +151,7 @@ TEST(SimMemory, RecomputationLowersTheActivationPeak) {
   plain.options.schedule.kind = runtime::ScheduleKind::kDapple;
   TwoStage recomputed;
   recomputed.options.schedule.kind = runtime::ScheduleKind::kDapple;
-  recomputed.options.schedule.recompute = true;
+  for (planner::StagePlan& stage : recomputed.plan.stages) stage.recompute = true;
   // Recomputation keeps only stage-boundary activations live between
   // forward and backward, at the price of extra compute — the peak drops.
   EXPECT_LT(recomputed.PeakAt(8), plain.PeakAt(8));
@@ -162,11 +162,7 @@ TEST(SimMemory, RecomputationLowersTheActivationPeak) {
 /// whenever no stage's warmup depth is clamped by M itself.
 TEST(SimMemory, WarmupPolicyPeakIsIndependentOfMAcrossFuzzedPipelines) {
   int checked = 0;
-  int fuzz_cases = 150;
-  if (const char* env = std::getenv("DAPPLE_FUZZ_ITERATIONS")) {
-    const int n = std::atoi(env);
-    if (n > fuzz_cases) fuzz_cases = n;
-  }
+  const long fuzz_cases = std::max(150L, EnvFuzzIterations(150));
   for (std::uint64_t seed = 0; seed < static_cast<std::uint64_t>(fuzz_cases); ++seed) {
     check::FuzzCase c = check::MakeFuzzCase(seed);
     if (c.options.schedule.kind != runtime::ScheduleKind::kDapple) continue;

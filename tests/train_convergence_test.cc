@@ -106,7 +106,7 @@ TEST(Convergence, RecomputePipelineTrainsIdentically) {
   plain.pipeline.stage_bounds = {0, 2, 5};
   plain.pipeline.micro_batch = 4;
   TrainerOptions rc = plain;
-  rc.pipeline.schedule.recompute = true;
+  rc.pipeline.recompute = true;
 
   auto o1 = MakeSgd(0.05f);
   auto o2 = MakeSgd(0.05f);

@@ -37,7 +37,7 @@ PipelineRunOptions Pipeline(std::vector<int> bounds, int micro,
   o.stage_bounds = std::move(bounds);
   o.micro_batch = micro;
   o.schedule.kind = kind;
-  o.schedule.recompute = recompute;
+  o.recompute = recompute;
   return o;
 }
 
@@ -232,7 +232,7 @@ TEST(Hybrid, ReplicationWithRecompute) {
   o.stage_bounds = {0, 2, 5};
   o.micro_batch = 4;
   o.stage_replicas = {2, 2};
-  o.schedule.recompute = true;
+  o.recompute = true;
   const BackpropResult hybrid = RunPipelined(model, data.inputs, data.targets, o);
   EXPECT_LT(MaxGradientDiff(serial.grads, hybrid.grads), 1e-4f);
 }
@@ -299,13 +299,13 @@ TEST_P(RandomEquivalenceTest, PipelineAlwaysMatchesSerial) {
                                        : runtime::ScheduleKind::kGPipe;
   o.schedule.warmup = rng.Bernoulli(0.5) ? runtime::WarmupPolicy::kPA
                                          : runtime::WarmupPolicy::kPB;
-  o.schedule.recompute = rng.Bernoulli(0.3);
+  o.recompute = rng.Bernoulli(0.3);
 
   const BackpropResult pipe = RunPipelined(model, data.inputs, data.targets, o);
   EXPECT_LT(MaxGradientDiff(serial.grads, pipe.grads), 2e-4f)
       << "stages=" << stages << " micro=" << o.micro_batch
       << " schedule=" << runtime::ToString(o.schedule.kind)
-      << " recompute=" << o.schedule.recompute;
+      << " recompute=" << o.recompute;
   EXPECT_NEAR(serial.loss, pipe.loss, 1e-5 * (1 + std::abs(serial.loss)));
 }
 

@@ -36,10 +36,12 @@
 #                    (scripted request mix against a spawned `dapple
 #                    serve`), and reduced fuzz sweeps — the
 #                    schedule-family sweep covering every ScheduleKind,
-#                    the memory-cap sweep (plan under a random per-device
-#                    cap -> refuse or fit, never OOM) and the scenario
-#                    sweep (churn model x policy x family; zero
-#                    validator violations, zero OOM plans) (seconds; runs
+#                    the fault sweep (every pipeline a recovery policy
+#                    builds passes the validator), the memory-cap sweep
+#                    (plan under a random per-device cap -> refuse or
+#                    fit, never OOM) and the scenario sweep (churn model
+#                    x policy x family; zero validator violations, zero
+#                    OOM plans) — all four dapple_fuzz modes (seconds; runs
 #                    on the plain tree only, sanitizers would distort the
 #                    timing columns — the sweeps themselves also run
 #                    under ASan in the unit tier)

@@ -13,6 +13,8 @@
 //              [--gantt] [--trace FILE.json]
 //       Execute one iteration on the simulated cluster; optionally render
 //       an ASCII Gantt chart or export a chrome://tracing JSON file.
+//       --recompute (run and report) flags every stage of the plan for
+//       re-computation; the plan's flags are the only recompute setting.
 //   dapple report <model> <config> <servers> <gbs>
 //              [--plan FILE] [--schedule dapple|gpipe|dapple-2bp|v-min|v-half] [--recompute]
 //              [--json FILE] [--peak-vs-m M1,M2,...]
@@ -46,7 +48,9 @@
 //       plan cache. See src/serve/protocol.h for the request schema.
 //
 // Every integer argument, flag or positional, is one strict unsigned parse
-// of the whole token; a bad one prints usage and exits 2.
+// of the whole token, and <config> is exactly one letter A, B or C (any
+// case); a bad one prints usage and exits 2. A report or trace file that
+// cannot be written exits 1.
 #include <unistd.h>
 
 #include <cstdint>
@@ -89,6 +93,8 @@ int Usage() {
                "              [--memory-cap BYTES] [--json FILE] [--peak-vs-m M1,M2,...]\n"
                "              [--sim-threads N]\n"
                "  dapple report --fig3 [--json FILE]\n"
+               "              (run/report --recompute flags every stage of the\n"
+               "               plan, loaded or planned, for re-computation)\n"
                "  dapple faults <model> <A|B|C> <servers> <gbs> [--plan FILE]\n"
                "              [--policy stall|checkpoint|replan|elastic-up|all]\n"
                "              [--script FILE] [--script-text \"...\"] [--seed N]\n"
@@ -121,17 +127,23 @@ struct Job {
   long gbs = 0;
 };
 
-/// Parses the positionals; nullopt (after a diagnostic) when one is missing
-/// or a count is not a positive integer. An unknown model or config throws.
+/// Parses the positionals; nullopt (after a diagnostic) when one is missing,
+/// the config is not exactly one of A/B/C (any case) or a count is not a
+/// positive integer. An unknown model throws.
 std::optional<Job> ParseJob(int argc, char** argv) {
   auto positive = [](const char* what, const char* text, auto* value) {
     if (ParseUnsigned(text, value) && *value > 0) return true;
     std::fprintf(stderr, "%s needs a positive integer, got '%s'\n", what, text);
     return false;
   };
+  auto config = [](const char* text) {
+    if (std::strlen(text) == 1 && std::strchr("AaBbCc", text[0]) != nullptr) return true;
+    std::fprintf(stderr, "<config> must be A, B or C, got '%s'\n", text);
+    return false;
+  };
   int servers = 0;
   long gbs = 0;
-  if (argc < 4 || !positive("<servers>", argv[2], &servers) ||
+  if (argc < 4 || !config(argv[1]) || !positive("<servers>", argv[2], &servers) ||
       !positive("<gbs>", argv[3], &gbs)) {
     return std::nullopt;
   }
@@ -141,17 +153,24 @@ std::optional<Job> ParseJob(int argc, char** argv) {
 /// The plan `--plan FILE` names or, without one, a fresh plan made for the
 /// schedule family and memory cap `build` will simulate, so a capped run
 /// gets a plan that fits (or a refusal) instead of an OOM'd report.
+/// `recompute` (`run`/`report --recompute`) flags every stage of it.
 planner::ParallelPlan PlanOrLoad(const Job& job, const std::string& plan_path,
-                                 const runtime::BuildOptions& build = {}) {
+                                 const runtime::BuildOptions& build = {},
+                                 bool recompute = false) {
+  planner::ParallelPlan plan;
   if (!plan_path.empty()) {
-    planner::ParallelPlan plan = planner::LoadPlan(plan_path);
+    plan = planner::LoadPlan(plan_path);
     plan.Validate(job.model);
-    return plan;
+  } else {
+    planner::PlannerOptions planner_options;
+    planner_options.latency.schedule_kind = build.schedule.kind;
+    planner_options.latency.memory_cap = build.memory_cap;
+    plan = Session(job.model, job.cluster).Plan(job.gbs, planner_options).plan;
   }
-  planner::PlannerOptions planner_options;
-  planner_options.latency.schedule_kind = build.schedule.kind;
-  planner_options.latency.memory_cap = build.memory_cap;
-  return Session(job.model, job.cluster).Plan(job.gbs, planner_options).plan;
+  if (recompute) {
+    for (planner::StagePlan& stage : plan.stages) stage.recompute = true;
+  }
+  return plan;
 }
 
 int CmdZoo() {
@@ -222,6 +241,7 @@ int CmdRun(int argc, char** argv) {
   std::string plan_path, trace_path, v;
   runtime::BuildOptions options;
   options.global_batch_size = job->gbs;
+  bool recompute = false;
   bool gantt = false;
   FlagParser flags(argc - 4, argv + 4);
   while (!flags.Done()) {
@@ -235,7 +255,7 @@ int CmdRun(int argc, char** argv) {
         return Usage();
       }
     } else if (flags.Match("--recompute")) {
-      options.schedule.recompute = true;
+      recompute = true;
     } else if (flags.MatchValue("--memory-cap", &v)) {
       options.memory_cap = ParseBytes(v);
     } else if (flags.Match("--gantt")) {
@@ -246,13 +266,13 @@ int CmdRun(int argc, char** argv) {
   }
   if (!flags.ok()) return Usage();
 
-  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options);
+  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options, recompute);
   const runtime::ExecutionDetail detail =
       runtime::PipelineExecutor(job->model, job->cluster, plan, options).RunDetailed();
   const obs::IterationReport r = obs::BuildIterationReport(detail.pipeline, detail.result);
   std::printf("plan %s (split %s) under %s schedule%s\n", plan.ToString().c_str(),
               plan.SplitString().c_str(), runtime::ToString(options.schedule.kind),
-              options.schedule.recompute ? " + recompute" : "");
+              r.recompute ? " + recompute" : "");
   std::printf("latency %s | throughput %.2f samples/s | speedup %.2fx\n",
               FormatTime(r.makespan).c_str(), r.throughput, r.speedup);
   std::printf("peak memory avg %s max %s%s | utilization %.0f%% | M=%d x mbs=%d\n",
@@ -304,14 +324,19 @@ struct Fig3Example {
   }
 };
 
+/// Writes `json` to `path`: 0 on success, 1 (after a diagnostic) when the
+/// file cannot be opened, written or closed.
 int WriteJsonFile(const std::string& path, const std::string& json) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
+  const bool written = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
   std::printf("report written to %s\n", path.c_str());
   return 0;
 }
@@ -343,6 +368,7 @@ int CmdReport(int argc, char** argv) {
   std::string plan_path, v;
   std::vector<int> curve_counts;
   int sim_threads = 1;
+  bool recompute = false;
   runtime::BuildOptions options;
   options.global_batch_size = job->gbs;
   FlagParser flags(argc - 4, argv + 4);
@@ -357,7 +383,7 @@ int CmdReport(int argc, char** argv) {
         return Usage();
       }
     } else if (flags.Match("--recompute")) {
-      options.schedule.recompute = true;
+      recompute = true;
     } else if (flags.MatchValue("--memory-cap", &v)) {
       options.memory_cap = ParseBytes(v);
     } else if (flags.MatchValue("--peak-vs-m", &v)) {
@@ -376,7 +402,7 @@ int CmdReport(int argc, char** argv) {
   }
   if (!flags.ok()) return Usage();
 
-  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options);
+  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options, recompute);
   const obs::IterationReport report = obs::RunIteration(job->model, job->cluster, plan, options);
   std::printf("%s", obs::ToText(report).c_str());
 
@@ -490,8 +516,8 @@ int CmdFaults(int argc, char** argv) {
     std::printf("%s", table.ToString().c_str());
   }
 
-  if (!trace_path.empty()) {
-    WriteJsonFile(trace_path, fault::ToChromeTrace(reports.back()));
+  if (!trace_path.empty() && WriteJsonFile(trace_path, fault::ToChromeTrace(reports.back()))) {
+    return 1;
   }
   if (!json_path.empty()) {
     if (reports.size() == 1) return WriteJsonFile(json_path, fault::ToJson(reports[0]));
@@ -594,10 +620,11 @@ int CmdScenario(int argc, char** argv) {
   }
   std::printf("%s", table.ToString().c_str());
 
-  if (!trace_path.empty()) {
-    // The last policy's last episode — with the default policy order that is
-    // an elastic-up episode, scale-up cutovers and all.
-    WriteJsonFile(trace_path, scenario::ToChromeTrace(all_reports.back()));
+  // The last policy's last episode — with the default policy order that is
+  // an elastic-up episode, scale-up cutovers and all.
+  if (!trace_path.empty() &&
+      WriteJsonFile(trace_path, scenario::ToChromeTrace(all_reports.back()))) {
+    return 1;
   }
 
   if (jobs > 1) {
