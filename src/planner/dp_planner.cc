@@ -298,8 +298,24 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
 
   const LatencyOptions& latency = options_.latency;
   const LatencyEstimator estimator(*model_, *cluster_, latency);
+  // Every subproblem has at least two stages, so its micro-batching is a
+  // function of its widest stage alone: by_width[w], whose micro-batch size
+  // is entry mbs_index[w] of the memo's list.
+  std::vector<MicroBatching> by_width(static_cast<std::size_t>(num_devices) + 1);
+  std::vector<int> mbs_index(by_width.size(), 0);
+  std::vector<int> micro_batch_sizes;
+  for (int w = 1; w <= num_devices; ++w) {
+    const auto at = static_cast<std::size_t>(w);
+    by_width[at] = ChooseMicroBatching(options_.global_batch_size,
+                                       model_->profile_micro_batch(), w, 2);
+    const auto it = std::find(micro_batch_sizes.begin(), micro_batch_sizes.end(),
+                              by_width[at].micro_batch_size);
+    mbs_index[at] = static_cast<int>(it - micro_batch_sizes.begin());
+    if (it == micro_batch_sizes.end()) micro_batch_sizes.push_back(by_width[at].micro_batch_size);
+  }
   // One row memo for the whole search, shared by every subproblem.
-  StageRowMemo rows(estimator);
+  StageRowMemo rows(estimator, std::move(micro_batch_sizes));
+  const RowInputs& inputs = rows.inputs();
 
   // 0 = the shared pool, 1 = inline on this thread, n = a pool of n.
   std::optional<ThreadPool> local;
@@ -316,6 +332,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   std::optional<Bytes> last_infeasible_peak;
   long evaluated = 0;
   long pruned = 0;
+  std::int64_t row_lookups = 0;
   long memory_rejected = 0;
 
   // Top-k distinct feasible candidates for simulator re-ranking. The
@@ -412,13 +429,22 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     frontier[0].Add(key, std::move(root));
   }
 
-  // What expanding one node reads: its node, its prefix (walked from its
-  // parents once, never per subproblem) and its free devices in id order.
+  // What expanding one node reads, derived once per node and never per
+  // subproblem: its prefix (walked from its parents), its free devices in
+  // id order, its per-server used counts, each prefix stage's CompInputs
+  // index and the StageLink index between consecutive prefix stages, the
+  // last prefix stage's per-server counts (its link into the carved stage
+  // varies) and its widest prefix stage.
   struct Expansion {
     int node = 0;
-    const topo::AllocationState* state = nullptr;
+    int num_free = 0;
     std::vector<StagePlan> prefix;
     std::vector<topo::DeviceId> free;
+    std::vector<int> used;
+    std::vector<std::size_t> comp;
+    std::vector<std::size_t> link;
+    std::vector<int> last;
+    int widest = 1;
   };
   // The stages of node `index` of level `j`, first stage first.
   auto prefix_of = [&](int j, int index) {
@@ -444,36 +470,10 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     int size = 0;
     topo::PlacementPolicy policy = topo::PlacementPolicy::kFreshFirst;
   };
-  // What the parallel phase derives for one subproblem of a batch.
-  struct Evaluated {
-    topo::DeviceSet devices;  // the carved stage's devices
-    topo::DeviceSet free;     // devices the default suffix runs on
-    // The score of split point j + 1 + i at index i. A split's plan and
-    // full estimate are rebuilt only if the merge needs them.
-    std::vector<CandidateScore> scores;
-  };
-
-  // Writes to `plan` the complete candidate of a subproblem at level j for
-  // split point jp: the node's prefix, the carved stage [j, jp) and the
-  // default suffix [jp, L) on every free device. Assigning stage by stage
-  // reuses the plan's storage, so a reused plan allocates nothing.
-  auto complete = [&](ParallelPlan& plan, const Expansion& node, const Subproblem& sub,
-                      const Evaluated& ev, int j, int jp) {
-    const std::size_t n = node.prefix.size();
-    plan.model = model_->name();
-    plan.stages.resize(n + 2);
-    std::copy(node.prefix.begin(), node.prefix.end(), plan.stages.begin());
-    auto assign = [&](StagePlan& stage, int begin, int end, const topo::DeviceSet& devices,
-                      topo::PlacementPolicy policy) {
-      stage.layer_begin = begin;
-      stage.layer_end = end;
-      stage.devices = devices;
-      stage.policy = policy;
-      stage.recompute = recompute_all;
-    };
-    assign(plan.stages[n], j, jp, ev.devices, sub.policy);
-    assign(plan.stages[n + 1], jp, num_layers, ev.free, topo::PlacementPolicy::kFreshFirst);
-  };
+  // The score of split point j + 1 + i at index i, per subproblem of a
+  // batch. A split's plan and full estimate are rebuilt only if the merge
+  // needs them.
+  using Scores = std::vector<CandidateScore>;
 
   const std::vector<topo::PlacementPolicy>& policy_set =
       options_.policies.empty() ? topo::AllPlacementPolicies() : options_.policies;
@@ -598,8 +598,9 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     std::size_t level_expansions = 0;
     std::vector<Expansion> expansions;
     std::vector<Subproblem> subproblems;
-    std::vector<Evaluated> batch;
+    std::vector<Scores> batch;
     std::string child_keys;
+    const int gpus_per_server = cluster_->gpus_per_server();
     for (std::size_t next = 0; next < key_order.size();) {
       // Phase 1 (sequential, cheap): the next batch's subproblems, in the
       // canonical order: node (key order) -> size m -> deduped policy.
@@ -610,10 +611,31 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
         const int index = key_order[next++];
         if (!expands(index, true)) continue;
         const topo::AllocationState& state = *level.node(index).state;
-        Expansion expansion{index, &state, prefix_of(j, index), {}};
+        Expansion expansion{index, state.num_free(), prefix_of(j, index), {}, {}, {}, {}, {}, 1};
         expansion.free.reserve(static_cast<std::size_t>(state.num_free()));
         for (topo::DeviceId d = 0; d < num_devices; ++d) {
           if (!state.is_used(d)) expansion.free.push_back(d);
+        }
+        for (int srv = 0; srv < num_servers; ++srv) {
+          expansion.used.push_back(state.used_on_server(srv));
+        }
+        // The prefix with a last stage on every free device is a plan: its
+        // check covers every subproblem's prefix, and each subproblem only
+        // splits the free devices in two.
+        {
+          ParallelPlan check;
+          check.model = model_->name();
+          check.stages = expansion.prefix;
+          check.stages.push_back(StagePlan{j, num_layers, topo::DeviceSet(expansion.free),
+                                            topo::PlacementPolicy::kFreshFirst, false});
+          check.Validate(*model_);
+        }
+        for (const StagePlan& stage : expansion.prefix) {
+          const std::vector<int> counts = stage.devices.PerServerCounts(*cluster_);
+          expansion.comp.push_back(inputs.Comp(counts));
+          if (!expansion.last.empty()) expansion.link.push_back(inputs.Link(expansion.last, counts));
+          expansion.last = counts;
+          expansion.widest = std::max(expansion.widest, stage.replication());
         }
         const auto expansion_index = static_cast<int>(expansions.size());
         expansions.push_back(std::move(expansion));
@@ -624,14 +646,15 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       best.stats.subproblems += static_cast<long>(subproblems.size());
       best.stats.enumerate_seconds += lap();
       const std::size_t size = subproblems.size();
-      batch.assign(size, Evaluated{});
+      batch.assign(size, Scores{});
       child_keys.assign(size * key_size, '\0');
 
-      // Phase 2 (parallel, hot): each subproblem takes its placement, its
-      // free set and its child's key from the node's state, then scores all
+      // Phase 2 (parallel, hot): each subproblem takes the per-server
+      // counts of its placement from the hand-out order and those of its
+      // free devices from the node's, packs its child's key, and scores all
       // of its split points in one pass from its stage-cost rows. Only jp
-      // varies inside one; the prefix, both device sets, the stage count and
-      // every replication factor (so the micro-batching) are fixed, and
+      // varies inside one; the prefix, both device counts, the stage count
+      // and the widest stage (so the micro-batching) are fixed, and
       // ScoreSplits does that fixed work once. Results land in the
       // subproblem's own slot; apart from the row memo (pure values),
       // nothing here reads or writes search-global state.
@@ -639,57 +662,88 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
         const Subproblem& sub = subproblems[s];
         const Expansion& node = expansions[static_cast<std::size_t>(sub.expansion)];
         const std::vector<topo::DeviceId>& order = orders[static_cast<std::size_t>(sub.order)];
-        Evaluated& ev = batch[s];
-        ev.devices = topo::DeviceSet(
-            std::vector<topo::DeviceId>(order.begin(), order.begin() + sub.size));
-        // Per-thread scratch: per-server counts, a mark per carved device
-        // and the candidate at the first split.
-        thread_local std::vector<int> counts;
-        thread_local std::vector<char> carved;
-        thread_local ParallelPlan first;
-        counts.resize(static_cast<std::size_t>(num_servers));
-        carved.assign(static_cast<std::size_t>(num_devices), 0);
-        for (int srv = 0; srv < num_servers; ++srv) {
-          counts[static_cast<std::size_t>(srv)] = node.state->used_on_server(srv);
+        // Per-thread scratch: per-server counts of the carved devices, of the
+        // free ones and of the child's used ones, and the prefix's entries.
+        thread_local std::vector<int> carved_counts;
+        thread_local std::vector<int> free_counts;
+        thread_local std::vector<int> child_counts;
+        thread_local std::vector<RowEntry> prefix_entries;
+        carved_counts.assign(static_cast<std::size_t>(num_servers), 0);
+        free_counts.resize(static_cast<std::size_t>(num_servers));
+        child_counts.resize(static_cast<std::size_t>(num_servers));
+        for (auto d = order.begin(); d != order.begin() + sub.size; ++d) {
+          ++carved_counts[static_cast<std::size_t>(*d / gpus_per_server)];
         }
-        for (topo::DeviceId d : ev.devices.devices()) {
-          ++counts[static_cast<std::size_t>(cluster_->server_of(d))];
-          carved[static_cast<std::size_t>(d)] = 1;
+        int free_devices = 0;
+        bool fits = true;
+        for (std::size_t srv = 0; srv < carved_counts.size(); ++srv) {
+          child_counts[srv] = node.used[srv] + carved_counts[srv];
+          free_counts[srv] = gpus_per_server - child_counts[srv];
+          fits = fits && free_counts[srv] >= 0;
+          free_devices += free_counts[srv];
         }
-        packer.Pack(counts, child_keys.data() + s * key_size);
-        std::vector<topo::DeviceId> free;
-        free.reserve(node.free.size() - static_cast<std::size_t>(sub.size));
-        for (topo::DeviceId d : node.free) {
-          if (!carved[static_cast<std::size_t>(d)]) free.push_back(d);
-        }
-        ev.free = topo::DeviceSet(std::move(free));
+        DAPPLE_CHECK(fits && sub.size + free_devices == node.num_free)
+            << "a placement must split the node's free devices";
+        packer.Pack(child_counts, child_keys.data() + s * key_size);
         if (j + 1 >= num_layers) return;  // no split point left
 
-        complete(first, node, sub, ev, j, j + 1);
-        const SplitEntries entries(
-            rows, first, estimator.ChooseMicroBatchSize(first, options_.global_batch_size));
-        ev.scores = estimator.ScoreSplits(first, options_.global_batch_size, entries.prefix(),
-                                          entries.carved(), entries.boundary(),
-                                          entries.suffix());
+        const int widest = std::max({node.widest, sub.size, free_devices});
+        const StageRowMemo::Rows at = rows.At(mbs_index[static_cast<std::size_t>(widest)]);
+        const std::size_t n = node.prefix.size();
+        prefix_entries.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+          const StagePlan& stage = node.prefix[i];
+          const auto x = static_cast<std::size_t>(stage.layer_end);
+          prefix_entries.push_back(at.Begin(stage.layer_begin, stage.recompute, node.comp[i])[x]);
+          prefix_entries.push_back(
+              at.Comm(i + 1 < n ? node.link[i] : inputs.Link(node.last, carved_counts))[x]);
+        }
+        batch[s] = estimator.ScoreSplits(
+            {node.prefix, prefix_entries, sub.size, recompute_all, free_devices, recompute_all,
+             at.Begin(j, recompute_all, inputs.Comp(carved_counts)),
+             at.Comm(inputs.Link(carved_counts, free_counts)),
+             at.End(recompute_all, inputs.Comp(free_counts))},
+            by_width[static_cast<std::size_t>(widest)]);
       });
       best.stats.evaluate_seconds += lap();
-      for (const Evaluated& ev : batch) level_expansions += ev.scores.size();
+      for (const Scores& scores : batch) level_expansions += scores.size();
 
       // Phase 3 (sequential, deterministic): merge in enumeration order —
       // subproblem order, then jp ascending — identical outcomes to the
       // single-threaded search. A candidate's plan and estimate are built
-      // only when it can enter `best` or the alternatives, and its child
-      // node (its state included) only when it takes its frontier slot.
+      // only when it can enter `best` or the alternatives, its carved
+      // device set only when it or its child node is, and its child node
+      // (its state included) only when the child takes its frontier slot.
       for (std::size_t s = 0; s < size; ++s) {
         const Subproblem& sub = subproblems[s];
         const Expansion& node = expansions[static_cast<std::size_t>(sub.expansion)];
-        const Evaluated& ev = batch[s];
+        const Scores& scores = batch[s];
+        if (!scores.empty()) row_lookups += static_cast<std::int64_t>(2 * node.prefix.size() + 3);
+        const std::vector<topo::DeviceId>& order = orders[static_cast<std::size_t>(sub.order)];
+        std::optional<topo::DeviceSet> devices;
+        auto carved_devices = [&]() -> const topo::DeviceSet& {
+          if (!devices) {
+            devices.emplace(std::vector<topo::DeviceId>(order.begin(), order.begin() + sub.size));
+          }
+          return *devices;
+        };
         const std::string_view key(child_keys.data() + s * key_size, key_size);
-        for (std::size_t i = 0; i < ev.scores.size(); ++i) {
+        for (std::size_t i = 0; i < scores.size(); ++i) {
           const int jp = j + 1 + static_cast<int>(i);
-          const double tpl = merge(ev.scores[i], [&] {
+          const double tpl = merge(scores[i], [&] {
+            // The node's prefix, the carved stage [j, jp) and the default
+            // suffix [jp, L) on the devices the carved stage leaves free.
+            const topo::DeviceSet& carved = carved_devices();
+            std::vector<topo::DeviceId> rest;
+            for (topo::DeviceId d : node.free) {
+              if (!carved.contains(d)) rest.push_back(d);
+            }
             ParallelPlan plan;
-            complete(plan, node, sub, ev, j, jp);
+            plan.model = model_->name();
+            plan.stages = node.prefix;
+            plan.stages.push_back(StagePlan{j, jp, carved, sub.policy, recompute_all});
+            plan.stages.push_back(StagePlan{jp, num_layers, topo::DeviceSet(std::move(rest)),
+                                            topo::PlacementPolicy::kFreshFirst, recompute_all});
             PlanEstimate est = estimator.Estimate(plan, options_.global_batch_size);
             return std::pair{std::move(plan), std::move(est)};
           });
@@ -697,9 +751,9 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
           SearchNode* slot = child_level.Find(key);
           if (slot == nullptr || tpl < slot->tpl) {
             SearchNode child{node.node, static_cast<int>(node.prefix.size()) + 1,
-                             StagePlan{j, jp, ev.devices, sub.policy, recompute_all}, tpl,
-                             *node.state};
-            child.state->Commit(ev.devices);
+                             StagePlan{j, jp, carved_devices(), sub.policy, recompute_all}, tpl,
+                             *level.node(node.node).state};
+            child.state->Commit(carved_devices());
             if (slot == nullptr) {
               child_level.Add(key, std::move(child));
             } else {
@@ -731,10 +785,12 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   best.stats.candidates_evaluated = evaluated;
   best.stats.candidates_pruned = pruned;
   best.stats.memory_rejected = memory_rejected;
+  // Each key is filled exactly once, so the misses are the rows at every
+  // thread count.
   const StageRowMemo::Stats totals = rows.TotalStats();
-  best.stats.cache_hits = totals.hits;
-  best.stats.cache_misses = totals.misses;
-  best.stats.cache_entries = totals.entries;
+  best.stats.cache_hits = row_lookups - totals.rows;
+  best.stats.cache_misses = totals.rows;
+  best.stats.cache_entries = totals.rows;
   best.stats.cache_compute_seconds = totals.fill_seconds;
   best.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - search_start)

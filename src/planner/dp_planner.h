@@ -12,12 +12,16 @@
 // stage, its parent's index, its allocation state and its TPL, indexed by
 // a packed canonical key (fixed-width per-server counts). A node's
 // placements of size m are the first m devices of one hand-out order per
-// policy (AllocationState::PlanOrder), and a subproblem's child key and
-// free set come from the node's state plus the carved devices: no
-// allocation state is copied and no key is formatted per subproblem. A
-// node's prefix is walked from its parents once, when the node is
-// expanded; a child's state is built only when the child takes its
-// frontier slot.
+// policy (AllocationState::PlanOrder). A subproblem works on per-server
+// counts alone: its carved counts come from the order's prefix, its free
+// counts are the servers' sizes less the node's used and the carved
+// counts, and its child key and every stage-row input (planner/
+// stage_cache.h) follow from those counts, so no allocation state is
+// copied, no device set is built and no key is formatted per subproblem.
+// A node's prefix is walked from its parents, priced to row inputs and
+// validated once, when the node is expanded; a child's device set and
+// state are built only when the child takes its frontier slot, and a
+// candidate's plan only when the merge materializes it.
 #pragma once
 
 #include <optional>

@@ -48,25 +48,14 @@ MicroBatching ChooseMicroBatching(long global_batch_size, int profile_micro_batc
   return mb;
 }
 
-namespace {
-
-/// The micro-batching of `plan`: ChooseMicroBatching at its widest stage.
-MicroBatching PlanMicroBatching(const ParallelPlan& plan, long global_batch_size,
-                                int profile_micro_batch) {
+MicroBatching LatencyEstimator::MicroBatchingOf(const ParallelPlan& plan,
+                                               long global_batch_size) const {
   int max_replication = 1;
   for (const StagePlan& s : plan.stages) {
     max_replication = std::max(max_replication, s.replication());
   }
-  return ChooseMicroBatching(global_batch_size, profile_micro_batch, max_replication,
+  return ChooseMicroBatching(global_batch_size, model_->profile_micro_batch(), max_replication,
                              plan.num_stages());
-}
-
-}  // namespace
-
-int LatencyEstimator::ChooseMicroBatchSize(const ParallelPlan& plan,
-                                           long global_batch_size) const {
-  return PlanMicroBatching(plan, global_batch_size, model_->profile_micro_batch())
-      .micro_batch_size;
 }
 
 TimeSec LatencyEstimator::SingleDeviceTime(long global_batch_size) const {
@@ -128,20 +117,25 @@ TimeSec LatencyEstimator::ExposedAllReduce(TimeSec raw,
   return tail + (1.0 - kOverlapEfficiency) * hidden;
 }
 
-Bytes LatencyEstimator::StagePeakMemory(int layer_begin, int layer_end, bool recompute,
-                                        double samples, int warmup_depth) const {
-  const Bytes baseline = model_->BaselineMemory(layer_begin, layer_end);
-  Bytes per_micro;
-  Bytes transient = 0;
+LatencyEstimator::StageMemory LatencyEstimator::StageMemoryAt(int layer_begin, int layer_end,
+                                                              bool recompute,
+                                                              double samples) const {
+  StageMemory memory{model_->BaselineMemory(layer_begin, layer_end), 0};
   if (recompute) {
-    per_micro = model_->CheckpointMemory(layer_begin, layer_end, samples);
+    memory.stash = model_->CheckpointMemory(layer_begin, layer_end, samples);
     // While a backward pass replays one layer block, that block's full
     // activation set is transiently resident.
-    transient = model_->MaxLayerActivationMemory(layer_begin, layer_end, samples);
+    memory.fixed += model_->MaxLayerActivationMemory(layer_begin, layer_end, samples);
   } else {
-    per_micro = model_->ActivationMemory(layer_begin, layer_end, samples);
+    memory.stash = model_->ActivationMemory(layer_begin, layer_end, samples);
   }
-  return baseline + static_cast<Bytes>(warmup_depth) * per_micro + transient;
+  return memory;
+}
+
+Bytes LatencyEstimator::StagePeakMemory(int layer_begin, int layer_end, bool recompute,
+                                        double samples, int warmup_depth) const {
+  const StageMemory memory = StageMemoryAt(layer_begin, layer_end, recompute, samples);
+  return memory.fixed + static_cast<Bytes>(warmup_depth) * memory.stash;
 }
 
 Bytes LatencyEstimator::EffectiveCapacity() const {
@@ -207,8 +201,7 @@ ScheduleFamilyEstimate LatencyEstimator::EstimateFamily(runtime::ScheduleKind ki
   plan.Validate(*model_);
   ScheduleFamilyEstimate est;
   est.kind = kind;
-  const MicroBatching mb =
-      PlanMicroBatching(plan, global_batch_size, model_->profile_micro_batch());
+  const MicroBatching mb = MicroBatchingOf(plan, global_batch_size);
   est.micro_batch_size = mb.micro_batch_size;
   est.num_micro_batches = mb.num_micro_batches;
   const int S = plan.num_stages();
@@ -299,9 +292,10 @@ namespace {
 /// does not: the simulator gives each boundary a duplex channel pair, so
 /// forward and backward transfers overlap and the round is gated by
 /// max(F, B).
-TimeSec PerRound(const StageCost& sq) {
-  return sq.is_comm ? std::max(sq.forward, sq.backward) : sq.forward + sq.backward;
+TimeSec PerRound(TimeSec forward, TimeSec backward, bool is_comm) {
+  return is_comm ? std::max(forward, backward) : forward + backward;
 }
+TimeSec PerRound(const StageCost& sq) { return PerRound(sq.forward, sq.backward, sq.is_comm); }
 
 /// Formulas 1-2 at pivot q over the expanded stage list.
 TimeSec LatencyAt(std::span<const StageCost> stages, int num_micro_batches, int q,
@@ -398,6 +392,14 @@ StageCost LatencyEstimator::CompPricer::operator()(int layer_begin, int layer_en
   return comp;
 }
 
+RowEntry LatencyEstimator::CompPricer::Entry(int layer_begin, int layer_end,
+                                             bool recompute) const {
+  const StageCost cost = (*this)(layer_begin, layer_end, recompute);
+  const StageMemory memory =
+      estimator_->StageMemoryAt(layer_begin, layer_end, recompute, samples_);
+  return {cost.forward, cost.backward, cost.allreduce, memory.fixed, memory.stash};
+}
+
 LatencyEstimator::CommPricer::CommPricer(const LatencyEstimator& estimator,
                                          const comm::StageLink& link, int micro_batch_size)
     : estimator_(&estimator),
@@ -425,8 +427,7 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
                                         long global_batch_size) const {
   plan.Validate(*model_);
   PlanEstimate est;
-  const MicroBatching mb =
-      PlanMicroBatching(plan, global_batch_size, model_->profile_micro_batch());
+  const MicroBatching mb = MicroBatchingOf(plan, global_batch_size);
   est.micro_batch_size = mb.micro_batch_size;
   est.num_micro_batches = mb.num_micro_batches;
   const int M = est.num_micro_batches;
@@ -487,32 +488,26 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
   return est;
 }
 
-std::vector<CandidateScore> LatencyEstimator::ScoreSplits(
-    const ParallelPlan& plan, long global_batch_size, std::span<const StageCost> prefix_entries,
-    std::span<const StageCost> carved_row, std::span<const StageCost> boundary_row,
-    std::span<const StageCost> suffix_row) const {
-  // Only the carved stage's end moves, so the plan validated here at one
-  // split is valid at every jp in (j, L): [j, jp) and [jp, L) stay
-  // non-empty, contiguous and on the same disjoint device sets. The
-  // micro-batching depends only on the device sets.
-  plan.Validate(*model_);
-  const int S = plan.num_stages();
-  DAPPLE_CHECK_GE(S, 2) << "a split needs a carved stage and a suffix";
+std::vector<CandidateScore> LatencyEstimator::ScoreSplits(const Splits& splits,
+                                                          const MicroBatching& mb) const {
+  const std::span<const RowEntry> prefix_entries = splits.prefix_entries;
+  const int S = static_cast<int>(splits.prefix.size()) + 2;
   const std::size_t V = prefix_entries.size();
   DAPPLE_CHECK_EQ(V, static_cast<std::size_t>(2 * (S - 2)))
       << "a plan of S stages has 2S-4 entries before its carved stage";
   const int L = model_->num_layers();
-  DAPPLE_CHECK(carved_row.size() >= static_cast<std::size_t>(L) &&
-               boundary_row.size() >= static_cast<std::size_t>(L) &&
-               suffix_row.size() >= static_cast<std::size_t>(L))
+  DAPPLE_CHECK(splits.carved.size() >= static_cast<std::size_t>(L) &&
+               splits.boundary.size() >= static_cast<std::size_t>(L) &&
+               splits.suffix.size() >= static_cast<std::size_t>(L))
       << "a split row holds one entry per layer boundary";
-  const MicroBatching mb =
-      PlanMicroBatching(plan, global_batch_size, model_->profile_micro_batch());
+  const int j = splits.prefix.empty() ? 0 : splits.prefix.back().layer_end;
+  DAPPLE_CHECK_LT(j + 1, L) << "a subproblem at layer " << j << " has no split point";
   const double m1 = static_cast<double>(mb.num_micro_batches - 1);
 
   // Formulas 1-2 at a prefix pivot q only extend over the three split
   // entries, and at a split pivot they only extend the prefix's sums. Every
   // sum is accumulated in LatencyAt's order, so each L(q) is bit-identical.
+  // Prefix entries alternate computation (even) and comm (odd).
   struct PrefixTerms {
     TimeSec lead = 0.0;    // warmup(q) + steady(q), warmup summed from entry 0 up
     TimeSec ending = 0.0;  // the ending max over the prefix s
@@ -522,9 +517,9 @@ std::vector<CandidateScore> LatencyEstimator::ScoreSplits(
   std::vector<PrefixTerms> fixed(V);
   TimeSec warmup = 0.0;
   for (std::size_t q = 0; q < V; ++q) {
-    const StageCost& pivot = prefix_entries[q];
+    const RowEntry& pivot = prefix_entries[q];
     warmup += pivot.forward;
-    fixed[q].lead = warmup + m1 * PerRound(pivot);
+    fixed[q].lead = warmup + m1 * PerRound(pivot.forward, pivot.backward, q % 2 == 1);
     TimeSec end = 0.0;
     for (std::size_t s = 0; s <= q; ++s) {
       fixed[s].rise += pivot.backward;  // from s up to q so far
@@ -539,30 +534,56 @@ std::vector<CandidateScore> LatencyEstimator::ScoreSplits(
     fixed[q].drop = tail;
   }
 
-  // Peak pieces: the prefix stages' are fixed; the carved and suffix
-  // stages' change with their layer ranges only.
+  // Peak pieces. A stage hosting itself reads fixed + K x stash from its
+  // entry, whose samples are its own; a V shape's late chunk runs at its
+  // host's samples and is priced from the model. The prefix stages' pieces
+  // are fixed; the carved and suffix stages' change with their ranges.
   const runtime::ScheduleKind kind = options_.schedule_kind;
-  std::vector<Bytes> pieces(static_cast<std::size_t>(S));
-  for (int i = 0; i < S - 2; ++i) {
-    pieces[static_cast<std::size_t>(i)] = PeakPiece(kind, plan, mb, i);
-  }
-  auto samples = [&](int i) {
-    return static_cast<double>(mb.micro_batch_size) /
-           plan.stages[static_cast<std::size_t>(runtime::HostStage(kind, i, S))].replication();
+  const int M = mb.num_micro_batches;
+  auto replication = [&](int i) {
+    if (i < S - 2) return splits.prefix[static_cast<std::size_t>(i)].replication();
+    return i == S - 2 ? splits.carved_replication : splits.suffix_replication;
   };
-  const StagePlan& carved = plan.stages[static_cast<std::size_t>(S - 2)];
-  const bool suffix_recompute = plan.stages.back().recompute;
-  const double carved_samples = samples(S - 2);
-  const double suffix_samples = samples(S - 1);
-  const int carved_depth = PeakStashes(kind, S - 2, S, mb.num_micro_batches);
-  const int suffix_depth = PeakStashes(kind, S - 1, S, mb.num_micro_batches);
+  // Stage i's stash depth, and where it runs: on its own devices, or at
+  // its host's samples.
+  struct Hosting {
+    int depth = 0;
+    bool self = true;
+    double samples = 0.0;
+  };
+  auto hosting = [&](int i) {
+    const int host = runtime::HostStage(kind, i, S);
+    return Hosting{PeakStashes(kind, i, S, M), host == i,
+                   static_cast<double>(mb.micro_batch_size) / replication(host)};
+  };
+  // The piece of a stage of [begin, end) with row entry `entry`.
+  auto piece = [&](const Hosting& h, const RowEntry& entry, int begin, int end, bool recompute) {
+    if (h.self) return entry.fixed + static_cast<Bytes>(h.depth) * entry.stash;
+    return StagePeakMemory(begin, end, recompute, h.samples, h.depth);
+  };
+  const bool folded = runtime::IsVShape(kind);
+  std::vector<Bytes> pieces(static_cast<std::size_t>(folded ? S : 0));
+  Bytes prefix_peak = 0;  // the linear families' max over the prefix pieces
+  for (int i = 0; i < S - 2; ++i) {
+    const StagePlan& stage = splits.prefix[static_cast<std::size_t>(i)];
+    const Bytes p = piece(hosting(i), prefix_entries[static_cast<std::size_t>(2 * i)],
+                          stage.layer_begin, stage.layer_end, stage.recompute);
+    if (folded) {
+      pieces[static_cast<std::size_t>(i)] = p;
+    } else {
+      prefix_peak = std::max(prefix_peak, p);
+    }
+  }
 
-  const int j = carved.layer_begin;
+  const Hosting carved_hosting = hosting(S - 2);
+  const Hosting suffix_hosting = hosting(S - 1);
+
   std::vector<CandidateScore> scores;
   scores.reserve(static_cast<std::size_t>(L - j - 1));
   for (int jp = j + 1; jp < L; ++jp) {
     const auto x = static_cast<std::size_t>(jp);
-    const StageCost* const split[3] = {&carved_row[x], &boundary_row[x], &suffix_row[x]};
+    const RowEntry* const split[3] = {&splits.carved[x], &splits.boundary[x],
+                                      &splits.suffix[x]};
     CandidateScore score;
     // WorstPivot's max over q: strict increases from 0, so order-free.
     score.latency = 0.0;
@@ -573,7 +594,7 @@ std::vector<CandidateScore> LatencyEstimator::ScoreSplits(
     for (const PrefixTerms& q : fixed) {
       TimeSec tail = q.drop;
       TimeSec end = q.ending;
-      for (const StageCost* e : split) {
+      for (const RowEntry* e : split) {
         tail -= e->backward;
         end = std::max(end, e->allreduce + tail);
       }
@@ -601,14 +622,18 @@ std::vector<CandidateScore> LatencyEstimator::ScoreSplits(
         }
         end[t] = std::max(end[t], split[u]->allreduce + tail);
       }
-      consider(warm + m1 * PerRound(*split[t]) + end[t]);
+      consider(warm + m1 * PerRound(split[t]->forward, split[t]->backward, t == 1) + end[t]);
     }
 
-    pieces[static_cast<std::size_t>(S - 2)] =
-        StagePeakMemory(j, jp, carved.recompute, carved_samples, carved_depth);
-    pieces[static_cast<std::size_t>(S - 1)] =
-        StagePeakMemory(jp, L, suffix_recompute, suffix_samples, suffix_depth);
-    score.peak = FoldPeak(kind, pieces);
+    const Bytes carved = piece(carved_hosting, *split[0], j, jp, splits.carved_recompute);
+    const Bytes suffix = piece(suffix_hosting, *split[2], jp, L, splits.suffix_recompute);
+    if (folded) {
+      pieces[static_cast<std::size_t>(S - 2)] = carved;
+      pieces[static_cast<std::size_t>(S - 1)] = suffix;
+      score.peak = FoldPeak(kind, pieces);
+    } else {
+      score.peak = std::max({prefix_peak, carved, suffix});
+    }
     if (OverCapacity(score.peak)) {
       score.feasible = false;
       score.memory_limited = true;

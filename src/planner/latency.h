@@ -42,6 +42,24 @@ struct StageCost {
   TimeSec allreduce_raw = 0.0;  // AR before overlap
 };
 
+/// One entry of a stage-cost row (planner/stage_cache.h), 40 bytes: what
+/// ScoreSplits reads of one stage or boundary at one split. A computation
+/// entry also carries its stage's memory at the row's own samples (the
+/// micro-batch over the row's replica count): `fixed` is the baseline plus
+/// the recompute transient, `stash` one micro-batch's stash, so a stage
+/// holding K stashes peaks at fixed + K x stash. Boundary entries leave
+/// both bytes 0.
+struct RowEntry {
+  TimeSec forward = 0.0;
+  TimeSec backward = 0.0;
+  TimeSec allreduce = 0.0;
+  Bytes fixed = 0;
+  Bytes stash = 0;
+};
+// Rows stay slim: carrying the bytes on the 48-byte StageCost instead cost
+// a quarter more plan-cold RSS.
+static_assert(sizeof(RowEntry) == 40);
+
 struct PlanEstimate {
   bool feasible = true;
   std::string infeasible_reason;
@@ -169,21 +187,34 @@ class LatencyEstimator {
   /// planner.estimator_calls.
   PlanEstimate Estimate(const ParallelPlan& plan, long global_batch_size) const;
 
-  /// Scores every split point of one planner subproblem in one pass.
-  /// `plan` is the subproblem's candidate at any split: its stages before
-  /// the last two are the fixed prefix, the second-to-last is the carved
-  /// stage [j, jp) and the last the default suffix [jp, L). The 2(S-2)
-  /// prefix entries (comp0, comm01, ..., the comm into the carved stage)
-  /// are given once; split jp reads its carved, boundary and suffix entries
-  /// at index jp of the three rows (planner/stage_cache.h). Returns one
+  /// One planner subproblem as ScoreSplits reads it: a fixed prefix of
+  /// S-2 stages covering [0, j), the carved stage [j, jp) and the default
+  /// suffix [jp, L), each on a fixed number of devices.
+  struct Splits {
+    std::span<const StagePlan> prefix;
+    /// The 2(S-2) entries before the carved stage (comp0, comm01, ..., the
+    /// comm into the carved stage), the same at every split.
+    std::span<const RowEntry> prefix_entries;
+    int carved_replication = 0;
+    bool carved_recompute = false;
+    int suffix_replication = 0;
+    bool suffix_recompute = false;
+    /// Rows indexed by jp: the carved stage, the boundary after it and the
+    /// suffix.
+    std::span<const RowEntry> carved;
+    std::span<const RowEntry> boundary;
+    std::span<const RowEntry> suffix;
+  };
+
+  /// Scores every split point of one planner subproblem in one pass, at the
+  /// micro-batching `mb` of its widest stage: split jp reads its carved,
+  /// boundary and suffix entries at index jp of the three rows. Returns one
   /// score per jp in (j, L), in order, each bit-identical to Estimate on
-  /// that candidate. Validates the plan once; does not count in
+  /// that candidate. A stage that hosts itself (every stage but the V
+  /// shapes' late chunks) takes its peak piece from its row entry. The
+  /// caller validates the stages; does not count in
   /// planner.estimator_calls.
-  std::vector<CandidateScore> ScoreSplits(const ParallelPlan& plan, long global_batch_size,
-                                          std::span<const StageCost> prefix_entries,
-                                          std::span<const StageCost> carved_row,
-                                          std::span<const StageCost> boundary_row,
-                                          std::span<const StageCost> suffix_row) const;
+  std::vector<CandidateScore> ScoreSplits(const Splits& splits, const MicroBatching& mb) const;
 
   /// One layer's part in ExposedAllReduce: its backward time and, when it
   /// has parameters, the AllReduce of its gradient bucket.
@@ -201,6 +232,8 @@ class LatencyEstimator {
    public:
     /// Cost entry of stage [layer_begin, layer_end) (comp_index left -1).
     StageCost operator()(int layer_begin, int layer_end, bool recompute) const;
+    /// The same stage as a row entry, with its memory at the set's samples.
+    RowEntry Entry(int layer_begin, int layer_end, bool recompute) const;
 
    private:
     friend class LatencyEstimator;
@@ -271,10 +304,9 @@ class LatencyEstimator {
                                         const ParallelPlan& plan,
                                         long global_batch_size) const;
 
-  /// Micro-batch size rule: each replica of the widest stage processes the
-  /// model's profile micro-batch, i.e. mbs = profile_mb * max_replication
-  /// clamped to the global batch.
-  int ChooseMicroBatchSize(const ParallelPlan& plan, long global_batch_size) const;
+  /// The micro-batching of `plan`: ChooseMicroBatching at its widest stage
+  /// and stage count.
+  MicroBatching MicroBatchingOf(const ParallelPlan& plan, long global_batch_size) const;
 
   /// Time to run the whole global batch on one device sequentially
   /// (denominator of the paper's speedup metric). Ignores memory limits.
@@ -312,9 +344,16 @@ class LatencyEstimator {
   /// layers' sync terms, in layer order.
   TimeSec ExposedAllReduce(TimeSec raw, std::span<const LayerSync> layers) const;
 
+  /// Stage [layer_begin, layer_end)'s memory at `samples` per micro-batch
+  /// (RowEntry::fixed and RowEntry::stash).
+  struct StageMemory {
+    Bytes fixed = 0;  // baseline + recompute transient
+    Bytes stash = 0;  // one micro-batch's activation | checkpoint
+  };
+  StageMemory StageMemoryAt(int layer_begin, int layer_end, bool recompute,
+                            double samples) const;
   /// Per-device peak memory of stage [layer_begin, layer_end) holding
-  /// `warmup_depth` stashes: baseline + K x (activation | checkpoint) +
-  /// recompute transient.
+  /// `warmup_depth` stashes: fixed + K x stash.
   Bytes StagePeakMemory(int layer_begin, int layer_end, bool recompute, double samples,
                         int warmup_depth) const;
   /// Stage i's piece of FamilyPeakMemory: its stash depth under `kind`,

@@ -11,164 +11,166 @@
 //           suffix)
 //   kComm   the boundary at x from one device set to another, indexed by x
 //
-// The memo maps a row's key to the whole row, filled on first use through
-// LatencyEstimator's CompPricer/CommPricer, which price every entry the way
-// Estimate does. The key is the pricer's complete input, not the device
-// ids: a computation row reads of its set only the CompInputs (replica
-// count, whether the replicas share a server, the slowest replica's
-// speed), and a comm row only the comm::StageLink (both replica counts,
-// whether an intra-server and an inter-server link join the sets). The
-// pricers are constructed from these inputs alone, and the memo fills a
-// row from its key alone, so a row cannot read anything its key does not
-// hold, on any cluster (homogeneous, per-server speeds, degraded).
-// Every set with the same inputs shares one row. Beside the inputs a key
-// holds the family, the kBegin anchor, the micro-batch size and the
-// recompute flag; it is a fixed-size value, hashed field by field.
+// A row is keyed by the pricer's complete input, not by device ids: a
+// computation row reads of its set only the CompInputs (replica count,
+// whether the replicas share a server, the slowest replica's speed), and a
+// comm row only the comm::StageLink (both replica counts, whether an
+// intra-server and an inter-server link join the sets). Both follow from
+// per-server device counts alone (RowInputs): speeds are per server, and
+// the sets of one plan are disjoint, so two sets share a link kind exactly
+// when a server holds devices of both. The memo fills a row from its key
+// alone through LatencyEstimator's CompPricer/CommPricer, which price every
+// entry the way Estimate does, so a row cannot read anything its key does
+// not hold, on any cluster (homogeneous, per-server speeds, degraded).
+// Every set with the same inputs shares one row.
 //
-// Rows are stored by value in a fixed number of mutex-guarded hash-map
-// shards and handed out as references: a search never erases a row and a
-// hash map never moves its nodes, so a reference stays valid, and
-// unchanged, until the memo is destroyed. A subproblem looks its rows up
-// once and then reads each split's entries by index. A stage's peak-memory
-// piece is not memoized: it is a few prefix-sum reads.
+// A key is held in dense form, as a slot: the family, the micro-batch
+// size's index in the search's list, and an offset that packs the kBegin
+// anchor and the recompute flag with the input's dense index (RowInputs).
+// Slots map one-to-one to keys. The slots of one (family, micro-batch size)
+// form one page, allocated on first use; a page is a zeroed array of row
+// pointers. A subproblem resolves its micro-batch size's pages once
+// (StageRowMemo::At), and then a lookup that hits is one acquire load: no
+// hash, no lock. A lookup that misses fills the row under the memo's one
+// mutex and rechecks the slot first, so each key is filled exactly once,
+// whatever the thread count, and the memo's misses equal its rows. Rows
+// are never moved or erased before the memo is destroyed, so a row handed
+// out stays valid and unchanged.
 //
 // Determinism contract: every row is a pure function of its key (plus the
 // estimator's fixed model/cluster/options), so a looked-up entry is
 // bit-identical to a recomputation and the search result cannot depend on
-// which thread filled a row first. A row is filled outside its shard's
-// lock; when two threads fill the same fresh key, the first insert wins and
-// the duplicate is dropped.
+// which thread filled a row.
 #pragma once
 
-#include <array>
-#include <bit>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "comm/cost_model.h"
 #include "planner/latency.h"
-#include "topo/device_set.h"
+#include "topo/cluster.h"
 
 namespace dapple::planner {
 
-/// Costs over one moving layer boundary, indexed by that boundary (entries
-/// outside the family's range are left default).
-using StageRow = std::vector<StageCost>;
+/// Dense indices of the pricer inputs sets on one cluster can have, and
+/// their derivation from per-server device counts (counts[s] = the set's
+/// devices on server s). A CompInputs index packs (replica count, single
+/// server, rank of the slowest speed among the cluster's distinct device
+/// speeds); a StageLink index packs (both replica counts, intra-server,
+/// inter-server). The counts path equals CompInputs::Of and
+/// StageLink::Between bit for bit whenever the two sets of a link are
+/// disjoint.
+class RowInputs {
+ public:
+  explicit RowInputs(const topo::Cluster& cluster);
 
-/// Identity of one row: its family and everything its pricer reads. For
-/// kComm, `anchor`, `recompute` and `comp` stay default; otherwise `link`
-/// does. `anchor` is the kBegin stage's first layer (0 otherwise).
-struct StageRowKey {
-  enum class Family : std::uint8_t { kBegin = 0, kEnd = 1, kComm = 2 };
+  /// Index ranges: [0, num_comp()) and [0, num_links()).
+  std::size_t num_comp() const { return devices_ * 2 * speeds_.size(); }
+  std::size_t num_links() const { return devices_ * devices_ * 4; }
 
-  Family family = Family::kBegin;
-  bool recompute = false;
-  std::int32_t anchor = 0;
-  std::int32_t micro_batch_size = 0;
-  CompInputs comp;
-  comm::StageLink link;
+  /// The CompInputs index of a non-empty set.
+  std::size_t Comp(std::span<const int> counts) const;
+  /// The StageLink index from non-empty set `from` to disjoint non-empty
+  /// set `to`.
+  std::size_t Link(std::span<const int> from, std::span<const int> to) const;
+  /// The index of a link between non-empty sets of this cluster.
+  std::size_t Link(const comm::StageLink& link) const;
 
-  bool operator==(const StageRowKey& other) const = default;
-};
+  /// The inputs an index stands for.
+  CompInputs CompAt(std::size_t index) const;
+  comm::StageLink LinkAt(std::size_t index) const;
 
-struct StageRowKeyHash {
-  std::size_t operator()(const StageRowKey& key) const {
-    std::size_t seed = static_cast<std::size_t>(key.family);
-    Combine(seed, static_cast<std::size_t>(key.recompute));
-    Combine(seed, static_cast<std::size_t>(key.anchor));
-    Combine(seed, static_cast<std::size_t>(key.micro_batch_size));
-    Combine(seed, static_cast<std::size_t>(key.comp.group.size));
-    Combine(seed, static_cast<std::size_t>(key.comp.group.single_server));
-    Combine(seed, std::bit_cast<std::uint64_t>(key.comp.slowest_speed));
-    Combine(seed, static_cast<std::size_t>(key.link.from_size));
-    Combine(seed, static_cast<std::size_t>(key.link.to_size));
-    Combine(seed, static_cast<std::size_t>(key.link.intra_server));
-    Combine(seed, static_cast<std::size_t>(key.link.inter_server));
-    return seed;
-  }
-
-  /// Mixes a value into a running hash seed (boost::hash_combine recipe).
-  static void Combine(std::size_t& seed, std::size_t value) {
-    seed ^= value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);
-  }
+ private:
+  std::size_t devices_ = 0;
+  /// The cluster's distinct device speeds, ascending, and each server's
+  /// rank among them.
+  std::vector<double> speeds_;
+  std::vector<int> server_rank_;
 };
 
 /// The row memo of one search, shared by its concurrent subproblem
-/// evaluators (sharded so they rarely contend on one lock).
+/// evaluators. A row is L entries, indexed by the moving boundary; entries
+/// outside the family's range are left default.
 class StageRowMemo {
  public:
-  /// Row-lookup traffic: lookups that hit or filled a row, the rows held,
-  /// and the wall time spent filling rows (summed across threads).
+  /// Rows held and the wall time spent filling them (summed across
+  /// threads). A lookup that found its row filled is a hit; every other
+  /// lookup filled one row, so callers count their lookups and hits are
+  /// lookups - rows.
   struct Stats {
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t entries = 0;
+    std::int64_t rows = 0;
     double fill_seconds = 0.0;
   };
 
-  /// `estimator` must outlive the memo. Unbounded: one search owns the
-  /// memo and drops it on return.
-  explicit StageRowMemo(const LatencyEstimator& estimator) : estimator_(&estimator) {}
+  enum class Family : std::uint8_t { kBegin = 0, kEnd = 1, kComm = 2 };
 
-  /// kBegin: entry e prices computation [anchor, e) for e in (anchor, L).
-  const StageRow& Begin(int anchor, const topo::DeviceSet& devices, int micro_batch_size,
-                        bool recompute);
-  /// kEnd: entry b prices computation [b, L) for b in [1, L).
-  const StageRow& End(const topo::DeviceSet& devices, int micro_batch_size, bool recompute);
-  /// kComm: entry x prices the boundary at x for x in [1, L).
-  const StageRow& Comm(const topo::DeviceSet& from, const topo::DeviceSet& to,
-                       int micro_batch_size);
+  /// `estimator` must outlive the memo. `micro_batch_sizes` lists every
+  /// micro-batch size a row may be priced at; rows name one by its index.
+  /// Unbounded: one search owns the memo and drops it on return.
+  StageRowMemo(const LatencyEstimator& estimator, std::vector<int> micro_batch_sizes);
+  ~StageRowMemo();
+  StageRowMemo(const StageRowMemo&) = delete;
+  StageRowMemo& operator=(const StageRowMemo&) = delete;
+
+  const RowInputs& inputs() const { return inputs_; }
+
+  /// The rows at one micro-batch size, with its pages resolved.
+  class Rows {
+   public:
+    /// kBegin: entry e prices computation [anchor, e) for e in (anchor, L)
+    /// on a set of CompInputs index `comp`.
+    std::span<const RowEntry> Begin(int anchor, bool recompute, std::size_t comp) const {
+      return Get(Family::kBegin,
+                 (static_cast<std::size_t>(anchor) * 2 + recompute) * num_comp_ + comp);
+    }
+    /// kEnd: entry b prices computation [b, L) for b in [1, L).
+    std::span<const RowEntry> End(bool recompute, std::size_t comp) const {
+      return Get(Family::kEnd, static_cast<std::size_t>(recompute) * num_comp_ + comp);
+    }
+    /// kComm: entry x prices the boundary at x for x in [1, L) across a
+    /// StageLink index `link`.
+    std::span<const RowEntry> Comm(std::size_t link) const { return Get(Family::kComm, link); }
+
+   private:
+    friend class StageRowMemo;
+    std::span<const RowEntry> Get(Family family, std::size_t slot) const {
+      const RowEntry*& cell = pages_[static_cast<std::size_t>(family)][slot];
+      const RowEntry* row = std::atomic_ref<const RowEntry*>(cell).load(std::memory_order_acquire);
+      if (row == nullptr) row = memo_->Fill(family, mbs_index_, cell, slot);
+      return {row, layers_};
+    }
+
+    StageRowMemo* memo_ = nullptr;
+    int mbs_index_ = 0;
+    std::size_t num_comp_ = 0;
+    std::size_t layers_ = 0;
+    const RowEntry** pages_[3] = {nullptr, nullptr, nullptr};
+  };
+  Rows At(int mbs_index);
 
   Stats TotalStats() const;
 
  private:
-  static constexpr std::size_t kShards = 16;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<StageRowKey, StageRow, StageRowKeyHash> rows;
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    double fill_seconds = 0.0;
-  };
-
-  /// The row of `key`, filled on first use.
-  const StageRow& Row(const StageRowKey& key);
-  /// A fresh row priced from `key` alone, so it cannot read an input the
-  /// key does not hold.
-  StageRow Fill(const StageRowKey& key) const;
+  /// Slots per page of `family`.
+  std::size_t PageSize(Family family) const;
+  /// Fills the row of `slot` under the mutex unless `cell` got one meanwhile.
+  const RowEntry* Fill(Family family, int mbs_index, const RowEntry*& cell, std::size_t slot);
 
   const LatencyEstimator* estimator_;
-  std::array<Shard, kShards> shards_;
-};
-
-/// What LatencyEstimator::ScoreSplits reads for every split of one
-/// subproblem, looked up in the memo once. `plan` is the subproblem's
-/// candidate at any split: its stages before the last two are the fixed
-/// prefix, the second-to-last is the carved stage [j, jp) and the last the
-/// default suffix [jp, L).
-class SplitEntries {
- public:
-  SplitEntries(StageRowMemo& memo, const ParallelPlan& plan, int micro_batch_size);
-
-  /// The 2S-4 entries before the carved stage (comp0, comm01, ..., the comm
-  /// into the carved stage), the same at every split.
-  std::span<const StageCost> prefix() const { return prefix_; }
-  /// Rows indexed by jp: the carved stage, the boundary after it and the
-  /// suffix.
-  const StageRow& carved() const { return *carved_; }
-  const StageRow& boundary() const { return *boundary_; }
-  const StageRow& suffix() const { return *suffix_; }
-
- private:
-  std::vector<StageCost> prefix_;
-  const StageRow* carved_ = nullptr;
-  const StageRow* boundary_ = nullptr;
-  const StageRow* suffix_ = nullptr;
+  RowInputs inputs_;
+  std::vector<int> micro_batch_sizes_;
+  std::size_t layers_;
+  /// Page of (micro-batch index m, family f) at 3m + f; null until used.
+  std::unique_ptr<std::atomic<const RowEntry**>[]> pages_;
+  /// Guards page allocation, row fills, rows_ and fill_seconds_.
+  mutable std::mutex mu_;
+  std::vector<std::unique_ptr<RowEntry[]>> rows_;
+  double fill_seconds_ = 0.0;
 };
 
 /// Everything the parallel search observed about itself: how the work was
@@ -198,20 +200,23 @@ struct PlannerSearchStats {
   /// Extra estimator probes the fit search's binary search spent.
   int fit_probes = 0;
 
-  /// Stage-row memo traffic: row lookups that hit or filled a row, and
-  /// the rows held at the end.
+  /// Stage-row memo traffic: row lookups that found their row filled
+  /// (hits) and that filled it (misses), and the rows held at the end. Each
+  /// row is filled exactly once, so misses equal entries, and all three are
+  /// the same at every thread count.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   std::int64_t cache_entries = 0;
-  /// Sum of wall time spent filling rows (across threads, so it can exceed
-  /// wall_seconds on parallel runs).
+  /// Sum of wall time spent filling rows (fills are serialized on the
+  /// memo's mutex, so this stays below wall_seconds).
   double cache_compute_seconds = 0.0;
 
   /// Wall-clock duration of the search (not simulated time; excluded from
   /// any golden-tested artifact).
   double wall_seconds = 0.0;
   /// Wall time of the three per-level phases: serial subproblem
-  /// enumeration, parallel candidate evaluation, serial deterministic
+  /// enumeration (with each expanded node's prefix walk, row inputs and
+  /// validation), parallel candidate evaluation, serial deterministic
   /// merge. evaluate_seconds is the only parallelizable share — the
   /// Amdahl ceiling of the thread sweep is wall / (wall - evaluate).
   double enumerate_seconds = 0.0;

@@ -1,5 +1,5 @@
-// Bit-exact rendering of a PlanEstimate (and of a stage entry and a
-// CandidateScore) for oracle tests: every field,
+// Bit-exact rendering of a PlanEstimate (and of a stage entry, a row entry
+// and a CandidateScore) for oracle tests: every field,
 // floating-point values as their raw 64-bit patterns, so two estimates
 // compare equal only when every bit agrees (and a mismatch prints which
 // field moved).
@@ -21,6 +21,13 @@ inline std::string StageCostBits(const StageCost& s) {
   os << "{" << s.is_comm << "," << s.comp_index << "," << DoubleBits(s.forward) << ","
      << DoubleBits(s.backward) << "," << DoubleBits(s.allreduce) << ","
      << DoubleBits(s.allreduce_raw) << "}";
+  return os.str();
+}
+
+inline std::string RowEntryBits(const RowEntry& e) {
+  std::ostringstream os;
+  os << "{" << DoubleBits(e.forward) << "," << DoubleBits(e.backward) << ","
+     << DoubleBits(e.allreduce) << "," << e.fixed << "," << e.stash << "}";
   return os.str();
 }
 

@@ -326,8 +326,9 @@ TEST(Latency, EstimateValidatesPlan) {
 // Prefix reuse: the planner scores every split point of one subproblem in
 // one LatencyEstimator::ScoreSplits pass over stage-cost rows
 // (planner/stage_cache.h) instead of estimating each candidate. The row
-// entries must equal what a from-scratch Estimate gathers, and both
-// Estimate from them and ScoreSplits must agree with it bit-for-bit.
+// entries must equal what a from-scratch Estimate gathers, their memory
+// bytes the stage's own, and ScoreSplits must agree with Estimate
+// bit-for-bit.
 
 /// A random subproblem: `prefix` stages covering [0, j), the carved stage's
 /// devices D and the suffix's devices F, all disjoint. Empty when the
@@ -380,15 +381,34 @@ bool SampleSubproblem(Rng& rng, const ModelProfile& m, const Cluster& cluster, S
   return true;
 }
 
+/// The row entry of stage `i` of `plan` as Estimate prices it: its times
+/// from `fresh`, and for a computation stage its baseline plus recompute
+/// transient and its one-micro-batch stash at its own samples.
+RowEntry ExpectedEntry(const ModelProfile& m, const ParallelPlan& plan, const PlanEstimate& fresh,
+                       std::size_t i) {
+  const StageCost& cost = fresh.stages[i];
+  RowEntry entry{cost.forward, cost.backward, cost.allreduce, 0, 0};
+  if (cost.is_comm) return entry;
+  const StagePlan& stage = plan.stages[static_cast<std::size_t>(cost.comp_index)];
+  const double samples = static_cast<double>(fresh.micro_batch_size) / stage.replication();
+  entry.fixed = m.BaselineMemory(stage.layer_begin, stage.layer_end);
+  if (stage.recompute) {
+    entry.fixed += m.MaxLayerActivationMemory(stage.layer_begin, stage.layer_end, samples);
+    entry.stash = m.CheckpointMemory(stage.layer_begin, stage.layer_end, samples);
+  } else {
+    entry.stash = m.ActivationMemory(stage.layer_begin, stage.layer_end, samples);
+  }
+  return entry;
+}
+
 /// Scores every split of `sub` twice — from scratch on a plain estimator
 /// per split, and in one ScoreSplits pass over the subproblem's rows in a
 /// fresh memo — and expects the row entries read by index to equal the
-/// fresh estimate's stage entries, and the scores its bits. Returns the
-/// number of splits compared.
+/// fresh estimate's stage entries (times and memory bytes), and the scores
+/// its bits. Returns the number of splits compared.
 int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long gbs,
                              const LatencyOptions& options, const Subproblem& sub) {
   const LatencyEstimator estimator(m, cluster, options);
-  StageRowMemo memo(estimator);
 
   ParallelPlan plan;
   plan.model = m.name();
@@ -398,9 +418,29 @@ int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long
   plan.stages.push_back(StagePlan{sub.j + 1, m.num_layers(), sub.free,
                                   topo::PlacementPolicy::kFreshFirst, sub.recompute_free});
   const std::size_t carved = sub.prefix.size();
-  const SplitEntries rows(memo, plan, estimator.ChooseMicroBatchSize(plan, gbs));
+  const MicroBatching mb = estimator.MicroBatchingOf(plan, gbs);
+  StageRowMemo memo(estimator, {mb.micro_batch_size});
+  const StageRowMemo::Rows rows = memo.At(0);
+  const RowInputs& inputs = memo.inputs();
+  auto comp = [&](const DeviceSet& set) { return inputs.Comp(set.PerServerCounts(cluster)); };
+  auto link = [&](const DeviceSet& from, const DeviceSet& to) {
+    return inputs.Link(from.PerServerCounts(cluster), to.PerServerCounts(cluster));
+  };
+  std::vector<RowEntry> prefix;
+  for (std::size_t i = 0; i < carved; ++i) {
+    const StagePlan& stage = plan.stages[i];
+    const auto x = static_cast<std::size_t>(stage.layer_end);
+    prefix.push_back(rows.Begin(stage.layer_begin, stage.recompute, comp(stage.devices))[x]);
+    prefix.push_back(rows.Comm(link(stage.devices, plan.stages[i + 1].devices))[x]);
+  }
+  const std::span<const RowEntry> carved_row =
+      rows.Begin(sub.j, sub.recompute_carved, comp(sub.carved));
+  const std::span<const RowEntry> boundary_row = rows.Comm(link(sub.carved, sub.free));
+  const std::span<const RowEntry> suffix_row = rows.End(sub.recompute_free, comp(sub.free));
   const std::vector<CandidateScore> scores = estimator.ScoreSplits(
-      plan, gbs, rows.prefix(), rows.carved(), rows.boundary(), rows.suffix());
+      {sub.prefix, prefix, sub.carved.size(), sub.recompute_carved, sub.free.size(),
+       sub.recompute_free, carved_row, boundary_row, suffix_row},
+      mb);
   EXPECT_EQ(scores.size(), static_cast<std::size_t>(m.num_layers() - sub.j - 1));
   int compared = 0;
   for (int jp = sub.j + 1; jp < m.num_layers(); ++jp) {
@@ -408,20 +448,18 @@ int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long
     plan.stages[carved + 1].layer_begin = jp;
     const PlanEstimate fresh = estimator.Estimate(plan, gbs);
     // The entries Estimate prices: the fixed prefix, then index jp of the
-    // carved, boundary and suffix rows (rows leave comp_index unset).
-    std::vector<StageCost> entries(rows.prefix().begin(), rows.prefix().end());
+    // carved, boundary and suffix rows.
+    std::vector<RowEntry> entries = prefix;
     const auto x = static_cast<std::size_t>(jp);
-    entries.push_back(rows.carved()[x]);
-    entries.back().comp_index = static_cast<int>(carved);
-    entries.push_back(rows.boundary()[x]);
-    entries.push_back(rows.suffix()[x]);
-    entries.back().comp_index = static_cast<int>(carved + 1);
+    entries.push_back(carved_row[x]);
+    entries.push_back(boundary_row[x]);
+    entries.push_back(suffix_row[x]);
     const std::string where = m.name() + " on " + cluster.name() + ", " +
                               std::to_string(carved) + " prefix stages, j=" +
                               std::to_string(sub.j) + ", jp=" + std::to_string(jp);
     EXPECT_EQ(entries.size(), fresh.stages.size()) << where;
     for (std::size_t i = 0; i < std::min(entries.size(), fresh.stages.size()); ++i) {
-      EXPECT_EQ(StageCostBits(entries[i]), StageCostBits(fresh.stages[i]))
+      EXPECT_EQ(RowEntryBits(entries[i]), RowEntryBits(ExpectedEntry(m, plan, fresh, i)))
           << where << ", entry " << i;
     }
     const auto i = static_cast<std::size_t>(jp - sub.j - 1);
@@ -535,12 +573,17 @@ TEST(LatencyPrefixReuse, ScoreSplitsRejectsAMismatchedPrefix) {
   const Cluster cluster = FastCluster(1, 2);
   const LatencyEstimator est(m, cluster);
   const ParallelPlan plan = TwoStagePlan(m, 2, 1, 1);
+  const MicroBatching mb = est.MicroBatchingOf(plan, 8);
   const PlanEstimate full = est.Estimate(plan, 8);
-  const std::vector<StageCost> row(4, full.stages[0]);
-  EXPECT_EQ(est.ScoreSplits(plan, 8, {}, row, row, row).size(), 3u);
-  EXPECT_THROW(est.ScoreSplits(plan, 8, std::span(full.stages).first(1), row, row, row),
-               dapple::Error);
-  EXPECT_THROW(est.ScoreSplits(plan, 8, {}, std::span(row).first(3), row, row), dapple::Error);
+  const StageCost& cost = full.stages[0];
+  const std::vector<RowEntry> row(4, RowEntry{cost.forward, cost.backward, cost.allreduce, 0, 0});
+  LatencyEstimator::Splits splits{{}, {}, 1, false, 1, false, row, row, row};
+  EXPECT_EQ(est.ScoreSplits(splits, mb).size(), 3u);
+  splits.prefix_entries = std::span(row).first(1);
+  EXPECT_THROW(est.ScoreSplits(splits, mb), dapple::Error);
+  splits.prefix_entries = {};
+  splits.carved = std::span(row).first(3);
+  EXPECT_THROW(est.ScoreSplits(splits, mb), dapple::Error);
 }
 }  // namespace
 }  // namespace dapple::planner

@@ -6,8 +6,10 @@
 // order, slot-indexed parallel work, pure memoized rows); this sweep is the
 // regression net around that construction. A 128-device cluster plans
 // through the row memo identically at one and four threads, threads racing
-// on the memo itself keep one bit-exact row per key, and device sets with
-// equal pricer inputs share a row that is bit-exact for each of them.
+// on the memo itself fill one bit-exact row per key exactly once, device
+// sets with equal pricer inputs share a row that is bit-exact for each of
+// them, and pricer inputs derived from per-server counts equal those
+// derived from device sets bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +18,10 @@
 #include <cstdlib>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/fuzz.h"
@@ -157,7 +161,7 @@ TEST(PlannerDeterminismTest, Cluster128DevicesPlansCachedAndMatchesAcrossThreads
 /// One memo lookup: a row family, its device sets (`to` for kComm only) and
 /// the rest of its key.
 struct RowLookup {
-  StageRowKey::Family family = StageRowKey::Family::kBegin;
+  StageRowMemo::Family family = StageRowMemo::Family::kBegin;
   int anchor = 0;
   topo::DeviceSet from;
   topo::DeviceSet to;
@@ -165,63 +169,85 @@ struct RowLookup {
   bool recompute = false;
 };
 
-const StageRow& LookUp(StageRowMemo& memo, const RowLookup& l) {
+/// The row `l` names, its inputs derived from per-server counts as the
+/// planner derives them. The memos below list micro-batch sizes 1, 2, ...,
+/// so size m has index m - 1.
+std::span<const RowEntry> LookUp(StageRowMemo& memo, const topo::Cluster& cluster,
+                                 const RowLookup& l) {
+  const StageRowMemo::Rows rows = memo.At(l.micro_batch_size - 1);
+  const std::vector<int> from = l.from.PerServerCounts(cluster);
   switch (l.family) {
-    case StageRowKey::Family::kBegin:
-      return memo.Begin(l.anchor, l.from, l.micro_batch_size, l.recompute);
-    case StageRowKey::Family::kEnd:
-      return memo.End(l.from, l.micro_batch_size, l.recompute);
-    case StageRowKey::Family::kComm:
+    case StageRowMemo::Family::kBegin:
+      return rows.Begin(l.anchor, l.recompute, memo.inputs().Comp(from));
+    case StageRowMemo::Family::kEnd:
+      return rows.End(l.recompute, memo.inputs().Comp(from));
+    case StageRowMemo::Family::kComm:
       break;
   }
-  return memo.Comm(l.from, l.to, l.micro_batch_size);
+  return rows.Comm(memo.inputs().Link(from, l.to.PerServerCounts(cluster)));
 }
 
-/// The memo key `l` looks up: its family and its sets' pricer inputs.
-StageRowKey KeyOf(const topo::Cluster& cluster, const RowLookup& l) {
-  StageRowKey key{l.family, l.recompute, l.anchor, l.micro_batch_size, {}, {}};
-  if (l.family == StageRowKey::Family::kComm) {
+/// A row's key as the pricer sees it: the family, the sets' pricer inputs
+/// (from the device sets, not the counts) and the rest.
+struct RowKey {
+  StageRowMemo::Family family = StageRowMemo::Family::kBegin;
+  bool recompute = false;
+  int anchor = 0;
+  int micro_batch_size = 0;
+  CompInputs comp;
+  comm::StageLink link;
+
+  bool operator==(const RowKey& other) const = default;
+};
+
+RowKey KeyOf(const topo::Cluster& cluster, const RowLookup& l) {
+  RowKey key{l.family, l.recompute, l.anchor, l.micro_batch_size, {}, {}};
+  if (l.family == StageRowMemo::Family::kComm) {
     key.recompute = false;
     key.link = comm::StageLink::Between(cluster, l.from, l.to);
   } else {
     key.comp = CompInputs::Of(cluster, l.from);
   }
+  if (l.family != StageRowMemo::Family::kBegin) key.anchor = 0;
   return key;
 }
 
 /// How many rows the lookups name: one per distinct key.
 std::int64_t DistinctKeys(const topo::Cluster& cluster, const std::vector<RowLookup>& lookups) {
-  std::vector<StageRowKey> keys;
+  std::vector<RowKey> keys;
   for (const RowLookup& l : lookups) {
-    const StageRowKey key = KeyOf(cluster, l);
+    const RowKey key = KeyOf(cluster, l);
     if (std::find(keys.begin(), keys.end(), key) == keys.end()) keys.push_back(key);
   }
   return static_cast<std::int64_t>(keys.size());
 }
 
-/// The row `l` names, filled from scratch through CompOn/CommAcross (no
-/// memo).
-StageRow FreshRow(const LatencyEstimator& estimator, const RowLookup& l) {
+/// The row `l` names, filled from scratch through CompOn/CommAcross on its
+/// device sets (no memo, no counts).
+std::vector<RowEntry> FreshRow(const LatencyEstimator& estimator, const RowLookup& l) {
   const int layers = estimator.model().num_layers();
-  StageRow row(static_cast<std::size_t>(layers));
+  std::vector<RowEntry> row(static_cast<std::size_t>(layers));
   switch (l.family) {
-    case StageRowKey::Family::kBegin: {
+    case StageRowMemo::Family::kBegin: {
       const auto comp = estimator.CompOn(l.from, l.micro_batch_size, l.anchor, layers);
       for (int e = l.anchor + 1; e < layers; ++e) {
-        row[static_cast<std::size_t>(e)] = comp(l.anchor, e, l.recompute);
+        row[static_cast<std::size_t>(e)] = comp.Entry(l.anchor, e, l.recompute);
       }
       break;
     }
-    case StageRowKey::Family::kEnd: {
+    case StageRowMemo::Family::kEnd: {
       const auto comp = estimator.CompOn(l.from, l.micro_batch_size, 1, layers);
       for (int b = 1; b < layers; ++b) {
-        row[static_cast<std::size_t>(b)] = comp(b, layers, l.recompute);
+        row[static_cast<std::size_t>(b)] = comp.Entry(b, layers, l.recompute);
       }
       break;
     }
-    case StageRowKey::Family::kComm: {
+    case StageRowMemo::Family::kComm: {
       const auto comm = estimator.CommAcross(l.from, l.to, l.micro_batch_size);
-      for (int x = 1; x < layers; ++x) row[static_cast<std::size_t>(x)] = comm(x);
+      for (int x = 1; x < layers; ++x) {
+        const StageCost cost = comm(x);
+        row[static_cast<std::size_t>(x)] = {cost.forward, cost.backward, cost.allreduce, 0, 0};
+      }
       break;
     }
   }
@@ -230,10 +256,119 @@ StageRow FreshRow(const LatencyEstimator& estimator, const RowLookup& l) {
 
 /// A row's entries as bit strings, so two rows compare equal only when every
 /// bit of every entry agrees.
-std::vector<std::string> RowBits(const StageRow& row) {
+std::vector<std::string> RowBits(std::span<const RowEntry> row) {
   std::vector<std::string> bits;
-  for (const StageCost& entry : row) bits.push_back(StageCostBits(entry));
+  for (const RowEntry& entry : row) bits.push_back(RowEntryBits(entry));
   return bits;
+}
+
+/// Config A, B and C, per-server speeds, and a degraded cluster: a dead
+/// device drains its server, beside a straggler and a slowed link.
+std::vector<topo::Cluster> InputClusters() {
+  const topo::Cluster a = topo::MakeConfigA(4);
+  fault::ClusterState state = fault::StateAt(fault::FaultScript{}, a, 0.0);
+  state.device_dead[9] = true;      // drains server 1
+  state.server_compute[2] = 0.5;    // a straggler
+  state.server_bandwidth[3] = 0.5;  // a degraded link
+  const fault::DegradedCluster degraded = fault::MakeDegradedCluster(a, state);
+  EXPECT_TRUE(degraded.feasible);
+  EXPECT_FALSE(degraded.cluster.homogeneous());
+  return {a, topo::MakeConfigB(16), topo::MakeConfigC(16),
+          a.WithServerSpeeds({1.0, 0.5, 1.0, 0.75}), degraded.cluster};
+}
+
+std::string CompBits(const CompInputs& inputs) {
+  return std::to_string(inputs.group.size) + (inputs.group.single_server ? " one " : " many ") +
+         std::to_string(DoubleBits(inputs.slowest_speed));
+}
+
+std::string LinkBits(const comm::StageLink& link) {
+  return std::to_string(link.from_size) + ">" + std::to_string(link.to_size) +
+         (link.intra_server ? " intra" : "") + (link.inter_server ? " inter" : "");
+}
+
+TEST(RowInputsFromCounts, MatchTheDeviceSetPathBitForBit) {
+  // Random disjoint prefix, carved and free sets, as one subproblem has
+  // them: the free set is every device the other two leave, and its counts
+  // are the server sizes less theirs. Each set's count-derived CompInputs,
+  // and each link's count-derived StageLink, must equal CompInputs::Of and
+  // StageLink::Between bit for bit, and name the same dense index.
+  std::mt19937_64 rng(32);
+  for (const topo::Cluster& cluster : InputClusters()) {
+    SCOPED_TRACE(cluster.name() + " on " + std::to_string(cluster.num_devices()) + " devices");
+    // Indices map one-to-one to inputs.
+    const RowInputs inputs(cluster);
+    std::vector<std::string> all;
+    for (std::size_t i = 0; i < inputs.num_comp(); ++i) all.push_back(CompBits(inputs.CompAt(i)));
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(std::unique(all.begin(), all.end()), all.end());
+    for (std::size_t i = 0; i < inputs.num_links(); ++i) {
+      ASSERT_EQ(inputs.Link(inputs.LinkAt(i)), i);
+    }
+
+    std::vector<std::string> comps;
+    std::vector<std::string> links;
+    for (int draw = 0; draw < 400; ++draw) {
+      std::vector<topo::DeviceId> ids(static_cast<std::size_t>(cluster.num_devices()));
+      for (std::size_t d = 0; d < ids.size(); ++d) ids[d] = static_cast<topo::DeviceId>(d);
+      std::shuffle(ids.begin(), ids.end(), rng);
+      // Small sets on most draws, so single-server sets come up too.
+      const int limit = draw % 2 == 0 ? 4 : cluster.num_devices() - 2;
+      const auto prefix_size = static_cast<std::size_t>(1 + rng() % static_cast<unsigned>(limit));
+      const auto carved_size = static_cast<std::size_t>(
+          1 + rng() % std::min<std::size_t>(static_cast<std::size_t>(limit),
+                                            ids.size() - prefix_size - 1));
+      const topo::DeviceSet prefix({ids.begin(), ids.begin() + prefix_size});
+      const topo::DeviceSet carved(
+          {ids.begin() + prefix_size, ids.begin() + prefix_size + carved_size});
+      std::vector<topo::DeviceId> rest(ids.begin() + prefix_size + carved_size, ids.end());
+      std::sort(rest.begin(), rest.end());
+      const topo::DeviceSet free(std::move(rest));
+
+      const std::vector<int> prefix_counts = prefix.PerServerCounts(cluster);
+      const std::vector<int> carved_counts = carved.PerServerCounts(cluster);
+      std::vector<int> free_counts(prefix_counts.size());
+      for (std::size_t s = 0; s < free_counts.size(); ++s) {
+        free_counts[s] = cluster.gpus_per_server() - prefix_counts[s] - carved_counts[s];
+      }
+      ASSERT_EQ(free_counts, free.PerServerCounts(cluster));
+
+      const std::pair<const topo::DeviceSet*, const std::vector<int>*> sets[] = {
+          {&prefix, &prefix_counts}, {&carved, &carved_counts}, {&free, &free_counts}};
+      for (const auto& [set, counts] : sets) {
+        const CompInputs of = CompInputs::Of(cluster, *set);
+        const std::size_t index = inputs.Comp(*counts);
+        ASSERT_EQ(CompBits(inputs.CompAt(index)), CompBits(of)) << set->ToString();
+        comps.push_back(CompBits(of));
+      }
+      for (const auto& [from, from_counts] : sets) {
+        for (const auto& [to, to_counts] : sets) {
+          if (from == to) continue;
+          const comm::StageLink between = comm::StageLink::Between(cluster, *from, *to);
+          const std::size_t index = inputs.Link(*from_counts, *to_counts);
+          ASSERT_EQ(LinkBits(inputs.LinkAt(index)), LinkBits(between))
+              << from->ToString() << " -> " << to->ToString();
+          ASSERT_EQ(inputs.Link(between), index);
+          links.push_back(LinkBits(between));
+        }
+      }
+    }
+    // The draws reach both spans, both link kinds and, where the cluster
+    // has them, more than one slowest speed.
+    std::sort(comps.begin(), comps.end());
+    std::sort(links.begin(), links.end());
+    comps.erase(std::unique(comps.begin(), comps.end()), comps.end());
+    links.erase(std::unique(links.begin(), links.end()), links.end());
+    EXPECT_GE(comps.size(), 14u);
+    EXPECT_GT(links.size(), 40u);
+    if (cluster.gpus_per_server() > 1) {
+      EXPECT_TRUE(std::any_of(comps.begin(), comps.end(),
+                              [](const std::string& c) { return c.find(" one ") != c.npos; }));
+      EXPECT_TRUE(std::any_of(links.begin(), links.end(), [](const std::string& l) {
+        return l.find("intra") != l.npos && l.find("inter") == l.npos;
+      }));
+    }
+  }
 }
 
 TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
@@ -258,12 +393,12 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
     for (int mbs : {1, 2}) {
       for (bool recompute : {false, true}) {
         for (int anchor : {0, layers / 2}) {
-          lookups.push_back({StageRowKey::Family::kBegin, anchor, sets[i], {}, mbs, recompute});
+          lookups.push_back({StageRowMemo::Family::kBegin, anchor, sets[i], {}, mbs, recompute});
         }
-        lookups.push_back({StageRowKey::Family::kEnd, 0, sets[i], {}, mbs, recompute});
+        lookups.push_back({StageRowMemo::Family::kEnd, 0, sets[i], {}, mbs, recompute});
       }
       lookups.push_back(
-          {StageRowKey::Family::kComm, 0, sets[i], sets[(i + 1) % sets.size()], mbs, false});
+          {StageRowMemo::Family::kComm, 0, sets[i], sets[(i + 1) % sets.size()], mbs, false});
     }
   }
   const std::int64_t keys = DistinctKeys(cluster, lookups);
@@ -271,11 +406,11 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 4;
-  StageRowMemo memo(estimator);
+  StageRowMemo memo(estimator, {1, 2, 3, 4, 5, 6});
   // seen[t][k]: the row thread t got for lookup k; every later round of the
   // same thread, and every other thread, must get that same row.
-  std::vector<std::vector<const StageRow*>> seen(
-      kThreads, std::vector<const StageRow*>(lookups.size(), nullptr));
+  std::vector<std::vector<const RowEntry*>> seen(
+      kThreads, std::vector<const RowEntry*>(lookups.size(), nullptr));
   std::atomic<bool> go{false};
   std::atomic<bool> stable{true};
   std::vector<std::thread> threads;
@@ -285,7 +420,7 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
       for (int round = 0; round < kRounds; ++round) {
         for (std::size_t i = 0; i < lookups.size(); ++i) {
           const std::size_t k = (i + static_cast<std::size_t>(t) * 11) % lookups.size();
-          const StageRow* row = &LookUp(memo, lookups[k]);
+          const RowEntry* row = LookUp(memo, cluster, lookups[k]).data();
           if (seen[t][k] == nullptr) seen[t][k] = row;
           if (seen[t][k] != row) stable = false;
         }
@@ -296,13 +431,9 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
   for (auto& th : threads) th.join();
   EXPECT_TRUE(stable);
 
-  // One entry per key: every thread holds the same row for each lookup,
-  // and lookups with equal keys hold the same row.
-  StageRowMemo::Stats stats = memo.TotalStats();
-  EXPECT_EQ(stats.entries, keys);
-  EXPECT_GE(stats.misses, keys);
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<std::int64_t>(lookups.size()) * kThreads * kRounds);
+  // One row per key, filled once: every thread holds the same row for
+  // each lookup, and lookups with equal keys hold the same row.
+  EXPECT_EQ(memo.TotalStats().rows, keys);
   for (std::size_t k = 0; k < lookups.size(); ++k) {
     for (int t = 1; t < kThreads; ++t) ASSERT_EQ(seen[t][k], seen[0][k]) << "lookup " << k;
     for (std::size_t o = 0; o < k; ++o) {
@@ -312,18 +443,21 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
   }
 
   // Bit-exact rows: each equals a fresh fill of its own lookup's sets.
+  const auto row_of = [layers](const RowEntry* row) {
+    return std::span<const RowEntry>(row, static_cast<std::size_t>(layers));
+  };
   std::vector<std::vector<std::string>> fresh;
   for (std::size_t k = 0; k < lookups.size(); ++k) {
     fresh.push_back(RowBits(FreshRow(estimator, lookups[k])));
-    ASSERT_EQ(RowBits(*seen[0][k]), fresh.back()) << "lookup " << k;
+    ASSERT_EQ(RowBits(row_of(seen[0][k])), fresh.back()) << "lookup " << k;
   }
 
-  // Thousands of later inserts, from four threads, rehash every shard many
-  // times over while this thread keeps reading a row it took before them.
+  // Thousands of later fills, from four threads, while this thread keeps
+  // reading a row it took before them.
   // Each is a fresh key: every (replica count, span) a range of this
   // cluster has, at every anchor and at micro-batch sizes the raced keys
   // do not use.
-  const StageRow& early = *seen[0][0];
+  const std::span<const RowEntry> early = row_of(seen[0][0]);
   std::vector<topo::DeviceSet> shapes;
   for (int count = 1; count <= cluster.num_devices(); ++count) {
     shapes.push_back(topo::DeviceSet::Range(0, count));
@@ -333,7 +467,7 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
   for (int mbs = 3; mbs <= 6; ++mbs) {
     for (int anchor = 0; anchor + 1 < layers; ++anchor) {
       for (const topo::DeviceSet& shape : shapes) {
-        later.push_back({StageRowKey::Family::kBegin, anchor, shape, {}, mbs, false});
+        later.push_back({StageRowMemo::Family::kBegin, anchor, shape, {}, mbs, false});
       }
     }
   }
@@ -346,7 +480,7 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
   for (int t = 0; t < kInserters; ++t) {
     threads.emplace_back([&, t] {
       for (std::size_t k = static_cast<std::size_t>(t); k < later.size(); k += kInserters) {
-        LookUp(memo, later[k]);
+        LookUp(memo, cluster, later[k]);
       }
       --running;
     });
@@ -356,12 +490,11 @@ TEST(StageRowMemoRace, RacingLookupsKeepOneBitExactRowPerKey) {
   }
   for (auto& th : threads) th.join();
   EXPECT_TRUE(unchanged);
-  stats = memo.TotalStats();
-  EXPECT_EQ(stats.entries, keys + static_cast<std::int64_t>(later.size()));
-  EXPECT_EQ(&LookUp(memo, lookups[0]), &early);
+  EXPECT_EQ(memo.TotalStats().rows, keys + static_cast<std::int64_t>(later.size()));
+  EXPECT_EQ(LookUp(memo, cluster, lookups[0]).data(), early.data());
   for (std::size_t k = 0; k < lookups.size(); ++k) {
-    EXPECT_EQ(&LookUp(memo, lookups[k]), seen[0][k]) << "lookup " << k;
-    EXPECT_EQ(RowBits(*seen[0][k]), fresh[k]) << "lookup " << k;
+    EXPECT_EQ(LookUp(memo, cluster, lookups[k]).data(), seen[0][k]) << "lookup " << k;
+    EXPECT_EQ(RowBits(row_of(seen[0][k])), fresh[k]) << "lookup " << k;
   }
 }
 
@@ -371,56 +504,51 @@ TEST(StageRowMemoInputs, EqualInputSetsShareBitExactRowsAndOneChangedInputSplits
   // bitwise equal to a fresh fill from that lookup's own sets.
   const model::ModelProfile m = model::ModelByName("GNMT-16");
   const int layers = m.num_layers();
-  const topo::Cluster a = topo::MakeConfigA(4);
-  const topo::Cluster slowed = a.WithServerSpeeds({1.0, 0.5, 1.0, 0.75});
-  fault::ClusterState state = fault::StateAt(fault::FaultScript{}, a, 0.0);
-  state.device_dead[9] = true;      // drains server 1
-  state.server_compute[2] = 0.5;    // a straggler
-  state.server_bandwidth[3] = 0.5;  // a degraded link
-  const fault::DegradedCluster degraded = fault::MakeDegradedCluster(a, state);
-  ASSERT_TRUE(degraded.feasible);
-  ASSERT_FALSE(degraded.cluster.homogeneous());
-  const std::vector<topo::Cluster> clusters = {a, topo::MakeConfigB(16), topo::MakeConfigC(16),
-                                               slowed, degraded.cluster};
+  const std::vector<topo::Cluster> clusters = InputClusters();
+  const topo::Cluster& a = clusters[0];
+  const topo::Cluster& slowed = clusters[3];
+  const topo::Cluster& degraded = clusters[4];
 
   std::mt19937_64 rng(27);
   for (const topo::Cluster& cluster : clusters) {
     SCOPED_TRACE(cluster.name() + " on " + std::to_string(cluster.num_devices()) + " devices");
     const LatencyEstimator estimator(m, cluster);
-    StageRowMemo memo(estimator);
-    auto random_set = [&] {
+    StageRowMemo memo(estimator, {1, 2});
+    // Two disjoint sets of one to four devices, as two stages of a plan.
+    auto random_sets = [&] {
       std::vector<topo::DeviceId> ids(static_cast<std::size_t>(cluster.num_devices()));
       for (std::size_t d = 0; d < ids.size(); ++d) ids[d] = static_cast<topo::DeviceId>(d);
       std::shuffle(ids.begin(), ids.end(), rng);
-      ids.resize(1 + rng() % 4);
-      return topo::DeviceSet(std::move(ids));
+      const auto from = static_cast<std::ptrdiff_t>(1 + rng() % 4);
+      const auto to = static_cast<std::ptrdiff_t>(1 + rng() % 4);
+      return std::pair{topo::DeviceSet({ids.begin(), ids.begin() + from}),
+                       topo::DeviceSet({ids.begin() + from, ids.begin() + from + to})};
     };
     // The device ids each row was first handed out for, to count lookups
     // served by a row another set filled.
-    std::map<const StageRow*, std::vector<topo::DeviceId>> first_ids;
+    std::map<const RowEntry*, std::vector<topo::DeviceId>> first_ids;
     int shared = 0;
     for (int draw = 0; draw < 300; ++draw) {
-      const topo::DeviceSet from = random_set();
-      const topo::DeviceSet to = random_set();
+      const auto [from, to] = random_sets();
       const bool recompute = rng() % 2 == 1;
       const RowLookup lookups[] = {
-          {StageRowKey::Family::kBegin, draw % 2 == 0 ? 0 : layers / 2, from, {}, 2, recompute},
-          {StageRowKey::Family::kEnd, 0, from, {}, 2, recompute},
-          {StageRowKey::Family::kComm, 0, from, to, 2, false}};
+          {StageRowMemo::Family::kBegin, draw % 2 == 0 ? 0 : layers / 2, from, {}, 2, recompute},
+          {StageRowMemo::Family::kEnd, 0, from, {}, 2, recompute},
+          {StageRowMemo::Family::kComm, 0, from, to, 2, false}};
       for (const RowLookup& l : lookups) {
-        const StageRow& row = LookUp(memo, l);
+        const std::span<const RowEntry> row = LookUp(memo, cluster, l);
         ASSERT_EQ(RowBits(row), RowBits(FreshRow(estimator, l)))
             << "draw " << draw << ": " << l.from.ToString() << " -> " << l.to.ToString();
         std::vector<topo::DeviceId> ids = l.from.devices();
         ids.push_back(-1);
         ids.insert(ids.end(), l.to.devices().begin(), l.to.devices().end());
-        const auto [it, fresh] = first_ids.try_emplace(&row, ids);
+        const auto [it, fresh] = first_ids.try_emplace(row.data(), ids);
         if (!fresh && it->second != ids) ++shared;
       }
     }
     // The draws really do share rows across different sets.
     EXPECT_GT(shared, 300);
-    EXPECT_LT(memo.TotalStats().entries, 300);
+    EXPECT_LT(memo.TotalStats().rows, 300);
   }
 
   // Sets that differ in exactly one input get different rows. Their prices
@@ -432,17 +560,17 @@ TEST(StageRowMemoInputs, EqualInputSetsShareBitExactRowsAndOneChangedInputSplits
     bool same_price = false;
   };
   const auto begin_on = [](topo::DeviceSet set) {
-    return RowLookup{StageRowKey::Family::kBegin, 0, std::move(set), {}, 2, false};
+    return RowLookup{StageRowMemo::Family::kBegin, 0, std::move(set), {}, 2, false};
   };
   const auto comm_across = [](topo::DeviceSet from, topo::DeviceSet to) {
-    return RowLookup{StageRowKey::Family::kComm, 0, std::move(from), std::move(to), 2, false};
+    return RowLookup{StageRowMemo::Family::kComm, 0, std::move(from), std::move(to), 2, false};
   };
   const Pair pairs[] = {
       // Span: four replicas on one server or on two.
       {&a, begin_on(topo::DeviceSet::Range(0, 4)), begin_on(topo::DeviceSet({0, 1, 2, 8}))},
       // Slowest device: a full-speed server against a slowed one.
       {&slowed, begin_on(topo::DeviceSet::Range(0, 4)), begin_on(topo::DeviceSet::Range(8, 4))},
-      {&degraded.cluster, begin_on(topo::DeviceSet::Range(0, 4)),
+      {&degraded, begin_on(topo::DeviceSet::Range(0, 4)),
        begin_on(topo::DeviceSet::Range(8, 4))},
       // Link kinds: intra-server only, inter-server only, and both.
       {&a, comm_across(topo::DeviceSet({0, 1}), topo::DeviceSet({2, 3})),
@@ -456,14 +584,14 @@ TEST(StageRowMemoInputs, EqualInputSetsShareBitExactRowsAndOneChangedInputSplits
     SCOPED_TRACE(pair.first.from.ToString() + " -> " + pair.first.to.ToString() + " vs " +
                  pair.second.from.ToString() + " -> " + pair.second.to.ToString());
     const LatencyEstimator estimator(m, *pair.cluster);
-    StageRowMemo memo(estimator);
-    const StageRow& first = LookUp(memo, pair.first);
-    const StageRow& second = LookUp(memo, pair.second);
-    EXPECT_NE(&first, &second);
+    StageRowMemo memo(estimator, {1, 2});
+    const std::span<const RowEntry> first = LookUp(memo, *pair.cluster, pair.first);
+    const std::span<const RowEntry> second = LookUp(memo, *pair.cluster, pair.second);
+    EXPECT_NE(first.data(), second.data());
     EXPECT_EQ(RowBits(first) == RowBits(second), pair.same_price);
     EXPECT_EQ(RowBits(first), RowBits(FreshRow(estimator, pair.first)));
     EXPECT_EQ(RowBits(second), RowBits(FreshRow(estimator, pair.second)));
-    EXPECT_EQ(memo.TotalStats().entries, 2);
+    EXPECT_EQ(memo.TotalStats().rows, 2);
   }
 }
 

@@ -304,13 +304,17 @@ TEST(PlannerOracle, StageRowCountIsPinned) {
   // Stage rows are keyed by what their pricer reads, not by device ids: on
   // 16 Config-A devices GNMT-16 holds one row per distinct (replica count,
   // span, slowest device) or (replica counts, link kinds), at every thread
-  // count. A finer key would hold more than ten times as many.
+  // count. A finer key would hold more than ten times as many. Each row is
+  // filled exactly once, so the row traffic is the same at every thread
+  // count too, and every miss is a row.
   for (int threads : {1, 8}) {
     PlannerOptions options = Opts(2048);
     options.num_threads = threads;
     const PlanResult result =
         DapplePlanner(model::ModelByName("GNMT-16"), topo::MakeConfigA(2), options).Plan();
     EXPECT_EQ(result.stats.cache_entries, 524) << threads << " threads";
+    EXPECT_EQ(result.stats.cache_misses, 524) << threads << " threads";
+    EXPECT_EQ(result.stats.cache_hits, 34924) << threads << " threads";
     EXPECT_EQ(obs::MetricsRegistry::Global().gauge("planner.cache.entries").value(), 524.0);
   }
 }

@@ -28,8 +28,11 @@
 #                    engine, and churn-episode / co-schedule reports at
 #                    every thread count — all byte-identical), the --quick
 #                    planner-scaling, sim-engine, serve and scenario
-#                    benches (the sim-engine bench also fences the engine
-#                    against regressing below the reference engine; the
+#                    benches (the planner-scaling bench also fails when
+#                    a point's stage-row hits, misses or rows differ
+#                    between 1 and 8 threads; the sim-engine bench fences
+#                    the engine against regressing below the reference
+#                    engine; the
 #                    scenario bench fences elastic-up against losing to
 #                    sync-stall on churn and the co-scheduler against
 #                    the naive even split), the serve daemon smoke
