@@ -1,8 +1,8 @@
 // Schedule-family frontier: every family (DAPPLE 1F1B, GPipe, DAPPLE-2BP,
 // V-Min, V-Half) swept over the benchmark model zoo on equal hardware —
 // four executing devices, eight micro-batches — reporting the simulated
-// latency, the compute bubble fraction, the peak activation memory, and
-// the analytic EstimateFamily latency per (family, model) row.
+// latency, the compute bubble fraction and the peak activation memory per
+// (family, model) row.
 //
 // The linear families run a 4-stage plan on devices 0-3; the V shapes run
 // the same model as 8 chunks folded onto those same 4 devices (chunks 4-7
@@ -42,7 +42,6 @@ struct FrontierRow {
   TimeSec makespan = 0.0;
   double bubble = 0.0;
   Bytes peak_activation = 0;
-  TimeSec analytic = 0.0;
 };
 
 FrontierRow RunFamily(const model::ModelProfile& m, const topo::Cluster& cluster,
@@ -75,11 +74,6 @@ FrontierRow RunFamily(const model::ModelProfile& m, const topo::Cluster& cluster
     const sim::MemoryPool& pool = result.pools[static_cast<std::size_t>(d)];
     row.peak_activation = std::max(row.peak_activation, pool.peak() - pool.baseline());
   }
-
-  planner::LatencyOptions lo;
-  lo.check_memory = false;
-  row.analytic =
-      planner::LatencyEstimator(m, cluster, lo).EstimateFamily(kind, plan, gbs).latency;
   return row;
 }
 
@@ -110,7 +104,7 @@ int main() {
 
     std::printf("\n%s (%d layers, GBS %ld, M=%d, 4 executing devices):\n",
                 m.name().c_str(), m.num_layers(), gbs, kMicroBatches);
-    AsciiTable table({"Family", "Latency", "Bubble", "Peak act mem", "Analytic"});
+    AsciiTable table({"Family", "Latency", "Bubble", "Peak act mem"});
     Bytes peak_1f1b = 0, peak_vmin = 0;
     for (const runtime::ScheduleKind kind : runtime::AllScheduleKinds()) {
       const bool v = runtime::IsVShape(kind);
@@ -120,13 +114,7 @@ int main() {
       if (kind == runtime::ScheduleKind::kVMin) peak_vmin = row.peak_activation;
       table.AddRow({runtime::ToString(kind), FormatTime(row.makespan),
                     AsciiTable::Num(row.bubble * 100.0, 1) + "%",
-                    FormatBytes(row.peak_activation), FormatTime(row.analytic)});
-      bench::PrintComparison(
-          m.name() + "/" + runtime::ToString(kind),
-          "latency " + FormatTime(row.analytic) + " (analytic)",
-          "latency " + FormatTime(row.makespan) + ", bubble " +
-              AsciiTable::Num(row.bubble * 100.0, 1) + "%, peak act " +
-              FormatBytes(row.peak_activation));
+                    FormatBytes(row.peak_activation)});
     }
     std::printf("%s", table.ToString().c_str());
 

@@ -14,11 +14,40 @@ namespace {
 
 constexpr TimeSec kInf = std::numeric_limits<TimeSec>::infinity();
 
+// RandomFaultScript's event mix: at least one event per script, a crash
+// with this probability (at most one per script) and a link degradation
+// with the next slice of the roll; everything else is a slowdown.
+constexpr int kMinRandomEvents = 1;
+constexpr double kCrashProbability = 0.15;
+constexpr double kLinkProbability = 0.3;
+
 /// "%.12g" like the JSON writer, so scripts round-trip byte-stably.
 std::string Num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
   return buf;
+}
+
+/// True (with `*out` set) when the whole of `value` is an int in range.
+bool WholeInt(const std::string& value, int* out) {
+  std::size_t pos = 0;
+  try {
+    *out = std::stoi(value, &pos);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return pos == value.size();
+}
+
+/// True (with `*out` set) when the whole of `value` is a finite double.
+bool WholeFinite(const std::string& value, double* out) {
+  std::size_t pos = 0;
+  try {
+    *out = std::stod(value, &pos);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return pos == value.size() && std::isfinite(*out);
 }
 
 }  // namespace
@@ -170,27 +199,28 @@ FaultScript ParseFaultScript(const std::string& text) {
       }
       const std::string key = word.substr(0, eq);
       const std::string value = word.substr(eq + 1);
-      try {
-        if (key == "device") {
-          e.device = std::stoi(value);
-        } else if (key == "server") {
-          e.server = std::stoi(value);
-        } else if (key == "start" || key == "at") {
-          e.start = std::stod(value);
-        } else if (key == "end") {
-          e.end = std::stod(value);
-        } else if (key == "mult") {
-          e.compute_multiplier = std::stod(value);
-        } else if (key == "bandwidth") {
-          e.bandwidth_multiplier = std::stod(value);
-        } else if (key == "latency") {
-          e.extra_latency = std::stod(value);
-        } else {
-          throw Error("unknown key '" + key + "'");
-        }
-      } catch (const std::invalid_argument&) {
-        throw Error("fault script line " + std::to_string(line_no) +
-                    ": bad number in '" + word + "'");
+      bool ok = true;
+      if (key == "device") {
+        ok = WholeInt(value, &e.device);
+      } else if (key == "server") {
+        ok = WholeInt(value, &e.server);
+      } else if (key == "start" || key == "at") {
+        ok = WholeFinite(value, &e.start);
+      } else if (key == "end") {
+        ok = WholeFinite(value, &e.end);
+      } else if (key == "mult") {
+        ok = WholeFinite(value, &e.compute_multiplier);
+      } else if (key == "bandwidth") {
+        ok = WholeFinite(value, &e.bandwidth_multiplier);
+      } else if (key == "latency") {
+        ok = WholeFinite(value, &e.extra_latency);
+      } else {
+        throw Error("fault script line " + std::to_string(line_no) + ": unknown key '" + key +
+                    "'");
+      }
+      if (!ok) {
+        throw Error("fault script line " + std::to_string(line_no) + ": bad number in '" +
+                    word + "'");
       }
     }
     script.events.push_back(e);
@@ -212,12 +242,12 @@ FaultScript RandomFaultScript(std::uint64_t seed, const topo::Cluster& cluster,
   Rng rng(seed * 0xd1342543de82ef95ull + 0xaf251af3b0f025b5ull);
   FaultScript script;
   const int count =
-      static_cast<int>(rng.UniformInt(options.min_events, options.max_events));
+      static_cast<int>(rng.UniformInt(kMinRandomEvents, options.max_events));
   bool crashed = false;
   for (int i = 0; i < count; ++i) {
     FaultEvent e;
     const double roll = rng.Uniform(0.0, 1.0);
-    if (!crashed && roll < options.crash_probability) {
+    if (!crashed && roll < kCrashProbability) {
       e.kind = FaultKind::kDeviceCrash;
       e.device = static_cast<topo::DeviceId>(
           rng.UniformInt(0, cluster.num_devices() - 1));
@@ -226,7 +256,7 @@ FaultScript RandomFaultScript(std::uint64_t seed, const topo::Cluster& cluster,
       e.start = rng.Uniform(0.2 * options.horizon, options.horizon);
       e.end = kInf;
       crashed = true;  // at most one crash per script keeps cases analyzable
-    } else if (roll < options.crash_probability + options.link_probability &&
+    } else if (roll < kCrashProbability + kLinkProbability &&
                cluster.num_servers() > 1) {
       e.kind = FaultKind::kLinkDegradation;
       e.server = static_cast<topo::ServerId>(

@@ -99,10 +99,8 @@ TimeSec RejoinTimeAfter(const FaultScript& script, const FaultEvent& crash);
 struct RandomFaultOptions {
   /// Events are placed in [0, horizon).
   TimeSec horizon = 60.0;
-  int min_events = 1;
+  /// Each script holds between one and `max_events` events.
   int max_events = 3;
-  double crash_probability = 0.15;
-  double link_probability = 0.3;
 };
 
 /// Seeded random script: slowdown windows (0.3x–0.9x), link degradations

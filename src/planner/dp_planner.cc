@@ -18,7 +18,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "topo/assignment.h"
@@ -209,6 +208,7 @@ PlanResult DapplePlanner::Plan() const {
     // DawnPiper-style fallback, only when nothing fits: rerun with
     // recomputation on every stage (throws again if even that cannot fit),
     // then trim to the cheapest subset.
+    obs::MetricsRegistry::Global().counter("planner.recompute_fallbacks").Increment();
     result = Search(true);
     const LatencyEstimator estimator(*model_, *cluster_, options_.latency);
     int probes = MinimizeRecompute(estimator, result.plan, result.estimate);
@@ -221,9 +221,6 @@ PlanResult DapplePlanner::Plan() const {
     }
     result.stats.recompute_stages = recompute_stages;
     result.stats.fit_probes = probes;
-    DAPPLE_LOG_INFO << "memory-cap fit: " << recompute_stages << "/"
-                    << result.plan.num_stages() << " stages recompute (" << probes
-                    << " fit probes)";
   }
   if (result.stats.memory_cap > 0) {
     auto& metrics = obs::MetricsRegistry::Global();
@@ -831,8 +828,6 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     if (last_infeasible_peak) os << ": " << estimator.MemoryReason(*last_infeasible_peak);
     throw Error(os.str());
   }
-  DAPPLE_LOG_INFO << "planned " << model_->name() << " on " << cluster_->name() << ": "
-                  << best.plan.ToString() << " (evaluated " << evaluated << " candidates)";
   return best;
 }
 

@@ -195,96 +195,6 @@ Bytes LatencyEstimator::FamilyPeakMemory(runtime::ScheduleKind kind,
   return FoldPeak(kind, pieces);
 }
 
-ScheduleFamilyEstimate LatencyEstimator::EstimateFamily(runtime::ScheduleKind kind,
-                                                        const ParallelPlan& plan,
-                                                        long global_batch_size) const {
-  plan.Validate(*model_);
-  ScheduleFamilyEstimate est;
-  est.kind = kind;
-  const MicroBatching mb = MicroBatchingOf(plan, global_batch_size);
-  est.micro_batch_size = mb.micro_batch_size;
-  est.num_micro_batches = mb.num_micro_batches;
-  const int S = plan.num_stages();
-  const int M = mb.num_micro_batches;
-
-  // Per-chunk compute costs. For the V shapes chunk c runs on its host
-  // group's devices, so its samples/speed come from there. The memory side
-  // lives in FamilyPeakMemory (shared with Estimate's feasibility check).
-  std::vector<TimeSec> fwd(static_cast<std::size_t>(S)), bwd(static_cast<std::size_t>(S)),
-      bwd_raw(static_cast<std::size_t>(S));
-  for (int i = 0; i < S; ++i) {
-    const StagePlan& stage = plan.stages[static_cast<std::size_t>(i)];
-    const StagePlan& host =
-        plan.stages[static_cast<std::size_t>(runtime::HostStage(kind, i, S))];
-    const double samples =
-        static_cast<double>(mb.micro_batch_size) / host.replication();
-    const double speed = CompInputs::Of(*cluster_, host.devices).slowest_speed;
-    const auto idx = static_cast<std::size_t>(i);
-    fwd[idx] = model_->ForwardTime(stage.layer_begin, stage.layer_end, samples, speed);
-    bwd_raw[idx] =
-        model_->BackwardTime(stage.layer_begin, stage.layer_end, samples, speed);
-    bwd[idx] = bwd_raw[idx];
-    if (stage.recompute) bwd[idx] += runtime::kRecomputeOverhead * fwd[idx];
-  }
-  TimeSec sum_f = 0.0, sum_b = 0.0, max_f = 0.0, max_b = 0.0, max_round = 0.0;
-  for (int i = 0; i < S; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    sum_f += fwd[idx];
-    sum_b += bwd[idx];
-    max_f = std::max(max_f, fwd[idx]);
-    max_b = std::max(max_b, bwd[idx]);
-    max_round = std::max(max_round, fwd[idx] + bwd[idx]);
-  }
-
-  const double m1 = static_cast<double>(M - 1);
-  switch (kind) {
-    case runtime::ScheduleKind::kGPipe: {
-      est.latency = sum_f + m1 * max_f + sum_b + m1 * max_b;
-      break;
-    }
-    case runtime::ScheduleKind::kDapple:
-    case runtime::ScheduleKind::kDappleSplitBw: {
-      const bool split_bw = kind == runtime::ScheduleKind::kDappleSplitBw;
-      TimeSec drain = 0.0;
-      for (int i = 0; i < S; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        // 2BP's drain cascade waits only on the backward-input halves
-        // (recompute overhead included there); stage 0 then finishes its
-        // own deferred weight half.
-        drain += split_bw ? bwd[idx] - 0.5 * bwd_raw[idx] : bwd[idx];
-      }
-      if (split_bw) drain += 0.5 * bwd_raw[0];
-      est.latency = sum_f + m1 * max_round + drain;
-      break;
-    }
-    case runtime::ScheduleKind::kVMin:
-    case runtime::ScheduleKind::kVHalf: {
-      const int groups = runtime::NumGroups(kind, S);
-      TimeSec round = 0.0;
-      for (int g = 0; g < groups; ++g) {
-        const int late = S - 1 - g;
-        TimeSec r = fwd[static_cast<std::size_t>(g)] + bwd[static_cast<std::size_t>(g)];
-        if (late != g) {
-          r += fwd[static_cast<std::size_t>(late)] + bwd[static_cast<std::size_t>(late)];
-        }
-        round = std::max(round, r);
-      }
-      est.latency = sum_f + m1 * round + sum_b;
-      break;
-    }
-  }
-  est.max_peak_memory = FamilyPeakMemory(kind, plan, mb);
-
-  // Compute-only utilization over the device groups the family occupies.
-  const int groups = runtime::NumGroups(kind, S);
-  const TimeSec busy = static_cast<double>(M) * (sum_f + sum_b);
-  if (est.latency > 0.0 && groups > 0) {
-    est.bubble_ratio =
-        std::max(0.0, 1.0 - busy / (static_cast<double>(groups) * est.latency));
-  }
-  return est;
-}
-
 namespace {
 
 /// Pivot stage q's steady-state round. A computation stage alternates one
@@ -473,9 +383,8 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
   est.speedup = SingleDeviceTime(global_batch_size) / est.latency;
 
   // Memory feasibility under the configured schedule family's stash
-  // discipline (DAPPLE warmup policy PA by default). Shares FamilyPeakMemory
-  // with EstimateFamily so cap semantics agree byte-for-byte, and uses the
-  // MemoryPool convention: peak == capacity fits, peak > capacity does not.
+  // discipline (DAPPLE warmup policy PA by default), with the MemoryPool
+  // convention: peak == capacity fits, peak > capacity does not.
   const Bytes peak = FamilyPeakMemory(options_.schedule_kind, plan, mb);
   est.max_peak_memory = peak;
   est.memory_capacity = EffectiveCapacity();

@@ -105,20 +105,6 @@ struct CandidateScore {
   Bytes peak = 0;
 };
 
-/// Analytic bubble/memory frontier point for one schedule family on one
-/// plan — the planner-side counterpart of a simulated run, used by
-/// bench_schedule_frontier to sweep families without building task graphs.
-struct ScheduleFamilyEstimate {
-  runtime::ScheduleKind kind = runtime::ScheduleKind::kDapple;
-  TimeSec latency = 0.0;
-  /// 1 - busy / (occupied device groups * latency); compute-only.
-  double bubble_ratio = 0.0;
-  /// Worst per-device peak memory under the family's stash discipline.
-  Bytes max_peak_memory = 0;
-  int micro_batch_size = 0;
-  int num_micro_batches = 0;
-};
-
 /// Fraction of the hideable gradient traffic that real frameworks actually
 /// hide when overlap_allreduce is on (bucketing granularity, kernel
 /// contention, aggregation overhead keep overlap imperfect — Poseidon-style
@@ -137,9 +123,8 @@ struct LatencyOptions {
   /// the cluster's device memory. Same boundary convention as
   /// sim::MemoryPool::oom(): peak == cap is feasible, peak > cap is not.
   Bytes memory_cap = 0;
-  /// Schedule family whose stash discipline the memory check models
-  /// (peak terms per family mirror EstimateFamily). Latency terms stay the
-  /// paper's DAPPLE objective regardless.
+  /// Schedule family whose stash discipline the memory check models.
+  /// Latency terms stay the paper's DAPPLE objective regardless.
   runtime::ScheduleKind schedule_kind = runtime::ScheduleKind::kDapple;
 };
 
@@ -288,22 +273,6 @@ class LatencyEstimator {
   /// "peak memory X exceeds memory cap Y" (or "... exceeds device Y").
   std::string MemoryReason(Bytes peak) const;
 
-  /// Closed-form device-compute frontier model per schedule family
-  /// (transfers and gradient sync excluded — this ranks families on bubble
-  /// shape and stash discipline, not absolute latency):
-  ///   GPipe:  L = sumF + (M-1) maxF + sumB + (M-1) maxB, M stashes/stage.
-  ///   DAPPLE: L = sumF + (M-1)(F_q + B_q) + sumB with the bottleneck
-  ///           pivot q = argmax(F+B), K_i = min(S-i, M) stashes (PA).
-  ///   2BP:    as DAPPLE, but the drain cascade runs on backward-input
-  ///           halves and stage 0 finishes with its own weight half;
-  ///           one transient extra stash per stage.
-  ///   V-Min / V-Half: chunks fold onto ceil(S/2) groups; the steady round
-  ///           of group g covers both hosted chunks, and each chunk stashes
-  ///           at most its VStashCap.
-  ScheduleFamilyEstimate EstimateFamily(runtime::ScheduleKind kind,
-                                        const ParallelPlan& plan,
-                                        long global_batch_size) const;
-
   /// The micro-batching of `plan`: ChooseMicroBatching at its widest stage
   /// and stage count.
   MicroBatching MicroBatchingOf(const ParallelPlan& plan, long global_batch_size) const;
@@ -319,10 +288,10 @@ class LatencyEstimator {
   TimeSec ExposedAllReduce(int layer_begin, int layer_end, const topo::DeviceSet& devices,
                            double samples) const;
 
+ private:
   /// Worst per-device peak memory of `plan` under `kind`'s stash
-  /// discipline at the given micro-batching — the single peak model shared
-  /// by Estimate's feasibility check and EstimateFamily's frontier, so cap
-  /// semantics agree byte-for-byte. Honors per-stage recompute flags.
+  /// discipline at the given micro-batching: Estimate's feasibility check.
+  /// Honors per-stage recompute flags.
   Bytes FamilyPeakMemory(runtime::ScheduleKind kind, const ParallelPlan& plan,
                          const MicroBatching& mb) const;
 
@@ -330,7 +299,6 @@ class LatencyEstimator {
   /// set, the cluster's device memory otherwise.
   Bytes EffectiveCapacity() const;
 
- private:
   /// The memory check Estimate and ScoreSplits share (MemoryPool
   /// convention: peak == capacity fits).
   bool OverCapacity(Bytes peak) const {

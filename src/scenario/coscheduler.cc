@@ -18,6 +18,10 @@ namespace {
 
 constexpr TimeSec kInf = std::numeric_limits<TimeSec>::infinity();
 
+/// Upper bound on exchange-improvement passes (each pass scans every
+/// ordered job pair; the loop usually reaches its fixed point earlier).
+constexpr int kExchangeRounds = 8;
+
 }  // namespace
 
 /// One evaluated (job, slice width) point: the plan the DAPPLE planner
@@ -205,7 +209,7 @@ CoScheduleReport CoScheduler::Schedule(const std::vector<JobSpec>& jobs) {
 
   // --- Exchange improvement: move one server donor -> receiver while it
   // strictly shrinks the aggregate, to a fixed point (bounded rounds). ---
-  for (int round = 0; round < options_.exchange_rounds; ++round) {
+  for (int round = 0; round < kExchangeRounds; ++round) {
     std::vector<std::pair<int, int>> wanted;
     for (int j = 0; j < num_jobs; ++j) {
       const int w = widths[static_cast<std::size_t>(j)];

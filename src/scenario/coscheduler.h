@@ -39,9 +39,6 @@ struct CoScheduleOptions {
   /// Worker threads for candidate evaluation (ThreadPool semantics: 1 =
   /// inline serial, 0 = hardware concurrency, n = dedicated pool).
   int sim_threads = 1;
-  /// Upper bound on exchange-improvement passes (each pass scans every
-  /// ordered job pair; the loop usually reaches its fixed point earlier).
-  int exchange_rounds = 8;
   planner::PlannerOptions planner;
   runtime::BuildOptions build;
   /// Called once per finally-assigned job pipeline with the slice it was

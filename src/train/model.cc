@@ -38,16 +38,6 @@ MlpModel MlpModel::Clone() const {
   return copy;
 }
 
-void MlpModel::CopyParamsFrom(const MlpModel& other) {
-  DAPPLE_CHECK_EQ(num_layers(), other.num_layers()) << "structure mismatch";
-  MlpModel& self = *this;
-  MlpModel other_copy = other.Clone();
-  std::vector<Tensor*> dst = self.Params();
-  std::vector<Tensor*> src = other_copy.Params();
-  DAPPLE_CHECK_EQ(dst.size(), src.size()) << "param count mismatch";
-  for (std::size_t i = 0; i < dst.size(); ++i) *dst[i] = *src[i];
-}
-
 MlpModel MlpModel::MakeMlp(std::size_t in_features, std::size_t hidden, std::size_t out,
                            int hidden_layers, Rng& rng, bool use_tanh) {
   DAPPLE_CHECK_GE(hidden_layers, 1);

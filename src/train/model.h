@@ -29,9 +29,6 @@ class MlpModel {
   /// Deep copy, preserving weights (for data-parallel replicas).
   MlpModel Clone() const;
 
-  /// Copies all parameters from another model with identical structure.
-  void CopyParamsFrom(const MlpModel& other);
-
   /// Builds `hidden_layers` Linear+activation blocks plus a final Linear:
   /// in -> hidden -> ... -> hidden -> out. `use_tanh` picks tanh over ReLU
   /// (smooth gradients make convergence tests robust).

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 namespace {
 
@@ -162,14 +163,20 @@ TEST(Cli, MissingFlagValueIsDiagnosed) {
 }
 
 TEST(Cli, BadIntegersAreUsageErrors) {
-  // Every integer, flag or positional, is a strict unsigned parse, and the
-  // config is exactly one of A/B/C: a bad value never falls back to a
-  // default, truncates to its first character or reaches the planner.
-  for (const char* args :
-       {"plan GNMT-16 A 2 64 --planner-threads abc", "serve --tcp 99999",
-        "report GNMT-16 B 2 64 --peak-vs-m 4,x,8", "scenario GNMT-16 B 2 64 --jobs abc",
-        "plan GNMT-16 A abc 64", "run GNMT-16 A 2 0", "faults GNMT-16 A 2 8 --seed -1",
-        "plan GNMT-16 Axyz 1 64", "plan GNMT-16 D 1 64", "plan GNMT-16 \"\" 1 64"}) {
+  // Every number, flag or positional, is a strict parse of the whole token
+  // (integers unsigned, --horizon finite and > 0), and the config is
+  // exactly one of A/B/C: a bad value never falls back to a default,
+  // truncates to its first character or reaches the planner.
+  std::vector<std::string> cases = {
+      "plan GNMT-16 A 2 64 --planner-threads abc", "serve --tcp 99999",
+      "report GNMT-16 B 2 64 --peak-vs-m 4,x,8", "scenario GNMT-16 B 2 64 --jobs abc",
+      "plan GNMT-16 A abc 64", "run GNMT-16 A 2 0", "faults GNMT-16 A 2 8 --seed -1",
+      "plan GNMT-16 Axyz 1 64", "plan GNMT-16 D 1 64", "plan GNMT-16 \"\" 1 64"};
+  for (const char* horizon : {"abc", "nan", "inf", "1e309", "-5", "0"}) {
+    cases.push_back(std::string("faults GNMT-16 B 2 8 --horizon ") + horizon);
+    cases.push_back(std::string("scenario GNMT-16 A 1 64 --horizon ") + horizon);
+  }
+  for (const std::string& args : cases) {
     int code = 0;
     const std::string out = RunCli(args, &code);
     EXPECT_EQ(code, 2) << args << "\n" << out;

@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "common/lru_cache.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
 
@@ -77,42 +76,6 @@ TEST(Error, ComparisonMacros) {
   EXPECT_THROW(DAPPLE_CHECK_GT(1, 2), Error);
   EXPECT_THROW(DAPPLE_CHECK_EQ(1, 2), Error);
   EXPECT_THROW(DAPPLE_CHECK_NE(3, 3), Error);
-}
-
-TEST(Stats, RunningStatsMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(Stats, EmptyStatsAreZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Stats, QuantileInterpolates) {
-  std::vector<double> v = {1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(Quantile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(Quantile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(Quantile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(Quantile(v, 0.25), 2.0);
-  EXPECT_DOUBLE_EQ(Quantile({10.0}, 0.99), 10.0);
-  EXPECT_THROW(Quantile({}, 0.5), Error);
-  EXPECT_THROW(Quantile({1.0}, 1.5), Error);
-}
-
-TEST(Stats, GeometricMean) {
-  EXPECT_DOUBLE_EQ(GeometricMean({4.0, 9.0}), 6.0);
-  EXPECT_NEAR(GeometricMean({1.0, 10.0, 100.0}), 10.0, 1e-9);
-  EXPECT_THROW(GeometricMean({1.0, -1.0}), Error);
-  EXPECT_THROW(GeometricMean({}), Error);
 }
 
 TEST(Table, RendersAlignedCells) {

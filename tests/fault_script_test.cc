@@ -72,6 +72,22 @@ TEST(FaultScriptTest, MalformedInputThrowsWithTheLineNumber) {
   EXPECT_THROW(ParseFaultScript("slowdown device start=0\n"), Error);
   EXPECT_THROW(ParseFaultScript("slowdown device=abc start=0\n"), Error);
   EXPECT_THROW(ParseFaultScript("crash device=1 at=2 flux=9\n"), Error);
+  // A number is the whole value, in range and finite: anything else names
+  // the line and the word, never reads a prefix or lets std::out_of_range
+  // escape.
+  for (const std::string word :
+       {"server=1x", "start=1abc", "server=99999999999", "device=-99999999999", "start=1e309",
+        "start=inf", "mult=nan", "end=-inf", "latency=1e-3s", "server="}) {
+    try {
+      ParseFaultScript("slowdown device=0 start=0 end=1 mult=0.5\ndegrade server=1 " + word +
+                       "\n");
+      ADD_FAILURE() << "expected Error for " << word;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(word), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(FaultScriptTest, ValidateRejectsBadScripts) {
@@ -124,7 +140,6 @@ TEST(FaultScriptTest, RandomScriptsValidateAndRespectTheOptions) {
   const topo::Cluster cluster = topo::MakeConfigA(2);
   RandomFaultOptions options;
   options.horizon = 20.0;
-  options.min_events = 1;
   options.max_events = 4;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const FaultScript script = RandomFaultScript(seed, cluster, options);

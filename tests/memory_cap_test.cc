@@ -38,13 +38,13 @@ using planner::StagePlan;
 using topo::Cluster;
 using topo::DeviceSet;
 
-Cluster FastCluster(int servers, int gpus) {
+Cluster FastCluster(int servers, int gpus, topo::DeviceSpec device = {}) {
   topo::InterconnectSpec net;
   net.intra_server_bandwidth = GBps(1e9);
   net.inter_server_bandwidth = GBps(1e9);
   net.intra_server_latency = 0.0;
   net.inter_server_latency = 0.0;
-  return Cluster("fast", servers, gpus, topo::DeviceSpec{}, net);
+  return Cluster("fast", servers, gpus, device, net);
 }
 
 ParallelPlan SingleStagePlan(const ModelProfile& m) {
@@ -449,6 +449,32 @@ TEST(MemoryCapPlanner, CapCountersCountRecomputeUnderAllAndAuto) {
       EXPECT_GT(result.stats.fit_probes, 0);
     }
   }
+}
+
+TEST(MemoryCapPlanner, AutoCountsItsRecomputeFallbackWithOrWithoutACap) {
+  // kAuto re-searches with recomputation when nothing fits without it, and
+  // counts that fallback whether the limit is a cap or the device's own
+  // memory; a plan that fits as is falls back nowhere.
+  const RecomputeOnlyFit fit;
+  topo::DeviceSpec small;
+  small.memory = fit.cap;
+  const Cluster tight = FastCluster(1, 1, small);
+  planner::PlannerOptions uncapped = fit.Options(planner::RecomputePolicy::kAuto);
+  uncapped.latency.memory_cap = 0;
+
+  const std::int64_t before = CounterValue("planner.recompute_fallbacks");
+  const planner::PlanResult result = planner::DapplePlanner(fit.model, tight, uncapped).Plan();
+  EXPECT_GT(result.stats.recompute_stages, 0);
+  EXPECT_LE(result.estimate.max_peak_memory, fit.cap);
+  EXPECT_EQ(CounterValue("planner.recompute_fallbacks") - before, 1);
+
+  planner::DapplePlanner(fit.model, fit.cluster, fit.Options(planner::RecomputePolicy::kAuto))
+      .Plan();
+  EXPECT_EQ(CounterValue("planner.recompute_fallbacks") - before, 2);
+
+  planner::DapplePlanner(fit.model, fit.cluster, uncapped).Plan();
+  planner::DapplePlanner(fit.model, tight, fit.Options(planner::RecomputePolicy::kAll)).Plan();
+  EXPECT_EQ(CounterValue("planner.recompute_fallbacks") - before, 2);
 }
 
 TEST(MemoryCapPlanner, SessionCountsItsRecomputeRetry) {

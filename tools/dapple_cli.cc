@@ -55,7 +55,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -455,13 +454,12 @@ int CmdFaults(int argc, char** argv) {
       script_text = v;
     } else if (flags.MatchUnsigned("--seed", &seed)) {
       seeded = true;
-    } else if (flags.MatchValue("--horizon", &v)) {
-      options.horizon = std::atof(v.c_str());
     } else if (flags.MatchValue("--json", &v)) {
       json_path = v;
     } else if (flags.MatchValue("--trace", &v)) {
       trace_path = v;
-    } else if (!flags.MatchUnsigned("--checkpoint-period", &options.checkpoint_period) &&
+    } else if (!flags.MatchPositive("--horizon", &options.horizon) &&
+               !flags.MatchUnsigned("--checkpoint-period", &options.checkpoint_period) &&
                !flags.MatchUnsigned("--planner-threads", &options.planner.num_threads) &&
                !flags.MatchUnsigned("--sim-threads", &sim_threads)) {
       flags.Unknown();
@@ -548,9 +546,7 @@ int CmdScenario(int argc, char** argv) {
   fault_options.build.global_batch_size = job->gbs;
   FlagParser flags(argc - 4, argv + 4);
   while (!flags.Done()) {
-    if (flags.MatchValue("--horizon", &v)) {
-      churn_options.horizon = std::atof(v.c_str());
-    } else if (flags.MatchValue("--churn", &v)) {
+    if (flags.MatchValue("--churn", &v)) {
       churn = scenario::ParseChurnModel(v);
     } else if (flags.MatchValue("--policy", &v)) {
       policy_arg = v;
@@ -558,7 +554,8 @@ int CmdScenario(int argc, char** argv) {
       json_path = v;
     } else if (flags.MatchValue("--trace", &v)) {
       trace_path = v;
-    } else if (!flags.MatchUnsigned("--jobs", &jobs) &&
+    } else if (!flags.MatchPositive("--horizon", &churn_options.horizon) &&
+               !flags.MatchUnsigned("--jobs", &jobs) &&
                !flags.MatchUnsigned("--episodes", &episodes) &&
                !flags.MatchUnsigned("--seed", &seed) &&
                !flags.MatchUnsigned("--sim-threads", &sim_threads)) {
@@ -566,8 +563,8 @@ int CmdScenario(int argc, char** argv) {
     }
   }
   if (!flags.ok()) return Usage();
-  if (episodes < 1 || churn_options.horizon <= 0.0) {
-    std::fprintf(stderr, "--episodes and --horizon must be positive\n");
+  if (episodes < 1) {
+    std::fprintf(stderr, "--episodes must be positive\n");
     return Usage();
   }
 

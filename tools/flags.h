@@ -15,6 +15,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -33,6 +34,20 @@ bool ParseUnsigned(const std::string& text, T* value) {
     return false;
   }
   *value = static_cast<T>(parsed);
+  return true;
+}
+
+/// True (with `*value` set) when the whole of `text` is a finite decimal
+/// number greater than 0; a sign, trailing garbage, inf, nan, overflow or
+/// zero returns false.
+inline bool ParsePositive(const std::string& text, double* value) {
+  double parsed = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || stop != end || !std::isfinite(parsed) || parsed <= 0.0) {
+    return false;
+  }
+  *value = parsed;
   return true;
 }
 
@@ -73,6 +88,19 @@ class FlagParser {
     if (!MatchValue(name, &text)) return false;
     if (!ParseUnsigned(text, value)) {
       std::fprintf(stderr, "flag %s needs an unsigned integer, got '%s'\n", name, text.c_str());
+      ok_ = false;
+      return false;
+    }
+    return true;
+  }
+
+  /// Consumes `name <value>` where the whole value is a finite number > 0;
+  /// anything else records an error.
+  bool MatchPositive(const char* name, double* value) {
+    std::string text;
+    if (!MatchValue(name, &text)) return false;
+    if (!ParsePositive(text, value)) {
+      std::fprintf(stderr, "flag %s needs a finite number > 0, got '%s'\n", name, text.c_str());
       ok_ = false;
       return false;
     }
