@@ -54,7 +54,7 @@ int main() {
   const topo::Cluster cluster = topo::MakeConfigA(2);
   const long gbs = 64;
 
-  // Healthy baseline row (also lands in the BENCH_*.json record).
+  // Healthy baseline: the planner-chosen plan on the undamaged cluster.
   const bench::EvalRow healthy = bench::Evaluate(m, cluster, gbs);
   std::printf("\nhealthy plan %s: %.2f samples/s\n",
               healthy.planned.plan.ToString().c_str(), healthy.report.throughput);

@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
                     AsciiTable::Int(run.stats.cache_entries),
                     AsciiTable::Int(run.stats.candidates_evaluated)});
 
-      // Headline comparisons land in BENCH_*.json via the harness recorder.
+      // Headline comparison line: the 8-thread speedup against the goal.
       if (threads == 8) {
         char metric[96], measured[96];
         std::snprintf(metric, sizeof(metric), "%s x%d-device speedup @ 8 threads",

@@ -38,9 +38,7 @@ struct EvalSpec {
 
 /// Evaluates every spec across a ThreadPool of `sim_threads` workers (1 =
 /// inline serial, 0 = hardware concurrency). Returned rows match `specs`
-/// by index and are recorded into the bench JSON in that order regardless
-/// of scheduling, so the archived trajectory stays byte-stable at every
-/// thread count.
+/// by index regardless of scheduling.
 std::vector<EvalRow> EvaluateBatch(const std::vector<EvalSpec>& specs, int sim_threads = 1);
 
 /// The cluster the paper uses for a config letter with 16 devices total
@@ -61,11 +59,5 @@ void PrintComparison(const std::string& metric, const std::string& paper,
 /// engine comparisons time steady-state throughput instead of charging
 /// first-pass allocation to whichever engine happens to run first.
 double TimeWarmedPasses(int reps, const std::function<void()>& pass);
-
-// Every PrintHeader / PrintComparison / Evaluate call is also recorded; when
-// DAPPLE_BENCH_JSON_DIR is set, the process writes the accumulated record to
-// $DAPPLE_BENCH_JSON_DIR/BENCH_<binary>.json at exit — the machine-readable
-// counterpart of the stdout tables, with the full iteration report embedded
-// per evaluated row.
 
 }  // namespace dapple::bench

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   const auto planned = session.Plan(gbs);
   std::printf("\nplanner choice: %s (split %s), %ld candidates evaluated\n%s",
               planned.plan.ToString().c_str(), planned.plan.SplitString().c_str(),
-              planned.candidates_evaluated, planned.plan.ToDetailedString().c_str());
+              planned.stats.candidates_evaluated, planned.plan.ToDetailedString().c_str());
 
   // Compare against the obvious hand-rolled strategies.
   AsciiTable table({"Strategy", "Latency", "Throughput (samples/s)", "Speedup",

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <string>
+
+#include "common/error.h"
 
 namespace dapple {
 
@@ -12,12 +15,23 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   if (threads == 1) return;  // inline: ParallelFor runs on the caller
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    }
+  } catch (const std::exception& e) {
+    // The destructor does not run for a half-built pool, and destroying a
+    // joinable std::thread terminates the process.
+    const std::size_t started = workers_.size();
+    StopAndJoin();
+    throw Error("ThreadPool: started " + std::to_string(started) + " of " +
+                std::to_string(threads) + " worker threads: " + e.what());
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { StopAndJoin(); }
+
+void ThreadPool::StopAndJoin() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     shutdown_ = true;

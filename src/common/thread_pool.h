@@ -35,7 +35,8 @@ namespace dapple {
 class ThreadPool {
  public:
   /// `threads` of 0 picks the hardware concurrency (at least 1); 1 runs
-  /// inline on the caller without starting a worker.
+  /// inline on the caller without starting a worker. Throws dapple::Error,
+  /// after joining the workers that did start, when a thread fails to start.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -70,6 +71,8 @@ class ThreadPool {
   /// Blocks until every task submitted so far has finished.
   void Wait();
   void WorkerLoop();
+  /// Wakes every worker to drain the queue and exit, then joins them.
+  void StopAndJoin();
 
   std::vector<std::thread> workers_;  // empty for the inline pool
   std::queue<std::function<void()>> queue_;

@@ -324,32 +324,6 @@ void WriteJson(JsonWriter& w, const IterationReport& r) {
   }
   w.EndArray();
 
-  // Emitted only when explicitly attached so fixed-plan reports (and their
-  // goldens) are unaffected. wall_seconds is wall-clock — fine for bench
-  // blobs, never golden-compared.
-  if (r.has_planner_stats) {
-    const planner::PlannerSearchStats& ps = r.planner_stats;
-    w.Key("planner").BeginObject();
-    w.Field("threads", ps.threads);
-    w.Field("levels", ps.levels);
-    w.Field("subproblems", ps.subproblems);
-    w.Field("candidates_evaluated", ps.candidates_evaluated);
-    w.Field("candidates_pruned", ps.candidates_pruned);
-    w.Field("cache_hits", ps.cache_hits);
-    w.Field("cache_misses", ps.cache_misses);
-    w.Field("cache_entries", ps.cache_entries);
-    w.Field("cache_hit_rate", ps.cache_hit_rate());
-    w.Field("cache_compute_seconds", ps.cache_compute_seconds);
-    if (ps.memory_cap > 0) {
-      w.Field("memory_cap", ps.memory_cap);
-      w.Field("memory_rejected", ps.memory_rejected);
-      w.Field("recompute_stages", ps.recompute_stages);
-      w.Field("fit_probes", ps.fit_probes);
-    }
-    w.Field("wall_seconds", ps.wall_seconds);
-    w.EndObject();
-  }
-
   w.EndObject();
 }
 

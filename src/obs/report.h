@@ -8,15 +8,13 @@
 // §III's O(K)-not-O(M) claim.
 //
 // Exported as deterministic JSON (golden-testable) and aligned-column text;
-// surfaced by `dapple report` and emitted by every bench binary as a
-// machine-readable blob.
+// surfaced by `dapple report` and serve's `report` requests.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "obs/json.h"
-#include "planner/stage_cache.h"
 #include "runtime/graph_builder.h"
 #include "sim/engine.h"
 
@@ -132,17 +130,6 @@ struct IterationReport {
 
   Bytes max_peak_memory = 0;
   bool oom = false;
-
-  /// Search stats of the planning run that produced this iteration's plan
-  /// (thread count, subproblem decomposition, memo-cache traffic). Absent
-  /// by default — attach via `attach_planner_stats` after a fresh planner
-  /// run — so reports built from fixed plans (goldens) stay byte-identical.
-  bool has_planner_stats = false;
-  planner::PlannerSearchStats planner_stats;
-  void attach_planner_stats(const planner::PlannerSearchStats& stats) {
-    planner_stats = stats;
-    has_planner_stats = true;
-  }
 };
 
 /// Summarizes one executed iteration. Pure: reads the graph, records and
@@ -159,7 +146,7 @@ IterationReport RunIteration(const model::ModelProfile& model, const topo::Clust
 std::string ToJson(const IterationReport& report);
 
 /// Writes the report as one JSON object into an existing writer, for
-/// embedding in larger documents (bench blobs).
+/// embedding in larger documents (serve responses).
 void WriteJson(JsonWriter& writer, const IterationReport& report);
 
 /// Aligned-column text rendering for terminals.

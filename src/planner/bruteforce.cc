@@ -75,7 +75,7 @@ PlanResult BruteForcePlanner::Plan() const {
   long evaluated = 0;
   std::vector<StagePlan> prefix;
   Recurse(0, topo::AllocationState(*cluster_), prefix, estimator, best, evaluated);
-  best.candidates_evaluated = evaluated;
+  best.stats.candidates_evaluated = evaluated;
   DAPPLE_CHECK(best.estimate.feasible)
       << "brute force found no feasible plan for " << model_->name();
   return best;

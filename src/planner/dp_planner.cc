@@ -773,7 +773,6 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     level.Release();
   }
 
-  best.candidates_evaluated = evaluated;
   best.alternatives.reserve(alternatives.size());
   for (Alternative& alt : alternatives) {
     best.alternatives.emplace_back(std::move(alt.plan), alt.estimate);

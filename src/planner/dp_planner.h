@@ -120,8 +120,6 @@ class SearchTooLarge : public Error {
 struct PlanResult {
   ParallelPlan plan;
   PlanEstimate estimate;
-  /// Number of complete candidate plans evaluated during the search.
-  long candidates_evaluated = 0;
   /// Best distinct candidates by analytic latency, ascending (includes the
   /// winner at index 0).
   std::vector<std::pair<ParallelPlan, PlanEstimate>> alternatives;

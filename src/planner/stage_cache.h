@@ -175,8 +175,7 @@ class StageRowMemo {
 
 /// Everything the parallel search observed about itself: how the work was
 /// decomposed, what the memo cache absorbed and how long the search took.
-/// Carried on PlanResult, exported into MetricsRegistry by the planner and
-/// embeddable into iteration-report JSON (obs::WriteJson).
+/// Carried on PlanResult and exported into MetricsRegistry by the planner.
 struct PlannerSearchStats {
   /// Worker threads the search ran on (1 = fully serial path).
   int threads = 0;
@@ -187,6 +186,7 @@ struct PlannerSearchStats {
   long subproblems = 0;
   /// Nodes in the largest DP level (frontier) the search expanded.
   long frontier_peak = 0;
+  /// Complete candidate plans the search evaluated.
   long candidates_evaluated = 0;
   long candidates_pruned = 0;
 

@@ -1,10 +1,8 @@
 #include "sim/chrome_trace.h"
 
-#include <fstream>
 #include <map>
 #include <sstream>
 
-#include "common/error.h"
 #include "obs/json.h"
 
 namespace dapple::sim {
@@ -94,15 +92,6 @@ std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result) {
   }
   os << "\n]}\n";
   return os.str();
-}
-
-void WriteChromeTrace(const std::string& path, const TaskGraph& graph,
-                      const SimResult& result) {
-  std::ofstream out(path);
-  DAPPLE_CHECK(out.good()) << "cannot open trace file " << path;
-  out << ToChromeTrace(graph, result);
-  out.close();
-  DAPPLE_CHECK(out.good()) << "failed writing trace file " << path;
 }
 
 }  // namespace dapple::sim

@@ -19,9 +19,4 @@ namespace dapple::sim {
 /// time.
 std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result);
 
-/// Convenience: writes the trace to a file; throws dapple::Error on I/O
-/// failure.
-void WriteChromeTrace(const std::string& path, const TaskGraph& graph,
-                      const SimResult& result);
-
 }  // namespace dapple::sim

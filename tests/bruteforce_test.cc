@@ -24,7 +24,7 @@ TEST(BruteForce, FindsFeasiblePlansOnly) {
   const PlanResult result = planner.Plan();
   result.plan.Validate(m);
   EXPECT_TRUE(result.estimate.feasible);
-  EXPECT_GT(result.candidates_evaluated, 3);
+  EXPECT_GT(result.stats.candidates_evaluated, 3);
 }
 
 TEST(BruteForce, ThrowsWhenNothingFits) {

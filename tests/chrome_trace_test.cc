@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
-#include "common/error.h"
 #include "sim/chrome_trace.h"
 
 namespace dapple::sim {
@@ -64,20 +60,6 @@ TEST(ChromeTrace, EscapesSpecialCharacters) {
   const SimResult r = Engine::Run(g);
   const std::string json = ToChromeTrace(g, r);
   EXPECT_NE(json.find("weird \\\"name\\\"\\nline"), std::string::npos);
-}
-
-TEST(ChromeTrace, WritesFile) {
-  const TaskGraph g = SmallGraph();
-  const SimResult r = Engine::Run(g);
-  const std::string path = "/tmp/dapple_trace_test.json";
-  WriteChromeTrace(path, g, r);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("traceEvents"), std::string::npos);
-  std::remove(path.c_str());
-  EXPECT_THROW(WriteChromeTrace("/no/such/dir/x.json", g, r), Error);
 }
 
 TEST(ChromeTrace, ThreadMetadataPerResource) {

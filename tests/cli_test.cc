@@ -84,6 +84,7 @@ TEST(Cli, RunWithTraceAndGantt) {
   EXPECT_EQ(code, 0);
   EXPECT_NE(out.find("GPipe schedule + recompute"), std::string::npos);
   EXPECT_NE(out.find("R0 "), std::string::npos);  // gantt lane
+  EXPECT_NE(out.find("chrome trace written to " + trace_path), std::string::npos) << out;
   std::ifstream trace(trace_path);
   ASSERT_TRUE(trace.good());
   std::string content((std::istreambuf_iterator<char>(trace)),
@@ -94,23 +95,32 @@ TEST(Cli, RunWithTraceAndGantt) {
 
 TEST(Cli, FaultsComparesPoliciesAndWritesJson) {
   const std::string json_path = TempPath("faults.json");
+  const std::string trace_path = TempPath("faults_trace.json");
   int code = 0;
   const std::string out = RunCli(
       "faults GNMT-16 B 2 8 --script-text \"slowdown server=1 start=1 mult=0.5\" "
-      "--policy all --horizon 5 --json " + json_path,
+      "--policy all --horizon 5 --json " + json_path + " --trace " + trace_path,
       &code);
   EXPECT_EQ(code, 0);
   EXPECT_NE(out.find("fault script"), std::string::npos);
   EXPECT_NE(out.find("stall"), std::string::npos);
   EXPECT_NE(out.find("checkpoint"), std::string::npos);
   EXPECT_NE(out.find("replan"), std::string::npos);
+  // Each written file is named for what it holds.
+  EXPECT_NE(out.find("report written to " + json_path), std::string::npos) << out;
+  EXPECT_NE(out.find("chrome trace written to " + trace_path), std::string::npos) << out;
   std::ifstream json(json_path);
   ASSERT_TRUE(json.good());
   std::string content((std::istreambuf_iterator<char>(json)),
                       std::istreambuf_iterator<char>());
   EXPECT_NE(content.find("\"policy\": \"replan\""), std::string::npos);
   EXPECT_NE(content.find("\"goodput\""), std::string::npos);
+  std::ifstream trace(trace_path);
+  ASSERT_TRUE(trace.good());
+  content.assign(std::istreambuf_iterator<char>(trace), std::istreambuf_iterator<char>());
+  EXPECT_NE(content.find("traceEvents"), std::string::npos);
   std::remove(json_path.c_str());
+  std::remove(trace_path.c_str());
 }
 
 TEST(Cli, FaultsRejectsBadScripts) {
@@ -189,6 +199,7 @@ TEST(Cli, FailedFileWritesExitOne) {
   // "written" and exit 0: an unopenable path and a full device both fail.
   for (const char* args :
        {"report --fig3 --json /dev/full", "report --fig3 --json /no/such/dir/x.json",
+        "run GNMT-16 B 2 8 --trace /dev/full", "run GNMT-16 B 2 8 --trace /no/such/dir/x.json",
         "faults GNMT-16 B 2 8 --script-text \"slowdown server=1 start=1 mult=0.5\" "
         "--policy stall --horizon 2 --trace /no/such/dir/x.json",
         "faults GNMT-16 B 2 8 --script-text \"slowdown server=1 start=1 mult=0.5\" "
@@ -196,7 +207,7 @@ TEST(Cli, FailedFileWritesExitOne) {
     int code = 0;
     const std::string out = RunCli(args, &code);
     EXPECT_EQ(code, 1) << args << "\n" << out;
-    EXPECT_EQ(out.find("report written"), std::string::npos) << args << "\n" << out;
+    EXPECT_EQ(out.find("written to"), std::string::npos) << args << "\n" << out;
     EXPECT_NE(out.find("cannot "), std::string::npos) << args << "\n" << out;
   }
 }

@@ -53,7 +53,7 @@ std::string RenderTableVPlans() {
           const planner::PlanResult result = session.Plan(row.gbs, options);
           os << planner::SerializePlan(result.plan) << "latency 0x" << std::hex
              << std::bit_cast<std::uint64_t>(result.estimate.latency) << std::dec
-             << "\ncandidates " << result.candidates_evaluated << "\n";
+             << "\ncandidates " << result.stats.candidates_evaluated << "\n";
         } catch (const Error& e) {
           os << "error " << e.what() << "\n";
         }

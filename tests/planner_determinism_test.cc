@@ -63,7 +63,7 @@ SearchFingerprint RunSearch(const model::ModelProfile& m, const topo::Cluster& c
       fp.alternatives.push_back(SerializePlan(alt));
     }
     fp.latency = result.estimate.latency;
-    fp.evaluated = result.candidates_evaluated;
+    fp.evaluated = result.stats.candidates_evaluated;
   } catch (const Error&) {
     // Infeasible instances stay in the sweep: every thread count must agree
     // that (and leave the fingerprint empty).
@@ -148,7 +148,7 @@ TEST(PlannerDeterminismTest, Cluster128DevicesPlansCachedAndMatchesAcrossThreads
       fp.alternatives.push_back(SerializePlan(alt));
     }
     fp.latency = result.estimate.latency;
-    fp.evaluated = result.candidates_evaluated;
+    fp.evaluated = result.stats.candidates_evaluated;
     return fp;
   };
   const PlanResult serial = plan(1);

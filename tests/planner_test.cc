@@ -37,7 +37,7 @@ TEST(Planner, ComputeHeavyModelPrefersDataParallel) {
   DapplePlanner planner(m, cluster, Opts(64));
   const PlanResult result = planner.Plan();
   EXPECT_TRUE(result.plan.IsDataParallel());
-  EXPECT_GT(result.candidates_evaluated, 10);
+  EXPECT_GT(result.stats.candidates_evaluated, 10);
 }
 
 TEST(Planner, HeavyGradientsOnSlowNetworkPreferPipeline) {
@@ -296,7 +296,7 @@ TEST(PlannerOracle, TableVCandidateCountsArePinned) {
     PlannerOptions options = Opts(instance.gbs);
     const PlanResult result =
         DapplePlanner(model::ModelByName(instance.model), instance.cluster, options).Plan();
-    EXPECT_EQ(result.candidates_evaluated, instance.candidates) << instance.model;
+    EXPECT_EQ(result.stats.candidates_evaluated, instance.candidates) << instance.model;
   }
 }
 
@@ -350,7 +350,7 @@ TEST(Planner, SearchBudgetStopsAtTheSameCountAtEveryThreadCount) {
         EXPECT_EQ(e.frontier_peak(), unbounded.stats.frontier_peak);
         // The last subproblem sits on the last level, which has no split
         // point left: every candidate was already evaluated.
-        EXPECT_EQ(e.candidates_evaluated(), unbounded.candidates_evaluated);
+        EXPECT_EQ(e.candidates_evaluated(), unbounded.stats.candidates_evaluated);
       }
       EXPECT_EQ(obs::MetricsRegistry::Global()
                     .counter("dapple.session.recompute_retries")
@@ -426,7 +426,7 @@ TEST(PlannerOracle, TwelveGpuServersKeepTheFrontierOrder) {
     return text + std::to_string(DoubleBits(estimate.latency)) + "\n";
   };
   std::string text = render(result.plan, result.estimate) +
-                     std::to_string(result.candidates_evaluated) + "\n";
+                     std::to_string(result.stats.candidates_evaluated) + "\n";
   for (const auto& [plan, estimate] : result.alternatives) text += render(plan, estimate);
   // Winner, candidate count, then the alternatives (ties in input order).
   EXPECT_EQ(text,

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -129,6 +133,48 @@ TEST(ThreadPool, LowestIndexExceptionWinsOverTheFirstThrown) {
       EXPECT_STREQ(e.what(), "boom-0") << "round " << round;
     }
   }
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+constexpr bool kSanitized =
+    __has_feature(address_sanitizer) || __has_feature(thread_sanitizer);
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Death-test child: caps the address space 256 MiB above what the process
+/// already maps, far below 1000 default-sized thread stacks, so some
+/// std::thread fails to start. Exits 0 when the pool throws dapple::Error.
+/// A pool that leaves the started threads joinable terminates instead, or
+/// hangs, which the alarm turns into a signal death.
+void StartOneThousandWorkersUnderAnAddressCap() {
+  alarm(20);
+  unsigned long pages = 0;
+  std::FILE* statm = std::fopen("/proc/self/statm", "r");
+  if (!statm || std::fscanf(statm, "%lu", &pages) != 1) std::_Exit(3);
+  std::fclose(statm);
+  const rlim_t cap = static_cast<rlim_t>(pages) * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                     (rlim_t{256} << 20);
+  const rlimit limit{cap, cap};
+  if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(3);
+  try {
+    ThreadPool pool(1000);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::_Exit(0);
+  }
+  std::_Exit(4);  // every thread started: the cap did not bite
+}
+
+TEST(ThreadPoolDeathTest, ThreadStartFailureThrowsAfterJoiningTheStarted) {
+  // Sanitizer runtimes reserve terabytes of shadow address space, so an
+  // address-space cap breaks them before it reaches the pool.
+  if (kSanitized) GTEST_SKIP() << "RLIMIT_AS is incompatible with sanitizer shadow memory";
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(StartOneThousandWorkersUnderAnAddressCap(), ::testing::ExitedWithCode(0),
+              "ThreadPool: started [0-9]+ of 1000 worker threads");
 }
 
 }  // namespace

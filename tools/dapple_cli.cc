@@ -233,6 +233,24 @@ int CmdPlan(int argc, char** argv) {
   return 0;
 }
 
+/// Writes `json` to `path` and prints "<what> written to <path>": 0 on
+/// success, 1 (after a diagnostic, and no such line) when the file cannot be
+/// opened, written or closed.
+int WriteJsonFile(const std::string& path, const std::string& json, const char* what) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (!f) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return 1;
+  }
+  const bool written = std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("%s written to %s\n", what, path.c_str());
+  return 0;
+}
+
 int CmdRun(int argc, char** argv) {
   const std::optional<Job> job = ParseJob(argc, argv);
   if (!job) return Usage();
@@ -291,9 +309,8 @@ int CmdRun(int argc, char** argv) {
     std::printf("%s", sim::RenderGantt(detail.pipeline.graph, detail.result, 100).c_str());
   }
   if (!trace_path.empty()) {
-    sim::WriteChromeTrace(trace_path, detail.pipeline.graph, detail.result);
-    std::printf("chrome trace written to %s (open in chrome://tracing)\n",
-                trace_path.c_str());
+    return WriteJsonFile(trace_path, sim::ToChromeTrace(detail.pipeline.graph, detail.result),
+                         "chrome trace");
   }
   return 0;
 }
@@ -323,23 +340,6 @@ struct Fig3Example {
   }
 };
 
-/// Writes `json` to `path`: 0 on success, 1 (after a diagnostic) when the
-/// file cannot be opened, written or closed.
-int WriteJsonFile(const std::string& path, const std::string& json) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  const bool written = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  if (std::fclose(f) != 0 || !written) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("report written to %s\n", path.c_str());
-  return 0;
-}
-
 int CmdReport(int argc, char** argv) {
   std::string json_path;
   if (argc >= 1 && std::strcmp(argv[0], "--fig3") == 0) {
@@ -357,7 +357,7 @@ int CmdReport(int argc, char** argv) {
     const obs::IterationReport report =
         obs::RunIteration(ex.model, ex.cluster, ex.plan, ex.options);
     std::printf("%s", obs::ToText(report).c_str());
-    if (!json_path.empty()) return WriteJsonFile(json_path, obs::ToJson(report));
+    if (!json_path.empty()) return WriteJsonFile(json_path, obs::ToJson(report), "report");
     return 0;
   }
 
@@ -415,7 +415,7 @@ int CmdReport(int argc, char** argv) {
     std::printf("\npeak memory vs micro-batch count (fixed micro-batch size):\n%s",
                 t.ToString().c_str());
   }
-  if (!json_path.empty()) return WriteJsonFile(json_path, obs::ToJson(report));
+  if (!json_path.empty()) return WriteJsonFile(json_path, obs::ToJson(report), "report");
   return 0;
 }
 
@@ -514,18 +514,19 @@ int CmdFaults(int argc, char** argv) {
     std::printf("%s", table.ToString().c_str());
   }
 
-  if (!trace_path.empty() && WriteJsonFile(trace_path, fault::ToChromeTrace(reports.back()))) {
+  if (!trace_path.empty() &&
+      WriteJsonFile(trace_path, fault::ToChromeTrace(reports.back()), "chrome trace")) {
     return 1;
   }
   if (!json_path.empty()) {
-    if (reports.size() == 1) return WriteJsonFile(json_path, fault::ToJson(reports[0]));
+    if (reports.size() == 1) return WriteJsonFile(json_path, fault::ToJson(reports[0]), "report");
     std::string doc = "[\n";
     for (std::size_t i = 0; i < reports.size(); ++i) {
       doc += fault::ToJson(reports[i]);
       doc += i + 1 < reports.size() ? ",\n" : "\n";
     }
     doc += "]";
-    return WriteJsonFile(json_path, doc);
+    return WriteJsonFile(json_path, doc, "report");
   }
   return 0;
 }
@@ -620,7 +621,7 @@ int CmdScenario(int argc, char** argv) {
   // The last policy's last episode — with the default policy order that is
   // an elastic-up episode, scale-up cutovers and all.
   if (!trace_path.empty() &&
-      WriteJsonFile(trace_path, scenario::ToChromeTrace(all_reports.back()))) {
+      WriteJsonFile(trace_path, scenario::ToChromeTrace(all_reports.back()), "chrome trace")) {
     return 1;
   }
 
@@ -638,9 +639,9 @@ int CmdScenario(int argc, char** argv) {
     const scenario::CoScheduleReport report =
         scenario::CoSchedule(job->cluster, specs, cosched);
     std::printf("%s", scenario::ToText(report).c_str());
-    if (!json_path.empty()) return WriteJsonFile(json_path, scenario::ToJson(report));
+    if (!json_path.empty()) return WriteJsonFile(json_path, scenario::ToJson(report), "report");
   } else if (!json_path.empty()) {
-    return WriteJsonFile(json_path, scenario::ToJson(all_reports));
+    return WriteJsonFile(json_path, scenario::ToJson(all_reports), "report");
   }
   return 0;
 }
