@@ -21,7 +21,9 @@
 // perf-smoke CI tier (finishes in seconds) and also exits non-zero when the
 // two runs of a point differ in row traffic (rows held, hits or misses:
 // each row is filled exactly once, so all three are pure functions of the
-// search); the full sweep caps the
+// search) or in the search's shape (subproblems, candidates evaluated,
+// frontier peak: the enumeration and the frontier slots are serial, so a
+// thread count that moves them has broken the merge); the full sweep caps the
 // largest searches with max_stages (noted in the table) to keep the
 // uncapped 64-device GNMT search — minutes of work, most of its memory
 // the DP frontier — out of a benchmark binary.
@@ -113,6 +115,7 @@ int main(int argc, char** argv) {
                     "Projected", "Cache hit%", "Rows", "Candidates"});
   int mismatches = 0;
   int row_mismatches = 0;
+  int shape_mismatches = 0;
   for (const SweepPoint& point : points) {
     const model::ModelProfile m = model::ModelByName(point.model);
     const topo::Cluster cluster = topo::MakeConfigA(point.servers);
@@ -150,6 +153,18 @@ int main(int argc, char** argv) {
                      static_cast<long long>(serial.stats.cache_hits),
                      static_cast<long long>(serial.stats.cache_misses));
         ++row_mismatches;
+      }
+      if (quick && (run.stats.subproblems != serial.stats.subproblems ||
+                    run.stats.candidates_evaluated != serial.stats.candidates_evaluated ||
+                    run.stats.frontier_peak != serial.stats.frontier_peak)) {
+        std::fprintf(stderr,
+                     "SEARCH SHAPE MISMATCH: %s on %d devices, %d threads enumerated %ld "
+                     "subproblems (%ld candidates, frontier peak %ld), serial %ld (%ld, %ld)\n",
+                     point.model, cluster.num_devices(), threads, run.stats.subproblems,
+                     run.stats.candidates_evaluated, run.stats.frontier_peak,
+                     serial.stats.subproblems, serial.stats.candidates_evaluated,
+                     serial.stats.frontier_peak);
+        ++shape_mismatches;
       }
       const double speedup = run.wall > 0.0 ? serial.wall / run.wall : 0.0;
       table.AddRow({point.model, AsciiTable::Int(cluster.num_devices()),
@@ -199,6 +214,10 @@ int main(int argc, char** argv) {
   }
   if (row_mismatches > 0) {
     std::fprintf(stderr, "%d row traffic mismatch(es)\n", row_mismatches);
+    return 1;
+  }
+  if (shape_mismatches > 0) {
+    std::fprintf(stderr, "%d search shape mismatch(es)\n", shape_mismatches);
     return 1;
   }
   return 0;

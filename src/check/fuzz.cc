@@ -194,7 +194,7 @@ FuzzCase MakeFuzzCase(std::uint64_t seed) {
       po.num_threads = 1;
       plan = planner::DapplePlanner(model, cluster, po).Plan().plan;
       planned = true;
-    } catch (const Error&) {
+    } catch (const planner::NoFeasiblePlan&) {
       // Fall through to a random plan; infeasibility is not a fuzz failure.
     }
   }
@@ -316,7 +316,7 @@ MemoryCapFuzzCase MemoryCapFuzz::Make(std::uint64_t seed) {
     if (uncapped.estimate.max_peak_memory > 0) {
       reference_peak = uncapped.estimate.max_peak_memory;
     }
-  } catch (const Error&) {
+  } catch (const planner::NoFeasiblePlan&) {
   }
   const Bytes cap =
       std::max<Bytes>(1, static_cast<Bytes>(factor * static_cast<double>(reference_peak)));
@@ -372,7 +372,7 @@ MemoryCapFuzzOutcome MemoryCapFuzz::Run(const MemoryCapFuzzCase& c) {
   planner::PlanResult planned;
   try {
     planned = planner::DapplePlanner(c.model, c.cluster, po).Plan();
-  } catch (const Error& e) {
+  } catch (const planner::NoFeasiblePlan& e) {
     // Declared infeasible: the contract allows refusal, never an OOMing
     // plan.
     out.infeasible_reason = e.what();

@@ -25,9 +25,7 @@ planner::PlanResult Session::Plan(long global_batch_size,
   planner::PlanResult result;
   try {
     result = planner::DapplePlanner(model_, cluster_, options).Plan();
-  } catch (const planner::SearchTooLarge&) {
-    throw;  // a budget hit is the answer; recomputation cannot shrink it
-  } catch (const Error&) {
+  } catch (const planner::NoFeasiblePlan&) {
     // Nothing fits without re-computation: re-plan in the paper's
     // Table VIII operating mode (checkpoint + replay on every stage), which
     // divides the activation footprint by roughly the stage depth. kAuto

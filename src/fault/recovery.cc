@@ -76,7 +76,7 @@ ElasticReplan Replan(const model::ModelProfile& model, const topo::Cluster& clus
       metrics.counter("fault.replan.cache_hits").Increment(result.stats.cache_hits);
       metrics.histogram("fault.replan.wall_seconds").Observe(result.stats.wall_seconds);
       planned->second = std::move(result.plan);
-    } catch (const Error&) {
+    } catch (const planner::NoFeasiblePlan&) {
       // Stays nullopt: a return to this cluster remaps without searching.
     }
   } else {

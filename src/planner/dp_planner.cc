@@ -91,52 +91,20 @@ std::string PlanSignature(const ParallelPlan& p) {
   return sig;
 }
 
-/// A frontier node at level j: the stages of its prefix are its own last
-/// stage [i, j) preceded by its parent's prefix, the parent being node
-/// `parent` of level i (-1 for the root, whose prefix is empty).
-struct SearchNode {
-  int parent = -1;
-  int num_stages = 0;  // of the prefix
-  StagePlan stage;
-  double tpl = 0.0;  // latency of prefix + default suffix (the paper's TPL)
-  /// The devices the prefix uses; dropped once the level is expanded.
-  std::optional<topo::AllocationState> state;
-};
-
-/// One DP level: its nodes, and the best node per packed canonical key.
-class Level {
+/// Dense ids of the packed keys one search has met, so a frontier slot is
+/// an array read rather than a hash of the key.
+class KeyInterner {
  public:
-  int size() const { return static_cast<int>(nodes_.size()); }
-  SearchNode& node(int i) { return nodes_[static_cast<std::size_t>(i)]; }
-
-  /// The node holding `key`, or nullptr.
-  SearchNode* Find(std::string_view key) {
-    const auto it = index_.find(key);
-    return it == index_.end() ? nullptr : &node(it->second);
+  /// The id of `key`, taking the next one the first time the key is seen.
+  int Intern(std::string_view key) {
+    if (const auto it = ids_.find(key); it != ids_.end()) return it->second;
+    const int id = static_cast<int>(bytes_.size());
+    bytes_.push_back(ids_.emplace(std::string(key), id).first->first);
+    return id;
   }
 
-  /// Adds a node under `key`, which the level must not hold yet.
-  void Add(std::string_view key, SearchNode node) {
-    index_.emplace(key, size());
-    nodes_.push_back(std::move(node));
-  }
-
-  /// Node indices in ascending key order, the order the level expands in.
-  std::vector<int> KeyOrder() const {
-    std::vector<std::pair<std::string_view, int>> keyed(index_.begin(), index_.end());
-    std::sort(keyed.begin(), keyed.end());
-    std::vector<int> order;
-    order.reserve(keyed.size());
-    for (const auto& entry : keyed) order.push_back(entry.second);
-    return order;
-  }
-
-  /// Drops what only expansion reads (the index, the states); the stages
-  /// and parent links stay for the prefixes of later levels.
-  void Release() {
-    index_ = {};
-    for (SearchNode& n : nodes_) n.state.reset();
-  }
+  /// The packed key of `id`.
+  std::string_view bytes(int id) const { return bytes_[static_cast<std::size_t>(id)]; }
 
  private:
   struct KeyHash {
@@ -146,8 +114,67 @@ class Level {
     }
   };
 
+  std::unordered_map<std::string, int, KeyHash, std::equal_to<>> ids_;
+  /// Views of ids_' keys by id; map nodes never move, so they stay valid.
+  std::vector<std::string_view> bytes_;
+};
+
+/// A frontier node at level j: the stages of its prefix are its own last
+/// stage [i, j) preceded by its parent's prefix, the parent being node
+/// `parent` of level i (-1 for the root, whose prefix is empty).
+struct SearchNode {
+  int parent = -1;
+  int num_stages = 0;  // of the prefix
+  StagePlan stage;
+  double tpl = 0.0;  // latency of prefix + default suffix (the paper's TPL)
+};
+
+/// One DP level: its nodes, and the best node per interned canonical key.
+class Level {
+ public:
+  int size() const { return static_cast<int>(nodes_.size()); }
+  SearchNode& node(int i) { return nodes_[static_cast<std::size_t>(i)]; }
+
+  /// The node holding key id `key`, or nullptr.
+  SearchNode* Find(int key) {
+    const auto at = static_cast<std::size_t>(key);
+    return at < slots_.size() && slots_[at] >= 0 ? &node(slots_[at]) : nullptr;
+  }
+
+  /// Adds a node under key id `key`, which the level must not hold yet.
+  void Add(int key, SearchNode node) {
+    const auto at = static_cast<std::size_t>(key);
+    if (at >= slots_.size()) slots_.resize(at + 1, -1);
+    slots_[at] = size();
+    keys_.push_back(key);
+    nodes_.push_back(std::move(node));
+  }
+
+  /// Node indices in ascending packed-key order, the order the level
+  /// expands in.
+  std::vector<int> KeyOrder(const KeyInterner& keys) const {
+    std::vector<int> order(nodes_.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return keys.bytes(keys_[static_cast<std::size_t>(a)]) <
+             keys.bytes(keys_[static_cast<std::size_t>(b)]);
+    });
+    return order;
+  }
+
+  /// Drops what only expansion reads (the slots and keys); the stages and
+  /// parent links stay for the prefixes of later levels.
+  void Release() {
+    slots_ = {};
+    keys_ = {};
+  }
+
+ private:
   std::vector<SearchNode> nodes_;
-  std::unordered_map<std::string, int, KeyHash, std::equal_to<>> index_;
+  /// Node index by key id, -1 when the level holds no node under that key.
+  std::vector<int> slots_;
+  /// Key id by node index.
+  std::vector<int> keys_;
 };
 
 }  // namespace
@@ -201,9 +228,7 @@ PlanResult DapplePlanner::Plan() const {
     // Auto tries without recomputation first — it is latency-free and most
     // instances fit.
     result = Search(options_.recompute == RecomputePolicy::kAll);
-  } catch (const SearchTooLarge&) {
-    throw;
-  } catch (const Error&) {
+  } catch (const NoFeasiblePlan&) {
     if (options_.recompute != RecomputePolicy::kAuto) throw;
     // DawnPiper-style fallback, only when nothing fits: rerun with
     // recomputation on every stage (throws again if even that cannot fit),
@@ -414,28 +439,29 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   const KeyPacker packer(*cluster_);
   const std::size_t key_size = packer.size();
   const int num_servers = cluster_->num_servers();
+  KeyInterner keys;
   std::vector<Level> frontier(static_cast<std::size_t>(num_layers));
   {
-    SearchNode root{-1, 0, {}, 0.0, topo::AllocationState(*cluster_)};
+    SearchNode root{-1, 0, {}, 0.0};
     root.tpl = merge(CandidateScore{dp_est.feasible, dp_est.memory_limited, dp_est.latency,
                                     dp_est.max_peak_memory},
                      [&] { return std::pair{data_parallel, dp_est}; });
     std::vector<int> counts(static_cast<std::size_t>(num_servers), 0);
     std::string key(key_size, '\0');
     packer.Pack(counts, key.data());
-    frontier[0].Add(key, std::move(root));
+    frontier[0].Add(keys.Intern(key), std::move(root));
   }
 
   // What expanding one node reads, derived once per node and never per
-  // subproblem: its prefix (walked from its parents), its free devices in
-  // id order, its per-server used counts, each prefix stage's CompInputs
-  // index and the StageLink index between consecutive prefix stages, the
-  // last prefix stage's per-server counts (its link into the carved stage
-  // varies) and its widest prefix stage.
+  // subproblem: its prefix (walked from its parents), the devices that
+  // prefix uses, its free devices in id order, its per-server used counts,
+  // each prefix stage's CompInputs index and the StageLink index between
+  // consecutive prefix stages, the last prefix stage's per-server counts
+  // (its link into the carved stage varies) and its widest prefix stage.
   struct Expansion {
     int node = 0;
-    int num_free = 0;
     std::vector<StagePlan> prefix;
+    topo::AllocationState state;
     std::vector<topo::DeviceId> free;
     std::vector<int> used;
     std::vector<std::size_t> comp;
@@ -454,6 +480,40 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     std::reverse(stages.begin(), stages.end());
     return stages;
   };
+  // Node `index` of level `j` as its expansion reads it. Nodes hold no
+  // device state: committing the prefix's stages rebuilds it (Commit
+  // rejects overlapping stages), and the prefix with a last stage on every
+  // free device is validated as a plan, which covers every subproblem's
+  // prefix, since each one only splits the free devices in two.
+  auto walk = [&](int j, int index) {
+    Expansion expansion{index, prefix_of(j, index), topo::AllocationState(*cluster_), {}, {},
+                        {}, {}, {}, 1};
+    for (const StagePlan& stage : expansion.prefix) expansion.state.Commit(stage.devices);
+    const topo::AllocationState& state = expansion.state;
+    expansion.free.reserve(static_cast<std::size_t>(state.num_free()));
+    for (topo::DeviceId d = 0; d < num_devices; ++d) {
+      if (!state.is_used(d)) expansion.free.push_back(d);
+    }
+    for (int srv = 0; srv < num_servers; ++srv) {
+      expansion.used.push_back(state.used_on_server(srv));
+    }
+    {
+      ParallelPlan check;
+      check.model = model_->name();
+      check.stages = expansion.prefix;
+      check.stages.push_back(StagePlan{j, num_layers, topo::DeviceSet(expansion.free),
+                                        topo::PlacementPolicy::kFreshFirst, false});
+      check.Validate(*model_);
+    }
+    for (const StagePlan& stage : expansion.prefix) {
+      const std::vector<int> counts = stage.devices.PerServerCounts(*cluster_);
+      expansion.comp.push_back(inputs.Comp(counts));
+      if (!expansion.last.empty()) expansion.link.push_back(inputs.Link(expansion.last, counts));
+      expansion.last = counts;
+      expansion.widest = std::max(expansion.widest, stage.replication());
+    }
+    return expansion;
+  };
 
   // One unit of parallel work: a (frontier node, device placement) pair
   // that expands every split point jp on its own. Coarser than a single
@@ -467,11 +527,6 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     int size = 0;
     topo::PlacementPolicy policy = topo::PlacementPolicy::kFreshFirst;
   };
-  // The score of split point j + 1 + i at index i, per subproblem of a
-  // batch. A split's plan and full estimate are rebuilt only if the merge
-  // needs them.
-  using Scores = std::vector<CandidateScore>;
-
   const std::vector<topo::PlacementPolicy>& policy_set =
       options_.policies.empty() ? topo::AllPlacementPolicies() : options_.policies;
 
@@ -479,8 +534,13 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
   // many subproblems (a batch ends on a node boundary). Batching changes
   // nothing but memory: a level of a large cluster holds millions of
   // subproblems, and only one batch's hand-out orders, device sets and
-  // scores are alive.
+  // scores are alive (and, under a budget, the level's node walks).
   constexpr std::size_t kBatch = 1 << 14;
+  // A batch's scores, the score of split point j + 1 + i of subproblem s at
+  // s * splits + i, and its child keys; one buffer each for the search. A
+  // split's plan and full estimate are rebuilt only if the merge needs them.
+  std::vector<CandidateScore> scores;
+  std::string child_keys;
 
   for (int j = 0; j < num_layers; ++j) {
     Level& level = frontier[static_cast<std::size_t>(j)];
@@ -500,20 +560,21 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     // at every thread count.
     const bool prune = options_.prune_slack > 0.0 && best.estimate.feasible;
     const double prune_above = best.estimate.latency * options_.prune_slack;
-    // Whether node `index` expands: below the stage cap and not pruned
-    // (counted in `pruned` when `count` is set). Nodes whose default-suffix
+    // The nodes that expand, in ascending key order: below the stage cap
+    // and not pruned (counted in `pruned`). Nodes whose default-suffix
     // completion was infeasible (tpl = inf) must stay expandable: splitting
     // the suffix further may restore memory feasibility (this is exactly
     // how AmoebaNet-36, which cannot run data-parallel, still gets planned).
-    auto expands = [&](int index, bool count) {
+    std::vector<int> expanding;
+    for (int index : level.KeyOrder(keys)) {
       const SearchNode& node = level.node(index);
-      if (node.num_stages + 1 >= max_stages) return false;
+      if (node.num_stages + 1 >= max_stages) continue;
       if (prune && std::isfinite(node.tpl) && node.tpl > prune_above) {
-        if (count) ++pruned;
-        return false;
+        ++pruned;
+        continue;
       }
-      return true;
-    };
+      expanding.push_back(index);
+    }
     // Appends the hand-out orders of a node with `state` to `orders` and
     // calls place(order index, m, policy) for each of its placements in
     // canonical order: size m, then policy, duplicates dropped. Each policy
@@ -573,17 +634,18 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
         }
       }
     };
-    const std::vector<int> key_order = level.KeyOrder();
-
     // The budget is checked before the level evaluates anything: a counting
-    // pass enumerates the level's placements and stores none of them.
+    // pass walks the expanding nodes and enumerates their placements,
+    // storing none of them. It keeps the walks, so phase 1 reads each
+    // node's walk rather than repeating it.
     std::vector<std::vector<topo::DeviceId>> orders;
+    std::vector<Expansion> walked;
     if (options_.max_subproblems > 0) {
       long enumerated = best.stats.subproblems;
-      for (int index : key_order) {
-        if (!expands(index, false)) continue;
+      for (int index : expanding) {
+        walked.push_back(walk(j, index));
         orders.clear();
-        placements(*level.node(index).state, orders, [&](int, int, topo::PlacementPolicy) {
+        placements(walked.back().state, orders, [&](int, int, topo::PlacementPolicy) {
           if (++enumerated > options_.max_subproblems) {
             throw SearchTooLarge(enumerated, options_.max_subproblems, best.stats.levels,
                                  evaluated, best.stats.frontier_peak);
@@ -592,59 +654,39 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       }
     }
 
+    // Every subproblem of this level scores the same split points (j, L).
+    const auto splits = static_cast<std::size_t>(num_layers - j - 1);
     std::size_t level_expansions = 0;
     std::vector<Expansion> expansions;
     std::vector<Subproblem> subproblems;
-    std::vector<Scores> batch;
-    std::string child_keys;
     const int gpus_per_server = cluster_->gpus_per_server();
-    for (std::size_t next = 0; next < key_order.size();) {
+    for (std::size_t next = 0; next < expanding.size();) {
       // Phase 1 (sequential, cheap): the next batch's subproblems, in the
       // canonical order: node (key order) -> size m -> deduped policy.
       expansions.clear();
       orders.clear();
       subproblems.clear();
-      while (next < key_order.size() && subproblems.size() < kBatch) {
-        const int index = key_order[next++];
-        if (!expands(index, true)) continue;
-        const topo::AllocationState& state = *level.node(index).state;
-        Expansion expansion{index, state.num_free(), prefix_of(j, index), {}, {}, {}, {}, {}, 1};
-        expansion.free.reserve(static_cast<std::size_t>(state.num_free()));
-        for (topo::DeviceId d = 0; d < num_devices; ++d) {
-          if (!state.is_used(d)) expansion.free.push_back(d);
-        }
-        for (int srv = 0; srv < num_servers; ++srv) {
-          expansion.used.push_back(state.used_on_server(srv));
-        }
-        // The prefix with a last stage on every free device is a plan: its
-        // check covers every subproblem's prefix, and each subproblem only
-        // splits the free devices in two.
-        {
-          ParallelPlan check;
-          check.model = model_->name();
-          check.stages = expansion.prefix;
-          check.stages.push_back(StagePlan{j, num_layers, topo::DeviceSet(expansion.free),
-                                            topo::PlacementPolicy::kFreshFirst, false});
-          check.Validate(*model_);
-        }
-        for (const StagePlan& stage : expansion.prefix) {
-          const std::vector<int> counts = stage.devices.PerServerCounts(*cluster_);
-          expansion.comp.push_back(inputs.Comp(counts));
-          if (!expansion.last.empty()) expansion.link.push_back(inputs.Link(expansion.last, counts));
-          expansion.last = counts;
-          expansion.widest = std::max(expansion.widest, stage.replication());
-        }
+      while (next < expanding.size() && subproblems.size() < kBatch) {
         const auto expansion_index = static_cast<int>(expansions.size());
-        expansions.push_back(std::move(expansion));
-        placements(state, orders, [&](int order, int m, topo::PlacementPolicy policy) {
-          subproblems.push_back(Subproblem{expansion_index, order, m, policy});
-        });
+        // Under a budget, `walked` holds every expanding node's walk.
+        expansions.push_back(walked.empty() ? walk(j, expanding[next])
+                                            : std::move(walked[next]));
+        ++next;
+        placements(expansions.back().state, orders,
+                   [&](int order, int m, topo::PlacementPolicy policy) {
+                     subproblems.push_back(Subproblem{expansion_index, order, m, policy});
+                   });
       }
       best.stats.subproblems += static_cast<long>(subproblems.size());
       best.stats.enumerate_seconds += lap();
       const std::size_t size = subproblems.size();
-      batch.assign(size, Scores{});
-      child_keys.assign(size * key_size, '\0');
+      // A batch overwrites each score it reads, so a larger buffer frees
+      // the old one first rather than copying it.
+      if (scores.size() < size * splits) {
+        std::vector<CandidateScore>().swap(scores);
+        scores.resize(size * splits);
+      }
+      child_keys.resize(size * key_size);
 
       // Phase 2 (parallel, hot): each subproblem takes the per-server
       // counts of its placement from the hand-out order and those of its
@@ -653,7 +695,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       // varies inside one; the prefix, both device counts, the stage count
       // and the widest stage (so the micro-batching) are fixed, and
       // ScoreSplits does that fixed work once. Results land in the
-      // subproblem's own slot; apart from the row memo (pure values),
+      // subproblem's own slots; apart from the row memo (pure values),
       // nothing here reads or writes search-global state.
       pool.ParallelFor(size, [&](std::size_t s) {
         const Subproblem& sub = subproblems[s];
@@ -679,10 +721,10 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
           fits = fits && free_counts[srv] >= 0;
           free_devices += free_counts[srv];
         }
-        DAPPLE_CHECK(fits && sub.size + free_devices == node.num_free)
+        DAPPLE_CHECK(fits && sub.size + free_devices == static_cast<int>(node.free.size()))
             << "a placement must split the node's free devices";
+        if (splits == 0) return;  // no split point left
         packer.Pack(child_counts, child_keys.data() + s * key_size);
-        if (j + 1 >= num_layers) return;  // no split point left
 
         const int widest = std::max({node.widest, sub.size, free_devices});
         const StageRowMemo::Rows at = rows.At(mbs_index[static_cast<std::size_t>(widest)]);
@@ -695,27 +737,28 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
           prefix_entries.push_back(
               at.Comm(i + 1 < n ? node.link[i] : inputs.Link(node.last, carved_counts))[x]);
         }
-        batch[s] = estimator.ScoreSplits(
+        estimator.ScoreSplits(
             {node.prefix, prefix_entries, sub.size, recompute_all, free_devices, recompute_all,
              at.Begin(j, recompute_all, inputs.Comp(carved_counts)),
              at.Comm(inputs.Link(carved_counts, free_counts)),
              at.End(recompute_all, inputs.Comp(free_counts))},
-            by_width[static_cast<std::size_t>(widest)]);
+            by_width[static_cast<std::size_t>(widest)],
+            std::span(scores).subspan(s * splits, splits));
       });
       best.stats.evaluate_seconds += lap();
-      for (const Scores& scores : batch) level_expansions += scores.size();
+      level_expansions += size * splits;
 
       // Phase 3 (sequential, deterministic): merge in enumeration order —
       // subproblem order, then jp ascending — identical outcomes to the
-      // single-threaded search. A candidate's plan and estimate are built
-      // only when it can enter `best` or the alternatives, its carved
-      // device set only when it or its child node is, and its child node
-      // (its state included) only when the child takes its frontier slot.
-      for (std::size_t s = 0; s < size; ++s) {
+      // single-threaded search. A subproblem's child key is interned once;
+      // each split's frontier slot is then an array read. A candidate's
+      // plan and estimate are built only when it can enter `best` or the
+      // alternatives, its carved device set only when it or its child node
+      // is, and its child node only when the child takes its frontier slot.
+      for (std::size_t s = 0; s < size && splits > 0; ++s) {
         const Subproblem& sub = subproblems[s];
         const Expansion& node = expansions[static_cast<std::size_t>(sub.expansion)];
-        const Scores& scores = batch[s];
-        if (!scores.empty()) row_lookups += static_cast<std::int64_t>(2 * node.prefix.size() + 3);
+        row_lookups += static_cast<std::int64_t>(2 * node.prefix.size() + 3);
         const std::vector<topo::DeviceId>& order = orders[static_cast<std::size_t>(sub.order)];
         std::optional<topo::DeviceSet> devices;
         auto carved_devices = [&]() -> const topo::DeviceSet& {
@@ -724,10 +767,10 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
           }
           return *devices;
         };
-        const std::string_view key(child_keys.data() + s * key_size, key_size);
-        for (std::size_t i = 0; i < scores.size(); ++i) {
+        const int key = keys.Intern(std::string_view(child_keys.data() + s * key_size, key_size));
+        for (std::size_t i = 0; i < splits; ++i) {
           const int jp = j + 1 + static_cast<int>(i);
-          const double tpl = merge(scores[i], [&] {
+          const double tpl = merge(scores[s * splits + i], [&] {
             // The node's prefix, the carved stage [j, jp) and the default
             // suffix [jp, L) on the devices the carved stage leaves free.
             const topo::DeviceSet& carved = carved_devices();
@@ -748,9 +791,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
           SearchNode* slot = child_level.Find(key);
           if (slot == nullptr || tpl < slot->tpl) {
             SearchNode child{node.node, static_cast<int>(node.prefix.size()) + 1,
-                             StagePlan{j, jp, carved_devices(), sub.policy, recompute_all}, tpl,
-                             *level.node(node.node).state};
-            child.state->Commit(carved_devices());
+                             StagePlan{j, jp, carved_devices(), sub.policy, recompute_all}, tpl};
             if (slot == nullptr) {
               child_level.Add(key, std::move(child));
             } else {
@@ -825,7 +866,7 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
          << (recompute_all ? " with recompute" : "");
     }
     if (last_infeasible_peak) os << ": " << estimator.MemoryReason(*last_infeasible_peak);
-    throw Error(os.str());
+    throw NoFeasiblePlan(os.str());
   }
   return best;
 }

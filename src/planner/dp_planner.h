@@ -9,18 +9,21 @@
 // parallelism (j = 0) and straight pipelines fall out of the same search.
 //
 // The frontier of level j is a vector of nodes, each holding its last
-// stage, its parent's index, its allocation state and its TPL, indexed by
-// a packed canonical key (fixed-width per-server counts). A node's
-// placements of size m are the first m devices of one hand-out order per
-// policy (AllocationState::PlanOrder). A subproblem works on per-server
-// counts alone: its carved counts come from the order's prefix, its free
-// counts are the servers' sizes less the node's used and the carved
-// counts, and its child key and every stage-row input (planner/
+// stage, its parent's index and its TPL, and no device state. Each distinct
+// packed canonical key (fixed-width per-server counts) gets one dense id
+// per search, and a level finds its node for a key id by an array read. A
+// node's placements of size m are the first m devices of one hand-out
+// order per policy (AllocationState::PlanOrder). A subproblem works on
+// per-server counts alone: its carved counts come from the order's prefix,
+// its free counts are the servers' sizes less the node's used and the
+// carved counts, and its child key and every stage-row input (planner/
 // stage_cache.h) follow from those counts, so no allocation state is
 // copied, no device set is built and no key is formatted per subproblem.
-// A node's prefix is walked from its parents, priced to row inputs and
-// validated once, when the node is expanded; a child's device set and
-// state are built only when the child takes its frontier slot, and a
+// A node's prefix is walked from its parents once, when the node is
+// expanded: committing its stages rebuilds its allocation state, and the
+// prefix is priced to row inputs and validated. The merge interns a
+// subproblem's child key once, not once per split; a child's device set
+// and stage are built only when the child takes its frontier slot, and a
 // candidate's plan only when the merge materializes it.
 #pragma once
 
@@ -117,6 +120,14 @@ class SearchTooLarge : public Error {
   long frontier_peak_;
 };
 
+/// A search that finished without a feasible plan. Callers that retry or
+/// refuse on infeasibility catch this, not dapple::Error, so a failed
+/// invariant inside the search is never mistaken for a refusal.
+class NoFeasiblePlan : public Error {
+ public:
+  using Error::Error;
+};
+
 struct PlanResult {
   ParallelPlan plan;
   PlanEstimate estimate;
@@ -136,10 +147,11 @@ class DapplePlanner {
   /// RecomputePolicy::kAll every stage of the plan and of its alternatives
   /// is flagged for recomputation. Under kAuto a memory-infeasible search
   /// is retried with recomputation everywhere, then trimmed to the cheapest
-  /// per-stage subset that still fits. Throws when no feasible plan exists
-  /// even then, and SearchTooLarge (never retried) when a search passes
-  /// max_subproblems. Under a memory cap, adds the result's recompute
-  /// stages and fit probes to the planner.cap.* counters.
+  /// per-stage subset that still fits. Throws NoFeasiblePlan when no
+  /// feasible plan exists even then, and SearchTooLarge (never retried)
+  /// when a search passes max_subproblems. Under a memory cap, adds the
+  /// result's recompute stages and fit probes to the planner.cap.*
+  /// counters.
   PlanResult Plan() const;
 
   /// Evaluates a fully specified plan, its own recompute flags included,

@@ -397,8 +397,8 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
   return est;
 }
 
-std::vector<CandidateScore> LatencyEstimator::ScoreSplits(const Splits& splits,
-                                                          const MicroBatching& mb) const {
+void LatencyEstimator::ScoreSplits(const Splits& splits, const MicroBatching& mb,
+                                   std::span<CandidateScore> scores) const {
   const std::span<const RowEntry> prefix_entries = splits.prefix_entries;
   const int S = static_cast<int>(splits.prefix.size()) + 2;
   const std::size_t V = prefix_entries.size();
@@ -411,6 +411,8 @@ std::vector<CandidateScore> LatencyEstimator::ScoreSplits(const Splits& splits,
       << "a split row holds one entry per layer boundary";
   const int j = splits.prefix.empty() ? 0 : splits.prefix.back().layer_end;
   DAPPLE_CHECK_LT(j + 1, L) << "a subproblem at layer " << j << " has no split point";
+  DAPPLE_CHECK_EQ(scores.size(), static_cast<std::size_t>(L - j - 1))
+      << "one score per split point";
   const double m1 = static_cast<double>(mb.num_micro_batches - 1);
 
   // Formulas 1-2 at a prefix pivot q only extend over the three split
@@ -423,7 +425,9 @@ std::vector<CandidateScore> LatencyEstimator::ScoreSplits(const Splits& splits,
     TimeSec drop = 0.0;    // the tail past q, subtracted from q+1 up to the prefix end
     TimeSec rise = 0.0;    // s = q's tail, added from s up to the prefix end
   };
-  std::vector<PrefixTerms> fixed(V);
+  // Per-thread scratch, reused across calls.
+  thread_local std::vector<PrefixTerms> fixed;
+  fixed.assign(V, PrefixTerms{});
   TimeSec warmup = 0.0;
   for (std::size_t q = 0; q < V; ++q) {
     const RowEntry& pivot = prefix_entries[q];
@@ -471,7 +475,8 @@ std::vector<CandidateScore> LatencyEstimator::ScoreSplits(const Splits& splits,
     return StagePeakMemory(begin, end, recompute, h.samples, h.depth);
   };
   const bool folded = runtime::IsVShape(kind);
-  std::vector<Bytes> pieces(static_cast<std::size_t>(folded ? S : 0));
+  thread_local std::vector<Bytes> pieces;
+  pieces.assign(static_cast<std::size_t>(folded ? S : 0), 0);
   Bytes prefix_peak = 0;  // the linear families' max over the prefix pieces
   for (int i = 0; i < S - 2; ++i) {
     const StagePlan& stage = splits.prefix[static_cast<std::size_t>(i)];
@@ -487,13 +492,12 @@ std::vector<CandidateScore> LatencyEstimator::ScoreSplits(const Splits& splits,
   const Hosting carved_hosting = hosting(S - 2);
   const Hosting suffix_hosting = hosting(S - 1);
 
-  std::vector<CandidateScore> scores;
-  scores.reserve(static_cast<std::size_t>(L - j - 1));
   for (int jp = j + 1; jp < L; ++jp) {
     const auto x = static_cast<std::size_t>(jp);
     const RowEntry* const split[3] = {&splits.carved[x], &splits.boundary[x],
                                       &splits.suffix[x]};
-    CandidateScore score;
+    CandidateScore& score = scores[static_cast<std::size_t>(jp - j - 1)];
+    score = CandidateScore{};
     // WorstPivot's max over q: strict increases from 0, so order-free.
     score.latency = 0.0;
     auto consider = [&score](TimeSec l) {
@@ -547,9 +551,7 @@ std::vector<CandidateScore> LatencyEstimator::ScoreSplits(const Splits& splits,
       score.feasible = false;
       score.memory_limited = true;
     }
-    scores.push_back(score);
   }
-  return scores;
 }
 
 }  // namespace dapple::planner

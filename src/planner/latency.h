@@ -168,8 +168,9 @@ class LatencyEstimator {
   const topo::Cluster& cluster() const { return *cluster_; }
   const LatencyOptions& options() const { return options_; }
 
-  /// Full estimate for a plan at a global batch size. Counts one call in
-  /// planner.estimator_calls.
+  /// Full estimate for a plan at a global batch size. Each call adds one
+  /// to planner.estimator_calls, which also counts every split the planner
+  /// scores with ScoreSplits.
   PlanEstimate Estimate(const ParallelPlan& plan, long global_batch_size) const;
 
   /// One planner subproblem as ScoreSplits reads it: a fixed prefix of
@@ -193,13 +194,15 @@ class LatencyEstimator {
 
   /// Scores every split point of one planner subproblem in one pass, at the
   /// micro-batching `mb` of its widest stage: split jp reads its carved,
-  /// boundary and suffix entries at index jp of the three rows. Returns one
-  /// score per jp in (j, L), in order, each bit-identical to Estimate on
-  /// that candidate. A stage that hosts itself (every stage but the V
-  /// shapes' late chunks) takes its peak piece from its row entry. The
-  /// caller validates the stages; does not count in
-  /// planner.estimator_calls.
-  std::vector<CandidateScore> ScoreSplits(const Splits& splits, const MicroBatching& mb) const;
+  /// boundary and suffix entries at index jp of the three rows. Writes one
+  /// score per jp in (j, L), in order, to `scores`, which must hold exactly
+  /// L - j - 1; each is bit-identical to Estimate on that candidate. A
+  /// stage that hosts itself (every stage but the V shapes' late chunks)
+  /// takes its peak piece from its row entry. The caller validates the
+  /// stages. Counts nothing itself: the planner adds the splits it scores
+  /// to planner.estimator_calls.
+  void ScoreSplits(const Splits& splits, const MicroBatching& mb,
+                   std::span<CandidateScore> scores) const;
 
   /// One layer's part in ExposedAllReduce: its backward time and, when it
   /// has parameters, the AllReduce of its gradient bucket.

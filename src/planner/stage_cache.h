@@ -186,7 +186,10 @@ struct PlannerSearchStats {
   long subproblems = 0;
   /// Nodes in the largest DP level (frontier) the search expanded.
   long frontier_peak = 0;
-  /// Complete candidate plans the search evaluated.
+  /// Complete candidate plans the search evaluated: the data-parallel root
+  /// and every split it scored. planner.estimator_calls counts the scored
+  /// splits too, beside one per LatencyEstimator::Estimate call (the root,
+  /// each candidate the merge rechecks, each fit probe).
   long candidates_evaluated = 0;
   long candidates_pruned = 0;
 
@@ -215,9 +218,9 @@ struct PlannerSearchStats {
   /// any golden-tested artifact).
   double wall_seconds = 0.0;
   /// Wall time of the three per-level phases: serial subproblem
-  /// enumeration (with each expanded node's prefix walk, row inputs and
-  /// validation), parallel candidate evaluation, serial deterministic
-  /// merge. evaluate_seconds is the only parallelizable share — the
+  /// enumeration (with each expanded node's prefix walk, rebuilt device
+  /// state, row inputs and validation), parallel candidate evaluation,
+  /// serial deterministic merge. evaluate_seconds is the only parallelizable share — the
   /// Amdahl ceiling of the thread sweep is wall / (wall - evaluate).
   double enumerate_seconds = 0.0;
   double evaluate_seconds = 0.0;

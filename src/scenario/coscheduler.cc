@@ -115,7 +115,7 @@ class CoScheduler::Evaluator {
     po.global_batch_size = spec.global_batch_size;
     try {
       cell.plan = planner::DapplePlanner(spec.model, slice, po).Plan().plan;
-    } catch (const Error&) {
+    } catch (const planner::NoFeasiblePlan&) {
       return cell;  // infeasible on this slice; +inf loses every comparison
     }
     runtime::BuildOptions build = options_.build;

@@ -437,11 +437,11 @@ int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long
       rows.Begin(sub.j, sub.recompute_carved, comp(sub.carved));
   const std::span<const RowEntry> boundary_row = rows.Comm(link(sub.carved, sub.free));
   const std::span<const RowEntry> suffix_row = rows.End(sub.recompute_free, comp(sub.free));
-  const std::vector<CandidateScore> scores = estimator.ScoreSplits(
-      {sub.prefix, prefix, sub.carved.size(), sub.recompute_carved, sub.free.size(),
-       sub.recompute_free, carved_row, boundary_row, suffix_row},
-      mb);
-  EXPECT_EQ(scores.size(), static_cast<std::size_t>(m.num_layers() - sub.j - 1));
+  std::vector<CandidateScore> scores(static_cast<std::size_t>(m.num_layers() - sub.j - 1));
+  estimator.ScoreSplits({sub.prefix, prefix, sub.carved.size(), sub.recompute_carved,
+                         sub.free.size(), sub.recompute_free, carved_row, boundary_row,
+                         suffix_row},
+                        mb, scores);
   int compared = 0;
   for (int jp = sub.j + 1; jp < m.num_layers(); ++jp) {
     plan.stages[carved].layer_end = jp;
@@ -578,12 +578,17 @@ TEST(LatencyPrefixReuse, ScoreSplitsRejectsAMismatchedPrefix) {
   const StageCost& cost = full.stages[0];
   const std::vector<RowEntry> row(4, RowEntry{cost.forward, cost.backward, cost.allreduce, 0, 0});
   LatencyEstimator::Splits splits{{}, {}, 1, false, 1, false, row, row, row};
-  EXPECT_EQ(est.ScoreSplits(splits, mb).size(), 3u);
+  std::vector<CandidateScore> scores(3);
+  EXPECT_NO_THROW(est.ScoreSplits(splits, mb, scores));
+  // One score per split point in (0, 4), neither fewer nor more.
+  EXPECT_THROW(est.ScoreSplits(splits, mb, std::span(scores).first(2)), dapple::Error);
+  std::vector<CandidateScore> four(4);
+  EXPECT_THROW(est.ScoreSplits(splits, mb, four), dapple::Error);
   splits.prefix_entries = std::span(row).first(1);
-  EXPECT_THROW(est.ScoreSplits(splits, mb), dapple::Error);
+  EXPECT_THROW(est.ScoreSplits(splits, mb, scores), dapple::Error);
   splits.prefix_entries = {};
   splits.carved = std::span(row).first(3);
-  EXPECT_THROW(est.ScoreSplits(splits, mb), dapple::Error);
+  EXPECT_THROW(est.ScoreSplits(splits, mb, scores), dapple::Error);
 }
 }  // namespace
 }  // namespace dapple::planner

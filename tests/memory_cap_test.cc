@@ -238,9 +238,9 @@ TEST(MemoryCapPlanner, InfeasibleCapThrowsInsteadOfEmittingAnOomPlan) {
   po.global_batch_size = 8;
   po.num_threads = 1;
   po.latency.memory_cap = 1;  // one byte: nothing can fit
-  EXPECT_THROW(planner::DapplePlanner(m, cluster, po).Plan(), Error);
+  EXPECT_THROW(planner::DapplePlanner(m, cluster, po).Plan(), planner::NoFeasiblePlan);
   po.recompute = planner::RecomputePolicy::kAuto;
-  EXPECT_THROW(planner::DapplePlanner(m, cluster, po).Plan(), Error);
+  EXPECT_THROW(planner::DapplePlanner(m, cluster, po).Plan(), planner::NoFeasiblePlan);
 }
 
 TEST(MemoryCapPlanner, AutoRecomputeFitsWherePlainPlanningCannot) {
@@ -356,12 +356,12 @@ TEST(MemoryCapPlanner, RecomputePolicyParsesAndRejects) {
   EXPECT_THROW(planner::ParseRecomputePolicy("sometimes"), Error);
 }
 
-/// The message of the Error `plan` throws ("" when it returns).
+/// The message of the NoFeasiblePlan `plan` throws ("" when it returns).
 template <typename PlanFn>
 std::string PlanError(PlanFn&& plan) {
   try {
     plan();
-  } catch (const Error& e) {
+  } catch (const planner::NoFeasiblePlan& e) {
     return e.what();
   }
   return "";
@@ -492,6 +492,28 @@ TEST(MemoryCapPlanner, SessionCountsItsRecomputeRetry) {
   roomy.latency.memory_cap = 0;
   session.Plan(8, roomy);
   EXPECT_EQ(CounterValue("dapple.session.recompute_retries") - before, 1);
+}
+
+TEST(MemoryCapPlanner, SessionRetriesOnlyInfeasibility) {
+  // A request the planner rejects as invalid is not a plan that failed to
+  // fit: the Session passes the error on and counts no recompute retry.
+  const RecomputeOnlyFit fit;
+  const Session session(fit.model, fit.cluster);
+  const std::int64_t before = CounterValue("dapple.session.recompute_retries");
+  auto expect_invalid = [&](long gbs, const planner::PlannerOptions& options) {
+    try {
+      session.Plan(gbs, options);
+      ADD_FAILURE() << "an invalid request planned";
+    } catch (const planner::NoFeasiblePlan& e) {
+      ADD_FAILURE() << "an invalid request read as infeasible: " << e.what();
+    } catch (const Error&) {
+    }
+  };
+  planner::PlannerOptions negative_threads = fit.Options(planner::RecomputePolicy::kOff);
+  negative_threads.num_threads = -1;
+  expect_invalid(0, fit.Options(planner::RecomputePolicy::kOff));  // no global batch
+  expect_invalid(8, negative_threads);
+  EXPECT_EQ(CounterValue("dapple.session.recompute_retries") - before, 0);
 }
 
 // ---------------------------------------------------------------------------

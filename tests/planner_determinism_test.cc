@@ -1,7 +1,8 @@
 // Determinism sweep for the parallel memoized planner: across a seeded set
 // of fuzz-generated (model, cluster) instances, the search must return a
 // byte-identical winning plan — and identical alternatives, evaluation
-// counts and bit-identical latencies — at every thread count. The parallel
+// counts, search shape (subproblems, frontier peak, levels) and
+// bit-identical latencies — at every thread count. The parallel
 // search is deterministic by construction (sequential merge in enumeration
 // order, slot-indexed parallel work, pure memoized rows); this sweep is the
 // regression net around that construction. A 128-device cluster plans
@@ -37,38 +38,51 @@
 namespace dapple::planner {
 namespace {
 
-/// Everything about a search that must not depend on the thread count.
+/// Everything about a search that must not depend on the thread count:
+/// its outcome, latencies as bits, and the shape of the search itself, so
+/// a frontier-slot regression shows as a count change.
 struct SearchFingerprint {
   bool feasible = false;
   std::string plan;  // SerializePlan of the winner ("" when infeasible)
   std::vector<std::string> alternatives;
-  double latency = 0.0;  // compared bit-for-bit, not within a tolerance
+  std::vector<std::uint64_t> alternative_latency_bits;
+  std::uint64_t latency_bits = 0;
   long evaluated = 0;
+  long subproblems = 0;
+  long frontier_peak = 0;
+  int levels = 0;
 
   bool operator==(const SearchFingerprint& other) const = default;
 };
+
+SearchFingerprint Fingerprint(const PlanResult& result) {
+  SearchFingerprint fp;
+  fp.feasible = true;
+  fp.plan = SerializePlan(result.plan);
+  for (const auto& [alt, est] : result.alternatives) {
+    fp.alternatives.push_back(SerializePlan(alt));
+    fp.alternative_latency_bits.push_back(DoubleBits(est.latency));
+  }
+  fp.latency_bits = DoubleBits(result.estimate.latency);
+  fp.evaluated = result.stats.candidates_evaluated;
+  fp.subproblems = result.stats.subproblems;
+  fp.frontier_peak = result.stats.frontier_peak;
+  fp.levels = result.stats.levels;
+  return fp;
+}
 
 SearchFingerprint RunSearch(const model::ModelProfile& m, const topo::Cluster& cluster,
                             long gbs, int threads) {
   PlannerOptions options;
   options.global_batch_size = gbs;
   options.num_threads = threads;
-  SearchFingerprint fp;
   try {
-    const PlanResult result = DapplePlanner(m, cluster, options).Plan();
-    fp.feasible = true;
-    fp.plan = SerializePlan(result.plan);
-    for (const auto& [alt, est] : result.alternatives) {
-      (void)est;
-      fp.alternatives.push_back(SerializePlan(alt));
-    }
-    fp.latency = result.estimate.latency;
-    fp.evaluated = result.stats.candidates_evaluated;
-  } catch (const Error&) {
+    return Fingerprint(DapplePlanner(m, cluster, options).Plan());
+  } catch (const NoFeasiblePlan&) {
     // Infeasible instances stay in the sweep: every thread count must agree
     // that (and leave the fingerprint empty).
+    return {};
   }
-  return fp;
 }
 
 int SweepInstances() {
@@ -139,23 +153,11 @@ TEST(PlannerDeterminismTest, Cluster128DevicesPlansCachedAndMatchesAcrossThreads
     options.policies = {topo::PlacementPolicy::kFreshFirst};
     return DapplePlanner(m, cluster, options).Plan();
   };
-  auto fingerprint = [](const PlanResult& result) {
-    SearchFingerprint fp;
-    fp.feasible = true;
-    fp.plan = SerializePlan(result.plan);
-    for (const auto& [alt, est] : result.alternatives) {
-      (void)est;
-      fp.alternatives.push_back(SerializePlan(alt));
-    }
-    fp.latency = result.estimate.latency;
-    fp.evaluated = result.stats.candidates_evaluated;
-    return fp;
-  };
   const PlanResult serial = plan(1);
   const PlanResult parallel = plan(4);
   EXPECT_GT(serial.stats.cache_hits, 0);
   EXPECT_GT(parallel.stats.cache_hits, 0);
-  EXPECT_EQ(fingerprint(serial), fingerprint(parallel));
+  EXPECT_EQ(Fingerprint(serial), Fingerprint(parallel));
 }
 
 /// One memo lookup: a row family, its device sets (`to` for kComm only) and

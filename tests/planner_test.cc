@@ -186,7 +186,7 @@ TEST(Planner, ThrowsWhenNothingFits) {
                                          model::OptimizerKind::kAdam);
   const auto cluster = topo::MakeConfigB(2);
   DapplePlanner planner(huge, cluster, Opts(8));
-  EXPECT_THROW(planner.Plan(), dapple::Error);
+  EXPECT_THROW(planner.Plan(), NoFeasiblePlan);
 }
 
 TEST(Planner, VggOnSlowNetworkIsolatesFullyConnectedStage) {
