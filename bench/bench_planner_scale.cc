@@ -15,7 +15,10 @@
 //      ever more placements;
 //   4. stage rows held at the end of the search. Rows are keyed by what
 //      their pricer reads (planner/stage_cache.h), so the count is a pure
-//      function of the search, the same at every thread count.
+//      function of the search, the same at every thread count;
+//   5. the serial run's evaluate time per scored split (evaluate_seconds /
+//      candidates_evaluated, in ns): the per-split cost of
+//      LatencyEstimator::ScoreSplits plus the row lookups that feed it.
 //
 // `--quick` trims to the two smallest GNMT points at threads {1, 8} for the
 // perf-smoke CI tier (finishes in seconds) and also exits non-zero when the
@@ -72,6 +75,12 @@ RunResult RunOnce(const model::ModelProfile& m, const topo::Cluster& cluster,
   return out;
 }
 
+/// Evaluate-phase nanoseconds per candidate the search scored.
+double EvaluateNsPerSplit(const planner::PlannerSearchStats& stats) {
+  if (stats.candidates_evaluated <= 0) return 0.0;
+  return stats.evaluate_seconds * 1e9 / static_cast<double>(stats.candidates_evaluated);
+}
+
 /// Speedup at `threads` predicted by Amdahl's law from the serial phase
 /// split: only the evaluate phase parallelizes, enumeration and merge are
 /// serial by design (the merge deliberately so — it is what makes the
@@ -112,7 +121,7 @@ int main(int argc, char** argv) {
   }
 
   AsciiTable table({"Model", "Devices", "Cap", "Threads", "Wall (s)", "Speedup",
-                    "Projected", "Cache hit%", "Rows", "Candidates"});
+                    "Projected", "Cache hit%", "Rows", "Candidates", "Eval ns/split"});
   int mismatches = 0;
   int row_mismatches = 0;
   int shape_mismatches = 0;
@@ -174,7 +183,8 @@ int main(int argc, char** argv) {
                     AsciiTable::Num(AmdahlProjection(serial.stats, threads), 2) + "x",
                     AsciiTable::Num(run.stats.cache_hit_rate() * 100.0, 1),
                     AsciiTable::Int(run.stats.cache_entries),
-                    AsciiTable::Int(run.stats.candidates_evaluated)});
+                    AsciiTable::Int(run.stats.candidates_evaluated),
+                    threads == 1 ? AsciiTable::Num(EvaluateNsPerSplit(run.stats), 1) : "-"});
 
       // Headline comparison line: the 8-thread speedup against the goal.
       if (threads == 8) {
@@ -206,7 +216,9 @@ int main(int argc, char** argv) {
       "recompute flag. Each row is filled exactly once, so neither it nor\n"
       "the hit rate may change with the thread count; a row count\n"
       "that grows with the device ids rather than with the set shapes means\n"
-      "the key has regressed to a finer one.\n");
+      "the key has regressed to a finer one. Eval ns/split is the serial\n"
+      "run's evaluate phase over the candidates it scored: what one split\n"
+      "costs, row lookups and fills included.\n");
 
   if (mismatches > 0) {
     std::fprintf(stderr, "%d determinism violation(s)\n", mismatches);

@@ -255,6 +255,49 @@ int WorstPivot(std::span<const StageCost> stages, int num_micro_batches, TimeSec
   return pivot;
 }
 
+/// ScoreSplits' terms of a prefix pivot q: warmup(q) + steady(q), warmup
+/// summed from entry 0 up; the ending max over the prefix s; and the tail
+/// past q, subtracted from q+1 up to the prefix end.
+struct PrefixPivot {
+  TimeSec lead = 0.0;
+  TimeSec ending = 0.0;
+  TimeSec drop = 0.0;
+
+  bool CoveredBy(const PrefixPivot& o) const {
+    return lead <= o.lead && ending <= o.ending && drop <= o.drop;
+  }
+};
+/// ScoreSplits' terms of a prefix entry s at a split pivot: its AllReduce
+/// and its tail, added from s up to the prefix end.
+struct PrefixRise {
+  TimeSec allreduce = 0.0;
+  TimeSec rise = 0.0;
+
+  bool CoveredBy(const PrefixRise& o) const {
+    return allreduce <= o.allreduce && rise <= o.rise;
+  }
+};
+
+/// Keeps, in order, the terms no other term covers componentwise; of equal
+/// terms, the first. FP add, subtract and max are monotone, so a covered
+/// term's L(q) never exceeds its cover's and never sets the max. A term
+/// with a NaN is neither covered nor covers.
+template <class Term>
+void DropCovered(std::vector<Term>& terms) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    const Term term = terms[i];
+    // Kept terms come first; a dropped one's cover covers this term too.
+    bool covered = false;
+    for (std::size_t k = 0; k < kept && !covered; ++k) covered = term.CoveredBy(terms[k]);
+    for (std::size_t k = i + 1; k < terms.size() && !covered; ++k) {
+      covered = term.CoveredBy(terms[k]) && !terms[k].CoveredBy(term);
+    }
+    if (!covered) terms[kept++] = term;
+  }
+  terms.resize(kept);
+}
+
 }  // namespace
 
 CompInputs CompInputs::Of(const topo::Cluster& cluster, const topo::DeviceSet& devices) {
@@ -419,33 +462,30 @@ void LatencyEstimator::ScoreSplits(const Splits& splits, const MicroBatching& mb
   // entries, and at a split pivot they only extend the prefix's sums. Every
   // sum is accumulated in LatencyAt's order, so each L(q) is bit-identical.
   // Prefix entries alternate computation (even) and comm (odd).
-  struct PrefixTerms {
-    TimeSec lead = 0.0;    // warmup(q) + steady(q), warmup summed from entry 0 up
-    TimeSec ending = 0.0;  // the ending max over the prefix s
-    TimeSec drop = 0.0;    // the tail past q, subtracted from q+1 up to the prefix end
-    TimeSec rise = 0.0;    // s = q's tail, added from s up to the prefix end
-  };
   // Per-thread scratch, reused across calls.
-  thread_local std::vector<PrefixTerms> fixed;
-  fixed.assign(V, PrefixTerms{});
+  thread_local std::vector<PrefixPivot> pivots;
+  thread_local std::vector<PrefixRise> rises;
+  pivots.resize(V);
+  rises.resize(V);
   TimeSec warmup = 0.0;
   for (std::size_t q = 0; q < V; ++q) {
     const RowEntry& pivot = prefix_entries[q];
     warmup += pivot.forward;
-    fixed[q].lead = warmup + m1 * PerRound(pivot.forward, pivot.backward, q % 2 == 1);
+    rises[q] = {pivot.allreduce, 0.0};
     TimeSec end = 0.0;
     for (std::size_t s = 0; s <= q; ++s) {
-      fixed[s].rise += pivot.backward;  // from s up to q so far
-      end = std::max(end, prefix_entries[s].allreduce + fixed[s].rise);
+      rises[s].rise += pivot.backward;  // from s up to q so far
+      end = std::max(end, rises[s].allreduce + rises[s].rise);
     }
     TimeSec tail = 0.0;
     for (std::size_t s = q + 1; s < V; ++s) {
       tail -= prefix_entries[s].backward;
       end = std::max(end, prefix_entries[s].allreduce + tail);
     }
-    fixed[q].ending = end;
-    fixed[q].drop = tail;
+    pivots[q] = {warmup + m1 * PerRound(pivot.forward, pivot.backward, q % 2 == 1), end, tail};
   }
+  DropCovered(pivots);
+  DropCovered(rises);
 
   // Peak pieces. A stage hosting itself reads fixed + K x stash from its
   // entry, whose samples are its own; a V shape's late chunk runs at its
@@ -494,63 +534,68 @@ void LatencyEstimator::ScoreSplits(const Splits& splits, const MicroBatching& mb
 
   for (int jp = j + 1; jp < L; ++jp) {
     const auto x = static_cast<std::size_t>(jp);
-    const RowEntry* const split[3] = {&splits.carved[x], &splits.boundary[x],
-                                      &splits.suffix[x]};
-    CandidateScore& score = scores[static_cast<std::size_t>(jp - j - 1)];
-    score = CandidateScore{};
-    // WorstPivot's max over q: strict increases from 0, so order-free.
-    score.latency = 0.0;
-    auto consider = [&score](TimeSec l) {
-      if (l > score.latency) score.latency = l;
-    };
+    const RowEntry& c = splits.carved[x];
+    const RowEntry& k = splits.boundary[x];
+    const RowEntry& u = splits.suffix[x];
+    // WorstPivot's max over q starts at +0.0 and takes only a strictly
+    // larger L(q), never a NaN: exactly std::max(latency, l), so the pivots
+    // may come in any order.
+    TimeSec latency = 0.0;
     // Prefix pivots: the tail past q runs on through the split entries.
-    for (const PrefixTerms& q : fixed) {
-      TimeSec tail = q.drop;
-      TimeSec end = q.ending;
-      for (const RowEntry* e : split) {
-        tail -= e->backward;
-        end = std::max(end, e->allreduce + tail);
-      }
-      consider(q.lead + end);
+    for (const PrefixPivot& q : pivots) {
+      const TimeSec tail_c = q.drop - c.backward;
+      const TimeSec tail_k = tail_c - k.backward;
+      const TimeSec tail_u = tail_k - u.backward;
+      TimeSec end = std::max(q.ending, c.allreduce + tail_c);
+      end = std::max(end, k.allreduce + tail_k);
+      end = std::max(end, u.allreduce + tail_u);
+      latency = std::max(latency, q.lead + end);
     }
-    // Split pivots q = V + t: a prefix s's tail rises on up to q; a split
-    // s adds from s up to q, or subtracts from q+1 up to s when past q.
-    TimeSec end[3] = {0.0, 0.0, 0.0};
-    for (std::size_t s = 0; s < V; ++s) {
-      TimeSec tail = fixed[s].rise;
-      for (int t = 0; t < 3; ++t) {
-        tail += split[t]->backward;
-        end[t] = std::max(end[t], prefix_entries[s].allreduce + tail);
-      }
+    // Split pivots: a prefix s's tail rises on up to the pivot.
+    TimeSec end_c = 0.0, end_k = 0.0, end_u = 0.0;
+    for (const PrefixRise& s : rises) {
+      const TimeSec tail_c = s.rise + c.backward;
+      const TimeSec tail_k = tail_c + k.backward;
+      const TimeSec tail_u = tail_k + u.backward;
+      end_c = std::max(end_c, s.allreduce + tail_c);
+      end_k = std::max(end_k, s.allreduce + tail_k);
+      end_u = std::max(end_u, s.allreduce + tail_u);
     }
-    TimeSec warm = warmup;
-    for (int t = 0; t < 3; ++t) {
-      warm += split[t]->forward;
-      for (int u = 0; u < 3; ++u) {
-        TimeSec tail = 0.0;
-        if (u <= t) {
-          for (int a = u; a <= t; ++a) tail += split[a]->backward;
-        } else {
-          for (int a = t + 1; a <= u; ++a) tail -= split[a]->backward;
-        }
-        end[t] = std::max(end[t], split[u]->allreduce + tail);
-      }
-      consider(warm + m1 * PerRound(split[t]->forward, split[t]->backward, t == 1) + end[t]);
-    }
+    // A split entry's tail adds from itself up to the pivot, or subtracts
+    // from the pivot's successor up to itself, each from 0.0.
+    const TimeSec up_c = 0.0 + c.backward;
+    const TimeSec up_ck = up_c + k.backward;
+    const TimeSec up_k = 0.0 + k.backward;
+    const TimeSec past_k = 0.0 - k.backward;
+    const TimeSec past_u = 0.0 - u.backward;
+    TimeSec warm = warmup + c.forward;
+    end_c = std::max(end_c, c.allreduce + up_c);
+    end_c = std::max(end_c, k.allreduce + past_k);
+    end_c = std::max(end_c, u.allreduce + (past_k - u.backward));
+    latency = std::max(latency, warm + m1 * PerRound(c.forward, c.backward, false) + end_c);
+    warm += k.forward;
+    end_k = std::max(end_k, c.allreduce + up_ck);
+    end_k = std::max(end_k, k.allreduce + up_k);
+    end_k = std::max(end_k, u.allreduce + past_u);
+    latency = std::max(latency, warm + m1 * PerRound(k.forward, k.backward, true) + end_k);
+    warm += u.forward;
+    end_u = std::max(end_u, c.allreduce + (up_ck + u.backward));
+    end_u = std::max(end_u, k.allreduce + (up_k + u.backward));
+    end_u = std::max(end_u, u.allreduce + (0.0 + u.backward));
+    latency = std::max(latency, warm + m1 * PerRound(u.forward, u.backward, false) + end_u);
 
-    const Bytes carved = piece(carved_hosting, *split[0], j, jp, splits.carved_recompute);
-    const Bytes suffix = piece(suffix_hosting, *split[2], jp, L, splits.suffix_recompute);
+    const Bytes carved = piece(carved_hosting, c, j, jp, splits.carved_recompute);
+    const Bytes suffix = piece(suffix_hosting, u, jp, L, splits.suffix_recompute);
+    Bytes peak = 0;
     if (folded) {
       pieces[static_cast<std::size_t>(S - 2)] = carved;
       pieces[static_cast<std::size_t>(S - 1)] = suffix;
-      score.peak = FoldPeak(kind, pieces);
+      peak = FoldPeak(kind, pieces);
     } else {
-      score.peak = std::max({prefix_peak, carved, suffix});
+      peak = std::max({prefix_peak, carved, suffix});
     }
-    if (OverCapacity(score.peak)) {
-      score.feasible = false;
-      score.memory_limited = true;
-    }
+    const bool over = OverCapacity(peak);
+    scores[static_cast<std::size_t>(jp - j - 1)] = CandidateScore{!over, over, latency, peak};
   }
 }
 

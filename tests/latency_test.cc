@@ -530,20 +530,42 @@ TEST(LatencyPrefixReuse, MatchesFullEstimateOnTableVInstances) {
   }
 }
 
-/// A subproblem of `prefix_stages` one-layer stages on one device each,
-/// the carved stage on the next two devices and the suffix on the rest.
-Subproblem PinnedSubproblem(const Cluster& cluster, int prefix_stages, bool recompute) {
+/// A subproblem of `prefix_stages` one-layer stages on `width` devices
+/// each, the carved stage on the next two devices and the suffix on the rest.
+Subproblem PinnedSubproblem(const Cluster& cluster, int prefix_stages, bool recompute,
+                            int width = 1) {
   Subproblem sub;
   for (int i = 0; i < prefix_stages; ++i) {
-    sub.prefix.push_back(StagePlan{i, i + 1, DeviceSet::Range(i, 1),
+    sub.prefix.push_back(StagePlan{i, i + 1, DeviceSet::Range(i * width, width),
                                    topo::PlacementPolicy::kFreshFirst, recompute && i % 2 == 0});
   }
+  const int used = prefix_stages * width;
   sub.j = prefix_stages;
-  sub.carved = DeviceSet::Range(prefix_stages, 2);
-  sub.free = DeviceSet::Range(prefix_stages + 2, cluster.num_devices() - prefix_stages - 2);
+  sub.carved = DeviceSet::Range(used, 2);
+  sub.free = DeviceSet::Range(used + 2, cluster.num_devices() - used - 2);
   sub.recompute_carved = recompute;
   sub.recompute_free = !recompute;
   return sub;
+}
+
+/// ExpectPrefixReuseMatches on PinnedSubproblem(cluster, prefix_stages,
+/// width) for every ScheduleKind, both recompute settings and two caps
+/// (none, and one byte so every split is infeasible), expecting every split
+/// compared.
+void ExpectEveryKindMatches(const ModelProfile& m, const Cluster& cluster, long gbs,
+                            int prefix_stages, int width = 1) {
+  for (runtime::ScheduleKind kind : runtime::AllScheduleKinds()) {
+    for (const bool recompute : {false, true}) {
+      for (const Bytes cap : {Bytes{0}, Bytes{1}}) {
+        LatencyOptions options;
+        options.schedule_kind = kind;
+        options.memory_cap = cap;
+        const Subproblem sub = PinnedSubproblem(cluster, prefix_stages, recompute, width);
+        const int splits = ExpectPrefixReuseMatches(m, cluster, gbs, options, sub);
+        EXPECT_EQ(splits, m.num_layers() - sub.j - 1);
+      }
+    }
+  }
 }
 
 TEST(LatencyPrefixReuse, MatchesFullEstimateForEveryScheduleKindAndFlag) {
@@ -551,21 +573,95 @@ TEST(LatencyPrefixReuse, MatchesFullEstimateForEveryScheduleKindAndFlag) {
   // One device per prefix stage, two for the carved stage, one or more free.
   const Cluster cluster = topo::MakeConfig('B', m.num_layers() + 1);
   // S = 2 (no prefix entries), a mid-size prefix, and j = L-2 (one split).
-  const int prefix_stages[] = {0, 3, 6, m.num_layers() - 2};
-  for (runtime::ScheduleKind kind : runtime::AllScheduleKinds()) {
-    for (const int k : prefix_stages) {
-      for (const bool recompute : {false, true}) {
-        for (const Bytes cap : {Bytes{0}, Bytes{1}}) {
-          LatencyOptions options;
-          options.schedule_kind = kind;
-          options.memory_cap = cap;
-          const Subproblem sub = PinnedSubproblem(cluster, k, recompute);
-          const int splits = ExpectPrefixReuseMatches(m, cluster, 256, options, sub);
-          EXPECT_EQ(splits, m.num_layers() - sub.j - 1);
-        }
-      }
-    }
+  for (const int k : {0, 3, 6, m.num_layers() - 2}) {
+    ExpectEveryKindMatches(m, cluster, 256, k);
   }
+}
+
+TEST(LatencyPrefixReuse, MatchesFullEstimateWhenPrefixTermsTie) {
+  // Identical one-layer stages with no activation: every boundary costs
+  // exactly 0, so a boundary's tail equals the next stage's bit for bit
+  // and each prefix pivot ties the one before it in two of its three terms.
+  // ScoreSplits drops the covered terms, keeping the first of equal ones.
+  const ModelProfile m = MakeUniformSynthetic(24, 0.01, 0.02, 0, 1000);
+  const Cluster cluster = FastCluster(1, 12);
+  for (const int k : {1, 4, 8}) ExpectEveryKindMatches(m, cluster, 64, k);
+
+  // Tied terms that set the max: with no backward time every prefix stage's
+  // (AllReduce, rise) term is the same bits, and three prefix stages of four
+  // devices out-AllReduce a one-layer carved stage on two, while the suffix,
+  // on one device, has no AllReduce. Exactly one of the tied terms must stay.
+  const ModelProfile flat = MakeUniformSynthetic(8, 0.01, 0.0, 0, 100'000'000);
+  topo::InterconnectSpec net;
+  net.intra_server_bandwidth = GBps(1.0);
+  net.intra_server_latency = 0.0;
+  ExpectEveryKindMatches(flat, Cluster("tied", 1, 3 * 4 + 3, topo::DeviceSpec{}, net), 64, 3, 4);
+}
+
+TEST(LatencyPrefixReuse, MatchesFullEstimateWhenTheMaxPivotTradesLeadForDrop) {
+  // Two prefix stages on one device each: layer 0 (F 0.011, B 0.022 per
+  // sample) is a little heavier than layer 1 (0.010, 0.020). Layers 2-7
+  // compute almost nothing but hold 100M parameters each, so the carved
+  // and suffix AllReduces (about 0.6 s per layer at 1 GB/s) set every
+  // pivot's ending, and tiny activations make the boundaries nearly free.
+  // GBS 32 on a widest stage of 4 gives M = 8 micro-batches of 4 samples.
+  // Pivot 0 (stage 0) then leads by 7 x 0.012 - 0.04 = 0.044 s over pivot 2
+  // (stage 1), but its tail past itself is longer by B(comm01) + B(stage 1)
+  // = 0.08 s: pivot 2 sets the max with a smaller lead and a larger drop,
+  // so the filter must keep both terms.
+  std::vector<model::LayerProfile> layers(8);
+  for (int i = 0; i < 8; ++i) {
+    model::LayerProfile& l = layers[static_cast<std::size_t>(i)];
+    l.name = "layer" + std::to_string(i);
+    l.forward_time = i == 0 ? 0.011 : i == 1 ? 0.010 : 0.001;
+    l.backward_time = 2 * l.forward_time;
+    l.output_activation = 1_KiB;
+    l.activation_memory = 1_KiB;
+    l.param_count = i < 2 ? 1000 : 100'000'000;
+  }
+  const ModelProfile m("trade-off", std::move(layers), 1, model::OptimizerKind::kSGD);
+  topo::InterconnectSpec net;
+  net.intra_server_bandwidth = GBps(1.0);
+  net.intra_server_latency = 0.0;
+  const Cluster cluster("trade-off", 1, 8, topo::DeviceSpec{}, net);
+  const long gbs = 32;
+
+  const Subproblem sub = PinnedSubproblem(cluster, 2, false);
+  ParallelPlan plan;
+  plan.model = m.name();
+  plan.stages = sub.prefix;
+  plan.stages.push_back(StagePlan{sub.j, sub.j + 1, sub.carved});
+  plan.stages.push_back(StagePlan{sub.j + 1, m.num_layers(), sub.free});
+  const LatencyEstimator estimator(m, cluster);
+  for (int jp = sub.j + 1; jp < m.num_layers(); ++jp) {
+    plan.stages[2].layer_end = jp;
+    plan.stages[3].layer_begin = jp;
+    const PlanEstimate est = estimator.Estimate(plan, gbs);
+    ASSERT_EQ(est.num_micro_batches, 8);
+    // Prefix pivot q's lead (warmup + steady) and drop (its negative tail
+    // over the rest of the prefix), from the estimate's stage list.
+    auto lead = [&](std::size_t q) {
+      double warmup = 0.0;
+      for (std::size_t s = 0; s <= q; ++s) warmup += est.stages[s].forward;
+      return warmup + 7 * (est.stages[q].forward + est.stages[q].backward);
+    };
+    auto drop = [&](std::size_t q) {
+      double tail = 0.0;
+      for (std::size_t s = q + 1; s < 4; ++s) tail -= est.stages[s].backward;
+      return tail;
+    };
+    EXPECT_EQ(est.pivot, 2) << "jp=" << jp;
+    EXPECT_GT(lead(0), lead(2)) << "jp=" << jp;
+    EXPECT_LT(drop(0), drop(2)) << "jp=" << jp;
+  }
+  ExpectEveryKindMatches(m, cluster, gbs, 2);
+}
+
+TEST(LatencyPrefixReuse, MatchesFullEstimateOnADeepPrefix) {
+  // 16 prefix stages (32 prefix entries) of an uneven model across two
+  // servers; the Table V searches average 2.6 prefix entries per split.
+  const ModelProfile m = model::ModelByName("AmoebaNet-36");
+  ExpectEveryKindMatches(m, topo::MakeConfigA(3), 128, 16);
 }
 
 TEST(LatencyPrefixReuse, ScoreSplitsRejectsAMismatchedPrefix) {

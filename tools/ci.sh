@@ -48,6 +48,13 @@
 #                    on the plain tree only, sanitizers would distort the
 #                    timing columns — the sweeps themselves also run
 #                    under ASan in the unit tier)
+#   fma            — the plain tree only, built for x86-64-v3 (a portable
+#                    target with FMA instructions), running the unit,
+#                    golden and perf-smoke labels: the planner's row-based
+#                    scores must still equal Estimate bit for bit, and the
+#                    goldens hold, where the compiler could fuse
+#                    multiply-adds (the root CMakeLists.txt pins
+#                    -ffp-contract=off)
 #
 # Wider sweeps stay opt-in: `DAPPLE_FUZZ_ITERATIONS=100000 ctest -L fuzz`,
 # or `<build>/tools/dapple_fuzz --iterations 100000` directly, in any of its
@@ -59,15 +66,23 @@ prefix="${1:-build-ci}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 tier="${DAPPLE_CI_TIER:-unit}"
 
+plain_args=(-DDAPPLE_WERROR=ON)
 case "${tier}" in
   unit) label_args=(-L unit) ;;
   full) label_args=() ;;
   perf-smoke) label_args=(-L perf-smoke) ;;
+  fma)
+    label_args=(-L 'unit|golden|perf-smoke')
+    plain_args+=(-DCMAKE_CXX_FLAGS=-march=x86-64-v3)
+    ;;
   *)
-    echo "unknown DAPPLE_CI_TIER '${tier}' (unit | full | perf-smoke)" >&2
+    echo "unknown DAPPLE_CI_TIER '${tier}' (unit | full | perf-smoke | fma)" >&2
     exit 2
     ;;
 esac
+# The perf-smoke and fma tiers build and test the plain tree only.
+plain_only=false
+if [[ "${tier}" == "perf-smoke" || "${tier}" == "fma" ]]; then plain_only=true; fi
 
 run_suite() {
   local dir="$1"
@@ -80,12 +95,12 @@ run_suite() {
   ctest --test-dir "${dir}" "${label_args[@]}" --output-on-failure -j "${jobs}"
 }
 
-run_suite "${prefix}" -DDAPPLE_WERROR=ON
+run_suite "${prefix}" "${plain_args[@]}"
 # benchmark/ builds against src/ headers (runtime/executor.h, obs/report.h,
 # serve/*) from its own source tree, so an API change in src/ can break it
 # without breaking the main build; running each workload once also checks
 # that it still produces correct output.
-if [[ "${tier}" != "perf-smoke" ]]; then
+if [[ "${plain_only}" == false ]]; then
   echo "=== configure + build ${prefix}-e2e (benchmark/)"
   cmake -S benchmark -B "${prefix}-e2e" >/dev/null
   cmake --build "${prefix}-e2e" --target dapple_bench_e2e -j "${jobs}" >/dev/null
@@ -101,12 +116,12 @@ if [[ "${tier}" != "perf-smoke" ]]; then
 fi
 # Sanitizer instrumentation would distort perf-smoke's timing columns, and
 # the determinism sweep it carries already ran under ASan in the unit tier.
-if [[ "${tier}" != "perf-smoke" ]]; then
+if [[ "${plain_only}" == false ]]; then
   run_suite "${prefix}-asan" -DDAPPLE_SANITIZE=address,undefined
 fi
 # ThreadSanitizer over everything that fans out across threads. The tests
 # run as whole binaries; TSan fails a binary that reported any race.
-if [[ "${tier}" != "perf-smoke" ]]; then
+if [[ "${plain_only}" == false ]]; then
   tsan_dir="${prefix}-tsan"
   tsan_tests=(thread_pool_test common_test planner_determinism_test
               sim_determinism_test scenario_determinism_test serve_test
