@@ -12,7 +12,9 @@
 //      below the reference engine's events/s exits non-zero;
 //   2. wall-clock events/sec of the ThreadPool multi-seed path at 1/2/8
 //      worker threads vs the plain serial loop — the win from fanning
-//      independent simulations across cores.
+//      independent simulations across cores;
+//   3. CPU µs per pipeline of each stage callers pay: GraphBuilder::Build,
+//      the SoaGraph flatten and the event loop, each timed alone.
 //
 // Every simulation result is fingerprinted (bit-exact records, pool peaks,
 // makespan) outside the timed regions; any divergence between the
@@ -26,6 +28,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -82,13 +85,17 @@ int main(int argc, char** argv) {
   // harness uses, so the bench exercises both schedules, recomputation,
   // replication modes and straggler clusters.
   const int corpus_size = quick ? 32 : 192;
+  std::vector<check::FuzzCase> cases;
+  std::vector<runtime::GraphBuilder> builders;
   std::vector<runtime::BuiltPipeline> corpus;
+  cases.reserve(static_cast<std::size_t>(corpus_size));
+  builders.reserve(static_cast<std::size_t>(corpus_size));
   corpus.reserve(static_cast<std::size_t>(corpus_size));
   long total_tasks = 0;
   for (std::uint64_t seed = 0; corpus.size() < static_cast<std::size_t>(corpus_size);
        ++seed) {
-    const check::FuzzCase c = check::MakeFuzzCase(seed);
-    corpus.push_back(runtime::GraphBuilder(c.model, c.cluster, c.plan, c.options).Build());
+    const check::FuzzCase& c = cases.emplace_back(check::MakeFuzzCase(seed));
+    corpus.push_back(builders.emplace_back(c.model, c.cluster, c.plan, c.options).Build());
     total_tasks += corpus.back().graph.num_tasks();
   }
   // Each timed region replays the corpus `reps` times (after one untimed
@@ -234,6 +241,38 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s", table.ToString().c_str());
+
+  // 3. One pipeline's cost by stage: graph build, flatten and event loop,
+  // each timed alone (best of kStageTrials warmed trials, thread CPU time)
+  // next to the engine row's flatten + loop.
+  constexpr int kStageTrials = 5;
+  std::vector<sim::SoaGraph> flat(corpus.size());
+  const auto per_pipeline_us = [&](const std::function<void()>& pass) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int trial = 0; trial < kStageTrials; ++trial) {
+      best = std::min(best, bench::TimeWarmedPasses(reps, pass));
+    }
+    return best * 1e6 / (static_cast<double>(reps) * corpus_size);
+  };
+  const double build_us = per_pipeline_us([&] {
+    for (const runtime::GraphBuilder& b : builders) b.Build();
+  });
+  const double flatten_us = per_pipeline_us([&] {
+    for (std::size_t i = 0; i < corpus.size(); ++i) flat[i].Assign(corpus[i].graph);
+  });
+  const double loop_us = per_pipeline_us([&] {
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      engine.Simulate(flat[i], corpus[i].engine_options);
+    }
+  });
+  AsciiTable stages({"Stage", "CPU us/pipeline"});
+  stages.AddRow({"build (GraphBuilder::Build)", AsciiTable::Num(build_us, 2)});
+  stages.AddRow({"flatten (SoaGraph::Assign)", AsciiTable::Num(flatten_us, 2)});
+  stages.AddRow({"loop (Engine::Simulate)", AsciiTable::Num(loop_us, 2)});
+  stages.AddRow({"flatten + loop (engine row)",
+                 AsciiTable::Num(engine_cpu * 1e6 / (static_cast<double>(reps) * corpus_size), 2)});
+  std::printf("\nper pipeline (%.1f tasks on average):\n%s",
+              static_cast<double>(total_tasks) / corpus_size, stages.ToString().c_str());
 
   std::printf(
       "\nReading guide: 'Time' is the best trial's thread CPU time on the\n"

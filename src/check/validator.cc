@@ -28,7 +28,7 @@ struct Interval {
 
 std::string TaskLabel(const sim::TaskGraph& graph, sim::TaskId id) {
   std::ostringstream os;
-  os << "task " << id << " '" << graph.task(id).name << "'";
+  os << "task " << id << " '" << sim::TaskName(graph.task(id)) << "'";
   return os.str();
 }
 

@@ -1,10 +1,6 @@
 #include "runtime/graph_builder.h"
 
 #include <algorithm>
-#include <charconv>
-#include <string>
-#include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "comm/cost_model.h"
@@ -51,28 +47,6 @@ struct StageInfo {
   Bytes bw_free = 0;           // released at BW end (2BP: at BWW end)
   int warmup = 0;
 };
-
-/// Concatenates text and decimal integers into a task name through one
-/// stack buffer: one std::string per name, no temporaries.
-template <typename... Pieces>
-std::string TaskName(const Pieces&... pieces) {
-  char buf[64];
-  char* end = buf;
-  auto append = [&](const auto& piece) {
-    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(piece)>>) {
-      const std::to_chars_result r = std::to_chars(end, std::end(buf), piece);
-      DAPPLE_CHECK(r.ec == std::errc()) << "task name too long";
-      end = r.ptr;
-    } else {
-      const std::string_view text(piece);
-      DAPPLE_CHECK_LE(text.size(), static_cast<std::size_t>(std::end(buf) - end))
-          << "task name too long";
-      end = std::copy(text.begin(), text.end(), end);
-    }
-  };
-  (append(pieces), ...);
-  return std::string(buf, end);
-}
 
 }  // namespace
 
@@ -256,7 +230,6 @@ BuiltPipeline GraphBuilder::Build() const {
         const topo::DeviceId dev = slot_device(i, m, k);
         const double dev_speed = cluster_->device_speed(dev);
         sim::Task fw;
-        fw.name = TaskName("FW s", i, " m", m, " G", dev);
         fw.kind = sim::TaskKind::kForward;
         fw.resource = dev;
         fw.duration = si.forward / dev_speed;
@@ -265,11 +238,11 @@ BuiltPipeline GraphBuilder::Build() const {
         fw.stage = i;
         fw.microbatch = m;
         fw.device = dev;
-        graph.AddTask(std::move(fw));
+        graph.AddTask(fw);
 
         sim::Task bw;
-        bw.name = TaskName(split_bw ? "BI s" : "BW s", i, " m", m, " G", dev);
         bw.kind = sim::TaskKind::kBackward;
+        if (split_bw) bw.variant = sim::TaskVariant::kBackwardInput;
         bw.resource = dev;
         bw.duration = (split_bw ? si.bw_input : si.backward) / dev_speed;
         bw.pool = dev;
@@ -280,11 +253,10 @@ BuiltPipeline GraphBuilder::Build() const {
         bw.stage = i;
         bw.microbatch = m;
         bw.device = dev;
-        graph.AddTask(std::move(bw));
+        graph.AddTask(bw);
 
         if (split_bw) {
           sim::Task bww;
-          bww.name = TaskName("BWW s", i, " m", m, " G", dev);
           bww.kind = sim::TaskKind::kBackwardWeight;
           bww.resource = dev;
           bww.duration = si.bw_weight / dev_speed;
@@ -293,7 +265,7 @@ BuiltPipeline GraphBuilder::Build() const {
           bww.stage = i;
           bww.microbatch = m;
           bww.device = dev;
-          graph.AddTask(std::move(bww));
+          graph.AddTask(bww);
         }
       }
     }
@@ -335,26 +307,25 @@ BuiltPipeline GraphBuilder::Build() const {
         btx_time = a == b ? 0.0 : cost.P2P(b, a, act);
       }
       sim::Task txf;
-      txf.name = TaskName("TXf ", i, "->", i + 1, " m", m);
       txf.kind = sim::TaskKind::kTransfer;
       txf.resource = layout.ForwardChannel(i);
       txf.duration = tx_time;
       txf.stage = i;
       txf.microbatch = m;
       txf.bytes = act;
-      const sim::TaskId txf_id = graph.AddTask(std::move(txf));
+      const sim::TaskId txf_id = graph.AddTask(txf);
       for (int k = 0; k < slots(i); ++k) graph.AddEdge(fw_task(i, m, k), txf_id);
       for (int k = 0; k < slots(i + 1); ++k) graph.AddEdge(txf_id, fw_task(i + 1, m, k));
 
       sim::Task txb;
-      txb.name = TaskName("TXb ", i + 1, "->", i, " m", m);
       txb.kind = sim::TaskKind::kTransfer;
+      txb.variant = sim::TaskVariant::kGradient;
       txb.resource = layout.BackwardChannel(i);
       txb.duration = btx_time;
       txb.stage = i;
       txb.microbatch = m;
       txb.bytes = act;
-      const sim::TaskId txb_id = graph.AddTask(std::move(txb));
+      const sim::TaskId txb_id = graph.AddTask(txb);
       for (int k = 0; k < slots(i + 1); ++k) graph.AddEdge(fw_task(i + 1, m, k) + 1, txb_id);
       for (int k = 0; k < slots(i); ++k) graph.AddEdge(txb_id, fw_task(i, m, k) + 1);
     }
@@ -422,7 +393,6 @@ BuiltPipeline GraphBuilder::Build() const {
     sim::TaskId ar_id = sim::kInvalidTask;
     if (si.exec->replication() > 1) {
       sim::Task ar;
-      ar.name = TaskName("AR s", i);
       ar.kind = sim::TaskKind::kAllReduce;
       ar.resource = layout.AllReduceLane(i);
       if (options_.overlap_allreduce) {
@@ -438,7 +408,7 @@ BuiltPipeline GraphBuilder::Build() const {
       }
       ar.stage = i;
       ar.bytes = weights;
-      ar_id = graph.AddTask(std::move(ar));
+      ar_id = graph.AddTask(ar);
       for (int m = 0; m < m_total; ++m) {
         for (int k = 0; k < slots(i); ++k) graph.AddEdge(fw_task(i, m, k) + grad_offset, ar_id);
       }
@@ -446,14 +416,13 @@ BuiltPipeline GraphBuilder::Build() const {
     for (int rep = 0; rep < si.exec->replication(); ++rep) {
       const topo::DeviceId dev = si.exec->devices[rep];
       sim::Task apply;
-      apply.name = TaskName("APPLY s", i, " G", dev);
       apply.kind = sim::TaskKind::kApply;
       apply.resource = dev;
       apply.duration = static_cast<double>(weights) / comm::kMemcpyBandwidth;
       apply.stage = i;
       apply.device = dev;
       apply.priority = 1 << 20;  // after any scheduled FW/BW on the device
-      const sim::TaskId apply_id = graph.AddTask(std::move(apply));
+      const sim::TaskId apply_id = graph.AddTask(apply);
       if (ar_id != sim::kInvalidTask) {
         graph.AddEdge(ar_id, apply_id);
       } else {

@@ -19,7 +19,8 @@ std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result) {
 
   // Process / thread metadata: one "thread" per resource.
   emit("{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"dapple-sim\"}}");
-  for (int r = 0; r < std::max(graph.num_resources(), 1); ++r) {
+  const int num_resources = std::max(graph.num_resources(), 1);
+  for (int r = 0; r < num_resources; ++r) {
     std::ostringstream m;
     m << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << r
       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"resource " << r << "\"}}";
@@ -32,7 +33,7 @@ std::string ToChromeTrace(const TaskGraph& graph, const SimResult& result) {
     const Task& task = graph.task(rec.id);
     std::ostringstream e;
     e << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << task.resource << ",\"name\":\""
-      << obs::JsonWriter::Escape(task.name) << "\",\"cat\":\"" << ToString(task.kind)
+      << obs::JsonWriter::Escape(TaskName(task)) << "\",\"cat\":\"" << ToString(task.kind)
       << "\",\"ts\":" << rec.start * 1e6 << ",\"dur\":" << (rec.end - rec.start) * 1e6
       << ",\"args\":{\"stage\":" << task.stage << ",\"microbatch\":" << task.microbatch
       << "}}";

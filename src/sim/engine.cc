@@ -65,18 +65,19 @@ bool SimResult::AnyOom() const {
 namespace internal {
 
 SimResult MakeResultShell(int num_tasks, const EngineOptions& options,
-                          int num_resources, int num_pools) {
+                          int num_resources, int num_pools,
+                          std::span<const std::int32_t> pool_events) {
   SimResult result;
   result.records.resize(static_cast<std::size_t>(num_tasks));
   result.resources.resize(static_cast<std::size_t>(num_resources));
   result.pools.reserve(static_cast<std::size_t>(num_pools));
-  for (int p = 0; p < num_pools; ++p) {
-    const Bytes cap = static_cast<std::size_t>(p) < options.pool_capacities.size()
-                          ? options.pool_capacities[static_cast<std::size_t>(p)]
-                          : 0;
-    result.pools.emplace_back(cap);
-    if (static_cast<std::size_t>(p) < options.pool_baselines.size()) {
-      result.pools.back().SetBaseline(options.pool_baselines[static_cast<std::size_t>(p)]);
+  for (std::size_t p = 0; p < static_cast<std::size_t>(num_pools); ++p) {
+    const Bytes cap = p < options.pool_capacities.size() ? options.pool_capacities[p] : 0;
+    const std::size_t events =
+        p < pool_events.size() ? static_cast<std::size_t>(pool_events[p]) : 0;
+    result.pools.emplace_back(cap, events);
+    if (p < options.pool_baselines.size()) {
+      result.pools.back().SetBaseline(options.pool_baselines[p]);
     }
   }
   return result;
@@ -112,7 +113,7 @@ void IndexProfiles(const EngineOptions& options, int num_resources,
   int listed = 0;
   for (TaskId t = 0; t < graph.num_tasks() && listed < 5; ++t) {
     if (!result.records[static_cast<std::size_t>(t)].executed) {
-      os << " '" << graph.task(t).name << "'";
+      os << " '" << TaskName(graph.task(t)) << "'";
       ++listed;
     }
   }
@@ -141,7 +142,7 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
   const int num_resources = graph.num_resources();
   const int num_pools = NumPools(graph.num_pools(), options);
 
-  SimResult result = MakeResultShell(n, options, num_resources, num_pools);
+  SimResult result = MakeResultShell(n, options, num_resources, num_pools, graph.pool_events());
 
   // Hot array bases, hoisted so the event loop indexes raw pointers instead
   // of re-reading vector headers through the graph reference.
@@ -336,7 +337,15 @@ SimResult RunReferenceEngine(const TaskGraph& graph, const EngineOptions& option
   const int num_resources = std::max(graph.num_resources(), 1);
   const int num_pools = NumPools(graph.num_pools(), options);
 
-  SimResult result = MakeResultShell(n, options, num_resources, num_pools);
+  // Counted here, not read from a SoaGraph, so the oracle shares no
+  // flattening code with the engine it checks.
+  std::vector<std::int32_t> pool_events(static_cast<std::size_t>(graph.num_pools()), 0);
+  for (const Task& task : graph.tasks()) {
+    if (task.pool < 0) continue;
+    pool_events[static_cast<std::size_t>(task.pool)] +=
+        (task.alloc_at_start > 0 ? 1 : 0) + (task.free_at_end > 0 ? 1 : 0);
+  }
+  SimResult result = MakeResultShell(n, options, num_resources, num_pools, pool_events);
 
   std::vector<int> pending(static_cast<std::size_t>(n), 0);
   for (TaskId t = 0; t < n; ++t) {

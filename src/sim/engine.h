@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/graph.h"
@@ -181,9 +182,11 @@ namespace internal {
 int NumPools(int graph_pools, const EngineOptions& options);
 
 /// Prepares the SimResult shell (records, usage slots, pools with
-/// capacities/baselines applied).
+/// capacities/baselines applied). Pool p's timeline is reserved for
+/// pool_events[p] allocs/frees; pools past the span see no traffic.
 SimResult MakeResultShell(int num_tasks, const EngineOptions& options,
-                          int num_resources, int num_pools);
+                          int num_resources, int num_pools,
+                          std::span<const std::int32_t> pool_events);
 
 /// Validates speed profiles and maps them onto resources (nullptr = fixed
 /// unit speed, the exact legacy arithmetic).

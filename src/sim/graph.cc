@@ -13,11 +13,11 @@ void TaskGraph::Reserve(int num_tasks) {
 }
 
 TaskId TaskGraph::AddTask(Task task) {
-  DAPPLE_CHECK_GE(task.duration, 0.0) << "task " << task.name;
-  DAPPLE_CHECK_GE(task.resource, 0) << "task " << task.name;
   const TaskId id = static_cast<TaskId>(tasks_.size());
   task.id = id;
-  tasks_.push_back(std::move(task));
+  DAPPLE_CHECK_GE(task.duration, 0.0) << "task " << TaskName(task);
+  DAPPLE_CHECK_GE(task.resource, 0) << "task " << TaskName(task);
+  tasks_.push_back(task);
   successors_.emplace_back();
   return id;
 }
@@ -94,6 +94,7 @@ void SoaGraph::Assign(const TaskGraph& graph) {
   free_pool_.resize(un);
   alloc_bytes_.resize(un);
   free_bytes_.resize(un);
+  pool_events_.assign(static_cast<std::size_t>(num_pools_), 0);
   ready_key_.resize(un);
   succ_offsets_.resize(un + 1);
 
@@ -110,6 +111,8 @@ void SoaGraph::Assign(const TaskGraph& graph) {
     is_compute_[ut] = IsComputeKind(task.kind) ? 1 : 0;
     alloc_pool_[ut] = task.pool >= 0 && task.alloc_at_start > 0 ? task.pool : -1;
     free_pool_[ut] = task.pool >= 0 && task.free_at_end > 0 ? task.pool : -1;
+    if (alloc_pool_[ut] >= 0) ++pool_events_[static_cast<std::size_t>(task.pool)];
+    if (free_pool_[ut] >= 0) ++pool_events_[static_cast<std::size_t>(task.pool)];
     alloc_bytes_[ut] = task.alloc_at_start;
     free_bytes_[ut] = task.free_at_end;
     ready_key_[ut] = PackReadyKey(task.priority, t);

@@ -18,8 +18,8 @@
 // spirit of poplibs' flat cycle-estimator tables:
 //
 //   - duration / resource / memory-effect arrays indexed by TaskId, so the
-//     event loop touches only the bytes it needs (a Task is ~100 bytes with
-//     a cold std::string name) and neighboring ids share cache lines;
+//     event loop touches only the bytes it needs (a Task is 72 bytes, most
+//     of them reporting metadata) and neighboring ids share cache lines;
 //   - CSR successor spans (offsets + one flat id array) plus the in-degree
 //     counted from them, no per-task vector indirection;
 //   - ready-queue keys packed into one uint64 ((priority, id) lexicographic
@@ -83,8 +83,8 @@ class TaskGraph {
 };
 
 /// Flattened, read-only execution view of a TaskGraph. Construction is one
-/// linear pass; the source graph must outlive the SoaGraph (diagnostics and
-/// trace rendering still read task names from it).
+/// linear pass; the source graph must outlive the SoaGraph (diagnostics
+/// render task names from it).
 class SoaGraph {
  public:
   SoaGraph() = default;
@@ -113,6 +113,9 @@ class SoaGraph {
   const std::vector<std::int32_t>& free_pool() const { return free_pool_; }
   const std::vector<Bytes>& alloc_bytes() const { return alloc_bytes_; }
   const std::vector<Bytes>& free_bytes() const { return free_bytes_; }
+  /// Alloc plus free effects per pool, num_pools() entries: an upper bound
+  /// on the samples a run adds to that pool's timeline.
+  const std::vector<std::int32_t>& pool_events() const { return pool_events_; }
 
   /// Ready-heap key of task `id`: (priority, id) lexicographic as one
   /// unsigned 64-bit integer (priority sign-biased into the high half, the
@@ -141,6 +144,7 @@ class SoaGraph {
   std::vector<std::int32_t> free_pool_;
   std::vector<Bytes> alloc_bytes_;
   std::vector<Bytes> free_bytes_;
+  std::vector<std::int32_t> pool_events_;
   std::vector<std::uint64_t> ready_key_;
   std::vector<std::int32_t> succ_offsets_;
   std::vector<std::int32_t> succ_;

@@ -6,7 +6,8 @@
 
 namespace dapple::sim {
 
-MemoryPool::MemoryPool(Bytes capacity) : capacity_(capacity) {
+MemoryPool::MemoryPool(Bytes capacity, std::size_t events) : capacity_(capacity) {
+  timeline_.reserve(events + 1);
   timeline_.push_back({0.0, 0});
 }
 

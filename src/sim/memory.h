@@ -4,6 +4,7 @@
 // DAPPLE.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/units.h"
@@ -20,8 +21,11 @@ struct MemorySample {
 /// dynamic activation traffic applied by the engine as tasks start/finish.
 class MemoryPool {
  public:
-  /// `capacity` of 0 means unlimited (no OOM detection).
-  explicit MemoryPool(Bytes capacity = 0);
+  /// `capacity` of 0 means unlimited (no OOM detection). The timeline is
+  /// reserved for `events` allocs/frees, each adding at most one sample,
+  /// plus the baseline sample, so a caller that knows its traffic up front
+  /// sizes it once.
+  explicit MemoryPool(Bytes capacity = 0, std::size_t events = 0);
 
   /// Sets the always-resident bytes (parameters, gradients, optimizer
   /// state). Must be called before any traffic.

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/units.h"
 
@@ -35,10 +36,18 @@ const char* ToString(TaskKind kind);
 /// True for kinds that occupy a device's compute engine (vs. the network).
 bool IsComputeKind(TaskKind kind);
 
+/// What a task's kind leaves open: which half of a backward, which way a
+/// transfer moves. Only TaskName reads it.
+enum class TaskVariant : std::uint8_t {
+  kDefault,        // a full backward, a forward transfer, any other kind
+  kBackwardInput,  // kBackward: 2BP's backward-input half ("BI")
+  kGradient,       // kTransfer: the gradient moving back a stage ("TXb")
+};
+
 struct Task {
   TaskId id = kInvalidTask;
-  std::string name;
   TaskKind kind = TaskKind::kGeneric;
+  TaskVariant variant = TaskVariant::kDefault;
   ResourceId resource = 0;
   TimeSec duration = 0.0;
 
@@ -61,5 +70,16 @@ struct Task {
   /// Payload moved by transfer/AllReduce tasks (link-volume accounting).
   Bytes bytes = 0;
 };
+
+// A task carries no owned storage: building a graph formats no text, and
+// names are rendered on demand by TaskName.
+static_assert(std::is_trivially_copyable_v<Task>);
+static_assert(sizeof(Task) <= 72);
+
+/// The task's display name, rendered from its fields: "FW s1 m3 G5",
+/// "BW"/"BI"/"BWW" likewise, "RC s1 m3 G5", "TXf 1->2 m3", "TXb 2->1 m3"
+/// (a transfer's stage is its upstream side), "AR s1", "APPLY s1 G5", and
+/// "task 7" for a kGeneric task.
+std::string TaskName(const Task& task);
 
 }  // namespace dapple::sim

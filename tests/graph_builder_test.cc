@@ -3,7 +3,10 @@
 // replication, and memory effect wiring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "check/fuzz.h"
 #include "common/error.h"
@@ -89,6 +92,56 @@ TEST(GraphBuilder, RoundRobinAssignsWholeMicroBatches) {
       EXPECT_EQ(t.device, t.microbatch % 2);
     }
   }
+}
+
+/// Every task name of a 2BP build of a two-stage pipeline whose first
+/// stage is replicated on devices 0 and 1, with two micro-batches, sorted.
+std::vector<std::string> SplitBackwardNames(ReplicationMode mode, ScheduleKind kind) {
+  const auto m = MakeUniformSynthetic(2, 0.01, 0.02, 1_MiB, 1000, 1);
+  const auto cluster = topo::MakeConfigA(1);
+  const auto plan = MakePlan(m, {{1, DeviceSet::Range(0, 2)}, {2, DeviceSet::Range(2, 1)}});
+  BuildOptions o = Opts(4, kind);
+  o.replication = mode;
+  o.micro_batch_size = 2;
+  const BuiltPipeline built = GraphBuilder(m, cluster, plan, o).Build();
+  std::vector<std::string> names;
+  for (const sim::Task& t : built.graph.tasks()) names.push_back(sim::TaskName(t));
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(GraphBuilder, TaskNamesRenderFromFieldsInSplitMode) {
+  const std::vector<std::string> want = {
+      "APPLY s0 G0", "APPLY s0 G1", "APPLY s1 G2", "AR s0",       "BI s0 m0 G0",
+      "BI s0 m0 G1", "BI s0 m1 G0", "BI s0 m1 G1", "BI s1 m0 G2", "BI s1 m1 G2",
+      "BWW s0 m0 G0", "BWW s0 m0 G1", "BWW s0 m1 G0", "BWW s0 m1 G1", "BWW s1 m0 G2",
+      "BWW s1 m1 G2", "FW s0 m0 G0", "FW s0 m0 G1", "FW s0 m1 G0", "FW s0 m1 G1",
+      "FW s1 m0 G2", "FW s1 m1 G2", "TXb 1->0 m0", "TXb 1->0 m1", "TXf 0->1 m0",
+      "TXf 0->1 m1"};
+  EXPECT_EQ(SplitBackwardNames(ReplicationMode::kSplitMicroBatch, ScheduleKind::kDappleSplitBw),
+            want);
+}
+
+TEST(GraphBuilder, TaskNamesRenderFromFieldsInRoundRobinMode) {
+  // Micro-batch m of the replicated stage runs whole on device m % 2.
+  const std::vector<std::string> want = {
+      "APPLY s0 G0", "APPLY s0 G1", "APPLY s1 G2", "AR s0",        "BI s0 m0 G0",
+      "BI s0 m1 G1", "BI s1 m0 G2", "BI s1 m1 G2", "BWW s0 m0 G0", "BWW s0 m1 G1",
+      "BWW s1 m0 G2", "BWW s1 m1 G2", "FW s0 m0 G0", "FW s0 m1 G1", "FW s1 m0 G2",
+      "FW s1 m1 G2", "TXb 1->0 m0", "TXb 1->0 m1", "TXf 0->1 m0", "TXf 0->1 m1"};
+  EXPECT_EQ(SplitBackwardNames(ReplicationMode::kRoundRobin, ScheduleKind::kDappleSplitBw), want);
+}
+
+TEST(GraphBuilder, UnsplitBackwardsRenderAsBw) {
+  // Without 2BP each backward is whole: "BW", never "BI" or "BWW".
+  const std::vector<std::string> names =
+      SplitBackwardNames(ReplicationMode::kRoundRobin, ScheduleKind::kDapple);
+  const std::vector<std::string> want = {
+      "APPLY s0 G0", "APPLY s0 G1", "APPLY s1 G2", "AR s0",       "BW s0 m0 G0",
+      "BW s0 m1 G1", "BW s1 m0 G2", "BW s1 m1 G2", "FW s0 m0 G0", "FW s0 m1 G1",
+      "FW s1 m0 G2", "FW s1 m1 G2", "TXb 1->0 m0", "TXb 1->0 m1", "TXf 0->1 m0",
+      "TXf 0->1 m1"};
+  EXPECT_EQ(names, want);
 }
 
 TEST(GraphBuilder, WarmupDepthsAreMonotoneNonIncreasing) {
@@ -216,7 +269,7 @@ void MixBuilt(const BuiltPipeline& built, Fingerprint64& fp) {
   fp.Mix(static_cast<std::int64_t>(g.num_tasks()));
   for (const sim::Task& t : g.tasks()) {
     fp.Mix(static_cast<std::int64_t>(t.id))
-        .Mix(t.name)
+        .Mix(sim::TaskName(t))
         .Mix(static_cast<std::int64_t>(t.kind))
         .Mix(static_cast<std::int64_t>(t.resource))
         .Mix(t.duration)
@@ -242,7 +295,7 @@ void MixBuilt(const BuiltPipeline& built, Fingerprint64& fp) {
   for (Bytes b : built.engine_options.pool_capacities) fp.Mix(static_cast<std::uint64_t>(b));
 }
 
-// Pins the built graphs bit for bit: task ids, fields, names, successor
+// Pins the built graphs bit for bit: task ids, fields, rendered names, successor
 // order and the pipeline metadata, over fuzz cases crossed with both
 // replication modes, every schedule kind and AllReduce overlap on/off. A
 // change to the builder that moves any of them changes this digest.

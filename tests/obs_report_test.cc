@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "model/zoo.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "planner/dp_planner.h"
@@ -248,6 +249,19 @@ TEST(MetricsRegistry, EngineAndPlannerFeedTheGlobalRegistry) {
   EXPECT_GE(reg.counter("planner.plans").value(), 1);
   EXPECT_GT(reg.counter("planner.estimator_calls").value(), 0);
   EXPECT_GT(reg.counter("planner.candidates_evaluated").value(), 0);
+}
+
+// Every JSON writer (reports, metrics, Chrome traces) escapes strings
+// through JsonWriter::Escape.
+TEST(JsonWriter, EscapesQuotesBackslashesNewlinesAndControlBytes) {
+  EXPECT_EQ(obs::JsonWriter::Escape("weird \"name\"\nline"), "weird \\\"name\\\"\\nline");
+  EXPECT_EQ(obs::JsonWriter::Escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(obs::JsonWriter::Escape("a\tb"), "a\\tb");
+  EXPECT_EQ(obs::JsonWriter::Escape(std::string("a\0b", 3)), "a\\u0000b");
+  EXPECT_EQ(obs::JsonWriter::Escape("\x01\r\x1f"), "\\u0001\\u000d\\u001f");
+  // DEL and bytes above 0x7f (UTF-8) pass through unchanged.
+  EXPECT_EQ(obs::JsonWriter::Escape("\x7f caf\xc3\xa9"), "\x7f caf\xc3\xa9");
+  EXPECT_EQ(obs::JsonWriter::Escape(""), "");
 }
 
 }  // namespace

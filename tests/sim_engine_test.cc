@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -13,10 +12,8 @@
 namespace dapple::sim {
 namespace {
 
-Task MakeTask(std::string name, ResourceId resource, TimeSec duration,
-              TaskKind kind = TaskKind::kGeneric) {
+Task MakeTask(ResourceId resource, TimeSec duration, TaskKind kind = TaskKind::kGeneric) {
   Task t;
-  t.name = std::move(name);
   t.resource = resource;
   t.duration = duration;
   t.kind = kind;
@@ -25,7 +22,7 @@ Task MakeTask(std::string name, ResourceId resource, TimeSec duration,
 
 TEST(Engine, SingleTask) {
   TaskGraph g;
-  g.AddTask(MakeTask("a", 0, 2.0));
+  g.AddTask(MakeTask(0, 2.0));
   const SimResult r = Engine::Run(g);
   EXPECT_DOUBLE_EQ(r.makespan, 2.0);
   EXPECT_TRUE(r.records[0].executed);
@@ -35,9 +32,9 @@ TEST(Engine, SingleTask) {
 
 TEST(Engine, ChainRespectsDependencies) {
   TaskGraph g;
-  const TaskId a = g.AddTask(MakeTask("a", 0, 1.0));
-  const TaskId b = g.AddTask(MakeTask("b", 1, 1.0));
-  const TaskId c = g.AddTask(MakeTask("c", 0, 1.0));
+  const TaskId a = g.AddTask(MakeTask(0, 1.0));
+  const TaskId b = g.AddTask(MakeTask(1, 1.0));
+  const TaskId c = g.AddTask(MakeTask(0, 1.0));
   g.AddEdge(a, b);
   g.AddEdge(b, c);
   const SimResult r = Engine::Run(g);
@@ -49,8 +46,8 @@ TEST(Engine, ChainRespectsDependencies) {
 
 TEST(Engine, IndependentResourcesRunConcurrently) {
   TaskGraph g;
-  g.AddTask(MakeTask("a", 0, 3.0));
-  g.AddTask(MakeTask("b", 1, 2.0));
+  g.AddTask(MakeTask(0, 3.0));
+  g.AddTask(MakeTask(1, 2.0));
   const SimResult r = Engine::Run(g);
   EXPECT_DOUBLE_EQ(r.makespan, 3.0);
   EXPECT_DOUBLE_EQ(r.records[1].start, 0.0);
@@ -58,17 +55,17 @@ TEST(Engine, IndependentResourcesRunConcurrently) {
 
 TEST(Engine, SameResourceSerializes) {
   TaskGraph g;
-  g.AddTask(MakeTask("a", 0, 1.0));
-  g.AddTask(MakeTask("b", 0, 1.0));
+  g.AddTask(MakeTask(0, 1.0));
+  g.AddTask(MakeTask(0, 1.0));
   const SimResult r = Engine::Run(g);
   EXPECT_DOUBLE_EQ(r.makespan, 2.0);
 }
 
 TEST(Engine, PriorityBreaksReadyTies) {
   TaskGraph g;
-  Task hi = MakeTask("hi", 0, 1.0);
+  Task hi = MakeTask(0, 1.0);
   hi.priority = 0;
-  Task lo = MakeTask("lo", 0, 1.0);
+  Task lo = MakeTask(0, 1.0);
   lo.priority = 5;
   const TaskId lo_id = g.AddTask(lo);
   const TaskId hi_id = g.AddTask(hi);  // added second, but higher priority
@@ -78,8 +75,8 @@ TEST(Engine, PriorityBreaksReadyTies) {
 
 TEST(Engine, EqualPriorityFallsBackToId) {
   TaskGraph g;
-  const TaskId a = g.AddTask(MakeTask("a", 0, 1.0));
-  const TaskId b = g.AddTask(MakeTask("b", 0, 1.0));
+  const TaskId a = g.AddTask(MakeTask(0, 1.0));
+  const TaskId b = g.AddTask(MakeTask(0, 1.0));
   const SimResult r = Engine::Run(g);
   EXPECT_LT(r.records[a].start, r.records[b].start);
 }
@@ -94,14 +91,14 @@ TEST(Engine, EqualPriorityFallsBackToId) {
 TEST(Engine, SimultaneousCompletionsDrainByPriorityThenId) {
   auto build = [] {
     TaskGraph g;
-    Task a = MakeTask("a", 0, 1.0);
+    Task a = MakeTask(0, 1.0);
     a.priority = 5;
     const TaskId a_id = g.AddTask(a);
-    Task b = MakeTask("b", 1, 1.0);
+    Task b = MakeTask(1, 1.0);
     b.priority = 0;
     const TaskId b_id = g.AddTask(b);
-    const TaskId x = g.AddTask(MakeTask("x", 2, 1.0));
-    const TaskId y = g.AddTask(MakeTask("y", 2, 1.0));
+    const TaskId x = g.AddTask(MakeTask(2, 1.0));
+    const TaskId y = g.AddTask(MakeTask(2, 1.0));
     g.AddEdge(a_id, x);
     g.AddEdge(b_id, y);
     return std::make_tuple(std::move(g), x, y);
@@ -121,10 +118,10 @@ TEST(Engine, SimultaneousCompletionsDrainByPriorityThenId) {
 TEST(Engine, SimultaneousEqualPriorityCompletionsDrainById) {
   auto build = [] {
     TaskGraph g;
-    const TaskId a = g.AddTask(MakeTask("a", 0, 1.0));
-    const TaskId b = g.AddTask(MakeTask("b", 1, 1.0));
-    const TaskId x = g.AddTask(MakeTask("x", 2, 1.0));
-    const TaskId y = g.AddTask(MakeTask("y", 2, 1.0));
+    const TaskId a = g.AddTask(MakeTask(0, 1.0));
+    const TaskId b = g.AddTask(MakeTask(1, 1.0));
+    const TaskId x = g.AddTask(MakeTask(2, 1.0));
+    const TaskId y = g.AddTask(MakeTask(2, 1.0));
     g.AddEdge(a, x);
     g.AddEdge(b, y);
     return std::make_tuple(std::move(g), x, y);
@@ -146,10 +143,10 @@ TEST(Engine, SimultaneousEqualPriorityCompletionsDrainById) {
 TEST(Engine, ArenaReuseAcrossShapes) {
   Engine engine;
   TaskGraph small;
-  small.AddTask(MakeTask("s", 0, 1.0));
+  small.AddTask(MakeTask(0, 1.0));
   TaskGraph big;
   for (int i = 0; i < 40; ++i) {
-    big.AddTask(MakeTask("t" + std::to_string(i), i % 3, 0.25 + (i % 5) * 0.5));
+    big.AddTask(MakeTask(i % 3, 0.25 + (i % 5) * 0.5));
   }
   for (int i = 0; i + 7 < 40; i += 2) big.AddEdge(i, i + 7);
 
@@ -166,8 +163,8 @@ TEST(Engine, ArenaReuseAcrossShapes) {
 
 TEST(Engine, DeadlockDetected) {
   TaskGraph g;
-  const TaskId a = g.AddTask(MakeTask("a", 0, 1.0));
-  const TaskId b = g.AddTask(MakeTask("b", 0, 1.0));
+  const TaskId a = g.AddTask(MakeTask(0, 1.0));
+  const TaskId b = g.AddTask(MakeTask(0, 1.0));
   g.AddEdge(a, b);
   g.AddEdge(b, a);
   EXPECT_THROW(Engine::Run(g), Error);
@@ -175,11 +172,11 @@ TEST(Engine, DeadlockDetected) {
 
 TEST(Engine, MemoryPoolTracksAllocFree) {
   TaskGraph g;
-  Task fw = MakeTask("fw", 0, 1.0, TaskKind::kForward);
+  Task fw = MakeTask(0, 1.0, TaskKind::kForward);
   fw.pool = 0;
   fw.alloc_at_start = 100;
   const TaskId fw_id = g.AddTask(fw);
-  Task bw = MakeTask("bw", 0, 1.0, TaskKind::kBackward);
+  Task bw = MakeTask(0, 1.0, TaskKind::kBackward);
   bw.pool = 0;
   bw.free_at_end = 100;
   const TaskId bw_id = g.AddTask(bw);
@@ -196,7 +193,7 @@ TEST(Engine, MemoryPoolTracksAllocFree) {
 
 TEST(Engine, OomFlaggedWhenCapacityExceeded) {
   TaskGraph g;
-  Task t = MakeTask("big", 0, 1.0);
+  Task t = MakeTask(0, 1.0);
   t.pool = 0;
   t.alloc_at_start = 1000;
   t.free_at_end = 1000;
@@ -210,7 +207,7 @@ TEST(Engine, OomFlaggedWhenCapacityExceeded) {
 
 TEST(Engine, OverFreeThrows) {
   TaskGraph g;
-  Task t = MakeTask("t", 0, 1.0);
+  Task t = MakeTask(0, 1.0);
   t.pool = 0;
   t.free_at_end = 10;  // never allocated
   g.AddTask(t);
@@ -219,10 +216,10 @@ TEST(Engine, OverFreeThrows) {
 
 TEST(Engine, UtilizationAccounting) {
   TaskGraph g;
-  const TaskId a = g.AddTask(MakeTask("a", 0, 2.0, TaskKind::kForward));
-  const TaskId b = g.AddTask(MakeTask("b", 1, 1.0, TaskKind::kTransfer));
+  const TaskId a = g.AddTask(MakeTask(0, 2.0, TaskKind::kForward));
+  const TaskId b = g.AddTask(MakeTask(1, 1.0, TaskKind::kTransfer));
   g.AddEdge(a, b);
-  g.AddEdge(b, g.AddTask(MakeTask("c", 0, 1.0, TaskKind::kBackward)));
+  g.AddEdge(b, g.AddTask(MakeTask(0, 1.0, TaskKind::kBackward)));
   const SimResult r = Engine::Run(g);
   EXPECT_DOUBLE_EQ(r.makespan, 4.0);
   EXPECT_DOUBLE_EQ(r.Utilization(0), 3.0 / 4.0);
@@ -234,8 +231,8 @@ TEST(Engine, UtilizationAccounting) {
 
 TEST(Engine, ZeroDurationTasksComplete) {
   TaskGraph g;
-  const TaskId a = g.AddTask(MakeTask("a", 0, 0.0));
-  const TaskId b = g.AddTask(MakeTask("b", 0, 1.0));
+  const TaskId a = g.AddTask(MakeTask(0, 0.0));
+  const TaskId b = g.AddTask(MakeTask(0, 1.0));
   g.AddEdge(a, b);
   const SimResult r = Engine::Run(g);
   EXPECT_DOUBLE_EQ(r.makespan, 1.0);
@@ -244,10 +241,10 @@ TEST(Engine, ZeroDurationTasksComplete) {
 TEST(Engine, DiamondDependency) {
   // a -> {b, c} -> d with b, c on separate resources.
   TaskGraph g;
-  const TaskId a = g.AddTask(MakeTask("a", 0, 1.0));
-  const TaskId b = g.AddTask(MakeTask("b", 1, 2.0));
-  const TaskId c = g.AddTask(MakeTask("c", 2, 3.0));
-  const TaskId d = g.AddTask(MakeTask("d", 0, 1.0));
+  const TaskId a = g.AddTask(MakeTask(0, 1.0));
+  const TaskId b = g.AddTask(MakeTask(1, 2.0));
+  const TaskId c = g.AddTask(MakeTask(2, 3.0));
+  const TaskId d = g.AddTask(MakeTask(0, 1.0));
   g.AddEdge(a, b);
   g.AddEdge(a, c);
   g.AddEdge(b, d);
@@ -261,7 +258,7 @@ TEST(Engine, DeterministicAcrossRuns) {
   auto build = [] {
     TaskGraph g;
     for (int i = 0; i < 50; ++i) {
-      g.AddTask(MakeTask("t" + std::to_string(i), i % 4, 0.5 + (i % 7) * 0.1));
+      g.AddTask(MakeTask(i % 4, 0.5 + (i % 7) * 0.1));
     }
     for (int i = 0; i + 10 < 50; i += 3) g.AddEdge(i, i + 10);
     return g;
@@ -278,7 +275,7 @@ TEST(Engine, DeterministicAcrossRuns) {
 
 TEST(TaskGraph, RejectsBadEdges) {
   TaskGraph g;
-  const TaskId a = g.AddTask(MakeTask("a", 0, 1.0));
+  const TaskId a = g.AddTask(MakeTask(0, 1.0));
   EXPECT_THROW(g.AddEdge(a, a), Error);
   EXPECT_THROW(g.AddEdge(a, 99), Error);
   EXPECT_THROW(g.AddEdge(-1, a), Error);
@@ -286,8 +283,8 @@ TEST(TaskGraph, RejectsBadEdges) {
 
 TEST(TaskGraph, DuplicateEdgesCollapse) {
   TaskGraph g;
-  const TaskId a = g.AddTask(MakeTask("a", 0, 1.0));
-  const TaskId b = g.AddTask(MakeTask("b", 0, 1.0));
+  const TaskId a = g.AddTask(MakeTask(0, 1.0));
+  const TaskId b = g.AddTask(MakeTask(0, 1.0));
   g.AddEdge(a, b);
   g.AddEdge(a, b);
   EXPECT_EQ(g.successors(a).size(), 1u);
@@ -298,10 +295,10 @@ TEST(TaskGraph, SuccessorsPastTheInlineSlotsKeepOrderWithoutDuplicates) {
   static_assert(TaskGraph::kInlineSuccessors == 4);
   TaskGraph g;
   g.Reserve(8);
-  const TaskId src = g.AddTask(MakeTask("src", 0, 1.0));
+  const TaskId src = g.AddTask(MakeTask(0, 1.0));
   std::vector<TaskId> dst;
   for (int i = 0; i < 7; ++i) {
-    const TaskId id = g.AddTask(MakeTask("d" + std::to_string(i), 0, 1.0));
+    const TaskId id = g.AddTask(MakeTask(0, 1.0));
     EXPECT_EQ(id, i + 1);  // Reserve does not move ids
     dst.push_back(id);
   }
@@ -324,7 +321,7 @@ TEST(TaskGraph, ReserveKeepsIdsAndCopiesKeepSuccessors) {
   reserved.Reserve(100);
   TaskGraph plain;
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(reserved.AddTask(MakeTask("t", 0, 1.0)), plain.AddTask(MakeTask("t", 0, 1.0)));
+    EXPECT_EQ(reserved.AddTask(MakeTask(0, 1.0)), plain.AddTask(MakeTask(0, 1.0)));
   }
   for (TaskId s = 1; s < 6; ++s) {
     reserved.AddEdge(0, s);
@@ -341,7 +338,7 @@ TEST(TaskGraph, ReserveKeepsIdsAndCopiesKeepSuccessors) {
 
 TEST(TaskGraph, ResourceAndPoolCounts) {
   TaskGraph g;
-  Task t = MakeTask("a", 3, 1.0);
+  Task t = MakeTask(3, 1.0);
   t.pool = 5;
   g.AddTask(t);
   EXPECT_EQ(g.num_resources(), 4);

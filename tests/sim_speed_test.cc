@@ -68,9 +68,8 @@ TEST(FinishTimeTest, ZeroSpeedWindowWithRecoveryStallsThenResumes) {
 
 // --- Engine-level behavior -------------------------------------------------
 
-Task MakeTask(const char* name, TaskKind kind, ResourceId resource, TimeSec duration) {
+Task MakeTask(TaskKind kind, ResourceId resource, TimeSec duration) {
   Task t;
-  t.name = name;
   t.kind = kind;
   t.resource = resource;
   t.duration = duration;
@@ -79,7 +78,7 @@ Task MakeTask(const char* name, TaskKind kind, ResourceId resource, TimeSec dura
 
 TEST(EngineSpeedTest, ProfiledTaskIsRecostedAcrossTheBoundary) {
   TaskGraph graph;
-  const TaskId a = graph.AddTask(MakeTask("fw", TaskKind::kForward, 0, 4.0));
+  const TaskId a = graph.AddTask(MakeTask(TaskKind::kForward, 0, 4.0));
   EngineOptions options;
   options.resource_speeds = {Profile(0, {{2.0, 0.5}})};
   const SimResult result = Engine::Run(graph, options);
@@ -91,8 +90,8 @@ TEST(EngineSpeedTest, ProfiledTaskIsRecostedAcrossTheBoundary) {
 
 TEST(EngineSpeedTest, UnprofiledResourcesKeepFixedDurationsBitForBit) {
   TaskGraph graph;
-  const TaskId a = graph.AddTask(MakeTask("a", TaskKind::kForward, 0, 0.3));
-  const TaskId b = graph.AddTask(MakeTask("b", TaskKind::kForward, 1, 0.7));
+  const TaskId a = graph.AddTask(MakeTask(TaskKind::kForward, 0, 0.3));
+  const TaskId b = graph.AddTask(MakeTask(TaskKind::kForward, 1, 0.7));
   graph.AddEdge(a, b);
   EngineOptions options;
   options.resource_speeds = {Profile(1, {{10.0, 0.5}})};  // never reached
@@ -110,10 +109,10 @@ TEST(EngineSpeedTest, UnprofiledResourcesKeepFixedDurationsBitForBit) {
 TEST(EngineSpeedTest, CrashMidTransferReleasesTheLinkAndPinsTheConsumer) {
   // Resources: 0 = surviving device, 1 = link, 2 = crashing device.
   TaskGraph graph;
-  const TaskId fw = graph.AddTask(MakeTask("fw", TaskKind::kForward, 0, 1.0));
-  const TaskId xfer = graph.AddTask(MakeTask("xfer", TaskKind::kTransfer, 1, 2.0));
-  const TaskId consumer = graph.AddTask(MakeTask("fw_next", TaskKind::kForward, 2, 1.0));
-  const TaskId survivor = graph.AddTask(MakeTask("more_fw", TaskKind::kForward, 0, 5.0));
+  const TaskId fw = graph.AddTask(MakeTask(TaskKind::kForward, 0, 1.0));
+  const TaskId xfer = graph.AddTask(MakeTask(TaskKind::kTransfer, 1, 2.0));
+  const TaskId consumer = graph.AddTask(MakeTask(TaskKind::kForward, 2, 1.0));
+  const TaskId survivor = graph.AddTask(MakeTask(TaskKind::kForward, 0, 5.0));
   graph.AddEdge(fw, xfer);
   graph.AddEdge(xfer, consumer);
   graph.AddEdge(fw, survivor);
@@ -140,7 +139,7 @@ TEST(EngineSpeedTest, CrashMidTransferReleasesTheLinkAndPinsTheConsumer) {
 
 TEST(EngineSpeedTest, PinnedTasksThrowWithoutAllowIncomplete) {
   TaskGraph graph;
-  graph.AddTask(MakeTask("fw", TaskKind::kForward, 0, 1.0));
+  graph.AddTask(MakeTask(TaskKind::kForward, 0, 1.0));
   EngineOptions options;
   options.resource_speeds = {Profile(0, {{0.0, 0.0}})};
   EXPECT_THROW(Engine::Run(graph, options), Error);
@@ -149,8 +148,8 @@ TEST(EngineSpeedTest, PinnedTasksThrowWithoutAllowIncomplete) {
 TEST(EngineSpeedTest, ProfiledRunsAreDeterministic) {
   auto run = [] {
     TaskGraph graph;
-    const TaskId a = graph.AddTask(MakeTask("a", TaskKind::kForward, 0, 1.5));
-    const TaskId b = graph.AddTask(MakeTask("b", TaskKind::kBackward, 0, 2.5));
+    const TaskId a = graph.AddTask(MakeTask(TaskKind::kForward, 0, 1.5));
+    const TaskId b = graph.AddTask(MakeTask(TaskKind::kBackward, 0, 2.5));
     graph.AddEdge(a, b);
     EngineOptions options;
     options.resource_speeds = {Profile(0, {{1.0, 0.25}, {9.0, 1.0}})};

@@ -20,9 +20,9 @@ TaskGraph TwoStagePipeline() {
     Task t;
     t.kind = kind;
     t.resource = res;
+    t.stage = res;
     t.microbatch = micro;
     t.duration = dur;
-    t.name = std::string(ToString(kind)) + std::to_string(micro);
     return g.AddTask(std::move(t));
   };
   const TaskId f00 = add(TaskKind::kForward, 0, 0, 1.0);
@@ -83,7 +83,6 @@ TEST(Trace, GlyphsForAllKinds) {
     t.resource = res++;
     t.duration = 1.0;
     t.microbatch = 3;
-    t.name = ToString(kind);
     g.AddTask(std::move(t));
   }
   const SimResult r = Engine::Run(g);
