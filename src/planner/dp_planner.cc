@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -26,10 +27,11 @@ namespace dapple::planner {
 
 namespace {
 
-/// Packs canonical allocation keys. Identical servers are interchangeable,
-/// so on homogeneous clusters two allocations with the same sorted
-/// per-server used counts lead to equivalent futures; on heterogeneous
-/// clusters the server identity matters and the counts stay positional. A
+/// Packs allocation keys. Identical servers are interchangeable, so on
+/// homogeneous clusters two allocations with the same sorted per-server
+/// used counts lead to equivalent futures and share a frontier key; on
+/// heterogeneous clusters the server identity matters and the counts stay
+/// positional, as they always do in placement-memo keys. A
 /// key is those counts as fixed-width big-endian fields, so comparing two
 /// keys byte by byte compares the counts lexicographically. Each count is
 /// stored as its rank in decimal-string order: a level's nodes are
@@ -38,8 +40,9 @@ namespace {
 /// 10 or more devices per server "10," sorts before "9,".
 class KeyPacker {
  public:
-  explicit KeyPacker(const topo::Cluster& cluster)
-      : sorted_(cluster.homogeneous()),
+  /// `sorted` packs the counts in ascending order rather than by server.
+  KeyPacker(const topo::Cluster& cluster, bool sorted)
+      : sorted_(sorted),
         rank_(static_cast<std::size_t>(cluster.gpus_per_server()) + 1) {
     std::vector<int> by_text(rank_.size());
     std::iota(by_text.begin(), by_text.end(), 0);
@@ -55,8 +58,8 @@ class KeyPacker {
   /// Bytes per key.
   std::size_t size() const { return size_; }
 
-  /// Writes the key of per-server used counts `counts` (sorted in place on
-  /// homogeneous clusters) to out[0, size()).
+  /// Writes the key of per-server used counts `counts` (sorted in place
+  /// when the packer sorts) to out[0, size()).
   void Pack(std::span<int> counts, char* out) const {
     if (sorted_) std::sort(counts.begin(), counts.end());
     for (int count : counts) {
@@ -101,6 +104,12 @@ class KeyInterner {
     const int id = static_cast<int>(bytes_.size());
     bytes_.push_back(ids_.emplace(std::string(key), id).first->first);
     return id;
+  }
+
+  /// The id of `key`, or -1 when it has none.
+  int Find(std::string_view key) const {
+    const auto it = ids_.find(key);
+    return it == ids_.end() ? -1 : it->second;
   }
 
   /// The packed key of `id`.
@@ -176,6 +185,259 @@ class Level {
   /// Key id by node index.
   std::vector<int> keys_;
 };
+
+/// Bytes of placement-memo entries a search keeps before it clears the
+/// memo. Unbounded, an uncapped 64-device GNMT-16 search peaked at 280 MiB
+/// with the memo and at 35 MiB without it. Its count vectors recur only a
+/// level (about 12k walks) later, so no budget near the frontier's size
+/// hits there; this one bounds what the misses cost.
+constexpr std::size_t kPlacementMemoBytes = std::size_t{2} << 20;
+
+/// What expanding a node reads that depends only on its per-server used
+/// counts. Every policy hands a server's lowest free device out first, so
+/// a node's used devices are each server's lowest (walk checks this), and
+/// its free devices, hand-out orders and placements, and each placement's
+/// row inputs and child key, follow from the counts. Nodes of one level
+/// all have different counts; nodes of different levels share them. The
+/// memo is keyed by the positional counts, packed and interned like
+/// frontier keys, and fills an entry the first time a search meets them.
+/// A batch's walks point into entries, so the memo is cleared (when past
+/// kPlacementMemoBytes) only by Trim, between batches.
+class PlacementMemo {
+ public:
+  /// The first `size` devices of the hand-out order at `order`, carved as
+  /// the node's next stage: what its subproblem's evaluation and merge
+  /// read, bar the link into it from the node's last stage.
+  struct Placement {
+    std::uint32_t order = 0;  // offset of the order's first device in Entry::orders
+    int size = 0;
+    topo::PlacementPolicy policy = topo::PlacementPolicy::kFreshFirst;
+    int free_devices = 0;  // left for the default suffix
+    int child_key = 0;     // interned frontier key of the child node
+    std::uint32_t carved_comp = 0;    // RowInputs::Comp of the carved stage
+    std::uint32_t boundary_link = 0;  // RowInputs::Link from it to the suffix
+    std::uint32_t suffix_comp = 0;    // RowInputs::Comp of the suffix
+  };
+  struct Entry {
+    std::vector<topo::DeviceId> free;  // in id order
+    std::vector<topo::DeviceId> orders;  // the policies' hand-out orders, back to back
+    /// In canonical order: size, then policy, duplicates dropped.
+    std::vector<Placement> placements;
+    /// Per-server counts of placement p's carved devices, at p * servers.
+    std::vector<int> carved_counts;
+
+    std::span<const topo::DeviceId> carved(const Placement& p) const {
+      return std::span(orders).subspan(p.order, static_cast<std::size_t>(p.size));
+    }
+  };
+
+  /// Child keys are packed by `frontier` and interned in `keys`.
+  PlacementMemo(const topo::Cluster& cluster, std::span<const topo::PlacementPolicy> policies,
+                const RowInputs& inputs, const KeyPacker& frontier, KeyInterner& keys)
+      : cluster_(&cluster),
+        policies_(policies),
+        inputs_(&inputs),
+        frontier_(&frontier),
+        keys_(&keys),
+        packer_(cluster, false),
+        key_(packer_.size(), '\0'),
+        child_key_(frontier.size(), '\0') {
+    DAPPLE_CHECK(std::max(inputs.num_comp(), inputs.num_links()) <=
+                 std::numeric_limits<std::uint32_t>::max())
+        << "row inputs of " << cluster.num_devices() << " devices do not fit a placement";
+  }
+
+  /// The entry of per-server used counts `used`, filled if absent.
+  const Entry& Get(std::span<int> used) {
+    packer_.Pack(used, key_.data());
+    const auto id = static_cast<std::size_t>(ids_.Intern(key_));
+    if (id < entries_.size()) {
+      ++hits_;
+      return entries_[id];
+    }
+    ++fills_;
+    return Fill(used);
+  }
+
+  /// The number of placements of per-server used counts `used`: its
+  /// entry's, or, with no entry, a count of placements neither priced nor
+  /// kept (the last level and the budget's counting pass price none).
+  std::size_t Count(std::span<int> used) {
+    packer_.Pack(used, key_.data());
+    if (const int id = ids_.Find(key_); id >= 0) {
+      ++hits_;
+      return entries_[static_cast<std::size_t>(id)].placements.size();
+    }
+    std::size_t placements = 0;
+    Enumerate(used, counted_, [&](std::size_t, int, topo::PlacementPolicy, std::span<const int>) {
+      ++placements;
+    });
+    return placements;
+  }
+
+  /// Clears the memo if it holds more than kPlacementMemoBytes. Call only
+  /// when no entry is read any more.
+  void Trim() {
+    if (bytes_ <= kPlacementMemoBytes) return;
+    ids_ = KeyInterner();
+    entries_.clear();
+    bytes_ = 0;
+    ++clears_;
+  }
+
+  long fills() const { return fills_; }
+  long hits() const { return hits_; }
+  long clears() const { return clears_; }
+
+ private:
+  /// Builds the free devices and hand-out orders of `used` into `entry`
+  /// and calls visit(order offset, size, policy, carved per-server counts)
+  /// for each placement, in canonical order.
+  template <typename Visit>
+  void Enumerate(std::span<const int> used, Entry& entry, Visit&& visit);
+  const Entry& Fill(std::span<const int> used);
+
+  const topo::Cluster* cluster_;
+  std::span<const topo::PlacementPolicy> policies_;
+  const RowInputs* inputs_;
+  const KeyPacker* frontier_;
+  KeyInterner* keys_;
+  KeyPacker packer_;  // positional
+  std::string key_;
+  KeyInterner ids_;
+  /// By interned id; a deque keeps entries in place as it grows.
+  std::deque<Entry> entries_;
+  std::size_t bytes_ = 0;
+  long fills_ = 0;
+  long hits_ = 0;
+  long clears_ = 0;
+  // Scratch of Enumerate, Fill and Count.
+  Entry counted_;
+  std::string child_key_;
+  std::vector<std::size_t> order_begin_;  // of each order, and the end of the last
+  std::vector<std::size_t> common_;
+  std::vector<int> carved_;  // each order's running per-server counts
+  std::vector<int> left_;
+  std::vector<int> child_;
+  std::vector<Placement> placements_;
+  std::vector<int> carved_counts_;
+};
+
+// Each policy hands the devices out in at most two orders (the one for size
+// 1 and, if it stops short, the one for every larger size), and a size-m
+// placement is a prefix of one; two policies place alike at m when their
+// orders share their first m devices.
+template <typename Visit>
+void PlacementMemo::Enumerate(std::span<const int> used, Entry& entry, Visit&& visit) {
+  const topo::AllocationState state(*cluster_, used);
+  const int free_devices = state.num_free();
+  entry.free.clear();
+  entry.free.reserve(static_cast<std::size_t>(free_devices));
+  for (topo::DeviceId d = 0; d < cluster_->num_devices(); ++d) {
+    if (!state.is_used(d)) entry.free.push_back(d);
+  }
+  // Order indices per policy: for sizes up to the small order's length,
+  // and for larger sizes.
+  struct PolicyOrders {
+    topo::PlacementPolicy policy;
+    std::size_t small = 0;
+    std::size_t large = 0;
+  };
+  std::vector<PolicyOrders> policy_orders;
+  entry.orders.clear();
+  order_begin_.assign(1, 0);
+  auto add_order = [&](std::vector<topo::DeviceId> order) {
+    entry.orders.insert(entry.orders.end(), order.begin(), order.end());
+    order_begin_.push_back(entry.orders.size());
+    return order_begin_.size() - 2;
+  };
+  for (topo::PlacementPolicy policy : policies_) {
+    const std::size_t small = add_order(state.PlanOrder(policy, 1));
+    const auto covered = static_cast<int>(order_begin_[small + 1] - order_begin_[small]);
+    const std::size_t large =
+        covered < free_devices ? add_order(state.PlanOrder(policy, covered + 1)) : small;
+    policy_orders.push_back(PolicyOrders{policy, small, large});
+  }
+  const std::size_t count = order_begin_.size() - 1;
+  auto order_of = [&](std::size_t o) {
+    return std::span(entry.orders).subspan(order_begin_[o], order_begin_[o + 1] - order_begin_[o]);
+  };
+  // Common prefix lengths of the orders, pairwise.
+  common_.assign(count * count, 0);
+  for (std::size_t a = 0; a < count; ++a) {
+    for (std::size_t b = 0; b < a; ++b) {
+      const auto x = order_of(a);
+      const auto y = order_of(b);
+      const std::size_t n = std::min(x.size(), y.size());
+      const auto lcp =
+          static_cast<std::size_t>(std::mismatch(x.begin(), x.begin() + n, y.begin()).first -
+                                   x.begin());
+      common_[a * count + b] = lcp;
+      common_[b * count + a] = lcp;
+    }
+  }
+  const int per = cluster_->gpus_per_server();
+  const auto servers = static_cast<std::size_t>(cluster_->num_servers());
+  carved_.assign(count * servers, 0);
+  std::vector<std::size_t> placed;  // order indices taken at the current size
+  for (int m = 1; m < free_devices; ++m) {
+    const auto last = static_cast<std::size_t>(m) - 1;  // the device size m adds
+    for (std::size_t o = 0; o < count; ++o) {
+      const auto order = order_of(o);
+      if (last < order.size()) ++carved_[o * servers + static_cast<std::size_t>(order[last] / per)];
+    }
+    placed.clear();
+    for (const PolicyOrders& po : policy_orders) {
+      const std::size_t o = static_cast<std::size_t>(m) <= order_of(po.small).size() ? po.small
+                                                                                      : po.large;
+      if (std::any_of(placed.begin(), placed.end(), [&](std::size_t other) {
+            return common_[o * count + other] >= static_cast<std::size_t>(m);
+          })) {
+        continue;
+      }
+      placed.push_back(o);
+      visit(order_begin_[o], m, po.policy,
+            std::span<const int>(carved_).subspan(o * servers, servers));
+    }
+  }
+}
+
+const PlacementMemo::Entry& PlacementMemo::Fill(std::span<const int> used) {
+  Entry& entry = entries_.emplace_back();
+  const int per = cluster_->gpus_per_server();
+  const auto servers = static_cast<std::size_t>(cluster_->num_servers());
+  left_.resize(servers);
+  child_.resize(servers);
+  placements_.clear();
+  carved_counts_.clear();
+  Enumerate(used, entry, [&](std::size_t order, int m, topo::PlacementPolicy policy,
+                             std::span<const int> carved) {
+    int left_devices = 0;
+    bool fits = true;
+    for (std::size_t srv = 0; srv < servers; ++srv) {
+      child_[srv] = used[srv] + carved[srv];
+      left_[srv] = per - child_[srv];
+      fits = fits && left_[srv] >= 0;
+      left_devices += left_[srv];
+    }
+    DAPPLE_CHECK(fits && m + left_devices == static_cast<int>(entry.free.size()))
+        << "a placement must split the node's free devices";
+    frontier_->Pack(child_, child_key_.data());
+    placements_.push_back(Placement{static_cast<std::uint32_t>(order), m, policy, left_devices,
+                                    keys_->Intern(child_key_),
+                                    static_cast<std::uint32_t>(inputs_->Comp(carved)),
+                                    static_cast<std::uint32_t>(inputs_->Link(carved, left_)),
+                                    static_cast<std::uint32_t>(inputs_->Comp(left_))});
+    carved_counts_.insert(carved_counts_.end(), carved.begin(), carved.end());
+  });
+  entry.placements.assign(placements_.begin(), placements_.end());
+  entry.carved_counts.assign(carved_counts_.begin(), carved_counts_.end());
+  bytes_ += sizeof(Entry) + sizeof(std::string) + key_.size() +
+            (entry.free.capacity() + entry.orders.capacity() + entry.carved_counts.capacity()) *
+                sizeof(topo::DeviceId) +
+            entry.placements.capacity() * sizeof(Placement);
+  return entry;
+}
 
 }  // namespace
 
@@ -436,9 +698,10 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
 
   // Level-by-level DP: frontier[j] holds the best node per canonical
   // allocation key whose prefix covers layers [0, j).
-  const KeyPacker packer(*cluster_);
-  const std::size_t key_size = packer.size();
+  const KeyPacker packer(*cluster_, cluster_->homogeneous());
   const int num_servers = cluster_->num_servers();
+  const auto servers = static_cast<std::size_t>(num_servers);
+  const int gpus_per_server = cluster_->gpus_per_server();
   KeyInterner keys;
   std::vector<Level> frontier(static_cast<std::size_t>(num_layers));
   {
@@ -446,101 +709,134 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     root.tpl = merge(CandidateScore{dp_est.feasible, dp_est.memory_limited, dp_est.latency,
                                     dp_est.max_peak_memory},
                      [&] { return std::pair{data_parallel, dp_est}; });
-    std::vector<int> counts(static_cast<std::size_t>(num_servers), 0);
-    std::string key(key_size, '\0');
+    std::vector<int> counts(servers, 0);
+    std::string key(packer.size(), '\0');
     packer.Pack(counts, key.data());
     frontier[0].Add(keys.Intern(key), std::move(root));
   }
+  const std::vector<topo::PlacementPolicy>& policy_set =
+      options_.policies.empty() ? topo::AllPlacementPolicies() : options_.policies;
+  PlacementMemo memo(*cluster_, policy_set, inputs, packer, keys);
 
-  // What expanding one node reads, derived once per node and never per
-  // subproblem: its prefix (walked from its parents), the devices that
-  // prefix uses, its free devices in id order, its per-server used counts,
-  // each prefix stage's CompInputs index and the StageLink index between
-  // consecutive prefix stages, the last prefix stage's per-server counts
-  // (its link into the carved stage varies) and its widest prefix stage.
-  struct Expansion {
+  // What expanding one node reads of its own prefix, derived once per node
+  // and never per subproblem; the rest is its placement-memo entry. A
+  // batch's walks share per-search scratch, reused batch after batch: walk
+  // w's prefix stages (pointers into the frontier, first stage first), each
+  // stage's CompInputs index and the StageLink index into the next stage
+  // sit at [first, first + stages) of the flat vectors, and its last
+  // stage's per-server counts (its link into the carved stage varies) at
+  // w * servers of walk_last.
+  struct Walk {
     int node = 0;
-    std::vector<StagePlan> prefix;
-    topo::AllocationState state;
-    std::vector<topo::DeviceId> free;
-    std::vector<int> used;
-    std::vector<std::size_t> comp;
-    std::vector<std::size_t> link;
-    std::vector<int> last;
-    int widest = 1;
+    const PlacementMemo::Entry* entry = nullptr;
+    std::size_t first = 0;
+    std::size_t stages = 0;
+    int widest = 1;  // widest prefix stage
   };
-  // The stages of node `index` of level `j`, first stage first.
-  auto prefix_of = [&](int j, int index) {
-    std::vector<StagePlan> stages;
-    for (; index >= 0 && j > 0; j = stages.back().layer_begin) {
-      const SearchNode& n = frontier[static_cast<std::size_t>(j)].node(index);
-      stages.push_back(n.stage);
+  std::vector<Walk> walks;
+  std::vector<const StagePlan*> walk_stages;
+  std::vector<std::size_t> walk_comp;
+  std::vector<std::size_t> walk_link;
+  std::vector<int> walk_last;
+  std::vector<int> used(servers);
+  std::vector<int> counts(servers);
+  std::vector<int> previous(servers);
+  std::vector<std::uint64_t> taken((static_cast<std::size_t>(num_devices) + 63) / 64);
+  auto clear_walks = [&] {
+    walks.clear();
+    walk_stages.clear();
+    walk_comp.clear();
+    walk_link.clear();
+    walk_last.clear();
+  };
+  // Walks node `index` of level `j` from its parents. Nodes hold no device
+  // state: the walk checks what a plan of the prefix and a last stage on
+  // every free device must hold (contiguous non-empty stages, no device in
+  // two stages, free devices left), which covers every subproblem's prefix,
+  // since each one only splits the free devices in two. It also checks that
+  // each server's used devices are its lowest, the invariant the placement
+  // memo's key rests on.
+  auto walk = [&](int j, int index) -> Walk& {
+    Walk w{index, nullptr, walk_stages.size(), 0, 1};
+    for (int at = j; at > 0;) {
+      const SearchNode& n = frontier[static_cast<std::size_t>(at)].node(index);
+      walk_stages.push_back(&n.stage);
       index = n.parent;
+      at = n.stage.layer_begin;
     }
-    std::reverse(stages.begin(), stages.end());
-    return stages;
-  };
-  // Node `index` of level `j` as its expansion reads it. Nodes hold no
-  // device state: committing the prefix's stages rebuilds it (Commit
-  // rejects overlapping stages), and the prefix with a last stage on every
-  // free device is validated as a plan, which covers every subproblem's
-  // prefix, since each one only splits the free devices in two.
-  auto walk = [&](int j, int index) {
-    Expansion expansion{index, prefix_of(j, index), topo::AllocationState(*cluster_), {}, {},
-                        {}, {}, {}, 1};
-    for (const StagePlan& stage : expansion.prefix) expansion.state.Commit(stage.devices);
-    const topo::AllocationState& state = expansion.state;
-    expansion.free.reserve(static_cast<std::size_t>(state.num_free()));
-    for (topo::DeviceId d = 0; d < num_devices; ++d) {
-      if (!state.is_used(d)) expansion.free.push_back(d);
+    std::reverse(walk_stages.begin() + static_cast<std::ptrdiff_t>(w.first), walk_stages.end());
+    w.stages = walk_stages.size() - w.first;
+    std::fill(taken.begin(), taken.end(), 0);
+    std::fill(used.begin(), used.end(), 0);
+    std::fill(previous.begin(), previous.end(), 0);
+    int expected_begin = 0;
+    for (std::size_t i = w.first; i < walk_stages.size(); ++i) {
+      const StagePlan& stage = *walk_stages[i];
+      DAPPLE_CHECK(stage.layer_begin == expected_begin && stage.layer_end > stage.layer_begin &&
+                   !stage.devices.empty())
+          << "prefix stage [" << stage.layer_begin << ", " << stage.layer_end
+          << ") is not the next non-empty stage";
+      std::fill(counts.begin(), counts.end(), 0);
+      for (topo::DeviceId d : stage.devices.devices()) {
+        DAPPLE_CHECK(d >= 0 && d < num_devices) << "device G" << d << " is not in the cluster";
+        std::uint64_t& word = taken[static_cast<std::size_t>(d) / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (d % 64);
+        DAPPLE_CHECK((word & bit) == 0) << "device G" << d << " in two stages";
+        word |= bit;
+        ++counts[static_cast<std::size_t>(d / gpus_per_server)];
+      }
+      for (std::size_t srv = 0; srv < servers; ++srv) used[srv] += counts[srv];
+      walk_comp.push_back(inputs.Comp(counts));
+      walk_link.push_back(0);  // set by the next stage, if any
+      if (i > w.first) walk_link[i - 1] = inputs.Link(previous, counts);
+      std::swap(previous, counts);
+      w.widest = std::max(w.widest, stage.replication());
+      expected_begin = stage.layer_end;
     }
+    DAPPLE_CHECK(expected_begin == j && j < num_layers) << "a prefix ends at its level";
+    int free_devices = 0;
     for (int srv = 0; srv < num_servers; ++srv) {
-      expansion.used.push_back(state.used_on_server(srv));
+      const int n = used[static_cast<std::size_t>(srv)];
+      for (topo::DeviceId d = srv * gpus_per_server; d < (srv + 1) * gpus_per_server; ++d) {
+        const bool is_used = (taken[static_cast<std::size_t>(d) / 64] >> (d % 64)) & 1;
+        DAPPLE_CHECK(is_used == (d - srv * gpus_per_server < n))
+            << "server " << srv << " does not use its lowest " << n << " devices";
+      }
+      free_devices += gpus_per_server - n;
     }
-    {
-      ParallelPlan check;
-      check.model = model_->name();
-      check.stages = expansion.prefix;
-      check.stages.push_back(StagePlan{j, num_layers, topo::DeviceSet(expansion.free),
-                                        topo::PlacementPolicy::kFreshFirst, false});
-      check.Validate(*model_);
-    }
-    for (const StagePlan& stage : expansion.prefix) {
-      const std::vector<int> counts = stage.devices.PerServerCounts(*cluster_);
-      expansion.comp.push_back(inputs.Comp(counts));
-      if (!expansion.last.empty()) expansion.link.push_back(inputs.Link(expansion.last, counts));
-      expansion.last = counts;
-      expansion.widest = std::max(expansion.widest, stage.replication());
-    }
-    return expansion;
+    DAPPLE_CHECK_GT(free_devices, 0) << "no free device for the last stage";
+    walk_last.insert(walk_last.end(), previous.begin(), previous.end());
+    walks.push_back(w);
+    return walks.back();
+  };
+  // The number of placements of node `index` of level `j`, walked but not
+  // priced.
+  auto count_placements = [&](int j, int index) {
+    clear_walks();
+    walk(j, index);
+    return static_cast<long>(memo.Count(used));
   };
 
   // One unit of parallel work: a (frontier node, device placement) pair
   // that expands every split point jp on its own. Coarser than a single
   // candidate (good cache locality: all jp share the placement's stage
   // vocabulary), finer than a frontier node (parallelism exists even at
-  // level 0, where the frontier is a single root). The placement is the
-  // first `size` devices of hand-out order `order`.
+  // level 0, where the frontier is a single root).
   struct Subproblem {
-    int expansion = 0;
-    int order = 0;
-    int size = 0;
-    topo::PlacementPolicy policy = topo::PlacementPolicy::kFreshFirst;
+    std::size_t walk = 0;
+    std::size_t placement = 0;  // index into the walk's entry
   };
-  const std::vector<topo::PlacementPolicy>& policy_set =
-      options_.policies.empty() ? topo::AllPlacementPolicies() : options_.policies;
 
   // A level is expanded in batches of consecutive nodes with about this
   // many subproblems (a batch ends on a node boundary). Batching changes
   // nothing but memory: a level of a large cluster holds millions of
-  // subproblems, and only one batch's hand-out orders, device sets and
-  // scores are alive (and, under a budget, the level's node walks).
+  // subproblems, and only one batch's walks and scores are alive.
   constexpr std::size_t kBatch = 1 << 14;
   // A batch's scores, the score of split point j + 1 + i of subproblem s at
-  // s * splits + i, and its child keys; one buffer each for the search. A
-  // split's plan and full estimate are rebuilt only if the merge needs them.
+  // s * splits + i; one buffer for the search. A split's plan and full
+  // estimate are rebuilt only if the merge needs them.
   std::vector<CandidateScore> scores;
-  std::string child_keys;
+  std::vector<Subproblem> subproblems;
 
   for (int j = 0; j < num_layers; ++j) {
     Level& level = frontier[static_cast<std::size_t>(j)];
@@ -575,107 +871,41 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
       }
       expanding.push_back(index);
     }
-    // Appends the hand-out orders of a node with `state` to `orders` and
-    // calls place(order index, m, policy) for each of its placements in
-    // canonical order: size m, then policy, duplicates dropped. Each policy
-    // hands the devices out in at most two orders (the one for size 1 and,
-    // if it stops short, the one for every larger size), and a size-m
-    // placement is a prefix of one; two policies place alike at m when
-    // their orders share their first m devices.
-    auto placements = [&](const topo::AllocationState& state,
-                          std::vector<std::vector<topo::DeviceId>>& orders, auto&& place) {
-      const int free_devices = state.num_free();
-      struct PolicyOrders {
-        topo::PlacementPolicy policy;
-        std::size_t small = 0;  // order index for sizes up to its length
-        std::size_t large = 0;  // order index for larger sizes
-      };
-      const std::size_t first = orders.size();
-      std::vector<PolicyOrders> policy_orders;
-      for (topo::PlacementPolicy policy : policy_set) {
-        PolicyOrders po{policy, orders.size(), orders.size()};
-        orders.push_back(state.PlanOrder(policy, 1));
-        const auto covered = static_cast<int>(orders.back().size());
-        if (covered < free_devices) {
-          po.large = orders.size();
-          orders.push_back(state.PlanOrder(policy, covered + 1));
-        }
-        policy_orders.push_back(po);
-      }
-      // Common prefix lengths of the node's orders, pairwise.
-      const std::size_t count = orders.size() - first;
-      std::vector<std::size_t> common(count * count, 0);
-      for (std::size_t a = 0; a < count; ++a) {
-        for (std::size_t b = 0; b < a; ++b) {
-          const auto& x = orders[first + a];
-          const auto& y = orders[first + b];
-          const auto n = static_cast<std::ptrdiff_t>(std::min(x.size(), y.size()));
-          const auto lcp =
-              static_cast<std::size_t>(std::mismatch(x.begin(), x.begin() + n, y.begin()).first -
-                                       x.begin());
-          common[a * count + b] = lcp;
-          common[b * count + a] = lcp;
-        }
-      }
-      std::vector<std::size_t> placed;  // order indices taken at the current size
-      for (int m = 1; m < free_devices; ++m) {
-        placed.clear();
-        for (const PolicyOrders& po : policy_orders) {
-          const std::size_t order =
-              static_cast<std::size_t>(m) <= orders[po.small].size() ? po.small : po.large;
-          if (std::any_of(placed.begin(), placed.end(), [&](std::size_t other) {
-                return common[(order - first) * count + (other - first)] >=
-                       static_cast<std::size_t>(m);
-              })) {
-            continue;
-          }
-          placed.push_back(order);
-          place(static_cast<int>(order), m, po.policy);
-        }
-      }
-    };
     // The budget is checked before the level evaluates anything: a counting
-    // pass walks the expanding nodes and enumerates their placements,
-    // storing none of them. It keeps the walks, so phase 1 reads each
-    // node's walk rather than repeating it.
-    std::vector<std::vector<topo::DeviceId>> orders;
-    std::vector<Expansion> walked;
+    // pass walks the expanding nodes and counts their placements.
     if (options_.max_subproblems > 0) {
       long enumerated = best.stats.subproblems;
       for (int index : expanding) {
-        walked.push_back(walk(j, index));
-        orders.clear();
-        placements(walked.back().state, orders, [&](int, int, topo::PlacementPolicy) {
-          if (++enumerated > options_.max_subproblems) {
-            throw SearchTooLarge(enumerated, options_.max_subproblems, best.stats.levels,
-                                 evaluated, best.stats.frontier_peak);
-          }
-        });
+        enumerated += count_placements(j, index);
+        if (enumerated > options_.max_subproblems) {
+          throw SearchTooLarge(options_.max_subproblems + 1, options_.max_subproblems,
+                               best.stats.levels, evaluated, best.stats.frontier_peak);
+        }
       }
     }
 
     // Every subproblem of this level scores the same split points (j, L).
     const auto splits = static_cast<std::size_t>(num_layers - j - 1);
+    if (splits == 0) {
+      // The last level has no split point left: its subproblems are
+      // counted, never priced or merged.
+      for (int index : expanding) best.stats.subproblems += count_placements(j, index);
+      best.stats.enumerate_seconds += lap();
+    }
     std::size_t level_expansions = 0;
-    std::vector<Expansion> expansions;
-    std::vector<Subproblem> subproblems;
-    const int gpus_per_server = cluster_->gpus_per_server();
-    for (std::size_t next = 0; next < expanding.size();) {
+    for (std::size_t next = 0; next < expanding.size() && splits > 0;) {
       // Phase 1 (sequential, cheap): the next batch's subproblems, in the
-      // canonical order: node (key order) -> size m -> deduped policy.
-      expansions.clear();
-      orders.clear();
+      // canonical order: node (key order) -> its entry's placements.
+      memo.Trim();
+      clear_walks();
       subproblems.clear();
       while (next < expanding.size() && subproblems.size() < kBatch) {
-        const auto expansion_index = static_cast<int>(expansions.size());
-        // Under a budget, `walked` holds every expanding node's walk.
-        expansions.push_back(walked.empty() ? walk(j, expanding[next])
-                                            : std::move(walked[next]));
-        ++next;
-        placements(expansions.back().state, orders,
-                   [&](int order, int m, topo::PlacementPolicy policy) {
-                     subproblems.push_back(Subproblem{expansion_index, order, m, policy});
-                   });
+        const std::size_t w = walks.size();
+        Walk& node = walk(j, expanding[next++]);
+        node.entry = &memo.Get(used);
+        for (std::size_t p = 0; p < node.entry->placements.size(); ++p) {
+          subproblems.push_back(Subproblem{w, p});
+        }
       }
       best.stats.subproblems += static_cast<long>(subproblems.size());
       best.stats.enumerate_seconds += lap();
@@ -686,62 +916,42 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
         std::vector<CandidateScore>().swap(scores);
         scores.resize(size * splits);
       }
-      child_keys.resize(size * key_size);
 
-      // Phase 2 (parallel, hot): each subproblem takes the per-server
-      // counts of its placement from the hand-out order and those of its
-      // free devices from the node's, packs its child's key, and scores all
-      // of its split points in one pass from its stage-cost rows. Only jp
-      // varies inside one; the prefix, both device counts, the stage count
-      // and the widest stage (so the micro-batching) are fixed, and
-      // ScoreSplits does that fixed work once. Results land in the
-      // subproblem's own slots; apart from the row memo (pure values),
-      // nothing here reads or writes search-global state.
+      // Phase 2 (parallel, hot): each subproblem reads its placement's row
+      // inputs from the memo entry, prices the link from the node's last
+      // stage into its carved stage, and scores all of its split points in
+      // one pass from its stage-cost rows. Only jp varies inside one; the
+      // prefix, both device counts, the stage count and the widest stage
+      // (so the micro-batching) are fixed, and ScoreSplits does that fixed
+      // work once. Results land in the subproblem's own slots; apart from
+      // the row memo (pure values), nothing here writes search-global state.
       pool.ParallelFor(size, [&](std::size_t s) {
         const Subproblem& sub = subproblems[s];
-        const Expansion& node = expansions[static_cast<std::size_t>(sub.expansion)];
-        const std::vector<topo::DeviceId>& order = orders[static_cast<std::size_t>(sub.order)];
-        // Per-thread scratch: per-server counts of the carved devices, of the
-        // free ones and of the child's used ones, and the prefix's entries.
-        thread_local std::vector<int> carved_counts;
-        thread_local std::vector<int> free_counts;
-        thread_local std::vector<int> child_counts;
-        thread_local std::vector<RowEntry> prefix_entries;
-        carved_counts.assign(static_cast<std::size_t>(num_servers), 0);
-        free_counts.resize(static_cast<std::size_t>(num_servers));
-        child_counts.resize(static_cast<std::size_t>(num_servers));
-        for (auto d = order.begin(); d != order.begin() + sub.size; ++d) {
-          ++carved_counts[static_cast<std::size_t>(*d / gpus_per_server)];
-        }
-        int free_devices = 0;
-        bool fits = true;
-        for (std::size_t srv = 0; srv < carved_counts.size(); ++srv) {
-          child_counts[srv] = node.used[srv] + carved_counts[srv];
-          free_counts[srv] = gpus_per_server - child_counts[srv];
-          fits = fits && free_counts[srv] >= 0;
-          free_devices += free_counts[srv];
-        }
-        DAPPLE_CHECK(fits && sub.size + free_devices == static_cast<int>(node.free.size()))
-            << "a placement must split the node's free devices";
-        if (splits == 0) return;  // no split point left
-        packer.Pack(child_counts, child_keys.data() + s * key_size);
-
-        const int widest = std::max({node.widest, sub.size, free_devices});
+        const Walk& node = walks[sub.walk];
+        const PlacementMemo::Entry& entry = *node.entry;
+        const PlacementMemo::Placement& p = entry.placements[sub.placement];
+        const int widest = std::max({node.widest, p.size, p.free_devices});
         const StageRowMemo::Rows at = rows.At(mbs_index[static_cast<std::size_t>(widest)]);
-        const std::size_t n = node.prefix.size();
+        thread_local std::vector<RowEntry> prefix_entries;
         prefix_entries.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-          const StagePlan& stage = node.prefix[i];
+        const std::size_t end = node.first + node.stages;
+        for (std::size_t i = node.first; i < end; ++i) {
+          const StagePlan& stage = *walk_stages[i];
           const auto x = static_cast<std::size_t>(stage.layer_end);
-          prefix_entries.push_back(at.Begin(stage.layer_begin, stage.recompute, node.comp[i])[x]);
-          prefix_entries.push_back(
-              at.Comm(i + 1 < n ? node.link[i] : inputs.Link(node.last, carved_counts))[x]);
+          std::size_t link = walk_link[i];
+          if (i + 1 == end) {
+            link = inputs.Link(
+                std::span(walk_last).subspan(sub.walk * servers, servers),
+                std::span(entry.carved_counts).subspan(sub.placement * servers, servers));
+          }
+          prefix_entries.push_back(at.Begin(stage.layer_begin, stage.recompute, walk_comp[i])[x]);
+          prefix_entries.push_back(at.Comm(link)[x]);
         }
         estimator.ScoreSplits(
-            {node.prefix, prefix_entries, sub.size, recompute_all, free_devices, recompute_all,
-             at.Begin(j, recompute_all, inputs.Comp(carved_counts)),
-             at.Comm(inputs.Link(carved_counts, free_counts)),
-             at.End(recompute_all, inputs.Comp(free_counts))},
+            {std::span(walk_stages).subspan(node.first, node.stages), prefix_entries, p.size,
+             recompute_all, p.free_devices, recompute_all,
+             at.Begin(j, recompute_all, p.carved_comp), at.Comm(p.boundary_link),
+             at.End(recompute_all, p.suffix_comp)},
             by_width[static_cast<std::size_t>(widest)],
             std::span(scores).subspan(s * splits, splits));
       });
@@ -750,24 +960,25 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
 
       // Phase 3 (sequential, deterministic): merge in enumeration order —
       // subproblem order, then jp ascending — identical outcomes to the
-      // single-threaded search. A subproblem's child key is interned once;
-      // each split's frontier slot is then an array read. A candidate's
-      // plan and estimate are built only when it can enter `best` or the
-      // alternatives, its carved device set only when it or its child node
-      // is, and its child node only when the child takes its frontier slot.
-      for (std::size_t s = 0; s < size && splits > 0; ++s) {
+      // single-threaded search. Each split's frontier slot is an array read
+      // at its placement's child key. A candidate's plan and estimate are
+      // built only when it can enter `best` or the alternatives, its carved
+      // device set only when it or its child node is, and its child node
+      // only when the child takes its frontier slot.
+      for (std::size_t s = 0; s < size; ++s) {
         const Subproblem& sub = subproblems[s];
-        const Expansion& node = expansions[static_cast<std::size_t>(sub.expansion)];
-        row_lookups += static_cast<std::int64_t>(2 * node.prefix.size() + 3);
-        const std::vector<topo::DeviceId>& order = orders[static_cast<std::size_t>(sub.order)];
+        const Walk& node = walks[sub.walk];
+        const PlacementMemo::Entry& entry = *node.entry;
+        const PlacementMemo::Placement& p = entry.placements[sub.placement];
+        row_lookups += static_cast<std::int64_t>(2 * node.stages + 3);
         std::optional<topo::DeviceSet> devices;
         auto carved_devices = [&]() -> const topo::DeviceSet& {
           if (!devices) {
-            devices.emplace(std::vector<topo::DeviceId>(order.begin(), order.begin() + sub.size));
+            const std::span<const topo::DeviceId> carved = entry.carved(p);
+            devices.emplace(std::vector<topo::DeviceId>(carved.begin(), carved.end()));
           }
           return *devices;
         };
-        const int key = keys.Intern(std::string_view(child_keys.data() + s * key_size, key_size));
         for (std::size_t i = 0; i < splits; ++i) {
           const int jp = j + 1 + static_cast<int>(i);
           const double tpl = merge(scores[s * splits + i], [&] {
@@ -775,25 +986,27 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
             // suffix [jp, L) on the devices the carved stage leaves free.
             const topo::DeviceSet& carved = carved_devices();
             std::vector<topo::DeviceId> rest;
-            for (topo::DeviceId d : node.free) {
+            for (topo::DeviceId d : entry.free) {
               if (!carved.contains(d)) rest.push_back(d);
             }
             ParallelPlan plan;
             plan.model = model_->name();
-            plan.stages = node.prefix;
-            plan.stages.push_back(StagePlan{j, jp, carved, sub.policy, recompute_all});
+            for (std::size_t k = node.first; k < node.first + node.stages; ++k) {
+              plan.stages.push_back(*walk_stages[k]);
+            }
+            plan.stages.push_back(StagePlan{j, jp, carved, p.policy, recompute_all});
             plan.stages.push_back(StagePlan{jp, num_layers, topo::DeviceSet(std::move(rest)),
                                             topo::PlacementPolicy::kFreshFirst, recompute_all});
             PlanEstimate est = estimator.Estimate(plan, options_.global_batch_size);
             return std::pair{std::move(plan), std::move(est)};
           });
           Level& child_level = frontier[static_cast<std::size_t>(jp)];
-          SearchNode* slot = child_level.Find(key);
+          SearchNode* slot = child_level.Find(p.child_key);
           if (slot == nullptr || tpl < slot->tpl) {
-            SearchNode child{node.node, static_cast<int>(node.prefix.size()) + 1,
-                             StagePlan{j, jp, carved_devices(), sub.policy, recompute_all}, tpl};
+            SearchNode child{node.node, static_cast<int>(node.stages) + 1,
+                             StagePlan{j, jp, carved_devices(), p.policy, recompute_all}, tpl};
             if (slot == nullptr) {
-              child_level.Add(key, std::move(child));
+              child_level.Add(p.child_key, std::move(child));
             } else {
               *slot = std::move(child);
             }
@@ -838,6 +1051,9 @@ PlanResult DapplePlanner::Search(bool recompute_all) const {
     metrics.counter("planner.plans").Increment();
     metrics.counter("planner.candidates_evaluated").Increment(evaluated);
     metrics.counter("planner.candidates_pruned").Increment(pruned);
+    metrics.counter("planner.placement_memo.fills").Increment(memo.fills());
+    metrics.counter("planner.placement_memo.hits").Increment(memo.hits());
+    metrics.counter("planner.placement_memo.clears").Increment(memo.clears());
   }
   ExportSearchStats(best.stats);
   if (recompute_all) best.stats.recompute_stages = best.plan.num_stages();

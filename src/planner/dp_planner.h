@@ -11,19 +11,25 @@
 // The frontier of level j is a vector of nodes, each holding its last
 // stage, its parent's index and its TPL, and no device state. Each distinct
 // packed canonical key (fixed-width per-server counts) gets one dense id
-// per search, and a level finds its node for a key id by an array read. A
-// node's placements of size m are the first m devices of one hand-out
-// order per policy (AllocationState::PlanOrder). A subproblem works on
-// per-server counts alone: its carved counts come from the order's prefix,
-// its free counts are the servers' sizes less the node's used and the
-// carved counts, and its child key and every stage-row input (planner/
-// stage_cache.h) follow from those counts, so no allocation state is
-// copied, no device set is built and no key is formatted per subproblem.
-// A node's prefix is walked from its parents once, when the node is
-// expanded: committing its stages rebuilds its allocation state, and the
-// prefix is priced to row inputs and validated. The merge interns a
-// subproblem's child key once, not once per split; a child's device set
-// and stage are built only when the child takes its frontier slot, and a
+// per search, and a level finds its node for a key id by an array read.
+// Every policy hands a server's lowest free device out first, so a node's
+// used devices are each server's lowest and its device state is its
+// per-server used counts. Everything a node's expansion reads that depends
+// only on those counts comes from a per-search placement memo keyed by
+// them (positionally): its free devices, one or two hand-out orders per
+// policy (AllocationState::PlanOrder), its deduplicated placements (a
+// size-m placement is the first m devices of an order) and, per placement,
+// the free-device count, the carved, boundary and suffix row inputs
+// (planner/stage_cache.h) and the child's interned key. Nodes of one level
+// all have different counts, so the memo's reuse is across levels; it is
+// cleared between batches once it passes a fixed byte budget. A node's
+// prefix is walked from its parents, without allocating, when the node is
+// expanded: the walk checks the prefix (contiguous non-empty stages, no
+// device in two stages, free devices left, each server's lowest devices
+// used) and prices its stages to row inputs. A subproblem then prices only
+// the link from the node's last stage into its carved stage; no device set
+// is built and no key is packed per subproblem. A child's device set and
+// stage are built only when the child takes its frontier slot, and a
 // candidate's plan only when the merge materializes it.
 #pragma once
 

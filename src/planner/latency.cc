@@ -452,7 +452,7 @@ void LatencyEstimator::ScoreSplits(const Splits& splits, const MicroBatching& mb
                splits.boundary.size() >= static_cast<std::size_t>(L) &&
                splits.suffix.size() >= static_cast<std::size_t>(L))
       << "a split row holds one entry per layer boundary";
-  const int j = splits.prefix.empty() ? 0 : splits.prefix.back().layer_end;
+  const int j = splits.prefix.empty() ? 0 : splits.prefix.back()->layer_end;
   DAPPLE_CHECK_LT(j + 1, L) << "a subproblem at layer " << j << " has no split point";
   DAPPLE_CHECK_EQ(scores.size(), static_cast<std::size_t>(L - j - 1))
       << "one score per split point";
@@ -494,7 +494,7 @@ void LatencyEstimator::ScoreSplits(const Splits& splits, const MicroBatching& mb
   const runtime::ScheduleKind kind = options_.schedule_kind;
   const int M = mb.num_micro_batches;
   auto replication = [&](int i) {
-    if (i < S - 2) return splits.prefix[static_cast<std::size_t>(i)].replication();
+    if (i < S - 2) return splits.prefix[static_cast<std::size_t>(i)]->replication();
     return i == S - 2 ? splits.carved_replication : splits.suffix_replication;
   };
   // Stage i's stash depth, and where it runs: on its own devices, or at
@@ -519,7 +519,7 @@ void LatencyEstimator::ScoreSplits(const Splits& splits, const MicroBatching& mb
   pieces.assign(static_cast<std::size_t>(folded ? S : 0), 0);
   Bytes prefix_peak = 0;  // the linear families' max over the prefix pieces
   for (int i = 0; i < S - 2; ++i) {
-    const StagePlan& stage = splits.prefix[static_cast<std::size_t>(i)];
+    const StagePlan& stage = *splits.prefix[static_cast<std::size_t>(i)];
     const Bytes p = piece(hosting(i), prefix_entries[static_cast<std::size_t>(2 * i)],
                           stage.layer_begin, stage.layer_end, stage.recompute);
     if (folded) {

@@ -177,7 +177,7 @@ class LatencyEstimator {
   /// S-2 stages covering [0, j), the carved stage [j, jp) and the default
   /// suffix [jp, L), each on a fixed number of devices.
   struct Splits {
-    std::span<const StagePlan> prefix;
+    std::span<const StagePlan* const> prefix;
     /// The 2(S-2) entries before the carved stage (comp0, comm01, ..., the
     /// comm into the carved stage), the same at every split.
     std::span<const RowEntry> prefix_entries;

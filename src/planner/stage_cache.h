@@ -218,8 +218,9 @@ struct PlannerSearchStats {
   /// any golden-tested artifact).
   double wall_seconds = 0.0;
   /// Wall time of the three per-level phases: serial subproblem
-  /// enumeration (with each expanded node's prefix walk, rebuilt device
-  /// state, row inputs and validation), parallel candidate evaluation,
+  /// enumeration (with each expanded node's prefix walk, its checks and
+  /// row inputs, and its placement-memo lookup or fill), parallel candidate
+  /// evaluation,
   /// serial deterministic merge. evaluate_seconds is the only parallelizable share — the
   /// Amdahl ceiling of the thread sweep is wall / (wall - evaluate).
   double enumerate_seconds = 0.0;

@@ -29,6 +29,19 @@ AllocationState::AllocationState(const Cluster& cluster)
       used_per_server_(static_cast<std::size_t>(cluster.num_servers()), 0),
       num_free_(cluster.num_devices()) {}
 
+AllocationState::AllocationState(const Cluster& cluster, std::span<const int> used_per_server)
+    : AllocationState(cluster) {
+  DAPPLE_CHECK_EQ(used_per_server.size(), used_per_server_.size()) << "one count per server";
+  const int per = cluster.gpus_per_server();
+  for (ServerId s = 0; s < cluster.num_servers(); ++s) {
+    const int used = used_per_server[static_cast<std::size_t>(s)];
+    DAPPLE_CHECK(used >= 0 && used <= per) << "server " << s << " uses " << used << " devices";
+    std::fill_n(used_.begin() + s * per, used, true);
+    used_per_server_[static_cast<std::size_t>(s)] = used;
+    num_free_ -= used;
+  }
+}
+
 int AllocationState::used_on_server(ServerId s) const {
   return used_per_server_.at(static_cast<std::size_t>(s));
 }

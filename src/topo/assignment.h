@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,12 +31,16 @@ const std::vector<PlacementPolicy>& AllPlacementPolicies();
 std::string ToString(PlacementPolicy policy);
 
 /// Mutable record of which devices are already occupied by planned stages.
-/// The planner keeps one per frontier node and builds a child's only when
-/// the child takes its frontier slot; enumeration reads a node's placements
-/// as prefixes of its PlanOrder lists instead of copying the state.
+/// The planner builds one per distinct vector of per-server used counts it
+/// meets (its placement memo) and reads a node's placements as prefixes of
+/// its PlanOrder lists instead of copying the state.
 class AllocationState {
  public:
   explicit AllocationState(const Cluster& cluster);
+  /// The state whose server s has its lowest used_per_server[s] devices
+  /// used. Every policy hands a server's lowest free device out first, so
+  /// this is every state that carves from an empty cluster reach.
+  AllocationState(const Cluster& cluster, std::span<const int> used_per_server);
 
   const Cluster& cluster() const { return *cluster_; }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -242,6 +243,49 @@ TEST(PlacementOrder, PlanIsAPrefixOfPlanOrder) {
       }
     }
   }
+}
+
+TEST(PlacementOrder, CarvesKeepEachServersUsedDevicesAPrefix) {
+  // Every policy hands a server's lowest free device out first, so carves
+  // from an empty cluster leave each server's used devices a prefix of its
+  // ids, and the state is a function of the per-server used counts alone:
+  // the planner's placement memo is keyed by them. A state rebuilt from the
+  // counts must hand out exactly what the carved state does.
+  const Cluster four = MakeConfigA(4);
+  long compared = 0;
+  for (const Cluster& cluster : {four, four.WithServerSpeeds({1.0, 0.5, 2.0, 0.75}),
+                                 four.WithServers(2), MakeConfigB(6)}) {
+    SCOPED_TRACE(cluster.name() + " on " + std::to_string(cluster.num_devices()) + " devices");
+    const int per = cluster.gpus_per_server();
+    for (std::uint64_t seed = 0; seed < 16; ++seed) {
+      Rng rng(seed);
+      AllocationState state(cluster);
+      while (state.num_free() > 0) {
+        const PlacementPolicy policy = AllPlacementPolicies()[rng.Fork() % 3];
+        const auto n = 1 + static_cast<int>(rng.Fork() % static_cast<std::uint64_t>(
+                                                state.num_free()));
+        state.Commit(*state.Plan(policy, n));
+        std::vector<int> used;
+        for (ServerId s = 0; s < cluster.num_servers(); ++s) {
+          used.push_back(state.used_on_server(s));
+          for (DeviceId d = s * per; d < (s + 1) * per; ++d) {
+            ASSERT_EQ(state.is_used(d), d - s * per < used.back())
+                << "G" << d << " after " << ToString(policy) << " n=" << n << " seed=" << seed;
+          }
+        }
+        const AllocationState rebuilt(cluster, used);
+        ASSERT_EQ(rebuilt.num_free(), state.num_free());
+        for (PlacementPolicy p : AllPlacementPolicies()) {
+          for (int size = 1; size <= state.num_free(); ++size) {
+            ASSERT_EQ(rebuilt.PlanOrder(p, size), state.PlanOrder(p, size))
+                << ToString(p) << " size=" << size << " seed=" << seed;
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000);
 }
 
 }  // namespace

@@ -438,7 +438,9 @@ int ExpectPrefixReuseMatches(const ModelProfile& m, const Cluster& cluster, long
   const std::span<const RowEntry> boundary_row = rows.Comm(link(sub.carved, sub.free));
   const std::span<const RowEntry> suffix_row = rows.End(sub.recompute_free, comp(sub.free));
   std::vector<CandidateScore> scores(static_cast<std::size_t>(m.num_layers() - sub.j - 1));
-  estimator.ScoreSplits({sub.prefix, prefix, sub.carved.size(), sub.recompute_carved,
+  std::vector<const StagePlan*> prefix_stages;
+  for (const StagePlan& stage : sub.prefix) prefix_stages.push_back(&stage);
+  estimator.ScoreSplits({prefix_stages, prefix, sub.carved.size(), sub.recompute_carved,
                          sub.free.size(), sub.recompute_free, carved_row, boundary_row,
                          suffix_row},
                         mb, scores);

@@ -10,7 +10,9 @@
 // on the memo itself fill one bit-exact row per key exactly once, device
 // sets with equal pricer inputs share a row that is bit-exact for each of
 // them, and pricer inputs derived from per-server counts equal those
-// derived from device sets bit for bit.
+// derived from device sets bit for bit. On two 32-device heterogeneous
+// clusters, where frontier and placement-memo keys are positional, every
+// thread count returns a pinned plan, latency and search size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,6 +160,64 @@ TEST(PlannerDeterminismTest, Cluster128DevicesPlansCachedAndMatchesAcrossThreads
   EXPECT_GT(serial.stats.cache_hits, 0);
   EXPECT_GT(parallel.stats.cache_hits, 0);
   EXPECT_EQ(Fingerprint(serial), Fingerprint(parallel));
+}
+
+/// A search's outcome on a heterogeneous cluster, pinned to the values the
+/// planner returned before it read placements from per-server counts.
+struct PinnedSearch {
+  std::string plan;
+  std::uint64_t latency_bits = 0;
+  long subproblems = 0;
+  long candidates = 0;
+};
+
+void ExpectPinnedAtEveryThreadCount(const topo::Cluster& cluster, const PinnedSearch& pinned) {
+  ASSERT_EQ(cluster.num_devices(), 32);
+  ASSERT_FALSE(cluster.homogeneous());
+  const model::ModelProfile m = model::MakeGnmt16();
+  for (int threads : {1, 2, 4, 8}) {
+    PlannerOptions options;
+    options.global_batch_size = 1024;
+    options.num_threads = threads;
+    options.max_stages = 4;  // keeps the search fit for the ThreadSanitizer tier
+    const PlanResult result = DapplePlanner(m, cluster, options).Plan();
+    EXPECT_EQ(SerializePlan(result.plan), pinned.plan) << threads << " threads";
+    EXPECT_EQ(DoubleBits(result.estimate.latency), pinned.latency_bits) << threads << " threads";
+    EXPECT_EQ(result.stats.subproblems, pinned.subproblems) << threads << " threads";
+    EXPECT_EQ(result.stats.candidates_evaluated, pinned.candidates) << threads << " threads";
+  }
+}
+
+TEST(PlannerDeterminismTest, PerServerSpeedsKeepPositionalPlacementsPinned) {
+  // Servers at different speeds are not interchangeable, so frontier keys
+  // and placement-memo keys stay positional: server 1 is the slow one.
+  ExpectPinnedAtEveryThreadCount(
+      topo::MakeConfigA(4).WithServerSpeeds({1.0, 0.5, 1.0, 0.75}),
+      {"model: GNMT-16\n"
+       "stage: layers 0 7 devices 0 1 2 3 4 5 6 7\n"
+       "stage: layers 7 12 devices 16 17 18 19 20 21 22 23\n"
+       "stage: layers 12 16 devices 8 9 10 11 12 13 14 15 24 25 26 27 28 29 30 31\n",
+       4608236519546717974ull, 143'723, 1'200'250});
+}
+
+TEST(PlannerDeterminismTest, DegradedClusterKeepsPositionalPlacementsPinned) {
+  // Five servers, one drained by a dead device and one a straggler: the
+  // planner sees four servers renumbered densely.
+  const topo::Cluster five = topo::MakeConfigA(5);
+  fault::ClusterState state = fault::StateAt(fault::FaultScript{}, five, 0.0);
+  state.device_dead[12] = true;    // drains server 1
+  state.server_compute[3] = 0.5;   // a straggler, server 2 once renumbered
+  state.server_bandwidth[4] = 0.5;
+  const fault::DegradedCluster degraded = fault::MakeDegradedCluster(five, state);
+  ASSERT_TRUE(degraded.feasible);
+  ExpectPinnedAtEveryThreadCount(
+      degraded.cluster,
+      {"model: GNMT-16\n"
+       "stage: layers 0 7 devices 0 1 2 3 4 5 6 7\n"
+       "stage: layers 7 12 devices 8 9 10 11 12 13 14 15\n"
+       "stage: layers 12 14 devices 24 25 26 27\n"
+       "stage: layers 14 16 devices 16 17 18 19 20 21 22 23 28 29 30 31\n",
+       4608256164591286712ull, 105'165, 904'381});
 }
 
 /// One memo lookup: a row family, its device sets (`to` for kComm only) and

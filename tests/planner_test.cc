@@ -3,7 +3,9 @@
 // (Fig. 7), and agreement with brute force on tiny instances.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -316,6 +318,32 @@ TEST(PlannerOracle, StageRowCountIsPinned) {
     EXPECT_EQ(result.stats.cache_misses, 524) << threads << " threads";
     EXPECT_EQ(result.stats.cache_hits, 34924) << threads << " threads";
     EXPECT_EQ(obs::MetricsRegistry::Global().gauge("planner.cache.entries").value(), 524.0);
+  }
+}
+
+TEST(PlannerOracle, PlacementMemoFillsOncePerCountVector) {
+  // A node's placements depend only on its per-server used counts, so the
+  // search fills one placement-memo entry per distinct count vector and
+  // reads it for every other node with those counts: GNMT-16 on 16
+  // Config-A devices walks 432 nodes with 63 distinct vectors, at every
+  // thread count, and stays inside the memo's byte budget. One vector
+  // first shows up on the last level, which counts placements without
+  // pricing them, so it is not filled.
+  auto& metrics = obs::MetricsRegistry::Global();
+  auto traffic = [&] {
+    return std::array<std::int64_t, 3>{metrics.counter("planner.placement_memo.fills").value(),
+                                       metrics.counter("planner.placement_memo.hits").value(),
+                                       metrics.counter("planner.placement_memo.clears").value()};
+  };
+  for (int threads : {1, 8}) {
+    PlannerOptions options = Opts(1024);
+    options.num_threads = threads;
+    const std::array<std::int64_t, 3> before = traffic();
+    (void)DapplePlanner(model::ModelByName("GNMT-16"), topo::MakeConfigA(2), options).Plan();
+    const std::array<std::int64_t, 3> after = traffic();
+    EXPECT_EQ(after[0] - before[0], 62) << threads << " threads";
+    EXPECT_EQ(after[1] - before[1], 369) << threads << " threads";
+    EXPECT_EQ(after[2] - before[2], 0) << threads << " threads";
   }
 }
 
