@@ -10,7 +10,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -75,25 +74,6 @@ class KeyPacker {
   std::size_t size_ = 0;
 };
 
-/// Compact identity of a plan's (layer range, device list) structure, used
-/// only for dedup — raw little-endian ints, never printed. Millions of
-/// candidates get one each, so formatting with to_string would be a
-/// measurable share of the search.
-std::string PlanSignature(const ParallelPlan& p) {
-  std::string sig;
-  sig.reserve(p.stages.size() * 16);
-  auto put = [&sig](std::int32_t v) {
-    sig.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  for (const StagePlan& s : p.stages) {
-    put(s.layer_begin);
-    put(s.layer_end);
-    for (topo::DeviceId d : s.devices.devices()) put(d);
-    put(-1);
-  }
-  return sig;
-}
-
 /// Dense ids of the packed keys one search has met, so a frontier slot is
 /// an array read rather than a hash of the key.
 class KeyInterner {
@@ -104,12 +84,6 @@ class KeyInterner {
     const int id = static_cast<int>(bytes_.size());
     bytes_.push_back(ids_.emplace(std::string(key), id).first->first);
     return id;
-  }
-
-  /// The id of `key`, or -1 when it has none.
-  int Find(std::string_view key) const {
-    const auto it = ids_.find(key);
-    return it == ids_.end() ? -1 : it->second;
   }
 
   /// The packed key of `id`.
@@ -201,8 +175,8 @@ constexpr std::size_t kPlacementMemoBytes = std::size_t{2} << 20;
 /// all have different counts; nodes of different levels share them. The
 /// memo is keyed by the positional counts, packed and interned like
 /// frontier keys, and fills an entry the first time a search meets them.
-/// A batch's walks point into entries, so the memo is cleared (when past
-/// kPlacementMemoBytes) only by Trim, between batches.
+/// Walks point into entries, so the memo is cleared (when past
+/// kPlacementMemoBytes) only by Trim, once no walk is kept.
 class PlacementMemo {
  public:
   /// The first `size` devices of the hand-out order at `order`, carved as
@@ -259,22 +233,6 @@ class PlacementMemo {
     return Fill(used);
   }
 
-  /// The number of placements of per-server used counts `used`: its
-  /// entry's, or, with no entry, a count of placements neither priced nor
-  /// kept (the last level and the budget's counting pass price none).
-  std::size_t Count(std::span<int> used) {
-    packer_.Pack(used, key_.data());
-    if (const int id = ids_.Find(key_); id >= 0) {
-      ++hits_;
-      return entries_[static_cast<std::size_t>(id)].placements.size();
-    }
-    std::size_t placements = 0;
-    Enumerate(used, counted_, [&](std::size_t, int, topo::PlacementPolicy, std::span<const int>) {
-      ++placements;
-    });
-    return placements;
-  }
-
   /// Clears the memo if it holds more than kPlacementMemoBytes. Call only
   /// when no entry is read any more.
   void Trim() {
@@ -311,8 +269,7 @@ class PlacementMemo {
   long fills_ = 0;
   long hits_ = 0;
   long clears_ = 0;
-  // Scratch of Enumerate, Fill and Count.
-  Entry counted_;
+  // Scratch of Enumerate and Fill.
   std::string child_key_;
   std::vector<std::size_t> order_begin_;  // of each order, and the end of the last
   std::vector<std::size_t> common_;
@@ -438,6 +395,555 @@ const PlacementMemo::Entry& PlacementMemo::Fill(std::span<const int> used) {
             entry.placements.capacity() * sizeof(Placement);
   return entry;
 }
+
+/// Every subproblem has at least two stages, so its micro-batching is a
+/// function of its widest stage alone: by_width[w], whose micro-batch size
+/// is entry mbs_index[w] of `sizes`, the row memo's list.
+struct MicroBatchTable {
+  MicroBatchTable(long global_batch_size, int profile_micro_batch, int num_devices)
+      : by_width(static_cast<std::size_t>(num_devices) + 1), mbs_index(by_width.size(), 0) {
+    for (int w = 1; w <= num_devices; ++w) {
+      const auto at = static_cast<std::size_t>(w);
+      by_width[at] = ChooseMicroBatching(global_batch_size, profile_micro_batch, w, 2);
+      const auto it = std::find(sizes.begin(), sizes.end(), by_width[at].micro_batch_size);
+      mbs_index[at] = static_cast<int>(it - sizes.begin());
+      if (it == sizes.end()) sizes.push_back(by_width[at].micro_batch_size);
+    }
+  }
+
+  std::vector<MicroBatching> by_width;
+  std::vector<int> mbs_index;
+  std::vector<int> sizes;
+};
+
+/// One DapplePlanner search and all of its state (dp_planner.h walks through
+/// its members). Run expands frontier_ level by level: frontier_[j] holds the
+/// best node per canonical allocation key whose prefix covers layers [0, j).
+class DpSearch {
+ public:
+  DpSearch(const model::ModelProfile& model, const topo::Cluster& cluster,
+           const PlannerOptions& options, bool recompute_all)
+      : model_(&model),
+        cluster_(&cluster),
+        options_(&options),
+        recompute_all_(recompute_all),
+        num_layers_(model.num_layers()),
+        servers_(static_cast<std::size_t>(cluster.num_servers())),
+        estimator_(model, cluster, options.latency),
+        batching_(options.global_batch_size, model.profile_micro_batch(), cluster.num_devices()),
+        rows_(estimator_, batching_.sizes),
+        inputs_(rows_.inputs()),
+        pool_(options.num_threads == 0
+                  ? ThreadPool::Shared()
+                  : local_pool_.emplace(static_cast<std::size_t>(options.num_threads))),
+        packer_(cluster, cluster.homogeneous()),
+        frontier_(static_cast<std::size_t>(num_layers_)),
+        memo_(cluster, options.policies.empty() ? topo::AllPlacementPolicies() : options.policies,
+              inputs_, packer_, keys_),
+        used_(servers_),
+        counts_(servers_),
+        previous_(servers_),
+        taken_((static_cast<std::size_t>(cluster.num_devices()) + 63) / 64) {
+    DAPPLE_CHECK_GT(cluster.num_devices(), 0);
+    best_.estimate.feasible = false;
+    best_.estimate.latency = std::numeric_limits<TimeSec>::infinity();
+    best_.stats.threads = static_cast<int>(pool_.num_threads());
+    best_.stats.memory_cap = options.latency.memory_cap;
+    // Pure data parallelism: the root's default-suffix completion, and the
+    // baseline Finish pins into the alternatives. One estimate serves both.
+    data_parallel_.model = model.name();
+    data_parallel_.stages.push_back(StagePlan{0, num_layers_,
+                                              topo::DeviceSet::Range(0, cluster.num_devices()),
+                                              topo::PlacementPolicy::kFreshFirst, recompute_all});
+    dp_est_ = estimator_.Estimate(data_parallel_, options.global_batch_size);
+    SearchNode root{-1, 0, {}, 0.0};
+    root.tpl = Merge(CandidateScore{dp_est_.feasible, dp_est_.memory_limited, dp_est_.latency,
+                                    dp_est_.max_peak_memory},
+                     [&] { return std::pair{data_parallel_, dp_est_}; });
+    std::string key(packer_.size(), '\0');
+    packer_.Pack(used_, key.data());  // no device used yet
+    frontier_[0].Add(keys_.Intern(key), std::move(root));
+  }
+  // The memo, the pool and the walks point into the search's own members.
+  DpSearch(const DpSearch&) = delete;
+  DpSearch& operator=(const DpSearch&) = delete;
+
+  PlanResult Run() {
+    for (int j = 0; j < num_layers_; ++j) {
+      Level& level = frontier_[static_cast<std::size_t>(j)];
+      if (level.size() == 0) continue;
+      ++best_.stats.levels;
+      best_.stats.frontier_peak = std::max<long>(best_.stats.frontier_peak, level.size());
+      phase_clock_ = std::chrono::steady_clock::now();
+      const std::vector<int> expanding = Expanding(j);
+      // Every subproblem of this level scores the same split points (j, L).
+      // The last level has none: its subproblems are counted, never priced
+      // or merged.
+      const auto splits = static_cast<std::size_t>(num_layers_ - j - 1);
+      std::size_t level_expansions = 0;
+      for (std::size_t next = 0; next < expanding.size();) {
+        next = BuildBatch(j, expanding, next);
+        if (splits == 0) continue;
+        Evaluate(j, splits);
+        MergeBatch(j, splits);
+        level_expansions += subproblems_.size() * splits;
+      }
+      auto& metrics = obs::MetricsRegistry::Global();
+      metrics.counter("planner.estimator_calls")
+          .Increment(static_cast<std::int64_t>(level_expansions));
+      metrics.histogram("planner.level_expansions").Observe(static_cast<double>(level_expansions));
+      // The search only moves forward: later levels read this one's nodes
+      // only for their stages and parents.
+      level.Release();
+    }
+    return Finish();
+  }
+
+ private:
+  /// What expanding one node reads of its own prefix, derived once per
+  /// node and never per subproblem, and its placement-memo entry. A
+  /// batch's walks share scratch reused batch after batch: walk w's prefix
+  /// stages (pointers into the frontier, first stage first), each stage's
+  /// CompInputs index and the StageLink index into the next stage sit at
+  /// [first, first + stages) of walk_stages_, walk_comp_ and walk_link_,
+  /// and its last stage's per-server counts (its link into the carved stage
+  /// varies) at w * servers_ of walk_last_.
+  struct Walk {
+    int node = 0;
+    const PlacementMemo::Entry* entry = nullptr;
+    std::size_t first = 0;
+    std::size_t stages = 0;
+    int widest = 1;  // widest prefix stage
+  };
+
+  /// One unit of parallel work: a (frontier node, device placement) pair
+  /// that expands every split point jp on its own. Coarser than a single
+  /// candidate (all jp share the placement's stage rows), finer than a
+  /// frontier node (parallelism exists even at level 0, whose frontier is
+  /// the root alone).
+  struct Subproblem {
+    std::size_t walk = 0;
+    std::size_t placement = 0;  // index into the walk's entry
+  };
+
+  /// A level is expanded in batches of consecutive nodes with about this
+  /// many subproblems (a batch ends on a node boundary). Batching changes
+  /// nothing but memory: a level of a large cluster holds millions of
+  /// subproblems, and only one batch's walks and scores are alive.
+  static constexpr std::size_t kBatch = 1 << 14;
+
+  /// Seconds since the last lap (or the level's start).
+  double Lap() {
+    const auto now = std::chrono::steady_clock::now();
+    const double s = std::chrono::duration<double>(now - phase_clock_).count();
+    phase_clock_ = now;
+    return s;
+  }
+
+  /// Drops the walks, and with them every read of a memo entry, so the
+  /// memo may be trimmed.
+  void ClearWalks() {
+    walks_.clear();
+    walk_stages_.clear();
+    walk_comp_.clear();
+    walk_link_.clear();
+    walk_last_.clear();
+    memo_.Trim();
+  }
+
+  /// Walks node `index` of level `j` from its parents and reads its
+  /// placement-memo entry. Nodes hold no device state: the walk checks
+  /// what a plan of the prefix and a last stage on every free device must
+  /// hold (contiguous non-empty stages, no device in two stages, free
+  /// devices left), which covers every subproblem's prefix, since each one
+  /// only splits the free devices in two. It also checks that each server's
+  /// used devices are its lowest, the invariant the memo's key rests on.
+  const Walk& WalkNode(int j, int index) {
+    Walk w{index, nullptr, walk_stages_.size(), 0, 1};
+    for (int at = j; at > 0;) {
+      const SearchNode& n = frontier_[static_cast<std::size_t>(at)].node(index);
+      walk_stages_.push_back(&n.stage);
+      index = n.parent;
+      at = n.stage.layer_begin;
+    }
+    std::reverse(walk_stages_.begin() + static_cast<std::ptrdiff_t>(w.first), walk_stages_.end());
+    w.stages = walk_stages_.size() - w.first;
+    std::fill(taken_.begin(), taken_.end(), 0);
+    std::fill(used_.begin(), used_.end(), 0);
+    std::fill(previous_.begin(), previous_.end(), 0);
+    const int per = cluster_->gpus_per_server();
+    int expected_begin = 0;
+    for (std::size_t i = w.first; i < walk_stages_.size(); ++i) {
+      const StagePlan& stage = *walk_stages_[i];
+      DAPPLE_CHECK(stage.layer_begin == expected_begin && stage.layer_end > stage.layer_begin &&
+                   !stage.devices.empty())
+          << "prefix stage [" << stage.layer_begin << ", " << stage.layer_end
+          << ") is not the next non-empty stage";
+      std::fill(counts_.begin(), counts_.end(), 0);
+      for (topo::DeviceId d : stage.devices.devices()) {
+        DAPPLE_CHECK(d >= 0 && d < cluster_->num_devices())
+            << "device G" << d << " is not in the cluster";
+        std::uint64_t& word = taken_[static_cast<std::size_t>(d) / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (d % 64);
+        DAPPLE_CHECK((word & bit) == 0) << "device G" << d << " in two stages";
+        word |= bit;
+        ++counts_[static_cast<std::size_t>(d / per)];
+      }
+      for (std::size_t srv = 0; srv < servers_; ++srv) used_[srv] += counts_[srv];
+      walk_comp_.push_back(inputs_.Comp(counts_));
+      walk_link_.push_back(0);  // set by the next stage, if any
+      if (i > w.first) walk_link_[i - 1] = inputs_.Link(previous_, counts_);
+      std::swap(previous_, counts_);
+      w.widest = std::max(w.widest, stage.replication());
+      expected_begin = stage.layer_end;
+    }
+    DAPPLE_CHECK(expected_begin == j && j < num_layers_) << "a prefix ends at its level";
+    int free_devices = 0;
+    for (int srv = 0; srv < cluster_->num_servers(); ++srv) {
+      const int n = used_[static_cast<std::size_t>(srv)];
+      for (topo::DeviceId d = srv * per; d < (srv + 1) * per; ++d) {
+        const bool is_used = (taken_[static_cast<std::size_t>(d) / 64] >> (d % 64)) & 1;
+        DAPPLE_CHECK(is_used == (d - srv * per < n))
+            << "server " << srv << " does not use its lowest " << n << " devices";
+      }
+      free_devices += per - n;
+    }
+    DAPPLE_CHECK_GT(free_devices, 0) << "no free device for the last stage";
+    walk_last_.insert(walk_last_.end(), previous_.begin(), previous_.end());
+    w.entry = &memo_.Get(used_);
+    walks_.push_back(w);
+    return walks_.back();
+  }
+
+  /// The nodes of level j that expand, in ascending key order: below the
+  /// stage cap and not pruned (counted in pruned_). Nodes whose
+  /// default-suffix completion was infeasible (tpl = inf) stay expandable:
+  /// splitting the suffix further may restore memory feasibility (this is
+  /// how AmoebaNet-36, which cannot run data-parallel, still gets planned).
+  /// Under a search budget, a pass walks them and counts their placements
+  /// before the level evaluates anything.
+  std::vector<int> Expanding(int j) {
+    Level& level = frontier_[static_cast<std::size_t>(j)];
+    const int max_stages =
+        options_->max_stages > 0 ? options_->max_stages : cluster_->num_devices();
+    // Pruning reads the incumbent only here, before the level's first
+    // merge, so it cannot observe mid-level merge order and stays identical
+    // at every thread count.
+    const bool prune = options_->prune_slack > 0.0 && best_.estimate.feasible;
+    const double prune_above = best_.estimate.latency * options_->prune_slack;
+    std::vector<int> expanding;
+    for (int index : level.KeyOrder(keys_)) {
+      const SearchNode& node = level.node(index);
+      if (node.num_stages + 1 >= max_stages) continue;
+      if (prune && std::isfinite(node.tpl) && node.tpl > prune_above) {
+        ++pruned_;
+        continue;
+      }
+      expanding.push_back(index);
+    }
+    if (options_->max_subproblems > 0) {
+      long enumerated = best_.stats.subproblems;
+      for (int index : expanding) {
+        ClearWalks();
+        enumerated += static_cast<long>(WalkNode(j, index).entry->placements.size());
+        if (enumerated > options_->max_subproblems) {
+          throw SearchTooLarge(options_->max_subproblems + 1, options_->max_subproblems,
+                               best_.stats.levels, evaluated_, best_.stats.frontier_peak);
+        }
+      }
+    }
+    return expanding;
+  }
+
+  /// Phase 1 (serial, cheap): walks expanding nodes from `next` on into a
+  /// batch of about kBatch subproblems, in canonical order (node key order,
+  /// then its entry's placements), and returns the next node to walk.
+  std::size_t BuildBatch(int j, std::span<const int> expanding, std::size_t next) {
+    ClearWalks();
+    subproblems_.clear();
+    while (next < expanding.size() && subproblems_.size() < kBatch) {
+      const std::size_t w = walks_.size();
+      const Walk& node = WalkNode(j, expanding[next++]);
+      for (std::size_t p = 0; p < node.entry->placements.size(); ++p) {
+        subproblems_.push_back(Subproblem{w, p});
+      }
+    }
+    best_.stats.subproblems += static_cast<long>(subproblems_.size());
+    best_.stats.enumerate_seconds += Lap();
+    return next;
+  }
+
+  /// Phase 2 (parallel, hot): scores every split of the batch into scores_,
+  /// the score of split point j + 1 + i of subproblem s at s * splits + i.
+  /// A split's plan and full estimate are rebuilt only if the merge needs
+  /// them.
+  void Evaluate(int j, std::size_t splits) {
+    const std::size_t size = subproblems_.size();
+    // A batch overwrites each score it reads, so a larger buffer frees the
+    // old one first rather than copying it.
+    if (scores_.size() < size * splits) {
+      std::vector<CandidateScore>().swap(scores_);
+      scores_.resize(size * splits);
+    }
+    pool_.ParallelFor(size, [this, j, splits](std::size_t s) { Score(j, s, splits); });
+    best_.stats.evaluate_seconds += Lap();
+  }
+
+  /// Scores subproblem s: reads its placement's row inputs from the memo
+  /// entry, prices the link from the node's last stage into its carved
+  /// stage, and scores all of its split points in one pass from its
+  /// stage-cost rows. Only jp varies inside one; the prefix, both device
+  /// counts, the stage count and the widest stage (so the micro-batching)
+  /// are fixed, and ScoreSplits does that fixed work once. Writes only its
+  /// own score slots and the row memo (pure values).
+  void Score(int j, std::size_t s, std::size_t splits) {
+    const Subproblem& sub = subproblems_[s];
+    const Walk& node = walks_[sub.walk];
+    const PlacementMemo::Entry& entry = *node.entry;
+    const PlacementMemo::Placement& p = entry.placements[sub.placement];
+    const auto widest = static_cast<std::size_t>(std::max({node.widest, p.size, p.free_devices}));
+    const StageRowMemo::Rows at = rows_.At(batching_.mbs_index[widest]);
+    thread_local std::vector<RowEntry> prefix_entries;
+    prefix_entries.clear();
+    const std::size_t end = node.first + node.stages;
+    for (std::size_t i = node.first; i < end; ++i) {
+      const StagePlan& stage = *walk_stages_[i];
+      const auto x = static_cast<std::size_t>(stage.layer_end);
+      std::size_t link = walk_link_[i];
+      if (i + 1 == end) {
+        link = inputs_.Link(
+            std::span(walk_last_).subspan(sub.walk * servers_, servers_),
+            std::span(entry.carved_counts).subspan(sub.placement * servers_, servers_));
+      }
+      prefix_entries.push_back(at.Begin(stage.layer_begin, stage.recompute, walk_comp_[i])[x]);
+      prefix_entries.push_back(at.Comm(link)[x]);
+    }
+    estimator_.ScoreSplits(
+        {std::span(walk_stages_).subspan(node.first, node.stages), prefix_entries, p.size,
+         recompute_all_, p.free_devices, recompute_all_,
+         at.Begin(j, recompute_all_, p.carved_comp), at.Comm(p.boundary_link),
+         at.End(recompute_all_, p.suffix_comp)},
+        batching_.by_width[widest], std::span(scores_).subspan(s * splits, splits));
+  }
+
+  /// Phase 3 (serial, deterministic): merges the batch's scores in
+  /// enumeration order (subproblem order, then jp ascending), the same
+  /// outcomes as a single-threaded search. Each split's frontier slot is an
+  /// array read at its placement's child key. A candidate's plan and
+  /// estimate are built only when it can enter the incumbent or the
+  /// alternatives, its carved device set only when it or its child node is,
+  /// and its child node only when the child takes its frontier slot.
+  void MergeBatch(int j, std::size_t splits) {
+    for (std::size_t s = 0; s < subproblems_.size(); ++s) {
+      const Subproblem& sub = subproblems_[s];
+      const Walk& node = walks_[sub.walk];
+      const PlacementMemo::Placement& p = node.entry->placements[sub.placement];
+      row_lookups_ += static_cast<std::int64_t>(2 * node.stages + 3);
+      std::optional<topo::DeviceSet> devices;
+      auto carved_devices = [&]() -> const topo::DeviceSet& {
+        if (!devices) {
+          const std::span<const topo::DeviceId> carved = node.entry->carved(p);
+          devices.emplace(std::vector<topo::DeviceId>(carved.begin(), carved.end()));
+        }
+        return *devices;
+      };
+      for (std::size_t i = 0; i < splits; ++i) {
+        const int jp = j + 1 + static_cast<int>(i);
+        const double tpl = Merge(scores_[s * splits + i], [&] {
+          return Candidate(node, StagePlan{j, jp, carved_devices(), p.policy, recompute_all_});
+        });
+        Level& child_level = frontier_[static_cast<std::size_t>(jp)];
+        SearchNode* slot = child_level.Find(p.child_key);
+        if (slot == nullptr || tpl < slot->tpl) {
+          SearchNode child{node.node, static_cast<int>(node.stages) + 1,
+                           StagePlan{j, jp, carved_devices(), p.policy, recompute_all_}, tpl};
+          if (slot == nullptr) {
+            child_level.Add(p.child_key, std::move(child));
+          } else {
+            *slot = std::move(child);
+          }
+        }
+      }
+    }
+    best_.stats.merge_seconds += Lap();
+  }
+
+  /// The candidate of a walked node's prefix, its carved stage and the
+  /// default suffix on the devices that stage leaves free, with its full
+  /// estimate.
+  std::pair<ParallelPlan, PlanEstimate> Candidate(const Walk& node, StagePlan carved) const {
+    std::vector<topo::DeviceId> rest;
+    for (topo::DeviceId d : node.entry->free) {
+      if (!carved.devices.contains(d)) rest.push_back(d);
+    }
+    ParallelPlan plan;
+    plan.model = model_->name();
+    for (std::size_t k = node.first; k < node.first + node.stages; ++k) {
+      plan.stages.push_back(*walk_stages_[k]);
+    }
+    const int jp = carved.layer_end;
+    plan.stages.push_back(std::move(carved));
+    plan.stages.push_back(StagePlan{jp, num_layers_, topo::DeviceSet(std::move(rest)),
+                                    topo::PlacementPolicy::kFreshFirst, recompute_all_});
+    PlanEstimate est = estimator_.Estimate(plan, options_->global_batch_size);
+    return std::pair{std::move(plan), std::move(est)};
+  }
+
+  /// Merges one scored candidate into the incumbent and the alternatives,
+  /// the only code that touches either; it runs in the serial search's
+  /// enumeration order. `materialize` builds the candidate's plan and full
+  /// estimate, called only when the candidate can enter either, and the
+  /// estimate must agree with the row-based score bit for bit (a row key
+  /// missing an input of the estimate would show here first). Returns the
+  /// candidate's TPL (inf when infeasible).
+  template <typename Materialize>
+  double Merge(const CandidateScore& score, Materialize&& materialize) {
+    ++evaluated_;
+    if (!score.feasible) {
+      if (score.memory_limited) ++memory_rejected_;
+      last_infeasible_peak_ = score.peak;
+      return std::numeric_limits<double>::infinity();
+    }
+    const bool improves = score.latency < best_.estimate.latency || !best_.estimate.feasible;
+    // A candidate strictly worse than the k-th alternative can never enter
+    // them; a tie reaches KeepAlternative, which places it after the kept
+    // plans of its latency.
+    auto& kept = best_.alternatives;
+    const bool may_rank = options_->keep_alternatives > 0 &&
+                          !(static_cast<int>(kept.size()) >= options_->keep_alternatives &&
+                            score.latency > kept.back().second.latency);
+    if (improves || may_rank) {
+      auto [plan, est] = materialize();
+      DAPPLE_CHECK(est.feasible == score.feasible &&
+                   est.memory_limited == score.memory_limited &&
+                   std::bit_cast<std::uint64_t>(est.latency) ==
+                       std::bit_cast<std::uint64_t>(score.latency) &&
+                   est.max_peak_memory == score.peak)
+          << "row-based score of " << plan.ToString() << " disagrees with its estimate";
+      if (may_rank) KeepAlternative(plan, est);
+      if (improves) {
+        best_.plan = std::move(plan);
+        best_.estimate = std::move(est);
+      }
+    }
+    return score.latency;
+  }
+
+  /// Keeps the top keep_alternatives distinct candidates for the simulator
+  /// re-rank, ascending by latency, a tie after the kept ones. Two plans
+  /// are the same candidate when their stages cover the same layers on the
+  /// same devices, whatever their policies and recompute flags.
+  void KeepAlternative(const ParallelPlan& plan, const PlanEstimate& est) {
+    auto& kept = best_.alternatives;
+    auto same_stages = [&plan](const std::pair<ParallelPlan, PlanEstimate>& alt) {
+      return std::equal(plan.stages.begin(), plan.stages.end(), alt.first.stages.begin(),
+                        alt.first.stages.end(), [](const StagePlan& a, const StagePlan& b) {
+                          return a.layer_begin == b.layer_begin && a.layer_end == b.layer_end &&
+                                 a.devices == b.devices;
+                        });
+    };
+    if (std::any_of(kept.begin(), kept.end(), same_stages)) return;
+    const auto at = std::upper_bound(kept.begin(), kept.end(), est.latency,
+                                     [](TimeSec latency, const auto& alt) {
+                                       return latency < alt.second.latency;
+                                     });
+    kept.emplace(at, plan, est);
+    if (static_cast<int>(kept.size()) > options_->keep_alternatives) kept.pop_back();
+  }
+
+  /// Books the search's stats and metrics, pins the data-parallel plan
+  /// into the alternatives and returns the result, or throws NoFeasiblePlan.
+  PlanResult Finish() {
+    best_.stats.candidates_evaluated = evaluated_;
+    best_.stats.candidates_pruned = pruned_;
+    best_.stats.memory_rejected = memory_rejected_;
+    // Each key is filled exactly once, so the misses are the rows at every
+    // thread count.
+    const StageRowMemo::Stats totals = rows_.TotalStats();
+    best_.stats.cache_hits = row_lookups_ - totals.rows;
+    best_.stats.cache_misses = totals.rows;
+    best_.stats.cache_compute_seconds = totals.fill_seconds;
+    best_.stats.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+    auto& metrics = obs::MetricsRegistry::Global();
+    metrics.counter("planner.plans").Increment();
+    metrics.counter("planner.candidates_evaluated").Increment(evaluated_);
+    metrics.counter("planner.candidates_pruned").Increment(pruned_);
+    metrics.counter("planner.placement_memo.fills").Increment(memo_.fills());
+    metrics.counter("planner.placement_memo.hits").Increment(memo_.hits());
+    metrics.counter("planner.placement_memo.clears").Increment(memo_.clears());
+    ExportSearchStats(best_.stats);
+    if (recompute_all_) best_.stats.recompute_stages = best_.plan.num_stages();
+
+    // Pin the pure data-parallel plan into the alternatives (appended past
+    // the top-k cut if necessary): it is the paper's universal baseline and
+    // the simulator re-ranking should always get to veto in its favour.
+    auto& kept = best_.alternatives;
+    if (options_->keep_alternatives > 0 && best_.estimate.feasible && dp_est_.feasible &&
+        std::none_of(kept.begin(), kept.end(),
+                     [](const auto& alt) { return alt.first.IsDataParallel(); })) {
+      kept.emplace_back(std::move(data_parallel_), dp_est_);
+    }
+
+    if (!best_.estimate.feasible) {
+      std::ostringstream os;
+      os << "no feasible plan for " << model_->name() << " on " << cluster_->name() << " ("
+         << cluster_->num_devices() << " devices)";
+      if (options_->latency.memory_cap > 0) {
+        os << " under memory cap " << FormatBytes(options_->latency.memory_cap)
+           << (recompute_all_ ? " with recompute" : "");
+      }
+      if (last_infeasible_peak_) os << ": " << estimator_.MemoryReason(*last_infeasible_peak_);
+      throw NoFeasiblePlan(os.str());
+    }
+    return std::move(best_);
+  }
+
+  const std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
+  const model::ModelProfile* model_;
+  const topo::Cluster* cluster_;
+  const PlannerOptions* options_;
+  bool recompute_all_;  // flags every stage the search creates
+  int num_layers_;
+  std::size_t servers_;
+  LatencyEstimator estimator_;
+  MicroBatchTable batching_;
+  /// One row memo for the whole search, shared by every subproblem.
+  StageRowMemo rows_;
+  const RowInputs& inputs_;
+  /// Unset on the shared pool; a pool of 1 runs inline on this thread.
+  std::optional<ThreadPool> local_pool_;
+  ThreadPool& pool_;
+
+  PlanResult best_;  // the incumbent, its alternatives and the stats
+  ParallelPlan data_parallel_;
+  PlanEstimate dp_est_;
+  /// The peak of the last memory-infeasible candidate, for the error.
+  std::optional<Bytes> last_infeasible_peak_;
+  long evaluated_ = 0;
+  long pruned_ = 0;
+  long memory_rejected_ = 0;
+  std::int64_t row_lookups_ = 0;
+
+  KeyPacker packer_;
+  KeyInterner keys_;
+  std::vector<Level> frontier_;
+  PlacementMemo memo_;
+
+  // Walk scratch (see Walk), and one batch's subproblems and scores.
+  std::vector<Walk> walks_;
+  std::vector<const StagePlan*> walk_stages_;
+  std::vector<std::size_t> walk_comp_;
+  std::vector<std::size_t> walk_link_;
+  std::vector<int> walk_last_;
+  std::vector<int> used_;
+  std::vector<int> counts_;
+  std::vector<int> previous_;
+  std::vector<std::uint64_t> taken_;
+  std::vector<Subproblem> subproblems_;
+  std::vector<CandidateScore> scores_;
+  std::chrono::steady_clock::time_point phase_clock_;
+};
 
 }  // namespace
 
@@ -573,518 +1079,7 @@ int DapplePlanner::MinimizeRecompute(const LatencyEstimator& estimator,
 }
 
 PlanResult DapplePlanner::Search(bool recompute_all) const {
-  const auto search_start = std::chrono::steady_clock::now();
-  const int num_layers = model_->num_layers();
-  const int num_devices = cluster_->num_devices();
-  const int max_stages =
-      options_.max_stages > 0 ? options_.max_stages : num_devices;
-  DAPPLE_CHECK_GT(num_devices, 0);
-
-  const LatencyOptions& latency = options_.latency;
-  const LatencyEstimator estimator(*model_, *cluster_, latency);
-  // Every subproblem has at least two stages, so its micro-batching is a
-  // function of its widest stage alone: by_width[w], whose micro-batch size
-  // is entry mbs_index[w] of the memo's list.
-  std::vector<MicroBatching> by_width(static_cast<std::size_t>(num_devices) + 1);
-  std::vector<int> mbs_index(by_width.size(), 0);
-  std::vector<int> micro_batch_sizes;
-  for (int w = 1; w <= num_devices; ++w) {
-    const auto at = static_cast<std::size_t>(w);
-    by_width[at] = ChooseMicroBatching(options_.global_batch_size,
-                                       model_->profile_micro_batch(), w, 2);
-    const auto it = std::find(micro_batch_sizes.begin(), micro_batch_sizes.end(),
-                              by_width[at].micro_batch_size);
-    mbs_index[at] = static_cast<int>(it - micro_batch_sizes.begin());
-    if (it == micro_batch_sizes.end()) micro_batch_sizes.push_back(by_width[at].micro_batch_size);
-  }
-  // One row memo for the whole search, shared by every subproblem.
-  StageRowMemo rows(estimator, std::move(micro_batch_sizes));
-  const RowInputs& inputs = rows.inputs();
-
-  // 0 = the shared pool, 1 = inline on this thread, n = a pool of n.
-  std::optional<ThreadPool> local;
-  ThreadPool& pool = options_.num_threads == 0
-                         ? ThreadPool::Shared()
-                         : local.emplace(static_cast<std::size_t>(options_.num_threads));
-
-  PlanResult best;
-  best.estimate.feasible = false;
-  best.estimate.latency = std::numeric_limits<TimeSec>::infinity();
-  best.stats.threads = static_cast<int>(pool.num_threads());
-  best.stats.memory_cap = latency.memory_cap;
-  // The peak of the last memory-infeasible candidate, for the error message.
-  std::optional<Bytes> last_infeasible_peak;
-  long evaluated = 0;
-  long pruned = 0;
-  std::int64_t row_lookups = 0;
-  long memory_rejected = 0;
-
-  // Top-k distinct feasible candidates for simulator re-ranking. The
-  // signature set mirrors `alternatives` so a merge is one set lookup, not
-  // O(k) signature rebuilds of every stored alternative.
-  struct Alternative {
-    ParallelPlan plan;
-    PlanEstimate estimate;
-    std::string sig;
-  };
-  std::vector<Alternative> alternatives;
-  std::set<std::string> alternative_sigs;
-  // Fast reject: a candidate strictly worse than the current k-th best can
-  // never enter the list, so it needs neither a plan nor a signature. Ties
-  // pass so eviction order (and with it every downstream artifact) is
-  // bit-identical to the unoptimized code. This runs once per feasible
-  // candidate — millions per search.
-  auto may_enter_alternatives = [&](TimeSec latency) {
-    return options_.keep_alternatives > 0 &&
-           !(static_cast<int>(alternatives.size()) >= options_.keep_alternatives &&
-             latency > alternatives.back().estimate.latency);
-  };
-  auto record_candidate = [&](const ParallelPlan& plan, const PlanEstimate& est) {
-    std::string sig = PlanSignature(plan);
-    if (!alternative_sigs.insert(sig).second) return;
-    alternatives.push_back({plan, est, std::move(sig)});
-    std::sort(alternatives.begin(), alternatives.end(), [](const auto& a, const auto& b) {
-      return a.estimate.latency < b.estimate.latency;
-    });
-    while (static_cast<int>(alternatives.size()) > options_.keep_alternatives) {
-      alternative_sigs.erase(alternatives.back().sig);
-      alternatives.pop_back();
-    }
-  };
-
-  // Sequential merge of an evaluated candidate into the incumbent state.
-  // This is the ONLY code that touches `best`/`alternatives`, and it runs
-  // in the exact enumeration order of the serial search — determinism
-  // across thread counts by construction. `materialize` builds the
-  // candidate's plan, called only when the candidate can enter `best` or
-  // the alternatives, and returns it with its full estimate, which must
-  // agree with the row-based score bit for bit (a row key missing an input
-  // of the estimate would show here first). Returns the candidate's TPL
-  // (inf when infeasible).
-  auto merge = [&](const CandidateScore& score, auto&& materialize) -> double {
-    ++evaluated;
-    if (!score.feasible) {
-      if (score.memory_limited) ++memory_rejected;
-      last_infeasible_peak = score.peak;
-      return std::numeric_limits<double>::infinity();
-    }
-    const bool improves = score.latency < best.estimate.latency || !best.estimate.feasible;
-    const bool may_rank = may_enter_alternatives(score.latency);
-    if (improves || may_rank) {
-      auto [plan, est] = materialize();
-      DAPPLE_CHECK(est.feasible == score.feasible &&
-                   est.memory_limited == score.memory_limited &&
-                   std::bit_cast<std::uint64_t>(est.latency) ==
-                       std::bit_cast<std::uint64_t>(score.latency) &&
-                   est.max_peak_memory == score.peak)
-          << "row-based score of " << plan.ToString() << " disagrees with its estimate";
-      if (may_rank) record_candidate(plan, est);
-      if (improves) {
-        best.plan = std::move(plan);
-        best.estimate = std::move(est);
-      }
-    }
-    return score.latency;
-  };
-
-  // Pure data parallelism: the root's default-suffix completion, and the
-  // baseline pinned into the alternatives after the search. One estimate
-  // serves both.
-  ParallelPlan data_parallel;
-  data_parallel.model = model_->name();
-  data_parallel.stages.push_back(StagePlan{0, num_layers, topo::DeviceSet::Range(0, num_devices),
-                                           topo::PlacementPolicy::kFreshFirst, recompute_all});
-  const PlanEstimate dp_est = estimator.Estimate(data_parallel, options_.global_batch_size);
-
-  // Level-by-level DP: frontier[j] holds the best node per canonical
-  // allocation key whose prefix covers layers [0, j).
-  const KeyPacker packer(*cluster_, cluster_->homogeneous());
-  const int num_servers = cluster_->num_servers();
-  const auto servers = static_cast<std::size_t>(num_servers);
-  const int gpus_per_server = cluster_->gpus_per_server();
-  KeyInterner keys;
-  std::vector<Level> frontier(static_cast<std::size_t>(num_layers));
-  {
-    SearchNode root{-1, 0, {}, 0.0};
-    root.tpl = merge(CandidateScore{dp_est.feasible, dp_est.memory_limited, dp_est.latency,
-                                    dp_est.max_peak_memory},
-                     [&] { return std::pair{data_parallel, dp_est}; });
-    std::vector<int> counts(servers, 0);
-    std::string key(packer.size(), '\0');
-    packer.Pack(counts, key.data());
-    frontier[0].Add(keys.Intern(key), std::move(root));
-  }
-  const std::vector<topo::PlacementPolicy>& policy_set =
-      options_.policies.empty() ? topo::AllPlacementPolicies() : options_.policies;
-  PlacementMemo memo(*cluster_, policy_set, inputs, packer, keys);
-
-  // What expanding one node reads of its own prefix, derived once per node
-  // and never per subproblem; the rest is its placement-memo entry. A
-  // batch's walks share per-search scratch, reused batch after batch: walk
-  // w's prefix stages (pointers into the frontier, first stage first), each
-  // stage's CompInputs index and the StageLink index into the next stage
-  // sit at [first, first + stages) of the flat vectors, and its last
-  // stage's per-server counts (its link into the carved stage varies) at
-  // w * servers of walk_last.
-  struct Walk {
-    int node = 0;
-    const PlacementMemo::Entry* entry = nullptr;
-    std::size_t first = 0;
-    std::size_t stages = 0;
-    int widest = 1;  // widest prefix stage
-  };
-  std::vector<Walk> walks;
-  std::vector<const StagePlan*> walk_stages;
-  std::vector<std::size_t> walk_comp;
-  std::vector<std::size_t> walk_link;
-  std::vector<int> walk_last;
-  std::vector<int> used(servers);
-  std::vector<int> counts(servers);
-  std::vector<int> previous(servers);
-  std::vector<std::uint64_t> taken((static_cast<std::size_t>(num_devices) + 63) / 64);
-  auto clear_walks = [&] {
-    walks.clear();
-    walk_stages.clear();
-    walk_comp.clear();
-    walk_link.clear();
-    walk_last.clear();
-  };
-  // Walks node `index` of level `j` from its parents. Nodes hold no device
-  // state: the walk checks what a plan of the prefix and a last stage on
-  // every free device must hold (contiguous non-empty stages, no device in
-  // two stages, free devices left), which covers every subproblem's prefix,
-  // since each one only splits the free devices in two. It also checks that
-  // each server's used devices are its lowest, the invariant the placement
-  // memo's key rests on.
-  auto walk = [&](int j, int index) -> Walk& {
-    Walk w{index, nullptr, walk_stages.size(), 0, 1};
-    for (int at = j; at > 0;) {
-      const SearchNode& n = frontier[static_cast<std::size_t>(at)].node(index);
-      walk_stages.push_back(&n.stage);
-      index = n.parent;
-      at = n.stage.layer_begin;
-    }
-    std::reverse(walk_stages.begin() + static_cast<std::ptrdiff_t>(w.first), walk_stages.end());
-    w.stages = walk_stages.size() - w.first;
-    std::fill(taken.begin(), taken.end(), 0);
-    std::fill(used.begin(), used.end(), 0);
-    std::fill(previous.begin(), previous.end(), 0);
-    int expected_begin = 0;
-    for (std::size_t i = w.first; i < walk_stages.size(); ++i) {
-      const StagePlan& stage = *walk_stages[i];
-      DAPPLE_CHECK(stage.layer_begin == expected_begin && stage.layer_end > stage.layer_begin &&
-                   !stage.devices.empty())
-          << "prefix stage [" << stage.layer_begin << ", " << stage.layer_end
-          << ") is not the next non-empty stage";
-      std::fill(counts.begin(), counts.end(), 0);
-      for (topo::DeviceId d : stage.devices.devices()) {
-        DAPPLE_CHECK(d >= 0 && d < num_devices) << "device G" << d << " is not in the cluster";
-        std::uint64_t& word = taken[static_cast<std::size_t>(d) / 64];
-        const std::uint64_t bit = std::uint64_t{1} << (d % 64);
-        DAPPLE_CHECK((word & bit) == 0) << "device G" << d << " in two stages";
-        word |= bit;
-        ++counts[static_cast<std::size_t>(d / gpus_per_server)];
-      }
-      for (std::size_t srv = 0; srv < servers; ++srv) used[srv] += counts[srv];
-      walk_comp.push_back(inputs.Comp(counts));
-      walk_link.push_back(0);  // set by the next stage, if any
-      if (i > w.first) walk_link[i - 1] = inputs.Link(previous, counts);
-      std::swap(previous, counts);
-      w.widest = std::max(w.widest, stage.replication());
-      expected_begin = stage.layer_end;
-    }
-    DAPPLE_CHECK(expected_begin == j && j < num_layers) << "a prefix ends at its level";
-    int free_devices = 0;
-    for (int srv = 0; srv < num_servers; ++srv) {
-      const int n = used[static_cast<std::size_t>(srv)];
-      for (topo::DeviceId d = srv * gpus_per_server; d < (srv + 1) * gpus_per_server; ++d) {
-        const bool is_used = (taken[static_cast<std::size_t>(d) / 64] >> (d % 64)) & 1;
-        DAPPLE_CHECK(is_used == (d - srv * gpus_per_server < n))
-            << "server " << srv << " does not use its lowest " << n << " devices";
-      }
-      free_devices += gpus_per_server - n;
-    }
-    DAPPLE_CHECK_GT(free_devices, 0) << "no free device for the last stage";
-    walk_last.insert(walk_last.end(), previous.begin(), previous.end());
-    walks.push_back(w);
-    return walks.back();
-  };
-  // The number of placements of node `index` of level `j`, walked but not
-  // priced.
-  auto count_placements = [&](int j, int index) {
-    clear_walks();
-    walk(j, index);
-    return static_cast<long>(memo.Count(used));
-  };
-
-  // One unit of parallel work: a (frontier node, device placement) pair
-  // that expands every split point jp on its own. Coarser than a single
-  // candidate (good cache locality: all jp share the placement's stage
-  // vocabulary), finer than a frontier node (parallelism exists even at
-  // level 0, where the frontier is a single root).
-  struct Subproblem {
-    std::size_t walk = 0;
-    std::size_t placement = 0;  // index into the walk's entry
-  };
-
-  // A level is expanded in batches of consecutive nodes with about this
-  // many subproblems (a batch ends on a node boundary). Batching changes
-  // nothing but memory: a level of a large cluster holds millions of
-  // subproblems, and only one batch's walks and scores are alive.
-  constexpr std::size_t kBatch = 1 << 14;
-  // A batch's scores, the score of split point j + 1 + i of subproblem s at
-  // s * splits + i; one buffer for the search. A split's plan and full
-  // estimate are rebuilt only if the merge needs them.
-  std::vector<CandidateScore> scores;
-  std::vector<Subproblem> subproblems;
-
-  for (int j = 0; j < num_layers; ++j) {
-    Level& level = frontier[static_cast<std::size_t>(j)];
-    if (level.size() == 0) continue;
-    ++best.stats.levels;
-    best.stats.frontier_peak = std::max<long>(best.stats.frontier_peak, level.size());
-    auto phase_clock = std::chrono::steady_clock::now();
-    auto lap = [&phase_clock] {
-      const auto now = std::chrono::steady_clock::now();
-      const double s = std::chrono::duration<double>(now - phase_clock).count();
-      phase_clock = now;
-      return s;
-    };
-
-    // Pruning reads the incumbent only here, before the level's first
-    // merge, so it cannot observe mid-level merge order and stays identical
-    // at every thread count.
-    const bool prune = options_.prune_slack > 0.0 && best.estimate.feasible;
-    const double prune_above = best.estimate.latency * options_.prune_slack;
-    // The nodes that expand, in ascending key order: below the stage cap
-    // and not pruned (counted in `pruned`). Nodes whose default-suffix
-    // completion was infeasible (tpl = inf) must stay expandable: splitting
-    // the suffix further may restore memory feasibility (this is exactly
-    // how AmoebaNet-36, which cannot run data-parallel, still gets planned).
-    std::vector<int> expanding;
-    for (int index : level.KeyOrder(keys)) {
-      const SearchNode& node = level.node(index);
-      if (node.num_stages + 1 >= max_stages) continue;
-      if (prune && std::isfinite(node.tpl) && node.tpl > prune_above) {
-        ++pruned;
-        continue;
-      }
-      expanding.push_back(index);
-    }
-    // The budget is checked before the level evaluates anything: a counting
-    // pass walks the expanding nodes and counts their placements.
-    if (options_.max_subproblems > 0) {
-      long enumerated = best.stats.subproblems;
-      for (int index : expanding) {
-        enumerated += count_placements(j, index);
-        if (enumerated > options_.max_subproblems) {
-          throw SearchTooLarge(options_.max_subproblems + 1, options_.max_subproblems,
-                               best.stats.levels, evaluated, best.stats.frontier_peak);
-        }
-      }
-    }
-
-    // Every subproblem of this level scores the same split points (j, L).
-    const auto splits = static_cast<std::size_t>(num_layers - j - 1);
-    if (splits == 0) {
-      // The last level has no split point left: its subproblems are
-      // counted, never priced or merged.
-      for (int index : expanding) best.stats.subproblems += count_placements(j, index);
-      best.stats.enumerate_seconds += lap();
-    }
-    std::size_t level_expansions = 0;
-    for (std::size_t next = 0; next < expanding.size() && splits > 0;) {
-      // Phase 1 (sequential, cheap): the next batch's subproblems, in the
-      // canonical order: node (key order) -> its entry's placements.
-      memo.Trim();
-      clear_walks();
-      subproblems.clear();
-      while (next < expanding.size() && subproblems.size() < kBatch) {
-        const std::size_t w = walks.size();
-        Walk& node = walk(j, expanding[next++]);
-        node.entry = &memo.Get(used);
-        for (std::size_t p = 0; p < node.entry->placements.size(); ++p) {
-          subproblems.push_back(Subproblem{w, p});
-        }
-      }
-      best.stats.subproblems += static_cast<long>(subproblems.size());
-      best.stats.enumerate_seconds += lap();
-      const std::size_t size = subproblems.size();
-      // A batch overwrites each score it reads, so a larger buffer frees
-      // the old one first rather than copying it.
-      if (scores.size() < size * splits) {
-        std::vector<CandidateScore>().swap(scores);
-        scores.resize(size * splits);
-      }
-
-      // Phase 2 (parallel, hot): each subproblem reads its placement's row
-      // inputs from the memo entry, prices the link from the node's last
-      // stage into its carved stage, and scores all of its split points in
-      // one pass from its stage-cost rows. Only jp varies inside one; the
-      // prefix, both device counts, the stage count and the widest stage
-      // (so the micro-batching) are fixed, and ScoreSplits does that fixed
-      // work once. Results land in the subproblem's own slots; apart from
-      // the row memo (pure values), nothing here writes search-global state.
-      pool.ParallelFor(size, [&](std::size_t s) {
-        const Subproblem& sub = subproblems[s];
-        const Walk& node = walks[sub.walk];
-        const PlacementMemo::Entry& entry = *node.entry;
-        const PlacementMemo::Placement& p = entry.placements[sub.placement];
-        const int widest = std::max({node.widest, p.size, p.free_devices});
-        const StageRowMemo::Rows at = rows.At(mbs_index[static_cast<std::size_t>(widest)]);
-        thread_local std::vector<RowEntry> prefix_entries;
-        prefix_entries.clear();
-        const std::size_t end = node.first + node.stages;
-        for (std::size_t i = node.first; i < end; ++i) {
-          const StagePlan& stage = *walk_stages[i];
-          const auto x = static_cast<std::size_t>(stage.layer_end);
-          std::size_t link = walk_link[i];
-          if (i + 1 == end) {
-            link = inputs.Link(
-                std::span(walk_last).subspan(sub.walk * servers, servers),
-                std::span(entry.carved_counts).subspan(sub.placement * servers, servers));
-          }
-          prefix_entries.push_back(at.Begin(stage.layer_begin, stage.recompute, walk_comp[i])[x]);
-          prefix_entries.push_back(at.Comm(link)[x]);
-        }
-        estimator.ScoreSplits(
-            {std::span(walk_stages).subspan(node.first, node.stages), prefix_entries, p.size,
-             recompute_all, p.free_devices, recompute_all,
-             at.Begin(j, recompute_all, p.carved_comp), at.Comm(p.boundary_link),
-             at.End(recompute_all, p.suffix_comp)},
-            by_width[static_cast<std::size_t>(widest)],
-            std::span(scores).subspan(s * splits, splits));
-      });
-      best.stats.evaluate_seconds += lap();
-      level_expansions += size * splits;
-
-      // Phase 3 (sequential, deterministic): merge in enumeration order —
-      // subproblem order, then jp ascending — identical outcomes to the
-      // single-threaded search. Each split's frontier slot is an array read
-      // at its placement's child key. A candidate's plan and estimate are
-      // built only when it can enter `best` or the alternatives, its carved
-      // device set only when it or its child node is, and its child node
-      // only when the child takes its frontier slot.
-      for (std::size_t s = 0; s < size; ++s) {
-        const Subproblem& sub = subproblems[s];
-        const Walk& node = walks[sub.walk];
-        const PlacementMemo::Entry& entry = *node.entry;
-        const PlacementMemo::Placement& p = entry.placements[sub.placement];
-        row_lookups += static_cast<std::int64_t>(2 * node.stages + 3);
-        std::optional<topo::DeviceSet> devices;
-        auto carved_devices = [&]() -> const topo::DeviceSet& {
-          if (!devices) {
-            const std::span<const topo::DeviceId> carved = entry.carved(p);
-            devices.emplace(std::vector<topo::DeviceId>(carved.begin(), carved.end()));
-          }
-          return *devices;
-        };
-        for (std::size_t i = 0; i < splits; ++i) {
-          const int jp = j + 1 + static_cast<int>(i);
-          const double tpl = merge(scores[s * splits + i], [&] {
-            // The node's prefix, the carved stage [j, jp) and the default
-            // suffix [jp, L) on the devices the carved stage leaves free.
-            const topo::DeviceSet& carved = carved_devices();
-            std::vector<topo::DeviceId> rest;
-            for (topo::DeviceId d : entry.free) {
-              if (!carved.contains(d)) rest.push_back(d);
-            }
-            ParallelPlan plan;
-            plan.model = model_->name();
-            for (std::size_t k = node.first; k < node.first + node.stages; ++k) {
-              plan.stages.push_back(*walk_stages[k]);
-            }
-            plan.stages.push_back(StagePlan{j, jp, carved, p.policy, recompute_all});
-            plan.stages.push_back(StagePlan{jp, num_layers, topo::DeviceSet(std::move(rest)),
-                                            topo::PlacementPolicy::kFreshFirst, recompute_all});
-            PlanEstimate est = estimator.Estimate(plan, options_.global_batch_size);
-            return std::pair{std::move(plan), std::move(est)};
-          });
-          Level& child_level = frontier[static_cast<std::size_t>(jp)];
-          SearchNode* slot = child_level.Find(p.child_key);
-          if (slot == nullptr || tpl < slot->tpl) {
-            SearchNode child{node.node, static_cast<int>(node.stages) + 1,
-                             StagePlan{j, jp, carved_devices(), p.policy, recompute_all}, tpl};
-            if (slot == nullptr) {
-              child_level.Add(p.child_key, std::move(child));
-            } else {
-              *slot = std::move(child);
-            }
-          }
-        }
-      }
-      best.stats.merge_seconds += lap();
-    }
-    {
-      auto& metrics = obs::MetricsRegistry::Global();
-      metrics.counter("planner.estimator_calls")
-          .Increment(static_cast<std::int64_t>(level_expansions));
-      metrics.histogram("planner.level_expansions")
-          .Observe(static_cast<double>(level_expansions));
-    }
-    // The search only moves forward: later levels read this one's nodes
-    // only for their stages and parents.
-    level.Release();
-  }
-
-  best.alternatives.reserve(alternatives.size());
-  for (Alternative& alt : alternatives) {
-    best.alternatives.emplace_back(std::move(alt.plan), alt.estimate);
-  }
-
-  best.stats.candidates_evaluated = evaluated;
-  best.stats.candidates_pruned = pruned;
-  best.stats.memory_rejected = memory_rejected;
-  // Each key is filled exactly once, so the misses are the rows at every
-  // thread count.
-  const StageRowMemo::Stats totals = rows.TotalStats();
-  best.stats.cache_hits = row_lookups - totals.rows;
-  best.stats.cache_misses = totals.rows;
-  best.stats.cache_entries = totals.rows;
-  best.stats.cache_compute_seconds = totals.fill_seconds;
-  best.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - search_start)
-          .count();
-
-  {
-    auto& metrics = obs::MetricsRegistry::Global();
-    metrics.counter("planner.plans").Increment();
-    metrics.counter("planner.candidates_evaluated").Increment(evaluated);
-    metrics.counter("planner.candidates_pruned").Increment(pruned);
-    metrics.counter("planner.placement_memo.fills").Increment(memo.fills());
-    metrics.counter("planner.placement_memo.hits").Increment(memo.hits());
-    metrics.counter("planner.placement_memo.clears").Increment(memo.clears());
-  }
-  ExportSearchStats(best.stats);
-  if (recompute_all) best.stats.recompute_stages = best.plan.num_stages();
-
-  // Pin the pure data-parallel plan into the alternatives (appended past
-  // the top-k cut if necessary): it is the paper's universal baseline and
-  // the simulator re-ranking should always get to veto in its favour.
-  if (options_.keep_alternatives > 0 && best.estimate.feasible && dp_est.feasible) {
-    bool present = false;
-    for (const auto& [p, e] : best.alternatives) {
-      (void)e;
-      if (p.IsDataParallel()) {
-        present = true;
-        break;
-      }
-    }
-    if (!present) best.alternatives.emplace_back(std::move(data_parallel), dp_est);
-  }
-
-  if (!best.estimate.feasible) {
-    std::ostringstream os;
-    os << "no feasible plan for " << model_->name() << " on " << cluster_->name() << " ("
-       << num_devices << " devices)";
-    if (latency.memory_cap > 0) {
-      os << " under memory cap " << FormatBytes(latency.memory_cap)
-         << (recompute_all ? " with recompute" : "");
-    }
-    if (last_infeasible_peak) os << ": " << estimator.MemoryReason(*last_infeasible_peak);
-    throw NoFeasiblePlan(os.str());
-  }
-  return best;
+  return DpSearch(*model_, *cluster_, options_, recompute_all).Run();
 }
 
 }  // namespace dapple::planner

@@ -13,27 +13,26 @@
 // packed canonical key (fixed-width per-server counts) gets one dense id
 // per search, and a level finds its node for a key id by an array read.
 // Every policy hands a server's lowest free device out first, so a node's
-// used devices are each server's lowest and its device state is its
-// per-server used counts. Everything a node's expansion reads that depends
-// only on those counts comes from a per-search placement memo keyed by
-// them (positionally): its free devices, one or two hand-out orders per
-// policy (AllocationState::PlanOrder), its deduplicated placements (a
-// size-m placement is the first m devices of an order) and, per placement,
-// the free-device count, the carved, boundary and suffix row inputs
-// (planner/stage_cache.h) and the child's interned key. Nodes of one level
-// all have different counts, so the memo's reuse is across levels; it is
-// cleared between batches once it passes a fixed byte budget. A node's
-// prefix is walked from its parents, without allocating, when the node is
-// expanded: the walk checks the prefix (contiguous non-empty stages, no
-// device in two stages, free devices left, each server's lowest devices
-// used) and prices its stages to row inputs. A subproblem then prices only
-// the link from the node's last stage into its carved stage; no device set
-// is built and no key is packed per subproblem. A child's device set and
-// stage are built only when the child takes its frontier slot, and a
-// candidate's plan only when the merge materializes it.
+// device state is its per-server used counts. What its expansion reads
+// that depends only on them (free devices, hand-out orders, deduplicated
+// placements and, per placement, its carved, boundary and suffix row
+// inputs of planner/stage_cache.h and its child's interned key) comes from
+// a per-search placement memo keyed by them, cleared past a byte budget.
+//
+// One search-state type (DpSearch, in dp_planner.cc) runs a search. Its
+// members: the node walk, which walks a node's prefix from its parents
+// without allocating, checks it (contiguous non-empty stages, no device in
+// two stages, free devices left, each server's lowest devices used) and
+// reads its memo entry; the level's expanding-node filter, whose budget
+// pass walks every expanding node before the level evaluates anything;
+// phase 1, which walks a batch of nodes into subproblems (the last level,
+// having no split point left, runs only this); phase 2, the only parallel
+// one, which scores each subproblem's splits; phase 3, which merges them
+// in enumeration order into the frontier, the incumbent and the top-k
+// alternatives; and the finish (stats, metrics, the data-parallel pin,
+// NoFeasiblePlan).
 #pragma once
 
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>

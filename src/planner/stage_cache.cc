@@ -196,7 +196,8 @@ void ExportSearchStats(const PlannerSearchStats& stats) {
   metrics.counter("planner.cache.hits").Increment(stats.cache_hits);
   metrics.counter("planner.cache.misses").Increment(stats.cache_misses);
   metrics.gauge("planner.cache.hit_rate").Set(stats.cache_hit_rate());
-  metrics.gauge("planner.cache.entries").Set(static_cast<double>(stats.cache_entries));
+  // Each row fills exactly once, so the rows held are the misses.
+  metrics.gauge("planner.cache.entries").Set(static_cast<double>(stats.cache_misses));
   metrics.histogram("planner.cache.compute_seconds").Observe(stats.cache_compute_seconds);
 }
 

@@ -204,12 +204,11 @@ struct PlannerSearchStats {
   int fit_probes = 0;
 
   /// Stage-row memo traffic: row lookups that found their row filled
-  /// (hits) and that filled it (misses), and the rows held at the end. Each
-  /// row is filled exactly once, so misses equal entries, and all three are
-  /// the same at every thread count.
+  /// (hits) and that filled it (misses). Each row is filled exactly once,
+  /// so the misses are the rows held, and both are the same at every
+  /// thread count.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  std::int64_t cache_entries = 0;
   /// Sum of wall time spent filling rows (fills are serialized on the
   /// memo's mutex, so this stays below wall_seconds).
   double cache_compute_seconds = 0.0;

@@ -314,7 +314,6 @@ TEST(PlannerOracle, StageRowCountIsPinned) {
     options.num_threads = threads;
     const PlanResult result =
         DapplePlanner(model::ModelByName("GNMT-16"), topo::MakeConfigA(2), options).Plan();
-    EXPECT_EQ(result.stats.cache_entries, 524) << threads << " threads";
     EXPECT_EQ(result.stats.cache_misses, 524) << threads << " threads";
     EXPECT_EQ(result.stats.cache_hits, 34924) << threads << " threads";
     EXPECT_EQ(obs::MetricsRegistry::Global().gauge("planner.cache.entries").value(), 524.0);
@@ -326,24 +325,36 @@ TEST(PlannerOracle, PlacementMemoFillsOncePerCountVector) {
   // search fills one placement-memo entry per distinct count vector and
   // reads it for every other node with those counts: GNMT-16 on 16
   // Config-A devices walks 432 nodes with 63 distinct vectors, at every
-  // thread count, and stays inside the memo's byte budget. One vector
-  // first shows up on the last level, which counts placements without
-  // pricing them, so it is not filled.
+  // thread count, and stays inside the memo's byte budget. Every walk
+  // fills or hits. Under a search budget the budget pass walks each node
+  // once more, before the level's batches, and fills nothing new.
   auto& metrics = obs::MetricsRegistry::Global();
   auto traffic = [&] {
     return std::array<std::int64_t, 3>{metrics.counter("planner.placement_memo.fills").value(),
                                        metrics.counter("planner.placement_memo.hits").value(),
                                        metrics.counter("planner.placement_memo.clears").value()};
   };
+  constexpr std::int64_t kWalks = 432;
   for (int threads : {1, 8}) {
     PlannerOptions options = Opts(1024);
     options.num_threads = threads;
-    const std::array<std::int64_t, 3> before = traffic();
-    (void)DapplePlanner(model::ModelByName("GNMT-16"), topo::MakeConfigA(2), options).Plan();
-    const std::array<std::int64_t, 3> after = traffic();
-    EXPECT_EQ(after[0] - before[0], 62) << threads << " threads";
+    std::array<std::int64_t, 3> before = traffic();
+    const PlanResult unbounded =
+        DapplePlanner(model::ModelByName("GNMT-16"), topo::MakeConfigA(2), options).Plan();
+    std::array<std::int64_t, 3> after = traffic();
+    EXPECT_EQ(after[0] - before[0], 63) << threads << " threads";
     EXPECT_EQ(after[1] - before[1], 369) << threads << " threads";
+    EXPECT_EQ(after[0] - before[0] + after[1] - before[1], kWalks) << threads << " threads";
     EXPECT_EQ(after[2] - before[2], 0) << threads << " threads";
+
+    options.max_subproblems = unbounded.stats.subproblems;
+    before = traffic();
+    (void)DapplePlanner(model::ModelByName("GNMT-16"), topo::MakeConfigA(2), options).Plan();
+    after = traffic();
+    EXPECT_EQ(after[0] - before[0], 63) << threads << " threads, budgeted";
+    EXPECT_EQ(after[0] - before[0] + after[1] - before[1], 2 * kWalks)
+        << threads << " threads, budgeted";
+    EXPECT_EQ(after[2] - before[2], 0) << threads << " threads, budgeted";
   }
 }
 

@@ -214,7 +214,7 @@ int CmdPlan(int argc, char** argv) {
       static_cast<long long>(planned.stats.cache_hits),
       static_cast<long long>(planned.stats.cache_hits + planned.stats.cache_misses),
       planned.stats.cache_hit_rate() * 100.0,
-      static_cast<long long>(planned.stats.cache_entries), planned.stats.wall_seconds);
+      static_cast<long long>(planned.stats.cache_misses), planned.stats.wall_seconds);
   if (planned.stats.memory_cap > 0) {
     std::printf("memory cap %s: peak %s (%s), %ld placements rejected, "
                 "%d/%d stages recompute (%d fit probes)\n",
