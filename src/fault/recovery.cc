@@ -72,8 +72,6 @@ ElasticReplan Replan(const model::ModelProfile& model, const topo::Cluster& clus
       planner::PlanResult result =
           planner::DapplePlanner(model, step.degraded.cluster, options).Plan();
       metrics.counter("fault.replan.runs").Increment();
-      metrics.counter("fault.replan.subproblems").Increment(result.stats.subproblems);
-      metrics.counter("fault.replan.cache_hits").Increment(result.stats.cache_hits);
       metrics.histogram("fault.replan.wall_seconds").Observe(result.stats.wall_seconds);
       planned->second = std::move(result.plan);
     } catch (const planner::NoFeasiblePlan&) {

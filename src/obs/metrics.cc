@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <vector>
-
-#include "obs/json.h"
 
 namespace dapple::obs {
 
@@ -33,6 +29,31 @@ void Histogram::Observe(double v) {
   ++count_;
   sum_ += v;
   ++buckets_[BucketOf(v)];
+}
+
+std::int64_t Histogram::count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return count_;
+}
+
+double Histogram::sum() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sum_;
+}
+
+double Histogram::min() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return count_ > 0 ? min_ : 0.0;
+}
+
+double Histogram::max() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return count_ > 0 ? max_ : 0.0;
+}
+
+double Histogram::mean() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
 double Histogram::Quantile(double q) const {
@@ -68,84 +89,11 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
-std::string MetricsRegistry::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("counters").BeginObject();
-  for (const auto& [name, c] : counters_) w.Field(name, c->value());
-  w.EndObject();
-  w.Key("gauges").BeginObject();
-  for (const auto& [name, g] : gauges_) w.Field(name, g->value());
-  w.EndObject();
-  w.Key("histograms").BeginObject();
-  for (const auto& [name, h] : histograms_) {
-    w.Key(name).BeginObject();
-    w.Field("count", h->count());
-    w.Field("sum", h->sum());
-    w.Field("min", h->min());
-    w.Field("max", h->max());
-    w.Field("mean", h->mean());
-    w.Field("p50", h->Quantile(0.50));
-    w.Field("p95", h->Quantile(0.95));
-    w.Field("p99", h->Quantile(0.99));
-    w.EndObject();
-  }
-  w.EndObject();
-  w.EndObject();
-  return w.str();
-}
-
-std::string MetricsRegistry::ToText() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t width = 0;
-  for (const auto& [name, c] : counters_) width = std::max(width, name.size());
-  for (const auto& [name, g] : gauges_) width = std::max(width, name.size());
-  for (const auto& [name, h] : histograms_) width = std::max(width, name.size());
-
-  std::ostringstream os;
-  auto pad = [&](const std::string& name) {
-    os << "  " << name << std::string(width - name.size() + 2, ' ');
-  };
-  for (const auto& [name, c] : counters_) {
-    pad(name);
-    os << c->value() << "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    pad(name);
-    os << JsonWriter::Number(g->value()) << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    pad(name);
-    os << "n=" << h->count() << " sum=" << JsonWriter::Number(h->sum())
-       << " min=" << JsonWriter::Number(h->min()) << " max=" << JsonWriter::Number(h->max())
-       << " mean=" << JsonWriter::Number(h->mean())
-       << " p50=" << JsonWriter::Number(h->Quantile(0.50))
-       << " p95=" << JsonWriter::Number(h->Quantile(0.95))
-       << " p99=" << JsonWriter::Number(h->Quantile(0.99)) << "\n";
-  }
-  return os.str();
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

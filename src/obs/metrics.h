@@ -1,15 +1,31 @@
-// Process-wide metrics registry: named counters, gauges and histograms fed
-// by the engine (tasks executed, simulations run) and the planner
-// (candidates evaluated/pruned per DP level, estimator calls). Cheap enough
-// to stay always-on — counters are single atomics. Readers look instruments
-// up by name: serve `stats` reports the serve.latency.* histograms, the
-// end-to-end benchmark (benchmark/stats.cc) snapshots eight planner, sim
-// and fault names, and bench_scenario reads the two fault.replan counters.
-// ToJson/ToText render the whole registry; only metrics_test calls them.
+// Process-wide metrics registry: named counters and histograms that some
+// reader looks up by name. A quantity the caller already receives in a
+// result struct (PlannerSearchStats on PlanResult, serve::ServerStats,
+// EpisodeReport, CoScheduleReport) is reported there and not copied here.
+// The registry holds exactly these instruments, each with its reader:
+//
+//   benchmark/stats.cc, the end-to-end benchmark's per-layer metrics:
+//     counters   planner.candidates_evaluated, planner.cache.hits,
+//                planner.cache.misses, planner.estimator_calls,
+//                sim.tasks_executed
+//     histograms planner.parallel.wall_seconds (sum),
+//                planner.cache.compute_seconds (sum),
+//                fault.replan.wall_seconds (sum)
+//   bench_scenario: counters fault.replan.runs, fault.replan.memo_hits
+//   tests, with no other channel: counters
+//     planner.placement_memo.{fills,hits,clears} (planner_test) and
+//     report.peak_vs_m.skipped (obs_report_test)
+//   "nothing falls back silently": counters planner.recompute_fallbacks
+//     and dapple.session.recompute_retries
+//
+// obs_report_test's MetricsRegistry.BenchmarkNamesGrowWithTheirWriters
+// pins the benchmark's and bench_scenario's names.
+// Serve's request latency is not here: each serve::Server owns one
+// Histogram per request kind, so `stats` reports that server alone.
 //
 // Instruments may be created from concurrent threads (the planner evaluates
-// candidates on a thread pool). Counter and Gauge updates are lock-free
-// single atomics; a Histogram observation takes that histogram's mutex.
+// candidates on a thread pool). A Counter update is one lock-free atomic; a
+// Histogram observation or read takes that histogram's mutex.
 #pragma once
 
 #include <atomic>
@@ -31,16 +47,6 @@ class Counter {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Last-written floating-point metric.
-class Gauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// Count/sum/min/max summary of observed samples plus a fixed logarithmic
 /// bucket grid for quantile estimates. Enough to answer "how many, how big
 /// on average, what were the extremes, where do p50/p95/p99 sit" without
@@ -57,11 +63,12 @@ class Histogram {
 
   void Observe(double v);
 
-  std::int64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double mean() const { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
+  /// Each read takes the mutex, so it may run beside Observe.
+  std::int64_t count() const;
+  double sum() const;
+  double min() const;
+  double max() const;
+  double mean() const;
 
   /// Estimated q-th quantile (0 <= q <= 1) from the bucket grid: the upper
   /// boundary of the bucket holding the rank, clamped to the exact observed
@@ -86,18 +93,7 @@ class Histogram {
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
-
-  /// Drops every instrument (tests isolate themselves with this).
-  void Reset();
-
-  /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,...}}},
-  /// keys sorted, deterministic for a deterministic workload.
-  std::string ToJson() const;
-
-  /// Aligned `name value` lines grouped by instrument kind.
-  std::string ToText() const;
 
   /// The process-wide registry the library's built-in instrumentation feeds.
   static MetricsRegistry& Global();
@@ -105,7 +101,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

@@ -453,10 +453,8 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
     peak_of[static_cast<std::size_t>(reps[r])] = peaks[r];
   }
 
-  auto& metrics = MetricsRegistry::Global();
-  metrics.counter("report.peak_vs_m.simulated")
-      .Increment(static_cast<std::int64_t>(reps.size()));
-  metrics.counter("report.peak_vs_m.skipped")
+  MetricsRegistry::Global()
+      .counter("report.peak_vs_m.skipped")
       .Increment(static_cast<std::int64_t>(n) - static_cast<std::int64_t>(reps.size()));
 
   std::vector<PeakVsMPoint> curve;

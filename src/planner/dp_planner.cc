@@ -488,10 +488,9 @@ class DpSearch {
         MergeBatch(j, splits);
         level_expansions += subproblems_.size() * splits;
       }
-      auto& metrics = obs::MetricsRegistry::Global();
-      metrics.counter("planner.estimator_calls")
+      obs::MetricsRegistry::Global()
+          .counter("planner.estimator_calls")
           .Increment(static_cast<std::int64_t>(level_expansions));
-      metrics.histogram("planner.level_expansions").Observe(static_cast<double>(level_expansions));
       // The search only moves forward: later levels read this one's nodes
       // only for their stages and parents.
       level.Release();
@@ -866,13 +865,14 @@ class DpSearch {
     best_.stats.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
     auto& metrics = obs::MetricsRegistry::Global();
-    metrics.counter("planner.plans").Increment();
     metrics.counter("planner.candidates_evaluated").Increment(evaluated_);
-    metrics.counter("planner.candidates_pruned").Increment(pruned_);
+    metrics.counter("planner.cache.hits").Increment(best_.stats.cache_hits);
+    metrics.counter("planner.cache.misses").Increment(best_.stats.cache_misses);
+    metrics.histogram("planner.cache.compute_seconds").Observe(best_.stats.cache_compute_seconds);
+    metrics.histogram("planner.parallel.wall_seconds").Observe(best_.stats.wall_seconds);
     metrics.counter("planner.placement_memo.fills").Increment(memo_.fills());
     metrics.counter("planner.placement_memo.hits").Increment(memo_.hits());
     metrics.counter("planner.placement_memo.clears").Increment(memo_.clears());
-    ExportSearchStats(best_.stats);
     if (recompute_all_) best_.stats.recompute_stages = best_.plan.num_stages();
 
     // Pin the pure data-parallel plan into the alternatives (appended past
@@ -1014,11 +1014,6 @@ PlanResult DapplePlanner::Plan() const {
     }
     result.stats.recompute_stages = recompute_stages;
     result.stats.fit_probes = probes;
-  }
-  if (result.stats.memory_cap > 0) {
-    auto& metrics = obs::MetricsRegistry::Global();
-    metrics.counter("planner.cap.recompute_stages").Increment(result.stats.recompute_stages);
-    metrics.counter("planner.cap.fit_probes").Increment(result.stats.fit_probes);
   }
   return result;
 }

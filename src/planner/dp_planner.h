@@ -154,9 +154,8 @@ class DapplePlanner {
   /// is retried with recomputation everywhere, then trimmed to the cheapest
   /// per-stage subset that still fits. Throws NoFeasiblePlan when no
   /// feasible plan exists even then, and SearchTooLarge (never retried)
-  /// when a search passes max_subproblems. Under a memory cap, adds the
-  /// result's recompute stages and fit probes to the planner.cap.*
-  /// counters.
+  /// when a search passes max_subproblems. The result's stats carry the
+  /// recompute stages and fit probes.
   PlanResult Plan() const;
 
   /// Evaluates a fully specified plan, its own recompute flags included,

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "obs/metrics.h"
 
 namespace dapple::planner {
 
@@ -178,27 +177,6 @@ const RowEntry* StageRowMemo::Fill(Family family, int mbs_index, const RowEntry*
 StageRowMemo::Stats StageRowMemo::TotalStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {static_cast<std::int64_t>(rows_.size()), fill_seconds_};
-}
-
-void ExportSearchStats(const PlannerSearchStats& stats) {
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.counter("planner.parallel.subproblems").Increment(stats.subproblems);
-  metrics.counter("planner.parallel.levels").Increment(stats.levels);
-  metrics.gauge("planner.parallel.frontier_peak").Set(static_cast<double>(stats.frontier_peak));
-  metrics.gauge("planner.parallel.threads").Set(static_cast<double>(stats.threads));
-  metrics.histogram("planner.parallel.wall_seconds").Observe(stats.wall_seconds);
-  // Cap metrics only when a cap was actually in force, so uncapped runs
-  // keep their metric namespace unchanged.
-  if (stats.memory_cap > 0) {
-    metrics.gauge("planner.cap.bytes").Set(static_cast<double>(stats.memory_cap));
-    metrics.counter("planner.cap.memory_rejected").Increment(stats.memory_rejected);
-  }
-  metrics.counter("planner.cache.hits").Increment(stats.cache_hits);
-  metrics.counter("planner.cache.misses").Increment(stats.cache_misses);
-  metrics.gauge("planner.cache.hit_rate").Set(stats.cache_hit_rate());
-  // Each row fills exactly once, so the rows held are the misses.
-  metrics.gauge("planner.cache.entries").Set(static_cast<double>(stats.cache_misses));
-  metrics.histogram("planner.cache.compute_seconds").Observe(stats.cache_compute_seconds);
 }
 
 }  // namespace dapple::planner

@@ -175,7 +175,9 @@ class StageRowMemo {
 
 /// Everything the parallel search observed about itself: how the work was
 /// decomposed, what the memo cache absorbed and how long the search took.
-/// Carried on PlanResult and exported into MetricsRegistry by the planner.
+/// Carried on PlanResult, which is where callers read it. The registry gets
+/// only what benchmark/stats.cc reads: candidates_evaluated, cache_hits,
+/// cache_misses and the sums of cache_compute_seconds and wall_seconds.
 struct PlannerSearchStats {
   /// Worker threads the search ran on (1 = fully serial path).
   int threads = 0;
@@ -231,9 +233,5 @@ struct PlannerSearchStats {
     return total > 0 ? static_cast<double>(cache_hits) / static_cast<double>(total) : 0.0;
   }
 };
-
-/// Feeds the stats into the process-wide MetricsRegistry under the
-/// planner.parallel.* and planner.cache.* names.
-void ExportSearchStats(const PlannerSearchStats& stats);
 
 }  // namespace dapple::planner

@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "obs/metrics.h"
 #include "planner/fingerprint.h"
 #include "sim/engine.h"
 
@@ -277,15 +276,6 @@ CoScheduleReport CoScheduler::Schedule(const std::vector<JobSpec>& jobs) {
       report.aggregate_makespan > 0.0
           ? busy_device_time / (budget_.num_devices() * report.aggregate_makespan)
           : 0.0;
-
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.counter("scenario.cosched.runs").Increment();
-  metrics.counter("scenario.cosched.cache_hits").Increment(report.cache_hits);
-  metrics.counter("scenario.cosched.cache_misses").Increment(report.cache_misses);
-  metrics.counter("scenario.cosched.preemptions").Increment(report.preemptions);
-  metrics.counter("scenario.cosched.exchange_moves").Increment(report.exchange_moves);
-  metrics.gauge("scenario.cosched.aggregate_makespan").Set(report.aggregate_makespan);
-  metrics.gauge("scenario.cosched.utilization").Set(report.utilization);
   return report;
 }
 

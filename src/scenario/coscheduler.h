@@ -87,8 +87,8 @@ class CoScheduler {
  public:
   CoScheduler(topo::Cluster budget, CoScheduleOptions options = {});
 
-  /// Runs the greedy + exchange split search. Books scenario.cosched.*
-  /// metrics in the global MetricsRegistry.
+  /// Runs the greedy + exchange split search. The report carries every
+  /// count.
   CoScheduleReport Schedule(const std::vector<JobSpec>& jobs);
 
  private:

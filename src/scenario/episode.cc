@@ -1,7 +1,6 @@
 #include "scenario/episode.h"
 
 #include "common/thread_pool.h"
-#include "obs/metrics.h"
 
 namespace dapple::scenario {
 
@@ -30,13 +29,6 @@ EpisodeReport RunEpisode(const model::ModelProfile& model, const topo::Cluster& 
   report.utilization = report.fault.healthy_throughput > 0.0
                            ? report.fault.goodput / report.fault.healthy_throughput
                            : 0.0;
-
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.counter("scenario.episode.runs").Increment();
-  metrics.counter("scenario.episode.preemptions").Increment(report.preemptions);
-  metrics.counter("scenario.episode.rejoins").Increment(report.rejoins);
-  metrics.counter("scenario.episode.scale_ups").Increment(report.fault.scale_ups);
-  metrics.histogram("scenario.episode.utilization").Observe(report.utilization);
   return report;
 }
 

@@ -46,8 +46,7 @@ struct EpisodeReport {
 };
 
 /// Generates the churn script for (seed, model, options) and runs the fault
-/// experiment under the episode's policy. Books scenario.episode.* counters
-/// in the global MetricsRegistry.
+/// experiment under the episode's policy. The report carries every count.
 EpisodeReport RunEpisode(const model::ModelProfile& model, const topo::Cluster& cluster,
                          const planner::ParallelPlan& plan, const EpisodeOptions& options);
 

@@ -34,7 +34,7 @@
 // Cache hit/miss status is deliberately NOT in per-request responses: two
 // identical requests racing in one batch may both miss, and response
 // bodies must stay byte-identical at every worker count. Hit rates are
-// observable through the "stats" kind and the metrics registry instead.
+// observable through the "stats" kind instead.
 #pragma once
 
 #include <string>

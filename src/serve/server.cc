@@ -5,7 +5,6 @@
 
 #include "dapple/dapple.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "planner/fingerprint.h"
 
@@ -62,16 +61,13 @@ std::vector<std::string> Server::HandleBatch(const std::vector<std::string>& lin
 }
 
 std::string Server::HandleLine(const std::string& line) {
-  auto& metrics = obs::MetricsRegistry::Global();
   requests_.fetch_add(1, std::memory_order_relaxed);
-  metrics.counter("serve.requests").Increment();
 
   ServeRequest request;
   try {
     request = ParseRequest(line);
   } catch (const RequestError& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter("serve.errors").Increment();
     return ErrorResponse("", e.code(), e.what());
   }
 
@@ -80,25 +76,20 @@ std::string Server::HandleLine(const std::string& line) {
     std::string response = Dispatch(request);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    metrics.histogram(std::string("serve.latency.") + ToString(request.kind))
-        .Observe(seconds);
+    latency_[static_cast<std::size_t>(request.kind)].Observe(seconds);
     return response;
   } catch (const RequestError& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter("serve.errors").Increment();
     return ErrorResponse(request.id, e.code(), e.what());
   } catch (const std::exception& e) {
     // The daemon's prime directive: a request may fail, the process may
     // not. Anything unclassified becomes a structured internal error.
     errors_.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter("serve.errors").Increment();
     return ErrorResponse(request.id, "internal", e.what());
   }
 }
 
 std::string Server::Dispatch(const ServeRequest& request) {
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.counter(std::string("serve.requests.") + ToString(request.kind)).Increment();
   switch (request.kind) {
     case RequestKind::kPlan:
       plans_.fetch_add(1, std::memory_order_relaxed);
@@ -133,12 +124,7 @@ Server::PlanEntryPtr Server::PlanFor(const ServeRequest& request,
   const std::uint64_t key = planner::FingerprintPlanRequest(model, cluster, request.gbs, options);
   if (fingerprint) *fingerprint = key;
 
-  auto& metrics = obs::MetricsRegistry::Global();
-  if (std::optional<PlanEntryPtr> cached = cache_.Lookup(key)) {
-    metrics.counter("serve.cache.hits").Increment();
-    return *cached;
-  }
-  metrics.counter("serve.cache.misses").Increment();
+  if (std::optional<PlanEntryPtr> cached = cache_.Lookup(key)) return *cached;
 
   Session session(model, cluster);
   planner::PlanResult planned;
@@ -158,7 +144,7 @@ Server::PlanEntryPtr Server::PlanFor(const ServeRequest& request,
   auto entry = std::make_shared<const PlanEntry>(PlanEntry{
       planned.plan, planned.estimate, planner::SerializePlan(planned.plan),
       planned.stats.recompute_stages});
-  if (cache_.Insert(key, entry)) metrics.counter("serve.cache.evictions").Increment();
+  cache_.Insert(key, entry);
   return entry;
 }
 
@@ -225,7 +211,6 @@ std::string Server::HandleWithPlan(const ServeRequest& request) {
 
 std::string Server::HandleStats(const ServeRequest& request) {
   const ServerStats stats = Stats();
-  auto& metrics = obs::MetricsRegistry::Global();
 
   obs::JsonWriter w(obs::JsonWriter::Layout::kCompact);
   w.BeginObject();
@@ -250,9 +235,10 @@ std::string Server::HandleStats(const ServeRequest& request) {
   w.Field("hit_rate", stats.cache.hit_rate());
   w.EndObject();
   w.Key("latency").BeginObject();
-  for (const char* kind : {"plan", "simulate", "report", "stats"}) {
-    w.Key(kind);
-    WriteHistogramSummary(w, metrics.histogram(std::string("serve.latency.") + kind));
+  for (const RequestKind kind :
+       {RequestKind::kPlan, RequestKind::kSimulate, RequestKind::kReport, RequestKind::kStats}) {
+    w.Key(ToString(kind));
+    WriteHistogramSummary(w, latency_[static_cast<std::size_t>(kind)]);
   }
   w.EndObject();
   w.EndObject();

@@ -16,9 +16,10 @@
 // ThreadPool and returns responses slot-indexed in request order, so the
 // response stream is byte-identical at every worker count. To keep that
 // guarantee, response bodies carry no cache status and no wall-clock
-// timing; those surface through the "stats" request kind and the
-// MetricsRegistry (serve.requests, serve.cache.{hits,misses,evictions},
-// serve.latency.<kind> histograms with p50/p95/p99).
+// timing; those surface through the "stats" request kind only: this
+// server's request counts (ServerStats), its plan-cache counts and one
+// latency histogram per request kind, all owned by the Server, so two
+// servers in one process never mix their numbers.
 #pragma once
 
 #include <atomic>
@@ -29,6 +30,7 @@
 
 #include "common/lru_cache.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "planner/dp_planner.h"
 #include "serve/protocol.h"
 
@@ -107,6 +109,9 @@ class Server {
   std::atomic<std::int64_t> reports_{0};
   std::atomic<std::int64_t> stats_requests_{0};
   std::atomic<std::int64_t> errors_{0};
+  /// Wall-clock latency of the requests that succeeded, indexed by
+  /// RequestKind.
+  obs::Histogram latency_[4];
 };
 
 }  // namespace dapple::serve

@@ -287,10 +287,7 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
     }
   }
 
-  auto& metrics = obs::MetricsRegistry::Global();
-  metrics.counter("sim.runs").Increment();
-  metrics.counter("sim.tasks_executed").Increment(executed);
-  metrics.histogram("sim.makespan").Observe(result.makespan);
+  obs::MetricsRegistry::Global().counter("sim.tasks_executed").Increment(executed);
   return result;
 }
 
@@ -450,10 +447,6 @@ SimResult RunReferenceEngine(const TaskGraph& graph, const EngineOptions& option
       ThrowDeadlock(graph, result, executed);
     }
   }
-
-  // Deliberately not sim.runs: the oracle only backs differential checks,
-  // and global run counts should reflect real simulations.
-  obs::MetricsRegistry::Global().counter("sim.reference_runs").Increment();
   return result;
 }
 

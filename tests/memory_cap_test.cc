@@ -430,27 +430,6 @@ std::int64_t CounterValue(const std::string& name) {
   return obs::MetricsRegistry::Global().counter(name).value();
 }
 
-TEST(MemoryCapPlanner, CapCountersCountRecomputeUnderAllAndAuto) {
-  // Plan() adds the returned plan's recompute stages and fit probes to the
-  // planner.cap.* counters, under either policy that recomputes.
-  const RecomputeOnlyFit fit;
-  for (const planner::RecomputePolicy policy :
-       {planner::RecomputePolicy::kAll, planner::RecomputePolicy::kAuto}) {
-    SCOPED_TRACE(planner::ToString(policy));
-    const std::int64_t stages = CounterValue("planner.cap.recompute_stages");
-    const std::int64_t probes = CounterValue("planner.cap.fit_probes");
-    const planner::PlanResult result =
-        planner::DapplePlanner(fit.model, fit.cluster, fit.Options(policy)).Plan();
-    EXPECT_GT(result.stats.recompute_stages, 0);
-    EXPECT_EQ(CounterValue("planner.cap.recompute_stages") - stages,
-              result.stats.recompute_stages);
-    EXPECT_EQ(CounterValue("planner.cap.fit_probes") - probes, result.stats.fit_probes);
-    if (policy == planner::RecomputePolicy::kAuto) {
-      EXPECT_GT(result.stats.fit_probes, 0);
-    }
-  }
-}
-
 TEST(MemoryCapPlanner, AutoCountsItsRecomputeFallbackWithOrWithoutACap) {
   // kAuto re-searches with recomputation when nothing fits without it, and
   // counts that fallback whether the limit is a cap or the device's own

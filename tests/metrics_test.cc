@@ -2,10 +2,12 @@
 // Histogram quantile edge cases the log-bucket grid makes subtle: the
 // empty histogram, a single sample, many samples in one bucket, and
 // high quantiles on tiny counts — p99 of two samples must be the upper
-// sample (nearest-rank), not the lower (a floor-based rank's answer).
+// sample (nearest-rank), not the lower (a floor-based rank's answer) —
+// plus reads racing observations and the registry's lookup contract.
 #include <gtest/gtest.h>
 
-#include <string>
+#include <cstdint>
+#include <thread>
 
 #include "obs/metrics.h"
 
@@ -98,32 +100,50 @@ TEST(HistogramTest, OutOfGridSamplesSaturateToTheEdgeBuckets) {
   EXPECT_LE(h.Quantile(0.0), Histogram::kBucketMin * 1.2);
 }
 
-TEST(MetricsRegistryTest, InstrumentsPersistAndResetDrops) {
-  MetricsRegistry registry;
-  registry.counter("c").Increment();
-  registry.counter("c").Increment(41);
-  EXPECT_EQ(registry.counter("c").value(), 42);
-  registry.gauge("g").Set(2.5);
-  EXPECT_EQ(registry.gauge("g").value(), 2.5);
-  registry.histogram("h").Observe(1.0);
-  EXPECT_EQ(registry.histogram("h").count(), 1);
-
-  registry.Reset();
-  EXPECT_EQ(registry.counter("c").value(), 0);
-  EXPECT_EQ(registry.gauge("g").value(), 0.0);
-  EXPECT_EQ(registry.histogram("h").count(), 0);
+TEST(HistogramTest, ReadsBesideConcurrentObservesSeeWholeSamples) {
+  // Every accessor takes the histogram's mutex, so a reader racing a
+  // writer sees a consistent summary (the ThreadSanitizer tier runs this).
+  // Each sample is 1.0: the mean is exactly 1 once anything is counted,
+  // and the count never goes backwards.
+  constexpr int kSamples = 20000;
+  Histogram h;
+  std::thread writer([&] {
+    for (int i = 0; i < kSamples; ++i) h.Observe(1.0);
+  });
+  std::int64_t last = 0;
+  while (last < kSamples) {
+    const std::int64_t count = h.count();
+    EXPECT_GE(count, last);
+    last = count;
+    const double mean = h.mean();
+    EXPECT_TRUE(mean == 0.0 || mean == 1.0) << mean;
+    EXPECT_LE(h.max(), 1.0);
+    EXPECT_LE(h.sum(), static_cast<double>(kSamples));
+    (void)h.Quantile(0.99);
+  }
+  writer.join();
+  EXPECT_EQ(h.count(), kSamples);
+  EXPECT_EQ(h.sum(), static_cast<double>(kSamples));
+  EXPECT_EQ(h.min(), 1.0);
 }
 
-TEST(MetricsRegistryTest, ExportsContainTheNearestRankQuantiles) {
+TEST(MetricsRegistryTest, InstrumentsPersistUnderTheirNames) {
+  // Lookup creates on first use and returns the same instrument after, so
+  // a cached reference and a fresh lookup see one value.
   MetricsRegistry registry;
-  Histogram& h = registry.histogram("lat");
-  h.Observe(1.0);
-  h.Observe(100.0);
-  const std::string json = registry.ToJson();
-  // The p99 of two samples must serialize as the upper sample.
-  EXPECT_NE(json.find("\"p99\": 100"), std::string::npos) << json;
-  const std::string text = registry.ToText();
-  EXPECT_NE(text.find("p99=100"), std::string::npos) << text;
+  Counter& c = registry.counter("c");
+  c.Increment();
+  registry.counter("c").Increment(41);
+  EXPECT_EQ(c.value(), 42);
+  EXPECT_EQ(&registry.counter("c"), &c);
+  EXPECT_EQ(registry.counter("other").value(), 0);
+
+  Histogram& h = registry.histogram("h");
+  registry.histogram("h").Observe(1.0);
+  EXPECT_EQ(h.count(), 1);
+  EXPECT_EQ(&registry.histogram("h"), &h);
+  // Counters and histograms are separate namespaces.
+  EXPECT_EQ(registry.histogram("c").count(), 0);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "fault/recovery.h"
+#include "fault/script.h"
 #include "model/zoo.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -212,43 +214,74 @@ TEST(IterationReport, PeakVsMPrefilterNeverChangesTheCurve) {
   }
 }
 
-TEST(MetricsRegistry, CountersGaugesHistograms) {
-  obs::MetricsRegistry reg;
-  reg.counter("a").Increment();
-  reg.counter("a").Increment(4);
-  EXPECT_EQ(reg.counter("a").value(), 5);
-  reg.gauge("g").Set(2.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 2.5);
-  reg.histogram("h").Observe(1.0);
-  reg.histogram("h").Observe(3.0);
-  EXPECT_EQ(reg.histogram("h").count(), 2);
-  EXPECT_DOUBLE_EQ(reg.histogram("h").mean(), 2.0);
-  const std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"a\": 5"), std::string::npos);
-  const std::string text = reg.ToText();
-  EXPECT_NE(text.find("a"), std::string::npos);
-  reg.Reset();
-  EXPECT_EQ(reg.counter("a").value(), 0);
-}
+// The end-to-end benchmark (benchmark/stats.cc) and bench_scenario read
+// these registry names, and a lookup creates a missing name at zero, so a
+// renamed writer would silently zero a per-layer metric. Each name is
+// spelled here exactly as its reader spells it, next to the one action
+// that must grow it.
+TEST(MetricsRegistry, BenchmarkNamesGrowWithTheirWriters) {
+  auto& registry = obs::MetricsRegistry::Global();
+  const std::vector<std::string> plan_counters = {
+      "planner.candidates_evaluated", "planner.cache.hits", "planner.cache.misses",
+      "planner.estimator_calls"};
+  const std::vector<std::string> plan_histograms = {"planner.parallel.wall_seconds",
+                                                    "planner.cache.compute_seconds"};
+  auto counters = [&](const std::vector<std::string>& names) {
+    std::vector<std::int64_t> values;
+    for (const std::string& name : names) values.push_back(registry.counter(name).value());
+    return values;
+  };
+  auto histogram_sums = [&](const std::vector<std::string>& names) {
+    std::vector<double> sums;
+    for (const std::string& name : names) sums.push_back(registry.histogram(name).sum());
+    return sums;
+  };
+  auto expect_grew = [](const std::vector<std::string>& names, const auto& before,
+                        const auto& after) {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      EXPECT_GT(after[i], before[i]) << names[i];
+    }
+  };
 
-TEST(MetricsRegistry, EngineAndPlannerFeedTheGlobalRegistry) {
-  auto& reg = obs::MetricsRegistry::Global();
-  reg.Reset();
-
-  const Fig3 fig;
-  (void)fig.Report();
-  EXPECT_GE(reg.counter("sim.runs").value(), 1);
-  EXPECT_GT(reg.counter("sim.tasks_executed").value(), 0);
-  EXPECT_GE(reg.histogram("sim.makespan").count(), 1);
-
+  // One serial plan.
+  const std::vector<std::int64_t> counters0 = counters(plan_counters);
+  const std::vector<double> sums0 = histogram_sums(plan_histograms);
   planner::PlannerOptions po;
-  po.global_batch_size = 8;
-  planner::DapplePlanner planner(fig.model, fig.cluster, po);
-  (void)planner.Plan();
-  EXPECT_GE(reg.counter("planner.plans").value(), 1);
-  EXPECT_GT(reg.counter("planner.estimator_calls").value(), 0);
-  EXPECT_GT(reg.counter("planner.candidates_evaluated").value(), 0);
+  po.global_batch_size = 64;
+  po.num_threads = 1;
+  (void)planner::DapplePlanner(model::ModelByName("GNMT-16"), topo::MakeConfigA(1), po).Plan();
+  expect_grew(plan_counters, counters0, counters(plan_counters));
+  expect_grew(plan_histograms, sums0, histogram_sums(plan_histograms));
+
+  // One simulation.
+  const std::vector<std::string> sim_counters = {"sim.tasks_executed"};
+  const std::vector<std::int64_t> sim0 = counters(sim_counters);
+  (void)Fig3().Report();
+  expect_grew(sim_counters, sim0, counters(sim_counters));
+
+  // One elastic replan experiment. The third event leaves the cluster the
+  // first one left, so its replan is a memo hit.
+  const std::vector<std::string> fault_counters = {"fault.replan.runs",
+                                                   "fault.replan.memo_hits"};
+  const std::vector<std::string> fault_histograms = {"fault.replan.wall_seconds"};
+  const std::vector<std::int64_t> fault0 = counters(fault_counters);
+  const std::vector<double> fault_sums0 = histogram_sums(fault_histograms);
+  const model::ModelProfile m = model::MakeUniformSynthetic(8, 0.002, 0.004, 1_MiB, 1'000'000);
+  planner::ParallelPlan plan;
+  plan.model = m.name();
+  plan.stages.push_back({0, 4, topo::DeviceSet::Range(0, 2)});
+  plan.stages.push_back({4, 8, topo::DeviceSet::Range(2, 2)});
+  fault::FaultOptions options;
+  options.build.global_batch_size = 8;
+  options.planner.keep_alternatives = 0;
+  options.horizon = 10.0;
+  (void)fault::RunFaultExperiment(m, topo::MakeConfigB(4), plan,
+                                  fault::ParseFaultScript("crash device=1 at=2\n"
+                                                          "rejoin device=1 at=4\n"
+                                                          "crash device=1 at=6\n"),
+                                  fault::RecoveryPolicy::kElasticUp, options);
+  expect_grew(fault_counters, fault0, counters(fault_counters));
+  expect_grew(fault_histograms, fault_sums0, histogram_sums(fault_histograms));
 }
 
 // Every JSON writer (reports, metrics, Chrome traces) escapes strings

@@ -316,7 +316,6 @@ TEST(PlannerOracle, StageRowCountIsPinned) {
         DapplePlanner(model::ModelByName("GNMT-16"), topo::MakeConfigA(2), options).Plan();
     EXPECT_EQ(result.stats.cache_misses, 524) << threads << " threads";
     EXPECT_EQ(result.stats.cache_hits, 34924) << threads << " threads";
-    EXPECT_EQ(obs::MetricsRegistry::Global().gauge("planner.cache.entries").value(), 524.0);
   }
 }
 

@@ -506,6 +506,52 @@ TEST(ServeServer, StatsRequestReportsCacheAndLatency) {
   EXPECT_NE(response.find("\"p99\""), std::string::npos);
 }
 
+TEST(ServeServer, EachServersStatsCountOnlyItsOwnLatency) {
+  // Latency histograms belong to the Server, like its request counts: a
+  // second server in the same process must not report the first one's
+  // requests.
+  const std::string simulate =
+      R"({"kind":"simulate","model":"GNMT-16","config":"A","servers":2,"gbs":64})";
+  Server a;
+  Server b;
+  for (int i = 0; i < 5; ++i) a.HandleLine(PlanLine("a", "GNMT-16", 'A', 2, 64));
+  b.HandleLine(PlanLine("b", "GNMT-16", 'A', 2, 64));
+  b.HandleLine(simulate);
+  b.HandleLine(simulate);
+
+  for (Server* server : {&a, &b}) {
+    const JsonValue stats = ParseJson(server->HandleLine(R"({"kind":"stats"})"));
+    for (const char* kind : {"plan", "simulate", "report"}) {
+      SCOPED_TRACE(std::string(server == &a ? "server a " : "server b ") + kind);
+      EXPECT_EQ(stats.Get("latency").Get(kind).Get("count").AsInt(),
+                stats.Get("requests").Get(kind).AsInt());
+    }
+  }
+  EXPECT_EQ(a.Stats().plans, 5);
+  EXPECT_EQ(b.Stats().plans, 1);
+}
+
+TEST(ServeServer, StatsLinesBesidePlanLinesInOneBatch) {
+  // A stats line reads the latency histograms while pool workers observe
+  // into them (the ThreadSanitizer tier runs this). Every line succeeds,
+  // and a final stats line counts every plan.
+  std::vector<std::string> lines;
+  for (int i = 0; i < 96; ++i) {
+    lines.push_back(i % 3 == 2 ? R"({"kind":"stats"})"
+                               : PlanLine("p", "GNMT-16", 'A', 1 + i % 2, 32));
+  }
+  ServerOptions options;
+  options.workers = 4;
+  Server server(options);
+  for (const std::string& response : server.HandleBatch(lines)) {
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  }
+  const JsonValue stats = ParseJson(server.HandleLine(R"({"kind":"stats"})"));
+  EXPECT_EQ(stats.Get("requests").Get("plan").AsInt(), 64);
+  EXPECT_EQ(stats.Get("latency").Get("plan").Get("count").AsInt(), 64);
+  EXPECT_EQ(stats.Get("latency").Get("stats").Get("count").AsInt(), 32);
+}
+
 // ----------------------------------------------------------- transport --
 
 std::string UnixRoundTrip(const std::string& path, const std::string& payload) {

@@ -19,7 +19,7 @@
 #   <prefix>-e2e) on the plain tree and run each of its workloads once for
 #   one second (a failed output check fails CI; traces and temporaries
 #   stay under <prefix>-e2e), and run the ThreadSanitizer tier:
-#   the ThreadPool and LruCache unit tests, the planner, simulator
+#   the ThreadPool, LruCache and metrics unit tests, the planner, simulator
 #   and scenario determinism sweeps, serve_test and the serve daemon
 #   smoke, built into <prefix>-tsan. Any data race fails the run.
 #   perf-smoke     — `ctest -L perf-smoke`, every entry RUN_SERIAL: the
@@ -123,7 +123,7 @@ fi
 # run as whole binaries; TSan fails a binary that reported any race.
 if [[ "${plain_only}" == false ]]; then
   tsan_dir="${prefix}-tsan"
-  tsan_tests=(thread_pool_test common_test planner_determinism_test
+  tsan_tests=(thread_pool_test common_test metrics_test planner_determinism_test
               sim_determinism_test scenario_determinism_test serve_test
               serve_smoke_test)
   echo "=== configure ${tsan_dir} (-DDAPPLE_SANITIZE=thread)"
