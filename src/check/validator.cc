@@ -243,83 +243,29 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
   }
 
   // --- (b) per-device compute total order matches the schedule ------------
+  // Every device of group g must follow the group's order exactly: the
+  // stage's order for the linear families (GPipe's LIFO backward, 2BP's
+  // deferred weight halves), BuildVSchedule's merged two-chunk order for
+  // the V shapes; restricted to its own micro-batches in round-robin mode.
   ++report.checks_run;
-  if (v_shape) {
-    // Each device group must follow BuildVSchedule's merged two-chunk
-    // order exactly (restricted to its own micro-batches in round-robin
-    // mode).
-    const int groups = runtime::NumGroups(kind, num_stages);
-    for (int g = 0; g < groups; ++g) {
-      const planner::StagePlan& host = exec_stage(g);
-      const int r = host.replication();
-      const auto& order = vsched.group_orders[static_cast<std::size_t>(g)];
-      const int late = num_stages - 1 - g;
-      for (int rep = 0; rep < r; ++rep) {
-        const topo::DeviceId dev = host.devices[rep];
-        std::vector<runtime::GroupStep> expected;
-        for (const runtime::GroupStep& step : order) {
-          if (!split && step.microbatch % r != rep) continue;
-          expected.push_back(step);
-        }
-        std::vector<Interval> ran;
-        auto gather = [&](int chunk) {
-          for (int m = 0; m < m_total; ++m) {
-            for (const auto* list :
-                 {&fw[static_cast<std::size_t>(chunk)][static_cast<std::size_t>(m)],
-                  &bw[static_cast<std::size_t>(chunk)][static_cast<std::size_t>(m)]}) {
-              for (sim::TaskId t : *list) {
-                if (graph.task(t).device != dev) continue;
-                const sim::TaskRecord& rec = result.records[static_cast<std::size_t>(t)];
-                ran.push_back({rec.start, rec.end, t});
-              }
-            }
-          }
-        };
-        gather(g);
-        if (late != g) gather(late);
-        std::sort(ran.begin(), ran.end());
-        if (ran.size() != expected.size()) {
-          add(kViolationScheduleOrder,
-              "group " + std::to_string(g) + " device " + std::to_string(dev) + " ran " +
-                  std::to_string(ran.size()) + " FW/BW tasks, V order has " +
-                  std::to_string(expected.size()));
-          continue;
-        }
-        for (std::size_t k = 0; k < ran.size(); ++k) {
-          const sim::Task& t = graph.task(ran[k].id);
-          const bool is_backward = t.kind == sim::TaskKind::kBackward;
-          if (t.stage != expected[k].stage || is_backward != expected[k].is_backward ||
-              t.microbatch != expected[k].microbatch) {
-            std::ostringstream os;
-            os << "group " << g << " device " << dev << " position " << k << ": ran "
-               << (is_backward ? "BW" : "FW") << " s" << t.stage << " m" << t.microbatch
-               << ", V order says " << (expected[k].is_backward ? "BW" : "FW") << " s"
-               << expected[k].stage << " m" << expected[k].microbatch;
-            add(kViolationScheduleOrder, os.str());
-            break;  // one mismatch per device keeps reports readable
-          }
-        }
+  for (int g = 0; g < runtime::NumGroups(kind, num_stages); ++g) {
+    const planner::StagePlan& host = exec_stage(g);
+    const int r = host.replication();
+    const std::vector<runtime::ScheduleStep> order =
+        v_shape ? vsched.group_orders[static_cast<std::size_t>(g)]
+                : runtime::StageOrder(options_.schedule, g, num_stages, m_total,
+                                      built.warmup_depths[static_cast<std::size_t>(g)]);
+    for (int rep = 0; rep < r; ++rep) {
+      const topo::DeviceId dev = host.devices[rep];
+      std::vector<runtime::ScheduleStep> expected;
+      for (const runtime::ScheduleStep& step : order) {
+        if (split || step.microbatch % r == rep) expected.push_back(step);
       }
-    }
-  } else {
-    for (int i = 0; i < num_stages; ++i) {
-      const planner::StagePlan& stage = plan_->stages[static_cast<std::size_t>(i)];
-      const int r = stage.replication();
-      const std::vector<runtime::ScheduleStep> order = runtime::StageOrder(
-          options_.schedule, i, num_stages, m_total,
-          built.warmup_depths[static_cast<std::size_t>(i)]);
-      for (int rep = 0; rep < r; ++rep) {
-        const topo::DeviceId dev = stage.devices[rep];
-        // The order this device must follow: the stage order, restricted to
-        // its own micro-batches in round-robin mode.
-        std::vector<runtime::ScheduleStep> expected;
-        for (const runtime::ScheduleStep& step : order) {
-          if (!split && step.microbatch % r != rep) continue;
-          expected.push_back(step);
-        }
-        // The order it actually followed, reconstructed from start times
-        // (2BP's weight halves are part of the total order).
-        std::vector<Interval> ran;
+      // The order the device actually followed, reconstructed from start
+      // times over every chunk the group hosts.
+      std::vector<Interval> ran;
+      for (int i = 0; i < num_stages; ++i) {
+        if (runtime::HostStage(kind, i, num_stages) != g) continue;
         for (int m = 0; m < m_total; ++m) {
           for (const auto* list :
                {&fw[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)],
@@ -332,33 +278,33 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
             }
           }
         }
-        std::sort(ran.begin(), ran.end());
-        if (ran.size() != expected.size()) {
-          add(kViolationScheduleOrder,
-              "stage " + std::to_string(i) + " device " + std::to_string(dev) + " ran " +
-                  std::to_string(ran.size()) + " compute tasks, schedule has " +
-                  std::to_string(expected.size()));
-          continue;
-        }
-        for (std::size_t k = 0; k < ran.size(); ++k) {
-          const sim::Task& t = graph.task(ran[k].id);
-          const bool is_backward = t.kind != sim::TaskKind::kForward;
-          const bool weight_grad = t.kind == sim::TaskKind::kBackwardWeight;
-          if (is_backward != expected[k].is_backward ||
-              weight_grad != expected[k].weight_grad ||
-              t.microbatch != expected[k].microbatch) {
-            auto step_name = [](bool backward, bool weight) {
-              return weight ? "BWW" : (backward ? "BW" : "FW");
-            };
-            std::ostringstream os;
-            os << "stage " << i << " device " << dev << " position " << k << ": ran "
-               << step_name(is_backward, weight_grad) << " m" << t.microbatch
-               << ", schedule says "
-               << step_name(expected[k].is_backward, expected[k].weight_grad) << " m"
-               << expected[k].microbatch;
-            add(kViolationScheduleOrder, os.str());
-            break;  // one mismatch per device keeps reports readable
-          }
+      }
+      std::sort(ran.begin(), ran.end());
+      if (ran.size() != expected.size()) {
+        add(kViolationScheduleOrder,
+            "group " + std::to_string(g) + " device " + std::to_string(dev) + " ran " +
+                std::to_string(ran.size()) + " compute tasks, schedule has " +
+                std::to_string(expected.size()));
+        continue;
+      }
+      auto step_name = [](bool backward, bool weight) {
+        return weight ? "BWW" : (backward ? "BW" : "FW");
+      };
+      for (std::size_t k = 0; k < ran.size(); ++k) {
+        const sim::Task& t = graph.task(ran[k].id);
+        const bool is_backward = t.kind != sim::TaskKind::kForward;
+        const bool weight_grad = t.kind == sim::TaskKind::kBackwardWeight;
+        const runtime::ScheduleStep& want = expected[k];
+        if (t.stage != want.stage || is_backward != want.is_backward ||
+            weight_grad != want.weight_grad || t.microbatch != want.microbatch) {
+          std::ostringstream os;
+          os << "group " << g << " device " << dev << " position " << k << ": ran "
+             << step_name(is_backward, weight_grad) << " s" << t.stage << " m"
+             << t.microbatch << ", schedule says "
+             << step_name(want.is_backward, want.weight_grad) << " s" << want.stage << " m"
+             << want.microbatch;
+          add(kViolationScheduleOrder, os.str());
+          break;  // one mismatch per device keeps reports readable
         }
       }
     }

@@ -9,11 +9,15 @@
 //   (a) resource exclusivity and dependency order — no two tasks overlap
 //       on one serial resource; every successor starts after all of its
 //       predecessors end;
-//   (b) per-device compute total order equals the schedule exactly —
+//   (b) per-device compute total order equals the schedule exactly — one
+//       check over device groups (NumGroups: a stage for the linear
+//       families, a folded chunk pair for V-Min and V-Half): each device
+//       runs the FW/BW/BWW tasks of every chunk its group hosts in the
+//       group's order of runtime::ScheduleStep, matched on chunk,
+//       direction, weight half and micro-batch. The order is
 //       runtime::StageOrder for the linear families (including GPipe's
-//       LIFO backward and 2BP's deferred weight halves), the merged
-//       two-chunk group order from runtime::BuildVSchedule for V-Min and
-//       V-Half;
+//       LIFO backward and 2BP's deferred weight halves) and
+//       runtime::BuildVSchedule's merged two-chunk order for the V shapes;
 //   (c) the in-flight activation count at stage i (forwards started minus
 //       releases completed, per device) never exceeds the stage's warmup
 //       depth K_i (K_i + 1 under 2BP, whose weight half frees one forward
@@ -84,7 +88,8 @@ struct ValidationReport {
 /// Validates simulated iterations of one (plan, build options) pair. The
 /// validator re-derives every expectation from the plan and options alone —
 /// it shares no schedule-construction code with the graph builder beyond
-/// runtime::StageOrder itself, which is exactly the contract under test.
+/// runtime::StageOrder and runtime::BuildVSchedule themselves, which are
+/// exactly the contract under test.
 class ScheduleValidator {
  public:
   ScheduleValidator(const planner::ParallelPlan& plan, runtime::BuildOptions options);

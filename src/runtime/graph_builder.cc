@@ -62,6 +62,7 @@ BuiltPipeline GraphBuilder::Build() const {
   const int num_devices = cluster_->num_devices();
   const ScheduleKind kind = options_.schedule.kind;
   const bool v_shape = IsVShape(kind);
+  const int num_groups = NumGroups(kind, num_stages);
   const bool split_bw = kind == ScheduleKind::kDappleSplitBw;
   comm::CostModel cost(*cluster_);
 
@@ -332,54 +333,30 @@ BuiltPipeline GraphBuilder::Build() const {
   }
 
   // --- Control dependencies: per-device execution order ------------------
-  // Picks the concrete task of a schedule step for one replica chain; a
-  // round-robin micro-batch has only slot 0.
-  auto step_task = [&](int stage, bool is_backward, bool weight_grad, int micro,
-                       int rep) -> sim::TaskId {
-    return fw_task(stage, micro, split ? rep : 0) +
-           (weight_grad ? 2 : (is_backward ? 1 : 0));
-  };
-  if (v_shape) {
-    // One chain per device group: the merged two-chunk order from
-    // BuildVSchedule. The chain follows the global tick order — a linear
-    // extension of the data dependencies — so adding it keeps the graph
-    // acyclic.
-    const int groups = NumGroups(kind, num_stages);
-    for (int g = 0; g < groups; ++g) {
-      const int r = info[static_cast<std::size_t>(g)].exec->replication();
-      const auto& order = vsched.group_orders[static_cast<std::size_t>(g)];
-      for (int rep = 0; rep < r; ++rep) {
-        sim::TaskId prev = sim::kInvalidTask;
-        int position = 0;
-        for (const GroupStep& step : order) {
-          if (!split && step.microbatch % r != rep) continue;
-          const sim::TaskId current =
-              step_task(step.stage, step.is_backward, false, step.microbatch, rep);
-          graph.mutable_task(current).priority = position++;
-          if (prev != sim::kInvalidTask) graph.AddEdge(prev, current);
-          prev = current;
-        }
-      }
+  // One chain per replica of each device group: the stage's order for the
+  // linear families, BuildVSchedule's merged two-chunk order for the V
+  // shapes. Every order is a linear extension of the data dependencies, so
+  // adding its chain keeps the graph acyclic. In round-robin mode a device
+  // only executes its assigned micro-batches, all of them in slot 0.
+  std::vector<ScheduleStep> stage_order;
+  for (int g = 0; g < num_groups; ++g) {
+    const StageInfo& host = info[static_cast<std::size_t>(g)];
+    const int r = host.exec->replication();
+    if (!v_shape) {
+      stage_order = StageOrder(options_.schedule, g, num_stages, m_total, host.warmup);
     }
-  } else {
-    for (int i = 0; i < num_stages; ++i) {
-      const StageInfo& si = info[static_cast<std::size_t>(i)];
-      const int r = si.exec->replication();
-      const std::vector<ScheduleStep> order =
-          StageOrder(options_.schedule, i, num_stages, m_total, si.warmup);
-      for (int rep = 0; rep < r; ++rep) {
-        sim::TaskId prev = sim::kInvalidTask;
-        int position = 0;
-        for (const ScheduleStep& step : order) {
-          // In round-robin mode a device only executes its assigned
-          // micro-batches.
-          if (!split && step.microbatch % r != rep) continue;
-          const sim::TaskId current = step_task(i, step.is_backward, step.weight_grad,
-                                                step.microbatch, rep);
-          graph.mutable_task(current).priority = position++;
-          if (prev != sim::kInvalidTask) graph.AddEdge(prev, current);
-          prev = current;
-        }
+    const std::vector<ScheduleStep>& order =
+        v_shape ? vsched.group_orders[static_cast<std::size_t>(g)] : stage_order;
+    for (int rep = 0; rep < r; ++rep) {
+      sim::TaskId prev = sim::kInvalidTask;
+      int position = 0;
+      for (const ScheduleStep& step : order) {
+        if (!split && step.microbatch % r != rep) continue;
+        const sim::TaskId current = fw_task(step.stage, step.microbatch, split ? rep : 0) +
+                                    (step.weight_grad ? 2 : (step.is_backward ? 1 : 0));
+        graph.mutable_task(current).priority = position++;
+        if (prev != sim::kInvalidTask) graph.AddEdge(prev, current);
+        prev = current;
       }
     }
   }
@@ -434,22 +411,18 @@ BuiltPipeline GraphBuilder::Build() const {
   DAPPLE_CHECK_EQ(graph.num_tasks(), num_tasks);
 
   // --- Memory pools -------------------------------------------------------
-  // A device's baseline is the sum over the stages it hosts — one stage for
-  // the linear schedules, a group's two chunks for the V shapes.
+  // A device's baseline is the sum over the stages its group hosts — one
+  // stage for the linear schedules, two chunks for a V group.
+  std::vector<Bytes> group_baseline(static_cast<std::size_t>(num_groups), 0);
+  for (int i = 0; i < num_stages; ++i) {
+    group_baseline[static_cast<std::size_t>(HostStage(kind, i, num_stages))] +=
+        info[static_cast<std::size_t>(i)].baseline;
+  }
   built.engine_options.pool_baselines.assign(static_cast<std::size_t>(num_devices), 0);
   built.engine_options.pool_capacities.assign(static_cast<std::size_t>(num_devices), 0);
-  for (int i = 0; i < num_stages; ++i) {
-    const StageInfo& si = info[static_cast<std::size_t>(i)];
-    if (v_shape && HostStage(kind, i, num_stages) != i) continue;
-    Bytes baseline = si.baseline;
-    if (v_shape) {
-      const int partner = num_stages - 1 - i;
-      if (partner != i) {
-        baseline += info[static_cast<std::size_t>(partner)].baseline;
-      }
-    }
-    for (topo::DeviceId d : si.exec->devices.devices()) {
-      built.engine_options.pool_baselines[static_cast<std::size_t>(d)] = baseline;
+  for (std::size_t g = 0; g < group_baseline.size(); ++g) {
+    for (topo::DeviceId d : info[g].exec->devices.devices()) {
+      built.engine_options.pool_baselines[static_cast<std::size_t>(d)] = group_baseline[g];
       if (options_.enforce_memory_capacity) {
         built.engine_options.pool_capacities[static_cast<std::size_t>(d)] =
             options_.memory_cap > 0 ? options_.memory_cap : cluster_->device().memory;

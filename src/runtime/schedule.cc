@@ -120,7 +120,7 @@ VSchedule BuildVSchedule(ScheduleKind kind, int num_stages, int num_micro_batche
   // header), so 2SM ticks suffice; the slack is a loud failure mode for a
   // future cap/preference edit that breaks the invariant.
   long tick_budget = 4L * s * m + 16;
-  std::vector<GroupStep> issued;
+  std::vector<ScheduleStep> issued;
   while (remaining > 0) {
     DAPPLE_CHECK_GT(tick_budget--, 0) << "V schedule stalled (S=" << s << " M=" << m << ")";
     issued.clear();
@@ -152,7 +152,7 @@ VSchedule BuildVSchedule(ScheduleKind kind, int num_stages, int num_micro_batche
     // Readiness was judged against the tick-start state for every group;
     // apply the tick's issues only now so a step cannot enable a same-tick
     // successor (unit-time list-schedule semantics).
-    for (const GroupStep& step : issued) {
+    for (const ScheduleStep& step : issued) {
       const auto i = static_cast<std::size_t>(step.stage);
       if (step.is_backward) {
         ++done_bw[i];
@@ -207,8 +207,8 @@ std::vector<ScheduleStep> StageOrder(const ScheduleOptions& options, int stage_i
   order.reserve(static_cast<std::size_t>(2 * m));
 
   if (options.kind == ScheduleKind::kGPipe) {
-    for (int i = 0; i < m; ++i) order.push_back({false, i});
-    for (int i = m - 1; i >= 0; --i) order.push_back({true, i});
+    for (int i = 0; i < m; ++i) order.push_back({stage_index, false, i});
+    for (int i = m - 1; i >= 0; --i) order.push_back({stage_index, true, i});
     return order;
   }
 
@@ -217,9 +217,8 @@ std::vector<ScheduleStep> StageOrder(const ScheduleOptions& options, int stage_i
     // forward and once backward, in the global greedy order's sequence.
     const VSchedule vs = BuildVSchedule(options.kind, num_stages, m);
     const int g = HostStage(options.kind, stage_index, num_stages);
-    for (const GroupStep& step : vs.group_orders[static_cast<std::size_t>(g)]) {
-      if (step.stage != stage_index) continue;
-      order.push_back({step.is_backward, step.microbatch});
+    for (const ScheduleStep& step : vs.group_orders[static_cast<std::size_t>(g)]) {
+      if (step.stage == stage_index) order.push_back(step);
     }
     return order;
   }
@@ -227,7 +226,7 @@ std::vector<ScheduleStep> StageOrder(const ScheduleOptions& options, int stage_i
   const int k = WarmupDepth(options, stage_index, num_stages, m, memory_limit);
   const bool split_bw = options.kind == ScheduleKind::kDappleSplitBw;
   // Warmup: K forwards.
-  for (int i = 0; i < std::min(k, m); ++i) order.push_back({false, i});
+  for (int i = 0; i < std::min(k, m); ++i) order.push_back({stage_index, false, i});
   // Steady: strict one-backward-one-forward round robin. With the 2BP
   // split, the backward-input half keeps 1F1B's slot and the weight half
   // is deferred behind the next forward (the slot a full backward would
@@ -235,9 +234,9 @@ std::vector<ScheduleStep> StageOrder(const ScheduleOptions& options, int stage_i
   int next_fw = k;
   int next_bw = 0;
   while (next_bw < m) {
-    order.push_back({true, next_bw});
-    if (next_fw < m) order.push_back({false, next_fw++});
-    if (split_bw) order.push_back({true, next_bw, true});
+    order.push_back({stage_index, true, next_bw});
+    if (next_fw < m) order.push_back({stage_index, false, next_fw++});
+    if (split_bw) order.push_back({stage_index, true, next_bw, true});
     ++next_bw;
   }
   return order;

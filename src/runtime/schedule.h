@@ -23,8 +23,9 @@
 // Warmup depth policies (§V-C): PA: K_i = min(S-i, D);
 // PB: K_i = min(2(S-i)-1, D), where D is the memory-supported in-flight
 // count. Every schedule is expressed as a per-device total order of
-// FW/BW(/BWW) tasks, realized in the task graph with control edges — the
-// same mechanism (TF control dependencies) the paper's runtime uses.
+// FW/BW(/BWW) steps of one type, ScheduleStep, realized in the task graph
+// with control edges — the same mechanism (TF control dependencies) the
+// paper's runtime uses.
 #pragma once
 
 #include <string_view>
@@ -90,8 +91,12 @@ struct ScheduleOptions {
   int warmup_override = 0;
 };
 
-/// One step of a device's execution order.
+/// One step of a device's execution order, for every schedule family.
 struct ScheduleStep {
+  /// The pipeline chunk the step runs: the stage itself for the linear
+  /// families; a V group interleaves chunks g and S-1-g, so its steps name
+  /// either.
+  int stage = 0;
   bool is_backward = false;
   int microbatch = 0;
   /// kDappleSplitBw only: true on the deferred backward-weight half
@@ -100,19 +105,12 @@ struct ScheduleStep {
   bool weight_grad = false;
 };
 
-/// One step of a V-schedule device group's order: a chunk-tagged step
-/// (the group interleaves two chunks, so each step names its chunk).
-struct GroupStep {
-  int stage = 0;
-  bool is_backward = false;
-  int microbatch = 0;
-};
-
 /// The deterministic V execution order plus the per-chunk in-flight depths
 /// it realizes (the V analogue of BuiltPipeline::warmup_depths).
 struct VSchedule {
-  /// [group g][step]: the merged order of chunks g and S-1-g on group g.
-  std::vector<std::vector<GroupStep>> group_orders;
+  /// [group g][step]: the merged order of chunks g and S-1-g on group g,
+  /// each step tagged with its chunk.
+  std::vector<std::vector<ScheduleStep>> group_orders;
   /// [chunk]: max micro-batches the order keeps stashed for that chunk.
   std::vector<int> in_flight;
 };

@@ -137,7 +137,14 @@ class CoScheduler::Evaluator {
 };
 
 CoScheduler::CoScheduler(topo::Cluster budget, CoScheduleOptions options)
-    : budget_(std::move(budget)), options_(std::move(options)) {}
+    : budget_(std::move(budget)), options_(std::move(options)) {
+  // Cells price a width on the budget's first servers, while a job runs on
+  // its own contiguous range: only interchangeable servers make the two
+  // the same.
+  DAPPLE_CHECK(budget_.homogeneous())
+      << "co-scheduling needs interchangeable servers; budget " << budget_.name()
+      << " has per-server speeds";
+}
 
 CoScheduleReport CoScheduler::Schedule(const std::vector<JobSpec>& jobs) {
   const int num_jobs = static_cast<int>(jobs.size());

@@ -82,7 +82,9 @@ struct CoScheduleReport {
 };
 
 /// Plans N jobs under a shared budget. Throws dapple::Error when the budget
-/// has fewer servers than there are jobs, or when no feasible split exists.
+/// has per-server speeds (the width-only search treats servers as
+/// interchangeable), when it has fewer servers than there are jobs, or when
+/// no feasible split exists.
 class CoScheduler {
  public:
   CoScheduler(topo::Cluster budget, CoScheduleOptions options = {});

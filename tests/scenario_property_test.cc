@@ -7,7 +7,8 @@
 //     period (the checkpoint-bounded-loss guarantee);
 //   - the co-scheduler never double-assigns a device, every per-job
 //     pipeline passes the full ScheduleValidator invariant set, and the
-//     searched split never loses to the naive even split;
+//     searched split never loses to the naive even split, and it refuses a
+//     budget whose servers differ in speed;
 //   - RemapPlanToCluster with growth enabled spreads rejoined devices as
 //     extra replicas instead of silently keeping the shrunken plan (the
 //     historical bug on the rejoin path);
@@ -256,6 +257,19 @@ TEST(ScenarioPropertyTest, CoSchedulerDisjointValidatedAndNeverWorseThanEven) {
   EXPECT_LE(report.aggregate_makespan, report.naive_even_makespan)
       << "the searched split lost to the naive even split";
   EXPECT_GT(report.utilization, 0.0);
+}
+
+// A cell prices width w on the budget's first w servers, but job k runs on
+// [server_begin, server_begin + w). With per-server speeds those differ, so
+// every job after the first would carry an iteration time for servers it
+// does not run on; the co-scheduler refuses such a budget outright.
+TEST(ScenarioPropertyTest, CoSchedulerRefusesAHeterogeneousBudget) {
+  const model::ModelProfile m = TestModel();
+  const topo::Cluster budget = topo::MakeConfigB(4).WithServerSpeeds({0.25, 1, 1, 1});
+  std::vector<JobSpec> jobs;
+  jobs.push_back(JobSpec{"a", m, 8, 10});
+  jobs.push_back(JobSpec{"b", m, 8, 10});
+  EXPECT_THROW(CoSchedule(budget, jobs), Error);
 }
 
 TEST(ScenarioPropertyTest, ChurnScriptsRoundTripThroughTheDsl) {

@@ -58,6 +58,24 @@ Scenario Replicated() {
   return s;
 }
 
+/// Four single-layer stages on Config-B, one device each. Under the V
+/// shapes chunks 0 and 3 fold onto device 0 and chunks 1 and 2 onto
+/// device 1; devices 2 and 3 stay idle.
+Scenario FourStage(runtime::ScheduleKind kind) {
+  Scenario s{model::MakeUniformSynthetic(4, 0.002, 0.004, 1_MiB, 1'000'000),
+             topo::MakeConfigB(4),
+             {},
+             {}};
+  s.plan.model = s.model.name();
+  for (int i = 0; i < 4; ++i) {
+    s.plan.stages.push_back({i, i + 1, topo::DeviceSet::Range(i, 1)});
+  }
+  s.options.global_batch_size = 8;
+  s.options.schedule.kind = kind;
+  s.options.enforce_memory_capacity = false;
+  return s;
+}
+
 check::ValidationReport Validate(const Scenario& s, const runtime::BuiltPipeline& built,
                                  const sim::SimResult& result) {
   return check::ScheduleValidator(s.plan, s.options).Validate(built, result);
@@ -164,6 +182,76 @@ TEST(ValidatorTest, DetectsReorderedBackward) {
   const sim::TaskId b0 = FindCompute(built.graph, sim::TaskKind::kBackward, 0, 0, 0);
   std::swap(result.records[static_cast<std::size_t>(b3)],
             result.records[static_cast<std::size_t>(b0)]);
+
+  const check::ValidationReport report = Validate(s, built, result);
+  EXPECT_TRUE(report.Has(check::kViolationScheduleOrder)) << report.ToString();
+}
+
+/// Exchanges the simulated intervals of tasks `a` and `b`, so each appears
+/// to have run in the other's slot.
+void SwapRecords(sim::SimResult& result, sim::TaskId a, sim::TaskId b) {
+  std::swap(result.records[static_cast<std::size_t>(a)],
+            result.records[static_cast<std::size_t>(b)]);
+}
+
+/// Simulates `s` and asserts that the untouched run validates clean, so a
+/// later violation is the mutation's doing.
+sim::SimResult CleanRun(const Scenario& s, const runtime::BuiltPipeline& built) {
+  sim::SimResult result = sim::Engine::Run(built.graph, built.engine_options);
+  const check::ValidationReport clean = Validate(s, built, result);
+  EXPECT_TRUE(clean.ok()) << clean.ToString();
+  return result;
+}
+
+// Mutation 2b: on V-Min's group 0, chunk 0's and chunk 3's forwards of the
+// same micro-batch trade places. Direction and micro-batch still match the
+// V order position by position; only the chunk differs.
+TEST(ValidatorTest, DetectsSwappedVChunksOnAGroupDevice) {
+  const Scenario s = FourStage(runtime::ScheduleKind::kVMin);
+  const runtime::BuiltPipeline built = s.Build();
+  sim::SimResult result = CleanRun(s, built);
+
+  SwapRecords(result, FindCompute(built.graph, sim::TaskKind::kForward, 0, 0, 0),
+              FindCompute(built.graph, sim::TaskKind::kForward, 3, 0, 0));
+
+  const check::ValidationReport report = Validate(s, built, result);
+  EXPECT_TRUE(report.Has(check::kViolationScheduleOrder)) << report.ToString();
+}
+
+// Mutation 2c: under DAPPLE-2BP stage 0 runs F0 F1 BI0 F2 BWW0 BI1 F3 BWW1
+// ... (K = 2). Swapping BWW0 with the forward after it (F3) breaks the
+// direction order; swapping BI1 with BWW1 leaves direction and micro-batch
+// in place and breaks only the weight half.
+TEST(ValidatorTest, DetectsReorderedWeightHalf) {
+  const Scenario s = TwoStage(runtime::ScheduleKind::kDappleSplitBw);
+  const runtime::BuiltPipeline built = s.Build();
+  const sim::SimResult clean = CleanRun(s, built);
+  ASSERT_EQ(built.warmup_depths[0], 2);
+
+  sim::SimResult past_forward = clean;
+  SwapRecords(past_forward, FindCompute(built.graph, sim::TaskKind::kBackwardWeight, 0, 0, 0),
+              FindCompute(built.graph, sim::TaskKind::kForward, 0, 3, 0));
+  check::ValidationReport report = Validate(s, built, past_forward);
+  EXPECT_TRUE(report.Has(check::kViolationScheduleOrder)) << report.ToString();
+
+  sim::SimResult halves = clean;
+  SwapRecords(halves, FindCompute(built.graph, sim::TaskKind::kBackward, 0, 1, 0),
+              FindCompute(built.graph, sim::TaskKind::kBackwardWeight, 0, 1, 0));
+  report = Validate(s, built, halves);
+  EXPECT_TRUE(report.Has(check::kViolationScheduleOrder)) << report.ToString();
+}
+
+// Mutation 2d: round-robin replicated DAPPLE. Replica 0 of stage 0 owns
+// micro-batches 0 and 2; swapping their forwards breaks its filtered order.
+TEST(ValidatorTest, DetectsSwappedMicroBatchesOnARoundRobinReplica) {
+  Scenario s = Replicated();
+  s.options.replication = runtime::ReplicationMode::kRoundRobin;
+  const runtime::BuiltPipeline built = s.Build();
+  ASSERT_EQ(built.num_micro_batches, 4);
+  sim::SimResult result = CleanRun(s, built);
+
+  SwapRecords(result, FindCompute(built.graph, sim::TaskKind::kForward, 0, 0, 0),
+              FindCompute(built.graph, sim::TaskKind::kForward, 0, 2, 0));
 
   const check::ValidationReport report = Validate(s, built, result);
   EXPECT_TRUE(report.Has(check::kViolationScheduleOrder)) << report.ToString();
