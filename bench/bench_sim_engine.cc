@@ -2,9 +2,8 @@
 // pipelines. Two measurements, each fenced by byte-identity:
 //
 //   1. serial events/sec of sim::Engine vs the reference engine (legacy
-//      ordered-set/priority-queue containers). The Engine row times what
-//      callers pay — flatten into the SoaGraph layout plus the event loop —
-//      on one reused Engine. Fifteen warmed (reference, engine) trial pairs
+//      ordered-set/priority-queue containers). The Engine row times the
+//      event loop on the TaskGraph in place, on one reused Engine. Fifteen warmed (reference, engine) trial pairs
 //      are timed in the calling thread's CPU time, so the comparison times
 //      steady-state processing, not first-pass allocation, a scheduler
 //      hiccup or other processes sharing the cores. Each row shows its best
@@ -13,8 +12,8 @@
 //   2. wall-clock events/sec of the ThreadPool multi-seed path at 1/2/8
 //      worker threads vs the plain serial loop — the win from fanning
 //      independent simulations across cores;
-//   3. CPU µs per pipeline of each stage callers pay: GraphBuilder::Build,
-//      the SoaGraph flatten and the event loop, each timed alone.
+//   3. CPU µs per pipeline of each stage callers pay: GraphBuilder::Build
+//      and the event loop (the engine row), each timed alone.
 //
 // Every simulation result is fingerprinted (bit-exact records, pool peaks,
 // makespan) outside the timed regions; any divergence between the
@@ -28,7 +27,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -78,7 +76,7 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
   bench::PrintHeader(
-      "Simulation engine — SoA event loop, batched multi-seed",
+      "Simulation engine — in-place event loop, batched multi-seed",
       "DAPPLE paper, Sec. 6 evaluation methodology (simulated testbed)");
 
   // Corpus: fuzz-derived pipelines, the same generator the differential
@@ -242,35 +240,23 @@ int main(int argc, char** argv) {
 
   std::printf("%s", table.ToString().c_str());
 
-  // 3. One pipeline's cost by stage: graph build, flatten and event loop,
-  // each timed alone (best of kStageTrials warmed trials, thread CPU time)
-  // next to the engine row's flatten + loop.
+  // 3. One pipeline's cost by stage: graph build (best of kStageTrials
+  // warmed trials, thread CPU time) and the event loop, read off the
+  // engine row.
   constexpr int kStageTrials = 5;
-  std::vector<sim::SoaGraph> flat(corpus.size());
-  const auto per_pipeline_us = [&](const std::function<void()>& pass) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int trial = 0; trial < kStageTrials; ++trial) {
-      best = std::min(best, bench::TimeWarmedPasses(reps, pass));
-    }
-    return best * 1e6 / (static_cast<double>(reps) * corpus_size);
+  const auto per_pipeline_us = [&](double seconds) {
+    return seconds * 1e6 / (static_cast<double>(reps) * corpus_size);
   };
-  const double build_us = per_pipeline_us([&] {
-    for (const runtime::GraphBuilder& b : builders) b.Build();
-  });
-  const double flatten_us = per_pipeline_us([&] {
-    for (std::size_t i = 0; i < corpus.size(); ++i) flat[i].Assign(corpus[i].graph);
-  });
-  const double loop_us = per_pipeline_us([&] {
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-      engine.Simulate(flat[i], corpus[i].engine_options);
-    }
-  });
+  double build_cpu = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < kStageTrials; ++trial) {
+    build_cpu = std::min(build_cpu, bench::TimeWarmedPasses(reps, [&] {
+      for (const runtime::GraphBuilder& b : builders) b.Build();
+    }));
+  }
   AsciiTable stages({"Stage", "CPU us/pipeline"});
-  stages.AddRow({"build (GraphBuilder::Build)", AsciiTable::Num(build_us, 2)});
-  stages.AddRow({"flatten (SoaGraph::Assign)", AsciiTable::Num(flatten_us, 2)});
-  stages.AddRow({"loop (Engine::Simulate)", AsciiTable::Num(loop_us, 2)});
-  stages.AddRow({"flatten + loop (engine row)",
-                 AsciiTable::Num(engine_cpu * 1e6 / (static_cast<double>(reps) * corpus_size), 2)});
+  stages.AddRow({"build (GraphBuilder::Build)", AsciiTable::Num(per_pipeline_us(build_cpu), 2)});
+  stages.AddRow({"loop (Engine::Simulate, engine row)",
+                 AsciiTable::Num(per_pipeline_us(engine_cpu), 2)});
   std::printf("\nper pipeline (%.1f tasks on average):\n%s",
               static_cast<double>(total_tasks) / corpus_size, stages.ToString().c_str());
 

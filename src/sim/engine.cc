@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <set>
@@ -64,14 +65,26 @@ bool SimResult::AnyOom() const {
 
 namespace internal {
 
-SimResult MakeResultShell(int num_tasks, const EngineOptions& options,
-                          int num_resources, int num_pools,
-                          std::span<const std::int32_t> pool_events) {
+SimResult MakeResultShell(const TaskGraph& graph, const EngineOptions& options) {
+  // One pass: the highest resource id, and alloc plus free effects per pool
+  // (an upper bound on the samples a run adds to that pool's timeline).
+  ResourceId max_resource = 0;
+  std::vector<std::int32_t> pool_events;
+  for (const Task& task : graph.tasks()) {
+    max_resource = std::max(max_resource, task.resource);
+    if (task.pool < 0) continue;
+    const auto pool = static_cast<std::size_t>(task.pool);
+    if (pool >= pool_events.size()) pool_events.resize(pool + 1, 0);
+    pool_events[pool] += (task.alloc_at_start > 0 ? 1 : 0) + (task.free_at_end > 0 ? 1 : 0);
+  }
+  const std::size_t num_pools = std::max(
+      {pool_events.size(), options.pool_capacities.size(), options.pool_baselines.size()});
+
   SimResult result;
-  result.records.resize(static_cast<std::size_t>(num_tasks));
-  result.resources.resize(static_cast<std::size_t>(num_resources));
-  result.pools.reserve(static_cast<std::size_t>(num_pools));
-  for (std::size_t p = 0; p < static_cast<std::size_t>(num_pools); ++p) {
+  result.records.resize(static_cast<std::size_t>(graph.num_tasks()));
+  result.resources.resize(static_cast<std::size_t>(max_resource) + 1);
+  result.pools.reserve(num_pools);
+  for (std::size_t p = 0; p < num_pools; ++p) {
     const Bytes cap = p < options.pool_capacities.size() ? options.pool_capacities[p] : 0;
     const std::size_t events =
         p < pool_events.size() ? static_cast<std::size_t>(pool_events[p]) : 0;
@@ -83,25 +96,28 @@ SimResult MakeResultShell(int num_tasks, const EngineOptions& options,
   return result;
 }
 
-int NumPools(int graph_pools, const EngineOptions& options) {
-  return std::max(graph_pools,
-                  static_cast<int>(std::max(options.pool_capacities.size(),
-                                            options.pool_baselines.size())));
-}
-
 void IndexProfiles(const EngineOptions& options, int num_resources,
                    std::vector<const ResourceSpeedProfile*>& profile_of) {
   for (const ResourceSpeedProfile& p : options.resource_speeds) {
     DAPPLE_CHECK(p.resource >= 0 && p.resource < num_resources)
         << "speed profile for unknown resource " << p.resource;
+    const ResourceSpeedProfile*& slot = profile_of[static_cast<std::size_t>(p.resource)];
+    DAPPLE_CHECK(slot == nullptr) << "two speed profiles for resource " << p.resource;
     for (std::size_t s = 0; s < p.segments.size(); ++s) {
       DAPPLE_CHECK(p.segments[s].speed >= 0.0) << "negative resource speed";
-      if (s > 0) {
+      if (s == 0) {
+        DAPPLE_CHECK(!std::isnan(p.segments[s].start)) << "speed segment start is NaN";
+      } else {
         DAPPLE_CHECK_GT(p.segments[s].start, p.segments[s - 1].start)
             << "speed segments must be sorted by start";
       }
     }
-    if (!p.segments.empty()) profile_of[static_cast<std::size_t>(p.resource)] = &p;
+    slot = &p;
+  }
+  // An empty profile runs at unit speed: keep its resource on the
+  // fixed-duration path.
+  for (const ResourceSpeedProfile& p : options.resource_speeds) {
+    if (p.segments.empty()) profile_of[static_cast<std::size_t>(p.resource)] = nullptr;
   }
 }
 
@@ -124,12 +140,11 @@ void IndexProfiles(const EngineOptions& options, int num_resources,
 
 using internal::IndexProfiles;
 using internal::MakeResultShell;
-using internal::NumPools;
 using internal::ThrowDeadlock;
 
-// --- Engine (SoA layout + packed binary heaps) -----------------------------
+// --- Engine (TaskGraph in place + packed binary heaps) -------------------
 
-SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) {
+SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options) {
   // Heap comparators are the reverse of the drain order (std::push_heap
   // builds max-heaps): lowest (time, key) / lowest key surfaces at front().
   auto completion_later = [](const Completion& a, const Completion& b) {
@@ -138,28 +153,27 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
   };
   auto ready_later = [](std::uint64_t a, std::uint64_t b) { return a > b; };
 
+  const std::vector<Task>& tasks = graph.tasks();
   const int n = graph.num_tasks();
-  const int num_resources = graph.num_resources();
-  const int num_pools = NumPools(graph.num_pools(), options);
+  SimResult result = MakeResultShell(graph, options);
+  const auto num_resources = static_cast<std::int32_t>(result.resources.size());
 
-  SimResult result = MakeResultShell(n, options, num_resources, num_pools, graph.pool_events());
-
-  // Hot array bases, hoisted so the event loop indexes raw pointers instead
-  // of re-reading vector headers through the graph reference.
-  const TimeSec* const duration = graph.duration().data();
-  const std::int32_t* const resource_of = graph.resource().data();
-  const std::uint8_t* const is_compute = graph.is_compute().data();
-  const std::int32_t* const alloc_pool = graph.alloc_pool().data();
-  const std::int32_t* const free_pool = graph.free_pool().data();
-  const Bytes* const alloc_bytes = graph.alloc_bytes().data();
-  const Bytes* const free_bytes = graph.free_bytes().data();
-  const std::uint64_t* const ready_key = graph.ready_key().data();
-  const std::int32_t* const succ_offsets = graph.succ_offsets().data();
-  const std::int32_t* const succ = graph.succ().data();
+  // (priority, id) lexicographic as one unsigned key, so heap sifts compare
+  // a single integer: the signed priority sign-biased into the high 32 bits,
+  // the (non-negative) id in the low 32.
+  auto ready_key = [&tasks](TaskId id) {
+    const auto priority = static_cast<std::uint32_t>(tasks[static_cast<std::size_t>(id)].priority);
+    return static_cast<std::uint64_t>(priority ^ 0x80000000u) << 32 |
+           static_cast<std::uint32_t>(id);
+  };
+  auto key_task = [](std::uint64_t key) {
+    return static_cast<TaskId>(static_cast<std::uint32_t>(key));
+  };
 
   // Re-arm the arena. assign()/clear() keep each vector's capacity, so after
   // the first run of a given shape the event loop allocates nothing.
-  pending_ = graph.in_degree();
+  pending_.resize(static_cast<std::size_t>(n));
+  for (TaskId t = 0; t < n; ++t) pending_[static_cast<std::size_t>(t)] = graph.in_degree(t);
   profile_of_.assign(static_cast<std::size_t>(num_resources), nullptr);
   IndexProfiles(options, num_resources, profile_of_);
   const bool any_profile = !options.resource_speeds.empty();
@@ -177,21 +191,20 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
 
   auto start_task = [&](TaskId id) {
     const auto uid = static_cast<std::size_t>(id);
-    const std::int32_t res = resource_of[uid];
-    busy_[static_cast<std::size_t>(res)] = 1;
+    const Task& task = tasks[uid];
+    busy_[static_cast<std::size_t>(task.resource)] = 1;
     TaskRecord& rec = records[uid];
     rec.id = id;
     rec.start = now;
     rec.started = true;
     if (!any_profile) {
-      rec.end = now + duration[uid];
+      rec.end = now + task.duration;
     } else {
-      const ResourceSpeedProfile* profile = profile_of_[static_cast<std::size_t>(res)];
-      rec.end = profile ? FinishTime(*profile, now, duration[uid]) : now + duration[uid];
+      const ResourceSpeedProfile* profile = profile_of_[static_cast<std::size_t>(task.resource)];
+      rec.end = profile ? FinishTime(*profile, now, task.duration) : now + task.duration;
     }
-    const std::int32_t apool = alloc_pool[uid];
-    if (apool >= 0) {
-      result.pools[static_cast<std::size_t>(apool)].Allocate(now, alloc_bytes[uid]);
+    if (task.pool >= 0 && task.alloc_at_start > 0) {
+      result.pools[static_cast<std::size_t>(task.pool)].Allocate(now, task.alloc_at_start);
     }
     if (rec.end == std::numeric_limits<TimeSec>::infinity()) {
       // Pinned by a permanent zero-speed window: the resource stays
@@ -200,7 +213,7 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
       return;
     }
     rec.executed = true;
-    completions_.push_back({rec.end, ready_key[uid]});
+    completions_.push_back({rec.end, ready_key(id)});
     std::push_heap(completions_.begin(), completions_.end(), completion_later);
   };
 
@@ -208,15 +221,14 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
     auto& queue = ready_[static_cast<std::size_t>(r)];
     if (busy_[static_cast<std::size_t>(r)] != 0 || queue.empty()) return;
     std::pop_heap(queue.begin(), queue.end(), ready_later);
-    const TaskId next = SoaGraph::KeyTask(queue.back());
+    const TaskId next = key_task(queue.back());
     queue.pop_back();
     start_task(next);
   };
 
   auto enqueue_ready = [&](TaskId id) {
-    const auto uid = static_cast<std::size_t>(id);
-    auto& queue = ready_[static_cast<std::size_t>(resource_of[uid])];
-    queue.push_back(ready_key[uid]);
+    auto& queue = ready_[static_cast<std::size_t>(tasks[static_cast<std::size_t>(id)].resource)];
+    queue.push_back(ready_key(id));
     std::push_heap(queue.begin(), queue.end(), ready_later);
   };
 
@@ -231,9 +243,10 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
     const Completion done = completions_.back();
     completions_.pop_back();
     now = done.time;
-    const TaskId id = SoaGraph::KeyTask(done.key);
+    const TaskId id = key_task(done.key);
     const auto uid = static_cast<std::size_t>(id);
-    const std::int32_t res = resource_of[uid];
+    const Task& task = tasks[uid];
+    const ResourceId res = task.resource;
 
     ++executed;
     ResourceUsage& usage = result.resources[static_cast<std::size_t>(res)];
@@ -244,16 +257,15 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
     const TimeSec elapsed =
         any_profile && profile_of_[static_cast<std::size_t>(res)] != nullptr
             ? done.time - records[uid].start
-            : duration[uid];
+            : task.duration;
     usage.busy += elapsed;
-    if (is_compute[uid]) usage.compute_busy += elapsed;
+    if (IsComputeKind(task.kind)) usage.compute_busy += elapsed;
     usage.last_end = now;
     usage.tasks_executed++;
     result.makespan = std::max(result.makespan, now);
 
-    const std::int32_t fpool = free_pool[uid];
-    if (fpool >= 0) {
-      result.pools[static_cast<std::size_t>(fpool)].Free(now, free_bytes[uid]);
+    if (task.pool >= 0 && task.free_at_end > 0) {
+      result.pools[static_cast<std::size_t>(task.pool)].Free(now, task.free_at_end);
     }
 
     busy_[static_cast<std::size_t>(res)] = 0;
@@ -264,12 +276,10 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
     // O(successors) per event instead of O(num_resources).
     wake_.clear();
     wake_.push_back(res);
-    const std::int32_t succ_end = succ_offsets[uid + 1];
-    for (std::int32_t e = succ_offsets[uid]; e < succ_end; ++e) {
-      const TaskId s = succ[static_cast<std::size_t>(e)];
+    for (const TaskId s : graph.successors(id)) {
       if (--pending_[static_cast<std::size_t>(s)] == 0) {
         enqueue_ready(s);
-        wake_.push_back(resource_of[static_cast<std::size_t>(s)]);
+        wake_.push_back(tasks[static_cast<std::size_t>(s)].resource);
       }
     }
     for (const std::int32_t r : wake_) dispatch_resource(r);
@@ -283,7 +293,7 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
       // are — the partial state is what a fault-aborted iteration looks
       // like, and callers discard it anyway.
     } else {
-      ThrowDeadlock(graph.source(), result, executed);
+      ThrowDeadlock(graph, result, executed);
     }
   }
 
@@ -291,9 +301,8 @@ SimResult Engine::Simulate(const SoaGraph& graph, const EngineOptions& options) 
   return result;
 }
 
-SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options) {
-  scratch_.Assign(graph);
-  return Simulate(scratch_, options);
+SimResult Engine::Simulate(const SoaGraph& view, const EngineOptions& options) {
+  return Simulate(view.graph(), options);
 }
 
 SimResult Engine::Run(const TaskGraph& graph, const EngineOptions& options) {
@@ -331,19 +340,12 @@ struct ReadyOrder {
 
 SimResult RunReferenceEngine(const TaskGraph& graph, const EngineOptions& options) {
   const int n = graph.num_tasks();
-  const int num_resources = std::max(graph.num_resources(), 1);
-  const int num_pools = NumPools(graph.num_pools(), options);
+  SimResult result = MakeResultShell(graph, options);
+  const auto num_resources = static_cast<int>(result.resources.size());
 
-  // Counted here, not read from a SoaGraph, so the oracle shares no
-  // flattening code with the engine it checks.
-  std::vector<std::int32_t> pool_events(static_cast<std::size_t>(graph.num_pools()), 0);
-  for (const Task& task : graph.tasks()) {
-    if (task.pool < 0) continue;
-    pool_events[static_cast<std::size_t>(task.pool)] +=
-        (task.alloc_at_start > 0 ? 1 : 0) + (task.free_at_end > 0 ? 1 : 0);
-  }
-  SimResult result = MakeResultShell(n, options, num_resources, num_pools, pool_events);
-
+  // Counted here from the successor lists, not read from
+  // TaskGraph::in_degree(), so the oracle does not trust the graph's own
+  // count that the engine it checks starts from.
   std::vector<int> pending(static_cast<std::size_t>(n), 0);
   for (TaskId t = 0; t < n; ++t) {
     for (TaskId s : graph.successors(t)) ++pending[static_cast<std::size_t>(s)];

@@ -17,8 +17,8 @@
 // reproducible — byte-identical traces, reports and memory high-water
 // marks on every host and at every ThreadPool thread count.
 //
-// Two event loops implement this contract: Engine, the production loop
-// over the flattened SoaGraph layout, and RunReferenceEngine, a plain
+// Two event loops implement this contract: Engine, the production loop,
+// which runs on the TaskGraph in place, and RunReferenceEngine, a plain
 // ordered-container loop kept only as the differential oracle.
 //
 // This is the substitute for the paper's GPU testbed: schedule shape,
@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sim/graph.h"
@@ -122,31 +121,30 @@ struct EngineOptions {
   bool allow_incomplete = false;
 };
 
-/// The discrete-event engine. It runs on the flattened SoaGraph layout
-/// (graph.h) with a per-instance arena: the ready queues (one packed-uint64
-/// binary min-heap per resource), the completion heap (keyed (time,
-/// priority, id)), the flatten scratch and every bookkeeping vector are
-/// owned by the Engine and reused across Simulate() calls, so a run
-/// performs no per-event heap allocation after the first simulation of a
-/// given shape warms the arena. (The returned SimResult still allocates its
-/// records/pools — per run, not per event.)
+/// The discrete-event engine. It reads each task's fields and successor
+/// list from the TaskGraph in place, with a per-instance arena: the ready
+/// queues (one binary min-heap per resource of (priority, id) packed into
+/// one uint64), the completion heap (keyed (time, priority, id)) and every
+/// bookkeeping vector are owned by the Engine and reused across Simulate()
+/// calls, so a run performs no per-event heap allocation after the first
+/// simulation of a given shape warms the arena. (The returned SimResult
+/// still allocates its records/pools — per run, not per event.)
 class Engine {
  public:
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Runs a flattened graph to completion. Throws dapple::Error on
-  /// dependency cycles (some tasks can never become ready).
-  SimResult Simulate(const SoaGraph& graph, const EngineOptions& options = {});
-
-  /// Flattens `graph` into this engine's scratch SoaGraph, then runs it.
+  /// Runs `graph` to completion. Throws dapple::Error on dependency cycles
+  /// (some tasks can never become ready).
   SimResult Simulate(const TaskGraph& graph, const EngineOptions& options = {});
 
-  /// Convenience entry point: flattens and simulates on a thread-local
-  /// Engine, so every thread — each ThreadPool worker in particular —
-  /// keeps its own warmed arena and concurrent runs never share mutable
-  /// state.
+  /// Runs the graph behind `view`: the same as Simulate(view.graph()).
+  SimResult Simulate(const SoaGraph& view, const EngineOptions& options = {});
+
+  /// Convenience entry point: simulates on a thread-local Engine, so every
+  /// thread — each ThreadPool worker in particular — keeps its own warmed
+  /// arena and concurrent runs never share mutable state.
   static SimResult Run(const TaskGraph& graph, const EngineOptions& options = {});
 
  private:
@@ -157,7 +155,6 @@ class Engine {
     std::uint64_t key = 0;
   };
 
-  SoaGraph scratch_;  // flatten target of Simulate(const TaskGraph&)
   std::vector<std::int32_t> pending_;
   std::vector<const ResourceSpeedProfile*> profile_of_;
   std::vector<std::vector<std::uint64_t>> ready_;  // packed min-heap per resource
@@ -178,18 +175,15 @@ namespace internal {
 /// Scaffolding shared by Engine and the reference engine so their results
 /// stay byte-identical by construction, not by parallel maintenance.
 
-/// Pool count: the graph's pools widened by any capacity/baseline entries.
-int NumPools(int graph_pools, const EngineOptions& options);
+/// Prepares the SimResult shell from one pass over the tasks: a record per
+/// task, a usage slot per resource (at least one), and a pool per graph
+/// pool, widened by any capacity/baseline entries, with those applied.
+/// Each pool's timeline is reserved for the allocs and frees its tasks make.
+SimResult MakeResultShell(const TaskGraph& graph, const EngineOptions& options);
 
-/// Prepares the SimResult shell (records, usage slots, pools with
-/// capacities/baselines applied). Pool p's timeline is reserved for
-/// pool_events[p] allocs/frees; pools past the span see no traffic.
-SimResult MakeResultShell(int num_tasks, const EngineOptions& options,
-                          int num_resources, int num_pools,
-                          std::span<const std::int32_t> pool_events);
-
-/// Validates speed profiles and maps them onto resources (nullptr = fixed
-/// unit speed, the exact legacy arithmetic).
+/// Validates speed profiles (at most one per resource, no NaN starts) and
+/// maps them onto resources (nullptr = fixed unit speed, the exact legacy
+/// arithmetic).
 void IndexProfiles(const EngineOptions& options, int num_resources,
                    std::vector<const ResourceSpeedProfile*>& profile_of);
 

@@ -1,6 +1,6 @@
-// The structure-of-arrays engine is now sim::Engine itself (engine.h), and
-// its SoaGraph layout lives in graph.h. This header only keeps the old
-// engine name compiling.
+// Old names kept compiling: SoaEngine is sim::Engine (engine.h), and
+// SoaGraph (graph.h) is a view that hands the engine a TaskGraph, which it
+// runs in place. No structure-of-arrays copy of a graph is made.
 #pragma once
 
 #include "sim/engine.h"

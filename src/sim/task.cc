@@ -73,17 +73,4 @@ std::string TaskName(const Task& task) {
   return Concat("task ", task.id);
 }
 
-bool IsComputeKind(TaskKind kind) {
-  switch (kind) {
-    case TaskKind::kForward:
-    case TaskKind::kBackward:
-    case TaskKind::kBackwardWeight:
-    case TaskKind::kRecompute:
-    case TaskKind::kApply:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace dapple::sim

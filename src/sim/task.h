@@ -34,7 +34,18 @@ enum class TaskKind {
 const char* ToString(TaskKind kind);
 
 /// True for kinds that occupy a device's compute engine (vs. the network).
-bool IsComputeKind(TaskKind kind);
+inline bool IsComputeKind(TaskKind kind) {
+  switch (kind) {
+    case TaskKind::kForward:
+    case TaskKind::kBackward:
+    case TaskKind::kBackwardWeight:
+    case TaskKind::kRecompute:
+    case TaskKind::kApply:
+      return true;
+    default:
+      return false;
+  }
+}
 
 /// What a task's kind leaves open: which half of a backward, which way a
 /// transfer moves. Only TaskName reads it.

@@ -1,7 +1,7 @@
 // Determinism sweep for the simulation engine and ThreadPool fan-out:
 // across a seeded set of fuzz-generated pipelines, sim::Engine (both its
-// thread-local flatten-and-run path and a reused explicit SoaGraph) and a
-// ThreadPool Map at every thread count must produce chrome traces, iteration
+// thread-local Engine::Run path and a reused Engine fed a SoaGraph view)
+// and a ThreadPool Map at every thread count must produce chrome traces, iteration
 // reports and memory high-water marks byte-identical to the reference
 // engine (legacy ordered-set/priority-queue containers) — fault-free and
 // under fault speed profiles alike. The engine is deterministic by
@@ -84,10 +84,10 @@ TEST(SimDeterminismTest, EngineMatchesTheReferenceOracle) {
         << "engine diverged from the reference containers: seed=" << seed << " "
         << c.Describe();
 
-    // The explicit-flatten path must agree with the flatten-and-run path.
-    const SoaGraph flat(built.graph);
-    ASSERT_EQ(reference, Fingerprint(built, engine.Simulate(flat, built.engine_options)))
-        << "engine with a pre-built SoaGraph diverged: seed=" << seed << " "
+    // The SoaGraph view path must agree with Engine::Run.
+    const SoaGraph view(built.graph);
+    ASSERT_EQ(reference, Fingerprint(built, engine.Simulate(view, built.engine_options)))
+        << "engine fed a SoaGraph view diverged: seed=" << seed << " "
         << c.Describe();
 
     tasks += built.graph.num_tasks();

@@ -288,7 +288,8 @@ TEST(TaskGraph, DuplicateEdgesCollapse) {
   g.AddEdge(a, b);
   g.AddEdge(a, b);
   EXPECT_EQ(g.successors(a).size(), 1u);
-  EXPECT_EQ(SoaGraph(g).in_degree()[static_cast<std::size_t>(b)], 1);
+  EXPECT_EQ(g.in_degree(a), 0);
+  EXPECT_EQ(g.in_degree(b), 1);
 }
 
 TEST(TaskGraph, SuccessorsPastTheInlineSlotsKeepOrderWithoutDuplicates) {
@@ -311,9 +312,36 @@ TEST(TaskGraph, SuccessorsPastTheInlineSlotsKeepOrderWithoutDuplicates) {
   EXPECT_EQ(std::vector<TaskId>(succ.begin(), succ.end()), dst);
   for (TaskId d : dst) EXPECT_TRUE(g.successors(d).empty());
 
-  const SoaGraph soa(g);
-  for (TaskId d : dst) EXPECT_EQ(soa.in_degree()[static_cast<std::size_t>(d)], 1);
-  EXPECT_EQ(soa.succ_offsets().back(), 7);
+  EXPECT_EQ(g.in_degree(src), 0);
+  for (TaskId d : dst) EXPECT_EQ(g.in_degree(d), 1);
+}
+
+TEST(TaskGraph, InDegreeMatchesSpilledSuccessorListsWithRepeatedEdges) {
+  // Three sources fan out past the four in-place slots into six shared
+  // targets; every edge is added twice, once on either side of the spill.
+  TaskGraph g;
+  std::vector<TaskId> src;
+  std::vector<TaskId> dst;
+  for (int i = 0; i < 3; ++i) src.push_back(g.AddTask(MakeTask(0, 1.0)));
+  for (int i = 0; i < 6; ++i) dst.push_back(g.AddTask(MakeTask(0, 1.0)));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t s = 0; s < src.size(); ++s) {
+      for (std::size_t d = s % 2; d < dst.size(); ++d) {
+        g.AddEdge(src[s], dst[(d + s) % dst.size()]);
+      }
+    }
+  }
+  g.AddEdge(dst[0], dst[5]);  // one target is fed by another target too
+
+  std::vector<int> counted(static_cast<std::size_t>(g.num_tasks()), 0);
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    for (TaskId s : g.successors(t)) ++counted[static_cast<std::size_t>(s)];
+  }
+  for (TaskId t = 0; t < g.num_tasks(); ++t) {
+    EXPECT_EQ(g.in_degree(t), counted[static_cast<std::size_t>(t)]) << t;
+  }
+  EXPECT_GT(g.successors(src[0]).size(), static_cast<std::size_t>(TaskGraph::kInlineSuccessors));
+  EXPECT_EQ(g.in_degree(dst[5]), 4);
 }
 
 TEST(TaskGraph, ReserveKeepsIdsAndCopiesKeepSuccessors) {

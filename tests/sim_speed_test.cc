@@ -3,10 +3,14 @@
 // spanning a slowdown boundary is split and re-costed segment by segment —
 // and the engine-level fail-stop semantics: a crashed device pins its tasks
 // while independent work (including an in-flight transfer on the link into
-// the dead device) drains normally.
+// the dead device) drains normally. Both engines refuse profiles that would
+// make a run ambiguous or read past the segment list.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include "common/error.h"
 #include "sim/engine.h"
@@ -163,6 +167,50 @@ TEST(EngineSpeedTest, ProfiledRunsAreDeterministic) {
     EXPECT_EQ(first.records[i].end, second.records[i].end);
   }
   EXPECT_EQ(first.makespan, second.makespan);
+}
+
+/// The dapple::Error message `run` throws, or "" when it returns.
+std::string ErrorFrom(const std::function<SimResult()>& run) {
+  try {
+    run();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Both engines must refuse `options` on a one-task graph with an error
+/// that names `reason`.
+void ExpectBothEnginesReject(const EngineOptions& options, const std::string& reason) {
+  TaskGraph graph;
+  graph.AddTask(MakeTask(TaskKind::kForward, 0, 4.0));
+  EXPECT_NE(ErrorFrom([&] { return Engine::Run(graph, options); }).find(reason),
+            std::string::npos);
+  EXPECT_NE(ErrorFrom([&] { return RunReferenceEngine(graph, options); }).find(reason),
+            std::string::npos);
+}
+
+// Two profiles on one resource are ambiguous: with {0.5x, 2x}, taking the
+// last would run a 4 s task in 2 s.
+TEST(EngineSpeedTest, TwoProfilesOnOneResourceAreRejected) {
+  EngineOptions options;
+  options.resource_speeds = {Profile(0, {{0.0, 0.5}}), Profile(0, {{0.0, 2.0}})};
+  ExpectBothEnginesReject(options, "two speed profiles for resource 0");
+  // An empty profile still names its resource.
+  options.resource_speeds = {Profile(0, {}), Profile(0, {{0.0, 2.0}})};
+  ExpectBothEnginesReject(options, "two speed profiles for resource 0");
+}
+
+// The sorted-start check compares each segment with the one before it, so
+// a NaN first start needs its own check: FinishTime would read past the
+// segment list.
+TEST(EngineSpeedTest, NanSegmentStartIsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EngineOptions options;
+  options.resource_speeds = {Profile(0, {{nan, 0.5}})};
+  ExpectBothEnginesReject(options, "speed segment start is NaN");
+  options.resource_speeds = {Profile(0, {{nan, 0.5}, {3.0, 1.0}})};
+  ExpectBothEnginesReject(options, "speed segment start is NaN");
 }
 
 }  // namespace
