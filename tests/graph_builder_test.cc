@@ -321,5 +321,31 @@ TEST(GraphBuilder, StructureDigestIsPinned) {
   EXPECT_EQ(FingerprintToString(fp.digest()), "fp:6bee3ba4df519936");
 }
 
+// The same pin under a memory cap: the fuzz cases never set one, so this
+// sweep is the one that reaches the capped in-flight throttle and the
+// capped pool capacities.
+TEST(GraphBuilder, CappedStructureDigestIsPinned) {
+  Fingerprint64 fp;
+  int builds = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    const check::FuzzCase c = check::MakeFuzzCase(seed);
+    for (ReplicationMode mode : {ReplicationMode::kSplitMicroBatch, ReplicationMode::kRoundRobin}) {
+      for (ScheduleKind kind : AllScheduleKinds()) {
+        for (Bytes divisor : {Bytes{2}, Bytes{8}}) {
+          BuildOptions o = c.options;
+          o.replication = mode;
+          o.schedule.kind = kind;
+          o.enforce_memory_capacity = true;
+          o.memory_cap = c.cluster.device().memory / divisor;
+          MixBuilt(GraphBuilder(c.model, c.cluster, c.plan, o).Build(), fp);
+          ++builds;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(builds, 150 * 2 * 5 * 2);
+  EXPECT_EQ(FingerprintToString(fp.digest()), "fp:cb71fe170cf8fa74");
+}
+
 }  // namespace
 }  // namespace dapple::runtime
