@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/error.h"
@@ -57,7 +58,12 @@ planner::PlanResult Session::Plan(long global_batch_size,
   if (result.alternatives.empty()) {
     best_simulated = simulate(result.plan);
   } else {
-    ThreadPool pool(static_cast<std::size_t>(options.num_threads));
+    // The planner's pool rule: 0 threads share the process-wide pool the
+    // search just ran on, n build their own (1 runs inline).
+    std::optional<ThreadPool> own_pool;
+    ThreadPool& pool = options.num_threads == 0
+                           ? ThreadPool::Shared()
+                           : own_pool.emplace(static_cast<std::size_t>(options.num_threads));
     const std::vector<TimeSec> simulated =
         pool.Map<TimeSec>(result.alternatives.size(), [&](std::size_t i) {
           return simulate(result.alternatives[i].first);

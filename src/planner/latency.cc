@@ -78,8 +78,9 @@ TimeSec LatencyEstimator::ExposedAllReduce(int layer_begin, int layer_end,
   if (devices.size() < 2) return 0.0;
   const comm::BoundAllReduce all_reduce(cluster_->interconnect(),
                                         comm::ReplicaGroup::Of(*cluster_, devices));
-  return ExposedAllReduce(all_reduce(model_->ParamBytes(layer_begin, layer_end)),
-                          LayerSyncs(layer_begin, layer_end, all_reduce, samples));
+  const TimeSec raw = all_reduce(model_->ParamBytes(layer_begin, layer_end));
+  if (!options_.overlap_allreduce) return raw;
+  return ExposedAllReduce(raw, LayerSyncs(layer_begin, layer_end, all_reduce, samples));
 }
 
 std::vector<LatencyEstimator::LayerSync> LatencyEstimator::LayerSyncs(
@@ -436,7 +437,9 @@ PlanEstimate LatencyEstimator::Estimate(const ParallelPlan& plan,
     est.memory_limited = true;
     est.infeasible_reason = MemoryReason(peak);
   }
-  obs::MetricsRegistry::Global().counter("planner.estimator_calls").Increment();
+  static obs::Counter& estimator_calls =
+      obs::MetricsRegistry::Global().counter("planner.estimator_calls");
+  estimator_calls.Increment();
   return est;
 }
 

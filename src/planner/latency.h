@@ -291,16 +291,26 @@ class LatencyEstimator {
   TimeSec ExposedAllReduce(int layer_begin, int layer_end, const topo::DeviceSet& devices,
                            double samples) const;
 
+  /// Capacity the memory check compares against: options().memory_cap when
+  /// set, the cluster's device memory otherwise.
+  Bytes EffectiveCapacity() const;
+
+  /// Stage [layer_begin, layer_end)'s memory at `samples` per micro-batch
+  /// (RowEntry::fixed and RowEntry::stash). A stage holding K stashes
+  /// peaks at fixed + K x stash.
+  struct StageMemory {
+    Bytes fixed = 0;  // baseline + recompute transient
+    Bytes stash = 0;  // one micro-batch's activation | checkpoint
+  };
+  StageMemory StageMemoryAt(int layer_begin, int layer_end, bool recompute,
+                            double samples) const;
+
  private:
   /// Worst per-device peak memory of `plan` under `kind`'s stash
   /// discipline at the given micro-batching: Estimate's feasibility check.
   /// Honors per-stage recompute flags.
   Bytes FamilyPeakMemory(runtime::ScheduleKind kind, const ParallelPlan& plan,
                          const MicroBatching& mb) const;
-
-  /// Capacity the memory check compares against: options().memory_cap when
-  /// set, the cluster's device memory otherwise.
-  Bytes EffectiveCapacity() const;
 
   /// The memory check Estimate and ScoreSplits share (MemoryPool
   /// convention: peak == capacity fits).
@@ -315,14 +325,6 @@ class LatencyEstimator {
   /// layers' sync terms, in layer order.
   TimeSec ExposedAllReduce(TimeSec raw, std::span<const LayerSync> layers) const;
 
-  /// Stage [layer_begin, layer_end)'s memory at `samples` per micro-batch
-  /// (RowEntry::fixed and RowEntry::stash).
-  struct StageMemory {
-    Bytes fixed = 0;  // baseline + recompute transient
-    Bytes stash = 0;  // one micro-batch's activation | checkpoint
-  };
-  StageMemory StageMemoryAt(int layer_begin, int layer_end, bool recompute,
-                            double samples) const;
   /// Per-device peak memory of stage [layer_begin, layer_end) holding
   /// `warmup_depth` stashes: fixed + K x stash.
   Bytes StagePeakMemory(int layer_begin, int layer_end, bool recompute, double samples,

@@ -40,11 +40,7 @@ struct StageInfo {
   TimeSec bw_input = 0.0;   // 2BP: backward-input half (carries recompute)
   TimeSec bw_weight = 0.0;  // 2BP: deferred backward-weight half
   Bytes baseline = 0;
-  Bytes full_activation = 0;   // per in-flight micro-batch (no recompute)
-  Bytes checkpoint = 0;        // per in-flight micro-batch (recompute)
-  Bytes fw_alloc = 0;          // allocated at FW start
-  Bytes bw_alloc = 0;          // transient working set at BW start
-  Bytes bw_free = 0;           // released at BW end (2BP: at BWW end)
+  planner::LatencyEstimator::StageMemory memory;  // at `samples`
   int warmup = 0;
 };
 
@@ -65,9 +61,15 @@ BuiltPipeline GraphBuilder::Build() const {
   const int num_groups = NumGroups(kind, num_stages);
   const bool split_bw = kind == ScheduleKind::kDappleSplitBw;
   comm::CostModel cost(*cluster_);
-
-  int max_replication = 1;
-  for (const auto& s : plan_->stages) max_replication = std::max(max_replication, s.replication());
+  // The planner's cost model, configured as the plan was priced: the
+  // builder reads its micro-batching, stage memory, capacity and exposed
+  // AllReduce, so the simulated OOM boundary is the planner's.
+  planner::LatencyOptions latency;
+  latency.overlap_allreduce = options_.overlap_allreduce;
+  latency.memory_cap = options_.memory_cap;
+  latency.schedule_kind = kind;
+  const planner::LatencyEstimator estimator(*model_, *cluster_, latency);
+  const Bytes capacity = estimator.EffectiveCapacity();
 
   BuiltPipeline built;
   built.num_devices = num_devices;
@@ -78,19 +80,14 @@ BuiltPipeline GraphBuilder::Build() const {
     built.num_micro_batches = static_cast<int>(
         std::max<long>(1, options_.global_batch_size / built.micro_batch_size));
   } else {
-    const planner::MicroBatching mb = planner::ChooseMicroBatching(
-        options_.global_batch_size, model_->profile_micro_batch(), max_replication,
-        num_stages);
+    const planner::MicroBatching mb =
+        estimator.MicroBatchingOf(*plan_, options_.global_batch_size);
     built.micro_batch_size = mb.micro_batch_size;
     built.num_micro_batches = mb.num_micro_batches;
   }
   DAPPLE_CHECK_GT(built.micro_batch_size, 0);
   const int mbs = built.micro_batch_size;
   const int m_total = built.num_micro_batches;
-  // One estimator per build: the single-device time below and the
-  // overlapped AllReduce of every replicated stage (the default
-  // LatencyOptions overlap).
-  const planner::LatencyEstimator estimator(*model_, *cluster_);
   built.single_device_time = estimator.SingleDeviceTime(static_cast<long>(mbs) * m_total);
 
   // The deterministic V order is shared with the validator; its realized
@@ -125,21 +122,8 @@ BuiltPipeline GraphBuilder::Build() const {
     }
     si.bw_input = si.backward - si.bw_weight;
     si.baseline = model_->BaselineMemory(si.plan->layer_begin, si.plan->layer_end);
-    si.full_activation =
-        model_->ActivationMemory(si.plan->layer_begin, si.plan->layer_end, si.samples);
-    si.checkpoint =
-        model_->CheckpointMemory(si.plan->layer_begin, si.plan->layer_end, si.samples);
-    if (recompute) {
-      si.fw_alloc = si.checkpoint;
-      // Transient working set while one layer block replays in backward.
-      si.bw_alloc = model_->MaxLayerActivationMemory(si.plan->layer_begin,
-                                                     si.plan->layer_end, si.samples);
-      si.bw_free = si.fw_alloc + si.bw_alloc;
-    } else {
-      si.fw_alloc = si.full_activation;
-      si.bw_alloc = 0;
-      si.bw_free = si.full_activation;
-    }
+    si.memory = estimator.StageMemoryAt(si.plan->layer_begin, si.plan->layer_end, recompute,
+                                        si.samples);
 
     if (v_shape) {
       // The realized in-flight depth of the deterministic V order (at most
@@ -152,15 +136,12 @@ BuiltPipeline GraphBuilder::Build() const {
     // GPipe's all-forwards injection is what we want to observe OOMing).
     int memory_limit = 0;
     if ((kind == ScheduleKind::kDapple || kind == ScheduleKind::kDappleSplitBw) &&
-        options_.enforce_memory_capacity && si.fw_alloc > 0) {
+        options_.enforce_memory_capacity && si.memory.stash > 0) {
       // 2BP holds one extra stash transiently: the next forward runs
       // between BI_m and BWW_m, before BWW_m frees micro-batch m.
-      const Bytes reserve =
-          si.baseline + si.bw_alloc + (split_bw ? si.fw_alloc : Bytes{0});
-      const Bytes capacity =
-          options_.memory_cap > 0 ? options_.memory_cap : cluster_->device().memory;
+      const Bytes reserve = si.memory.fixed + (split_bw ? si.memory.stash : Bytes{0});
       if (capacity > reserve) {
-        memory_limit = static_cast<int>((capacity - reserve) / std::max<Bytes>(si.fw_alloc, 1));
+        memory_limit = static_cast<int>((capacity - reserve) / si.memory.stash);
       }
       memory_limit = std::max(memory_limit, 1);
     }
@@ -226,6 +207,10 @@ BuiltPipeline GraphBuilder::Build() const {
 
   for (int i = 0; i < num_stages; ++i) {
     const StageInfo& si = info[static_cast<std::size_t>(i)];
+    // A forward allocates one stash; a backward adds the recompute replay's
+    // transient working set, and the task that frees releases both.
+    const Bytes replay = si.memory.fixed - si.baseline;
+    const Bytes release = si.memory.stash + replay;
     for (int m = 0; m < m_total; ++m) {
       for (int k = 0; k < slots(i); ++k) {
         const topo::DeviceId dev = slot_device(i, m, k);
@@ -235,7 +220,7 @@ BuiltPipeline GraphBuilder::Build() const {
         fw.resource = dev;
         fw.duration = si.forward / dev_speed;
         fw.pool = dev;
-        fw.alloc_at_start = si.fw_alloc;
+        fw.alloc_at_start = si.memory.stash;
         fw.stage = i;
         fw.microbatch = m;
         fw.device = dev;
@@ -247,10 +232,10 @@ BuiltPipeline GraphBuilder::Build() const {
         bw.resource = dev;
         bw.duration = (split_bw ? si.bw_input : si.backward) / dev_speed;
         bw.pool = dev;
-        bw.alloc_at_start = si.bw_alloc;
+        bw.alloc_at_start = replay;
         // 2BP: the stash (and the replay working set) stays live until the
         // weight half has consumed the activations; BWW frees it all.
-        bw.free_at_end = split_bw ? Bytes{0} : si.bw_free;
+        bw.free_at_end = split_bw ? Bytes{0} : release;
         bw.stage = i;
         bw.microbatch = m;
         bw.device = dev;
@@ -262,7 +247,7 @@ BuiltPipeline GraphBuilder::Build() const {
           bww.resource = dev;
           bww.duration = si.bw_weight / dev_speed;
           bww.pool = dev;
-          bww.free_at_end = si.bw_free;
+          bww.free_at_end = release;
           bww.stage = i;
           bww.microbatch = m;
           bww.device = dev;
@@ -372,17 +357,11 @@ BuiltPipeline GraphBuilder::Build() const {
       sim::Task ar;
       ar.kind = sim::TaskKind::kAllReduce;
       ar.resource = layout.AllReduceLane(i);
-      if (options_.overlap_allreduce) {
-        // Gradient buckets synchronize while the final micro-batch's
-        // backward is still running (reverse-layer order); only the
-        // exposed remainder extends the iteration. The estimator and the
-        // runtime share one overlap model so measured latencies track
-        // planned ones.
-        ar.duration = estimator.ExposedAllReduce(
-            si.plan->layer_begin, si.plan->layer_end, si.exec->devices, si.samples);
-      } else {
-        ar.duration = cost.AllReduce(si.exec->devices, weights);
-      }
+      // With overlap, gradient buckets synchronize while the final
+      // micro-batch's backward still runs and only the exposed remainder
+      // extends the iteration; without it, the whole ring AllReduce.
+      ar.duration = estimator.ExposedAllReduce(si.plan->layer_begin, si.plan->layer_end,
+                                               si.exec->devices, si.samples);
       ar.stage = i;
       ar.bytes = weights;
       ar_id = graph.AddTask(ar);
@@ -424,8 +403,7 @@ BuiltPipeline GraphBuilder::Build() const {
     for (topo::DeviceId d : info[g].exec->devices.devices()) {
       built.engine_options.pool_baselines[static_cast<std::size_t>(d)] = group_baseline[g];
       if (options_.enforce_memory_capacity) {
-        built.engine_options.pool_capacities[static_cast<std::size_t>(d)] =
-            options_.memory_cap > 0 ? options_.memory_cap : cluster_->device().memory;
+        built.engine_options.pool_capacities[static_cast<std::size_t>(d)] = capacity;
       }
     }
   }

@@ -45,12 +45,14 @@ struct BuildOptions {
   /// Give device pools the per-device memory capacity so OOM is observable.
   bool enforce_memory_capacity = true;
   /// Per-device memory capacity in bytes; 0 = the cluster's device memory.
-  /// Feeds both the in-flight throttle's reserve math and the simulator
-  /// pool capacities, so the MemoryPool OOM boundary (peak > cap) and the
-  /// planner's cap check agree byte-for-byte.
+  /// The build's LatencyEstimator takes it as LatencyOptions::memory_cap;
+  /// its EffectiveCapacity sets both the in-flight throttle's reserve math
+  /// and the simulator pool capacities, so the MemoryPool OOM boundary
+  /// (peak > cap) is the planner's cap check.
   Bytes memory_cap = 0;
   /// Overlap gradient AllReduce with the final backward pass (bucketed,
-  /// reverse-layer order). Matches the latency estimator's model.
+  /// reverse-layer order): LatencyOptions::overlap_allreduce of the build's
+  /// estimator, whose ExposedAllReduce prices every AllReduce task.
   bool overlap_allreduce = true;
 };
 

@@ -297,7 +297,9 @@ SimResult Engine::Simulate(const TaskGraph& graph, const EngineOptions& options)
     }
   }
 
-  obs::MetricsRegistry::Global().counter("sim.tasks_executed").Increment(executed);
+  static obs::Counter& tasks_executed =
+      obs::MetricsRegistry::Global().counter("sim.tasks_executed");
+  tasks_executed.Increment(executed);
   return result;
 }
 

@@ -295,56 +295,52 @@ void MixBuilt(const BuiltPipeline& built, Fingerprint64& fp) {
   for (Bytes b : built.engine_options.pool_capacities) fp.Mix(static_cast<std::uint64_t>(b));
 }
 
+/// Digest of every build of fuzz seeds 1..150 under both replication
+/// modes and every schedule kind, each built twice: with `vary(o, c, v)`
+/// applied for v = 0 and v = 1.
+template <class Vary>
+std::string SweepDigest(const Vary& vary) {
+  Fingerprint64 fp;
+  int builds = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    const check::FuzzCase c = check::MakeFuzzCase(seed);
+    for (ReplicationMode mode : {ReplicationMode::kSplitMicroBatch, ReplicationMode::kRoundRobin}) {
+      for (ScheduleKind kind : AllScheduleKinds()) {
+        for (int v : {0, 1}) {
+          BuildOptions o = c.options;
+          o.replication = mode;
+          o.schedule.kind = kind;
+          vary(o, c, v);
+          MixBuilt(GraphBuilder(c.model, c.cluster, c.plan, o).Build(), fp);
+          ++builds;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(builds, 150 * 2 * 5 * 2);
+  return FingerprintToString(fp.digest());
+}
+
 // Pins the built graphs bit for bit: task ids, fields, rendered names, successor
 // order and the pipeline metadata, over fuzz cases crossed with both
 // replication modes, every schedule kind and AllReduce overlap on/off. A
 // change to the builder that moves any of them changes this digest.
 TEST(GraphBuilder, StructureDigestIsPinned) {
-  Fingerprint64 fp;
-  int builds = 0;
-  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
-    const check::FuzzCase c = check::MakeFuzzCase(seed);
-    for (ReplicationMode mode : {ReplicationMode::kSplitMicroBatch, ReplicationMode::kRoundRobin}) {
-      for (ScheduleKind kind : AllScheduleKinds()) {
-        for (bool overlap : {true, false}) {
-          BuildOptions o = c.options;
-          o.replication = mode;
-          o.schedule.kind = kind;
-          o.overlap_allreduce = overlap;
-          MixBuilt(GraphBuilder(c.model, c.cluster, c.plan, o).Build(), fp);
-          ++builds;
-        }
-      }
-    }
-  }
-  EXPECT_EQ(builds, 150 * 2 * 5 * 2);
-  EXPECT_EQ(FingerprintToString(fp.digest()), "fp:6bee3ba4df519936");
+  EXPECT_EQ(SweepDigest([](BuildOptions& o, const check::FuzzCase&, int v) {
+              o.overlap_allreduce = v == 0;
+            }),
+            "fp:6bee3ba4df519936");
 }
 
-// The same pin under a memory cap: the fuzz cases never set one, so this
-// sweep is the one that reaches the capped in-flight throttle and the
-// capped pool capacities.
+// The same pin under a memory cap of device memory / 2 and / 8: the fuzz
+// cases never set one, so this sweep is the one that reaches the capped
+// in-flight throttle and the capped pool capacities.
 TEST(GraphBuilder, CappedStructureDigestIsPinned) {
-  Fingerprint64 fp;
-  int builds = 0;
-  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
-    const check::FuzzCase c = check::MakeFuzzCase(seed);
-    for (ReplicationMode mode : {ReplicationMode::kSplitMicroBatch, ReplicationMode::kRoundRobin}) {
-      for (ScheduleKind kind : AllScheduleKinds()) {
-        for (Bytes divisor : {Bytes{2}, Bytes{8}}) {
-          BuildOptions o = c.options;
-          o.replication = mode;
-          o.schedule.kind = kind;
-          o.enforce_memory_capacity = true;
-          o.memory_cap = c.cluster.device().memory / divisor;
-          MixBuilt(GraphBuilder(c.model, c.cluster, c.plan, o).Build(), fp);
-          ++builds;
-        }
-      }
-    }
-  }
-  EXPECT_EQ(builds, 150 * 2 * 5 * 2);
-  EXPECT_EQ(FingerprintToString(fp.digest()), "fp:cb71fe170cf8fa74");
+  EXPECT_EQ(SweepDigest([](BuildOptions& o, const check::FuzzCase& c, int v) {
+              o.enforce_memory_capacity = true;
+              o.memory_cap = c.cluster.device().memory / (v == 0 ? 2 : 8);
+            }),
+            "fp:cb71fe170cf8fa74");
 }
 
 }  // namespace

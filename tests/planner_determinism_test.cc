@@ -12,7 +12,8 @@
 // them, and pricer inputs derived from per-server counts equal those
 // derived from device sets bit for bit. On two 32-device heterogeneous
 // clusters, where frontier and placement-memo keys are positional, every
-// thread count returns a pinned plan, latency and search size.
+// thread count returns a pinned plan, latency and search size. Session::Plan
+// re-ranks to the same plan on the shared pool as inline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 
 #include "check/fuzz.h"
 #include "common/error.h"
+#include "dapple/dapple.h"
 #include "estimate_bits.h"
 #include "fault/degrade.h"
 #include "model/zoo.h"
@@ -135,6 +137,34 @@ TEST(PlannerDeterminismTest, SharedPoolAndDedicatedPoolAgree) {
     const SearchFingerprint serial = RunSearch(c.model, c.cluster, gbs, 1);
     const SearchFingerprint shared = RunSearch(c.model, c.cluster, gbs, 0);
     ASSERT_EQ(serial, shared) << "seed=" << seed << " " << c.Describe();
+  }
+}
+
+TEST(PlannerDeterminismTest, SessionReRankOnSharedAndInlinePoolsAgrees) {
+  // Session::Plan simulates the alternatives on the planner's pool rule:
+  // at 0 threads on ThreadPool::Shared(), at 1 inline. Both return the
+  // same plan and alternatives on Table V instances.
+  struct Instance {
+    const char* model;
+    char config;
+    long gbs;
+  };
+  for (const Instance& in : {Instance{"GNMT-16", 'A', 1024}, Instance{"BERT-48", 'C', 64},
+                             Instance{"XLNet-36", 'A', 128}}) {
+    const Session session(model::ModelByName(in.model), in.config == 'A'
+                                                            ? topo::MakeConfigA(2)
+                                                            : topo::MakeConfig(in.config, 16));
+    auto plan = [&](int threads) {
+      PlannerOptions options;
+      options.num_threads = threads;
+      return session.Plan(in.gbs, options);
+    };
+    const PlanResult shared = plan(0);
+    const PlanResult serial = plan(1);
+    ASSERT_GT(serial.alternatives.size(), 1u) << in.model << " " << in.config;
+    EXPECT_EQ(SerializePlan(shared.plan), SerializePlan(serial.plan))
+        << in.model << " " << in.config;
+    EXPECT_EQ(Fingerprint(shared), Fingerprint(serial)) << in.model << " " << in.config;
   }
 }
 
