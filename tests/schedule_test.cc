@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "common/fingerprint.h"
 #include "runtime/schedule.h"
 
 namespace dapple::runtime {
@@ -372,6 +373,88 @@ TEST(VSchedule, StashCapsMatchTheMemoryDivisor) {
   EXPECT_EQ(VStashCap(ScheduleKind::kVMin, 3, 6), 1);
   EXPECT_EQ(VStashCap(ScheduleKind::kVMin, 0, 12), 4);
   EXPECT_EQ(VStashCap(ScheduleKind::kVHalf, 0, 12), 6);
+}
+
+// The schedule GraphBuilder::Build composes: WarmupDepth at each stage's
+// memory limit, lowered to be non-increasing downstream, then each stage's
+// order at its depth; the V shapes' greedy order and realized depths.
+struct ComposedSchedule {
+  std::vector<int> depths;
+  std::vector<std::vector<ScheduleStep>> group_orders;
+};
+
+ComposedSchedule Compose(const ScheduleOptions& options, int stages, int m_total,
+                         const std::vector<int>& limits) {
+  ComposedSchedule out;
+  if (IsVShape(options.kind)) {
+    VSchedule v = BuildVSchedule(options.kind, stages, m_total);
+    out.depths = std::move(v.in_flight);
+    out.group_orders = std::move(v.group_orders);
+    return out;
+  }
+  for (int i = 0; i < stages; ++i) {
+    const int limit = limits.empty() ? 0 : limits[static_cast<std::size_t>(i)];
+    out.depths.push_back(WarmupDepth(options, i, stages, m_total, limit));
+    if (i > 0) {
+      out.depths.back() = std::min(out.depths.back(), out.depths[out.depths.size() - 2]);
+    }
+  }
+  for (int i = 0; i < stages; ++i) {
+    out.group_orders.push_back(
+        StageOrder(options, i, stages, m_total, out.depths[static_cast<std::size_t>(i)]));
+  }
+  return out;
+}
+
+// Pins every depth and every group order over the five kinds x PA/PB x
+// warmup_override {0, 2}, S 1-8 x M 1-12, and four memory-limit shapes:
+// none, all 1, decreasing, and growing downstream (where the
+// non-increasing clamp bites). A schedule change that moves a step moves
+// the digest.
+TEST(Schedule, DigestIsPinned) {
+  Fingerprint64 fp;
+  for (ScheduleKind kind : AllScheduleKinds()) {
+    for (WarmupPolicy policy : {WarmupPolicy::kPA, WarmupPolicy::kPB}) {
+      for (int override_k : {0, 2}) {
+        ScheduleOptions options;
+        options.kind = kind;
+        options.warmup = policy;
+        options.warmup_override = override_k;
+        for (int stages = 1; stages <= 8; ++stages) {
+          const std::vector<std::vector<int>> limit_sets = {
+              {},
+              std::vector<int>(static_cast<std::size_t>(stages), 1),
+              [&] {
+                std::vector<int> v;
+                for (int i = 0; i < stages; ++i) v.push_back(stages - i);
+                return v;
+              }(),
+              [&] {
+                std::vector<int> v;
+                for (int i = 0; i < stages; ++i) v.push_back(i + 2);
+                return v;
+              }(),
+          };
+          for (int m_total = 1; m_total <= 12; ++m_total) {
+            for (const std::vector<int>& limits : limit_sets) {
+              const ComposedSchedule s = Compose(options, stages, m_total, limits);
+              fp.Mix(static_cast<std::uint64_t>(s.depths.size()));
+              for (int k : s.depths) fp.Mix(k);
+              fp.Mix(static_cast<std::uint64_t>(s.group_orders.size()));
+              for (const std::vector<ScheduleStep>& order : s.group_orders) {
+                fp.Mix(static_cast<std::uint64_t>(order.size()));
+                for (const ScheduleStep& step : order) {
+                  fp.Mix(step.stage).Mix(step.is_backward).Mix(step.microbatch).Mix(
+                      step.weight_grad);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(FingerprintToString(fp.digest()), "fp:7fc196a572021281");
 }
 
 }  // namespace

@@ -96,6 +96,21 @@ TEST(Equivalence, ThreeAndFourStagePipelines) {
   }
 }
 
+// Every family the trainer runs, V shapes included, on one 4-stage MLP:
+// the V groups interleave two chunks, so this is the trainer walking a
+// merged two-chunk order.
+TEST(Equivalence, EveryTrainableFamilyMatchesSerial) {
+  Fixture f;
+  const BackpropResult serial = RunSerial(f.model, f.data.inputs, f.data.targets);
+  for (auto kind : {runtime::ScheduleKind::kDapple, runtime::ScheduleKind::kGPipe,
+                    runtime::ScheduleKind::kVMin, runtime::ScheduleKind::kVHalf}) {
+    const BackpropResult pipe = RunPipelined(f.model, f.data.inputs, f.data.targets,
+                                             Pipeline({0, 2, 4, 6, 7}, 4, kind));
+    EXPECT_LT(MaxGradientDiff(serial.grads, pipe.grads), kTol) << runtime::ToString(kind);
+    EXPECT_NEAR(serial.loss, pipe.loss, 1e-5) << runtime::ToString(kind);
+  }
+}
+
 TEST(Memory, DappleStashBoundedByWarmupDepth) {
   // The numeric counterpart of early backward scheduling: stage i keeps at
   // most K_i = S - i (policy PA) micro-batch stashes live.
