@@ -76,7 +76,6 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
   const int m_total = built.num_micro_batches;
   const bool split = options_.replication == runtime::ReplicationMode::kSplitMicroBatch;
   const runtime::ScheduleKind kind = options_.schedule.kind;
-  const bool v_shape = runtime::IsVShape(kind);
   const bool split_bw = kind == runtime::ScheduleKind::kDappleSplitBw;
   // Device/replication source per stage: the host group's stage for the V
   // shapes (chunk c folds onto stage min(c, S-1-c)), the stage itself
@@ -85,8 +84,6 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
     return plan_->stages[static_cast<std::size_t>(
         runtime::HostStage(kind, i, num_stages))];
   };
-  runtime::VSchedule vsched;
-  if (v_shape) vsched = runtime::BuildVSchedule(kind, num_stages, m_total);
 
   if (static_cast<int>(result.records.size()) != n) {
     add(kViolationTaskCount, "result has " + std::to_string(result.records.size()) +
@@ -99,6 +96,11 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
             " warmup depths for " + std::to_string(num_stages) + " stages");
     return report;
   }
+  // The schedule the reported depths imply. On a valid pipeline it
+  // reproduces them exactly (the V depths are realized counts, an exact
+  // expectation; a linear depth is its own memory limit).
+  const runtime::PipelineSchedule schedule =
+      runtime::BuildSchedule(options_.schedule, num_stages, m_total, built.warmup_depths);
 
   // --- Index tasks by role -----------------------------------------------
   // fw[i][m] / bw[i][m] / bww[i][m]: per-replica compute tasks (bw holds
@@ -209,10 +211,8 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
       }
       continue;
     }
-    if (v_shape) {
-      // V depths are the realized per-chunk stash counts of the
-      // deterministic greedy order — an exact expectation, not a range.
-      const int want = vsched.in_flight[static_cast<std::size_t>(i)];
+    if (runtime::IsVShape(kind)) {
+      const int want = schedule.depths[static_cast<std::size_t>(i)];
       if (k != want) {
         add(kViolationWarmupShape, ToString(kind) + std::string(" chunk ") +
                                        std::to_string(i) + " reports depth " +
@@ -243,18 +243,15 @@ ValidationReport ScheduleValidator::Validate(const runtime::BuiltPipeline& built
   }
 
   // --- (b) per-device compute total order matches the schedule ------------
-  // Every device of group g must follow the group's order exactly: the
-  // stage's order for the linear families (GPipe's LIFO backward, 2BP's
-  // deferred weight halves), BuildVSchedule's merged two-chunk order for
-  // the V shapes; restricted to its own micro-batches in round-robin mode.
+  // Every device of group g must follow the group's order exactly (GPipe's
+  // LIFO backward, 2BP's deferred weight halves, a V group's merged two
+  // chunks), restricted to its own micro-batches in round-robin mode.
   ++report.checks_run;
   for (int g = 0; g < runtime::NumGroups(kind, num_stages); ++g) {
     const planner::StagePlan& host = exec_stage(g);
     const int r = host.replication();
-    const std::vector<runtime::ScheduleStep> order =
-        v_shape ? vsched.group_orders[static_cast<std::size_t>(g)]
-                : runtime::StageOrder(options_.schedule, g, num_stages, m_total,
-                                      built.warmup_depths[static_cast<std::size_t>(g)]);
+    const std::vector<runtime::ScheduleStep>& order =
+        schedule.group_orders[static_cast<std::size_t>(g)];
     for (int rep = 0; rep < r; ++rep) {
       const topo::DeviceId dev = host.devices[rep];
       std::vector<runtime::ScheduleStep> expected;

@@ -14,10 +14,10 @@
 //       families, a folded chunk pair for V-Min and V-Half): each device
 //       runs the FW/BW/BWW tasks of every chunk its group hosts in the
 //       group's order of runtime::ScheduleStep, matched on chunk,
-//       direction, weight half and micro-batch. The order is
-//       runtime::StageOrder for the linear families (including GPipe's
-//       LIFO backward and 2BP's deferred weight halves) and
-//       runtime::BuildVSchedule's merged two-chunk order for the V shapes;
+//       direction, weight half and micro-batch. The orders come from one
+//       runtime::BuildSchedule call at the pipeline's reported depths
+//       (GPipe's LIFO backward, 2BP's deferred weight halves, the V
+//       shapes' merged two-chunk orders);
 //   (c) the in-flight activation count at stage i (forwards started minus
 //       releases completed, per device) never exceeds the stage's warmup
 //       depth K_i (K_i + 1 under 2BP, whose weight half frees one forward
@@ -88,8 +88,7 @@ struct ValidationReport {
 /// Validates simulated iterations of one (plan, build options) pair. The
 /// validator re-derives every expectation from the plan and options alone —
 /// it shares no schedule-construction code with the graph builder beyond
-/// runtime::StageOrder and runtime::BuildVSchedule themselves, which are
-/// exactly the contract under test.
+/// runtime::BuildSchedule itself, which is exactly the contract under test.
 class ScheduleValidator {
  public:
   ScheduleValidator(const planner::ParallelPlan& plan, runtime::BuildOptions options);

@@ -41,7 +41,6 @@ struct StageInfo {
   TimeSec bw_weight = 0.0;  // 2BP: deferred backward-weight half
   Bytes baseline = 0;
   planner::LatencyEstimator::StageMemory memory;  // at `samples`
-  int warmup = 0;
 };
 
 }  // namespace
@@ -57,7 +56,6 @@ BuiltPipeline GraphBuilder::Build() const {
   const int num_stages = plan_->num_stages();
   const int num_devices = cluster_->num_devices();
   const ScheduleKind kind = options_.schedule.kind;
-  const bool v_shape = IsVShape(kind);
   const int num_groups = NumGroups(kind, num_stages);
   const bool split_bw = kind == ScheduleKind::kDappleSplitBw;
   comm::CostModel cost(*cluster_);
@@ -90,13 +88,9 @@ BuiltPipeline GraphBuilder::Build() const {
   const int m_total = built.num_micro_batches;
   built.single_device_time = estimator.SingleDeviceTime(static_cast<long>(mbs) * m_total);
 
-  // The deterministic V order is shared with the validator; its realized
-  // per-chunk depths become warmup_depths below.
-  VSchedule vsched;
-  if (v_shape) vsched = BuildVSchedule(kind, num_stages, m_total);
-
   // --- Per-stage costs and memory effects -------------------------------
   std::vector<StageInfo> info(static_cast<std::size_t>(num_stages));
+  std::vector<int> memory_limits(static_cast<std::size_t>(num_stages), 0);
   for (int i = 0; i < num_stages; ++i) {
     StageInfo& si = info[static_cast<std::size_t>(i)];
     si.plan = &plan_->stages[static_cast<std::size_t>(i)];
@@ -125,46 +119,23 @@ BuiltPipeline GraphBuilder::Build() const {
     si.memory = estimator.StageMemoryAt(si.plan->layer_begin, si.plan->layer_end, recompute,
                                         si.samples);
 
-    if (v_shape) {
-      // The realized in-flight depth of the deterministic V order (at most
-      // the VStashCap bound; the greedy order may stay below it).
-      si.warmup = vsched.in_flight[static_cast<std::size_t>(i)];
-      continue;
-    }
-
     // Memory-supported in-flight count D (the 1F1B family throttles;
     // GPipe's all-forwards injection is what we want to observe OOMing).
-    int memory_limit = 0;
     if ((kind == ScheduleKind::kDapple || kind == ScheduleKind::kDappleSplitBw) &&
         options_.enforce_memory_capacity && si.memory.stash > 0) {
       // 2BP holds one extra stash transiently: the next forward runs
       // between BI_m and BWW_m, before BWW_m frees micro-batch m.
       const Bytes reserve = si.memory.fixed + (split_bw ? si.memory.stash : Bytes{0});
+      int& memory_limit = memory_limits[static_cast<std::size_t>(i)];
       if (capacity > reserve) {
         memory_limit = static_cast<int>((capacity - reserve) / si.memory.stash);
       }
       memory_limit = std::max(memory_limit, 1);
     }
-    si.warmup =
-        WarmupDepth(options_.schedule, i, num_stages, m_total, memory_limit);
   }
-  // Warmup depths must be non-increasing along the pipeline: with the
-  // interleaved order, stage i's B_m waits on stage i+1's B_m, which sits
-  // behind F_{m+K_{i+1}-1} there — a K that grows downstream would deadlock
-  // the control chains. Memory clamping can only lower a K, so restoring
-  // monotonicity by lowering downstream stages keeps every stage feasible.
-  // (The V shapes skip this: their order comes whole from BuildVSchedule,
-  // whose caps are non-increasing by construction.)
-  if (!v_shape) {
-    for (int i = 1; i < num_stages; ++i) {
-      info[static_cast<std::size_t>(i)].warmup =
-          std::min(info[static_cast<std::size_t>(i)].warmup,
-                   info[static_cast<std::size_t>(i - 1)].warmup);
-    }
-  }
-  for (int i = 0; i < num_stages; ++i) {
-    built.warmup_depths.push_back(info[static_cast<std::size_t>(i)].warmup);
-  }
+  // The validator rebuilds this schedule from warmup_depths.
+  PipelineSchedule schedule = BuildSchedule(options_.schedule, num_stages, m_total, memory_limits);
+  built.warmup_depths = std::move(schedule.depths);
 
   // --- Resource ids ------------------------------------------------------
   const ResourceLayout layout = built.layout();
@@ -318,20 +289,14 @@ BuiltPipeline GraphBuilder::Build() const {
   }
 
   // --- Control dependencies: per-device execution order ------------------
-  // One chain per replica of each device group: the stage's order for the
-  // linear families, BuildVSchedule's merged two-chunk order for the V
-  // shapes. Every order is a linear extension of the data dependencies, so
-  // adding its chain keeps the graph acyclic. In round-robin mode a device
-  // only executes its assigned micro-batches, all of them in slot 0.
-  std::vector<ScheduleStep> stage_order;
+  // One chain per replica of each device group, in the group's order from
+  // BuildSchedule (a V group's order merges its two chunks). Every order is
+  // a linear extension of the data dependencies, so adding its chain keeps
+  // the graph acyclic. In round-robin mode a device only executes its
+  // assigned micro-batches, all of them in slot 0.
   for (int g = 0; g < num_groups; ++g) {
-    const StageInfo& host = info[static_cast<std::size_t>(g)];
-    const int r = host.exec->replication();
-    if (!v_shape) {
-      stage_order = StageOrder(options_.schedule, g, num_stages, m_total, host.warmup);
-    }
-    const std::vector<ScheduleStep>& order =
-        v_shape ? vsched.group_orders[static_cast<std::size_t>(g)] : stage_order;
+    const int r = info[static_cast<std::size_t>(g)].exec->replication();
+    const std::vector<ScheduleStep>& order = schedule.group_orders[static_cast<std::size_t>(g)];
     for (int rep = 0; rep < r; ++rep) {
       sim::TaskId prev = sim::kInvalidTask;
       int position = 0;

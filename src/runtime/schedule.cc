@@ -85,12 +85,10 @@ int VStashCap(ScheduleKind kind, int stage, int num_stages) {
   return std::max(1, (remaining + divisor - 1) / divisor);
 }
 
-VSchedule BuildVSchedule(ScheduleKind kind, int num_stages, int num_micro_batches) {
-  DAPPLE_CHECK(IsVShape(kind));
-  DAPPLE_CHECK_GT(num_stages, 0);
-  DAPPLE_CHECK_GT(num_micro_batches, 0);
-  const int s = num_stages;
-  const int m = num_micro_batches;
+namespace {
+
+/// The V shapes' greedy order (see BuildSchedule in the header).
+void BuildVOrder(ScheduleKind kind, int s, int m, PipelineSchedule& out) {
   const int groups = NumGroups(kind, s);
 
   std::vector<int> cap(static_cast<std::size_t>(s));
@@ -100,9 +98,8 @@ VSchedule BuildVSchedule(ScheduleKind kind, int num_stages, int num_micro_batche
   std::vector<int> done_fw(static_cast<std::size_t>(s), 0);
   std::vector<int> done_bw(static_cast<std::size_t>(s), 0);
 
-  VSchedule out;
   out.group_orders.resize(static_cast<std::size_t>(groups));
-  out.in_flight.assign(static_cast<std::size_t>(s), 0);
+  out.depths.assign(static_cast<std::size_t>(s), 0);
 
   auto fw_ready = [&](int c) {
     const auto i = static_cast<std::size_t>(c);
@@ -116,9 +113,9 @@ VSchedule BuildVSchedule(ScheduleKind kind, int num_stages, int num_micro_batche
   };
 
   long remaining = 2L * s * m;
-  // Every tick issues at least one step (see the deadlock argument in the
-  // header), so 2SM ticks suffice; the slack is a loud failure mode for a
-  // future cap/preference edit that breaks the invariant.
+  // Every tick issues at least one step (see the deadlock argument at
+  // BuildSchedule in the header), so 2SM ticks suffice; the slack is a loud
+  // failure mode for a future cap/preference edit that breaks the invariant.
   long tick_budget = 4L * s * m + 16;
   std::vector<ScheduleStep> issued;
   while (remaining > 0) {
@@ -158,13 +155,39 @@ VSchedule BuildVSchedule(ScheduleKind kind, int num_stages, int num_micro_batche
         ++done_bw[i];
       } else {
         ++done_fw[i];
-        out.in_flight[i] = std::max(out.in_flight[i], done_fw[i] - done_bw[i]);
+        out.depths[i] = std::max(out.depths[i], done_fw[i] - done_bw[i]);
       }
       --remaining;
     }
   }
-  return out;
 }
+
+/// Stage `stage`'s order at warmup depth k (see PipelineSchedule).
+std::vector<ScheduleStep> LinearOrder(ScheduleKind kind, int stage, int m, int k) {
+  std::vector<ScheduleStep> order;
+  const bool split_bw = kind == ScheduleKind::kDappleSplitBw;
+  order.reserve(static_cast<std::size_t>((split_bw ? 3 : 2) * m));
+  if (kind == ScheduleKind::kGPipe) {
+    for (int i = 0; i < m; ++i) order.push_back({stage, false, i});
+    for (int i = m - 1; i >= 0; --i) order.push_back({stage, true, i});
+    return order;
+  }
+  // Warmup: K forwards.
+  for (int i = 0; i < k; ++i) order.push_back({stage, false, i});
+  // Steady: strict one-backward-one-forward round robin. With the 2BP
+  // split, the backward-input half keeps 1F1B's slot and the weight half
+  // is deferred behind the next forward (the slot a full backward would
+  // have blocked), so the drain cascade runs on half-backwards.
+  int next_fw = k;
+  for (int next_bw = 0; next_bw < m; ++next_bw) {
+    order.push_back({stage, true, next_bw});
+    if (next_fw < m) order.push_back({stage, false, next_fw++});
+    if (split_bw) order.push_back({stage, true, next_bw, true});
+  }
+  return order;
+}
+
+}  // namespace
 
 int WarmupDepth(const ScheduleOptions& options, int stage_index, int num_stages,
                 int num_micro_batches, int memory_limit) {
@@ -177,7 +200,7 @@ int WarmupDepth(const ScheduleOptions& options, int stage_index, int num_stages,
   }
   if (IsVShape(options.kind)) {
     // The cap is an upper bound; the realized depth comes from
-    // BuildVSchedule (the greedy order may stay below the cap).
+    // BuildSchedule (the greedy order may stay below the cap).
     return std::min(VStashCap(options.kind, stage_index, num_stages), num_micro_batches);
   }
   int k = 0;
@@ -199,47 +222,34 @@ int WarmupDepth(const ScheduleOptions& options, int stage_index, int num_stages,
   return std::max(k, 1);
 }
 
-std::vector<ScheduleStep> StageOrder(const ScheduleOptions& options, int stage_index,
-                                     int num_stages, int num_micro_batches,
-                                     int memory_limit) {
-  const int m = num_micro_batches;
-  std::vector<ScheduleStep> order;
-  order.reserve(static_cast<std::size_t>(2 * m));
-
-  if (options.kind == ScheduleKind::kGPipe) {
-    for (int i = 0; i < m; ++i) order.push_back({stage_index, false, i});
-    for (int i = m - 1; i >= 0; --i) order.push_back({stage_index, true, i});
-    return order;
-  }
-
+PipelineSchedule BuildSchedule(const ScheduleOptions& options, int num_stages,
+                               int num_micro_batches, std::span<const int> memory_limits) {
+  DAPPLE_CHECK_GT(num_stages, 0);
+  DAPPLE_CHECK_GT(num_micro_batches, 0);
+  DAPPLE_CHECK(memory_limits.empty() ||
+               memory_limits.size() == static_cast<std::size_t>(num_stages))
+      << memory_limits.size() << " memory limits for " << num_stages << " stages";
+  PipelineSchedule out;
   if (IsVShape(options.kind)) {
-    // Chunk projection of the merged group order: each micro-batch once
-    // forward and once backward, in the global greedy order's sequence.
-    const VSchedule vs = BuildVSchedule(options.kind, num_stages, m);
-    const int g = HostStage(options.kind, stage_index, num_stages);
-    for (const ScheduleStep& step : vs.group_orders[static_cast<std::size_t>(g)]) {
-      if (step.stage == stage_index) order.push_back(step);
-    }
-    return order;
+    BuildVOrder(options.kind, num_stages, num_micro_batches, out);
+    return out;
   }
-
-  const int k = WarmupDepth(options, stage_index, num_stages, m, memory_limit);
-  const bool split_bw = options.kind == ScheduleKind::kDappleSplitBw;
-  // Warmup: K forwards.
-  for (int i = 0; i < std::min(k, m); ++i) order.push_back({stage_index, false, i});
-  // Steady: strict one-backward-one-forward round robin. With the 2BP
-  // split, the backward-input half keeps 1F1B's slot and the weight half
-  // is deferred behind the next forward (the slot a full backward would
-  // have blocked), so the drain cascade runs on half-backwards.
-  int next_fw = k;
-  int next_bw = 0;
-  while (next_bw < m) {
-    order.push_back({stage_index, true, next_bw});
-    if (next_fw < m) order.push_back({stage_index, false, next_fw++});
-    if (split_bw) order.push_back({stage_index, true, next_bw, true});
-    ++next_bw;
+  // Warmup depths must be non-increasing along the pipeline: with the
+  // interleaved order, stage i's B_m waits on stage i+1's B_m, which sits
+  // behind F_{m+K_{i+1}-1} there — a K that grows downstream would deadlock
+  // the control chains. Memory clamping can only lower a K, so restoring
+  // monotonicity by lowering downstream stages keeps every stage feasible.
+  // (The V caps are non-increasing by construction.)
+  out.depths.reserve(static_cast<std::size_t>(num_stages));
+  out.group_orders.reserve(static_cast<std::size_t>(num_stages));
+  for (int i = 0; i < num_stages; ++i) {
+    const int limit = memory_limits.empty() ? 0 : memory_limits[static_cast<std::size_t>(i)];
+    int k = WarmupDepth(options, i, num_stages, num_micro_batches, limit);
+    if (i > 0) k = std::min(k, out.depths.back());
+    out.depths.push_back(k);
+    out.group_orders.push_back(LinearOrder(options.kind, i, num_micro_batches, k));
   }
-  return order;
+  return out;
 }
 
 }  // namespace dapple::runtime

@@ -22,12 +22,14 @@
 //
 // Warmup depth policies (§V-C): PA: K_i = min(S-i, D);
 // PB: K_i = min(2(S-i)-1, D), where D is the memory-supported in-flight
-// count. Every schedule is expressed as a per-device total order of
-// FW/BW(/BWW) steps of one type, ScheduleStep, realized in the task graph
-// with control edges — the same mechanism (TF control dependencies) the
-// paper's runtime uses.
+// count. BuildSchedule makes every family's schedule in one call: each
+// stage's stash depth and each device group's total order of FW/BW(/BWW)
+// steps of one type, ScheduleStep, realized in the task graph with control
+// edges — the same mechanism (TF control dependencies) the paper's runtime
+// uses.
 #pragma once
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -105,47 +107,50 @@ struct ScheduleStep {
   bool weight_grad = false;
 };
 
-/// The deterministic V execution order plus the per-chunk in-flight depths
-/// it realizes (the V analogue of BuiltPipeline::warmup_depths).
-struct VSchedule {
-  /// [group g][step]: the merged order of chunks g and S-1-g on group g,
-  /// each step tagged with its chunk.
+/// Warmup depth K_i for stage i of S stages (paper policies PA/PB),
+/// clamped by the memory-supported in-flight count `memory_limit`
+/// (0 = unlimited) and by M. GPipe's "warmup" is all of M; the V shapes
+/// report min(cap, M). BuildSchedule turns these into the depths a pipeline
+/// runs at (non-increasing downstream; the V shapes' realized counts).
+int WarmupDepth(const ScheduleOptions& options, int stage_index, int num_stages,
+                int num_micro_batches, int memory_limit);
+
+/// One schedule for every family.
+struct PipelineSchedule {
+  /// [stage]: the stash depth the stage runs at (BuiltPipeline::
+  /// warmup_depths): K_i for the linear families, the realized in-flight
+  /// count of the order for the V shapes.
+  std::vector<int> depths;
+  /// [group g][step]: the order every device of group g follows.
+  ///   DAPPLE:     F0..F_{K-1}, B0, F_K, B1, F_{K+1}, ..., trailing backwards;
+  ///   DAPPLE-2BP: as DAPPLE, with each backward split into BI_m, F_{m+K},
+  ///               BWW_m — the weight half yields to the next forward,
+  ///               filling the slot the full backward would have blocked;
+  ///   GPipe:      F0..F_{M-1}, B_{M-1}..B0 (reverse-order backward, LIFO in
+  ///               activation stack order, per Fig. 3(a));
+  ///   V shapes:   chunks g and S-1-g merged, each step tagged with its chunk.
   std::vector<std::vector<ScheduleStep>> group_orders;
-  /// [chunk]: max micro-batches the order keeps stashed for that chunk.
-  std::vector<int> in_flight;
 };
 
-/// Builds the V order as a unit-time greedy list schedule over chunk
-/// states: a forward is ready when its upstream chunk has produced the
-/// micro-batch and the chunk's stash is below its cap; a backward is ready
+/// The schedule of S stages over M micro-batches; the graph builder, the
+/// validator and the numeric trainer all take theirs from here.
+/// `memory_limits` is each stage's memory-supported in-flight count
+/// (0 = unlimited; empty = unlimited everywhere).
+///
+/// Linear families: K_i is WarmupDepth at stage i's limit, lowered to be
+/// non-increasing downstream.
+///
+/// V shapes (limits unused): a unit-time greedy list schedule over chunk
+/// states. A forward is ready when its upstream chunk has produced the
+/// micro-batch and the chunk's stash is below min(VStashCap, M); a backward
 /// when its own forward and the downstream backward are done. Each tick,
 /// every group issues at most one ready step, preferring backwards (frees a
 /// stash) and the later-hosted chunk (unblocks the upstream backward chain
 /// soonest); readiness is judged at tick start. The caps are non-increasing
 /// in the chunk index, which makes the greedy order deadlock-free: the
 /// oldest incomplete micro-batch always has a ready frontier step.
-/// Deterministic in (kind, S, M); shared by the graph builder and the
-/// validator so both sides derive the same expectation.
-VSchedule BuildVSchedule(ScheduleKind kind, int num_stages, int num_micro_batches);
-
-/// Warmup depth K_i for stage i of S stages (paper policies PA/PB),
-/// clamped by the memory-supported in-flight count `memory_limit`
-/// (0 = unlimited) and by M. GPipe's "warmup" is all of M; the V shapes
-/// report min(cap, M) (their realized depths come from BuildVSchedule).
-int WarmupDepth(const ScheduleOptions& options, int stage_index, int num_stages,
-                int num_micro_batches, int memory_limit);
-
-/// The per-device total order of forward/backward steps for stage i.
-/// DAPPLE: F0..F_{K-1}, B0, F_K, B1, F_{K+1}, ..., trailing backwards.
-/// DAPPLE-2BP: as DAPPLE, with each backward split into BI_m, F_{m+K},
-/// BWW_m — the weight half yields to the next forward, filling the slot the
-/// full backward would have blocked.
-/// GPipe:  F0..F_{M-1}, B_{M-1}..B0 (reverse-order backward, LIFO in
-/// activation stack order, per Fig. 3(a)).
-/// V shapes: the projection of BuildVSchedule's group order onto chunk i
-/// (useful for per-chunk inspection; devices follow the merged group order).
-std::vector<ScheduleStep> StageOrder(const ScheduleOptions& options, int stage_index,
-                                     int num_stages, int num_micro_batches,
-                                     int memory_limit);
+PipelineSchedule BuildSchedule(const ScheduleOptions& options, int num_stages,
+                               int num_micro_batches,
+                               std::span<const int> memory_limits = {});
 
 }  // namespace dapple::runtime

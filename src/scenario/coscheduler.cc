@@ -21,6 +21,14 @@ constexpr TimeSec kInf = std::numeric_limits<TimeSec>::infinity();
 /// ordered job pair; the loop usually reaches its fixed point earlier).
 constexpr int kExchangeRounds = 8;
 
+/// The options one job is planned, and (via BuildOptionsFor) built, under.
+planner::PlannerOptions JobPlannerOptions(const CoScheduleOptions& options,
+                                          const JobSpec& spec) {
+  planner::PlannerOptions po = options.planner;
+  po.global_batch_size = spec.global_batch_size;
+  return po;
+}
+
 }  // namespace
 
 /// One evaluated (job, slice width) point: the plan the DAPPLE planner
@@ -100,27 +108,23 @@ class CoScheduler::Evaluator {
  private:
   std::uint64_t KeyOf(int job, int width) {
     const JobSpec& spec = jobs_[static_cast<std::size_t>(job)];
-    planner::PlannerOptions po = options_.planner;
-    po.global_batch_size = spec.global_batch_size;
     return planner::FingerprintPlanRequest(spec.model, Slice(width), spec.global_batch_size,
-                                           po);
+                                           JobPlannerOptions(options_, spec));
   }
 
   Cell Compute(int job, int width) const {
     const JobSpec& spec = jobs_[static_cast<std::size_t>(job)];
     const topo::Cluster slice = Slice(width);
     Cell cell;
-    planner::PlannerOptions po = options_.planner;
-    po.global_batch_size = spec.global_batch_size;
+    const planner::PlannerOptions po = JobPlannerOptions(options_, spec);
     try {
       cell.plan = planner::DapplePlanner(spec.model, slice, po).Plan().plan;
     } catch (const planner::NoFeasiblePlan&) {
       return cell;  // infeasible on this slice; +inf loses every comparison
     }
-    runtime::BuildOptions build = options_.build;
-    build.global_batch_size = spec.global_batch_size;
     const runtime::BuiltPipeline built =
-        runtime::GraphBuilder(spec.model, slice, cell.plan, build).Build();
+        runtime::GraphBuilder(spec.model, slice, cell.plan, runtime::BuildOptionsFor(po))
+            .Build();
     const sim::SimResult result = sim::Engine::Run(built.graph, built.engine_options);
     cell.iteration_time = result.makespan;
     cell.feasible = true;
@@ -267,11 +271,11 @@ CoScheduleReport CoScheduler::Schedule(const std::vector<JobSpec>& jobs) {
     next_server += w;
     busy_device_time += a.makespan * w * budget_.gpus_per_server();
     if (options_.pipeline_observer) {
+      const JobSpec& spec = jobs[static_cast<std::size_t>(j)];
       const topo::Cluster slice = eval.Slice(w);
-      runtime::BuildOptions build = options_.build;
-      build.global_batch_size = jobs[static_cast<std::size_t>(j)].global_batch_size;
       const runtime::BuiltPipeline built =
-          runtime::GraphBuilder(jobs[static_cast<std::size_t>(j)].model, slice, a.plan, build)
+          runtime::GraphBuilder(spec.model, slice, a.plan,
+                                runtime::BuildOptionsFor(JobPlannerOptions(options_, spec)))
               .Build();
       options_.pipeline_observer(built, a.plan, slice);
     }

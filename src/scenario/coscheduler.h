@@ -39,8 +39,10 @@ struct CoScheduleOptions {
   /// Worker threads for candidate evaluation (ThreadPool semantics: 1 =
   /// inline serial, 0 = hardware concurrency, n = dedicated pool).
   int sim_threads = 1;
+  /// Plans every job (global batch set per job); its pipelines are built
+  /// with runtime::BuildOptionsFor, so they run the planned schedule family
+  /// and memory cap.
   planner::PlannerOptions planner;
-  runtime::BuildOptions build;
   /// Called once per finally-assigned job pipeline with the slice it was
   /// built for. Tests hang the ScheduleValidator here; scenario itself must
   /// not depend on check.

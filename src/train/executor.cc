@@ -127,13 +127,13 @@ BackpropResult RunPipelined(MlpModel& model, const Tensor& inputs, const Tensor&
     }
   }
 
-  // Per-stage schedule orders and cursors.
-  std::vector<std::vector<runtime::ScheduleStep>> orders;
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(num_stages), 0);
-  for (int s = 0; s < num_stages; ++s) {
-    orders.push_back(
-        runtime::StageOrder(options.schedule, s, num_stages, num_micro, /*memory_limit=*/0));
-  }
+  DAPPLE_CHECK(options.schedule.kind != runtime::ScheduleKind::kDappleSplitBw)
+      << "RunPipelined does not run DAPPLE-2BP: it has no backward-weight steps";
+  // One cursor per device group, walking the group's order; each step
+  // names the stage (a V group's chunk) it runs.
+  const std::vector<std::vector<runtime::ScheduleStep>> orders =
+      runtime::BuildSchedule(options.schedule, num_stages, num_micro).group_orders;
+  std::vector<std::size_t> cursor(orders.size(), 0);
 
   // Dataflow state.
   // stage_input[s][m]: activation entering stage s for micro-batch m.
@@ -154,10 +154,10 @@ BackpropResult RunPipelined(MlpModel& model, const Tensor& inputs, const Tensor&
   result.max_in_flight.assign(static_cast<std::size_t>(num_stages), 0);
   std::map<int, LayerGrads> grads_by_layer;
 
-  auto try_step = [&](int s) -> bool {
-    auto& order = orders[static_cast<std::size_t>(s)];
-    if (cursor[static_cast<std::size_t>(s)] >= order.size()) return false;
-    const runtime::ScheduleStep step = order[cursor[static_cast<std::size_t>(s)]];
+  auto try_step = [&](std::size_t g) -> bool {
+    if (cursor[g] >= orders[g].size()) return false;
+    const runtime::ScheduleStep step = orders[g][cursor[g]];
+    const int s = step.stage;
     const int m = step.microbatch;
     const int begin = bounds[static_cast<std::size_t>(s)];
     const int end = bounds[static_cast<std::size_t>(s) + 1];
@@ -271,21 +271,20 @@ BackpropResult RunPipelined(MlpModel& model, const Tensor& inputs, const Tensor&
       grad_input[static_cast<std::size_t>(s)].erase(grad_it);
       if (s > 0) grad_input[static_cast<std::size_t>(s) - 1][m] = std::move(grad_in);
     }
-    ++cursor[static_cast<std::size_t>(s)];
+    ++cursor[g];
     return true;
   };
 
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    for (int s = 0; s < num_stages; ++s) {
-      while (try_step(s)) progressed = true;
+    for (std::size_t g = 0; g < orders.size(); ++g) {
+      while (try_step(g)) progressed = true;
     }
   }
-  for (int s = 0; s < num_stages; ++s) {
-    DAPPLE_CHECK_EQ(cursor[static_cast<std::size_t>(s)],
-                    orders[static_cast<std::size_t>(s)].size())
-        << "pipeline schedule deadlocked at stage " << s;
+  for (std::size_t g = 0; g < orders.size(); ++g) {
+    DAPPLE_CHECK_EQ(cursor[g], orders[g].size())
+        << "pipeline schedule deadlocked at device group " << g;
   }
 
   result.grads = AssembleGradients(model, grads_by_layer);

@@ -7,9 +7,12 @@
 //   RunDataParallel  — batch split over R replicas, gradient accumulation,
 //                      AllReduce-style averaging.
 //   RunPipelined     — model split into stages; micro-batches walked in the
-//                      actual DAPPLE (or GPipe) per-stage order with an
+//                      actual per-device-group orders of DAPPLE, GPipe,
+//                      V-Min or V-Half (runtime::BuildSchedule) with an
 //                      activation stash per in-flight micro-batch, optional
 //                      re-computation, and gradient accumulation per stage.
+//                      DAPPLE-2BP is refused: its backward-weight steps
+//                      have no numeric counterpart here.
 //
 // The pipelined executor is a real interpreter of runtime/schedule.h's
 // orders: it refuses to execute a step whose inputs have not been produced
@@ -59,7 +62,8 @@ struct PipelineRunOptions {
   bool recompute = false;
 };
 
-/// Pipeline-parallel execution following the per-stage schedule orders.
+/// Pipeline-parallel execution following the schedule's device-group
+/// orders. Throws dapple::Error for DAPPLE-2BP.
 BackpropResult RunPipelined(MlpModel& model, const Tensor& inputs, const Tensor& targets,
                             const PipelineRunOptions& options);
 

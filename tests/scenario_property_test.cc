@@ -259,6 +259,35 @@ TEST(ScenarioPropertyTest, CoSchedulerDisjointValidatedAndNeverWorseThanEven) {
   EXPECT_GT(report.utilization, 0.0);
 }
 
+// The co-scheduler builds each job's pipelines the way its planner priced
+// them: a planner set to V-Min must yield V-Min pipelines, in the search's
+// cells and in the final assignment the observer sees.
+TEST(ScenarioPropertyTest, CoScheduleRunsThePlannedFamily) {
+  const model::ModelProfile m = TestModel();
+  const topo::Cluster budget = topo::MakeConfigB(3);
+  std::vector<JobSpec> jobs;
+  jobs.push_back(JobSpec{"heavy", m, 16, 60});
+  jobs.push_back(JobSpec{"light", m, 8, 20});
+
+  CoScheduleOptions options;
+  options.planner.keep_alternatives = 0;
+  options.planner.latency.schedule_kind = runtime::ScheduleKind::kVMin;
+  int observed = 0;
+  options.pipeline_observer = [&](const runtime::BuiltPipeline& built,
+                                  const planner::ParallelPlan& plan, const topo::Cluster&) {
+    EXPECT_EQ(built.options.schedule.kind, runtime::ScheduleKind::kVMin)
+        << runtime::ToString(built.options.schedule.kind);
+    const sim::SimResult result = sim::Engine::Run(built.graph, built.engine_options);
+    const check::ValidationReport report =
+        check::ScheduleValidator(plan, built.options).Validate(built, result);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+    ++observed;
+  };
+  const CoScheduleReport report = CoSchedule(budget, jobs, options);
+  EXPECT_EQ(observed, 2);
+  ASSERT_EQ(report.jobs.size(), 2u);
+}
+
 // A cell prices width w on the budget's first w servers, but job k runs on
 // [server_begin, server_begin + w). With per-server speeds those differ, so
 // every job after the first would carry an iteration time for servers it

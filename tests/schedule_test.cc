@@ -26,6 +26,13 @@ ScheduleOptions GPipe() {
   return o;
 }
 
+// Stage i's order with no memory limit: group i's order of a linear
+// family.
+std::vector<ScheduleStep> Order(const ScheduleOptions& options, int stage, int stages,
+                                int m_total) {
+  return BuildSchedule(options, stages, m_total).group_orders[static_cast<std::size_t>(stage)];
+}
+
 TEST(WarmupDepth, PolicyAFormula) {
   // PA: Ki = min(S - i, D) for 4 stages, M large, no memory limit.
   EXPECT_EQ(WarmupDepth(Dapple(), 0, 4, 100, 0), 4);
@@ -79,7 +86,7 @@ void CheckValidOrder(const std::vector<ScheduleStep>& order, int m_total) {
 
 TEST(StageOrder, DappleInterleavesAfterWarmup) {
   // S=2, stage 0, M=6, K=2: F0 F1 B0 F2 B1 F3 B2 F4 B3 F5 B4 B5.
-  const auto order = StageOrder(Dapple(), 0, 2, 6, 0);
+  const auto order = Order(Dapple(), 0, 2, 6);
   CheckValidOrder(order, 6);
   EXPECT_FALSE(order[0].is_backward);
   EXPECT_FALSE(order[1].is_backward);
@@ -91,7 +98,7 @@ TEST(StageOrder, DappleInterleavesAfterWarmup) {
 
 TEST(StageOrder, LastStageIsStrict1F1B) {
   // K = 1 at the last stage: F0 B0 F1 B1 ...
-  const auto order = StageOrder(Dapple(), 1, 2, 4, 0);
+  const auto order = Order(Dapple(), 1, 2, 4);
   CheckValidOrder(order, 4);
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i].is_backward, i % 2 == 1);
@@ -100,7 +107,7 @@ TEST(StageOrder, LastStageIsStrict1F1B) {
 }
 
 TEST(StageOrder, GPipeAllForwardThenReverseBackward) {
-  const auto order = StageOrder(GPipe(), 0, 3, 4, 0);
+  const auto order = Order(GPipe(), 0, 3, 4);
   CheckValidOrder(order, 4);
   for (int i = 0; i < 4; ++i) {
     EXPECT_FALSE(order[static_cast<std::size_t>(i)].is_backward);
@@ -121,7 +128,7 @@ TEST(StageOrder, InFlightNeverExceedsWarmupDepth) {
       for (auto policy : {WarmupPolicy::kPA, WarmupPolicy::kPB}) {
         for (int i = 0; i < stages; ++i) {
           const int k = WarmupDepth(Dapple(policy), i, stages, m_total, 0);
-          const auto order = StageOrder(Dapple(policy), i, stages, m_total, 0);
+          const auto order = Order(Dapple(policy), i, stages, m_total);
           int live = 0, max_live = 0;
           for (const ScheduleStep& step : order) {
             live += step.is_backward ? -1 : 1;
@@ -136,7 +143,7 @@ TEST(StageOrder, InFlightNeverExceedsWarmupDepth) {
 }
 
 TEST(StageOrder, GPipeInFlightIsM) {
-  const auto order = StageOrder(GPipe(), 0, 4, 16, 0);
+  const auto order = Order(GPipe(), 0, 4, 16);
   int live = 0, max_live = 0;
   for (const ScheduleStep& step : order) {
     live += step.is_backward ? -1 : 1;
@@ -149,7 +156,7 @@ TEST(StageOrder, SingleMicroBatchDegenerates) {
   for (auto kind : {ScheduleKind::kDapple, ScheduleKind::kGPipe}) {
     ScheduleOptions o;
     o.kind = kind;
-    const auto order = StageOrder(o, 0, 2, 1, 0);
+    const auto order = Order(o, 0, 2, 1);
     ASSERT_EQ(order.size(), 2u);
     EXPECT_FALSE(order[0].is_backward);
     EXPECT_TRUE(order[1].is_backward);
@@ -261,7 +268,7 @@ TEST(StageOrder, SplitBwSteadyPatternIsBiFwBww) {
   // S=2, stage 0, M=6, K=2: F0 F1 | B0 F2 W0 | B1 F3 W1 | ... — each round
   // the backward-input half runs first (the downstream stage waits on it),
   // the next forward fills the slot, and the weight half trails.
-  const auto order = StageOrder(SplitBw(), 0, 2, 6, 0);
+  const auto order = Order(SplitBw(), 0, 2, 6);
   CheckValidSplitOrder(order, 6);
   EXPECT_FALSE(order[0].is_backward);
   EXPECT_FALSE(order[1].is_backward);
@@ -281,7 +288,7 @@ TEST(StageOrder, SplitBwInFlightTransientIsWarmupPlusOne) {
     for (int m_total : {4, 16}) {
       for (int i = 0; i < stages; ++i) {
         const int k = WarmupDepth(SplitBw(), i, stages, m_total, 0);
-        const auto order = StageOrder(SplitBw(), i, stages, m_total, 0);
+        const auto order = Order(SplitBw(), i, stages, m_total);
         int live = 0, max_live = 0;
         for (const ScheduleStep& step : order) {
           if (!step.is_backward) ++live;
@@ -302,10 +309,12 @@ TEST(StageOrder, SplitBwInFlightTransientIsWarmupPlusOne) {
 void CheckVSchedule(ScheduleKind kind, int stages, int m_total) {
   SCOPED_TRACE(testing::Message() << ToString(kind) << " S=" << stages
                                   << " M=" << m_total);
-  const VSchedule v = BuildVSchedule(kind, stages, m_total);
+  ScheduleOptions options;
+  options.kind = kind;
+  const PipelineSchedule v = BuildSchedule(options, stages, m_total);
   ASSERT_EQ(v.group_orders.size(),
             static_cast<std::size_t>(NumGroups(kind, stages)));
-  ASSERT_EQ(v.in_flight.size(), static_cast<std::size_t>(stages));
+  ASSERT_EQ(v.depths.size(), static_cast<std::size_t>(stages));
   for (int g = 0; g < NumGroups(kind, stages); ++g) {
     std::vector<int> hosted;
     for (int c = 0; c < stages; ++c) {
@@ -334,7 +343,7 @@ void CheckVSchedule(ScheduleKind kind, int stages, int m_total) {
       }
       const int cap = std::min(VStashCap(kind, c, stages), m_total);
       EXPECT_LE(max_live, cap) << "chunk " << c;
-      EXPECT_EQ(max_live, v.in_flight[static_cast<std::size_t>(c)]) << "chunk " << c;
+      EXPECT_EQ(max_live, v.depths[static_cast<std::size_t>(c)]) << "chunk " << c;
     }
   }
 }
@@ -375,37 +384,6 @@ TEST(VSchedule, StashCapsMatchTheMemoryDivisor) {
   EXPECT_EQ(VStashCap(ScheduleKind::kVHalf, 0, 12), 6);
 }
 
-// The schedule GraphBuilder::Build composes: WarmupDepth at each stage's
-// memory limit, lowered to be non-increasing downstream, then each stage's
-// order at its depth; the V shapes' greedy order and realized depths.
-struct ComposedSchedule {
-  std::vector<int> depths;
-  std::vector<std::vector<ScheduleStep>> group_orders;
-};
-
-ComposedSchedule Compose(const ScheduleOptions& options, int stages, int m_total,
-                         const std::vector<int>& limits) {
-  ComposedSchedule out;
-  if (IsVShape(options.kind)) {
-    VSchedule v = BuildVSchedule(options.kind, stages, m_total);
-    out.depths = std::move(v.in_flight);
-    out.group_orders = std::move(v.group_orders);
-    return out;
-  }
-  for (int i = 0; i < stages; ++i) {
-    const int limit = limits.empty() ? 0 : limits[static_cast<std::size_t>(i)];
-    out.depths.push_back(WarmupDepth(options, i, stages, m_total, limit));
-    if (i > 0) {
-      out.depths.back() = std::min(out.depths.back(), out.depths[out.depths.size() - 2]);
-    }
-  }
-  for (int i = 0; i < stages; ++i) {
-    out.group_orders.push_back(
-        StageOrder(options, i, stages, m_total, out.depths[static_cast<std::size_t>(i)]));
-  }
-  return out;
-}
-
 // Pins every depth and every group order over the five kinds x PA/PB x
 // warmup_override {0, 2}, S 1-8 x M 1-12, and four memory-limit shapes:
 // none, all 1, decreasing, and growing downstream (where the
@@ -437,7 +415,7 @@ TEST(Schedule, DigestIsPinned) {
           };
           for (int m_total = 1; m_total <= 12; ++m_total) {
             for (const std::vector<int>& limits : limit_sets) {
-              const ComposedSchedule s = Compose(options, stages, m_total, limits);
+              const PipelineSchedule s = BuildSchedule(options, stages, m_total, limits);
               fp.Mix(static_cast<std::uint64_t>(s.depths.size()));
               for (int k : s.depths) fp.Mix(k);
               fp.Mix(static_cast<std::uint64_t>(s.group_orders.size()));

@@ -5,6 +5,8 @@
 // memory claims: in-flight stash counts.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 #include "train/data.h"
 #include "train/executor.h"
@@ -176,6 +178,20 @@ TEST(Validation, BadOptionsRejected) {
                             Pipeline({0, 3, 3, 7}, 8)),  // empty stage
                Error);
   EXPECT_THROW(RunDataParallel(f.model, f.data.inputs, f.data.targets, 5), Error);
+}
+
+// The trainer has no numeric backward-weight half, so DAPPLE-2BP is
+// refused up front by name rather than run and reported as a deadlock.
+TEST(Validation, SplitBackwardFamilyRejected) {
+  Fixture f;
+  try {
+    RunPipelined(f.model, f.data.inputs, f.data.targets,
+                 Pipeline({0, 3, 7}, 8, runtime::ScheduleKind::kDappleSplitBw));
+    FAIL() << "DAPPLE-2BP ran";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("DAPPLE-2BP"), std::string::npos) << e.what();
+    EXPECT_EQ(std::string(e.what()).find("deadlock"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Dataset, TeacherIsDeterministic) {
