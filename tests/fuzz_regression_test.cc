@@ -74,7 +74,7 @@ TEST(FuzzRegression, Seed15PinsTheSplitBackwardFamily) {
 
 // V-Min on a 4-stage 2:4:1:1 plan (folds onto two groups) with recompute:
 // every device hosts two non-adjacent chunks and the validator checks the
-// merged group order against BuildVSchedule.
+// merged group order against BuildSchedule's.
 TEST(FuzzRegression, Seed64PinsTheVMinFamily) {
   const check::FuzzCase c = check::MakeFuzzCase(64);
   ASSERT_EQ(c.options.schedule.kind, runtime::ScheduleKind::kVMin) << c.Describe();
