@@ -399,20 +399,12 @@ TEST(Schedule, DigestIsPinned) {
         options.warmup = policy;
         options.warmup_override = override_k;
         for (int stages = 1; stages <= 8; ++stages) {
-          const std::vector<std::vector<int>> limit_sets = {
-              {},
-              std::vector<int>(static_cast<std::size_t>(stages), 1),
-              [&] {
-                std::vector<int> v;
-                for (int i = 0; i < stages; ++i) v.push_back(stages - i);
-                return v;
-              }(),
-              [&] {
-                std::vector<int> v;
-                for (int i = 0; i < stages; ++i) v.push_back(i + 2);
-                return v;
-              }(),
-          };
+          std::vector<std::vector<int>> limit_sets(4);
+          for (int i = 0; i < stages; ++i) {
+            limit_sets[1].push_back(1);
+            limit_sets[2].push_back(stages - i);  // decreasing
+            limit_sets[3].push_back(i + 2);       // growing downstream
+          }
           for (int m_total = 1; m_total <= 12; ++m_total) {
             for (const std::vector<int>& limits : limit_sets) {
               const PipelineSchedule s = BuildSchedule(options, stages, m_total, limits);
