@@ -8,12 +8,6 @@
 
 namespace dapple::comm {
 
-TimeSec CostModel::P2P(topo::DeviceId src, topo::DeviceId dst, Bytes bytes) const {
-  if (src == dst || bytes == 0) return 0.0;
-  const BytesPerSec bw = cluster_->bandwidth(src, dst);
-  return kP2PLaunchOverhead + cluster_->latency(src, dst) + static_cast<double>(bytes) / bw;
-}
-
 ReplicaGroup ReplicaGroup::Of(const topo::Cluster& cluster, const topo::DeviceSet& devices) {
   return {devices.size(), devices.SingleServer(cluster)};
 }
@@ -32,10 +26,6 @@ TimeSec BoundAllReduce::operator()(Bytes bytes) const {
   const double steps = 2.0 * (n_ - 1);
   const double volume = 2.0 * static_cast<double>(n_ - 1) / n_ * static_cast<double>(bytes);
   return kCollectiveLaunchOverhead + steps * latency_ + volume / bandwidth_;
-}
-
-TimeSec CostModel::AllReduce(const topo::DeviceSet& devices, Bytes bytes) const {
-  return BoundAllReduce(cluster_->interconnect(), ReplicaGroup::Of(*cluster_, devices))(bytes);
 }
 
 StageLink StageLink::Between(const topo::Cluster& cluster, const topo::DeviceSet& from,
@@ -104,11 +94,6 @@ TimeSec BoundCrossStage::operator()(Bytes bytes) const {
   }
 
   return kP2PLaunchOverhead + latency_ + wire + staging;
-}
-
-TimeSec CostModel::CrossStage(const topo::DeviceSet& from, const topo::DeviceSet& to,
-                              Bytes bytes) const {
-  return BoundCrossStage(cluster_->interconnect(), StageLink::Between(*cluster_, from, to))(bytes);
 }
 
 }  // namespace dapple::comm

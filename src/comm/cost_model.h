@@ -63,7 +63,8 @@ class BoundAllReduce {
  public:
   BoundAllReduce(const topo::InterconnectSpec& net, ReplicaGroup group);
 
-  /// CostModel::AllReduce(devices, bytes) for a set of the bound group.
+  /// Flat ring AllReduce of `bytes` over the group: 2(n-1)/n * bytes over
+  /// the bottleneck link, plus per-step latency. Zero for groups of size < 2.
   TimeSec operator()(Bytes bytes) const;
 
  private:
@@ -79,7 +80,14 @@ class BoundCrossStage {
  public:
   BoundCrossStage(const topo::InterconnectSpec& net, StageLink link);
 
-  /// CostModel::CrossStage(from, to, bytes) for a pair of the bound link.
+  /// Cross-stage activation (or activation-gradient) transfer of one
+  /// micro-batch totalling `bytes`, from the replicas of one stage to the
+  /// replicas of the next. Models the split/concat of paper Fig. 9: each of
+  /// the `from` replicas holds bytes/|from|, each `to` replica must end up
+  /// with bytes/|to|; slices move in parallel over the slowest involved
+  /// link, with a memcpy charge when a split or concat is required. A
+  /// point-to-point hop is the one-to-one link {1, 1, same server, !same
+  /// server}.
   TimeSec operator()(Bytes bytes) const;
 
  private:
@@ -87,37 +95,6 @@ class BoundCrossStage {
   int to_size_ = 0;
   BytesPerSec bandwidth_ = 0.0;
   TimeSec latency_ = 0.0;
-};
-
-/// Stateless cost calculator bound to a cluster topology.
-class CostModel {
- public:
-  explicit CostModel(const topo::Cluster& cluster) : cluster_(&cluster) {}
-
-  const topo::Cluster& cluster() const { return *cluster_; }
-
-  /// Point-to-point transfer time for `bytes` from src to dst.
-  TimeSec P2P(topo::DeviceId src, topo::DeviceId dst, Bytes bytes) const;
-
-  /// Flat ring AllReduce over the set: 2(n-1)/n * bytes over the
-  /// bottleneck link, plus per-step latency. Zero for sets of size < 2.
-  /// Prices many buckets over one set with a BoundAllReduce built from
-  /// ReplicaGroup::Of(cluster, devices).
-  TimeSec AllReduce(const topo::DeviceSet& devices, Bytes bytes) const;
-
-  /// Cross-stage activation (or activation-gradient) transfer of one
-  /// micro-batch totalling `bytes`, from the replicas of one stage to the
-  /// replicas of the next. Models the split/concat of paper Fig. 9: each of
-  /// the `from` replicas holds bytes/|from|, each `to` replica must end up
-  /// with bytes/|to|; slices move in parallel over the slowest involved
-  /// link, with a memcpy charge when a split or concat is required.
-  /// Prices many sizes over one pair with a BoundCrossStage built from
-  /// StageLink::Between(cluster, from, to).
-  TimeSec CrossStage(const topo::DeviceSet& from, const topo::DeviceSet& to,
-                     Bytes bytes) const;
-
- private:
-  const topo::Cluster* cluster_;
 };
 
 }  // namespace dapple::comm

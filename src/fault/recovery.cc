@@ -51,9 +51,9 @@ using ReplanMemo = std::unordered_map<std::uint64_t, std::optional<planner::Para
 /// planner books its search stats under fault.replan.*: replans sit on the
 /// recovery critical path, so their wall time and cache behaviour are the
 /// numbers an operator cares about; a memo hit books fault.replan.memo_hits
-/// instead. Only elastic-up ever sees a grown cluster (PolicyStateAt keeps
-/// crashes permanent for every other policy), so the remap may use new
-/// devices exactly when the cluster grew. The remap depends on the running
+/// instead. Only elastic-up ever sees a grown cluster (every other policy's
+/// control plane keeps crashes permanent), so the remap may use new devices
+/// exactly when the cluster grew. The remap depends on the running
 /// plan, so it is never memoized.
 ElasticReplan Replan(const model::ModelProfile& model, const topo::Cluster& cluster,
                      const ClusterState& now, const Config& running,
@@ -116,20 +116,17 @@ TimeSec NextCrash(const FaultScript& script, TimeSec t,
   return next;
 }
 
-/// The cluster state a policy's control plane acts on at time t. Only
-/// elastic-up has a state-migration path onto returning hardware, so only
-/// it sees rejoins; every other policy keeps crashes permanent — which also
-/// keeps their reports byte-identical on rejoin-free legacy scripts.
-ClusterState PolicyStateAt(const FaultScript& script, const topo::Cluster& cluster,
-                           TimeSec t, RecoveryPolicy policy) {
-  if (policy == RecoveryPolicy::kElasticUp || !script.HasRejoin()) {
-    return StateAt(script, cluster, t);
-  }
-  FaultScript pessimistic;
+/// The script a policy's control plane acts on. Only elastic-up has a
+/// state-migration path onto returning hardware, so only it sees rejoins;
+/// every other policy keeps crashes permanent — which also keeps their
+/// reports byte-identical on rejoin-free legacy scripts.
+FaultScript ControlPlaneView(const FaultScript& script, RecoveryPolicy policy) {
+  if (policy == RecoveryPolicy::kElasticUp) return script;
+  FaultScript view;
   for (const FaultEvent& e : script.events) {
-    if (e.kind != FaultKind::kDeviceRejoin) pessimistic.events.push_back(e);
+    if (e.kind != FaultKind::kDeviceRejoin) view.events.push_back(e);
   }
-  return StateAt(pessimistic, cluster, t);
+  return view;
 }
 
 /// True when no fault-script boundary falls strictly inside (begin, end).
@@ -219,6 +216,9 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
     planner_options.global_batch_size = options.build.global_batch_size;
   }
 
+  const bool elastic =
+      policy == RecoveryPolicy::kElasticReplan || policy == RecoveryPolicy::kElasticUp;
+  const FaultScript control = ControlPlaneView(script, policy);
   ReplanMemo replan_memo;
   TimeSec t = 0.0;
   int iterations = 0;
@@ -233,40 +233,43 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
     halted = true;
   };
 
+  // One elastic replan onto the control-plane state at `seen`: a row from
+  // `start` to `done`, after which the next iteration starts.
+  auto replan = [&](TimeSec start, TimeSec seen, TimeSec done) {
+    const ClusterState now = StateAt(control, cluster, seen);
+    ElasticReplan step = Replan(model, cluster, now, config, planner_options, replan_memo);
+    if (!step.plan) {
+      halt(start, step.halt_reason);
+      return;
+    }
+    std::string note =
+        "replanned onto " + step.degraded.cluster.name() + " as " + step.plan->ToString();
+    if (step.grew) {
+      // Checkpoint-bounded cutover: new devices need a state snapshot, so
+      // pay a restore on top of the replan and roll back to the last
+      // periodic checkpoint — at most checkpoint_period iterations.
+      const int rollback = iterations - last_checkpoint_iter;
+      report.iterations_lost += rollback;
+      iterations = last_checkpoint_iter;
+      ++report.scale_ups;
+      report.max_scale_up_rollback = std::max(report.max_scale_up_rollback, rollback);
+      ++report.restores;
+      done += options.restore_cost;
+      note = "rolled back to iteration " + std::to_string(last_checkpoint_iter) + ", " + note;
+    }
+    report.timeline.push_back({step.grew ? "scale-up" : "replan", start, done, -1, note});
+    ++report.replans;
+    config = build_config(std::move(*step.plan), step.degraded.cluster,
+                          step.degraded.to_original_device, now);
+    t = done;
+  };
+
   while (t < horizon && !halted && steps++ < options.max_iterations) {
     // Elastic replans at iteration boundaries whenever the observed cluster
     // state no longer matches the one the running plan targets.
-    if (policy == RecoveryPolicy::kElasticReplan || policy == RecoveryPolicy::kElasticUp) {
-      const ClusterState now = PolicyStateAt(script, cluster, t, policy);
-      if (now != config.planned_state) {
-        ElasticReplan step = Replan(model, cluster, now, config, planner_options, replan_memo);
-        if (!step.plan) {
-          halt(t, step.halt_reason);
-          break;
-        }
-        std::string note =
-            "replanned onto " + step.degraded.cluster.name() + " as " + step.plan->ToString();
-        TimeSec done = t + options.replan_cost;
-        if (step.grew) {
-          // Checkpoint-bounded cutover: new devices need a state snapshot,
-          // so pay a restore on top of the replan and roll back to the last
-          // periodic checkpoint — at most checkpoint_period iterations.
-          const int rollback = iterations - last_checkpoint_iter;
-          report.iterations_lost += rollback;
-          iterations = last_checkpoint_iter;
-          ++report.scale_ups;
-          report.max_scale_up_rollback = std::max(report.max_scale_up_rollback, rollback);
-          ++report.restores;
-          done += options.restore_cost;
-          note = "rolled back to iteration " + std::to_string(last_checkpoint_iter) + ", " + note;
-        }
-        report.timeline.push_back({step.grew ? "scale-up" : "replan", t, done, -1, note});
-        ++report.replans;
-        config = build_config(std::move(*step.plan), step.degraded.cluster,
-                              step.degraded.to_original_device, now);
-        t = done;
-        continue;  // state may have shifted again while replanning
-      }
+    if (elastic && StateAt(control, cluster, t) != config.planned_state) {
+      replan(t, t, t + options.replan_cost);
+      continue;  // state may have shifted again while replanning
     }
 
     sim::EngineOptions engine_options = config.built.engine_options;
@@ -282,15 +285,15 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
           {"iteration", t, end, iterations, config.plan.ToString()});
       if (recovered_start == kInf && (script.empty() || t >= onset)) {
         bool clean;
-        if (policy == RecoveryPolicy::kElasticReplan || policy == RecoveryPolicy::kElasticUp) {
-          clean = PolicyStateAt(script, cluster, t, policy) == config.planned_state &&
+        if (elastic) {
+          clean = StateAt(control, cluster, t) == config.planned_state &&
                   NoBoundaryInside(script, t, end);
         } else {
           // Stall and checkpoint never adapt to transient windows: clean
           // means no window touches the iteration and every crash so far is
           // one this config was (re)built without.
           clean = !WindowOverlaps(script, t, end) &&
-                  PolicyStateAt(script, cluster, t, policy).device_dead ==
+                  StateAt(control, cluster, t).device_dead ==
                       config.planned_state.device_dead &&
                   NextCrash(script, t, &config.planned_state.device_dead) >= end;
         }
@@ -323,7 +326,7 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
         break;
       case RecoveryPolicy::kCheckpointRestart: {
         const TimeSec resumed = crash_time + options.detect_latency + options.restore_cost;
-        const ClusterState now = PolicyStateAt(script, cluster, resumed, policy);
+        const ClusterState now = StateAt(control, cluster, resumed);
         const DegradedCluster degraded = MakeDegradedCluster(cluster, now);
         const auto remapped = RemapPlanToCluster(config.plan, degraded);
         if (!remapped) {
@@ -344,19 +347,7 @@ FaultReport RunFaultExperiment(const model::ModelProfile& model, const topo::Clu
       case RecoveryPolicy::kElasticReplan:
       case RecoveryPolicy::kElasticUp: {
         const TimeSec resumed = crash_time + options.detect_latency + options.replan_cost;
-        const ClusterState now = PolicyStateAt(script, cluster, resumed, policy);
-        ElasticReplan step = Replan(model, cluster, now, config, planner_options, replan_memo);
-        if (!step.plan) {
-          halt(crash_time, step.halt_reason);
-          break;
-        }
-        report.timeline.push_back({"replan", crash_time, resumed, -1,
-                                   "replanned onto " + step.degraded.cluster.name() + " as " +
-                                       step.plan->ToString()});
-        ++report.replans;
-        config = build_config(std::move(*step.plan), step.degraded.cluster,
-                              step.degraded.to_original_device, now);
-        t = resumed;
+        replan(crash_time, resumed, resumed);
         break;
       }
     }

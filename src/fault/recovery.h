@@ -23,7 +23,10 @@
 //                        grown cluster and migrate via a checkpoint-bounded
 //                        cutover — pay replan + restore and roll back to
 //                        the last periodic checkpoint, so a scale-up never
-//                        loses more than checkpoint_period iterations.
+//                        loses more than checkpoint_period iterations. A
+//                        crash-time replan whose resume instant already
+//                        sees a rejoined device lands on a grown cluster
+//                        too, so it is a scale-up and pays the same.
 //
 // Everything is simulated time: detection latency, restore and replan costs
 // are configured constants, so identical (plan, script, options) produce a
@@ -124,7 +127,8 @@ struct FaultReport {
   int restores = 0;
   /// Iterations whose work was thrown away (rollback or crash abort).
   int iterations_lost = 0;
-  /// Elastic-up only: growth cutovers taken (replan onto a grown cluster).
+  /// Elastic-up only: growth cutovers taken (a replan onto a grown cluster,
+  /// at an iteration boundary or after a crash).
   int scale_ups = 0;
   /// Elastic-up only: the largest rollback any single scale-up cutover paid,
   /// in iterations — bounded by checkpoint_period by construction.

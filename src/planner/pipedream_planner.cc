@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "comm/cost_model.h"
 #include "common/error.h"
 
 namespace dapple::planner {
@@ -55,7 +54,6 @@ ParallelPlan PipedreamPlanner::Plan() const {
       static_cast<std::size_t>(n + 1),
       std::vector<Choice>(static_cast<std::size_t>(g + 1)));
 
-  comm::CostModel cost(*cluster_);
   dp[0][0] = 0.0;
   for (int j = 1; j <= n; ++j) {
     for (int m = 1; m <= g; ++m) {

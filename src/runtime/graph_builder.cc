@@ -58,10 +58,10 @@ BuiltPipeline GraphBuilder::Build() const {
   const ScheduleKind kind = options_.schedule.kind;
   const int num_groups = NumGroups(kind, num_stages);
   const bool split_bw = kind == ScheduleKind::kDappleSplitBw;
-  comm::CostModel cost(*cluster_);
   // The planner's cost model, configured as the plan was priced: the
-  // builder reads its micro-batching, stage memory, capacity and exposed
-  // AllReduce, so the simulated OOM boundary is the planner's.
+  // builder reads its micro-batching, stage memory, capacity, boundary
+  // transfers and exposed AllReduce, so the simulated OOM boundary is the
+  // planner's.
   planner::LatencyOptions latency;
   latency.overlap_allreduce = options_.overlap_allreduce;
   latency.memory_cap = options_.memory_cap;
@@ -247,21 +247,25 @@ BuiltPipeline GraphBuilder::Build() const {
     const StageInfo& sn = info[static_cast<std::size_t>(i + 1)];
     const Bytes act = model_->ActivationAt(si.plan->layer_end, static_cast<double>(mbs));
     // Split micro-batches cross the boundary between the same replica sets
-    // with the same bytes every time; co-located device sets (a V group's
-    // two chunks, or the V bottom) degrade to a local memcpy inside
-    // CrossStage.
-    const TimeSec split_tx =
-        split ? cost.CrossStage(si.exec->devices, sn.exec->devices, act) : 0.0;
-    const TimeSec split_btx =
-        split ? cost.CrossStage(sn.exec->devices, si.exec->devices, act) : 0.0;
+    // with the same bytes every time, at the planner's price; co-located
+    // device sets (a V group's two chunks, or the V bottom) degrade to a
+    // local memcpy.
+    const planner::StageCost split_cost =
+        split ? estimator.CommAcross(si.exec->devices, sn.exec->devices, mbs)(si.plan->layer_end)
+              : planner::StageCost{};
     for (int m = 0; m < m_total; ++m) {
-      TimeSec tx_time = split_tx;
-      TimeSec btx_time = split_btx;
+      TimeSec tx_time = split_cost.forward;
+      TimeSec btx_time = split_cost.backward;
       if (!split) {
+        // A round-robin hop is one device to one device, the same price
+        // both ways; a hop that stays on its device is free.
         const topo::DeviceId a = slot_device(i, m, 0);
         const topo::DeviceId b = slot_device(i + 1, m, 0);
-        tx_time = a == b ? 0.0 : cost.P2P(a, b, act);
-        btx_time = a == b ? 0.0 : cost.P2P(b, a, act);
+        const bool same_server = cluster_->same_server(a, b);
+        tx_time = a == b ? 0.0
+                         : comm::BoundCrossStage(cluster_->interconnect(),
+                                                 {1, 1, same_server, !same_server})(act);
+        btx_time = tx_time;
       }
       sim::Task txf;
       txf.kind = sim::TaskKind::kTransfer;

@@ -166,29 +166,25 @@ BackpropResult RunPipelined(MlpModel& model, const Tensor& inputs, const Tensor&
       auto input_it = stage_input[static_cast<std::size_t>(s)].find(m);
       if (input_it == stage_input[static_cast<std::size_t>(s)].end()) return false;
 
-      // Replicated stage: split the micro-batch into row slices, forward
-      // each independently (paper Fig. 9's split), and concat the outputs
-      // for the next stage. Slices share the stage's weights, so the
-      // concatenated result is bit-identical to the unreplicated forward
-      // — which is exactly the property DAPPLE's replication relies on.
+      // Split the micro-batch into one row slice per replica (a single
+      // slice when unreplicated), forward each independently (paper Fig.
+      // 9's split), and concat the outputs for the next stage. Slices share
+      // the stage's weights, so the concatenated result is bit-identical to
+      // the unreplicated forward — which is exactly the property DAPPLE's
+      // replication relies on.
       const int r = replicas[static_cast<std::size_t>(s)];
+      const std::size_t slice_rows = input_it->second.rows() / static_cast<std::size_t>(r);
       std::vector<Tensor> saved;
-      Tensor out;
-      if (r == 1) {
-        out = ForwardRange(model, begin, end, input_it->second, &saved);
-      } else {
-        const std::size_t slice_rows = input_it->second.rows() / static_cast<std::size_t>(r);
-        std::vector<Tensor> outs;
-        for (int k = 0; k < r; ++k) {
-          const Tensor slice = input_it->second.RowSlice(
-              static_cast<std::size_t>(k) * slice_rows,
-              static_cast<std::size_t>(k + 1) * slice_rows);
-          std::vector<Tensor> slice_saved;
-          outs.push_back(ForwardRange(model, begin, end, slice, &slice_saved));
-          for (Tensor& t : slice_saved) saved.push_back(std::move(t));
-        }
-        out = Tensor::VStack(outs);
+      std::vector<Tensor> outs;
+      for (int k = 0; k < r; ++k) {
+        const Tensor slice =
+            input_it->second.RowSlice(static_cast<std::size_t>(k) * slice_rows,
+                                      static_cast<std::size_t>(k + 1) * slice_rows);
+        std::vector<Tensor> slice_saved;
+        outs.push_back(ForwardRange(model, begin, end, slice, &slice_saved));
+        for (Tensor& t : slice_saved) saved.push_back(std::move(t));
       }
+      Tensor out = Tensor::VStack(outs);
       if (options.recompute) {
         // Checkpoint only the stage input; the saved contexts are
         // regenerated during backward.
@@ -224,49 +220,36 @@ BackpropResult RunPipelined(MlpModel& model, const Tensor& inputs, const Tensor&
       DAPPLE_CHECK(stash_it != stash[static_cast<std::size_t>(s)].end())
           << "backward before forward for micro " << m << " stage " << s;
 
+      // Each replica back-propagates its row slice; parameter gradients
+      // accumulate into the shared sink (the numeric AllReduce), and input
+      // slices re-concatenate.
       const int r = replicas[static_cast<std::size_t>(s)];
-      Tensor grad_in;
-      if (r == 1) {
+      const std::size_t slice_rows = grad_it->second.rows() / static_cast<std::size_t>(r);
+      const int layers_per = end - begin;
+      std::vector<Tensor> grad_slices;
+      for (int k = 0; k < r; ++k) {
+        const Tensor grad_slice =
+            grad_it->second.RowSlice(static_cast<std::size_t>(k) * slice_rows,
+                                     static_cast<std::size_t>(k + 1) * slice_rows);
         std::vector<Tensor> saved;
         if (options.recompute) {
-          // Replay the forward pass from the checkpointed input.
-          (void)ForwardRange(model, begin, end, stash_it->second.front(), &saved);
+          // Replay this slice's forward from the checkpointed input.
+          const std::size_t in_rows =
+              stash_it->second.front().rows() / static_cast<std::size_t>(r);
+          const Tensor in_slice =
+              stash_it->second.front().RowSlice(static_cast<std::size_t>(k) * in_rows,
+                                                static_cast<std::size_t>(k + 1) * in_rows);
+          (void)ForwardRange(model, begin, end, in_slice, &saved);
         } else {
-          saved = std::move(stash_it->second);
-        }
-        grad_in = BackwardRange(model, begin, end, saved, grad_it->second,
-                                grads_by_layer);
-      } else {
-        // Replicated backward: each replica back-propagates its row slice;
-        // parameter gradients accumulate into the shared sink (the
-        // numeric AllReduce), and input slices re-concatenate.
-        const std::size_t slice_rows =
-            grad_it->second.rows() / static_cast<std::size_t>(r);
-        const int layers_per = end - begin;
-        std::vector<Tensor> grad_slices;
-        for (int k = 0; k < r; ++k) {
-          const Tensor grad_slice = grad_it->second.RowSlice(
-              static_cast<std::size_t>(k) * slice_rows,
-              static_cast<std::size_t>(k + 1) * slice_rows);
-          std::vector<Tensor> saved;
-          if (options.recompute) {
-            const std::size_t in_rows =
-                stash_it->second.front().rows() / static_cast<std::size_t>(r);
-            const Tensor in_slice = stash_it->second.front().RowSlice(
-                static_cast<std::size_t>(k) * in_rows,
-                static_cast<std::size_t>(k + 1) * in_rows);
-            (void)ForwardRange(model, begin, end, in_slice, &saved);
-          } else {
-            for (int l = 0; l < layers_per; ++l) {
-              saved.push_back(std::move(
-                  stash_it->second[static_cast<std::size_t>(k * layers_per + l)]));
-            }
+          for (int l = 0; l < layers_per; ++l) {
+            saved.push_back(
+                std::move(stash_it->second[static_cast<std::size_t>(k * layers_per + l)]));
           }
-          grad_slices.push_back(
-              BackwardRange(model, begin, end, saved, grad_slice, grads_by_layer));
         }
-        grad_in = Tensor::VStack(grad_slices);
+        grad_slices.push_back(
+            BackwardRange(model, begin, end, saved, grad_slice, grads_by_layer));
       }
+      Tensor grad_in = Tensor::VStack(grad_slices);
       stash[static_cast<std::size_t>(s)].erase(stash_it);  // early memory release
       grad_input[static_cast<std::size_t>(s)].erase(grad_it);
       if (s > 0) grad_input[static_cast<std::size_t>(s) - 1][m] = std::move(grad_in);

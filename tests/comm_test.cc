@@ -20,34 +20,63 @@ using topo::DeviceSet;
 using topo::MakeConfigA;
 using topo::MakeConfigB;
 
+// A ring AllReduce over `devices`, priced as the estimator prices it.
+TimeSec Ring(const Cluster& cluster, const DeviceSet& devices, Bytes bytes) {
+  return BoundAllReduce(cluster.interconnect(), ReplicaGroup::Of(cluster, devices))(bytes);
+}
+
+// A cross-stage transfer from `from` to `to`, priced as the estimator
+// prices a boundary.
+TimeSec Transfer(const Cluster& cluster, const DeviceSet& from, const DeviceSet& to,
+                 Bytes bytes) {
+  return BoundCrossStage(cluster.interconnect(), StageLink::Between(cluster, from, to))(bytes);
+}
+
+std::uint64_t Bits(TimeSec t) { return std::bit_cast<std::uint64_t>(t); }
+
 TEST(CostModel, P2PRespectsLocality) {
   const Cluster a = MakeConfigA(2);
-  CostModel cost(a);
   const Bytes bytes = 100_MiB;
-  const TimeSec intra = cost.P2P(0, 1, bytes);
-  const TimeSec inter = cost.P2P(0, 8, bytes);
+  const TimeSec intra = Transfer(a, DeviceSet({0}), DeviceSet({1}), bytes);
+  const TimeSec inter = Transfer(a, DeviceSet({0}), DeviceSet({8}), bytes);
   EXPECT_LT(intra, inter);
   // 100 MiB over 25 Gbps ~ 33.6 ms dominates overheads.
   EXPECT_NEAR(inter, static_cast<double>(bytes) / Gbps(25.0), 1e-3);
-  EXPECT_EQ(cost.P2P(0, 0, bytes), 0.0);
-  EXPECT_EQ(cost.P2P(0, 1, 0), 0.0);
+}
+
+TEST(CostModel, OneToOneCrossStageIsThePointToPointClosedFormBitForBit) {
+  // A round-robin hop between two distinct devices is priced as a
+  // one-to-one stage link; it must equal the point-to-point alpha-beta
+  // form, launch + latency(a, b) + bytes / bandwidth(a, b), exactly.
+  const Cluster a = MakeConfigA(2);
+  for (const auto& [src, dst] : {std::pair<topo::DeviceId, topo::DeviceId>{0, 1}, {0, 8}}) {
+    const bool same_server = a.same_server(src, dst);
+    const BoundCrossStage hop(a.interconnect(), {1, 1, same_server, !same_server});
+    for (const Bytes bytes : {Bytes{1}, 1_MiB + 7, 100_MiB}) {
+      SCOPED_TRACE(std::to_string(src) + " -> " + std::to_string(dst) + " " +
+                   std::to_string(bytes));
+      const TimeSec closed_form = kP2PLaunchOverhead + a.latency(src, dst) +
+                                  static_cast<double>(bytes) / a.bandwidth(src, dst);
+      EXPECT_EQ(Bits(hop(bytes)), Bits(closed_form));
+      EXPECT_EQ(Bits(Transfer(a, DeviceSet({src}), DeviceSet({dst}), bytes)), Bits(closed_form));
+    }
+    EXPECT_EQ(hop(0), 0.0);
+  }
 }
 
 TEST(CostModel, RingAllReduceMatchesClosedForm) {
   const Cluster a = MakeConfigA(1);
-  CostModel cost(a);
   const DeviceSet ring = DeviceSet::Range(0, 4);
   const Bytes bytes = 1_GiB;
   const double expected_volume = 2.0 * 3.0 / 4.0 * static_cast<double>(bytes);
-  const TimeSec t = cost.AllReduce(ring, bytes);
+  const TimeSec t = Ring(a, ring, bytes);
   EXPECT_NEAR(t, expected_volume / GBps(130.0), 1e-3);
 }
 
 TEST(CostModel, AllReduceZeroForTrivialCases) {
   const Cluster a = MakeConfigA(1);
-  CostModel cost(a);
-  EXPECT_EQ(cost.AllReduce(DeviceSet::Range(0, 1), 1_GiB), 0.0);
-  EXPECT_EQ(cost.AllReduce(DeviceSet::Range(0, 4), 0), 0.0);
+  EXPECT_EQ(Ring(a, DeviceSet::Range(0, 1), 1_GiB), 0.0);
+  EXPECT_EQ(Ring(a, DeviceSet::Range(0, 4), 0), 0.0);
 }
 
 TEST(CostModel, AllReduceIsAFlatRingAcrossServers) {
@@ -55,12 +84,11 @@ TEST(CostModel, AllReduceIsAFlatRingAcrossServers) {
   // bottlenecked by Ethernet once the set spans servers — the full
   // 2(n-1)/n volume crosses the slow link.
   const Cluster a = MakeConfigA(2);
-  CostModel cost(a);
   const DeviceSet span = DeviceSet::Range(0, 16);
   const Bytes bytes = 1_GiB;
   const double volume = 2.0 * 15.0 / 16.0 * static_cast<double>(bytes);
-  EXPECT_NEAR(cost.AllReduce(span, bytes), volume / Gbps(25.0), 1e-3);
-  EXPECT_GT(cost.AllReduce(span, bytes), cost.AllReduce(DeviceSet::Range(0, 8), bytes));
+  EXPECT_NEAR(Ring(a, span, bytes), volume / Gbps(25.0), 1e-3);
+  EXPECT_GT(Ring(a, span, bytes), Ring(a, DeviceSet::Range(0, 8), bytes));
 }
 
 // The ring AllReduce over the slowest link and worst latency of every pair
@@ -83,8 +111,6 @@ TimeSec RingReference(const Cluster& cluster, const DeviceSet& devices, Bytes by
   return kCollectiveLaunchOverhead + steps * lat + volume / bw;
 }
 
-std::uint64_t Bits(TimeSec t) { return std::bit_cast<std::uint64_t>(t); }
-
 TEST(CostModel, BoundAllReduceMatchesEveryEntryPointBitForBit) {
   const Cluster a = MakeConfigA(2);
   const std::vector<Cluster> clusters = {a, a.WithServerSpeeds({1.0, 0.5}), MakeConfigB(16)};
@@ -94,7 +120,6 @@ TEST(CostModel, BoundAllReduceMatchesEveryEntryPointBitForBit) {
       DeviceSet::Range(0, 16)};
   const std::vector<Bytes> sizes = {0, 1, 1_MiB + 7, 1_GiB};
   for (const Cluster& cluster : clusters) {
-    const CostModel cost(cluster);
     for (const DeviceSet& set : sets) {
       const auto& ids = set.devices();
       if (!ids.empty() && *std::max_element(ids.begin(), ids.end()) >= cluster.num_devices()) {
@@ -105,14 +130,13 @@ TEST(CostModel, BoundAllReduceMatchesEveryEntryPointBitForBit) {
         SCOPED_TRACE(cluster.name() + " " + set.ToString() + " " + std::to_string(bytes));
         const TimeSec ring = RingReference(cluster, set, bytes);
         EXPECT_EQ(Bits(bound(bytes)), Bits(ring));
-        EXPECT_EQ(Bits(cost.AllReduce(set, bytes)), Bits(ring));
       }
     }
   }
 }
 
-// CrossStage as written before it was bound to a pair of sets, in its
-// original expression order.
+// The cross-stage transfer as written before it was bound to a stage link,
+// in its original expression order.
 TimeSec CrossStageReference(const Cluster& cluster, const DeviceSet& from, const DeviceSet& to,
                             Bytes bytes) {
   if (bytes == 0) return 0.0;
@@ -152,7 +176,6 @@ TEST(CostModel, BoundCrossStageMatchesCrossStageBitForBit) {
       {DeviceSet({15, 8}), DeviceSet({0, 9, 8})}};
   const std::vector<Bytes> sizes = {0, 1, 1_MiB + 7, 1_GiB};
   for (const Cluster& cluster : clusters) {
-    const CostModel cost(cluster);
     for (const auto& [from, to] : pairs) {
       const BoundCrossStage bound(cluster.interconnect(),
                                   StageLink::Between(cluster, from, to));
@@ -161,7 +184,6 @@ TEST(CostModel, BoundCrossStageMatchesCrossStageBitForBit) {
                      std::to_string(bytes));
         const TimeSec reference = CrossStageReference(cluster, from, to, bytes);
         EXPECT_EQ(Bits(bound(bytes)), Bits(reference));
-        EXPECT_EQ(Bits(cost.CrossStage(from, to, bytes)), Bits(reference));
       }
     }
   }
@@ -203,11 +225,10 @@ TEST(CostModel, StageLinkMatchesEveryDevicePair) {
 
 TEST(CostModel, AllReduceMonotoneInSize) {
   const Cluster b = MakeConfigB(8);
-  CostModel cost(b);
   const DeviceSet devices = DeviceSet::Range(0, 8);
   TimeSec prev = 0.0;
   for (Bytes bytes : {1_MiB, 16_MiB, 256_MiB, 1_GiB}) {
-    const TimeSec t = cost.AllReduce(devices, bytes);
+    const TimeSec t = Ring(b, devices, bytes);
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -215,51 +236,41 @@ TEST(CostModel, AllReduceMonotoneInSize) {
 
 TEST(CostModel, CrossStageUsesWorstLink) {
   const Cluster a = MakeConfigA(2);
-  CostModel cost(a);
   const Bytes act = 26_MiB;  // GNMT boundary traffic (Table I)
-  const TimeSec same_server =
-      cost.CrossStage(DeviceSet::Range(0, 4), DeviceSet::Range(4, 4), act);
-  const TimeSec cross_server =
-      cost.CrossStage(DeviceSet::Range(0, 8), DeviceSet::Range(8, 8), act);
+  const TimeSec same_server = Transfer(a, DeviceSet::Range(0, 4), DeviceSet::Range(4, 4), act);
+  const TimeSec cross_server = Transfer(a, DeviceSet::Range(0, 8), DeviceSet::Range(8, 8), act);
   EXPECT_LT(same_server, cross_server);
 }
 
 TEST(CostModel, CrossStageParallelizesOverReplicas) {
   const Cluster b = MakeConfigB(16);
-  CostModel cost(b);
   const Bytes act = 64_MiB;
   // 8 senders each ship act/8: faster than 1 sender shipping act.
-  const TimeSec wide =
-      cost.CrossStage(DeviceSet::Range(0, 8), DeviceSet::Range(8, 8), act);
-  const TimeSec narrow =
-      cost.CrossStage(DeviceSet::Range(0, 1), DeviceSet::Range(1, 1), act);
+  const TimeSec wide = Transfer(b, DeviceSet::Range(0, 8), DeviceSet::Range(8, 8), act);
+  const TimeSec narrow = Transfer(b, DeviceSet::Range(0, 1), DeviceSet::Range(1, 1), act);
   EXPECT_LT(wide, narrow);
 }
 
 TEST(CostModel, CrossStageChargesSplitConcatOnlyWhenUnequal) {
   const Cluster a = MakeConfigA(2);
-  CostModel cost(a);
   const Bytes act = 64_MiB;
   const BytesPerSec bw = a.bandwidth(0, 8);
   const TimeSec fixed = kP2PLaunchOverhead + a.latency(0, 8);
   const double quarter = static_cast<double>(act) / 4;
   const double half = static_cast<double>(act) / 2;
   // Equal replica counts: slices move as they are, no staging copy.
-  const TimeSec equal =
-      cost.CrossStage(DeviceSet::Range(0, 4), DeviceSet::Range(8, 4), act);
+  const TimeSec equal = Transfer(a, DeviceSet::Range(0, 4), DeviceSet::Range(8, 4), act);
   EXPECT_DOUBLE_EQ(equal, fixed + quarter / bw);
   // Many-to-one moves bigger per-endpoint slices AND pays a concat staging
   // copy of one endpoint slice at device memcpy bandwidth.
-  const TimeSec unequal =
-      cost.CrossStage(DeviceSet::Range(0, 4), DeviceSet::Range(8, 2), act);
+  const TimeSec unequal = Transfer(a, DeviceSet::Range(0, 4), DeviceSet::Range(8, 2), act);
   EXPECT_DOUBLE_EQ(unequal, fixed + half / bw + half / kMemcpyBandwidth);
   EXPECT_GT(unequal, equal);
 }
 
 TEST(CostModel, CrossStageZeroBytesIsFree) {
   const Cluster a = MakeConfigA(2);
-  CostModel cost(a);
-  EXPECT_EQ(cost.CrossStage(DeviceSet::Range(0, 1), DeviceSet::Range(1, 1), 0), 0.0);
+  EXPECT_EQ(Transfer(a, DeviceSet::Range(0, 1), DeviceSet::Range(1, 1), 0), 0.0);
 }
 
 TEST(CostModel, TableITrafficAsymmetry) {
@@ -267,12 +278,9 @@ TEST(CostModel, TableITrafficAsymmetry) {
   // gradients are GBs, so the hybrid plan keeps AllReduce on NVLink and
   // lets only activations cross Ethernet. Verify the cost asymmetry.
   const Cluster a = MakeConfigA(2);
-  CostModel cost(a);
-  const TimeSec act_cross =
-      cost.CrossStage(DeviceSet::Range(0, 8), DeviceSet::Range(8, 8), 9_MiB);
-  const TimeSec grads_nvlink = cost.AllReduce(DeviceSet::Range(0, 8), MiB(2800));
-  const TimeSec grads_ethernet = cost.AllReduce(
-      DeviceSet({0, 1, 2, 3, 8, 9, 10, 11}), MiB(2800));
+  const TimeSec act_cross = Transfer(a, DeviceSet::Range(0, 8), DeviceSet::Range(8, 8), 9_MiB);
+  const TimeSec grads_nvlink = Ring(a, DeviceSet::Range(0, 8), MiB(2800));
+  const TimeSec grads_ethernet = Ring(a, DeviceSet({0, 1, 2, 3, 8, 9, 10, 11}), MiB(2800));
   EXPECT_LT(act_cross, grads_nvlink);
   EXPECT_LT(grads_nvlink, grads_ethernet);
 }

@@ -381,6 +381,55 @@ TEST(FaultRecoveryTest, ElasticReplanSurvivesACrashWithValidatedPipelines) {
   EXPECT_EQ(report.initial_plan, plan.ToString());
 }
 
+TEST(FaultRecoveryTest, CrashReplanOntoAGrownClusterIsAScaleUp) {
+  // Device 1's crash shrinks the job to three devices. Device 2 crashes
+  // next, and by the time that crash's replan reads the cluster both
+  // devices are back: the replan lands on four devices, new hardware that
+  // needs the checkpoint-bounded cutover of a boundary scale-up.
+  const model::ModelProfile m = EightLayerModel();
+  const topo::Cluster cluster = topo::MakeConfigB(4);
+  const planner::ParallelPlan plan = TwoStagePlan(m, 2);
+  const FaultScript script = ParseFaultScript(
+      "crash device=1 at=2\n"
+      "crash device=2 at=5.5\n"
+      "rejoin device=1 at=5.6\n"
+      "rejoin device=2 at=5.7\n");
+  const FaultOptions options = FastOptions(8);
+
+  const FaultReport report =
+      RunFaultExperiment(m, cluster, plan, script, RecoveryPolicy::kElasticUp, options);
+  EXPECT_EQ(report.scale_ups, 1);
+  EXPECT_EQ(report.restores, 1);
+  EXPECT_GE(report.max_scale_up_rollback, 1);
+  EXPECT_LE(report.max_scale_up_rollback, options.checkpoint_period);
+
+  // The scale-up row opens at the crash, pays replan and restore, and rolls
+  // back to the last checkpoint: the next iteration redoes that index.
+  int last_checkpoint = 0;
+  const TimelineRow* scale_up = nullptr;
+  for (const TimelineRow& row : report.timeline) {
+    if (row.kind == "checkpoint" && scale_up == nullptr) {
+      last_checkpoint = std::stoi(row.note.substr(row.note.find(' ') + 1));
+    }
+    if (row.kind == "scale-up") {
+      ASSERT_EQ(scale_up, nullptr) << "a second scale-up at " << row.start;
+      scale_up = &row;
+      EXPECT_GE(row.start, 2.0);
+      EXPECT_LE(row.start, 5.5);
+      EXPECT_DOUBLE_EQ(row.end - row.start, options.detect_latency + options.replan_cost +
+                                                options.restore_cost);
+      EXPECT_TRUE(row.note.starts_with("rolled back to iteration " +
+                                       std::to_string(last_checkpoint) + ", "))
+          << row.note;
+    } else if (row.kind == "iteration" && scale_up != nullptr) {
+      EXPECT_EQ(row.iteration, last_checkpoint);
+      break;
+    }
+  }
+  ASSERT_NE(scale_up, nullptr);
+  EXPECT_GT(last_checkpoint, 0);
+}
+
 TEST(FaultRecoveryTest, ReportsAreByteDeterministic) {
   const model::ModelProfile m = EightLayerModel();
   const topo::Cluster cluster = topo::MakeConfigB(2);

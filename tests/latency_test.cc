@@ -292,7 +292,8 @@ TEST(Latency, VggOverlapIsEspeciallyEffective) {
   const topo::Cluster b = topo::MakeConfigB(16);
   LatencyEstimator est(vgg, b);
   const DeviceSet all = DeviceSet::Range(0, 16);
-  const TimeSec raw = comm::CostModel(b).AllReduce(all, vgg.TotalParamBytes());
+  const TimeSec raw = comm::BoundAllReduce(b.interconnect(), comm::ReplicaGroup::Of(b, all))(
+      vgg.TotalParamBytes());
   const TimeSec exposed = est.ExposedAllReduce(0, vgg.num_layers(), all, 128.0);
   EXPECT_LT(exposed, 0.55 * raw);
 }
