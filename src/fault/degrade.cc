@@ -14,27 +14,6 @@ constexpr TimeSec kInf = std::numeric_limits<TimeSec>::infinity();
 
 }  // namespace
 
-bool ClusterState::AnyDead() const {
-  return std::any_of(device_dead.begin(), device_dead.end(), [](bool d) { return d; });
-}
-
-bool ClusterState::Degraded() const {
-  if (AnyDead()) return true;
-  for (double m : server_compute)
-    if (m != 1.0) return true;
-  for (double m : server_bandwidth)
-    if (m != 1.0) return true;
-  for (TimeSec l : server_extra_latency)
-    if (l > 0.0) return true;
-  return false;
-}
-
-bool ClusterState::operator==(const ClusterState& other) const {
-  return device_dead == other.device_dead && server_compute == other.server_compute &&
-         server_bandwidth == other.server_bandwidth &&
-         server_extra_latency == other.server_extra_latency;
-}
-
 ClusterState StateAt(const FaultScript& script, const topo::Cluster& cluster, TimeSec t) {
   ClusterState state;
   state.device_dead.assign(static_cast<std::size_t>(cluster.num_devices()), false);

@@ -26,12 +26,7 @@ struct ClusterState {
   std::vector<double> server_bandwidth;     // per server, product of degradations
   std::vector<TimeSec> server_extra_latency;  // per server, max of degradations
 
-  bool AnyDead() const;
-  /// True when anything differs from the healthy cluster.
-  bool Degraded() const;
-
-  bool operator==(const ClusterState& other) const;
-  bool operator!=(const ClusterState& other) const { return !(*this == other); }
+  bool operator==(const ClusterState& other) const = default;
 };
 
 /// Evaluates the script at time t. A crash holds from its start until the

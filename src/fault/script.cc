@@ -100,12 +100,6 @@ bool FaultScript::HasCrash() const {
   });
 }
 
-bool FaultScript::HasRejoin() const {
-  return std::any_of(events.begin(), events.end(), [](const FaultEvent& e) {
-    return e.kind == FaultKind::kDeviceRejoin;
-  });
-}
-
 void FaultScript::Validate(const topo::Cluster& cluster) const {
   for (const FaultEvent& e : events) {
     const std::string label = e.ToString();

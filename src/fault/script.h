@@ -70,8 +70,6 @@ struct FaultScript {
   TimeSec FirstOnset() const;
   /// True when any event is a crash.
   bool HasCrash() const;
-  /// True when any event is a rejoin (the script can grow the cluster back).
-  bool HasRejoin() const;
   /// Throws dapple::Error when a target is out of range for the cluster, a
   /// window is inverted, or a multiplier is not in a sane range.
   void Validate(const topo::Cluster& cluster) const;

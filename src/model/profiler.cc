@@ -1,30 +1,10 @@
 #include "model/profiler.h"
 
-#include <algorithm>
-
-#include "common/rng.h"
+#include <utility>
 
 namespace dapple::model {
 
-Profiler::Profiler(topo::DeviceSpec device, ProfilerOptions options)
-    : device_(std::move(device)), options_(options) {}
-
-ModelProfile Profiler::Measure(const ModelProfile& model) const {
-  Rng rng(options_.seed);
-  std::vector<LayerProfile> layers = model.layers();
-  for (LayerProfile& l : layers) {
-    double noise = 1.0;
-    if (options_.time_jitter > 0.0) {
-      // Clamp so noisy measurements can never go non-positive.
-      noise = std::max(0.05, rng.Normal(1.0, options_.time_jitter));
-    }
-    l.forward_time = l.forward_time / device_.relative_speed * noise;
-    l.backward_time = l.backward_time / device_.relative_speed * noise;
-    l.fixed_overhead = l.fixed_overhead / device_.relative_speed;
-  }
-  return ModelProfile(model.name(), std::move(layers), model.profile_micro_batch(),
-                      model.optimizer());
-}
+Profiler::Profiler(topo::DeviceSpec device) : device_(std::move(device)) {}
 
 ProfileReport Profiler::Report(const ModelProfile& model) const {
   ProfileReport report;

@@ -1,8 +1,8 @@
 // The DAPPLE profiler (paper Fig. 1, step 1). On the real system it runs a
 // few training steps per layer and records compute times, activation sizes
-// and parameter sizes. Here it "measures" a zoo model on a simulated
-// device: scaling times by device speed and optionally applying
-// measurement jitter, then summarizing into the Table II statistics.
+// and parameter sizes. Here a zoo model's layers already carry those
+// numbers, so the profiler summarizes a model on one device into the
+// Table II statistics, its times scaled by the device's speed.
 #pragma once
 
 #include <cstdint>
@@ -25,28 +25,15 @@ struct ProfileReport {
   bool fits_single_device = true;  // memory_cost <= device memory
 };
 
-struct ProfilerOptions {
-  /// Multiplicative Gaussian noise applied to measured layer times
-  /// (0 = exact). Models real profiling variance.
-  double time_jitter = 0.0;
-  std::uint64_t seed = 0x5eed;
-};
-
 class Profiler {
  public:
-  explicit Profiler(topo::DeviceSpec device, ProfilerOptions options = {});
-
-  /// Produces the "measured" profile: layer times divided by device speed
-  /// and perturbed by jitter. Sizes are exact (they are architecture
-  /// properties, not measurements).
-  ModelProfile Measure(const ModelProfile& model) const;
+  explicit Profiler(topo::DeviceSpec device);
 
   /// Summarizes a model at its profile micro-batch size.
   ProfileReport Report(const ModelProfile& model) const;
 
  private:
   topo::DeviceSpec device_;
-  ProfilerOptions options_;
 };
 
 }  // namespace dapple::model

@@ -13,8 +13,7 @@
 //                fault.replan.wall_seconds (sum)
 //   bench_scenario: counters fault.replan.runs, fault.replan.memo_hits
 //   tests, with no other channel: counters
-//     planner.placement_memo.{fills,hits,clears} (planner_test) and
-//     report.peak_vs_m.skipped (obs_report_test)
+//     planner.placement_memo.{fills,hits,clears} (planner_test)
 //   "nothing falls back silently": counters planner.recompute_fallbacks
 //     and dapple.session.recompute_retries
 //

@@ -6,12 +6,11 @@
 #include <limits>
 #include <map>
 #include <sstream>
-#include <utility>
 
+#include "common/error.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "runtime/executor.h"
 #include "runtime/schedule.h"
 #include "sim/engine.h"
@@ -395,76 +394,25 @@ std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
                                        runtime::BuildOptions options,
                                        const std::vector<int>& micro_batch_counts,
                                        int sim_threads) {
+  for (int m : micro_batch_counts) DAPPLE_CHECK_GE(m, 1);
   // Resolve the micro-batch size once so every point runs identical
   // per-micro-batch work and only M varies.
   const runtime::BuiltPipeline base =
       runtime::GraphBuilder(model, cluster, plan, options).Build();
   options.micro_batch_size = base.micro_batch_size;
 
-  std::vector<int> counts;
-  counts.reserve(micro_batch_counts.size());
-  for (int m : micro_batch_counts) {
-    if (m >= 1) counts.push_back(m);
-  }
-  const int n = static_cast<int>(counts.size());
-
-  // Every point is built (cheap, and the build is what knows the exact
-  // per-stage warmup depths); slot-indexed results keep the curve
+  // Every point is built and simulated; slot-indexed results keep the curve
   // byte-identical to the serial loop at every thread count.
   ThreadPool pool(static_cast<std::size_t>(sim_threads));
-  std::vector<runtime::BuiltPipeline> builds =
-      pool.Map<runtime::BuiltPipeline>(counts.size(), [&](std::size_t i) {
-        runtime::BuildOptions point_options = options;
-        point_options.global_batch_size =
-            static_cast<long>(base.micro_batch_size) * counts[i];
-        return runtime::GraphBuilder(model, cluster, plan, point_options).Build();
-      });
-
-  // The simulation pre-filter: a point whose stash discipline — per-stage
-  // warmup depths plus recompute flags at the fixed micro-batch size —
-  // matches an earlier point holds exactly the same stash sets, so its peak
-  // equals the earlier point's and the simulation is provably redundant.
-  // DAPPLE saturates warmup at M >= S - i and collapses to one simulation;
-  // GPipe's depth is M itself, so nothing ever dedups. Points are grouped
-  // in curve order, making the representative choice deterministic.
-  std::vector<int> rep_of(static_cast<std::size_t>(n));
-  std::vector<int> reps;
-  reps.reserve(static_cast<std::size_t>(n));
-  std::map<std::pair<std::vector<int>, std::vector<std::uint8_t>>, int> seen;
-  for (int i = 0; i < n; ++i) {
-    const runtime::BuiltPipeline& b = builds[static_cast<std::size_t>(i)];
-    if (b.warmup_depths.empty()) {
-      // No discipline signature — never dedup such a point.
-      rep_of[static_cast<std::size_t>(i)] = i;
-      reps.push_back(i);
-      continue;
-    }
-    const auto [it, inserted] = seen.try_emplace({b.warmup_depths, b.stage_recompute}, i);
-    rep_of[static_cast<std::size_t>(i)] = it->second;
-    if (inserted) reps.push_back(i);
-  }
-
-  const std::vector<Bytes> peaks = pool.Map<Bytes>(reps.size(), [&](std::size_t r) {
-    const runtime::BuiltPipeline& b = builds[static_cast<std::size_t>(reps[r])];
-    return sim::Engine::Run(b.graph, b.engine_options).MaxPeakMemory();
+  return pool.Map<PeakVsMPoint>(micro_batch_counts.size(), [&](std::size_t i) {
+    runtime::BuildOptions point_options = options;
+    point_options.global_batch_size =
+        static_cast<long>(base.micro_batch_size) * micro_batch_counts[i];
+    const runtime::BuiltPipeline b =
+        runtime::GraphBuilder(model, cluster, plan, point_options).Build();
+    return PeakVsMPoint{b.num_micro_batches,
+                        sim::Engine::Run(b.graph, b.engine_options).MaxPeakMemory()};
   });
-  std::vector<Bytes> peak_of(static_cast<std::size_t>(n));
-  for (std::size_t r = 0; r < reps.size(); ++r) {
-    peak_of[static_cast<std::size_t>(reps[r])] = peaks[r];
-  }
-
-  MetricsRegistry::Global()
-      .counter("report.peak_vs_m.skipped")
-      .Increment(static_cast<std::int64_t>(n) - static_cast<std::int64_t>(reps.size()));
-
-  std::vector<PeakVsMPoint> curve;
-  curve.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    curve.push_back(PeakVsMPoint{
-        builds[static_cast<std::size_t>(i)].num_micro_batches,
-        peak_of[static_cast<std::size_t>(rep_of[static_cast<std::size_t>(i)])]});
-  }
-  return curve;
 }
 
 }  // namespace dapple::obs

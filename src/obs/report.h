@@ -159,14 +159,10 @@ struct PeakVsMPoint {
 };
 
 /// Re-builds the pipeline at several micro-batch counts (fixed micro-batch
-/// size) and records the worst device peak at each — flat for DAPPLE
-/// (O(K)), linear for GPipe (O(M)). A point whose stash discipline (per-stage
-/// warmup depths and recompute flags) repeats an earlier point's holds the
-/// same stash sets, so it reuses that point's simulation: DAPPLE past warmup
-/// saturation collapses to one simulation, GPipe dedups nothing. Counters
-/// report.peak_vs_m.{simulated,skipped} record the split. `sim_threads`
-/// fans the builds and simulations out (1 = serial, 0 = hardware
-/// concurrency); the curve is byte-identical at every count.
+/// size) and simulates each to record its worst device peak — flat for
+/// DAPPLE (O(K)), linear for GPipe (O(M)). Every count must be >= 1.
+/// `sim_threads` fans the builds and simulations out (1 = serial, 0 =
+/// hardware concurrency); the curve is byte-identical at every count.
 std::vector<PeakVsMPoint> PeakVsMCurve(const model::ModelProfile& model,
                                        const topo::Cluster& cluster,
                                        const planner::ParallelPlan& plan,

@@ -29,26 +29,24 @@ planner::PlannerOptions JobPlannerOptions(const CoScheduleOptions& options,
   return po;
 }
 
-}  // namespace
-
 /// One evaluated (job, slice width) point: the plan the DAPPLE planner
 /// chose on that many servers and its simulated iteration time. infeasible
 /// (planner threw) keeps iteration_time at +inf so it loses every
 /// comparison without special-casing.
-struct CoScheduler::Cell {
+struct Cell {
   planner::ParallelPlan plan;
   TimeSec iteration_time = kInf;
   bool feasible = false;
 };
 
-/// Memoized candidate evaluation for one Schedule() call. Keys are
+/// Memoized candidate evaluation for one CoSchedule call. Keys are
 /// planner::FingerprintPlanRequest digests of (job model, budget slice,
 /// batch, planner options), so the memo is shared across greedy steps and
 /// exchange passes. Only the scheduling thread touches it: the pool
 /// computes a round's missing cells, the caller inserts them. Hit/miss
 /// counts are per deduped evaluation round, which keeps them (and the
 /// report bytes) independent of worker count.
-class CoScheduler::Evaluator {
+class Evaluator {
  public:
   Evaluator(const topo::Cluster& budget, const CoScheduleOptions& options,
             const std::vector<JobSpec>& jobs)
@@ -87,16 +85,12 @@ class CoScheduler::Evaluator {
     }
   }
 
-  /// The cell for (job, width); the reference survives later insertions.
-  const Cell& At(int job, int width) {
-    const std::uint64_t key = KeyOf(job, width);
-    auto it = cells_.find(key);
-    if (it == cells_.end()) {
-      // A path the round-based Prepare missed; compute inline (counted as a
-      // miss so the books still balance deterministically).
-      ++misses_;
-      it = cells_.emplace(key, Compute(job, width)).first;
-    }
+  /// The cell for (job, width), which an earlier Prepare must have cached;
+  /// the reference survives later insertions.
+  const Cell& At(int job, int width) const {
+    const auto it = cells_.find(KeyOf(job, width));
+    DAPPLE_CHECK(it != cells_.end()) << "job " << job << " at width " << width
+                                     << " was read before it was prepared";
     return it->second;
   }
 
@@ -106,7 +100,7 @@ class CoScheduler::Evaluator {
   long misses() const { return misses_; }
 
  private:
-  std::uint64_t KeyOf(int job, int width) {
+  std::uint64_t KeyOf(int job, int width) const {
     const JobSpec& spec = jobs_[static_cast<std::size_t>(job)];
     return planner::FingerprintPlanRequest(spec.model, Slice(width), spec.global_batch_size,
                                            JobPlannerOptions(options_, spec));
@@ -140,29 +134,28 @@ class CoScheduler::Evaluator {
   long misses_ = 0;
 };
 
-CoScheduler::CoScheduler(topo::Cluster budget, CoScheduleOptions options)
-    : budget_(std::move(budget)), options_(std::move(options)) {
+}  // namespace
+
+CoScheduleReport CoSchedule(const topo::Cluster& budget, const std::vector<JobSpec>& jobs,
+                            const CoScheduleOptions& options) {
   // Cells price a width on the budget's first servers, while a job runs on
   // its own contiguous range: only interchangeable servers make the two
   // the same.
-  DAPPLE_CHECK(budget_.homogeneous())
-      << "co-scheduling needs interchangeable servers; budget " << budget_.name()
+  DAPPLE_CHECK(budget.homogeneous())
+      << "co-scheduling needs interchangeable servers; budget " << budget.name()
       << " has per-server speeds";
-}
-
-CoScheduleReport CoScheduler::Schedule(const std::vector<JobSpec>& jobs) {
   const int num_jobs = static_cast<int>(jobs.size());
-  const int total_servers = budget_.num_servers();
+  const int total_servers = budget.num_servers();
   DAPPLE_CHECK_GT(num_jobs, 0) << "co-scheduling zero jobs";
   DAPPLE_CHECK(total_servers >= num_jobs)
-      << "budget " << budget_.name() << " has " << total_servers << " servers for "
+      << "budget " << budget.name() << " has " << total_servers << " servers for "
       << num_jobs << " jobs";
   for (const JobSpec& job : jobs) {
     DAPPLE_CHECK_GT(job.iterations, 0) << "job " << job.name << " runs no iterations";
     DAPPLE_CHECK_GT(job.global_batch_size, 0) << "job " << job.name << " has no batch";
   }
 
-  Evaluator eval(budget_, options_, jobs);
+  Evaluator eval(budget, options, jobs);
   CoScheduleReport report;
 
   auto makespan = [&](int job, int width) {
@@ -253,7 +246,7 @@ CoScheduleReport CoScheduler::Schedule(const std::vector<JobSpec>& jobs) {
   // --- Final assignment: contiguous disjoint server ranges in job order. ---
   report.aggregate_makespan = aggregate(widths);
   if (!std::isfinite(report.aggregate_makespan)) {
-    throw Error("no feasible co-schedule: some job fits no slice of " + budget_.name());
+    throw Error("no feasible co-schedule: some job fits no slice of " + budget.name());
   }
   int next_server = 0;
   double busy_device_time = 0.0;
@@ -269,15 +262,15 @@ CoScheduleReport CoScheduler::Schedule(const std::vector<JobSpec>& jobs) {
     a.makespan =
         static_cast<double>(jobs[static_cast<std::size_t>(j)].iterations) * cell.iteration_time;
     next_server += w;
-    busy_device_time += a.makespan * w * budget_.gpus_per_server();
-    if (options_.pipeline_observer) {
+    busy_device_time += a.makespan * w * budget.gpus_per_server();
+    if (options.pipeline_observer) {
       const JobSpec& spec = jobs[static_cast<std::size_t>(j)];
       const topo::Cluster slice = eval.Slice(w);
       const runtime::BuiltPipeline built =
           runtime::GraphBuilder(spec.model, slice, a.plan,
-                                runtime::BuildOptionsFor(JobPlannerOptions(options_, spec)))
+                                runtime::BuildOptionsFor(JobPlannerOptions(options, spec)))
               .Build();
-      options_.pipeline_observer(built, a.plan, slice);
+      options.pipeline_observer(built, a.plan, slice);
     }
     report.jobs.push_back(std::move(a));
   }
@@ -285,14 +278,9 @@ CoScheduleReport CoScheduler::Schedule(const std::vector<JobSpec>& jobs) {
   report.cache_misses = eval.misses();
   report.utilization =
       report.aggregate_makespan > 0.0
-          ? busy_device_time / (budget_.num_devices() * report.aggregate_makespan)
+          ? busy_device_time / (budget.num_devices() * report.aggregate_makespan)
           : 0.0;
   return report;
-}
-
-CoScheduleReport CoSchedule(const topo::Cluster& budget, const std::vector<JobSpec>& jobs,
-                            const CoScheduleOptions& options) {
-  return CoScheduler(budget, options).Schedule(jobs);
 }
 
 }  // namespace dapple::scenario

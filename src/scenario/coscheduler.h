@@ -83,27 +83,11 @@ struct CoScheduleReport {
   long cache_misses = 0;
 };
 
-/// Plans N jobs under a shared budget. Throws dapple::Error when the budget
-/// has per-server speeds (the width-only search treats servers as
+/// Plans N jobs under a shared budget with the greedy + exchange split
+/// search; the report carries every count. Throws dapple::Error when the
+/// budget has per-server speeds (the width-only search treats servers as
 /// interchangeable), when it has fewer servers than there are jobs, or when
 /// no feasible split exists.
-class CoScheduler {
- public:
-  CoScheduler(topo::Cluster budget, CoScheduleOptions options = {});
-
-  /// Runs the greedy + exchange split search. The report carries every
-  /// count.
-  CoScheduleReport Schedule(const std::vector<JobSpec>& jobs);
-
- private:
-  struct Cell;  // one evaluated (job, width) point
-  class Evaluator;
-
-  topo::Cluster budget_;
-  CoScheduleOptions options_;
-};
-
-/// Convenience wrapper: construct, schedule, return.
 CoScheduleReport CoSchedule(const topo::Cluster& budget, const std::vector<JobSpec>& jobs,
                             const CoScheduleOptions& options = {});
 

@@ -42,11 +42,6 @@ TimeSec FinishTime(const ResourceSpeedProfile& profile, TimeSec start, TimeSec w
   }
 }
 
-double SimResult::Utilization(ResourceId r) const {
-  if (makespan <= 0.0) return 0.0;
-  return resources.at(static_cast<std::size_t>(r)).busy / makespan;
-}
-
 double SimResult::ComputeUtilization(ResourceId r) const {
   if (makespan <= 0.0) return 0.0;
   return resources.at(static_cast<std::size_t>(r)).compute_busy / makespan;

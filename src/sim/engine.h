@@ -91,9 +91,6 @@ struct SimResult {
   /// Number of tasks that never completed (0 when completed).
   int tasks_unfinished = 0;
 
-  /// Fraction of the makespan a resource spent executing tasks.
-  double Utilization(ResourceId r) const;
-
   /// Fraction of the makespan spent on compute kinds (FW/BW/RC/Apply);
   /// 1 - ComputeUtilization is the bubble-plus-comm fraction.
   double ComputeUtilization(ResourceId r) const;

@@ -44,15 +44,6 @@ std::vector<int> DeviceSet::PerServerCounts(const Cluster& cluster) const {
   return counts;
 }
 
-DeviceSet DeviceSet::Union(const DeviceSet& other) const {
-  std::vector<DeviceId> ids = devices_;
-  for (DeviceId d : other.devices_) {
-    DAPPLE_CHECK(!contains(d)) << "device sets overlap at " << d;
-    ids.push_back(d);
-  }
-  return DeviceSet(std::move(ids));
-}
-
 std::string DeviceSet::ToString() const {
   if (devices_.empty()) return "[]";
   // Prefer the compact range form used by Table VII in the paper.

@@ -32,9 +32,6 @@ class DeviceSet {
   /// to cluster.num_servers()).
   std::vector<int> PerServerCounts(const Cluster& cluster) const;
 
-  /// Union with disjoint `other`; throws if they overlap.
-  DeviceSet Union(const DeviceSet& other) const;
-
   /// Compact display such as "[G0-G7]" or "[G0,G2,G4]".
   std::string ToString() const;
 

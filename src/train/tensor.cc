@@ -103,10 +103,4 @@ float Tensor::MaxAbsDiff(const Tensor& a, const Tensor& b) {
   return worst;
 }
 
-double Tensor::SquaredNorm() const {
-  double sum = 0.0;
-  for (float v : data_) sum += static_cast<double>(v) * v;
-  return sum;
-}
-
 }  // namespace dapple::train

@@ -53,9 +53,6 @@ class Tensor {
   /// Largest absolute elementwise difference; tensors must match shape.
   static float MaxAbsDiff(const Tensor& a, const Tensor& b);
 
-  /// Sum of squares (for norms / loss checks).
-  double SquaredNorm() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

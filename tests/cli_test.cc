@@ -181,7 +181,11 @@ TEST(Cli, BadIntegersAreUsageErrors) {
       "plan GNMT-16 A 2 64 --planner-threads abc", "serve --tcp 99999",
       "report GNMT-16 B 2 64 --peak-vs-m 4,x,8", "scenario GNMT-16 B 2 64 --jobs abc",
       "plan GNMT-16 A abc 64", "run GNMT-16 A 2 0", "faults GNMT-16 A 2 8 --seed -1",
-      "plan GNMT-16 Axyz 1 64", "plan GNMT-16 D 1 64", "plan GNMT-16 \"\" 1 64"};
+      "plan GNMT-16 Axyz 1 64", "plan GNMT-16 D 1 64", "plan GNMT-16 \"\" 1 64",
+      // Zero counts mean nothing: rejected, never dropped or run as one.
+      "report GNMT-16 A 1 64 --peak-vs-m 0", "report GNMT-16 A 1 64 --peak-vs-m 4,0,8",
+      "faults GNMT-16 A 2 64 --seed 3 --checkpoint-period 0",
+      "scenario GNMT-16 A 2 64 --jobs 0"};
   for (const char* horizon : {"abc", "nan", "inf", "1e309", "-5", "0"}) {
     cases.push_back(std::string("faults GNMT-16 B 2 8 --horizon ") + horizon);
     cases.push_back(std::string("scenario GNMT-16 A 1 64 --horizon ") + horizon);

@@ -61,21 +61,22 @@ TEST(FaultStateTest, StateAtComposesWindowsAndKeepsCrashesPermanent) {
       "slowdown server=0 start=2 end=4 mult=0.8\n"
       "crash device=1 at=5\n");
 
-  const ClusterState before = StateAt(script, cluster, 0.5);
-  EXPECT_FALSE(before.Degraded());
+  const ClusterState healthy = StateAt(FaultScript{}, cluster, 0.0);
+  EXPECT_EQ(StateAt(script, cluster, 0.5), healthy);
 
   // Both windows active: device- and server-targeted slowdowns compose
   // multiplicatively into the server's control-plane multiplier.
   const ClusterState mid = StateAt(script, cluster, 3.0);
   EXPECT_DOUBLE_EQ(mid.server_compute[0], 0.4);
-  EXPECT_FALSE(mid.AnyDead());
-  EXPECT_TRUE(mid.Degraded());
+  EXPECT_EQ(mid.device_dead, healthy.device_dead);
+  EXPECT_NE(mid, healthy);
 
   // Windows expire; the crash never does.
   const ClusterState late = StateAt(script, cluster, 100.0);
   EXPECT_DOUBLE_EQ(late.server_compute[0], 1.0);
-  EXPECT_TRUE(late.device_dead[1]);
-  EXPECT_TRUE(late.AnyDead());
+  std::vector<bool> dead = healthy.device_dead;
+  dead[1] = true;
+  EXPECT_EQ(late.device_dead, dead);
   EXPECT_NE(mid, late);
 }
 

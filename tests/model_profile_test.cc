@@ -104,32 +104,6 @@ TEST(ModelProfile, RejectsEmptyModel) {
   EXPECT_THROW(ModelProfile("empty", {}, 1, OptimizerKind::kSGD), Error);
 }
 
-TEST(Profiler, MeasureScalesWithDeviceSpeed) {
-  const ModelProfile m = TinyModel();
-  topo::DeviceSpec fast;
-  fast.relative_speed = 2.0;
-  Profiler profiler(fast);
-  const ModelProfile measured = profiler.Measure(m);
-  EXPECT_NEAR(measured.ForwardTime(0, 3, 4.0), m.ForwardTime(0, 3, 4.0) / 2.0, 1e-12);
-  // Sizes are architecture properties, not measurements.
-  EXPECT_EQ(measured.TotalParamCount(), m.TotalParamCount());
-}
-
-TEST(Profiler, JitterPerturbsButStaysPositive) {
-  const ModelProfile m = TinyModel();
-  ProfilerOptions options;
-  options.time_jitter = 0.5;
-  options.seed = 99;
-  Profiler profiler(topo::DeviceSpec{}, options);
-  const ModelProfile noisy = profiler.Measure(m);
-  for (int i = 0; i < noisy.num_layers(); ++i) {
-    EXPECT_GT(noisy.layer(i).forward_time, 0.0);
-    EXPECT_GT(noisy.layer(i).backward_time, 0.0);
-  }
-  // At 50% jitter something must have moved.
-  EXPECT_NE(noisy.ForwardTime(0, 3, 4.0), m.ForwardTime(0, 3, 4.0));
-}
-
 TEST(Profiler, ReportSummarizesTableIIFields) {
   const ModelProfile bert = MakeBert48();
   Profiler profiler(topo::DeviceSpec{});

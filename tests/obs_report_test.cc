@@ -154,7 +154,7 @@ TEST(IterationReport, PeakVsMCurveIsFlatForDapple) {
   ASSERT_EQ(curve.size(), 3u);
   EXPECT_EQ(curve[0].num_micro_batches, 4);
   EXPECT_EQ(curve[2].num_micro_batches, 16);
-  // §III: peak activation memory is O(K), not O(M).
+  // §III: peak activation memory is O(K), not O(M); every point is simulated.
   EXPECT_EQ(curve[0].max_peak_memory, curve[1].max_peak_memory);
   EXPECT_EQ(curve[1].max_peak_memory, curve[2].max_peak_memory);
 }
@@ -169,12 +169,9 @@ TEST(IterationReport, PeakVsMCurveGrowsForGPipe) {
   EXPECT_LT(curve[0].max_peak_memory, curve[1].max_peak_memory);
 }
 
-TEST(IterationReport, PeakVsMPrefilterNeverChangesTheCurve) {
-  // The curve simulates only one point per distinct stash discipline, which
-  // may skip simulations but never change a peak: every point must equal a
-  // direct build-and-simulate at that M. DAPPLE's warmup saturates, so its
-  // flat tail dedups; GPipe stashes all M, so nothing dedups.
-  auto& metrics = obs::MetricsRegistry::Global();
+TEST(IterationReport, PeakVsMCurveEqualsDirectSimulation) {
+  // Every point of the curve must equal a direct build-and-simulate at that
+  // M, at every thread count.
   auto expect_direct_peaks = [](const Fig3& fig, const std::vector<int>& counts,
                                 int threads) {
     const auto curve =
@@ -196,22 +193,12 @@ TEST(IterationReport, PeakVsMPrefilterNeverChangesTheCurve) {
   };
 
   const Fig3 dapple_fig;
-  for (const int threads : {1, 8}) {
-    const std::int64_t skipped0 = metrics.counter("report.peak_vs_m.skipped").value();
-    expect_direct_peaks(dapple_fig, {4, 8, 16, 32}, threads);
-    // Non-vacuity: the saturated DAPPLE tail must actually have been skipped.
-    EXPECT_GT(metrics.counter("report.peak_vs_m.skipped").value(), skipped0);
-  }
+  for (const int threads : {1, 8}) expect_direct_peaks(dapple_fig, {4, 8, 16, 32}, threads);
 
   Fig3 gpipe_fig;
   gpipe_fig.options.schedule.kind = runtime::ScheduleKind::kGPipe;
   gpipe_fig.options.enforce_memory_capacity = false;
-  for (const int threads : {1, 8}) {
-    const std::int64_t skipped0 = metrics.counter("report.peak_vs_m.skipped").value();
-    expect_direct_peaks(gpipe_fig, {4, 8, 16}, threads);
-    // GPipe's stash discipline grows with M: no two points may dedup.
-    EXPECT_EQ(metrics.counter("report.peak_vs_m.skipped").value(), skipped0);
-  }
+  for (const int threads : {1, 8}) expect_direct_peaks(gpipe_fig, {4, 8, 16}, threads);
 }
 
 // The end-to-end benchmark (benchmark/stats.cc) and bench_scenario read

@@ -222,10 +222,10 @@ TEST(Engine, UtilizationAccounting) {
   g.AddEdge(b, g.AddTask(MakeTask(0, 1.0, TaskKind::kBackward)));
   const SimResult r = Engine::Run(g);
   EXPECT_DOUBLE_EQ(r.makespan, 4.0);
-  EXPECT_DOUBLE_EQ(r.Utilization(0), 3.0 / 4.0);
+  EXPECT_DOUBLE_EQ(r.resources[0].busy, 3.0);
   EXPECT_DOUBLE_EQ(r.ComputeUtilization(0), 3.0 / 4.0);
   // Transfers are not compute.
-  EXPECT_DOUBLE_EQ(r.Utilization(1), 1.0 / 4.0);
+  EXPECT_DOUBLE_EQ(r.resources[1].busy, 1.0);
   EXPECT_DOUBLE_EQ(r.ComputeUtilization(1), 0.0);
 }
 

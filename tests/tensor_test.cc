@@ -70,13 +70,5 @@ TEST(Tensor, RandomIsDeterministicPerSeed) {
   EXPECT_EQ(Tensor::MaxAbsDiff(a, b), 0.0f);
 }
 
-TEST(Tensor, SquaredNorm) {
-  Tensor t(1, 3);
-  t.at(0, 0) = 1;
-  t.at(0, 1) = 2;
-  t.at(0, 2) = 2;
-  EXPECT_DOUBLE_EQ(t.SquaredNorm(), 9.0);
-}
-
 }  // namespace
 }  // namespace dapple::train

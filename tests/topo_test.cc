@@ -119,13 +119,6 @@ TEST(DeviceSet, ChecksEachDeviceInOrder) {
   EXPECT_EQ(neg.find("duplicate"), std::string::npos) << neg;
 }
 
-TEST(DeviceSet, UnionRequiresDisjoint) {
-  const DeviceSet a({0, 1});
-  const DeviceSet b({2, 3});
-  EXPECT_EQ(a.Union(b).size(), 4);
-  EXPECT_THROW(a.Union(DeviceSet({1, 5})), dapple::Error);
-}
-
 TEST(DeviceSet, ToStringFormats) {
   EXPECT_EQ(DeviceSet::Range(0, 8).ToString(), "[G0-G7]");
   EXPECT_EQ(DeviceSet({0, 2, 4}).ToString(), "[G0,G2,G4]");

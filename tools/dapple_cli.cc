@@ -149,21 +149,19 @@ std::optional<Job> ParseJob(int argc, char** argv) {
   return Job{model::ModelByName(argv[0]), topo::MakeConfig(argv[1][0], servers), gbs};
 }
 
-/// The plan `--plan FILE` names or, without one, a fresh plan made for the
-/// schedule family and memory cap `build` will simulate, so a capped run
-/// gets a plan that fits (or a refusal) instead of an OOM'd report.
-/// `recompute` (`run`/`report --recompute`) flags every stage of it.
+/// The plan `--plan FILE` names or, without one, a fresh plan made under
+/// `planner_options`, whose schedule family and memory cap the caller then
+/// simulates through runtime::BuildOptionsFor, so a capped run gets a plan
+/// that fits (or a refusal) instead of an OOM'd report. `recompute`
+/// (`run`/`report --recompute`) flags every stage of it.
 planner::ParallelPlan PlanOrLoad(const Job& job, const std::string& plan_path,
-                                 const runtime::BuildOptions& build = {},
+                                 const planner::PlannerOptions& planner_options = {},
                                  bool recompute = false) {
   planner::ParallelPlan plan;
   if (!plan_path.empty()) {
     plan = planner::LoadPlan(plan_path);
     plan.Validate(job.model);
   } else {
-    planner::PlannerOptions planner_options;
-    planner_options.latency.schedule_kind = build.schedule.kind;
-    planner_options.latency.memory_cap = build.memory_cap;
     plan = Session(job.model, job.cluster).Plan(job.gbs, planner_options).plan;
   }
   if (recompute) {
@@ -256,8 +254,8 @@ int CmdRun(int argc, char** argv) {
   if (!job) return Usage();
 
   std::string plan_path, trace_path, v;
-  runtime::BuildOptions options;
-  options.global_batch_size = job->gbs;
+  planner::PlannerOptions planner_options;
+  planner_options.global_batch_size = job->gbs;
   bool recompute = false;
   bool gantt = false;
   FlagParser flags(argc - 4, argv + 4);
@@ -267,14 +265,14 @@ int CmdRun(int argc, char** argv) {
     } else if (flags.MatchValue("--trace", &v)) {
       trace_path = v;
     } else if (flags.MatchValue("--schedule", &v)) {
-      if (!runtime::ParseScheduleKind(v, &options.schedule.kind)) {
+      if (!runtime::ParseScheduleKind(v, &planner_options.latency.schedule_kind)) {
         std::fprintf(stderr, "unknown schedule kind '%s'\n", v.c_str());
         return Usage();
       }
     } else if (flags.Match("--recompute")) {
       recompute = true;
     } else if (flags.MatchValue("--memory-cap", &v)) {
-      options.memory_cap = ParseBytes(v);
+      planner_options.latency.memory_cap = ParseBytes(v);
     } else if (flags.Match("--gantt")) {
       gantt = true;
     } else {
@@ -283,7 +281,8 @@ int CmdRun(int argc, char** argv) {
   }
   if (!flags.ok()) return Usage();
 
-  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options, recompute);
+  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, planner_options, recompute);
+  const runtime::BuildOptions options = runtime::BuildOptionsFor(planner_options);
   const runtime::ExecutionDetail detail =
       runtime::PipelineExecutor(job->model, job->cluster, plan, options).RunDetailed();
   const obs::IterationReport r = obs::BuildIterationReport(detail.pipeline, detail.result);
@@ -368,8 +367,8 @@ int CmdReport(int argc, char** argv) {
   std::vector<int> curve_counts;
   int sim_threads = 1;
   bool recompute = false;
-  runtime::BuildOptions options;
-  options.global_batch_size = job->gbs;
+  planner::PlannerOptions planner_options;
+  planner_options.global_batch_size = job->gbs;
   FlagParser flags(argc - 4, argv + 4);
   while (!flags.Done()) {
     if (flags.MatchValue("--plan", &v)) {
@@ -377,20 +376,20 @@ int CmdReport(int argc, char** argv) {
     } else if (flags.MatchValue("--json", &v)) {
       json_path = v;
     } else if (flags.MatchValue("--schedule", &v)) {
-      if (!runtime::ParseScheduleKind(v, &options.schedule.kind)) {
+      if (!runtime::ParseScheduleKind(v, &planner_options.latency.schedule_kind)) {
         std::fprintf(stderr, "unknown schedule kind '%s'\n", v.c_str());
         return Usage();
       }
     } else if (flags.Match("--recompute")) {
       recompute = true;
     } else if (flags.MatchValue("--memory-cap", &v)) {
-      options.memory_cap = ParseBytes(v);
+      planner_options.latency.memory_cap = ParseBytes(v);
     } else if (flags.MatchValue("--peak-vs-m", &v)) {
       for (std::size_t begin = 0, end = 0; end != std::string::npos; begin = end + 1) {
         end = v.find(',', begin);
         const std::string item = v.substr(begin, end - begin);
-        if (!ParseUnsigned(item, &curve_counts.emplace_back())) {
-          std::fprintf(stderr, "--peak-vs-m needs unsigned integers, got '%s'\n",
+        if (!ParseUnsigned(item, &curve_counts.emplace_back()) || curve_counts.back() < 1) {
+          std::fprintf(stderr, "--peak-vs-m needs positive integers, got '%s'\n",
                        item.c_str());
           return Usage();
         }
@@ -401,7 +400,8 @@ int CmdReport(int argc, char** argv) {
   }
   if (!flags.ok()) return Usage();
 
-  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, options, recompute);
+  const planner::ParallelPlan plan = PlanOrLoad(*job, plan_path, planner_options, recompute);
+  const runtime::BuildOptions options = runtime::BuildOptionsFor(planner_options);
   const obs::IterationReport report = obs::RunIteration(job->model, job->cluster, plan, options);
   std::printf("%s", obs::ToText(report).c_str());
 
@@ -466,6 +466,10 @@ int CmdFaults(int argc, char** argv) {
     }
   }
   if (!flags.ok()) return Usage();
+  if (options.checkpoint_period < 1) {
+    std::fprintf(stderr, "--checkpoint-period must be positive\n");
+    return Usage();
+  }
 
   fault::FaultScript script;
   if (!script_path.empty()) {
@@ -566,6 +570,10 @@ int CmdScenario(int argc, char** argv) {
   if (!flags.ok()) return Usage();
   if (episodes < 1) {
     std::fprintf(stderr, "--episodes must be positive\n");
+    return Usage();
+  }
+  if (jobs < 1) {
+    std::fprintf(stderr, "--jobs must be positive\n");
     return Usage();
   }
 
